@@ -217,6 +217,9 @@ pub struct ServerEngine {
     seen_site_version: u64,
     /// Counters.
     pub stats: ServerStats,
+    /// `admission_occupancy.<host>`, built once: the gauge is raised on
+    /// every admitted clone, tracer or no tracer.
+    occupancy_key: String,
 }
 
 /// Where one clone's processing microseconds went. Each stage records
@@ -262,6 +265,7 @@ impl ServerEngine {
     fn with_view(site: SiteAddr, web: WebView, config: EngineConfig) -> ServerEngine {
         let cache = config.cache.clone().map(AnswerCache::new);
         ServerEngine {
+            occupancy_key: format!("admission_occupancy.{}", site.host),
             site,
             web,
             config,
@@ -667,10 +671,9 @@ impl ServerEngine {
             // Admission occupancy: in-flight queries holding a slot at
             // this site, as a high-water gauge next to the queue-depth
             // gauges the transports raise.
-            self.config.tracer.gauge_max(
-                &format!("admission_occupancy.{}", self.site.host),
-                self.active.len() as u64,
-            );
+            self.config
+                .tracer
+                .gauge_max(&self.occupancy_key, self.active.len() as u64);
             self.config
                 .tracer
                 .gauge_max("admission_occupancy_high_water", self.active.len() as u64);

@@ -1,7 +1,9 @@
 //! The engine on real TCP sockets over loopback — the deployment shape of
-//! the paper's Java prototype: one daemon (listener thread + engine) per
+//! the paper's Java prototype: one daemon (I/O thread + engine) per
 //! site, the user-site client collecting results on its own listening
-//! socket, passive termination by closing that socket.
+//! socket, passive termination by closing that socket. Unlike the
+//! prototype, a sender keeps its connection to each peer open and
+//! dials only on first use.
 //!
 //! Each simulated site gets an ephemeral `127.0.0.1` port; a shared
 //! address map plays DNS. Experiments use the deterministic simulator;
@@ -16,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use webdis_disql::parse_disql;
 use webdis_model::{SiteAddr, Url};
-use webdis_net::{encode_message, Message, QueryId, RetryPolicy, TcpEndpoint, WireCounters};
+use webdis_net::{ConnPool, Frame, Message, QueryId, RetryPolicy, TcpEndpoint, WireCounters};
 use webdis_rel::ResultRow;
 use webdis_trace::{MetricsExporter, TraceEvent as TrEvent, TraceHandle, TraceRecord};
 
@@ -232,13 +234,15 @@ impl TcpFaultPlan {
 }
 
 /// A `Network` that resolves site addresses through the shared map and
-/// dispatches with one TCP connection per message (retried with backoff
-/// on transient failures; connection-refused — the passive-termination
-/// signal — is surfaced immediately). Obtained from
-/// [`TcpCluster::user_net`]; one clone per thread.
+/// dispatches over its own pool of long-lived connections, one per peer,
+/// dialled on first send (retried with backoff on transient failures;
+/// connection-refused — the passive-termination signal — is surfaced
+/// immediately). Obtained from [`TcpCluster::user_net`]; one clone per
+/// thread, and a clone starts with an empty pool.
 #[derive(Clone)]
 pub struct TcpNet {
     map: Arc<BTreeMap<SiteAddr, SocketAddr>>,
+    pool: ConnPool,
     epoch: Instant,
     /// Host name of the endpoint this handle belongs to, for trace stamps.
     from: String,
@@ -277,11 +281,11 @@ impl TcpNet {
 
 impl Network for TcpNet {
     fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
-        let addr = self
-            .map
-            .get(to)
-            .ok_or_else(|| NetworkError { to: to.clone() })?;
-        let bytes = encode_message(&msg).len() as u64;
+        let undeliverable = || NetworkError { to: to.clone() };
+        let addr = *self.map.get(to).ok_or_else(undeliverable)?;
+        // Encoded once: the frame is what gets counted, damaged and sent.
+        let mut frame = Frame::encode(&msg).map_err(|_| undeliverable())?;
+        let bytes = frame.payload().len() as u64;
         let mut duplicate = false;
         match self.faults.action_for(&msg) {
             FaultAction::None => {}
@@ -301,15 +305,14 @@ impl Network for TcpNet {
                 return Ok(());
             }
             FaultAction::Corrupt => {
-                // Flip one byte mid-frame and push the mangled payload
-                // over the real socket: the receiver's decoder rejects
-                // it, so this is loss exercised through the `WireError`
-                // path rather than a silent swallow. No `MessageSent` is
-                // emitted — the message never arrives.
-                let mut payload = encode_message(&msg);
-                let mid = payload.len() / 2;
-                payload[mid] ^= 0xff;
-                let _ = webdis_net::send_raw(addr, &payload);
+                // Flip one byte mid-payload and push the mangled frame
+                // down the same pooled connection: the receiver's decoder
+                // rejects it, so this is loss exercised through the
+                // `WireError` path rather than a silent swallow. No
+                // `MessageSent` is emitted — the message never arrives.
+                let payload = frame.payload_mut();
+                payload[payload.len() / 2] ^= 0xff;
+                let _ = self.pool.send(addr, &frame);
                 self.wire.record_dropped(msg.kind(), bytes);
                 self.emit(
                     &msg,
@@ -323,7 +326,10 @@ impl Network for TcpNet {
             }
             FaultAction::Duplicate => duplicate = true,
         }
-        webdis_net::tcp::send_to_retrying(addr, &msg, self.retry, |attempt| {
+        // The retry callback traces through `&self`, so the pool steps
+        // out of `self` for the duration of the send.
+        let mut pool = std::mem::take(&mut self.pool);
+        let sent = pool.send_retrying(addr, &frame, self.retry, |attempt| {
             self.emit(
                 &msg,
                 TrEvent::SendRetried {
@@ -332,8 +338,9 @@ impl Network for TcpNet {
                     attempt,
                 },
             );
-        })
-        .map_err(|_| NetworkError { to: to.clone() })?;
+        });
+        self.pool = pool;
+        sent.map_err(|_| undeliverable())?;
         self.wire.record_sent(msg.kind(), bytes);
         self.emit(
             &msg,
@@ -348,7 +355,7 @@ impl Network for TcpNet {
             // The extra copy is metered as sent but traced as
             // `MessageDuplicated`, never as a second `MessageSent` — one
             // logical send, two deliveries.
-            if webdis_net::tcp::send_to(addr, &msg).is_ok() {
+            if self.pool.send(addr, &frame).is_ok() {
                 self.wire.record_sent(msg.kind(), bytes);
                 self.emit(
                     &msg,
@@ -523,6 +530,7 @@ impl TcpCluster {
             };
             let mut net = TcpNet {
                 map: Arc::clone(&map),
+                pool: ConnPool::metered(Arc::clone(&wire)),
                 epoch,
                 from: site.host.clone(),
                 tracer: engine_cfg.tracer.clone(),
@@ -540,6 +548,7 @@ impl TcpCluster {
                     .name(format!("webdis-daemon-{site}"))
                     .spawn(move || {
                         let endpoint = endpoint; // owned by the daemon
+                        let depth_key = format!("queue_depth.{}", net.from);
                         let mut last_purge = Instant::now();
                         let mut win_idx = 0usize;
                         while !stop.load(Ordering::SeqCst) {
@@ -551,9 +560,10 @@ impl TcpCluster {
                                 engine.restart();
                                 win_idx += 1;
                             }
-                            if let Ok((msg, queued)) =
-                                endpoint.recv_timeout_queued(Duration::from_millis(20))
+                            if let Ok(received) =
+                                endpoint.recv_timeout_sized(Duration::from_millis(20))
                             {
+                                let msg = received.msg;
                                 let now = epoch.elapsed();
                                 let crashed = win_idx < windows.len()
                                     && now >= windows[win_idx].start
@@ -564,7 +574,7 @@ impl TcpCluster {
                                     // processed. Traced as an explained
                                     // drop so trajectory triage never
                                     // reports a false orphan.
-                                    let bytes = encode_message(&msg).len() as u32;
+                                    let bytes = received.wire_bytes as u32;
                                     net.emit(
                                         &msg,
                                         TrEvent::MessageDropped {
@@ -579,10 +589,9 @@ impl TcpCluster {
                                 // Inbound queue depth at dequeue: this
                                 // message plus whatever is still waiting.
                                 let depth = endpoint.pending() as u64 + 1;
-                                net.tracer
-                                    .gauge_max(&format!("queue_depth.{}", net.from), depth);
+                                net.tracer.gauge_max(&depth_key, depth);
                                 net.tracer.gauge_max("queue_depth_high_water", depth);
-                                net.queue_wait_us = queued.as_micros() as u64;
+                                net.queue_wait_us = received.queued.as_micros() as u64;
                                 engine.on_message(&mut net, msg);
                                 net.queue_wait_us = 0;
                                 net.tracer
@@ -703,6 +712,7 @@ impl TcpCluster {
     pub fn user_net(&self) -> TcpNet {
         TcpNet {
             map: Arc::clone(&self.map),
+            pool: ConnPool::metered(Arc::clone(&self.wire)),
             epoch: self.epoch,
             from: self.user_site.host.clone(),
             tracer: self.tracer.clone(),
@@ -1076,6 +1086,45 @@ mod tests {
     }
 
     #[test]
+    fn connections_are_reused_across_queries() {
+        // 200 campus queries over one cluster: every (sender, receiver)
+        // pair dials at most once, and a warm cluster never dials again.
+        let web = Arc::new(figures::campus());
+        let cfg = EngineConfig::default();
+        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
+        let mut client = crate::ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
+        let mut net = cluster.user_net();
+        let mut connects_after = Vec::new();
+        for _ in 0..200 {
+            let num = client
+                .submit_disql(&mut net, figures::CAMPUS_QUERY)
+                .expect("valid query");
+            let start = Instant::now();
+            while !client.all_complete() && start.elapsed() < Duration::from_secs(30) {
+                if let Some(msg) = cluster.recv_timeout(Duration::from_millis(20)) {
+                    client.on_message(&mut net, msg);
+                }
+            }
+            let user = client.forget(num).expect("submitted query exists");
+            assert!(user.complete, "query must complete over TCP");
+            assert_eq!(user.results.get(&1).map(Vec::len), Some(3));
+            connects_after.push(cluster.wire_counters().connects());
+        }
+        // Senders: one daemon per site plus the user; receivers likewise.
+        let endpoints = web.sites().len() as u64 + 1;
+        assert!(
+            connects_after[199] <= endpoints * (endpoints - 1),
+            "{} dials for {endpoints} endpoints",
+            connects_after[199]
+        );
+        assert_eq!(
+            connects_after[99], connects_after[199],
+            "a warm cluster must not dial"
+        );
+        cluster.shutdown();
+    }
+
+    #[test]
     fn concurrent_queries_over_tcp() {
         let web = Arc::new(figures::campus());
         let outcomes = run_queries_tcp(
@@ -1369,6 +1418,7 @@ mod tests {
         // The overlays: cluster-wide wire counters and the up gauge.
         assert!(response.contains("webdis_net_query_msgs"), "{response}");
         assert!(response.contains("webdis_net_query_bytes"));
+        assert!(response.contains("webdis_net_connects"), "{response}");
         assert!(response.contains("webdis_up 1"));
         // The stage histograms saw real observations.
         assert!(snap

@@ -18,8 +18,10 @@
 //!   used only by the centralized data-shipping baseline.
 //!
 //! [`tcp`] implements a real transport on `std::net`: length-prefixed
-//! frames, one message per connection, a listener thread per endpoint —
-//! the same architecture as the paper's Java daemon. The deterministic
+//! frames over one long-lived connection per (sender, receiver) pair,
+//! and one `poll`-driven I/O thread per endpoint. The paper's Java
+//! daemon dials per dispatch; a connection that carries one frame and
+//! closes is the short case of the same code. The deterministic
 //! simulated transport lives in `webdis-sim`.
 
 pub mod messages;
@@ -32,5 +34,5 @@ pub use messages::{
     QueryClone, QueryId, ResultReport, StageRows,
 };
 pub use meter::{WireCounters, MESSAGE_KINDS};
-pub use tcp::{send_raw, RetryPolicy, TcpEndpoint, TcpError};
+pub use tcp::{send_raw, ConnPool, Frame, Received, RetryPolicy, TcpEndpoint, TcpError};
 pub use wire::{decode_message, encode_message, Wire, WireError};

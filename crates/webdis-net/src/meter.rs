@@ -25,10 +25,12 @@ struct KindMeter {
 }
 
 /// Thread-safe per-kind counters of wire traffic: messages and bytes
-/// sent, and messages and bytes dropped by fault injection.
+/// sent, and messages and bytes dropped by fault injection — plus how
+/// many connections were dialled to carry them.
 #[derive(Default)]
 pub struct WireCounters {
     kinds: [KindMeter; MESSAGE_KINDS.len()],
+    connects: AtomicU64,
 }
 
 fn kind_index(kind: &str) -> Option<usize> {
@@ -61,6 +63,18 @@ impl WireCounters {
         }
     }
 
+    /// Records one connection dialled by a sender's pool. With
+    /// persistent connections this stays near the number of (sender,
+    /// receiver) pairs however many messages flow.
+    pub fn record_connect(&self) {
+        self.connects.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Connections dialled so far.
+    pub fn connects(&self) -> u64 {
+        self.connects.load(Ordering::Relaxed)
+    }
+
     /// Messages sent of `kind` (0 for unknown kinds).
     pub fn msgs_of(&self, kind: &str) -> u64 {
         kind_index(kind).map_or(0, |i| self.kinds[i].msgs.load(Ordering::Relaxed))
@@ -81,9 +95,14 @@ impl WireCounters {
 
     /// The counters as registry-style `(name, value)` pairs —
     /// `<kind>.msgs`, `<kind>.bytes`, plus `.dropped_*` variants for
-    /// kinds that saw drops. Zero-traffic kinds are skipped.
+    /// kinds that saw drops — and `connects` once a connection was
+    /// dialled. Zero-traffic kinds are skipped.
     pub fn counters(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
+        let connects = self.connects();
+        if connects > 0 {
+            out.push(("connects".to_string(), connects));
+        }
         for (idx, &kind) in MESSAGE_KINDS.iter().enumerate() {
             let m = &self.kinds[idx];
             let (msgs, bytes) = (
@@ -144,6 +163,9 @@ mod tests {
         assert!(pairs.contains(&("query.bytes".to_string(), 500)));
         assert!(pairs.contains(&("query.dropped_msgs".to_string(), 1)));
         assert!(pairs.contains(&("query.dropped_bytes".to_string(), 310)));
+        assert!(!pairs.iter().any(|(k, _)| k == "connects"));
+        w.record_connect();
+        assert!(w.counters().contains(&("connects".to_string(), 1)));
         assert!(
             !pairs.iter().any(|(k, _)| k.starts_with("ack.")),
             "zero-traffic kinds stay out of the report: {pairs:?}"

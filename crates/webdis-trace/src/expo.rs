@@ -204,20 +204,21 @@ impl MetricsExporter {
     /// route table.
     pub fn spawn_routes(routes: AdminRoutes) -> std::io::Result<MetricsExporter> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        // Serve inline: one tiny request at a time is all
-                        // an admin scrape needs.
+            // A blocking accept: an idle exporter costs no wake-ups.
+            // `stop` gets it out with a throwaway connection.
+            for conn in listener.incoming() {
+                if stop_flag.load(Ordering::SeqCst) {
+                    break;
+                }
+                match conn {
+                    // Serve inline: one tiny request at a time is all an
+                    // admin scrape needs.
+                    Ok(stream) => {
                         let _ = serve_one(stream, &routes);
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
                     }
                     Err(_) => break,
                 }
@@ -237,8 +238,10 @@ impl MetricsExporter {
 
     /// Stops the serving thread (idempotent; also runs on drop).
     pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
+            // Wake the blocking accept with a throwaway connection.
+            let _ = TcpStream::connect(self.addr);
             let _ = t.join();
         }
     }
@@ -262,7 +265,6 @@ const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
 fn serve_one(mut stream: TcpStream, routes: &AdminRoutes) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
-    stream.set_nonblocking(false)?;
     // Read until the end of the request head (or the buffer fills — the
     // request line is all we look at).
     let mut buf = [0u8; 1024];
