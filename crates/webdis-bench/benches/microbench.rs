@@ -2,7 +2,7 @@
 //! HTML parsing, virtual-relation construction, node-query evaluation,
 //! log-table checks and the wire codec.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use webdis_model::{LinkType, Url};
 use webdis_net::{encode_message, CloneState, Message, QueryClone, QueryId, Wire};
 use webdis_pre::{check_subsumption, contains, Dfa};
@@ -81,14 +81,50 @@ fn bench_html(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `d.<attr> contains "<needle>"` node-query over the document alone.
+fn contains_query(attr: &str, needle: &str) -> webdis_rel::NodeQuery {
+    let text = format!(
+        r#"select d.url from document d such that "http://site0.test/doc0.html" L* d
+           where d.{attr} contains "{needle}""#
+    );
+    let mut query = webdis_disql::parse_disql(&text).unwrap();
+    query.stages.swap_remove(0).query
+}
+
 fn bench_rel(c: &mut Criterion) {
     let mut group = c.benchmark_group("rel");
     let html = sample_html(25, 1000);
     let parsed = webdis_html::parse_html(&html);
     let url = Url::parse("http://site0.test/doc0.html").unwrap();
+    // The Database Constructor alone: three relations and the link list.
     group.bench_function("node_db_build", |b| {
         b.iter(|| NodeDb::build(black_box(&url), black_box(&parsed)));
     });
+
+    // What construction no longer pays: a column's index is built by the
+    // first query that probes it, so these time one evaluation against a
+    // database nobody has probed — the short title column, and a
+    // 400-word body of 97 distinct words.
+    let mut page = PageBuilder::new("A benchmark document about needles");
+    let body: Vec<String> = (0..400).map(|w| format!("word{}", w * w % 97)).collect();
+    page = page.para(&body.join(" ")).hr();
+    let parsed_400w = webdis_html::parse_html(&page.build());
+    let fresh = || NodeDb::build(&url, &parsed_400w);
+    for (name, nq) in [
+        ("first_probe_title", contains_query("title", "needle")),
+        ("first_probe_text_400w", contains_query("text", "word42")),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                fresh,
+                |db| {
+                    let rows = webdis_rel::eval_node_query(&db, black_box(&nq)).unwrap();
+                    (db, rows)
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
 
     let db = NodeDb::build(&url, &parsed);
     let query = webdis_disql::parse_disql(

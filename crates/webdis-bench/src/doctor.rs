@@ -1106,7 +1106,11 @@ impl Diagnosis {
                 out.push_str(&format!(
                     "{:<24} {:>3} edit(s)  {:>3} delete(s)  {:>3} create(s)  \
                      {:>3} other  final version {}\n",
-                    line.site, line.edits, line.deletes, line.creates, line.other,
+                    line.site,
+                    line.edits,
+                    line.deletes,
+                    line.creates,
+                    line.other,
                     line.final_version
                 ));
             }
@@ -1825,7 +1829,13 @@ mod tests {
             // Fresh visit before the edit: version 0 is current.
             fetch(20, "site1.test", url, 0),
             mutation(100, "site1.test", "edit_page", url, 1),
-            mutation(150, "site1.test", "delete_page", "http://site1.test/doc1.html", 2),
+            mutation(
+                150,
+                "site1.test",
+                "delete_page",
+                "http://site1.test/doc1.html",
+                2,
+            ),
             // A visit *after* the edit served from the pre-edit build.
             fetch(200, "site1.test", url, 0),
             terminated(300),

@@ -430,7 +430,7 @@ fn estimate_bytes(
     for row in rows {
         bytes += 16;
         for v in &row.values {
-            bytes += v.render().len() as u64 + 8;
+            bytes += v.rendered_len() as u64 + 8;
         }
     }
     for b in bindings {

@@ -185,7 +185,7 @@ impl FaultScheduleGen {
         let url = format!("http://{}/doc{doc}.html", site_host(site));
         let at_us = rng.gen_range(10_000u64..=1_000_000);
         match rng.gen_range(0u32..6) {
-            0 | 1 | 2 => FaultSpec::Mutation {
+            0..=2 => FaultSpec::Mutation {
                 at_us,
                 op: "edit_page".into(),
                 url,

@@ -349,7 +349,13 @@ impl ChaosPlan {
     pub fn mutation_schedule(&self) -> MutationSchedule {
         let mut events = Vec::new();
         for fault in &self.faults {
-            let FaultSpec::Mutation { at_us, op, url, arg } = fault else {
+            let FaultSpec::Mutation {
+                at_us,
+                op,
+                url,
+                arg,
+            } = fault
+            else {
                 continue;
             };
             let parsed = Url::parse(url)

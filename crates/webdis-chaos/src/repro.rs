@@ -115,7 +115,12 @@ pub fn encode(plan: &ChaosPlan, violation: Option<&str>) -> String {
                 field_u64(&mut out, "at_us", *at_us);
                 field_u64(&mut out, "down_us", *down_us);
             }
-            FaultSpec::Mutation { at_us, op, url, arg } => {
+            FaultSpec::Mutation {
+                at_us,
+                op,
+                url,
+                arg,
+            } => {
                 field_u64(&mut out, "at_us", *at_us);
                 field_str(&mut out, "op", op);
                 field_str(&mut out, "url", url);

@@ -97,7 +97,10 @@ fn stale_visit_repro_round_trips_and_replays() {
     let plan = known_bad_plan();
     let text = repro::encode(&plan, Some("stale_visit"));
     let (decoded, violation) = repro::decode(&text).expect("repro parses");
-    assert_eq!(decoded, plan, "chaos-repro.json must replay bit-identically");
+    assert_eq!(
+        decoded, plan,
+        "chaos-repro.json must replay bit-identically"
+    );
     assert_eq!(violation.as_deref(), Some("stale_visit"));
 
     let original = run_plan(&plan).expect("original runs");
@@ -169,5 +172,8 @@ fn generated_living_plans_run_deterministically() {
         let b = run_plan(&plan).expect("second run");
         assert_eq!(a.verdict_line(), b.verdict_line(), "plan {i} diverged");
     }
-    assert!(saw_mutated, "the slice should exercise at least one living plan");
+    assert!(
+        saw_mutated,
+        "the slice should exercise at least one living plan"
+    );
 }

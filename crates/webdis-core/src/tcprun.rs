@@ -260,7 +260,9 @@ pub struct TcpNet {
 }
 
 impl TcpNet {
-    fn emit(&self, msg: &Message, event: TrEvent) {
+    /// Traces the event `make` builds; `make` and its `String`s run only
+    /// when the tracer is enabled.
+    fn emit(&self, msg: &Message, make: impl FnOnce() -> TrEvent) {
         self.tracer.emit_with(|| {
             let (query, hop) = match msg {
                 Message::Query(c) => (Some(c.id.clone()), Some(c.hops)),
@@ -273,7 +275,7 @@ impl TcpNet {
                 site: self.from.clone(),
                 query,
                 hop,
-                event,
+                event: make(),
             }
         });
     }
@@ -293,15 +295,12 @@ impl Network for TcpNet {
                 // Injected loss: the sender believes the send succeeded,
                 // exactly like a message lost in flight.
                 self.wire.record_dropped(msg.kind(), bytes);
-                self.emit(
-                    &msg,
-                    TrEvent::MessageDropped {
-                        kind: msg.kind().to_string(),
-                        to: to.host.clone(),
-                        bytes: bytes as u32,
-                        reason: "injected".into(),
-                    },
-                );
+                self.emit(&msg, || TrEvent::MessageDropped {
+                    kind: msg.kind().to_string(),
+                    to: to.host.clone(),
+                    bytes: bytes as u32,
+                    reason: "injected".into(),
+                });
                 return Ok(());
             }
             FaultAction::Corrupt => {
@@ -314,14 +313,11 @@ impl Network for TcpNet {
                 payload[payload.len() / 2] ^= 0xff;
                 let _ = self.pool.send(addr, &frame);
                 self.wire.record_dropped(msg.kind(), bytes);
-                self.emit(
-                    &msg,
-                    TrEvent::MessageCorrupted {
-                        kind: msg.kind().to_string(),
-                        to: to.host.clone(),
-                        bytes: bytes as u32,
-                    },
-                );
+                self.emit(&msg, || TrEvent::MessageCorrupted {
+                    kind: msg.kind().to_string(),
+                    to: to.host.clone(),
+                    bytes: bytes as u32,
+                });
                 return Ok(());
             }
             FaultAction::Duplicate => duplicate = true,
@@ -330,26 +326,20 @@ impl Network for TcpNet {
         // out of `self` for the duration of the send.
         let mut pool = std::mem::take(&mut self.pool);
         let sent = pool.send_retrying(addr, &frame, self.retry, |attempt| {
-            self.emit(
-                &msg,
-                TrEvent::SendRetried {
-                    kind: msg.kind().to_string(),
-                    to: to.host.clone(),
-                    attempt,
-                },
-            );
+            self.emit(&msg, || TrEvent::SendRetried {
+                kind: msg.kind().to_string(),
+                to: to.host.clone(),
+                attempt,
+            });
         });
         self.pool = pool;
         sent.map_err(|_| undeliverable())?;
         self.wire.record_sent(msg.kind(), bytes);
-        self.emit(
-            &msg,
-            TrEvent::MessageSent {
-                kind: msg.kind().to_string(),
-                to: to.host.clone(),
-                bytes: bytes as u32,
-            },
-        );
+        self.emit(&msg, || TrEvent::MessageSent {
+            kind: msg.kind().to_string(),
+            to: to.host.clone(),
+            bytes: bytes as u32,
+        });
         if duplicate {
             // Deliver an identical second copy (a retransmitting network).
             // The extra copy is metered as sent but traced as
@@ -357,14 +347,11 @@ impl Network for TcpNet {
             // logical send, two deliveries.
             if self.pool.send(addr, &frame).is_ok() {
                 self.wire.record_sent(msg.kind(), bytes);
-                self.emit(
-                    &msg,
-                    TrEvent::MessageDuplicated {
-                        kind: msg.kind().to_string(),
-                        to: to.host.clone(),
-                        bytes: bytes as u32,
-                    },
-                );
+                self.emit(&msg, || TrEvent::MessageDuplicated {
+                    kind: msg.kind().to_string(),
+                    to: to.host.clone(),
+                    bytes: bytes as u32,
+                });
             }
         }
         Ok(())
@@ -575,15 +562,12 @@ impl TcpCluster {
                                     // drop so trajectory triage never
                                     // reports a false orphan.
                                     let bytes = received.wire_bytes as u32;
-                                    net.emit(
-                                        &msg,
-                                        TrEvent::MessageDropped {
-                                            kind: msg.kind().to_string(),
-                                            to: net.from.clone(),
-                                            bytes,
-                                            reason: "crashed".into(),
-                                        },
-                                    );
+                                    net.emit(&msg, || TrEvent::MessageDropped {
+                                        kind: msg.kind().to_string(),
+                                        to: net.from.clone(),
+                                        bytes,
+                                        reason: "crashed".into(),
+                                    });
                                     continue;
                                 }
                                 // Inbound queue depth at dequeue: this

@@ -907,9 +907,9 @@ pub fn t19_soak(smoke: bool) -> ScenarioReport {
             webdis_trace::TraceEvent::Purge { records } => {
                 purge_records += u64::from(*records);
             }
-            webdis_trace::TraceEvent::DocFetch { cache_hit: true, .. }
-                if r.time_us > first_mutation_us =>
-            {
+            webdis_trace::TraceEvent::DocFetch {
+                cache_hit: true, ..
+            } if r.time_us > first_mutation_us => {
                 post_mutation_doc_hits += 1;
             }
             _ => {}
@@ -948,7 +948,11 @@ pub fn t19_soak(smoke: bool) -> ScenarioReport {
     report.exact("rows_digest", artifact_digest(&rows_text), Worse::Higher);
     report.exact(
         "dead_link_nodes",
-        outcome.records.iter().map(|r| r.dead_link_nodes as u64).sum(),
+        outcome
+            .records
+            .iter()
+            .map(|r| r.dead_link_nodes as u64)
+            .sum(),
         Worse::Higher,
     );
     report.exact("dead_links", stat_sum(|s| s.dead_links), Worse::Higher);

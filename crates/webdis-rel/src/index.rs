@@ -1,18 +1,21 @@
-//! Per-node persistent indexes over the virtual relations.
+//! Per-node indexes over the virtual relations, built on demand.
 //!
 //! The paper's Database Constructor materializes DOCUMENT/ANCHOR/RELINFON
 //! per node and the evaluator scans them; that is fine for 1999-sized
 //! pages but hopeless once a site's index page carries 10^5 anchors. These
-//! sidecar indexes are built once per [`crate::relation::NodeDb`] (and so
-//! live exactly as long as the footnote-3 document cache keeps the
-//! database) and let the planner turn `contains` and equality conjuncts
-//! into posting-list probes.
+//! sidecar indexes let the planner turn `contains` and equality conjuncts
+//! into posting-list probes. A [`crate::relation::NodeDb`] is constructed
+//! with none of them: each configured column holds a [`OnceLock`] that the
+//! planner fills on that column's first probe, so a database that answers
+//! one node-query and is purged pays for the one column that query reads,
+//! and a database the footnote-3 document cache keeps accumulates every
+//! index it has ever needed.
 //!
 //! Two index shapes cover the predicate language:
 //!
-//! * [`TextIndex`] — an inverted index for `contains`: the rendered column
-//!   value is ASCII-lowercased and split into maximal alphanumeric runs
-//!   (tokens); each token maps to the sorted list of tuple indices it
+//! * [`TextIndex`] — an inverted index for `contains`: the column's text
+//!   is split into maximal ASCII-alphanumeric runs (tokens), ASCII-
+//!   lowercased; each token maps to the sorted list of tuple indices it
 //!   occurs in. A needle that is itself one alphanumeric run cannot span a
 //!   token boundary, so the union of postings of all dictionary tokens
 //!   containing the needle is *exactly* the set of matching tuples — not
@@ -30,31 +33,45 @@
 //! the order the cross-product scan would.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::OnceLock;
 
 use crate::query::RelKind;
 use crate::relation::Relation;
 
-/// Which columns of each relation get which index. Hash columns serve
-/// equality probes; text columns serve `contains` probes.
-const INDEXED_COLUMNS: &[(RelKind, &[&str], &[&str])] = &[
-    (RelKind::Document, &["url"], &["title", "text"]),
-    (RelKind::Anchor, &["href", "ltype"], &["label"]),
-    (RelKind::Relinfon, &["delimiter", "url"], &["text"]),
+/// The columns that get a hash (equality) index.
+const HASH_COLUMNS: [(RelKind, &str); 5] = [
+    (RelKind::Document, "url"),
+    (RelKind::Anchor, "href"),
+    (RelKind::Anchor, "ltype"),
+    (RelKind::Relinfon, "delimiter"),
+    (RelKind::Relinfon, "url"),
 ];
 
-/// True when `kind.attr` is configured for a hash (equality) index — the
-/// planner's admissibility check, independent of any particular database.
-pub fn hash_indexed(kind: RelKind, attr: &str) -> bool {
-    INDEXED_COLUMNS
+/// The columns that get an inverted text (`contains`) index.
+const TEXT_COLUMNS: [(RelKind, &str); 4] = [
+    (RelKind::Document, "title"),
+    (RelKind::Document, "text"),
+    (RelKind::Anchor, "label"),
+    (RelKind::Relinfon, "text"),
+];
+
+fn slot_of(columns: &[(RelKind, &str)], kind: RelKind, attr: &str) -> Option<usize> {
+    columns
         .iter()
-        .any(|(k, hash, _)| *k == kind && hash.iter().any(|c| c.eq_ignore_ascii_case(attr)))
+        .position(|(k, c)| *k == kind && c.eq_ignore_ascii_case(attr))
 }
 
-/// True when `kind.attr` is configured for an inverted text index.
-pub fn text_indexed(kind: RelKind, attr: &str) -> bool {
-    INDEXED_COLUMNS
-        .iter()
-        .any(|(k, _, text)| *k == kind && text.iter().any(|c| c.eq_ignore_ascii_case(attr)))
+/// The slot of `kind.attr` in [`DbIndexes::hash`], when that column is
+/// configured for a hash index — the planner's admissibility check,
+/// independent of any particular database.
+pub(crate) fn hash_slot(kind: RelKind, attr: &str) -> Option<usize> {
+    slot_of(&HASH_COLUMNS, kind, attr)
+}
+
+/// The slot of `kind.attr` in [`DbIndexes::text`], when that column is
+/// configured for an inverted text index.
+pub(crate) fn text_slot(kind: RelKind, attr: &str) -> Option<usize> {
+    slot_of(&TEXT_COLUMNS, kind, attr)
 }
 
 /// Equality index: exact rendered value → ascending tuple indices.
@@ -68,8 +85,13 @@ impl HashIndex {
     pub fn build(rel: &Relation, col: usize) -> HashIndex {
         let mut map: HashMap<String, Vec<u32>> = HashMap::new();
         for (idx, tuple) in rel.tuples.iter().enumerate() {
-            if let Some(v) = tuple.get(col) {
-                map.entry(v.render()).or_default().push(idx as u32);
+            let Some(v) = tuple.get(col) else { continue };
+            let key = v.text();
+            match map.get_mut(key.as_ref()) {
+                Some(postings) => postings.push(idx as u32),
+                None => {
+                    map.insert(key.into_owned(), vec![idx as u32]);
+                }
             }
         }
         HashIndex { map }
@@ -96,43 +118,59 @@ pub struct TextIndex {
 }
 
 impl TextIndex {
-    /// Builds the index over one column of a relation.
+    /// Builds the index over one column of a relation. Tokens are cut
+    /// from the column's own bytes and folded into one reused buffer; a
+    /// key is allocated only the first time its token is seen.
     pub fn build(rel: &Relation, col: usize) -> TextIndex {
         let mut tokens: BTreeMap<String, Vec<u32>> = BTreeMap::new();
+        let mut folded = String::new();
         for (idx, tuple) in rel.tuples.iter().enumerate() {
             let Some(v) = tuple.get(col) else { continue };
-            let folded = v.render().to_ascii_lowercase();
-            for token in folded
-                .split(|c: char| !c.is_ascii_alphanumeric())
+            let text = v.text();
+            // Every byte of a multi-byte character is ≥ 0x80, hence a
+            // separator, exactly as the character itself would be.
+            for token in text
+                .as_bytes()
+                .split(|b| !b.is_ascii_alphanumeric())
                 .filter(|t| !t.is_empty())
             {
-                let postings = tokens.entry(token.to_owned()).or_default();
-                if postings.last() != Some(&(idx as u32)) {
-                    postings.push(idx as u32);
+                folded.clear();
+                folded.extend(token.iter().map(|b| b.to_ascii_lowercase() as char));
+                match tokens.get_mut(folded.as_str()) {
+                    Some(postings) => {
+                        if postings.last() != Some(&(idx as u32)) {
+                            postings.push(idx as u32);
+                        }
+                    }
+                    None => {
+                        tokens.insert(folded.clone(), vec![idx as u32]);
+                    }
                 }
             }
         }
         TextIndex { tokens }
     }
 
-    /// True when a (case-folded) needle can be answered exactly from the
-    /// token dictionary: non-empty and a single alphanumeric run, so it
-    /// cannot straddle a token boundary in any haystack.
+    /// True when a needle can be answered exactly from the token
+    /// dictionary: non-empty and a single alphanumeric run, so it cannot
+    /// straddle a token boundary in any haystack.
     pub fn indexable(needle: &str) -> bool {
         !needle.is_empty() && needle.bytes().all(|b| b.is_ascii_alphanumeric())
     }
 
-    /// Tuple indices whose column `contains` the needle
-    /// (case-insensitive), or `None` when the needle is not
-    /// index-servable and the caller must fall back to scanning.
-    pub fn probe_contains(&self, needle: &str) -> Option<Vec<u32>> {
-        let folded = needle.to_ascii_lowercase();
-        if !Self::indexable(&folded) {
+    /// Tuple indices whose column `contains` the needle, or `None` when
+    /// the needle is not index-servable and the caller must fall back to
+    /// scanning. The dictionary is lowercase, so `folded` must be too: the
+    /// planner folds a needle once when it compiles the probe, not here on
+    /// every document.
+    pub fn probe_contains(&self, folded: &str) -> Option<Vec<u32>> {
+        debug_assert!(!folded.bytes().any(|b| b.is_ascii_uppercase()));
+        if !Self::indexable(folded) {
             return None;
         }
         let mut lists: Vec<&[u32]> = Vec::new();
         for (token, postings) in &self.tokens {
-            if token.contains(&folded) {
+            if token.contains(folded) {
                 lists.push(postings);
             }
         }
@@ -178,76 +216,34 @@ pub(crate) fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// The indexes of one relation, keyed by lowercase column name.
+/// The index slots of one node's database: one [`OnceLock`] per configured
+/// column, all empty at construction.
+/// [`NodeDb::hash_index`](crate::relation::NodeDb::hash_index) and
+/// [`NodeDb::text_index`](crate::relation::NodeDb::text_index) fill a slot
+/// the first time its column is probed. `OnceLock` runs exactly one of any
+/// racing initializers and parks the others until it is done, so threads
+/// sharing an `Arc<NodeDb>` all probe the same index; cloning a database
+/// clones the indexes built so far.
 #[derive(Debug, Clone, Default)]
-pub struct RelIndexes {
-    hash: HashMap<String, HashIndex>,
-    text: HashMap<String, TextIndex>,
-}
-
-impl RelIndexes {
-    fn build(rel: &Relation, hash_cols: &[&str], text_cols: &[&str]) -> RelIndexes {
-        let mut out = RelIndexes::default();
-        for name in hash_cols {
-            if let Some(col) = rel.schema.column_index(name) {
-                out.hash
-                    .insert((*name).to_owned(), HashIndex::build(rel, col));
-            }
-        }
-        for name in text_cols {
-            if let Some(col) = rel.schema.column_index(name) {
-                out.text
-                    .insert((*name).to_owned(), TextIndex::build(rel, col));
-            }
-        }
-        out
-    }
-
-    /// The equality index on `attr`, if that column is hash-indexed.
-    pub fn hash(&self, attr: &str) -> Option<&HashIndex> {
-        self.hash.get(&attr.to_ascii_lowercase())
-    }
-
-    /// The text index on `attr`, if that column is text-indexed.
-    pub fn text(&self, attr: &str) -> Option<&TextIndex> {
-        self.text.get(&attr.to_ascii_lowercase())
-    }
-}
-
-/// All indexes of one node's database, built alongside the virtual
-/// relations in the Database Constructor pass.
-#[derive(Debug, Clone, Default)]
-pub struct DbIndexes {
-    /// Indexes over DOCUMENT.
-    pub document: RelIndexes,
-    /// Indexes over ANCHOR.
-    pub anchor: RelIndexes,
-    /// Indexes over RELINFON.
-    pub relinfon: RelIndexes,
+pub(crate) struct DbIndexes {
+    pub(crate) hash: [OnceLock<HashIndex>; HASH_COLUMNS.len()],
+    pub(crate) text: [OnceLock<TextIndex>; TEXT_COLUMNS.len()],
 }
 
 impl DbIndexes {
-    /// Builds every configured index for the three relations.
-    pub fn build(document: &Relation, anchor: &Relation, relinfon: &Relation) -> DbIndexes {
-        let mut out = DbIndexes::default();
-        for (kind, hash_cols, text_cols) in INDEXED_COLUMNS {
-            let (slot, rel) = match kind {
-                RelKind::Document => (&mut out.document, document),
-                RelKind::Anchor => (&mut out.anchor, anchor),
-                RelKind::Relinfon => (&mut out.relinfon, relinfon),
-            };
-            *slot = RelIndexes::build(rel, hash_cols, text_cols);
+    /// The columns whose slot is filled, hash columns first, each group
+    /// in configuration order.
+    pub(crate) fn built(&self) -> Vec<(RelKind, &'static str)> {
+        fn filled<'a, T>(
+            columns: &'a [(RelKind, &'static str)],
+            slots: &'a [OnceLock<T>],
+        ) -> impl Iterator<Item = (RelKind, &'static str)> + 'a {
+            let filled = columns.iter().zip(slots).filter(|(_, s)| s.get().is_some());
+            filled.map(|(column, _)| *column)
         }
-        out
-    }
-
-    /// The index set for one relation kind.
-    pub fn for_kind(&self, kind: RelKind) -> &RelIndexes {
-        match kind {
-            RelKind::Document => &self.document,
-            RelKind::Anchor => &self.anchor,
-            RelKind::Relinfon => &self.relinfon,
-        }
+        filled(&HASH_COLUMNS, &self.hash)
+            .chain(filled(&TEXT_COLUMNS, &self.text))
+            .collect()
     }
 }
 
@@ -298,7 +294,7 @@ mod tests {
         let idx = TextIndex::build(&rel, 0);
         // "lab" matches tokens "lab" (rows 0, 1) and nothing else; token
         // "laboratories" would match too via substring.
-        assert_eq!(idx.probe_contains("Lab"), Some(vec![0, 1]));
+        assert_eq!(idx.probe_contains("lab"), Some(vec![0, 1]));
         assert_eq!(idx.probe_contains("systems"), Some(vec![0]));
         assert_eq!(idx.probe_contains("zzz"), Some(vec![]));
     }
@@ -325,6 +321,58 @@ mod tests {
         let rel = anchors(&[("lab lab lab", "x", "L")]);
         let idx = TextIndex::build(&rel, 0);
         assert_eq!(idx.probe_contains("lab"), Some(vec![0]));
+    }
+
+    #[test]
+    fn non_ascii_bytes_separate_tokens_and_never_fold() {
+        // "É" is two bytes ≥ 0x80: a separator, like the character was
+        // when the column was lowercased and split by `char`.
+        let rel = anchors(&[("caféBAR naïve", "x", "L"), ("ÉCOLE", "x", "L")]);
+        let idx = TextIndex::build(&rel, 0);
+        assert_eq!(idx.tokens(), 5); // caf, bar, na, ve, cole
+        assert_eq!(idx.probe_contains("bar"), Some(vec![0]));
+        assert_eq!(idx.probe_contains("caf"), Some(vec![0]));
+        assert_eq!(idx.probe_contains("cole"), Some(vec![1]));
+        assert_eq!(idx.probe_contains("cafebar"), Some(vec![]));
+    }
+
+    #[test]
+    fn integer_columns_index_their_rendering() {
+        let rel = Relation {
+            schema: crate::relation::DOCUMENT_SCHEMA,
+            tuples: [1234, -56, 1234]
+                .iter()
+                .map(|n| {
+                    Tuple(vec![
+                        Value::Str("http://h/".into()),
+                        Value::Str(String::new()),
+                        Value::Str(String::new()),
+                        Value::Int(*n),
+                    ])
+                })
+                .collect(),
+        };
+        let text = TextIndex::build(&rel, 3);
+        assert_eq!(text.probe_contains("23"), Some(vec![0, 2]));
+        assert_eq!(text.probe_contains("56"), Some(vec![1]));
+        let hash = HashIndex::build(&rel, 3);
+        assert_eq!(hash.probe("1234"), &[0, 2]);
+        assert_eq!(hash.probe("-56"), &[1]);
+        // Empty columns: no token, one key.
+        assert_eq!(TextIndex::build(&rel, 1).tokens(), 0);
+        assert_eq!(TextIndex::build(&rel, 1).probe_contains("a"), Some(vec![]));
+        assert_eq!(HashIndex::build(&rel, 1).probe(""), &[0, 1, 2]);
+    }
+
+    #[test]
+    fn needle_longer_than_any_token_matches_nothing() {
+        let rel = anchors(&[("lab labs", "x", "L")]);
+        let idx = TextIndex::build(&rel, 0);
+        assert_eq!(idx.probe_contains("labsx"), Some(vec![]));
+        assert_eq!(
+            TextIndex::build(&anchors(&[]), 0).probe_contains("lab"),
+            Some(vec![])
+        );
     }
 
     #[test]

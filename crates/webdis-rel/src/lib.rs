@@ -16,9 +16,9 @@
 //! `such that` clauses ([`Expr`]), and the node-query evaluator
 //! ([`eval_node_query`]). Evaluation compiles each query's conjuncts into
 //! index probes plus a residual filter ([`planner`]) over per-node sidecar
-//! indexes ([`index`]) built by the Database Constructor, falling back to
-//! the paper's nested-loop cross-product scan ([`eval_node_query_scan`])
-//! level-by-level whenever no index applies.
+//! indexes ([`index`]) that each column builds on its first probe, falling
+//! back to the paper's nested-loop cross-product scan
+//! ([`eval_node_query_scan`]) level-by-level whenever no index applies.
 
 pub mod expr;
 pub mod index;
@@ -29,7 +29,7 @@ pub mod subsume;
 pub mod value;
 
 pub use expr::{CmpOp, EvalError, Expr};
-pub use index::{DbIndexes, HashIndex, RelIndexes, TextIndex};
+pub use index::{HashIndex, TextIndex};
 pub use planner::{compile, EvalStats, Plan, Probe};
 pub use query::{
     eval_node_query, eval_node_query_scan, eval_node_query_scan_with_stats,

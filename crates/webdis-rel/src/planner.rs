@@ -12,7 +12,11 @@
 //! 2. it is `attr = "literal"` with a non-numeric literal (hash index) or
 //!    `attr contains "literal"` with a single-alphanumeric-run literal
 //!    (text index);
-//! 3. that column is indexed in [`crate::index::DbIndexes`].
+//! 3. that column is configured for that index in [`crate::index`].
+//!
+//! A database builds a column's index the first time a plan probes it
+//! ([`NodeDb::hash_index`], [`NodeDb::text_index`]); which probes a plan
+//! holds never depends on what has been built.
 //!
 //! Everything else stays a residual filter evaluated per candidate, and a
 //! level with no probes falls back to the full scan of its relation — the
@@ -31,7 +35,7 @@ use crate::relation::NodeDb;
 pub enum Probe {
     /// `var.attr = "value"` against a hash index.
     HashEq {
-        /// The (lowercased-at-lookup) attribute name.
+        /// The attribute name, matched case-insensitively.
         attr: String,
         /// The literal the column must render to, exactly.
         value: String,
@@ -40,7 +44,8 @@ pub enum Probe {
     TextContains {
         /// The attribute name.
         attr: String,
-        /// The index-servable needle.
+        /// The index-servable needle, ASCII-lowercased like the index's
+        /// dictionary.
         needle: String,
     },
 }
@@ -107,8 +112,8 @@ fn attr_vs_literal<'e>(a: &'e Expr, b: &'e Expr) -> Option<(&'e str, &'e str, &'
 /// Tries to turn one conjunct into an index probe for the level whose
 /// enumerated variable is `var_at_level` of kind `kind`. Admissibility is
 /// decided against the schema-level index configuration
-/// ([`crate::index::hash_indexed`] / [`crate::index::text_indexed`]),
-/// which is identical for every `NodeDb`.
+/// ([`crate::index::hash_slot`] / [`crate::index::text_slot`]), which is
+/// identical for every `NodeDb`.
 fn as_probe(kind: crate::query::RelKind, var_at_level: &str, e: &Expr) -> Option<Probe> {
     match e {
         Expr::Cmp(CmpOp::Eq, a, b) => {
@@ -122,12 +127,10 @@ fn as_probe(kind: crate::query::RelKind, var_at_level: &str, e: &Expr) -> Option
             // A numeric-looking literal compares by integer coercion
             // (" 42 " = "42" holds); only pure-string equality is
             // hash-servable.
-            if crate::value::Value::Str(value.clone()).as_int().is_some() {
+            if crate::value::parse_int(value).is_some() {
                 return None;
             }
-            if !crate::index::hash_indexed(kind, attr) {
-                return None;
-            }
+            crate::index::hash_slot(kind, attr)?;
             Some(Probe::HashEq {
                 attr: attr.to_owned(),
                 value: value.clone(),
@@ -140,15 +143,13 @@ fn as_probe(kind: crate::query::RelKind, var_at_level: &str, e: &Expr) -> Option
             if var != var_at_level {
                 return None;
             }
-            if !crate::index::TextIndex::indexable(&needle.to_ascii_lowercase()) {
+            if !crate::index::TextIndex::indexable(needle) {
                 return None;
             }
-            if !crate::index::text_indexed(kind, attr) {
-                return None;
-            }
+            crate::index::text_slot(kind, attr)?;
             Some(Probe::TextContains {
                 attr: attr.clone(),
-                needle: needle.clone(),
+                needle: needle.to_ascii_lowercase(),
             })
         }
         _ => None,
@@ -158,8 +159,9 @@ fn as_probe(kind: crate::query::RelKind, var_at_level: &str, e: &Expr) -> Option
 /// Compiles a node-query into a [`Plan`].
 ///
 /// Compilation is per-query and cheap (it walks the predicate trees once);
-/// the expensive artifacts — the indexes — live on the [`NodeDb`] and are
-/// shared by every query the footnote-3 cache serves from that node.
+/// the expensive artifacts — the indexes — live on the [`NodeDb`], are
+/// built by the first plan that probes them and are shared by every query
+/// the footnote-3 cache serves from that node.
 /// Probe admissibility is decided against the *schema-level* index
 /// configuration, which is identical for every `NodeDb`, so a `Plan` is
 /// valid for any database.
@@ -271,27 +273,23 @@ impl Plan {
     }
 
     /// Candidate tuple indices for one level: posting-list intersection
-    /// when probes exist, the whole relation otherwise.
+    /// when probes exist, the whole relation otherwise. A probe is what
+    /// builds its column's index on a database that has not needed it yet.
     fn candidates(&self, db: &NodeDb, level: usize) -> Candidates {
         let probes = &self.probes[level];
+        let kind = self.query.vars[level].kind;
         if probes.is_empty() {
-            let n = match self.query.vars[level].kind {
-                crate::query::RelKind::Document => db.document.len(),
-                crate::query::RelKind::Anchor => db.anchor.len(),
-                crate::query::RelKind::Relinfon => db.relinfon.len(),
-            };
-            return Candidates::Scan(n);
+            return Candidates::Scan(db.relation(kind).len());
         }
-        let idx = db.indexes.for_kind(self.query.vars[level].kind);
         let mut acc: Option<Vec<u32>> = None;
         for p in probes {
             let postings: Vec<u32> = match p {
-                Probe::HashEq { attr, value } => idx
-                    .hash(attr)
+                Probe::HashEq { attr, value } => db
+                    .hash_index(kind, attr)
                     .map(|h| h.probe(value).to_vec())
                     .unwrap_or_default(),
-                Probe::TextContains { attr, needle } => idx
-                    .text(attr)
+                Probe::TextContains { attr, needle } => db
+                    .text_index(kind, attr)
                     .and_then(|t| t.probe_contains(needle))
                     .unwrap_or_default(),
             };
@@ -454,13 +452,85 @@ mod tests {
             plan.probes()[1],
             vec![Probe::TextContains {
                 attr: "label".into(),
-                needle: "Lab".into()
+                needle: "lab".into()
             }]
         );
         let (rows, stats) = plan.execute(&db()).unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(stats.tuples_visited, 3);
         assert_eq!(rows, eval_node_query_scan(&db(), &q).unwrap());
+    }
+
+    #[test]
+    fn an_index_is_built_by_the_first_probe_of_its_column_and_by_nothing_else() {
+        let db = db();
+        assert!(db.built_indexes().is_empty());
+
+        // Residual-only and scan evaluation never build anything.
+        let unindexed = da_query(Expr::Cmp(
+            CmpOp::Eq,
+            Box::new(attr("a", "base")),
+            Box::new(Expr::StrLit("http://elsewhere/".into())),
+        ));
+        eval_node_query(&db, &unindexed).unwrap();
+        let label = da_query(Expr::Contains(
+            Box::new(attr("a", "label")),
+            Box::new(Expr::StrLit("Lab".into())),
+        ));
+        let scanned = eval_node_query_scan(&db, &label).unwrap();
+        assert!(db.built_indexes().is_empty());
+
+        // A probe of `a.label` builds that index, and only that one.
+        let (rows, stats) = eval_node_query_with_stats(&db, &label).unwrap();
+        assert_eq!(rows, scanned);
+        assert!(stats.used_index);
+        assert_eq!(db.built_indexes(), vec![(RelKind::Anchor, "label")]);
+
+        // The second probe reuses it; a probe of another column adds one.
+        assert_eq!(eval_node_query(&db, &label).unwrap(), scanned);
+        assert_eq!(db.built_indexes(), vec![(RelKind::Anchor, "label")]);
+        let ltype = da_query(Expr::Cmp(
+            CmpOp::Eq,
+            Box::new(attr("a", "LTYPE")),
+            Box::new(Expr::StrLit("G".into())),
+        ));
+        assert_eq!(eval_node_query(&db, &ltype).unwrap().len(), 2);
+        assert_eq!(
+            db.built_indexes(),
+            vec![(RelKind::Anchor, "ltype"), (RelKind::Anchor, "label")]
+        );
+
+        // A clone carries the indexes built so far; the original's later
+        // builds are its own.
+        let copy = db.clone();
+        assert_eq!(copy.built_indexes(), db.built_indexes());
+        let title = da_query(Expr::Contains(
+            Box::new(attr("d", "title")),
+            Box::new(Expr::StrLit("labs".into())),
+        ));
+        assert_eq!(eval_node_query(&db, &title).unwrap().len(), 3);
+        assert_eq!(db.built_indexes().len(), 3);
+        assert_eq!(copy.built_indexes().len(), 2);
+    }
+
+    #[test]
+    fn an_empty_first_probe_stops_before_the_second_column_is_built() {
+        // `a.href = nowhere and a.label contains "lab"`: the href postings
+        // are empty, so the label index is never asked for.
+        let q = da_query(Expr::And(
+            Box::new(Expr::Cmp(
+                CmpOp::Eq,
+                Box::new(attr("a", "href")),
+                Box::new(Expr::StrLit("http://nowhere.test/".into())),
+            )),
+            Box::new(Expr::Contains(
+                Box::new(attr("a", "label")),
+                Box::new(Expr::StrLit("lab".into())),
+            )),
+        ));
+        let db = db();
+        assert!(eval_node_query(&db, &q).unwrap().is_empty());
+        assert_eq!(db.built_indexes(), vec![(RelKind::Anchor, "href")]);
     }
 
     #[test]

@@ -181,11 +181,7 @@ impl<'a> Env<'a> {
     }
 
     pub(crate) fn relation(&self, kind: RelKind) -> &'a Relation {
-        match kind {
-            RelKind::Document => &self.db.document,
-            RelKind::Anchor => &self.db.anchor,
-            RelKind::Relinfon => &self.db.relinfon,
-        }
+        self.db.relation(kind)
     }
 
     /// Projects the fully-bound environment onto the select list.
@@ -195,19 +191,19 @@ impl<'a> Env<'a> {
             let v = self
                 .lookup(var, attr)
                 .ok_or_else(|| EvalError::new(format!("unknown attribute {var}.{attr}")))?;
-            values.push(v);
+            values.push(v.clone());
         }
         Ok(ResultRow { values })
     }
 }
 
 impl Bindings for Env<'_> {
-    fn lookup(&self, var: &str, attr: &str) -> Option<Value> {
+    fn lookup(&self, var: &str, attr: &str) -> Option<&Value> {
         let idx = self.decls.iter().position(|d| d.name == var)?;
         let tuple_idx = self.bound[idx]?;
         let rel = self.relation(self.decls[idx].kind);
         let col = rel.schema.column_index(attr)?;
-        rel.tuples[tuple_idx].get(col).cloned()
+        rel.tuples[tuple_idx].get(col)
     }
 }
 

@@ -4,7 +4,8 @@
 use webdis_html::ParsedDoc;
 use webdis_model::{Link, LinkType, Url};
 
-use crate::index::DbIndexes;
+use crate::index::{DbIndexes, HashIndex, TextIndex};
+use crate::query::RelKind;
 use crate::value::{Tuple, Value};
 
 /// A relation schema: a name and ordered column names.
@@ -88,23 +89,26 @@ pub struct NodeDb {
     /// the engine for query forwarding (the paper's "construct the anchor
     /// table for node", Figure 4 line 9).
     pub links: Vec<Link>,
-    /// Sidecar indexes over the three relations, built in the same
-    /// constructor pass. The footnote-3 document cache keeps the whole
-    /// `NodeDb`, so indexes persist across every query served from cache.
-    pub indexes: DbIndexes,
+    /// Sidecar indexes over the three relations, each built the first
+    /// time a query probes its column. The footnote-3 document cache keeps
+    /// the whole `NodeDb`, so an index built for one query serves every
+    /// later query answered from cache.
+    indexes: DbIndexes,
 }
 
 impl NodeDb {
     /// Builds the virtual relations for a document hosted at `url`. This
     /// is the single pass of the Database Constructor: anchors whose href
     /// cannot be interpreted as an http URL are skipped (a 1999-era query
-    /// processor would do the same with `mailto:`).
+    /// processor would do the same with `mailto:`). No index is built
+    /// here; see [`NodeDb::hash_index`] and [`NodeDb::text_index`].
     pub fn build(url: &Url, doc: &ParsedDoc) -> NodeDb {
         let base = url.without_fragment();
+        let base_text = base.to_string();
         let document = Relation {
             schema: DOCUMENT_SCHEMA,
             tuples: vec![Tuple(vec![
-                Value::Str(base.to_string()),
+                Value::Str(base_text.clone()),
                 Value::Str(doc.title.clone()),
                 Value::Str(doc.text.clone()),
                 Value::Int(doc.raw_len as i64),
@@ -120,7 +124,7 @@ impl NodeDb {
             let link = Link::new(base.clone(), target, raw.label.clone());
             anchor.tuples.push(Tuple(vec![
                 Value::Str(link.label.clone()),
-                Value::Str(link.base.to_string()),
+                Value::Str(base_text.clone()),
                 Value::Str(link.href.to_string()),
                 Value::Str(link.ltype.symbol().to_owned()),
             ]));
@@ -131,21 +135,53 @@ impl NodeDb {
         for ri in &doc.relinfons {
             relinfon.tuples.push(Tuple(vec![
                 Value::Str(ri.delimiter.clone()),
-                Value::Str(base.to_string()),
+                Value::Str(base_text.clone()),
                 Value::Str(ri.text.clone()),
                 Value::Int(ri.text.len() as i64),
             ]));
         }
 
-        let indexes = DbIndexes::build(&document, &anchor, &relinfon);
         NodeDb {
             url: base,
             document,
             anchor,
             relinfon,
             links,
-            indexes,
+            indexes: DbIndexes::default(),
         }
+    }
+
+    /// The relation a variable of the given kind ranges over.
+    pub fn relation(&self, kind: RelKind) -> &Relation {
+        match kind {
+            RelKind::Document => &self.document,
+            RelKind::Anchor => &self.anchor,
+            RelKind::Relinfon => &self.relinfon,
+        }
+    }
+
+    /// The equality index on `kind.attr`, built now if this is the
+    /// column's first probe; `None` when the column is not hash-indexed.
+    pub fn hash_index(&self, kind: RelKind, attr: &str) -> Option<&HashIndex> {
+        let slot = crate::index::hash_slot(kind, attr)?;
+        let rel = self.relation(kind);
+        let col = rel.schema.column_index(attr)?;
+        Some(self.indexes.hash[slot].get_or_init(|| HashIndex::build(rel, col)))
+    }
+
+    /// The inverted text index on `kind.attr`, built now if this is the
+    /// column's first probe; `None` when the column is not text-indexed.
+    pub fn text_index(&self, kind: RelKind, attr: &str) -> Option<&TextIndex> {
+        let slot = crate::index::text_slot(kind, attr)?;
+        let rel = self.relation(kind);
+        let col = rel.schema.column_index(attr)?;
+        Some(self.indexes.text[slot].get_or_init(|| TextIndex::build(rel, col)))
+    }
+
+    /// The columns whose index has been built so far, hash columns first,
+    /// each group in configuration order.
+    pub fn built_indexes(&self) -> Vec<(RelKind, &'static str)> {
+        self.indexes.built()
     }
 
     /// Outgoing links of the given type — the forwarding candidates for one

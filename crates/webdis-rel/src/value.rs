@@ -1,5 +1,6 @@
 //! Attribute values and tuples.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// An attribute value: the virtual relations only need strings (urls,
@@ -27,17 +28,43 @@ impl Value {
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
-            Value::Str(s) => s.trim().parse().ok(),
+            Value::Str(s) => parse_int(s),
         }
     }
 
     /// String rendering used by `contains` and by result display.
     pub fn render(&self) -> String {
+        self.text().into_owned()
+    }
+
+    /// [`render`](Value::render) without the copy: a string value lends
+    /// its own text, only an integer is formatted.
+    pub fn text(&self) -> Cow<'_, str> {
         match self {
-            Value::Str(s) => s.clone(),
-            Value::Int(i) => i.to_string(),
+            Value::Str(s) => Cow::Borrowed(s),
+            Value::Int(i) => Cow::Owned(i.to_string()),
         }
     }
+
+    /// `self.render().len()` without building the string.
+    pub fn rendered_len(&self) -> usize {
+        match self {
+            Value::Str(s) => s.len(),
+            Value::Int(i) => {
+                let digits = i
+                    .unsigned_abs()
+                    .checked_ilog10()
+                    .map_or(1, |d| d as usize + 1);
+                digits + usize::from(*i < 0)
+            }
+        }
+    }
+}
+
+/// The lenient string → integer coercion of [`Value::as_int`], shared with
+/// the evaluator's borrowed scalars and the planner's probe guard.
+pub(crate) fn parse_int(s: &str) -> Option<i64> {
+    s.trim().parse().ok()
 }
 
 impl fmt::Display for Value {
@@ -100,6 +127,25 @@ mod tests {
         assert_eq!(Value::Str("a".into()).render(), "a");
         assert_eq!(Value::Int(-3).render(), "-3");
         assert_eq!(format!("{}", Value::Int(7)), "7");
+    }
+
+    #[test]
+    fn text_and_rendered_len_agree_with_render() {
+        let values = [
+            Value::Str(String::new()),
+            Value::Str("héllo".into()),
+            Value::Int(0),
+            Value::Int(7),
+            Value::Int(-10),
+            Value::Int(999),
+            Value::Int(1000),
+            Value::Int(i64::MAX),
+            Value::Int(i64::MIN),
+        ];
+        for v in values {
+            assert_eq!(v.text(), v.render());
+            assert_eq!(v.rendered_len(), v.render().len(), "{v:?}");
+        }
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! order — including the shapes that force scan fallback (non-indexable
 //! needles, numeric-looking equality literals, unindexed columns,
 //! cross-variable conditions) and the shapes where a probe yields empty
-//! postings.
+//! postings. A database builds a column's index on that column's first
+//! probe, so the same must hold for every *sequence* of queries against
+//! one database — whichever indexes earlier queries left behind — for a
+//! clone of a partly-indexed database, and for threads sharing one.
+
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use webdis_html::parse_html;
@@ -30,6 +35,7 @@ fn word() -> impl Strategy<Value = String> {
         Just("bravo".to_owned()),
         Just("charlie".to_owned()),
         Just("needle".to_owned()),
+        Just("café".to_owned()), // tokens "caf" only: "é" separates
     ]
 }
 
@@ -85,12 +91,15 @@ fn predicate(var: &'static str, kind: RelKind) -> impl Strategy<Value = Expr> {
         _ => "label",
     };
     let needles = prop_oneof![
-        word(),                    // indexable, often present
-        Just("zulu".to_owned()),   // indexable, never present → empty postings
-        Just("link 1".to_owned()), // space → not indexable → fallback
-        Just("a.html".to_owned()), // dot → not indexable → fallback
-        Just(String::new()),       // empty → not indexable → fallback
-        Just("NEEDLE".to_owned()), // case-folding path
+        word(),                               // indexable, often present
+        Just("zulu".to_owned()),              // indexable, never present → empty postings
+        Just("link 1".to_owned()),            // space → not indexable → fallback
+        Just("a.html".to_owned()),            // dot → not indexable → fallback
+        Just(String::new()),                  // empty → not indexable → fallback
+        Just("NEEDLE".to_owned()),            // case-folding path
+        Just("caf".to_owned()),               // indexable, ends where "é" begins
+        Just("FÉ".to_owned()),                // non-ASCII → not indexable → fallback
+        Just("alphabravocharlie".to_owned()), // longer than any token
     ];
     let eq_lits = prop_oneof![
         Just("a.html".to_owned()), // hash probe (href) / residual elsewhere
@@ -118,6 +127,15 @@ fn predicate(var: &'static str, kind: RelKind) -> impl Strategy<Value = Expr> {
                 _ => "label",
             };
             Expr::Cmp(CmpOp::Eq, Box::new(attr(var, a)), Box::new(Expr::StrLit(w)))
+        }),
+        // `contains` over the integer column — residual, matched against
+        // the rendered number.
+        (0i64..10).prop_map(move |n| {
+            let a = match kind {
+                RelKind::Document => "length",
+                _ => "ltype",
+            };
+            Expr::Contains(Box::new(attr(var, a)), Box::new(Expr::IntLit(n)))
         }),
         // Ordered comparison on the numeric column — residual by design.
         (0i64..400).prop_map(move |n| {
@@ -234,6 +252,47 @@ proptest! {
         }
     }
 
+    /// One database, a sequence of queries: each query meets whatever
+    /// indexes its predecessors built (none, some, its own already), and
+    /// must answer — rows, order and work counters — exactly as on a
+    /// database nobody has probed, which in turn matches the scan. A clone
+    /// taken mid-sequence carries the indexes built so far and answers the
+    /// rest identically.
+    #[test]
+    fn any_query_sequence_on_one_database_equals_scan(
+        spec in doc_spec(),
+        queries in prop::collection::vec((condition(), placement()), 1..7),
+        clone_at in 0usize..6,
+    ) {
+        let shared = build_db(&spec);
+        let mut copy = None;
+        let mut built = 0;
+        for (i, (cond, place)) in queries.into_iter().enumerate() {
+            if i == clone_at {
+                copy = Some(shared.clone());
+            }
+            let query = query_with(cond, place);
+            let (scan_rows, _) =
+                eval_node_query_scan_with_stats(&shared, &query).expect("scan evaluates");
+            let fresh = eval_node_query_with_stats(&build_db(&spec), &query)
+                .expect("planner evaluates on an unprobed database");
+            let warm = eval_node_query_with_stats(&shared, &query)
+                .expect("planner evaluates on a probed database");
+            prop_assert_eq!(&fresh.0, &scan_rows, "unprobed database must match the scan");
+            prop_assert_eq!(&warm, &fresh, "earlier queries' indexes must not show");
+            if let Some(copy) = &copy {
+                let cloned = eval_node_query_with_stats(copy, &query)
+                    .expect("planner evaluates on a clone");
+                prop_assert_eq!(&cloned, &fresh, "a clone must answer identically");
+            }
+            // Indexes are only ever added, and only by probing plans.
+            let now = shared.built_indexes().len();
+            prop_assert!(now >= built);
+            prop_assert!(now == built || warm.1.used_index);
+            built = now;
+        }
+    }
+
     /// Single-variable probes across both relations: equality and
     /// containment alone, where the planner is most likely to go pure
     /// index, must still match the scan bit-for-bit.
@@ -250,5 +309,63 @@ proptest! {
         let (probe_rows, _) =
             eval_node_query_with_stats(&db, &query).expect("planner evaluates");
         prop_assert_eq!(probe_rows, scan_rows);
+    }
+}
+
+/// Two threads released together onto one unprobed `Arc<NodeDb>`: both
+/// ask for the same not-yet-built indexes at once, one of them builds
+/// each, and both read the rows a database of their own would give.
+#[test]
+fn threads_sharing_one_database_get_identical_rows() {
+    let spec = DocSpec {
+        title: vec!["alpha".into(), "needle".into()],
+        body: (0..400).map(|i| format!("word{} needle", i % 37)).collect(),
+        hrefs: (0..200)
+            .map(|i| ["a.html", "b.html", "c.html"][i % 3].to_owned())
+            .collect(),
+    };
+    let contains =
+        |var, a, w: &str| Expr::Contains(Box::new(attr(var, a)), Box::new(Expr::StrLit(w.into())));
+    let queries = [
+        query_with(contains("d", "text", "needle"), 0),
+        query_with(contains("a", "label", "7"), 1),
+        query_with(
+            Expr::And(
+                Box::new(contains("d", "title", "ALPHA")),
+                Box::new(Expr::Cmp(
+                    CmpOp::Eq,
+                    Box::new(attr("a", "href")),
+                    Box::new(Expr::StrLit("http://prop.test/b.html".into())),
+                )),
+            ),
+            0,
+        ),
+    ];
+    for round in 0..8 {
+        let shared = Arc::new(build_db(&spec));
+        let barrier = Barrier::new(2);
+        let answer = |db: &NodeDb| -> Vec<_> {
+            queries
+                .iter()
+                .map(|q| eval_node_query_with_stats(db, q).expect("planner evaluates"))
+                .collect()
+        };
+        let (one, two) = std::thread::scope(|s| {
+            let run = || {
+                barrier.wait();
+                answer(&shared)
+            };
+            let one = s.spawn(run);
+            let two = s.spawn(run);
+            (
+                one.join().expect("first prober"),
+                two.join().expect("second prober"),
+            )
+        });
+        let alone = answer(&build_db(&spec));
+        assert!(alone.iter().all(|(rows, _)| !rows.is_empty()));
+        assert_eq!(one, alone, "round {round}");
+        assert_eq!(two, alone, "round {round}");
+        assert_eq!(shared.built_indexes().len(), 4, "text, label, title, href");
     }
 }

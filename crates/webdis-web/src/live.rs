@@ -489,10 +489,7 @@ impl LiveWeb {
                     .cloned()
                     .collect();
                 if gone.is_empty() {
-                    vec![(
-                        Url::from_parts(host, 80, "/"),
-                        DocEffect::Noop,
-                    )]
+                    vec![(Url::from_parts(host, 80, "/"), DocEffect::Noop)]
                 } else {
                     let mut effects = Vec::with_capacity(gone.len());
                     for url in gone {
@@ -668,13 +665,7 @@ mod tests {
         let a = MutationSchedule::generate(&web, &cfg);
         let b = MutationSchedule::generate(&web, &cfg);
         assert_eq!(a, b);
-        let c = MutationSchedule::generate(
-            &web,
-            &MutationPlanConfig {
-                seed: 2,
-                ..cfg
-            },
-        );
+        let c = MutationSchedule::generate(&web, &MutationPlanConfig { seed: 2, ..cfg });
         assert_ne!(a, c, "different seed, different schedule");
         assert!(a.events.windows(2).all(|w| w[0].at_us <= w[1].at_us));
     }
@@ -739,7 +730,10 @@ mod tests {
             op: MutationOp::DeletePage { url: url.clone() },
         });
         assert_eq!(live.doc_status(&url), DocStatus::Deleted(1));
-        assert!(matches!(live.fetch(&url), FetchOutcome::Deleted { version: 1 }));
+        assert!(matches!(
+            live.fetch(&url),
+            FetchOutcome::Deleted { version: 1 }
+        ));
         live.apply(&Mutation {
             at_us: 6,
             op: MutationOp::SiteLeave {
