@@ -42,7 +42,7 @@ fn run_with_cache(cache_size: usize) -> (u64, u64, bool) {
     for site in &sites {
         net.register(
             site.clone(),
-            Box::new(PlainWebServer::new(Arc::clone(&web))),
+            Box::new(PlainWebServer::new(Arc::clone(&web).into())),
         );
         let engine =
             webdis_core::ServerEngine::new(site.clone(), Arc::clone(&web), engine_cfg.clone());

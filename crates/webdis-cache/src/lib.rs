@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! The cross-query answer cache (ROADMAP item 4).
+//! The cross-query answer cache.
 //!
 //! The paper's log table eliminates duplicate node-query work *within*
 //! one query via subsumption (Section 3.1.1); traffic from many users

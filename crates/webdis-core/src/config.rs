@@ -185,7 +185,7 @@ pub struct EngineConfig {
     /// queries per site, with explicit load shedding beyond it. `None`
     /// (the default) admits everything — the single-query behaviour.
     pub admission: Option<AdmissionPolicy>,
-    /// Cross-query answer cache (ROADMAP item 4): each server keeps a
+    /// Cross-query answer cache: each server keeps a
     /// memory-bounded, subsumption-aware store of node-query answers it
     /// consults before evaluating. `None` (the default) disables it and
     /// reproduces the uncached engine bit-for-bit; `Some(policy)` sets

@@ -387,7 +387,7 @@ pub fn run_datashipping_sim_traced(
     let mut net = webdis_sim::SimNet::new(sim_cfg);
     net.set_tracer(tracer.clone());
     for site in web.sites() {
-        net.register(site, Box::new(PlainWebServer::new(Arc::clone(&web))));
+        net.register(site, Box::new(PlainWebServer::new(Arc::clone(&web).into())));
     }
     let addr = user_addr();
     let mut user = DataShipUser::with_proc(query, addr.clone(), proc);

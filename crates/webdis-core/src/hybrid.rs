@@ -6,8 +6,8 @@
 //! dead-ending them. The hybrid user site then behaves like the
 //! traditional centralized system *for exactly those nodes*: it downloads
 //! the documents from the sites' plain web servers, evaluates the
-//! node-queries locally (the very same `traverse_node` core the
-//! distributed servers run), and — crucially — **re-enters distributed
+//! node-queries locally (the very same visit core the distributed
+//! servers run), and — crucially — **re-enters distributed
 //! processing** whenever the traversal leads back into a participating
 //! site, by dispatching fresh clones.
 //!
@@ -19,15 +19,14 @@
 //! with all sites participating the fallback never runs — the migration
 //! path the paper promises, measured by experiment T7.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 use std::sync::Arc;
 
 use webdis_disql::parse_disql;
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{
-    ChtEntry, CloneState, Disposition, FetchRequest, Message, NodeReport, QueryClone, QueryId,
-    ResultReport,
+    CloneState, Disposition, FetchRequest, Message, NodeReport, QueryId, ResultReport,
 };
 use webdis_rel::NodeDb;
 use webdis_sim::{Actor, Ctx, SimConfig, SimEvent};
@@ -35,13 +34,13 @@ use webdis_sim::{Actor, Ctx, SimConfig, SimEvent};
 use webdis_trace::{TraceEvent as TrEvent, TraceRecord};
 
 use crate::config::EngineConfig;
-use crate::logtable::{LogOutcome, LogTable};
+use crate::logtable::LogTable;
 use crate::network::{query_server_addr, Network};
-use crate::server::{traverse_node, TraceCtx};
 use crate::simrun::{
-    build_sim_participating, user_addr, CtxNet, QueryOutcome, SimRunError, SimServer,
+    build_sim_participating, collect_outcome, user_addr, CtxNet, QueryOutcome, SimRunError,
 };
 use crate::user::UserSite;
+use crate::visit::{admit, ForwardGroups, TraverseCounters, VisitCtx};
 
 /// Counters for the hybrid fallback path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -101,49 +100,21 @@ impl HybridUser {
     /// straight to the fallback.
     pub fn start(&mut self, net: &mut dyn Network) {
         self.user.start(net);
-        let handoffs = std::mem::take(&mut self.user.handoff_start);
-        for (node, state) in handoffs {
+        self.drain_handoffs(net);
+    }
+
+    /// Feeds every node the wrapped client was handed to the fallback.
+    fn drain_handoffs(&mut self, net: &mut dyn Network) {
+        for (node, state) in std::mem::take(&mut self.user.handoffs) {
             self.enqueue_handoff(net, node, state);
         }
     }
 
-    /// Handles reports (splitting out handoffs) and fetch replies.
+    /// Handles fetch replies itself; reports go to the wrapped client,
+    /// which (past its duplicate-delivery guard) sets the nodes servers
+    /// handed back aside for the fallback.
     pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
         match msg {
-            Message::Report(report) => {
-                if report.id != self.user.id {
-                    return;
-                }
-                // Duplicate-delivery guard before the handoff split: a
-                // replayed report must neither re-apply its rows nor
-                // re-enqueue its handoffs.
-                if self.user.is_duplicate_report(&report.origin, report.seq) {
-                    return;
-                }
-                let mut pass_through = Vec::new();
-                let mut handoffs = Vec::new();
-                for nr in report.reports {
-                    if nr.disposition == Disposition::Handoff {
-                        handoffs.push((nr.node, nr.state));
-                    } else {
-                        pass_through.push(nr);
-                    }
-                }
-                if !pass_through.is_empty() {
-                    self.user.apply_report(
-                        net.now_us(),
-                        ResultReport {
-                            id: report.id,
-                            origin: report.origin,
-                            seq: report.seq,
-                            reports: pass_through,
-                        },
-                    );
-                }
-                for (node, state) in handoffs {
-                    self.enqueue_handoff(net, node, state);
-                }
-            }
             Message::FetchReply(reply) => {
                 let url = reply.url.without_fragment();
                 if self.cache.contains_key(&url) {
@@ -171,7 +142,10 @@ impl HybridUser {
                     self.process_handoff(net, url.clone(), state);
                 }
             }
-            _ => {}
+            msg => {
+                self.user.on_message(net, msg);
+                self.drain_handoffs(net);
+            }
         }
     }
 
@@ -202,125 +176,66 @@ impl HybridUser {
         }
     }
 
-    /// Runs one handed-off node through the shared traversal core and
-    /// applies the synthesized report; forwards that reach participating
-    /// sites become real clones again.
+    /// Runs one handed-off node through the shared visit core and applies
+    /// the synthesized report; forwards that reach participating sites
+    /// become real clones again.
     fn process_handoff(&mut self, net: &mut dyn Network, node: Url, state: CloneState) {
         let now = net.now_us();
-        let total = self.user.query().stages.len();
-        let stage_idx = total - state.num_q as usize;
+        let query = self.user.query().clone();
+        let stage_idx = query.stages.len() - state.num_q as usize;
         let id = self.user.id.clone();
 
         // The local log table plays the role a server's would.
-        let (pre, rewritten) =
-            match self
-                .log
-                .check(self.config.log_mode, &id, &node, &state, true, now)
-            {
-                LogOutcome::Drop { .. } => {
-                    // The local drop must still clear (or cancel) the entry.
-                    self.stats.local_duplicates += 1;
-                    self.apply_local(
-                        now,
-                        node,
-                        state,
-                        Disposition::Duplicate,
-                        Vec::new(),
-                        Vec::new(),
-                    );
-                    return;
-                }
-                LogOutcome::Process { pre, rewritten } => (pre, rewritten),
-            };
-
-        let Some(Some(db)) = self.cache.get(&node).cloned() else {
-            self.apply_local(
-                now,
-                node,
-                state,
-                Disposition::DeadEnd,
-                Vec::new(),
-                Vec::new(),
-            );
-            return;
-        };
-
-        let query = self.user.query().clone();
-        let now_fn = || net.now_us();
-        let out = traverse_node(
-            &db,
-            &node,
-            &query.stages,
-            0,
-            pre,
-            stage_idx,
-            &mut self.log,
-            self.config.log_mode,
-            &id,
-            now,
-            &TraceCtx {
-                tracer: &self.config.tracer,
-                site: &self.self_addr.host,
-                hop: None,
-                now: &now_fn,
-                eval_cost_us: self.config.proc.eval_us,
-            },
-            // The hybrid fallback evaluates centrally at the user site,
-            // which keeps no answer cache (the caches live at the query
-            // servers whose content they mirror).
-            None,
-        );
-        self.stats.local_evaluations += out.counters.evaluations;
-        net.work(self.config.proc.eval_us * out.counters.evaluations);
-        self.stats.local_duplicates += out.counters.duplicates_dropped;
-
-        // Dedupe and announce forwards; decide per destination site
-        // whether to re-enter distributed processing or keep falling back.
-        let mut new_entries = Vec::new();
-        let mut seen: BTreeSet<(Url, String)> = BTreeSet::new();
-        let mut per_site: BTreeMap<(SiteAddr, String, usize), (CloneState, Vec<Url>)> =
-            BTreeMap::new();
-        for (target, fstate, idx) in out.forwards {
-            let key = (target.clone(), format!("{fstate}"));
-            if !seen.insert(key) {
-                continue;
+        let mode = self.config.log_mode;
+        let arrival = match admit(&mut self.log, mode, &id, node, state, stage_idx, now) {
+            Ok(arrival) => arrival,
+            Err(dup) => {
+                // The local drop must still clear (or cancel) the entry.
+                self.stats.local_duplicates += 1;
+                let report = NodeReport::empty(dup.node, dup.state, Disposition::Duplicate);
+                return self.apply_local(now, report);
             }
-            new_entries.push(ChtEntry {
-                node: target.clone(),
-                state: fstate.clone(),
-            });
-            per_site
-                .entry((target.site(), format!("{fstate}"), idx))
-                .or_insert_with(|| (fstate.clone(), Vec::new()))
-                .1
-                .push(target);
-        }
-
-        let disposition = if rewritten {
-            Disposition::Rewritten
-        } else if out.any_answer {
-            Disposition::Answered
-        } else if new_entries.is_empty() {
-            Disposition::DeadEnd
-        } else {
-            Disposition::PureRouted
         };
+        let Some(Some(db)) = self.cache.get(&arrival.node).cloned() else {
+            let report =
+                NodeReport::empty(arrival.node, arrival.announced_state, Disposition::DeadEnd);
+            return self.apply_local(now, report);
+        };
+
+        let clock = || net.now_us();
+        let visited = VisitCtx {
+            config: &self.config,
+            site: &self.self_addr.host,
+            hop: None,
+            id: &id,
+            db: &db,
+            stages: &query.stages,
+            offset: 0,
+            log: &mut self.log,
+            cache: None,
+            now_us: now,
+            clock: &clock,
+            counters: TraverseCounters::default(),
+        }
+        .visit(arrival, &mut BTreeSet::new());
+        self.stats.local_evaluations += visited.counters.evaluations;
+        net.work(self.config.proc.eval_us * visited.counters.evaluations);
+        self.stats.local_duplicates += visited.counters.duplicates_dropped;
+
         // Announce entries (and results) before any clone leaves — the
         // same ordering discipline the servers follow.
-        self.apply_local(now, node, state, disposition, out.results, new_entries);
+        self.apply_local(now, visited.report);
 
-        let mut fallback: VecDeque<(Url, CloneState)> = VecDeque::new();
-        for ((site, _, idx), (fstate, dests)) in per_site {
-            let clone = QueryClone {
-                id: id.clone(),
-                dest_nodes: dests.clone(),
-                rem_pre: fstate.rem_pre.clone(),
-                stages: query.stages[idx..].to_vec(),
-                stage_offset: idx as u32,
-                hops: 0,
-                ack_host: id.host.clone(),
-                ack_port: id.port,
-            };
+        // Per destination site, re-enter distributed processing or keep
+        // falling back.
+        let mut groups = ForwardGroups::default();
+        for forward in visited.forwards {
+            groups.push(forward);
+        }
+        let batch = self.config.batch_per_site;
+        let mut fallback: Vec<(Url, CloneState)> = Vec::new();
+        for (site, clone) in groups.into_clones(&id, &query.stages, 0, 0, &self.self_addr, batch) {
+            let (fstate, dests) = (clone.state(), clone.dest_nodes.clone());
             if net
                 .send(&query_server_addr(&site), Message::Query(clone))
                 .is_ok()
@@ -328,9 +243,7 @@ impl HybridUser {
                 // Back into distributed processing.
                 self.stats.reentries += 1;
             } else {
-                for dest in dests {
-                    fallback.push_back((dest, fstate.clone()));
-                }
+                fallback.extend(dests.into_iter().map(|dest| (dest, fstate.clone())));
             }
         }
         for (dest, fstate) in fallback {
@@ -339,28 +252,14 @@ impl HybridUser {
     }
 
     /// Applies a locally-synthesized node report to the wrapped client.
-    fn apply_local(
-        &mut self,
-        now_us: u64,
-        node: Url,
-        state: CloneState,
-        disposition: Disposition,
-        results: Vec<webdis_net::StageRows>,
-        new_entries: Vec<ChtEntry>,
-    ) {
+    fn apply_local(&mut self, now_us: u64, report: NodeReport) {
         let report = ResultReport {
             id: self.user.id.clone(),
             // Locally synthesized: seq 0 bypasses the duplicate guard
             // (the fallback legitimately reports many nodes in turn).
             origin: "local".into(),
             seq: 0,
-            reports: vec![NodeReport {
-                node,
-                state,
-                disposition,
-                results,
-                new_entries,
-            }],
+            reports: vec![report],
         };
         self.user.apply_report(now_us, report);
     }
@@ -428,35 +327,13 @@ pub fn run_query_hybrid_sim(
     net.start(&addr);
     let duration_us = net.run();
 
-    let mut server_stats = BTreeMap::new();
-    for site in sites {
-        if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(&site)) {
-            server_stats.insert(site, server.engine.stats);
-        }
+    fn hybrid_of(net: &mut webdis_sim::SimNet) -> &HybridUser {
+        let user = net.actor_mut::<SimHybridUser>(&user_addr());
+        &user.expect("hybrid user registered").hybrid
     }
-    let user = net
-        .actor_mut::<SimHybridUser>(&addr)
-        .expect("hybrid user registered");
-    let stats = user.hybrid.stats;
-    let u = &user.hybrid.user;
-    Ok((
-        QueryOutcome {
-            complete: u.complete,
-            results: u.results.clone(),
-            trace: u.trace.clone(),
-            first_result_us: u.first_result_us,
-            completed_at_us: u.completed_at_us,
-            cht_stats: u.cht.stats,
-            failed_entries: u.failed_entries.clone(),
-            shed_entries: u.shed_entries.clone(),
-            dead_link_entries: u.dead_link_entries.clone(),
-            why_incomplete: u.why_incomplete(),
-            metrics: net.metrics.clone(),
-            duration_us,
-            server_stats,
-        },
-        stats,
-    ))
+    let stats = hybrid_of(&mut net).stats;
+    let outcome = collect_outcome(&mut net, sites, duration_us, |net| &hybrid_of(net).user);
+    Ok((outcome, stats))
 }
 
 #[cfg(test)]

@@ -8,9 +8,11 @@
 //! relations and returns results directly to the user site. The modules
 //! map onto the paper's sections:
 //!
-//! * [`server`] — the query-server daemon (Figures 3 and 4): clone
-//!   processing, PRE-driven forwarding with per-site batching, dead-end
-//!   detection, passive termination on result-dispatch failure;
+//! * [`server`] — the query-server daemon (Figures 3 and 4): the clone
+//!   pipeline, dead-end detection, passive termination on
+//!   result-dispatch failure; the node visit and the PRE-driven
+//!   forwarding with per-site batching it shares with the user site live
+//!   in the private `visit` module;
 //! * [`user`] — the user-site client (Figure 2): query dispatch, result
 //!   collection, and completion detection;
 //! * [`cht`] — the Current Hosts Table protocol (Section 2.7.1), extended
@@ -25,8 +27,8 @@
 //! * [`datashipping`] — the centralized download-and-evaluate baseline
 //!   the paper argues against (Sections 1 and 6);
 //! * [`tcprun`] — the same engine on real TCP sockets over loopback, one
-//!   listener thread per site, demonstrating the "currently operational"
-//!   deployment shape.
+//!   daemon thread and one poll-driven I/O thread per site, demonstrating
+//!   the "currently operational" deployment shape.
 //!
 //! Quick start:
 //!
@@ -59,6 +61,7 @@ pub mod server;
 pub mod simrun;
 pub mod tcprun;
 pub mod user;
+mod visit;
 
 pub use cht::{Cht, ChtStats};
 pub use client::{ClientProcess, ScheduledClient, ScheduledSubmission, SimClient};
@@ -73,9 +76,7 @@ pub use logtable::{LogOutcome, LogTable};
 pub use network::{query_server_addr, Network, NetworkError};
 pub use report::{render_html, render_text, ResultsView};
 pub use server::{ServerEngine, ServerStats};
-pub use simrun::{
-    register_web_sites, register_web_sites_live, run_query_sim, QueryOutcome, SimRunError,
-};
+pub use simrun::{register_web_sites, run_query_sim, QueryOutcome, SimRunError};
 pub use tcprun::{
     run_queries_tcp, run_query_tcp, run_query_tcp_faulty, run_query_tcp_live, CrashWindow,
     TcpCluster, TcpFaultPlan, TcpNet, TcpOutcome,

@@ -24,22 +24,22 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
-use webdis_cache::{AnswerCache, Lookup as CacheLookup};
+use webdis_cache::AnswerCache;
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{
-    AckMsg, ChtEntry, CloneState, Disposition, FetchResponse, Message, NodeReport, QueryClone,
-    QueryId, ResultReport, StageRows,
+    AckMsg, CloneState, Disposition, FetchRequest, FetchResponse, Message, NodeReport, QueryClone,
+    QueryId, ResultReport,
 };
-use webdis_pre::Pre;
-use webdis_rel::{
-    canonicalize, eval_node_query_with_bindings, eval_node_query_with_stats, NodeDb, ResultRow,
-};
-use webdis_trace::{TermReason, TraceEvent, TraceHandle, TraceRecord};
+use webdis_rel::NodeDb;
+use webdis_trace::{TermReason, TraceEvent, TraceRecord};
 use webdis_web::{DocStatus, FetchOutcome, HostedWeb, LiveWeb, WebView};
 
 use crate::config::{ChtMode, CompletionMode, EngineConfig};
-use crate::logtable::{LogOutcome, LogTable};
-use crate::network::{query_server_addr, Network};
+use crate::logtable::LogTable;
+use crate::network::{query_server_addr, Network, NetworkError};
+use crate::visit::{
+    admit, distinct_nodes, Arrival, Forward, ForwardGroups, TraverseCounters, VisitCtx,
+};
 
 /// Per-server counters, the raw material of the ablation experiments.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -127,29 +127,40 @@ impl ServerStats {
     }
 }
 
-/// Per-query Dijkstra–Scholten state (ack-chain completion mode).
-#[derive(Debug, Default)]
-struct AckState {
-    /// Currently engaged in the spawn tree.
-    engaged: bool,
-    /// The engager, owed an ack when the subtree drains.
-    parent: Option<SiteAddr>,
-    /// Forwarded clones not yet acknowledged.
-    deficit: u64,
+/// Plain web-server behaviour, for the data-shipping baseline and the
+/// hybrid fallback: the whole document goes back to the requester
+/// (`None` when it is deleted or was never there).
+pub(crate) fn fetch_reply(web: &WebView, req: &FetchRequest) -> Message {
+    let html = match web.fetch(&req.url) {
+        FetchOutcome::Found { html, .. } => Some(html),
+        FetchOutcome::Deleted { .. } | FetchOutcome::Missing => None,
+    };
+    Message::FetchReply(FetchResponse {
+        url: req.url.clone(),
+        html,
+    })
 }
 
-/// One admitted arrival awaiting processing.
-struct Arrival {
-    node: Url,
-    /// The state announced in the CHT (pre-rewrite) — reports must carry
-    /// exactly this so the user site can match the entry.
-    announced_state: CloneState,
-    /// The effective remaining PRE (equals the announced one unless the
-    /// log table rewrote it).
-    effective_pre: Pre,
-    /// Index into the clone's remaining-stages array.
-    stage_idx: usize,
-    rewritten: bool,
+/// Everything this site remembers about one query between messages. An
+/// entry exists only while one of its parts is in use, and
+/// [`ServerEngine::purge_log`] retires it once the query has been idle
+/// for a purge period.
+#[derive(Debug, Default)]
+struct QueryState {
+    /// Time of the query's last clone arrival here.
+    last_seen_us: u64,
+    /// Holds an admission slot (only under admission control).
+    admitted: bool,
+    /// Known to be terminated (a result dispatch failed): clones still
+    /// arriving for it are dropped without processing.
+    purged: bool,
+    /// Dijkstra–Scholten bookkeeping (ack-chain mode only): currently
+    /// engaged in the spawn tree,
+    engaged: bool,
+    /// the engager, owed an ack when the subtree drains,
+    parent: Option<SiteAddr>,
+    /// and the forwarded clones not yet acknowledged.
+    deficit: u64,
 }
 
 /// What [`ServerEngine::node_db`] found at a destination URL.
@@ -164,6 +175,34 @@ enum NodeLookup {
     Missing,
 }
 
+/// One clone in flight through the log and visit stages.
+struct Flight {
+    clone: QueryClone,
+    /// Node reports bound for the user site, in processing order.
+    reports: Vec<NodeReport>,
+    /// Admitted arrivals awaiting their visit.
+    queue: VecDeque<Arrival>,
+    /// Forwards to other sites.
+    remote: ForwardGroups,
+    /// Forward dedup across all arrivals of this message, so an entry is
+    /// announced at most once and its clone sent at most once.
+    seen_forward: BTreeSet<(Url, String, usize)>,
+}
+
+/// The trace stamp of `clone`'s events: its query and hop.
+fn at(clone: &QueryClone) -> Option<(&QueryId, u32)> {
+    Some((&clone.id, clone.hops))
+}
+
+/// How a clone left the pipeline — all the ack chain needs to know.
+enum Exit {
+    /// Refused (terminated query, empty clone, shed), dropped silently,
+    /// or cut short by passive termination.
+    Released,
+    /// Ran to completion, having forwarded this many clones.
+    Forwarded(u64),
+}
+
 /// A WEBDIS query server for one site.
 pub struct ServerEngine {
     site: SiteAddr,
@@ -173,9 +212,8 @@ pub struct ServerEngine {
     web: WebView,
     config: EngineConfig,
     log: LogTable,
-    /// Queries known to be terminated: clones arriving for them are
-    /// dropped without processing.
-    purged: BTreeSet<QueryId>,
+    /// Per-query state: admission slots, terminated queries, ack chains.
+    queries: BTreeMap<QueryId, QueryState>,
     /// Footnote-3 cache of parsed node databases, indexed by document
     /// URL for O(1) hits and carrying the content version each build
     /// parsed. Empty when `config.doc_cache_size == 0`.
@@ -183,15 +221,6 @@ pub struct ServerEngine {
     /// Insertion order of the cached documents — the FIFO eviction queue
     /// (footnote 3 pins FIFO, not LRU: a hit does not refresh an entry).
     doc_cache_fifo: VecDeque<Url>,
-    /// Queries currently in flight at this site, by the virtual time of
-    /// their last clone arrival. Only maintained under admission control;
-    /// entries retire on passive termination and on [`purge_log`] sweeps
-    /// (a query idle for a whole purge period is done here).
-    ///
-    /// [`purge_log`]: ServerEngine::purge_log
-    active: BTreeMap<QueryId, u64>,
-    /// Dijkstra–Scholten bookkeeping per query (ack-chain mode only).
-    ack: BTreeMap<QueryId, AckState>,
     /// Time of the last periodic log purge.
     last_purge_us: u64,
     /// Sequence number of the last result report shipped (dedupe key at
@@ -200,14 +229,12 @@ pub struct ServerEngine {
     /// a sequence number the network may still be carrying.
     report_seq: u64,
     /// Per-stage latency attribution for the clone currently being
-    /// processed; reset at the top of [`process_clone`] and emitted as
-    /// one [`TraceEvent::StageSpans`] when the pipeline finishes.
-    ///
-    /// [`process_clone`]: ServerEngine::process_clone
+    /// processed; reset by the receive stage and emitted as one
+    /// [`TraceEvent::StageSpans`] at the pipeline's exit.
     span: StageAccum,
-    /// Cross-query answer cache (ROADMAP item 4), present when
-    /// `config.cache` is set. Consulted before every nullable-PRE
-    /// evaluation; fed by every evaluation that completes.
+    /// Cross-query answer cache, present when `config.cache` is set.
+    /// Consulted before every nullable-PRE evaluation; fed by every
+    /// evaluation that completes.
     cache: Option<AnswerCache>,
     /// Highest site content version this engine has reacted to. On a
     /// living web every clone arrival polls the site version; an advance
@@ -252,17 +279,20 @@ impl ServerEngine {
     /// Creates the server for `site`, serving documents from a frozen
     /// `web` snapshot (every page at content version 0, forever).
     pub fn new(site: SiteAddr, web: Arc<HostedWeb>, config: EngineConfig) -> ServerEngine {
-        ServerEngine::with_view(site, WebView::Frozen(web), config)
+        ServerEngine::with_view(site, web.into(), config)
     }
 
     /// Creates the server for `site` over a shared living web: documents
     /// are fetched at their version current at visit time, and a site
-    /// content-version bump flushes the answer cache.
+    /// content-version bump flushes the answer cache. Kept beside
+    /// [`ServerEngine::new`] only because the wall-clock benchmark
+    /// (`hwbench/`) calls it by name; everything in the workspace goes
+    /// through the [`WebView`].
     pub fn new_live(site: SiteAddr, web: Arc<LiveWeb>, config: EngineConfig) -> ServerEngine {
-        ServerEngine::with_view(site, WebView::Live(web), config)
+        ServerEngine::with_view(site, web.into(), config)
     }
 
-    fn with_view(site: SiteAddr, web: WebView, config: EngineConfig) -> ServerEngine {
+    pub(crate) fn with_view(site: SiteAddr, web: WebView, config: EngineConfig) -> ServerEngine {
         let cache = config.cache.clone().map(AnswerCache::new);
         ServerEngine {
             occupancy_key: format!("admission_occupancy.{}", site.host),
@@ -271,11 +301,9 @@ impl ServerEngine {
             config,
             cache,
             log: LogTable::new(),
-            purged: BTreeSet::new(),
+            queries: BTreeMap::new(),
             doc_cache: HashMap::new(),
             doc_cache_fifo: VecDeque::new(),
-            active: BTreeMap::new(),
-            ack: BTreeMap::new(),
             last_purge_us: 0,
             report_seq: 0,
             span: StageAccum::default(),
@@ -295,20 +323,18 @@ impl ServerEngine {
     }
 
     /// Crash-restart: the daemon comes back with its volatile state —
-    /// log table, purge set, admission slots, document cache, ack
-    /// bookkeeping — wiped, exactly what a process respawn loses.
-    /// Counters survive (they model the harness's measurement plane,
-    /// not daemon memory) and the report sequence stays monotone via
-    /// the clock floor in [`next_report_seq`].
+    /// log table, per-query state (purge set, admission slots, ack
+    /// bookkeeping), document cache — wiped, exactly what a process
+    /// respawn loses. Counters survive (they model the harness's
+    /// measurement plane, not daemon memory) and the report sequence
+    /// stays monotone via the clock floor in [`next_report_seq`].
     ///
     /// [`next_report_seq`]: ServerEngine::next_report_seq
     pub fn restart(&mut self) {
         self.log = LogTable::new();
-        self.purged.clear();
+        self.queries.clear();
         self.doc_cache.clear();
         self.doc_cache_fifo.clear();
-        self.active.clear();
-        self.ack.clear();
         self.last_purge_us = 0;
         self.span = StageAccum::default();
         // The answer cache is volatile daemon memory too: a respawned
@@ -341,103 +367,6 @@ impl ServerEngine {
         self.cache.as_ref().map(|c| c.resident_bytes())
     }
 
-    /// Drops one document from the footnote-3 cache (stale or deleted
-    /// build detected on a hit).
-    fn evict_doc(&mut self, node: &Url) {
-        if self.doc_cache.remove(node).is_some() {
-            self.doc_cache_fifo.retain(|u| u != node);
-        }
-    }
-
-    /// Builds (or retrieves from the footnote-3 cache) the virtual
-    /// relations for one node, charging the parse cost to the processor.
-    ///
-    /// The consistency contract of the living web lives here: a cached
-    /// build is served only if its content version still matches the
-    /// document's current status, so every visit answers from the
-    /// version current at visit time. Deleted documents come back as
-    /// [`NodeLookup::Deleted`] so the caller can report a dead link.
-    fn node_db(&mut self, net: &mut dyn Network, node: &Url) -> NodeLookup {
-        let parse_t0 = net.now_us();
-        if self.config.doc_cache_size > 0 {
-            if let Some((db, version)) = self.doc_cache.get(node).cloned() {
-                // `validate_doc_cache == false` reproduces the historic
-                // unvalidated hit path (the staleness bug the chaos
-                // oracle demonstrates); on a frozen web both answers
-                // agree, since versions never move.
-                let status = if self.config.validate_doc_cache {
-                    self.web.doc_status(node)
-                } else {
-                    DocStatus::Present(version)
-                };
-                match status {
-                    DocStatus::Present(current) if current == version => {
-                        self.stats.doc_cache_hits += 1;
-                        self.config.tracer.emit_with(|| TraceRecord {
-                            time_us: net.now_us(),
-                            site: self.site.host.clone(),
-                            query: None,
-                            hop: None,
-                            event: TraceEvent::DocFetch {
-                                url: node.to_string(),
-                                cache_hit: true,
-                                content_version: version,
-                            },
-                        });
-                        self.span.parse_us += net.now_us().saturating_sub(parse_t0);
-                        return NodeLookup::Found(db);
-                    }
-                    DocStatus::Deleted(current) => {
-                        self.evict_doc(node);
-                        self.span.parse_us += net.now_us().saturating_sub(parse_t0);
-                        return NodeLookup::Deleted(current);
-                    }
-                    // Edited (version moved) or vanished: drop the stale
-                    // build and fall through to a fresh fetch.
-                    _ => self.evict_doc(node),
-                }
-            }
-        }
-        let (html, version) = match self.web.fetch(node) {
-            FetchOutcome::Found { html, version } => (html, version),
-            FetchOutcome::Deleted { version } => {
-                self.span.parse_us += net.now_us().saturating_sub(parse_t0);
-                return NodeLookup::Deleted(version);
-            }
-            FetchOutcome::Missing => {
-                self.span.parse_us += net.now_us().saturating_sub(parse_t0);
-                return NodeLookup::Missing;
-            }
-        };
-        self.stats.docs_parsed += 1;
-        self.config.tracer.emit_with(|| TraceRecord {
-            time_us: net.now_us(),
-            site: self.site.host.clone(),
-            query: None,
-            hop: None,
-            event: TraceEvent::DocFetch {
-                url: node.to_string(),
-                cache_hit: false,
-                content_version: version,
-            },
-        });
-        let parse_cost = self.config.proc.parse_cost_us(html.len());
-        net.work(parse_cost);
-        let db = Arc::new(NodeDb::build(node, &webdis_html::parse_html(&html)));
-        if self.config.doc_cache_size > 0 {
-            if self.doc_cache_fifo.len() >= self.config.doc_cache_size {
-                if let Some(evicted) = self.doc_cache_fifo.pop_front() {
-                    self.doc_cache.remove(&evicted);
-                }
-            }
-            self.doc_cache
-                .insert(node.clone(), (Arc::clone(&db), version));
-            self.doc_cache_fifo.push_back(node.clone());
-        }
-        self.span.parse_us += net.now_us().saturating_sub(parse_t0) + parse_cost;
-        NodeLookup::Found(db)
-    }
-
     /// The site this server is responsible for.
     pub fn site(&self) -> &SiteAddr {
         &self.site
@@ -449,19 +378,69 @@ impl ServerEngine {
     }
 
     /// Purges log records older than `before_us` (the periodic purge of
-    /// Section 3.1.1; the harness decides the period). Also retires
-    /// admission-control slots of queries whose last clone arrived before
-    /// the cutoff — a query idle for a whole purge period holds no work
-    /// here, so keeping its slot would starve new arrivals forever.
+    /// Section 3.1.1; the harness decides the period), and with them the
+    /// per-query state of queries whose last clone arrived before the
+    /// cutoff: a query idle for a whole purge period holds no work here,
+    /// so keeping its admission slot would starve new arrivals forever
+    /// and keeping its record would leak one entry per query. Only a
+    /// live ack chain outlasts idleness — it still owes its parent an
+    /// ack or is owed some. A terminated query's chain died with its
+    /// user site; should a clone of it arrive after its record is gone,
+    /// it is processed afresh, fails its result dispatch and is purged
+    /// again: recomputation only, the log table's own bargain.
     pub fn purge_log(&mut self, before_us: u64) -> usize {
-        self.active.retain(|_, last_seen| *last_seen >= before_us);
+        self.queries.retain(|_, q| {
+            if q.last_seen_us >= before_us {
+                return true;
+            }
+            q.admitted = false;
+            !q.purged && (q.engaged || q.deficit > 0)
+        });
         self.log.purge(before_us)
     }
 
     /// Queries currently holding an admission slot (0 when admission
     /// control is off).
     pub fn active_queries(&self) -> usize {
-        self.active.len()
+        self.queries.values().filter(|q| q.admitted).count()
+    }
+
+    /// Stamps one trace event at this site and the transport's current
+    /// time, for the clone `at` (query, hop) if any; built only when the
+    /// tracer is on.
+    fn trace(
+        &self,
+        net: &dyn Network,
+        at: Option<(&QueryId, u32)>,
+        event: impl FnOnce() -> TraceEvent,
+    ) {
+        self.config.tracer.emit_with(|| TraceRecord {
+            time_us: net.now_us(),
+            site: self.site.host.clone(),
+            query: at.map(|(id, _)| id.clone()),
+            hop: at.map(|(_, hop)| hop),
+            event: event(),
+        });
+    }
+
+    /// Dispatches node reports to the user site under a fresh sequence
+    /// number. No reports, nothing to say: no message.
+    fn ship(
+        &mut self,
+        net: &mut dyn Network,
+        id: &QueryId,
+        reports: Vec<NodeReport>,
+    ) -> Result<(), NetworkError> {
+        if reports.is_empty() {
+            return Ok(());
+        }
+        let report = ResultReport {
+            id: id.clone(),
+            origin: self.site.host.clone(),
+            seq: self.next_report_seq(net.now_us()),
+            reports,
+        };
+        net.send(&id.reply_to(), Message::Report(report))
     }
 
     /// Handles one incoming message.
@@ -473,33 +452,15 @@ impl ServerEngine {
             let now = net.now_us();
             if now.saturating_sub(self.last_purge_us) >= period {
                 self.last_purge_us = now;
-                let records = self.purge_log(now.saturating_sub(period));
-                self.config.tracer.emit_with(|| TraceRecord {
-                    time_us: now,
-                    site: self.site.host.clone(),
-                    query: None,
-                    hop: None,
-                    event: TraceEvent::Purge {
-                        records: records as u32,
-                    },
-                });
+                let records = self.purge_log(now.saturating_sub(period)) as u32;
+                self.trace(net, None, || TraceEvent::Purge { records });
             }
         }
         match msg {
             Message::Query(clone) => self.process_clone(net, clone),
             Message::Ack(ack) => self.on_ack(net, ack.id),
             Message::Fetch(req) => {
-                // Plain web-server behaviour for the data-shipping
-                // baseline: ship the whole document back to the requester.
-                let html = match self.web.fetch(&req.url) {
-                    FetchOutcome::Found { html, .. } => Some(html),
-                    FetchOutcome::Deleted { .. } | FetchOutcome::Missing => None,
-                };
-                let reply = Message::FetchReply(FetchResponse {
-                    url: req.url.clone(),
-                    html,
-                });
-                let _ = net.send(&req.reply_to(), reply);
+                let _ = net.send(&req.reply_to(), fetch_reply(&self.web, &req));
             }
             Message::Report(_) | Message::FetchReply(_) => {
                 // Servers neither receive reports nor fetch replies.
@@ -507,51 +468,64 @@ impl ServerEngine {
         }
     }
 
-    /// Acknowledges the spawn-tree parent and disengages (ack-chain mode).
-    fn disengage(&mut self, net: &mut dyn Network, id: &QueryId) {
-        if let Some(state) = self.ack.get_mut(id) {
-            if state.engaged && state.deficit == 0 {
-                state.engaged = false;
-                if let Some(parent) = state.parent.take() {
-                    let _ = net.send(&parent, Message::Ack(AckMsg { id: id.clone() }));
-                }
-            }
-        }
-    }
-
-    /// Handles a child's subtree-termination ack (ack-chain mode).
-    fn on_ack(&mut self, net: &mut dyn Network, id: QueryId) {
-        if let Some(state) = self.ack.get_mut(&id) {
-            state.deficit = state.deficit.saturating_sub(1);
-        }
-        self.disengage(net, &id);
-    }
-
-    /// Emits the accumulated per-stage breakdown for the clone whose
-    /// pipeline just finished, and resets the accumulator.
-    fn emit_stage_spans(&mut self, net: &mut dyn Network, id: &QueryId, hop: u32) {
-        let span = std::mem::take(&mut self.span);
-        self.config.tracer.emit_with(|| TraceRecord {
-            time_us: net.now_us(),
-            site: self.site.host.clone(),
-            query: Some(id.clone()),
-            hop: Some(hop),
-            event: TraceEvent::StageSpans {
-                queue_us: span.queue_us,
-                parse_us: span.parse_us,
-                log_us: span.log_us,
-                cache_us: span.cache_us,
-                eval_us: span.eval_us,
-                eval_probe_us: span.eval_probe_us,
-                eval_scan_us: span.eval_scan_us,
-                build_us: span.build_us,
-                forward_us: span.forward_us,
-            },
-        });
-    }
-
-    /// The clone-processing pipeline (Figures 3 and 4).
+    /// The clone pipeline (Figures 3 and 4). Every received clone leaves
+    /// by the one exit below — refused, dropped and terminated ones too,
+    /// so their partial spans (queue wait, any log work) reach the
+    /// `stage_us` histograms instead of admission pressure being
+    /// systematically undercounted, and the ack chain is settled once.
     fn process_clone(&mut self, net: &mut dyn Network, clone: QueryClone) {
+        let (id, hops, sender) = (clone.id.clone(), clone.hops, clone.ack_to());
+        self.receive(net, &clone);
+        let exit = self.run_stages(net, clone);
+        self.emit_stage_spans(net, &id, hops);
+        self.settle(net, &id, &sender, exit);
+    }
+
+    /// The stages after receive: admit → log → fetch/parse → cache/eval →
+    /// build report → forward.
+    fn run_stages(&mut self, net: &mut dyn Network, clone: QueryClone) -> Exit {
+        if !self.admit(net, &clone) {
+            return Exit::Released;
+        }
+        let mut flight = Flight {
+            clone,
+            reports: Vec::new(),
+            queue: VecDeque::new(),
+            remote: ForwardGroups::default(),
+            seen_forward: BTreeSet::new(),
+        };
+        self.log_stage(net, &mut flight);
+        self.visit_stage(net, &mut flight);
+        let Flight {
+            clone,
+            reports,
+            remote,
+            ..
+        } = flight;
+        let forward_t0 = net.now_us();
+        let clones = remote.sorted().into_clones(
+            &clone.id,
+            &clone.stages,
+            clone.stage_offset,
+            clone.hops + 1,
+            &query_server_addr(&self.site),
+            self.config.batch_per_site,
+        );
+        self.span.forward_us += net.now_us().saturating_sub(forward_t0);
+        let Some(reports) = self.outbound(reports, clones.len()) else {
+            return Exit::Released;
+        };
+        // Section 2.7.1 ordering: ship (results, CHT) first; forward only
+        // if the dispatch succeeded.
+        if !self.report_stage(net, &clone, reports) {
+            return Exit::Released;
+        }
+        Exit::Forwarded(self.forward_stage(net, &clone, clones))
+    }
+
+    /// Receive stage (Figure 3's receive loop): counts the clone, reacts
+    /// to a living web, opens the stage spans, announces the arrival.
+    fn receive(&mut self, net: &mut dyn Network, clone: &QueryClone) {
         self.stats.clones_received += 1;
         // Living-web invalidation: if this site's content version moved
         // since the last clone, the answer cache's rows may no longer be
@@ -566,942 +540,513 @@ impl ServerEngine {
                 self.invalidate_cache();
             }
         }
-        self.span = StageAccum::default();
-        // Backpressure attribution: how long this clone's message sat in
-        // the inbound queue before the pipeline started.
-        self.span.queue_us = net.queue_wait_us();
-        self.config.tracer.emit_with(|| TraceRecord {
-            time_us: net.now_us(),
-            site: self.site.host.clone(),
-            query: Some(clone.id.clone()),
-            hop: Some(clone.hops),
-            event: TraceEvent::QueryRecv {
-                nodes: clone.dest_nodes.len() as u32,
-            },
+        self.span = StageAccum {
+            // Backpressure attribution: how long this clone's message sat
+            // in the inbound queue before the pipeline started.
+            queue_us: net.queue_wait_us(),
+            ..StageAccum::default()
+        };
+        self.trace(net, at(clone), || TraceEvent::QueryRecv {
+            nodes: clone.dest_nodes.len() as u32,
         });
         if let Some(monitor) = &self.config.monitor {
             monitor.clone_recv(&clone.id, &self.site.host, clone.stage_offset, clone.hops);
         }
-        let ack_mode = self.config.completion == CompletionMode::AckChain;
-        let sender = clone.ack_to();
-        if self.purged.contains(&clone.id) || clone.stages.is_empty() {
-            if ack_mode {
-                // Even dead clones must be acknowledged, or the sender's
-                // subtree never drains.
-                let _ = net.send(
-                    &sender,
-                    Message::Ack(AckMsg {
-                        id: clone.id.clone(),
-                    }),
-                );
+    }
+
+    /// Admit stage: says whether the clone may be processed. Clones of a
+    /// terminated query and clones with nothing left to run are dead on
+    /// arrival. Under admission control a clone of a query not yet in
+    /// flight here is refused outright when the site is full; the
+    /// refusal is never silent — every destination node is reported back
+    /// as shed so the user site clears its CHT entries (or, under ack
+    /// chains, the sender is released) and the query concludes with
+    /// `TermReason::Shed` instead of hanging.
+    fn admit(&mut self, net: &mut dyn Network, clone: &QueryClone) -> bool {
+        let now = net.now_us();
+        let (purged, admitted) = match self.queries.get_mut(&clone.id) {
+            Some(q) => {
+                q.last_seen_us = now;
+                (q.purged, q.admitted)
             }
-            // A dead clone still queued and was received: emit its
-            // partial spans so `stage_us.queue_wait` counts the arrival
-            // instead of silently dropping it.
-            self.emit_stage_spans(net, &clone.id, clone.hops);
-            return;
-        }
-        // Admission control: a clone of a query not yet in flight here is
-        // refused outright when the site is full. The refusal is never
-        // silent — every destination node is reported back as shed so the
-        // user site clears its CHT entries (or, under ack chains, the
-        // sender is released) and the query concludes with
-        // `TermReason::Shed` instead of hanging.
-        if let Some(policy) = self.config.admission {
-            let now = net.now_us();
-            if !self.active.contains_key(&clone.id) && self.active.len() >= policy.max_queries {
-                self.stats.queries_shed += 1;
-                let mut shed_nodes: Vec<Url> = Vec::new();
-                let mut seen = BTreeSet::new();
-                for node in &clone.dest_nodes {
-                    let node = node.without_fragment();
-                    if seen.insert(node.clone()) {
-                        shed_nodes.push(node);
-                    }
-                }
-                self.config.tracer.emit_with(|| TraceRecord {
-                    time_us: now,
-                    site: self.site.host.clone(),
-                    query: Some(clone.id.clone()),
-                    hop: Some(clone.hops),
-                    event: TraceEvent::QueryShed {
-                        nodes: shed_nodes.len() as u32,
-                    },
-                });
-                let state = CloneState {
-                    num_q: clone.stages.len() as u32,
-                    rem_pre: clone.rem_pre.clone(),
-                };
-                let reports = shed_nodes
-                    .into_iter()
-                    .map(|node| NodeReport {
-                        node,
-                        state: state.clone(),
-                        disposition: Disposition::Shed,
-                        results: Vec::new(),
-                        new_entries: Vec::new(),
-                    })
-                    .collect();
-                let seq = self.next_report_seq(now);
-                let _ = net.send(
-                    &clone.id.reply_to(),
-                    Message::Report(ResultReport {
-                        id: clone.id.clone(),
-                        origin: self.site.host.clone(),
-                        seq,
-                        reports,
-                    }),
-                );
-                if ack_mode {
-                    let _ = net.send(
-                        &sender,
-                        Message::Ack(AckMsg {
-                            id: clone.id.clone(),
-                        }),
-                    );
-                }
-                // A shed clone was still received and queued: its partial
-                // spans (queue wait, any purge/log work) must reach the
-                // `stage_us` histograms or admission pressure is
-                // systematically undercounted.
-                self.emit_stage_spans(net, &clone.id, clone.hops);
-                return;
-            }
-            self.active.insert(clone.id.clone(), now);
-            // Admission occupancy: in-flight queries holding a slot at
-            // this site, as a high-water gauge next to the queue-depth
-            // gauges the transports raise.
-            self.config
-                .tracer
-                .gauge_max(&self.occupancy_key, self.active.len() as u64);
-            self.config
-                .tracer
-                .gauge_max("admission_occupancy_high_water", self.active.len() as u64);
-        }
-        // Dijkstra–Scholten engagement: the first clone of a query makes
-        // the sender our parent; later clones are acked right after
-        // processing.
-        let engaging = if ack_mode {
-            let state = self.ack.entry(clone.id.clone()).or_default();
-            if state.engaged {
-                false
-            } else {
-                state.engaged = true;
-                state.parent = Some(sender.clone());
-                true
-            }
-        } else {
-            false
+            None => (false, false),
         };
-        let user = clone.id.reply_to();
-        let id = clone.id.clone();
-        let stages = Arc::new(clone.stages);
-        let offset = clone.stage_offset;
-        let hops = clone.hops;
+        if purged || clone.stages.is_empty() {
+            return false;
+        }
+        let Some(policy) = self.config.admission else {
+            return true;
+        };
+        let held = self.active_queries();
+        if !admitted && held >= policy.max_queries {
+            self.stats.queries_shed += 1;
+            let nodes = distinct_nodes(&clone.dest_nodes);
+            self.trace(net, at(clone), || TraceEvent::QueryShed {
+                nodes: nodes.len() as u32,
+            });
+            let state = clone.state();
+            let reports = nodes
+                .into_iter()
+                .map(|node| NodeReport::empty(node, state.clone(), Disposition::Shed))
+                .collect();
+            let _ = self.ship(net, &clone.id, reports);
+            return false;
+        }
+        let q = self.queries.entry(clone.id.clone()).or_default();
+        q.admitted = true;
+        q.last_seen_us = now;
+        // Admission occupancy: in-flight queries holding a slot at this
+        // site, as a high-water gauge next to the queue-depth gauges the
+        // transports raise.
+        let occupancy = (held + usize::from(!admitted)) as u64;
+        let tracer = &self.config.tracer;
+        tracer.gauge_max(&self.occupancy_key, occupancy);
+        tracer.gauge_max("admission_occupancy_high_water", occupancy);
+        true
+    }
 
-        let mut reports: Vec<NodeReport> = Vec::new();
-        let mut queue: VecDeque<Arrival> = VecDeque::new();
-        // Remote forwards keyed (site, state, stage index) → destination
-        // node set: one clone message per key (optimization 4).
-        let mut remote: BTreeMap<(SiteAddr, String, usize), (CloneState, BTreeSet<Url>)> =
-            BTreeMap::new();
-        // Global forward dedup across all arrivals of this message, so an
-        // entry is announced at most once and its clone sent at most once.
-        let mut seen_forward: BTreeSet<(Url, String, usize)> = BTreeSet::new();
-
-        let hop_exceeded = hops >= self.config.max_hops;
-        let mut seen_dest: BTreeSet<Url> = BTreeSet::new();
-        for node in &clone.dest_nodes {
-            let node = node.without_fragment();
-            if !seen_dest.insert(node.clone()) {
-                continue;
-            }
-            let state = CloneState {
-                num_q: stages.len() as u32,
-                rem_pre: clone.rem_pre.clone(),
-            };
+    /// Log stage: every distinct destination node goes through the log
+    /// table — unless the clone has crossed too many sites, in which case
+    /// the safety valve dead-ends them all.
+    fn log_stage(&mut self, net: &mut dyn Network, flight: &mut Flight) {
+        let state = flight.clone.state();
+        let hop_exceeded = flight.clone.hops >= self.config.max_hops;
+        for node in distinct_nodes(&flight.clone.dest_nodes) {
             if hop_exceeded {
                 self.stats.hop_limit_drops += 1;
-                reports.push(NodeReport {
-                    node,
-                    state,
-                    disposition: Disposition::DeadEnd,
-                    results: Vec::new(),
-                    new_entries: Vec::new(),
-                });
-                continue;
-            }
-            self.admit(net, &id, hops, node, state, 0, &mut queue, &mut reports);
-        }
-
-        while let Some(arrival) = queue.pop_front() {
-            self.stats.arrivals += 1;
-            let (report, local) = self.process_arrival(
-                net,
-                &id,
-                hops,
-                &arrival,
-                &stages,
-                offset,
-                &mut remote,
-                &mut seen_forward,
-            );
-            reports.push(report);
-            for (target, state, stage_idx) in local {
-                self.stats.local_arrivals += 1;
-                self.admit(
-                    net,
-                    &id,
-                    hops,
-                    target,
-                    state,
-                    stage_idx,
-                    &mut queue,
-                    &mut reports,
-                );
-            }
-        }
-
-        // Assemble the outgoing clone messages.
-        let forward_t0 = net.now_us();
-        let own_ack = query_server_addr(&self.site);
-        let mut clones: Vec<(SiteAddr, QueryClone)> = Vec::new();
-        for ((site, _, stage_idx), (state, dests)) in remote {
-            let make = |dest_nodes: Vec<Url>| QueryClone {
-                id: id.clone(),
-                dest_nodes,
-                rem_pre: state.rem_pre.clone(),
-                stages: stages[stage_idx..].to_vec(),
-                stage_offset: offset + stage_idx as u32,
-                hops: hops + 1,
-                ack_host: own_ack.host.clone(),
-                ack_port: own_ack.port,
-            };
-            if self.config.batch_per_site {
-                clones.push((site, make(dests.into_iter().collect())));
+                let report = NodeReport::empty(node, state.clone(), Disposition::DeadEnd);
+                flight.reports.push(report);
             } else {
-                for dest in dests {
-                    clones.push((site.clone(), make(vec![dest])));
+                self.log_check(net, flight, node, state.clone(), 0);
+            }
+        }
+    }
+
+    /// Runs one arrival through the log table; admitted arrivals join the
+    /// visit queue, duplicates are dropped. Drops are reported in strict
+    /// CHT mode, and — in any mode — when the matching log record is a
+    /// stage continuation the user's CHT never saw (the user cannot
+    /// mirror such drops, so silence would leave its entry uncleared).
+    fn log_check(
+        &mut self,
+        net: &mut dyn Network,
+        flight: &mut Flight,
+        node: Url,
+        state: CloneState,
+        stage_idx: usize,
+    ) {
+        let (log, mode, id) = (&mut self.log, self.config.log_mode, &flight.clone.id);
+        let log_t0 = net.now_us();
+        let outcome = admit(log, mode, id, node, state, stage_idx, log_t0);
+        self.span.log_us += net.now_us().saturating_sub(log_t0);
+        match outcome {
+            Ok(arrival) => {
+                if arrival.rewritten {
+                    self.stats.rewrites += 1;
+                    self.trace(net, at(&flight.clone), || TraceEvent::LogRewrite {
+                        node: arrival.node.to_string(),
+                    });
+                }
+                flight.queue.push_back(arrival);
+            }
+            Err(dup) => {
+                self.stats.duplicates_dropped += 1;
+                self.trace(net, at(&flight.clone), || TraceEvent::LogDuplicate {
+                    node: dup.node.to_string(),
+                    exact: dup.exact,
+                });
+                // Silence is only safe for exact-state duplicates dropped
+                // via CHT-visible records: that verdict is symmetric, so
+                // the user's skip rule mirrors it under any merge order.
+                if self.config.cht_mode == ChtMode::Strict || dup.hidden || !dup.exact {
+                    let report = NodeReport::empty(dup.node, dup.state, Disposition::Duplicate);
+                    flight.reports.push(report);
                 }
             }
         }
-        self.span.forward_us += net.now_us().saturating_sub(forward_t0);
+    }
 
-        if ack_mode {
+    /// Visits every admitted arrival in turn. Forwards that stay on this
+    /// site are processed in place (footnote 4), so their results join
+    /// the same report.
+    fn visit_stage(&mut self, net: &mut dyn Network, flight: &mut Flight) {
+        while let Some(arrival) = flight.queue.pop_front() {
+            self.stats.arrivals += 1;
+            for forward in self.visit_arrival(net, flight, arrival) {
+                self.stats.local_arrivals += 1;
+                self.log_check(
+                    net,
+                    flight,
+                    forward.target,
+                    forward.state,
+                    forward.stage_idx,
+                );
+            }
+        }
+    }
+
+    /// One arrival at one node (Figure 4's `process`): the fetch/parse
+    /// stage, then the cache/eval stage in the shared visit core. The
+    /// node's report joins the flight's and its remote forwards the
+    /// flight's groups; the forwards that stay on this site are returned.
+    fn visit_arrival(
+        &mut self,
+        net: &mut dyn Network,
+        flight: &mut Flight,
+        arrival: Arrival,
+    ) -> Vec<Forward> {
+        let db = match self.node_db(net, &arrival.node) {
+            NodeLookup::Found(db) => db,
+            gone => {
+                self.stats.dead_ends += 1;
+                let disposition = if let NodeLookup::Deleted(version) = gone {
+                    // Link rot: the page was deleted after the link
+                    // pointing here was followed. The branch terminates
+                    // gracefully — an explicit dead-link report clears
+                    // the CHT entry, so the query completes (never hangs)
+                    // and ships no phantom rows from the vanished
+                    // revision.
+                    self.stats.dead_links += 1;
+                    self.trace(net, at(&flight.clone), || TraceEvent::DeadLink {
+                        node: arrival.node.to_string(),
+                        version,
+                    });
+                    Disposition::DeadLink
+                } else {
+                    // A floating link pointed here: nothing to process.
+                    self.stats.missing_docs += 1;
+                    Disposition::DeadEnd
+                };
+                let report = NodeReport::empty(arrival.node, arrival.announced_state, disposition);
+                flight.reports.push(report);
+                return Vec::new();
+            }
+        };
+        let eval_t0 = net.now_us();
+        let clock = || net.now_us();
+        let visited = VisitCtx {
+            config: &self.config,
+            site: &self.site.host,
+            hop: Some(flight.clone.hops),
+            id: &flight.clone.id,
+            db: &db,
+            stages: &flight.clone.stages,
+            offset: flight.clone.stage_offset,
+            log: &mut self.log,
+            cache: self.cache.as_mut(),
+            now_us: eval_t0,
+            clock: &clock,
+            counters: TraverseCounters::default(),
+        }
+        .visit(arrival, &mut flight.seen_forward);
+        self.charge(net, eval_t0, &visited.counters);
+        match visited.report.disposition {
+            Disposition::Answered => self.stats.answered += 1,
+            Disposition::DeadEnd => self.stats.dead_ends += 1,
+            _ => {}
+        }
+        // Announce each forward exactly once, and split local vs remote.
+        let mut local = Vec::new();
+        for forward in visited.forwards {
+            self.trace(net, at(&flight.clone), || TraceEvent::ChtAdd {
+                node: forward.target.to_string(),
+            });
+            if self.config.local_forwarding && forward.target.site() == self.site {
+                local.push(forward);
+            } else {
+                flight.remote.push(forward);
+            }
+        }
+        flight.reports.push(visited.report);
+        local
+    }
+
+    /// Charges one visit's work to the processor model, the stage spans
+    /// and the counters.
+    fn charge(&mut self, net: &mut dyn Network, eval_t0: u64, c: &TraverseCounters) {
+        let eval_us = self.config.proc.eval_us;
+        net.work(eval_us * c.evaluations);
+        // Cache consults are charged their own (sub-eval) modeled cost;
+        // served evaluations never pay `proc.eval_us` — that skip is the
+        // entire win.
+        if let Some(cache) = &self.cache {
+            let lookup_cost = cache.policy().lookup_us * c.cache_lookups;
+            net.work(lookup_cost);
+            self.span.cache_us += c.cache_wall_us + lookup_cost;
+        }
+        let wall = net.now_us().saturating_sub(eval_t0);
+        self.span.eval_us += wall.saturating_sub(c.cache_wall_us) + eval_us * c.evaluations;
+        self.span.eval_probe_us += c.probe_wall_us + eval_us * c.probed_evals;
+        self.span.eval_scan_us += c.scan_wall_us + eval_us * c.scanned_evals;
+        self.stats.evaluations += c.evaluations;
+        self.stats.eval_errors += c.eval_errors;
+        self.stats.duplicates_dropped += c.duplicates_dropped;
+        self.stats.rewrites += c.rewrites;
+        self.stats.cache_hits += c.cache_hits;
+        self.stats.cache_misses += c.cache_misses;
+        self.stats.cache_evictions += c.cache_evictions;
+    }
+
+    /// Fetch/parse stage: builds (or retrieves from the footnote-3
+    /// cache) the virtual relations for one node, charging the parse
+    /// cost to the processor.
+    ///
+    /// The consistency contract of the living web lives here: a cached
+    /// build is served only if its content version still matches the
+    /// document's current status, so every visit answers from the
+    /// version current at visit time. Deleted documents come back as
+    /// [`NodeLookup::Deleted`] so the caller can report a dead link.
+    fn node_db(&mut self, net: &mut dyn Network, node: &Url) -> NodeLookup {
+        let parse_t0 = net.now_us();
+        let found = match self.cached_doc(net, node) {
+            Some(found) => found,
+            None => self.parse_doc(net, node),
+        };
+        self.span.parse_us += net.now_us().saturating_sub(parse_t0);
+        found
+    }
+
+    /// What the footnote-3 cache can say about `node`; `None` when it
+    /// holds no current build and the document must be fetched.
+    fn cached_doc(&mut self, net: &mut dyn Network, node: &Url) -> Option<NodeLookup> {
+        let (db, version) = self.doc_cache.get(node).cloned()?;
+        // `validate_doc_cache == false` reproduces the historic
+        // unvalidated hit path (the staleness bug the chaos oracle
+        // demonstrates); on a frozen web both answers agree, since
+        // versions never move.
+        let status = if self.config.validate_doc_cache {
+            self.web.doc_status(node)
+        } else {
+            DocStatus::Present(version)
+        };
+        if status == DocStatus::Present(version) {
+            self.stats.doc_cache_hits += 1;
+            self.trace(net, None, || TraceEvent::DocFetch {
+                url: node.to_string(),
+                cache_hit: true,
+                content_version: version,
+            });
+            return Some(NodeLookup::Found(db));
+        }
+        // Deleted, edited (version moved) or vanished: drop the stale
+        // build; anything but a deletion falls through to a fresh fetch.
+        self.doc_cache.remove(node);
+        self.doc_cache_fifo.retain(|u| u != node);
+        match status {
+            DocStatus::Deleted(current) => Some(NodeLookup::Deleted(current)),
+            _ => None,
+        }
+    }
+
+    /// The Database Constructor: fetches and parses `node`, retaining
+    /// the build when the footnote-3 cache is on.
+    fn parse_doc(&mut self, net: &mut dyn Network, node: &Url) -> NodeLookup {
+        let (html, version) = match self.web.fetch(node) {
+            FetchOutcome::Found { html, version } => (html, version),
+            FetchOutcome::Deleted { version } => return NodeLookup::Deleted(version),
+            FetchOutcome::Missing => return NodeLookup::Missing,
+        };
+        self.stats.docs_parsed += 1;
+        self.trace(net, None, || TraceEvent::DocFetch {
+            url: node.to_string(),
+            cache_hit: false,
+            content_version: version,
+        });
+        let parse_cost = self.config.proc.parse_cost_us(html.len());
+        net.work(parse_cost);
+        self.span.parse_us += parse_cost;
+        let db = Arc::new(NodeDb::build(node, &webdis_html::parse_html(&html)));
+        if self.config.doc_cache_size > 0 {
+            if self.doc_cache_fifo.len() >= self.config.doc_cache_size {
+                if let Some(evicted) = self.doc_cache_fifo.pop_front() {
+                    self.doc_cache.remove(&evicted);
+                }
+            }
+            self.doc_cache
+                .insert(node.clone(), (Arc::clone(&db), version));
+            self.doc_cache_fifo.push_back(node.clone());
+        }
+        NodeLookup::Found(db)
+    }
+
+    /// The completion protocol's say in what a clone tells the user site
+    /// — with [`settle`], the one place that knows the CHT from the ack
+    /// chain. `forwards` is the number of clones about to leave; `None`
+    /// means there is nothing to say or send and the clone leaves
+    /// silently (the paper's CHT mode, every arrival an exact duplicate).
+    ///
+    /// [`settle`]: ServerEngine::settle
+    fn outbound(&self, mut reports: Vec<NodeReport>, forwards: usize) -> Option<Vec<NodeReport>> {
+        if self.config.completion == CompletionMode::AckChain {
             // Under ack chains no CHT travels: strip bookkeeping and only
             // ship reports that actually carry rows.
             for r in &mut reports {
                 r.new_entries.clear();
             }
             reports.retain(|r| !r.results.is_empty());
+        } else if reports.is_empty() && forwards == 0 {
+            return None;
         }
-        if reports.is_empty() && clones.is_empty() && !ack_mode {
-            self.emit_stage_spans(net, &id, hops);
-            return; // everything dropped silently (paper mode)
-        }
+        Some(reports)
+    }
 
-        // Section 2.7.1 ordering: ship (results, CHT) first; forward only
-        // if the dispatch succeeded.
+    /// Build-report stage: ships the results-plus-CHT report. A refused
+    /// dispatch is the passive termination signal of Section 2.8 — the
+    /// query is purged and `false` returned, so nothing is forwarded.
+    fn report_stage(
+        &mut self,
+        net: &mut dyn Network,
+        clone: &QueryClone,
+        reports: Vec<NodeReport>,
+    ) -> bool {
         let build_t0 = net.now_us();
-        if !reports.is_empty() {
-            let seq = self.next_report_seq(net.now_us());
-            let report_msg = Message::Report(ResultReport {
-                id: id.clone(),
-                origin: self.site.host.clone(),
-                seq,
-                reports,
+        let shipped = self.ship(net, &clone.id, reports).is_ok();
+        if !shipped {
+            self.stats.terminated_queries += 1;
+            self.trace(net, at(clone), || TraceEvent::Termination {
+                reason: TermReason::Passive,
             });
-            if net.send(&user, report_msg).is_err() {
-                // Passive termination (Section 2.8): purge and stop.
-                self.stats.terminated_queries += 1;
-                self.config.tracer.emit_with(|| TraceRecord {
-                    time_us: net.now_us(),
-                    site: self.site.host.clone(),
-                    query: Some(id.clone()),
-                    hop: Some(hops),
-                    event: TraceEvent::Termination {
-                        reason: TermReason::Passive,
-                    },
-                });
-                self.purged.insert(id.clone());
-                self.log.purge_query(&id);
-                self.active.remove(&id);
-                self.span.build_us += net.now_us().saturating_sub(build_t0);
-                self.emit_stage_spans(net, &id, hops);
-                if ack_mode {
-                    // Release the sender (and, transitively, the whole
-                    // upstream tree) even though the query is dying.
-                    let _ = net.send(&sender, Message::Ack(AckMsg { id }));
-                }
-                return;
-            }
+            let q = self.queries.entry(clone.id.clone()).or_default();
+            q.purged = true;
+            q.admitted = false;
+            q.last_seen_us = build_t0;
+            self.log.purge_query(&clone.id);
         }
         self.span.build_us += net.now_us().saturating_sub(build_t0);
+        shipped
+    }
+
+    /// Forward stage: dispatches the outgoing clones and returns how many
+    /// left. A destination site with no query server does not
+    /// participate (Section 7.1); the entries announced for it must not
+    /// be left to dangle: in hybrid mode the nodes are handed back to
+    /// the user site for centralized processing, otherwise they are
+    /// reported as dead ends.
+    fn forward_stage(
+        &mut self,
+        net: &mut dyn Network,
+        clone: &QueryClone,
+        clones: Vec<(SiteAddr, QueryClone)>,
+    ) -> u64 {
         // Fan-out histogram: how many distinct sites this processing
         // forwarded to (0 when the traversal ended here).
-        if self.config.tracer.enabled() {
-            let fanout = clones
-                .iter()
-                .map(|(s, _)| &s.host)
-                .collect::<BTreeSet<_>>()
-                .len();
-            self.config.tracer.observe("site_fanout", fanout as u64);
-        }
-        if let Some(monitor) = &self.config.monitor {
-            let fanout = clones
-                .iter()
-                .map(|(s, _)| &s.host)
-                .collect::<BTreeSet<_>>()
-                .len();
-            monitor.clone_sent(&id, fanout as u32);
+        if self.config.tracer.enabled() || self.config.monitor.is_some() {
+            let sites: BTreeSet<&String> = clones.iter().map(|(s, _)| &s.host).collect();
+            self.config
+                .tracer
+                .observe("site_fanout", sites.len() as u64);
+            if let Some(monitor) = &self.config.monitor {
+                monitor.clone_sent(&clone.id, sites.len() as u32);
+            }
         }
         let fanout_t0 = net.now_us();
+        let mut forwarded = 0;
         let mut failed: Vec<NodeReport> = Vec::new();
+        let unreachable = if self.config.hybrid {
+            Disposition::Handoff
+        } else {
+            Disposition::DeadEnd
+        };
         for (site, qc) in clones {
-            let state = qc.state();
-            let dests = qc.dest_nodes.clone();
-            let sent = net.send(&query_server_addr(&site), Message::Query(qc));
-            if sent.is_ok() {
-                self.config.tracer.emit_with(|| TraceRecord {
-                    time_us: net.now_us(),
-                    site: self.site.host.clone(),
-                    query: Some(id.clone()),
-                    hop: Some(hops + 1),
-                    event: TraceEvent::QuerySent {
+            let (state, dests) = (qc.state(), qc.dest_nodes.clone());
+            if net
+                .send(&query_server_addr(&site), Message::Query(qc))
+                .is_ok()
+            {
+                forwarded += 1;
+                self.stats.clones_forwarded += 1;
+                self.trace(net, Some((&clone.id, clone.hops + 1)), || {
+                    TraceEvent::QuerySent {
                         to_site: site.host.clone(),
                         nodes: dests.len() as u32,
-                    },
+                    }
                 });
-            }
-            if ack_mode {
-                if sent.is_ok() {
-                    self.stats.clones_forwarded += 1;
-                    self.ack.entry(id.clone()).or_default().deficit += 1;
-                } else {
-                    self.stats.unreachable_sites += 1;
-                }
-                continue;
-            }
-            if sent.is_err() {
-                // No query server at the destination site (it does not
-                // participate — Section 7.1). The announced entries must
-                // not be left to dangle: in hybrid mode the nodes are
-                // handed back to the user site for centralized
-                // processing; otherwise they are reported as dead ends.
-                self.stats.unreachable_sites += 1;
-                let disposition = if self.config.hybrid {
-                    Disposition::Handoff
-                } else {
-                    Disposition::DeadEnd
-                };
-                for dest in dests {
-                    failed.push(NodeReport {
-                        node: dest,
-                        state: state.clone(),
-                        disposition,
-                        results: Vec::new(),
-                        new_entries: Vec::new(),
-                    });
-                }
             } else {
-                self.stats.clones_forwarded += 1;
+                self.stats.unreachable_sites += 1;
+                failed.extend(
+                    dests
+                        .into_iter()
+                        .map(|dest| NodeReport::empty(dest, state.clone(), unreachable)),
+                );
             }
         }
-        if !failed.is_empty() {
-            let seq = self.next_report_seq(net.now_us());
-            let _ = net.send(
-                &user,
-                Message::Report(ResultReport {
-                    id: id.clone(),
-                    origin: self.site.host.clone(),
-                    seq,
-                    reports: failed,
-                }),
-            );
+        if let Some(failed) = self.outbound(failed, 0) {
+            let _ = self.ship(net, &clone.id, failed);
         }
         self.span.forward_us += net.now_us().saturating_sub(fanout_t0);
-        self.emit_stage_spans(net, &id, hops);
-        if ack_mode {
-            if !engaging {
-                // A non-engagement clone: ack its sender right away (the
-                // work it spawned counts against *our* engagement).
-                let _ = net.send(&sender, Message::Ack(AckMsg { id: id.clone() }));
-            } else {
-                // If nothing was forwarded, this subtree is already done.
-                self.disengage(net, &id);
-            }
-        }
+        forwarded
     }
 
-    /// Runs one arrival through the log table; admitted arrivals join the
-    /// processing queue, duplicates are dropped. Drops are reported in
-    /// strict CHT mode, and — in any mode — when the matching log record
-    /// is a stage continuation the user's CHT never saw (the user cannot
-    /// mirror such drops, so silence would leave its entry uncleared).
-    #[allow(clippy::too_many_arguments)]
-    fn admit(
-        &mut self,
-        net: &mut dyn Network,
-        id: &QueryId,
-        hop: u32,
-        node: Url,
-        state: CloneState,
-        stage_idx: usize,
-        queue: &mut VecDeque<Arrival>,
-        reports: &mut Vec<NodeReport>,
-    ) {
-        let log_t0 = net.now_us();
-        let outcome = self
-            .log
-            .check(self.config.log_mode, id, &node, &state, true, log_t0);
-        self.span.log_us += net.now_us().saturating_sub(log_t0);
-        match outcome {
-            LogOutcome::Drop { hidden, exact } => {
-                self.stats.duplicates_dropped += 1;
-                self.config.tracer.emit_with(|| TraceRecord {
-                    time_us: net.now_us(),
-                    site: self.site.host.clone(),
-                    query: Some(id.clone()),
-                    hop: Some(hop),
-                    event: TraceEvent::LogDuplicate {
-                        node: node.to_string(),
-                        exact,
-                    },
-                });
-                // Silence is only safe for exact-state duplicates dropped
-                // via CHT-visible records: that verdict is symmetric, so
-                // the user's skip rule mirrors it under any merge order.
-                if self.config.cht_mode == ChtMode::Strict || hidden || !exact {
-                    reports.push(NodeReport {
-                        node,
-                        state,
-                        disposition: Disposition::Duplicate,
-                        results: Vec::new(),
-                        new_entries: Vec::new(),
-                    });
+    /// The ack chain's share of the exit (nothing under the CHT), run
+    /// exactly once per received clone. Dijkstra–Scholten: the first
+    /// clone of a query to run to completion here makes its sender our
+    /// parent, acknowledged only when everything this site forwarded for
+    /// the query has been — at once if that is nothing. Every other
+    /// clone releases its sender right away: a later clone of an engaged
+    /// query (the work it spawned counts against *our* engagement), and
+    /// refused, dropped or terminated ones (even dead clones must be
+    /// acknowledged, or the sender's subtree never drains — and with it
+    /// the whole upstream tree of a dying query).
+    fn settle(&mut self, net: &mut dyn Network, id: &QueryId, sender: &SiteAddr, exit: Exit) {
+        if self.config.completion != CompletionMode::AckChain {
+            return;
+        }
+        if let Exit::Forwarded(forwarded) = exit {
+            let q = self.queries.entry(id.clone()).or_default();
+            q.last_seen_us = net.now_us();
+            q.deficit += forwarded;
+            if !q.engaged {
+                q.engaged = true;
+                q.parent = Some(sender.clone());
+                return self.disengage(net, id);
+            }
+        }
+        let _ = net.send(sender, Message::Ack(AckMsg { id: id.clone() }));
+    }
+
+    /// Acknowledges the spawn-tree parent and disengages once the
+    /// subtree has drained (ack-chain mode).
+    fn disengage(&mut self, net: &mut dyn Network, id: &QueryId) {
+        if let Some(q) = self.queries.get_mut(id) {
+            if q.engaged && q.deficit == 0 {
+                q.engaged = false;
+                if let Some(parent) = q.parent.take() {
+                    let _ = net.send(&parent, Message::Ack(AckMsg { id: id.clone() }));
                 }
             }
-            LogOutcome::Process { pre, rewritten } => {
-                if rewritten {
-                    self.stats.rewrites += 1;
-                    self.config.tracer.emit_with(|| TraceRecord {
-                        time_us: net.now_us(),
-                        site: self.site.host.clone(),
-                        query: Some(id.clone()),
-                        hop: Some(hop),
-                        event: TraceEvent::LogRewrite {
-                            node: node.to_string(),
-                        },
-                    });
-                }
-                queue.push_back(Arrival {
-                    node,
-                    effective_pre: pre,
-                    announced_state: state,
-                    stage_idx,
-                    rewritten,
-                });
-            }
         }
     }
 
-    /// Processes one arrival at one node: evaluation, continuation, and
-    /// forward generation (Figure 4's `process`).
-    #[allow(clippy::too_many_arguments)]
-    fn process_arrival(
-        &mut self,
-        net: &mut dyn Network,
-        id: &QueryId,
-        hop: u32,
-        arrival: &Arrival,
-        stages: &Arc<Vec<webdis_disql::Stage>>,
-        offset: u32,
-        remote: &mut BTreeMap<(SiteAddr, String, usize), (CloneState, BTreeSet<Url>)>,
-        seen_forward: &mut BTreeSet<(Url, String, usize)>,
-    ) -> (NodeReport, Vec<(Url, CloneState, usize)>) {
-        let db = match self.node_db(net, &arrival.node) {
-            NodeLookup::Found(db) => db,
-            NodeLookup::Deleted(version) => {
-                // Link rot: the page was deleted after the link pointing
-                // here was followed. The branch terminates gracefully —
-                // an explicit dead-link report clears the CHT entry, so
-                // the query completes (never hangs) and ships no phantom
-                // rows from the vanished revision.
-                self.stats.dead_links += 1;
-                self.stats.dead_ends += 1;
-                self.config.tracer.emit_with(|| TraceRecord {
-                    time_us: net.now_us(),
-                    site: self.site.host.clone(),
-                    query: Some(id.clone()),
-                    hop: Some(hop),
-                    event: TraceEvent::DeadLink {
-                        node: arrival.node.to_string(),
-                        version,
-                    },
-                });
-                return (
-                    NodeReport {
-                        node: arrival.node.clone(),
-                        state: arrival.announced_state.clone(),
-                        disposition: Disposition::DeadLink,
-                        results: Vec::new(),
-                        new_entries: Vec::new(),
-                    },
-                    Vec::new(),
-                );
-            }
-            NodeLookup::Missing => {
-                // A floating link pointed here: nothing to process.
-                self.stats.missing_docs += 1;
-                self.stats.dead_ends += 1;
-                return (
-                    NodeReport {
-                        node: arrival.node.clone(),
-                        state: arrival.announced_state.clone(),
-                        disposition: Disposition::DeadEnd,
-                        results: Vec::new(),
-                        new_entries: Vec::new(),
-                    },
-                    Vec::new(),
-                );
-            }
-        };
-
-        let eval_t0 = net.now_us();
-        let now_fn = || net.now_us();
-        let out = traverse_node(
-            &db,
-            &arrival.node,
-            stages,
-            offset,
-            arrival.effective_pre.clone(),
-            arrival.stage_idx,
-            &mut self.log,
-            self.config.log_mode,
-            id,
-            eval_t0,
-            &TraceCtx {
-                tracer: &self.config.tracer,
-                site: &self.site.host,
-                hop: Some(hop),
-                now: &now_fn,
-                eval_cost_us: self.config.proc.eval_us,
-            },
-            self.cache.as_mut(),
-        );
-        self.stats.evaluations += out.counters.evaluations;
-        net.work(self.config.proc.eval_us * out.counters.evaluations);
-        // Cache consults are charged their own (sub-eval) modeled cost;
-        // served evaluations never pay `proc.eval_us` — that skip is the
-        // entire win.
-        if let Some(cache) = &self.cache {
-            let lookup_cost = cache.policy().lookup_us * out.counters.cache_lookups;
-            net.work(lookup_cost);
-            self.span.cache_us += out.counters.cache_wall_us + lookup_cost;
+    /// Handles a child's subtree-termination ack (ack-chain mode).
+    fn on_ack(&mut self, net: &mut dyn Network, id: QueryId) {
+        if let Some(q) = self.queries.get_mut(&id) {
+            q.deficit = q.deficit.saturating_sub(1);
         }
-        self.span.eval_us += net
-            .now_us()
-            .saturating_sub(eval_t0)
-            .saturating_sub(out.counters.cache_wall_us)
-            + self.config.proc.eval_us * out.counters.evaluations;
-        self.span.eval_probe_us +=
-            out.counters.probe_wall_us + self.config.proc.eval_us * out.counters.probed_evals;
-        self.span.eval_scan_us +=
-            out.counters.scan_wall_us + self.config.proc.eval_us * out.counters.scanned_evals;
-        self.stats.eval_errors += out.counters.eval_errors;
-        self.stats.duplicates_dropped += out.counters.duplicates_dropped;
-        self.stats.rewrites += out.counters.rewrites;
-        self.stats.cache_hits += out.counters.cache_hits;
-        self.stats.cache_misses += out.counters.cache_misses;
-        self.stats.cache_evictions += out.counters.cache_evictions;
-
-        // Dedupe forwards across the whole message, split local vs remote,
-        // and announce each one exactly once.
-        let mut new_entries: Vec<ChtEntry> = Vec::new();
-        let mut local: Vec<(Url, CloneState, usize)> = Vec::new();
-        for (target, state, idx) in out.forwards {
-            let state_key = format!("{state}");
-            if !seen_forward.insert((target.clone(), state_key.clone(), idx)) {
-                continue;
-            }
-            new_entries.push(ChtEntry {
-                node: target.clone(),
-                state: state.clone(),
-            });
-            self.config.tracer.emit_with(|| TraceRecord {
-                time_us: net.now_us(),
-                site: self.site.host.clone(),
-                query: Some(id.clone()),
-                hop: Some(hop),
-                event: TraceEvent::ChtAdd {
-                    node: target.to_string(),
-                },
-            });
-            if self.config.local_forwarding && target.site() == self.site {
-                local.push((target, state, idx));
-            } else {
-                remote
-                    .entry((target.site(), state_key, idx))
-                    .or_insert_with(|| (state.clone(), BTreeSet::new()))
-                    .1
-                    .insert(target);
-            }
-        }
-
-        // An arrival that answered is a ServerRouter hit; one that only
-        // forwarded (including a failed evaluation with a residual PRE
-        // still to follow) is a router; one with nothing to do is a dead
-        // end.
-        let disposition = if arrival.rewritten {
-            Disposition::Rewritten
-        } else if out.any_answer {
-            Disposition::Answered
-        } else if new_entries.is_empty() {
-            Disposition::DeadEnd
-        } else {
-            Disposition::PureRouted
-        };
-        match disposition {
-            Disposition::Answered => self.stats.answered += 1,
-            Disposition::DeadEnd => self.stats.dead_ends += 1,
-            _ => {}
-        }
-
-        (
-            NodeReport {
-                node: arrival.node.clone(),
-                state: arrival.announced_state.clone(),
-                disposition,
-                results: out.results,
-                new_entries,
-            },
-            local,
-        )
+        self.disengage(net, &id);
     }
-}
 
-/// Trace-stamp context for [`traverse_node`]: where the traversal runs
-/// and at which hop, so its events land on the right visit of the
-/// shipping tree. `hop` is `None` for the hybrid user-site fallback,
-/// which processes handed-off nodes outside any clone hop count.
-pub(crate) struct TraceCtx<'a> {
-    pub(crate) tracer: &'a TraceHandle,
-    pub(crate) site: &'a str,
-    pub(crate) hop: Option<u32>,
-    /// Live clock for begin/end span stamps (the fixed `now_us`
-    /// argument keeps log-table timestamps deterministic; spans want
-    /// the advancing wall clock on TCP).
-    pub(crate) now: &'a dyn Fn() -> u64,
-    /// Modeled processor cost charged per evaluation, folded into each
-    /// `EvalFinish` span (the sim clock is frozen inside a handler, so
-    /// the modeled cost is the only duration there).
-    pub(crate) eval_cost_us: u64,
-}
-
-impl TraceCtx<'_> {
-    fn emit(&self, time_us: u64, id: &QueryId, event: TraceEvent) {
-        self.tracer.emit_with(|| TraceRecord {
-            time_us,
-            site: self.site.to_string(),
-            query: Some(id.clone()),
-            hop: self.hop,
-            event,
+    /// Emits the accumulated per-stage breakdown for the clone whose
+    /// pipeline just finished, and resets the accumulator.
+    fn emit_stage_spans(&mut self, net: &mut dyn Network, id: &QueryId, hop: u32) {
+        let span = std::mem::take(&mut self.span);
+        self.trace(net, Some((id, hop)), || TraceEvent::StageSpans {
+            queue_us: span.queue_us,
+            parse_us: span.parse_us,
+            log_us: span.log_us,
+            cache_us: span.cache_us,
+            eval_us: span.eval_us,
+            eval_probe_us: span.eval_probe_us,
+            eval_scan_us: span.eval_scan_us,
+            build_us: span.build_us,
+            forward_us: span.forward_us,
         });
     }
-}
-
-/// Counters produced by one node traversal.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct TraverseCounters {
-    pub(crate) evaluations: u64,
-    /// Evaluations whose plan was served by at least one index probe
-    /// (`probed_evals + scanned_evals == evaluations`; a failed
-    /// evaluation counts as scanned).
-    pub(crate) probed_evals: u64,
-    pub(crate) scanned_evals: u64,
-    /// Observed wall-clock µs inside probe-served evaluations (zero on
-    /// the simulator, whose clock is frozen inside a handler).
-    pub(crate) probe_wall_us: u64,
-    pub(crate) scan_wall_us: u64,
-    pub(crate) eval_errors: u64,
-    pub(crate) duplicates_dropped: u64,
-    pub(crate) rewrites: u64,
-    /// Answer-cache consults (hit or miss; zero when the cache is off).
-    pub(crate) cache_lookups: u64,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
-    pub(crate) cache_evictions: u64,
-    /// Observed wall-clock µs inside cache lookups and insertions (zero
-    /// on the simulator, whose clock is frozen inside a handler).
-    pub(crate) cache_wall_us: u64,
-}
-
-/// The outcome of one node traversal.
-pub(crate) struct TraverseOutcome {
-    /// Result rows per evaluated stage.
-    pub(crate) results: Vec<StageRows>,
-    /// Forward candidates `(target, arrival state, stage index)` in
-    /// discovery order — *not* deduplicated; the caller owns that.
-    pub(crate) forwards: Vec<(Url, CloneState, usize)>,
-    /// True when at least one node-query answered here.
-    pub(crate) any_answer: bool,
-    /// Work counters.
-    pub(crate) counters: TraverseCounters,
-}
-
-/// The per-node processing core (Figure 4's `process`), shared by the
-/// distributed query server and by the hybrid user-site fallback: evaluate
-/// the pending node-query wherever the remaining PRE contains the null
-/// link, stack same-node continuations for later stages (each gated by the
-/// log table as a CHT-invisible state), and derive the forward set from
-/// the PRE's first-symbols.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn traverse_node(
-    db: &NodeDb,
-    node: &Url,
-    stages: &[webdis_disql::Stage],
-    offset: u32,
-    start_pre: Pre,
-    start_idx: usize,
-    log: &mut LogTable,
-    log_mode: crate::config::LogMode,
-    id: &QueryId,
-    now_us: u64,
-    trace: &TraceCtx<'_>,
-    mut cache: Option<&mut AnswerCache>,
-) -> TraverseOutcome {
-    let mut out = TraverseOutcome {
-        results: Vec::new(),
-        forwards: Vec::new(),
-        any_answer: false,
-        counters: TraverseCounters::default(),
-    };
-    // Work items: (remaining PRE, stage index). Continuations at the same
-    // node (Figure 1's "node 4 acts twice") stack up here.
-    let mut work: Vec<(Pre, usize)> = vec![(start_pre, start_idx)];
-    while let Some((pre, idx)) = work.pop() {
-        if pre.nullable() {
-            // The PRE contains the null link: the pending node-query is
-            // answered here — from the answer cache when it can serve
-            // it, by evaluation otherwise.
-            let query = &stages[idx].query;
-            let mut served: Option<Vec<ResultRow>> = None;
-            let mut pending_insert = None;
-            if let Some(c) = cache.as_deref_mut() {
-                let cache_t0 = (trace.now)();
-                let cq = canonicalize(query);
-                out.counters.cache_lookups += 1;
-                let node_str = node.to_string();
-                match c.lookup(db, &node_str, query, &cq) {
-                    CacheLookup::Exact(rows) => {
-                        out.counters.cache_hits += 1;
-                        trace.emit(
-                            now_us,
-                            id,
-                            TraceEvent::CacheHit {
-                                node: node_str,
-                                subsumed: false,
-                                rows: rows.len() as u32,
-                            },
-                        );
-                        served = Some(rows);
-                    }
-                    CacheLookup::Subsumed(rows) => {
-                        out.counters.cache_hits += 1;
-                        trace.emit(
-                            now_us,
-                            id,
-                            TraceEvent::CacheHit {
-                                node: node_str,
-                                subsumed: true,
-                                rows: rows.len() as u32,
-                            },
-                        );
-                        served = Some(rows);
-                    }
-                    CacheLookup::Miss => {
-                        out.counters.cache_misses += 1;
-                        trace.emit(now_us, id, TraceEvent::CacheMiss { node: node_str });
-                        pending_insert = Some(cq);
-                    }
-                }
-                out.counters.cache_wall_us += (trace.now)().saturating_sub(cache_t0);
-            }
-            let rows = if let Some(rows) = served {
-                // Cache hit: no evaluation happens (and none is charged)
-                // — the rows are identical to what evaluation would
-                // produce, values and order.
-                rows
-            } else {
-                out.counters.evaluations += 1;
-                trace.emit(
-                    now_us,
-                    id,
-                    TraceEvent::EvalStart {
-                        node: node.to_string(),
-                        stage: offset + idx as u32,
-                    },
-                );
-                let eval_t0 = (trace.now)();
-                // Bindings are captured only when there is a cache to
-                // feed; the uncached engine runs the exact historical
-                // evaluator.
-                let evaluated = if pending_insert.is_some() {
-                    eval_node_query_with_bindings(db, query)
-                        .map(|(rows, bindings, stats)| (rows, Some(bindings), stats))
-                } else {
-                    eval_node_query_with_stats(db, query).map(|(rows, stats)| (rows, None, stats))
-                };
-                let eval_wall = (trace.now)().saturating_sub(eval_t0);
-                // Probe-vs-scan attribution: a failed evaluation counts as
-                // scanned (it never reached an index).
-                match &evaluated {
-                    Ok((_, _, stats)) if stats.used_index => {
-                        out.counters.probed_evals += 1;
-                        out.counters.probe_wall_us += eval_wall;
-                    }
-                    _ => {
-                        out.counters.scanned_evals += 1;
-                        out.counters.scan_wall_us += eval_wall;
-                    }
-                }
-                if let Ok((rows, _, _)) = &evaluated {
-                    trace.emit(
-                        now_us,
-                        id,
-                        TraceEvent::EvalFinish {
-                            node: node.to_string(),
-                            stage: offset + idx as u32,
-                            rows: rows.len() as u32,
-                            answered: !rows.is_empty(),
-                            span_us: eval_wall + trace.eval_cost_us,
-                        },
-                    );
-                }
-                match evaluated {
-                    Err(_) => {
-                        out.counters.eval_errors += 1;
-                        continue;
-                    }
-                    Ok((rows, bindings, stats)) => {
-                        if let (Some(cq), Some(c)) = (pending_insert.take(), cache.as_deref_mut()) {
-                            let insert_t0 = (trace.now)();
-                            let evicted = c.insert(
-                                &node.to_string(),
-                                &cq,
-                                rows.clone(),
-                                bindings.unwrap_or_default(),
-                                stats.tuples_visited,
-                            );
-                            out.counters.cache_evictions += evicted.len() as u64;
-                            for ev in evicted {
-                                trace.emit(
-                                    now_us,
-                                    id,
-                                    TraceEvent::CacheEvict {
-                                        node: ev.node,
-                                        bytes: ev.bytes as u32,
-                                        resident_bytes: c.resident_bytes() as u32,
-                                    },
-                                );
-                            }
-                            trace.tracer.gauge_max("cache.bytes", c.resident_bytes());
-                            trace.tracer.gauge_max(
-                                &format!("cache.bytes.{}", trace.site),
-                                c.resident_bytes(),
-                            );
-                            out.counters.cache_wall_us += (trace.now)().saturating_sub(insert_t0);
-                        }
-                        rows
-                    }
-                }
-            };
-            if rows.is_empty() {
-                // Unsuccessful node-query: this node contributes no
-                // answer and no next-stage continuation — but the
-                // clone still travels on along the residual PRE.
-                // (Figure 4's literal lines 3-4 would stop here
-                // entirely, which contradicts the paper's own
-                // Section 5 execution, where conveners one local
-                // link past a failing lab homepage are found under
-                // G·(L*1); a node is a dead end only when it also
-                // has no matching links.)
-            } else {
-                out.any_answer = true;
-                out.results.push(StageRows {
-                    stage: offset + idx as u32,
-                    rows,
-                });
-                if idx + 1 < stages.len() {
-                    // Continue at this same node with the next PRE;
-                    // the continuation state goes through the log
-                    // table like any other arrival.
-                    let cont = CloneState {
-                        num_q: (stages.len() - idx - 1) as u32,
-                        rem_pre: stages[idx + 1].pre.clone(),
-                    };
-                    match log.check(
-                        log_mode, id, node, &cont,
-                        false, // continuations are invisible to the CHT
-                        now_us,
-                    ) {
-                        LogOutcome::Drop { exact, .. } => {
-                            out.counters.duplicates_dropped += 1;
-                            trace.emit(
-                                now_us,
-                                id,
-                                TraceEvent::LogDuplicate {
-                                    node: node.to_string(),
-                                    exact,
-                                },
-                            );
-                        }
-                        LogOutcome::Process {
-                            pre: cont_pre,
-                            rewritten,
-                        } => {
-                            if rewritten {
-                                out.counters.rewrites += 1;
-                            }
-                            trace.emit(
-                                now_us,
-                                id,
-                                TraceEvent::StageTransition {
-                                    node: node.to_string(),
-                                    from_stage: offset + idx as u32,
-                                    to_stage: offset + idx as u32 + 1,
-                                },
-                            );
-                            work.push((cont_pre, idx + 1));
-                        }
-                    }
-                }
-            }
-        }
-        // Forward along every link type in the PRE's first-set.
-        for t in pre.first().iter() {
-            let derived = pre.deriv(t);
-            if derived.is_never() {
-                continue;
-            }
-            let state = CloneState {
-                num_q: (stages.len() - idx) as u32,
-                rem_pre: derived.clone(),
-            };
-            for link in db.links_of_type(t) {
-                let target = link.href.without_fragment();
-                out.forwards.push((target, state.clone(), idx));
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::RecordingNetwork;
-    use webdis_net::FetchRequest;
     use webdis_web::{HostedWeb, PageBuilder};
 
     fn web() -> Arc<HostedWeb> {
@@ -2382,6 +1927,64 @@ mod ack_tests {
         );
         assert_eq!(acks_to(&net2, &other), 1);
         assert!(net2.sent.iter().all(|(_, m)| matches!(m, Message::Ack(_))));
+    }
+
+    #[test]
+    fn per_query_state_is_retired_by_purge_sweeps() {
+        // Regression: the purge set gained one entry per passively
+        // terminated query and the ack bookkeeping one per ack-chain
+        // query, and only `restart()` ever cleared either — a long-lived
+        // daemon leaked. Both now retire with the periodic purge.
+        let user = SiteAddr {
+            host: "user.test".into(),
+            port: 9,
+        };
+        let cfg = EngineConfig {
+            log_purge_us: Some(10_000),
+            ..EngineConfig::ack_chain()
+        };
+        let mut leaf = ServerEngine::new(web().sites()[0].clone(), web(), cfg.clone());
+        assert_eq!(leaf.site().host, "leaf.test");
+        let mut net = RecordingNetwork::default();
+        let mut high_water = 0;
+        for n in 0..1_500u64 {
+            net.time_us = n * 1_000;
+            // Every third query's user site is gone: its result dispatch
+            // fails and the query is purged (passive termination).
+            net.unreachable = if n % 3 == 0 {
+                vec![user.clone()]
+            } else {
+                vec![]
+            };
+            let mut clone = clone_from(&user, "http://leaf.test/");
+            clone.id.query_num = n;
+            leaf.on_message(&mut net, Message::Query(clone));
+            high_water = high_water.max(leaf.queries.len());
+        }
+        assert_eq!(leaf.stats.terminated_queries, 500);
+        assert_eq!(leaf.stats.clones_received, 1_500);
+        assert!(
+            high_water <= 25,
+            "{high_water} per-query records for a 10-query purge period"
+        );
+
+        // What must survive a sweep does: an engaged query still owed a
+        // child's ack keeps its record however idle it is, and goes once
+        // the ack has come and a further period has passed.
+        let mut mid = ServerEngine::new(web().sites()[1].clone(), web(), cfg);
+        assert_eq!(mid.site().host, "m.test");
+        let mut net = RecordingNetwork::default();
+        mid.on_message(
+            &mut net,
+            Message::Query(clone_from(&user, "http://m.test/")),
+        );
+        net.time_us += 1_000_000;
+        mid.purge_log(net.time_us);
+        assert_eq!(mid.queries.len(), 1, "a live ack chain is never retired");
+        mid.on_message(&mut net, Message::Ack(AckMsg { id: qid() }));
+        assert_eq!(acks_to(&net, &user), 1, "the parent is acked exactly once");
+        mid.purge_log(net.time_us);
+        assert!(mid.queries.is_empty());
     }
 
     #[test]

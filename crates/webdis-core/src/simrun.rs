@@ -14,7 +14,7 @@ use webdis_sim::{Actor, Ctx, Metrics, SendError, SimConfig, SimEvent, SimNet};
 use crate::cht::ChtStats;
 use crate::config::EngineConfig;
 use crate::network::{query_server_addr, Network, NetworkError};
-use crate::server::{ServerEngine, ServerStats};
+use crate::server::{fetch_reply, ServerEngine, ServerStats};
 use crate::user::{TraceEvent, UserSite};
 
 /// The address the user-site client listens on in simulated runs.
@@ -169,34 +169,18 @@ pub struct PlainWebServer {
 }
 
 impl PlainWebServer {
-    /// A web server for the documents of a frozen `web` snapshot.
-    pub fn new(web: std::sync::Arc<webdis_web::HostedWeb>) -> PlainWebServer {
-        PlainWebServer {
-            web: webdis_web::WebView::Frozen(web),
-        }
-    }
-
-    /// A web server over a shared living web: fetches answer from the
-    /// content version current at request time.
-    pub fn new_live(web: std::sync::Arc<webdis_web::LiveWeb>) -> PlainWebServer {
-        PlainWebServer {
-            web: webdis_web::WebView::Live(web),
-        }
+    /// A web server for the documents of `web`: a frozen snapshot, or a
+    /// shared living web whose fetches answer from the content version
+    /// current at request time.
+    pub fn new(web: webdis_web::WebView) -> PlainWebServer {
+        PlainWebServer { web }
     }
 }
 
 impl Actor for PlainWebServer {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
         if let SimEvent::Net(Message::Fetch(req)) = event {
-            let html = match self.web.fetch(&req.url) {
-                webdis_web::FetchOutcome::Found { html, .. } => Some(html),
-                _ => None,
-            };
-            let reply = Message::FetchReply(webdis_net::FetchResponse {
-                url: req.url.clone(),
-                html,
-            });
-            let _ = ctx.send(&req.reply_to(), reply);
+            let _ = ctx.send(&req.reply_to(), fetch_reply(&self.web, &req));
         }
     }
 
@@ -276,7 +260,7 @@ pub fn build_sim_participating(
 ) -> SimNet {
     let mut net = SimNet::new(sim_cfg);
     net.set_tracer(engine_cfg.tracer.clone());
-    register_web_sites(&mut net, &web, &engine_cfg, participating);
+    register_web_sites(&mut net, &web.into(), &engine_cfg, participating);
     let id = QueryId {
         user: "webdis".into(),
         host: user_addr().host,
@@ -293,42 +277,28 @@ pub fn build_sim_participating(
 /// [`query_server_addr`] (`None` = every site participates). Shared by
 /// the single-query builders above and the `webdis-load` workload
 /// driver, which registers its own user actors on top.
+///
+/// On a living web "every site" is every *declared* host — including
+/// sites that currently serve no documents, since a `site_join` mutation
+/// may bring them back — and all actors share the same evolving store:
+/// the harness applies the mutation schedule to it between simulation
+/// slices, and the engines observe version bumps on their next clone
+/// arrival.
 pub fn register_web_sites(
     net: &mut SimNet,
-    web: &Arc<webdis_web::HostedWeb>,
+    web: &webdis_web::WebView,
     engine_cfg: &EngineConfig,
     participating: Option<&[SiteAddr]>,
 ) {
     for site in web.sites() {
         // Every site serves documents...
-        net.register(site.clone(), Box::new(PlainWebServer::new(Arc::clone(web))));
+        net.register(site.clone(), Box::new(PlainWebServer::new(web.clone())));
         // ...participating sites also run the query daemon.
         let participates = participating.map(|p| p.contains(&site)).unwrap_or(true);
         if participates {
-            let engine = ServerEngine::new(site.clone(), Arc::clone(web), engine_cfg.clone());
+            let engine = ServerEngine::with_view(site.clone(), web.clone(), engine_cfg.clone());
             net.register(query_server_addr(&site), Box::new(SimServer { engine }));
         }
-    }
-}
-
-/// The living-web variant of [`register_web_sites`]: every declared host
-/// of `web` — including sites that currently serve no documents, since a
-/// `site_join` mutation may bring them back — gets a plain web server and
-/// a query daemon sharing the same evolving store. The harness applies
-/// the mutation schedule to `web` between simulation slices; the engines
-/// observe version bumps on their next clone arrival.
-pub fn register_web_sites_live(
-    net: &mut SimNet,
-    web: &Arc<webdis_web::LiveWeb>,
-    engine_cfg: &EngineConfig,
-) {
-    for site in web.sites() {
-        net.register(
-            site.clone(),
-            Box::new(PlainWebServer::new_live(Arc::clone(web))),
-        );
-        let engine = ServerEngine::new_live(site.clone(), Arc::clone(web), engine_cfg.clone());
-        net.register(query_server_addr(&site), Box::new(SimServer { engine }));
     }
 }
 
@@ -344,31 +314,44 @@ pub fn run_query_sim(
     let mut net = build_sim(web, query, engine_cfg, sim_cfg);
     net.start(&user_addr());
     let duration_us = net.run();
+    Ok(collect_outcome(&mut net, sites, duration_us, |net| {
+        let user = net.actor_mut::<SimUser>(&user_addr());
+        &user.expect("user actor registered").user
+    }))
+}
 
+/// Gathers a finished single-query run: the user site's view of the
+/// query (`user_of` finds it among the actors), the network's traffic
+/// metrics and every participating site's server counters.
+pub(crate) fn collect_outcome(
+    net: &mut SimNet,
+    sites: Vec<SiteAddr>,
+    duration_us: u64,
+    user_of: impl FnOnce(&mut SimNet) -> &UserSite,
+) -> QueryOutcome {
     let mut server_stats = BTreeMap::new();
     for site in sites {
         if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(&site)) {
             server_stats.insert(site, server.engine.stats);
         }
     }
-    let user = net
-        .actor_mut::<SimUser>(&user_addr())
-        .expect("user actor registered");
-    Ok(QueryOutcome {
-        complete: user.user.complete,
-        results: user.user.results.clone(),
-        trace: user.user.trace.clone(),
-        first_result_us: user.user.first_result_us,
-        completed_at_us: user.user.completed_at_us,
-        cht_stats: user.user.cht.stats,
-        failed_entries: user.user.failed_entries.clone(),
-        shed_entries: user.user.shed_entries.clone(),
-        dead_link_entries: user.user.dead_link_entries.clone(),
-        why_incomplete: user.user.why_incomplete(),
-        metrics: net.metrics.clone(),
+    let metrics = net.metrics.clone();
+    let user = user_of(net);
+    QueryOutcome {
+        complete: user.complete,
+        results: user.results.clone(),
+        trace: user.trace.clone(),
+        first_result_us: user.first_result_us,
+        completed_at_us: user.completed_at_us,
+        cht_stats: user.cht.stats,
+        failed_entries: user.failed_entries.clone(),
+        shed_entries: user.shed_entries.clone(),
+        dead_link_entries: user.dead_link_entries.clone(),
+        why_incomplete: user.why_incomplete(),
+        metrics,
         duration_us,
         server_stats,
-    })
+    }
 }
 
 #[cfg(test)]

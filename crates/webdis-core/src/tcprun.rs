@@ -54,6 +54,28 @@ pub struct TcpOutcome {
     pub why_incomplete: Option<String>,
 }
 
+impl TcpOutcome {
+    /// What a finished (or timed-out) user site has to show for a run
+    /// that began at `start`.
+    fn of(user: UserSite, start: Instant) -> TcpOutcome {
+        TcpOutcome {
+            complete: user.complete,
+            // Per-query completion time, not the run's wall clock:
+            // `completed_at_us` counts µs since the cluster came up.
+            elapsed: user
+                .completed_at_us
+                .map(Duration::from_micros)
+                .unwrap_or_else(|| start.elapsed()),
+            why_incomplete: user.why_incomplete(),
+            failed_entries: user.failed_entries,
+            shed_entries: user.shed_entries,
+            dead_link_entries: user.dead_link_entries,
+            results: user.results,
+            trace: user.trace,
+        }
+    }
+}
+
 /// A crash-restart window for one site's daemon: messages arriving
 /// within `[start, start + down)` of the cluster epoch are discarded
 /// (the process is dead), and the first poll past the window respawns
@@ -426,7 +448,7 @@ impl TcpCluster {
         engine_cfg: &EngineConfig,
         faults: TcpFaultPlan,
     ) -> TcpCluster {
-        TcpCluster::start_view(webdis_web::WebView::Frozen(web), engine_cfg, faults, None)
+        TcpCluster::start_view(web.into(), engine_cfg, faults, None)
     }
 
     /// [`TcpCluster::start`] over a shared living web, with an optional
@@ -434,14 +456,16 @@ impl TcpCluster {
     /// applies each event at its wall-clock offset from the cluster
     /// epoch — pages change *while queries are in flight* — emitting one
     /// [`TrEvent::WebMutation`] per applied event. The thread is joined
-    /// at [`TcpCluster::shutdown`].
+    /// at [`TcpCluster::shutdown`]. (A frozen web is this with no schedule;
+    /// the two entry points differ only in the web type and both stay
+    /// because the wall-clock benchmark, `hwbench/`, calls them by name.)
     pub fn start_live(
         web: Arc<webdis_web::LiveWeb>,
         engine_cfg: &EngineConfig,
         faults: TcpFaultPlan,
         schedule: Option<webdis_web::MutationSchedule>,
     ) -> TcpCluster {
-        TcpCluster::start_view(webdis_web::WebView::Live(web), engine_cfg, faults, schedule)
+        TcpCluster::start_view(web.into(), engine_cfg, faults, schedule)
     }
 
     fn start_view(
@@ -507,14 +531,7 @@ impl TcpCluster {
             .expect("bind metrics endpoint");
             exporters.push((query_server_addr(&site), exporter));
 
-            let mut engine = match &web {
-                webdis_web::WebView::Frozen(w) => {
-                    ServerEngine::new(site.clone(), Arc::clone(w), engine_cfg.clone())
-                }
-                webdis_web::WebView::Live(l) => {
-                    ServerEngine::new_live(site.clone(), Arc::clone(l), engine_cfg.clone())
-                }
-            };
+            let mut engine = ServerEngine::with_view(site.clone(), web.clone(), engine_cfg.clone());
             let mut net = TcpNet {
                 map: Arc::clone(&map),
                 pool: ConnPool::metered(Arc::clone(&wire)),
@@ -826,22 +843,7 @@ fn drive_single_query(
     }
 
     cluster.shutdown();
-
-    TcpOutcome {
-        complete: user.complete,
-        // `now_us` is µs since `start`, so `completed_at_us` converts
-        // directly into this query's own wall-clock completion time.
-        elapsed: user
-            .completed_at_us
-            .map(Duration::from_micros)
-            .unwrap_or_else(|| start.elapsed()),
-        failed_entries: user.failed_entries.clone(),
-        shed_entries: user.shed_entries.clone(),
-        dead_link_entries: user.dead_link_entries.clone(),
-        why_incomplete: user.why_incomplete(),
-        results: user.results,
-        trace: user.trace,
-    }
+    TcpOutcome::of(user, start)
 }
 
 /// Runs several DISQL queries **concurrently** through one client process
@@ -892,21 +894,7 @@ pub fn run_queries_tcp(
         .into_iter()
         .map(|num| {
             let user = client.forget(num).expect("submitted query exists");
-            TcpOutcome {
-                complete: user.complete,
-                // Per-query completion time, not the batch wall clock:
-                // `completed_at_us` counts µs since the shared epoch.
-                elapsed: user
-                    .completed_at_us
-                    .map(Duration::from_micros)
-                    .unwrap_or_else(|| start.elapsed()),
-                failed_entries: user.failed_entries.clone(),
-                shed_entries: user.shed_entries.clone(),
-                dead_link_entries: user.dead_link_entries.clone(),
-                why_incomplete: user.why_incomplete(),
-                results: user.results,
-                trace: user.trace,
-            }
+            TcpOutcome::of(user, start)
         })
         .collect())
 }
@@ -1368,12 +1356,15 @@ mod tests {
             stream.read_to_string(&mut body).expect("read response");
             body
         };
+        // Snapshot first, scrape second: the daemons are still running,
+        // so a metric one of them registers between the two (its last
+        // stage span, say) must be in the later of them, the scrape.
+        let snap = collector.registry().snapshot();
         let response = scrape("/metrics");
         assert!(response.starts_with("HTTP/1.0 200"), "{response}");
 
-        // Every counter, gauge, and histogram the run registered must
-        // appear in the exposition, in sanitized form.
-        let snap = collector.registry().snapshot();
+        // Every counter, gauge, and histogram the run had registered
+        // must appear in the exposition, in sanitized form.
         for (name, _) in snap.counters() {
             let metric = webdis_trace::expo::metric_name(name);
             assert!(

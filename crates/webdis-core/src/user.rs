@@ -6,13 +6,14 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use webdis_disql::WebQuery;
 use webdis_model::{SiteAddr, Url};
-use webdis_net::{ChtEntry, CloneState, Disposition, Message, QueryClone, QueryId, ResultReport};
+use webdis_net::{ChtEntry, CloneState, Disposition, Message, QueryId, ResultReport};
 use webdis_rel::ResultRow;
 use webdis_trace::{TermReason, TraceEvent as TrEvent, TraceRecord};
 
 use crate::cht::Cht;
 use crate::config::{CompletionMode, EngineConfig, ExpiryPolicy};
 use crate::network::{query_server_addr, Network};
+use crate::visit::{distinct_nodes, Forward, ForwardGroups};
 
 /// One entry of the execution trace, recorded per node report — this is
 /// what the figure-reproduction harnesses print.
@@ -54,10 +55,12 @@ pub struct UserSite {
     pub completed_at_us: Option<u64>,
     /// StartNode sites that refused the initial dispatch.
     pub unreachable_start_sites: Vec<SiteAddr>,
-    /// In hybrid mode, StartNodes whose sites run no query server: their
-    /// CHT entries stay live and the hybrid engine processes them
-    /// centrally. Always empty otherwise.
-    pub handoff_start: Vec<(Url, CloneState)>,
+    /// In hybrid mode, the nodes awaiting the hybrid engine's centralized
+    /// processing, their CHT entries still live: StartNodes whose sites
+    /// run no query server, and nodes a server handed back
+    /// ([`Disposition::Handoff`] reports). The hybrid engine drains it;
+    /// always empty otherwise.
+    pub handoffs: Vec<(Url, CloneState)>,
     /// Entries declared failed by [`UserSite::expire_stale`] — nodes whose
     /// servers never answered (crashed or lost clones).
     pub failed_entries: Vec<(Url, CloneState)>,
@@ -100,7 +103,7 @@ impl UserSite {
             first_result_us: None,
             completed_at_us: None,
             unreachable_start_sites: Vec::new(),
-            handoff_start: Vec::new(),
+            handoffs: Vec::new(),
             failed_entries: Vec::new(),
             shed_entries: Vec::new(),
             dead_link_entries: Vec::new(),
@@ -129,82 +132,50 @@ impl UserSite {
             num_q: self.query.stages.len() as u32,
             rem_pre: self.query.stages[0].pre.clone(),
         };
-        // Group StartNodes by site.
-        let mut groups: BTreeMap<SiteAddr, Vec<Url>> = BTreeMap::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for node in &self.query.start_nodes {
-            let node = node.without_fragment();
-            if seen.insert(node.clone()) {
-                groups.entry(node.site()).or_default().push(node);
-            }
+        let mut groups = ForwardGroups::default();
+        for node in distinct_nodes(&self.query.start_nodes) {
+            groups.push(Forward::new(node, state.clone(), 0));
         }
-        for (site, nodes) in groups {
-            let batches: Vec<Vec<Url>> = if self.config.batch_per_site {
-                vec![nodes]
-            } else {
-                nodes.into_iter().map(|n| vec![n]).collect()
-            };
-            let ack_mode = self.config.completion == CompletionMode::AckChain;
-            for dest_nodes in batches {
-                if !ack_mode {
-                    for node in &dest_nodes {
-                        self.cht.add(&ChtEntry {
-                            node: node.clone(),
-                            state: state.clone(),
-                        });
-                        self.emit(
-                            net.now_us(),
-                            None,
-                            TrEvent::ChtAdd {
-                                node: node.to_string(),
-                            },
-                        );
+        let ack_mode = self.config.completion == CompletionMode::AckChain;
+        let (stages, reply_to) = (&self.query.stages, self.id.reply_to());
+        let batch = self.config.batch_per_site;
+        for (site, clone) in groups.into_clones(&self.id, stages, 0, 0, &reply_to, batch) {
+            let dest_nodes = clone.dest_nodes.clone();
+            if !ack_mode {
+                for node in &dest_nodes {
+                    let entry = ChtEntry {
+                        node: node.clone(),
+                        state: state.clone(),
+                    };
+                    self.cht_add(net.now_us(), &entry);
+                }
+            }
+            match net.send(&query_server_addr(&site), Message::Query(clone)) {
+                Ok(()) => {
+                    self.emit(
+                        net.now_us(),
+                        Some(0),
+                        TrEvent::QuerySent {
+                            to_site: site.host.clone(),
+                            nodes: dest_nodes.len() as u32,
+                        },
+                    );
+                    if ack_mode {
+                        self.ack_deficit += 1;
                     }
                 }
-                let clone = QueryClone {
-                    id: self.id.clone(),
-                    dest_nodes: dest_nodes.clone(),
-                    rem_pre: state.rem_pre.clone(),
-                    stages: self.query.stages.clone(),
-                    stage_offset: 0,
-                    hops: 0,
-                    ack_host: self.id.host.clone(),
-                    ack_port: self.id.port,
-                };
-                match net.send(&query_server_addr(&site), Message::Query(clone)) {
-                    Ok(()) => {
-                        self.emit(
-                            net.now_us(),
-                            Some(0),
-                            TrEvent::QuerySent {
-                                to_site: site.host.clone(),
-                                nodes: dest_nodes.len() as u32,
-                            },
-                        );
-                        if ack_mode {
-                            self.ack_deficit += 1;
-                        }
-                    }
-                    Err(_) => {
-                        // No query server at a StartNode site. In hybrid
-                        // mode (Section 7.1) the nodes are handed to the
-                        // local fallback engine and their entries stay
-                        // live; in pure distributed mode the entries are
-                        // cleared so completion detection stays exact.
-                        self.unreachable_start_sites.push(site.clone());
-                        for node in &dest_nodes {
-                            if self.config.hybrid {
-                                self.handoff_start.push((node.clone(), state.clone()));
-                            } else if !ack_mode {
-                                self.cht.delete(node, &state);
-                                self.emit(
-                                    net.now_us(),
-                                    None,
-                                    TrEvent::ChtDelete {
-                                        node: node.to_string(),
-                                    },
-                                );
-                            }
+                Err(_) => {
+                    // No query server at a StartNode site. In hybrid
+                    // mode (Section 7.1) the nodes are handed to the
+                    // local fallback engine and their entries stay
+                    // live; in pure distributed mode the entries are
+                    // cleared so completion detection stays exact.
+                    self.unreachable_start_sites.push(site.clone());
+                    for node in &dest_nodes {
+                        if self.config.hybrid {
+                            self.handoffs.push((node.clone(), state.clone()));
+                        } else if !ack_mode {
+                            self.cht_delete(net.now_us(), node, &state);
                         }
                     }
                 }
@@ -241,7 +212,7 @@ impl UserSite {
     /// Records a report's `(origin, seq)` identity and says whether it was
     /// already applied. `seq == 0` marks an untracked report (locally
     /// synthesized, never duplicated by a network) and always passes.
-    pub(crate) fn is_duplicate_report(&mut self, origin: &str, seq: u64) -> bool {
+    fn is_duplicate_report(&mut self, origin: &str, seq: u64) -> bool {
         seq != 0 && !self.seen_reports.insert((origin.to_string(), seq))
     }
 
@@ -250,6 +221,10 @@ impl UserSite {
     pub(crate) fn apply_report(&mut self, now_us: u64, report: ResultReport) {
         self.cht.tick(now_us);
         for node_report in report.reports {
+            if node_report.disposition == Disposition::Handoff && self.config.hybrid {
+                self.handoffs.push((node_report.node, node_report.state));
+                continue;
+            }
             let mut stages_answered = Vec::new();
             let mut row_count = 0;
             for stage_rows in &node_report.results {
@@ -284,23 +259,9 @@ impl UserSite {
             // the rest. (Under ack-chain completion no CHT travels and
             // none is kept.)
             if self.config.completion == CompletionMode::Cht {
-                self.cht.delete(&node_report.node, &node_report.state);
-                self.emit(
-                    now_us,
-                    None,
-                    TrEvent::ChtDelete {
-                        node: node_report.node.to_string(),
-                    },
-                );
+                self.cht_delete(now_us, &node_report.node, &node_report.state);
                 for entry in &node_report.new_entries {
-                    self.cht.add(entry);
-                    self.emit(
-                        now_us,
-                        None,
-                        TrEvent::ChtAdd {
-                            node: entry.node.to_string(),
-                        },
-                    );
+                    self.cht_add(now_us, entry);
                 }
             }
         }
@@ -438,6 +399,20 @@ impl UserSite {
     /// The parsed query (for header rendering).
     pub fn query(&self) -> &WebQuery {
         &self.query
+    }
+
+    /// Enters one CHT entry, on the record.
+    fn cht_add(&mut self, now_us: u64, entry: &ChtEntry) {
+        self.cht.add(entry);
+        let node = entry.node.to_string();
+        self.emit(now_us, None, TrEvent::ChtAdd { node });
+    }
+
+    /// Marks one CHT entry deleted, on the record.
+    fn cht_delete(&mut self, now_us: u64, node: &Url, state: &CloneState) {
+        self.cht.delete(node, state);
+        let node = node.to_string();
+        self.emit(now_us, None, TrEvent::ChtDelete { node });
     }
 
     /// Stamps one structured trace event at the user site.

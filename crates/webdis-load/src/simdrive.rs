@@ -16,8 +16,8 @@ use std::sync::Arc;
 
 use webdis_core::simrun::SimServer;
 use webdis_core::{
-    query_server_addr, register_web_sites, register_web_sites_live, ClientProcess, EngineConfig,
-    ScheduledClient, ScheduledSubmission, SimRunError,
+    query_server_addr, register_web_sites, ClientProcess, EngineConfig, ScheduledClient,
+    ScheduledSubmission, SimRunError,
 };
 use webdis_sim::{SimConfig, SimNet};
 use webdis_trace::{TraceEvent as TrEvent, TraceRecord};
@@ -137,10 +137,7 @@ fn run_workload_view(
 
     let mut net = SimNet::new(sim_cfg);
     net.set_tracer(tracer.clone());
-    match &web {
-        WebView::Frozen(w) => register_web_sites(&mut net, w, &engine_cfg, None),
-        WebView::Live(l) => register_web_sites_live(&mut net, l, &engine_cfg),
-    }
+    register_web_sites(&mut net, &web, &engine_cfg, None);
     for plan in &plans {
         let addr = load_user_addr(plan.user);
         let client = ClientProcess::new(

@@ -198,6 +198,20 @@ pub struct NodeReport {
     pub new_entries: Vec<ChtEntry>,
 }
 
+impl NodeReport {
+    /// A report that only clears its CHT entry: no rows, no forwards
+    /// (duplicates, dead ends, dead links, shed and handed-off nodes).
+    pub fn empty(node: Url, state: CloneState, disposition: Disposition) -> NodeReport {
+        NodeReport {
+            node,
+            state,
+            disposition,
+            results: Vec::new(),
+            new_entries: Vec::new(),
+        }
+    }
+}
+
 /// Results + CHT updates for every node of a clone, shipped together
 /// (optimization 3 of Section 3.2) directly to the user-site.
 #[derive(Debug, Clone, PartialEq, Eq)]

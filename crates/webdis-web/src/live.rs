@@ -596,6 +596,18 @@ pub enum WebView {
     Live(std::sync::Arc<LiveWeb>),
 }
 
+impl From<std::sync::Arc<HostedWeb>> for WebView {
+    fn from(web: std::sync::Arc<HostedWeb>) -> WebView {
+        WebView::Frozen(web)
+    }
+}
+
+impl From<std::sync::Arc<LiveWeb>> for WebView {
+    fn from(web: std::sync::Arc<LiveWeb>) -> WebView {
+        WebView::Live(web)
+    }
+}
+
 impl WebView {
     /// Fetches a document with its content version (frozen ⇒ version 0,
     /// and no tombstones: anything absent is [`FetchOutcome::Missing`]).
