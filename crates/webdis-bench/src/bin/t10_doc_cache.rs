@@ -11,9 +11,10 @@
 use std::sync::Arc;
 
 use webdis_bench::Table;
-use webdis_core::simrun::{user_addr, PlainWebServer, SimServer};
-use webdis_core::{query_server_addr, ClientProcess, EngineConfig, SimClient};
-use webdis_sim::{SimConfig, SimNet};
+use webdis_core::simrun::{client_of, user_addr, SimServer};
+use webdis_core::{query_server_addr, Deployment, EngineConfig};
+use webdis_disql::parse_disql;
+use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
 
 const QUERY: &str = r#"
@@ -38,25 +39,9 @@ fn run_with_cache(cache_size: usize) -> (u64, u64, bool) {
         ..EngineConfig::default()
     };
     let sites = web.sites();
-    let mut net = SimNet::new(SimConfig::default());
-    for site in &sites {
-        net.register(
-            site.clone(),
-            Box::new(PlainWebServer::new(Arc::clone(&web).into())),
-        );
-        let engine =
-            webdis_core::ServerEngine::new(site.clone(), Arc::clone(&web), engine_cfg.clone());
-        net.register(query_server_addr(site), Box::new(SimServer { engine }));
-    }
-    let addr = user_addr();
-    net.register(
-        addr.clone(),
-        Box::new(SimClient {
-            client: ClientProcess::new("bench", addr.clone(), engine_cfg),
-            submit_on_start: vec![QUERY.to_owned(); REPEATS],
-        }),
-    );
-    net.start(&addr);
+    let queries = vec![parse_disql(QUERY).expect("valid query"); REPEATS];
+    let mut net = Deployment::new(web, engine_cfg).sim_with_client(SimConfig::default(), queries);
+    net.start(&user_addr());
     net.run();
 
     let mut parsed = 0;
@@ -67,11 +52,7 @@ fn run_with_cache(cache_size: usize) -> (u64, u64, bool) {
             hits += server.engine.stats.doc_cache_hits;
         }
     }
-    let complete = net
-        .actor_mut::<SimClient>(&addr)
-        .map(|c| c.client.all_complete())
-        .unwrap_or(false);
-    (parsed, hits, complete)
+    (parsed, hits, client_of(&mut net).all_complete())
 }
 
 fn main() {

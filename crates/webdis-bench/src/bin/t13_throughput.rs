@@ -23,8 +23,8 @@
 use std::sync::Arc;
 
 use webdis_bench::{fmt_ms, Table};
-use webdis_core::{AdmissionPolicy, EngineConfig, ProcModel};
-use webdis_load::{run_workload_sim_observed, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis_core::{AdmissionPolicy, Deployment, EngineConfig, ProcModel};
+use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis_sim::SimConfig;
 use webdis_trace::{CollectingTracer, Histogram, TraceHandle};
 use webdis_web::{generate, WebGenConfig};
@@ -111,8 +111,13 @@ fn run_point_traced(
             expo_sample = Some((now, snap.render_prometheus()));
         }
     };
-    let outcome =
-        run_workload_sim_observed(web, &spec, cfg, SimConfig::default(), &mut observer).unwrap();
+    let outcome = spec
+        .run_sim(
+            &Deployment::new(web, cfg),
+            SimConfig::default(),
+            &mut observer,
+        )
+        .unwrap();
     if let Some((at_us, sample)) = expo_sample {
         println!("--- /metrics sample at t={at_us}us (mid-flight) ---");
         for line in sample.lines().take(24) {

@@ -14,7 +14,7 @@
 use std::sync::Arc;
 
 use webdis_bench::{fmt_ms, Table};
-use webdis_core::{run_datashipping_sim_with, run_query_sim, EngineConfig, ProcModel};
+use webdis_core::{Deployment, EngineConfig, ProcModel};
 use webdis_sim::{LatencyModel, SimConfig};
 use webdis_web::{generate, WebGenConfig};
 
@@ -53,18 +53,17 @@ fn main() {
         };
 
         let proc = ProcModel::workstation_1999();
-        let ship = run_query_sim(
-            Arc::clone(&web),
-            QUERY,
-            EngineConfig {
-                proc,
-                ..EngineConfig::default()
-            },
-            sim.clone(),
-        )
-        .expect("query parses");
-        let data =
-            run_datashipping_sim_with(Arc::clone(&web), QUERY, sim, proc).expect("query parses");
+        let cfg = EngineConfig {
+            proc,
+            ..EngineConfig::default()
+        };
+        let deployment = Deployment::new(Arc::clone(&web), cfg);
+        let ship = deployment
+            .query_sim(QUERY, sim.clone())
+            .expect("query parses");
+        let data = deployment
+            .datashipping_sim(QUERY, sim)
+            .expect("query parses");
         assert!(ship.complete && data.complete);
         assert_eq!(ship.result_set(), data.result_set());
 

@@ -14,8 +14,8 @@
 use std::sync::Arc;
 
 use webdis_bench::Table;
-use webdis_core::simrun::{build_sim, user_addr, SimServer, SimUser};
-use webdis_core::{query_server_addr, ChtMode, EngineConfig};
+use webdis_core::simrun::{client_of, user_addr, SimServer};
+use webdis_core::{query_server_addr, result_set, ChtMode, Deployment, EngineConfig};
 use webdis_disql::parse_disql;
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
@@ -55,7 +55,8 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
         cht_mode: ChtMode::Strict,
         ..EngineConfig::default()
     };
-    let mut net = build_sim(Arc::clone(&web), query, cfg, SimConfig::default());
+    let mut net =
+        Deployment::new(Arc::clone(&web), cfg).sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
 
     let mut peak_log = 0usize;
@@ -89,27 +90,13 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
             dups += server.engine.stats.duplicates_dropped;
         }
     }
-    let user = net.actor_mut::<SimUser>(&user_addr()).unwrap();
-    let results = user
-        .user
-        .results
-        .iter()
-        .flat_map(|(stage, rows)| {
-            rows.iter().map(move |(n, r)| {
-                (
-                    *stage,
-                    n.to_string(),
-                    r.values.iter().map(|v| v.render()).collect::<Vec<_>>(),
-                )
-            })
-        })
-        .collect();
+    let user = client_of(&mut net).query(1).expect("query submitted");
     PurgeRun {
-        complete: user.user.complete,
+        complete: user.complete,
         peak_log,
         evaluations: evals,
         drops: dups,
-        results,
+        results: result_set(&user.results),
     }
 }
 

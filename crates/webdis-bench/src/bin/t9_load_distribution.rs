@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use webdis_bench::Table;
-use webdis_core::{run_datashipping_sim_with, run_query_sim, EngineConfig, ProcModel};
+use webdis_core::{Deployment, EngineConfig, ProcModel};
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
 
@@ -47,17 +47,16 @@ fn main() {
         let web = Arc::new(generate(&cfg));
 
         let proc = ProcModel::workstation_1999();
-        let ship = run_query_sim(
-            Arc::clone(&web),
-            QUERY,
-            EngineConfig {
-                proc,
-                ..EngineConfig::default()
-            },
-            SimConfig::default(),
-        )
-        .expect("query parses");
-        let data = run_datashipping_sim_with(Arc::clone(&web), QUERY, SimConfig::default(), proc)
+        let cfg = EngineConfig {
+            proc,
+            ..EngineConfig::default()
+        };
+        let deployment = Deployment::new(Arc::clone(&web), cfg);
+        let ship = deployment
+            .query_sim(QUERY, SimConfig::default())
+            .expect("query parses");
+        let data = deployment
+            .datashipping_sim(QUERY, SimConfig::default())
             .expect("query parses");
         assert!(ship.complete && data.complete);
         assert_eq!(ship.result_set(), data.result_set());

@@ -196,7 +196,6 @@ pub fn watch(
 /// checks the poll saw the run. Returns the rendered polls.
 pub fn live_smoke() -> Result<String, String> {
     use std::sync::Arc;
-    use std::time::Instant;
 
     let web = Arc::new(webdis_web::figures::campus());
     let (_collector, tracer) = webdis_trace::TraceHandle::collecting(65_536);
@@ -211,19 +210,21 @@ pub fn live_smoke() -> Result<String, String> {
         &cfg,
         webdis_core::TcpFaultPlan::default(),
     );
-    let mut client =
-        webdis_core::ClientProcess::new("smoke", cluster.user_site().clone(), cfg.clone());
-    let mut net = cluster.user_net();
-    client
-        .submit_disql(&mut net, webdis_web::figures::CAMPUS_QUERY)
+    let query = webdis_disql::parse_disql(webdis_web::figures::CAMPUS_QUERY)
         .map_err(|e| format!("smoke query: {e:?}"))?;
-    let start = Instant::now();
-    while !client.all_complete() && start.elapsed() < Duration::from_secs(30) {
-        if let Some(msg) = cluster.recv_timeout(Duration::from_millis(20)) {
-            client.on_message(&mut net, msg);
-        }
-    }
-    if !client.all_complete() {
+    let mut client = [webdis_core::ClientProcess::new(
+        "smoke",
+        cluster.user_site().clone(),
+        cfg.clone(),
+    )];
+    let at_once = webdis_core::ScheduledSubmission { at_us: 0, query };
+    cluster.drive(
+        &mut cluster.user_net(),
+        &mut client,
+        vec![(0, at_once)],
+        Duration::from_secs(30),
+    );
+    if !client[0].all_complete() {
         return Err("smoke query did not complete within 30s".into());
     }
 

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use webdis_bench::doctor;
-use webdis_core::{run_query_tcp_faulty, EngineConfig, ExpiryPolicy, SimRunError, TcpFaultPlan};
-use webdis_load::{run_workload_sim, run_workload_sim_live, WorkloadOutcome};
+use webdis_core::{Deployment, EngineConfig, ExpiryPolicy, SimRunError, TcpFaultPlan};
+use webdis_load::{run_workload_sim, WorkloadOutcome};
 use webdis_trace::{TraceHandle, TraceRecord};
 use webdis_web::LiveWeb;
 
@@ -91,23 +91,13 @@ pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, SimRunError> {
         }
     }
 
+    // A living web with an empty schedule is the frozen web, so the
+    // faulty leg always runs on one.
     let (collector, tracer) = TraceHandle::collecting(1 << 17);
-    let faulty = if schedule.events.is_empty() {
-        run_workload_sim(
-            web,
-            &spec,
-            plan.engine_config(tracer),
-            plan.sim_config(true),
-        )?
-    } else {
-        run_workload_sim_live(
-            Arc::new(LiveWeb::from_hosted(&web)),
-            &schedule,
-            &spec,
-            plan.engine_config(tracer),
-            plan.sim_config(true),
-        )?
-    };
+    let live = Arc::new(LiveWeb::from_hosted(&web));
+    let mut deployment = Deployment::new(live, plan.engine_config(tracer));
+    deployment.schedule = schedule;
+    let faulty = spec.run_sim(&deployment, plan.sim_config(true), &mut |_, _| {})?;
     let records = collector.snapshot();
 
     let violations = oracle::check(plan, &baselines, &faulty, &records);
@@ -153,10 +143,8 @@ pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
     };
     let deadline = Duration::from_secs(10);
 
-    let baseline = run_query_tcp_faulty(
-        web.clone(),
+    let baseline = Deployment::new(web.clone(), engine(TraceHandle::noop())).query_tcp(
         TCP_QUERY,
-        engine(TraceHandle::noop()),
         deadline,
         TcpFaultPlan::default(),
     )?;
@@ -170,7 +158,7 @@ pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
             Duration::from_millis(250),
         );
     let (collector, tracer) = TraceHandle::collecting(1 << 15);
-    let outcome = run_query_tcp_faulty(web, TCP_QUERY, engine(tracer), deadline, faults)?;
+    let outcome = Deployment::new(web, engine(tracer)).query_tcp(TCP_QUERY, deadline, faults)?;
     let records = collector.snapshot();
 
     let mut violations = Vec::new();
@@ -192,8 +180,8 @@ pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
     }
     // Row safety: set inclusion (the crash window makes recomputation
     // legitimate, exactly as in the simulated oracle).
-    let base_rows = tcp_row_set(&baseline);
-    for key in tcp_row_set(&outcome) {
+    let base_rows = baseline.result_set();
+    for key in outcome.result_set() {
         if !base_rows.contains(&key) {
             violations.push(Violation::RowExcess {
                 user: 0,
@@ -206,20 +194,4 @@ pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
         violations.push(Violation::TraceAnomaly { detail: anomaly });
     }
     Ok(violations)
-}
-
-fn tcp_row_set(
-    outcome: &webdis_core::TcpOutcome,
-) -> std::collections::BTreeSet<(u32, String, Vec<String>)> {
-    let mut out = std::collections::BTreeSet::new();
-    for (stage, rows) in &outcome.results {
-        for (node, row) in rows {
-            out.insert((
-                *stage,
-                node.to_string(),
-                row.values.iter().map(|v| v.render()).collect(),
-            ));
-        }
-    }
-    out
 }

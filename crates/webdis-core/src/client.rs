@@ -8,6 +8,12 @@
 //! incoming reports by id. Query servers already isolate queries by id in
 //! their log tables, so concurrent queries never interfere — covered by
 //! `tests/multi_query.rs`.
+//!
+//! A single-query run is the n = 1 case: Figure 2's
+//! `send_query`/`receive_results` is one [`UserSite`] inside a client
+//! process. On the simulator the process runs as the
+//! [`ScheduledClient`] actor; on TCP it is driven by
+//! [`TcpCluster::drive`](crate::TcpCluster::drive).
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -16,8 +22,9 @@ use webdis_model::SiteAddr;
 use webdis_net::{Message, QueryId};
 use webdis_sim::{Actor, Ctx, SimEvent};
 
-use crate::config::EngineConfig;
+use crate::config::{EngineConfig, ExpiryPolicy};
 use crate::network::Network;
+use crate::record::QueryRecord;
 use crate::simrun::CtxNet;
 use crate::user::UserSite;
 
@@ -40,6 +47,11 @@ impl ClientProcess {
             next_query_num: 1,
             queries: BTreeMap::new(),
         }
+    }
+
+    /// The address this client receives results at.
+    pub fn addr(&self) -> &SiteAddr {
+        &self.addr
     }
 
     /// Parses and submits a DISQL query; returns its query number.
@@ -87,28 +99,36 @@ impl ClientProcess {
             port: self.addr.port,
             query_num,
         };
-        if let Some(monitor) = &self.config.monitor {
-            monitor.admit(&id, net.now_us());
-        }
         let mut site = UserSite::new(id, query, self.config.clone());
         site.start(net);
         self.queries.insert(query_num, site);
         query_num
     }
 
-    /// Routes an incoming message (result report or completion ack) to
-    /// the owning query.
-    pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
-        let id = match &msg {
+    /// The number of the query `msg` answers, when `msg` is a result
+    /// report or completion ack addressed to this client.
+    fn addressed(&self, msg: &Message) -> Option<u64> {
+        let id = match msg {
             Message::Report(report) => &report.id,
             Message::Ack(ack) => &ack.id,
-            _ => return,
+            _ => return None,
         };
-        if id.user != self.user || id.host != self.addr.host || id.port != self.addr.port {
-            return; // not ours at all
-        }
-        let query_num = id.query_num;
-        if let Some(site) = self.queries.get_mut(&query_num) {
+        let ours = id.user == self.user && id.host == self.addr.host && id.port == self.addr.port;
+        ours.then_some(id.query_num)
+    }
+
+    /// True when `msg` is addressed to this client — what lets several
+    /// client processes share one listening endpoint.
+    pub fn owns(&self, msg: &Message) -> bool {
+        self.addressed(msg).is_some()
+    }
+
+    /// Routes an incoming message (result report or completion ack) to
+    /// the owning query; anyone else's, or a forgotten query's, is
+    /// ignored.
+    pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
+        let query_num = self.addressed(&msg);
+        if let Some(site) = query_num.and_then(|num| self.queries.get_mut(&num)) {
             site.on_message(net, msg);
         }
     }
@@ -138,100 +158,57 @@ impl ClientProcess {
         self.queries.remove(&query_num)
     }
 
-    /// The engine configuration this client runs with.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
+    /// One [`QueryRecord`] per submitted query, in query-number order,
+    /// filed under client index `user`.
+    pub fn records(&self, user: usize) -> Vec<QueryRecord> {
+        let sites = self.queries.values();
+        sites.map(|site| QueryRecord::of(user, site)).collect()
+    }
+
+    /// The expiry schedule the in-flight queries ask for
+    /// ([`UserSite::expiry_policy`]; they share one configuration):
+    /// `None` when nothing is in flight or nothing can expire.
+    pub fn expiry_policy(&self) -> Option<ExpiryPolicy> {
+        let in_flight = self.queries.values().find(|q| !q.complete);
+        in_flight.and_then(UserSite::expiry_policy)
     }
 
     /// Runs the Section-7.1 expiry sweep over every in-flight query.
     /// Returns the number of entries expired across all of them.
-    pub fn expire_stale_all(&mut self, now_us: u64, timeout_us: u64) -> usize {
-        self.queries
-            .values_mut()
-            .filter(|q| !q.complete)
-            .map(|q| q.expire_stale(now_us, timeout_us))
+    pub fn expire_stale_all(&mut self, now_us: u64) -> usize {
+        let in_flight = self.queries.values_mut().filter(|q| !q.complete);
+        in_flight
+            .filter_map(|q| Some(q.expire_stale(now_us, q.expiry_policy()?.timeout_us)))
             .sum()
     }
 }
 
-/// The client process bound to the simulator. Submissions happen from the
-/// harness via [`webdis_sim::SimNet::actor_mut`]; the Start event is
-/// unused.
-pub struct SimClient {
-    /// The wrapped client.
-    pub client: ClientProcess,
-    /// Queries (DISQL text) to submit on the Start event.
-    pub submit_on_start: Vec<String>,
-}
-
-/// Timer token for the client's periodic expiry sweep (distinct from the
-/// single-query `SimUser`'s only by ownership — tokens are per-actor).
-const EXPIRY_TIMER_TOKEN: u64 = 1;
-
-impl SimClient {
-    fn arm_expiry(&self, ctx: &mut Ctx<'_>) {
-        if self.client.all_complete() {
-            return;
-        }
-        if let (Some(policy), crate::config::CompletionMode::Cht) =
-            (self.client.config().expiry, self.client.config().completion)
-        {
-            ctx.schedule_timer(policy.period_us, EXPIRY_TIMER_TOKEN);
-        }
-    }
-}
-
-impl Actor for SimClient {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-        match event {
-            SimEvent::Start => {
-                for disql in std::mem::take(&mut self.submit_on_start) {
-                    self.client
-                        .submit_disql(&mut CtxNet(ctx), &disql)
-                        .expect("harness submits valid DISQL");
-                }
-                self.arm_expiry(ctx);
-            }
-            SimEvent::Net(msg) => self.client.on_message(&mut CtxNet(ctx), msg),
-            SimEvent::Timer(EXPIRY_TIMER_TOKEN) => {
-                if let Some(policy) = self.client.config().expiry {
-                    let timeout_us = policy.timeout_us;
-                    self.client.expire_stale_all(ctx.now_us(), timeout_us);
-                }
-                self.arm_expiry(ctx);
-            }
-            SimEvent::Timer(_) => {}
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// One planned query submission for a [`ScheduledClient`].
+/// One planned query submission.
 pub struct ScheduledSubmission {
-    /// Virtual submission time, µs since simulation start.
+    /// Submission time, µs since the run began.
     pub at_us: u64,
     /// The (already parsed) query to submit.
     pub query: WebQuery,
 }
 
-/// A client-process actor whose submissions happen at scheduled virtual
-/// times — the open-loop arrival process of the `webdis-load` workload
-/// engine. Arrivals are timer-driven, so many such actors (one per
-/// simulated user site) interleave deterministically in one event loop.
+/// The client process bound to the simulator — the one user-site actor
+/// of the distributed engine. Submissions happen at scheduled virtual
+/// times (a single-query run schedules one at t = 0), arrivals are
+/// timer-driven, so many such actors (one per simulated user site)
+/// interleave deterministically in one event loop; the Section-7.1
+/// expiry sweep is a second timer chain, armed while a query that can
+/// expire is in flight.
 pub struct ScheduledClient {
     /// The wrapped multi-query client.
     pub client: ClientProcess,
     /// Remaining submissions, earliest first.
     schedule: VecDeque<ScheduledSubmission>,
-    /// Virtual submission time per assigned query number.
-    pub submitted_at: BTreeMap<u64, u64>,
     expiry_armed: bool,
 }
 
-/// Timer token for the scheduled client's next submission.
+/// Timer token for the periodic expiry sweep.
+const EXPIRY_TIMER_TOKEN: u64 = 1;
+/// Timer token for the next scheduled submission.
 const SUBMIT_TIMER_TOKEN: u64 = 2;
 
 impl ScheduledClient {
@@ -241,14 +218,13 @@ impl ScheduledClient {
         ScheduledClient {
             client,
             schedule: schedule.into(),
-            submitted_at: BTreeMap::new(),
             expiry_armed: false,
         }
     }
 
-    /// True when every planned query has been submitted and completed.
-    pub fn done(&self) -> bool {
-        self.schedule.is_empty() && self.client.all_complete()
+    /// Planned submissions that have not gone out yet.
+    pub fn unsubmitted(&self) -> usize {
+        self.schedule.len()
     }
 
     fn submit_due(&mut self, ctx: &mut Ctx<'_>) {
@@ -258,8 +234,7 @@ impl ScheduledClient {
             .is_some_and(|s| s.at_us <= ctx.now_us())
         {
             let s = self.schedule.pop_front().expect("front checked");
-            let num = self.client.submit(&mut CtxNet(ctx), s.query);
-            self.submitted_at.insert(num, ctx.now_us());
+            self.client.submit(&mut CtxNet(ctx), s.query);
         }
         if let Some(next) = self.schedule.front() {
             ctx.schedule_timer(next.at_us.saturating_sub(ctx.now_us()), SUBMIT_TIMER_TOKEN);
@@ -270,12 +245,10 @@ impl ScheduledClient {
     /// and sweeps both re-arm; the flag keeps the chains from
     /// multiplying).
     fn arm_expiry(&mut self, ctx: &mut Ctx<'_>) {
-        if self.expiry_armed || self.client.all_complete() {
+        if self.expiry_armed {
             return;
         }
-        if let (Some(policy), crate::config::CompletionMode::Cht) =
-            (self.client.config().expiry, self.client.config().completion)
-        {
+        if let Some(policy) = self.client.expiry_policy() {
             ctx.schedule_timer(policy.period_us, EXPIRY_TIMER_TOKEN);
             self.expiry_armed = true;
         }
@@ -292,10 +265,7 @@ impl Actor for ScheduledClient {
             SimEvent::Net(msg) => self.client.on_message(&mut CtxNet(ctx), msg),
             SimEvent::Timer(EXPIRY_TIMER_TOKEN) => {
                 self.expiry_armed = false;
-                if let Some(policy) = self.client.config().expiry {
-                    let timeout_us = policy.timeout_us;
-                    self.client.expire_stale_all(ctx.now_us(), timeout_us);
-                }
+                self.client.expire_stale_all(ctx.now_us());
                 self.arm_expiry(ctx);
             }
             SimEvent::Timer(_) => {}

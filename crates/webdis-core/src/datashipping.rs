@@ -21,8 +21,11 @@ use webdis_rel::{eval_node_query, NodeDb, ResultRow};
 use webdis_sim::{Actor, Ctx, SimConfig, SimEvent};
 use webdis_trace::{TraceEvent, TraceHandle, TraceRecord};
 
+use crate::config::EngineConfig;
+use crate::deploy::Deployment;
 use crate::network::Network;
-use crate::simrun::{user_addr, CtxNet, PlainWebServer, QueryOutcome, SimRunError};
+use crate::record::QueryOutcome;
+use crate::simrun::{user_addr, CtxNet, PlainWebServer, SimRunError};
 
 /// Counters for the baseline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -352,68 +355,61 @@ impl Actor for SimDataUser {
     }
 }
 
-/// Runs a DISQL query with the centralized data-shipping strategy over
-/// the simulated network; plain web servers (answering only document
-/// fetches) run at every site.
+impl Deployment {
+    /// Runs a DISQL query with the centralized data-shipping strategy over
+    /// the simulated network: plain web servers (answering only document
+    /// fetches) run at every site, and no query server anywhere. Of the
+    /// configuration only the processing-cost model — every parse and
+    /// evaluation is charged to the user site's single processor — and
+    /// the tracer, installed on both the engine and the simulated
+    /// transport, apply.
+    pub fn datashipping_sim(
+        &self,
+        disql: &str,
+        sim_cfg: SimConfig,
+    ) -> Result<QueryOutcome, SimRunError> {
+        let query = parse_disql(disql).map_err(SimRunError::Parse)?;
+        let mut net = webdis_sim::SimNet::new(sim_cfg);
+        net.set_tracer(self.config.tracer.clone());
+        for site in self.web.sites() {
+            net.register(site, Box::new(PlainWebServer::new(self.web.clone())));
+        }
+        let addr = user_addr();
+        let mut user = DataShipUser::with_proc(query, addr.clone(), self.config.proc);
+        user.set_tracer(self.config.tracer.clone());
+        net.register(addr.clone(), Box::new(SimDataUser { user }));
+        net.start(&addr);
+        let duration_us = self.drain(&mut net);
+
+        let user = net
+            .actor_mut::<SimDataUser>(&addr)
+            .expect("baseline user registered");
+        Ok(QueryOutcome {
+            complete: user.user.complete,
+            results: user.user.results.clone(),
+            trace: Vec::new(),
+            first_result_us: user.user.first_result_us,
+            completed_at_us: user.user.completed_at_us,
+            cht_stats: crate::cht::ChtStats::default(),
+            failed_entries: Vec::new(),
+            shed_entries: Vec::new(),
+            dead_link_entries: Vec::new(),
+            why_incomplete: None,
+            metrics: net.metrics.clone(),
+            duration_us,
+            server_stats: BTreeMap::new(),
+        })
+    }
+}
+
+/// Data shipping on the frozen `web` under the default cost model,
+/// untraced: [`Deployment::datashipping_sim`] with nothing else said.
 pub fn run_datashipping_sim(
     web: Arc<webdis_web::HostedWeb>,
     disql: &str,
     sim_cfg: SimConfig,
 ) -> Result<QueryOutcome, SimRunError> {
-    run_datashipping_sim_with(web, disql, sim_cfg, crate::config::ProcModel::default())
-}
-
-/// [`run_datashipping_sim`] with an explicit processing-cost model: every
-/// parse and evaluation is charged to the user site's single processor.
-pub fn run_datashipping_sim_with(
-    web: Arc<webdis_web::HostedWeb>,
-    disql: &str,
-    sim_cfg: SimConfig,
-    proc: crate::config::ProcModel,
-) -> Result<QueryOutcome, SimRunError> {
-    run_datashipping_sim_traced(web, disql, sim_cfg, proc, TraceHandle::noop())
-}
-
-/// [`run_datashipping_sim_with`] with a tracer installed on both the
-/// engine and the simulated transport.
-pub fn run_datashipping_sim_traced(
-    web: Arc<webdis_web::HostedWeb>,
-    disql: &str,
-    sim_cfg: SimConfig,
-    proc: crate::config::ProcModel,
-    tracer: TraceHandle,
-) -> Result<QueryOutcome, SimRunError> {
-    let query = parse_disql(disql).map_err(SimRunError::Parse)?;
-    let mut net = webdis_sim::SimNet::new(sim_cfg);
-    net.set_tracer(tracer.clone());
-    for site in web.sites() {
-        net.register(site, Box::new(PlainWebServer::new(Arc::clone(&web).into())));
-    }
-    let addr = user_addr();
-    let mut user = DataShipUser::with_proc(query, addr.clone(), proc);
-    user.set_tracer(tracer);
-    net.register(addr.clone(), Box::new(SimDataUser { user }));
-    net.start(&addr);
-    let duration_us = net.run();
-
-    let user = net
-        .actor_mut::<SimDataUser>(&addr)
-        .expect("baseline user registered");
-    Ok(QueryOutcome {
-        complete: user.user.complete,
-        results: user.user.results.clone(),
-        trace: Vec::new(),
-        first_result_us: user.user.first_result_us,
-        completed_at_us: user.user.completed_at_us,
-        cht_stats: crate::cht::ChtStats::default(),
-        failed_entries: Vec::new(),
-        shed_entries: Vec::new(),
-        dead_link_entries: Vec::new(),
-        why_incomplete: None,
-        metrics: net.metrics.clone(),
-        duration_us,
-        server_stats: BTreeMap::new(),
-    })
+    Deployment::new(web, EngineConfig::default()).datashipping_sim(disql, sim_cfg)
 }
 
 #[cfg(test)]

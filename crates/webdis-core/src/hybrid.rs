@@ -34,11 +34,11 @@ use webdis_sim::{Actor, Ctx, SimConfig, SimEvent};
 use webdis_trace::{TraceEvent as TrEvent, TraceRecord};
 
 use crate::config::EngineConfig;
+use crate::deploy::Deployment;
 use crate::logtable::LogTable;
 use crate::network::{query_server_addr, Network};
-use crate::simrun::{
-    build_sim_participating, collect_outcome, user_addr, CtxNet, QueryOutcome, SimRunError,
-};
+use crate::record::{QueryOutcome, QueryRecord};
+use crate::simrun::{user_addr, CtxNet, SimRunError};
 use crate::user::UserSite;
 use crate::visit::{admit, ForwardGroups, TraverseCounters, VisitCtx};
 
@@ -285,9 +285,48 @@ impl Actor for SimHybridUser {
     }
 }
 
-/// Runs a DISQL query in hybrid mode: only `participating` sites run
-/// query servers; everything else is reached through the user-site
-/// fallback. An empty list degenerates to (CHT-accounted) data shipping.
+impl Deployment {
+    /// Runs a DISQL query in hybrid mode over the simulated network: only
+    /// the participating sites run query servers; everything else is
+    /// reached through the user-site fallback. `hybrid` is forced on and
+    /// the completion protocol forced to the CHT on servers and user site
+    /// alike; see [`HybridUser::new`].
+    pub fn hybrid_sim(
+        &self,
+        disql: &str,
+        sim_cfg: SimConfig,
+    ) -> Result<(QueryOutcome, HybridStats), SimRunError> {
+        let query = parse_disql(disql).map_err(SimRunError::Parse)?;
+        let mut deployment = self.clone();
+        deployment.config.hybrid = true;
+        deployment.config.completion = crate::config::CompletionMode::Cht;
+
+        let mut net = deployment.sim_net(sim_cfg);
+        let addr = user_addr();
+        let id = QueryId {
+            user: "webdis".into(),
+            host: addr.host.clone(),
+            port: addr.port,
+            query_num: 1,
+        };
+        let hybrid = HybridUser::new(id, query, deployment.config.clone());
+        net.register(addr.clone(), Box::new(SimHybridUser { hybrid }));
+        net.start(&addr);
+        let duration_us = deployment.drain(&mut net);
+
+        let user = net.actor_mut::<SimHybridUser>(&addr);
+        let hybrid = &user.expect("hybrid user registered").hybrid;
+        let (record, stats) = (QueryRecord::of(0, &hybrid.user), hybrid.stats);
+        let server_stats = deployment.sim_server_stats(&mut net);
+        let outcome = QueryOutcome::new(record, net.metrics, duration_us, server_stats);
+        Ok((outcome, stats))
+    }
+}
+
+/// Runs a DISQL query in hybrid mode on the frozen `web`: only
+/// `participating` sites run query servers. An empty list degenerates to
+/// (CHT-accounted) data shipping. [`Deployment::hybrid_sim`] with nothing
+/// else said.
 pub fn run_query_hybrid_sim(
     web: Arc<webdis_web::HostedWeb>,
     disql: &str,
@@ -295,45 +334,9 @@ pub fn run_query_hybrid_sim(
     sim_cfg: SimConfig,
     participating: &[SiteAddr],
 ) -> Result<(QueryOutcome, HybridStats), SimRunError> {
-    let query = parse_disql(disql).map_err(SimRunError::Parse)?;
-    let mut engine_cfg = engine_cfg;
-    engine_cfg.hybrid = true;
-    // Hybrid handoff is a CHT-protocol construct; see [`HybridUser::new`].
-    engine_cfg.completion = crate::config::CompletionMode::Cht;
-    let sites = web.sites();
-
-    let mut net = build_sim_participating(
-        Arc::clone(&web),
-        query.clone(),
-        engine_cfg.clone(),
-        sim_cfg,
-        Some(participating),
-    );
-    // Replace the standard user actor with the hybrid one.
-    let addr = user_addr();
-    net.deregister(&addr);
-    let id = QueryId {
-        user: "webdis".into(),
-        host: addr.host.clone(),
-        port: addr.port,
-        query_num: 1,
-    };
-    net.register(
-        addr.clone(),
-        Box::new(SimHybridUser {
-            hybrid: HybridUser::new(id, query, engine_cfg),
-        }),
-    );
-    net.start(&addr);
-    let duration_us = net.run();
-
-    fn hybrid_of(net: &mut webdis_sim::SimNet) -> &HybridUser {
-        let user = net.actor_mut::<SimHybridUser>(&user_addr());
-        &user.expect("hybrid user registered").hybrid
-    }
-    let stats = hybrid_of(&mut net).stats;
-    let outcome = collect_outcome(&mut net, sites, duration_us, |net| &hybrid_of(net).user);
-    Ok((outcome, stats))
+    let mut deployment = Deployment::new(web, engine_cfg);
+    deployment.participating = Some(participating.to_vec());
+    deployment.hybrid_sim(disql, sim_cfg)
 }
 
 #[cfg(test)]

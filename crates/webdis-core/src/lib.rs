@@ -22,8 +22,14 @@
 //!   elimination, `A*m·B` subsumption, and the multiple-rewrite rule;
 //! * [`config`] — every §3 optimization individually switchable for the
 //!   ablation experiments;
-//! * [`simrun`] — the one-call harness that runs a DISQL query on a
-//!   [`webdis_web::HostedWeb`] over the deterministic simulator;
+//! * [`deploy`] — what is deployed, said once: web, mutation schedule,
+//!   configuration, participating sites; every way of running a query is
+//!   a method of that one [`Deployment`] value, and every `run_*`
+//!   function a one-line form of one of them;
+//! * [`client`] — the user-site client process (Section 4.3), the one
+//!   user-site driver: an actor on the simulator, a receive loop on TCP;
+//! * [`record`] — the one per-query record every run reports through;
+//! * [`simrun`] — the deployment on the deterministic simulator;
 //! * [`datashipping`] — the centralized download-and-evaluate baseline
 //!   the paper argues against (Sections 1 and 6);
 //! * [`tcprun`] — the same engine on real TCP sockets over loopback, one
@@ -53,9 +59,11 @@ pub mod cht;
 pub mod client;
 pub mod config;
 pub mod datashipping;
+pub mod deploy;
 pub mod hybrid;
 pub mod logtable;
 pub mod network;
+pub mod record;
 pub mod report;
 pub mod server;
 pub mod simrun;
@@ -64,23 +72,20 @@ pub mod user;
 mod visit;
 
 pub use cht::{Cht, ChtStats};
-pub use client::{ClientProcess, ScheduledClient, ScheduledSubmission, SimClient};
+pub use client::{ClientProcess, ScheduledClient, ScheduledSubmission};
 pub use config::{
     AdmissionPolicy, ChtMode, CompletionMode, EngineConfig, ExpiryPolicy, LogMode, ProcModel,
 };
-pub use datashipping::{
-    run_datashipping_sim, run_datashipping_sim_traced, run_datashipping_sim_with, DataShipUser,
-};
+pub use datashipping::{run_datashipping_sim, DataShipUser};
+pub use deploy::Deployment;
 pub use hybrid::{run_query_hybrid_sim, HybridStats, HybridUser};
 pub use logtable::{LogOutcome, LogTable};
 pub use network::{query_server_addr, Network, NetworkError};
+pub use record::{result_set, QueryOutcome, QueryRecord, WorkloadOutcome};
 pub use report::{render_html, render_text, ResultsView};
 pub use server::{ServerEngine, ServerStats};
-pub use simrun::{register_web_sites, run_query_sim, QueryOutcome, SimRunError};
-pub use tcprun::{
-    run_queries_tcp, run_query_tcp, run_query_tcp_faulty, run_query_tcp_live, CrashWindow,
-    TcpCluster, TcpFaultPlan, TcpNet, TcpOutcome,
-};
+pub use simrun::{run_query_sim, SimRunError};
+pub use tcprun::{run_queries_tcp, run_query_tcp, CrashWindow, TcpCluster, TcpFaultPlan, TcpNet};
 pub use user::{TraceEvent, UserSite};
 pub use webdis_cache::{AnswerCache, CachePolicy, CacheStats};
 pub use webdis_monitor::{

@@ -113,26 +113,20 @@ pub fn render_text(view: &ResultsView<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_query_sim, EngineConfig, UserSite};
+    use crate::{run_query_sim, Deployment, EngineConfig, UserSite};
     use std::sync::Arc;
     use webdis_sim::SimConfig;
     use webdis_web::figures;
 
     fn with_finished_user<R>(f: impl FnOnce(&UserSite) -> R) -> R {
         let query = webdis_disql::parse_disql(figures::CAMPUS_QUERY).unwrap();
-        let mut net = crate::simrun::build_sim(
-            Arc::new(figures::campus()),
-            query,
-            EngineConfig::default(),
-            SimConfig::default(),
-        );
-        let addr = crate::simrun::user_addr();
-        net.start(&addr);
+        let deployment = Deployment::new(Arc::new(figures::campus()), EngineConfig::default());
+        let mut net = deployment.sim_with_client(SimConfig::default(), vec![query]);
+        net.start(&crate::simrun::user_addr());
         net.run();
-        let sim_user = net
-            .actor_mut::<crate::simrun::SimUser>(&addr)
-            .expect("user actor registered");
-        f(&sim_user.user)
+        f(crate::simrun::client_of(&mut net)
+            .query(1)
+            .expect("query submitted"))
     }
 
     #[test]

@@ -1,23 +1,28 @@
-//! One-call harness: run a DISQL query on a hosted web over the
-//! deterministic simulator and collect everything the experiments need.
+//! The engine on the deterministic simulator: the actors that bind query
+//! servers and plain web servers to a [`SimNet`], the wiring of a
+//! [`Deployment`] onto one, and the two loops that advance its clock —
+//! drain-to-quiescence for a single query, purge-period ticks for a
+//! workload.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
 use webdis_disql::{parse_disql, DisqlError, WebQuery};
-use webdis_model::{SiteAddr, Url};
-use webdis_net::{CloneState, Message, QueryId};
-use webdis_rel::ResultRow;
-use webdis_sim::{Actor, Ctx, Metrics, SendError, SimConfig, SimEvent, SimNet};
+use webdis_model::SiteAddr;
+use webdis_net::Message;
+use webdis_sim::{Actor, Ctx, SendError, SimConfig, SimEvent, SimNet};
+use webdis_trace::RegistrySnapshot;
 
-use crate::cht::ChtStats;
+use crate::client::{ClientProcess, ScheduledClient, ScheduledSubmission};
 use crate::config::EngineConfig;
+use crate::deploy::Deployment;
 use crate::network::{query_server_addr, Network, NetworkError};
+use crate::record::{QueryOutcome, WorkloadOutcome};
 use crate::server::{fetch_reply, ServerEngine, ServerStats};
-use crate::user::{TraceEvent, UserSite};
 
-/// The address the user-site client listens on in simulated runs.
+/// The address the user-site client listens on, in simulated runs and on
+/// a [`TcpCluster`](crate::TcpCluster) alike.
 pub fn user_addr() -> SiteAddr {
     SiteAddr {
         host: "user.test".into(),
@@ -41,78 +46,6 @@ impl fmt::Display for SimRunError {
 }
 
 impl std::error::Error for SimRunError {}
-
-/// Everything a finished run exposes.
-#[derive(Debug)]
-pub struct QueryOutcome {
-    /// True when the CHT detected completion (it always should, absent
-    /// fault injection).
-    pub complete: bool,
-    /// Rows per global stage, with producing node.
-    pub results: BTreeMap<u32, Vec<(Url, ResultRow)>>,
-    /// Node-report trace in arrival order.
-    pub trace: Vec<TraceEvent>,
-    /// Network traffic metrics.
-    pub metrics: Metrics,
-    /// Virtual makespan of the whole run, µs.
-    pub duration_us: u64,
-    /// Virtual time of the first result row at the user site.
-    pub first_result_us: Option<u64>,
-    /// Virtual time completion was detected.
-    pub completed_at_us: Option<u64>,
-    /// Per-site server counters.
-    pub server_stats: BTreeMap<SiteAddr, ServerStats>,
-    /// User-site CHT counters.
-    pub cht_stats: ChtStats,
-    /// Nodes written off by stale-entry expiry (Section 7.1 graceful
-    /// recovery). Empty on fault-free runs.
-    pub failed_entries: Vec<(Url, CloneState)>,
-    /// Nodes refused by server-side admission control. Empty unless the
-    /// config sets an [`AdmissionPolicy`](crate::config::AdmissionPolicy)
-    /// and the offered load exceeded it.
-    pub shed_entries: Vec<(Url, CloneState)>,
-    /// Nodes whose documents were deleted before the clone arrived
-    /// (living-web link rot, reported as dead links). Always empty on a
-    /// frozen web.
-    pub dead_link_entries: Vec<(Url, CloneState)>,
-    /// A human-readable diagnosis when the run was not cleanly complete
-    /// (still-outstanding state, or which nodes were expired). `None` for
-    /// a clean run.
-    pub why_incomplete: Option<String>,
-}
-
-impl QueryOutcome {
-    /// Rows of one stage (empty slice if none).
-    pub fn rows_of_stage(&self, stage: u32) -> &[(Url, ResultRow)] {
-        self.results.get(&stage).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total rows across stages.
-    pub fn total_rows(&self) -> usize {
-        self.results.values().map(Vec::len).sum()
-    }
-
-    /// A canonical, order-insensitive view of the results — used to check
-    /// that different engines/configurations agree.
-    pub fn result_set(&self) -> BTreeSet<(u32, String, Vec<String>)> {
-        let mut out = BTreeSet::new();
-        for (stage, rows) in &self.results {
-            for (node, row) in rows {
-                out.insert((
-                    *stage,
-                    node.to_string(),
-                    row.values.iter().map(|v| v.render()).collect(),
-                ));
-            }
-        }
-        out
-    }
-
-    /// Sum of one server counter over all sites.
-    pub fn sum_stat(&self, f: impl Fn(&ServerStats) -> u64) -> u64 {
-        self.server_stats.values().map(f).sum()
-    }
-}
 
 /// Adapts the simulator's per-event context to the engine's network trait.
 pub(crate) struct CtxNet<'a, 'b>(pub(crate) &'a mut Ctx<'b>);
@@ -189,169 +122,230 @@ impl Actor for PlainWebServer {
     }
 }
 
-/// The user-site client bound to the simulator.
-pub struct SimUser {
-    /// The wrapped client (public so harnesses can read results).
-    pub user: UserSite,
+/// The client process [`Deployment::sim_with_client`] registered at
+/// [`user_addr`] — where a hand-stepped run reads its queries
+/// (`client_of(&mut net).query(1)`).
+pub fn client_of(net: &mut SimNet) -> &mut ClientProcess {
+    let actor = net.actor_mut::<ScheduledClient>(&user_addr());
+    &mut actor.expect("client process registered").client
 }
 
-/// Timer token for the user actor's periodic expiry sweep.
-const EXPIRY_TIMER_TOKEN: u64 = 1;
+/// Tick used to drive purge sweeps when the config does not set
+/// `log_purge_us` (the gauge still wants periodic samples).
+const DEFAULT_TICK_US: u64 = 100_000;
 
-impl SimUser {
-    /// Arms the next expiry sweep, if the config asks for one and the
-    /// query is still running.
-    fn arm_expiry(&self, ctx: &mut Ctx<'_>) {
-        if self.user.complete {
-            return;
-        }
-        if let Some(policy) = self.user.expiry_policy() {
-            ctx.schedule_timer(policy.period_us, EXPIRY_TIMER_TOKEN);
-        }
-    }
-}
-
-impl Actor for SimUser {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-        match event {
-            SimEvent::Start => {
-                self.user.start(&mut CtxNet(ctx));
-                self.arm_expiry(ctx);
+impl Deployment {
+    /// Wires the deployment onto a fresh simulated network: a plain web
+    /// server for every site, plus a query daemon at each participating
+    /// site's [`query_server_addr`]. User-site actors go on top.
+    ///
+    /// On a living web "every site" is every *declared* host — including
+    /// sites that currently serve no documents, since a `site_join`
+    /// mutation may bring them back — and all actors share the same
+    /// evolving store: the run loops below apply the mutation schedule
+    /// to it between simulation slices, and the engines observe version
+    /// bumps on their next clone arrival.
+    pub fn sim_net(&self, sim_cfg: SimConfig) -> SimNet {
+        let mut net = SimNet::new(sim_cfg);
+        net.set_tracer(self.config.tracer.clone());
+        for site in self.web.sites() {
+            // Every site serves documents...
+            let documents = PlainWebServer::new(self.web.clone());
+            net.register(site.clone(), Box::new(documents));
+            // ...participating sites also run the query daemon.
+            if self.participates(&site) {
+                let engine =
+                    ServerEngine::with_view(site.clone(), self.web.clone(), self.config.clone());
+                net.register(query_server_addr(&site), Box::new(SimServer { engine }));
             }
-            SimEvent::Net(msg) => self.user.on_message(&mut CtxNet(ctx), msg),
-            SimEvent::Timer(EXPIRY_TIMER_TOKEN) => {
-                if let Some(policy) = self.user.expiry_policy() {
-                    if !self.user.complete {
-                        self.user.expire_stale(ctx.now_us(), policy.timeout_us);
-                    }
+        }
+        net
+    }
+
+    /// [`Deployment::sim_net`] plus one client process, user `webdis` at
+    /// [`user_addr`], that submits `queries` when the caller
+    /// [`start`](SimNet::start)s that address. For harnesses that step
+    /// the clock themselves; [`client_of`] reads the queries back.
+    pub fn sim_with_client(&self, sim_cfg: SimConfig, queries: Vec<WebQuery>) -> SimNet {
+        let mut net = self.sim_net(sim_cfg);
+        let client = ClientProcess::new("webdis", user_addr(), self.config.clone());
+        let at_start = |query| ScheduledSubmission { at_us: 0, query };
+        let schedule = queries.into_iter().map(at_start).collect();
+        let actor = ScheduledClient::new(client, schedule);
+        net.register(user_addr(), Box::new(actor));
+        net
+    }
+
+    /// Runs `net` until its event queue is empty, stopping at each
+    /// scheduled mutation so it lands at its exact virtual instant —
+    /// *between* message deliveries, never mid-handler. Returns the final
+    /// virtual time.
+    pub(crate) fn drain(&self, net: &mut SimNet) -> u64 {
+        for m in &self.schedule.events {
+            net.run_until(m.at_us);
+            self.apply_mutation(m, m.at_us);
+        }
+        net.run()
+    }
+
+    /// Every participating site's server counters.
+    pub(crate) fn sim_server_stats(&self, net: &mut SimNet) -> BTreeMap<SiteAddr, ServerStats> {
+        let mut server_stats = BTreeMap::new();
+        for site in self.web.sites() {
+            if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(&site)) {
+                server_stats.insert(site, server.engine.stats);
+            }
+        }
+        server_stats
+    }
+
+    /// Runs one DISQL query over the simulated network and collects the
+    /// outcome.
+    pub fn query_sim(&self, disql: &str, sim_cfg: SimConfig) -> Result<QueryOutcome, SimRunError> {
+        let query = parse_disql(disql).map_err(SimRunError::Parse)?;
+        let mut net = self.sim_with_client(sim_cfg, vec![query]);
+        net.start(&user_addr());
+        let duration_us = self.drain(&mut net);
+        let record = client_of(&mut net).records(0).remove(0);
+        let server_stats = self.sim_server_stats(&mut net);
+        Ok(QueryOutcome::new(
+            record,
+            net.metrics,
+            duration_us,
+            server_stats,
+        ))
+    }
+
+    /// Runs many client processes — one simulated user site each, at its
+    /// own address — in one deterministic event loop: every submission
+    /// fires from a virtual timer, so M concurrent users interleave with
+    /// the per-site daemons in one totally-ordered event sequence, and
+    /// the same run twice is *identical*, message for message. Stops
+    /// when the network drains or the clock reaches `horizon_us`.
+    ///
+    /// The clock advances in purge-period ticks: between event bursts
+    /// every server runs its Section-3.1.1 `purge_log` sweep (which also
+    /// retires idle admission slots; servers themselves stay timer-free)
+    /// and raises the `log_len_high_water` gauge; then the monitor
+    /// samples the registry and `observer` is handed the same snapshot
+    /// with the virtual clock — the simulator's analogue of scraping a
+    /// live daemon's `/metrics`. The observer only fires when the tracer
+    /// carries a registry, and never perturbs the simulation. Scheduled
+    /// mutations land at their exact virtual times as in
+    /// [`Deployment::drain`]; events past the point where the simulation
+    /// drains are still applied (at their scheduled times) so the web's
+    /// history digest always reflects the complete schedule.
+    pub fn workload_sim(
+        &self,
+        sim_cfg: SimConfig,
+        clients: Vec<ScheduledClient>,
+        horizon_us: u64,
+        observer: &mut dyn FnMut(u64, &RegistrySnapshot),
+    ) -> WorkloadOutcome {
+        let EngineConfig {
+            tracer, monitor, ..
+        } = &self.config;
+        let sites = self.web.sites();
+        let events = &self.schedule.events;
+        let mut mut_idx = 0usize;
+
+        let mut net = self.sim_net(sim_cfg);
+        let mut addrs = Vec::with_capacity(clients.len());
+        for client in clients {
+            let addr = client.client.addr().clone();
+            net.register(addr.clone(), Box::new(client));
+            net.start(&addr);
+            addrs.push(addr);
+        }
+
+        let purge_period = self.config.log_purge_us;
+        let tick = purge_period.unwrap_or(DEFAULT_TICK_US).max(1);
+        let mut next_tick = tick;
+        loop {
+            let tick_target = next_tick.min(horizon_us);
+            let target = match events.get(mut_idx) {
+                Some(m) if m.at_us < tick_target => m.at_us,
+                _ => tick_target,
+            };
+            let more = net.run_until(target);
+            while let Some(m) = events.get(mut_idx) {
+                if m.at_us > target {
+                    break;
                 }
-                self.arm_expiry(ctx);
+                self.apply_mutation(m, m.at_us);
+                mut_idx += 1;
             }
-            SimEvent::Timer(_) => {}
+            if target < tick_target {
+                // Mutation-only stop: resume toward the tick without the
+                // purge/observer bookkeeping (that stays on tick cadence).
+                if more || mut_idx < events.len() {
+                    continue;
+                }
+            }
+            let now = net.now_us();
+            for site in &sites {
+                if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(site)) {
+                    if let Some(period) = purge_period {
+                        server.engine.purge_log(now.saturating_sub(period));
+                    }
+                    tracer.gauge_max("log_len_high_water", server.engine.log_len() as u64);
+                }
+            }
+            if let Some(snapshot) = tracer.registry_snapshot() {
+                // The monitor samples on the same tick as the observer, so
+                // its window closes land at deterministic virtual times.
+                if let Some(monitor) = monitor {
+                    monitor.ingest(now, &snapshot);
+                }
+                observer(now, &snapshot);
+            }
+            if (!more && mut_idx >= events.len()) || next_tick >= horizon_us {
+                break;
+            }
+            if target == next_tick {
+                next_tick += tick;
+            }
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
-/// Builds a fully-wired simulation: one query server per site of `web`,
-/// one user-site client for `query`. Returned net is ready to
-/// [`run`](SimNet::run) after [`start`](SimNet::start)ing [`user_addr`].
-pub fn build_sim(
-    web: Arc<webdis_web::HostedWeb>,
-    query: WebQuery,
-    engine_cfg: EngineConfig,
-    sim_cfg: SimConfig,
-) -> SimNet {
-    build_sim_participating(web, query, engine_cfg, sim_cfg, None)
-}
-
-/// Like [`build_sim`], but only the listed sites run query servers; the
-/// rest are plain web servers (Section 7.1's non-participating sites).
-/// `None` means every site participates.
-pub fn build_sim_participating(
-    web: Arc<webdis_web::HostedWeb>,
-    query: WebQuery,
-    engine_cfg: EngineConfig,
-    sim_cfg: SimConfig,
-    participating: Option<&[SiteAddr]>,
-) -> SimNet {
-    let mut net = SimNet::new(sim_cfg);
-    net.set_tracer(engine_cfg.tracer.clone());
-    register_web_sites(&mut net, &web.into(), &engine_cfg, participating);
-    let id = QueryId {
-        user: "webdis".into(),
-        host: user_addr().host,
-        port: user_addr().port,
-        query_num: 1,
-    };
-    let user = UserSite::new(id, query, engine_cfg);
-    net.register(user_addr(), Box::new(SimUser { user }));
-    net
-}
-
-/// Registers the per-site actors of `web` into `net`: a plain web server
-/// for every site, plus a query daemon at each participating site's
-/// [`query_server_addr`] (`None` = every site participates). Shared by
-/// the single-query builders above and the `webdis-load` workload
-/// driver, which registers its own user actors on top.
-///
-/// On a living web "every site" is every *declared* host — including
-/// sites that currently serve no documents, since a `site_join` mutation
-/// may bring them back — and all actors share the same evolving store:
-/// the harness applies the mutation schedule to it between simulation
-/// slices, and the engines observe version bumps on their next clone
-/// arrival.
-pub fn register_web_sites(
-    net: &mut SimNet,
-    web: &webdis_web::WebView,
-    engine_cfg: &EngineConfig,
-    participating: Option<&[SiteAddr]>,
-) {
-    for site in web.sites() {
-        // Every site serves documents...
-        net.register(site.clone(), Box::new(PlainWebServer::new(web.clone())));
-        // ...participating sites also run the query daemon.
-        let participates = participating.map(|p| p.contains(&site)).unwrap_or(true);
-        if participates {
-            let engine = ServerEngine::with_view(site.clone(), web.clone(), engine_cfg.clone());
-            net.register(query_server_addr(&site), Box::new(SimServer { engine }));
+        for m in &events[mut_idx..] {
+            self.apply_mutation(m, m.at_us);
         }
+        let duration_us = net.now_us();
+
+        let mut outcome = WorkloadOutcome {
+            records: Vec::new(),
+            unsubmitted: 0,
+            duration_us,
+            server_stats: self.sim_server_stats(&mut net),
+        };
+        for (user, addr) in addrs.iter().enumerate() {
+            let actor = net.actor_mut::<ScheduledClient>(addr);
+            let actor = actor.expect("client process registered");
+            outcome.unsubmitted += actor.unsubmitted();
+            outcome.records.extend(actor.client.records(user));
+        }
+        outcome.observe_latencies(tracer);
+        // Close the monitor's final partial window after the end-of-run
+        // `query_latency_us` observations above, so the last window's
+        // quantiles cover every completed query.
+        if let Some(monitor) = monitor {
+            if let Some(snapshot) = tracer.registry_snapshot() {
+                monitor.finalize(duration_us, &snapshot);
+            }
+        }
+        outcome
     }
 }
 
-/// Runs a DISQL query over the simulated network and collects the outcome.
+/// Runs a DISQL query over the simulated network, every site of the
+/// frozen `web` running a query server: [`Deployment::query_sim`] with
+/// nothing else said.
 pub fn run_query_sim(
     web: Arc<webdis_web::HostedWeb>,
     disql: &str,
     engine_cfg: EngineConfig,
     sim_cfg: SimConfig,
 ) -> Result<QueryOutcome, SimRunError> {
-    let query = parse_disql(disql).map_err(SimRunError::Parse)?;
-    let sites = web.sites();
-    let mut net = build_sim(web, query, engine_cfg, sim_cfg);
-    net.start(&user_addr());
-    let duration_us = net.run();
-    Ok(collect_outcome(&mut net, sites, duration_us, |net| {
-        let user = net.actor_mut::<SimUser>(&user_addr());
-        &user.expect("user actor registered").user
-    }))
-}
-
-/// Gathers a finished single-query run: the user site's view of the
-/// query (`user_of` finds it among the actors), the network's traffic
-/// metrics and every participating site's server counters.
-pub(crate) fn collect_outcome(
-    net: &mut SimNet,
-    sites: Vec<SiteAddr>,
-    duration_us: u64,
-    user_of: impl FnOnce(&mut SimNet) -> &UserSite,
-) -> QueryOutcome {
-    let mut server_stats = BTreeMap::new();
-    for site in sites {
-        if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(&site)) {
-            server_stats.insert(site, server.engine.stats);
-        }
-    }
-    let metrics = net.metrics.clone();
-    let user = user_of(net);
-    QueryOutcome {
-        complete: user.complete,
-        results: user.results.clone(),
-        trace: user.trace.clone(),
-        first_result_us: user.first_result_us,
-        completed_at_us: user.completed_at_us,
-        cht_stats: user.cht.stats,
-        failed_entries: user.failed_entries.clone(),
-        shed_entries: user.shed_entries.clone(),
-        dead_link_entries: user.dead_link_entries.clone(),
-        why_incomplete: user.why_incomplete(),
-        metrics,
-        duration_us,
-        server_stats,
-    }
+    Deployment::new(web, engine_cfg).query_sim(disql, sim_cfg)
 }
 
 #[cfg(test)]
@@ -480,6 +474,32 @@ mod tests {
         .unwrap();
         assert!(outcome.complete);
         assert_eq!(outcome.total_rows(), 0);
+    }
+
+    #[test]
+    fn single_query_runs_apply_the_deployments_schedule() {
+        // The page behind the root's only link is deleted 1 µs into the
+        // run — before the first clone can arrive — so the traversal ends
+        // in a dead link, exactly as under the workload loop.
+        use webdis_web::{LiveWeb, Mutation, MutationOp};
+        let live = Arc::new(LiveWeb::from_hosted(&two_site_web()));
+        let mut deployment = Deployment::new(Arc::clone(&live), EngineConfig::default());
+        deployment.schedule.events.push(Mutation {
+            at_us: 1,
+            op: MutationOp::DeletePage {
+                url: webdis_model::Url::parse("http://a.test/sub.html").unwrap(),
+            },
+        });
+        let outcome = deployment
+            .query_sim(
+                r#"select d.url from document d such that "http://a.test/" L* d"#,
+                SimConfig::default(),
+            )
+            .unwrap();
+        assert!(outcome.complete);
+        assert_eq!(live.mutations_applied(), 1);
+        assert_eq!(outcome.dead_link_entries.len(), 1);
+        assert_eq!(outcome.total_rows(), 1, "only the root still answers");
     }
 
     #[test]

@@ -10,71 +10,24 @@
 //! this runtime exists to demonstrate (and integration-test) that the
 //! identical engine code is operational over real sockets.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use webdis_disql::parse_disql;
-use webdis_model::{SiteAddr, Url};
-use webdis_net::{ConnPool, Frame, Message, QueryId, RetryPolicy, TcpEndpoint, WireCounters};
-use webdis_rel::ResultRow;
+use webdis_model::SiteAddr;
+use webdis_net::{ConnPool, Frame, Message, RetryPolicy, TcpEndpoint, WireCounters};
 use webdis_trace::{MetricsExporter, TraceEvent as TrEvent, TraceHandle, TraceRecord};
 
-use webdis_net::CloneState;
-
+use crate::client::{ClientProcess, ScheduledSubmission};
 use crate::config::EngineConfig;
+use crate::deploy::Deployment;
 use crate::network::{query_server_addr, Network, NetworkError};
+use crate::record::{QueryRecord, WorkloadOutcome};
 use crate::server::ServerEngine;
-use crate::simrun::SimRunError;
-use crate::user::{TraceEvent, UserSite};
-
-/// Result of a TCP run (no byte metering — that is the simulator's job).
-#[derive(Debug)]
-pub struct TcpOutcome {
-    /// True when the CHT detected completion within the deadline.
-    pub complete: bool,
-    /// Rows per global stage.
-    pub results: BTreeMap<u32, Vec<(Url, ResultRow)>>,
-    /// Node-report trace.
-    pub trace: Vec<TraceEvent>,
-    /// Wall-clock time from submission to *this query's* completion (the
-    /// deadline, if it never completed).
-    pub elapsed: Duration,
-    /// Nodes written off by stale-entry expiry (Section 7.1).
-    pub failed_entries: Vec<(Url, CloneState)>,
-    /// Nodes refused by server-side admission control (load shedding).
-    pub shed_entries: Vec<(Url, CloneState)>,
-    /// Nodes whose documents were deleted before the clone arrived
-    /// (living-web link rot). Always empty on a frozen web.
-    pub dead_link_entries: Vec<(Url, CloneState)>,
-    /// Diagnosis when the run was not cleanly complete; `None` for a
-    /// clean run.
-    pub why_incomplete: Option<String>,
-}
-
-impl TcpOutcome {
-    /// What a finished (or timed-out) user site has to show for a run
-    /// that began at `start`.
-    fn of(user: UserSite, start: Instant) -> TcpOutcome {
-        TcpOutcome {
-            complete: user.complete,
-            // Per-query completion time, not the run's wall clock:
-            // `completed_at_us` counts µs since the cluster came up.
-            elapsed: user
-                .completed_at_us
-                .map(Duration::from_micros)
-                .unwrap_or_else(|| start.elapsed()),
-            why_incomplete: user.why_incomplete(),
-            failed_entries: user.failed_entries,
-            shed_entries: user.shed_entries,
-            dead_link_entries: user.dead_link_entries,
-            results: user.results,
-            trace: user.trace,
-        }
-    }
-}
+use crate::simrun::{user_addr, SimRunError};
 
 /// A crash-restart window for one site's daemon: messages arriving
 /// within `[start, start + down)` of the cluster epoch are discarded
@@ -388,31 +341,6 @@ impl Network for TcpNet {
     }
 }
 
-/// A deadline-aware expiry schedule for the TCP poll loops.
-struct ExpiryTicker {
-    policy: Option<crate::config::ExpiryPolicy>,
-    last_sweep: Instant,
-}
-
-impl ExpiryTicker {
-    fn new(policy: Option<crate::config::ExpiryPolicy>) -> ExpiryTicker {
-        ExpiryTicker {
-            policy,
-            last_sweep: Instant::now(),
-        }
-    }
-
-    /// Returns the timeout to sweep with when a sweep is due.
-    fn due(&mut self) -> Option<u64> {
-        let policy = self.policy?;
-        if self.last_sweep.elapsed() < Duration::from_micros(policy.period_us) {
-            return None;
-        }
-        self.last_sweep = Instant::now();
-        Some(policy.timeout_us)
-    }
-}
-
 /// A running loopback deployment: one query-server daemon thread per
 /// site of the hosted web, one bound user endpoint, and the shared
 /// address map playing DNS. All endpoints are bound before any daemon
@@ -437,51 +365,54 @@ pub struct TcpCluster {
 }
 
 impl TcpCluster {
-    /// Binds every endpoint, then spawns one daemon per site. Each
-    /// daemon's poll loop also runs the Section-3.1.1 periodic purge
-    /// (when `engine_cfg.log_purge_us` is set) even while idle — under
-    /// sustained multi-query load this bounds the log table and retires
-    /// admission slots — and raises the `log_len_high_water` registry
-    /// gauge after every processed message.
+    /// `web` frozen in time, every site running a daemon under
+    /// `engine_cfg`: [`Deployment::tcp_cluster`] with nothing else said.
     pub fn start(
         web: Arc<webdis_web::HostedWeb>,
         engine_cfg: &EngineConfig,
         faults: TcpFaultPlan,
     ) -> TcpCluster {
-        TcpCluster::start_view(web.into(), engine_cfg, faults, None)
+        Deployment::new(web, engine_cfg.clone()).tcp_cluster(faults)
     }
 
     /// [`TcpCluster::start`] over a shared living web, with an optional
-    /// mutation schedule. When a schedule is given, a mutator thread
-    /// applies each event at its wall-clock offset from the cluster
-    /// epoch — pages change *while queries are in flight* — emitting one
-    /// [`TrEvent::WebMutation`] per applied event. The thread is joined
-    /// at [`TcpCluster::shutdown`]. (A frozen web is this with no schedule;
-    /// the two entry points differ only in the web type and both stay
-    /// because the wall-clock benchmark, `hwbench/`, calls them by name.)
+    /// mutation schedule. (A frozen web is this with no schedule; the two
+    /// entry points differ only in the web type, and both stay beside
+    /// [`Deployment::tcp_cluster`] because the wall-clock benchmark,
+    /// `hwbench/`, calls them by name.)
     pub fn start_live(
         web: Arc<webdis_web::LiveWeb>,
         engine_cfg: &EngineConfig,
         faults: TcpFaultPlan,
         schedule: Option<webdis_web::MutationSchedule>,
     ) -> TcpCluster {
-        TcpCluster::start_view(web.into(), engine_cfg, faults, schedule)
+        let mut deployment = Deployment::new(web, engine_cfg.clone());
+        deployment.schedule = schedule.unwrap_or_default();
+        deployment.tcp_cluster(faults)
     }
+}
 
-    fn start_view(
-        web: webdis_web::WebView,
-        engine_cfg: &EngineConfig,
-        faults: TcpFaultPlan,
-        schedule: Option<webdis_web::MutationSchedule>,
-    ) -> TcpCluster {
+impl Deployment {
+    /// Starts the deployment on loopback under `faults`: binds every
+    /// endpoint, then spawns one daemon per participating site. Each
+    /// daemon's poll loop also runs the Section-3.1.1 periodic purge
+    /// (when `log_purge_us` is set) even while idle — under sustained
+    /// multi-query load this bounds the log table and retires admission
+    /// slots — and raises the `log_len_high_water` registry gauge after
+    /// every processed message.
+    ///
+    /// When the schedule is not empty, a mutator thread applies each
+    /// event at its wall-clock offset from the cluster epoch — pages
+    /// change *while queries are in flight* — emitting one
+    /// [`TrEvent::WebMutation`] per applied event. The thread is joined
+    /// at [`TcpCluster::shutdown`].
+    pub fn tcp_cluster(&self, faults: TcpFaultPlan) -> TcpCluster {
+        let (web, engine_cfg) = (&self.web, &self.config);
         let epoch = Instant::now();
-        let user_site = SiteAddr {
-            host: "user.test".into(),
-            port: 9900,
-        };
+        let user_site = user_addr();
         let mut endpoints: Vec<(SiteAddr, TcpEndpoint)> = Vec::new();
         let mut map = BTreeMap::new();
-        for site in web.sites() {
+        for site in web.sites().into_iter().filter(|s| self.participates(s)) {
             let ep = TcpEndpoint::bind("127.0.0.1:0").expect("bind loopback");
             map.insert(query_server_addr(&site), ep.local_addr());
             endpoints.push((site, ep));
@@ -638,50 +569,37 @@ impl TcpCluster {
         // epoch, so pages change while daemons are mid-query. Every
         // applied event is stamped into the trace as a `WebMutation`
         // from the mutated host, making runs auditable after the fact.
-        let mutator = match (&web, schedule) {
-            (webdis_web::WebView::Live(live), Some(schedule)) if !schedule.events.is_empty() => {
-                let live = Arc::clone(live);
-                let stop = Arc::clone(&stop);
-                let tracer = engine_cfg.tracer.clone();
-                Some(
-                    std::thread::Builder::new()
-                        .name("webdis-mutator".into())
-                        .spawn(move || {
-                            for m in &schedule.events {
-                                let due = Duration::from_micros(m.at_us);
-                                loop {
-                                    if stop.load(Ordering::SeqCst) {
-                                        return;
-                                    }
-                                    let elapsed = epoch.elapsed();
-                                    if elapsed >= due {
-                                        break;
-                                    }
-                                    // Short slices keep shutdown prompt
-                                    // even with far-future events.
-                                    std::thread::sleep(
-                                        (due - elapsed).min(Duration::from_millis(20)),
-                                    );
-                                }
-                                let applied = live.apply(m);
-                                tracer.emit_with(|| TraceRecord {
-                                    time_us: epoch.elapsed().as_micros() as u64,
-                                    site: applied.host.clone(),
-                                    query: None,
-                                    hop: None,
-                                    event: TrEvent::WebMutation {
-                                        op: applied.label.to_string(),
-                                        url: m.op.url_string(),
-                                        site_version: applied.site_version,
-                                    },
-                                });
+        let mutator = (!self.schedule.events.is_empty()).then(|| {
+            // Checked here because a panic inside the thread would only
+            // surface as mutations that silently never happen.
+            assert!(
+                matches!(web, webdis_web::WebView::Live(_)),
+                "a mutation schedule needs a living web; this one is frozen"
+            );
+            let deployment = self.clone();
+            let stop = Arc::clone(&stop);
+            std::thread::Builder::new()
+                .name("webdis-mutator".into())
+                .spawn(move || {
+                    for m in &deployment.schedule.events {
+                        let due = Duration::from_micros(m.at_us);
+                        loop {
+                            if stop.load(Ordering::SeqCst) {
+                                return;
                             }
-                        })
-                        .expect("spawn mutator"),
-                )
-            }
-            _ => None,
-        };
+                            let elapsed = epoch.elapsed();
+                            if elapsed >= due {
+                                break;
+                            }
+                            // Short slices keep shutdown prompt even
+                            // with far-future events.
+                            std::thread::sleep((due - elapsed).min(Duration::from_millis(20)));
+                        }
+                        deployment.apply_mutation(m, epoch.elapsed().as_micros() as u64);
+                    }
+                })
+                .expect("spawn mutator")
+        });
         TcpCluster {
             epoch,
             user_site,
@@ -697,7 +615,9 @@ impl TcpCluster {
             sampler,
         }
     }
+}
 
+impl TcpCluster {
     /// The address daemons report results to.
     pub fn user_site(&self) -> &SiteAddr {
         &self.user_site
@@ -753,6 +673,63 @@ impl TcpCluster {
         self.user_endpoint.recv_timeout(timeout).ok()
     }
 
+    /// The user-site driver on TCP: runs `clients` — client processes
+    /// sharing this cluster's one result endpoint, told apart by the user
+    /// name in every report's id — on the calling thread until every
+    /// submission has gone out and completed, or `deadline` passes.
+    /// `submissions` (client index, query and time in µs since the cluster
+    /// came up — the mutation schedule's clock; any order) are replayed
+    /// open-loop. Returns how many never went out.
+    ///
+    /// The loop sleeps until whichever is due first — a message, the next
+    /// submission, the next Section-7.1 expiry sweep (armed while a query
+    /// that can expire is in flight, as the simulated client arms its
+    /// timer), the deadline — so an idle driver costs nothing. The
+    /// cluster stays up afterwards: shut it down, or drive it again with
+    /// the same `net` (a [`TcpCluster::user_net`]), whose connections to
+    /// the daemons then stay open.
+    pub fn drive(
+        &self,
+        net: &mut TcpNet,
+        clients: &mut [ClientProcess],
+        mut submissions: Vec<(usize, ScheduledSubmission)>,
+        deadline: Duration,
+    ) -> usize {
+        let deadline_us = self.now_us() + deadline.as_micros() as u64;
+        submissions.sort_by_key(|(client, s)| (s.at_us, *client));
+        let mut pending = VecDeque::from(submissions);
+        let mut next_sweep_us = None;
+        loop {
+            let now = self.now_us();
+            while pending.front().is_some_and(|(_, s)| s.at_us <= now) {
+                let (client, s) = pending.pop_front().expect("front checked");
+                clients[client].submit(net, s.query);
+            }
+            if next_sweep_us.is_some_and(|at| at <= now) {
+                for client in clients.iter_mut() {
+                    client.expire_stale_all(now);
+                }
+                next_sweep_us = None;
+            }
+            let idle = pending.is_empty() && clients.iter().all(ClientProcess::all_complete);
+            if idle || now >= deadline_us {
+                return pending.len();
+            }
+            if next_sweep_us.is_none() {
+                let policy = clients.iter().find_map(ClientProcess::expiry_policy);
+                next_sweep_us = policy.map(|p| now + p.period_us);
+            }
+            let next_submission = pending.front().map(|(_, s)| s.at_us);
+            let wake_us = [next_submission, next_sweep_us].into_iter().flatten();
+            let wake_us = wake_us.fold(deadline_us, u64::min);
+            if let Some(msg) = self.recv_timeout(Duration::from_micros(wake_us - now)) {
+                if let Some(client) = clients.iter_mut().find(|c| c.owns(&msg)) {
+                    client.on_message(net, msg);
+                }
+            }
+        }
+    }
+
     /// Stops every daemon (and its metrics exporter) and returns their
     /// engines (for final stats).
     pub fn shutdown(self) -> Vec<ServerEngine> {
@@ -773,137 +750,120 @@ impl TcpCluster {
     }
 }
 
-/// Runs a DISQL query against `web` with a real query-server daemon per
-/// site, all on loopback. Returns when the query completes or `deadline`
-/// expires.
+impl Deployment {
+    /// Runs client processes and their planned submissions over a fresh
+    /// loopback cluster ([`TcpCluster::drive`]), then shuts it down.
+    /// Times in the outcome are µs since the cluster came up.
+    pub fn workload_tcp(
+        &self,
+        faults: TcpFaultPlan,
+        mut clients: Vec<ClientProcess>,
+        submissions: Vec<(usize, ScheduledSubmission)>,
+        deadline: Duration,
+    ) -> WorkloadOutcome {
+        let cluster = self.tcp_cluster(faults);
+        let mut net = cluster.user_net();
+        let unsubmitted = cluster.drive(&mut net, &mut clients, submissions, deadline);
+        let duration_us = cluster.now_us();
+        let engines = cluster.shutdown();
+        let records = clients.iter().enumerate();
+        let outcome = WorkloadOutcome {
+            records: records.flat_map(|(user, c)| c.records(user)).collect(),
+            unsubmitted,
+            duration_us,
+            server_stats: engines
+                .iter()
+                .map(|e| (e.site().clone(), e.stats))
+                .collect(),
+        };
+        outcome.observe_latencies(&self.config.tracer);
+        outcome
+    }
+
+    /// Runs several DISQL queries **concurrently** through one client
+    /// process over real TCP daemons: the paper's Section 4.3 deployment,
+    /// where a single listening socket serves all in-flight queries.
+    /// Returns the per-query records in submission order, when all have
+    /// completed or `deadline` expires.
+    pub fn queries_tcp(
+        &self,
+        disqls: &[&str],
+        deadline: Duration,
+        faults: TcpFaultPlan,
+    ) -> Result<Vec<QueryRecord>, SimRunError> {
+        // Parse everything up front so errors surface before daemons start.
+        let mut submissions = Vec::with_capacity(disqls.len());
+        for disql in disqls {
+            let query = parse_disql(disql).map_err(SimRunError::Parse)?;
+            submissions.push((0, ScheduledSubmission { at_us: 0, query }));
+        }
+        let mut client = [ClientProcess::new(
+            "webdis",
+            user_addr(),
+            self.config.clone(),
+        )];
+        let cluster = self.tcp_cluster(faults);
+        cluster.drive(&mut cluster.user_net(), &mut client, submissions, deadline);
+        cluster.shutdown();
+        Ok(client[0].records(0))
+    }
+
+    /// [`Deployment::queries_tcp`] for one query.
+    pub fn query_tcp(
+        &self,
+        disql: &str,
+        deadline: Duration,
+        faults: TcpFaultPlan,
+    ) -> Result<QueryRecord, SimRunError> {
+        Ok(self.queries_tcp(&[disql], deadline, faults)?.remove(0))
+    }
+}
+
+/// Runs a DISQL query against the frozen `web` with a real query-server
+/// daemon per site, all on loopback and fault-free:
+/// [`Deployment::query_tcp`] with nothing else said.
 pub fn run_query_tcp(
     web: Arc<webdis_web::HostedWeb>,
     disql: &str,
     engine_cfg: EngineConfig,
     deadline: Duration,
-) -> Result<TcpOutcome, SimRunError> {
-    run_query_tcp_faulty(web, disql, engine_cfg, deadline, TcpFaultPlan::default())
+) -> Result<QueryRecord, SimRunError> {
+    Deployment::new(web, engine_cfg).query_tcp(disql, deadline, TcpFaultPlan::default())
 }
 
-/// [`run_query_tcp`] with injected send faults — the TCP analogue of the
-/// simulator's drop injection, used by the fault-recovery tests.
-pub fn run_query_tcp_faulty(
-    web: Arc<webdis_web::HostedWeb>,
-    disql: &str,
-    engine_cfg: EngineConfig,
-    deadline: Duration,
-    faults: TcpFaultPlan,
-) -> Result<TcpOutcome, SimRunError> {
-    let query = parse_disql(disql).map_err(SimRunError::Parse)?;
-    let cluster = TcpCluster::start(web, &engine_cfg, faults);
-    Ok(drive_single_query(cluster, query, engine_cfg, deadline))
-}
-
-/// [`run_query_tcp`] against a shared **living** web: daemons answer
-/// from `web`'s current state, and the scheduled mutations (if any) are
-/// applied by the cluster's mutator thread at their wall-clock offsets —
-/// concurrently with the query when the offsets land mid-flight.
-pub fn run_query_tcp_live(
-    web: Arc<webdis_web::LiveWeb>,
-    schedule: Option<webdis_web::MutationSchedule>,
-    disql: &str,
-    engine_cfg: EngineConfig,
-    deadline: Duration,
-) -> Result<TcpOutcome, SimRunError> {
-    let query = parse_disql(disql).map_err(SimRunError::Parse)?;
-    let cluster = TcpCluster::start_live(web, &engine_cfg, TcpFaultPlan::default(), schedule);
-    Ok(drive_single_query(cluster, query, engine_cfg, deadline))
-}
-
-fn drive_single_query(
-    cluster: TcpCluster,
-    query: webdis_disql::WebQuery,
-    engine_cfg: EngineConfig,
-    deadline: Duration,
-) -> TcpOutcome {
-    let start = Instant::now();
-    // The user-site client runs on this thread.
-    let id = QueryId {
-        user: "webdis".into(),
-        host: cluster.user_site().host.clone(),
-        port: cluster.user_site().port,
-        query_num: 1,
-    };
-    let mut user = UserSite::new(id, query, engine_cfg);
-    let mut net = cluster.user_net();
-    user.start(&mut net);
-    let mut ticker = ExpiryTicker::new(user.expiry_policy());
-    while !user.complete && start.elapsed() < deadline {
-        if let Some(msg) = cluster.recv_timeout(Duration::from_millis(20)) {
-            user.on_message(&mut net, msg);
-        }
-        if let Some(timeout_us) = ticker.due() {
-            user.expire_stale(net.now_us(), timeout_us);
-        }
-    }
-
-    cluster.shutdown();
-    TcpOutcome::of(user, start)
-}
-
-/// Runs several DISQL queries **concurrently** through one client process
-/// over real TCP daemons: the paper's Section 4.3 deployment, where a
-/// single listening socket serves all in-flight queries. Returns the
-/// per-query outcomes in submission order.
+/// [`run_query_tcp`] for several concurrent queries:
+/// [`Deployment::queries_tcp`] with nothing else said.
 pub fn run_queries_tcp(
     web: Arc<webdis_web::HostedWeb>,
     disqls: &[&str],
     engine_cfg: EngineConfig,
     deadline: Duration,
-) -> Result<Vec<TcpOutcome>, SimRunError> {
-    // Parse everything up front so errors surface before daemons start.
-    for disql in disqls {
-        parse_disql(disql).map_err(SimRunError::Parse)?;
-    }
-    let start = Instant::now();
-    let cluster = TcpCluster::start(web, &engine_cfg, TcpFaultPlan::default());
-
-    let expiry = match engine_cfg.completion {
-        crate::config::CompletionMode::Cht => engine_cfg.expiry,
-        crate::config::CompletionMode::AckChain => None,
-    };
-    let mut client =
-        crate::client::ClientProcess::new("webdis", cluster.user_site().clone(), engine_cfg);
-    let mut net = cluster.user_net();
-    let mut nums = Vec::new();
-    for disql in disqls {
-        nums.push(
-            client
-                .submit_disql(&mut net, disql)
-                .expect("validated above"),
-        );
-    }
-    let mut ticker = ExpiryTicker::new(expiry);
-    while !client.all_complete() && start.elapsed() < deadline {
-        if let Some(msg) = cluster.recv_timeout(Duration::from_millis(20)) {
-            client.on_message(&mut net, msg);
-        }
-        if let Some(timeout_us) = ticker.due() {
-            client.expire_stale_all(net.now_us(), timeout_us);
-        }
-    }
-
-    cluster.shutdown();
-
-    Ok(nums
-        .into_iter()
-        .map(|num| {
-            let user = client.forget(num).expect("submitted query exists");
-            TcpOutcome::of(user, start)
-        })
-        .collect())
+) -> Result<Vec<QueryRecord>, SimRunError> {
+    Deployment::new(web, engine_cfg).queries_tcp(disqls, deadline, TcpFaultPlan::default())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webdis_model::Url;
     use webdis_web::figures;
     use webdis_web::{HostedWeb, LiveWeb, Mutation, MutationOp, MutationSchedule, PageBuilder};
+
+    /// Drives one campus query to completion on an already-running
+    /// cluster; returns its number.
+    fn drive_campus_query(
+        cluster: &TcpCluster,
+        net: &mut TcpNet,
+        client: &mut ClientProcess,
+    ) -> u64 {
+        let query = parse_disql(figures::CAMPUS_QUERY).expect("valid query");
+        let at_once = ScheduledSubmission { at_us: 0, query };
+        let clients = std::slice::from_mut(client);
+        cluster.drive(net, clients, vec![(0, at_once)], Duration::from_secs(30));
+        let num = *client.query_nums().last().expect("query submitted");
+        assert!(client.all_complete(), "query must complete over TCP");
+        num
+    }
 
     fn needle_live_web() -> Arc<LiveWeb> {
         let mut web = HostedWeb::new();
@@ -919,7 +879,7 @@ mod tests {
         such that "http://c.test/" L* d
         where d.title contains "needle""#;
 
-    fn titles(outcome: &TcpOutcome) -> Vec<String> {
+    fn titles(outcome: &QueryRecord) -> Vec<String> {
         outcome
             .results
             .values()
@@ -938,14 +898,13 @@ mod tests {
             doc_cache_size: 8,
             ..EngineConfig::default()
         };
-        let before = run_query_tcp_live(
-            Arc::clone(&web),
-            None,
-            NEEDLE_QUERY,
-            cfg.clone(),
-            Duration::from_secs(30),
-        )
-        .unwrap();
+        let before = Deployment::new(Arc::clone(&web), cfg.clone())
+            .query_tcp(
+                NEEDLE_QUERY,
+                Duration::from_secs(30),
+                TcpFaultPlan::default(),
+            )
+            .unwrap();
         assert!(before.complete);
         assert!(titles(&before).iter().any(|t| t.contains("A needle")));
         web.apply(&Mutation {
@@ -955,14 +914,13 @@ mod tests {
                 token: "needle".into(),
             },
         });
-        let after = run_query_tcp_live(
-            Arc::clone(&web),
-            None,
-            NEEDLE_QUERY,
-            cfg,
-            Duration::from_secs(30),
-        )
-        .unwrap();
+        let after = Deployment::new(Arc::clone(&web), cfg)
+            .query_tcp(
+                NEEDLE_QUERY,
+                Duration::from_secs(30),
+                TcpFaultPlan::default(),
+            )
+            .unwrap();
         assert!(after.complete);
         assert!(
             titles(&after).iter().any(|t| t.contains("A needle rev1")),
@@ -983,14 +941,13 @@ mod tests {
                 url: Url::parse("http://c.test/a.html").unwrap(),
             },
         });
-        let outcome = run_query_tcp_live(
-            Arc::clone(&web),
-            None,
-            NEEDLE_QUERY,
-            EngineConfig::default(),
-            Duration::from_secs(30),
-        )
-        .unwrap();
+        let outcome = Deployment::new(Arc::clone(&web), EngineConfig::default())
+            .query_tcp(
+                NEEDLE_QUERY,
+                Duration::from_secs(30),
+                TcpFaultPlan::default(),
+            )
+            .unwrap();
         assert!(outcome.complete, "dead link must not hang the query");
         assert_eq!(outcome.dead_link_entries.len(), 1);
         assert_eq!(
@@ -1058,27 +1015,33 @@ mod tests {
     }
 
     #[test]
+    fn non_participating_sites_run_no_daemon() {
+        // Section 7.1 on the real transport: with no participating site
+        // the StartNode's daemon does not exist, the dispatch is refused,
+        // and the query completes at once, empty.
+        let mut deployment = Deployment::new(Arc::new(figures::campus()), EngineConfig::default());
+        deployment.participating = Some(Vec::new());
+        let deadline = Duration::from_secs(30);
+        let outcome = deployment
+            .query_tcp(figures::CAMPUS_QUERY, deadline, TcpFaultPlan::default())
+            .unwrap();
+        assert!(outcome.complete);
+        assert!(outcome.results.is_empty() && outcome.trace.is_empty());
+    }
+
+    #[test]
     fn connections_are_reused_across_queries() {
         // 200 campus queries over one cluster: every (sender, receiver)
         // pair dials at most once, and a warm cluster never dials again.
         let web = Arc::new(figures::campus());
         let cfg = EngineConfig::default();
         let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
-        let mut client = crate::ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
+        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
         let mut net = cluster.user_net();
         let mut connects_after = Vec::new();
         for _ in 0..200 {
-            let num = client
-                .submit_disql(&mut net, figures::CAMPUS_QUERY)
-                .expect("valid query");
-            let start = Instant::now();
-            while !client.all_complete() && start.elapsed() < Duration::from_secs(30) {
-                if let Some(msg) = cluster.recv_timeout(Duration::from_millis(20)) {
-                    client.on_message(&mut net, msg);
-                }
-            }
+            let num = drive_campus_query(&cluster, &mut net, &mut client);
             let user = client.forget(num).expect("submitted query exists");
-            assert!(user.complete, "query must complete over TCP");
             assert_eq!(user.results.get(&1).map(Vec::len), Some(3));
             connects_after.push(cluster.wire_counters().connects());
         }
@@ -1139,10 +1102,10 @@ mod tests {
         .unwrap();
         assert!(outcomes[0].complete && outcomes[1].complete);
         assert!(
-            outcomes[1].elapsed < outcomes[0].elapsed,
+            outcomes[1].completed_us < outcomes[0].completed_us,
             "single-site query ({:?}) must complete before the campus query ({:?})",
-            outcomes[1].elapsed,
-            outcomes[0].elapsed,
+            outcomes[1].completed_us,
+            outcomes[0].completed_us,
         );
     }
 
@@ -1168,14 +1131,13 @@ mod tests {
             ..EngineConfig::default()
         };
         let faults = TcpFaultPlan::drop_queries(1, 1);
-        let outcome = run_query_tcp_faulty(
-            Arc::clone(&web),
-            figures::CAMPUS_QUERY,
-            cfg,
-            Duration::from_secs(30),
-            faults.clone(),
-        )
-        .unwrap();
+        let outcome = Deployment::new(Arc::clone(&web), cfg)
+            .query_tcp(
+                figures::CAMPUS_QUERY,
+                Duration::from_secs(30),
+                faults.clone(),
+            )
+            .unwrap();
         assert_eq!(faults.dropped_so_far(), 1);
         assert!(outcome.complete, "expiry must conclude the query");
         assert!(
@@ -1214,14 +1176,13 @@ mod tests {
             ..EngineConfig::default()
         };
         let faults = TcpFaultPlan::default().with_query_corruption(1, 1);
-        let outcome = run_query_tcp_faulty(
-            Arc::clone(&web),
-            figures::CAMPUS_QUERY,
-            cfg,
-            Duration::from_secs(30),
-            faults.clone(),
-        )
-        .unwrap();
+        let outcome = Deployment::new(Arc::clone(&web), cfg)
+            .query_tcp(
+                figures::CAMPUS_QUERY,
+                Duration::from_secs(30),
+                faults.clone(),
+            )
+            .unwrap();
         assert_eq!(faults.corrupted_so_far(), 1);
         assert!(outcome.complete, "expiry must conclude the query");
         assert!(
@@ -1246,31 +1207,16 @@ mod tests {
         )
         .unwrap();
         let faults = TcpFaultPlan::default().with_report_dups(0, usize::MAX / 2);
-        let outcome = run_query_tcp_faulty(
-            Arc::clone(&web),
-            figures::CAMPUS_QUERY,
-            EngineConfig::default(),
-            Duration::from_secs(30),
-            faults.clone(),
-        )
-        .unwrap();
+        let outcome = Deployment::new(Arc::clone(&web), EngineConfig::default())
+            .query_tcp(
+                figures::CAMPUS_QUERY,
+                Duration::from_secs(30),
+                faults.clone(),
+            )
+            .unwrap();
         assert!(faults.duplicated_so_far() > 0, "reports were duplicated");
         assert!(outcome.complete, "dedupe must not wedge completion");
-        let rows = |o: &TcpOutcome| -> std::collections::BTreeSet<_> {
-            o.results
-                .iter()
-                .flat_map(|(s, rows)| {
-                    rows.iter().map(move |(n, r)| {
-                        (
-                            *s,
-                            n.to_string(),
-                            r.values.iter().map(|v| v.render()).collect::<Vec<_>>(),
-                        )
-                    })
-                })
-                .collect()
-        };
-        assert_eq!(rows(&outcome), rows(&baseline));
+        assert_eq!(outcome.result_set(), baseline.result_set());
         assert_eq!(
             outcome.results.values().map(Vec::len).sum::<usize>(),
             baseline.results.values().map(Vec::len).sum::<usize>(),
@@ -1294,14 +1240,9 @@ mod tests {
             Duration::from_millis(0),
             Duration::from_millis(300),
         );
-        let outcome = run_query_tcp_faulty(
-            Arc::clone(&web),
-            figures::CAMPUS_QUERY,
-            cfg,
-            Duration::from_secs(30),
-            faults,
-        )
-        .unwrap();
+        let outcome = Deployment::new(Arc::clone(&web), cfg)
+            .query_tcp(figures::CAMPUS_QUERY, Duration::from_secs(30), faults)
+            .unwrap();
         assert!(outcome.complete, "expiry must conclude the query");
         assert!(
             !outcome.failed_entries.is_empty(),
@@ -1329,23 +1270,8 @@ mod tests {
         };
         let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
 
-        let id = QueryId {
-            user: "webdis".into(),
-            host: cluster.user_site().host.clone(),
-            port: cluster.user_site().port,
-            query_num: 1,
-        };
-        let query = parse_disql(figures::CAMPUS_QUERY).unwrap();
-        let mut user = UserSite::new(id, query, cfg);
-        let mut net = cluster.user_net();
-        user.start(&mut net);
-        let start = Instant::now();
-        while !user.complete && start.elapsed() < Duration::from_secs(30) {
-            if let Some(msg) = cluster.recv_timeout(Duration::from_millis(20)) {
-                user.on_message(&mut net, msg);
-            }
-        }
-        assert!(user.complete, "query must complete over TCP");
+        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
+        drive_campus_query(&cluster, &mut cluster.user_net(), &mut client);
 
         // Raw-socket fetch from a daemon that is still up and serving.
         let scrape = |path: &str| -> String {
@@ -1406,6 +1332,40 @@ mod tests {
     }
 
     #[test]
+    fn monitored_single_query_runs_are_admitted_and_retired_once() {
+        // Regression: the single-query runners built a bare `UserSite`,
+        // which retired the query but never admitted it, so the monitor
+        // showed `admitted 0 / retired 0` and dropped every clone event
+        // of the run. Admission now lives beside retirement.
+        for transport in ["tcp", "sim"] {
+            let (_collector, tracer) = webdis_trace::TraceHandle::collecting(65_536);
+            let monitor = crate::MonitorHandle::with_defaults(tracer.clone());
+            let cfg = EngineConfig {
+                tracer,
+                monitor: Some(monitor.clone()),
+                ..EngineConfig::default()
+            };
+            let web = Arc::new(figures::campus());
+            let complete = match transport {
+                "tcp" => {
+                    let deadline = Duration::from_secs(30);
+                    let outcome = run_query_tcp(web, figures::CAMPUS_QUERY, cfg, deadline);
+                    outcome.unwrap().complete
+                }
+                _ => {
+                    let sim_cfg = webdis_sim::SimConfig::default();
+                    let outcome = crate::run_query_sim(web, figures::CAMPUS_QUERY, cfg, sim_cfg);
+                    outcome.unwrap().complete
+                }
+            };
+            assert!(complete, "{transport}");
+            let status = monitor.monitor().status(u64::MAX);
+            assert_eq!((status.admitted, status.retired), (1, 1), "{transport}");
+            assert!(status.inflight.is_empty(), "{transport}");
+        }
+    }
+
+    #[test]
     fn admin_socket_serves_live_status_and_resets_high_water() {
         use std::io::{Read, Write};
 
@@ -1419,21 +1379,8 @@ mod tests {
         };
         let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
 
-        // Submit through the client process so the monitor's admit hook
-        // runs (it owns query-number assignment).
-        let mut client =
-            crate::ClientProcess::new("webdis", cluster.user_site().clone(), cfg.clone());
-        let mut net = cluster.user_net();
-        client
-            .submit_disql(&mut net, figures::CAMPUS_QUERY)
-            .expect("valid query");
-        let start = Instant::now();
-        while !client.all_complete() && start.elapsed() < Duration::from_secs(30) {
-            if let Some(msg) = cluster.recv_timeout(Duration::from_millis(20)) {
-                client.on_message(&mut net, msg);
-            }
-        }
-        assert!(client.all_complete(), "query must complete over TCP");
+        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg.clone());
+        drive_campus_query(&cluster, &mut cluster.user_net(), &mut client);
 
         let scrape = |path: &str| -> String {
             let (_, addr) = cluster.metrics_addrs()[0].clone();
@@ -1475,39 +1422,5 @@ mod tests {
         );
 
         cluster.shutdown();
-    }
-
-    #[test]
-    fn tcp_and_sim_agree() {
-        let web = Arc::new(figures::figure1());
-        let tcp = run_query_tcp(
-            Arc::clone(&web),
-            figures::FIG_QUERY,
-            EngineConfig::default(),
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        let sim = crate::run_query_sim(
-            web,
-            figures::FIG_QUERY,
-            EngineConfig::default(),
-            webdis_sim::SimConfig::default(),
-        )
-        .unwrap();
-        assert!(tcp.complete && sim.complete);
-        let tcp_rows: std::collections::BTreeSet<_> = tcp
-            .results
-            .iter()
-            .flat_map(|(s, rows)| {
-                rows.iter().map(move |(n, r)| {
-                    (
-                        *s,
-                        n.to_string(),
-                        r.values.iter().map(|v| v.render()).collect::<Vec<_>>(),
-                    )
-                })
-            })
-            .collect();
-        assert_eq!(tcp_rows, sim.result_set());
     }
 }

@@ -47,6 +47,9 @@ pub struct UserSite {
     pub results: BTreeMap<u32, Vec<(Url, ResultRow)>>,
     /// Per-report trace in arrival order.
     pub trace: Vec<TraceEvent>,
+    /// Time [`UserSite::start`] dispatched the query (0 until then), on
+    /// the same clock as `completed_at_us`.
+    pub submitted_us: u64,
     /// True once the CHT reports completion.
     pub complete: bool,
     /// Virtual time of the first received result row.
@@ -99,6 +102,7 @@ impl UserSite {
             cht,
             results: BTreeMap::new(),
             trace: Vec::new(),
+            submitted_us: 0,
             complete: false,
             first_result_us: None,
             completed_at_us: None,
@@ -115,11 +119,17 @@ impl UserSite {
 
     /// `send_query` of Figure 2: enters the StartNodes into the CHT and
     /// dispatches the query to their sites (batched per site when
-    /// optimization 4 is on).
+    /// optimization 4 is on). Admits the query to the monitor's in-flight
+    /// table; completion retires it, so every started query is admitted
+    /// and retired exactly once however it was submitted.
     pub fn start(&mut self, net: &mut dyn Network) {
         assert!(!self.started, "query already started");
         self.started = true;
+        self.submitted_us = net.now_us();
         self.cht.tick(net.now_us());
+        if let Some(monitor) = &self.config.monitor {
+            monitor.admit(&self.id, net.now_us());
+        }
         if self.query.stages.is_empty() {
             self.complete = true;
             self.completed_at_us = Some(net.now_us());
@@ -326,43 +336,32 @@ impl UserSite {
                 }
             });
         }
-        if !self.failed_entries.is_empty() {
-            let nodes: Vec<String> = self
-                .failed_entries
-                .iter()
-                .map(|(node, _)| node.to_string())
-                .collect();
-            return Some(format!(
-                "completed via stale-entry expiry; {} unresolved node(s): {}",
-                nodes.len(),
-                nodes.join(", ")
-            ));
-        }
-        if !self.shed_entries.is_empty() {
-            let nodes: Vec<String> = self
-                .shed_entries
-                .iter()
-                .map(|(node, _)| node.to_string())
-                .collect();
-            return Some(format!(
-                "completed under load shedding; {} node(s) refused by admission control: {}",
-                nodes.len(),
-                nodes.join(", ")
-            ));
-        }
-        if !self.dead_link_entries.is_empty() {
-            let nodes: Vec<String> = self
-                .dead_link_entries
-                .iter()
-                .map(|(node, _)| node.to_string())
-                .collect();
-            return Some(format!(
-                "completed around link rot; {} dead link(s) terminated gracefully: {}",
-                nodes.len(),
-                nodes.join(", ")
-            ));
-        }
-        None
+        // Completed, but degraded: the first of the three causes that
+        // applies, with the nodes it cost.
+        let degraded = [
+            (
+                &self.failed_entries,
+                "completed via stale-entry expiry",
+                "unresolved node(s)",
+            ),
+            (
+                &self.shed_entries,
+                "completed under load shedding",
+                "node(s) refused by admission control",
+            ),
+            (
+                &self.dead_link_entries,
+                "completed around link rot",
+                "dead link(s) terminated gracefully",
+            ),
+        ];
+        let (entries, how, what) = degraded.into_iter().find(|(e, ..)| !e.is_empty())?;
+        let nodes: Vec<String> = entries.iter().map(|(node, _)| node.to_string()).collect();
+        Some(format!(
+            "{how}; {} {what}: {}",
+            nodes.len(),
+            nodes.join(", ")
+        ))
     }
 
     fn check_completion(&mut self, now_us: u64) {

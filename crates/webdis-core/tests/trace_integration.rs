@@ -131,14 +131,13 @@ fn tcp_transport_records_the_same_vocabulary() {
 #[test]
 fn datashipping_baseline_records_fetches_and_evals() {
     let (collector, handle) = TraceHandle::collecting(4096);
-    let outcome = webdis_core::run_datashipping_sim_traced(
-        Arc::new(figures::campus()),
-        figures::CAMPUS_QUERY,
-        SimConfig::default(),
-        webdis_core::ProcModel::default(),
-        handle,
-    )
-    .unwrap();
+    let cfg = EngineConfig {
+        tracer: handle,
+        ..EngineConfig::default()
+    };
+    let outcome = webdis_core::Deployment::new(Arc::new(figures::campus()), cfg)
+        .datashipping_sim(figures::CAMPUS_QUERY, SimConfig::default())
+        .unwrap();
     assert!(outcome.complete);
     let records = collector.snapshot();
     assert!(

@@ -13,15 +13,16 @@
 //!   interarrivals), a weighted [`QueryMix`] of DISQL templates. Same
 //!   seed, same plan — throughput runs are reproducible down to identical
 //!   latency histograms;
-//! * [`simdrive`] — runs a whole workload inside one deterministic
-//!   [`webdis_sim::SimNet`] event loop: one
+//! * [`drive`] — runs the planned workload through `webdis-core`'s
+//!   user-site drivers: inside one deterministic
+//!   [`webdis_sim::SimNet`] event loop, one
 //!   [`ScheduledClient`](webdis_core::ScheduledClient) actor per user
 //!   plus the shared per-site server actors, with periodic
-//!   Section-3.1.1 `purge_log` sweeps driven from the harness;
-//! * [`tcpdrive`] — the same workload over real loopback sockets on a
+//!   Section-3.1.1 `purge_log` sweeps between event bursts
+//!   ([`WorkloadSpec::run_sim`]); or over real loopback sockets on a
 //!   [`webdis_core::TcpCluster`], many client processes multiplexed on
-//!   one result endpoint (the ids disambiguate, as the paper's QueryID
-//!   design intends).
+//!   one result endpoint — the ids disambiguate, as the paper's QueryID
+//!   design intends ([`WorkloadSpec::run_tcp`]).
 //!
 //! Both drivers observe per-query latency into the trace registry
 //! (`query_latency_us`) and surface server-side **admission control**:
@@ -30,137 +31,11 @@
 //! [`TermReason::Shed`](webdis_trace::TermReason) — never a silent hang —
 //! and are counted here.
 
-pub mod simdrive;
+pub mod drive;
 pub mod spec;
-pub mod tcpdrive;
 
-pub use simdrive::{
-    run_workload_sim, run_workload_sim_live, run_workload_sim_live_observed,
-    run_workload_sim_observed,
-};
+pub use drive::{run_workload_sim, run_workload_tcp};
 pub use spec::{
     fork_seed, load_user_addr, ArrivalProcess, PlannedQuery, QueryMix, UserPlan, WorkloadSpec,
 };
-pub use tcpdrive::{run_workload_tcp, run_workload_tcp_live};
-
-use std::collections::BTreeMap;
-
-use webdis_model::{SiteAddr, Url};
-use webdis_rel::ResultRow;
-
-use webdis_core::ServerStats;
-
-/// One query's fate in a workload run.
-#[derive(Debug, Clone)]
-pub struct QueryRecord {
-    /// Submitting user (index into the spec).
-    pub user: usize,
-    /// Query number within that user's client process.
-    pub query_num: u64,
-    /// Submission time, µs (virtual in sim runs, wall-clock in TCP runs).
-    pub submitted_us: u64,
-    /// True when completion was detected.
-    pub complete: bool,
-    /// Completion time, µs on the same clock as `submitted_us`.
-    pub completed_us: Option<u64>,
-    /// Rows per global stage, with producing node.
-    pub results: BTreeMap<u32, Vec<(Url, ResultRow)>>,
-    /// Nodes refused by admission control (load shedding).
-    pub shed_nodes: usize,
-    /// Nodes written off by stale-entry expiry.
-    pub failed_nodes: usize,
-    /// Clones that arrived at pages deleted mid-run (living web only):
-    /// each terminated gracefully with a dead-link report. Benign — the
-    /// web changed, the engine did not lose rows.
-    pub dead_link_nodes: usize,
-    /// True when the home-site CHT converged: every entry marked deleted
-    /// and no tombstone outstanding (the paper's completion condition).
-    pub cht_converged: bool,
-    /// Live (non-deleted) CHT entries left at the end of the run.
-    pub cht_live: usize,
-    /// Home-site CHT operation counters at the end of the run.
-    pub cht_stats: webdis_core::ChtStats,
-    /// Diagnosis when the run was not cleanly complete.
-    pub why_incomplete: Option<String>,
-}
-
-impl QueryRecord {
-    /// Submission-to-completion latency, µs; `None` while incomplete.
-    pub fn latency_us(&self) -> Option<u64> {
-        self.completed_us
-            .map(|done| done.saturating_sub(self.submitted_us))
-    }
-
-    /// True when at least one node was refused by admission control.
-    pub fn was_shed(&self) -> bool {
-        self.shed_nodes > 0
-    }
-
-    /// A canonical, order-insensitive view of the results, comparable
-    /// across transports and against serial baseline runs.
-    pub fn result_set(&self) -> std::collections::BTreeSet<(u32, String, Vec<String>)> {
-        let mut out = std::collections::BTreeSet::new();
-        for (stage, rows) in &self.results {
-            for (node, row) in rows {
-                out.insert((
-                    *stage,
-                    node.to_string(),
-                    row.values.iter().map(|v| v.render()).collect(),
-                ));
-            }
-        }
-        out
-    }
-}
-
-/// Everything a finished workload run exposes.
-#[derive(Debug)]
-pub struct WorkloadOutcome {
-    /// Per-query records, ordered by (user, query number).
-    pub records: Vec<QueryRecord>,
-    /// Planned submissions that never went out (horizon/deadline hit
-    /// first); zero on healthy runs.
-    pub unsubmitted: usize,
-    /// Total run duration, µs (virtual or wall-clock).
-    pub duration_us: u64,
-    /// Per-site server counters at the end of the run.
-    pub server_stats: BTreeMap<SiteAddr, ServerStats>,
-}
-
-impl WorkloadOutcome {
-    /// Queries that completed cleanly (no shed, no expired nodes).
-    pub fn completed_clean(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.complete && !r.was_shed() && r.failed_nodes == 0)
-            .count()
-    }
-
-    /// Queries that completed under load shedding.
-    pub fn completed_shed(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.complete && r.was_shed())
-            .count()
-    }
-
-    /// Queries still incomplete at the end — the invariant the admission
-    /// controller exists to protect says this must be **zero**.
-    pub fn hung(&self) -> usize {
-        self.records.iter().filter(|r| !r.complete).count() + self.unsubmitted
-    }
-
-    /// Completed queries per virtual/wall second.
-    pub fn throughput_qps(&self) -> f64 {
-        let completed = self.records.iter().filter(|r| r.complete).count();
-        if self.duration_us == 0 {
-            return 0.0;
-        }
-        completed as f64 * 1_000_000.0 / self.duration_us as f64
-    }
-
-    /// Sum of one server counter over all sites.
-    pub fn sum_stat(&self, f: impl Fn(&ServerStats) -> u64) -> u64 {
-        self.server_stats.values().map(f).sum()
-    }
-}
+pub use webdis_core::{QueryRecord, WorkloadOutcome};

@@ -16,11 +16,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use webdis_core::EngineConfig;
-use webdis_load::{
-    run_workload_sim, run_workload_sim_live, ArrivalProcess, QueryMix, WorkloadOutcome,
-    WorkloadSpec,
-};
+use webdis_core::{Deployment, EngineConfig};
+use webdis_load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadOutcome, WorkloadSpec};
 use webdis_sim::SimConfig;
 use webdis_web::{generate, LiveWeb, MutationPlanConfig, MutationSchedule, WebGenConfig};
 
@@ -121,14 +118,11 @@ proptest! {
 
         let run = |schedule: &MutationSchedule| {
             let live = Arc::new(LiveWeb::from_hosted(&web));
-            let outcome = run_workload_sim_live(
-                Arc::clone(&live),
-                schedule,
-                &spec,
-                engine(),
-                SimConfig::default(),
-            )
-            .expect("live run");
+            let mut deployment = Deployment::new(Arc::clone(&live), engine());
+            deployment.schedule = schedule.clone();
+            let outcome = spec
+                .run_sim(&deployment, SimConfig::default(), &mut |_, _| {})
+                .expect("live run");
             (live.history_digest(), live.mutations_applied(), outcome)
         };
         let (digest_a, applied_a, outcome_a) = run(&schedule);

@@ -886,14 +886,11 @@ pub fn t19_soak(smoke: bool) -> ScenarioReport {
         tracer,
         ..EngineConfig::default()
     };
-    let outcome = webdis_load::run_workload_sim_live(
-        Arc::clone(&live),
-        &schedule,
-        &spec,
-        cfg,
-        SimConfig::default(),
-    )
-    .expect("t19 soak");
+    let mut deployment = webdis_core::Deployment::new(Arc::clone(&live), cfg);
+    deployment.schedule = schedule;
+    let outcome = spec
+        .run_sim(&deployment, SimConfig::default(), &mut |_, _| {})
+        .expect("t19 soak");
 
     // Trace-derived counters: purged log records, and doc-cache hits
     // that happened *after* the web first changed — the proof that the

@@ -32,7 +32,7 @@ fn main() {
     assert!(outcome.complete, "query must complete over TCP");
     println!(
         "query completed in {:?} (wall clock, loopback)\n",
-        outcome.elapsed
+        Duration::from_micros(outcome.latency_us().expect("complete"))
     );
 
     println!("== results of the query (cf. the paper's Figure 8) ==");

@@ -12,8 +12,8 @@
 
 use std::sync::Arc;
 
-use webdis::core::simrun::{build_sim, user_addr, SimUser};
-use webdis::core::EngineConfig;
+use webdis::core::simrun::{client_of, user_addr};
+use webdis::core::{Deployment, EngineConfig};
 use webdis::disql::parse_disql;
 use webdis::sim::SimConfig;
 use webdis::web::{generate, WebGenConfig};
@@ -54,22 +54,20 @@ fn main() {
     let mut chosen = None;
     for seed in 1..200u64 {
         let query = parse_disql(QUERY).unwrap();
-        let mut net = build_sim(
-            Arc::clone(&web),
-            query,
-            EngineConfig::strict(),
+        let mut net = Deployment::new(Arc::clone(&web), EngineConfig::strict()).sim_with_client(
             SimConfig {
                 drop_rate: 0.1,
                 seed,
                 ..SimConfig::default()
             },
+            vec![query],
         );
         net.start(&user_addr());
         net.run();
         let dropped = net.metrics.dropped;
         let (rows, complete) = {
-            let user = net.actor_mut::<SimUser>(&user_addr()).unwrap();
-            (user.user.total_rows(), user.user.complete)
+            let user = client_of(&mut net).query_mut(1).unwrap();
+            (user.total_rows(), user.complete)
         };
         if dropped > 0 && rows > 0 && !complete {
             chosen = Some((seed, net));
@@ -82,26 +80,26 @@ fn main() {
         net.metrics.dropped
     );
 
-    let user = net.actor_mut::<SimUser>(&user_addr()).unwrap();
+    let user = client_of(&mut net).query_mut(1).unwrap();
     println!(
         "CHT still open ({} rows received so far) — the lost reports will never come",
-        user.user.total_rows()
+        user.total_rows()
     );
 
     // The recovery move: expire entries that made no progress.
-    let expired = user.user.expire_stale(120_000_000, 1_000_000);
-    assert!(user.user.complete, "expiry must conclude the query");
+    let expired = user.expire_stale(120_000_000, 1_000_000);
+    assert!(user.complete, "expiry must conclude the query");
     println!(
         "\nexpired {expired} stale entries; query concluded with {} rows",
-        user.user.total_rows()
+        user.total_rows()
     );
     println!("unresolved nodes (explicitly reported, not silently missing):");
-    for (node, state) in &user.user.failed_entries {
+    for (node, state) in &user.failed_entries {
         println!("  {node} in state {state}");
     }
     println!(
         "\ncoverage: {}/{} of the healthy run's rows survived the losses",
-        user.user.total_rows(),
+        user.total_rows(),
         healthy.total_rows()
     );
 }

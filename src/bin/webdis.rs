@@ -199,7 +199,11 @@ fn cmd_query(args: &Args) {
         if !outcome.complete {
             fail("query did not complete within the deadline");
         }
-        say!("completed over TCP in {:?}", outcome.elapsed);
+        let latency = outcome.latency_us().expect("complete");
+        say!(
+            "completed over TCP in {:?}",
+            std::time::Duration::from_micros(latency)
+        );
         for (stage, rows) in &outcome.results {
             say!("q{}:", stage + 1);
             for (node, row) in rows {

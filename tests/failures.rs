@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use webdis::core::simrun::{build_sim, user_addr, SimUser};
-use webdis::core::{query_server_addr, EngineConfig};
+use webdis::core::simrun::{client_of, user_addr};
+use webdis::core::{query_server_addr, Deployment, EngineConfig};
 use webdis::disql::parse_disql;
 use webdis::model::SiteAddr;
 use webdis::sim::SimConfig;
@@ -36,12 +36,8 @@ fn cleanly_crashed_server_is_recovered_without_expiry() {
     // timeout needed.
     let web = web();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = build_sim(
-        Arc::clone(&web),
-        query,
-        EngineConfig::default(),
-        SimConfig::default(),
-    );
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(SimConfig::default(), vec![query]);
     let victim = SiteAddr {
         host: "site5.test".into(),
         port: 80,
@@ -50,15 +46,14 @@ fn cleanly_crashed_server_is_recovered_without_expiry() {
     net.start(&user_addr());
     net.run();
 
-    let user = net.actor_mut::<SimUser>(&user_addr()).unwrap();
+    let user = client_of(&mut net).query_mut(1).unwrap();
     assert!(
-        user.user.complete,
+        user.complete,
         "refused connections are reported as dead ends; completion stays exact"
     );
-    assert!(user.user.total_rows() > 0, "surviving sites still answer");
+    assert!(user.total_rows() > 0, "surviving sites still answer");
     // The victim's documents are the only ones missing.
     assert!(user
-        .user
         .results
         .values()
         .flatten()
@@ -73,48 +68,42 @@ fn lost_messages_stall_completion_until_expiry() {
     // unresolved nodes listed explicitly.
     let web = web();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = build_sim(
-        Arc::clone(&web),
-        query,
-        EngineConfig::strict(),
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::strict()).sim_with_client(
         SimConfig {
             drop_rate: 0.25,
             seed: 9,
             ..SimConfig::default()
         },
+        vec![query],
     );
     net.start(&user_addr());
     net.run();
     assert!(net.metrics.dropped > 0, "fault injection must fire");
 
-    let user = net.actor_mut::<SimUser>(&user_addr()).unwrap();
+    let user = client_of(&mut net).query_mut(1).unwrap();
     assert!(
-        !user.user.complete,
+        !user.complete,
         "lost reports/clones must keep the query open"
     );
-    let expired = user.user.expire_stale(60_000_000, 1_000_000);
+    let expired = user.expire_stale(60_000_000, 1_000_000);
     assert!(expired > 0);
-    assert!(user.user.complete, "expiry lets the query conclude");
-    assert_eq!(user.user.failed_entries.len(), expired);
+    assert!(user.complete, "expiry lets the query conclude");
+    assert_eq!(user.failed_entries.len(), expired);
 }
 
 #[test]
 fn expiry_is_noop_on_healthy_runs() {
     let web = web();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = build_sim(
-        Arc::clone(&web),
-        query,
-        EngineConfig::default(),
-        SimConfig::default(),
-    );
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
     net.run();
-    let user = net.actor_mut::<SimUser>(&user_addr()).unwrap();
-    assert!(user.user.complete);
-    let expired = user.user.expire_stale(10_000_000, 1_000_000);
+    let user = client_of(&mut net).query_mut(1).unwrap();
+    assert!(user.complete);
+    let expired = user.expire_stale(10_000_000, 1_000_000);
     assert_eq!(expired, 0, "nothing to expire after exact completion");
-    assert!(user.user.failed_entries.is_empty());
+    assert!(user.failed_entries.is_empty());
 }
 
 #[test]
@@ -124,23 +113,19 @@ fn early_expiry_never_loses_received_results() {
     // are explicitly listed — degraded, never silently wrong.
     let web = web();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = build_sim(
-        Arc::clone(&web),
-        query,
-        EngineConfig::default(),
-        SimConfig::default(),
-    );
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
     net.run_until(6_000); // partway through the traversal
     let (rows_so_far, failed) = {
-        let user = net.actor_mut::<SimUser>(&user_addr()).unwrap();
-        let n = user.user.expire_stale(6_000, 1); // expire everything pending
-        assert!(user.user.complete);
-        (user.user.total_rows(), n)
+        let user = client_of(&mut net).query_mut(1).unwrap();
+        let n = user.expire_stale(6_000, 1); // expire everything pending
+        assert!(user.complete);
+        (user.total_rows(), n)
     };
     assert!(failed > 0, "mid-run there must be pending entries");
     // Draining the rest of the network afterwards only adds rows.
     net.run();
-    let user = net.actor_mut::<SimUser>(&user_addr()).unwrap();
-    assert!(user.user.total_rows() >= rows_so_far);
+    let user = client_of(&mut net).query_mut(1).unwrap();
+    assert!(user.total_rows() >= rows_so_far);
 }

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_query_sim, run_query_tcp_faulty, EngineConfig, ExpiryPolicy, TcpFaultPlan};
+use webdis::core::{run_query_sim, Deployment, EngineConfig, ExpiryPolicy, TcpFaultPlan};
 use webdis::sim::SimConfig;
 use webdis::trace::{json, trajectory, TraceHandle};
 use webdis::web::figures;
@@ -117,14 +117,13 @@ fn tcp_injected_faults_terminate_via_expiry_without_orphans() {
         ..EngineConfig::default()
     };
     // Ordinal 0 is the user's dispatch; drop the first daemon forward.
-    let outcome = run_query_tcp_faulty(
-        Arc::new(figures::campus()),
-        figures::CAMPUS_QUERY,
-        cfg,
-        Duration::from_secs(30),
-        TcpFaultPlan::drop_queries(1, 1),
-    )
-    .unwrap();
+    let outcome = Deployment::new(Arc::new(figures::campus()), cfg)
+        .query_tcp(
+            figures::CAMPUS_QUERY,
+            Duration::from_secs(30),
+            TcpFaultPlan::drop_queries(1, 1),
+        )
+        .unwrap();
     assert!(outcome.complete, "expiry must conclude the query");
     assert!(!outcome.failed_entries.is_empty());
     assert!(outcome.results.values().map(Vec::len).sum::<usize>() > 0);

@@ -4,38 +4,23 @@
 
 use std::sync::Arc;
 
-use webdis::core::simrun::{build_sim, user_addr};
-use webdis::core::{ClientProcess, EngineConfig, SimClient};
+use webdis::core::simrun::{client_of, user_addr};
+use webdis::core::{Deployment, EngineConfig};
+use webdis::disql::parse_disql;
 use webdis::model::SiteAddr;
 use webdis::sim::SimConfig;
 use webdis::web::figures;
 
+/// The campus servers under `cfg` plus one client process holding
+/// `queries` for the Start event.
 fn client_sim(
     web: Arc<webdis::web::HostedWeb>,
+    cfg: EngineConfig,
     queries: Vec<String>,
 ) -> (webdis::sim::SimNet, SiteAddr) {
-    // Reuse build_sim for the servers, then swap in the multi-query
-    // client at the user address.
-    let placeholder = webdis::disql::parse_disql(
-        r#"select d.url from document d such that "http://unused.test/" N d"#,
-    )
-    .unwrap();
-    let mut net = build_sim(
-        web,
-        placeholder,
-        EngineConfig::default(),
-        SimConfig::default(),
-    );
-    let addr = user_addr();
-    net.deregister(&addr);
-    net.register(
-        addr.clone(),
-        Box::new(SimClient {
-            client: ClientProcess::new("multi", addr.clone(), EngineConfig::default()),
-            submit_on_start: queries,
-        }),
-    );
-    (net, addr)
+    let queries = queries.iter().map(|q| parse_disql(q).unwrap()).collect();
+    let net = Deployment::new(web, cfg).sim_with_client(SimConfig::default(), queries);
+    (net, user_addr())
 }
 
 #[test]
@@ -50,11 +35,15 @@ fn two_concurrent_queries_do_not_interfere() {
                      anchor a
                 where a.ltype = "G""#
         .to_owned();
-    let (mut net, addr) = client_sim(Arc::clone(&web), vec![q1.clone(), q2.clone()]);
+    let (mut net, addr) = client_sim(
+        Arc::clone(&web),
+        EngineConfig::default(),
+        vec![q1.clone(), q2.clone()],
+    );
     net.start(&addr);
     net.run();
 
-    let client = &net.actor_mut::<SimClient>(&addr).unwrap().client;
+    let client = client_of(&mut net);
     assert!(client.all_complete());
     let nums = client.query_nums();
     assert_eq!(nums.len(), 2);
@@ -97,10 +86,14 @@ fn same_query_twice_recomputes_fresh() {
     // footnote 3 caching is per-site policy, not protocol).
     let web = Arc::new(figures::campus());
     let q = figures::CAMPUS_QUERY.to_owned();
-    let (mut net, addr) = client_sim(Arc::clone(&web), vec![q.clone(), q]);
+    let (mut net, addr) = client_sim(
+        Arc::clone(&web),
+        EngineConfig::default(),
+        vec![q.clone(), q],
+    );
     net.start(&addr);
     net.run();
-    let client = &net.actor_mut::<SimClient>(&addr).unwrap().client;
+    let client = client_of(&mut net);
     assert!(client.all_complete());
     for num in client.query_nums() {
         assert_eq!(
@@ -117,17 +110,17 @@ fn forgetting_a_query_keeps_others_running() {
     let q1 = figures::CAMPUS_QUERY.to_owned();
     let q2 = r#"select d.url from document d such that "http://dsl.serc.iisc.ernet.in/" L* d"#
         .to_owned();
-    let (mut net, addr) = client_sim(web, vec![q1, q2]);
+    let (mut net, addr) = client_sim(web, EngineConfig::default(), vec![q1, q2]);
     net.start(&addr);
     // Run a moment, then drop query 1's state (user lost interest); late
     // reports for it are simply unroutable and ignored.
     net.run_until(3_000);
     {
-        let client = &mut net.actor_mut::<SimClient>(&addr).unwrap().client;
+        let client = client_of(&mut net);
         client.forget(1);
     }
     net.run();
-    let client = &net.actor_mut::<SimClient>(&addr).unwrap().client;
+    let client = client_of(&mut net);
     assert!(client.query(1).is_none());
     assert!(client.query(2).unwrap().complete, "query 2 unaffected");
 }
@@ -137,33 +130,11 @@ fn concurrent_queries_under_ack_chain_completion() {
     let web = Arc::new(figures::campus());
     let q1 = figures::CAMPUS_QUERY.to_owned();
     let q2 = figures::EXAMPLE_QUERY_1.to_owned();
-    // Rebuild the harness with ack-chain configuration on both sides.
-    let placeholder = webdis::disql::parse_disql(
-        r#"select d.url from document d such that "http://unused.test/" N d"#,
-    )
-    .unwrap();
-    let mut net = build_sim(
-        Arc::clone(&web),
-        placeholder,
-        webdis::core::EngineConfig::ack_chain(),
-        webdis::sim::SimConfig::default(),
-    );
-    let addr = user_addr();
-    net.deregister(&addr);
-    net.register(
-        addr.clone(),
-        Box::new(SimClient {
-            client: ClientProcess::new(
-                "multi",
-                addr.clone(),
-                webdis::core::EngineConfig::ack_chain(),
-            ),
-            submit_on_start: vec![q1, q2],
-        }),
-    );
+    // The harness with ack-chain configuration on both sides.
+    let (mut net, addr) = client_sim(web, EngineConfig::ack_chain(), vec![q1, q2]);
     net.start(&addr);
     net.run();
-    let client = &net.actor_mut::<SimClient>(&addr).unwrap().client;
+    let client = client_of(&mut net);
     assert!(client.all_complete(), "acks must route to the right query");
     assert_eq!(client.query(1).unwrap().rows_of_stage(1).len(), 3);
     assert!(client.query(2).unwrap().total_rows() >= 2);

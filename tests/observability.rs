@@ -4,10 +4,8 @@
 
 use std::sync::Arc;
 
-use webdis::core::{EngineConfig, ProcModel};
-use webdis::load::{
-    run_workload_sim, run_workload_sim_observed, ArrivalProcess, QueryMix, WorkloadSpec,
-};
+use webdis::core::{Deployment, EngineConfig, ProcModel};
+use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::{Histogram, TraceHandle};
 use webdis::web::{generate, WebGenConfig};
@@ -93,9 +91,13 @@ fn snapshot_observer_sees_live_monotone_registry() {
                 ticks.push((now, snap.counter("query_recv")));
             }
         };
-        let outcome =
-            run_workload_sim_observed(web(), &spec(), cfg, SimConfig::default(), &mut observer)
-                .unwrap();
+        let outcome = spec()
+            .run_sim(
+                &Deployment::new(web(), cfg),
+                SimConfig::default(),
+                &mut observer,
+            )
+            .unwrap();
         (outcome, ticks, collector.registry().snapshot())
     };
 

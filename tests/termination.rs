@@ -6,8 +6,8 @@
 
 use std::sync::Arc;
 
-use webdis::core::simrun::{build_sim, user_addr, SimServer};
-use webdis::core::{query_server_addr, EngineConfig};
+use webdis::core::simrun::{user_addr, SimServer};
+use webdis::core::{query_server_addr, Deployment, EngineConfig};
 use webdis::disql::parse_disql;
 use webdis::sim::SimConfig;
 use webdis::web::{generate, WebGenConfig};
@@ -32,12 +32,8 @@ fn cancelling_mid_flight_drains_the_network() {
     let web = big_web();
     let sites = web.sites();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = build_sim(
-        Arc::clone(&web),
-        query,
-        EngineConfig::default(),
-        SimConfig::default(),
-    );
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
 
     // Let the query spread a little, then cancel.
@@ -78,12 +74,8 @@ fn cancelling_mid_flight_drains_the_network() {
 fn immediate_cancellation_stops_everything() {
     let web = big_web();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = build_sim(
-        Arc::clone(&web),
-        query,
-        EngineConfig::default(),
-        SimConfig::default(),
-    );
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
     // Cancel before any clone is even delivered (delivery takes >= base
     // latency = 2ms; cancel at 1ms).
@@ -119,12 +111,8 @@ fn servers_drop_clones_of_purged_queries() {
     // with clones still in flight toward already-terminated servers.
     let web = big_web();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = build_sim(
-        Arc::clone(&web),
-        query,
-        EngineConfig::default(),
-        SimConfig::default(),
-    );
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
     net.run_until(12_000);
     net.close_endpoint(&user_addr());
