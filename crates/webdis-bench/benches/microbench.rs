@@ -6,7 +6,7 @@ use criterion::{black_box, criterion_group, criterion_main, BatchSize, Benchmark
 use webdis_model::{LinkType, Url};
 use webdis_net::{encode_message, CloneState, Message, QueryClone, QueryId, Wire};
 use webdis_pre::{check_subsumption, contains, Dfa};
-use webdis_rel::NodeDb;
+use webdis_rel::{NodeDb, RelKind};
 use webdis_web::{generate, PageBuilder, WebGenConfig};
 
 fn sample_html(links: usize, words: usize) -> String {
@@ -77,6 +77,10 @@ fn bench_html(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("parse", label), &html, |b, h| {
             b.iter(|| webdis_html::parse_html(black_box(h)));
         });
+        // The token stream alone, drained: what of `parse` is lexing.
+        group.bench_with_input(BenchmarkId::new("tokenize", label), &html, |b, h| {
+            b.iter(|| webdis_html::tokenize(black_box(h)).count());
+        });
     }
     group.finish();
 }
@@ -96,15 +100,30 @@ fn bench_rel(c: &mut Criterion) {
     let html = sample_html(25, 1000);
     let parsed = webdis_html::parse_html(&html);
     let url = Url::parse("http://site0.test/doc0.html").unwrap();
-    // The Database Constructor alone: three relations and the link list.
+    // The Database Constructor alone: a copy of the parsed document and
+    // the link list.
     group.bench_function("node_db_build", |b| {
         b.iter(|| NodeDb::build(black_box(&url), black_box(&parsed)));
     });
+    // What construction no longer pays: each relation is formed by the
+    // first query that ranges over it.
+    for kind in RelKind::ALL {
+        let name = format!("relation_first_touch/{}", kind.keyword());
+        group.bench_function(&name, |b| {
+            b.iter_batched(
+                || NodeDb::build(&url, &parsed),
+                |db| {
+                    black_box(db.relation(kind).len());
+                    db
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
 
-    // What construction no longer pays: a column's index is built by the
-    // first query that probes it, so these time one evaluation against a
-    // database nobody has probed — the short title column, and a
-    // 400-word body of 97 distinct words.
+    // Nor a column's index, built by the first query that probes it:
+    // these time one evaluation against a database nobody has probed —
+    // the short title column, and a 400-word body of 97 distinct words.
     let mut page = PageBuilder::new("A benchmark document about needles");
     let body: Vec<String> = (0..400).map(|w| format!("word{}", w * w % 97)).collect();
     page = page.para(&body.join(" ")).hr();

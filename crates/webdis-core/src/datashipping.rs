@@ -155,7 +155,7 @@ impl DataShipUser {
         self.outstanding = self.outstanding.saturating_sub(1);
         let db = reply.html.map(|html| {
             net.work(self.proc.parse_cost_us(html.len()));
-            Rc::new(NodeDb::build(&url, &webdis_html::parse_html(&html)))
+            Rc::new(NodeDb::parse(&url, &html))
         });
         self.cache.insert(url.clone(), db);
         self.emit(

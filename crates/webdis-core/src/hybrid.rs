@@ -122,7 +122,7 @@ impl HybridUser {
                 }
                 let db = reply.html.map(|html| {
                     net.work(self.config.proc.parse_cost_us(html.len()));
-                    Rc::new(NodeDb::build(&url, &webdis_html::parse_html(&html)))
+                    Rc::new(NodeDb::parse(&url, &html))
                 });
                 self.config.tracer.emit_with(|| TraceRecord {
                     time_us: net.now_us(),

@@ -144,7 +144,7 @@ mod tests {
         assert!(html.contains("<th>r.text</th>"));
         // The page itself parses with our own HTML parser, naturally.
         let parsed = webdis_html::parse_html(&html);
-        assert!(parsed.title.contains("Results of query 1"));
+        assert!(parsed.title().contains("Results of query 1"));
     }
 
     #[test]
@@ -222,7 +222,7 @@ mod tests {
         // The page still parses as HTML with exactly one table.
         assert_eq!(html.matches("<table").count(), 1);
         let parsed = webdis_html::parse_html(&html);
-        assert!(parsed.title.contains("query 7"));
+        assert!(parsed.title().contains("query 7"));
     }
 
     #[test]

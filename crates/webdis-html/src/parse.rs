@@ -1,6 +1,13 @@
 //! Single-pass document extraction: title, text, anchors, rel-infons.
+//!
+//! Every byte of body text is written once, into [`ParsedDoc::text`]. An
+//! anchor label or a rel-infon is the stretch of that buffer between the
+//! point where its tag opened and the point where it closed, so it is
+//! recorded as a span and lent out as a `&str` — a document nested `n`
+//! deep holds one copy of its text, not `n`.
 
-use std::fmt;
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::token::{tokenize, Token};
 
@@ -8,12 +15,12 @@ use crate::token::{tokenize, Token};
 /// hypertext label. Resolution against the base URL and link-type
 /// classification happen in the relational layer, which knows the
 /// document's own URL.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawAnchor {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawAnchor<'a> {
     /// The raw `href` attribute value.
-    pub href: String,
+    pub href: &'a str,
     /// The anchor's enclosed text, whitespace-normalized.
-    pub label: String,
+    pub label: &'a str,
 }
 
 /// A *rel-infon* (Section 2.2, after \[12\]): a group of related
@@ -26,33 +33,91 @@ pub struct RawAnchor {
 ///   occurrence (since the previous occurrence or the document start) —
 ///   this is what makes the paper's "the convener name is succeeded by a
 ///   horizontal line" query (`r.delimiter = "hr"`) work.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RelInfon {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RelInfon<'a> {
     /// Lower-cased delimiter tag name.
-    pub delimiter: String,
+    pub delimiter: &'a str,
     /// Whitespace-normalized enclosed/preceding text.
-    pub text: String,
+    pub text: &'a str,
 }
 
-impl fmt::Display for RelInfon {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "<{}>{:?}", self.delimiter, self.text)
-    }
-}
+/// A byte range of one of [`ParsedDoc`]'s two buffers.
+type Span = Range<usize>;
 
 /// The result of the Database Constructor's single pass over a document.
+///
+/// The fields are private because the anchor and rel-infon spans are only
+/// meaningful against the buffers they were cut from.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ParsedDoc {
+    title: String,
+    text: String,
+    raw_len: usize,
+    /// Anchor hrefs and rel-infon delimiters, back to back.
+    names: String,
+    /// (href in `names`, label in `text`), in document order.
+    anchors: Vec<(Span, Span)>,
+    /// (delimiter in `names`, text in `text`), in document order
+    /// (close-tag order for containers).
+    relinfons: Vec<(Span, Span)>,
+}
+
+impl ParsedDoc {
     /// Contents of `<title>` (whitespace-normalized; empty if absent).
-    pub title: String,
+    pub fn title(&self) -> &str {
+        &self.title
+    }
+
     /// All character data outside the title, whitespace-normalized.
-    pub text: String,
+    pub fn text(&self) -> &str {
+        &self.text
+    }
+
     /// Length of the raw HTML in bytes — the DOCUMENT relation's `length`.
-    pub raw_len: usize,
+    pub fn raw_len(&self) -> usize {
+        self.raw_len
+    }
+
     /// Anchors in document order.
-    pub anchors: Vec<RawAnchor>,
+    pub fn anchors(&self) -> impl ExactSizeIterator<Item = RawAnchor<'_>> {
+        self.anchors.iter().map(|(href, label)| RawAnchor {
+            href: &self.names[href.clone()],
+            label: &self.text[label.clone()],
+        })
+    }
+
     /// Rel-infons in document order (close-tag order for containers).
-    pub relinfons: Vec<RelInfon>,
+    pub fn relinfons(&self) -> impl ExactSizeIterator<Item = RelInfon<'_>> {
+        self.relinfons.iter().map(|(delimiter, text)| RelInfon {
+            delimiter: &self.names[delimiter.clone()],
+            text: &self.text[text.clone()],
+        })
+    }
+
+    /// Appends `name` to the name buffer.
+    fn push_name(&mut self, name: &str) -> Span {
+        let start = self.names.len();
+        self.names.push_str(name);
+        start..self.names.len()
+    }
+
+    /// `text[mark..].trim()`, as a span of `text`.
+    fn trimmed_from(&self, mark: usize) -> Span {
+        let tail = &self.text[mark..];
+        let start = mark + (tail.len() - tail.trim_start().len());
+        start..start + tail.trim().len()
+    }
+
+    fn close_relinfon(&mut self, delimiter: &str, mark: usize) {
+        let entry = (self.push_name(delimiter), self.trimmed_from(mark));
+        self.relinfons.push(entry);
+    }
+
+    fn close_anchor(&mut self, open: &mut Option<(Span, usize)>) {
+        if let Some((href, mark)) = open.take() {
+            self.anchors.push((href, self.trimmed_from(mark)));
+        }
+    }
 }
 
 /// Tags that produce no content and separate text segments.
@@ -68,105 +133,82 @@ const BLOCK_TAGS: [&str; 16] = [
 
 /// Parses an HTML document in a single pass.
 pub fn parse_html(input: &str) -> ParsedDoc {
-    let tokens = tokenize(input);
+    // Normalized text is never longer than its source.
     let mut doc = ParsedDoc {
         raw_len: input.len(),
+        text: String::with_capacity(input.len()),
         ..ParsedDoc::default()
     };
-
-    // The normalized text accumulator; marks index into it.
-    let mut text = String::new();
     let mut pending_space = false;
 
-    // Open container elements: (tag name, start offset in `text`).
-    let mut open: Vec<(String, usize)> = Vec::new();
+    // Open container elements: (tag name, start offset in `doc.text`).
+    let mut open: Vec<(Cow<'_, str>, usize)> = Vec::new();
     // Currently open anchor: (href, start offset).
-    let mut open_anchor: Option<(String, usize)> = None;
+    let mut open_anchor: Option<(Span, usize)> = None;
     // Per separator tag, the offset of the previous occurrence.
     let mut sep_marks: [usize; 2] = [0, 0];
     let mut in_title = false;
-    let mut title = String::new();
 
-    let finish_anchor =
-        |doc: &mut ParsedDoc, open_anchor: &mut Option<(String, usize)>, text: &str| {
-            if let Some((href, mark)) = open_anchor.take() {
-                doc.anchors.push(RawAnchor {
-                    href,
-                    label: text[mark..].trim().to_owned(),
-                });
-            }
-        };
-
-    for tok in tokens {
+    for tok in tokenize(input) {
         match tok {
             Token::Text(run) => {
                 if in_title {
-                    append_normalized(&mut title, &mut false, &run);
+                    append_normalized(&mut doc.title, &mut false, &run);
                 } else {
-                    append_normalized(&mut text, &mut pending_space, &run);
+                    append_normalized(&mut doc.text, &mut pending_space, &run);
                 }
             }
             Token::StartTag {
                 name,
-                attrs,
+                mut attrs,
                 self_closing,
             } => {
-                if name == "title" {
+                let tag: &str = &name;
+                if tag == "title" {
                     in_title = true;
                     continue;
                 }
-                if BLOCK_TAGS.contains(&name.as_str()) {
+                if BLOCK_TAGS.contains(&tag) {
                     pending_space = true;
                 }
-                if let Some(idx) = SEPARATOR_TAGS.iter().position(|t| *t == name) {
+                if let Some(idx) = SEPARATOR_TAGS.iter().position(|t| *t == tag) {
                     pending_space = true;
-                    let seg = text[sep_marks[idx]..].trim();
-                    doc.relinfons.push(RelInfon {
-                        delimiter: name.clone(),
-                        text: seg.to_owned(),
-                    });
-                    sep_marks[idx] = text.len();
+                    doc.close_relinfon(tag, sep_marks[idx]);
+                    sep_marks[idx] = doc.text.len();
                     continue;
                 }
-                if VOID_TAGS.contains(&name.as_str()) || self_closing {
+                if VOID_TAGS.contains(&tag) || self_closing {
                     continue;
                 }
-                if name == "a" {
+                if tag == "a" {
                     // An <a> while another is open implicitly closes it.
-                    finish_anchor(&mut doc, &mut open_anchor, &text);
-                    let href = attrs
-                        .iter()
-                        .find(|a| a.name == "href")
-                        .map(|a| a.value.clone());
-                    if let Some(href) = href {
-                        open_anchor = Some((href, text.len()));
+                    doc.close_anchor(&mut open_anchor);
+                    if let Some(href) = attrs.find(|a| a.name == "href") {
+                        open_anchor = Some((doc.push_name(&href.value), doc.text.len()));
                     }
                     continue;
                 }
-                open.push((name, text.len()));
+                open.push((name, doc.text.len()));
             }
             Token::EndTag { name } => {
-                if name == "title" {
+                let tag: &str = &name;
+                if tag == "title" {
                     in_title = false;
                     continue;
                 }
-                if BLOCK_TAGS.contains(&name.as_str()) {
+                if BLOCK_TAGS.contains(&tag) {
                     pending_space = true;
                 }
-                if name == "a" {
-                    finish_anchor(&mut doc, &mut open_anchor, &text);
+                if tag == "a" {
+                    doc.close_anchor(&mut open_anchor);
                     continue;
                 }
                 // Find the matching open tag; everything above it is
                 // implicitly closed (and emits its rel-infon too, so
                 // malformed nesting still yields usable segments).
                 if let Some(pos) = open.iter().rposition(|(n, _)| *n == name) {
-                    while open.len() > pos {
-                        let (tag, mark) = open.pop().expect("len > pos");
-                        doc.relinfons.push(RelInfon {
-                            delimiter: tag,
-                            text: text[mark..].trim().to_owned(),
-                        });
+                    for (tag, mark) in open.drain(pos..).rev() {
+                        doc.close_relinfon(&tag, mark);
                     }
                 }
             }
@@ -174,40 +216,67 @@ pub fn parse_html(input: &str) -> ParsedDoc {
         }
     }
     // Implicitly close what remains open at EOF.
-    finish_anchor(&mut doc, &mut open_anchor, &text);
-    while let Some((tag, mark)) = open.pop() {
-        doc.relinfons.push(RelInfon {
-            delimiter: tag,
-            text: text[mark..].trim().to_owned(),
-        });
+    doc.close_anchor(&mut open_anchor);
+    for (tag, mark) in open.into_iter().rev() {
+        doc.close_relinfon(&tag, mark);
     }
 
-    doc.title = title.trim().to_owned();
-    doc.text = text.trim().to_owned();
+    // A space is only ever written in front of a word, so neither buffer
+    // needs trimming and the spans taken along the way still index `text`.
+    debug_assert_eq!(doc.text, doc.text.trim());
+    debug_assert_eq!(doc.title, doc.title.trim());
     doc
 }
 
-/// Appends a raw text run to `out`, collapsing internal whitespace runs to
-/// single spaces and honouring the pending-space flag at the boundary.
-fn append_normalized(out: &mut String, pending_space: &mut bool, run: &str) {
-    let mut words = run.split_whitespace();
-    let Some(first) = words.next() else {
-        // Whitespace-only run: separates words.
-        if !run.is_empty() {
-            *pending_space = true;
+/// `char::is_whitespace` of the character starting at byte `i`, and that
+/// character's encoded length. Only a non-ASCII character is decoded.
+fn whitespace_at(run: &str, i: usize) -> (bool, usize) {
+    match run.as_bytes()[i] {
+        b'\t'..=b'\r' | b' ' => (true, 1),
+        0..=0x7f => (false, 1),
+        _ => {
+            let c = run[i..].chars().next().expect("i < len, on a boundary");
+            (c.is_whitespace(), c.len_utf8())
         }
-        return;
-    };
-    let leading_ws = run.starts_with(char::is_whitespace);
-    if (*pending_space || leading_ws) && !out.is_empty() {
-        out.push(' ');
     }
-    out.push_str(first);
-    for w in words {
-        out.push(' ');
-        out.push_str(w);
+}
+
+/// Appends a raw text run to `out`, collapsing internal whitespace runs to
+/// single spaces and honouring the pending-space flag at the boundary. A
+/// stretch of words already separated by single spaces is copied whole.
+fn append_normalized(out: &mut String, pending_space: &mut bool, run: &str) {
+    let bytes = run.as_bytes();
+    let mut i = 0;
+    while i < bytes.len() {
+        let (is_space, len) = whitespace_at(run, i);
+        if is_space {
+            *pending_space = true;
+            i += len;
+            continue;
+        }
+        let start = i;
+        while i < bytes.len() {
+            let (is_space, len) = whitespace_at(run, i);
+            if !is_space {
+                i += len;
+                continue;
+            }
+            // One space with a word behind it stays in the stretch.
+            if bytes[i] != b' ' || i + 1 == bytes.len() {
+                break;
+            }
+            let (next_is_space, next_len) = whitespace_at(run, i + 1);
+            if next_is_space {
+                break;
+            }
+            i += 1 + next_len;
+        }
+        if *pending_space && !out.is_empty() {
+            out.push(' ');
+        }
+        out.push_str(&run[start..i]);
+        *pending_space = false;
     }
-    *pending_space = run.ends_with(char::is_whitespace);
 }
 
 #[cfg(test)]
@@ -228,147 +297,164 @@ Faculty list
 </body>
 </html>"#;
 
+    /// The text of the first rel-infon delimited by `tag`.
+    fn relinfon<'a>(doc: &'a ParsedDoc, tag: &str) -> &'a str {
+        let found = doc.relinfons().find(|r| r.delimiter == tag);
+        found.unwrap_or_else(|| panic!("no <{tag}> rel-infon")).text
+    }
+
+    /// The texts of every rel-infon delimited by `tag`, in order.
+    fn relinfons<'a>(doc: &'a ParsedDoc, tag: &str) -> Vec<&'a str> {
+        let of_tag = doc.relinfons().filter(|r| r.delimiter == tag);
+        of_tag.map(|r| r.text).collect()
+    }
+
     #[test]
     fn title_extracted_and_normalized() {
         let doc = parse_html(SAMPLE);
-        assert_eq!(doc.title, "Database Systems Lab People");
+        assert_eq!(doc.title(), "Database Systems Lab People");
     }
 
     #[test]
     fn text_excludes_title_and_markup() {
         let doc = parse_html(SAMPLE);
-        assert!(doc.text.contains("Members of the DSL group."));
-        assert!(doc.text.contains("CONVENER Jayant Haritsa"));
-        assert!(!doc.text.contains("Database Systems Lab People"));
-        assert!(!doc.text.contains('<'));
+        assert!(doc.text().contains("Members of the DSL group."));
+        assert!(doc.text().contains("CONVENER Jayant Haritsa"));
+        assert!(!doc.text().contains("Database Systems Lab People"));
+        assert!(!doc.text().contains('<'));
     }
 
     #[test]
     fn anchors_in_order_with_labels() {
         let doc = parse_html(SAMPLE);
-        assert_eq!(doc.anchors.len(), 2);
-        assert_eq!(doc.anchors[0].href, "students.html");
-        assert_eq!(doc.anchors[0].label, "Students");
-        assert_eq!(doc.anchors[1].href, "http://csa.iisc.ernet.in/");
-        assert_eq!(doc.anchors[1].label, "CSA Dept");
+        assert_eq!(
+            doc.anchors().collect::<Vec<_>>(),
+            vec![
+                RawAnchor {
+                    href: "students.html",
+                    label: "Students"
+                },
+                RawAnchor {
+                    href: "http://csa.iisc.ernet.in/",
+                    label: "CSA Dept"
+                },
+            ]
+        );
     }
 
     #[test]
     fn hr_relinfon_contains_preceding_segment() {
         let doc = parse_html(SAMPLE);
-        let hrs: Vec<_> = doc
-            .relinfons
-            .iter()
-            .filter(|r| r.delimiter == "hr")
-            .collect();
+        let hrs = relinfons(&doc, "hr");
         assert_eq!(hrs.len(), 2);
         assert!(
-            hrs[0].text.contains("CONVENER Jayant Haritsa"),
+            hrs[0].contains("CONVENER Jayant Haritsa"),
             "got {:?}",
-            hrs[0].text
+            hrs[0]
         );
-        assert!(hrs[1].text.contains("Faculty list"));
-        assert!(!hrs[1].text.contains("CONVENER"));
+        assert!(hrs[1].contains("Faculty list"));
+        assert!(!hrs[1].contains("CONVENER"));
     }
 
     #[test]
     fn container_relinfon_is_inner_text() {
         let doc = parse_html(SAMPLE);
-        let b = doc.relinfons.iter().find(|r| r.delimiter == "b").unwrap();
-        assert_eq!(b.text, "DSL");
-        let h1 = doc.relinfons.iter().find(|r| r.delimiter == "h1").unwrap();
-        assert_eq!(h1.text, "People");
+        assert_eq!(relinfon(&doc, "b"), "DSL");
+        assert_eq!(relinfon(&doc, "h1"), "People");
     }
 
     #[test]
     fn nested_containers_each_emit() {
         let doc = parse_html("<p>a <b>bb <i>cc</i></b> d</p>");
-        let i = doc.relinfons.iter().find(|r| r.delimiter == "i").unwrap();
-        assert_eq!(i.text, "cc");
-        let b = doc.relinfons.iter().find(|r| r.delimiter == "b").unwrap();
-        assert_eq!(b.text, "bb cc");
-        let p = doc.relinfons.iter().find(|r| r.delimiter == "p").unwrap();
-        assert_eq!(p.text, "a bb cc d");
+        assert_eq!(relinfon(&doc, "i"), "cc");
+        assert_eq!(relinfon(&doc, "b"), "bb cc");
+        assert_eq!(relinfon(&doc, "p"), "a bb cc d");
     }
 
     #[test]
     fn unbalanced_nesting_tolerated() {
         let doc = parse_html("<b>x <i>y</b> z");
         // </b> implicitly closes <i>; trailing text closes nothing.
-        let i = doc.relinfons.iter().find(|r| r.delimiter == "i").unwrap();
-        assert_eq!(i.text, "y");
-        let b = doc.relinfons.iter().find(|r| r.delimiter == "b").unwrap();
-        assert_eq!(b.text, "x y");
-        assert_eq!(doc.text, "x y z");
+        assert_eq!(relinfon(&doc, "i"), "y");
+        assert_eq!(relinfon(&doc, "b"), "x y");
+        assert_eq!(doc.text(), "x y z");
     }
 
     #[test]
     fn eof_closes_open_containers() {
         let doc = parse_html("<p>open forever");
-        let p = doc.relinfons.iter().find(|r| r.delimiter == "p").unwrap();
-        assert_eq!(p.text, "open forever");
+        assert_eq!(relinfon(&doc, "p"), "open forever");
     }
 
     #[test]
     fn anchor_without_href_is_not_a_link() {
         let doc = parse_html(r#"<a name="here">target</a><a href="x">go</a>"#);
-        assert_eq!(doc.anchors.len(), 1);
-        assert_eq!(doc.anchors[0].href, "x");
+        assert_eq!(doc.anchors().len(), 1);
+        assert_eq!(doc.anchors().next().unwrap().href, "x");
     }
 
     #[test]
     fn consecutive_anchors_close_implicitly() {
         let doc = parse_html(r#"<a href="1">one <a href="2">two</a>"#);
-        assert_eq!(doc.anchors.len(), 2);
-        assert_eq!(doc.anchors[0].label, "one");
-        assert_eq!(doc.anchors[1].label, "two");
+        let labels: Vec<_> = doc.anchors().map(|a| a.label).collect();
+        assert_eq!(labels, vec!["one", "two"]);
     }
 
     #[test]
     fn inline_tags_do_not_split_words() {
         let doc = parse_html("bo<b>l</b>d");
-        assert_eq!(doc.text, "bold");
+        assert_eq!(doc.text(), "bold");
     }
 
     #[test]
     fn block_tags_split_words() {
         let doc = parse_html("<p>a</p><p>b</p>");
-        assert_eq!(doc.text, "a b");
+        assert_eq!(doc.text(), "a b");
         let doc = parse_html("line1<br>line2");
-        assert_eq!(doc.text, "line1 line2");
+        assert_eq!(doc.text(), "line1 line2");
     }
 
     #[test]
     fn raw_len_is_input_bytes() {
-        assert_eq!(parse_html(SAMPLE).raw_len, SAMPLE.len());
-        assert_eq!(parse_html("").raw_len, 0);
+        assert_eq!(parse_html(SAMPLE).raw_len(), SAMPLE.len());
+        assert_eq!(parse_html("").raw_len(), 0);
     }
 
     #[test]
     fn empty_document() {
         let doc = parse_html("");
-        assert!(doc.title.is_empty());
-        assert!(doc.text.is_empty());
-        assert!(doc.anchors.is_empty());
-        assert!(doc.relinfons.is_empty());
+        assert!(doc.title().is_empty());
+        assert!(doc.text().is_empty());
+        assert_eq!(doc.anchors().len(), 0);
+        assert_eq!(doc.relinfons().len(), 0);
     }
 
     #[test]
     fn entities_in_labels() {
         let doc = parse_html(r#"<a href="x">A &amp; B</a>"#);
-        assert_eq!(doc.anchors[0].label, "A & B");
+        assert_eq!(doc.anchors().next().unwrap().label, "A & B");
     }
 
     #[test]
     fn br_separator_segments() {
         let doc = parse_html("first<br>second<br>third");
-        let brs: Vec<_> = doc
-            .relinfons
-            .iter()
-            .filter(|r| r.delimiter == "br")
-            .collect();
-        assert_eq!(brs.len(), 2);
-        assert_eq!(brs[0].text, "first");
-        assert_eq!(brs[1].text, "second");
+        assert_eq!(relinfons(&doc, "br"), vec!["first", "second"]);
+    }
+
+    #[test]
+    fn whitespace_is_unicode_whitespace() {
+        // U+000B, U+0085, U+00A0 and U+2003 are `char::is_whitespace` but
+        // not `u8::is_ascii_whitespace`; U+200B (zero width space) is not
+        // whitespace at all.
+        let doc = parse_html("a\u{b}b\u{85}c\u{a0}d\u{2003}e\u{200b}f  g \t\n h");
+        assert_eq!(doc.text(), "a b c d e\u{200b}f g h");
+    }
+
+    #[test]
+    fn entities_that_decode_to_whitespace_separate_words() {
+        let doc = parse_html("<b>a&nbsp;b&#32;&#32;c</b>&#9;<i>&nbsp;d</i>");
+        assert_eq!(doc.text(), "a b c d");
+        assert_eq!(relinfon(&doc, "b"), "a b c");
+        assert_eq!(relinfon(&doc, "i"), "d");
     }
 }

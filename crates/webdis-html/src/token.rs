@@ -1,68 +1,47 @@
-//! A permissive, allocation-conscious HTML tokenizer.
+//! A permissive, borrowing HTML tokenizer.
 //!
-//! Produces a flat stream of [`Token`]s: start tags (with parsed
-//! attributes), end tags, text runs (entity-decoded) and comments. It never
-//! fails — malformed markup degrades to text, matching how browsers (and
-//! the 1999-era Web the paper ran on) treat it.
+//! [`tokenize`] is an iterator of [`Token`]s — start tags, end tags, text
+//! runs and comments — that borrow from the input. A tag name is copied
+//! only when it has an upper-case letter to fold, a text run only when it
+//! has an entity to decode, and a start tag's attributes are not looked at
+//! until [`Attrs`] is iterated, which the document parser does for `<a>`
+//! alone. It never fails — malformed markup degrades to text, matching how
+//! browsers (and the 1999-era Web the paper ran on) treat it.
 
-use std::fmt;
+use std::borrow::Cow;
 
 /// One attribute of a start tag. Names are lower-cased; values are
 /// entity-decoded and unquoted.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attr {
+pub struct Attr<'a> {
     /// Lower-cased attribute name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Decoded value; empty for bare boolean attributes.
-    pub value: String,
+    pub value: Cow<'a, str>,
 }
 
 /// A lexical token of an HTML document.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Token {
+pub enum Token<'a> {
     /// `<name attr=...>`; `self_closing` records a trailing `/`.
     StartTag {
         /// Lower-cased tag name.
-        name: String,
-        /// Attributes in document order.
-        attrs: Vec<Attr>,
+        name: Cow<'a, str>,
+        /// Attributes in document order, parsed as they are iterated.
+        attrs: Attrs<'a>,
         /// True for `<br/>`-style tags.
         self_closing: bool,
     },
     /// `</name>`.
     EndTag {
         /// Lower-cased tag name.
-        name: String,
+        name: Cow<'a, str>,
     },
     /// A run of character data, entity-decoded, whitespace preserved.
-    Text(String),
+    Text(Cow<'a, str>),
     /// `<!-- ... -->` or a `<!DOCTYPE ...>` declaration (content kept for
     /// debugging, never queried).
-    Comment(String),
-}
-
-impl fmt::Display for Token {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Token::StartTag {
-                name,
-                attrs,
-                self_closing,
-            } => {
-                write!(f, "<{name}")?;
-                for a in attrs {
-                    write!(f, " {}={:?}", a.name, a.value)?;
-                }
-                if *self_closing {
-                    write!(f, "/")?;
-                }
-                write!(f, ">")
-            }
-            Token::EndTag { name } => write!(f, "</{name}>"),
-            Token::Text(t) => write!(f, "{t}"),
-            Token::Comment(c) => write!(f, "<!--{c}-->"),
-        }
-    }
+    Comment(&'a str),
 }
 
 /// Tags whose raw content is not markup (we only need `script`/`style`
@@ -70,157 +49,205 @@ impl fmt::Display for Token {
 const RAWTEXT_TAGS: [&str; 2] = ["script", "style"];
 
 /// Tokenizes an HTML document. Never fails.
-pub fn tokenize(input: &str) -> Vec<Token> {
-    let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
-    let mut i = 0usize;
-    let mut text_start = 0usize;
-
-    let flush_text = |tokens: &mut Vec<Token>, from: usize, to: usize| {
-        if from < to {
-            let raw = &input[from..to];
-            if !raw.is_empty() {
-                tokens.push(Token::Text(decode_entities(raw)));
-            }
-        }
-    };
-
-    while i < bytes.len() {
-        if bytes[i] != b'<' {
-            i += 1;
-            continue;
-        }
-        // Try to parse a markup construct at `i`.
-        if let Some((token, consumed)) = parse_markup(&input[i..]) {
-            flush_text(&mut tokens, text_start, i);
-            let is_rawtext_start = matches!(
-                &token,
-                Token::StartTag { name, self_closing: false, .. }
-                    if RAWTEXT_TAGS.contains(&name.as_str())
-            );
-            let rawtext_name = if let Token::StartTag { name, .. } = &token {
-                name.clone()
-            } else {
-                String::new()
-            };
-            tokens.push(token);
-            i += consumed;
-            if is_rawtext_start {
-                // Skip raw content up to the matching close tag.
-                let close = format!("</{rawtext_name}");
-                let rest = &input[i..];
-                if let Some(pos) = find_case_insensitive(rest, &close) {
-                    // Content itself is discarded (scripts are not text).
-                    let after = &rest[pos..];
-                    let end = after.find('>').map(|p| pos + p + 1).unwrap_or(rest.len());
-                    tokens.push(Token::EndTag { name: rawtext_name });
-                    i += end;
-                } else {
-                    i = input.len();
-                }
-            }
-            text_start = i;
-        } else {
-            // A lone '<' that does not begin valid markup: treat as text.
-            i += 1;
-        }
+pub fn tokenize(input: &str) -> Tokens<'_> {
+    Tokens {
+        input,
+        pos: 0,
+        pending: None,
+        rawtext: None,
+        no_gt_from: usize::MAX,
     }
-    flush_text(&mut tokens, text_start, input.len());
-    tokens
 }
 
-/// Case-insensitive substring search (ASCII).
-fn find_case_insensitive(haystack: &str, needle: &str) -> Option<usize> {
-    let h = haystack.as_bytes();
-    let n = needle.as_bytes();
-    if n.is_empty() || h.len() < n.len() {
-        return None;
+/// The token stream of one document; see [`tokenize`].
+#[derive(Debug, Clone)]
+pub struct Tokens<'a> {
+    input: &'a str,
+    /// Everything before this offset has been returned; the next text run
+    /// starts here.
+    pos: usize,
+    /// Markup found behind a text run: the run is returned first, this on
+    /// the next call.
+    pending: Option<Token<'a>>,
+    /// A `<script>`/`<style>` start tag has been returned and its raw
+    /// content is still to be skipped.
+    rawtext: Option<&'static str>,
+    /// No `>` occurs at or after this offset. Without the memo every `<x`
+    /// of an unterminated tail would rescan to the end of input.
+    no_gt_from: usize,
+}
+
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
+
+    fn next(&mut self) -> Option<Token<'a>> {
+        if let Some(token) = self.pending.take() {
+            return Some(token);
+        }
+        let input = self.input;
+        if let Some(name) = self.rawtext.take() {
+            // Skip raw content up to the matching close tag; the content
+            // itself is discarded (scripts are not text).
+            let rest = &input[self.pos..];
+            match find_close_tag(rest, name) {
+                Some(at) => {
+                    let end = rest[at..].find('>').map_or(rest.len(), |p| at + p + 1);
+                    self.pos += end;
+                    return Some(Token::EndTag {
+                        name: Cow::Borrowed(name),
+                    });
+                }
+                None => self.pos = input.len(),
+            }
+        }
+        let mut from = self.pos;
+        while let Some(lt) = input[from..].find('<').map(|p| from + p) {
+            let Some((token, consumed)) = self.markup_at(lt) else {
+                // A lone '<' that does not begin valid markup is text.
+                from = lt + 1;
+                continue;
+            };
+            let text = &input[self.pos..lt];
+            self.pos = lt + consumed;
+            if let Token::StartTag {
+                name,
+                self_closing: false,
+                ..
+            } = &token
+            {
+                self.rawtext = RAWTEXT_TAGS.iter().copied().find(|t| name == t);
+            }
+            if text.is_empty() {
+                return Some(token);
+            }
+            self.pending = Some(token);
+            return Some(Token::Text(decode_entities(text)));
+        }
+        let text = &input[self.pos..];
+        self.pos = input.len();
+        (!text.is_empty()).then(|| Token::Text(decode_entities(text)))
     }
-    (0..=h.len() - n.len()).find(|&s| {
-        h[s..s + n.len()]
-            .iter()
-            .zip(n)
-            .all(|(a, b)| a.eq_ignore_ascii_case(b))
+}
+
+impl<'a> Tokens<'a> {
+    /// Offset of the first `>` at or after `from`.
+    fn find_gt(&mut self, from: usize) -> Option<usize> {
+        if from >= self.no_gt_from {
+            return None;
+        }
+        let found = self.input[from..].find('>').map(|p| from + p);
+        if found.is_none() {
+            self.no_gt_from = from;
+        }
+        found
+    }
+
+    /// Parses the markup construct starting at the `<` at offset `lt`.
+    /// Returns the token and the number of bytes consumed, or `None` if
+    /// this is not valid markup.
+    fn markup_at(&mut self, lt: usize) -> Option<(Token<'a>, usize)> {
+        let s = &self.input[lt..];
+        let bytes = s.as_bytes();
+        if bytes.len() < 2 {
+            return None;
+        }
+        // Comments and declarations.
+        if let Some(body) = s.strip_prefix("<!--") {
+            return Some(match body.find("-->") {
+                Some(p) => (Token::Comment(&body[..p]), p + 7),
+                // Unterminated comment swallows the rest of the input.
+                None => (Token::Comment(body), s.len()),
+            });
+        }
+        if bytes[1] == b'!' || bytes[1] == b'?' {
+            let end = self.find_gt(lt)? - lt;
+            return Some((Token::Comment(&s[2..end]), end + 1));
+        }
+        // End tag.
+        if bytes[1] == b'/' {
+            let end = self.find_gt(lt)? - lt;
+            let inner = s[2..end].trim();
+            let name_end = alnum_prefix(inner);
+            if name_end == 0 {
+                return None;
+            }
+            let name = lower(&inner[..name_end]);
+            return Some((Token::EndTag { name }, end + 1));
+        }
+        // Start tag: name must begin with a letter.
+        if !bytes[1].is_ascii_alphabetic() {
+            return None;
+        }
+        let end = self.find_gt(lt)? - lt;
+        let inner = &s[1..end];
+        let (inner, self_closing) = match inner.strip_suffix('/') {
+            Some(rest) => (rest, true),
+            None => (inner, false),
+        };
+        let name_end = alnum_prefix(inner);
+        Some((
+            Token::StartTag {
+                name: lower(&inner[..name_end]),
+                attrs: Attrs {
+                    s: &inner[name_end..],
+                    i: 0,
+                },
+                self_closing,
+            },
+            end + 1,
+        ))
+    }
+}
+
+/// Length of the leading run of ASCII letters and digits.
+fn alnum_prefix(s: &str) -> usize {
+    s.bytes()
+        .position(|b| !b.is_ascii_alphanumeric())
+        .unwrap_or(s.len())
+}
+
+/// ASCII-lower-cases a name, copying it only if that changes it.
+fn lower(s: &str) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(s)
+    }
+}
+
+/// Offset of the first `</name` in `haystack`, ASCII case-insensitively.
+fn find_close_tag(haystack: &str, name: &str) -> Option<usize> {
+    let bytes = haystack.as_bytes();
+    haystack.match_indices("</").map(|(at, _)| at).find(|at| {
+        bytes[at + 2..]
+            .get(..name.len())
+            .is_some_and(|n| n.eq_ignore_ascii_case(name.as_bytes()))
     })
 }
 
-/// Parses one markup construct starting at a `<`. Returns the token and the
-/// number of bytes consumed, or `None` if this is not valid markup.
-fn parse_markup(s: &str) -> Option<(Token, usize)> {
-    let bytes = s.as_bytes();
-    debug_assert_eq!(bytes[0], b'<');
-    if bytes.len() < 2 {
-        return None;
-    }
-    // Comments and declarations.
-    if let Some(body) = s.strip_prefix("<!--") {
-        return match body.find("-->").map(|p| p + 4) {
-            Some(e) => Some((Token::Comment(s[4..e].to_owned()), e + 3)),
-            // Unterminated comment swallows the rest of the input.
-            None => Some((Token::Comment(body.to_owned()), s.len())),
-        };
-    }
-    if s.starts_with("<!") || s.starts_with("<?") {
-        let end = s.find('>')?;
-        return Some((Token::Comment(s[2..end].to_owned()), end + 1));
-    }
-    // End tag.
-    if bytes[1] == b'/' {
-        let end = s.find('>')?;
-        let name: String = s[2..end]
-            .trim()
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric())
-            .collect::<String>()
-            .to_ascii_lowercase();
-        if name.is_empty() {
-            return None;
-        }
-        return Some((Token::EndTag { name }, end + 1));
-    }
-    // Start tag: name must begin with a letter.
-    if !bytes[1].is_ascii_alphabetic() {
-        return None;
-    }
-    let end = s.find('>')?;
-    let inner = &s[1..end];
-    let (inner, self_closing) = match inner.strip_suffix('/') {
-        Some(rest) => (rest, true),
-        None => (inner, false),
-    };
-    let mut chars = inner.char_indices();
-    let mut name_end = inner.len();
-    for (idx, c) in &mut chars {
-        if !c.is_ascii_alphanumeric() {
-            name_end = idx;
-            break;
-        }
-    }
-    let name = inner[..name_end].to_ascii_lowercase();
-    let attrs = parse_attrs(&inner[name_end..]);
-    Some((
-        Token::StartTag {
-            name,
-            attrs,
-            self_closing,
-        },
-        end + 1,
-    ))
+/// The attribute list of a start tag, parsed one attribute per `next`.
+/// Accepts `name`, `name=value`, `name="value"`, `name='value'`, in any
+/// mix, tolerant of stray junk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Attrs<'a> {
+    s: &'a str,
+    i: usize,
 }
 
-/// Parses the attribute list of a start tag. Accepts `name`, `name=value`,
-/// `name="value"`, `name='value'`, in any mix, tolerant of stray junk.
-fn parse_attrs(s: &str) -> Vec<Attr> {
-    let mut attrs = Vec::new();
-    let bytes = s.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
+impl<'a> Iterator for Attrs<'a> {
+    type Item = Attr<'a>;
+
+    fn next(&mut self) -> Option<Attr<'a>> {
+        let s = self.s;
+        let bytes = s.as_bytes();
+        let mut i = self.i;
         // Skip whitespace and separators.
         while i < bytes.len() && !bytes[i].is_ascii_alphanumeric() && bytes[i] != b'_' {
             i += 1;
         }
         if i >= bytes.len() {
-            break;
+            self.i = i;
+            return None;
         }
         let name_start = i;
         while i < bytes.len()
@@ -228,55 +255,53 @@ fn parse_attrs(s: &str) -> Vec<Attr> {
         {
             i += 1;
         }
-        let name = s[name_start..i].to_ascii_lowercase();
+        let name = lower(&s[name_start..i]);
         // Optional '=' value.
         let mut j = i;
         while j < bytes.len() && bytes[j].is_ascii_whitespace() {
             j += 1;
         }
-        if j < bytes.len() && bytes[j] == b'=' {
-            j += 1;
-            while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            let value = if j < bytes.len() && (bytes[j] == b'"' || bytes[j] == b'\'') {
-                let quote = bytes[j];
-                let vstart = j + 1;
-                let mut k = vstart;
-                while k < bytes.len() && bytes[k] != quote {
-                    k += 1;
-                }
-                i = (k + 1).min(bytes.len());
-                &s[vstart..k]
-            } else {
-                let vstart = j;
-                let mut k = vstart;
-                while k < bytes.len() && !bytes[k].is_ascii_whitespace() {
-                    k += 1;
-                }
-                i = k;
-                &s[vstart..k]
-            };
-            attrs.push(Attr {
+        if j >= bytes.len() || bytes[j] != b'=' {
+            self.i = j;
+            return Some(Attr {
                 name,
-                value: decode_entities(value),
-            });
-        } else {
-            i = j.max(i);
-            attrs.push(Attr {
-                name,
-                value: String::new(),
+                value: Cow::Borrowed(""),
             });
         }
+        j += 1;
+        while j < bytes.len() && bytes[j].is_ascii_whitespace() {
+            j += 1;
+        }
+        let value = if j < bytes.len() && (bytes[j] == b'"' || bytes[j] == b'\'') {
+            let quote = bytes[j];
+            let start = j + 1;
+            let end = bytes[start..]
+                .iter()
+                .position(|b| *b == quote)
+                .map_or(bytes.len(), |p| start + p);
+            self.i = (end + 1).min(bytes.len());
+            &s[start..end]
+        } else {
+            let end = bytes[j..]
+                .iter()
+                .position(u8::is_ascii_whitespace)
+                .map_or(bytes.len(), |p| j + p);
+            self.i = end;
+            &s[j..end]
+        };
+        Some(Attr {
+            name,
+            value: decode_entities(value),
+        })
     }
-    attrs
 }
 
 /// Decodes the named entities of HTML 2.0 plus decimal/hex numeric
-/// references. Unknown entities are passed through verbatim.
-pub fn decode_entities(s: &str) -> String {
+/// references, copying the text only if it has an `&` in it. Unknown
+/// entities are passed through verbatim.
+pub fn decode_entities(s: &str) -> Cow<'_, str> {
     if !s.contains('&') {
-        return s.to_owned();
+        return Cow::Borrowed(s);
     }
     let mut out = String::with_capacity(s.len());
     let mut rest = s;
@@ -287,117 +312,127 @@ pub fn decode_entities(s: &str) -> String {
         // Search by bytes: slicing the str at an arbitrary cap could
         // split a multi-byte character ( ';' itself is ASCII, so the
         // found index is always a char boundary).
-        if let Some(semi) = tail.bytes().take(12).position(|b| b == b';') {
-            let body = &tail[1..semi];
-            let decoded = match body {
-                "amp" => Some('&'),
-                "lt" => Some('<'),
-                "gt" => Some('>'),
-                "quot" => Some('"'),
-                "apos" => Some('\''),
-                "nbsp" => Some(' '),
-                _ => body
-                    .strip_prefix('#')
-                    .and_then(|num| {
-                        if let Some(hex) = num.strip_prefix(['x', 'X']) {
-                            u32::from_str_radix(hex, 16).ok()
-                        } else {
-                            num.parse::<u32>().ok()
-                        }
-                    })
-                    .and_then(char::from_u32),
-            };
-            match decoded {
-                Some(c) => {
-                    out.push(c);
-                    rest = &tail[semi + 1..];
-                    continue;
-                }
-                None => {
-                    out.push('&');
-                    rest = &tail[1..];
-                    continue;
-                }
+        let decoded = tail
+            .bytes()
+            .take(12)
+            .position(|b| b == b';')
+            .and_then(|semi| Some((decode_entity(&tail[1..semi])?, semi)));
+        match decoded {
+            Some((c, semi)) => {
+                out.push(c);
+                rest = &tail[semi + 1..];
+            }
+            None => {
+                out.push('&');
+                rest = &tail[1..];
             }
         }
-        out.push('&');
-        rest = &tail[1..];
     }
     out.push_str(rest);
-    out
+    Cow::Owned(out)
+}
+
+/// The character an entity body (between `&` and `;`) stands for.
+fn decode_entity(body: &str) -> Option<char> {
+    match body {
+        "amp" => Some('&'),
+        "lt" => Some('<'),
+        "gt" => Some('>'),
+        "quot" => Some('"'),
+        "apos" => Some('\''),
+        "nbsp" => Some(' '),
+        _ => {
+            let num = body.strip_prefix('#')?;
+            let code = match num.strip_prefix(['x', 'X']) {
+                Some(hex) => u32::from_str_radix(hex, 16).ok()?,
+                None => num.parse::<u32>().ok()?,
+            };
+            char::from_u32(code)
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn start(name: &str) -> Token {
+    fn start(name: &str) -> Token<'_> {
         Token::StartTag {
             name: name.into(),
-            attrs: vec![],
+            attrs: Attrs { s: "", i: 0 },
             self_closing: false,
         }
     }
 
+    fn end(name: &str) -> Token<'_> {
+        Token::EndTag { name: name.into() }
+    }
+
+    fn all(input: &str) -> Vec<Token<'_>> {
+        tokenize(input).collect()
+    }
+
     #[test]
     fn tokenizes_simple_document() {
-        let toks = tokenize("<html><body>Hello</body></html>");
         assert_eq!(
-            toks,
+            all("<html><body>Hello</body></html>"),
             vec![
                 start("html"),
                 start("body"),
                 Token::Text("Hello".into()),
-                Token::EndTag {
-                    name: "body".into()
-                },
-                Token::EndTag {
-                    name: "html".into()
-                },
+                end("body"),
+                end("html"),
             ]
         );
     }
 
     #[test]
     fn parses_attributes_in_all_quote_styles() {
-        let toks = tokenize(r#"<a href="x.html" TITLE='hi' rel=next disabled>"#);
+        let toks = all(r#"<a href="x.html" TITLE='hi' rel=next disabled>"#);
         let Token::StartTag { name, attrs, .. } = &toks[0] else {
             panic!("expected start tag");
         };
         assert_eq!(name, "a");
+        let attr = |name: &'static str, value: &'static str| Attr {
+            name: name.into(),
+            value: value.into(),
+        };
         assert_eq!(
-            attrs,
-            &vec![
-                Attr {
-                    name: "href".into(),
-                    value: "x.html".into()
-                },
-                Attr {
-                    name: "title".into(),
-                    value: "hi".into()
-                },
-                Attr {
-                    name: "rel".into(),
-                    value: "next".into()
-                },
-                Attr {
-                    name: "disabled".into(),
-                    value: String::new()
-                },
+            attrs.clone().collect::<Vec<_>>(),
+            vec![
+                attr("href", "x.html"),
+                attr("title", "hi"),
+                attr("rel", "next"),
+                attr("disabled", ""),
             ]
         );
     }
 
     #[test]
     fn tag_names_lowercased() {
-        let toks = tokenize("<B>x</B>");
+        let toks = all("<B>x</B>");
         assert_eq!(toks[0], start("b"));
-        assert_eq!(toks[2], Token::EndTag { name: "b".into() });
+        assert_eq!(toks[2], end("b"));
+    }
+
+    #[test]
+    fn names_and_text_borrow_unless_they_must_change() {
+        let toks = all("<b CLASS=x>plain</b><I>a &amp; b</I>");
+        let borrowed = |c: &Cow<'_, str>| matches!(c, Cow::Borrowed(_));
+        let Token::StartTag { name, attrs, .. } = &toks[0] else {
+            panic!("expected start tag");
+        };
+        assert!(borrowed(name));
+        let class = attrs.clone().next().unwrap();
+        assert!(!borrowed(&class.name) && borrowed(&class.value));
+        assert!(matches!(&toks[1], Token::Text(t) if borrowed(t)));
+        assert!(matches!(&toks[3], Token::StartTag { name, .. } if !borrowed(name)));
+        assert!(matches!(&toks[4], Token::Text(t) if !borrowed(t) && t == "a & b"));
     }
 
     #[test]
     fn self_closing_detected() {
-        let toks = tokenize("<br/><hr />");
+        let toks = all("<br/><hr />");
         assert!(
             matches!(&toks[0], Token::StartTag { name, self_closing: true, .. } if name == "br")
         );
@@ -408,64 +443,75 @@ mod tests {
 
     #[test]
     fn comments_and_doctype() {
-        let toks = tokenize("<!DOCTYPE html><!-- hi -->x");
+        let toks = all("<!DOCTYPE html><!-- hi -->x");
         assert!(matches!(&toks[0], Token::Comment(_)));
-        assert!(matches!(&toks[1], Token::Comment(c) if c == " hi "));
+        assert!(matches!(&toks[1], Token::Comment(c) if *c == " hi "));
         assert_eq!(toks[2], Token::Text("x".into()));
     }
 
     #[test]
     fn unterminated_comment_swallows_rest() {
-        let toks = tokenize("a<!-- open");
+        let toks = all("a<!-- open");
         assert_eq!(toks[0], Token::Text("a".into()));
-        assert!(matches!(&toks[1], Token::Comment(c) if c == " open"));
+        assert!(matches!(&toks[1], Token::Comment(c) if *c == " open"));
     }
 
     #[test]
     fn stray_lt_is_text() {
-        let toks = tokenize("2 < 3 and <3");
-        assert_eq!(toks, vec![Token::Text("2 < 3 and <3".into())]);
+        assert_eq!(
+            all("2 < 3 and <3"),
+            vec![Token::Text("2 < 3 and <3".into())]
+        );
     }
 
     #[test]
     fn entities_decoded_in_text_and_attrs() {
-        let toks = tokenize(r#"<a href="a&amp;b">x &lt; y &#65; &#x42; &nope;</a>"#);
+        let toks = all(r#"<a href="a&amp;b">x &lt; y &#65; &#x42; &nope;</a>"#);
         let Token::StartTag { attrs, .. } = &toks[0] else {
             panic!()
         };
-        assert_eq!(attrs[0].value, "a&b");
+        assert_eq!(attrs.clone().next().unwrap().value, "a&b");
         assert_eq!(toks[1], Token::Text("x < y A B &nope;".into()));
     }
 
     #[test]
     fn script_content_skipped() {
-        let toks = tokenize("<script>if (a<b) {}</script>after");
+        let toks = all("<script>if (a<b) {}</script>after");
         assert_eq!(toks[0], start("script"));
-        assert_eq!(
-            toks[1],
-            Token::EndTag {
-                name: "script".into()
-            }
-        );
+        assert_eq!(toks[1], end("script"));
         assert_eq!(toks[2], Token::Text("after".into()));
     }
 
     #[test]
+    fn rawtext_close_tag_matches_in_any_case() {
+        let toks = all("x<STYLE>b { </b> }</sTyLe junk>y<script></SCRIPT");
+        assert_eq!(
+            toks,
+            vec![
+                Token::Text("x".into()),
+                start("style"),
+                end("style"),
+                Token::Text("y".into()),
+                start("script"),
+                end("script"),
+            ]
+        );
+    }
+
+    #[test]
     fn unclosed_script_consumes_rest() {
-        let toks = tokenize("<script>var x = 1;");
-        assert_eq!(toks.len(), 1);
+        assert_eq!(all("<script>var x = 1;").len(), 1);
     }
 
     #[test]
     fn empty_input() {
-        assert!(tokenize("").is_empty());
+        assert!(all("").is_empty());
     }
 
     #[test]
     fn malformed_end_tag_ignored() {
-        let toks = tokenize("a</>b");
         // `</>` is not a valid end tag; '<' degrades to text.
-        assert_eq!(toks, vec![Token::Text("a</>b".into())]);
+        assert_eq!(all("a</>b"), vec![Token::Text("a</>b".into())]);
     }
 
     #[test]
@@ -473,5 +519,21 @@ mod tests {
         assert_eq!(decode_entities("plain"), "plain");
         assert_eq!(decode_entities("a & b"), "a & b");
         assert_eq!(decode_entities("&amp;&amp;"), "&&");
+    }
+
+    /// Every `<x` with no `>` after it used to rescan to the end of input:
+    /// 160 KB of `<a` took a third of a second and quadrupled per doubling.
+    #[test]
+    fn unterminated_markup_is_scanned_once() {
+        // Debug builds are too slow for a wall-clock bound to mean much.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let input = "<a".repeat(1 << 20);
+        let started = std::time::Instant::now();
+        let toks = all(&input);
+        let elapsed = started.elapsed();
+        assert_eq!(toks, vec![Token::Text(input.as_str().into())]);
+        assert!(elapsed.as_millis() < 1000, "2 MB of `<a` took {elapsed:?}");
     }
 }

@@ -18,11 +18,11 @@ use webdis_html::{parse_html, tokenize, Token};
 #[test]
 fn pinned_regression_malformed_entity_before_astral_char() {
     let input = "&0aAa A a\u{10000}";
-    let tokens = tokenize(input);
+    let tokens: Vec<_> = tokenize(input).collect();
     assert_eq!(tokens.len(), 1, "one text run: {tokens:?}");
     assert!(matches!(&tokens[0], Token::Text(t) if t == input));
     let doc = parse_html(input);
-    assert_eq!(doc.text, input);
+    assert_eq!(doc.text(), input);
 }
 
 proptest! {
@@ -32,11 +32,10 @@ proptest! {
     /// never panic the tokenizer or the parser.
     #[test]
     fn parser_is_total_on_arbitrary_text(input in ".{0,400}") {
-        let tokens = tokenize(&input);
         let _ = parse_html(&input);
         // Tokens reassemble into *something* non-larger only in benign
         // cases; here we just require totality and sane token kinds.
-        for t in &tokens {
+        for t in tokenize(&input) {
             match t {
                 Token::StartTag { name, .. } | Token::EndTag { name } => {
                     prop_assert!(!name.is_empty());
@@ -72,7 +71,7 @@ proptest! {
         let doc = parse_html(&input);
         // Extracted text never contains raw markup delimiters from tags
         // that parsed as tags.
-        prop_assert!(doc.title.len() <= input.len() + 8);
+        prop_assert!(doc.title().len() <= input.len() + 8);
     }
 
     /// A generated well-formed page preserves its title, link hrefs and
@@ -93,14 +92,14 @@ proptest! {
         html.push_str("</body></html>");
 
         let doc = parse_html(&html);
-        prop_assert_eq!(doc.title.split_whitespace().collect::<Vec<_>>(),
+        prop_assert_eq!(doc.title().split_whitespace().collect::<Vec<_>>(),
                         title.split_whitespace().collect::<Vec<_>>());
         for w in &words {
-            prop_assert!(doc.text.contains(w.as_str()), "word {w} lost");
+            prop_assert!(doc.text().contains(w.as_str()), "word {w} lost");
         }
-        prop_assert_eq!(doc.anchors.len(), hrefs.len());
-        for (anchor, href) in doc.anchors.iter().zip(&hrefs) {
-            prop_assert_eq!(&anchor.href, href);
+        prop_assert_eq!(doc.anchors().len(), hrefs.len());
+        for (anchor, href) in doc.anchors().zip(&hrefs) {
+            prop_assert_eq!(anchor.href, href);
         }
     }
 
@@ -121,9 +120,9 @@ proptest! {
             html.push_str(&format!("</{}>", tags[d % tags.len()]));
         }
         let doc = parse_html(&html);
-        prop_assert_eq!(doc.relinfons.len(), depth);
-        for ri in &doc.relinfons {
-            prop_assert_eq!(ri.text.clone(), words.join(" "));
+        prop_assert_eq!(doc.relinfons().len(), depth);
+        for ri in doc.relinfons() {
+            prop_assert_eq!(ri.text, words.join(" "));
         }
     }
 }

@@ -26,6 +26,9 @@ pub enum RelKind {
 }
 
 impl RelKind {
+    /// Every kind, in declaration order (the order `kind as usize` gives).
+    pub const ALL: [RelKind; 3] = [RelKind::Document, RelKind::Anchor, RelKind::Relinfon];
+
     /// The DISQL keyword for the relation.
     pub fn keyword(self) -> &'static str {
         match self {

@@ -1,6 +1,8 @@
 //! Schemas, relations, and the Database Constructor that materializes the
 //! virtual relations for one node.
 
+use std::sync::OnceLock;
+
 use webdis_html::ParsedDoc;
 use webdis_model::{Link, LinkType, Url};
 
@@ -75,20 +77,28 @@ impl Relation {
 
 /// The temporary in-memory database the Database Constructor builds for one
 /// node and purges after the node-query is processed (Section 2.4).
+///
+/// Construction resolves the document's links, which every visit forwards
+/// along, and keeps the parsed document; each virtual relation is formed
+/// from it the first time [`NodeDb::relation`] is asked for that kind. A
+/// database that answers `d.title contains "x"` and is purged therefore
+/// builds one four-cell tuple, and one the footnote-3 document cache keeps
+/// widens as later queries touch more of it.
 #[derive(Debug, Clone)]
 pub struct NodeDb {
     /// The node's URL (also the `url` / `base` attribute values).
     pub url: Url,
-    /// Single-tuple DOCUMENT relation.
-    pub document: Relation,
-    /// One tuple per resolvable hyperlink.
-    pub anchor: Relation,
-    /// One tuple per rel-infon.
-    pub relinfon: Relation,
     /// The typed links of the document, resolved and classified — used by
     /// the engine for query forwarding (the paper's "construct the anchor
     /// table for node", Figure 4 line 9).
     pub links: Vec<Link>,
+    /// What DOCUMENT and RELINFON are formed from (ANCHOR comes from
+    /// `links`).
+    doc: ParsedDoc,
+    /// DOCUMENT, ANCHOR and RELINFON, in [`RelKind`] order. `OnceLock`
+    /// runs exactly one of any racing initializers, so threads sharing an
+    /// `Arc<NodeDb>` all read the same tuples.
+    relations: [OnceLock<Relation>; 3],
     /// Sidecar indexes over the three relations, each built the first
     /// time a query probes its column. The footnote-3 document cache keeps
     /// the whole `NodeDb`, so an index built for one query serves every
@@ -97,66 +107,96 @@ pub struct NodeDb {
 }
 
 impl NodeDb {
-    /// Builds the virtual relations for a document hosted at `url`. This
-    /// is the single pass of the Database Constructor: anchors whose href
-    /// cannot be interpreted as an http URL are skipped (a 1999-era query
-    /// processor would do the same with `mailto:`). No index is built
-    /// here; see [`NodeDb::hash_index`] and [`NodeDb::text_index`].
+    /// The Database Constructor's single pass over the document hosted at
+    /// `url`: parses `html` and resolves its links.
+    pub fn parse(url: &Url, html: &str) -> NodeDb {
+        NodeDb::new(url, webdis_html::parse_html(html))
+    }
+
+    /// The database of an already parsed document, which is copied;
+    /// [`NodeDb::parse`] is the same without the copy.
     pub fn build(url: &Url, doc: &ParsedDoc) -> NodeDb {
+        NodeDb::new(url, doc.clone())
+    }
+
+    /// Anchors whose href cannot be interpreted as an http URL are skipped
+    /// (a 1999-era query processor would do the same with `mailto:`). No
+    /// relation and no index is built here; see [`NodeDb::relation`],
+    /// [`NodeDb::hash_index`] and [`NodeDb::text_index`].
+    fn new(url: &Url, doc: ParsedDoc) -> NodeDb {
         let base = url.without_fragment();
-        let base_text = base.to_string();
-        let document = Relation {
-            schema: DOCUMENT_SCHEMA,
-            tuples: vec![Tuple(vec![
-                Value::Str(base_text.clone()),
-                Value::Str(doc.title.clone()),
-                Value::Str(doc.text.clone()),
-                Value::Int(doc.raw_len as i64),
-            ])],
-        };
-
-        let mut links = Vec::with_capacity(doc.anchors.len());
-        let mut anchor = Relation::empty(ANCHOR_SCHEMA);
-        for raw in &doc.anchors {
-            let Ok(target) = base.resolve(&raw.href) else {
-                continue;
-            };
-            let link = Link::new(base.clone(), target, raw.label.clone());
-            anchor.tuples.push(Tuple(vec![
-                Value::Str(link.label.clone()),
-                Value::Str(base_text.clone()),
-                Value::Str(link.href.to_string()),
-                Value::Str(link.ltype.symbol().to_owned()),
-            ]));
-            links.push(link);
-        }
-
-        let mut relinfon = Relation::empty(RELINFON_SCHEMA);
-        for ri in &doc.relinfons {
-            relinfon.tuples.push(Tuple(vec![
-                Value::Str(ri.delimiter.clone()),
-                Value::Str(base_text.clone()),
-                Value::Str(ri.text.clone()),
-                Value::Int(ri.text.len() as i64),
-            ]));
-        }
-
+        let links = doc
+            .anchors()
+            .filter_map(|raw| {
+                let target = base.resolve(raw.href).ok()?;
+                Some(Link::new(base.clone(), target, raw.label))
+            })
+            .collect();
         NodeDb {
             url: base,
-            document,
-            anchor,
-            relinfon,
             links,
+            doc,
+            relations: Default::default(),
             indexes: DbIndexes::default(),
         }
     }
 
-    /// The relation a variable of the given kind ranges over.
+    /// The relation a variable of the given kind ranges over, formed now
+    /// if this is the first use of it.
     pub fn relation(&self, kind: RelKind) -> &Relation {
+        self.relations[kind as usize].get_or_init(|| self.materialize(kind))
+    }
+
+    /// The kinds whose relation has been formed so far, in [`RelKind`]
+    /// order.
+    pub fn built_relations(&self) -> Vec<RelKind> {
+        let built = RelKind::ALL.into_iter().zip(&self.relations);
+        built.filter_map(|(k, r)| r.get().map(|_| k)).collect()
+    }
+
+    fn materialize(&self, kind: RelKind) -> Relation {
+        let base = self.url.to_string();
+        let text = |s: &str| Value::Str(s.to_owned());
         match kind {
-            RelKind::Document => &self.document,
-            RelKind::Anchor => &self.anchor,
-            RelKind::Relinfon => &self.relinfon,
+            RelKind::Document => Relation {
+                schema: DOCUMENT_SCHEMA,
+                tuples: vec![Tuple(vec![
+                    Value::Str(base),
+                    text(self.doc.title()),
+                    text(self.doc.text()),
+                    Value::Int(self.doc.raw_len() as i64),
+                ])],
+            },
+            RelKind::Anchor => Relation {
+                schema: ANCHOR_SCHEMA,
+                tuples: self
+                    .links
+                    .iter()
+                    .map(|link| {
+                        Tuple(vec![
+                            text(&link.label),
+                            text(&base),
+                            Value::Str(link.href.to_string()),
+                            text(link.ltype.symbol()),
+                        ])
+                    })
+                    .collect(),
+            },
+            RelKind::Relinfon => Relation {
+                schema: RELINFON_SCHEMA,
+                tuples: self
+                    .doc
+                    .relinfons()
+                    .map(|ri| {
+                        Tuple(vec![
+                            text(ri.delimiter),
+                            text(&base),
+                            text(ri.text),
+                            Value::Int(ri.text.len() as i64),
+                        ])
+                    })
+                    .collect(),
+            },
         }
     }
 
@@ -206,8 +246,9 @@ mod tests {
             "http://h/a.html",
             "<title>T</title><body>hello world</body>",
         );
-        assert_eq!(d.document.len(), 1);
-        let t = &d.document.tuples[0];
+        let document = d.relation(RelKind::Document);
+        assert_eq!(document.len(), 1);
+        let t = &document.tuples[0];
         assert_eq!(t.get(0).unwrap().render(), "http://h/a.html");
         assert_eq!(t.get(1).unwrap().render(), "T");
         assert_eq!(t.get(2).unwrap().render(), "hello world");
@@ -220,21 +261,21 @@ mod tests {
             r##"<a href="b.html">rel</a><a href="/c">abs</a>
                <a href="http://other/x">glob</a><a href="#top">frag</a>"##,
         );
-        assert_eq!(d.anchor.len(), 4);
-        let types: Vec<String> = d
-            .anchor
+        let anchor = d.relation(RelKind::Anchor);
+        assert_eq!(anchor.len(), 4);
+        let types: Vec<String> = anchor
             .tuples
             .iter()
             .map(|t| t.get(3).unwrap().render())
             .collect();
         assert_eq!(types, vec!["L", "L", "G", "I"]);
         assert_eq!(
-            d.anchor.tuples[0].get(2).unwrap().render(),
+            anchor.tuples[0].get(2).unwrap().render(),
             "http://h/dir/b.html"
         );
         // base column is the document itself
         assert_eq!(
-            d.anchor.tuples[0].get(1).unwrap().render(),
+            anchor.tuples[0].get(1).unwrap().render(),
             "http://h/dir/a.html"
         );
     }
@@ -245,29 +286,48 @@ mod tests {
             "http://h/a",
             r#"<a href="mailto:x@y">mail</a><a href="ok.html">ok</a>"#,
         );
-        assert_eq!(d.anchor.len(), 1);
+        assert_eq!(d.relation(RelKind::Anchor).len(), 1);
         assert_eq!(d.links.len(), 1);
     }
 
     #[test]
     fn relinfon_relation_built() {
         let d = db("http://h/a", "<b>bold bit</b>rest<hr>");
-        let delims: Vec<String> = d
-            .relinfon
+        let relinfon = d.relation(RelKind::Relinfon);
+        let delims: Vec<String> = relinfon
             .tuples
             .iter()
             .map(|t| t.get(0).unwrap().render())
             .collect();
         assert!(delims.contains(&"b".to_owned()));
         assert!(delims.contains(&"hr".to_owned()));
-        let b = d
-            .relinfon
+        let b = relinfon
             .tuples
             .iter()
             .find(|t| t.get(0).unwrap().render() == "b")
             .unwrap();
         assert_eq!(b.get(2).unwrap().render(), "bold bit");
         assert_eq!(b.get(3).unwrap(), &Value::Int(8));
+    }
+
+    #[test]
+    fn relations_are_formed_on_first_use_and_kept() {
+        let d = db("http://h/a", r#"<title>T</title><b>x</b><a href="y">y</a>"#);
+        assert!(d.built_relations().is_empty());
+        assert_eq!(d.links.len(), 1, "links do not wait for ANCHOR");
+        let first = d.relation(RelKind::Relinfon) as *const Relation;
+        assert_eq!(d.built_relations(), vec![RelKind::Relinfon]);
+        assert_eq!(first, d.relation(RelKind::Relinfon) as *const Relation);
+        d.relation(RelKind::Document);
+        assert_eq!(
+            d.built_relations(),
+            vec![RelKind::Document, RelKind::Relinfon]
+        );
+        // A copy carries what has been formed and forms the rest itself.
+        let copy = d.clone();
+        assert_eq!(copy.built_relations(), d.built_relations());
+        assert_eq!(copy.relation(RelKind::Anchor).len(), 1);
+        assert_eq!(d.built_relations().len(), 2);
     }
 
     #[test]

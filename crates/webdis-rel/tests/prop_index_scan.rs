@@ -8,7 +8,10 @@
 //! postings. A database builds a column's index on that column's first
 //! probe, so the same must hold for every *sequence* of queries against
 //! one database — whichever indexes earlier queries left behind — for a
-//! clone of a partly-indexed database, and for threads sharing one.
+//! clone of a partly-indexed database, and for threads sharing one. The
+//! relations under those indexes are formed on first use too: whatever a
+//! query sequence or a pair of racing threads leaves formed must be the
+//! tuples the eager build over the reference parse made.
 
 use std::sync::{Arc, Barrier};
 
@@ -19,6 +22,12 @@ use webdis_rel::{
     eval_node_query_scan_with_stats, eval_node_query_with_stats, CmpOp, Expr, NodeDb, NodeQuery,
     RelKind, VarDecl,
 };
+
+mod eager;
+
+fn prop_url() -> Url {
+    Url::parse("http://prop.test/doc.html").unwrap()
+}
 
 /// A small random document: title words, body words, links.
 #[derive(Debug, Clone)]
@@ -55,7 +64,7 @@ fn doc_spec() -> impl Strategy<Value = DocSpec> {
         })
 }
 
-fn build_db(spec: &DocSpec) -> NodeDb {
+fn html_of(spec: &DocSpec) -> String {
     let mut html = format!(
         "<html><head><title>{}</title></head><body>",
         spec.title.join(" ")
@@ -67,10 +76,11 @@ fn build_db(spec: &DocSpec) -> NodeDb {
         html.push_str(&format!("<a href=\"{href}\">link {i}</a>"));
     }
     html.push_str("</body></html>");
-    NodeDb::build(
-        &Url::parse("http://prop.test/doc.html").unwrap(),
-        &parse_html(&html),
-    )
+    html
+}
+
+fn build_db(spec: &DocSpec) -> NodeDb {
+    NodeDb::build(&prop_url(), &parse_html(&html_of(spec)))
 }
 
 fn attr(var: &str, a: &str) -> Expr {
@@ -291,6 +301,13 @@ proptest! {
             prop_assert!(now == built || warm.1.used_index);
             built = now;
         }
+        // Whatever the sequence left formed is what an eager build holds.
+        let want = eager::eager(&prop_url(), &html_of(&spec));
+        for db in std::iter::once(&shared).chain(&copy) {
+            for kind in db.built_relations() {
+                prop_assert_eq!(&db.relation(kind).tuples, &want.tuples[kind as usize]);
+            }
+        }
     }
 
     /// Single-variable probes across both relations: equality and
@@ -367,5 +384,46 @@ fn threads_sharing_one_database_get_identical_rows() {
         assert_eq!(one, alone, "round {round}");
         assert_eq!(two, alone, "round {round}");
         assert_eq!(shared.built_indexes().len(), 4, "text, label, title, href");
+    }
+}
+
+/// Two threads released together onto one untouched `Arc<NodeDb>`, each
+/// first-touching the three relations and nine indexes in an order of its
+/// own: whichever thread forms a relation, both read the eager tuples.
+#[test]
+fn threads_touching_in_different_orders_form_the_eager_relations() {
+    let spec = DocSpec {
+        title: vec!["alpha".into(), "needle".into()],
+        body: (0..200).map(|i| format!("word{}", i % 37)).collect(),
+        hrefs: (0..50)
+            .map(|i| ["a.html", "b.html", "c.html"][i % 3].to_owned())
+            .collect(),
+    };
+    let html = html_of(&spec);
+    let want = eager::eager(&prop_url(), &html);
+    for round in 0..8u32 {
+        // Two different permutations per round, different every round.
+        let keys = |stride: u32| -> Vec<u32> {
+            let n = eager::TOUCHES.len() as u32;
+            (0..n).map(|i| (i * stride + round) % 13).collect()
+        };
+        let orders = [eager::touch_order(&keys(5)), eager::touch_order(&keys(7))];
+        let shared = Arc::new(NodeDb::parse(&prop_url(), &html));
+        let barrier = Barrier::new(2);
+        std::thread::scope(|s| {
+            let handles = orders.each_ref().map(|order| {
+                let (shared, barrier, want) = (&shared, &barrier, &want);
+                s.spawn(move || {
+                    barrier.wait();
+                    eager::touch_and_compare(shared, order, want)
+                })
+            });
+            for handle in handles {
+                let compared = handle.join().expect("toucher");
+                assert!(compared.is_ok(), "round {round}: {}", compared.unwrap_err());
+            }
+        });
+        assert_eq!(shared.built_relations(), RelKind::ALL.to_vec());
+        assert_eq!(shared.built_indexes().len(), 9);
     }
 }

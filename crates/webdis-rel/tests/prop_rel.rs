@@ -2,12 +2,16 @@
 //! the boolean algebra of selection — conjunction intersects, disjunction
 //! unites, negation complements — on arbitrary generated documents, and
 //! results must always be drawn from the cross product of the declared
-//! relations.
+//! relations. The relations themselves, formed on first use, must be the
+//! tuples the eager Database Constructor built from the reference parse,
+//! whatever order they and their indexes are first touched in.
 
 use proptest::prelude::*;
 use webdis_html::parse_html;
 use webdis_model::Url;
 use webdis_rel::{eval_node_query, CmpOp, Expr, NodeDb, NodeQuery, RelKind, VarDecl};
+
+mod eager;
 
 /// A small random document: title words, body words, links.
 #[derive(Debug, Clone)]
@@ -218,7 +222,7 @@ proptest! {
     fn cross_product_shape(spec in doc_spec()) {
         let db = build_db(&spec);
         let all = rows_of(&db, None);
-        prop_assert_eq!(all.len(), db.anchor.len());
+        prop_assert_eq!(all.len(), db.relation(RelKind::Anchor).len());
         // The select list projects (d.url, a.href, a.label).
         for row in &all {
             prop_assert_eq!(row[0].as_str(), "http://prop.test/doc.html");
@@ -240,4 +244,38 @@ proptest! {
             .collect();
         prop_assert_eq!(via_where, via_such_that);
     }
+
+    /// A document of anything the parser accepts — unbalanced and
+    /// upper-case tags, entities, every kind of href — behind a database
+    /// whose three relations and nine indexes are first touched in a
+    /// random order: each relation, once formed, is tuple for tuple what
+    /// the eager build over the reference parse made, and so are the links.
+    #[test]
+    fn lazily_formed_relations_equal_the_eager_build(
+        picks in prop::collection::vec(0..FRAGMENTS.len(), 0..40),
+        keys in prop::collection::vec(0u32..1000, eager::TOUCHES.len()),
+    ) {
+        let html: String = picks.into_iter().map(|i| FRAGMENTS[i]).collect();
+        let url = Url::parse("http://prop.test/dir/doc.html#frag").unwrap();
+        let want = eager::eager(&url, &html);
+        let parsed = NodeDb::parse(&url, &html);
+        let copied = NodeDb::build(&url, &parse_html(&html));
+        for db in [parsed, copied] {
+            prop_assert!(db.built_relations().is_empty());
+            let compared = eager::touch_and_compare(&db, &eager::touch_order(&keys), &want);
+            prop_assert!(compared.is_ok(), "{}\non {html:?}", compared.unwrap_err());
+            prop_assert_eq!(db.built_relations(), RelKind::ALL.to_vec());
+        }
+    }
 }
+
+/// What the differential documents are made of.
+#[rustfmt::skip]
+const FRAGMENTS: &[&str] = &[
+    "<title>", "</TITLE>", "<p>", "</p>", "<B>", "</b>", "<i>", "</I>", "<h1>", "</h1>", "<hr>",
+    "<BR>", "<td>", "</table>", "<a href=\"b.html\">", "<A HREF='/c'>",
+    "<a href=http://other/x>", "<a href=\"#top\">", "<a href=\"mailto:x@y\">",
+    "<a href=\"a&amp;b\">", "<a name=n>", "</a>", "</A>", "alpha", "Bravo", " ", "\n", "&nbsp;",
+    "&amp;", "&#32;", "\u{a0}", "\u{2003}", "é", "<script>", "</SCRIPT>", "<!--", "-->", "<",
+    ">", "needle",
+];

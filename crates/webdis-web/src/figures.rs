@@ -320,12 +320,12 @@ mod tests {
         // q1 needle on 4 and 5, not on 7.
         for (i, has_hub) in [(4, true), (5, true), (7, false)] {
             let doc = webdis_html::parse_html(web.get(&fig_node(i)).unwrap());
-            assert_eq!(doc.title.contains("hub"), has_hub, "node {i}");
+            assert_eq!(doc.title().contains("hub"), has_hub, "node {i}");
         }
         // q2 needle on 4, 6, 8 — not on 5 or 7.
         for (i, has_answer) in [(4, true), (6, true), (8, true), (5, false), (7, false)] {
             let doc = webdis_html::parse_html(web.get(&fig_node(i)).unwrap());
-            assert_eq!(doc.text.contains("answer"), has_answer, "node {i}");
+            assert_eq!(doc.text().contains("answer"), has_answer, "node {i}");
         }
     }
 
@@ -353,12 +353,11 @@ mod tests {
         // Expected convener text present.
         for (url, title, convener) in CAMPUS_EXPECTED {
             let doc = webdis_html::parse_html(web.get(&Url::parse(url).unwrap()).expect(url));
-            assert_eq!(doc.title, title);
+            assert_eq!(doc.title(), title);
             let hr_text: Vec<_> = doc
-                .relinfons
-                .iter()
+                .relinfons()
                 .filter(|r| r.delimiter == "hr")
-                .map(|r| r.text.clone())
+                .map(|r| r.text)
                 .collect();
             assert!(
                 hr_text.iter().any(|t| t.contains(convener)),

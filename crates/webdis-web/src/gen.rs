@@ -258,8 +258,8 @@ mod tests {
         for url in all.urls() {
             let html = all.get(url).unwrap();
             let doc = webdis_html::parse_html(html);
-            assert!(doc.title.contains("needle"));
-            assert!(doc.text.contains("needle"));
+            assert!(doc.title().contains("needle"));
+            assert!(doc.text().contains("needle"));
         }
         let none = generate(&WebGenConfig {
             title_needle_prob: 0.0,
@@ -268,8 +268,8 @@ mod tests {
         });
         for url in none.urls() {
             let doc = webdis_html::parse_html(none.get(url).unwrap());
-            assert!(!doc.title.contains("needle"));
-            assert!(!doc.text.contains("needle"));
+            assert!(!doc.title().contains("needle"));
+            assert!(!doc.text().contains("needle"));
         }
     }
 
@@ -306,14 +306,10 @@ mod tests {
         assert_eq!(web.len(), 22);
         assert!(web.graph().floating_links().is_empty());
         let hub = webdis_html::parse_html(web.get(&hub_url(1)).unwrap());
-        assert_eq!(hub.anchors.len(), 10);
-        let with_needle = hub
-            .anchors
-            .iter()
-            .filter(|a| a.label.contains("needle"))
-            .count();
+        assert_eq!(hub.anchors().len(), 10);
+        let with_needle = hub.anchors().filter(|a| a.label.contains("needle")).count();
         assert_eq!(with_needle, 4); // docs 0, 3, 6, 9
-        assert!(hub.anchors[4].href.contains("doc4"));
+        assert!(hub.anchors().nth(4).unwrap().href.contains("doc4"));
         // Hub mode is deterministic regardless of seed.
         let again = generate(&WebGenConfig { seed: 99, ..cfg });
         assert_eq!(

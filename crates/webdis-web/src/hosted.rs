@@ -169,9 +169,9 @@ impl HostedWeb {
         for (url, html) in &self.docs {
             g.add_node(url.clone());
             let parsed = parse_html(html);
-            for anchor in &parsed.anchors {
-                if let Ok(target) = url.resolve(&anchor.href) {
-                    g.add_link(url, &target, &anchor.label);
+            for anchor in parsed.anchors() {
+                if let Ok(target) = url.resolve(anchor.href) {
+                    g.add_link(url, &target, anchor.label);
                 }
             }
         }
@@ -194,13 +194,12 @@ mod tests {
             .hr()
             .build();
         let doc = parse_html(&html);
-        assert_eq!(doc.title, "My <Title> & Co");
-        assert!(doc.text.contains("Some body text"));
-        assert_eq!(doc.anchors.len(), 1);
-        assert_eq!(doc.anchors[0].label, "Other");
+        assert_eq!(doc.title(), "My <Title> & Co");
+        assert!(doc.text().contains("Some body text"));
+        assert_eq!(doc.anchors().len(), 1);
+        assert_eq!(doc.anchors().next().unwrap().label, "Other");
         assert!(doc
-            .relinfons
-            .iter()
+            .relinfons()
             .any(|r| r.delimiter == "b" && r.text == "important"));
     }
 

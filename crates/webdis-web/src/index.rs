@@ -38,7 +38,7 @@ impl SearchIndex {
             let Some(html) = web.get(url) else { continue };
             let doc = parse_html(html);
             index.docs += 1;
-            for token in tokens(&doc.title).chain(tokens(&doc.text)) {
+            for token in tokens(doc.title()).chain(tokens(doc.text())) {
                 index.postings.entry(token).or_default().insert(url.clone());
             }
         }

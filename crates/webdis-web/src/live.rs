@@ -728,8 +728,8 @@ mod tests {
         };
         assert_eq!(version, 1);
         let doc = webdis_html::parse_html(&html);
-        assert!(doc.title.ends_with("rev1"), "title carries the revision");
-        assert!(doc.text.contains("fresh"), "body carries the token");
+        assert!(doc.title().ends_with("rev1"), "title carries the revision");
+        assert!(doc.text().contains("fresh"), "body carries the token");
     }
 
     #[test]
@@ -773,7 +773,7 @@ mod tests {
         let live = LiveWeb::from_hosted(&web);
         let url = crate::doc_url(0, 1);
         let before = match live.fetch(&url) {
-            FetchOutcome::Found { html, .. } => webdis_html::parse_html(&html).anchors.len(),
+            FetchOutcome::Found { html, .. } => webdis_html::parse_html(&html).anchors().len(),
             _ => panic!("present"),
         };
         live.apply(&Mutation {
@@ -785,7 +785,7 @@ mod tests {
             },
         });
         let mid = match live.fetch(&url) {
-            FetchOutcome::Found { html, .. } => webdis_html::parse_html(&html).anchors.len(),
+            FetchOutcome::Found { html, .. } => webdis_html::parse_html(&html).anchors().len(),
             _ => panic!("present"),
         };
         assert_eq!(mid, before + 1);
@@ -798,7 +798,7 @@ mod tests {
             op: MutationOp::RemoveAnchor { url: url.clone() },
         });
         let after = match live.fetch(&url) {
-            FetchOutcome::Found { html, .. } => webdis_html::parse_html(&html).anchors.len(),
+            FetchOutcome::Found { html, .. } => webdis_html::parse_html(&html).anchors().len(),
             _ => panic!("present"),
         };
         assert_eq!(after, before.saturating_sub(1));

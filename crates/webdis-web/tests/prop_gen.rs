@@ -46,7 +46,7 @@ proptest! {
         prop_assert!(graph.floating_links().is_empty(), "no dangling links");
         for url in web.urls() {
             let doc = webdis_html::parse_html(web.get(url).unwrap());
-            prop_assert!(!doc.title.is_empty());
+            prop_assert!(!doc.title().is_empty());
         }
     }
 

@@ -1,0 +1,107 @@
+//! Allocation budget of the document path — a regression gate with no
+//! clock in it.
+//!
+//! With the doc cache off, every visit of a crawl parses its page, builds
+//! the node's database and evaluates the node-query against it for the
+//! first time. What that costs is mostly how many times the page's text is
+//! copied, and a counting allocator sees every copy: the `Vec<Token>`
+//! tokenizer with per-container rel-infon strings and eagerly built
+//! relations took 263 allocations and 18× the page's length per visit; one
+//! text buffer with spans into it and relations formed on first use takes
+//! about 105 and 5×. The budget sits between the two, so putting a copy
+//! back fails here before it shows on a benchmark.
+//!
+//! One test, alone in its binary: the counters are process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+use webdis::disql::parse_disql;
+use webdis::rel::{eval_node_query_with_stats, NodeDb};
+use webdis::web::gen::{generate, WebGenConfig};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// statistics and guard nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn a_crawl_visit_stays_inside_its_allocation_budget() {
+    // hwbench's crawl16 web: 16 sites × 6 documents of 400 filler words
+    // and about 6 links, crawled for `d.title contains "needle"`.
+    let web = generate(&WebGenConfig {
+        sites: 16,
+        docs_per_site: 6,
+        extra_local_links: 2,
+        extra_global_links: 2,
+        title_needle_prob: 0.2,
+        filler_words: 400,
+        seed: 11,
+        ..WebGenConfig::default()
+    });
+    let disql = r#"select d.url, d.title from document d
+                   such that "http://site0.test/doc0.html" (L|G)* d
+                   where d.title contains "needle""#;
+    let query = parse_disql(disql).expect("the crawl query parses");
+    let node_query = &query.stages[0].query;
+    let pages: Vec<_> = web
+        .urls()
+        .map(|url| (url, web.get(url).expect("a hosted page")))
+        .collect();
+
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let mut rows = 0;
+    for (url, html) in &pages {
+        let db = NodeDb::parse(url, html);
+        let (found, _) = eval_node_query_with_stats(&db, node_query).expect("the query evaluates");
+        rows += found.len();
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
+    let bytes = BYTES.load(Ordering::Relaxed) - before.1;
+
+    let visits = pages.len();
+    let html_bytes: usize = pages.iter().map(|(_, html)| html.len()).sum();
+    assert_eq!(visits, 96);
+    assert!(rows > 0 && rows < visits, "the needle is in some titles");
+    assert!(
+        allocations <= 120 * visits,
+        "{:.1} allocations per visit, budget 120",
+        allocations as f64 / visits as f64
+    );
+    assert!(
+        bytes <= 6 * html_bytes,
+        "{:.2}× the HTML length allocated per visit, budget 6×",
+        bytes as f64 / html_bytes as f64
+    );
+    println!(
+        "{:.1} allocations and {:.2}× the HTML length per visit",
+        allocations as f64 / visits as f64,
+        bytes as f64 / html_bytes as f64
+    );
+}
