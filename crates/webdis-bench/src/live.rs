@@ -15,6 +15,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use webdis_core::StatusSnapshot;
+use webdis_net::tcp::MAX_FRAME;
 
 /// One denominator of the stage-share table: a `stage_us.*` histogram's
 /// exported `_sum` series.
@@ -38,7 +39,9 @@ const FLEET_STAGES: &[&str] = &[
 ];
 
 /// Fetches `path` from an admin socket with one blocking HTTP/1.0 GET.
-/// Returns the response body; errors name the address and path.
+/// Returns the response body; errors name the address and path. A
+/// response longer than the transport's frame limit is refused, not
+/// buffered.
 pub fn http_get(addr: &str, path: &str) -> Result<String, String> {
     let sockaddr = addr
         .to_socket_addrs()
@@ -51,10 +54,15 @@ pub fn http_get(addr: &str, path: &str) -> Result<String, String> {
         .set_read_timeout(Some(Duration::from_secs(5)))
         .map_err(|e| format!("{addr}: {e}"))?;
     write!(stream, "GET {path} HTTP/1.0\r\n\r\n").map_err(|e| format!("send {addr}{path}: {e}"))?;
+    let cap = u64::from(MAX_FRAME);
     let mut response = String::new();
     stream
+        .take(cap + 1)
         .read_to_string(&mut response)
         .map_err(|e| format!("read {addr}{path}: {e}"))?;
+    if response.len() as u64 > cap {
+        return Err(format!("{addr}{path}: response exceeds {cap} bytes"));
+    }
     let (head, body) = response
         .split_once("\r\n\r\n")
         .ok_or_else(|| format!("{addr}{path}: malformed HTTP response"))?;
@@ -256,6 +264,24 @@ fn sample_check(report: &str) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn http_get_refuses_a_response_past_the_frame_limit() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let server = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut request = [0u8; 64];
+            let _ = conn.read(&mut request);
+            let _ = conn.write_all(b"HTTP/1.0 200 OK\r\n\r\n");
+            let chunk = vec![b'x'; 1 << 20];
+            // Streams until the client, having read its fill, hangs up.
+            while conn.write_all(&chunk).is_ok() {}
+        });
+        let err = http_get(&addr, "/status").unwrap_err();
+        assert!(err.contains(&addr) && err.contains("exceeds"), "{err}");
+        server.join().unwrap();
+    }
 
     #[test]
     fn parse_metrics_keeps_plain_series_and_skips_labels() {

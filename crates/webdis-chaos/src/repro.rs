@@ -2,96 +2,28 @@
 //!
 //! One JSON object holding the plan's seeds and knobs plus a `faults`
 //! array of flat objects — everything integers and strings, so the
-//! file is diff-friendly and replays bit-identically. Hand-written
-//! writer and parser in the same spirit as `webdis-trace`'s JSONL
-//! codec: the parser accepts exactly what the writer produces (flat
-//! values plus one array of flat objects), not general JSON.
+//! file is diff-friendly and replays bit-identically. Written and read
+//! through the workspace's one JSON module (`webdis_trace::json`); the
+//! key order below is part of the file's bytes.
 
-use std::collections::BTreeMap;
+use webdis_trace::json::{self, ObjWriter, ToJson, Value};
 
 use crate::plan::{ChaosPlan, FaultSpec};
 
 /// Format version stamped into every file.
 pub const REPRO_VERSION: u64 = 1;
 
-fn esc(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn field_u64(out: &mut String, key: &str, value: u64) {
-    esc(out, key);
-    out.push(':');
-    out.push_str(&value.to_string());
-    out.push(',');
-}
-
-fn field_str(out: &mut String, key: &str, value: &str) {
-    esc(out, key);
-    out.push(':');
-    esc(out, value);
-    out.push(',');
-}
-
-/// Encodes a failing plan (and the violation kind it reproduces, when
-/// known) as a `chaos-repro.json` document.
-pub fn encode(plan: &ChaosPlan, violation: Option<&str>) -> String {
-    let mut out = String::with_capacity(512);
-    out.push('{');
-    field_u64(&mut out, "version", REPRO_VERSION);
-    if let Some(kind) = violation {
-        field_str(&mut out, "violation", kind);
-    }
-    field_u64(&mut out, "sites", plan.sites as u64);
-    field_u64(&mut out, "docs_per_site", plan.docs_per_site as u64);
-    field_u64(&mut out, "web_seed", plan.web_seed);
-    field_u64(&mut out, "users", plan.users as u64);
-    field_u64(&mut out, "queries_per_user", plan.queries_per_user as u64);
-    field_u64(&mut out, "interarrival_us", plan.interarrival_us);
-    field_u64(&mut out, "workload_seed", plan.workload_seed);
-    field_u64(&mut out, "sim_seed", plan.sim_seed);
-    field_u64(&mut out, "jitter_us", plan.jitter_us);
-    field_u64(&mut out, "horizon_us", plan.horizon_us);
-    if let Some(expiry) = plan.expiry_us {
-        field_u64(&mut out, "expiry_us", expiry);
-    }
-    if let Some(budget) = plan.cache_budget_bytes {
-        field_u64(&mut out, "cache_budget_bytes", budget);
-    }
-    // Living-web knobs, written only off their defaults so pre-living
-    // repro files stay byte-identical under re-encode.
-    if plan.doc_cache_size != 0 {
-        field_u64(&mut out, "doc_cache_size", plan.doc_cache_size as u64);
-    }
-    if !plan.validate_doc_cache {
-        field_u64(&mut out, "validate_doc_cache", 0);
-    }
-    esc(&mut out, "faults");
-    out.push_str(":[");
-    for (i, fault) in plan.faults.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        field_str(&mut out, "kind", fault.kind());
-        match fault {
+impl ToJson for FaultSpec {
+    fn write_json(&self, out: &mut String) {
+        let mut obj = ObjWriter::new(out);
+        obj.field("kind", self.kind());
+        match self {
             FaultSpec::Drop { from, to, rate_ppm }
             | FaultSpec::Dup { from, to, rate_ppm }
             | FaultSpec::Corrupt { from, to, rate_ppm } => {
-                field_str(&mut out, "from", from);
-                field_str(&mut out, "to", to);
-                field_u64(&mut out, "rate_ppm", u64::from(*rate_ppm));
+                obj.field("from", from)
+                    .field("to", to)
+                    .field("rate_ppm", rate_ppm);
             }
             FaultSpec::Partition {
                 start_us,
@@ -99,10 +31,10 @@ pub fn encode(plan: &ChaosPlan, violation: Option<&str>) -> String {
                 side_a,
                 side_b,
             } => {
-                field_u64(&mut out, "start_us", *start_us);
-                field_u64(&mut out, "end_us", *end_us);
-                field_str(&mut out, "side_a", &side_a.join(";"));
-                field_str(&mut out, "side_b", &side_b.join(";"));
+                obj.field("start_us", start_us)
+                    .field("end_us", end_us)
+                    .field("side_a", &side_a.join(";"))
+                    .field("side_b", &side_b.join(";"));
             }
             FaultSpec::CrashRestart {
                 host,
@@ -110,10 +42,10 @@ pub fn encode(plan: &ChaosPlan, violation: Option<&str>) -> String {
                 at_us,
                 down_us,
             } => {
-                field_str(&mut out, "host", host);
-                field_u64(&mut out, "port", u64::from(*port));
-                field_u64(&mut out, "at_us", *at_us);
-                field_u64(&mut out, "down_us", *down_us);
+                obj.field("host", host)
+                    .field("port", port)
+                    .field("at_us", at_us)
+                    .field("down_us", down_us);
             }
             FaultSpec::Mutation {
                 at_us,
@@ -121,220 +53,52 @@ pub fn encode(plan: &ChaosPlan, violation: Option<&str>) -> String {
                 url,
                 arg,
             } => {
-                field_u64(&mut out, "at_us", *at_us);
-                field_str(&mut out, "op", op);
-                field_str(&mut out, "url", url);
-                field_str(&mut out, "arg", arg);
+                obj.field("at_us", at_us)
+                    .field("op", op)
+                    .field("url", url)
+                    .field("arg", arg);
             }
         }
-        // Drop the trailing comma inside the fault object.
-        out.pop();
-        out.push('}');
+        obj.end();
     }
-    out.push_str("]}");
+}
+
+/// Encodes a failing plan (and the violation kind it reproduces, when
+/// known) as a `chaos-repro.json` document.
+pub fn encode(plan: &ChaosPlan, violation: Option<&str>) -> String {
+    let mut out = String::with_capacity(512);
+    let mut obj = ObjWriter::new(&mut out);
+    obj.field("version", &REPRO_VERSION);
+    if let Some(kind) = violation {
+        obj.field("violation", kind);
+    }
+    obj.field("sites", &plan.sites)
+        .field("docs_per_site", &plan.docs_per_site)
+        .field("web_seed", &plan.web_seed)
+        .field("users", &plan.users)
+        .field("queries_per_user", &plan.queries_per_user)
+        .field("interarrival_us", &plan.interarrival_us)
+        .field("workload_seed", &plan.workload_seed)
+        .field("sim_seed", &plan.sim_seed)
+        .field("jitter_us", &plan.jitter_us)
+        .field("horizon_us", &plan.horizon_us);
+    if let Some(expiry) = &plan.expiry_us {
+        obj.field("expiry_us", expiry);
+    }
+    if let Some(budget) = &plan.cache_budget_bytes {
+        obj.field("cache_budget_bytes", budget);
+    }
+    // Living-web knobs, written only off their defaults so pre-living
+    // repro files stay byte-identical under re-encode.
+    if plan.doc_cache_size != 0 {
+        obj.field("doc_cache_size", &plan.doc_cache_size);
+    }
+    if !plan.validate_doc_cache {
+        obj.field("validate_doc_cache", &0u64);
+    }
+    obj.field("faults", &plan.faults[..]);
+    obj.end();
     out
-}
-
-/// One parsed scalar.
-#[derive(Debug, Clone, PartialEq)]
-enum Value {
-    Str(String),
-    U64(u64),
-    Faults(Vec<BTreeMap<String, Value>>),
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&c) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", char::from(c), self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("empty string tail")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return Err(format!("expected digits at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
-    }
-
-    /// A flat object: string keys, string/u64 values only.
-    fn parse_flat_object(&mut self) -> Result<BTreeMap<String, Value>, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(map);
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = match self.peek() {
-                Some(b'"') => Value::Str(self.parse_string()?),
-                _ => Value::U64(self.parse_u64()?),
-            };
-            map.insert(key, value);
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(map);
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    /// The top-level object: flat values plus the `faults` array.
-    fn parse_document(&mut self) -> Result<BTreeMap<String, Value>, String> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(map);
-        }
-        loop {
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = match self.peek() {
-                Some(b'"') => Value::Str(self.parse_string()?),
-                Some(b'[') => {
-                    self.pos += 1;
-                    let mut faults = Vec::new();
-                    if self.peek() == Some(b']') {
-                        self.pos += 1;
-                    } else {
-                        loop {
-                            faults.push(self.parse_flat_object()?);
-                            match self.peek() {
-                                Some(b',') => {
-                                    self.pos += 1;
-                                }
-                                Some(b']') => {
-                                    self.pos += 1;
-                                    break;
-                                }
-                                other => return Err(format!("expected ',' or ']', got {other:?}")),
-                            }
-                        }
-                    }
-                    Value::Faults(faults)
-                }
-                _ => Value::U64(self.parse_u64()?),
-            };
-            map.insert(key, value);
-            match self.peek() {
-                Some(b',') => {
-                    self.pos += 1;
-                }
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(map);
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-}
-
-fn get_u64(map: &BTreeMap<String, Value>, key: &str) -> Result<u64, String> {
-    match map.get(key) {
-        Some(Value::U64(v)) => Ok(*v),
-        Some(_) => Err(format!("field {key:?} is not an integer")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn get_str(map: &BTreeMap<String, Value>, key: &str) -> Result<String, String> {
-    match map.get(key) {
-        Some(Value::Str(v)) => Ok(v.clone()),
-        Some(_) => Err(format!("field {key:?} is not a string")),
-        None => Err(format!("missing field {key:?}")),
-    }
-}
-
-fn get_usize(map: &BTreeMap<String, Value>, key: &str) -> Result<usize, String> {
-    usize::try_from(get_u64(map, key)?).map_err(|_| format!("field {key:?} out of range"))
 }
 
 fn sides(joined: &str) -> Vec<String> {
@@ -345,104 +109,75 @@ fn sides(joined: &str) -> Vec<String> {
         .collect()
 }
 
+fn decode_fault(f: &Value) -> Result<FaultSpec, String> {
+    Ok(match f.req::<&str>("kind")? {
+        "drop" => FaultSpec::Drop {
+            from: f.req("from")?,
+            to: f.req("to")?,
+            rate_ppm: f.req("rate_ppm")?,
+        },
+        "dup" => FaultSpec::Dup {
+            from: f.req("from")?,
+            to: f.req("to")?,
+            rate_ppm: f.req("rate_ppm")?,
+        },
+        "corrupt" => FaultSpec::Corrupt {
+            from: f.req("from")?,
+            to: f.req("to")?,
+            rate_ppm: f.req("rate_ppm")?,
+        },
+        "partition" => FaultSpec::Partition {
+            start_us: f.req("start_us")?,
+            end_us: f.req("end_us")?,
+            side_a: sides(f.req("side_a")?),
+            side_b: sides(f.req("side_b")?),
+        },
+        "crash_restart" => FaultSpec::CrashRestart {
+            host: f.req("host")?,
+            port: f.req("port")?,
+            at_us: f.req("at_us")?,
+            down_us: f.req("down_us")?,
+        },
+        "mutation" => FaultSpec::Mutation {
+            at_us: f.req("at_us")?,
+            op: f.req("op")?,
+            url: f.req("url")?,
+            arg: f.req("arg")?,
+        },
+        other => return Err(format!("unknown fault kind {other:?}")),
+    })
+}
+
 /// Decodes a `chaos-repro.json` document back into the plan and the
 /// recorded violation kind (if one was stamped).
 pub fn decode(text: &str) -> Result<(ChaosPlan, Option<String>), String> {
-    let mut parser = Parser {
-        bytes: text.trim().as_bytes(),
-        pos: 0,
-    };
-    let map = parser.parse_document()?;
-    let version = get_u64(&map, "version")?;
+    let doc = json::parse(text)?;
+    let version: u64 = doc.req("version")?;
     if version != REPRO_VERSION {
         return Err(format!("unsupported repro version {version}"));
     }
-    let mut faults = Vec::new();
-    match map.get("faults") {
-        Some(Value::Faults(list)) => {
-            for f in list {
-                let kind = get_str(f, "kind")?;
-                faults.push(match kind.as_str() {
-                    "drop" => FaultSpec::Drop {
-                        from: get_str(f, "from")?,
-                        to: get_str(f, "to")?,
-                        rate_ppm: get_u64(f, "rate_ppm")? as u32,
-                    },
-                    "dup" => FaultSpec::Dup {
-                        from: get_str(f, "from")?,
-                        to: get_str(f, "to")?,
-                        rate_ppm: get_u64(f, "rate_ppm")? as u32,
-                    },
-                    "corrupt" => FaultSpec::Corrupt {
-                        from: get_str(f, "from")?,
-                        to: get_str(f, "to")?,
-                        rate_ppm: get_u64(f, "rate_ppm")? as u32,
-                    },
-                    "partition" => FaultSpec::Partition {
-                        start_us: get_u64(f, "start_us")?,
-                        end_us: get_u64(f, "end_us")?,
-                        side_a: sides(&get_str(f, "side_a")?),
-                        side_b: sides(&get_str(f, "side_b")?),
-                    },
-                    "crash_restart" => FaultSpec::CrashRestart {
-                        host: get_str(f, "host")?,
-                        port: u16::try_from(get_u64(f, "port")?)
-                            .map_err(|_| "port out of range".to_string())?,
-                        at_us: get_u64(f, "at_us")?,
-                        down_us: get_u64(f, "down_us")?,
-                    },
-                    "mutation" => FaultSpec::Mutation {
-                        at_us: get_u64(f, "at_us")?,
-                        op: get_str(f, "op")?,
-                        url: get_str(f, "url")?,
-                        arg: get_str(f, "arg")?,
-                    },
-                    other => return Err(format!("unknown fault kind {other:?}")),
-                });
-            }
-        }
-        Some(_) => return Err("field \"faults\" is not an array".to_string()),
-        None => return Err("missing field \"faults\"".to_string()),
-    }
     let plan = ChaosPlan {
-        sites: get_usize(&map, "sites")?,
-        docs_per_site: get_usize(&map, "docs_per_site")?,
-        web_seed: get_u64(&map, "web_seed")?,
-        users: get_usize(&map, "users")?,
-        queries_per_user: get_usize(&map, "queries_per_user")?,
-        interarrival_us: get_u64(&map, "interarrival_us")?,
-        workload_seed: get_u64(&map, "workload_seed")?,
-        sim_seed: get_u64(&map, "sim_seed")?,
-        jitter_us: get_u64(&map, "jitter_us")?,
-        horizon_us: get_u64(&map, "horizon_us")?,
-        expiry_us: match map.get("expiry_us") {
-            Some(Value::U64(v)) => Some(*v),
-            Some(_) => return Err("field \"expiry_us\" is not an integer".to_string()),
-            None => None,
-        },
-        cache_budget_bytes: match map.get("cache_budget_bytes") {
-            Some(Value::U64(v)) => Some(*v),
-            Some(_) => return Err("field \"cache_budget_bytes\" is not an integer".to_string()),
-            None => None,
-        },
-        doc_cache_size: match map.get("doc_cache_size") {
-            Some(Value::U64(v)) => usize::try_from(*v)
-                .map_err(|_| "field \"doc_cache_size\" out of range".to_string())?,
-            Some(_) => return Err("field \"doc_cache_size\" is not an integer".to_string()),
-            None => 0,
-        },
-        validate_doc_cache: match map.get("validate_doc_cache") {
-            Some(Value::U64(v)) => *v != 0,
-            Some(_) => return Err("field \"validate_doc_cache\" is not an integer".to_string()),
-            None => true,
-        },
-        faults,
+        sites: doc.req("sites")?,
+        docs_per_site: doc.req("docs_per_site")?,
+        web_seed: doc.req("web_seed")?,
+        users: doc.req("users")?,
+        queries_per_user: doc.req("queries_per_user")?,
+        interarrival_us: doc.req("interarrival_us")?,
+        workload_seed: doc.req("workload_seed")?,
+        sim_seed: doc.req("sim_seed")?,
+        jitter_us: doc.req("jitter_us")?,
+        horizon_us: doc.req("horizon_us")?,
+        expiry_us: doc.opt("expiry_us")?,
+        cache_budget_bytes: doc.opt("cache_budget_bytes")?,
+        doc_cache_size: doc.or("doc_cache_size", 0)?,
+        validate_doc_cache: doc.or("validate_doc_cache", 1u64)? != 0,
+        faults: doc
+            .req::<&[Value]>("faults")?
+            .iter()
+            .map(decode_fault)
+            .collect::<Result<_, _>>()?,
     };
-    let violation = match map.get("violation") {
-        Some(Value::Str(v)) => Some(v.clone()),
-        _ => None,
-    };
-    Ok((plan, violation))
+    Ok((plan, doc.opt("violation")?))
 }
 
 #[cfg(test)]
@@ -513,6 +248,39 @@ mod tests {
             let (back, _) = decode(&encode(&plan, None)).expect("round trip");
             assert_eq!(back, plan, "plan {i}");
         }
+    }
+
+    #[test]
+    fn out_of_range_rate_is_an_error_not_a_truncation() {
+        // `as u32` used to replay a rate_ppm of 2^32 + 1 as 1.
+        for kind in ["drop", "dup", "corrupt"] {
+            let plan = ChaosPlan {
+                faults: vec![FaultSpec::Drop {
+                    from: ANY_HOST.into(),
+                    to: ANY_HOST.into(),
+                    rate_ppm: 7,
+                }],
+                ..ChaosPlan::default()
+            };
+            let text = encode(&plan, None)
+                .replace("\"drop\"", &format!("{kind:?}"))
+                .replace("\"rate_ppm\":7", "\"rate_ppm\":4294967297");
+            let err = decode(&text).unwrap_err();
+            assert!(
+                err.contains("rate_ppm") && err.contains("out of range"),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_repro_written_before_the_shared_module_re_encodes_to_the_same_bytes() {
+        // Written by the hand-rolled encoder this module replaced: every
+        // fault kind, every optional knob, every escape.
+        let text = r#"{"version":1,"violation":"hang","sites":4,"docs_per_site":2,"web_seed":1,"users":1,"queries_per_user":2,"interarrival_us":50000,"workload_seed":1,"sim_seed":1,"jitter_us":0,"horizon_us":60000000,"expiry_us":123456,"cache_budget_bytes":4096,"doc_cache_size":3,"validate_doc_cache":0,"faults":[{"kind":"drop","from":"*","to":"*","rate_ppm":100000},{"kind":"dup","from":"user0.load.test","to":"wdqs.site1.test","rate_ppm":1000000},{"kind":"corrupt","from":"*","to":"*","rate_ppm":5},{"kind":"partition","start_us":10,"end_us":20,"side_a":"wdqs.site0.test","side_b":"wdqs.site1.test;wdqs.site2.test"},{"kind":"crash_restart","host":"wdqs.site2.test","port":80,"at_us":1000,"down_us":2000},{"kind":"mutation","at_us":77,"op":"edit_page","url":"http://site0.test/a \"q\"\\\n\t\u0001é","arg":"x"}]}"#;
+        let (plan, violation) = decode(text).expect("decodes");
+        assert_eq!(plan.faults.len(), 6);
+        assert_eq!(encode(&plan, violation.as_deref()), text);
     }
 
     #[test]

@@ -1,75 +1,50 @@
-//! JSON rendering for the monitor's read-side views.
+//! JSON rendering for the monitor's read-side views, written through
+//! the workspace's one JSON module (`webdis_trace::json`).
 //!
-//! Everything is emitted by hand (no serde in the offline workspace)
-//! over `BTreeMap`-ordered state, so the same monitor state always
+//! All state is `BTreeMap`-ordered, so the same monitor state always
 //! renders to the same bytes — the property the determinism scenarios
 //! pin. Numbers are unsigned integers only; fractional signals travel
 //! as fixed-point milli-units.
 
-use std::fmt::Write as _;
+use webdis_trace::json::{self, ObjWriter, ToJson};
 
-use crate::{Monitor, WindowRow};
+use crate::{AlertLogEntry, Monitor, WindowQuantiles, WindowRow};
 
-/// Escapes a string for embedding inside a JSON string literal.
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+impl ToJson for WindowQuantiles {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("count", &self.count)
+            .field("sum", &self.sum)
+            .field("p50", &self.p50)
+            .field("p95", &self.p95)
+            .end();
     }
-    out
 }
 
-fn push_map(out: &mut String, entries: impl Iterator<Item = (String, String)>) {
-    out.push('{');
-    let mut first = true;
-    for (key, value) in entries {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\"{}\":{}", esc(&key), value);
+impl ToJson for WindowRow {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("index", &self.index)
+            .field("end_us", &self.end_us)
+            .field("counters", &self.counters)
+            .field("gauges", &self.gauges)
+            .field("quantiles", &self.quantiles)
+            .end();
     }
-    out.push('}');
 }
 
-fn row_json(row: &WindowRow) -> String {
-    let mut out = String::new();
-    let _ = write!(out, "{{\"index\":{},\"end_us\":{}", row.index, row.end_us);
-    out.push_str(",\"counters\":");
-    push_map(
-        &mut out,
-        row.counters.iter().map(|(k, v)| (k.clone(), v.to_string())),
-    );
-    out.push_str(",\"gauges\":");
-    push_map(
-        &mut out,
-        row.gauges.iter().map(|(k, v)| (k.clone(), v.to_string())),
-    );
-    out.push_str(",\"quantiles\":");
-    push_map(
-        &mut out,
-        row.quantiles.iter().map(|(k, q)| {
-            (
-                k.clone(),
-                format!(
-                    "{{\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{}}}",
-                    q.count, q.sum, q.p50, q.p95
-                ),
-            )
-        }),
-    );
-    out.push('}');
-    out
+impl ToJson for AlertLogEntry {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("seq", &self.seq)
+            .field("time_us", &self.time_us)
+            .field("window", &self.window)
+            .field("rule", &self.rule)
+            .field("kind", if self.fired { "fired" } else { "resolved" })
+            .field("value_milli", &self.value_milli)
+            .field("threshold_milli", &self.threshold_milli)
+            .end();
+    }
 }
 
 impl Monitor {
@@ -78,46 +53,18 @@ impl Monitor {
     /// first). Zero-delta entries are omitted from each row, which
     /// keeps quiet windows to a few bytes.
     pub fn series_json(&self) -> String {
-        let rows = self.windows();
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"window_us\":{},\"closed\":{},\"windows\":[",
-            self.window_us(),
-            self.windows_closed()
-        );
-        for (i, row) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&row_json(row));
-        }
-        out.push_str("]}");
+        ObjWriter::new(&mut out)
+            .field("window_us", &self.window_us())
+            .field("closed", &self.windows_closed())
+            .field("windows", &self.windows()[..])
+            .end();
         out
     }
 
     /// The full alert log as a JSON array, oldest first.
     pub fn alert_log_json(&self) -> String {
-        let mut out = String::from("[");
-        for (i, e) in self.alert_log().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"seq\":{},\"time_us\":{},\"window\":{},\"rule\":\"{}\",\
-                 \"kind\":\"{}\",\"value_milli\":{},\"threshold_milli\":{}}}",
-                e.seq,
-                e.time_us,
-                e.window,
-                esc(&e.rule),
-                if e.fired { "fired" } else { "resolved" },
-                e.value_milli,
-                e.threshold_milli
-            );
-        }
-        out.push(']');
-        out
+        json::write(&self.alert_log()[..])
     }
 
     /// [`Monitor::status`] rendered as JSON — this is what the TCP

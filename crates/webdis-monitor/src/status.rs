@@ -2,9 +2,7 @@
 //! instant, with a JSON round-trip so `webdis-doctor --live` can poll
 //! a daemon's admin socket and render the decoded structure.
 
-use std::fmt::Write as _;
-
-use crate::json::esc;
+use webdis_trace::json::{self, ObjWriter, ToJson, Value};
 
 /// One in-flight (admitted, not yet terminated) query.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -50,255 +48,75 @@ pub struct StatusSnapshot {
     pub inflight: Vec<InflightStatus>,
 }
 
+impl ToJson for InflightStatus {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("user", &self.user)
+            .field("host", &self.host)
+            .field("port", &self.port)
+            .field("query_num", &self.query_num)
+            .field("submitted_us", &self.submitted_us)
+            .field("age_us", &self.age_us)
+            .field("site", &self.site)
+            .field("stage", &self.stage)
+            .field("hops", &self.hops)
+            .field("clones_recv", &self.clones_recv)
+            .field("fanout", &self.fanout)
+            .end();
+    }
+}
+
+impl InflightStatus {
+    fn from_value(q: &Value) -> Result<InflightStatus, String> {
+        Ok(InflightStatus {
+            user: q.or("user", String::new())?,
+            host: q.or("host", String::new())?,
+            port: q.or("port", 0)?,
+            query_num: q.or("query_num", 0)?,
+            submitted_us: q.or("submitted_us", 0)?,
+            age_us: q.or("age_us", 0)?,
+            site: q.or("site", String::new())?,
+            stage: q.or("stage", 0)?,
+            hops: q.or("hops", 0)?,
+            clones_recv: q.or("clones_recv", 0)?,
+            fanout: q.or("fanout", 0)?,
+        })
+    }
+}
+
 impl StatusSnapshot {
     /// Renders the snapshot as a single-line JSON object.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"now_us\":{},\"windows_closed\":{},\"admitted\":{},\"retired\":{}",
-            self.now_us, self.windows_closed, self.admitted, self.retired
-        );
-        out.push_str(",\"active_alerts\":[");
-        for (i, rule) in self.active_alerts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", esc(rule));
-        }
-        out.push_str("],\"inflight\":[");
-        for (i, q) in self.inflight.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"user\":\"{}\",\"host\":\"{}\",\"port\":{},\"query_num\":{},\
-                 \"submitted_us\":{},\"age_us\":{},\"site\":\"{}\",\"stage\":{},\
-                 \"hops\":{},\"clones_recv\":{},\"fanout\":{}}}",
-                esc(&q.user),
-                esc(&q.host),
-                q.port,
-                q.query_num,
-                q.submitted_us,
-                q.age_us,
-                esc(&q.site),
-                q.stage,
-                q.hops,
-                q.clones_recv,
-                q.fanout
-            );
-        }
-        out.push_str("]}");
+        ObjWriter::new(&mut out)
+            .field("now_us", &self.now_us)
+            .field("windows_closed", &self.windows_closed)
+            .field("admitted", &self.admitted)
+            .field("retired", &self.retired)
+            .field("active_alerts", &self.active_alerts[..])
+            .field("inflight", &self.inflight[..])
+            .end();
         out
     }
 
     /// Parses a snapshot back from its JSON form. Tolerates unknown
-    /// keys (skipped), so older doctors keep working against newer
-    /// daemons; missing keys default to zero/empty.
+    /// keys (ignored), so older doctors keep working against newer
+    /// daemons; missing keys default to zero/empty. A known key of the
+    /// wrong type, or a number too large for its field, is an error.
     pub fn from_json(text: &str) -> Result<StatusSnapshot, String> {
-        let mut p = Parser::new(text);
-        let mut snap = StatusSnapshot::default();
-        p.object(|p, key| {
-            match key {
-                "now_us" => snap.now_us = p.number()?,
-                "windows_closed" => snap.windows_closed = p.number()?,
-                "admitted" => snap.admitted = p.number()?,
-                "retired" => snap.retired = p.number()?,
-                "active_alerts" => {
-                    p.array(|p| {
-                        snap.active_alerts.push(p.string()?);
-                        Ok(())
-                    })?;
-                }
-                "inflight" => {
-                    p.array(|p| {
-                        let mut q = InflightStatus::default();
-                        p.object(|p, key| {
-                            match key {
-                                "user" => q.user = p.string()?,
-                                "host" => q.host = p.string()?,
-                                "port" => q.port = p.number()? as u16,
-                                "query_num" => q.query_num = p.number()?,
-                                "submitted_us" => q.submitted_us = p.number()?,
-                                "age_us" => q.age_us = p.number()?,
-                                "site" => q.site = p.string()?,
-                                "stage" => q.stage = p.number()? as u32,
-                                "hops" => q.hops = p.number()? as u32,
-                                "clones_recv" => q.clones_recv = p.number()?,
-                                "fanout" => q.fanout = p.number()?,
-                                _ => p.skip_value()?,
-                            }
-                            Ok(())
-                        })?;
-                        snap.inflight.push(q);
-                        Ok(())
-                    })?;
-                }
-                _ => p.skip_value()?,
-            }
-            Ok(())
-        })?;
-        Ok(snap)
-    }
-}
-
-/// A minimal JSON reader for the subset the monitor emits: objects,
-/// arrays, strings with the escapes [`esc`] produces, and unsigned
-/// integers. Anything else is a parse error.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or("bad \\u escape")?;
-                            out.push(char::from_u32(hex).ok_or("bad \\u scalar")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy one UTF-8 scalar (multi-byte safe).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    /// `{ "k": v, … }` — calls `field` positioned at each value.
-    fn object(
-        &mut self,
-        mut field: impl FnMut(&mut Parser<'a>, &str) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'{')?;
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            field(self, &key)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    /// `[ v, … ]` — calls `item` positioned at each element.
-    fn array(
-        &mut self,
-        mut item: impl FnMut(&mut Parser<'a>) -> Result<(), String>,
-    ) -> Result<(), String> {
-        self.expect(b'[')?;
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            item(self)?;
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    /// Skips one value of any supported shape (forward compatibility).
-    fn skip_value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'"') => self.string().map(|_| ()),
-            Some(b'{') => self.object(|p, _| p.skip_value()),
-            Some(b'[') => self.array(Parser::skip_value),
-            Some(b) if b.is_ascii_digit() => self.number().map(|_| ()),
-            other => Err(format!("cannot skip value starting with {other:?}")),
-        }
+        let snap = json::parse(text)?;
+        Ok(StatusSnapshot {
+            now_us: snap.or("now_us", 0)?,
+            windows_closed: snap.or("windows_closed", 0)?,
+            admitted: snap.or("admitted", 0)?,
+            retired: snap.or("retired", 0)?,
+            active_alerts: snap.or("active_alerts", Vec::new())?,
+            inflight: snap
+                .or::<&[Value]>("inflight", &[])?
+                .iter()
+                .map(InflightStatus::from_value)
+                .collect::<Result<_, _>>()?,
+        })
     }
 }
 
@@ -360,6 +178,25 @@ mod tests {
         assert_eq!(snap.now_us, 5);
         assert_eq!(snap.admitted, 2);
         assert!(snap.inflight.is_empty());
+    }
+
+    #[test]
+    fn out_of_range_and_mistyped_fields_are_errors_not_truncations() {
+        // `as u16` used to read port 65537 back as 1.
+        let narrow = |field: &str, value: &str| {
+            StatusSnapshot::from_json(&format!("{{\"inflight\":[{{\"{field}\":{value}}}]}}"))
+        };
+        for (field, value) in [
+            ("port", "65537"),
+            ("stage", "4294967297"),
+            ("hops", "4294967297"),
+        ] {
+            let err = narrow(field, value).unwrap_err();
+            assert!(err.contains(field) && err.contains("out of range"), "{err}");
+        }
+        assert_eq!(narrow("port", "65535").unwrap().inflight[0].port, 65_535);
+        assert!(narrow("user", "7").is_err());
+        assert!(StatusSnapshot::from_json("[]").is_err());
     }
 
     #[test]

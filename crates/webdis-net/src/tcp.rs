@@ -29,8 +29,9 @@ use crate::meter::WireCounters;
 use crate::wire::{decode_message, Wire};
 
 /// Maximum accepted frame size (16 MiB) — a defence against hostile or
-/// corrupt length prefixes.
-const MAX_FRAME: u32 = 16 * 1024 * 1024;
+/// corrupt length prefixes. Admin-socket clients bound the responses
+/// they read by the same figure.
+pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
 /// Bytes of the big-endian length prefix in front of every payload.
 const PREFIX: usize = 4;

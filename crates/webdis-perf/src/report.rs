@@ -4,12 +4,15 @@
 //! one tagged with its comparison policy) and full [`Histogram`]s for
 //! the per-stage quantiles. Serialisation is byte-deterministic: all
 //! maps are `BTreeMap`s, every object is emitted with its keys in
-//! sorted order, and histograms reuse [`Histogram::to_json`] — so two
-//! same-seed simulator runs produce *identical files*, which is what
-//! lets the compare gate demand exact equality for sim metrics.
+//! sorted order, and histograms are written and read by [`Histogram`]
+//! itself — so two same-seed simulator runs produce *identical files*,
+//! which is what lets the compare gate demand exact equality for sim
+//! metrics. Reading and writing go through the workspace's one JSON
+//! module (`webdis_trace::json`).
 
 use std::collections::BTreeMap;
 
+use webdis_trace::json::{self, Map, ObjWriter, ToJson};
 use webdis_trace::Histogram;
 
 /// Current file schema. Bumped when the shape changes incompatibly;
@@ -127,332 +130,70 @@ impl BenchReport {
     /// Serialises the report deterministically: sorted keys throughout,
     /// one line per scenario for diff-friendly committed baselines.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("\"mode\":{},\n", quote(&self.mode)));
-        out.push_str("\"scenarios\":{");
+        let mut out = String::from("{\n\"mode\":");
+        self.mode.write_json(&mut out);
+        out.push_str(",\n\"scenarios\":{");
         for (i, (name, scenario)) in self.scenarios.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push('\n');
-            out.push_str(&format!("{}:{}", quote(name), scenario_json(scenario)));
+            name.write_json(&mut out);
+            out.push(':');
+            scenario.write_json(&mut out);
         }
-        out.push_str("\n},\n");
-        out.push_str(&format!("\"schema\":{SCHEMA}\n"));
-        out.push_str("}\n");
+        out.push_str(&format!("\n}},\n\"schema\":{SCHEMA}\n}}\n"));
         out
     }
 
     /// Parses a file produced by [`to_json`](BenchReport::to_json).
     pub fn from_json(text: &str) -> Result<BenchReport, String> {
-        let value = json::parse(text)?;
-        let root = value.as_obj("report")?;
-        let schema = root.req("schema")?.as_u64("schema")?;
+        let root = json::parse(text)?;
+        let schema: u64 = root.req("schema")?;
         if schema != SCHEMA {
             return Err(format!("schema {schema} (this build reads {SCHEMA})"));
         }
-        let mode = root.req("mode")?.as_str("mode")?.to_string();
         let mut scenarios = BTreeMap::new();
-        for (name, sval) in root.req("scenarios")?.as_obj("scenarios")?.0.iter() {
-            let sobj = sval.as_obj(name)?;
+        for (name, body) in root.req::<&Map>("scenarios")? {
             let mut scenario = ScenarioReport::default();
-            if let Some(metrics) = sobj.opt("metrics") {
-                for (mname, mval) in metrics.as_obj("metrics")?.0.iter() {
-                    let mobj = mval.as_obj(mname)?;
-                    scenario.metrics.insert(
-                        mname.clone(),
-                        Metric {
-                            value: mobj.req("value")?.as_u64("value")?,
-                            tol_pct: mobj.req("tol_pct")?.as_u64("tol_pct")? as u32,
-                            worse: Worse::parse(mobj.req("worse")?.as_str("worse")?)?,
-                        },
-                    );
-                }
+            for (mname, m) in body.opt::<&Map>("metrics")?.into_iter().flatten() {
+                let metric = Metric {
+                    value: m.req("value")?,
+                    tol_pct: m.req("tol_pct")?,
+                    worse: Worse::parse(m.req("worse")?)?,
+                };
+                scenario.metrics.insert(mname.clone(), metric);
             }
-            if let Some(hists) = sobj.opt("histograms") {
-                for (hname, hval) in hists.as_obj("histograms")?.0.iter() {
-                    // Round-trip through the canonical histogram JSON so
-                    // Histogram::from_json keeps sole ownership of the
-                    // validation rules (bucket arity, count agreement).
-                    let h = Histogram::from_json(&hval.render())
-                        .map_err(|e| format!("histogram {hname:?}: {e}"))?;
-                    scenario.histograms.insert(hname.clone(), h);
-                }
+            for (hname, h) in body.opt::<&Map>("histograms")?.into_iter().flatten() {
+                let h =
+                    Histogram::from_value(h).map_err(|e| format!("histogram {hname:?}: {e}"))?;
+                scenario.histograms.insert(hname.clone(), h);
             }
             scenarios.insert(name.clone(), scenario);
         }
-        Ok(BenchReport { mode, scenarios })
+        Ok(BenchReport {
+            mode: root.req("mode")?,
+            scenarios,
+        })
     }
 }
 
-fn scenario_json(s: &ScenarioReport) -> String {
-    let mut out = String::from("{\"histograms\":{");
-    for (i, (name, h)) in s.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{}:{}", quote(name), h.to_json()));
+impl ToJson for Metric {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("tol_pct", &self.tol_pct)
+            .field("value", &self.value)
+            .field("worse", self.worse.name())
+            .end();
     }
-    out.push_str("},\"metrics\":{");
-    for (i, (name, m)) in s.metrics.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{}:{{\"tol_pct\":{},\"value\":{},\"worse\":{}}}",
-            quote(name),
-            m.tol_pct,
-            m.value,
-            quote(m.worse.name())
-        ));
-    }
-    out.push_str("}}");
-    out
 }
 
-fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// A minimal recursive JSON reader for BENCH files. The trace crate's
-/// parser is deliberately flat (one object per line); BENCH files nest,
-/// so this crate carries its own ~hundred lines. Numbers are unsigned
-/// integers only — the file format never emits floats.
-mod json {
-    use std::collections::BTreeMap;
-
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        Num(u64),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Obj),
-    }
-
-    #[derive(Debug, Clone, PartialEq, Default)]
-    pub struct Obj(pub BTreeMap<String, Value>);
-
-    impl Obj {
-        pub fn req(&self, key: &str) -> Result<&Value, String> {
-            self.0
-                .get(key)
-                .ok_or_else(|| format!("missing key {key:?}"))
-        }
-
-        pub fn opt(&self, key: &str) -> Option<&Value> {
-            self.0.get(key)
-        }
-    }
-
-    impl Value {
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::Num(n) => Ok(*n),
-                _ => Err(format!("{what} is not a number")),
-            }
-        }
-
-        pub fn as_str(&self, what: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                _ => Err(format!("{what} is not a string")),
-            }
-        }
-
-        pub fn as_obj(&self, what: &str) -> Result<&Obj, String> {
-            match self {
-                Value::Obj(o) => Ok(o),
-                _ => Err(format!("{what} is not an object")),
-            }
-        }
-
-        /// Renders back to compact JSON with sorted keys — canonical,
-        /// and byte-identical to what this crate writes.
-        pub fn render(&self) -> String {
-            match self {
-                Value::Num(n) => n.to_string(),
-                Value::Str(s) => super::quote(s),
-                Value::Arr(items) => {
-                    let inner: Vec<String> = items.iter().map(Value::render).collect();
-                    format!("[{}]", inner.join(","))
-                }
-                Value::Obj(Obj(map)) => {
-                    let inner: Vec<String> = map
-                        .iter()
-                        .map(|(k, v)| format!("{}:{}", super::quote(k), v.render()))
-                        .collect();
-                    format!("{{{}}}", inner.join(","))
-                }
-            }
-        }
-    }
-
-    pub fn parse(text: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, byte: u8) -> Result<(), String> {
-            self.skip_ws();
-            if self.peek() == Some(byte) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at offset {}",
-                    byte as char, self.pos
-                ))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, String> {
-            self.skip_ws();
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => self.string().map(Value::Str),
-                Some(b'0'..=b'9') => {
-                    let mut n: u64 = 0;
-                    while let Some(d @ b'0'..=b'9') = self.peek() {
-                        n = n
-                            .checked_mul(10)
-                            .and_then(|n| n.checked_add(u64::from(d - b'0')))
-                            .ok_or("number overflow")?;
-                        self.pos += 1;
-                    }
-                    Ok(Value::Num(n))
-                }
-                other => Err(format!(
-                    "unexpected {:?} at offset {}",
-                    other.map(|b| b as char),
-                    self.pos
-                )),
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.bytes.get(self.pos).copied() {
-                    None => return Err("unterminated string".into()),
-                    Some(b'"') => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    Some(b'\\') => {
-                        self.pos += 1;
-                        match self.bytes.get(self.pos).copied() {
-                            Some(b'"') => out.push('"'),
-                            Some(b'\\') => out.push('\\'),
-                            Some(b'n') => out.push('\n'),
-                            other => return Err(format!("bad escape {other:?}")),
-                        }
-                        self.pos += 1;
-                    }
-                    Some(b) if b < 0x80 => {
-                        out.push(b as char);
-                        self.pos += 1;
-                    }
-                    Some(_) => {
-                        // Multi-byte UTF-8: find the end of the sequence.
-                        let start = self.pos;
-                        let mut end = start + 1;
-                        while end < self.bytes.len() && self.bytes[end] & 0xc0 == 0x80 {
-                            end += 1;
-                        }
-                        let s = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|e| format!("bad utf-8: {e}"))?;
-                        out.push_str(s);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    other => return Err(format!("expected ',' or ']', found {other:?}")),
-                }
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut map = BTreeMap::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(Obj(map)));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.expect(b':')?;
-                let value = self.value()?;
-                map.insert(key, value);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(Obj(map)));
-                    }
-                    other => return Err(format!("expected ',' or '}}', found {other:?}")),
-                }
-            }
-        }
+impl ToJson for ScenarioReport {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("histograms", &self.histograms)
+            .field("metrics", &self.metrics)
+            .end();
     }
 }
 
@@ -482,6 +223,19 @@ mod tests {
         let back = BenchReport::from_json(&text).unwrap();
         assert_eq!(back, report);
         assert_eq!(back.to_json(), text, "re-serialisation must be stable");
+    }
+
+    #[test]
+    fn out_of_range_tolerance_is_an_error_not_a_truncation() {
+        // `as u32` used to read a 2^32 + 50 band back as 50.
+        let text = sample()
+            .to_json()
+            .replace("\"tol_pct\":50", "\"tol_pct\":4294967346");
+        let err = BenchReport::from_json(&text).unwrap_err();
+        assert!(
+            err.contains("tol_pct") && err.contains("out of range"),
+            "{err}"
+        );
     }
 
     #[test]

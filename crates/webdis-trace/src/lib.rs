@@ -6,7 +6,8 @@
 //! crate is that observability layer: a [`TraceEvent`] vocabulary
 //! covering the engine lifecycle, a [`Tracer`] trait with a no-op sink
 //! (zero cost when disabled) and a bounded ring-buffer collector, a
-//! hand-written JSON-lines exporter/parser ([`json`]), a unified
+//! JSON-lines exporter/parser on the workspace's one JSON module
+//! ([`json`]), a unified
 //! metrics [`registry`], and a [`trajectory`] reconstructor that folds
 //! an event stream back into the per-query shipping tree of the
 //! paper's Figure 1.
@@ -349,40 +350,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// Stable lowercase event name (JSONL `event` field, registry
-    /// counter key).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::QuerySent { .. } => "query_sent",
-            TraceEvent::QueryRecv { .. } => "query_recv",
-            TraceEvent::EvalStart { .. } => "eval_start",
-            TraceEvent::EvalFinish { .. } => "eval_finish",
-            TraceEvent::StageTransition { .. } => "stage_transition",
-            TraceEvent::LogDuplicate { .. } => "log_duplicate",
-            TraceEvent::LogRewrite { .. } => "log_rewrite",
-            TraceEvent::ChtAdd { .. } => "cht_add",
-            TraceEvent::ChtDelete { .. } => "cht_delete",
-            TraceEvent::DocFetch { .. } => "doc_fetch",
-            TraceEvent::Purge { .. } => "purge",
-            TraceEvent::Termination { .. } => "termination",
-            TraceEvent::MessageSent { .. } => "message_sent",
-            TraceEvent::MessageDropped { .. } => "message_dropped",
-            TraceEvent::MessageDuplicated { .. } => "message_duplicated",
-            TraceEvent::MessageCorrupted { .. } => "message_corrupted",
-            TraceEvent::EntryExpired { .. } => "entry_expired",
-            TraceEvent::SendRetried { .. } => "send_retried",
-            TraceEvent::QueryShed { .. } => "query_shed",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::CacheMiss { .. } => "cache_miss",
-            TraceEvent::CacheEvict { .. } => "cache_evict",
-            TraceEvent::StageSpans { .. } => "stage_spans",
-            TraceEvent::AlertFired { .. } => "alert_fired",
-            TraceEvent::AlertResolved { .. } => "alert_resolved",
-            TraceEvent::WebMutation { .. } => "web_mutation",
-            TraceEvent::DeadLink { .. } => "dead_link",
-        }
-    }
-
     /// The per-stage durations as `(stage name, µs)` pairs, in pipeline
     /// order — `None` for every other event. The stable stage names
     /// double as registry histogram suffixes (`stage_us.<name>`).

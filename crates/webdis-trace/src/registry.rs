@@ -11,6 +11,8 @@ use std::collections::BTreeMap;
 
 use parking_lot::Mutex;
 
+use crate::json::{self, ObjWriter, ToJson, Value};
+
 /// Upper bounds (inclusive) of the fixed histogram buckets, chosen to
 /// straddle the paper's scales: hop latencies of hundreds of ms on a
 /// 1999 WAN, message sizes of a few hundred bytes to a few KiB, row
@@ -121,81 +123,44 @@ impl Histogram {
     }
 
     /// Serialises the histogram as a deterministic single-line JSON
-    /// object: keys in a fixed order, counts as an array, plus the
+    /// object: keys in sorted order, counts as an array, plus the
     /// derived p50/p95/p99 so BENCH files are readable without
     /// reconstructing the histogram. The quantile fields are redundant
     /// (recomputable from the counts) and are ignored by
     /// [`from_json`](Histogram::from_json).
     pub fn to_json(&self) -> String {
-        let counts: Vec<String> = self.counts.iter().map(|c| c.to_string()).collect();
-        format!(
-            "{{\"count\":{},\"counts\":[{}],\"max\":{},\"min\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"sum\":{}}}",
-            self.count,
-            counts.join(","),
-            self.max,
-            self.min,
-            self.quantile(0.50),
-            self.quantile(0.95),
-            self.quantile(0.99),
-            self.sum,
-        )
+        json::write(self)
     }
 
     /// Parses a histogram serialised by [`to_json`](Histogram::to_json).
-    /// Unknown numeric keys (the derived quantiles) are ignored; the
-    /// bucket array must match the compiled bucket count and agree with
-    /// the total, so a file from a different bucket vocabulary is
-    /// rejected rather than silently misread.
     pub fn from_json(text: &str) -> Result<Histogram, String> {
-        let text = text.trim();
-        let body = text
-            .strip_prefix('{')
-            .and_then(|t| t.strip_suffix('}'))
-            .ok_or_else(|| "histogram JSON must be a single object".to_string())?;
-        let mut h = Histogram::default();
-        let mut seen_counts = false;
-        let mut rest = body;
-        while !rest.trim().is_empty() {
-            let (key, after_key) = parse_json_key(rest)?;
-            let after_key = after_key.trim_start();
-            let (value_text, remainder) = split_json_value(after_key)?;
-            match key.as_str() {
-                "count" => h.count = parse_json_u64(value_text)?,
-                "sum" => h.sum = parse_json_u64(value_text)?,
-                "max" => h.max = parse_json_u64(value_text)?,
-                "min" => h.min = parse_json_u64(value_text)?,
-                "counts" => {
-                    let inner = value_text
-                        .trim()
-                        .strip_prefix('[')
-                        .and_then(|t| t.strip_suffix(']'))
-                        .ok_or_else(|| "counts must be an array".to_string())?;
-                    let values: Vec<u64> = if inner.trim().is_empty() {
-                        Vec::new()
-                    } else {
-                        inner
-                            .split(',')
-                            .map(parse_json_u64)
-                            .collect::<Result<_, _>>()?
-                    };
-                    if values.len() != h.counts.len() {
-                        return Err(format!(
-                            "expected {} buckets, found {}",
-                            h.counts.len(),
-                            values.len()
-                        ));
-                    }
-                    h.counts.copy_from_slice(&values);
-                    seen_counts = true;
-                }
-                // Derived quantiles and any future additive field.
-                _ => {}
-            }
-            rest = remainder;
+        Histogram::from_value(&json::parse(text)?)
+    }
+
+    /// Reads a histogram from its parsed JSON form. Unknown keys (the
+    /// derived quantiles) are ignored; the bucket array must match the
+    /// compiled bucket count and agree with the total, so a file from a
+    /// different bucket vocabulary is rejected rather than silently
+    /// misread.
+    pub fn from_value(value: &Value) -> Result<Histogram, String> {
+        let buckets: Vec<u64> = value
+            .opt("counts")?
+            .ok_or("histogram JSON lacks a counts array")?;
+        let mut h = Histogram {
+            count: value.or("count", 0)?,
+            sum: value.or("sum", 0)?,
+            max: value.or("max", 0)?,
+            min: value.or("min", 0)?,
+            ..Histogram::default()
+        };
+        if buckets.len() != h.counts.len() {
+            return Err(format!(
+                "expected {} buckets, found {}",
+                h.counts.len(),
+                buckets.len()
+            ));
         }
-        if !seen_counts {
-            return Err("histogram JSON lacks a counts array".to_string());
-        }
+        h.counts.copy_from_slice(&buckets);
         if h.counts.iter().sum::<u64>() != h.count {
             return Err("bucket counts disagree with the total count".to_string());
         }
@@ -203,41 +168,19 @@ impl Histogram {
     }
 }
 
-/// Reads a leading `"key":` off `rest`, returning the key and what
-/// follows the colon.
-fn parse_json_key(rest: &str) -> Result<(String, &str), String> {
-    let rest = rest.trim_start().trim_start_matches(',').trim_start();
-    let rest = rest
-        .strip_prefix('"')
-        .ok_or_else(|| format!("expected a quoted key at {rest:.20?}"))?;
-    let end = rest
-        .find('"')
-        .ok_or_else(|| "unterminated key".to_string())?;
-    let key = rest[..end].to_string();
-    let after = rest[end + 1..]
-        .trim_start()
-        .strip_prefix(':')
-        .ok_or_else(|| format!("expected ':' after key {key:?}"))?;
-    Ok((key, after))
-}
-
-/// Splits one JSON value (number or flat array) off the front of `rest`.
-fn split_json_value(rest: &str) -> Result<(&str, &str), String> {
-    if let Some(stripped) = rest.strip_prefix('[') {
-        let end = stripped
-            .find(']')
-            .ok_or_else(|| "unterminated array".to_string())?;
-        Ok((&rest[..end + 2], &rest[end + 2..]))
-    } else {
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        Ok((&rest[..end], &rest[end..]))
+impl ToJson for Histogram {
+    fn write_json(&self, out: &mut String) {
+        ObjWriter::new(out)
+            .field("count", &self.count)
+            .field("counts", &self.counts[..])
+            .field("max", &self.max)
+            .field("min", &self.min)
+            .field("p50", &self.quantile(0.50))
+            .field("p95", &self.quantile(0.95))
+            .field("p99", &self.quantile(0.99))
+            .field("sum", &self.sum)
+            .end();
     }
-}
-
-fn parse_json_u64(text: &str) -> Result<u64, String> {
-    text.trim()
-        .parse::<u64>()
-        .map_err(|e| format!("bad number {text:?}: {e}"))
 }
 
 #[derive(Default)]
