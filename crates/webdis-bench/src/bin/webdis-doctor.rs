@@ -23,7 +23,8 @@
 //! and fleet stage shares. `--live-smoke` runs that loop against an
 //! in-process monitored cluster — the CI smoke for the live path.
 
-use webdis_bench::{doctor, live};
+use webdis_bench::live;
+use webdis_trace::doctor;
 
 fn usage() -> ! {
     eprintln!(
@@ -35,7 +36,6 @@ fn usage() -> ! {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
     let mut path: Option<String> = None;
     let mut top = 5usize;
     let mut fail_on_anomaly = false;
@@ -43,44 +43,23 @@ fn main() {
     let mut live_smoke = false;
     let mut polls = 3usize;
     let mut interval_ms = 500u64;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--top" => {
-                top = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage());
+        match arg.as_str() {
+            "--top" => top = value().parse().unwrap_or_else(|_| usage()),
             "--fail-on-anomaly" => fail_on_anomaly = true,
-            "--live" => {
-                live_addr = Some(args.get(i + 1).cloned().unwrap_or_else(|| usage()));
-                i += 1;
-            }
+            "--live" => live_addr = Some(value()),
             "--live-smoke" => live_smoke = true,
-            "--polls" => {
-                polls = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            "--interval-ms" => {
-                interval_ms = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 1;
-            }
-            arg if arg.starts_with("--") => usage(),
-            arg => {
-                if path.replace(arg.to_string()).is_some() {
+            "--polls" => polls = value().parse().unwrap_or_else(|_| usage()),
+            "--interval-ms" => interval_ms = value().parse().unwrap_or_else(|_| usage()),
+            flag if flag.starts_with("--") => usage(),
+            _ => {
+                if path.replace(arg).is_some() {
                     usage();
                 }
             }
         }
-        i += 1;
     }
 
     if live_smoke {

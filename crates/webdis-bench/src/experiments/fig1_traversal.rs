@@ -1,36 +1,30 @@
-//! Figure 1 — the web traversal path of `Q = S G·(G|L) q1 (G|L) q2`.
-//!
-//! Reproduces the paper's Figure 1 narrative as a machine-checked trace:
-//! nodes 1–3 act as PureRouters, nodes 4/5 answer `q1`, node 4 acts as a
-//! ServerRouter a **second** time for `q2`, nodes 6/8 answer `q2`, and
-//! node 7 evaluates `q1`, fails, and dead-ends.
-//!
-//! Pass `--trace fig1.jsonl` to capture the structured event stream and
-//! print the reconstructed shipping tree (see DESIGN.md, Observability).
-
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use webdis_bench::{Table, TraceOpt};
-use webdis_core::{run_query_sim, EngineConfig};
+use webdis_core::EngineConfig;
 use webdis_net::Disposition;
-use webdis_sim::SimConfig;
 use webdis_web::figures;
 
-fn main() {
-    let trace = TraceOpt::from_args();
+use super::{shipped, stages_label, Ctx, Outcome};
+use crate::Table;
+
+/// Figure 1 — the web traversal path of `Q = S G·(G|L) q1 (G|L) q2`.
+///
+/// Reproduces the paper's Figure 1 narrative as a machine-checked trace:
+/// nodes 1–3 act as PureRouters, nodes 4/5 answer `q1`, node 4 acts as a
+/// ServerRouter a **second** time for `q2`, nodes 6/8 answer `q2`, and
+/// node 7 evaluates `q1`, fails, and dead-ends.
+///
+/// Run with `--trace fig1.jsonl` to capture the structured event stream and
+/// print the reconstructed shipping tree (see DESIGN.md, Observability).
+pub fn run(ctx: &Ctx) -> Outcome {
+    let trace = &ctx.tracer;
     let web = Arc::new(figures::figure1());
-    let outcome = run_query_sim(
-        web,
-        figures::FIG_QUERY,
-        EngineConfig {
-            tracer: trace.handle(),
-            ..EngineConfig::default()
-        },
-        SimConfig::default(),
-    )
-    .expect("figure query parses");
-    assert!(outcome.complete, "CHT must detect completion");
+    let cfg = EngineConfig {
+        tracer: trace.handle(),
+        ..EngineConfig::default()
+    };
+    let outcome = shipped(&web, figures::FIG_QUERY, cfg);
 
     let mut table = Table::new(
         "Figure 1: traversal of Q = S G·(G|L) q1 (G|L) q2",
@@ -41,11 +35,7 @@ fn main() {
         let answers = if ev.stages_answered.is_empty() {
             "-".to_owned()
         } else {
-            ev.stages_answered
-                .iter()
-                .map(|s| format!("q{}", s + 1))
-                .collect::<Vec<_>>()
-                .join(",")
+            stages_label(&ev.stages_answered)
         };
         table.row(&[
             ev.node.host().trim_end_matches(".test").to_owned(),
@@ -58,7 +48,6 @@ fn main() {
             .or_default()
             .push(ev.disposition);
     }
-    table.print();
 
     // The paper's Figure 1 claims, machine-checked:
     for router in ["n1.test", "n2.test", "n3.test"] {
@@ -95,11 +84,6 @@ fn main() {
         "node 7 fails q1 and becomes a dead end"
     );
 
-    println!();
-    println!("q1 answered by: n4, n5  (titles containing \"hub\")");
-    println!("q2 answered by: n4, n6, n8  (text containing \"answer\")");
-    println!("all Figure 1 role assertions hold ✓");
-
     if trace.enabled() {
         trace.ingest("cht", &outcome.cht_stats.counters());
         // Sum the per-site server counters field-wise.
@@ -112,5 +96,10 @@ fn main() {
         let pairs: Vec<(&str, u64)> = sums.into_iter().collect();
         trace.ingest("server", &pairs);
     }
-    trace.finish().expect("trace file is writable");
+    Outcome::shown(
+        vec![table],
+        "q1 answered by: n4, n5  (titles containing \"hub\")\n\
+         q2 answered by: n4, n6, n8  (text containing \"answer\")\n\
+         all Figure 1 role assertions hold ✓",
+    )
 }

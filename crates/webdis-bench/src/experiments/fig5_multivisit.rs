@@ -1,23 +1,23 @@
-//! Figure 5 — multiple visits to a node, and what the node-query log
-//! table (Section 3.1.1) saves.
-//!
-//! The Figure 5 web funnels five distinct paths into node 4 under
-//! `Q = S G·(G|L) q1 (G|L) q2`, producing the paper's five visits:
-//! `a = (2, G|L)`, `b = (2, N)`, and `c = d = e = (1, N)` — the last
-//! three *in the same state of computation*. With the log table, only
-//! `a`, `b` and `c` are processed; `d` and `e` are recognized as
-//! duplicates and dropped. The harness shows the visit table and then
-//! quantifies the saving by re-running with the log table disabled.
-
 use std::sync::Arc;
 
-use webdis_bench::Table;
 use webdis_core::{ChtMode, EngineConfig, LogMode};
 use webdis_net::Disposition;
-use webdis_sim::SimConfig;
 use webdis_web::figures;
 
-fn main() {
+use super::{shipped, Ctx, Outcome};
+use crate::Table;
+
+/// Figure 5 — multiple visits to a node, and what the node-query log
+/// table (Section 3.1.1) saves.
+///
+/// The Figure 5 web funnels five distinct paths into node 4 under
+/// `Q = S G·(G|L) q1 (G|L) q2`, producing the paper's five visits:
+/// `a = (2, G|L)`, `b = (2, N)`, and `c = d = e = (1, N)` — the last
+/// three *in the same state of computation*. With the log table, only
+/// `a`, `b` and `c` are processed; `d` and `e` are recognized as
+/// duplicates and dropped. The harness shows the visit table and then
+/// quantifies the saving by re-running with the log table disabled.
+pub fn run(_: &Ctx) -> Outcome {
     let web = Arc::new(figures::figure5());
 
     // Strict CHT mode makes duplicate drops visible in the trace (paper
@@ -27,14 +27,7 @@ fn main() {
         cht_mode: ChtMode::Strict,
         ..EngineConfig::default()
     };
-    let outcome = webdis_core::run_query_sim(
-        Arc::clone(&web),
-        figures::FIG_QUERY,
-        strict.clone(),
-        SimConfig::default(),
-    )
-    .expect("figure query parses");
-    assert!(outcome.complete);
+    let outcome = shipped(&web, figures::FIG_QUERY, strict.clone());
 
     let mut table = Table::new(
         "Figure 5: visits to node 4 under Q = S G·(G|L) q1 (G|L) q2",
@@ -73,7 +66,6 @@ fn main() {
             verdict.to_owned(),
         ]);
     }
-    table.print();
 
     assert_eq!(visits.len(), 5, "the paper's five visits a–e");
     let dup_count = visits
@@ -93,9 +85,7 @@ fn main() {
         log_mode: LogMode::Off,
         ..strict
     };
-    let off =
-        webdis_core::run_query_sim(web, figures::FIG_QUERY, off_cfg, SimConfig::default()).unwrap();
-    assert!(off.complete);
+    let off = shipped(&web, figures::FIG_QUERY, off_cfg);
     assert_eq!(on.result_set(), off.result_set(), "results are unaffected");
 
     let mut cmp = Table::new(
@@ -124,11 +114,9 @@ fn main() {
         off.metrics.total.messages.to_string(),
         dup_rows(&off).to_string(),
     ]);
-    println!();
-    cmp.print();
     assert!(
         off.sum_stat(|s| s.evaluations) > on.sum_stat(|s| s.evaluations),
         "disabling the log table must cost recomputation"
     );
-    println!("\nall Figure 5 assertions hold ✓");
+    Outcome::shown(vec![table, cmp], "all Figure 5 assertions hold ✓")
 }

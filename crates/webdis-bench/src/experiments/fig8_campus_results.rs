@@ -1,25 +1,18 @@
-//! Figure 8 — the result table of the Section-5 sample query, rendered
-//! the way the paper's browser screenshot presents it: the stage-1
-//! binding (`d0.url`) first, then one row per lab with `d1.url`,
-//! `d1.title` and the `hr`-delimited rel-infon text naming the convener.
-
 use std::sync::Arc;
 
-use webdis_bench::Table;
-use webdis_core::{run_query_sim, EngineConfig};
-use webdis_sim::SimConfig;
+use webdis_core::EngineConfig;
 use webdis_web::figures;
 
-fn main() {
+use super::{shipped, Ctx, Outcome};
+use crate::Table;
+
+/// Figure 8 — the result table of the Section-5 sample query, rendered
+/// the way the paper's browser screenshot presents it: the stage-1
+/// binding (`d0.url`) first, then one row per lab with `d1.url`,
+/// `d1.title` and the `hr`-delimited rel-infon text naming the convener.
+pub fn run(_: &Ctx) -> Outcome {
     let web = Arc::new(figures::campus());
-    let outcome = run_query_sim(
-        web,
-        figures::CAMPUS_QUERY,
-        EngineConfig::default(),
-        SimConfig::default(),
-    )
-    .expect("campus query parses");
-    assert!(outcome.complete);
+    let outcome = shipped(&web, figures::CAMPUS_QUERY, EngineConfig::default());
 
     println!("Results of the query by user webdis\n");
 
@@ -27,8 +20,6 @@ fn main() {
     for (_, row) in outcome.rows_of_stage(0) {
         t0.row(&[row.values[0].render()]);
     }
-    t0.print();
-    println!();
 
     let mut t1 = Table::new("d1 / r", &["d1.url", "d1.title", "r.text"]);
     let mut rows: Vec<_> = outcome.rows_of_stage(1).to_vec();
@@ -40,7 +31,6 @@ fn main() {
             row.values[2].render(),
         ]);
     }
-    t1.print();
 
     // Machine-check against the paper's Figure 8 rows.
     assert_eq!(rows.len(), 3);
@@ -55,5 +45,5 @@ fn main() {
             "{url}: rel-infon must name {convener}"
         );
     }
-    println!("\nall Figure 8 result assertions hold ✓");
+    Outcome::shown(vec![t0, t1], "all Figure 8 result assertions hold ✓")
 }

@@ -1,27 +1,13 @@
-//! T10 — the footnote-3 document cache under repeated queries.
-//!
-//! "Of course, if the site expects that a node will receive several
-//! queries, it can choose to retain the associated database so that the
-//! construction cost does not have to be paid repeatedly." (Section 2.4,
-//! footnote 3.) A client process submits the same workload repeatedly
-//! through one result endpoint (Section 4.3); the sweep varies each
-//! server's cache capacity and reports Database-Constructor invocations
-//! against cache hits.
-
 use std::sync::Arc;
 
-use webdis_bench::Table;
 use webdis_core::simrun::{client_of, user_addr, SimServer};
 use webdis_core::{query_server_addr, Deployment, EngineConfig};
 use webdis_disql::parse_disql;
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
 
-const QUERY: &str = r#"
-    select d.url
-    from document d such that "http://site0.test/doc0.html" (L|G)* d
-    where d.title contains "needle"
-"#;
+use super::{Ctx, Outcome, GLOBAL_QUERY};
+use crate::Table;
 
 const REPEATS: usize = 8;
 
@@ -39,7 +25,7 @@ fn run_with_cache(cache_size: usize) -> (u64, u64, bool) {
         ..EngineConfig::default()
     };
     let sites = web.sites();
-    let queries = vec![parse_disql(QUERY).expect("valid query"); REPEATS];
+    let queries = vec![parse_disql(GLOBAL_QUERY).expect("valid query"); REPEATS];
     let mut net = Deployment::new(web, engine_cfg).sim_with_client(SimConfig::default(), queries);
     net.start(&user_addr());
     net.run();
@@ -55,7 +41,16 @@ fn run_with_cache(cache_size: usize) -> (u64, u64, bool) {
     (parsed, hits, client_of(&mut net).all_complete())
 }
 
-fn main() {
+/// T10 — the footnote-3 document cache under repeated queries.
+///
+/// "Of course, if the site expects that a node will receive several
+/// queries, it can choose to retain the associated database so that the
+/// construction cost does not have to be paid repeatedly." (Section 2.4,
+/// footnote 3.) A client process submits the same workload repeatedly
+/// through one result endpoint (Section 4.3); the sweep varies each
+/// server's cache capacity and reports Database-Constructor invocations
+/// against cache hits.
+pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T10: footnote-3 document cache, 8 identical queries (8 sites x 4 docs)",
         &[
@@ -87,9 +82,11 @@ fn main() {
             );
         }
     }
-    table.print();
-    println!(
-        "\nwith a covering cache each document is parsed once for all {REPEATS} \
-         queries — footnote 3's retention policy, measured ✓"
-    );
+    Outcome::shown(
+        vec![table],
+        format!(
+            "with a covering cache each document is parsed once for all {REPEATS} \
+             queries — footnote 3's retention policy, measured ✓"
+        ),
+    )
 }

@@ -1,34 +1,29 @@
-//! T11 — completion-detection protocols head to head.
-//!
-//! Section 6 contrasts WEBDIS's Current Hosts Table with the
-//! acknowledgement-chain detection of Abiteboul–Vianu-style systems
-//! ("the StartNode acknowledges the message only if all the nodes to
-//! which it had forwarded the query have acknowledged"). Both are
-//! implemented here; the sweep measures what each costs and buys:
-//!
-//! * **protocol bytes** — CHT entries ride inside reports; ack chains
-//!   send small separate ack messages but no CHT entries, and resultless
-//!   nodes send the user nothing at all;
-//! * **detection lag** — virtual time between the last result and
-//!   detected completion: the CHT detects one report after the last node;
-//!   the ack wave must collapse back up the spawn tree first;
-//! * **cancellation knowledge** — only the CHT tells the user *where*
-//!   the query currently runs (Section 2.8's active-termination option).
-
 use std::sync::Arc;
 
-use webdis_bench::{fmt_bytes, fmt_ms, Table};
 use webdis_core::{run_query_sim, ChtMode, CompletionMode, EngineConfig};
 use webdis_sim::{LatencyModel, SimConfig};
 use webdis_web::{generate, WebGenConfig};
 
-const QUERY: &str = r#"
-    select d.url
-    from document d such that "http://site0.test/doc0.html" (L|G)* d
-    where d.title contains "needle"
-"#;
+use super::{Ctx, Outcome, GLOBAL_QUERY};
+use crate::{fmt_bytes, fmt_ms, Table};
 
-fn main() {
+/// T11 — completion-detection protocols head to head.
+///
+/// Section 6 contrasts WEBDIS's Current Hosts Table with the
+/// acknowledgement-chain detection of Abiteboul–Vianu-style systems
+/// ("the StartNode acknowledges the message only if all the nodes to
+/// which it had forwarded the query have acknowledged"). Both are
+/// implemented here; the sweep measures what each costs and buys:
+///
+/// * **protocol bytes** — CHT entries ride inside reports; ack chains
+///   send small separate ack messages but no CHT entries, and resultless
+///   nodes send the user nothing at all;
+/// * **detection lag** — virtual time between the last result and
+///   detected completion: the CHT detects one report after the last node;
+///   the ack wave must collapse back up the spawn tree first;
+/// * **cancellation knowledge** — only the CHT tells the user *where*
+///   the query currently runs (Section 2.8's active-termination option).
+pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T11: completion protocols under WAN latency",
         &[
@@ -71,7 +66,7 @@ fn main() {
         ];
         let mut results = Vec::new();
         for (label, cfg) in configs {
-            let outcome = run_query_sim(Arc::clone(&web), QUERY, cfg.clone(), sim.clone())
+            let outcome = run_query_sim(Arc::clone(&web), GLOBAL_QUERY, cfg.clone(), sim.clone())
                 .expect("query parses");
             assert!(outcome.complete, "{label} must complete");
             // The last result row's arrival: the max trace time with rows.
@@ -117,9 +112,9 @@ fn main() {
         assert_eq!(cht.1, CompletionMode::Cht);
         assert_eq!(ack.1, CompletionMode::AckChain);
     }
-    table.print();
-    println!(
-        "\nack chains cut report bytes (no CHT entries, silent dead ends) but pay \
-         ack messages and detect completion later — the §6 trade-off, measured ✓"
-    );
+    Outcome::shown(
+        vec![table],
+        "ack chains cut report bytes (no CHT entries, silent dead ends) but pay \
+          ack messages and detect completion later — the §6 trade-off, measured ✓",
+    )
 }

@@ -1,34 +1,13 @@
-//! T12 — graceful recovery under faults (Section 7.1).
-//!
-//! The paper's fault-tolerance story is *graceful degradation*: query
-//! servers are stateless between clones, the user site is the only
-//! stateful party, and when a server crashes or the network eats a
-//! message, the CHT's stale-entry expiry writes the lost clones off
-//! explicitly so the query still terminates — with the results that did
-//! arrive, plus a list of what was abandoned.
-//!
-//! This harness measures that degradation curve on the campus web:
-//! uniform message-drop rates {0, 0.05, 0.1, 0.2} across a bundle of RNG
-//! seeds, plus a one-site-crash scenario (the Database Systems Lab's
-//! query server dies mid-query). Per scenario:
-//!
-//! * **complete %** — runs that terminated (the liveness guarantee: this
-//!   must be 100% at every fault level, by expiry if necessary);
-//! * **recall %** — surviving result rows relative to the fault-free
-//!   baseline (faults may only *remove* rows, never invent them);
-//! * **failed entries** — clones written off by expiry, averaged;
-//! * **orphans** — trajectory-reconstruction orphan sends across all
-//!   traces; dropped messages are first-class `message_dropped` events,
-//!   so this must be zero.
-
 use std::sync::Arc;
 
-use webdis_bench::{Table, TraceOpt};
 use webdis_core::{query_server_addr, run_query_sim, EngineConfig, ExpiryPolicy, QueryOutcome};
 use webdis_model::Url;
 use webdis_sim::SimConfig;
 use webdis_trace::{trajectory, TraceHandle};
 use webdis_web::figures;
+
+use super::{shipped, Ctx, Outcome};
+use crate::Table;
 
 const SEEDS: u64 = 10;
 const EXPIRY: ExpiryPolicy = ExpiryPolicy {
@@ -54,17 +33,34 @@ fn run_faulty(sim: SimConfig) -> (QueryOutcome, usize) {
     (outcome, orphans)
 }
 
-fn main() {
-    let trace = TraceOpt::from_args();
+/// T12 — graceful recovery under faults (Section 7.1).
+///
+/// The paper's fault-tolerance story is *graceful degradation*: query
+/// servers are stateless between clones, the user site is the only
+/// stateful party, and when a server crashes or the network eats a
+/// message, the CHT's stale-entry expiry writes the lost clones off
+/// explicitly so the query still terminates — with the results that did
+/// arrive, plus a list of what was abandoned.
+///
+/// This harness measures that degradation curve on the campus web:
+/// uniform message-drop rates {0, 0.05, 0.1, 0.2} across a bundle of RNG
+/// seeds, plus a one-site-crash scenario (the Database Systems Lab's
+/// query server dies mid-query). Per scenario:
+///
+/// * **complete %** — runs that terminated (the liveness guarantee: this
+///   must be 100% at every fault level, by expiry if necessary);
+/// * **recall %** — surviving result rows relative to the fault-free
+///   baseline (faults may only *remove* rows, never invent them);
+/// * **failed entries** — clones written off by expiry, averaged;
+/// * **orphans** — trajectory-reconstruction orphan sends across all
+///   traces; dropped messages are first-class `message_dropped` events,
+///   so this must be zero.
+pub fn run(ctx: &Ctx) -> Outcome {
+    let trace = &ctx.tracer;
 
-    let baseline = run_query_sim(
-        Arc::new(figures::campus()),
-        figures::CAMPUS_QUERY,
-        EngineConfig::default(),
-        SimConfig::default(),
-    )
-    .expect("query parses");
-    assert!(baseline.complete && baseline.failed_entries.is_empty());
+    let campus = Arc::new(figures::campus());
+    let baseline = shipped(&campus, figures::CAMPUS_QUERY, EngineConfig::default());
+    assert!(baseline.failed_entries.is_empty());
     let reference = baseline.result_set();
     let baseline_done = baseline
         .completed_at_us
@@ -89,29 +85,24 @@ fn main() {
     // enough that its report never leaves, so expiry must conclude).
     let dsl = Url::parse("http://dsl.serc.iisc.ernet.in/").unwrap().site();
     let crash_at = (baseline_done / 2).max(1);
-    let scenarios: Vec<(String, Vec<SimConfig>)> = [0.0f64, 0.05, 0.1, 0.2]
-        .iter()
-        .map(|&rate| {
-            let runs = (0..SEEDS)
-                .map(|seed| SimConfig {
-                    drop_rate: rate,
-                    seed,
-                    ..SimConfig::default()
-                })
-                .collect();
-            (format!("drop {rate:.2}"), runs)
-        })
-        .chain(std::iter::once((
-            "crash dsl @50%".to_owned(),
-            (0..SEEDS)
-                .map(|seed| SimConfig {
-                    seed,
-                    crashes: vec![(query_server_addr(&dsl), crash_at)],
-                    ..SimConfig::default()
-                })
-                .collect(),
-        )))
-        .collect();
+    let mut scenarios: Vec<(String, Vec<SimConfig>)> = Vec::new();
+    for rate in [0.0f64, 0.05, 0.1, 0.2] {
+        let run = |seed| SimConfig {
+            drop_rate: rate,
+            seed,
+            ..SimConfig::default()
+        };
+        scenarios.push((format!("drop {rate:.2}"), (0..SEEDS).map(run).collect()));
+    }
+    let crashed = |seed| SimConfig {
+        seed,
+        crashes: vec![(query_server_addr(&dsl), crash_at)],
+        ..SimConfig::default()
+    };
+    scenarios.push((
+        "crash dsl @50%".to_owned(),
+        (0..SEEDS).map(crashed).collect(),
+    ));
 
     let mut lossy_failed_total = 0usize;
     for (label, sims) in scenarios {
@@ -157,7 +148,6 @@ fn main() {
         lossy_failed_total > 0,
         "the faulty scenarios must exercise expiry at least once"
     );
-    table.print();
 
     // Showcase run for `--trace`: a seed known to lose a message.
     if trace.enabled() {
@@ -186,11 +176,11 @@ fn main() {
                 ("dropped_bytes", outcome.metrics.dropped_bytes),
             ],
         );
-        trace.finish().expect("trace file is writable");
     }
 
-    println!(
-        "\nevery run terminates — losses surface as explicit failed entries and \
-         reduced recall, never as a hang or invented rows (Section 7.1) ✓"
-    );
+    Outcome::shown(
+        vec![table],
+        "every run terminates — losses surface as explicit failed entries and \
+         reduced recall, never as a hang or invented rows (Section 7.1) ✓",
+    )
 }

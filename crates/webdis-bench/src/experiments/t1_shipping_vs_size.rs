@@ -1,19 +1,11 @@
-//! T1 — network traffic: query shipping vs data shipping, as the web
-//! grows.
-//!
-//! The paper's core argument (Section 1) is that shipping the query and
-//! returning only results beats downloading documents. This experiment
-//! sweeps the number of sites with a fixed per-site layout and a fixed
-//! needle-search query that traverses the whole web, and reports bytes
-//! and messages for both strategies. Both must return identical result
-//! sets.
-
 use std::sync::Arc;
 
-use webdis_bench::{fmt_bytes, fmt_ratio, Table};
-use webdis_core::{run_datashipping_sim, run_query_sim, EngineConfig};
+use webdis_core::EngineConfig;
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
+
+use super::{both_strategies, Ctx, Outcome};
+use crate::{fmt_bytes, fmt_ratio, Table};
 
 const QUERY: &str = r#"
     select d.url, d.title
@@ -21,7 +13,16 @@ const QUERY: &str = r#"
     where d.title contains "needle"
 "#;
 
-fn main() {
+/// T1 — network traffic: query shipping vs data shipping, as the web
+/// grows.
+///
+/// The paper's core argument (Section 1) is that shipping the query and
+/// returning only results beats downloading documents. This experiment
+/// sweeps the number of sites with a fixed per-site layout and a fixed
+/// needle-search query that traverses the whole web, and reports bytes
+/// and messages for both strategies. Both must return identical result
+/// sets.
+pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T1: traffic vs web size (docs/site=4, ~600-word documents)",
         &[
@@ -47,22 +48,8 @@ fn main() {
         };
         let web = Arc::new(generate(&cfg));
 
-        let ship = run_query_sim(
-            Arc::clone(&web),
-            QUERY,
-            EngineConfig::default(),
-            SimConfig::default(),
-        )
-        .expect("query parses");
-        let data = run_datashipping_sim(Arc::clone(&web), QUERY, SimConfig::default())
-            .expect("query parses");
-
-        assert!(ship.complete && data.complete);
-        assert_eq!(
-            ship.result_set(),
-            data.result_set(),
-            "strategies must agree"
-        );
+        let (ship, data) =
+            both_strategies(&web, QUERY, EngineConfig::default(), SimConfig::default());
 
         table.row(&[
             sites.to_string(),
@@ -81,6 +68,8 @@ fn main() {
             "query shipping must move fewer bytes at {sites} sites"
         );
     }
-    table.print();
-    println!("\nquery shipping beats data shipping on bytes at every web size ✓");
+    Outcome::shown(
+        vec![table],
+        "query shipping beats data shipping on bytes at every web size ✓",
+    )
 }

@@ -1,19 +1,11 @@
-//! T2 — traffic vs predicate selectivity.
-//!
-//! Query shipping returns only matching rows, so its traffic grows with
-//! the match rate, while data shipping downloads every traversed
-//! document regardless. The sweep plants the needle in a growing
-//! fraction of titles on a fixed 16-site web and reports both engines'
-//! bytes: the query-shipping advantage is largest for selective queries
-//! (the search-engine/site-map use cases of Section 1) and shrinks —
-//! but is not eliminated — as everything matches.
-
 use std::sync::Arc;
 
-use webdis_bench::{fmt_bytes, fmt_ratio, Table};
-use webdis_core::{run_datashipping_sim, run_query_sim, EngineConfig};
+use webdis_core::EngineConfig;
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
+
+use super::{both_strategies, Ctx, Outcome};
+use crate::{fmt_bytes, fmt_ratio, Table};
 
 const QUERY: &str = r#"
     select d.url, d.title, d.length
@@ -21,7 +13,16 @@ const QUERY: &str = r#"
     where d.title contains "needle"
 "#;
 
-fn main() {
+/// T2 — traffic vs predicate selectivity.
+///
+/// Query shipping returns only matching rows, so its traffic grows with
+/// the match rate, while data shipping downloads every traversed
+/// document regardless. The sweep plants the needle in a growing
+/// fraction of titles on a fixed 16-site web and reports both engines'
+/// bytes: the query-shipping advantage is largest for selective queries
+/// (the search-engine/site-map use cases of Section 1) and shrinks —
+/// but is not eliminated — as everything matches.
+pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T2: traffic vs selectivity (16 sites x 4 docs, ~600-word documents)",
         &[
@@ -45,17 +46,8 @@ fn main() {
         };
         let web = Arc::new(generate(&cfg));
 
-        let ship = run_query_sim(
-            Arc::clone(&web),
-            QUERY,
-            EngineConfig::default(),
-            SimConfig::default(),
-        )
-        .expect("query parses");
-        let data = run_datashipping_sim(Arc::clone(&web), QUERY, SimConfig::default())
-            .expect("query parses");
-        assert!(ship.complete && data.complete);
-        assert_eq!(ship.result_set(), data.result_set());
+        let (ship, data) =
+            both_strategies(&web, QUERY, EngineConfig::default(), SimConfig::default());
 
         table.row(&[
             format!("{prob:.2}"),
@@ -76,6 +68,8 @@ fn main() {
             );
         }
     }
-    table.print();
-    println!("\nquery-shipping traffic grows with match rate; advantage persists ✓");
+    Outcome::shown(
+        vec![table],
+        "query-shipping traffic grows with match rate; advantage persists ✓",
+    )
 }

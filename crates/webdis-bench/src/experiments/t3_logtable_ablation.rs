@@ -1,27 +1,21 @@
-//! T3 — what the node-query log table saves (Section 3.1.1).
-//!
-//! On a cross-linked web, clones reach the same node along many paths;
-//! without the log table every arrival is recomputed and *re-forwarded*,
-//! cascading ("a mirror clone chasing a previously processed clone over
-//! the Web"). The sweep increases cross-link density and compares the
-//! log table ON vs OFF: evaluations, clone messages, duplicate result
-//! rows delivered to the user. OFF runs are bounded by the hop-count
-//! safety valve (the web is cyclic), which is itself a measured quantity.
-
 use std::sync::Arc;
 
-use webdis_bench::Table;
-use webdis_core::{run_query_sim, ChtMode, EngineConfig, LogMode};
-use webdis_sim::SimConfig;
+use webdis_core::{ChtMode, EngineConfig, LogMode};
 use webdis_web::{generate, WebGenConfig};
 
-const QUERY: &str = r#"
-    select d.url
-    from document d such that "http://site0.test/doc0.html" (L|G)* d
-    where d.title contains "needle"
-"#;
+use super::{shipped, Ctx, Outcome, GLOBAL_QUERY};
+use crate::Table;
 
-fn main() {
+/// T3 — what the node-query log table saves (Section 3.1.1).
+///
+/// On a cross-linked web, clones reach the same node along many paths;
+/// without the log table every arrival is recomputed and *re-forwarded*,
+/// cascading ("a mirror clone chasing a previously processed clone over
+/// the Web"). The sweep increases cross-link density and compares the
+/// log table ON vs OFF: evaluations, clone messages, duplicate result
+/// rows delivered to the user. OFF runs are bounded by the hop-count
+/// safety valve (the web is cyclic), which is itself a measured quantity.
+pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T3: log-table ablation (acyclic web, 8 sites x 3 docs)",
         &[
@@ -57,11 +51,8 @@ fn main() {
             ..EngineConfig::default()
         };
 
-        let on = run_query_sim(Arc::clone(&web), QUERY, on_cfg, SimConfig::default())
-            .expect("query parses");
-        let off = run_query_sim(Arc::clone(&web), QUERY, off_cfg, SimConfig::default())
-            .expect("query parses");
-        assert!(on.complete && off.complete);
+        let on = shipped(&web, GLOBAL_QUERY, on_cfg);
+        let off = shipped(&web, GLOBAL_QUERY, off_cfg);
         // The distinct result set is identical; only the duplicates and
         // the work differ.
         assert_eq!(on.result_set(), off.result_set());
@@ -88,6 +79,8 @@ fn main() {
             );
         }
     }
-    table.print();
-    println!("\nlog table eliminates all duplicate recomputation and its message cascade ✓");
+    Outcome::shown(
+        vec![table],
+        "log table eliminates all duplicate recomputation and its message cascade ✓",
+    )
 }

@@ -1,28 +1,22 @@
-//! T4 — the cost of knowing you are done: Current Hosts Table overhead.
-//!
-//! Completion detection is pure protocol overhead on top of the results
-//! themselves. This experiment measures it two ways as the web grows:
-//!
-//! * report bytes vs query bytes vs the share of report bytes that is
-//!   results (approximated by re-encoding the result rows alone);
-//! * the paper's §3.1.1 CHT refinement (skip equivalent entries, drop
-//!   duplicates silently) vs the strict variant (every clone reported):
-//!   the refinement's saving in report messages and CHT entries.
-
 use std::sync::Arc;
 
-use webdis_bench::{fmt_bytes, Table};
-use webdis_core::{run_query_sim, ChtMode, EngineConfig};
-use webdis_sim::SimConfig;
+use webdis_core::{ChtMode, EngineConfig};
 use webdis_web::{generate, WebGenConfig};
 
-const QUERY: &str = r#"
-    select d.url
-    from document d such that "http://site0.test/doc0.html" (L|G)* d
-    where d.title contains "needle"
-"#;
+use super::{shipped, Ctx, Outcome, GLOBAL_QUERY};
+use crate::{fmt_bytes, Table};
 
-fn main() {
+/// T4 — the cost of knowing you are done: Current Hosts Table overhead.
+///
+/// Completion detection is pure protocol overhead on top of the results
+/// themselves. This experiment measures it two ways as the web grows:
+///
+/// * report bytes vs query bytes vs the share of report bytes that is
+///   results (approximated by re-encoding the result rows alone);
+/// * the paper's §3.1.1 CHT refinement (skip equivalent entries, drop
+///   duplicates silently) vs the strict variant (every clone reported):
+///   the refinement's saving in report messages and CHT entries.
+pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T4: completion-protocol overhead vs web size",
         &[
@@ -48,24 +42,12 @@ fn main() {
         };
         let web = Arc::new(generate(&cfg));
 
-        let paper = run_query_sim(
-            Arc::clone(&web),
-            QUERY,
-            EngineConfig::default(),
-            SimConfig::default(),
-        )
-        .expect("query parses");
-        let strict = run_query_sim(
-            Arc::clone(&web),
-            QUERY,
-            EngineConfig {
-                cht_mode: ChtMode::Strict,
-                ..EngineConfig::default()
-            },
-            SimConfig::default(),
-        )
-        .expect("query parses");
-        assert!(paper.complete && strict.complete);
+        let paper = shipped(&web, GLOBAL_QUERY, EngineConfig::default());
+        let strict_cfg = EngineConfig {
+            cht_mode: ChtMode::Strict,
+            ..EngineConfig::default()
+        };
+        let strict = shipped(&web, GLOBAL_QUERY, strict_cfg);
         assert_eq!(paper.result_set(), strict.result_set());
 
         for (label, o) in [("paper §3.1.1", &paper), ("strict", &strict)] {
@@ -87,6 +69,8 @@ fn main() {
         );
         assert!(paper.cht_stats.added <= strict.cht_stats.added);
     }
-    table.print();
-    println!("\n§3.1.1 refinement reduces CHT entries and report traffic at every size ✓");
+    Outcome::shown(
+        vec![table],
+        "§3.1.1 refinement reduces CHT entries and report traffic at every size ✓",
+    )
 }

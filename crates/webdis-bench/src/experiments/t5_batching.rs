@@ -1,25 +1,19 @@
-//! T5 — the §3.2 batching optimizations.
-//!
-//! Optimization 4 sends one clone per destination *site* carrying the
-//! list of destination nodes; footnote 4 processes same-site destinations
-//! in place rather than through the network. On a web with many documents
-//! per site, the two together collapse most clone traffic. The grid runs
-//! all four on/off combinations on the same web and query.
-
 use std::sync::Arc;
 
-use webdis_bench::{fmt_bytes, Table};
-use webdis_core::{run_query_sim, EngineConfig};
-use webdis_sim::SimConfig;
+use webdis_core::EngineConfig;
 use webdis_web::{generate, WebGenConfig};
 
-const QUERY: &str = r#"
-    select d.url
-    from document d such that "http://site0.test/doc0.html" (L|G)* d
-    where d.title contains "needle"
-"#;
+use super::{shipped, Ctx, Outcome, GLOBAL_QUERY};
+use crate::{fmt_bytes, Table};
 
-fn main() {
+/// T5 — the §3.2 batching optimizations.
+///
+/// Optimization 4 sends one clone per destination *site* carrying the
+/// list of destination nodes; footnote 4 processes same-site destinations
+/// in place rather than through the network. On a web with many documents
+/// per site, the two together collapse most clone traffic. The grid runs
+/// all four on/off combinations on the same web and query.
+pub fn run(_: &Ctx) -> Outcome {
     let web = Arc::new(generate(&WebGenConfig {
         sites: 8,
         docs_per_site: 8,
@@ -50,9 +44,7 @@ fn main() {
                 local_forwarding: local,
                 ..EngineConfig::default()
             };
-            let outcome = run_query_sim(Arc::clone(&web), QUERY, cfg, SimConfig::default())
-                .expect("query parses");
-            assert!(outcome.complete);
+            let outcome = shipped(&web, GLOBAL_QUERY, cfg);
             table.row(&[
                 if batch { "on" } else { "off" }.to_owned(),
                 if local { "on" } else { "off" }.to_owned(),
@@ -63,7 +55,6 @@ fn main() {
             results.push(((batch, local), outcome));
         }
     }
-    table.print();
 
     // All four configurations return the same rows.
     let reference = results[0].1.result_set();
@@ -81,5 +72,8 @@ fn main() {
     assert!(msgs(true, true) <= msgs(false, true));
     assert!(msgs(true, true) <= msgs(true, false));
     assert!(msgs(true, true) < msgs(false, false));
-    println!("\nboth batching optimizations reduce clone messages; combined is best ✓");
+    Outcome::shown(
+        vec![table],
+        "both batching optimizations reduce clone messages; combined is best ✓",
+    )
 }

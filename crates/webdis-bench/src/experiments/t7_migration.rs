@@ -1,20 +1,11 @@
-//! T7 — the Section 7.1 "gradual migration path", quantified.
-//!
-//! The paper promises: "we can expect a gradual migration path for
-//! WEBDIS from a largely centralized to a fully distributed system as
-//! more and more sites begin to host query servers." This experiment
-//! runs the hybrid engine on a fixed web while the fraction of
-//! participating sites sweeps from 0% (pure data shipping with CHT
-//! accounting) to 100% (pure query shipping), reporting document bytes
-//! downloaded, total traffic, fallback handoffs and distributed
-//! re-entries.
-
 use std::sync::Arc;
 
-use webdis_bench::{fmt_bytes, Table};
-use webdis_core::{run_query_hybrid_sim, run_query_sim, EngineConfig};
+use webdis_core::{run_query_hybrid_sim, EngineConfig};
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
+
+use super::{shipped, Ctx, Outcome};
+use crate::{fmt_bytes, Table};
 
 const QUERY: &str = r#"
     select d.url, d.title
@@ -22,7 +13,17 @@ const QUERY: &str = r#"
     where d.title contains "needle"
 "#;
 
-fn main() {
+/// T7 — the Section 7.1 "gradual migration path", quantified.
+///
+/// The paper promises: "we can expect a gradual migration path for
+/// WEBDIS from a largely centralized to a fully distributed system as
+/// more and more sites begin to host query servers." This experiment
+/// runs the hybrid engine on a fixed web while the fraction of
+/// participating sites sweeps from 0% (pure data shipping with CHT
+/// accounting) to 100% (pure query shipping), reporting document bytes
+/// downloaded, total traffic, fallback handoffs and distributed
+/// re-entries.
+pub fn run(_: &Ctx) -> Outcome {
     let web = Arc::new(generate(&WebGenConfig {
         sites: 16,
         docs_per_site: 4,
@@ -33,14 +34,7 @@ fn main() {
     }));
     let all_sites = web.sites();
 
-    let reference = run_query_sim(
-        Arc::clone(&web),
-        QUERY,
-        EngineConfig::default(),
-        SimConfig::default(),
-    )
-    .expect("query parses");
-    assert!(reference.complete);
+    let reference = shipped(&web, QUERY, EngineConfig::default());
 
     let mut table = Table::new(
         "T7: hybrid migration path (16 sites x 4 docs)",
@@ -90,9 +84,9 @@ fn main() {
             assert_eq!(stats.handoffs, 0);
         }
     }
-    table.print();
-    println!(
-        "\nresults identical at every participation level; downloaded bytes fall \
-         monotonically to zero — the paper's migration path, measured ✓"
-    );
+    Outcome::shown(
+        vec![table],
+        "results identical at every participation level; downloaded bytes fall \
+          monotonically to zero — the paper's migration path, measured ✓",
+    )
 }

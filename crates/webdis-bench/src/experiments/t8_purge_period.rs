@@ -1,30 +1,13 @@
-//! T8 — log-table purge-period sensitivity (Section 3.1.1).
-//!
-//! "To ensure that the log table does not take undue space, the old
-//! entries in the table are periodically purged. … even if the purging
-//! time is incorrectly set too low resulting in duplicate Web queries
-//! being recomputed, it only affects the performance of the system but
-//! not the correctness of the results."
-//!
-//! The sweep runs the same query on the same cross-linked web while a
-//! harness-driven purge fires at different periods, reporting peak log
-//! size against recomputation cost — and asserting the paper's
-//! correctness claim at every setting.
-
 use std::sync::Arc;
 
-use webdis_bench::Table;
 use webdis_core::simrun::{client_of, user_addr, SimServer};
 use webdis_core::{query_server_addr, result_set, ChtMode, Deployment, EngineConfig};
 use webdis_disql::parse_disql;
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
 
-const QUERY: &str = r#"
-    select d.url
-    from document d such that "http://site0.test/doc0.html" (L|G)* d
-    where d.title contains "needle"
-"#;
+use super::{Ctx, Outcome, GLOBAL_QUERY};
+use crate::Table;
 
 /// One run's observables: completion, peak log size, evaluations,
 /// duplicate drops, and the canonical result set.
@@ -48,7 +31,7 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
         ..WebGenConfig::default()
     }));
     let sites = web.sites();
-    let query = parse_disql(QUERY).unwrap();
+    let query = parse_disql(GLOBAL_QUERY).unwrap();
     // Strict mode keeps completion exact however many duplicates the
     // purge-induced recomputation creates.
     let cfg = EngineConfig {
@@ -100,7 +83,19 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
     }
 }
 
-fn main() {
+/// T8 — log-table purge-period sensitivity (Section 3.1.1).
+///
+/// "To ensure that the log table does not take undue space, the old
+/// entries in the table are periodically purged. … even if the purging
+/// time is incorrectly set too low resulting in duplicate Web queries
+/// being recomputed, it only affects the performance of the system but
+/// not the correctness of the results."
+///
+/// The sweep runs the same query on the same cross-linked web while a
+/// harness-driven purge fires at different periods, reporting peak log
+/// size against recomputation cost — and asserting the paper's
+/// correctness claim at every setting.
+pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T8: log purge period vs recomputation (10 sites x 3 docs, cross-linked)",
         &[
@@ -129,9 +124,9 @@ fn main() {
             run.drops.to_string(),
         ]);
     }
-    table.print();
-    println!(
-        "\nshorter purge periods shrink the log but recompute more; the result \
-         set is identical at every setting — the paper's §3.1.1 claim, verified ✓"
-    );
+    Outcome::shown(
+        vec![table],
+        "shorter purge periods shrink the log but recompute more; the result \
+          set is identical at every setting — the paper's §3.1.1 claim, verified ✓",
+    )
 }

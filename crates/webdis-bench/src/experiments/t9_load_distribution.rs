@@ -1,26 +1,30 @@
-//! T9 — who does the work: load distribution across sites.
-//!
-//! Section 1's second argument against data shipping is "the client-site
-//! becoming a processing bottleneck". This experiment measures, for the
-//! same query on the same web, how messages and document-parsing work
-//! distribute across endpoints under each strategy: data shipping
-//! concentrates everything at the user site, query shipping spreads it in
-//! proportion to each site's share of the web.
-
 use std::sync::Arc;
 
-use webdis_bench::Table;
-use webdis_core::{Deployment, EngineConfig, ProcModel};
+use webdis_core::{EngineConfig, ProcModel, QueryOutcome};
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
 
-const QUERY: &str = r#"
-    select d.url
-    from document d such that "http://site0.test/doc0.html" (L|G)* d
-    where d.title contains "needle"
-"#;
+use super::{both_strategies, Ctx, Outcome, GLOBAL_QUERY};
+use crate::Table;
 
-fn main() {
+/// Processor time charged at the user site, µs.
+fn user_cpu_us(outcome: &QueryOutcome) -> u64 {
+    let by_site = outcome.metrics.busy_us_by_site.iter();
+    by_site
+        .filter(|(site, _)| site.host == "user.test")
+        .map(|(_, us)| *us)
+        .sum()
+}
+
+/// T9 — who does the work: load distribution across sites.
+///
+/// Section 1's second argument against data shipping is "the client-site
+/// becoming a processing bottleneck". This experiment measures, for the
+/// same query on the same web, how messages and document-parsing work
+/// distribute across endpoints under each strategy: data shipping
+/// concentrates everything at the user site, query shipping spreads it in
+/// proportion to each site's share of the web.
+pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T9: load distribution (messages received at the busiest endpoint)",
         &[
@@ -46,20 +50,11 @@ fn main() {
         };
         let web = Arc::new(generate(&cfg));
 
-        let proc = ProcModel::workstation_1999();
         let cfg = EngineConfig {
-            proc,
+            proc: ProcModel::workstation_1999(),
             ..EngineConfig::default()
         };
-        let deployment = Deployment::new(Arc::clone(&web), cfg);
-        let ship = deployment
-            .query_sim(QUERY, SimConfig::default())
-            .expect("query parses");
-        let data = deployment
-            .datashipping_sim(QUERY, SimConfig::default())
-            .expect("query parses");
-        assert!(ship.complete && data.complete);
-        assert_eq!(ship.result_set(), data.result_set());
+        let (ship, data) = both_strategies(&web, GLOBAL_QUERY, cfg, SimConfig::default());
 
         for (label, o) in [("query ship", &ship), ("data ship", &data)] {
             let total = o.metrics.total.messages;
@@ -68,13 +63,7 @@ fn main() {
                 .max_site_load()
                 .map(|(s, n)| (s.to_string(), n))
                 .unwrap_or(("-".into(), 0));
-            let user_cpu = o
-                .metrics
-                .busy_us_by_site
-                .iter()
-                .filter(|(s, _)| s.host == "user.test")
-                .map(|(_, us)| *us)
-                .sum::<u64>();
+            let user_cpu = user_cpu_us(o);
             let server_cpu = o
                 .metrics
                 .busy_us_by_site
@@ -114,26 +103,12 @@ fn main() {
         );
         // All parsing CPU lands on the user under data shipping; none
         // under query shipping.
-        let ship_user_cpu: u64 = ship
-            .metrics
-            .busy_us_by_site
-            .iter()
-            .filter(|(s, _)| s.host == "user.test")
-            .map(|(_, us)| *us)
-            .sum();
-        let data_user_cpu: u64 = data
-            .metrics
-            .busy_us_by_site
-            .iter()
-            .filter(|(s, _)| s.host == "user.test")
-            .map(|(_, us)| *us)
-            .sum();
-        assert_eq!(ship_user_cpu, 0);
-        assert!(data_user_cpu > 0);
+        assert_eq!(user_cpu_us(&ship), 0);
+        assert!(user_cpu_us(&data) > 0);
     }
-    table.print();
-    println!(
-        "\ndata shipping funnels ~half of all messages (and every parse) through \
-         the user site; query shipping leaves the user with reports only ✓"
-    );
+    Outcome::shown(
+        vec![table],
+        "data shipping funnels ~half of all messages (and every parse) through \
+          the user site; query shipping leaves the user with reports only ✓",
+    )
 }

@@ -1,29 +1,25 @@
 #![warn(missing_docs)]
 
-//! Shared infrastructure for the experiment harnesses.
+//! The workspace's one experiment suite.
 //!
-//! Each binary under `src/bin/` regenerates one figure or table of
-//! `EXPERIMENTS.md`:
+//! Every figure and table of `EXPERIMENTS.md` and every
+//! `BENCH_<name>.json` is one entry of [`EXPERIMENTS`] — a
+//! `pub fn run(&Ctx) -> Outcome` in `src/experiments/<name>.rs` — run by
+//! the one `webdis-bench` binary (`webdis-bench list` prints the table;
+//! `run`, `baseline` and `compare` are its other commands). Each
+//! experiment *asserts* the claims it reproduces, so a regression fails
+//! loudly rather than drifting; the ones with numbers worth freezing
+//! also fill a [`ScenarioReport`], whose metrics each carry their own
+//! comparison policy: `tol_pct == 0` means *sim-deterministic, must
+//! match exactly*; a nonzero band means *wall-clock, regression only
+//! when it moves past the band in the worse direction*. [`compare()`]
+//! applies those policies between the committed `bench/baseline.json`
+//! and a fresh candidate and is the CI gate.
 //!
-//! | binary | artifact |
-//! |---|---|
-//! | `fig1_traversal` | Figure 1 — web traversal path and node roles |
-//! | `fig5_multivisit` | Figure 5 — multiple visits to a node, log-table effect |
-//! | `fig7_campus_trace` | Figure 7 — sample query traversal with states |
-//! | `fig8_campus_results` | Figure 8 — result table of the sample query |
-//! | `t1_shipping_vs_size` | T1 — traffic vs web size, both engines |
-//! | `t2_selectivity` | T2 — traffic vs predicate selectivity |
-//! | `t3_logtable_ablation` | T3 — duplicate elimination on/off |
-//! | `t4_cht_overhead` | T4 — completion-protocol overhead, paper vs strict |
-//! | `t5_batching` | T5 — §3.2 batching optimizations on/off |
-//! | `t6_latency` | T6 — first-result/completion latency, both engines |
-//! | `t7_migration` | T7 — §7.1 hybrid migration path, participation sweep |
-//! | `t8_purge_period` | T8 — §3.1.1 log purge period vs recomputation |
-//! | `t9_load_distribution` | T9 — per-endpoint load, both engines |
-//! | `t10_doc_cache` | T10 — footnote-3 document cache under repeated queries |
-//! | `t11_completion_protocols` | T11 — CHT vs §6's acknowledgement chains |
-//! | `t12_fault_recovery` | T12 — §7.1 completion and recall under drops and crashes |
-//! | `t13_throughput` | T13 — throughput and latency vs offered load, admission control |
+//! This file holds what the experiments share: the [`Table`] they
+//! print, the runner-owned [`TraceOpt`], and the cell formatters.
+//! `webdis-doctor` is the crate's second binary ([`live`] is its
+//! `--live` mode; its offline diagnosis is `webdis_trace::doctor`).
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -31,8 +27,14 @@ use std::sync::Arc;
 
 use webdis_trace::{trajectory, CollectingTracer, TraceHandle};
 
-pub mod doctor;
+pub mod compare;
+pub mod experiments;
 pub mod live;
+pub mod report;
+
+pub use compare::{compare, CompareOutcome};
+pub use experiments::{experiment, Ctx, Experiment, Outcome, EXPERIMENTS};
+pub use report::{BenchReport, Metric, ScenarioReport, Worse};
 
 /// A fixed-width text table, the output format of every harness (the
 /// repository has no plotting dependency; tables are the paper-facing
@@ -98,10 +100,11 @@ impl Table {
     }
 }
 
-/// The `--trace <path>` option shared by the harness binaries: when
-/// present, installs a ring-buffer collector; [`TraceOpt::finish`]
-/// writes the captured events as JSON lines to the path and prints the
-/// reconstructed per-query trajectories plus the metrics registry.
+/// The runner's `--trace <path>` option: when present, installs a
+/// ring-buffer collector that the experiments with a showcase run record
+/// into; [`TraceOpt::finish`] writes the captured events as JSON lines
+/// to the path and prints the reconstructed per-query trajectories plus
+/// the metrics registry.
 pub struct TraceOpt {
     collector: Option<(Arc<CollectingTracer>, PathBuf)>,
     handle: TraceHandle,
@@ -110,24 +113,6 @@ pub struct TraceOpt {
 impl TraceOpt {
     /// Collector capacity — generous for single-figure runs.
     const CAPACITY: usize = 65_536;
-
-    /// Parses `--trace <path>` (or `--trace=<path>`) from the process
-    /// arguments; absent flag means tracing stays disabled.
-    pub fn from_args() -> TraceOpt {
-        let args: Vec<String> = std::env::args().collect();
-        let mut path: Option<PathBuf> = None;
-        let mut i = 1;
-        while i < args.len() {
-            if let Some(p) = args[i].strip_prefix("--trace=") {
-                path = Some(p.into());
-            } else if args[i] == "--trace" && i + 1 < args.len() {
-                path = Some(args[i + 1].clone().into());
-                i += 1;
-            }
-            i += 1;
-        }
-        Self::with_path(path)
-    }
 
     /// A trace option with an explicit output path (`None` = disabled).
     pub fn with_path(path: Option<PathBuf>) -> TraceOpt {
@@ -154,6 +139,16 @@ impl TraceOpt {
     /// True when `--trace` was given.
     pub fn enabled(&self) -> bool {
         self.collector.is_some()
+    }
+
+    /// The collector a run that reads its own registry records into:
+    /// the runner's when `--trace` was given (so the run is the one the
+    /// file shows), else a private one of `capacity` records.
+    pub fn collecting(&self, capacity: usize) -> (Arc<CollectingTracer>, TraceHandle) {
+        match &self.collector {
+            Some((collector, _)) => (Arc::clone(collector), self.handle.clone()),
+            None => TraceHandle::collecting(capacity),
+        }
     }
 
     /// Folds engine counters (e.g. `ServerStats::counters`) into the

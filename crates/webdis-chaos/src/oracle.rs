@@ -23,9 +23,8 @@
 
 use std::collections::BTreeMap;
 
-use webdis_bench::doctor;
 use webdis_load::{QueryRecord, WorkloadOutcome};
-use webdis_trace::{TraceEvent, TraceRecord};
+use webdis_trace::{doctor, TraceEvent, TraceRecord};
 use webdis_web::LiveWeb;
 
 use crate::plan::ChaosPlan;

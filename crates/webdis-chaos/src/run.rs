@@ -5,10 +5,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis_bench::doctor;
 use webdis_core::{Deployment, EngineConfig, ExpiryPolicy, SimRunError, TcpFaultPlan};
 use webdis_load::{run_workload_sim, WorkloadOutcome};
-use webdis_trace::{TraceHandle, TraceRecord};
+use webdis_trace::{doctor, TraceHandle, TraceRecord};
 use webdis_web::LiveWeb;
 
 use crate::oracle::{self, Violation};

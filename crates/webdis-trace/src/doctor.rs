@@ -14,8 +14,8 @@
 
 use std::collections::BTreeMap;
 
-use webdis_trace::trajectory::{self, Trajectory, Visit};
-use webdis_trace::{QueryId, TraceEvent, TraceRecord};
+use crate::trajectory::{self, Visit};
+use crate::{QueryId, TraceEvent, TraceRecord};
 
 /// The pipeline stage names, in order (the same labels as the
 /// `stage_us.*` registry histograms). `queue_wait` leads: it is the
@@ -429,25 +429,16 @@ pub fn diagnose(records: &[TraceRecord]) -> Diagnosis {
             kind: kind.clone(),
             ..WireLine::default()
         });
-        match &r.event {
-            TraceEvent::MessageSent { .. } => {
-                line.msgs += 1;
-                line.bytes += bytes;
-            }
-            TraceEvent::MessageDropped { .. } => {
-                line.dropped_msgs += 1;
-                line.dropped_bytes += bytes;
-            }
+        let (msgs, total) = match &r.event {
+            TraceEvent::MessageSent { .. } => (&mut line.msgs, &mut line.bytes),
+            TraceEvent::MessageDropped { .. } => (&mut line.dropped_msgs, &mut line.dropped_bytes),
             TraceEvent::MessageCorrupted { .. } => {
-                line.corrupted_msgs += 1;
-                line.corrupted_bytes += bytes;
+                (&mut line.corrupted_msgs, &mut line.corrupted_bytes)
             }
-            TraceEvent::MessageDuplicated { .. } => {
-                line.duplicated_msgs += 1;
-                line.duplicated_bytes += bytes;
-            }
-            _ => unreachable!(),
-        }
+            _ => (&mut line.duplicated_msgs, &mut line.duplicated_bytes),
+        };
+        *msgs += 1;
+        *total += bytes;
     }
 
     // Injected duplications are notable but always benign for the
@@ -514,29 +505,22 @@ pub fn diagnose(records: &[TraceRecord]) -> Diagnosis {
     // Per-site answer-cache accounting, straight from the cache events.
     let mut cache_sites: BTreeMap<String, SiteCacheLine> = BTreeMap::new();
     for r in records {
-        let line =
-            match &r.event {
-                TraceEvent::CacheHit { .. }
-                | TraceEvent::CacheMiss { .. }
-                | TraceEvent::CacheEvict { .. } => cache_sites
-                    .entry(r.site.clone())
-                    .or_insert_with(|| SiteCacheLine {
-                        site: r.site.clone(),
-                        ..SiteCacheLine::default()
-                    }),
-                _ => continue,
-            };
-        match &r.event {
-            TraceEvent::CacheHit { subsumed, .. } => {
-                line.hits += 1;
-                if *subsumed {
-                    line.subsumed_hits += 1;
-                }
-            }
-            TraceEvent::CacheMiss { .. } => line.misses += 1,
-            TraceEvent::CacheEvict { .. } => line.evictions += 1,
-            _ => unreachable!(),
-        }
+        let (hit, subsumed_hit, miss, evict) = match &r.event {
+            TraceEvent::CacheHit { subsumed, .. } => (1, u64::from(*subsumed), 0, 0),
+            TraceEvent::CacheMiss { .. } => (0, 0, 1, 0),
+            TraceEvent::CacheEvict { .. } => (0, 0, 0, 1),
+            _ => continue,
+        };
+        let line = cache_sites
+            .entry(r.site.clone())
+            .or_insert_with(|| SiteCacheLine {
+                site: r.site.clone(),
+                ..SiteCacheLine::default()
+            });
+        line.hits += hit;
+        line.subsumed_hits += subsumed_hit;
+        line.misses += miss;
+        line.evictions += evict;
     }
     let mut critical_path_served = 0usize;
 
@@ -626,17 +610,15 @@ pub fn diagnose(records: &[TraceRecord]) -> Diagnosis {
         ));
     }
 
-    // Per-query diagnosis.
+    // Per-query diagnosis. The stream is split by query once: filtering
+    // it per query (and again inside `reconstruct`) made a trace of q
+    // queries cost q passes over every record.
     let mut queries = Vec::new();
-    for id in trajectory::query_ids(records) {
-        let own: Vec<&TraceRecord> = records
-            .iter()
-            .filter(|r| r.query.as_ref() == Some(&id))
-            .collect();
+    for (id, own) in trajectory::by_query(records) {
         let first = own.iter().map(|r| r.time_us).min().unwrap_or(0);
         let last = own.iter().map(|r| r.time_us).max().unwrap_or(0);
 
-        let trajectory = trajectory::reconstruct(records, &id);
+        let trajectory = trajectory::reconstruct_own(own.clone(), &id);
 
         // Stage totals per (site, hop) visit, and overall.
         let mut per_visit: BTreeMap<(String, Option<u32>), u64> = BTreeMap::new();
@@ -744,34 +726,21 @@ pub fn diagnose(records: &[TraceRecord]) -> Diagnosis {
             }
         }
 
-        let terminations: Vec<String> = own
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::Termination { reason } => Some(reason.name().to_string()),
-                _ => None,
-            })
-            .collect();
-        let expired_nodes: Vec<String> = own
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::EntryExpired { node } => Some(node.clone()),
-                _ => None,
-            })
-            .collect();
-        let shed_clones: Vec<u32> = own
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::QueryShed { nodes } => Some(*nodes),
-                _ => None,
-            })
-            .collect();
-        let duplicated_deliveries: Vec<(String, String)> = own
-            .iter()
-            .filter_map(|r| match &r.event {
-                TraceEvent::MessageDuplicated { kind, to, .. } => Some((kind.clone(), to.clone())),
-                _ => None,
-            })
-            .collect();
+        let mut terminations = Vec::new();
+        let mut expired_nodes = Vec::new();
+        let mut shed_clones = Vec::new();
+        let mut duplicated_deliveries = Vec::new();
+        for r in &own {
+            match &r.event {
+                TraceEvent::Termination { reason } => terminations.push(reason.name().to_string()),
+                TraceEvent::EntryExpired { node } => expired_nodes.push(node.clone()),
+                TraceEvent::QueryShed { nodes } => shed_clones.push(*nodes),
+                TraceEvent::MessageDuplicated { kind, to, .. } => {
+                    duplicated_deliveries.push((kind.clone(), to.clone()))
+                }
+                _ => {}
+            }
+        }
 
         let label = format!("{}#{}", id.user, id.query_num);
         for record in &trajectory.orphans {
@@ -1180,11 +1149,6 @@ impl Diagnosis {
     }
 }
 
-/// Re-exported for the binary: reconstructs one query's shipping tree.
-pub fn reconstruct(records: &[TraceRecord], id: &QueryId) -> Trajectory {
-    trajectory::reconstruct(records, id)
-}
-
 /// Streams a JSONL trace off disk one line at a time. A long workload
 /// run's trace reaches hundreds of megabytes; `read_to_string` would
 /// hold the whole text *and* the decoded records simultaneously, while
@@ -1202,8 +1166,8 @@ pub fn load_trace(path: &std::path::Path) -> Result<Vec<TraceRecord>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let record = webdis_trace::json::decode_record(&line)
-            .map_err(|e| format!("{path:?}:{}: {e}", idx + 1))?;
+        let record =
+            crate::json::decode_record(&line).map_err(|e| format!("{path:?}:{}: {e}", idx + 1))?;
         records.push(record);
     }
     Ok(records)
@@ -1212,7 +1176,7 @@ pub fn load_trace(path: &std::path::Path) -> Result<Vec<TraceRecord>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webdis_trace::TermReason;
+    use crate::TermReason;
 
     fn qid() -> QueryId {
         QueryId {
@@ -1491,53 +1455,6 @@ mod tests {
         assert_eq!((report.msgs, report.bytes), (1, 90));
     }
 
-    /// The t12 acceptance shape: a sim run with injected drops must
-    /// produce expired/shed flags and *zero* false orphans or hangs.
-    #[test]
-    fn injected_drop_run_has_zero_false_orphans() {
-        let (collector, tracer) = webdis_trace::TraceHandle::collecting(16_384);
-        let cfg = webdis_core::EngineConfig {
-            expiry: Some(webdis_core::ExpiryPolicy::with_timeout(400_000)),
-            tracer,
-            ..webdis_core::EngineConfig::default()
-        };
-        let sim = webdis_sim::SimConfig {
-            drop_rate: 0.1,
-            seed: 5,
-            ..webdis_sim::SimConfig::default()
-        };
-        let outcome = webdis_core::run_query_sim(
-            std::sync::Arc::new(webdis_web::figures::campus()),
-            webdis_web::figures::CAMPUS_QUERY,
-            cfg,
-            sim,
-        )
-        .unwrap();
-        assert!(outcome.complete, "expiry must conclude the query");
-        let records = collector.snapshot();
-        let d = diagnose(&records);
-        assert!(
-            d.anomalies.is_empty(),
-            "injected drops must never read as orphans or hangs: {:?}",
-            d.anomalies
-        );
-        // The run did lose something, and the doctor saw it.
-        let dropped: usize = d.queries.iter().map(|q| q.dropped_visits.len()).sum();
-        let drops_in_trace = records
-            .iter()
-            .filter(
-                |r| matches!(&r.event, TraceEvent::MessageDropped { kind, .. } if kind == "query"),
-            )
-            .count();
-        assert_eq!(
-            dropped, drops_in_trace,
-            "every dropped query clone is matched to its in-flight visit"
-        );
-        let text = d.render_text(5);
-        assert!(text.contains("anomalies"));
-        assert!(text.contains("none — every send"));
-    }
-
     #[test]
     fn bottleneck_report_names_the_queue_heavy_site() {
         let records = vec![
@@ -1770,7 +1687,7 @@ mod tests {
             let mut f = std::io::BufWriter::new(std::fs::File::create(&path).unwrap());
             for i in 0..80_000u64 {
                 let r = sent(i, "user.test", &format!("site{}.test", i % 7), 0);
-                writeln!(f, "{}", webdis_trace::json::encode_record(&r)).unwrap();
+                writeln!(f, "{}", crate::json::encode_record(&r)).unwrap();
                 if i % 1000 == 0 {
                     writeln!(f).unwrap(); // blank lines are skipped
                 }

@@ -20,7 +20,7 @@
 //!
 //! **Who uses it.** Trace JSONL (here), [`crate::Histogram`],
 //! `webdis-monitor` (`/status`, series and alert log), `webdis-chaos`
-//! (`chaos-repro.json`) and `webdis-perf` (`BENCH_*.json`).
+//! (`chaos-repro.json`) and `webdis-bench` (`BENCH_*.json`).
 //!
 //! One trace record is one flat object per line; event-specific fields
 //! sit next to the common stamp fields, so the output greps well:

@@ -8,9 +8,11 @@
 //! (zero cost when disabled) and a bounded ring-buffer collector, a
 //! JSON-lines exporter/parser on the workspace's one JSON module
 //! ([`json`]), a unified
-//! metrics [`registry`], and a [`trajectory`] reconstructor that folds
+//! metrics [`registry`], a [`trajectory`] reconstructor that folds
 //! an event stream back into the per-query shipping tree of the
-//! paper's Figure 1.
+//! paper's Figure 1, and the [`doctor`] that turns a whole trace into a
+//! diagnosis (`webdis-doctor`'s report, the chaos oracle's coherence
+//! check).
 //!
 //! Both transports record through the same [`TraceHandle`]: the
 //! simulator stamps virtual microseconds, the TCP runtime wall-clock
@@ -23,6 +25,7 @@ use parking_lot::Mutex;
 
 pub use webdis_net::QueryId;
 
+pub mod doctor;
 pub mod expo;
 pub mod json;
 pub mod registry;

@@ -218,10 +218,17 @@ fn note_for(event: &TraceEvent) -> Option<String> {
 /// record whose target visit does not exist yet is retried on the next
 /// pass, and only records that never find a home end up as orphans.
 pub fn reconstruct(records: &[TraceRecord], id: &QueryId) -> Trajectory {
-    let mut pending: Vec<&TraceRecord> = records
+    let own = records
         .iter()
         .filter(|r| r.query.as_ref() == Some(id))
         .collect();
+    reconstruct_own(own, id)
+}
+
+/// [`reconstruct`] over records already known to be `id`'s own — what a
+/// caller that walks every query of a trace holds after one
+/// [`by_query`] pass, so the stream is not filtered again per query.
+pub(crate) fn reconstruct_own(mut pending: Vec<&TraceRecord>, id: &QueryId) -> Trajectory {
     pending.sort_by_key(|r| r.time_us);
 
     // The user site is where hop-0 sends originate; fall back to the
@@ -331,17 +338,25 @@ pub fn reconstruct(records: &[TraceRecord], id: &QueryId) -> Trajectory {
 
 /// Query ids present in a record stream, in first-seen order.
 pub fn query_ids(records: &[TraceRecord]) -> Vec<QueryId> {
-    let mut seen = BTreeMap::new();
-    let mut out = Vec::new();
+    by_query(records).into_iter().map(|(id, _)| id).collect()
+}
+
+/// The record stream split by query in one pass: each query id, in
+/// first-seen order, with its own records in stream order. Records that
+/// carry no query identity belong to no group.
+pub fn by_query(records: &[TraceRecord]) -> Vec<(QueryId, Vec<&TraceRecord>)> {
+    let mut slot: BTreeMap<&QueryId, usize> = BTreeMap::new();
+    let mut groups: Vec<(QueryId, Vec<&TraceRecord>)> = Vec::new();
     for record in records {
         if let Some(id) = &record.query {
-            let key = (id.user.clone(), id.host.clone(), id.port, id.query_num);
-            if seen.insert(key, ()).is_none() {
-                out.push(id.clone());
-            }
+            let at = *slot.entry(id).or_insert_with(|| {
+                groups.push((id.clone(), Vec::new()));
+                groups.len() - 1
+            });
+            groups[at].1.push(record);
         }
     }
-    out
+    groups
 }
 
 #[cfg(test)]

@@ -49,7 +49,8 @@
 //! ```
 //!
 //! See `examples/` for runnable programs and `crates/webdis-bench` for
-//! the experiment harnesses that regenerate every figure of the paper.
+//! the experiment suite that regenerates every figure of the paper
+//! (`cargo run -p webdis-bench -- list`).
 
 pub use webdis_core as core;
 pub use webdis_disql as disql;

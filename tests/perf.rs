@@ -10,8 +10,16 @@ use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::{Histogram, TraceHandle};
 use webdis::web::{generate, WebGenConfig};
-use webdis_perf::report::{Metric, Worse};
-use webdis_perf::{compare, scenarios, BenchReport};
+use webdis_bench::report::{Metric, Worse};
+use webdis_bench::{compare, BenchReport};
+
+/// The suite's reports, by registry name.
+mod scenarios {
+    pub fn t13(smoke: bool) -> webdis_bench::ScenarioReport {
+        let t13 = webdis_bench::experiment("t13").expect("t13 is registered");
+        (t13.run)(&webdis_bench::Ctx::new(smoke)).report
+    }
+}
 
 const GLOBAL_QUERY: &str = r#"
     select d.url
