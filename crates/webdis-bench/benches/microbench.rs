@@ -33,6 +33,11 @@ fn bench_pre(c: &mut Criterion) {
             b.iter(|| webdis_pre::parse(black_box(t)).unwrap());
         });
     }
+    // What every forward, log row and CHT entry of a crawl clones.
+    let crawl = webdis_pre::parse("(L|G)*").unwrap();
+    group.bench_function("clone_star_alt", |b| {
+        b.iter(|| black_box(&crawl).clone());
+    });
     let pre = webdis_pre::parse("G·(L*3)·(G|I)·L*2").unwrap();
     group.bench_function("derivative_walk", |b| {
         b.iter(|| {
@@ -65,6 +70,15 @@ fn bench_pre(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_model(c: &mut Criterion) {
+    let mut group = c.benchmark_group("model");
+    let url = Url::parse("http://site7.test/doc3.html").unwrap();
+    group.bench_function("url_clone", |b| {
+        b.iter(|| (black_box(&url).clone(), black_box(&url).site()));
+    });
+    group.finish();
+}
+
 fn bench_html(c: &mut Criterion) {
     let mut group = c.benchmark_group("html");
     for (label, links, words) in [
@@ -91,8 +105,8 @@ fn contains_query(attr: &str, needle: &str) -> webdis_rel::NodeQuery {
         r#"select d.url from document d such that "http://site0.test/doc0.html" L* d
            where d.{attr} contains "{needle}""#
     );
-    let mut query = webdis_disql::parse_disql(&text).unwrap();
-    query.stages.swap_remove(0).query
+    let query = webdis_disql::parse_disql(&text).unwrap();
+    query.stages[0].query.clone()
 }
 
 fn bench_rel(c: &mut Criterion) {
@@ -231,6 +245,59 @@ fn bench_wire(c: &mut Criterion) {
     group.finish();
 }
 
+/// One clone of hwbench's crawl handled by a fresh query server: receive,
+/// log table, fetch and parse, evaluate, report, forward — everything but
+/// the transport, which only records.
+fn bench_core(c: &mut Criterion) {
+    use webdis_core::network::RecordingNetwork;
+    use webdis_core::{EngineConfig, ServerEngine};
+    let mut group = c.benchmark_group("core");
+    let web = std::sync::Arc::new(generate(&WebGenConfig {
+        sites: 16,
+        docs_per_site: 6,
+        extra_local_links: 2,
+        extra_global_links: 2,
+        title_needle_prob: 0.2,
+        filler_words: 400,
+        seed: 11,
+        ..WebGenConfig::default()
+    }));
+    let query = webdis_disql::parse_disql(
+        r#"select d.url, d.title from document d such that "http://site0.test/doc0.html" (L|G)* d where d.title contains "needle""#,
+    )
+    .unwrap();
+    let site = query.start_nodes[0].site();
+    let clone = Message::Query(QueryClone {
+        id: QueryId {
+            user: "maya".into(),
+            host: "user.test".into(),
+            port: 9,
+            query_num: 1,
+        },
+        dest_nodes: query.start_nodes.clone(),
+        rem_pre: query.stages[0].pre.clone(),
+        stages: query.stages,
+        stage_offset: 0,
+        hops: 0,
+        ack_host: "user.test".into(),
+        ack_port: 9,
+    });
+    group.bench_function("server_on_clone", |b| {
+        b.iter_batched(
+            || {
+                let engine = ServerEngine::new(site.clone(), web.clone(), EngineConfig::default());
+                (engine, RecordingNetwork::default(), clone.clone())
+            },
+            |(mut engine, mut net, clone)| {
+                engine.on_message(&mut net, clone);
+                (engine, net)
+            },
+            BatchSize::SmallInput,
+        );
+    });
+    group.finish();
+}
+
 fn bench_webgen(c: &mut Criterion) {
     let mut group = c.benchmark_group("webgen");
     group.sample_size(20);
@@ -277,11 +344,13 @@ fn bench_trace(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_model,
     bench_pre,
     bench_html,
     bench_rel,
     bench_logtable,
     bench_wire,
+    bench_core,
     bench_webgen,
     bench_trace
 );

@@ -11,7 +11,7 @@ use crate::Table;
 fn user_cpu_us(outcome: &QueryOutcome) -> u64 {
     let by_site = outcome.metrics.busy_us_by_site.iter();
     by_site
-        .filter(|(site, _)| site.host == "user.test")
+        .filter(|(site, _)| &*site.host == "user.test")
         .map(|(_, us)| *us)
         .sum()
 }
@@ -68,7 +68,7 @@ pub fn run(_: &Ctx) -> Outcome {
                 .metrics
                 .busy_us_by_site
                 .iter()
-                .filter(|(s, _)| s.host != "user.test")
+                .filter(|(s, _)| &*s.host != "user.test")
                 .map(|(_, us)| *us)
                 .max()
                 .unwrap_or(0);
@@ -90,7 +90,7 @@ pub fn run(_: &Ctx) -> Outcome {
         // site receives only reports and no endpoint dominates as hard.
         let (d_busiest, d_load) = data.metrics.max_site_load().unwrap();
         assert_eq!(
-            d_busiest.host, "user.test",
+            &*d_busiest.host, "user.test",
             "data shipping bottlenecks the user"
         );
         assert!(d_load as f64 >= 0.45 * data.metrics.total.messages as f64);

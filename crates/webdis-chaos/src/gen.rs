@@ -33,7 +33,7 @@ fn server_host(i: usize) -> String {
 
 /// The endpoint host of load user `i`.
 fn user_host(i: usize) -> String {
-    webdis_load::load_user_addr(i).host
+    webdis_load::load_user_addr(i).host.to_string()
 }
 
 impl FaultScheduleGen {

@@ -308,7 +308,7 @@ impl ChaosPlan {
                     down_us,
                 } => cfg.restarts.push(CrashRestart {
                     site: SiteAddr {
-                        host: host.clone(),
+                        host: host.as_str().into(),
                         port: *port,
                     },
                     at_us: *at_us,

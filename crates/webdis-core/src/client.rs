@@ -16,6 +16,7 @@
 //! [`TcpCluster::drive`](crate::TcpCluster::drive).
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_model::SiteAddr;
@@ -30,7 +31,7 @@ use crate::user::UserSite;
 
 /// A multi-query user-site client.
 pub struct ClientProcess {
-    user: String,
+    user: Arc<str>,
     addr: SiteAddr,
     config: EngineConfig,
     next_query_num: u64,
@@ -41,7 +42,7 @@ impl ClientProcess {
     /// A client for `user`, receiving results at `addr`.
     pub fn new(user: &str, addr: SiteAddr, config: EngineConfig) -> ClientProcess {
         ClientProcess {
-            user: user.to_owned(),
+            user: user.into(),
             addr,
             config,
             next_query_num: 1,
@@ -66,7 +67,7 @@ impl ClientProcess {
         let query_num = self.submit(net, query);
         self.config.tracer.emit_with(|| webdis_trace::TraceRecord {
             time_us: net.now_us(),
-            site: self.addr.host.clone(),
+            site: self.addr.host.to_string(),
             query: Some(QueryId {
                 user: self.user.clone(),
                 host: self.addr.host.clone(),

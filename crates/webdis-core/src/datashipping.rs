@@ -116,7 +116,7 @@ impl DataShipUser {
     fn emit(&self, time_us: u64, event: TraceEvent) {
         self.tracer.emit_with(|| TraceRecord {
             time_us,
-            site: self.self_addr.host.clone(),
+            site: self.self_addr.host.to_string(),
             query: None,
             hop: None,
             event,

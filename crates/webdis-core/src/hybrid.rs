@@ -126,7 +126,7 @@ impl HybridUser {
                 });
                 self.config.tracer.emit_with(|| TraceRecord {
                     time_us: net.now_us(),
-                    site: self.self_addr.host.clone(),
+                    site: self.self_addr.host.to_string(),
                     query: Some(self.user.id.clone()),
                     hop: None,
                     event: TrEvent::DocFetch {
@@ -181,8 +181,8 @@ impl HybridUser {
     /// become real clones again.
     fn process_handoff(&mut self, net: &mut dyn Network, node: Url, state: CloneState) {
         let now = net.now_us();
-        let query = self.user.query().clone();
-        let stage_idx = query.stages.len() - state.num_q as usize;
+        let stages = Arc::clone(&self.user.query().stages);
+        let stage_idx = stages.len() - state.num_q as usize;
         let id = self.user.id.clone();
 
         // The local log table plays the role a server's would.
@@ -209,7 +209,7 @@ impl HybridUser {
             hop: None,
             id: &id,
             db: &db,
-            stages: &query.stages,
+            stages: &stages,
             offset: 0,
             log: &mut self.log,
             cache: None,
@@ -234,7 +234,7 @@ impl HybridUser {
         }
         let batch = self.config.batch_per_site;
         let mut fallback: Vec<(Url, CloneState)> = Vec::new();
-        for (site, clone) in groups.into_clones(&id, &query.stages, 0, 0, &self.self_addr, batch) {
+        for (site, clone) in groups.into_clones(&id, &stages, 0, 0, &self.self_addr, batch) {
             let (fstate, dests) = (clone.state(), clone.dest_nodes.clone());
             if net
                 .send(&query_server_addr(&site), Message::Query(clone))
@@ -365,7 +365,7 @@ mod tests {
         let csa: Vec<_> = web
             .sites()
             .into_iter()
-            .filter(|s| s.host == "www.csa.iisc.ernet.in")
+            .filter(|s| &*s.host == "www.csa.iisc.ernet.in")
             .collect();
         let (outcome, stats) = run_query_hybrid_sim(
             web,

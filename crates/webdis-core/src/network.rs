@@ -15,7 +15,7 @@ use webdis_net::Message;
 /// while plain document fetches at the site's own address still work.
 pub fn query_server_addr(site: &SiteAddr) -> SiteAddr {
     SiteAddr {
-        host: format!("wdqs.{}", site.host),
+        host: ["wdqs.", &site.host].concat().into(),
         port: site.port,
     }
 }

@@ -137,7 +137,7 @@ pub(crate) fn fetch_reply(web: &WebView, req: &FetchRequest) -> Message {
     };
     Message::FetchReply(FetchResponse {
         url: req.url.clone(),
-        html,
+        html: html.map(|page| page.to_string()),
     })
 }
 
@@ -186,7 +186,7 @@ struct Flight {
     remote: ForwardGroups,
     /// Forward dedup across all arrivals of this message, so an entry is
     /// announced at most once and its clone sent at most once.
-    seen_forward: BTreeSet<(Url, String, usize)>,
+    seen_forward: BTreeSet<(Url, Arc<str>, usize)>,
 }
 
 /// The trace stamp of `clone`'s events: its query and hop.
@@ -247,6 +247,11 @@ pub struct ServerEngine {
     /// `admission_occupancy.<host>`, built once: the gauge is raised on
     /// every admitted clone, tracer or no tracer.
     occupancy_key: String,
+    /// [`query_server_addr`] of this site (where its clones are acked)
+    /// and of every site forwarded to so far: an address is rendered once
+    /// per engine, not once per clone.
+    daemon: SiteAddr,
+    daemons: HashMap<SiteAddr, SiteAddr>,
 }
 
 /// Where one clone's processing microseconds went. Each stage records
@@ -296,6 +301,7 @@ impl ServerEngine {
         let cache = config.cache.clone().map(AnswerCache::new);
         ServerEngine {
             occupancy_key: format!("admission_occupancy.{}", site.host),
+            daemon: query_server_addr(&site),
             site,
             web,
             config,
@@ -309,7 +315,13 @@ impl ServerEngine {
             span: StageAccum::default(),
             seen_site_version: 0,
             stats: ServerStats::default(),
+            daemons: HashMap::new(),
         }
+    }
+
+    fn daemon_of(&mut self, site: &SiteAddr) -> SiteAddr {
+        let known = self.daemons.entry(site.clone());
+        known.or_insert_with(|| query_server_addr(site)).clone()
     }
 
     /// Next report sequence number. Strictly increasing across the
@@ -416,7 +428,7 @@ impl ServerEngine {
     ) {
         self.config.tracer.emit_with(|| TraceRecord {
             time_us: net.now_us(),
-            site: self.site.host.clone(),
+            site: self.site.host.to_string(),
             query: at.map(|(id, _)| id.clone()),
             hop: at.map(|(_, hop)| hop),
             event: event(),
@@ -508,7 +520,7 @@ impl ServerEngine {
             &clone.stages,
             clone.stage_offset,
             clone.hops + 1,
-            &query_server_addr(&self.site),
+            &self.daemon,
             self.config.batch_per_site,
         );
         self.span.forward_us += net.now_us().saturating_sub(forward_t0);
@@ -931,7 +943,7 @@ impl ServerEngine {
         // Fan-out histogram: how many distinct sites this processing
         // forwarded to (0 when the traversal ended here).
         if self.config.tracer.enabled() || self.config.monitor.is_some() {
-            let sites: BTreeSet<&String> = clones.iter().map(|(s, _)| &s.host).collect();
+            let sites: BTreeSet<&str> = clones.iter().map(|(s, _)| &*s.host).collect();
             self.config
                 .tracer
                 .observe("site_fanout", sites.len() as u64);
@@ -948,16 +960,15 @@ impl ServerEngine {
             Disposition::DeadEnd
         };
         for (site, qc) in clones {
+            // Kept for the refusal below: the message is gone once sent.
             let (state, dests) = (qc.state(), qc.dest_nodes.clone());
-            if net
-                .send(&query_server_addr(&site), Message::Query(qc))
-                .is_ok()
-            {
+            let daemon = self.daemon_of(&site);
+            if net.send(&daemon, Message::Query(qc)).is_ok() {
                 forwarded += 1;
                 self.stats.clones_forwarded += 1;
                 self.trace(net, Some((&clone.id, clone.hops + 1)), || {
                     TraceEvent::QuerySent {
-                        to_site: site.host.clone(),
+                        to_site: site.host.to_string(),
                         nodes: dests.len() as u32,
                     }
                 });
@@ -1463,7 +1474,7 @@ mod tests {
         let mut net = RecordingNetwork::default();
         let mut s = server();
         let mut clone = clone_msg("L*", &["http://a.test/"]);
-        clone.stages.clear();
+        clone.stages = [].into();
         s.on_message(&mut net, Message::Query(clone));
         assert!(net.sent.is_empty());
     }
@@ -1944,7 +1955,7 @@ mod ack_tests {
             ..EngineConfig::ack_chain()
         };
         let mut leaf = ServerEngine::new(web().sites()[0].clone(), web(), cfg.clone());
-        assert_eq!(leaf.site().host, "leaf.test");
+        assert_eq!(&*leaf.site().host, "leaf.test");
         let mut net = RecordingNetwork::default();
         let mut high_water = 0;
         for n in 0..1_500u64 {
@@ -1972,7 +1983,7 @@ mod ack_tests {
         // child's ack keeps its record however idle it is, and goes once
         // the ack has come and a further period has passed.
         let mut mid = ServerEngine::new(web().sites()[1].clone(), web(), cfg);
-        assert_eq!(mid.site().host, "m.test");
+        assert_eq!(&*mid.site().host, "m.test");
         let mut net = RecordingNetwork::default();
         mid.on_message(
             &mut net,

@@ -272,7 +272,7 @@ impl Network for TcpNet {
                 self.wire.record_dropped(msg.kind(), bytes);
                 self.emit(&msg, || TrEvent::MessageDropped {
                     kind: msg.kind().to_string(),
-                    to: to.host.clone(),
+                    to: to.host.to_string(),
                     bytes: bytes as u32,
                     reason: "injected".into(),
                 });
@@ -290,7 +290,7 @@ impl Network for TcpNet {
                 self.wire.record_dropped(msg.kind(), bytes);
                 self.emit(&msg, || TrEvent::MessageCorrupted {
                     kind: msg.kind().to_string(),
-                    to: to.host.clone(),
+                    to: to.host.to_string(),
                     bytes: bytes as u32,
                 });
                 return Ok(());
@@ -303,7 +303,7 @@ impl Network for TcpNet {
         let sent = pool.send_retrying(addr, &frame, self.retry, |attempt| {
             self.emit(&msg, || TrEvent::SendRetried {
                 kind: msg.kind().to_string(),
-                to: to.host.clone(),
+                to: to.host.to_string(),
                 attempt,
             });
         });
@@ -312,7 +312,7 @@ impl Network for TcpNet {
         self.wire.record_sent(msg.kind(), bytes);
         self.emit(&msg, || TrEvent::MessageSent {
             kind: msg.kind().to_string(),
-            to: to.host.clone(),
+            to: to.host.to_string(),
             bytes: bytes as u32,
         });
         if duplicate {
@@ -324,7 +324,7 @@ impl Network for TcpNet {
                 self.wire.record_sent(msg.kind(), bytes);
                 self.emit(&msg, || TrEvent::MessageDuplicated {
                     kind: msg.kind().to_string(),
-                    to: to.host.clone(),
+                    to: to.host.to_string(),
                     bytes: bytes as u32,
                 });
             }
@@ -467,7 +467,7 @@ impl Deployment {
                 map: Arc::clone(&map),
                 pool: ConnPool::metered(Arc::clone(&wire)),
                 epoch,
-                from: site.host.clone(),
+                from: site.host.to_string(),
                 tracer: engine_cfg.tracer.clone(),
                 retry: RetryPolicy::default(),
                 faults: faults.clone(),
@@ -635,7 +635,7 @@ impl TcpCluster {
             map: Arc::clone(&self.map),
             pool: ConnPool::metered(Arc::clone(&self.wire)),
             epoch: self.epoch,
-            from: self.user_site.host.clone(),
+            from: self.user_site.host.to_string(),
             tracer: self.tracer.clone(),
             retry: RetryPolicy::default(),
             faults: self.faults.clone(),

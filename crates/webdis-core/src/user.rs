@@ -3,6 +3,7 @@
 //! endpoint, maintains the Current Hosts Table, and detects completion.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use webdis_disql::WebQuery;
 use webdis_model::{SiteAddr, Url};
@@ -87,7 +88,7 @@ pub struct UserSite {
     /// retrying sender) must not re-merge its rows or re-run its CHT
     /// deletes: in strict CHT mode a second delete for the same entry
     /// would tombstone and wedge completion forever.
-    seen_reports: BTreeSet<(String, u64)>,
+    seen_reports: BTreeSet<(Arc<str>, u64)>,
     started: bool,
 }
 
@@ -162,14 +163,10 @@ impl UserSite {
             }
             match net.send(&query_server_addr(&site), Message::Query(clone)) {
                 Ok(()) => {
-                    self.emit(
-                        net.now_us(),
-                        Some(0),
-                        TrEvent::QuerySent {
-                            to_site: site.host.clone(),
-                            nodes: dest_nodes.len() as u32,
-                        },
-                    );
+                    self.emit(net.now_us(), Some(0), || TrEvent::QuerySent {
+                        to_site: site.host.to_string(),
+                        nodes: dest_nodes.len() as u32,
+                    });
                     if ack_mode {
                         self.ack_deficit += 1;
                     }
@@ -222,8 +219,8 @@ impl UserSite {
     /// Records a report's `(origin, seq)` identity and says whether it was
     /// already applied. `seq == 0` marks an untracked report (locally
     /// synthesized, never duplicated by a network) and always passes.
-    fn is_duplicate_report(&mut self, origin: &str, seq: u64) -> bool {
-        seq != 0 && !self.seen_reports.insert((origin.to_string(), seq))
+    fn is_duplicate_report(&mut self, origin: &Arc<str>, seq: u64) -> bool {
+        seq != 0 && !self.seen_reports.insert((Arc::clone(origin), seq))
     }
 
     /// Applies a report's effects (also used by the hybrid engine, which
@@ -237,13 +234,12 @@ impl UserSite {
             }
             let mut stages_answered = Vec::new();
             let mut row_count = 0;
-            for stage_rows in &node_report.results {
+            for stage_rows in node_report.results {
                 stages_answered.push(stage_rows.stage);
                 row_count += stage_rows.rows.len();
                 let bucket = self.results.entry(stage_rows.stage).or_default();
-                for row in &stage_rows.rows {
-                    bucket.push((node_report.node.clone(), row.clone()));
-                }
+                let rows = stage_rows.rows.into_iter();
+                bucket.extend(rows.map(|row| (node_report.node.clone(), row)));
                 if row_count > 0 && self.first_result_us.is_none() {
                     self.first_result_us = Some(now_us);
                 }
@@ -294,13 +290,9 @@ impl UserSite {
         let failed = self.cht.expire_stale(timeout_us);
         let n = failed.len();
         for (node, _) in &failed {
-            self.emit(
-                now_us,
-                None,
-                TrEvent::EntryExpired {
-                    node: node.to_string(),
-                },
-            );
+            self.emit(now_us, None, || TrEvent::EntryExpired {
+                node: node.to_string(),
+            });
         }
         self.failed_entries.extend(failed);
         self.check_completion(now_us);
@@ -378,7 +370,7 @@ impl UserSite {
                 CompletionMode::Cht => TermReason::ChtComplete,
                 CompletionMode::AckChain => TermReason::AckComplete,
             };
-            self.emit(now_us, None, TrEvent::Termination { reason });
+            self.emit(now_us, None, || TrEvent::Termination { reason });
             if let Some(monitor) = &self.config.monitor {
                 monitor.retire(&self.id);
             }
@@ -403,25 +395,28 @@ impl UserSite {
     /// Enters one CHT entry, on the record.
     fn cht_add(&mut self, now_us: u64, entry: &ChtEntry) {
         self.cht.add(entry);
-        let node = entry.node.to_string();
-        self.emit(now_us, None, TrEvent::ChtAdd { node });
+        self.emit(now_us, None, || TrEvent::ChtAdd {
+            node: entry.node.to_string(),
+        });
     }
 
     /// Marks one CHT entry deleted, on the record.
     fn cht_delete(&mut self, now_us: u64, node: &Url, state: &CloneState) {
         self.cht.delete(node, state);
-        let node = node.to_string();
-        self.emit(now_us, None, TrEvent::ChtDelete { node });
+        self.emit(now_us, None, || TrEvent::ChtDelete {
+            node: node.to_string(),
+        });
     }
 
-    /// Stamps one structured trace event at the user site.
-    fn emit(&self, time_us: u64, hop: Option<u32>, event: TrEvent) {
+    /// Stamps one structured trace event at the user site; the event is
+    /// built only when the tracer is on.
+    fn emit(&self, time_us: u64, hop: Option<u32>, event: impl FnOnce() -> TrEvent) {
         self.config.tracer.emit_with(|| TraceRecord {
             time_us,
-            site: self.id.host.clone(),
+            site: self.id.host.to_string(),
             query: Some(self.id.clone()),
             hop,
-            event,
+            event: event(),
         });
     }
 }
@@ -638,11 +633,14 @@ mod tests {
         // fallback); they are never deduped against each other.
         let query = single_stage_query(r#""http://a.test/""#);
         let mut user = UserSite::new(qid(), query, EngineConfig::default());
-        assert!(!user.is_duplicate_report("local", 0));
-        assert!(!user.is_duplicate_report("local", 0));
-        assert!(!user.is_duplicate_report("a.test", 7));
-        assert!(user.is_duplicate_report("a.test", 7));
-        assert!(!user.is_duplicate_report("b.test", 7), "keyed per origin");
+        assert!(!user.is_duplicate_report(&"local".into(), 0));
+        assert!(!user.is_duplicate_report(&"local".into(), 0));
+        assert!(!user.is_duplicate_report(&"a.test".into(), 7));
+        assert!(user.is_duplicate_report(&"a.test".into(), 7));
+        assert!(
+            !user.is_duplicate_report(&"b.test".into(), 7),
+            "keyed per origin"
+        );
     }
 
     #[test]
@@ -650,7 +648,7 @@ mod tests {
         // Parser forbids zero stages, so construct directly.
         let query = WebQuery {
             start_nodes: vec![],
-            stages: vec![],
+            stages: [].into(),
         };
         let mut user = UserSite::new(qid(), query, EngineConfig::default());
         let mut net = RecordingNetwork::default();

@@ -12,6 +12,7 @@
 //! which owns the (site, state, stage) → [`QueryClone`] construction.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use webdis_cache::{AnswerCache, Lookup as CacheLookup};
 use webdis_disql::Stage;
@@ -31,9 +32,10 @@ use crate::logtable::{LogOutcome, LogTable};
 /// first-occurrence order.
 pub(crate) fn distinct_nodes(nodes: &[Url]) -> Vec<Url> {
     let mut seen = BTreeSet::new();
-    let mut out: Vec<Url> = nodes.iter().map(Url::without_fragment).collect();
-    out.retain(|node| seen.insert(node.clone()));
-    out
+    let distinct = nodes
+        .iter()
+        .filter(|node| seen.insert(node.without_fragment()));
+    distinct.map(Url::without_fragment).collect()
 }
 
 /// One node admitted past the log table, awaiting its visit.
@@ -118,15 +120,16 @@ pub(crate) struct TraverseCounters {
 pub(crate) struct Forward {
     pub(crate) target: Url,
     pub(crate) state: CloneState,
-    /// `state` rendered once: the dedupe and grouping key.
-    state_key: String,
+    /// `state` rendered once and shared: the dedupe and grouping key,
+    /// whose string order is the order clones leave in.
+    state_key: Arc<str>,
     pub(crate) stage_idx: usize,
 }
 
 impl Forward {
     pub(crate) fn new(target: Url, state: CloneState, stage_idx: usize) -> Forward {
         Forward {
-            state_key: state.to_string(),
+            state_key: state.to_string().into(),
             target,
             state,
             stage_idx,
@@ -208,7 +211,7 @@ impl VisitCtx<'_> {
     pub(crate) fn visit(
         mut self,
         arrival: Arrival,
-        seen: &mut BTreeSet<(Url, String, usize)>,
+        seen: &mut BTreeSet<(Url, Arc<str>, usize)>,
     ) -> Visited {
         let (stages, node) = (self.stages, &arrival.node);
         let (mut results, mut new_entries, mut forwards) = (Vec::new(), Vec::new(), Vec::new());
@@ -246,12 +249,12 @@ impl VisitCtx<'_> {
                     num_q: (stages.len() - idx) as u32,
                     rem_pre: derived,
                 };
-                let state_key = state.to_string();
+                let state_key: Arc<str> = state.to_string().into();
                 for link in self.db.links_of_type(t) {
                     let f = Forward {
                         target: link.href.without_fragment(),
                         state: state.clone(),
-                        state_key: state_key.clone(),
+                        state_key: Arc::clone(&state_key),
                         stage_idx: idx,
                     };
                     if seen.insert((f.target.clone(), f.state_key.clone(), idx)) {
@@ -425,8 +428,10 @@ impl VisitCtx<'_> {
                 });
             }
             let tracer = &self.config.tracer;
-            tracer.gauge_max("cache.bytes", resident);
-            tracer.gauge_max(&format!("cache.bytes.{}", self.site), resident);
+            if tracer.enabled() {
+                tracer.gauge_max("cache.bytes", resident);
+                tracer.gauge_max(&format!("cache.bytes.{}", self.site), resident);
+            }
             self.counters.cache_wall_us += (self.clock)().saturating_sub(insert_t0);
         }
         Some(rows)
@@ -437,7 +442,10 @@ impl VisitCtx<'_> {
 /// travels as one clone message (optimization 4), or as one per node
 /// when `batch_per_site` is off.
 #[derive(Default)]
-pub(crate) struct ForwardGroups(BTreeMap<(SiteAddr, String, usize), (CloneState, Vec<Url>)>);
+pub(crate) struct ForwardGroups(BTreeMap<GroupKey, (CloneState, Vec<Url>)>);
+
+/// Destination site, rendered state, stage index.
+type GroupKey = (SiteAddr, Arc<str>, usize);
 
 impl ForwardGroups {
     pub(crate) fn push(&mut self, f: Forward) {
@@ -461,35 +469,43 @@ impl ForwardGroups {
 
     /// Builds the outgoing clones of query `id`, whose remaining `stages`
     /// start at global index `offset`; they travel at hop count `hops`
-    /// and are acknowledged to `ack_to`.
+    /// and are acknowledged to `ack_to`. Clones still in the sender's
+    /// stage share its stage list; a later stage's tail is copied once.
     pub(crate) fn into_clones(
         self,
         id: &QueryId,
-        stages: &[Stage],
+        stages: &Arc<[Stage]>,
         offset: u32,
         hops: u32,
         ack_to: &SiteAddr,
         batch_per_site: bool,
     ) -> Vec<(SiteAddr, QueryClone)> {
         let mut clones = Vec::new();
+        let mut tails: BTreeMap<usize, Arc<[Stage]>> = BTreeMap::new();
         for ((site, _, stage_idx), (state, dests)) in self.0 {
-            let batches: Vec<Vec<Url>> = if batch_per_site {
-                vec![dests]
-            } else {
-                dests.into_iter().map(|dest| vec![dest]).collect()
+            let tail = match stage_idx {
+                0 => stages,
+                _ => tails
+                    .entry(stage_idx)
+                    .or_insert_with(|| stages[stage_idx..].into()),
             };
-            for dest_nodes in batches {
+            let mut push = |dest_nodes| {
                 let clone = QueryClone {
                     id: id.clone(),
                     dest_nodes,
                     rem_pre: state.rem_pre.clone(),
-                    stages: stages[stage_idx..].to_vec(),
+                    stages: Arc::clone(tail),
                     stage_offset: offset + stage_idx as u32,
                     hops,
                     ack_host: ack_to.host.clone(),
                     ack_port: ack_to.port,
                 };
                 clones.push((site.clone(), clone));
+            };
+            if batch_per_site {
+                push(dests);
+            } else {
+                dests.into_iter().for_each(|dest| push(vec![dest]));
             }
         }
         clones

@@ -1,6 +1,7 @@
 //! The parsed web-query: `Q = S p1 q1 p2 q2 … pn qn`.
 
 use std::fmt;
+use std::sync::Arc;
 
 use webdis_model::Url;
 use webdis_pre::Pre;
@@ -25,8 +26,9 @@ pub struct Stage {
 pub struct WebQuery {
     /// The StartNodes `S` where execution begins.
     pub start_nodes: Vec<Url>,
-    /// The stages `p_1 q_1 … p_n q_n`, in order.
-    pub stages: Vec<Stage>,
+    /// The stages `p_1 q_1 … p_n q_n`, in order: immutable once parsed,
+    /// and shared with every clone that starts at the first of them.
+    pub stages: Arc<[Stage]>,
 }
 
 impl WebQuery {
@@ -89,7 +91,7 @@ mod tests {
     fn formal_display() {
         let q = WebQuery {
             start_nodes: vec![Url::parse("http://csa.iisc.ernet.in").unwrap()],
-            stages: vec![stage("L", "d0"), stage("G·(L*1)", "d1")],
+            stages: [stage("L", "d0"), stage("G·(L*1)", "d1")].into(),
         };
         assert_eq!(
             q.to_string(),

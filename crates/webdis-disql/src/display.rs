@@ -18,7 +18,7 @@ pub fn to_disql(query: &WebQuery) -> String {
 
     // The unified select clause, in stage order.
     let mut select_items = Vec::new();
-    for stage in &query.stages {
+    for stage in query.stages.iter() {
         for (var, attr) in &stage.query.select {
             select_items.push(format!("{var}.{attr}"));
         }

@@ -472,7 +472,7 @@ impl Parser {
         }
         Ok(WebQuery {
             start_nodes,
-            stages,
+            stages: stages.into(),
         })
     }
 }

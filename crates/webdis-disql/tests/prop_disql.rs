@@ -131,7 +131,7 @@ proptest! {
             prop_assert!(formal.contains(&marker), "missing {} in {}", marker, formal);
         }
         // Re-validate each node-query (attributes resolved).
-        for stage in &q.stages {
+        for stage in q.stages.iter() {
             prop_assert!(stage.query.validate().is_ok());
         }
     }

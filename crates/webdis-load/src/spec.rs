@@ -194,7 +194,7 @@ impl Default for WorkloadSpec {
 /// simulator, give each client its own actor endpoint.
 pub fn load_user_addr(user: usize) -> SiteAddr {
     SiteAddr {
-        host: format!("user{user}.load.test"),
+        host: format!("user{user}.load.test").into(),
         port: 9900,
     }
 }

@@ -8,6 +8,7 @@
 //! the subset needed by the engine — rather than pulling in a URL crate.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Error produced when a string cannot be parsed as a [`Url`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,8 +34,8 @@ impl std::error::Error for UrlParseError {}
 /// hop (optimization 4 of Section 3.2).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SiteAddr {
-    /// Lower-cased host name.
-    pub host: String,
+    /// Lower-cased host name, shared: a clone is a counter bump.
+    pub host: Arc<str>,
     /// TCP port (defaults to 80 when absent in the URL).
     pub port: u16,
 }
@@ -56,9 +57,17 @@ impl fmt::Display for SiteAddr {
 /// * `path` is absolute (starts with `/`) and contains no `.` / `..`
 ///   segments (they are collapsed during parsing and resolution);
 /// * `fragment` is `None` or non-empty.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Url {
-    host: String,
+///
+/// A `Url` is a shared handle: cloning one bumps a counter, and
+/// [`Url::site`] shares the host. Order, equality and hash are those of
+/// `(host, port, path, fragment)`.
+#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Url(Arc<Parts>);
+
+/// Field order is the comparison order.
+#[derive(Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+struct Parts {
+    host: Arc<str>,
     port: u16,
     path: String,
     fragment: Option<String>,
@@ -110,12 +119,21 @@ impl Url {
         if host.contains(['/', '?', '#', ' ']) {
             return Err(err("invalid character in host"));
         }
-        Ok(Url {
-            host: host.to_ascii_lowercase(),
+        Ok(Url::new(
+            lowercase(host),
             port,
-            path: normalize_path(path),
+            normalize_path(path),
             fragment,
-        })
+        ))
+    }
+
+    fn new(host: Arc<str>, port: u16, path: String, fragment: Option<String>) -> Url {
+        Url(Arc::new(Parts {
+            host,
+            port,
+            path,
+            fragment,
+        }))
     }
 
     /// Builds a URL from parts, normalizing the path. Intended for
@@ -126,60 +144,60 @@ impl Url {
         } else {
             normalize_path(&format!("/{path}"))
         };
-        Url {
-            host: host.to_ascii_lowercase(),
-            port,
-            path,
-            fragment: None,
-        }
+        Url::new(lowercase(host), port, path, None)
     }
 
     /// The site (host, port) hosting this node.
     pub fn site(&self) -> SiteAddr {
         SiteAddr {
-            host: self.host.clone(),
-            port: self.port,
+            host: Arc::clone(&self.0.host),
+            port: self.0.port,
         }
     }
 
     /// Lower-cased host name.
     pub fn host(&self) -> &str {
-        &self.host
+        &self.0.host
     }
 
     /// Port number (80 when the URL did not name one).
     pub fn port(&self) -> u16 {
-        self.port
+        self.0.port
     }
 
     /// Absolute, normalized path.
     pub fn path(&self) -> &str {
-        &self.path
+        &self.0.path
     }
 
     /// Optional fragment (never the empty string).
     pub fn fragment(&self) -> Option<&str> {
-        self.fragment.as_deref()
+        self.0.fragment.as_deref()
     }
 
     /// This URL with the fragment removed — the identity of the *node*.
     /// Two references differing only in fragment denote the same resource.
     pub fn without_fragment(&self) -> Url {
-        Url {
-            fragment: None,
-            ..self.clone()
+        match self.0.fragment {
+            None => self.clone(),
+            Some(_) => self.with_fragment(None),
         }
+    }
+
+    fn with_fragment(&self, fragment: Option<String>) -> Url {
+        let p = &*self.0;
+        Url::new(Arc::clone(&p.host), p.port, p.path.clone(), fragment)
     }
 
     /// True when `self` and `other` identify resources on the same site.
     pub fn same_site(&self, other: &Url) -> bool {
-        self.host == other.host && self.port == other.port
+        self.0.host == other.0.host && self.0.port == other.0.port
     }
 
     /// True when `self` and `other` identify the same document (ignoring
     /// fragments).
     pub fn same_document(&self, other: &Url) -> bool {
-        self.same_site(other) && self.path == other.path
+        self.same_site(other) && self.0.path == other.0.path
     }
 
     /// Resolves a reference found in a document at `self` (the base URL),
@@ -197,13 +215,7 @@ impl Url {
             return Ok(self.clone());
         }
         if let Some(frag) = reference.strip_prefix('#') {
-            let mut u = self.clone();
-            u.fragment = if frag.is_empty() {
-                None
-            } else {
-                Some(frag.to_owned())
-            };
-            return Ok(u);
+            return Ok(self.with_fragment((!frag.is_empty()).then(|| frag.to_owned())));
         }
         if strip_scheme(reference).is_some() {
             return Url::parse(reference);
@@ -229,28 +241,43 @@ impl Url {
             path_part.to_owned()
         } else {
             // Resolve against the directory of the base path.
-            match self.path.rfind('/') {
-                Some(idx) => format!("{}{}", &self.path[..=idx], path_part),
+            match self.path().rfind('/') {
+                Some(idx) => format!("{}{}", &self.path()[..=idx], path_part),
                 None => format!("/{path_part}"),
             }
         };
-        Ok(Url {
-            host: self.host.clone(),
-            port: self.port,
-            path: normalize_path(&merged),
+        let host = Arc::clone(&self.0.host);
+        Ok(Url::new(
+            host,
+            self.port(),
+            normalize_path(&merged),
             fragment,
-        })
+        ))
+    }
+}
+
+/// The derived form of the struct this was before its fields moved behind
+/// the shared handle.
+impl fmt::Debug for Url {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let p = &*self.0;
+        f.debug_struct("Url")
+            .field("host", &p.host)
+            .field("port", &p.port)
+            .field("path", &p.path)
+            .field("fragment", &p.fragment)
+            .finish()
     }
 }
 
 impl fmt::Display for Url {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "http://{}", self.host)?;
-        if self.port != 80 {
-            write!(f, ":{}", self.port)?;
+        write!(f, "http://{}", self.host())?;
+        if self.port() != 80 {
+            write!(f, ":{}", self.port())?;
         }
-        write!(f, "{}", self.path)?;
-        if let Some(frag) = &self.fragment {
+        f.write_str(self.path())?;
+        if let Some(frag) = self.fragment() {
             write!(f, "#{frag}")?;
         }
         Ok(())
@@ -303,6 +330,15 @@ fn strip_scheme(s: &str) -> Option<Result<&str, UrlParseError>> {
             input: s.to_owned(),
             reason: "unsupported scheme",
         }))
+    }
+}
+
+/// `host` lower-cased, copied once.
+fn lowercase(host: &str) -> Arc<str> {
+    if host.bytes().any(|b| b.is_ascii_uppercase()) {
+        host.to_ascii_lowercase().into()
+    } else {
+        host.into()
     }
 }
 

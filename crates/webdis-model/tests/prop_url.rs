@@ -117,4 +117,26 @@ proptest! {
         prop_assert_eq!(stripped.without_fragment(), stripped.clone());
         prop_assert_eq!(stripped, u);
     }
+
+    /// The shared handle compares, orders and hashes as the tuple of its
+    /// parts did when it was four owned fields — `BTreeMap<Url, _>` order
+    /// is observable in traces — and its display form parses back to it,
+    /// fragment included.
+    #[test]
+    fn identity_is_that_of_the_parts(a in url(), b in url(), frags in ("[a-z]{0,3}", "[a-z]{0,3}")) {
+        use std::hash::{BuildHasher, RandomState};
+        let a = a.resolve(&format!("#{}", frags.0)).unwrap();
+        let b = b.resolve(&format!("#{}", frags.1)).unwrap();
+        let parts = |u: &Url| {
+            let fragment = u.fragment().map(str::to_owned);
+            (u.host().to_owned(), u.port(), u.path().to_owned(), fragment)
+        };
+        prop_assert_eq!(a.cmp(&b), parts(&a).cmp(&parts(&b)));
+        prop_assert_eq!(a == b, parts(&a) == parts(&b));
+        let hasher = RandomState::new();
+        prop_assert_eq!(hasher.hash_one(&a), hasher.hash_one(parts(&a)));
+        let reparsed = Url::parse(&a.to_string()).unwrap();
+        prop_assert_eq!(hasher.hash_one(&reparsed), hasher.hash_one(&a));
+        prop_assert_eq!(reparsed, a);
+    }
 }

@@ -298,8 +298,6 @@ struct Inflight {
     fanout: u64,
 }
 
-type InflightKey = (String, String, u16, u64);
-
 #[derive(Default)]
 struct MonitorState {
     /// The open window: its index and the latest sample seen inside it.
@@ -310,7 +308,7 @@ struct MonitorState {
     closed: u64,
     rules: Vec<RuleState>,
     alert_log: Vec<AlertLogEntry>,
-    inflight: BTreeMap<InflightKey, Inflight>,
+    inflight: BTreeMap<QueryId, Inflight>,
     admitted: u64,
     retired: u64,
 }
@@ -325,10 +323,6 @@ pub struct Monitor {
     tracked_gauges: Vec<String>,
     tracked_hists: Vec<String>,
     state: Mutex<MonitorState>,
-}
-
-fn inflight_key(id: &QueryId) -> InflightKey {
-    (id.user.clone(), id.host.clone(), id.port, id.query_num)
 }
 
 impl Monitor {
@@ -585,10 +579,10 @@ impl Monitor {
         let mut state = self.state.lock();
         state.admitted += 1;
         state.inflight.insert(
-            inflight_key(id),
+            id.clone(),
             Inflight {
                 submitted_us: now_us,
-                site: id.host.clone(),
+                site: id.host.to_string(),
                 ..Inflight::default()
             },
         );
@@ -597,7 +591,7 @@ impl Monitor {
     /// A clone of the query arrived at `site` in `stage` at hop `hop`.
     pub fn clone_recv(&self, id: &QueryId, site: &str, stage: u32, hop: u32) {
         let mut state = self.state.lock();
-        if let Some(entry) = state.inflight.get_mut(&inflight_key(id)) {
+        if let Some(entry) = state.inflight.get_mut(id) {
             entry.site = site.to_string();
             entry.stage = entry.stage.max(stage);
             entry.hops = entry.hops.max(hop);
@@ -608,7 +602,7 @@ impl Monitor {
     /// A processed clone forwarded to `fanout` successor sites.
     pub fn clone_sent(&self, id: &QueryId, fanout: u32) {
         let mut state = self.state.lock();
-        if let Some(entry) = state.inflight.get_mut(&inflight_key(id)) {
+        if let Some(entry) = state.inflight.get_mut(id) {
             entry.fanout += u64::from(fanout);
         }
     }
@@ -616,7 +610,7 @@ impl Monitor {
     /// The query terminated (any reason — completion, shed, expiry).
     pub fn retire(&self, id: &QueryId) {
         let mut state = self.state.lock();
-        if state.inflight.remove(&inflight_key(id)).is_some() {
+        if state.inflight.remove(id).is_some() {
             state.retired += 1;
         }
     }
@@ -668,11 +662,11 @@ impl Monitor {
         let inflight = state
             .inflight
             .iter()
-            .map(|((user, host, port, query_num), e)| InflightStatus {
-                user: user.clone(),
-                host: host.clone(),
-                port: *port,
-                query_num: *query_num,
+            .map(|(id, e)| InflightStatus {
+                user: id.user.to_string(),
+                host: id.host.to_string(),
+                port: id.port,
+                query_num: id.query_num,
                 submitted_us: e.submitted_us,
                 age_us: now_us.saturating_sub(e.submitted_us),
                 site: e.site.clone(),

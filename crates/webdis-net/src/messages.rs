@@ -1,6 +1,7 @@
 //! The WEBDIS message set.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::BufMut;
 use webdis_disql::Stage;
@@ -12,12 +13,14 @@ use crate::wire::{Wire, WireError};
 
 /// The globally unique identity of a web-query, carried by every message
 /// (Section 4.1): who asked, where results go, and a locally unique number.
+/// The strings are shared, so the copy every message, log key and trace
+/// record holds is a counter bump.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId {
     /// Login name of the user at the user-site.
-    pub user: String,
+    pub user: Arc<str>,
     /// Host of the user-site (where the result listener runs).
-    pub host: String,
+    pub host: Arc<str>,
     /// Port of the user-site's listening result socket.
     pub port: u16,
     /// Locally unique query number at the user-site.
@@ -84,8 +87,9 @@ pub struct QueryClone {
     /// the traversal to these destinations.
     pub rem_pre: Pre,
     /// The remaining stages: `stages[0]` holds the current node-query,
-    /// later entries the node-queries still ahead.
-    pub stages: Vec<Stage>,
+    /// later entries the node-queries still ahead. Shared by every clone
+    /// forwarded within the same stage; on the wire, a plain list.
+    pub stages: Arc<[Stage]>,
     /// Index of `stages[0]` in the original query (for labeling results).
     pub stage_offset: u32,
     /// Sites traversed so far — a safety valve: servers drop clones whose
@@ -95,7 +99,7 @@ pub struct QueryClone {
     /// Host to acknowledge under ack-chain completion (the sender's query
     /// endpoint, or the user site for StartNode clones). Unused — but
     /// still carried — under CHT completion.
-    pub ack_host: String,
+    pub ack_host: Arc<str>,
     /// Port companion of [`QueryClone::ack_host`].
     pub ack_port: u16,
 }
@@ -222,7 +226,7 @@ pub struct ResultReport {
     /// this identifies the report itself (not its content): the user
     /// site dedupes on `(origin, seq)` so a report delivered twice by
     /// the network merges its rows and CHT updates exactly once.
-    pub origin: String,
+    pub origin: Arc<str>,
     /// Per-origin report sequence number, strictly increasing across a
     /// sender's lifetime *including restarts* (senders derive it from
     /// their clock, so a respawned daemon never reuses a live number).
@@ -247,7 +251,7 @@ pub struct FetchRequest {
     /// The document to download.
     pub url: Url,
     /// Host of the requester (where the reply goes).
-    pub reply_host: String,
+    pub reply_host: Arc<str>,
     /// Port of the requester's endpoint.
     pub reply_port: u16,
 }
@@ -311,8 +315,8 @@ impl Wire for QueryId {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(QueryId {
-            user: String::decode(buf)?,
-            host: String::decode(buf)?,
+            user: Arc::decode(buf)?,
+            host: Arc::decode(buf)?,
             port: u16::decode(buf)?,
             query_num: u64::decode(buf)?,
         })
@@ -364,10 +368,10 @@ impl Wire for QueryClone {
             id: QueryId::decode(buf)?,
             dest_nodes: Vec::<Url>::decode(buf)?,
             rem_pre: Pre::decode(buf)?,
-            stages: Vec::<Stage>::decode(buf)?,
+            stages: Arc::decode(buf)?,
             stage_offset: u32::decode(buf)?,
             hops: u32::decode(buf)?,
-            ack_host: String::decode(buf)?,
+            ack_host: Arc::decode(buf)?,
             ack_port: u16::decode(buf)?,
         })
     }
@@ -448,7 +452,7 @@ impl Wire for ResultReport {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(ResultReport {
             id: QueryId::decode(buf)?,
-            origin: String::decode(buf)?,
+            origin: Arc::decode(buf)?,
             seq: u64::decode(buf)?,
             reports: Vec::<NodeReport>::decode(buf)?,
         })
@@ -465,7 +469,7 @@ impl Wire for FetchRequest {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(FetchRequest {
             url: Url::decode(buf)?,
-            reply_host: String::decode(buf)?,
+            reply_host: Arc::decode(buf)?,
             reply_port: u16::decode(buf)?,
         })
     }

@@ -8,6 +8,7 @@
 //! [`WireError`], never a panic.
 
 use std::fmt;
+use std::sync::Arc;
 
 use bytes::{Buf, BufMut};
 use webdis_disql::Stage;
@@ -50,14 +51,6 @@ pub trait Wire: Sized {
     fn encode(&self, buf: &mut Vec<u8>);
     /// Decodes a value, advancing `buf` past it.
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError>;
-
-    /// The encoded size in bytes (by encoding into a scratch buffer);
-    /// used by the simulator's byte metering.
-    fn wire_size(&self) -> usize {
-        let mut buf = Vec::new();
-        self.encode(&mut buf);
-        buf.len()
-    }
 }
 
 fn need(buf: &[u8], n: usize, what: &str) -> Result<(), WireError> {
@@ -148,18 +141,38 @@ impl Wire for bool {
     }
 }
 
+fn put_str(s: &str, buf: &mut Vec<u8>) {
+    (s.len() as u32).encode(buf);
+    buf.put_slice(s.as_bytes());
+}
+
+/// A length-prefixed string, borrowed from the frame.
+fn get_str<'a>(buf: &mut &'a [u8]) -> Result<&'a str, WireError> {
+    let n = get_len(buf, "string")?;
+    need(buf, n, "string body")?;
+    let (bytes, rest) = buf.split_at(n);
+    *buf = rest;
+    std::str::from_utf8(bytes).map_err(|_| WireError::new("invalid UTF-8 in string"))
+}
+
 impl Wire for String {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        buf.put_slice(self.as_bytes());
+        put_str(self, buf);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let n = get_len(buf, "string")?;
-        need(buf, n, "string body")?;
-        let bytes = buf[..n].to_vec();
-        buf.advance(n);
-        String::from_utf8(bytes).map_err(|_| WireError::new("invalid UTF-8 in string"))
+        get_str(buf).map(str::to_owned)
+    }
+}
+
+/// A shared string travels exactly as a `String` does.
+impl Wire for Arc<str> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_str(self, buf);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        get_str(buf).map(Arc::from)
     }
 }
 
@@ -189,6 +202,18 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+/// A shared list travels exactly as a `Vec` does.
+impl<T: Wire> Wire for Arc<[T]> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        (self.len() as u32).encode(buf);
+        self.iter().for_each(|item| item.encode(buf));
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+        Vec::decode(buf).map(Arc::from)
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -210,13 +235,20 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl Wire for Url {
+    /// The URL's `Display` form as a string, written straight into the
+    /// frame: the length prefix is patched in once the text is there.
     fn encode(&self, buf: &mut Vec<u8>) {
-        self.to_string().encode(buf);
+        use std::io::Write as _;
+        let at = buf.len();
+        buf.put_u32(0);
+        write!(buf, "{self}").expect("writing to a Vec cannot fail");
+        let n = (buf.len() - at - 4) as u32;
+        buf[at..at + 4].copy_from_slice(&n.to_be_bytes());
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let s = String::decode(buf)?;
-        Url::parse(&s).map_err(|e| WireError::new(format!("invalid URL on wire: {e}")))
+        let s = get_str(buf)?;
+        Url::parse(s).map_err(|e| WireError::new(format!("invalid URL on wire: {e}")))
     }
 }
 
@@ -289,18 +321,18 @@ fn decode_pre(buf: &mut &[u8], depth: u32) -> Result<Pre, WireError> {
         3 => {
             let a = decode_pre(buf, depth + 1)?;
             let b = decode_pre(buf, depth + 1)?;
-            Pre::Seq(Box::new(a), Box::new(b))
+            Pre::Seq(Arc::new(a), Arc::new(b))
         }
         4 => {
             let a = decode_pre(buf, depth + 1)?;
             let b = decode_pre(buf, depth + 1)?;
-            Pre::Alt(Box::new(a), Box::new(b))
+            Pre::Alt(Arc::new(a), Arc::new(b))
         }
-        5 => Pre::Star(Box::new(decode_pre(buf, depth + 1)?)),
+        5 => Pre::Star(Arc::new(decode_pre(buf, depth + 1)?)),
         6 => {
             let p = decode_pre(buf, depth + 1)?;
             let k = u32::decode(buf)?;
-            Pre::Bounded(Box::new(p), k)
+            Pre::Bounded(Arc::new(p), k)
         }
         other => return Err(WireError::new(format!("invalid PRE tag {other}"))),
     })
@@ -703,13 +735,5 @@ mod tests {
         buf.extend_from_slice(&[0xff, 0xfe]);
         let mut slice = buf.as_slice();
         assert!(String::decode(&mut slice).is_err());
-    }
-
-    #[test]
-    fn wire_size_matches_encoding() {
-        let pre = webdis_pre::parse("G·(L*4)").unwrap();
-        let mut buf = Vec::new();
-        pre.encode(&mut buf);
-        assert_eq!(pre.wire_size(), buf.len());
     }
 }

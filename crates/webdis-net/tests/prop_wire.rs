@@ -99,8 +99,8 @@ fn node_query_strategy() -> impl Strategy<Value = NodeQuery> {
 fn message_strategy() -> impl Strategy<Value = Message> {
     let id = ("[a-z]{1,8}", "[a-z.]{1,12}", 1u16..9999, any::<u64>()).prop_map(
         |(user, host, port, query_num)| QueryId {
-            user,
-            host,
+            user: user.into(),
+            host: host.into(),
             port,
             query_num,
         },
@@ -127,7 +127,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
                 id,
                 dest_nodes,
                 rem_pre,
-                stages,
+                stages: stages.into(),
                 stage_offset,
                 hops,
             })
@@ -178,7 +178,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         .prop_map(|(id, origin, seq, reports)| {
             Message::Report(ResultReport {
                 id,
-                origin,
+                origin: origin.into(),
                 seq,
                 reports,
             })
@@ -187,7 +187,7 @@ fn message_strategy() -> impl Strategy<Value = Message> {
         (url_strategy(), "[a-z.]{1,10}", 1u16..9999).prop_map(|(url, reply_host, reply_port)| {
             Message::Fetch(FetchRequest {
                 url,
-                reply_host,
+                reply_host: reply_host.into(),
                 reply_port,
             })
         });
@@ -244,9 +244,32 @@ proptest! {
         }
     }
 
-    /// `wire_size` always equals the actual encoding length.
+    /// A URL is written straight into the frame, and the frame holds
+    /// exactly what its rendered string would have encoded to.
     #[test]
-    fn wire_size_is_exact(msg in message_strategy()) {
-        prop_assert_eq!(msg.wire_size(), encode_message(&msg).len());
+    fn url_encodes_as_its_display_string(url in url_strategy(), frag in "[a-z]{0,5}") {
+        let url = url.resolve(&format!("#{frag}")).unwrap();
+        let (mut direct, mut rendered) = (vec![0xAA], vec![0xAA]);
+        url.encode(&mut direct);
+        url.to_string().encode(&mut rendered);
+        prop_assert_eq!(direct, rendered);
+    }
+
+    /// Sharing is not on the wire: a clone holding the tail another clone
+    /// holds (one `Arc`, two owners) encodes like one holding a freshly
+    /// built list of equal stages.
+    #[test]
+    fn shared_stage_tail_encodes_as_a_fresh_list(msg in message_strategy(), skip in 0usize..3) {
+        let Message::Query(clone) = msg else { return Ok(()); };
+        let tail: std::sync::Arc<[_]> = clone.stages[skip.min(clone.stages.len())..].into();
+        let fresh: Vec<_> = tail.iter().cloned().collect();
+        let sibling = QueryClone { stages: tail.clone(), ..clone.clone() };
+        let shared = QueryClone { stages: tail, ..clone.clone() };
+        let rebuilt = QueryClone { stages: fresh.into(), ..clone };
+        prop_assert_eq!(&shared, &sibling);
+        prop_assert_eq!(
+            encode_message(&Message::Query(shared)),
+            encode_message(&Message::Query(rebuilt))
+        );
     }
 }

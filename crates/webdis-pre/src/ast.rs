@@ -1,6 +1,7 @@
 //! The PRE abstract syntax tree and the derivative operations on it.
 
 use std::fmt;
+use std::sync::Arc;
 
 use webdis_model::LinkType;
 
@@ -90,7 +91,9 @@ impl FromIterator<LinkType> for LinkSet {
 /// no `Never` subterms except the top level, no `Empty` operands in
 /// sequences, no duplicate alternatives, `p*0` collapsed to ε. This keeps
 /// derivative chains small and makes syntactic equality (`==`) usable as the
-/// log table's "completely identical" test.
+/// log table's "completely identical" test. Children are shared
+/// (`Arc`), so cloning a PRE copies no subtree; equality and hash stay
+/// structural.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Pre {
     /// ε / `N` — matches exactly the zero-length path.
@@ -100,14 +103,14 @@ pub enum Pre {
     /// A single link symbol `I`, `L` or `G`.
     Sym(LinkType),
     /// Concatenation `p · q`.
-    Seq(Box<Pre>, Box<Pre>),
+    Seq(Arc<Pre>, Arc<Pre>),
     /// Alternation `p | q`.
-    Alt(Box<Pre>, Box<Pre>),
+    Alt(Arc<Pre>, Arc<Pre>),
     /// Unbounded repetition `p*` (zero or more).
-    Star(Box<Pre>),
+    Star(Arc<Pre>),
     /// Bounded repetition `p*k` (zero up to `k` repetitions, per the
     /// paper's "`L*4`: zero or more local links upto a maximum of four").
-    Bounded(Box<Pre>, u32),
+    Bounded(Arc<Pre>, u32),
 }
 
 impl Pre {
@@ -125,7 +128,7 @@ impl Pre {
         match (a, b) {
             (Pre::Never, _) | (_, Pre::Never) => Pre::Never,
             (Pre::Empty, p) | (p, Pre::Empty) => p,
-            (a, b) => Pre::Seq(Box::new(a), Box::new(b)),
+            (a, b) => Pre::Seq(Arc::new(a), Arc::new(b)),
         }
     }
 
@@ -139,7 +142,7 @@ impl Pre {
                 if a == b {
                     a
                 } else {
-                    Pre::Alt(Box::new(a), Box::new(b))
+                    Pre::Alt(Arc::new(a), Arc::new(b))
                 }
             }
         }
@@ -150,7 +153,7 @@ impl Pre {
         match p {
             Pre::Empty | Pre::Never => Pre::Empty,
             s @ Pre::Star(_) => s,
-            p => Pre::Star(Box::new(p)),
+            p => Pre::Star(Arc::new(p)),
         }
     }
 
@@ -158,7 +161,7 @@ impl Pre {
     pub fn bounded(p: Pre, k: u32) -> Pre {
         match (p, k) {
             (_, 0) | (Pre::Empty, _) | (Pre::Never, _) => Pre::Empty,
-            (p, k) => Pre::Bounded(Box::new(p), k),
+            (p, k) => Pre::Bounded(Arc::new(p), k),
         }
     }
 
@@ -229,6 +232,11 @@ impl Pre {
                 }
             }
             Pre::Alt(a, b) => Pre::alt(a.deriv(t), b.deriv(t)),
+            // `self` is `star(p)` already, unless it was built (decoded)
+            // un-normalized.
+            Pre::Star(p) if !matches!(**p, Pre::Empty | Pre::Never | Pre::Star(_)) => {
+                Pre::seq(p.deriv(t), self.clone())
+            }
             Pre::Star(p) => Pre::seq(p.deriv(t), Pre::star((**p).clone())),
             Pre::Bounded(p, k) => {
                 // d(p*k) = d(p) · p*(k-1)

@@ -28,6 +28,19 @@ fn pre(depth: u32) -> impl Strategy<Value = Pre> {
     })
 }
 
+/// `p` again, node by node, sharing nothing with the original.
+fn rebuilt(p: &Pre) -> Pre {
+    use std::sync::Arc;
+    let re = |p: &Pre| Arc::new(rebuilt(p));
+    match p {
+        Pre::Empty | Pre::Never | Pre::Sym(_) => p.clone(),
+        Pre::Seq(a, b) => Pre::Seq(re(a), re(b)),
+        Pre::Alt(a, b) => Pre::Alt(re(a), re(b)),
+        Pre::Star(a) => Pre::Star(re(a)),
+        Pre::Bounded(a, k) => Pre::Bounded(re(a), *k),
+    }
+}
+
 fn path() -> impl Strategy<Value = Vec<LinkType>> {
     prop::collection::vec(link_type(), 0..8)
 }
@@ -158,5 +171,23 @@ proptest! {
             }
             prop_assert!(cur.size() <= budget, "size {} over budget {}", cur.size(), budget);
         }
+    }
+
+    /// Children are shared, identity is not: a PRE rebuilt from scratch
+    /// equals the original, hashes alike and is the log table's
+    /// `Identical` — and the derivative of a star, which hands back the
+    /// star itself, is the derivative the textbook rule builds, also for
+    /// a star no smart constructor would have made.
+    #[test]
+    fn sharing_changes_no_answer(p in pre(4), t in link_type()) {
+        use std::hash::{BuildHasher, RandomState};
+        let q = rebuilt(&p);
+        prop_assert_eq!(&p, &q);
+        let hasher = RandomState::new();
+        prop_assert_eq!(hasher.hash_one(&p), hasher.hash_one(&q));
+        prop_assert_eq!(check_subsumption(&p, &q), Subsumption::Identical);
+        prop_assert_eq!(p.clone().deriv(t), q.deriv(t));
+        let raw_star = Pre::Star(std::sync::Arc::new(p.clone()));
+        prop_assert_eq!(raw_star.deriv(t), Pre::seq(p.deriv(t), Pre::star(p)));
     }
 }

@@ -52,12 +52,12 @@ pub enum Probe {
 
 /// A compiled node-query: per-level probes and residual conjuncts.
 #[derive(Debug, Clone)]
-pub struct Plan {
-    query: NodeQuery,
+pub struct Plan<'q> {
+    query: &'q NodeQuery,
     /// `probes[level]` — index probes restricting that level's candidates.
     probes: Vec<Vec<Probe>>,
     /// `residuals[level]` — conjuncts evaluated per candidate at that level.
-    residuals: Vec<Vec<Expr>>,
+    residuals: Vec<Vec<&'q Expr>>,
 }
 
 /// What one execution did — the raw material for probe-vs-scan stage
@@ -76,21 +76,21 @@ pub struct EvalStats {
 }
 
 /// Splits an expression into its top-level conjuncts.
-fn conjuncts(e: &Expr, out: &mut Vec<Expr>) {
+fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
     match e {
         Expr::And(a, b) => {
             conjuncts(a, out);
             conjuncts(b, out);
         }
-        other => out.push(other.clone()),
+        other => out.push(other),
     }
 }
 
 /// The single variable a conjunct references, if exactly one.
-fn sole_variable(e: &Expr) -> Option<String> {
+fn sole_variable(e: &Expr) -> Option<&str> {
     let vars = e.variables();
     if vars.len() == 1 {
-        vars.into_iter().next().map(str::to_owned)
+        vars.into_iter().next()
     } else {
         None
     }
@@ -165,20 +165,20 @@ fn as_probe(kind: crate::query::RelKind, var_at_level: &str, e: &Expr) -> Option
 /// Probe admissibility is decided against the *schema-level* index
 /// configuration, which is identical for every `NodeDb`, so a `Plan` is
 /// valid for any database.
-pub fn compile(q: &NodeQuery) -> Result<Plan, EvalError> {
+pub fn compile(q: &NodeQuery) -> Result<Plan<'_>, EvalError> {
     q.validate()?;
     let levels = q.vars.len();
     let mut probes: Vec<Vec<Probe>> = vec![Vec::new(); levels];
-    let mut residuals: Vec<Vec<Expr>> = vec![Vec::new(); levels];
+    let mut residuals: Vec<Vec<&Expr>> = vec![Vec::new(); levels];
 
     // Gather (conjunct, apply level) from such-that and where clauses.
-    let mut scheduled: Vec<(Expr, usize)> = Vec::new();
+    let mut scheduled: Vec<(&Expr, usize)> = Vec::new();
     for (i, decl) in q.vars.iter().enumerate() {
         if let Some(cond) = &decl.cond {
             let mut cs = Vec::new();
             conjuncts(cond, &mut cs);
             for c in cs {
-                let lvl = apply_level_of(&q.vars, &c, i);
+                let lvl = apply_level_of(&q.vars, c, i);
                 scheduled.push((c, lvl));
             }
         }
@@ -187,7 +187,7 @@ pub fn compile(q: &NodeQuery) -> Result<Plan, EvalError> {
         let mut cs = Vec::new();
         conjuncts(w, &mut cs);
         for c in cs {
-            let lvl = apply_level_of(&q.vars, &c, 0);
+            let lvl = apply_level_of(&q.vars, c, 0);
             scheduled.push((c, lvl));
         }
     }
@@ -196,9 +196,9 @@ pub fn compile(q: &NodeQuery) -> Result<Plan, EvalError> {
     // enumerated at its level and an index covers it, residual otherwise.
     for (c, lvl) in scheduled {
         let var_at_level = &q.vars[lvl].name;
-        let probeable = sole_variable(&c).as_deref() == Some(var_at_level.as_str());
+        let probeable = sole_variable(c) == Some(var_at_level.as_str());
         let probe = if probeable {
-            as_probe(q.vars[lvl].kind, var_at_level, &c)
+            as_probe(q.vars[lvl].kind, var_at_level, c)
         } else {
             None
         };
@@ -209,13 +209,13 @@ pub fn compile(q: &NodeQuery) -> Result<Plan, EvalError> {
     }
 
     Ok(Plan {
-        query: q.clone(),
+        query: q,
         probes,
         residuals,
     })
 }
 
-impl Plan {
+impl Plan<'_> {
     /// True when at least one level has an index probe.
     pub fn uses_index(&self) -> bool {
         self.probes.iter().any(|p| !p.is_empty())
@@ -252,7 +252,7 @@ impl Plan {
         db: &NodeDb,
         capture: bool,
     ) -> Result<(Vec<ResultRow>, Vec<Vec<u32>>, EvalStats), EvalError> {
-        let q = &self.query;
+        let q = self.query;
         let mut env = Env::new(db, &q.vars);
         let mut sink = ExecSink {
             rows: Vec::new(),
@@ -312,7 +312,7 @@ impl Plan {
         sink: &mut ExecSink,
         stats: &mut EvalStats,
     ) -> Result<(), EvalError> {
-        let q = &self.query;
+        let q = self.query;
         if level == q.vars.len() {
             sink.rows.push(env.project(&q.select)?);
             if sink.capture {

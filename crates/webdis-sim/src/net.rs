@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webdis_model::SiteAddr;
-use webdis_net::{encode_message, Message};
+use webdis_net::{encode_message, Message, Wire};
 use webdis_trace::{TraceEvent, TraceHandle, TraceRecord};
 
 use crate::metrics::Metrics;
@@ -389,6 +389,8 @@ pub struct SimNet {
     /// default; harnesses install the engine's tracer so transport and
     /// engine events share one stream and one virtual clock).
     tracer: TraceHandle,
+    /// Where every outgoing message is encoded to be measured.
+    scratch: Vec<u8>,
 }
 
 impl SimNet {
@@ -420,6 +422,7 @@ impl SimNet {
             busy_until: BTreeMap::new(),
             metrics: Metrics::default(),
             tracer: TraceHandle::noop(),
+            scratch: Vec::new(),
         }
     }
 
@@ -500,20 +503,11 @@ impl SimNet {
                 // clone instead of reporting a false hang.
                 if let Payload::Net(msg) = &ev.payload {
                     self.metrics.dead_letters += 1;
-                    self.tracer.emit_with(|| {
-                        let (query, hop) = message_meta(msg);
-                        TraceRecord {
-                            time_us: ev.at_us,
-                            site: ev.to.host.clone(),
-                            query,
-                            hop,
-                            event: TraceEvent::MessageDropped {
-                                kind: msg.kind().to_string(),
-                                to: ev.to.host.clone(),
-                                bytes: encode_message(msg).len() as u32,
-                                reason: "dead-letter".to_string(),
-                            },
-                        }
+                    self.trace_msg(ev.at_us, &ev.to, msg, |kind| TraceEvent::MessageDropped {
+                        kind,
+                        to: ev.to.host.to_string(),
+                        bytes: encode_message(msg).len() as u32,
+                        reason: "dead-letter".to_string(),
                     });
                 }
                 continue;
@@ -533,7 +527,7 @@ impl SimNet {
                 .unwrap_or(0)
                 .max(ev.at_us);
             self.clock_us = self.clock_us.max(start_us);
-            if is_net {
+            if is_net && self.tracer.enabled() {
                 // Inbound queue depth at processing start: this message
                 // plus every other network delivery to the same endpoint
                 // that has already arrived but not yet been processed.
@@ -663,7 +657,7 @@ impl SimNet {
             .config
             .link_drops
             .iter()
-            .find(|l| l.from_host == from.host && l.to_host == to.host)
+            .find(|l| *l.from_host == *from.host && *l.to_host == *to.host)
             .map(|l| l.rate);
         if let Some(rate) = link_rate {
             if rate > 0.0 && self.rng.gen_bool(rate) {
@@ -705,24 +699,20 @@ impl SimNet {
     /// traced as `message_dropped` — it never becomes a `message_sent`
     /// record, so trajectory reconstruction does not see phantom sends.
     fn dispatch_at(&mut self, base_us: u64, from: &SiteAddr, to: SiteAddr, msg: Message) {
-        let bytes = encode_message(&msg).len();
-        let meta = message_meta;
+        // Metered as what the wire would carry: the message's encoding,
+        // written into one buffer the whole run reuses.
+        self.scratch.clear();
+        msg.encode(&mut self.scratch);
+        let bytes = self.scratch.len();
+        let wire = bytes as u32;
+        let dest = || to.host.to_string();
         if let Some(reason) = self.drop_reason(base_us, from, &to) {
             self.metrics.record_drop(bytes as u64);
-            self.tracer.emit_with(|| {
-                let (query, hop) = meta(&msg);
-                TraceRecord {
-                    time_us: base_us,
-                    site: from.host.clone(),
-                    query,
-                    hop,
-                    event: TraceEvent::MessageDropped {
-                        kind: msg.kind().to_string(),
-                        to: to.host.clone(),
-                        bytes: bytes as u32,
-                        reason: reason.to_string(),
-                    },
-                }
+            self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDropped {
+                kind,
+                to: dest(),
+                bytes: wire,
+                reason: reason.to_string(),
             });
             return;
         }
@@ -732,71 +722,32 @@ impl SimNet {
         // not see a send that can never be received).
         if self.fault_claims(false, &from.host, &to.host) {
             self.metrics.record_corrupt(bytes as u64);
-            self.tracer.emit_with(|| {
-                let (query, hop) = meta(&msg);
-                TraceRecord {
-                    time_us: base_us,
-                    site: from.host.clone(),
-                    query,
-                    hop,
-                    event: TraceEvent::MessageCorrupted {
-                        kind: msg.kind().to_string(),
-                        to: to.host.clone(),
-                        bytes: bytes as u32,
-                    },
-                }
+            self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageCorrupted {
+                kind,
+                to: dest(),
+                bytes: wire,
             });
             return;
         }
         self.metrics.record_send(msg.kind(), bytes as u64);
-        self.tracer.emit_with(|| {
-            let (query, hop) = meta(&msg);
-            TraceRecord {
-                time_us: base_us,
-                site: from.host.clone(),
-                query,
-                hop,
-                event: TraceEvent::MessageSent {
-                    kind: msg.kind().to_string(),
-                    to: to.host.clone(),
-                    bytes: bytes as u32,
-                },
-            }
+        self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageSent {
+            kind,
+            to: dest(),
+            bytes: wire,
         });
-        let jitter = if self.config.jitter_us > 0 {
-            self.rng.gen_range(0..=self.config.jitter_us)
-        } else {
-            0
-        };
-        let at_us = base_us + self.config.latency.latency_us(bytes) + jitter;
+        let at_us = base_us + self.config.latency.latency_us(bytes) + self.jitter();
         // Duplication delivers a *second* copy with its own jitter draw
         // (the copies may overtake each other), traced as
         // `message_duplicated` — never a second `message_sent`.
         let duplicate = if self.fault_claims(true, &from.host, &to.host) {
             self.metrics.record_dup(bytes as u64);
-            self.tracer.emit_with(|| {
-                let (query, hop) = meta(&msg);
-                TraceRecord {
-                    time_us: base_us,
-                    site: from.host.clone(),
-                    query,
-                    hop,
-                    event: TraceEvent::MessageDuplicated {
-                        kind: msg.kind().to_string(),
-                        to: to.host.clone(),
-                        bytes: bytes as u32,
-                    },
-                }
+            self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDuplicated {
+                kind,
+                to: dest(),
+                bytes: wire,
             });
-            let jitter = if self.config.jitter_us > 0 {
-                self.rng.gen_range(0..=self.config.jitter_us)
-            } else {
-                0
-            };
-            Some((
-                base_us + self.config.latency.latency_us(bytes) + jitter,
-                msg.clone(),
-            ))
+            let dup_at_us = base_us + self.config.latency.latency_us(bytes) + self.jitter();
+            Some((dup_at_us, msg.clone()))
         } else {
             None
         };
@@ -816,6 +767,37 @@ impl SimNet {
             };
             self.queue.push(Reverse(ev));
         }
+    }
+
+    /// One delivery's jitter draw (none drawn when jitter is off, so the
+    /// knob at zero does not perturb a seeded run).
+    fn jitter(&mut self) -> u64 {
+        if self.config.jitter_us > 0 {
+            self.rng.gen_range(0..=self.config.jitter_us)
+        } else {
+            0
+        }
+    }
+
+    /// Stamps one transport event about `msg` at `site`; `event` gets the
+    /// message's kind label. Nothing is built unless the tracer is on.
+    fn trace_msg(
+        &self,
+        time_us: u64,
+        site: &SiteAddr,
+        msg: &Message,
+        event: impl FnOnce(String) -> TraceEvent,
+    ) {
+        self.tracer.emit_with(|| {
+            let (query, hop) = message_meta(msg);
+            TraceRecord {
+                time_us,
+                site: site.host.to_string(),
+                query,
+                hop,
+                event: event(msg.kind().to_string()),
+            }
+        });
     }
 
     /// Current virtual time.
@@ -939,6 +921,81 @@ mod tests {
         assert_eq!(net.metrics.messages_of("fetch"), 3);
         assert_eq!(net.metrics.messages_of("fetch-reply"), 3);
         assert!(net.metrics.total.bytes > 0);
+    }
+
+    /// A client and its echo server, `n` requests, under `tracer`.
+    fn round_trip_under(tracer: TraceHandle, n: usize) -> SimNet {
+        let mut net = SimNet::new(SimConfig::default());
+        net.set_tracer(tracer);
+        let (c, s) = (addr("client"), addr("server"));
+        let client = Client {
+            server: s.clone(),
+            n,
+            replies: 0,
+            close_after: None,
+        };
+        net.register(c.clone(), Box::new(client));
+        let echo = Echo {
+            peer: c.clone(),
+            seen: 0,
+        };
+        net.register(s, Box::new(echo));
+        net.start(&c);
+        net.run();
+        assert_eq!(net.actor_mut::<Client>(&c).unwrap().replies, n);
+        net
+    }
+
+    #[test]
+    fn a_disabled_tracer_is_never_handed_anything() {
+        struct Off;
+        impl webdis_trace::Tracer for Off {
+            fn enabled(&self) -> bool {
+                false
+            }
+            fn record(&self, record: TraceRecord) {
+                panic!("recorded {record:?} with tracing off");
+            }
+            fn observe(&self, name: &str, _value: u64) {
+                panic!("observed {name} with tracing off");
+            }
+            fn gauge_max(&self, name: &str, _value: u64) {
+                panic!("raised gauge {name} with tracing off");
+            }
+        }
+        let net = round_trip_under(TraceHandle::new(std::sync::Arc::new(Off)), 3);
+        assert_eq!(net.metrics.total.messages, 6);
+    }
+
+    #[test]
+    fn metered_bytes_are_the_encoded_length_of_each_message() {
+        // Requests /0 … /11: two lengths of request and of reply.
+        let (collector, tracer) = TraceHandle::collecting(64);
+        let net = round_trip_under(tracer, 12);
+        let mut metered: Vec<u32> = Vec::new();
+        for r in collector.snapshot() {
+            if let TraceEvent::MessageSent { bytes, .. } = r.event {
+                metered.push(bytes);
+            }
+        }
+        let mut encoded: Vec<u32> = Vec::new();
+        for i in 0..12 {
+            let url = Url::from_parts("s", 80, &format!("/{i}"));
+            let request = Message::Fetch(FetchRequest {
+                url: url.clone(),
+                reply_host: "client".into(),
+                reply_port: 80,
+            });
+            let reply = Message::FetchReply(FetchResponse { url, html: None });
+            encoded.extend([&request, &reply].map(|m| encode_message(m).len() as u32));
+        }
+        metered.sort_unstable();
+        encoded.sort_unstable();
+        assert_eq!(metered, encoded);
+        assert_eq!(
+            net.metrics.total.bytes,
+            encoded.iter().map(|&b| u64::from(b)).sum::<u64>()
+        );
     }
 
     #[test]

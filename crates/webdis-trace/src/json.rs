@@ -578,8 +578,8 @@ pub fn encode_record(r: &TraceRecord) -> String {
     let mut obj = ObjWriter::new(&mut out);
     obj.field("time_us", &r.time_us).field("site", &r.site);
     if let Some(id) = &r.query {
-        obj.field("user", &id.user)
-            .field("query_host", &id.host)
+        obj.field("user", &*id.user)
+            .field("query_host", &*id.host)
             .field("query_port", &id.port)
             .field("query_num", &id.query_num);
     }
@@ -597,8 +597,8 @@ pub fn decode_record(line: &str) -> Result<TraceRecord, String> {
     let obj = parse(line)?;
     let query = match obj.opt("query_num")? {
         Some(query_num) => Some(QueryId {
-            user: obj.req("user")?,
-            host: obj.req("query_host")?,
+            user: obj.req::<&str>("user")?.into(),
+            host: obj.req::<&str>("query_host")?.into(),
             port: obj.req("query_port")?,
             query_num,
         }),

@@ -237,7 +237,7 @@ pub(crate) fn reconstruct_own(mut pending: Vec<&TraceRecord>, id: &QueryId) -> T
         .iter()
         .find(|r| matches!(r.event, TraceEvent::QuerySent { .. }) && r.hop == Some(0))
         .map(|r| r.site.clone())
-        .unwrap_or_else(|| id.host.clone());
+        .unwrap_or_else(|| id.host.to_string());
     let mut root = Visit::new(root_site, 0, 0);
     root.received_us = Some(0);
 

@@ -1,6 +1,7 @@
 //! Document hosting and HTML page construction.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use webdis_html::parse_html;
 use webdis_model::{SiteAddr, Url, WebGraph};
@@ -95,10 +96,11 @@ fn escape(s: &str) -> String {
 
 /// The complete set of documents served by the simulated web: URL → raw
 /// HTML. This is what query servers read locally and what the
-/// data-shipping baseline downloads remotely.
+/// data-shipping baseline downloads remotely. Page text is shared: a
+/// fetch hands out the stored `Arc<str>`, never a copy.
 #[derive(Debug, Clone, Default)]
 pub struct HostedWeb {
-    docs: BTreeMap<Url, String>,
+    docs: BTreeMap<Url, Arc<str>>,
 }
 
 impl HostedWeb {
@@ -108,8 +110,8 @@ impl HostedWeb {
     }
 
     /// Adds (or replaces) a document.
-    pub fn insert(&mut self, url: Url, html: String) {
-        self.docs.insert(url.without_fragment(), html);
+    pub fn insert(&mut self, url: Url, html: impl Into<Arc<str>>) {
+        self.docs.insert(url.without_fragment(), html.into());
     }
 
     /// Adds a document built with [`PageBuilder`].
@@ -119,7 +121,12 @@ impl HostedWeb {
 
     /// The raw HTML of a document, if hosted.
     pub fn get(&self, url: &Url) -> Option<&str> {
-        self.docs.get(&url.without_fragment()).map(String::as_str)
+        self.shared(url).map(|html| &**html)
+    }
+
+    /// The stored page itself, for handing out without a copy.
+    pub fn shared(&self, url: &Url) -> Option<&Arc<str>> {
+        self.docs.get(&url.without_fragment())
     }
 
     /// Number of documents.
@@ -152,13 +159,13 @@ impl HostedWeb {
         self.docs
             .iter()
             .filter(|(u, _)| &u.site() == site)
-            .map(|(u, h)| (u, h.as_str()))
+            .map(|(u, h)| (u, &**h))
             .collect()
     }
 
     /// Total bytes of hosted HTML.
     pub fn total_bytes(&self) -> usize {
-        self.docs.values().map(String::len).sum()
+        self.docs.values().map(|h| h.len()).sum()
     }
 
     /// Parses every document and assembles the global link graph — the
@@ -229,10 +236,7 @@ mod tests {
     #[test]
     fn fragment_stripped_on_insert_and_get() {
         let mut web = HostedWeb::new();
-        web.insert(
-            Url::parse("http://a.test/p#x").unwrap(),
-            "<html></html>".into(),
-        );
+        web.insert(Url::parse("http://a.test/p#x").unwrap(), "<html></html>");
         assert!(web.get(&Url::parse("http://a.test/p#y").unwrap()).is_some());
         assert_eq!(web.len(), 1);
     }
@@ -271,7 +275,7 @@ impl HostedWeb {
         for (url, html) in &self.docs {
             let site = url.site();
             let site_dir = if site.port == 80 {
-                site.host.clone()
+                site.host.to_string()
             } else {
                 format!("{}_{}", site.host, site.port)
             };
@@ -285,7 +289,7 @@ impl HostedWeb {
             if let Some(parent) = file.parent() {
                 std::fs::create_dir_all(parent)?;
             }
-            std::fs::write(file, html)?;
+            std::fs::write(file, html.as_bytes())?;
         }
         Ok(())
     }

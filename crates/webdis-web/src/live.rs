@@ -19,7 +19,7 @@
 //! any instant.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -173,7 +173,7 @@ impl MutationSchedule {
     /// leave/join. Deterministic for a given `(web, cfg)` pair.
     pub fn generate(web: &HostedWeb, cfg: &MutationPlanConfig) -> MutationSchedule {
         let urls: Vec<Url> = web.urls().cloned().collect();
-        let hosts: Vec<String> = web.sites().iter().map(|s| s.host.clone()).collect();
+        let hosts: Vec<String> = web.sites().iter().map(|s| s.host.to_string()).collect();
         assert!(!urls.is_empty(), "cannot mutate an empty web");
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut events = Vec::with_capacity(cfg.count);
@@ -256,8 +256,8 @@ pub enum FetchOutcome {
     /// The document exists; `version` is the owning site's content
     /// version when it last changed (0 for never-mutated documents).
     Found {
-        /// Raw HTML.
-        html: String,
+        /// Raw HTML, shared with the store it came from.
+        html: Arc<str>,
         /// Content version of this document.
         version: u64,
     },
@@ -284,7 +284,7 @@ pub enum DocStatus {
 
 #[derive(Debug, Default)]
 struct LiveState {
-    docs: BTreeMap<Url, (String, u64)>,
+    docs: BTreeMap<Url, (Arc<str>, u64)>,
     tombstones: BTreeMap<Url, u64>,
     site_versions: BTreeMap<String, u64>,
     hosts: BTreeSet<String>,
@@ -320,7 +320,7 @@ impl LiveWeb {
             ..LiveState::default()
         };
         for url in web.urls() {
-            let html = web.get(url).expect("listed URL is hosted").to_owned();
+            let html = Arc::clone(web.shared(url).expect("listed URL is hosted"));
             state.hosts.insert(url.host().to_owned());
             state.docs.insert(url.clone(), (html, 0));
         }
@@ -345,7 +345,7 @@ impl LiveWeb {
             .hosts
             .iter()
             .map(|h| SiteAddr {
-                host: h.clone(),
+                host: h.as_str().into(),
                 port: 80,
             })
             .collect()
@@ -434,14 +434,14 @@ impl LiveWeb {
                         .build(),
                 };
                 state.tombstones.remove(&key);
-                state.docs.insert(key.clone(), (html, version));
+                state.docs.insert(key.clone(), (html.into(), version));
                 vec![(key, DocEffect::Updated)]
             }
             MutationOp::CreatePage { url, title } => {
                 let key = url.without_fragment();
                 let html = PageBuilder::new(title).para(title).build();
                 state.tombstones.remove(&key);
-                state.docs.insert(key.clone(), (html, version));
+                state.docs.insert(key.clone(), (html.into(), version));
                 vec![(key, DocEffect::Updated)]
             }
             MutationOp::DeletePage { url } => {
@@ -457,10 +457,8 @@ impl LiveWeb {
                 let key = url.without_fragment();
                 match state.docs.get_mut(&key) {
                     Some(entry) => {
-                        entry.0 = splice_before_close(
-                            &entry.0,
-                            &format!("<a href=\"{href}\">{label}</a>\n"),
-                        );
+                        let anchor = format!("<a href=\"{href}\">{label}</a>\n");
+                        entry.0 = splice_before_close(&entry.0, &anchor).into();
                         entry.1 = version;
                         vec![(key, DocEffect::Updated)]
                     }
@@ -472,7 +470,7 @@ impl LiveWeb {
                 match state.docs.get_mut(&key) {
                     Some(entry) => match strip_last_anchor(&entry.0) {
                         Some(html) => {
-                            entry.0 = html;
+                            entry.0 = html.into();
                             entry.1 = version;
                             vec![(key, DocEffect::Updated)]
                         }
@@ -509,7 +507,7 @@ impl LiveWeb {
                         .para(&format!("site {host} back online at rev{version}"))
                         .build();
                     state.tombstones.remove(&root);
-                    state.docs.insert(root.clone(), (html, version));
+                    state.docs.insert(root.clone(), (html.into(), version));
                     vec![(root, DocEffect::Updated)]
                 }
             }
@@ -591,19 +589,19 @@ fn strip_last_anchor(html: &str) -> Option<String> {
 #[derive(Debug, Clone)]
 pub enum WebView {
     /// The classic frozen snapshot.
-    Frozen(std::sync::Arc<HostedWeb>),
+    Frozen(Arc<HostedWeb>),
     /// A shared living web.
-    Live(std::sync::Arc<LiveWeb>),
+    Live(Arc<LiveWeb>),
 }
 
-impl From<std::sync::Arc<HostedWeb>> for WebView {
-    fn from(web: std::sync::Arc<HostedWeb>) -> WebView {
+impl From<Arc<HostedWeb>> for WebView {
+    fn from(web: Arc<HostedWeb>) -> WebView {
         WebView::Frozen(web)
     }
 }
 
-impl From<std::sync::Arc<LiveWeb>> for WebView {
-    fn from(web: std::sync::Arc<LiveWeb>) -> WebView {
+impl From<Arc<LiveWeb>> for WebView {
+    fn from(web: Arc<LiveWeb>) -> WebView {
         WebView::Live(web)
     }
 }
@@ -613,9 +611,9 @@ impl WebView {
     /// and no tombstones: anything absent is [`FetchOutcome::Missing`]).
     pub fn fetch(&self, url: &Url) -> FetchOutcome {
         match self {
-            WebView::Frozen(web) => match web.get(url) {
+            WebView::Frozen(web) => match web.shared(url) {
                 Some(html) => FetchOutcome::Found {
-                    html: html.to_owned(),
+                    html: Arc::clone(html),
                     version: 0,
                 },
                 None => FetchOutcome::Missing,

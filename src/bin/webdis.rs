@@ -272,7 +272,7 @@ fn cmd_query(args: &Args) {
         // Re-render through the report module shape: reconstruct a view.
         let query = webdis::disql::parse_disql(&disql).expect("parsed once already");
         let id = webdis::net::QueryId {
-            user: whoami(),
+            user: whoami().into(),
             host: "user.test".into(),
             port: 9900,
             query_num: 1,

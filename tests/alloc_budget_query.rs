@@ -1,0 +1,120 @@
+//! Allocation budget of a whole query — the engine around the evaluator,
+//! gated with no clock in it.
+//!
+//! `tests/alloc_budget.rs` holds the document path (parse, relations,
+//! evaluation) to its budget; this binary holds everything else a query
+//! does: decoding nothing but still handing a clone from site to site,
+//! the log table, the CHT, the reports, the simulator's metering. When
+//! `Url`, `QueryId`, `Pre` and a clone's stage list were deep copies at
+//! every hand-off, one `crawl16` query made 33 178 allocations (2.6 MB by
+//! this counter), about 174 per clone handled outside the 96 visits'
+//! document path; as shared handles it makes about 9 600 (1.4 MB), about
+//! 18 per clone. The budget sits between the two, so putting a copy back
+//! on the clone path fails here before it shows on a benchmark.
+//!
+//! One test, alone in its binary: the counters are process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
+use webdis::core::{run_query_sim, EngineConfig};
+use webdis::disql::parse_disql;
+use webdis::rel::{eval_node_query_with_stats, NodeDb};
+use webdis::sim::SimConfig;
+use webdis::web::gen::{generate, WebGenConfig};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+static BYTES: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters are
+// statistics and guard nothing.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size.saturating_sub(layout.size()), Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn counted<T>(work: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        BYTES.load(Ordering::Relaxed),
+    );
+    let done = work();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before.0;
+    (done, allocations, BYTES.load(Ordering::Relaxed) - before.1)
+}
+
+#[test]
+fn a_crawl_query_stays_inside_its_allocation_budget() {
+    // hwbench's crawl16 workload: 16 sites × 6 documents, one (L|G)*
+    // title crawl per `run_query_sim` call, default engine and simulator.
+    let web = Arc::new(generate(&WebGenConfig {
+        sites: 16,
+        docs_per_site: 6,
+        extra_local_links: 2,
+        extra_global_links: 2,
+        title_needle_prob: 0.2,
+        filler_words: 400,
+        seed: 11,
+        ..WebGenConfig::default()
+    }));
+    let disql = r#"select d.url, d.title from document d such that "http://site0.test/doc0.html" (L|G)* d where d.title contains "needle""#;
+    let run = || {
+        run_query_sim(
+            Arc::clone(&web),
+            disql,
+            EngineConfig::default(),
+            SimConfig::default(),
+        )
+        .expect("the crawl query parses")
+    };
+    let warm = run();
+    assert!(warm.complete);
+
+    let (outcome, allocations, bytes) = counted(run);
+    assert!(outcome.complete);
+    let stats = outcome.server_stats.values();
+    let clones: u64 = stats.map(|s| s.clones_received).sum();
+    assert_eq!(clones, 138, "clones handled by the 16 servers");
+
+    // The document path's share (what `tests/alloc_budget.rs` gates):
+    // every page parsed and queried once, as the 96 visits do.
+    let node_query = &parse_disql(disql).expect("parsed above").stages[0].query;
+    let (rows, visits, _) = counted(|| {
+        let visit = |url| {
+            let db = NodeDb::parse(url, web.get(url).expect("a hosted page"));
+            let rows = eval_node_query_with_stats(&db, node_query).expect("the query evaluates");
+            rows.0.len()
+        };
+        web.urls().map(visit).sum::<usize>()
+    });
+    assert_eq!(rows, outcome.results[&0].len());
+    println!(
+        "{allocations} allocations and {bytes} bytes per query; {visits} of them the 96 visits, \
+         {:.1} per clone handled outside them",
+        allocations.saturating_sub(visits) as f64 / clones as f64
+    );
+    assert!(
+        allocations <= 14_000,
+        "{allocations} allocations per query, budget 14 000"
+    );
+    assert!(bytes <= 1_600_000, "{bytes} bytes per query, budget 1.6 MB");
+}

@@ -99,7 +99,7 @@ fn diagnosis_is_linear_in_the_number_of_queries() {
     for copy in 0..40 {
         records.extend(probe.iter().cloned().map(|mut r| {
             if let Some(id) = &mut r.query {
-                id.user = format!("{}-{copy}", id.user);
+                id.user = format!("{}-{copy}", id.user).into();
             }
             r
         }));

@@ -201,7 +201,7 @@ fn results_return_directly_not_via_path() {
         .metrics
         .received_by_site
         .iter()
-        .find(|(s, _)| s.host == "wdqs.a.test")
+        .find(|(s, _)| &*s.host == "wdqs.a.test")
         .map(|(_, n)| *n)
         .unwrap_or(0);
     assert_eq!(

@@ -134,7 +134,7 @@ fn every_exit(base: fn() -> EngineConfig) {
 
     // A clone with nothing left to run.
     h.deliver("empty", |s| QueryClone {
-        stages: Vec::new(),
+        stages: [].into(),
         ..clone_from(s, 2)
     });
 
