@@ -2,7 +2,7 @@ use std::sync::Arc;
 
 use webdis_core::{query_server_addr, run_query_sim, EngineConfig, ExpiryPolicy, QueryOutcome};
 use webdis_model::Url;
-use webdis_sim::SimConfig;
+use webdis_sim::{Fault, FaultKind, SimConfig};
 use webdis_trace::{trajectory, TraceHandle};
 use webdis_web::figures;
 
@@ -88,7 +88,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let mut scenarios: Vec<(String, Vec<SimConfig>)> = Vec::new();
     for rate in [0.0f64, 0.05, 0.1, 0.2] {
         let run = |seed| SimConfig {
-            drop_rate: rate,
+            faults: vec![Fault::rate(FaultKind::Drop, rate)],
             seed,
             ..SimConfig::default()
         };
@@ -96,7 +96,11 @@ pub fn run(ctx: &Ctx) -> Outcome {
     }
     let crashed = |seed| SimConfig {
         seed,
-        crashes: vec![(query_server_addr(&dsl), crash_at)],
+        faults: vec![Fault::Crash {
+            site: query_server_addr(&dsl),
+            at_us: crash_at,
+            down_us: None,
+        }],
         ..SimConfig::default()
     };
     scenarios.push((
@@ -161,7 +165,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             figures::CAMPUS_QUERY,
             cfg,
             SimConfig {
-                drop_rate: 0.1,
+                faults: vec![Fault::rate(FaultKind::Drop, 0.1)],
                 seed: 6,
                 ..SimConfig::default()
             },

@@ -38,32 +38,26 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
         cht_mode: ChtMode::Strict,
         ..EngineConfig::default()
     };
-    let mut net =
-        Deployment::new(Arc::clone(&web), cfg).sim_with_client(SimConfig::default(), vec![query]);
+    let deployment = Deployment::new(Arc::clone(&web), cfg);
+    let mut net = deployment.sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
 
+    // Probe and purge at every period, and once more when the run ends.
     let mut peak_log = 0usize;
-    let mut next_purge = period_us;
-    loop {
-        let limit = if period_us == 0 { u64::MAX } else { next_purge };
-        let more = net.run_until(limit);
-        // Probe and purge.
+    let tick_us = if period_us == 0 { u64::MAX } else { period_us };
+    let mut probe = |net: &mut webdis_sim::SimNet, at_us: u64| {
         let mut total_log = 0usize;
         for site in &sites {
             if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(site)) {
                 total_log += server.engine.log_len();
                 if period_us != 0 {
-                    let cutoff = next_purge.saturating_sub(period_us);
-                    server.engine.purge_log(cutoff);
+                    server.engine.purge_log(at_us.saturating_sub(period_us));
                 }
             }
         }
         peak_log = peak_log.max(total_log);
-        if !more {
-            break;
-        }
-        next_purge += period_us;
-    }
+    };
+    deployment.drive_sim(&mut net, tick_us, u64::MAX, &mut probe);
 
     let mut evals = 0;
     let mut dups = 0;

@@ -220,19 +220,11 @@ pub fn live_smoke() -> Result<String, String> {
     );
     let query = webdis_disql::parse_disql(webdis_web::figures::CAMPUS_QUERY)
         .map_err(|e| format!("smoke query: {e:?}"))?;
-    let mut client = [webdis_core::ClientProcess::new(
-        "smoke",
-        cluster.user_site().clone(),
-        cfg.clone(),
-    )];
+    let client = webdis_core::ClientProcess::new("smoke", cluster.user_site().clone(), cfg.clone());
     let at_once = webdis_core::ScheduledSubmission { at_us: 0, query };
-    cluster.drive(
-        &mut cluster.user_net(),
-        &mut client,
-        vec![(0, at_once)],
-        Duration::from_secs(30),
-    );
-    if !client[0].all_complete() {
+    let mut user = webdis_core::ScheduledClient::new(vec![client], vec![(0, at_once)]);
+    cluster.drive(&mut cluster.user_net(), &mut user, Duration::from_secs(30));
+    if !user.done() {
         return Err("smoke query did not complete within 30s".into());
     }
 

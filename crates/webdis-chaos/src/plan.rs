@@ -10,7 +10,7 @@
 use webdis_core::{EngineConfig, ExpiryPolicy};
 use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis_model::{SiteAddr, Url};
-use webdis_sim::{CrashRestart, LinkDrop, LinkFault, Partition, SimConfig};
+use webdis_sim::{Fault, FaultKind, SimConfig};
 use webdis_trace::TraceHandle;
 use webdis_web::{Mutation, MutationOp, MutationSchedule, WebGenConfig};
 
@@ -109,6 +109,50 @@ impl FaultSpec {
             FaultSpec::CrashRestart { .. } => "crash_restart",
             FaultSpec::Mutation { .. } => "mutation",
         }
+    }
+
+    /// This entry as the simulator states it; `None` for a mutation,
+    /// which changes the *web*, not the network (the runner applies
+    /// those via [`ChaosPlan::mutation_schedule`]). A rate is uniform
+    /// only when both hosts are [`ANY_HOST`].
+    fn network_fault(&self) -> Option<Fault> {
+        let rate = |kind, from: &String, to: &String, rate_ppm: u32| Fault::Rate {
+            kind,
+            link: (from != ANY_HOST || to != ANY_HOST).then(|| (from.clone(), to.clone())),
+            rate: ppm(rate_ppm),
+        };
+        Some(match self {
+            FaultSpec::Drop { from, to, rate_ppm } => rate(FaultKind::Drop, from, to, *rate_ppm),
+            FaultSpec::Dup { from, to, rate_ppm } => rate(FaultKind::Dup, from, to, *rate_ppm),
+            FaultSpec::Corrupt { from, to, rate_ppm } => {
+                rate(FaultKind::Corrupt, from, to, *rate_ppm)
+            }
+            FaultSpec::Partition {
+                start_us,
+                end_us,
+                side_a,
+                side_b,
+            } => Fault::Partition {
+                start_us: *start_us,
+                end_us: *end_us,
+                side_a: side_a.clone(),
+                side_b: side_b.clone(),
+            },
+            FaultSpec::CrashRestart {
+                host,
+                port,
+                at_us,
+                down_us,
+            } => Fault::Crash {
+                site: SiteAddr {
+                    host: host.as_str().into(),
+                    port: *port,
+                },
+                at_us: *at_us,
+                down_us: Some(*down_us),
+            },
+            FaultSpec::Mutation { .. } => return None,
+        })
     }
 }
 
@@ -244,82 +288,13 @@ impl ChaosPlan {
     /// `with_faults == false` builds the fault-free baseline: same
     /// latency model, jitter, and seed — only the faults stripped.
     pub fn sim_config(&self, with_faults: bool) -> SimConfig {
-        let mut cfg = SimConfig {
+        let faults = self.faults.iter().filter(|_| with_faults);
+        SimConfig {
             jitter_us: self.jitter_us,
             seed: self.sim_seed,
+            faults: faults.filter_map(FaultSpec::network_fault).collect(),
             ..SimConfig::default()
-        };
-        if !with_faults {
-            return cfg;
         }
-        for fault in &self.faults {
-            match fault {
-                FaultSpec::Drop { from, to, rate_ppm } => {
-                    let rate = ppm(*rate_ppm);
-                    if from == ANY_HOST && to == ANY_HOST {
-                        cfg.drop_rate = (cfg.drop_rate + rate).min(1.0);
-                    } else {
-                        cfg.link_drops.push(LinkDrop {
-                            from_host: from.clone(),
-                            to_host: to.clone(),
-                            rate,
-                        });
-                    }
-                }
-                FaultSpec::Dup { from, to, rate_ppm } => {
-                    let rate = ppm(*rate_ppm);
-                    if from == ANY_HOST && to == ANY_HOST {
-                        cfg.dup_rate = (cfg.dup_rate + rate).min(1.0);
-                    } else {
-                        cfg.link_dups.push(LinkFault {
-                            from_host: from.clone(),
-                            to_host: to.clone(),
-                            rate,
-                        });
-                    }
-                }
-                FaultSpec::Corrupt { from, to, rate_ppm } => {
-                    let rate = ppm(*rate_ppm);
-                    if from == ANY_HOST && to == ANY_HOST {
-                        cfg.corrupt_rate = (cfg.corrupt_rate + rate).min(1.0);
-                    } else {
-                        cfg.link_corrupts.push(LinkFault {
-                            from_host: from.clone(),
-                            to_host: to.clone(),
-                            rate,
-                        });
-                    }
-                }
-                FaultSpec::Partition {
-                    start_us,
-                    end_us,
-                    side_a,
-                    side_b,
-                } => cfg.partitions.push(Partition {
-                    start_us: *start_us,
-                    end_us: *end_us,
-                    side_a: side_a.clone(),
-                    side_b: side_b.clone(),
-                }),
-                FaultSpec::CrashRestart {
-                    host,
-                    port,
-                    at_us,
-                    down_us,
-                } => cfg.restarts.push(CrashRestart {
-                    site: SiteAddr {
-                        host: host.as_str().into(),
-                        port: *port,
-                    },
-                    at_us: *at_us,
-                    down_us: *down_us,
-                }),
-                // Mutations change the *web*, not the network — the
-                // runner applies them via `mutation_schedule()`.
-                FaultSpec::Mutation { .. } => {}
-            }
-        }
-        cfg
     }
 
     /// True when the schedule contains a crash-restart window. A
@@ -430,13 +405,15 @@ mod tests {
             ..ChaosPlan::default()
         };
         let base = plan.sim_config(false);
-        assert_eq!(base.drop_rate, 0.0);
-        assert!(base.restarts.is_empty());
+        assert!(base.faults.is_empty());
         assert_eq!(base.jitter_us, 500);
         assert_eq!(base.seed, plan.sim_seed);
         let faulty = plan.sim_config(true);
-        assert!(faulty.drop_rate > 0.0);
-        assert_eq!(faulty.restarts.len(), 1);
+        assert!(matches!(
+            &faulty.faults[..],
+            [Fault::Rate { link: None, rate, .. }, Fault::Crash { down_us: Some(2_000), .. }]
+                if *rate > 0.0
+        ));
     }
 
     #[test]
@@ -457,11 +434,14 @@ mod tests {
             ..ChaosPlan::default()
         };
         let cfg = plan.sim_config(true);
-        assert_eq!(cfg.corrupt_rate, 0.0);
-        assert_eq!(cfg.link_corrupts.len(), 1);
-        assert_eq!(cfg.link_corrupts[0].rate, 1.0);
-        assert_eq!(cfg.dup_rate, 0.25);
-        assert!(cfg.link_dups.is_empty());
+        let on_a_b = Some(("a".to_owned(), "b".to_owned()));
+        assert!(matches!(
+            &cfg.faults[..],
+            [
+                Fault::Rate { kind: FaultKind::Corrupt, link, rate: corrupt },
+                Fault::Rate { kind: FaultKind::Dup, link: None, rate: dup },
+            ] if *link == on_a_b && *corrupt == 1.0 && *dup == 0.25
+        ));
     }
 
     #[test]

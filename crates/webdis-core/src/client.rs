@@ -11,9 +11,9 @@
 //!
 //! A single-query run is the n = 1 case: Figure 2's
 //! `send_query`/`receive_results` is one [`UserSite`] inside a client
-//! process. On the simulator the process runs as the
-//! [`ScheduledClient`] actor; on TCP it is driven by
-//! [`TcpCluster::drive`](crate::TcpCluster::drive).
+//! process. What submits and sweeps on schedule is [`ScheduledClient`],
+//! an actor on the simulator and the argument of
+//! [`TcpCluster::drive`](crate::TcpCluster::drive) on TCP.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -160,10 +160,13 @@ impl ClientProcess {
     }
 
     /// One [`QueryRecord`] per submitted query, in query-number order,
-    /// filed under client index `user`.
-    pub fn records(&self, user: usize) -> Vec<QueryRecord> {
-        let sites = self.queries.values();
-        sites.map(|site| QueryRecord::of(user, site)).collect()
+    /// filed under client index `user`. The end of a run: the queries
+    /// move into their records and the client forgets them.
+    pub fn take_records(&mut self, user: usize) -> Vec<QueryRecord> {
+        let sites = std::mem::take(&mut self.queries).into_values();
+        sites
+            .map(|mut site| QueryRecord::of(user, &mut site))
+            .collect()
     }
 
     /// The expiry schedule the in-flight queries ask for
@@ -192,66 +195,92 @@ pub struct ScheduledSubmission {
     pub query: WebQuery,
 }
 
-/// The client process bound to the simulator — the one user-site actor
-/// of the distributed engine. Submissions happen at scheduled virtual
-/// times (a single-query run schedules one at t = 0), arrivals are
-/// timer-driven, so many such actors (one per simulated user site)
-/// interleave deterministically in one event loop; the Section-7.1
-/// expiry sweep is a second timer chain, armed while a query that can
-/// expire is in flight.
+/// The user site of either runtime: the client processes behind one
+/// result endpoint (told apart by the user name in every report's id;
+/// the simulator gives each user an endpoint of its own) and their two
+/// timer chains — the next planned submission, and the Section-7.1
+/// expiry sweep, armed while a query that can expire is in flight. It
+/// asks for its timers through [`Network::post`] and is handed them back
+/// by whatever runs it: the simulator, as the actor it is (a single-query
+/// run schedules one submission at t = 0; many such actors interleave
+/// deterministically in one event loop), or
+/// [`TcpCluster::drive`](crate::TcpCluster::drive).
 pub struct ScheduledClient {
-    /// The wrapped multi-query client.
-    pub client: ClientProcess,
-    /// Remaining submissions, earliest first.
-    schedule: VecDeque<ScheduledSubmission>,
+    /// The wrapped multi-query clients.
+    pub clients: Vec<ClientProcess>,
+    /// Remaining submissions and the index of the client each belongs
+    /// to, earliest first.
+    pending: VecDeque<(usize, ScheduledSubmission)>,
     expiry_armed: bool,
 }
 
 /// Timer token for the periodic expiry sweep.
-const EXPIRY_TIMER_TOKEN: u64 = 1;
-/// Timer token for the next scheduled submission.
-const SUBMIT_TIMER_TOKEN: u64 = 2;
+pub(crate) const EXPIRY_TIMER_TOKEN: u64 = 1;
+/// Timer token for the next scheduled submission; handing it to a
+/// schedule is also its kick-off.
+pub(crate) const SUBMIT_TIMER_TOKEN: u64 = 2;
 
 impl ScheduledClient {
-    /// A scheduled client over `client`; `schedule` need not be sorted.
-    pub fn new(client: ClientProcess, mut schedule: Vec<ScheduledSubmission>) -> ScheduledClient {
-        schedule.sort_by_key(|s| s.at_us);
+    /// `clients` and their `(client index, submission)` plan, which need
+    /// not be sorted.
+    pub fn new(
+        clients: Vec<ClientProcess>,
+        mut plan: Vec<(usize, ScheduledSubmission)>,
+    ) -> ScheduledClient {
+        plan.sort_by_key(|(client, s)| (s.at_us, *client));
         ScheduledClient {
-            client,
-            schedule: schedule.into(),
+            clients,
+            pending: plan.into(),
             expiry_armed: false,
         }
     }
 
     /// Planned submissions that have not gone out yet.
     pub fn unsubmitted(&self) -> usize {
-        self.schedule.len()
+        self.pending.len()
     }
 
-    fn submit_due(&mut self, ctx: &mut Ctx<'_>) {
-        while self
-            .schedule
-            .front()
-            .is_some_and(|s| s.at_us <= ctx.now_us())
-        {
-            let s = self.schedule.pop_front().expect("front checked");
-            self.client.submit(&mut CtxNet(ctx), s.query);
-        }
-        if let Some(next) = self.schedule.front() {
-            ctx.schedule_timer(next.at_us.saturating_sub(ctx.now_us()), SUBMIT_TIMER_TOKEN);
+    /// True when every planned query has gone out and completed.
+    pub fn done(&self) -> bool {
+        self.pending.is_empty() && self.clients.iter().all(ClientProcess::all_complete)
+    }
+
+    /// Routes a message to the client process it is addressed to.
+    pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
+        if let Some(client) = self.clients.iter_mut().find(|c| c.owns(&msg)) {
+            client.on_message(net, msg);
         }
     }
 
-    /// Arms one expiry sweep unless one is already pending (submissions
-    /// and sweeps both re-arm; the flag keeps the chains from
-    /// multiplying).
-    fn arm_expiry(&mut self, ctx: &mut Ctx<'_>) {
-        if self.expiry_armed {
-            return;
+    /// A timer came back (anyone else's token is ignored): submits what
+    /// is due and asks for the next, or sweeps; then arms one expiry
+    /// sweep unless one is already pending (submissions and sweeps both
+    /// re-arm; the flag keeps the chains from multiplying).
+    pub fn on_timer(&mut self, net: &mut dyn Network, token: u64) {
+        let now = net.now_us();
+        match token {
+            SUBMIT_TIMER_TOKEN => {
+                while self.pending.front().is_some_and(|(_, s)| s.at_us <= now) {
+                    let (client, s) = self.pending.pop_front().expect("front checked");
+                    self.clients[client].submit(net, s.query);
+                }
+                if let Some((_, next)) = self.pending.front() {
+                    net.post(next.at_us.saturating_sub(now), SUBMIT_TIMER_TOKEN);
+                }
+            }
+            EXPIRY_TIMER_TOKEN => {
+                self.expiry_armed = false;
+                for client in &mut self.clients {
+                    client.expire_stale_all(now);
+                }
+            }
+            _ => return,
         }
-        if let Some(policy) = self.client.expiry_policy() {
-            ctx.schedule_timer(policy.period_us, EXPIRY_TIMER_TOKEN);
-            self.expiry_armed = true;
+        if !self.expiry_armed {
+            if let Some(policy) = self.clients.iter().find_map(ClientProcess::expiry_policy) {
+                net.post(policy.period_us, EXPIRY_TIMER_TOKEN);
+                self.expiry_armed = true;
+            }
         }
     }
 }
@@ -259,17 +288,9 @@ impl ScheduledClient {
 impl Actor for ScheduledClient {
     fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
         match event {
-            SimEvent::Start | SimEvent::Timer(SUBMIT_TIMER_TOKEN) => {
-                self.submit_due(ctx);
-                self.arm_expiry(ctx);
-            }
-            SimEvent::Net(msg) => self.client.on_message(&mut CtxNet(ctx), msg),
-            SimEvent::Timer(EXPIRY_TIMER_TOKEN) => {
-                self.expiry_armed = false;
-                self.client.expire_stale_all(ctx.now_us());
-                self.arm_expiry(ctx);
-            }
-            SimEvent::Timer(_) => {}
+            SimEvent::Net(msg) => self.on_message(&mut CtxNet(ctx), msg),
+            SimEvent::Start => self.on_timer(&mut CtxNet(ctx), SUBMIT_TIMER_TOKEN),
+            SimEvent::Timer(token) => self.on_timer(&mut CtxNet(ctx), token),
         }
     }
 
@@ -356,6 +377,50 @@ mod tests {
             reports: vec![],
         };
         client.on_message(&mut net, Message::Report(unknown));
+    }
+
+    #[test]
+    fn scheduled_client_keeps_one_submission_timer_and_one_expiry_chain() {
+        let cfg = EngineConfig {
+            expiry: Some(ExpiryPolicy::with_timeout(4_000)),
+            ..EngineConfig::default()
+        };
+        let client = ClientProcess::new("u", addr(), cfg);
+        let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
+        let at = |at_us| {
+            let query = parse_disql(q).unwrap();
+            (0, ScheduledSubmission { at_us, query })
+        };
+        let mut user = ScheduledClient::new(vec![client], vec![at(3_000), at(500), at(1_700)]);
+        let mut net = RecordingNetwork::default();
+        // Play the runtime: hand back whatever is due, earliest first,
+        // and look at what is outstanding after every step.
+        let mut due = vec![(0, SUBMIT_TIMER_TOKEN)];
+        let mut submitted_at = Vec::new();
+        while let Some((at_us, token)) = due.pop() {
+            net.time_us = at_us;
+            let before = user.clients[0].query_nums().len();
+            user.on_timer(&mut net, token);
+            submitted_at.extend((before..user.clients[0].query_nums().len()).map(|_| at_us));
+            due.append(&mut net.posted);
+            due.sort_by_key(|&timer| std::cmp::Reverse(timer));
+            let outstanding = |t| due.iter().filter(|(_, token)| *token == t).count();
+            // One sweep pending while something can expire, none after.
+            let in_flight = usize::from(user.clients[0].expiry_policy().is_some());
+            assert_eq!(
+                outstanding(EXPIRY_TIMER_TOKEN),
+                in_flight,
+                "at {at_us}: {due:?}"
+            );
+            let more = usize::from(user.unsubmitted() > 0);
+            assert_eq!(outstanding(SUBMIT_TIMER_TOKEN), more, "at {at_us}: {due:?}");
+        }
+        assert_eq!(submitted_at, [500, 1_700, 3_000]);
+        // Nobody answered, so the sweeps wrote all three off and stopped.
+        assert!(user.done() && net.time_us > 7_000);
+        // Someone else's token changes nothing.
+        user.on_timer(&mut net, 99);
+        assert!(net.posted.is_empty());
     }
 
     #[test]

@@ -252,21 +252,11 @@ impl EngineConfig {
     pub fn unoptimized() -> EngineConfig {
         EngineConfig {
             log_mode: LogMode::Off,
-            completion: CompletionMode::Cht,
             cht_mode: ChtMode::Strict,
             batch_per_site: false,
             local_forwarding: false,
             max_hops: 16,
-            log_purge_us: None,
-            hybrid: false,
-            doc_cache_size: 0,
-            validate_doc_cache: true,
-            expiry: None,
-            admission: None,
-            cache: None,
-            proc: ProcModel::default(),
-            tracer: TraceHandle::noop(),
-            monitor: None,
+            ..EngineConfig::default()
         }
     }
 }

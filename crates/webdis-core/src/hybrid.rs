@@ -315,8 +315,8 @@ impl Deployment {
         let duration_us = deployment.drain(&mut net);
 
         let user = net.actor_mut::<SimHybridUser>(&addr);
-        let hybrid = &user.expect("hybrid user registered").hybrid;
-        let (record, stats) = (QueryRecord::of(0, &hybrid.user), hybrid.stats);
+        let hybrid = &mut user.expect("hybrid user registered").hybrid;
+        let (record, stats) = (QueryRecord::of(0, &mut hybrid.user), hybrid.stats);
         let server_stats = deployment.sim_server_stats(&mut net);
         let outcome = QueryOutcome::new(record, net.metrics, duration_us, server_stats);
         Ok((outcome, stats))

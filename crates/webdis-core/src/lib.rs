@@ -85,7 +85,7 @@ pub use record::{result_set, QueryOutcome, QueryRecord, WorkloadOutcome};
 pub use report::{render_html, render_text, ResultsView};
 pub use server::{ServerEngine, ServerStats};
 pub use simrun::{run_query_sim, SimRunError};
-pub use tcprun::{run_queries_tcp, run_query_tcp, CrashWindow, TcpCluster, TcpFaultPlan, TcpNet};
+pub use tcprun::{run_queries_tcp, run_query_tcp, TcpCluster, TcpFaultPlan, TcpNet};
 pub use user::{TraceEvent, UserSite};
 pub use webdis_cache::{AnswerCache, CachePolicy, CacheStats};
 pub use webdis_monitor::{

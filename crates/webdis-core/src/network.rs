@@ -62,6 +62,13 @@ pub trait Network {
     fn queue_wait_us(&self) -> u64 {
         0
     }
+
+    /// Asks for `token` back after `delay_us`: the runtime under this
+    /// network hands it to whoever it is running at that time — the
+    /// simulator as an actor timer, the TCP `serve` loop as a deadline.
+    /// A network that is only ever sent through has no one to hand it
+    /// to and drops it.
+    fn post(&mut self, _delay_us: u64, _token: u64) {}
 }
 
 /// A recording fake for unit tests: stores everything, optionally refusing
@@ -74,6 +81,8 @@ pub struct RecordingNetwork {
     pub unreachable: Vec<SiteAddr>,
     /// Reported time.
     pub time_us: u64,
+    /// Timers asked for and not yet handed back, `(due_us, token)`.
+    pub posted: Vec<(u64, u64)>,
 }
 
 impl Network for RecordingNetwork {
@@ -87,5 +96,9 @@ impl Network for RecordingNetwork {
 
     fn now_us(&self) -> u64 {
         self.time_us
+    }
+
+    fn post(&mut self, delay_us: u64, token: u64) {
+        self.posted.push((self.time_us + delay_us, token));
     }
 }

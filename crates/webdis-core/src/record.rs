@@ -86,7 +86,9 @@ pub struct QueryRecord {
 
 impl QueryRecord {
     /// The record of `site`'s query, submitted by client process `user`.
-    pub fn of(user: usize, site: &UserSite) -> QueryRecord {
+    /// The end of a run: the rows, trace and written-off entries the
+    /// site collected move into the record and leave the site empty.
+    pub fn of(user: usize, site: &mut UserSite) -> QueryRecord {
         QueryRecord {
             user,
             query_num: site.id.query_num,
@@ -94,11 +96,6 @@ impl QueryRecord {
             complete: site.complete,
             completed_us: site.completed_at_us,
             first_result_us: site.first_result_us,
-            results: site.results.clone(),
-            trace: site.trace.clone(),
-            failed_entries: site.failed_entries.clone(),
-            shed_entries: site.shed_entries.clone(),
-            dead_link_entries: site.dead_link_entries.clone(),
             failed_nodes: site.failed_entries.len(),
             shed_nodes: site.shed_entries.len(),
             dead_link_nodes: site.dead_link_entries.len(),
@@ -106,6 +103,11 @@ impl QueryRecord {
             cht_live: site.cht.live_entries().count(),
             cht_stats: site.cht.stats,
             why_incomplete: site.why_incomplete(),
+            results: std::mem::take(&mut site.results),
+            trace: std::mem::take(&mut site.trace),
+            failed_entries: std::mem::take(&mut site.failed_entries),
+            shed_entries: std::mem::take(&mut site.shed_entries),
+            dead_link_entries: std::mem::take(&mut site.dead_link_entries),
         }
     }
 

@@ -41,90 +41,77 @@ use crate::visit::{
     admit, distinct_nodes, Arrival, Forward, ForwardGroups, TraverseCounters, VisitCtx,
 };
 
-/// Per-server counters, the raw material of the ablation experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
+/// Declares [`ServerStats`] and [`ServerStats::counters`] from one list
+/// of documented counter names.
+macro_rules! server_stats {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Per-server counters, the raw material of the ablation experiments.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct ServerStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl ServerStats {
+            /// The counters as `(name, value)` pairs, for ingestion into a
+            /// `webdis_trace::Registry` (the unified reporting surface).
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
+}
+
+server_stats! {
     /// Clone messages received.
-    pub clones_received: u64,
+    clones_received,
     /// Node arrivals processed (admitted past the log table).
-    pub arrivals: u64,
+    arrivals,
     /// Arrivals handled without a network hop (footnote 4).
-    pub local_arrivals: u64,
+    local_arrivals,
     /// Node-query evaluations performed.
-    pub evaluations: u64,
+    evaluations,
     /// Arrivals that produced at least one answer.
-    pub answered: u64,
+    answered,
     /// Arrivals that ended the traversal (failed evaluation, missing
     /// document, or no matching links).
-    pub dead_ends: u64,
+    dead_ends,
     /// Arrivals dropped by the log table.
-    pub duplicates_dropped: u64,
+    duplicates_dropped,
     /// Superset arrivals processed with a rewritten PRE.
-    pub rewrites: u64,
+    rewrites,
     /// Documents parsed (Database Constructor invocations).
-    pub docs_parsed: u64,
+    docs_parsed,
     /// Arrivals served from the footnote-3 document cache.
-    pub doc_cache_hits: u64,
+    doc_cache_hits,
     /// Arrivals addressed to documents this site does not host.
-    pub missing_docs: u64,
+    missing_docs,
     /// Arrivals at documents deleted after the link was followed
     /// (living-web link rot): each one terminates its branch with an
     /// explicit dead-link report instead of a hang or a phantom row.
-    pub dead_links: u64,
+    dead_links,
     /// Cache flushes triggered by a site content-version bump (the
     /// living-web hook behind `invalidate_cache`).
-    pub cache_invalidations: u64,
+    cache_invalidations,
     /// Clone messages forwarded to other sites.
-    pub clones_forwarded: u64,
+    clones_forwarded,
     /// Clones dropped by the hop-count safety valve.
-    pub hop_limit_drops: u64,
+    hop_limit_drops,
     /// Queries purged after a failed result dispatch (passive
     /// termination observed).
-    pub terminated_queries: u64,
+    terminated_queries,
     /// Forward attempts to sites with no query server.
-    pub unreachable_sites: u64,
+    unreachable_sites,
     /// Node-query evaluation errors (should be zero after DISQL
     /// validation).
-    pub eval_errors: u64,
+    eval_errors,
     /// Clones refused (and reported back) by admission control.
-    pub queries_shed: u64,
+    queries_shed,
     /// Node-queries served from the answer cache (exact + subsumed).
-    pub cache_hits: u64,
+    cache_hits,
     /// Answer-cache consults that fell through to evaluation.
-    pub cache_misses: u64,
+    cache_misses,
     /// Answer-cache entries evicted for space.
-    pub cache_evictions: u64,
-}
-
-impl ServerStats {
-    /// The counters as `(name, value)` pairs, for ingestion into a
-    /// `webdis_trace::Registry` (the unified reporting surface).
-    pub fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("clones_received", self.clones_received),
-            ("arrivals", self.arrivals),
-            ("local_arrivals", self.local_arrivals),
-            ("evaluations", self.evaluations),
-            ("answered", self.answered),
-            ("dead_ends", self.dead_ends),
-            ("duplicates_dropped", self.duplicates_dropped),
-            ("rewrites", self.rewrites),
-            ("docs_parsed", self.docs_parsed),
-            ("doc_cache_hits", self.doc_cache_hits),
-            ("missing_docs", self.missing_docs),
-            ("dead_links", self.dead_links),
-            ("cache_invalidations", self.cache_invalidations),
-            ("clones_forwarded", self.clones_forwarded),
-            ("hop_limit_drops", self.hop_limit_drops),
-            ("terminated_queries", self.terminated_queries),
-            ("unreachable_sites", self.unreachable_sites),
-            ("eval_errors", self.eval_errors),
-            ("queries_shed", self.queries_shed),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("cache_evictions", self.cache_evictions),
-        ]
-    }
+    cache_evictions,
 }
 
 /// Plain web-server behaviour, for the data-shipping baseline and the

@@ -1,8 +1,8 @@
 //! The engine on the deterministic simulator: the actors that bind query
 //! servers and plain web servers to a [`SimNet`], the wiring of a
-//! [`Deployment`] onto one, and the two loops that advance its clock —
-//! drain-to-quiescence for a single query, purge-period ticks for a
-//! workload.
+//! [`Deployment`] onto one, and the one loop that acts on it *at times*
+//! ([`Deployment::drive_sim`]): scheduled mutations and periodic sweeps
+//! are host entries of the network's own queue.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -68,6 +68,10 @@ impl Network for CtxNet<'_, '_> {
     fn queue_wait_us(&self) -> u64 {
         self.0.queued_us()
     }
+
+    fn post(&mut self, delay_us: u64, token: u64) {
+        self.0.schedule_timer(delay_us, token);
+    }
 }
 
 /// A query server bound to the simulator.
@@ -127,7 +131,7 @@ impl Actor for PlainWebServer {
 /// (`client_of(&mut net).query(1)`).
 pub fn client_of(net: &mut SimNet) -> &mut ClientProcess {
     let actor = net.actor_mut::<ScheduledClient>(&user_addr());
-    &mut actor.expect("client process registered").client
+    &mut actor.expect("client process registered").clients[0]
 }
 
 /// Tick used to drive purge sweeps when the config does not set
@@ -169,23 +173,66 @@ impl Deployment {
     pub fn sim_with_client(&self, sim_cfg: SimConfig, queries: Vec<WebQuery>) -> SimNet {
         let mut net = self.sim_net(sim_cfg);
         let client = ClientProcess::new("webdis", user_addr(), self.config.clone());
-        let at_start = |query| ScheduledSubmission { at_us: 0, query };
-        let schedule = queries.into_iter().map(at_start).collect();
-        let actor = ScheduledClient::new(client, schedule);
+        let at_start = |query| (0, ScheduledSubmission { at_us: 0, query });
+        let plan = queries.into_iter().map(at_start).collect();
+        let actor = ScheduledClient::new(vec![client], plan);
         net.register(user_addr(), Box::new(actor));
         net
     }
 
-    /// Runs `net` until its event queue is empty, stopping at each
-    /// scheduled mutation so it lands at its exact virtual instant —
-    /// *between* message deliveries, never mid-handler. Returns the final
-    /// virtual time.
-    pub(crate) fn drain(&self, net: &mut SimNet) -> u64 {
-        for m in &self.schedule.events {
-            net.run_until(m.at_us);
+    /// The one clock loop of a simulated run. Every scheduled mutation
+    /// and the next periodic sweep are host entries of `net`'s queue
+    /// ([`SimNet::post_host`]), so each lands at its exact virtual
+    /// instant — after everything the network does up to and at that
+    /// instant, *between* message deliveries, never mid-handler.
+    /// `sweep(net, at_us)` runs every `tick_us` (`u64::MAX`: once, at the
+    /// end); `at_us` is the tick's nominal time, the clock may read less
+    /// on a quiet network. Why the sweep is the harness's act and not a
+    /// timer of the servers' own: DESIGN.md §2d.
+    ///
+    /// The run ends at the first tick that finds the network idle and
+    /// the schedule spent, or that is at or past `horizon_us`; mutations
+    /// past that point are still applied (at their scheduled times) so
+    /// the web's history digest always reflects the complete schedule.
+    /// Returns the final virtual time.
+    pub fn drive_sim(
+        &self,
+        net: &mut SimNet,
+        tick_us: u64,
+        horizon_us: u64,
+        sweep: &mut dyn FnMut(&mut SimNet, u64),
+    ) -> u64 {
+        const TICK: u64 = u64::MAX;
+        let events = &self.schedule.events;
+        for (i, m) in events.iter().enumerate() {
+            net.post_host(m.at_us, i as u64);
+        }
+        let mut applied = 0;
+        let mut next_tick = tick_us;
+        net.post_host(next_tick.min(horizon_us), TICK);
+        while let Some((at_us, token)) = net.run_to_host() {
+            if token != TICK {
+                self.apply_mutation(&events[token as usize], at_us);
+                applied += 1;
+                continue;
+            }
+            sweep(net, at_us);
+            if (net.idle() && applied == events.len()) || next_tick >= horizon_us {
+                break;
+            }
+            next_tick = next_tick.saturating_add(tick_us);
+            net.post_host(next_tick.min(horizon_us), TICK);
+        }
+        for m in &events[applied..] {
             self.apply_mutation(m, m.at_us);
         }
-        net.run()
+        net.now_us()
+    }
+
+    /// [`Deployment::drive_sim`] with nothing to sweep and no horizon: the
+    /// schedule lands, the network drains.
+    pub(crate) fn drain(&self, net: &mut SimNet) -> u64 {
+        self.drive_sim(net, u64::MAX, u64::MAX, &mut |_, _| {})
     }
 
     /// Every participating site's server counters.
@@ -206,7 +253,7 @@ impl Deployment {
         let mut net = self.sim_with_client(sim_cfg, vec![query]);
         net.start(&user_addr());
         let duration_us = self.drain(&mut net);
-        let record = client_of(&mut net).records(0).remove(0);
+        let record = client_of(&mut net).take_records(0).remove(0);
         let server_stats = self.sim_server_stats(&mut net);
         Ok(QueryOutcome::new(
             record,
@@ -223,18 +270,14 @@ impl Deployment {
     /// the same run twice is *identical*, message for message. Stops
     /// when the network drains or the clock reaches `horizon_us`.
     ///
-    /// The clock advances in purge-period ticks: between event bursts
-    /// every server runs its Section-3.1.1 `purge_log` sweep (which also
-    /// retires idle admission slots; servers themselves stay timer-free)
-    /// and raises the `log_len_high_water` gauge; then the monitor
-    /// samples the registry and `observer` is handed the same snapshot
-    /// with the virtual clock — the simulator's analogue of scraping a
-    /// live daemon's `/metrics`. The observer only fires when the tracer
-    /// carries a registry, and never perturbs the simulation. Scheduled
-    /// mutations land at their exact virtual times as in
-    /// [`Deployment::drain`]; events past the point where the simulation
-    /// drains are still applied (at their scheduled times) so the web's
-    /// history digest always reflects the complete schedule.
+    /// The clock loop is [`Deployment::drive_sim`] in purge-period ticks:
+    /// at each tick every server runs its Section-3.1.1 `purge_log`
+    /// sweep (which also retires idle admission slots; servers themselves
+    /// stay timer-free) and raises the `log_len_high_water` gauge; then
+    /// the monitor samples the registry and `observer` is handed the same
+    /// snapshot with the virtual clock — the simulator's analogue of
+    /// scraping a live daemon's `/metrics`. The observer only fires when
+    /// the tracer carries a registry, and never perturbs the simulation.
     pub fn workload_sim(
         &self,
         sim_cfg: SimConfig,
@@ -246,13 +289,11 @@ impl Deployment {
             tracer, monitor, ..
         } = &self.config;
         let sites = self.web.sites();
-        let events = &self.schedule.events;
-        let mut mut_idx = 0usize;
 
         let mut net = self.sim_net(sim_cfg);
         let mut addrs = Vec::with_capacity(clients.len());
         for client in clients {
-            let addr = client.client.addr().clone();
+            let addr = client.clients[0].addr().clone();
             net.register(addr.clone(), Box::new(client));
             net.start(&addr);
             addrs.push(addr);
@@ -260,28 +301,7 @@ impl Deployment {
 
         let purge_period = self.config.log_purge_us;
         let tick = purge_period.unwrap_or(DEFAULT_TICK_US).max(1);
-        let mut next_tick = tick;
-        loop {
-            let tick_target = next_tick.min(horizon_us);
-            let target = match events.get(mut_idx) {
-                Some(m) if m.at_us < tick_target => m.at_us,
-                _ => tick_target,
-            };
-            let more = net.run_until(target);
-            while let Some(m) = events.get(mut_idx) {
-                if m.at_us > target {
-                    break;
-                }
-                self.apply_mutation(m, m.at_us);
-                mut_idx += 1;
-            }
-            if target < tick_target {
-                // Mutation-only stop: resume toward the tick without the
-                // purge/observer bookkeeping (that stays on tick cadence).
-                if more || mut_idx < events.len() {
-                    continue;
-                }
-            }
+        let mut sweep = |net: &mut SimNet, _tick_us: u64| {
             let now = net.now_us();
             for site in &sites {
                 if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(site)) {
@@ -299,17 +319,8 @@ impl Deployment {
                 }
                 observer(now, &snapshot);
             }
-            if (!more && mut_idx >= events.len()) || next_tick >= horizon_us {
-                break;
-            }
-            if target == next_tick {
-                next_tick += tick;
-            }
-        }
-        for m in &events[mut_idx..] {
-            self.apply_mutation(m, m.at_us);
-        }
-        let duration_us = net.now_us();
+        };
+        let duration_us = self.drive_sim(&mut net, tick, horizon_us, &mut sweep);
 
         let mut outcome = WorkloadOutcome {
             records: Vec::new(),
@@ -321,7 +332,7 @@ impl Deployment {
             let actor = net.actor_mut::<ScheduledClient>(addr);
             let actor = actor.expect("client process registered");
             outcome.unsubmitted += actor.unsubmitted();
-            outcome.records.extend(actor.client.records(user));
+            outcome.records.extend(actor.clients[0].take_records(user));
         }
         outcome.observe_latencies(tracer);
         // Close the monitor's final partial window after the end-of-run

@@ -10,39 +10,28 @@
 //! this runtime exists to demonstrate (and integration-test) that the
 //! identical engine code is operational over real sockets.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use webdis_disql::parse_disql;
 use webdis_model::SiteAddr;
-use webdis_net::{ConnPool, Frame, Message, RetryPolicy, TcpEndpoint, WireCounters};
+use webdis_net::{
+    Closer, ConnPool, Frame, Message, Received, RetryPolicy, TcpEndpoint, WireCounters,
+};
 use webdis_trace::{MetricsExporter, TraceEvent as TrEvent, TraceHandle, TraceRecord};
 
-use crate::client::{ClientProcess, ScheduledSubmission};
+use crate::client::{ClientProcess, ScheduledClient, ScheduledSubmission, SUBMIT_TIMER_TOKEN};
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::{query_server_addr, Network, NetworkError};
 use crate::record::{QueryRecord, WorkloadOutcome};
 use crate::server::ServerEngine;
 use crate::simrun::{user_addr, SimRunError};
-
-/// A crash-restart window for one site's daemon: messages arriving
-/// within `[start, start + down)` of the cluster epoch are discarded
-/// (the process is dead), and the first poll past the window respawns
-/// the engine via [`ServerEngine::restart`] — volatile state wiped,
-/// exactly what a process respawn loses.
-#[derive(Clone, Debug)]
-pub struct CrashWindow {
-    /// Host whose query daemon crashes.
-    pub host: String,
-    /// Window start, measured from cluster start.
-    pub start: Duration,
-    /// How long the daemon stays dead.
-    pub down: Duration,
-}
 
 /// What the fault plan decided for one outgoing message.
 enum FaultAction {
@@ -62,8 +51,11 @@ enum FaultAction {
 /// its own ordinal range `[skip, skip + n)`. Report-kind messages have
 /// their own counter for duplication (the idempotence path under test).
 /// Cloning shares the counters — every `TcpNet` handle in a run sees the
-/// same plan. Crash-restart windows ride along and are consumed by the
-/// daemon poll loops.
+/// same plan. Crash-restart windows ride along: a daemon discards what
+/// arrives within `[start, start + down)` of the cluster epoch (the
+/// process is dead) and the closing edge respawns its engine via
+/// [`ServerEngine::restart`] — volatile state wiped, exactly what a
+/// process respawn loses. Both edges are deadlines of its [`serve`] loop.
 #[derive(Clone, Default)]
 pub struct TcpFaultPlan {
     inner: Arc<FaultPlanInner>,
@@ -77,7 +69,8 @@ struct FaultPlanInner {
     corrupt_queries: usize,
     dup_skip: usize,
     dup_reports: usize,
-    crashes: Vec<CrashWindow>,
+    /// `(host, down at, up again at)`, µs since the cluster epoch.
+    crashes: Vec<(String, u64, u64)>,
     counter: AtomicUsize,
     report_counter: AtomicUsize,
     dropped: AtomicUsize,
@@ -122,13 +115,8 @@ impl TcpFaultPlan {
 
     /// Adds a crash-restart window for one site's daemon.
     pub fn with_crash_window(self, host: &str, start: Duration, down: Duration) -> TcpFaultPlan {
-        self.edit(|inner| {
-            inner.crashes.push(CrashWindow {
-                host: host.to_string(),
-                start,
-                down,
-            })
-        })
+        let (down_us, up_us) = (start.as_micros() as u64, (start + down).as_micros() as u64);
+        self.edit(|inner| inner.crashes.push((host.to_string(), down_us, up_us)))
     }
 
     fn edit(mut self, f: impl FnOnce(&mut FaultPlanInner)) -> TcpFaultPlan {
@@ -153,17 +141,11 @@ impl TcpFaultPlan {
         self.inner.duplicated.load(Ordering::SeqCst)
     }
 
-    /// The crash windows scheduled for `host`, ordered by start.
-    fn crash_windows_for(&self, host: &str) -> Vec<CrashWindow> {
-        let mut windows: Vec<CrashWindow> = self
-            .inner
-            .crashes
-            .iter()
-            .filter(|w| w.host == host)
-            .cloned()
-            .collect();
-        windows.sort_by_key(|w| w.start);
-        windows
+    /// The edges of `host`'s crash windows, as [`serve`] deadlines.
+    fn crash_edges_for(&self, host: &str) -> BinaryHeap<Reverse<(u64, u64)>> {
+        let windows = self.inner.crashes.iter().filter(|w| w.0 == host);
+        let edges = |w: &(String, u64, u64)| [(w.1, CRASH_TOKEN), (w.2, RESPAWN_TOKEN)];
+        windows.flat_map(edges).map(Reverse).collect()
     }
 
     fn action_for(&self, msg: &Message) -> FaultAction {
@@ -228,10 +210,14 @@ pub struct TcpNet {
     /// traffic from every daemon and from the user-site client alike.
     wire: Arc<WireCounters>,
     /// Wall-clock queue wait of the message currently being handled,
-    /// set by the daemon poll loop before `on_message` so the engine's
-    /// `queue_us` span sees the channel dwell time. Always zero on
-    /// client-side handles.
+    /// set by the daemon before `on_message` so the engine's `queue_us`
+    /// span sees the channel dwell time. Always zero on client-side
+    /// handles.
     queue_wait_us: u64,
+    /// What has been [`post`](Network::post)ed and is not due yet,
+    /// `(due_us, token)`, earliest first: the deadlines of the
+    /// [`serve`] loop this handle is running under.
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
 }
 
 impl TcpNet {
@@ -339,6 +325,154 @@ impl Network for TcpNet {
     fn queue_wait_us(&self) -> u64 {
         self.queue_wait_us
     }
+
+    fn post(&mut self, delay_us: u64, token: u64) {
+        self.timers.push(Reverse((self.now_us() + delay_us, token)));
+    }
+}
+
+/// What a TCP runtime — each daemon, the user site — does next.
+enum Due {
+    /// A message off the endpoint.
+    Message(Received),
+    /// A token [`post`](Network::post)ed on the runtime's [`TcpNet`]
+    /// whose delay has passed.
+    Timer(u64),
+}
+
+/// The one wait of every TCP runtime, which is a loop around it: the
+/// earliest posted token if it has come due, else the next message —
+/// sleeping until whichever of the two is first, so an idle runtime
+/// costs nothing. `None` once `endpoint` is closed, which wakes the
+/// sleeper.
+fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Due> {
+    loop {
+        let now = net.now_us();
+        let next = net.timers.peek().map(|&Reverse(timer)| timer);
+        if let Some((_, token)) = next.filter(|(at_us, _)| *at_us <= now) {
+            net.timers.pop();
+            return Some(Due::Timer(token));
+        }
+        let wait = next.map_or(Duration::MAX, |(at_us, _)| {
+            Duration::from_micros(at_us - now)
+        });
+        match endpoint.recv_timeout_sized(wait) {
+            Ok(received) if !endpoint.closing() => return Some(Due::Message(received)),
+            Err(RecvTimeoutError::Timeout) => {}
+            Ok(_) | Err(RecvTimeoutError::Disconnected) => return None,
+        }
+    }
+}
+
+/// [`serve`] token of a daemon's periodic log purge.
+const PURGE_TOKEN: u64 = 0;
+/// [`serve`] tokens of a daemon's crash-window edges; at an equal
+/// instant one window's end comes before the next one's start.
+const RESPAWN_TOKEN: u64 = 1;
+const CRASH_TOKEN: u64 = 2;
+/// [`serve`] token of the user site's deadline.
+const DEADLINE_TOKEN: u64 = u64::MAX;
+/// How often the housekeeping thread feeds the monitor a registry
+/// snapshot — the TCP analogue of the simulator's purge-tick sampling.
+const SAMPLE_PERIOD_US: u64 = 50_000;
+
+/// One query-server daemon: [`serve`]s `engine` on `endpoint` —
+/// messages, the Section-3.1.1 periodic purge (when `log_purge_us` is
+/// set; it runs even while idle — under sustained multi-query load this
+/// bounds the log table and retires admission slots) and the crash
+/// edges already among `net`'s deadlines — until the endpoint is
+/// closed, and returns the engine for its final stats.
+fn run_daemon(
+    mut engine: ServerEngine,
+    endpoint: TcpEndpoint,
+    mut net: TcpNet,
+    purge_period: Option<u64>,
+) -> ServerEngine {
+    let depth_key = format!("queue_depth.{}", net.from);
+    if let Some(period) = purge_period {
+        net.post(period, PURGE_TOKEN);
+    }
+    let mut crashed = false;
+    while let Some(due) = serve(&endpoint, &mut net) {
+        match due {
+            Due::Timer(CRASH_TOKEN) => crashed = true,
+            Due::Timer(RESPAWN_TOKEN) => {
+                // Fresh volatile state, same socket.
+                engine.restart();
+                crashed = false;
+            }
+            Due::Timer(_purge) => {
+                let period = purge_period.expect("a purge came due");
+                engine.purge_log(net.now_us().saturating_sub(period));
+                net.post(period, PURGE_TOKEN);
+            }
+            Due::Message(received) if crashed => {
+                // The process is dead: the frame is read off the socket
+                // but never processed. Traced as an explained drop so
+                // trajectory triage never reports a false orphan.
+                let msg = received.msg;
+                net.emit(&msg, || TrEvent::MessageDropped {
+                    kind: msg.kind().to_string(),
+                    to: net.from.clone(),
+                    bytes: received.wire_bytes as u32,
+                    reason: "crashed".into(),
+                });
+            }
+            Due::Message(received) => {
+                // Inbound queue depth at dequeue: this message plus
+                // whatever is still waiting.
+                let depth = endpoint.pending() as u64 + 1;
+                net.tracer.gauge_max(&depth_key, depth);
+                net.tracer.gauge_max("queue_depth_high_water", depth);
+                net.queue_wait_us = received.queued.as_micros() as u64;
+                engine.on_message(&mut net, received.msg);
+                net.queue_wait_us = 0;
+                net.tracer
+                    .gauge_max("log_len_high_water", engine.log_len() as u64);
+            }
+        }
+    }
+    engine
+}
+
+/// The cluster's one housekeeping thread: feeds the monitor (if any) a
+/// registry snapshot every [`SAMPLE_PERIOD_US`] so its windows close
+/// (and alerts fire/resolve) while the cluster serves traffic — it only
+/// reads: same workload, monitored or not — and applies each scheduled
+/// mutation at its offset from the cluster epoch, so pages change while
+/// daemons are mid-query. Sleeps until whichever is due next; `stop`
+/// hanging up wakes it to finalize the monitor and return.
+fn keep_house(deployment: &Deployment, epoch: Instant, stop: &Receiver<()>) {
+    let now_us = || epoch.elapsed().as_micros() as u64;
+    let (tracer, monitor) = (&deployment.config.tracer, &deployment.config.monitor);
+    let mut mutations = deployment.schedule.events.iter().peekable();
+    let mut next_sample_us = monitor.as_ref().map(|_| 0);
+    loop {
+        let now = now_us();
+        while let Some(m) = mutations.next_if(|m| m.at_us <= now) {
+            deployment.apply_mutation(m, now_us());
+        }
+        if next_sample_us.is_some_and(|at_us| at_us <= now) {
+            if let (Some(monitor), Some(snapshot)) = (monitor, tracer.registry_snapshot()) {
+                monitor.ingest(now, &snapshot);
+            }
+            next_sample_us = Some(now + SAMPLE_PERIOD_US);
+        }
+        let next = [mutations.peek().map(|m| m.at_us), next_sample_us];
+        let wait = next
+            .into_iter()
+            .flatten()
+            .min()
+            .map_or(Duration::MAX, |at_us| {
+                Duration::from_micros(at_us.saturating_sub(now_us()))
+            });
+        if stop.recv_timeout(wait) != Err(RecvTimeoutError::Timeout) {
+            break;
+        }
+    }
+    if let (Some(monitor), Some(snapshot)) = (monitor, tracer.registry_snapshot()) {
+        monitor.finalize(now_us(), &snapshot);
+    }
 }
 
 /// A running loopback deployment: one query-server daemon thread per
@@ -348,20 +482,18 @@ impl Network for TcpNet {
 /// single-query runners and the `webdis-load` workload driver all build
 /// on this.
 pub struct TcpCluster {
-    epoch: Instant,
     user_site: SiteAddr,
     user_endpoint: TcpEndpoint,
-    map: Arc<BTreeMap<SiteAddr, SocketAddr>>,
-    stop: Arc<AtomicBool>,
-    daemons: Vec<std::thread::JoinHandle<ServerEngine>>,
-    tracer: TraceHandle,
-    faults: TcpFaultPlan,
-    wire: Arc<WireCounters>,
+    /// The user site's network handle; every other handle of the cluster
+    /// is a clone of it under another name.
+    net: TcpNet,
+    /// Every daemon and the handle that closes its endpoint, which is
+    /// what ends (and wakes) its [`serve`] loop.
+    daemons: Vec<(Closer, std::thread::JoinHandle<ServerEngine>)>,
     exporters: Vec<(SiteAddr, MetricsExporter)>,
-    sampler: Option<std::thread::JoinHandle<()>>,
-    /// The living-web mutator thread (clusters started with
-    /// [`TcpCluster::start_live`] and a schedule), joined at shutdown.
-    mutator: Option<std::thread::JoinHandle<()>>,
+    /// The housekeeping thread ([`keep_house`]; clusters with a monitor
+    /// or a mutation schedule) and the channel whose hanging up stops it.
+    housekeeper: Option<(Sender<()>, std::thread::JoinHandle<()>)>,
 }
 
 impl TcpCluster {
@@ -394,18 +526,17 @@ impl TcpCluster {
 
 impl Deployment {
     /// Starts the deployment on loopback under `faults`: binds every
-    /// endpoint, then spawns one daemon per participating site. Each
-    /// daemon's poll loop also runs the Section-3.1.1 periodic purge
-    /// (when `log_purge_us` is set) even while idle — under sustained
-    /// multi-query load this bounds the log table and retires admission
-    /// slots — and raises the `log_len_high_water` registry gauge after
-    /// every processed message.
+    /// endpoint, then spawns one daemon ([`run_daemon`]) per
+    /// participating site, which raises the `log_len_high_water`
+    /// registry gauge after every processed message.
     ///
-    /// When the schedule is not empty, a mutator thread applies each
-    /// event at its wall-clock offset from the cluster epoch — pages
-    /// change *while queries are in flight* — emitting one
-    /// [`TrEvent::WebMutation`] per applied event. The thread is joined
-    /// at [`TcpCluster::shutdown`].
+    /// With a monitor or a non-empty schedule, one housekeeping thread
+    /// ([`keep_house`]) samples for the former and applies each event of
+    /// the latter at its wall-clock offset from the cluster epoch —
+    /// pages change *while queries are in flight* — emitting one
+    /// [`TrEvent::WebMutation`] per applied event, which makes runs
+    /// auditable after the fact. The thread is joined at
+    /// [`TcpCluster::shutdown`].
     pub fn tcp_cluster(&self, faults: TcpFaultPlan) -> TcpCluster {
         let (web, engine_cfg) = (&self.web, &self.config);
         let epoch = Instant::now();
@@ -419,9 +550,19 @@ impl Deployment {
         }
         let user_endpoint = TcpEndpoint::bind("127.0.0.1:0").expect("bind loopback");
         map.insert(user_site.clone(), user_endpoint.local_addr());
-        let map = Arc::new(map);
-        let stop = Arc::new(AtomicBool::new(false));
         let wire = Arc::new(WireCounters::new());
+        let user_net = TcpNet {
+            map: Arc::new(map),
+            pool: ConnPool::metered(Arc::clone(&wire)),
+            epoch,
+            from: user_site.host.to_string(),
+            tracer: engine_cfg.tracer.clone(),
+            retry: RetryPolicy::default(),
+            faults,
+            wire,
+            queue_wait_us: 0,
+            timers: BinaryHeap::new(),
+        };
 
         let mut daemons = Vec::new();
         let mut exporters = Vec::new();
@@ -433,7 +574,7 @@ impl Deployment {
             // tracer the wire counters and gauge still get exported.
             let provider: Arc<dyn Fn() -> String + Send + Sync> = {
                 let tracer = engine_cfg.tracer.clone();
-                let wire = Arc::clone(&wire);
+                let wire = Arc::clone(&user_net.wire);
                 Arc::new(move || {
                     let mut snap = tracer.registry_snapshot().unwrap_or_default();
                     for (name, value) in wire.counters() {
@@ -462,157 +603,41 @@ impl Deployment {
             .expect("bind metrics endpoint");
             exporters.push((query_server_addr(&site), exporter));
 
-            let mut engine = ServerEngine::with_view(site.clone(), web.clone(), engine_cfg.clone());
-            let mut net = TcpNet {
-                map: Arc::clone(&map),
-                pool: ConnPool::metered(Arc::clone(&wire)),
-                epoch,
+            let engine = ServerEngine::with_view(site.clone(), web.clone(), engine_cfg.clone());
+            let net = TcpNet {
                 from: site.host.to_string(),
-                tracer: engine_cfg.tracer.clone(),
-                retry: RetryPolicy::default(),
-                faults: faults.clone(),
-                wire: Arc::clone(&wire),
-                queue_wait_us: 0,
+                timers: user_net.faults.crash_edges_for(&site.host),
+                ..user_net.clone()
             };
-            let stop = Arc::clone(&stop);
             let purge_period = engine_cfg.log_purge_us;
-            // Crash-restart schedule for this daemon, consumed in order.
-            let windows = faults.crash_windows_for(&site.host);
-            daemons.push(
-                std::thread::Builder::new()
-                    .name(format!("webdis-daemon-{site}"))
-                    .spawn(move || {
-                        let endpoint = endpoint; // owned by the daemon
-                        let depth_key = format!("queue_depth.{}", net.from);
-                        let mut last_purge = Instant::now();
-                        let mut win_idx = 0usize;
-                        while !stop.load(Ordering::SeqCst) {
-                            // A window whose end has passed respawns the
-                            // daemon: fresh volatile state, same socket.
-                            while win_idx < windows.len()
-                                && epoch.elapsed() >= windows[win_idx].start + windows[win_idx].down
-                            {
-                                engine.restart();
-                                win_idx += 1;
-                            }
-                            if let Ok(received) =
-                                endpoint.recv_timeout_sized(Duration::from_millis(20))
-                            {
-                                let msg = received.msg;
-                                let now = epoch.elapsed();
-                                let crashed = win_idx < windows.len()
-                                    && now >= windows[win_idx].start
-                                    && now < windows[win_idx].start + windows[win_idx].down;
-                                if crashed {
-                                    // The process is dead: the frame is
-                                    // read off the socket but never
-                                    // processed. Traced as an explained
-                                    // drop so trajectory triage never
-                                    // reports a false orphan.
-                                    let bytes = received.wire_bytes as u32;
-                                    net.emit(&msg, || TrEvent::MessageDropped {
-                                        kind: msg.kind().to_string(),
-                                        to: net.from.clone(),
-                                        bytes,
-                                        reason: "crashed".into(),
-                                    });
-                                    continue;
-                                }
-                                // Inbound queue depth at dequeue: this
-                                // message plus whatever is still waiting.
-                                let depth = endpoint.pending() as u64 + 1;
-                                net.tracer.gauge_max(&depth_key, depth);
-                                net.tracer.gauge_max("queue_depth_high_water", depth);
-                                net.queue_wait_us = received.queued.as_micros() as u64;
-                                engine.on_message(&mut net, msg);
-                                net.queue_wait_us = 0;
-                                net.tracer
-                                    .gauge_max("log_len_high_water", engine.log_len() as u64);
-                            }
-                            if let Some(period) = purge_period {
-                                if last_purge.elapsed() >= Duration::from_micros(period) {
-                                    last_purge = Instant::now();
-                                    engine.purge_log(net.now_us().saturating_sub(period));
-                                }
-                            }
-                        }
-                        engine
-                    })
-                    .expect("spawn daemon"),
-            );
+            let closer = endpoint.closer();
+            let daemon = std::thread::Builder::new()
+                .name(format!("webdis-daemon-{site}"))
+                .spawn(move || run_daemon(engine, endpoint, net, purge_period));
+            daemons.push((closer, daemon.expect("spawn daemon")));
         }
-        // The TCP analogue of the simulator's purge-tick sampling: a
-        // wall-clock thread feeds the monitor a registry snapshot every
-        // 50 ms so its windows close (and alerts fire/resolve) while the
-        // cluster serves traffic. The thread only reads — same workload,
-        // monitored or not.
-        let sampler = engine_cfg.monitor.clone().map(|monitor| {
-            let tracer = engine_cfg.tracer.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("webdis-monitor-sampler".into())
-                .spawn(move || {
-                    while !stop.load(Ordering::SeqCst) {
-                        if let Some(snapshot) = tracer.registry_snapshot() {
-                            monitor.ingest(epoch.elapsed().as_micros() as u64, &snapshot);
-                        }
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                    if let Some(snapshot) = tracer.registry_snapshot() {
-                        monitor.finalize(epoch.elapsed().as_micros() as u64, &snapshot);
-                    }
-                })
-                .expect("spawn monitor sampler")
-        });
-        // Living-web mutator: replays the schedule against the shared
-        // store at each event's wall-clock offset from the cluster
-        // epoch, so pages change while daemons are mid-query. Every
-        // applied event is stamped into the trace as a `WebMutation`
-        // from the mutated host, making runs auditable after the fact.
-        let mutator = (!self.schedule.events.is_empty()).then(|| {
-            // Checked here because a panic inside the thread would only
-            // surface as mutations that silently never happen.
-            assert!(
-                matches!(web, webdis_web::WebView::Live(_)),
-                "a mutation schedule needs a living web; this one is frozen"
-            );
-            let deployment = self.clone();
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("webdis-mutator".into())
-                .spawn(move || {
-                    for m in &deployment.schedule.events {
-                        let due = Duration::from_micros(m.at_us);
-                        loop {
-                            if stop.load(Ordering::SeqCst) {
-                                return;
-                            }
-                            let elapsed = epoch.elapsed();
-                            if elapsed >= due {
-                                break;
-                            }
-                            // Short slices keep shutdown prompt even
-                            // with far-future events.
-                            std::thread::sleep((due - elapsed).min(Duration::from_millis(20)));
-                        }
-                        deployment.apply_mutation(m, epoch.elapsed().as_micros() as u64);
-                    }
-                })
-                .expect("spawn mutator")
-        });
+        let housekeeper =
+            (engine_cfg.monitor.is_some() || !self.schedule.events.is_empty()).then(|| {
+                // Checked here because a panic inside the thread would
+                // only surface as mutations that silently never happen.
+                assert!(
+                    self.schedule.events.is_empty() || matches!(web, webdis_web::WebView::Live(_)),
+                    "a mutation schedule needs a living web; this one is frozen"
+                );
+                let deployment = self.clone();
+                let (stop, stopped) = unbounded();
+                let thread = std::thread::Builder::new()
+                    .name("webdis-housekeeper".into())
+                    .spawn(move || keep_house(&deployment, epoch, &stopped));
+                (stop, thread.expect("spawn housekeeper"))
+            });
         TcpCluster {
-            epoch,
             user_site,
             user_endpoint,
-            map,
-            stop,
+            net: user_net,
             daemons,
-            mutator,
-            tracer: engine_cfg.tracer.clone(),
-            faults,
-            wire,
             exporters,
-            sampler,
+            housekeeper,
         }
     }
 }
@@ -626,37 +651,18 @@ impl TcpCluster {
     /// Wall-clock µs since the cluster came up (the time base of every
     /// `TcpNet` handle and of `completed_at_us`).
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        self.net.now_us()
     }
 
     /// A network handle stamped as the user site, for client-side sends.
     pub fn user_net(&self) -> TcpNet {
-        TcpNet {
-            map: Arc::clone(&self.map),
-            pool: ConnPool::metered(Arc::clone(&self.wire)),
-            epoch: self.epoch,
-            from: self.user_site.host.to_string(),
-            tracer: self.tracer.clone(),
-            retry: RetryPolicy::default(),
-            faults: self.faults.clone(),
-            wire: Arc::clone(&self.wire),
-            queue_wait_us: 0,
-        }
+        self.net.clone()
     }
 
     /// The cluster-wide per-kind wire meter (messages/bytes sent and
     /// dropped, shared by every daemon and the user-site handle).
     pub fn wire_counters(&self) -> &Arc<WireCounters> {
-        &self.wire
-    }
-
-    /// The `/metrics` listen address of `site`'s daemon, if that site
-    /// exists.
-    pub fn metrics_addr(&self, site: &SiteAddr) -> Option<SocketAddr> {
-        self.exporters
-            .iter()
-            .find(|(s, _)| s == site)
-            .map(|(_, e)| e.addr())
+        &self.net.wire
     }
 
     /// Every daemon's `/metrics` listen address, in site order.
@@ -673,80 +679,52 @@ impl TcpCluster {
         self.user_endpoint.recv_timeout(timeout).ok()
     }
 
-    /// The user-site driver on TCP: runs `clients` — client processes
-    /// sharing this cluster's one result endpoint, told apart by the user
-    /// name in every report's id — on the calling thread until every
-    /// submission has gone out and completed, or `deadline` passes.
-    /// `submissions` (client index, query and time in µs since the cluster
-    /// came up — the mutation schedule's clock; any order) are replayed
-    /// open-loop. Returns how many never went out.
+    /// The user-site driver on TCP: runs `user` — its client processes
+    /// share this cluster's one result endpoint — on the calling thread
+    /// until every planned submission (times are µs since the cluster
+    /// came up, the mutation schedule's clock; replayed open-loop) has
+    /// gone out and completed, or `deadline` passes;
+    /// [`ScheduledClient::unsubmitted`] then says how many never went out.
     ///
-    /// The loop sleeps until whichever is due first — a message, the next
-    /// submission, the next Section-7.1 expiry sweep (armed while a query
-    /// that can expire is in flight, as the simulated client arms its
-    /// timer), the deadline — so an idle driver costs nothing. The
+    /// It is one loop around [`serve`], so it sleeps until whichever is
+    /// due first — a message, the next submission, the next Section-7.1
+    /// expiry sweep, the deadline — and an idle driver costs nothing. The
     /// cluster stays up afterwards: shut it down, or drive it again with
     /// the same `net` (a [`TcpCluster::user_net`]), whose connections to
     /// the daemons then stay open.
-    pub fn drive(
-        &self,
-        net: &mut TcpNet,
-        clients: &mut [ClientProcess],
-        mut submissions: Vec<(usize, ScheduledSubmission)>,
-        deadline: Duration,
-    ) -> usize {
-        let deadline_us = self.now_us() + deadline.as_micros() as u64;
-        submissions.sort_by_key(|(client, s)| (s.at_us, *client));
-        let mut pending = VecDeque::from(submissions);
-        let mut next_sweep_us = None;
-        loop {
-            let now = self.now_us();
-            while pending.front().is_some_and(|(_, s)| s.at_us <= now) {
-                let (client, s) = pending.pop_front().expect("front checked");
-                clients[client].submit(net, s.query);
+    pub fn drive(&self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
+        // Whatever an earlier drive of this handle left armed is moot.
+        net.timers.clear();
+        net.post(deadline.as_micros() as u64, DEADLINE_TOKEN);
+        let mut due = Some(Due::Timer(SUBMIT_TIMER_TOKEN));
+        while let Some(now_due) = due {
+            match now_due {
+                Due::Timer(DEADLINE_TOKEN) => break,
+                Due::Timer(token) => user.on_timer(net, token),
+                Due::Message(received) => user.on_message(net, received.msg),
             }
-            if next_sweep_us.is_some_and(|at| at <= now) {
-                for client in clients.iter_mut() {
-                    client.expire_stale_all(now);
-                }
-                next_sweep_us = None;
+            if user.done() {
+                break;
             }
-            let idle = pending.is_empty() && clients.iter().all(ClientProcess::all_complete);
-            if idle || now >= deadline_us {
-                return pending.len();
-            }
-            if next_sweep_us.is_none() {
-                let policy = clients.iter().find_map(ClientProcess::expiry_policy);
-                next_sweep_us = policy.map(|p| now + p.period_us);
-            }
-            let next_submission = pending.front().map(|(_, s)| s.at_us);
-            let wake_us = [next_submission, next_sweep_us].into_iter().flatten();
-            let wake_us = wake_us.fold(deadline_us, u64::min);
-            if let Some(msg) = self.recv_timeout(Duration::from_micros(wake_us - now)) {
-                if let Some(client) = clients.iter_mut().find(|c| c.owns(&msg)) {
-                    client.on_message(net, msg);
-                }
-            }
+            due = serve(&self.user_endpoint, net);
         }
     }
 
     /// Stops every daemon (and its metrics exporter) and returns their
     /// engines (for final stats).
     pub fn shutdown(self) -> Vec<ServerEngine> {
-        self.stop.store(true, Ordering::SeqCst);
         for (_, mut exporter) in self.exporters {
             exporter.stop();
         }
-        if let Some(mutator) = self.mutator {
-            let _ = mutator.join();
+        if let Some((stop, housekeeper)) = self.housekeeper {
+            drop(stop);
+            let _ = housekeeper.join();
         }
-        if let Some(sampler) = self.sampler {
-            let _ = sampler.join();
+        for (closer, _) in &self.daemons {
+            closer.close();
         }
-        self.daemons
-            .into_iter()
-            .filter_map(|d| d.join().ok())
-            .collect()
+        let daemons = self.daemons.into_iter();
+        daemons.filter_map(|(_, d)| d.join().ok()).collect()
     }
 }
 
@@ -757,19 +735,19 @@ impl Deployment {
     pub fn workload_tcp(
         &self,
         faults: TcpFaultPlan,
-        mut clients: Vec<ClientProcess>,
+        clients: Vec<ClientProcess>,
         submissions: Vec<(usize, ScheduledSubmission)>,
         deadline: Duration,
     ) -> WorkloadOutcome {
         let cluster = self.tcp_cluster(faults);
-        let mut net = cluster.user_net();
-        let unsubmitted = cluster.drive(&mut net, &mut clients, submissions, deadline);
+        let mut user = ScheduledClient::new(clients, submissions);
+        cluster.drive(&mut cluster.user_net(), &mut user, deadline);
         let duration_us = cluster.now_us();
         let engines = cluster.shutdown();
-        let records = clients.iter().enumerate();
+        let records = user.clients.iter_mut().enumerate();
         let outcome = WorkloadOutcome {
-            records: records.flat_map(|(user, c)| c.records(user)).collect(),
-            unsubmitted,
+            records: records.flat_map(|(user, c)| c.take_records(user)).collect(),
+            unsubmitted: user.unsubmitted(),
             duration_us,
             server_stats: engines
                 .iter()
@@ -797,15 +775,12 @@ impl Deployment {
             let query = parse_disql(disql).map_err(SimRunError::Parse)?;
             submissions.push((0, ScheduledSubmission { at_us: 0, query }));
         }
-        let mut client = [ClientProcess::new(
-            "webdis",
-            user_addr(),
-            self.config.clone(),
-        )];
+        let client = ClientProcess::new("webdis", user_addr(), self.config.clone());
+        let mut user = ScheduledClient::new(vec![client], submissions);
         let cluster = self.tcp_cluster(faults);
-        cluster.drive(&mut cluster.user_net(), &mut client, submissions, deadline);
+        cluster.drive(&mut cluster.user_net(), &mut user, deadline);
         cluster.shutdown();
-        Ok(client[0].records(0))
+        Ok(user.clients[0].take_records(0))
     }
 
     /// [`Deployment::queries_tcp`] for one query.
@@ -849,20 +824,28 @@ mod tests {
     use webdis_web::figures;
     use webdis_web::{HostedWeb, LiveWeb, Mutation, MutationOp, MutationSchedule, PageBuilder};
 
-    /// Drives one campus query to completion on an already-running
+    /// A user site with one client process and nothing planned yet.
+    fn campus_user(cluster: &TcpCluster, cfg: &EngineConfig) -> ScheduledClient {
+        let client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg.clone());
+        ScheduledClient::new(vec![client], Vec::new())
+    }
+
+    /// Drives one more campus query to completion on an already-running
     /// cluster; returns its number.
     fn drive_campus_query(
         cluster: &TcpCluster,
         net: &mut TcpNet,
-        client: &mut ClientProcess,
+        user: &mut ScheduledClient,
     ) -> u64 {
         let query = parse_disql(figures::CAMPUS_QUERY).expect("valid query");
         let at_once = ScheduledSubmission { at_us: 0, query };
-        let clients = std::slice::from_mut(client);
-        cluster.drive(net, clients, vec![(0, at_once)], Duration::from_secs(30));
-        let num = *client.query_nums().last().expect("query submitted");
-        assert!(client.all_complete(), "query must complete over TCP");
-        num
+        *user = ScheduledClient::new(std::mem::take(&mut user.clients), vec![(0, at_once)]);
+        cluster.drive(net, user, Duration::from_secs(30));
+        assert!(user.done(), "query must complete over TCP");
+        *user.clients[0]
+            .query_nums()
+            .last()
+            .expect("query submitted")
     }
 
     fn needle_live_web() -> Arc<LiveWeb> {
@@ -890,8 +873,8 @@ mod tests {
 
     #[test]
     fn edit_is_visible_over_tcp() {
-        // Satellite-1 on the real transport: an edit applied by the
-        // mutator thread is served by the daemon's next visit even when
+        // Satellite-1 on the real transport: an edit applied between two
+        // runs is served by the daemon's next visit even when
         // an earlier query warmed the footnote-3 cache.
         let web = needle_live_web();
         let cfg = EngineConfig {
@@ -963,7 +946,7 @@ mod tests {
 
     #[test]
     fn scheduled_mutation_applies_during_cluster_lifetime() {
-        // The mutator thread applies schedule events at their offsets
+        // The housekeeping thread applies schedule events at their offsets
         // while daemons serve; by shutdown every event has landed and
         // the web's history digest reflects the full schedule.
         let web = needle_live_web();
@@ -1002,6 +985,97 @@ mod tests {
     }
 
     #[test]
+    fn sleeping_runtimes_are_woken_by_shutdown() {
+        // Every deadline of this cluster is a minute away — the daemons'
+        // purge, the one scheduled mutation — and nothing polls: unless
+        // shutdown wakes each sleeper, it takes that minute.
+        let web = Arc::new(LiveWeb::from_hosted(&figures::campus()));
+        let (_collector, tracer) = webdis_trace::TraceHandle::collecting(1_024);
+        let cfg = EngineConfig {
+            log_purge_us: Some(60_000_000),
+            monitor: Some(crate::MonitorHandle::with_defaults(tracer.clone())),
+            tracer,
+            ..EngineConfig::default()
+        };
+        let mut deployment = Deployment::new(Arc::clone(&web), cfg);
+        deployment.schedule.events.push(Mutation {
+            at_us: 60_000_000,
+            op: MutationOp::SiteLeave {
+                host: "dsl.serc.iisc.ernet.in".into(),
+            },
+        });
+        let cluster = deployment.tcp_cluster(TcpFaultPlan::default());
+        assert!(cluster.housekeeper.is_some());
+        let t0 = Instant::now();
+        let engines = cluster.shutdown();
+        let took = t0.elapsed();
+        assert_eq!(engines.len(), web.sites().len(), "every daemon joined");
+        assert!(took < Duration::from_millis(250), "shutdown took {took:?}");
+        assert_eq!(web.mutations_applied(), 0, "the mutation was never due");
+    }
+
+    #[test]
+    fn one_user_schedule_runs_the_same_on_both_runtimes() {
+        // Three submissions planned out of order, expiry on: the
+        // simulator's actor and the TCP driver run the same
+        // `ScheduledClient`, so the queries go out in the same order (their
+        // numbers follow their planned times) and each is answered the
+        // same; on TCP the one expiry chain is visible as at most one
+        // pending sweep among the driver's deadlines.
+        let web = Arc::new(figures::campus());
+        let cfg = EngineConfig {
+            expiry: Some(crate::config::ExpiryPolicy::with_timeout(2_000_000)),
+            ..EngineConfig::default()
+        };
+        let plan = || {
+            let planned = [
+                (2_000, figures::CAMPUS_QUERY),
+                (0, figures::EXAMPLE_QUERY_1),
+                (1_000, figures::CAMPUS_QUERY),
+            ];
+            let planned = planned.map(|(at_us, disql)| {
+                let query = parse_disql(disql).expect("valid query");
+                (0, ScheduledSubmission { at_us, query })
+            });
+            let client = ClientProcess::new("webdis", user_addr(), cfg.clone());
+            ScheduledClient::new(vec![client], planned.into())
+        };
+        let deployment = Deployment::new(Arc::clone(&web), cfg.clone());
+
+        let sim_cfg = webdis_sim::SimConfig::default();
+        let sim = deployment.workload_sim(sim_cfg, vec![plan()], u64::MAX, &mut |_, _| {});
+
+        let cluster = deployment.tcp_cluster(TcpFaultPlan::default());
+        let mut net = cluster.user_net();
+        let mut user = plan();
+        cluster.drive(&mut net, &mut user, Duration::from_secs(30));
+        let sweeps = net.timers.iter();
+        let sweeps = sweeps.filter(|t| t.0 .1 == crate::client::EXPIRY_TIMER_TOKEN);
+        assert!(sweeps.count() <= 1, "{:?}", net.timers);
+        cluster.shutdown();
+        let tcp = user.clients[0].take_records(0);
+
+        assert_eq!((sim.unsubmitted, user.unsubmitted()), (0, 0));
+        let answers = |records: &[QueryRecord]| -> Vec<_> {
+            let answered = records.iter().inspect(|r| assert!(r.complete));
+            answered.map(|r| (r.query_num, r.result_set())).collect()
+        };
+        assert_eq!(answers(&sim.records), answers(&tcp));
+        assert_eq!(tcp.len(), 3);
+        assert_ne!(
+            tcp[0].result_set(),
+            tcp[1].result_set(),
+            "the odd one out went first"
+        );
+        assert_eq!(tcp[1].result_set(), tcp[2].result_set());
+        for records in [&sim.records, &tcp] {
+            assert!(records
+                .windows(2)
+                .all(|w| w[0].submitted_us <= w[1].submitted_us));
+        }
+    }
+
+    #[test]
     fn campus_query_over_real_sockets() {
         let outcome = run_query_tcp(
             Arc::new(figures::campus()),
@@ -1036,13 +1110,13 @@ mod tests {
         let web = Arc::new(figures::campus());
         let cfg = EngineConfig::default();
         let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
-        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
+        let mut user = campus_user(&cluster, &cfg);
         let mut net = cluster.user_net();
         let mut connects_after = Vec::new();
         for _ in 0..200 {
-            let num = drive_campus_query(&cluster, &mut net, &mut client);
-            let user = client.forget(num).expect("submitted query exists");
-            assert_eq!(user.results.get(&1).map(Vec::len), Some(3));
+            let num = drive_campus_query(&cluster, &mut net, &mut user);
+            let query = user.clients[0].forget(num).expect("submitted query exists");
+            assert_eq!(query.results.get(&1).map(Vec::len), Some(3));
             connects_after.push(cluster.wire_counters().connects());
         }
         // Senders: one daemon per site plus the user; receivers likewise.
@@ -1270,8 +1344,8 @@ mod tests {
         };
         let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
 
-        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
-        drive_campus_query(&cluster, &mut cluster.user_net(), &mut client);
+        let mut user = campus_user(&cluster, &cfg);
+        drive_campus_query(&cluster, &mut cluster.user_net(), &mut user);
 
         // Raw-socket fetch from a daemon that is still up and serving.
         let scrape = |path: &str| -> String {
@@ -1379,8 +1453,8 @@ mod tests {
         };
         let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
 
-        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg.clone());
-        drive_campus_query(&cluster, &mut cluster.user_net(), &mut client);
+        let mut user = campus_user(&cluster, &cfg);
+        drive_campus_query(&cluster, &mut cluster.user_net(), &mut user);
 
         let scrape = |path: &str| -> String {
             let (_, addr) = cluster.metrics_addrs()[0].clone();

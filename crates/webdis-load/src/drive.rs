@@ -31,11 +31,13 @@ fn client(user: usize, addr: SiteAddr, deployment: &Deployment) -> ClientProcess
     ClientProcess::new(&format!("load{user}"), addr, deployment.config.clone())
 }
 
-fn submission(planned: &PlannedQuery) -> ScheduledSubmission {
-    ScheduledSubmission {
+/// `planned`, as a submission of the `client`-th process of its endpoint.
+fn submission(client: usize, planned: &PlannedQuery) -> (usize, ScheduledSubmission) {
+    let planned = ScheduledSubmission {
         at_us: planned.at_us,
         query: planned.query.clone(),
-    }
+    };
+    (client, planned)
 }
 
 impl WorkloadSpec {
@@ -52,7 +54,8 @@ impl WorkloadSpec {
         let plans = self.plan()?;
         let clients = plans.iter().map(|plan| {
             let client = client(plan.user, load_user_addr(plan.user), deployment);
-            ScheduledClient::new(client, plan.submissions.iter().map(submission).collect())
+            let planned = plan.submissions.iter().map(|s| submission(0, s));
+            ScheduledClient::new(vec![client], planned.collect())
         });
         Ok(deployment.workload_sim(sim_cfg, clients.collect(), self.horizon_us, observer))
     }
@@ -71,7 +74,7 @@ impl WorkloadSpec {
             .map(|plan| client(plan.user, user_addr(), deployment));
         let submissions = plans.iter().flat_map(|plan| {
             let planned = plan.submissions.iter();
-            planned.map(move |s| (plan.user, submission(s)))
+            planned.map(move |s| submission(plan.user, s))
         });
         Ok(deployment.workload_tcp(
             TcpFaultPlan::default(),

@@ -34,5 +34,5 @@ pub use messages::{
     QueryClone, QueryId, ResultReport, StageRows,
 };
 pub use meter::{WireCounters, MESSAGE_KINDS};
-pub use tcp::{send_raw, ConnPool, Frame, Received, RetryPolicy, TcpEndpoint, TcpError};
+pub use tcp::{send_raw, Closer, ConnPool, Frame, Received, RetryPolicy, TcpEndpoint, TcpError};
 pub use wire::{decode_message, encode_message, Wire, WireError};

@@ -93,8 +93,8 @@ impl TcpError {
     }
 }
 
-/// Bounded-retry policy for [`send_to_retrying`] and
-/// [`ConnPool::send_retrying`]: exponential backoff starting at
+/// Bounded-retry policy for [`ConnPool::send_retrying`]: exponential
+/// backoff starting at
 /// `base_backoff`, doubling per attempt.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
@@ -199,18 +199,6 @@ impl Frame {
 /// with a single message to deliver.
 pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
     Frame::encode(msg)?.send_once(addr)
-}
-
-/// [`send_to`] with bounded retry + exponential backoff on transient
-/// failures. Connection-refused fails immediately (passive termination).
-pub fn send_to_retrying<A: ToSocketAddrs>(
-    addr: A,
-    msg: &Message,
-    policy: RetryPolicy,
-    on_retry: impl FnMut(u32),
-) -> Result<(), TcpError> {
-    let frame = Frame::encode(msg)?;
-    with_retries(policy, on_retry, || frame.send_once(&addr))
 }
 
 /// Sends one raw, pre-encoded payload on a connection of its own (see
@@ -509,13 +497,33 @@ struct Inbound {
 /// [`close`](TcpEndpoint::close)) closes the listener and every accepted
 /// connection — this is how a user-site terminates a query passively.
 pub struct TcpEndpoint {
-    addr: SocketAddr,
+    closer: Closer,
     rx: Receiver<Inbound>,
     /// Frames enqueued but not yet received — the inbound queue depth a
-    /// daemon poll loop reports as backpressure.
+    /// daemon loop reports as backpressure.
     depth: Arc<AtomicUsize>,
-    shutdown: Arc<AtomicBool>,
     io_thread: Option<JoinHandle<()>>,
+}
+
+/// Closes a [`TcpEndpoint`] from a thread other than the one receiving
+/// from it ([`TcpEndpoint::closer`]).
+#[derive(Clone)]
+pub struct Closer {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+}
+
+impl Closer {
+    /// Stops the endpoint's I/O thread, which closes the listener and
+    /// every accepted connection and hangs up the inbound queue: a
+    /// receiver asleep in [`TcpEndpoint::recv_timeout_sized`] wakes with
+    /// `Disconnected`. Idempotent.
+    pub fn close(&self) {
+        if !self.shutdown.swap(true, Ordering::SeqCst) {
+            // Wake the I/O thread's poll with a throwaway connection.
+            let _ = TcpStream::connect(self.addr);
+        }
+    }
 }
 
 impl TcpEndpoint {
@@ -537,21 +545,31 @@ impl TcpEndpoint {
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
         let depth_tx = Arc::clone(&depth);
+        let closer = Closer { addr, shutdown };
         let io_thread = std::thread::Builder::new()
             .name(format!("webdis-io-{addr}"))
             .spawn(move || io_loop(listener, stall, tx, depth_tx, flag))?;
         Ok(TcpEndpoint {
-            addr,
+            closer,
             rx,
             depth,
-            shutdown,
             io_thread: Some(io_thread),
         })
     }
 
     /// The bound address (with the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.closer.addr
+    }
+
+    /// A handle that closes this endpoint from another thread.
+    pub fn closer(&self) -> Closer {
+        self.closer.clone()
+    }
+
+    /// True once the endpoint has been told to close.
+    pub fn closing(&self) -> bool {
+        self.closer.shutdown.load(Ordering::SeqCst)
     }
 
     /// Receives the next message, waiting up to `timeout`.
@@ -560,22 +578,17 @@ impl TcpEndpoint {
     }
 
     /// Like [`recv_timeout`](TcpEndpoint::recv_timeout), but also
-    /// reports how long the message sat in the inbound queue.
-    pub fn recv_timeout_queued(
-        &self,
-        timeout: Duration,
-    ) -> Result<(Message, Duration), RecvTimeoutError> {
-        self.recv_timeout_sized(timeout).map(|r| (r.msg, r.queued))
-    }
-
-    /// Like [`recv_timeout_queued`](TcpEndpoint::recv_timeout_queued),
-    /// plus the size the message had on the wire, so a receiver that
-    /// accounts for bytes need not encode the message again to count
-    /// them.
+    /// reports how long the message sat in the inbound queue and the
+    /// size it had on the wire, so a receiver that accounts for bytes
+    /// need not encode the message again to count them. A `timeout` too
+    /// long to add to the clock (`Duration::MAX`) is no timeout: the
+    /// call sleeps until a message arrives or the endpoint is closed.
     pub fn recv_timeout_sized(&self, timeout: Duration) -> Result<Received, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
-            let left = deadline.saturating_duration_since(Instant::now());
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
             if let Some(received) = self.decode(self.rx.recv_timeout(left)?) {
                 return Ok(received);
             }
@@ -616,11 +629,7 @@ impl TcpEndpoint {
     /// send to this endpoint gets a connection error — the passive
     /// termination signal.
     pub fn close(&mut self) {
-        if self.shutdown.swap(true, Ordering::SeqCst) {
-            return;
-        }
-        // Wake the I/O thread's poll with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
+        self.closer.close();
         if let Some(handle) = self.io_thread.take() {
             let _ = handle.join();
         }
@@ -768,11 +777,13 @@ mod tests {
         }
         assert_eq!(ep.pending(), 3);
         std::thread::sleep(Duration::from_millis(20));
-        let (_, queued) = ep.recv_timeout_queued(Duration::from_secs(5)).unwrap();
+        let first = ep.recv_timeout_sized(Duration::from_secs(5)).unwrap();
         assert!(
-            queued >= Duration::from_millis(20),
-            "messages sat at least the sleep: {queued:?}"
+            first.queued >= Duration::from_millis(20),
+            "messages sat at least the sleep: {:?}",
+            first.queued
         );
+        assert_eq!(first.wire_bytes, encode_message(&first.msg).len());
         assert_eq!(ep.pending(), 2);
         ep.try_recv().unwrap();
         ep.try_recv().unwrap();
@@ -924,20 +935,6 @@ mod tests {
         );
         assert!(out.is_err());
         assert_eq!(attempts, 1);
-    }
-
-    #[test]
-    fn send_to_retrying_hits_refused_immediately() {
-        // Bind-then-close gives a port with nothing listening: refused.
-        let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let addr = ep.local_addr();
-        ep.close();
-        let mut retries = 0;
-        let out = send_to_retrying(addr, &fetch_msg("/x"), RetryPolicy::default(), |_| {
-            retries += 1
-        });
-        assert!(out.is_err());
-        assert_eq!(retries, 0, "passive termination must not be retried");
     }
 
     #[test]
@@ -1125,7 +1122,26 @@ mod tests {
         let mut retries = 0;
         let again = pool.send_retrying(addr, &frame, RetryPolicy::default(), |_| retries += 1);
         assert!(again.is_err());
-        assert_eq!(retries, 0);
+        // A pool that never had a connection is refused the same way.
+        let fresh = ConnPool::default()
+            .send_retrying(addr, &frame, RetryPolicy::default(), |_| retries += 1);
+        assert!(fresh.is_err());
+        assert_eq!(retries, 0, "passive termination must not be retried");
+    }
+
+    #[test]
+    fn closer_wakes_a_receiver_that_waits_without_limit() {
+        let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let closer = ep.closer();
+        let receiver = std::thread::spawn(move || {
+            let got = ep.recv_timeout_sized(Duration::MAX);
+            (got.err(), ep.closing())
+        });
+        closer.close();
+        closer.close();
+        let (err, closing) = receiver.join().unwrap();
+        assert_eq!(err, Some(RecvTimeoutError::Disconnected));
+        assert!(closing);
     }
 
     #[test]

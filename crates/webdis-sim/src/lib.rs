@@ -16,14 +16,15 @@
 //!   socket); senders observe this as a synchronous [`SendError`] — the
 //!   TCP connection-refused signal the paper's passive termination
 //!   (Section 2.8) relies on;
-//! * optional jitter-induced reordering and probabilistic message drops
-//!   exercise the robustness corners of the CHT protocol in tests.
+//! * optional jitter-induced reordering and a list of [`Fault`]s (drops,
+//!   duplicates, corruption, partitions, crashes) exercise the
+//!   robustness corners of the CHT protocol in tests;
+//! * everything that happens *at a time* — deliveries, actor timers,
+//!   crash and restart edges, the harness's own entries
+//!   ([`SimNet::post_host`]) — is an entry of one time-ordered queue.
 
 pub mod metrics;
 pub mod net;
 
 pub use metrics::{KindStats, Metrics};
-pub use net::{
-    Actor, CrashRestart, Ctx, LatencyModel, LinkDrop, LinkFault, Partition, SendError, SimConfig,
-    SimEvent, SimNet,
-};
+pub use net::{Actor, Ctx, Fault, FaultKind, LatencyModel, SendError, SimConfig, SimEvent, SimNet};

@@ -52,75 +52,84 @@ impl LatencyModel {
     }
 }
 
-/// A per-link drop rate: messages from `from_host` to `to_host` are
-/// dropped with probability `rate` (a flaky route between two specific
-/// endpoints, on top of the uniform [`SimConfig::drop_rate`]).
+/// What a rate fault does to the message it claims.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// The message vanishes silently.
+    Drop,
+    /// The receiver cannot decode the message, so it is lost like a drop
+    /// but traced as `message_corrupted` (the simulator's analogue of
+    /// the TCP transport's byte-flip injection).
+    Corrupt,
+    /// A *second* copy is delivered (the original arrives normally; the
+    /// extra copy draws its own latency jitter and is traced as
+    /// `message_duplicated`).
+    Dup,
+}
+
+/// One thing the network does wrong. A run's faults are one list,
+/// [`SimConfig::faults`]; entries are independent and individually
+/// removable (which is what a chaos shrinker does to them).
 #[derive(Debug, Clone)]
-pub struct LinkDrop {
-    /// Sender host (exact match).
-    pub from_host: String,
-    /// Receiver host (exact match).
-    pub to_host: String,
-    /// Drop probability on this link.
-    pub rate: f64,
+pub enum Fault {
+    /// Messages are claimed with probability `rate` — on every link, or
+    /// with `link: Some((from, to))` only from host `from` to host `to`
+    /// (exact match, one direction). For one message and one kind the
+    /// first entry naming its link is drawn first, then the sum of the
+    /// uniform entries (clamped to 1); a rate of 0 draws nothing, so an
+    /// inert entry does not perturb an existing seed's run.
+    Rate {
+        /// What happens to a claimed message.
+        kind: FaultKind,
+        /// The one link affected; `None` = every link.
+        link: Option<(String, String)>,
+        /// Probability per message.
+        rate: f64,
+    },
+    /// A network partition window: while `start_us <= now < end_us`,
+    /// every message crossing between a host in `side_a` and a host in
+    /// `side_b` (either direction) is dropped. Hosts listed nowhere are
+    /// unaffected.
+    Partition {
+        /// Partition onset, virtual µs.
+        start_us: u64,
+        /// Partition healing time, virtual µs (exclusive).
+        end_us: u64,
+        /// Hosts on one side of the cut.
+        side_a: Vec<String>,
+        /// Hosts on the other side.
+        side_b: Vec<String>,
+    },
+    /// A site crash: the endpoint deregisters at `at_us` (in-flight
+    /// deliveries dead-letter, sends are refused — a process death).
+    /// With `down_us` it re-registers that much later, with
+    /// [`Actor::on_restart`] invoked first, so the actor comes back with
+    /// fresh volatile state (e.g. an empty log table); without, it stays
+    /// down. Deterministic.
+    Crash {
+        /// The site that crashes.
+        site: SiteAddr,
+        /// Crash onset, virtual µs.
+        at_us: u64,
+        /// How long the site stays down; `None` = for good.
+        down_us: Option<u64>,
+    },
 }
 
-/// A network partition window: while `start_us <= now < end_us`, every
-/// message crossing between a host in `side_a` and a host in `side_b`
-/// (either direction) is dropped. Hosts listed nowhere are unaffected.
-#[derive(Debug, Clone, Default)]
-pub struct Partition {
-    /// Partition onset, virtual µs.
-    pub start_us: u64,
-    /// Partition healing time, virtual µs (exclusive).
-    pub end_us: u64,
-    /// Hosts on one side of the cut.
-    pub side_a: Vec<String>,
-    /// Hosts on the other side.
-    pub side_b: Vec<String>,
-}
-
-impl Partition {
-    /// True when a message departing at `at_us` from `from` to `to`
-    /// crosses the cut while it is open.
-    fn severs(&self, at_us: u64, from: &str, to: &str) -> bool {
-        if at_us < self.start_us || at_us >= self.end_us {
-            return false;
-        }
-        let a = |h: &str| self.side_a.iter().any(|x| x == h);
-        let b = |h: &str| self.side_b.iter().any(|x| x == h);
-        (a(from) && b(to)) || (b(from) && a(to))
+impl Fault {
+    /// A rate fault on every link.
+    pub fn rate(kind: FaultKind, rate: f64) -> Fault {
+        let link = None;
+        Fault::Rate { kind, link, rate }
     }
-}
 
-/// A per-link fault rate shared by the duplication and corruption
-/// injectors: messages from `from_host` to `to_host` are affected with
-/// probability `rate` (exact host match, one direction — the same
-/// shape as [`LinkDrop`], kept separate so a chaos plan can carry the
-/// three fault kinds as distinct, individually removable entries).
-#[derive(Debug, Clone)]
-pub struct LinkFault {
-    /// Sender host (exact match).
-    pub from_host: String,
-    /// Receiver host (exact match).
-    pub to_host: String,
-    /// Fault probability on this link.
-    pub rate: f64,
-}
-
-/// A crash-restart window: the site's endpoint deregisters at `at_us`
-/// (in-flight deliveries dead-letter, sends are refused — a process
-/// death) and re-registers at `at_us + down_us` with
-/// [`Actor::on_restart`] invoked first, so the actor comes back with
-/// fresh volatile state (e.g. an empty log table). Deterministic.
-#[derive(Debug, Clone)]
-pub struct CrashRestart {
-    /// The site that crashes.
-    pub site: SiteAddr,
-    /// Crash onset, virtual µs.
-    pub at_us: u64,
-    /// How long the site stays down before re-registering.
-    pub down_us: u64,
+    /// This rate fault, on the link from host `from` to host `to` only.
+    pub fn on(mut self, from: &str, to: &str) -> Fault {
+        if let Fault::Rate { link, .. } = &mut self {
+            *link = Some((from.to_owned(), to.to_owned()));
+        }
+        self
+    }
 }
 
 /// Simulator configuration.
@@ -132,38 +141,10 @@ pub struct SimConfig {
     /// Non-zero jitter lets messages overtake each other — the
     /// out-of-order corner the CHT tombstone logic exists for.
     pub jitter_us: u64,
-    /// Probability of silently dropping a message (fault injection; the
-    /// real transport is TCP, so the default is 0).
-    pub drop_rate: f64,
-    /// Per-link drop rates, checked before the uniform `drop_rate`.
-    pub link_drops: Vec<LinkDrop>,
-    /// Partition windows severing traffic between two host groups.
-    pub partitions: Vec<Partition>,
-    /// Site crashes: each endpoint is deregistered once the virtual
-    /// clock reaches its time — in-flight deliveries to it become dead
-    /// letters and later sends are refused, exactly as if the process
-    /// died. Deterministic (no randomness involved).
-    pub crashes: Vec<(SiteAddr, u64)>,
-    /// Crash-restart windows: unlike `crashes`, the site comes back
-    /// after its `down_us` with fresh volatile state (the
-    /// [`Actor::on_restart`] hook runs at the re-registration edge).
-    pub restarts: Vec<CrashRestart>,
-    /// Probability of delivering a *second* copy of a message (the
-    /// original is delivered normally; the extra copy draws its own
-    /// latency jitter and is traced as `message_duplicated`).
-    pub dup_rate: f64,
-    /// Per-link duplication rates, checked before the uniform
-    /// `dup_rate`.
-    pub link_dups: Vec<LinkFault>,
-    /// Probability of corrupting a message in flight: the receiver
-    /// cannot decode it, so it is lost like a drop but traced as
-    /// `message_corrupted` (the simulator's analogue of the TCP
-    /// transport's byte-flip injection).
-    pub corrupt_rate: f64,
-    /// Per-link corruption rates, checked before the uniform
-    /// `corrupt_rate`.
-    pub link_corrupts: Vec<LinkFault>,
-    /// Seed for jitter/drop decisions — same seed, same run.
+    /// What the network does wrong (the real transport is TCP, so the
+    /// default is nothing).
+    pub faults: Vec<Fault>,
+    /// Seed for jitter/fault decisions — same seed, same run.
     pub seed: u64,
 }
 
@@ -172,15 +153,7 @@ impl Default for SimConfig {
         SimConfig {
             latency: LatencyModel::lan(),
             jitter_us: 0,
-            drop_rate: 0.0,
-            link_drops: Vec::new(),
-            partitions: Vec::new(),
-            crashes: Vec::new(),
-            restarts: Vec::new(),
-            dup_rate: 0.0,
-            link_dups: Vec::new(),
-            corrupt_rate: 0.0,
-            link_corrupts: Vec::new(),
+            faults: Vec::new(),
             seed: 42,
         }
     }
@@ -225,7 +198,7 @@ pub trait Actor: Any {
     /// Downcasting support so harnesses can extract final actor state.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 
-    /// Invoked when a [`CrashRestart`] window ends and this actor's
+    /// Invoked when a [`Fault::Crash`] window ends and this actor's
     /// endpoint re-registers: the process came back up, so volatile
     /// state (log table, in-flight bookkeeping) must reset as if the
     /// daemon had just been spawned. The default keeps everything —
@@ -304,7 +277,7 @@ impl Ctx<'_> {
     }
 }
 
-/// What a queue entry carries to its destination.
+/// What an actor entry carries to its destination.
 enum Payload {
     /// The [`SimEvent::Start`] kick-off.
     Start,
@@ -326,60 +299,74 @@ fn message_meta(msg: &Message) -> (Option<webdis_trace::QueryId>, Option<u32>) {
     }
 }
 
-/// One transition of a [`CrashRestart`] window.
-enum RestartEdge {
+/// Everything that happens at a time. The variants are declared in the
+/// order they take at one instant: the control edges of a
+/// [`Fault::Crash`] first (a site that crashes at `t` is down for a
+/// delivery at `t`), then what actors see, then the host's own entries
+/// (the harness acts at `t` on a network that has done all of `t`).
+/// Only actor entries advance the clock.
+enum What {
     /// The site's endpoint deregisters (process death).
     Down(SiteAddr),
     /// The site re-registers with fresh volatile state.
     Up(SiteAddr),
+    /// An event for the actor at this address.
+    Actor(SiteAddr, Payload),
+    /// A [`SimNet::post_host`] token, handed back by
+    /// [`SimNet::run_to_host`].
+    Host(u64),
 }
 
-/// One scheduled delivery.
-struct Event {
+/// One entry of the queue.
+struct Entry {
     at_us: u64,
     seq: u64,
-    to: SiteAddr,
-    payload: Payload,
+    what: What,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at_us == other.at_us && self.seq == other.seq
+impl Entry {
+    fn key(&self) -> (u64, u8, u64) {
+        let class = match self.what {
+            What::Down(_) | What::Up(_) => 0,
+            What::Actor(..) => 1,
+            What::Host(_) => 2,
+        };
+        (self.at_us, class, self.seq)
     }
 }
 
-impl Eq for Event {}
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
 
-impl PartialOrd for Event {
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Event {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at_us, self.seq).cmp(&(other.at_us, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
-/// The simulated network: a registry of actors and a time-ordered event
-/// queue.
+/// The simulated network: a registry of actors and one time-ordered
+/// queue of everything that is going to happen.
 pub struct SimNet {
     config: SimConfig,
     actors: BTreeMap<SiteAddr, Box<dyn Actor>>,
     registry: BTreeSet<SiteAddr>,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: BinaryHeap<Reverse<Entry>>,
+    /// Actor entries in `queue`.
+    queued_actor_entries: usize,
     clock_us: u64,
     seq: u64,
     rng: StdRng,
-    /// Crash schedule from the config, sorted by time; `next_crash`
-    /// indexes the first crash not yet applied.
-    crash_schedule: Vec<(SiteAddr, u64)>,
-    next_crash: usize,
-    /// Crash-restart edges (down/up transitions) from the config,
-    /// sorted by time; `next_restart` indexes the first not yet applied.
-    restart_schedule: Vec<(u64, RestartEdge)>,
-    next_restart: usize,
     /// Per-endpoint processor availability: an event delivered before
     /// this time waits for the endpoint's previous work to finish.
     busy_until: BTreeMap<SiteAddr, u64>,
@@ -394,36 +381,40 @@ pub struct SimNet {
 }
 
 impl SimNet {
-    /// Creates an empty network.
+    /// Creates an empty network; the crash edges of `config.faults` are
+    /// its queue's first entries (in list order, down before up, which
+    /// is the order they keep at an equal instant).
     pub fn new(config: SimConfig) -> SimNet {
-        let rng = StdRng::seed_from_u64(config.seed);
-        let mut crash_schedule = config.crashes.clone();
-        crash_schedule.sort_by_key(|(_, t)| *t);
-        // Each restart window contributes a down edge and an up edge;
-        // the stable sort keeps down-before-up for zero-length windows.
-        let mut restart_schedule: Vec<(u64, RestartEdge)> = Vec::new();
-        for r in &config.restarts {
-            restart_schedule.push((r.at_us, RestartEdge::Down(r.site.clone())));
-            restart_schedule.push((r.at_us + r.down_us, RestartEdge::Up(r.site.clone())));
-        }
-        restart_schedule.sort_by_key(|(t, _)| *t);
-        SimNet {
-            config,
+        let mut net = SimNet {
+            rng: StdRng::seed_from_u64(config.seed),
             actors: BTreeMap::new(),
             registry: BTreeSet::new(),
             queue: BinaryHeap::new(),
+            queued_actor_entries: 0,
             clock_us: 0,
             seq: 0,
-            rng,
-            crash_schedule,
-            next_crash: 0,
-            restart_schedule,
-            next_restart: 0,
             busy_until: BTreeMap::new(),
             metrics: Metrics::default(),
             tracer: TraceHandle::noop(),
             scratch: Vec::new(),
+            config,
+        };
+        let faults = std::mem::take(&mut net.config.faults);
+        for fault in &faults {
+            if let Fault::Crash {
+                site,
+                at_us,
+                down_us,
+            } = fault
+            {
+                net.push(*at_us, What::Down(site.clone()));
+                if let Some(down_us) = down_us {
+                    net.push(at_us + down_us, What::Up(site.clone()));
+                }
+            }
         }
+        net.config.faults = faults;
+        net
     }
 
     /// Installs the trace sink used for transport-level events.
@@ -459,238 +450,231 @@ impl SimNet {
     pub fn start(&mut self, addr: &SiteAddr) {
         // Model the kick-off as a zero-size local event: deliver through
         // the queue for deterministic ordering, but without traffic.
-        let ev = Event {
-            at_us: self.clock_us,
-            seq: self.next_seq(),
-            to: addr.clone(),
-            payload: Payload::Start,
-        };
-        self.queue.push(Reverse(ev));
+        self.push(self.clock_us, What::Actor(addr.clone(), Payload::Start));
     }
 
-    fn next_seq(&mut self) -> u64 {
-        let s = self.seq;
+    /// Queues a host entry: [`SimNet::run_to_host`] hands `(at_us,
+    /// token)` back once everything the network does up to and at
+    /// `at_us` has happened — how a harness acts *at a time* (a web
+    /// mutation, a purge sweep) between deliveries, never mid-handler.
+    /// A host entry neither advances the clock nor counts as activity.
+    pub fn post_host(&mut self, at_us: u64, token: u64) {
+        self.push(at_us, What::Host(token));
+    }
+
+    fn push(&mut self, at_us: u64, what: What) {
+        if matches!(what, What::Actor(..)) {
+            self.queued_actor_entries += 1;
+        }
+        let seq = self.seq;
         self.seq += 1;
-        s
+        self.queue.push(Reverse(Entry { at_us, seq, what }));
     }
 
-    /// Runs until the event queue is empty. Returns the final virtual
-    /// time in microseconds.
+    /// Runs until the queue is empty. Returns the final virtual time in
+    /// microseconds — the end of the last actor event; crash edges and
+    /// host entries later than that do not move it.
     pub fn run(&mut self) -> u64 {
         self.run_until(u64::MAX);
         self.clock_us
     }
 
-    /// Processes events with timestamps `<= limit_us`; returns true when
-    /// events remain queued beyond the limit. Lets harnesses intervene
-    /// mid-run (e.g. cancel a query by closing the user endpoint).
+    /// Processes entries with timestamps `<= limit_us`; returns true when
+    /// actor events remain queued beyond the limit. Lets harnesses
+    /// intervene mid-run (e.g. cancel a query by closing the user
+    /// endpoint). For callers that post no host entries: one that comes
+    /// due here is dropped.
     pub fn run_until(&mut self, limit_us: u64) -> bool {
+        while self.advance(limit_us).is_some() {}
+        !self.idle()
+    }
+
+    /// Runs to the next host entry and returns its `(at_us, token)`;
+    /// `None` once the queue is empty.
+    pub fn run_to_host(&mut self) -> Option<(u64, u64)> {
+        self.advance(u64::MAX)
+    }
+
+    /// True when no actor event — delivery, timer, kick-off — is queued:
+    /// left to itself the network would do nothing more.
+    pub fn idle(&self) -> bool {
+        self.queued_actor_entries == 0
+    }
+
+    /// The one loop: pops entries `<= limit_us` in order, up to and
+    /// including the first host entry, which it returns.
+    fn advance(&mut self, limit_us: u64) -> Option<(u64, u64)> {
         while let Some(Reverse(peek)) = self.queue.peek() {
             if peek.at_us > limit_us {
-                return true;
-            }
-            let Some(Reverse(ev)) = self.queue.pop() else {
-                break;
-            };
-            self.clock_us = self.clock_us.max(ev.at_us);
-            self.apply_crashes(ev.at_us);
-            self.apply_restarts(ev.at_us);
-            let is_net = matches!(ev.payload, Payload::Net(_));
-            if !self.registry.contains(&ev.to) || !self.actors.contains_key(&ev.to) {
-                // Lost traffic is a dead letter; a timer or kick-off to a
-                // closed endpoint just evaporates. The loss is traced as
-                // a drop so trajectory triage can explain the in-flight
-                // clone instead of reporting a false hang.
-                if let Payload::Net(msg) = &ev.payload {
-                    self.metrics.dead_letters += 1;
-                    self.trace_msg(ev.at_us, &ev.to, msg, |kind| TraceEvent::MessageDropped {
-                        kind,
-                        to: ev.to.host.to_string(),
-                        bytes: encode_message(msg).len() as u32,
-                        reason: "dead-letter".to_string(),
-                    });
-                }
-                continue;
-            }
-            let Some(mut actor) = self.actors.remove(&ev.to) else {
-                continue;
-            };
-            if is_net {
-                self.metrics.record_delivery(&ev.to, ev.at_us);
-            }
-            // A sequential processor per endpoint: if earlier work is
-            // still running, this event waits for it.
-            let start_us = self
-                .busy_until
-                .get(&ev.to)
-                .copied()
-                .unwrap_or(0)
-                .max(ev.at_us);
-            self.clock_us = self.clock_us.max(start_us);
-            if is_net && self.tracer.enabled() {
-                // Inbound queue depth at processing start: this message
-                // plus every other network delivery to the same endpoint
-                // that has already arrived but not yet been processed.
-                // The heap is small (one entry per in-flight event), so
-                // the scan costs less than maintaining a second index.
-                let depth = 1 + self
-                    .queue
-                    .iter()
-                    .filter(|Reverse(e)| {
-                        e.to == ev.to && e.at_us <= start_us && matches!(e.payload, Payload::Net(_))
-                    })
-                    .count() as u64;
-                self.tracer
-                    .gauge_max(&format!("queue_depth.{}", ev.to.host), depth);
-                self.tracer.gauge_max("queue_depth_high_water", depth);
-            }
-            let mut ctx = Ctx {
-                now_us: start_us,
-                self_addr: ev.to.clone(),
-                registry: &self.registry,
-                outbox: Vec::new(),
-                timers: Vec::new(),
-                close_self: false,
-                work_us: 0,
-                queued_us: if is_net {
-                    start_us.saturating_sub(ev.at_us)
-                } else {
-                    0
-                },
-            };
-            let event = match ev.payload {
-                Payload::Start => SimEvent::Start,
-                Payload::Net(msg) => SimEvent::Net(msg),
-                Payload::Timer(token) => SimEvent::Timer(token),
-            };
-            actor.handle(&mut ctx, event);
-            let Ctx {
-                outbox,
-                timers,
-                close_self,
-                work_us,
-                ..
-            } = ctx;
-            let done_us = start_us + work_us;
-            if work_us > 0 {
-                self.busy_until.insert(ev.to.clone(), done_us);
-                self.clock_us = self.clock_us.max(done_us);
-                self.metrics.last_delivery_us = self.metrics.last_delivery_us.max(done_us);
-                self.metrics.record_work(&ev.to, work_us);
-            }
-            if close_self {
-                self.registry.remove(&ev.to);
-            }
-            let from = ev.to;
-            self.actors.insert(from.clone(), actor);
-            for (to, msg) in outbox {
-                self.dispatch_at(done_us, &from, to, msg);
-            }
-            for (delay_us, token) in timers {
-                let ev = Event {
-                    at_us: done_us + delay_us,
-                    seq: self.next_seq(),
-                    to: from.clone(),
-                    payload: Payload::Timer(token),
-                };
-                self.queue.push(Reverse(ev));
-            }
-        }
-        // The queue drained before every restart edge fired: apply the
-        // remainder up to the limit so a site whose window ends in a
-        // quiet stretch is back up when the harness resumes the run.
-        self.apply_restarts(limit_us);
-        false
-    }
-
-    /// Deregisters every endpoint whose scheduled crash time has been
-    /// reached. The actor stays inspectable via [`SimNet::actor_mut`];
-    /// its pending deliveries dead-letter and later sends are refused.
-    fn apply_crashes(&mut self, now_us: u64) {
-        while let Some((site, t)) = self.crash_schedule.get(self.next_crash) {
-            if *t > now_us {
                 break;
             }
-            self.registry.remove(site);
-            self.next_crash += 1;
-        }
-    }
-
-    /// Applies every crash-restart edge whose time has been reached:
-    /// down edges deregister the endpoint (like [`Self::apply_crashes`]),
-    /// up edges run the actor's [`Actor::on_restart`] hook and
-    /// re-register it — the site is back, with fresh volatile state.
-    fn apply_restarts(&mut self, now_us: u64) {
-        loop {
-            let (t, site, up) = match self.restart_schedule.get(self.next_restart) {
-                Some((t, RestartEdge::Down(s))) if *t <= now_us => (*t, s.clone(), false),
-                Some((t, RestartEdge::Up(s))) if *t <= now_us => (*t, s.clone(), true),
-                _ => break,
-            };
-            if up {
-                if let Some(actor) = self.actors.get_mut(&site) {
-                    actor.on_restart(t);
-                    self.registry.insert(site);
+            let Reverse(entry) = self.queue.pop()?;
+            let (to, payload) = match entry.what {
+                What::Down(site) => {
+                    // The actor stays inspectable via `actor_mut`; its
+                    // pending deliveries dead-letter and later sends are
+                    // refused.
+                    self.registry.remove(&site);
+                    continue;
                 }
-            } else {
-                self.registry.remove(&site);
-            }
-            self.next_restart += 1;
-        }
-    }
-
-    /// Decides whether the configured faults claim a message departing at
-    /// `at_us` from `from` to `to`. Partition windows are checked first
-    /// (deterministic), then the per-link rate, then the uniform rate;
-    /// the RNG is only consulted for rates actually configured, so adding
-    /// an inert knob does not perturb an existing seed's run.
-    fn drop_reason(&mut self, at_us: u64, from: &SiteAddr, to: &SiteAddr) -> Option<&'static str> {
-        if self
-            .config
-            .partitions
-            .iter()
-            .any(|p| p.severs(at_us, &from.host, &to.host))
-        {
-            return Some("partition");
-        }
-        let link_rate = self
-            .config
-            .link_drops
-            .iter()
-            .find(|l| *l.from_host == *from.host && *l.to_host == *to.host)
-            .map(|l| l.rate);
-        if let Some(rate) = link_rate {
-            if rate > 0.0 && self.rng.gen_bool(rate) {
-                return Some("link");
-            }
-        }
-        if self.config.drop_rate > 0.0 && self.rng.gen_bool(self.config.drop_rate) {
-            return Some("random");
+                What::Up(site) => {
+                    if let Some(actor) = self.actors.get_mut(&site) {
+                        actor.on_restart(entry.at_us);
+                        self.registry.insert(site);
+                    }
+                    continue;
+                }
+                What::Host(token) => return Some((entry.at_us, token)),
+                What::Actor(to, payload) => (to, payload),
+            };
+            self.queued_actor_entries -= 1;
+            self.deliver(entry.at_us, to, payload);
         }
         None
     }
 
-    /// One per-link-then-uniform fault decision, shared by the
-    /// duplication (`dup == true`) and corruption injectors. Same RNG
-    /// discipline as [`Self::drop_reason`]: rates of 0 (and absent link
-    /// entries) draw nothing, so inert knobs never perturb an existing
-    /// seed's run.
-    fn fault_claims(&mut self, dup: bool, from: &str, to: &str) -> bool {
-        let (links, uniform) = if dup {
-            (&self.config.link_dups, self.config.dup_rate)
+    /// Hands one actor entry to its actor and queues what the handler
+    /// sent and armed.
+    fn deliver(&mut self, at_us: u64, to: SiteAddr, payload: Payload) {
+        self.clock_us = self.clock_us.max(at_us);
+        let is_net = matches!(payload, Payload::Net(_));
+        // A deregistered endpoint keeps its actor (for inspection) but is
+        // handed nothing.
+        let actor = if self.registry.contains(&to) {
+            self.actors.remove(&to)
         } else {
-            (&self.config.link_corrupts, self.config.corrupt_rate)
+            None
         };
-        let link_rate = links
-            .iter()
-            .find(|l| l.from_host == from && l.to_host == to)
-            .map(|l| l.rate);
-        if let Some(rate) = link_rate {
-            if rate > 0.0 && self.rng.gen_bool(rate) {
-                return true;
+        let Some(mut actor) = actor else {
+            // Lost traffic is a dead letter; a timer or kick-off to a
+            // closed endpoint just evaporates. The loss is traced as
+            // a drop so trajectory triage can explain the in-flight
+            // clone instead of reporting a false hang.
+            if let Payload::Net(msg) = &payload {
+                self.metrics.dead_letters += 1;
+                self.trace_msg(at_us, &to, msg, |kind| TraceEvent::MessageDropped {
+                    kind,
+                    to: to.host.to_string(),
+                    bytes: encode_message(msg).len() as u32,
+                    reason: "dead-letter".to_string(),
+                });
+            }
+            return;
+        };
+        if is_net {
+            self.metrics.record_delivery(&to, at_us);
+        }
+        // A sequential processor per endpoint: if earlier work is
+        // still running, this event waits for it.
+        let start_us = self.busy_until.get(&to).copied().unwrap_or(0).max(at_us);
+        self.clock_us = self.clock_us.max(start_us);
+        if is_net && self.tracer.enabled() {
+            // Inbound queue depth at processing start: this message
+            // plus every other network delivery to the same endpoint
+            // that has already arrived but not yet been processed.
+            // The heap is small (one entry per in-flight event), so
+            // the scan costs less than maintaining a second index.
+            let waiting = |Reverse(e): &Reverse<Entry>| {
+                e.at_us <= start_us
+                    && matches!(&e.what, What::Actor(t, Payload::Net(_)) if *t == to)
+            };
+            let depth = 1 + self.queue.iter().filter(|e| waiting(e)).count() as u64;
+            self.tracer
+                .gauge_max(&format!("queue_depth.{}", to.host), depth);
+            self.tracer.gauge_max("queue_depth_high_water", depth);
+        }
+        let mut ctx = Ctx {
+            now_us: start_us,
+            self_addr: to.clone(),
+            registry: &self.registry,
+            outbox: Vec::new(),
+            timers: Vec::new(),
+            close_self: false,
+            work_us: 0,
+            queued_us: if is_net {
+                start_us.saturating_sub(at_us)
+            } else {
+                0
+            },
+        };
+        let event = match payload {
+            Payload::Start => SimEvent::Start,
+            Payload::Net(msg) => SimEvent::Net(msg),
+            Payload::Timer(token) => SimEvent::Timer(token),
+        };
+        actor.handle(&mut ctx, event);
+        let Ctx {
+            outbox,
+            timers,
+            close_self,
+            work_us,
+            ..
+        } = ctx;
+        let done_us = start_us + work_us;
+        if work_us > 0 {
+            self.busy_until.insert(to.clone(), done_us);
+            self.clock_us = self.clock_us.max(done_us);
+            self.metrics.last_delivery_us = self.metrics.last_delivery_us.max(done_us);
+            self.metrics.record_work(&to, work_us);
+        }
+        if close_self {
+            self.registry.remove(&to);
+        }
+        let from = to;
+        self.actors.insert(from.clone(), actor);
+        for (to, msg) in outbox {
+            self.dispatch_at(done_us, &from, to, msg);
+        }
+        for (delay_us, token) in timers {
+            let timer = What::Actor(from.clone(), Payload::Timer(token));
+            self.push(done_us + delay_us, timer);
+        }
+    }
+
+    /// Decides whether a rate fault of `kind` claims a message from
+    /// `from` to `to`, and says which: the first entry naming the link is
+    /// drawn, then the uniform entries' clamped sum. The RNG is only
+    /// consulted for rates actually configured, so adding an inert entry
+    /// does not perturb an existing seed's run.
+    fn claims(&mut self, kind: FaultKind, from: &str, to: &str) -> Option<&'static str> {
+        let mut on_link = None;
+        let mut uniform = 0.0f64;
+        for fault in &self.config.faults {
+            match fault {
+                Fault::Rate {
+                    kind: k,
+                    link,
+                    rate,
+                } if *k == kind => match link {
+                    None => uniform = (uniform + rate).min(1.0),
+                    Some((f, t)) if f == from && t == to => _ = on_link.get_or_insert(*rate),
+                    Some(_) => {}
+                },
+                _ => {}
             }
         }
-        uniform > 0.0 && self.rng.gen_bool(uniform)
+        if on_link.is_some_and(|rate| rate > 0.0 && self.rng.gen_bool(rate)) {
+            return Some("link");
+        }
+        (uniform > 0.0 && self.rng.gen_bool(uniform)).then_some("random")
+    }
+
+    /// True when a partition window severs a message departing at
+    /// `at_us` from `from` to `to`.
+    fn partitioned(&self, at_us: u64, from: &str, to: &str) -> bool {
+        self.config.faults.iter().any(|fault| match fault {
+            Fault::Partition {
+                start_us,
+                end_us,
+                side_a,
+                side_b,
+            } if (*start_us..*end_us).contains(&at_us) => {
+                let a = |h: &str| side_a.iter().any(|x| x == h);
+                let b = |h: &str| side_b.iter().any(|x| x == h);
+                (a(from) && b(to)) || (b(from) && a(to))
+            }
+            _ => false,
+        })
     }
 
     /// Schedules a message departing at `base_us`: applies fault
@@ -706,7 +690,14 @@ impl SimNet {
         let bytes = self.scratch.len();
         let wire = bytes as u32;
         let dest = || to.host.to_string();
-        if let Some(reason) = self.drop_reason(base_us, from, &to) {
+        // Partition windows are checked first (deterministic), then the
+        // drop rates.
+        let dropped = if self.partitioned(base_us, &from.host, &to.host) {
+            Some("partition")
+        } else {
+            self.claims(FaultKind::Drop, &from.host, &to.host)
+        };
+        if let Some(reason) = dropped {
             self.metrics.record_drop(bytes as u64);
             self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDropped {
                 kind,
@@ -720,7 +711,10 @@ impl SimNet {
         // crosses the wire but the receiver cannot read it, so no
         // `message_sent` is recorded (trajectory reconstruction must
         // not see a send that can never be received).
-        if self.fault_claims(false, &from.host, &to.host) {
+        if self
+            .claims(FaultKind::Corrupt, &from.host, &to.host)
+            .is_some()
+        {
             self.metrics.record_corrupt(bytes as u64);
             self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageCorrupted {
                 kind,
@@ -739,7 +733,7 @@ impl SimNet {
         // Duplication delivers a *second* copy with its own jitter draw
         // (the copies may overtake each other), traced as
         // `message_duplicated` — never a second `message_sent`.
-        let duplicate = if self.fault_claims(true, &from.host, &to.host) {
+        let duplicate = if self.claims(FaultKind::Dup, &from.host, &to.host).is_some() {
             self.metrics.record_dup(bytes as u64);
             self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDuplicated {
                 kind,
@@ -751,21 +745,9 @@ impl SimNet {
         } else {
             None
         };
-        let ev = Event {
-            at_us,
-            seq: self.next_seq(),
-            to: to.clone(),
-            payload: Payload::Net(msg),
-        };
-        self.queue.push(Reverse(ev));
+        self.push(at_us, What::Actor(to.clone(), Payload::Net(msg)));
         if let Some((dup_at_us, copy)) = duplicate {
-            let ev = Event {
-                at_us: dup_at_us,
-                seq: self.next_seq(),
-                to,
-                payload: Payload::Net(copy),
-            };
-            self.queue.push(Reverse(ev));
+            self.push(dup_at_us, What::Actor(to, Payload::Net(copy)));
         }
     }
 
@@ -1098,7 +1080,7 @@ mod tests {
     #[test]
     fn drop_injection_loses_messages() {
         let mut net = SimNet::new(SimConfig {
-            drop_rate: 1.0,
+            faults: vec![Fault::rate(FaultKind::Drop, 1.0)],
             ..SimConfig::default()
         });
         let c = addr("client");
@@ -1204,11 +1186,7 @@ mod tests {
         // Client→server is perfectly lossy; server→client (unused here
         // beyond replies that never happen) is clean.
         let mut net = SimNet::new(SimConfig {
-            link_drops: vec![LinkDrop {
-                from_host: "client".into(),
-                to_host: "server".into(),
-                rate: 1.0,
-            }],
+            faults: vec![Fault::rate(FaultKind::Drop, 1.0).on("client", "server")],
             ..SimConfig::default()
         });
         let c = addr("client");
@@ -1237,11 +1215,7 @@ mod tests {
         // The reverse link is unaffected: flip the drop direction and
         // requests get through while replies are lost.
         let mut net = SimNet::new(SimConfig {
-            link_drops: vec![LinkDrop {
-                from_host: "server".into(),
-                to_host: "client".into(),
-                rate: 1.0,
-            }],
+            faults: vec![Fault::rate(FaultKind::Drop, 1.0).on("server", "client")],
             ..SimConfig::default()
         });
         net.register(
@@ -1305,7 +1279,7 @@ mod tests {
         // Partition covers t in [0, 5ms): the Start-time send is cut,
         // the timer-driven resend at 10ms goes through.
         let mut net = SimNet::new(SimConfig {
-            partitions: vec![Partition {
+            faults: vec![Fault::Partition {
                 start_us: 0,
                 end_us: 5_000,
                 side_a: vec!["client".into()],
@@ -1341,7 +1315,11 @@ mod tests {
             // Requests depart at t=0 and arrive at ~2ms (LAN base); a
             // crash at 1ms kills the server while they are in flight.
             let mut net = SimNet::new(SimConfig {
-                crashes: vec![(addr("server"), 1_000)],
+                faults: vec![Fault::Crash {
+                    site: addr("server"),
+                    at_us: 1_000,
+                    down_us: None,
+                }],
                 ..SimConfig::default()
             });
             let c = addr("client");
@@ -1376,7 +1354,11 @@ mod tests {
     fn dead_letters_are_traced_as_drops() {
         let (collector, tracer) = TraceHandle::collecting(1_024);
         let mut net = SimNet::new(SimConfig {
-            crashes: vec![(addr("server"), 1_000)],
+            faults: vec![Fault::Crash {
+                site: addr("server"),
+                at_us: 1_000,
+                down_us: None,
+            }],
             ..SimConfig::default()
         });
         net.set_tracer(tracer);
@@ -1418,7 +1400,7 @@ mod tests {
     #[test]
     fn duplication_delivers_a_second_copy() {
         let mut net = SimNet::new(SimConfig {
-            dup_rate: 1.0,
+            faults: vec![Fault::rate(FaultKind::Dup, 1.0)],
             ..SimConfig::default()
         });
         let c = addr("client");
@@ -1454,11 +1436,7 @@ mod tests {
     #[test]
     fn corruption_loses_messages_like_a_drop() {
         let mut net = SimNet::new(SimConfig {
-            link_corrupts: vec![LinkFault {
-                from_host: "client".into(),
-                to_host: "server".into(),
-                rate: 1.0,
-            }],
+            faults: vec![Fault::rate(FaultKind::Corrupt, 1.0).on("client", "server")],
             ..SimConfig::default()
         });
         let c = addr("client");
@@ -1521,23 +1499,17 @@ mod tests {
             ..SimConfig::default()
         };
         let with_inert_knobs = SimConfig {
-            dup_rate: 0.0,
-            corrupt_rate: 0.0,
-            link_dups: vec![LinkFault {
-                from_host: "client".into(),
-                to_host: "server".into(),
-                rate: 0.0,
-            }],
-            link_corrupts: vec![LinkFault {
-                from_host: "nobody".into(),
-                to_host: "server".into(),
-                rate: 1.0,
-            }],
-            restarts: vec![CrashRestart {
-                site: addr("ghost"),
-                at_us: 1,
-                down_us: 1,
-            }],
+            faults: vec![
+                Fault::rate(FaultKind::Dup, 0.0),
+                Fault::rate(FaultKind::Corrupt, 0.0),
+                Fault::rate(FaultKind::Dup, 0.0).on("client", "server"),
+                Fault::rate(FaultKind::Corrupt, 1.0).on("nobody", "server"),
+                Fault::Crash {
+                    site: addr("ghost"),
+                    at_us: 1,
+                    down_us: Some(1),
+                },
+            ],
             ..base.clone()
         };
         assert_eq!(run(base), run(with_inert_knobs));
@@ -1550,10 +1522,10 @@ mod tests {
         // server back up.
         let run = || {
             let mut net = SimNet::new(SimConfig {
-                restarts: vec![CrashRestart {
+                faults: vec![Fault::Crash {
                     site: addr("server"),
                     at_us: 1_000,
-                    down_us: 5_000,
+                    down_us: Some(5_000),
                 }],
                 ..SimConfig::default()
             });
@@ -1597,22 +1569,139 @@ mod tests {
             }
         }
         let mut net = SimNet::new(SimConfig {
-            restarts: vec![CrashRestart {
+            faults: vec![Fault::Crash {
                 site: addr("srv"),
                 at_us: 2_000,
-                down_us: 3_000,
+                down_us: Some(3_000),
             }],
             ..SimConfig::default()
         });
         let s = addr("srv");
         net.register(s.clone(), Box::new(Resettable { restarts: vec![] }));
-        // No traffic at all: the trailing apply in run_until still
-        // brings the site back up by the horizon.
+        // No traffic at all: the edges are queue entries of their own,
+        // so the site is back up by the horizon all the same.
         net.run_until(20_000);
         assert_eq!(
             net.actor_mut::<Resettable>(&s).unwrap().restarts,
             vec![5_000]
         );
+    }
+
+    #[test]
+    fn one_instant_orders_edges_then_actor_events_then_host_entries() {
+        /// Logs what it is handed; arms a timer for t = 4 ms on Start.
+        struct Witness(Vec<String>);
+        impl Actor for Witness {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+                self.0.push(match event {
+                    SimEvent::Start => {
+                        ctx.schedule_timer(4_000, 5);
+                        return;
+                    }
+                    SimEvent::Net(_) => format!("delivery@{}", ctx.now_us()),
+                    SimEvent::Timer(token) => format!("timer{token}@{}", ctx.now_us()),
+                });
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+            fn on_restart(&mut self, now_us: u64) {
+                self.0.push(format!("up@{now_us}"));
+            }
+        }
+        let (c, s) = (addr("client"), addr("server"));
+        // The server is down over [1 ms, 4 ms); a message sent at 0 takes
+        // exactly 4 ms; the client dies for good at 50 ms.
+        let crash = |site: &SiteAddr, at_us, down_us| Fault::Crash {
+            site: site.clone(),
+            at_us,
+            down_us,
+        };
+        let mut net = SimNet::new(SimConfig {
+            latency: LatencyModel {
+                base_us: 4_000,
+                per_kib_us: 0,
+            },
+            faults: vec![crash(&s, 1_000, Some(3_000)), crash(&c, 50_000, None)],
+            ..SimConfig::default()
+        });
+        let client = Client {
+            server: s.clone(),
+            n: 1,
+            replies: 0,
+            close_after: None,
+        };
+        net.register(c.clone(), Box::new(client));
+        net.register(s.clone(), Box::new(Witness(Vec::new())));
+        net.post_host(60_000, 8);
+        net.post_host(4_000, 7);
+        net.start(&c);
+        net.start(&s);
+
+        // Everything of t = 4 ms has happened when the host entry of
+        // t = 4 ms comes back: the site came up first, so neither the
+        // delivery nor the timer found it down.
+        assert_eq!(net.run_to_host(), Some((4_000, 7)));
+        let seen = net.actor_mut::<Witness>(&s).unwrap().0.clone();
+        assert_eq!(seen, ["up@4000", "delivery@4000", "timer5@4000"]);
+        assert_eq!(net.metrics.dead_letters, 0);
+        assert!(net.idle());
+
+        // The crash edge at 50 ms and the host entry at 60 ms happen —
+        // the client is gone — without the clock following them.
+        assert_eq!(net.now_us(), 4_000);
+        assert_eq!(net.run_to_host(), Some((60_000, 8)));
+        assert_eq!(net.now_us(), 4_000);
+        net.start(&c);
+        assert_eq!(net.run(), 4_000, "a kick-off to a dead endpoint evaporates");
+        assert_eq!(net.metrics.total.messages, 1);
+    }
+
+    #[test]
+    fn rate_entries_of_one_kind_sum_when_uniform_and_first_match_on_a_link() {
+        let run = |faults: Vec<Fault>| {
+            let mut net = SimNet::new(SimConfig {
+                faults,
+                seed: 9,
+                ..SimConfig::default()
+            });
+            let (c, s) = (addr("client"), addr("server"));
+            let client = Client {
+                server: s.clone(),
+                n: 64,
+                replies: 0,
+                close_after: None,
+            };
+            net.register(c.clone(), Box::new(client));
+            let echo = Echo {
+                peer: c.clone(),
+                seen: 0,
+            };
+            net.register(s.clone(), Box::new(echo));
+            net.start(&c);
+            net.run();
+            let seen = net.actor_mut::<Echo>(&s).unwrap().seen;
+            let replies = net.actor_mut::<Client>(&c).unwrap().replies;
+            (net.metrics.dropped, seen, replies)
+        };
+        let drop = |rate| Fault::rate(FaultKind::Drop, rate);
+        // Two uniform entries and two for one link, other kinds between
+        // them: what `drop_rate: 0.375` with `link_drops` of 0.5 then 1.0
+        // drew on this seed before the fields became one list.
+        let split = run(vec![
+            drop(0.25),
+            drop(0.5).on("client", "server"),
+            Fault::rate(FaultKind::Dup, 0.0),
+            drop(1.0).on("client", "server"),
+            drop(0.125),
+        ]);
+        assert_eq!(split, (51, 18, 13));
+        assert_eq!(
+            split,
+            run(vec![drop(0.5).on("client", "server"), drop(0.375)])
+        );
+        // The sum is clamped, not wrapped or refused.
+        assert_eq!(run(vec![drop(0.75), drop(0.5)]), (64, 0, 0));
     }
 
     #[test]

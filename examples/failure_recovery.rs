@@ -15,7 +15,7 @@ use std::sync::Arc;
 use webdis::core::simrun::{client_of, user_addr};
 use webdis::core::{Deployment, EngineConfig};
 use webdis::disql::parse_disql;
-use webdis::sim::SimConfig;
+use webdis::sim::{Fault, FaultKind, SimConfig};
 use webdis::web::{generate, WebGenConfig};
 
 const QUERY: &str = r#"
@@ -56,7 +56,7 @@ fn main() {
         let query = parse_disql(QUERY).unwrap();
         let mut net = Deployment::new(Arc::clone(&web), EngineConfig::strict()).sim_with_client(
             SimConfig {
-                drop_rate: 0.1,
+                faults: vec![Fault::rate(FaultKind::Drop, 0.1)],
                 seed,
                 ..SimConfig::default()
             },

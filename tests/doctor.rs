@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use webdis::core::{run_query_sim, EngineConfig, ExpiryPolicy};
-use webdis::sim::SimConfig;
+use webdis::sim::{Fault, FaultKind, SimConfig};
 use webdis::trace::doctor::diagnose;
 use webdis::trace::{TraceEvent, TraceHandle, TraceRecord};
 use webdis::web::figures;
@@ -21,7 +21,7 @@ fn injected_drop_run_has_zero_false_orphans() {
         ..EngineConfig::default()
     };
     let sim = SimConfig {
-        drop_rate: 0.1,
+        faults: vec![Fault::rate(FaultKind::Drop, 0.1)],
         seed: 5,
         ..SimConfig::default()
     };

@@ -9,7 +9,7 @@ use webdis::core::simrun::{client_of, user_addr};
 use webdis::core::{query_server_addr, Deployment, EngineConfig};
 use webdis::disql::parse_disql;
 use webdis::model::SiteAddr;
-use webdis::sim::SimConfig;
+use webdis::sim::{Fault, FaultKind, SimConfig};
 use webdis::web::{generate, WebGenConfig};
 
 const QUERY: &str = r#"
@@ -70,7 +70,7 @@ fn lost_messages_stall_completion_until_expiry() {
     let query = parse_disql(QUERY).unwrap();
     let mut net = Deployment::new(Arc::clone(&web), EngineConfig::strict()).sim_with_client(
         SimConfig {
-            drop_rate: 0.25,
+            faults: vec![Fault::rate(FaultKind::Drop, 0.25)],
             seed: 9,
             ..SimConfig::default()
         },

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use webdis::core::{run_query_sim, Deployment, EngineConfig, ExpiryPolicy, TcpFaultPlan};
-use webdis::sim::SimConfig;
+use webdis::sim::{Fault, FaultKind, SimConfig};
 use webdis::trace::{json, trajectory, TraceHandle};
 use webdis::web::figures;
 
@@ -42,7 +42,7 @@ fn sim_drop_rate_run_terminates_via_expiry_with_partial_results() {
         figures::CAMPUS_QUERY,
         cfg,
         SimConfig {
-            drop_rate: 0.1,
+            faults: vec![Fault::rate(FaultKind::Drop, 0.1)],
             seed: LOSSY_SEED,
             ..SimConfig::default()
         },
@@ -77,7 +77,7 @@ fn sim_faulty_trace_reconstructs_without_orphans() {
         figures::CAMPUS_QUERY,
         cfg,
         SimConfig {
-            drop_rate: 0.1,
+            faults: vec![Fault::rate(FaultKind::Drop, 0.1)],
             seed: LOSSY_SEED,
             ..SimConfig::default()
         },

@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use webdis::core::{run_datashipping_sim, run_query_sim, EngineConfig, LogMode};
-use webdis::sim::{LatencyModel, SimConfig};
+use webdis::sim::{Fault, FaultKind, LatencyModel, SimConfig};
 use webdis::web::{generate, WebGenConfig};
 
 /// Strategy over generated-web configurations small enough to run
@@ -263,7 +263,11 @@ proptest! {
             web,
             &disql,
             EngineConfig::ack_chain(),
-            SimConfig { drop_rate: f64::from(drop_pm) / 1000.0, seed, ..SimConfig::default() },
+            SimConfig {
+                faults: vec![Fault::rate(FaultKind::Drop, f64::from(drop_pm) / 1000.0)],
+                seed,
+                ..SimConfig::default()
+            },
         )
         .unwrap();
         // Soundness: every received row is a true row.
@@ -302,7 +306,11 @@ proptest! {
             web,
             &disql,
             EngineConfig::strict(),
-            SimConfig { drop_rate: f64::from(drop_pm) / 1000.0, seed, ..SimConfig::default() },
+            SimConfig {
+                faults: vec![Fault::rate(FaultKind::Drop, f64::from(drop_pm) / 1000.0)],
+                seed,
+                ..SimConfig::default()
+            },
         )
         .unwrap();
         if lossy.complete && lossy.metrics.dropped == 0 {
