@@ -216,28 +216,14 @@ fn stages_label(stages_answered: &[u32]) -> String {
     labels.collect::<Vec<_>>().join(",")
 }
 
-/// The fleet-level histograms a report freezes: the six pipeline stages
-/// (queue wait first), the probe-vs-scan split of the eval stage, plus
-/// end-to-end query latency.
-const FROZEN_HISTOGRAMS: &[&str] = &[
-    "stage_us.queue_wait",
-    "stage_us.parse",
-    "stage_us.log",
-    "stage_us.cache_lookup",
-    "stage_us.eval",
-    "stage_us.eval_probe",
-    "stage_us.eval_scan",
-    "stage_us.build",
-    "stage_us.forward",
-    "query_latency_us",
-];
-
+/// Freezes the fleet-level histograms into a report: the pipeline
+/// stages (queue wait first) and the probe-vs-scan split of the eval
+/// stage, plus end-to-end query latency.
 fn freeze_histograms(report: &mut ScenarioReport, snap: &RegistrySnapshot) {
-    for name in FROZEN_HISTOGRAMS {
-        if let Some(h) = snap.histogram(name) {
-            if h.count > 0 {
-                report.histograms.insert(name.to_string(), h.clone());
-            }
+    let stages = webdis_trace::stage_histograms().map(|stage| format!("stage_us.{stage}"));
+    for name in stages.chain(["query_latency_us".to_owned()]) {
+        if let Some(h) = snap.histogram(&name).filter(|h| h.count > 0) {
+            report.histograms.insert(name, h.clone());
         }
     }
 }

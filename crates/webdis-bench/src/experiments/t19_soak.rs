@@ -118,7 +118,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         outcome
             .records
             .iter()
-            .map(|r| r.dead_link_nodes as u64)
+            .map(|r| r.dead_link_entries.len() as u64)
             .sum(),
         Worse::Higher,
     );

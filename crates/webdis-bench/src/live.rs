@@ -21,23 +21,6 @@ use webdis_net::tcp::MAX_FRAME;
 /// exported `_sum` series.
 const STAGE_SUM_PREFIX: &str = "webdis_stage_us_";
 
-/// The fleet-wide stage histograms the engine registers. Per-site
-/// variants append the sanitized host (`stage_us.eval.a.test` →
-/// `webdis_stage_us_eval_a_test`), which underscore-sanitizing makes
-/// indistinguishable from a stage name by shape — so the live view
-/// matches against this closed set instead.
-const FLEET_STAGES: &[&str] = &[
-    "queue_wait",
-    "parse",
-    "log",
-    "cache_lookup",
-    "eval",
-    "eval_probe",
-    "eval_scan",
-    "build",
-    "forward",
-];
-
 /// Fetches `path` from an admin socket with one blocking HTTP/1.0 GET.
 /// Returns the response body; errors name the address and path. A
 /// response longer than the transport's frame limit is refused, not
@@ -156,10 +139,13 @@ pub fn render(sample: &LiveSample) -> String {
         .filter_map(|(name, v)| {
             let rest = name.strip_prefix(STAGE_SUM_PREFIX)?;
             let stage = rest.strip_suffix("_sum")?;
-            if !FLEET_STAGES.contains(&stage) {
-                return None;
-            }
-            Some((stage, *v))
+            // Per-site variants append the sanitized host
+            // (`stage_us.eval.a.test` → `webdis_stage_us_eval_a_test`),
+            // which underscore-sanitizing makes indistinguishable from a
+            // stage name by shape — so match the closed set of fleet-wide
+            // stage histograms instead.
+            let fleet_wide = webdis_trace::stage_histograms().any(|s| s == stage);
+            fleet_wide.then_some((stage, *v))
         })
         .collect();
     let total: u64 = stage_sums.iter().map(|(_, v)| v).sum();
@@ -221,7 +207,7 @@ pub fn live_smoke() -> Result<String, String> {
     let query = webdis_disql::parse_disql(webdis_web::figures::CAMPUS_QUERY)
         .map_err(|e| format!("smoke query: {e:?}"))?;
     let client = webdis_core::ClientProcess::new("smoke", cluster.user_site().clone(), cfg.clone());
-    let at_once = webdis_core::ScheduledSubmission { at_us: 0, query };
+    let at_once = webdis_core::PlannedQuery::at(0, query);
     let mut user = webdis_core::ScheduledClient::new(vec![client], vec![(0, at_once)]);
     cluster.drive(&mut cluster.user_net(), &mut user, Duration::from_secs(30));
     if !user.done() {

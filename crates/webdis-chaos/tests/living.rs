@@ -153,7 +153,7 @@ fn page_deletion_terminates_gracefully_and_stays_benign() {
             .faulty
             .records
             .iter()
-            .any(|r| r.complete && r.dead_link_nodes > 0),
+            .any(|r| r.complete && !r.dead_link_entries.is_empty()),
         "the deleted page must be reached and terminated around, not missed"
     );
 }

@@ -50,11 +50,6 @@ impl ClientProcess {
         }
     }
 
-    /// The address this client receives results at.
-    pub fn addr(&self) -> &SiteAddr {
-        &self.addr
-    }
-
     /// Parses and submits a DISQL query; returns its query number.
     ///
     /// The user site's only pipeline stage is the DISQL parse itself, so
@@ -106,12 +101,19 @@ impl ClientProcess {
         query_num
     }
 
-    /// The number of the query `msg` answers, when `msg` is a result
-    /// report or completion ack addressed to this client.
+    /// The number of the query `msg` is for: the one a result report or
+    /// completion ack addressed to this client names, or — a download
+    /// answers one request, and names no query — the first still awaiting
+    /// a fetched document.
     fn addressed(&self, msg: &Message) -> Option<u64> {
         let id = match msg {
             Message::Report(report) => &report.id,
             Message::Ack(ack) => &ack.id,
+            Message::FetchReply(reply) => {
+                let url = reply.url.without_fragment();
+                let mut awaiting = self.queries.iter().filter(|(_, q)| q.awaits(&url));
+                return awaiting.next().map(|(num, _)| *num);
+            }
             _ => return None,
         };
         let ours = id.user == self.user && id.host == self.addr.host && id.port == self.addr.port;
@@ -124,9 +126,9 @@ impl ClientProcess {
         self.addressed(msg).is_some()
     }
 
-    /// Routes an incoming message (result report or completion ack) to
-    /// the owning query; anyone else's, or a forgotten query's, is
-    /// ignored.
+    /// Routes an incoming message (result report, completion ack or
+    /// fetched document) to the owning query; anyone else's, or a
+    /// forgotten query's, is ignored.
     pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
         let query_num = self.addressed(&msg);
         if let Some(site) = query_num.and_then(|num| self.queries.get_mut(&num)) {
@@ -164,9 +166,7 @@ impl ClientProcess {
     /// move into their records and the client forgets them.
     pub fn take_records(&mut self, user: usize) -> Vec<QueryRecord> {
         let sites = std::mem::take(&mut self.queries).into_values();
-        sites
-            .map(|mut site| QueryRecord::of(user, &mut site))
-            .collect()
+        sites.map(|site| site.into_record(user)).collect()
     }
 
     /// The expiry schedule the in-flight queries ask for
@@ -187,12 +187,36 @@ impl ClientProcess {
     }
 }
 
-/// One planned query submission.
-pub struct ScheduledSubmission {
-    /// Submission time, µs since the run began.
+/// One planned submission.
+#[derive(Debug, Clone)]
+pub struct PlannedQuery {
+    /// Planned submission time, µs since the run began.
     pub at_us: u64,
+    /// Index into the planner's template mix (for per-template
+    /// breakdowns; 0 where there is no mix).
+    pub template: usize,
     /// The (already parsed) query to submit.
     pub query: WebQuery,
+}
+
+impl PlannedQuery {
+    /// `query`, submitted at `at_us`.
+    pub fn at(at_us: u64, query: WebQuery) -> PlannedQuery {
+        PlannedQuery {
+            at_us,
+            template: 0,
+            query,
+        }
+    }
+}
+
+/// One user's schedule in a workload plan.
+#[derive(Debug, Clone)]
+pub struct UserPlan {
+    /// User index (0-based): the position of the plan in the workload.
+    pub user: usize,
+    /// Submissions, earliest first.
+    pub submissions: Vec<PlannedQuery>,
 }
 
 /// The user site of either runtime: the client processes behind one
@@ -210,7 +234,7 @@ pub struct ScheduledClient {
     pub clients: Vec<ClientProcess>,
     /// Remaining submissions and the index of the client each belongs
     /// to, earliest first.
-    pending: VecDeque<(usize, ScheduledSubmission)>,
+    pending: VecDeque<(usize, PlannedQuery)>,
     expiry_armed: bool,
 }
 
@@ -225,7 +249,7 @@ impl ScheduledClient {
     /// not be sorted.
     pub fn new(
         clients: Vec<ClientProcess>,
-        mut plan: Vec<(usize, ScheduledSubmission)>,
+        mut plan: Vec<(usize, PlannedQuery)>,
     ) -> ScheduledClient {
         plan.sort_by_key(|(client, s)| (s.at_us, *client));
         ScheduledClient {
@@ -387,10 +411,7 @@ mod tests {
         };
         let client = ClientProcess::new("u", addr(), cfg);
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let at = |at_us| {
-            let query = parse_disql(q).unwrap();
-            (0, ScheduledSubmission { at_us, query })
-        };
+        let at = |at_us| (0, PlannedQuery::at(at_us, parse_disql(q).unwrap()));
         let mut user = ScheduledClient::new(vec![client], vec![at(3_000), at(500), at(1_700)]);
         let mut net = RecordingNetwork::default();
         // Play the runtime: hand back whatever is due, earliest first,
@@ -421,6 +442,69 @@ mod tests {
         // Someone else's token changes nothing.
         user.on_timer(&mut net, 99);
         assert!(net.posted.is_empty());
+    }
+
+    #[test]
+    fn stray_and_duplicated_fetch_replies_are_ignored() {
+        use crate::network::query_server_addr;
+        use webdis_model::Url;
+        use webdis_net::FetchResponse;
+
+        // a.test runs no query server, so the hybrid client falls back:
+        // it downloads the StartNode itself.
+        let cfg = EngineConfig {
+            hybrid: true,
+            ..EngineConfig::default()
+        };
+        let mut client = ClientProcess::new("u", addr(), cfg);
+        let a_test = Url::parse("http://a.test/").unwrap().site();
+        let mut net = RecordingNetwork {
+            unreachable: vec![query_server_addr(&a_test)],
+            ..RecordingNetwork::default()
+        };
+        let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
+        let n = client.submit_disql(&mut net, q).unwrap();
+        assert!(matches!(&net.sent[..], [(to, Message::Fetch(_))] if *to == a_test));
+        let reply = |url: &str, html: &str| {
+            Message::FetchReply(FetchResponse {
+                url: Url::parse(url).unwrap(),
+                html: Some(html.to_owned()),
+            })
+        };
+        let fate = |client: &ClientProcess| {
+            let site = client.query(n).unwrap();
+            (site.cht.stats, site.trace.len(), site.hybrid, site.complete)
+        };
+
+        // A download nobody asked for: no query awaits it.
+        let before = fate(&client);
+        let stray = reply("http://b.test/", "<title>B</title>");
+        assert!(!client.owns(&stray));
+        client.on_message(&mut net, stray);
+        assert_eq!(fate(&client), before);
+
+        // The one that was asked for is evaluated locally and completes
+        // the query (the page links nowhere)...
+        let page = "<title>A</title><p>no links</p>";
+        client.on_message(&mut net, reply("http://a.test/", page));
+        let after = fate(&client);
+        assert!(after.3, "{:?}", client.query(n).unwrap().why_incomplete());
+        assert_eq!(
+            (after.1, after.2.fetches, after.2.local_evaluations),
+            (1, 1, 1)
+        );
+        assert_eq!(client.query(n).unwrap().total_rows(), 1);
+
+        // ...and its duplicate — an already-downloaded URL, a completed
+        // query — touches neither the rows nor the CHT, whether it comes
+        // through the client process or straight at the user site.
+        let dup = reply("http://a.test/", page);
+        assert!(!client.owns(&dup));
+        client.on_message(&mut net, dup.clone());
+        client.query_mut(n).unwrap().on_message(&mut net, dup);
+        assert_eq!(fate(&client), after);
+        assert_eq!(client.query(n).unwrap().total_rows(), 1);
+        assert_eq!(net.sent.len(), 1, "nothing further was sent");
     }
 
     #[test]

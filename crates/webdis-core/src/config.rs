@@ -155,7 +155,9 @@ pub struct EngineConfig {
     /// user site, which downloads those documents and evaluates the
     /// node-queries centrally — re-entering distributed processing when
     /// the traversal leads back into participating sites. Off, such
-    /// destinations are reported as dead ends.
+    /// destinations are reported as dead ends. Defined over CHT
+    /// completion: a [`Deployment`](crate::Deployment) forces
+    /// `completion` to it when this is set.
     pub hybrid: bool,
     /// Footnote 3 of Section 2.4: a site expecting a node to "receive
     /// several queries, … can choose to retain the associated database so

@@ -17,14 +17,14 @@ use webdis_disql::{parse_disql, WebQuery};
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{FetchRequest, Message};
 use webdis_pre::Pre;
-use webdis_rel::{eval_node_query, NodeDb, ResultRow};
+use webdis_rel::{eval_node_query, NodeDb};
 use webdis_sim::{Actor, Ctx, SimConfig, SimEvent};
 use webdis_trace::{TraceEvent, TraceHandle, TraceRecord};
 
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::Network;
-use crate::record::QueryOutcome;
+use crate::record::{QueryOutcome, QueryRecord};
 use crate::simrun::{user_addr, CtxNet, PlainWebServer, SimRunError};
 
 /// Counters for the baseline run.
@@ -64,31 +64,25 @@ pub struct DataShipUser {
     /// table.
     visited: HashSet<(Url, usize, Pre)>,
     outstanding: usize,
-    /// Rows per global stage.
-    pub results: BTreeMap<u32, Vec<(Url, ResultRow)>>,
-    /// True when no downloads are outstanding and all work is drained.
-    pub complete: bool,
-    /// Time of the first result row.
-    pub first_result_us: Option<u64>,
-    /// Time the run completed.
-    pub completed_at_us: Option<u64>,
+    /// The query's fate: rows, first-row time, and `complete` once no
+    /// download is outstanding and all work is drained. There is no CHT
+    /// and no node report, so the rest stays at its defaults.
+    pub record: QueryRecord,
     /// Counters.
     pub stats: DataShipStats,
     tracer: TraceHandle,
 }
 
 impl DataShipUser {
-    /// Creates the baseline engine; call [`DataShipUser::start`].
-    pub fn new(query: WebQuery, self_addr: SiteAddr) -> DataShipUser {
-        Self::with_proc(query, self_addr, crate::config::ProcModel::default())
-    }
-
-    /// Like [`DataShipUser::new`] with an explicit processing-cost model
-    /// (the user site pays every parse and evaluation itself).
-    pub fn with_proc(
+    /// Creates the baseline engine; call [`DataShipUser::start`]. `proc`
+    /// is the processing-cost model (the user site pays every parse and
+    /// evaluation itself); events are stamped at the user site (there is
+    /// no query shipping, so records carry no hop or query id).
+    pub fn new(
         query: WebQuery,
         self_addr: SiteAddr,
         proc: crate::config::ProcModel,
+        tracer: TraceHandle,
     ) -> DataShipUser {
         DataShipUser {
             query,
@@ -98,19 +92,10 @@ impl DataShipUser {
             pending: HashMap::new(),
             visited: HashSet::new(),
             outstanding: 0,
-            results: BTreeMap::new(),
-            complete: false,
-            first_result_us: None,
-            completed_at_us: None,
+            record: QueryRecord::default(),
             stats: DataShipStats::default(),
-            tracer: TraceHandle::noop(),
+            tracer,
         }
-    }
-
-    /// Installs a tracer; the baseline stamps events at the user site
-    /// (there is no query shipping, so records carry no hop or query id).
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
     }
 
     fn emit(&self, time_us: u64, event: TraceEvent) {
@@ -232,7 +217,7 @@ impl DataShipUser {
         while let Some(item) = queue.pop_front() {
             self.process(net, item, &mut queue);
         }
-        if self.outstanding == 0 && !self.complete {
+        if self.outstanding == 0 && !self.record.complete {
             self.finish(net.now_us());
         }
     }
@@ -288,10 +273,10 @@ impl DataShipUser {
                                 span_us: net.now_us().saturating_sub(eval_t0) + self.proc.eval_us,
                             },
                         );
-                        if self.first_result_us.is_none() {
-                            self.first_result_us = Some(net.now_us());
+                        if self.record.first_result_us.is_none() {
+                            self.record.first_result_us = Some(net.now_us());
                         }
-                        let bucket = self.results.entry(idx as u32).or_default();
+                        let bucket = self.record.results.entry(idx as u32).or_default();
                         for row in rows {
                             bucket.push((item.node.clone(), row));
                         }
@@ -325,13 +310,8 @@ impl DataShipUser {
     }
 
     fn finish(&mut self, now_us: u64) {
-        self.complete = true;
-        self.completed_at_us = Some(now_us);
-    }
-
-    /// Total rows across stages.
-    pub fn total_rows(&self) -> usize {
-        self.results.values().map(Vec::len).sum()
+        self.record.complete = true;
+        self.record.completed_at_us = Some(now_us);
     }
 }
 
@@ -375,8 +355,8 @@ impl Deployment {
             net.register(site, Box::new(PlainWebServer::new(self.web.clone())));
         }
         let addr = user_addr();
-        let mut user = DataShipUser::with_proc(query, addr.clone(), self.config.proc);
-        user.set_tracer(self.config.tracer.clone());
+        let (proc, tracer) = (self.config.proc, self.config.tracer.clone());
+        let user = DataShipUser::new(query, addr.clone(), proc, tracer);
         net.register(addr.clone(), Box::new(SimDataUser { user }));
         net.start(&addr);
         let duration_us = self.drain(&mut net);
@@ -385,17 +365,8 @@ impl Deployment {
             .actor_mut::<SimDataUser>(&addr)
             .expect("baseline user registered");
         Ok(QueryOutcome {
-            complete: user.user.complete,
-            results: user.user.results.clone(),
-            trace: Vec::new(),
-            first_result_us: user.user.first_result_us,
-            completed_at_us: user.user.completed_at_us,
-            cht_stats: crate::cht::ChtStats::default(),
-            failed_entries: Vec::new(),
-            shed_entries: Vec::new(),
-            dead_link_entries: Vec::new(),
-            why_incomplete: None,
-            metrics: net.metrics.clone(),
+            record: std::mem::take(&mut user.user.record),
+            metrics: net.metrics,
             duration_us,
             server_stats: BTreeMap::new(),
         })

@@ -6,16 +6,17 @@
 //! it onto a simulated network ([`Deployment::sim_net`]) and
 //! [`crate::tcprun`] starts it as loopback daemons
 //! ([`Deployment::tcp_cluster`]); the run forms built on those —
-//! `query_sim`, `workload_sim`, `hybrid_sim`, `datashipping_sim`,
-//! `query_tcp`, `queries_tcp`, `workload_tcp` — are methods of the same
-//! value, and each `run_*` function of this crate and of `webdis-load`
-//! is one of them with the unsaid fields at their defaults.
+//! `query_sim`, `workload_sim`, `datashipping_sim`, `query_tcp`,
+//! `queries_tcp`, `workload_tcp` — are methods of the same value, and
+//! each `run_*` function of this crate and of `webdis-load` is one of
+//! them with the unsaid fields at their defaults (hybrid execution is
+//! `query_sim` with `participating` and `config.hybrid` said).
 
 use webdis_model::SiteAddr;
 use webdis_trace::{TraceEvent as TrEvent, TraceRecord};
 use webdis_web::{Mutation, MutationSchedule, WebView};
 
-use crate::config::EngineConfig;
+use crate::config::{CompletionMode, EngineConfig};
 
 /// A web and the engines serving it, independent of the transport they
 /// run on. A plain value: set the fields, then run it any number of
@@ -47,6 +48,19 @@ impl Deployment {
             config,
             participating: None,
         }
+    }
+
+    /// The configuration as every query server and user site is handed
+    /// it. Hybrid execution (Section 7.1) is defined over CHT completion
+    /// — a server announces the destinations it could not reach in a
+    /// report and the user-site fallback clears them, which ack chains
+    /// cannot express — so `hybrid` forces the protocol here, once.
+    pub(crate) fn engine_config(&self) -> EngineConfig {
+        let mut config = self.config.clone();
+        if config.hybrid {
+            config.completion = CompletionMode::Cht;
+        }
+        config
     }
 
     /// True when `site` runs a query server.

@@ -14,7 +14,10 @@
 //!   forwarding with per-site batching it shares with the user site live
 //!   in the private `visit` module;
 //! * [`user`] — the user-site client (Figure 2): query dispatch, result
-//!   collection, and completion detection;
+//!   collection, and completion detection; and, as a private part of it
+//!   present when `EngineConfig::hybrid` is set, the Section-7.1
+//!   fallback that downloads and evaluates the nodes of sites that run
+//!   no query server;
 //! * [`cht`] — the Current Hosts Table protocol (Section 2.7.1), extended
 //!   with tombstones so completion detection stays exact when reports
 //!   overtake the merges that announce them on an asynchronous network;
@@ -28,8 +31,11 @@
 //!   function a one-line form of one of them;
 //! * [`client`] — the user-site client process (Section 4.3), the one
 //!   user-site driver: an actor on the simulator, a receive loop on TCP;
-//! * [`record`] — the one per-query record every run reports through;
-//! * [`simrun`] — the deployment on the deterministic simulator;
+//! * [`record`] — the one per-query record every run reports through:
+//!   filled in place by the user site, wrapped by [`QueryOutcome`];
+//! * [`simrun`] — the deployment on the deterministic simulator
+//!   (`query_sim`, `workload_sim` from a plan; hybrid is `query_sim` with
+//!   `participating` and `hybrid` said);
 //! * [`datashipping`] — the centralized download-and-evaluate baseline
 //!   the paper argues against (Sections 1 and 6);
 //! * [`tcprun`] — the same engine on real TCP sockets over loopback, one
@@ -60,7 +66,6 @@ pub mod client;
 pub mod config;
 pub mod datashipping;
 pub mod deploy;
-pub mod hybrid;
 pub mod logtable;
 pub mod network;
 pub mod record;
@@ -72,19 +77,18 @@ pub mod user;
 mod visit;
 
 pub use cht::{Cht, ChtStats};
-pub use client::{ClientProcess, ScheduledClient, ScheduledSubmission};
+pub use client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 pub use config::{
     AdmissionPolicy, ChtMode, CompletionMode, EngineConfig, ExpiryPolicy, LogMode, ProcModel,
 };
 pub use datashipping::{run_datashipping_sim, DataShipUser};
 pub use deploy::Deployment;
-pub use hybrid::{run_query_hybrid_sim, HybridStats, HybridUser};
 pub use logtable::{LogOutcome, LogTable};
 pub use network::{query_server_addr, Network, NetworkError};
-pub use record::{result_set, QueryOutcome, QueryRecord, WorkloadOutcome};
+pub use record::{result_set, HybridStats, QueryOutcome, QueryRecord, WorkloadOutcome};
 pub use report::{render_html, render_text, ResultsView};
 pub use server::{ServerEngine, ServerStats};
-pub use simrun::{run_query_sim, SimRunError};
+pub use simrun::{run_query_hybrid_sim, run_query_sim, SimRunError};
 pub use tcprun::{run_queries_tcp, run_query_tcp, TcpCluster, TcpFaultPlan, TcpNet};
 pub use user::{TraceEvent, UserSite};
 pub use webdis_cache::{AnswerCache, CachePolicy, CacheStats};

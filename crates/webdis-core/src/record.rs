@@ -1,9 +1,12 @@
 //! What a run reports: one [`QueryRecord`] per query, however it was
-//! run; a [`WorkloadOutcome`] around the records of a many-query run;
-//! and [`QueryOutcome`], the flat single-query form of a simulated run
-//! (the record plus the network's traffic metrics).
+//! run — the one list of a query's fate, filled in place by its
+//! [`UserSite`](crate::UserSite); a [`WorkloadOutcome`] around the
+//! records of a many-query run; and [`QueryOutcome`], the single-query
+//! form of a simulated run, which wraps the record beside the network's
+//! traffic metrics and reads through to it.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 
 use webdis_model::{SiteAddr, Url};
 use webdis_net::CloneState;
@@ -13,7 +16,23 @@ use webdis_trace::TraceHandle;
 
 use crate::cht::ChtStats;
 use crate::server::ServerStats;
-use crate::user::{TraceEvent, UserSite};
+use crate::user::TraceEvent;
+
+/// Counters of the Section-7.1 fallback (all zero unless the query ran
+/// with `EngineConfig::hybrid`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HybridStats {
+    /// Nodes handed back by servers (plus non-participating StartNodes).
+    pub handoffs: u64,
+    /// Documents downloaded by the fallback.
+    pub fetches: u64,
+    /// Node-query evaluations performed at the user site.
+    pub local_evaluations: u64,
+    /// Clones dispatched back into participating sites.
+    pub reentries: u64,
+    /// Fallback arrivals dropped as duplicates by the local log table.
+    pub local_duplicates: u64,
+}
 
 /// The canonical, order-insensitive view of a result — `(stage, node,
 /// rendered values)` — that engines, transports and configurations are
@@ -34,45 +53,56 @@ pub fn result_set(
     out
 }
 
-/// One query's fate, as its user site saw it. Times are µs on the run's
-/// clock: virtual in simulated runs, wall-clock since the cluster came
-/// up in TCP runs.
-#[derive(Debug, Clone)]
+/// One query's fate, as its user site saw it — the one place the list is
+/// written: the [`UserSite`](crate::UserSite) owns its query's record and
+/// fills it as reports arrive, the data-shipping oracle fills one too,
+/// and [`QueryOutcome`] wraps it. Times are µs on the run's clock:
+/// virtual in simulated runs, wall-clock since the cluster came up in
+/// TCP runs.
+#[derive(Debug, Clone, Default)]
 pub struct QueryRecord {
     /// Index of the submitting client process in the run.
     pub user: usize,
     /// Query number within that client process.
     pub query_num: u64,
-    /// Submission time.
+    /// Time the query was dispatched (0 until then).
     pub submitted_us: u64,
-    /// True when completion was detected.
+    /// True once completion was detected (it always should be, absent
+    /// fault injection).
     pub complete: bool,
-    /// Completion time.
-    pub completed_us: Option<u64>,
-    /// Time of the first result row.
+    /// Time completion was detected.
+    pub completed_at_us: Option<u64>,
+    /// Time of the first received result row.
     pub first_result_us: Option<u64>,
     /// Rows per global stage, with producing node.
     pub results: BTreeMap<u32, Vec<(Url, ResultRow)>>,
     /// Node-report trace in arrival order.
     pub trace: Vec<TraceEvent>,
     /// Nodes written off by stale-entry expiry (Section 7.1 graceful
-    /// recovery). Empty on fault-free runs.
+    /// recovery) — their servers never answered (crashed or lost
+    /// clones). Empty on fault-free runs.
     pub failed_entries: Vec<(Url, CloneState)>,
-    /// Nodes refused by server-side admission control (load shedding).
+    /// Nodes refused by server-side admission control
+    /// ([`Disposition::Shed`](webdis_net::Disposition) reports): the
+    /// servers were full, so these parts of the traversal were never
+    /// processed. The query still completes — with
+    /// [`TermReason::Shed`](webdis_trace::TermReason) — because the
+    /// shedding server reports every refused node back explicitly. Empty
+    /// unless the config sets an
+    /// [`AdmissionPolicy`](crate::config::AdmissionPolicy) and the offered
+    /// load exceeded it.
     pub shed_entries: Vec<(Url, CloneState)>,
     /// Nodes whose documents were deleted before the clone arrived
     /// (living-web link rot): each branch terminated gracefully with a
     /// dead-link report. Benign — the web changed, the engine did not
     /// lose rows. Always empty on a frozen web.
     pub dead_link_entries: Vec<(Url, CloneState)>,
-    /// `failed_entries.len()`, flat for the workload reports that sum it.
-    pub failed_nodes: usize,
-    /// `shed_entries.len()`.
-    pub shed_nodes: usize,
-    /// `dead_link_entries.len()`.
-    pub dead_link_nodes: usize,
+    /// What the Section-7.1 fallback did for this query.
+    pub hybrid: HybridStats,
     /// True when the home-site CHT converged: every entry marked deleted
     /// and no tombstone outstanding (the paper's completion condition).
+    /// This and the three fields below are the end-of-run facts, written
+    /// when the user site hands the record over.
     pub cht_converged: bool,
     /// Live (non-deleted) CHT entries left at the end of the run.
     pub cht_live: usize,
@@ -85,41 +115,25 @@ pub struct QueryRecord {
 }
 
 impl QueryRecord {
-    /// The record of `site`'s query, submitted by client process `user`.
-    /// The end of a run: the rows, trace and written-off entries the
-    /// site collected move into the record and leave the site empty.
-    pub fn of(user: usize, site: &mut UserSite) -> QueryRecord {
-        QueryRecord {
-            user,
-            query_num: site.id.query_num,
-            submitted_us: site.submitted_us,
-            complete: site.complete,
-            completed_us: site.completed_at_us,
-            first_result_us: site.first_result_us,
-            failed_nodes: site.failed_entries.len(),
-            shed_nodes: site.shed_entries.len(),
-            dead_link_nodes: site.dead_link_entries.len(),
-            cht_converged: site.cht.complete(),
-            cht_live: site.cht.live_entries().count(),
-            cht_stats: site.cht.stats,
-            why_incomplete: site.why_incomplete(),
-            results: std::mem::take(&mut site.results),
-            trace: std::mem::take(&mut site.trace),
-            failed_entries: std::mem::take(&mut site.failed_entries),
-            shed_entries: std::mem::take(&mut site.shed_entries),
-            dead_link_entries: std::mem::take(&mut site.dead_link_entries),
-        }
-    }
-
     /// Submission-to-completion latency, µs; `None` while incomplete.
     pub fn latency_us(&self) -> Option<u64> {
-        self.completed_us
+        self.completed_at_us
             .map(|done| done.saturating_sub(self.submitted_us))
     }
 
     /// True when at least one node was refused by admission control.
     pub fn was_shed(&self) -> bool {
-        self.shed_nodes > 0
+        !self.shed_entries.is_empty()
+    }
+
+    /// Rows collected for one global stage (empty slice if none).
+    pub fn rows_of_stage(&self, stage: u32) -> &[(Url, ResultRow)] {
+        self.results.get(&stage).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// Total rows across all stages.
+    pub fn total_rows(&self) -> usize {
+        self.results.values().map(Vec::len).sum()
     }
 
     /// The canonical [`result_set`] of this query's rows.
@@ -147,7 +161,7 @@ impl WorkloadOutcome {
     pub fn completed_clean(&self) -> usize {
         self.records
             .iter()
-            .filter(|r| r.complete && !r.was_shed() && r.failed_nodes == 0)
+            .filter(|r| r.complete && !r.was_shed() && r.failed_entries.is_empty())
             .count()
     }
 
@@ -188,81 +202,31 @@ impl WorkloadOutcome {
     }
 }
 
-/// Everything a finished single-query simulated run exposes.
+/// Everything a finished single-query simulated run exposes: the
+/// query's record — which it dereferences to, so `outcome.complete` or
+/// `outcome.result_set()` read the record — beside what the network and
+/// the servers counted.
 #[derive(Debug)]
 pub struct QueryOutcome {
-    /// True when the CHT detected completion (it always should, absent
-    /// fault injection).
-    pub complete: bool,
-    /// Rows per global stage, with producing node.
-    pub results: BTreeMap<u32, Vec<(Url, ResultRow)>>,
-    /// Node-report trace in arrival order.
-    pub trace: Vec<TraceEvent>,
+    /// The query's fate.
+    pub record: QueryRecord,
     /// Network traffic metrics.
     pub metrics: Metrics,
     /// Virtual makespan of the whole run, µs.
     pub duration_us: u64,
-    /// Virtual time of the first result row at the user site.
-    pub first_result_us: Option<u64>,
-    /// Virtual time completion was detected.
-    pub completed_at_us: Option<u64>,
     /// Per-site server counters.
     pub server_stats: BTreeMap<SiteAddr, ServerStats>,
-    /// User-site CHT counters.
-    pub cht_stats: ChtStats,
-    /// See [`QueryRecord::failed_entries`].
-    pub failed_entries: Vec<(Url, CloneState)>,
-    /// See [`QueryRecord::shed_entries`]. Empty unless the config sets
-    /// an [`AdmissionPolicy`](crate::config::AdmissionPolicy) and the
-    /// offered load exceeded it.
-    pub shed_entries: Vec<(Url, CloneState)>,
-    /// See [`QueryRecord::dead_link_entries`].
-    pub dead_link_entries: Vec<(Url, CloneState)>,
-    /// See [`QueryRecord::why_incomplete`].
-    pub why_incomplete: Option<String>,
+}
+
+impl Deref for QueryOutcome {
+    type Target = QueryRecord;
+
+    fn deref(&self) -> &QueryRecord {
+        &self.record
+    }
 }
 
 impl QueryOutcome {
-    /// The single-query form of a simulated run: the query's record
-    /// beside what the network and the servers counted.
-    pub(crate) fn new(
-        record: QueryRecord,
-        metrics: Metrics,
-        duration_us: u64,
-        server_stats: BTreeMap<SiteAddr, ServerStats>,
-    ) -> QueryOutcome {
-        QueryOutcome {
-            complete: record.complete,
-            results: record.results,
-            trace: record.trace,
-            first_result_us: record.first_result_us,
-            completed_at_us: record.completed_us,
-            cht_stats: record.cht_stats,
-            failed_entries: record.failed_entries,
-            shed_entries: record.shed_entries,
-            dead_link_entries: record.dead_link_entries,
-            why_incomplete: record.why_incomplete,
-            metrics,
-            duration_us,
-            server_stats,
-        }
-    }
-
-    /// Rows of one stage (empty slice if none).
-    pub fn rows_of_stage(&self, stage: u32) -> &[(Url, ResultRow)] {
-        self.results.get(&stage).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total rows across stages.
-    pub fn total_rows(&self) -> usize {
-        self.results.values().map(Vec::len).sum()
-    }
-
-    /// The canonical [`result_set`] of the run's rows.
-    pub fn result_set(&self) -> BTreeSet<(u32, String, Vec<String>)> {
-        result_set(&self.results)
-    }
-
     /// Sum of one server counter over all sites.
     pub fn sum_stat(&self, f: impl Fn(&ServerStats) -> u64) -> u64 {
         self.server_stats.values().map(f).sum()

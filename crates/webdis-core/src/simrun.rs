@@ -14,11 +14,11 @@ use webdis_net::Message;
 use webdis_sim::{Actor, Ctx, SendError, SimConfig, SimEvent, SimNet};
 use webdis_trace::RegistrySnapshot;
 
-use crate::client::{ClientProcess, ScheduledClient, ScheduledSubmission};
+use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::{query_server_addr, Network, NetworkError};
-use crate::record::{QueryOutcome, WorkloadOutcome};
+use crate::record::{HybridStats, QueryOutcome, WorkloadOutcome};
 use crate::server::{fetch_reply, ServerEngine, ServerStats};
 
 /// The address the user-site client listens on, in simulated runs and on
@@ -26,6 +26,16 @@ use crate::server::{fetch_reply, ServerEngine, ServerStats};
 pub fn user_addr() -> SiteAddr {
     SiteAddr {
         host: "user.test".into(),
+        port: 9900,
+    }
+}
+
+/// The address user `user` of a workload listens on in a simulated run.
+/// Distinct hosts per user keep `QueryId`s globally unique (the id embeds
+/// host and port) and give each client its own actor endpoint.
+pub fn load_user_addr(user: usize) -> SiteAddr {
+    SiteAddr {
+        host: format!("user{user}.load.test").into(),
         port: 9900,
     }
 }
@@ -159,7 +169,7 @@ impl Deployment {
             // ...participating sites also run the query daemon.
             if self.participates(&site) {
                 let engine =
-                    ServerEngine::with_view(site.clone(), self.web.clone(), self.config.clone());
+                    ServerEngine::with_view(site.clone(), self.web.clone(), self.engine_config());
                 net.register(query_server_addr(&site), Box::new(SimServer { engine }));
             }
         }
@@ -172,12 +182,18 @@ impl Deployment {
     /// the clock themselves; [`client_of`] reads the queries back.
     pub fn sim_with_client(&self, sim_cfg: SimConfig, queries: Vec<WebQuery>) -> SimNet {
         let mut net = self.sim_net(sim_cfg);
-        let client = ClientProcess::new("webdis", user_addr(), self.config.clone());
-        let at_start = |query| (0, ScheduledSubmission { at_us: 0, query });
-        let plan = queries.into_iter().map(at_start).collect();
+        let client = ClientProcess::new("webdis", user_addr(), self.engine_config());
+        let plan = queries.into_iter().map(|q| (0, PlannedQuery::at(0, q)));
+        let plan = plan.collect();
         let actor = ScheduledClient::new(vec![client], plan);
         net.register(user_addr(), Box::new(actor));
         net
+    }
+
+    /// User `user`'s client process in a workload run, receiving results
+    /// at `addr`.
+    pub(crate) fn load_client(&self, user: usize, addr: SiteAddr) -> ClientProcess {
+        ClientProcess::new(&format!("load{user}"), addr, self.engine_config())
     }
 
     /// The one clock loop of a simulated run. Every scheduled mutation
@@ -255,16 +271,17 @@ impl Deployment {
         let duration_us = self.drain(&mut net);
         let record = client_of(&mut net).take_records(0).remove(0);
         let server_stats = self.sim_server_stats(&mut net);
-        Ok(QueryOutcome::new(
+        Ok(QueryOutcome {
             record,
-            net.metrics,
+            metrics: net.metrics,
             duration_us,
             server_stats,
-        ))
+        })
     }
 
-    /// Runs many client processes — one simulated user site each, at its
-    /// own address — in one deterministic event loop: every submission
+    /// Runs a workload plan — one client process per user, `load<i>` at
+    /// [`load_user_addr`]`(i)`, each a simulated user site of its own — in
+    /// one deterministic event loop: every submission
     /// fires from a virtual timer, so M concurrent users interleave with
     /// the per-site daemons in one totally-ordered event sequence, and
     /// the same run twice is *identical*, message for message. Stops
@@ -281,7 +298,7 @@ impl Deployment {
     pub fn workload_sim(
         &self,
         sim_cfg: SimConfig,
-        clients: Vec<ScheduledClient>,
+        plans: Vec<UserPlan>,
         horizon_us: u64,
         observer: &mut dyn FnMut(u64, &RegistrySnapshot),
     ) -> WorkloadOutcome {
@@ -291,12 +308,14 @@ impl Deployment {
         let sites = self.web.sites();
 
         let mut net = self.sim_net(sim_cfg);
-        let mut addrs = Vec::with_capacity(clients.len());
-        for client in clients {
-            let addr = client.clients[0].addr().clone();
-            net.register(addr.clone(), Box::new(client));
+        let users = plans.len();
+        for plan in plans {
+            let addr = load_user_addr(plan.user);
+            let client = self.load_client(plan.user, addr.clone());
+            let planned = plan.submissions.into_iter().map(|s| (0, s));
+            let actor = ScheduledClient::new(vec![client], planned.collect());
+            net.register(addr.clone(), Box::new(actor));
             net.start(&addr);
-            addrs.push(addr);
         }
 
         let purge_period = self.config.log_purge_us;
@@ -328,8 +347,8 @@ impl Deployment {
             duration_us,
             server_stats: self.sim_server_stats(&mut net),
         };
-        for (user, addr) in addrs.iter().enumerate() {
-            let actor = net.actor_mut::<ScheduledClient>(addr);
+        for user in 0..users {
+            let actor = net.actor_mut::<ScheduledClient>(&load_user_addr(user));
             let actor = actor.expect("client process registered");
             outcome.unsubmitted += actor.unsubmitted();
             outcome.records.extend(actor.clients[0].take_records(user));
@@ -357,6 +376,27 @@ pub fn run_query_sim(
     sim_cfg: SimConfig,
 ) -> Result<QueryOutcome, SimRunError> {
     Deployment::new(web, engine_cfg).query_sim(disql, sim_cfg)
+}
+
+/// Runs a DISQL query in hybrid mode (Section 7.1) on the frozen `web`:
+/// only `participating` sites run query servers, the rest are reached
+/// through the user-site fallback, whose counters are returned beside
+/// the outcome they ride on. An empty list degenerates to (CHT-accounted)
+/// data shipping. [`Deployment::query_sim`] with `participating` and
+/// `hybrid` said.
+pub fn run_query_hybrid_sim(
+    web: Arc<webdis_web::HostedWeb>,
+    disql: &str,
+    mut engine_cfg: EngineConfig,
+    sim_cfg: SimConfig,
+    participating: &[SiteAddr],
+) -> Result<(QueryOutcome, HybridStats), SimRunError> {
+    engine_cfg.hybrid = true;
+    let mut deployment = Deployment::new(web, engine_cfg);
+    deployment.participating = Some(participating.to_vec());
+    let outcome = deployment.query_sim(disql, sim_cfg)?;
+    let stats = outcome.hybrid;
+    Ok((outcome, stats))
 }
 
 #[cfg(test)]

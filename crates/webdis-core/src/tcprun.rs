@@ -25,7 +25,7 @@ use webdis_net::{
 };
 use webdis_trace::{MetricsExporter, TraceEvent as TrEvent, TraceHandle, TraceRecord};
 
-use crate::client::{ClientProcess, ScheduledClient, ScheduledSubmission, SUBMIT_TIMER_TOKEN};
+use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan, SUBMIT_TIMER_TOKEN};
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::{query_server_addr, Network, NetworkError};
@@ -538,7 +538,7 @@ impl Deployment {
     /// auditable after the fact. The thread is joined at
     /// [`TcpCluster::shutdown`].
     pub fn tcp_cluster(&self, faults: TcpFaultPlan) -> TcpCluster {
-        let (web, engine_cfg) = (&self.web, &self.config);
+        let (web, engine_cfg) = (&self.web, &self.engine_config());
         let epoch = Instant::now();
         let user_site = user_addr();
         let mut endpoints: Vec<(SiteAddr, TcpEndpoint)> = Vec::new();
@@ -729,18 +729,26 @@ impl TcpCluster {
 }
 
 impl Deployment {
-    /// Runs client processes and their planned submissions over a fresh
-    /// loopback cluster ([`TcpCluster::drive`]), then shuts it down.
-    /// Times in the outcome are µs since the cluster came up.
+    /// Runs a workload plan over a fresh loopback cluster
+    /// ([`TcpCluster::drive`]), then shuts it down: every user is a client
+    /// process `load<i>` on the cluster's one result endpoint — the
+    /// paper's QueryID design (`user, IP, port, query number`) exists so
+    /// a single listening socket can serve many concurrent queries; here
+    /// the user name in every report's id additionally tells many *users*
+    /// apart. Times in the outcome are µs since the cluster came up.
     pub fn workload_tcp(
         &self,
         faults: TcpFaultPlan,
-        clients: Vec<ClientProcess>,
-        submissions: Vec<(usize, ScheduledSubmission)>,
+        plans: Vec<UserPlan>,
         deadline: Duration,
     ) -> WorkloadOutcome {
+        let (mut clients, mut planned) = (Vec::new(), Vec::new());
+        for plan in plans {
+            clients.push(self.load_client(plan.user, user_addr()));
+            planned.extend(plan.submissions.into_iter().map(|s| (plan.user, s)));
+        }
+        let mut user = ScheduledClient::new(clients, planned);
         let cluster = self.tcp_cluster(faults);
-        let mut user = ScheduledClient::new(clients, submissions);
         cluster.drive(&mut cluster.user_net(), &mut user, deadline);
         let duration_us = cluster.now_us();
         let engines = cluster.shutdown();
@@ -773,9 +781,9 @@ impl Deployment {
         let mut submissions = Vec::with_capacity(disqls.len());
         for disql in disqls {
             let query = parse_disql(disql).map_err(SimRunError::Parse)?;
-            submissions.push((0, ScheduledSubmission { at_us: 0, query }));
+            submissions.push((0, PlannedQuery::at(0, query)));
         }
-        let client = ClientProcess::new("webdis", user_addr(), self.config.clone());
+        let client = ClientProcess::new("webdis", user_addr(), self.engine_config());
         let mut user = ScheduledClient::new(vec![client], submissions);
         let cluster = self.tcp_cluster(faults);
         cluster.drive(&mut cluster.user_net(), &mut user, deadline);
@@ -838,7 +846,7 @@ mod tests {
         user: &mut ScheduledClient,
     ) -> u64 {
         let query = parse_disql(figures::CAMPUS_QUERY).expect("valid query");
-        let at_once = ScheduledSubmission { at_us: 0, query };
+        let at_once = PlannedQuery::at(0, query);
         *user = ScheduledClient::new(std::mem::take(&mut user.clients), vec![(0, at_once)]);
         cluster.drive(net, user, Duration::from_secs(30));
         assert!(user.done(), "query must complete over TCP");
@@ -1033,21 +1041,23 @@ mod tests {
                 (0, figures::EXAMPLE_QUERY_1),
                 (1_000, figures::CAMPUS_QUERY),
             ];
-            let planned = planned.map(|(at_us, disql)| {
-                let query = parse_disql(disql).expect("valid query");
-                (0, ScheduledSubmission { at_us, query })
-            });
-            let client = ClientProcess::new("webdis", user_addr(), cfg.clone());
-            ScheduledClient::new(vec![client], planned.into())
+            planned.map(|(at_us, disql)| {
+                PlannedQuery::at(at_us, parse_disql(disql).expect("valid query"))
+            })
         };
         let deployment = Deployment::new(Arc::clone(&web), cfg.clone());
 
         let sim_cfg = webdis_sim::SimConfig::default();
-        let sim = deployment.workload_sim(sim_cfg, vec![plan()], u64::MAX, &mut |_, _| {});
+        let plans = vec![UserPlan {
+            user: 0,
+            submissions: plan().into(),
+        }];
+        let sim = deployment.workload_sim(sim_cfg, plans, u64::MAX, &mut |_, _| {});
 
         let cluster = deployment.tcp_cluster(TcpFaultPlan::default());
         let mut net = cluster.user_net();
-        let mut user = plan();
+        let client = ClientProcess::new("webdis", user_addr(), cfg.clone());
+        let mut user = ScheduledClient::new(vec![client], plan().map(|s| (0, s)).into());
         cluster.drive(&mut net, &mut user, Duration::from_secs(30));
         let sweeps = net.timers.iter();
         let sweeps = sweeps.filter(|t| t.0 .1 == crate::client::EXPIRY_TIMER_TOKEN);
@@ -1176,10 +1186,10 @@ mod tests {
         .unwrap();
         assert!(outcomes[0].complete && outcomes[1].complete);
         assert!(
-            outcomes[1].completed_us < outcomes[0].completed_us,
+            outcomes[1].completed_at_us < outcomes[0].completed_at_us,
             "single-site query ({:?}) must complete before the campus query ({:?})",
-            outcomes[1].completed_us,
-            outcomes[0].completed_us,
+            outcomes[1].completed_at_us,
+            outcomes[0].completed_at_us,
         );
     }
 

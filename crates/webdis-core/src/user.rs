@@ -2,19 +2,23 @@
 //! web-query to the StartNodes, collects results on its listening
 //! endpoint, maintains the Current Hosts Table, and detects completion.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
+use std::ops::Deref;
 use std::sync::Arc;
 
 use webdis_disql::WebQuery;
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{ChtEntry, CloneState, Disposition, Message, QueryId, ResultReport};
-use webdis_rel::ResultRow;
 use webdis_trace::{TermReason, TraceEvent as TrEvent, TraceRecord};
 
 use crate::cht::Cht;
 use crate::config::{CompletionMode, EngineConfig, ExpiryPolicy};
 use crate::network::{query_server_addr, Network};
+use crate::record::QueryRecord;
 use crate::visit::{distinct_nodes, Forward, ForwardGroups};
+
+mod fallback;
+use fallback::Fallback;
 
 /// One entry of the execution trace, recorded per node report — this is
 /// what the figure-reproduction harnesses print.
@@ -36,7 +40,10 @@ pub struct TraceEvent {
     pub forwards: usize,
 }
 
-/// The user-site client for one query.
+/// The user-site client for one query. It owns the query's
+/// [`QueryRecord`] and fills it in place — rows, trace, times and
+/// written-off entries — and dereferences to it, so `site.complete` or
+/// `site.results` read the record.
 pub struct UserSite {
     /// The query's global identity.
     pub id: QueryId,
@@ -44,42 +51,11 @@ pub struct UserSite {
     config: EngineConfig,
     /// The Current Hosts Table.
     pub cht: Cht,
-    /// Collected rows per global stage index, with the producing node.
-    pub results: BTreeMap<u32, Vec<(Url, ResultRow)>>,
-    /// Per-report trace in arrival order.
-    pub trace: Vec<TraceEvent>,
-    /// Time [`UserSite::start`] dispatched the query (0 until then), on
-    /// the same clock as `completed_at_us`.
-    pub submitted_us: u64,
-    /// True once the CHT reports completion.
-    pub complete: bool,
-    /// Virtual time of the first received result row.
-    pub first_result_us: Option<u64>,
-    /// Virtual time at which completion was detected.
-    pub completed_at_us: Option<u64>,
+    record: QueryRecord,
     /// StartNode sites that refused the initial dispatch.
     pub unreachable_start_sites: Vec<SiteAddr>,
-    /// In hybrid mode, the nodes awaiting the hybrid engine's centralized
-    /// processing, their CHT entries still live: StartNodes whose sites
-    /// run no query server, and nodes a server handed back
-    /// ([`Disposition::Handoff`] reports). The hybrid engine drains it;
-    /// always empty otherwise.
-    pub handoffs: Vec<(Url, CloneState)>,
-    /// Entries declared failed by [`UserSite::expire_stale`] — nodes whose
-    /// servers never answered (crashed or lost clones).
-    pub failed_entries: Vec<(Url, CloneState)>,
-    /// Nodes refused under server-side admission control
-    /// ([`Disposition::Shed`] reports): the servers were full, so these
-    /// parts of the traversal were never processed. The query still
-    /// completes — with [`TermReason::Shed`] — because the shedding
-    /// server reports every refused node back explicitly.
-    pub shed_entries: Vec<(Url, CloneState)>,
-    /// Nodes whose documents were deleted before the clone arrived
-    /// ([`Disposition::DeadLink`] reports, living-web link rot): those
-    /// branches terminated gracefully at the rotten link. The query
-    /// still completes cleanly — the rows are simply those reachable on
-    /// the web as it existed during the traversal.
-    pub dead_link_entries: Vec<(Url, CloneState)>,
+    /// The Section-7.1 fallback: present exactly when `config.hybrid`.
+    fallback: Option<Fallback>,
     /// Outstanding StartNode clones under ack-chain completion (the
     /// user site is the Dijkstra–Scholten root).
     ack_deficit: u64,
@@ -92,48 +68,62 @@ pub struct UserSite {
     started: bool,
 }
 
+impl Deref for UserSite {
+    type Target = QueryRecord;
+
+    fn deref(&self) -> &QueryRecord {
+        &self.record
+    }
+}
+
 impl UserSite {
     /// Creates the client; call [`UserSite::start`] to dispatch.
     pub fn new(id: QueryId, query: WebQuery, config: EngineConfig) -> UserSite {
-        let cht = Cht::new(config.cht_mode);
         UserSite {
-            id,
-            query,
-            config,
-            cht,
-            results: BTreeMap::new(),
-            trace: Vec::new(),
-            submitted_us: 0,
-            complete: false,
-            first_result_us: None,
-            completed_at_us: None,
+            cht: Cht::new(config.cht_mode),
+            record: QueryRecord {
+                query_num: id.query_num,
+                ..QueryRecord::default()
+            },
             unreachable_start_sites: Vec::new(),
-            handoffs: Vec::new(),
-            failed_entries: Vec::new(),
-            shed_entries: Vec::new(),
-            dead_link_entries: Vec::new(),
+            fallback: config.hybrid.then(Fallback::default),
             ack_deficit: 0,
             seen_reports: BTreeSet::new(),
             started: false,
+            id,
+            query,
+            config,
         }
+    }
+
+    /// The end of a run: hands over the record, filed under client index
+    /// `user`, adding the end-of-run CHT facts and the diagnosis.
+    pub fn into_record(mut self, user: usize) -> QueryRecord {
+        self.record.user = user;
+        self.record.cht_converged = self.cht.complete();
+        self.record.cht_live = self.cht.live_entries().count();
+        self.record.cht_stats = self.cht.stats;
+        self.record.why_incomplete = self.why_incomplete();
+        self.record
     }
 
     /// `send_query` of Figure 2: enters the StartNodes into the CHT and
     /// dispatches the query to their sites (batched per site when
     /// optimization 4 is on). Admits the query to the monitor's in-flight
     /// table; completion retires it, so every started query is admitted
-    /// and retired exactly once however it was submitted.
+    /// and retired exactly once however it was submitted. In hybrid mode
+    /// StartNodes on non-participating sites go straight to the fallback.
     pub fn start(&mut self, net: &mut dyn Network) {
         assert!(!self.started, "query already started");
         self.started = true;
-        self.submitted_us = net.now_us();
+        self.record.submitted_us = net.now_us();
         self.cht.tick(net.now_us());
         if let Some(monitor) = &self.config.monitor {
             monitor.admit(&self.id, net.now_us());
         }
         if self.query.stages.is_empty() {
-            self.complete = true;
-            self.completed_at_us = Some(net.now_us());
+            self.record.complete = true;
+            self.record.completed_at_us = Some(net.now_us());
             if let Some(monitor) = &self.config.monitor {
                 monitor.retire(&self.id);
             }
@@ -179,8 +169,8 @@ impl UserSite {
                     // cleared so completion detection stays exact.
                     self.unreachable_start_sites.push(site.clone());
                     for node in &dest_nodes {
-                        if self.config.hybrid {
-                            self.handoffs.push((node.clone(), state.clone()));
+                        if let Some(fallback) = &mut self.fallback {
+                            fallback.handoffs.push((node.clone(), state.clone()));
                         } else if !ack_mode {
                             self.cht_delete(net.now_us(), node, &state);
                         }
@@ -189,11 +179,14 @@ impl UserSite {
             }
         }
         self.check_completion(net.now_us());
+        self.run_fallback(net);
     }
 
     /// `receive_results` of Figure 2: stores results, marks the topmost
     /// CHT entry deleted, merges the new entries, and re-checks
-    /// completion.
+    /// completion. In hybrid mode the nodes the report handed back then
+    /// go through the fallback, which also takes the downloads it asked
+    /// for.
     pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
         match msg {
             Message::Report(report) => {
@@ -212,8 +205,10 @@ impl UserSite {
                 self.ack_deficit = self.ack_deficit.saturating_sub(1);
                 self.check_completion(net.now_us());
             }
+            Message::FetchReply(reply) => self.on_fetch_reply(net, reply),
             _ => {}
         }
+        self.run_fallback(net);
     }
 
     /// Records a report's `(origin, seq)` identity and says whether it was
@@ -223,13 +218,15 @@ impl UserSite {
         seq != 0 && !self.seen_reports.insert((Arc::clone(origin), seq))
     }
 
-    /// Applies a report's effects (also used by the hybrid engine, which
-    /// synthesizes reports for its locally-processed nodes).
-    pub(crate) fn apply_report(&mut self, now_us: u64, report: ResultReport) {
+    /// Applies a report's effects (the fallback synthesizes reports for
+    /// its locally-processed nodes and applies them here too).
+    fn apply_report(&mut self, now_us: u64, report: ResultReport) {
         self.cht.tick(now_us);
         for node_report in report.reports {
-            if node_report.disposition == Disposition::Handoff && self.config.hybrid {
-                self.handoffs.push((node_report.node, node_report.state));
+            let handed_back = node_report.disposition == Disposition::Handoff;
+            if let Some(fallback) = self.fallback.as_mut().filter(|_| handed_back) {
+                let handoff = (node_report.node, node_report.state);
+                fallback.handoffs.push(handoff);
                 continue;
             }
             let mut stages_answered = Vec::new();
@@ -237,14 +234,14 @@ impl UserSite {
             for stage_rows in node_report.results {
                 stages_answered.push(stage_rows.stage);
                 row_count += stage_rows.rows.len();
-                let bucket = self.results.entry(stage_rows.stage).or_default();
+                let bucket = self.record.results.entry(stage_rows.stage).or_default();
                 let rows = stage_rows.rows.into_iter();
                 bucket.extend(rows.map(|row| (node_report.node.clone(), row)));
-                if row_count > 0 && self.first_result_us.is_none() {
-                    self.first_result_us = Some(now_us);
+                if row_count > 0 && self.record.first_result_us.is_none() {
+                    self.record.first_result_us = Some(now_us);
                 }
             }
-            self.trace.push(TraceEvent {
+            self.record.trace.push(TraceEvent {
                 time_us: now_us,
                 node: node_report.node.clone(),
                 state: node_report.state.clone(),
@@ -254,11 +251,13 @@ impl UserSite {
                 forwards: node_report.new_entries.len(),
             });
             if node_report.disposition == Disposition::Shed {
-                self.shed_entries
+                self.record
+                    .shed_entries
                     .push((node_report.node.clone(), node_report.state.clone()));
             }
             if node_report.disposition == Disposition::DeadLink {
-                self.dead_link_entries
+                self.record
+                    .dead_link_entries
                     .push((node_report.node.clone(), node_report.state.clone()));
             }
             // Figure 2, lines 10–11: delete the topmost entry, then merge
@@ -276,7 +275,7 @@ impl UserSite {
 
     /// Graceful recovery from node failures (Section 7.1 future work):
     /// declares CHT entries that made no progress within `timeout_us` as
-    /// failed, records them in [`UserSite::failed_entries`], and lets
+    /// failed, records them in [`QueryRecord::failed_entries`], and lets
     /// completion detection conclude. Returns how many entries expired.
     /// Call periodically from the runtime's timer; a sound timeout is
     /// several times the expected per-hop round trip.
@@ -294,7 +293,7 @@ impl UserSite {
                 node: node.to_string(),
             });
         }
-        self.failed_entries.extend(failed);
+        self.record.failed_entries.extend(failed);
         self.check_completion(now_us);
         n
     }
@@ -362,8 +361,8 @@ impl UserSite {
             CompletionMode::AckChain => self.started && self.ack_deficit == 0,
         };
         if !self.complete && done {
-            self.complete = true;
-            self.completed_at_us = Some(now_us);
+            self.record.complete = true;
+            self.record.completed_at_us = Some(now_us);
             let reason = match self.config.completion {
                 CompletionMode::Cht if !self.failed_entries.is_empty() => TermReason::Expired,
                 _ if !self.shed_entries.is_empty() => TermReason::Shed,
@@ -375,16 +374,6 @@ impl UserSite {
                 monitor.retire(&self.id);
             }
         }
-    }
-
-    /// Rows collected for one global stage.
-    pub fn rows_of_stage(&self, stage: u32) -> &[(Url, ResultRow)] {
-        self.results.get(&stage).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Total rows across all stages.
-    pub fn total_rows(&self) -> usize {
-        self.results.values().map(Vec::len).sum()
     }
 
     /// The parsed query (for header rendering).
@@ -427,7 +416,7 @@ mod tests {
     use crate::network::RecordingNetwork;
     use webdis_disql::parse_disql;
     use webdis_net::{NodeReport, StageRows};
-    use webdis_rel::Value;
+    use webdis_rel::{ResultRow, Value};
 
     fn qid() -> QueryId {
         QueryId {

@@ -1,6 +1,7 @@
 //! The DISQL parser: token stream → [`WebQuery`].
 
 use webdis_model::Url;
+use webdis_pre::MAX_NESTING;
 use webdis_rel::{Expr, NodeQuery, RelKind, VarDecl};
 
 use crate::ast::{Stage, WebQuery};
@@ -14,6 +15,7 @@ pub fn parse_disql(input: &str) -> Result<WebQuery, DisqlError> {
         tokens,
         pos: 0,
         input_len: input.len(),
+        depth: 0,
     };
     p.parse_query()
 }
@@ -31,6 +33,8 @@ struct Parser {
     tokens: Vec<(Tok, usize)>,
     pos: usize,
     input_len: usize,
+    /// `not`s and parentheses open around the current condition.
+    depth: u32,
 }
 
 impl Parser {
@@ -286,6 +290,22 @@ impl Parser {
         self.parse_or()
     }
 
+    /// Parses what a `not` or `(` encloses, one level further down — at
+    /// most [`MAX_NESTING`] levels, so the recursive descent is bounded
+    /// whatever the input.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Parser) -> Result<Expr, DisqlError>,
+    ) -> Result<Expr, DisqlError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("condition nested deeper than {MAX_NESTING}")));
+        }
+        self.depth += 1;
+        let inner = parse(self)?;
+        self.depth -= 1;
+        Ok(inner)
+    }
+
     fn parse_or(&mut self) -> Result<Expr, DisqlError> {
         let mut left = self.parse_and()?;
         while matches!(self.peek(), Some(Tok::Kw(Keyword::Or))) {
@@ -309,7 +329,7 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<Expr, DisqlError> {
         if matches!(self.peek(), Some(Tok::Kw(Keyword::Not))) {
             self.bump();
-            let inner = self.parse_unary()?;
+            let inner = self.nested(Parser::parse_unary)?;
             return Ok(Expr::Not(Box::new(inner)));
         }
         self.parse_primary()
@@ -318,7 +338,7 @@ impl Parser {
     fn parse_primary(&mut self) -> Result<Expr, DisqlError> {
         if matches!(self.peek(), Some(Tok::LParen)) {
             self.bump();
-            let inner = self.parse_cond()?;
+            let inner = self.nested(Parser::parse_cond)?;
             match self.peek() {
                 Some(Tok::RParen) => {
                     self.bump();
@@ -676,6 +696,34 @@ mod tests {
         )
         .unwrap();
         assert!(q.stages[0].query.vars[1].cond.is_some());
+    }
+
+    #[test]
+    fn condition_and_pre_nesting_is_bounded() {
+        // The descent recurses per `not` and per `(`: 200 000 of either
+        // used to overflow the stack and abort the process.
+        let limit = MAX_NESTING as usize;
+        let query = |pre: &str, cond: &str| {
+            format!(r#"select d.url from document d such that "http://a/" {pre} d where {cond}"#)
+        };
+        let atom = r#"d.title contains "x""#;
+        let nots = |n: usize| query("L*", &format!("{}{atom}", "not ".repeat(n)));
+        let parens = |n: usize| query("L*", &format!("{}{atom}{}", "(".repeat(n), ")".repeat(n)));
+        let groups = |n: usize| query(&format!("{}L{}", "(".repeat(n), ")".repeat(n)), atom);
+        for nest in [&nots as &dyn Fn(usize) -> String, &parens, &groups] {
+            assert!(parse_disql(&nest(limit)).is_ok());
+            for depth in [limit + 1, 200_000] {
+                let err = parse_disql(&nest(depth)).unwrap_err();
+                assert!(err.message.contains("nested deeper"), "{err}");
+            }
+        }
+        // `not` and `(` share the one budget...
+        let mixed = "not (".repeat(limit / 2 + 1);
+        let mixed = query("L*", &format!("{mixed}{atom}{}", ")".repeat(limit / 2 + 1)));
+        assert!(parse_disql(&mixed).is_err());
+        // ...which counts what is open, not what has been closed.
+        let flat = vec![format!("not ({atom})"); 500].join(" and ");
+        assert!(parse_disql(&query("L*", &flat)).is_ok());
     }
 
     #[test]

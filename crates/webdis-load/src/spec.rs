@@ -6,14 +6,18 @@
 //! times whether or not earlier queries have finished) over a mix of
 //! DISQL templates. The same spec with the same seed always produces the
 //! same plan, which is what makes the throughput experiment (T13)
-//! repeatable down to identical latency histograms.
+//! repeatable down to identical latency histograms. Running the plan is
+//! the deployment's business ([`Deployment::workload_sim`],
+//! [`Deployment::workload_tcp`]).
+
+use std::time::Duration;
 
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
+use webdis_core::{Deployment, PlannedQuery, SimRunError, TcpFaultPlan, UserPlan, WorkloadOutcome};
 use webdis_disql::{parse_disql, WebQuery};
-use webdis_model::SiteAddr;
-
-use webdis_core::SimRunError;
+use webdis_sim::SimConfig;
+use webdis_trace::RegistrySnapshot;
 
 /// How interarrival gaps between one user's submissions are drawn.
 #[derive(Debug, Clone, Copy)]
@@ -189,36 +193,6 @@ impl Default for WorkloadSpec {
     }
 }
 
-/// The address user `i`'s client listens on. Distinct hosts per user keep
-/// `QueryId`s globally unique (the id embeds host and port) and, in the
-/// simulator, give each client its own actor endpoint.
-pub fn load_user_addr(user: usize) -> SiteAddr {
-    SiteAddr {
-        host: format!("user{user}.load.test").into(),
-        port: 9900,
-    }
-}
-
-/// One planned submission.
-#[derive(Debug, Clone)]
-pub struct PlannedQuery {
-    /// Planned submission time, µs since workload start.
-    pub at_us: u64,
-    /// Index into the spec's template mix (for per-template breakdowns).
-    pub template: usize,
-    /// The parsed query.
-    pub query: WebQuery,
-}
-
-/// One user's expanded schedule.
-#[derive(Debug, Clone)]
-pub struct UserPlan {
-    /// User index (0-based); address is [`load_user_addr`].
-    pub user: usize,
-    /// Submissions, earliest first.
-    pub submissions: Vec<PlannedQuery>,
-}
-
 impl WorkloadSpec {
     /// Expands the spec into per-user schedules. Parses every template
     /// once up front so bad DISQL surfaces before anything runs.
@@ -252,6 +226,30 @@ impl WorkloadSpec {
         Ok(plans)
     }
 
+    /// Plans the workload and runs it on `deployment` over the
+    /// deterministic simulator, until the network drains or the spec's
+    /// horizon. `observer` sees the registry after every purge tick.
+    pub fn run_sim(
+        &self,
+        deployment: &Deployment,
+        sim_cfg: SimConfig,
+        observer: &mut dyn FnMut(u64, &RegistrySnapshot),
+    ) -> Result<WorkloadOutcome, SimRunError> {
+        Ok(deployment.workload_sim(sim_cfg, self.plan()?, self.horizon_us, observer))
+    }
+
+    /// Plans the workload and runs it on `deployment` over a fault-free
+    /// loopback TCP cluster. `deadline` bounds the wall-clock run; planned
+    /// submissions are replayed open-loop at their offsets from cluster
+    /// start.
+    pub fn run_tcp(
+        &self,
+        deployment: &Deployment,
+        deadline: Duration,
+    ) -> Result<WorkloadOutcome, SimRunError> {
+        Ok(deployment.workload_tcp(TcpFaultPlan::default(), self.plan()?, deadline))
+    }
+
     /// Total planned submissions.
     pub fn total_queries(&self) -> usize {
         self.users * self.queries_per_user
@@ -262,13 +260,6 @@ impl WorkloadSpec {
         let mean = self.arrival.mean_us().max(1) as f64;
         self.users as f64 * 1_000_000.0 / mean
     }
-}
-
-/// Drains `rng` once; exists so callers can fork deterministic
-/// sub-streams the same way `plan` does.
-pub fn fork_seed(master: u64, lane: u64) -> u64 {
-    let mut rng = StdRng::seed_from_u64(master ^ (lane + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    rng.next_u64()
 }
 
 #[cfg(test)]

@@ -40,8 +40,9 @@ impl fmt::Display for WireError {
 impl std::error::Error for WireError {}
 
 /// Maximum nesting depth accepted when decoding recursive structures
-/// (PREs, expressions); anything deeper is rejected as malformed.
-const MAX_DEPTH: u32 = 64;
+/// (PREs, expressions); anything deeper is rejected as malformed. The
+/// text parsers refuse deeper nesting too.
+const MAX_DEPTH: u32 = webdis_pre::MAX_NESTING;
 /// Maximum element count accepted for any length-prefixed collection.
 const MAX_LEN: usize = 1 << 24;
 

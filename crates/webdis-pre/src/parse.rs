@@ -11,7 +11,9 @@
 //! ```
 //!
 //! `*` without an integer is unbounded repetition; `*k` allows zero up to
-//! `k` repetitions. Symbols are case-insensitive.
+//! `k` repetitions. Symbols are case-insensitive. Groups nest at most
+//! [`MAX_NESTING`] deep, so the recursive descent is bounded whatever the
+//! input.
 
 use std::fmt;
 
@@ -40,11 +42,18 @@ impl fmt::Display for PreParseError {
 
 impl std::error::Error for PreParseError {}
 
+/// How deep groups (here) and `not`/parentheses (DISQL conditions) may
+/// nest in query text. It is the depth the wire decoder accepts for the
+/// same trees — a deeper one could never be shipped — and it keeps a
+/// hostile input from overflowing the parsers' stack.
+pub const MAX_NESTING: u32 = 64;
+
 /// Parses a PRE from its textual form.
 pub fn parse(input: &str) -> Result<Pre, PreParseError> {
     let mut p = Parser {
         chars: input.char_indices().peekable(),
         input,
+        depth: 0,
     };
     p.skip_ws();
     if p.peek().is_none() {
@@ -64,6 +73,8 @@ pub fn parse(input: &str) -> Result<Pre, PreParseError> {
 struct Parser<'a> {
     chars: std::iter::Peekable<std::str::CharIndices<'a>>,
     input: &'a str,
+    /// Groups open around the current position.
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -157,9 +168,14 @@ impl<'a> Parser<'a> {
     fn atom(&mut self) -> Result<Pre, PreParseError> {
         self.skip_ws();
         match self.peek() {
+            Some((_, '(')) if self.depth == MAX_NESTING => {
+                Err(self.err(format!("groups nested deeper than {MAX_NESTING}")))
+            }
             Some((_, '(')) => {
                 self.bump();
+                self.depth += 1;
                 let inner = self.alt()?;
+                self.depth -= 1;
                 self.skip_ws();
                 match self.peek() {
                     Some((_, ')')) => {
@@ -190,6 +206,22 @@ fn is_atom_start(c: char) -> bool {
 mod tests {
     use super::*;
     use webdis_model::LinkType::{Global as G, Local as L};
+
+    #[test]
+    fn group_nesting_is_bounded() {
+        // The descent recurses per `(`: 200 000 of them used to overflow
+        // the stack and abort the process.
+        let nested = |depth: usize| format!("{}L{}", "(".repeat(depth), ")".repeat(depth));
+        let deepest = parse(&nested(MAX_NESTING as usize)).unwrap();
+        assert_eq!(deepest, parse("L").unwrap());
+        for depth in [MAX_NESTING as usize + 1, 200_000] {
+            let err = parse(&nested(depth)).unwrap_err();
+            assert!(err.message.contains("nested deeper"), "{err}");
+            assert_eq!(err.position, MAX_NESTING as usize);
+        }
+        // Siblings do not count, only what is open around a position.
+        assert!(parse(&"(L)".repeat(1_000)).is_ok());
+    }
 
     #[test]
     fn parses_paper_examples() {

@@ -17,24 +17,10 @@ use std::collections::BTreeMap;
 use crate::trajectory::{self, Visit};
 use crate::{QueryId, TraceEvent, TraceRecord};
 
-/// The pipeline stage names, in order (the same labels as the
-/// `stage_us.*` registry histograms). `queue_wait` leads: it is the
-/// backpressure span — time the clone's message waited before the
-/// pipeline started — and is excluded from busy-time accounting (the
-/// site is idle-or-otherwise-occupied while a message queues, not busy
-/// on it).
-pub const STAGES: [&str; 7] = [
-    "queue_wait",
-    "parse",
-    "log",
-    "cache_lookup",
-    "eval",
-    "build",
-    "forward",
-];
+pub use crate::STAGES;
 
 /// The backpressure span's stage label.
-pub const QUEUE_STAGE: &str = "queue_wait";
+pub const QUEUE_STAGE: &str = STAGES[0];
 
 /// One hop on a query's critical path.
 #[derive(Debug, Clone)]

@@ -352,10 +352,34 @@ pub enum TraceEvent {
     },
 }
 
+/// The clone pipeline's stage names, in pipeline order — the one place
+/// they are spelled; they double as registry histogram suffixes
+/// (`stage_us.<name>`). `queue_wait` leads: it is the backpressure span —
+/// time the clone's message waited before the pipeline started — and is
+/// excluded from busy-time accounting (the site is
+/// idle-or-otherwise-occupied while a message queues, not busy on it).
+pub const STAGES: [&str; 7] = [
+    "queue_wait",
+    "parse",
+    "log",
+    "cache_lookup",
+    "eval",
+    "build",
+    "forward",
+];
+
+/// The probe-vs-scan sub-spans of the `eval` stage, histogram suffixes
+/// like [`STAGES`].
+pub const EVAL_SPLIT: [&str; 2] = ["eval_probe", "eval_scan"];
+
+/// Every `stage_us.*` histogram suffix: [`STAGES`], then [`EVAL_SPLIT`].
+pub fn stage_histograms() -> impl Iterator<Item = &'static str> {
+    STAGES.into_iter().chain(EVAL_SPLIT)
+}
+
 impl TraceEvent {
-    /// The per-stage durations as `(stage name, µs)` pairs, in pipeline
-    /// order — `None` for every other event. The stable stage names
-    /// double as registry histogram suffixes (`stage_us.<name>`).
+    /// The per-stage durations as `([`STAGES`] name, µs)` pairs, in
+    /// pipeline order — `None` for every other event.
     ///
     /// Deliberately excludes the probe/scan *sub*-spans of `eval` (they
     /// would double-count eval time for any consumer summing stages as
@@ -371,30 +395,28 @@ impl TraceEvent {
                 build_us,
                 forward_us,
                 ..
-            } => Some([
-                ("queue_wait", queue_us),
-                ("parse", parse_us),
-                ("log", log_us),
-                ("cache_lookup", cache_us),
-                ("eval", eval_us),
-                ("build", build_us),
-                ("forward", forward_us),
-            ]),
+            } => {
+                let us = [
+                    queue_us, parse_us, log_us, cache_us, eval_us, build_us, forward_us,
+                ];
+                Some(std::array::from_fn(|i| (STAGES[i], us[i])))
+            }
             _ => None,
         }
     }
 
     /// The probe-vs-scan split of the `eval` stage as
-    /// `(sub-stage name, µs)` pairs — `None` for every other event. The
-    /// names double as registry histogram suffixes, like
-    /// [`TraceEvent::stage_spans`].
+    /// `([`EVAL_SPLIT`] name, µs)` pairs — `None` for every other event.
     pub fn eval_split(&self) -> Option<[(&'static str, u64); 2]> {
         match *self {
             TraceEvent::StageSpans {
                 eval_probe_us,
                 eval_scan_us,
                 ..
-            } => Some([("eval_probe", eval_probe_us), ("eval_scan", eval_scan_us)]),
+            } => Some([
+                (EVAL_SPLIT[0], eval_probe_us),
+                (EVAL_SPLIT[1], eval_scan_us),
+            ]),
             _ => None,
         }
     }

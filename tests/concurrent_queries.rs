@@ -173,8 +173,8 @@ fn workload_is_seed_deterministic() {
                     r.user,
                     r.query_num,
                     r.submitted_us,
-                    r.completed_us,
-                    r.shed_nodes,
+                    r.completed_at_us,
+                    r.shed_entries.len(),
                 )
             })
             .collect();

@@ -71,6 +71,26 @@ fn disql_query() -> impl Strategy<Value = String> {
     })
 }
 
+/// The non-default engine configurations the agreement properties sweep.
+fn swept_configs() -> [EngineConfig; 5] {
+    [
+        EngineConfig::strict(),
+        EngineConfig::ack_chain(),
+        EngineConfig {
+            log_mode: LogMode::General,
+            ..EngineConfig::default()
+        },
+        EngineConfig {
+            batch_per_site: false,
+            ..EngineConfig::default()
+        },
+        EngineConfig {
+            local_forwarding: false,
+            ..EngineConfig::default()
+        },
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -89,13 +109,7 @@ proptest! {
         .expect("generated query parses");
         prop_assert!(reference.complete, "default config must complete");
 
-        for engine_cfg in [
-            EngineConfig::strict(),
-            EngineConfig::ack_chain(),
-            EngineConfig { log_mode: LogMode::General, ..EngineConfig::default() },
-            EngineConfig { batch_per_site: false, ..EngineConfig::default() },
-            EngineConfig { local_forwarding: false, ..EngineConfig::default() },
-        ] {
+        for engine_cfg in swept_configs() {
             let outcome = run_query_sim(
                 Arc::clone(&web),
                 &disql,
@@ -119,7 +133,9 @@ proptest! {
 
     /// Hybrid execution with an arbitrary subset of participating sites
     /// completes and agrees with full query shipping — the Section 7.1
-    /// migration path holds at every point, including under jitter.
+    /// migration path holds at every point, including under jitter, and
+    /// under every swept configuration (ack chains are coerced to the
+    /// CHT, which the handoff is defined over).
     #[test]
     fn hybrid_agrees_at_any_participation(
         cfg in web_config(),
@@ -145,18 +161,26 @@ proptest! {
             .map(|(_, s)| s)
             .collect();
         let sim = SimConfig { jitter_us: jitter, seed, ..SimConfig::default() };
-        let (outcome, stats) = webdis::core::run_query_hybrid_sim(
-            web,
-            &disql,
-            EngineConfig::default(),
-            sim,
-            &participating,
-        )
-        .unwrap();
-        prop_assert!(outcome.complete, "hybrid must complete");
-        prop_assert_eq!(outcome.result_set(), reference.result_set());
-        if participating.is_empty() {
-            prop_assert_eq!(stats.reentries, 0);
+        for engine_cfg in [EngineConfig::default()].into_iter().chain(swept_configs()) {
+            let (outcome, stats) = webdis::core::run_query_hybrid_sim(
+                Arc::clone(&web),
+                &disql,
+                engine_cfg.clone(),
+                sim.clone(),
+                &participating,
+            )
+            .unwrap();
+            prop_assert!(outcome.complete, "hybrid under {engine_cfg:?} must complete");
+            prop_assert_eq!(
+                outcome.result_set(),
+                reference.result_set(),
+                "hybrid under {:?} must agree",
+                engine_cfg
+            );
+            prop_assert_eq!(outcome.hybrid, stats, "the counters ride on the record");
+            if participating.is_empty() {
+                prop_assert_eq!(stats.reentries, 0);
+            }
         }
     }
 
