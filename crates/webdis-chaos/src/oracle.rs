@@ -266,7 +266,9 @@ pub fn check(
 
     // 3. Trace coherence via the doctor's triage.
     for anomaly in doctor::diagnose(records).anomalies {
-        violations.push(Violation::TraceAnomaly { detail: anomaly });
+        violations.push(Violation::TraceAnomaly {
+            detail: anomaly.text,
+        });
     }
 
     // 5. The staleness contract: every visit answers from the content

@@ -190,7 +190,9 @@ pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
         }
     }
     for anomaly in doctor::diagnose(&records).anomalies {
-        violations.push(Violation::TraceAnomaly { detail: anomaly });
+        violations.push(Violation::TraceAnomaly {
+            detail: anomaly.text,
+        });
     }
     Ok(violations)
 }
