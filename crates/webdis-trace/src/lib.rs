@@ -19,6 +19,7 @@
 //! microseconds — trace consumers cannot tell the difference, which is
 //! the point.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -494,9 +495,11 @@ struct Ring {
     head: usize,
     /// Total records ever recorded (dropped = total - kept).
     total: u64,
-    /// Outstanding clone sends awaiting their receive, keyed
-    /// (query_num, site, hop) → send time, for the hop-latency histogram.
-    in_flight: std::collections::BTreeMap<(u64, String, u32), u64>,
+    /// Outstanding clone sends awaiting their receive, keyed by
+    /// (query, destination site, hop): the send times, oldest first, for
+    /// the hop-latency histogram. One key can have several sends in
+    /// flight — two parents forwarding one query to one site at one hop.
+    in_flight: std::collections::BTreeMap<(QueryId, String, u32), VecDeque<u64>>,
 }
 
 impl CollectingTracer {
@@ -643,15 +646,23 @@ impl Tracer for CollectingTracer {
             _ => {}
         }
         let mut ring = self.inner.lock();
-        // Hop latency: match each clone receive to its send.
+        // Hop latency: match each clone receive to the earliest
+        // outstanding send of its query, site and hop.
         match (&record.event, &record.query, record.hop) {
             (TraceEvent::QuerySent { to_site, .. }, Some(id), Some(hop)) => {
+                let key = (id.clone(), to_site.clone(), hop);
                 ring.in_flight
-                    .insert((id.query_num, to_site.clone(), hop), record.time_us);
+                    .entry(key)
+                    .or_default()
+                    .push_back(record.time_us);
             }
             (TraceEvent::QueryRecv { .. }, Some(id), Some(hop)) => {
-                let key = (id.query_num, record.site.clone(), hop);
-                if let Some(sent_at) = ring.in_flight.remove(&key) {
+                let key = (id.clone(), record.site.clone(), hop);
+                let sends = ring.in_flight.get_mut(&key);
+                if let Some(sent_at) = sends.and_then(VecDeque::pop_front) {
+                    if ring.in_flight[&key].is_empty() {
+                        ring.in_flight.remove(&key);
+                    }
                     self.registry
                         .observe("hop_latency_us", record.time_us.saturating_sub(sent_at));
                 }
@@ -864,6 +875,41 @@ mod tests {
             .expect("histogram exists");
         assert_eq!(hist.count, 1);
         assert_eq!(hist.sum, 300);
+    }
+
+    /// Two sends at 0 and 5µs, received at 100 and 105µs, are two hops
+    /// of 100µs each — whether two users' query #1 went to one site at
+    /// one hop, or two parents forwarded one query there. Keyed by
+    /// query number alone, the first shape paired the second send with
+    /// the first receive (one observation of 95µs).
+    #[test]
+    fn hop_latency_pairs_each_receive_with_its_own_query_earliest_send() {
+        let hop = |time_us, user: &str, event| TraceRecord {
+            time_us,
+            site: "a.test".into(),
+            query: Some(QueryId {
+                user: user.into(),
+                ..qid(1)
+            }),
+            hop: Some(1),
+            event,
+        };
+        let sent = || TraceEvent::QuerySent {
+            to_site: "a.test".into(),
+            nodes: 1,
+        };
+        let recv = || TraceEvent::QueryRecv { nodes: 1 };
+        for users in [["u1", "u2"], ["u1", "u1"]] {
+            let (collector, handle) = TraceHandle::collecting(16);
+            handle.emit_with(|| hop(0, users[0], sent()));
+            handle.emit_with(|| hop(5, users[1], sent()));
+            handle.emit_with(|| hop(100, users[0], recv()));
+            handle.emit_with(|| hop(105, users[1], recv()));
+            let snapshot = collector.registry().snapshot();
+            let hist = snapshot.histogram("hop_latency_us").unwrap();
+            assert_eq!((hist.count, hist.sum), (2, 200), "{users:?}");
+            assert!(collector.inner.lock().in_flight.is_empty(), "{users:?}");
+        }
     }
 
     #[test]
