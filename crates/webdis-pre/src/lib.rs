@@ -28,5 +28,5 @@ pub mod subsume;
 
 pub use ast::{LinkSet, Pre};
 pub use nfa::{contains, counterexample, equivalent, Dfa, Nfa};
-pub use parse::{parse, PreParseError, MAX_NESTING};
+pub use parse::{parse, PreParseError, MAX_DEPTH, MAX_NESTING};
 pub use subsume::{check_subsumption, rewrite_superset, Subsumption};

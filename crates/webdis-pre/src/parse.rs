@@ -13,7 +13,9 @@
 //! `*` without an integer is unbounded repetition; `*k` allows zero up to
 //! `k` repetitions. Symbols are case-insensitive. Groups nest at most
 //! [`MAX_NESTING`] deep, so the recursive descent is bounded whatever the
-//! input.
+//! input; and the tree built is at most [`MAX_DEPTH`] deep — a chain of
+//! `·` or `|` is as deep as it is long — so every PRE that parses can be
+//! shipped.
 
 use std::fmt;
 
@@ -43,10 +45,16 @@ impl fmt::Display for PreParseError {
 impl std::error::Error for PreParseError {}
 
 /// How deep groups (here) and `not`/parentheses (DISQL conditions) may
-/// nest in query text. It is the depth the wire decoder accepts for the
-/// same trees — a deeper one could never be shipped — and it keeps a
-/// hostile input from overflowing the parsers' stack.
+/// nest in query text. It keeps a hostile input from overflowing the
+/// parsers' stack.
 pub const MAX_NESTING: u32 = 64;
+
+/// How many levels below its root a PRE or condition tree may have: the
+/// wire decoder refuses deeper ones, and the parsers refuse to build
+/// them. [`MAX_NESTING`] levels of `not`, plus the comparison the
+/// innermost one encloses. Chains count: `a and b and c` is two levels,
+/// `L·L·L` two, `L*1·L*1` two.
+pub const MAX_DEPTH: u32 = MAX_NESTING + 1;
 
 /// Parses a PRE from its textual form.
 pub fn parse(input: &str) -> Result<Pre, PreParseError> {
@@ -100,6 +108,16 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// `pre` once it is known to be shippable: at most [`MAX_DEPTH`]
+    /// deep. Asked of every node built, so a chain is refused at its
+    /// first link too many, before anything deeper exists.
+    fn shallow(&mut self, pre: Pre) -> Result<Pre, PreParseError> {
+        if pre.depth() > MAX_DEPTH {
+            return Err(self.err(format!("expression deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(pre)
+    }
+
     fn alt(&mut self) -> Result<Pre, PreParseError> {
         let mut left = self.seq()?;
         loop {
@@ -108,7 +126,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 self.skip_ws();
                 let right = self.seq()?;
-                left = Pre::alt(left, right);
+                left = self.shallow(Pre::alt(left, right))?;
             } else {
                 return Ok(left);
             }
@@ -132,7 +150,12 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        Ok(Pre::seq_all(parts))
+        // Right-associated: `a·b·c` is `a·(b·c)`.
+        let mut seq = Pre::Empty;
+        for part in parts.into_iter().rev() {
+            seq = self.shallow(Pre::seq(part, seq))?;
+        }
+        Ok(seq)
     }
 
     fn postfix(&mut self) -> Result<Pre, PreParseError> {
@@ -151,7 +174,7 @@ impl<'a> Parser<'a> {
                         break;
                     }
                 }
-                base = if digits.is_empty() {
+                let repeated = if digits.is_empty() {
                     Pre::star(base)
                 } else {
                     let k: u32 = digits
@@ -159,6 +182,7 @@ impl<'a> Parser<'a> {
                         .map_err(|_| self.err("repetition bound out of range"))?;
                     Pre::bounded(base, k)
                 };
+                base = self.shallow(repeated)?;
             } else {
                 return Ok(base);
             }
@@ -220,7 +244,35 @@ mod tests {
             assert_eq!(err.position, MAX_NESTING as usize);
         }
         // Siblings do not count, only what is open around a position.
-        assert!(parse(&"(L)".repeat(1_000)).is_ok());
+        assert!(parse(&"(L)".repeat(MAX_DEPTH as usize)).is_ok());
+    }
+
+    #[test]
+    fn chains_count_toward_the_depth_the_decoder_accepts() {
+        // A `·` or `|` chain parses in a loop into a tree as deep as it
+        // is long; the decoder refuses trees deeper than MAX_DEPTH, so
+        // the parser refuses to build them. `L*k` is one level deep.
+        let seq = |n: usize| vec!["L*1"; n].join("·");
+        let alt = |n: usize| {
+            (1..=n)
+                .map(|k| format!("L*{k}"))
+                .collect::<Vec<_>>()
+                .join("|")
+        };
+        let stars = |n: usize| format!("L{}", "*1".repeat(n));
+        let deepest = MAX_DEPTH as usize;
+        for chain in [&seq as &dyn Fn(usize) -> String, &alt, &stars] {
+            assert_eq!(parse(&chain(deepest)).unwrap().depth(), MAX_DEPTH);
+            for n in [deepest + 1, 200_000] {
+                let err = parse(&chain(n)).unwrap_err();
+                assert!(err.message.contains("deeper than 65 levels"), "{err}");
+            }
+        }
+        // ε operands add nothing, so they do not count.
+        assert_eq!(
+            parse(&format!("{}L", "N·".repeat(1_000))).unwrap(),
+            parse("L").unwrap()
+        );
     }
 
     #[test]

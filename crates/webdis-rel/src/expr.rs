@@ -135,6 +135,20 @@ impl Expr {
         out
     }
 
+    /// Levels below the root: 0 for an attribute or a literal. The wire
+    /// decoder refuses a condition deeper than `webdis_pre::MAX_DEPTH`,
+    /// and so does the DISQL parser, which asks this of every node it
+    /// builds — so the recursion here never goes deeper than that.
+    pub fn depth(&self) -> u32 {
+        match self {
+            Expr::Attr { .. } | Expr::StrLit(_) | Expr::IntLit(_) => 0,
+            Expr::Contains(a, b) | Expr::Cmp(_, a, b) | Expr::And(a, b) | Expr::Or(a, b) => {
+                1 + a.depth().max(b.depth())
+            }
+            Expr::Not(a) => 1 + a.depth(),
+        }
+    }
+
     fn collect_vars<'a>(&'a self, out: &mut BTreeSet<&'a str>) {
         match self {
             Expr::Attr { var, .. } => {
