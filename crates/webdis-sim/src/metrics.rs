@@ -107,14 +107,6 @@ impl Metrics {
             .map(|(s, n)| (s, *n))
     }
 
-    /// The endpoint with the most accounted processing time.
-    pub fn max_site_busy(&self) -> Option<(&SiteAddr, u64)> {
-        self.busy_us_by_site
-            .iter()
-            .max_by_key(|(_, n)| *n)
-            .map(|(s, n)| (s, *n))
-    }
-
     /// Total accounted processing time across endpoints.
     pub fn total_busy_us(&self) -> u64 {
         self.busy_us_by_site.values().sum()

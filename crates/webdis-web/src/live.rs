@@ -329,12 +329,6 @@ impl LiveWeb {
         }
     }
 
-    /// Pre-declares a host so the driver registers its query server even
-    /// if the site only gains documents mid-run (a `SiteJoin`).
-    pub fn declare_host(&self, host: &str) {
-        self.lock().hosts.insert(host.to_owned());
-    }
-
     fn lock(&self) -> std::sync::MutexGuard<'_, LiveState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
