@@ -96,6 +96,9 @@ server_stats! {
     clones_forwarded,
     /// Clones dropped by the hop-count safety valve.
     hop_limit_drops,
+    /// Forwards dropped because the derived PRE is deeper than the wire
+    /// carries (`webdis_pre::MAX_DEPTH`).
+    depth_limit_drops,
     /// Queries purged after a failed result dispatch (passive
     /// termination observed).
     terminated_queries,
@@ -781,6 +784,7 @@ impl ServerEngine {
         self.stats.eval_errors += c.eval_errors;
         self.stats.duplicates_dropped += c.duplicates_dropped;
         self.stats.rewrites += c.rewrites;
+        self.stats.depth_limit_drops += c.depth_limit_drops;
         self.stats.cache_hits += c.cache_hits;
         self.stats.cache_misses += c.cache_misses;
         self.stats.cache_evictions += c.cache_evictions;

@@ -18,7 +18,7 @@ use webdis_cache::{AnswerCache, Lookup as CacheLookup};
 use webdis_disql::Stage;
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{ChtEntry, CloneState, Disposition, NodeReport, QueryClone, QueryId, StageRows};
-use webdis_pre::Pre;
+use webdis_pre::{Pre, MAX_DEPTH};
 use webdis_rel::{
     canonicalize, eval_node_query_with_bindings, eval_node_query_with_stats, CanonicalQuery,
     NodeDb, ResultRow,
@@ -105,6 +105,7 @@ pub(crate) struct TraverseCounters {
     pub(crate) eval_errors: u64,
     pub(crate) duplicates_dropped: u64,
     pub(crate) rewrites: u64,
+    pub(crate) depth_limit_drops: u64,
     /// Answer-cache consults (hit or miss; zero when the cache is off).
     pub(crate) cache_lookups: u64,
     pub(crate) cache_hits: u64,
@@ -243,6 +244,15 @@ impl VisitCtx<'_> {
             for t in pre.first().iter() {
                 let derived = pre.deriv(t);
                 if derived.is_never() {
+                    continue;
+                }
+                // A derivative can be deeper than its PRE — `G*·r` by `G`
+                // is `G*·r | d(r)` — and so can each one after it. The
+                // decoder refuses a PRE deeper than MAX_DEPTH, so no
+                // clone carries one, local or remote, on either
+                // transport: the branch ends here.
+                if derived.depth() > MAX_DEPTH {
+                    self.counters.depth_limit_drops += 1;
                     continue;
                 }
                 let state = CloneState {
