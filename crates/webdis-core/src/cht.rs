@@ -194,7 +194,10 @@ impl Cht {
     /// liveness: an over-eager timeout can only declare a query complete
     /// *with* an explicit list of unresolved nodes, never silently.
     pub fn expire_stale(&mut self, timeout_us: u64) -> Vec<(Url, CloneState)> {
-        let cutoff = self.clock_us.saturating_sub(timeout_us);
+        // Until a whole timeout has passed, nothing can be that old.
+        let Some(cutoff) = self.clock_us.checked_sub(timeout_us) else {
+            return Vec::new();
+        };
         let mut failed = Vec::new();
         for row in &mut self.rows {
             if !row.deleted && row.added_at_us <= cutoff {
@@ -399,6 +402,23 @@ mod tests {
         assert!(c.complete());
         c.delete(&url("http://x/"), &st(1, "N")); // late duplicate notice
         assert_eq!(c.stats.deletes_ignored, 1);
+        assert!(c.complete());
+    }
+
+    #[test]
+    fn nothing_expires_before_a_whole_timeout() {
+        // An entry added at t = 0 is not stale at the first sweep, which
+        // `ExpiryPolicy::with_timeout` runs a quarter timeout in.
+        let mut c = paper();
+        c.add(&entry("http://a/", 1, "N"));
+        c.delete(&url("http://b/"), &st(1, "N")); // a tombstone, also at 0
+        for now in [250, 999] {
+            c.tick(now);
+            assert!(c.expire_stale(1_000).is_empty(), "at {now}");
+        }
+        c.tick(1_000);
+        assert_eq!(c.expire_stale(1_000).len(), 2);
+        assert_eq!(c.stats.expired, 2);
         assert!(c.complete());
     }
 

@@ -16,8 +16,9 @@ pub enum LogMode {
     /// The paper's rule: exact state identity plus `A*m·B` bounded-head
     /// subsumption with the multiple-rewrite for supersets.
     Paper,
-    /// The paper's rule, extended with general NFA language containment
-    /// for PRE shapes the syntactic rule cannot relate (this crate's
+    /// The paper's rule, extended with general language containment
+    /// (`webdis_pre::contains`, a search over pairs of derivatives) for
+    /// PRE shapes the syntactic rule cannot relate (this crate's
     /// extension; see DESIGN.md).
     General,
 }

@@ -13,9 +13,9 @@
 //! * otherwise the state is logged and the clone is processed normally.
 //!
 //! [`LogMode::General`] additionally drops arrivals whose PRE *language*
-//! is contained in a logged one (NFA product check) even when the
-//! syntactic rule cannot relate them — an extension measured by the
-//! ablation benches.
+//! is contained in a logged one (a search over derivative pairs) even
+//! when the syntactic rule cannot relate them — an extension measured by
+//! the ablation benches.
 
 use std::collections::HashMap;
 

@@ -367,7 +367,7 @@ impl Wire for QueryClone {
         Ok(QueryClone {
             id: QueryId::decode(buf)?,
             dest_nodes: Vec::<Url>::decode(buf)?,
-            rem_pre: Pre::decode(buf)?,
+            rem_pre: crate::wire::decode_clone_pre(buf)?,
             stages: Arc::decode(buf)?,
             stage_offset: u32::decode(buf)?,
             hops: u32::decode(buf)?,
@@ -585,6 +585,38 @@ mod tests {
         let back = decode_message(&bytes).unwrap();
         assert_eq!(back, msg);
         assert_eq!(clone.state().num_q, 2);
+    }
+
+    #[test]
+    fn a_clone_whose_pre_could_not_ship_is_refused() {
+        use webdis_model::LinkType::{Global as G, Local as L};
+        let refused = |clone: QueryClone| decode_message(&encode_message(&Message::Query(clone)));
+        // `L*5000` has 5 001 derivatives; a log check under the general
+        // mode used to unroll all of them into an automaton.
+        let many = QueryClone {
+            rem_pre: Pre::bounded(Pre::sym(L), 5000),
+            ..sample_clone()
+        };
+        let err = refused(many).unwrap_err();
+        assert!(
+            err.message.contains("more than 256 derivative states"),
+            "{err}"
+        );
+        // `(L|G)*·G*1·…` with 64 links is 65 levels deep, as the decoder
+        // allows, but its derivative by `G` is 66.
+        let links = (0..64).fold(Pre::Empty, |rest, _| {
+            Pre::seq(Pre::bounded(Pre::sym(G), 1), rest)
+        });
+        let lg = Pre::star(Pre::alt(Pre::sym(L), Pre::sym(G)));
+        let mut deep = sample_clone();
+        let mut stages = deep.stages.to_vec();
+        stages[1].pre = Pre::seq(lg, links);
+        deep.stages = stages.into();
+        let err = refused(deep).unwrap_err();
+        assert!(
+            err.message.contains("derivative deeper than 65 levels"),
+            "{err}"
+        );
     }
 
     #[test]

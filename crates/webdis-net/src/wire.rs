@@ -13,7 +13,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut};
 use webdis_disql::Stage;
 use webdis_model::{LinkType, Url};
-use webdis_pre::{Pre, MAX_DEPTH};
+use webdis_pre::{closure, Pre, MAX_DEPTH};
 use webdis_rel::{CmpOp, Expr, NodeQuery, RelKind, ResultRow, Value, VarDecl};
 
 /// Decoding error.
@@ -337,6 +337,17 @@ fn decode_pre(buf: &mut &[u8], depth: u32) -> Result<Pre, WireError> {
     })
 }
 
+/// A PRE a clone runs on — its remaining PRE or a stage's — refused as
+/// [`webdis_pre::parse`] refuses one: with a derivative deeper than
+/// [`MAX_DEPTH`], or more derivatives than
+/// [`MAX_STATES`](webdis_pre::MAX_STATES). So every forward derived
+/// from a clone that decodes can ship.
+pub(crate) fn decode_clone_pre(buf: &mut &[u8]) -> Result<Pre, WireError> {
+    let pre = Pre::decode(buf)?;
+    closure(&pre).map_err(|e| WireError::new(format!("clone PRE refused: {e}")))?;
+    Ok(pre)
+}
+
 impl Wire for CmpOp {
     fn encode(&self, buf: &mut Vec<u8>) {
         let tag: u8 = match self {
@@ -522,7 +533,7 @@ impl Wire for Stage {
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         Ok(Stage {
-            pre: Pre::decode(buf)?,
+            pre: decode_clone_pre(buf)?,
             doc_var: String::decode(buf)?,
             query: NodeQuery::decode(buf)?,
         })

@@ -89,9 +89,10 @@ impl FromIterator<LinkType> for LinkSet {
 /// Values are kept lightly normalized by the smart constructors
 /// ([`Pre::seq`], [`Pre::alt`], [`Pre::star`], [`Pre::bounded`]):
 /// no `Never` subterms except the top level, no `Empty` operands in
-/// sequences, no duplicate alternatives, `p*0` collapsed to ε. This keeps
-/// derivative chains small and makes syntactic equality (`==`) usable as the
-/// log table's "completely identical" test. Children are shared
+/// sequences, alternations flattened into right-nested chains without
+/// duplicates, `p*0` collapsed to ε. This keeps the derivatives of a PRE
+/// finitely many and makes syntactic equality (`==`) usable as the log
+/// table's "completely identical" test. Children are shared
 /// (`Arc`), so cloning a PRE copies no subtree; equality and hash stay
 /// structural.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -132,19 +133,46 @@ impl Pre {
         }
     }
 
-    /// Smart alternation: `∅|p = p`, `p|p = p`, and ε absorbed into an
-    /// already-nullable alternative.
+    /// Smart alternation: `∅|p = p`, `p|p = p`, ε absorbed into an
+    /// already-nullable alternative, and otherwise the alternatives of
+    /// both sides flattened into one right-nested chain, ∅ dropped and
+    /// each duplicate kept where it first occurs. Alternatives equal up to
+    /// associativity and idempotence are then equal, so a PRE has finitely
+    /// many derivatives (Brzozowski 1964) — see [`closure`](crate::closure()).
+    /// The chain is not sorted: `G|L` still prints as written.
     pub fn alt(a: Pre, b: Pre) -> Pre {
         match (a, b) {
             (Pre::Never, p) | (p, Pre::Never) => p,
             (Pre::Empty, p) | (p, Pre::Empty) if p.nullable() => p,
-            (a, b) => {
-                if a == b {
-                    a
-                } else {
-                    Pre::Alt(Arc::new(a), Arc::new(b))
-                }
+            (a, b) if a == b => a,
+            (a @ Pre::Alt(..), b) | (a, b @ Pre::Alt(..)) => {
+                // Each side was built here, so its alternatives are
+                // already distinct: only `b`'s are checked against `a`'s.
+                let mut alts = Vec::new();
+                a.for_each_alternative(&mut |p| alts.push(p.clone()));
+                let from_a = alts.len();
+                b.for_each_alternative(&mut |p| {
+                    if !alts[..from_a].contains(p) {
+                        alts.push(p.clone());
+                    }
+                });
+                let alt = |rest, p| Pre::Alt(Arc::new(p), Arc::new(rest));
+                let last = alts.pop().unwrap_or(Pre::Never);
+                alts.into_iter().rev().fold(last, alt)
             }
+            (a, b) => Pre::Alt(Arc::new(a), Arc::new(b)),
+        }
+    }
+
+    /// Calls `f` on each alternative of this PRE, in order, ∅ left out.
+    fn for_each_alternative(&self, f: &mut impl FnMut(&Pre)) {
+        match self {
+            Pre::Alt(a, b) => {
+                a.for_each_alternative(f);
+                b.for_each_alternative(f);
+            }
+            Pre::Never => {}
+            p => f(p),
         }
     }
 
@@ -395,6 +423,24 @@ mod tests {
         assert_eq!(Pre::star(Pre::star(sym(L))), Pre::star(sym(L)));
         assert_eq!(Pre::bounded(sym(L), 0), Pre::Empty);
         assert_eq!(Pre::sym(LinkType::Null), Pre::Empty);
+    }
+
+    #[test]
+    fn alt_flattens_and_keeps_first_occurrences() {
+        let lg = Pre::alt(sym(L), sym(G));
+        assert_eq!(Pre::alt(lg.clone(), sym(L)), lg);
+        assert_eq!(Pre::alt(sym(L), Pre::alt(sym(G), sym(L))), lg);
+        assert_eq!(Pre::alt(lg.clone(), lg.clone()), lg);
+        // One right-nested chain, in first-occurrence order, whichever way
+        // the operands were grouped.
+        let lgi = Pre::alt(lg.clone(), sym(I));
+        assert_eq!(lgi, Pre::alt(sym(L), Pre::alt(sym(G), sym(I))));
+        assert!(matches!(&lgi, Pre::Alt(a, _) if **a == sym(L)));
+        assert_eq!(lgi.to_string(), "L|G|I");
+        assert_eq!(Pre::alt(sym(G), sym(L)).to_string(), "G|L");
+        // ∅ inside an un-normalized (decoded) alternation is dropped.
+        let raw = Pre::Alt(Arc::new(Pre::Never), Arc::new(sym(L)));
+        assert_eq!(Pre::alt(raw, sym(G)), Pre::alt(sym(L), sym(G)));
     }
 
     #[test]

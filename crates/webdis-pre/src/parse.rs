@@ -13,15 +13,17 @@
 //! `*` without an integer is unbounded repetition; `*k` allows zero up to
 //! `k` repetitions. Symbols are case-insensitive. Groups nest at most
 //! [`MAX_NESTING`] deep, so the recursive descent is bounded whatever the
-//! input; and the tree built is at most [`MAX_DEPTH`] deep — a chain of
-//! `·` or `|` is as deep as it is long — so every PRE that parses can be
-//! shipped.
+//! input; the tree built is at most [`MAX_DEPTH`] deep — a chain of `·`
+//! or `|` is as deep as it is long — and so is every derivative of it,
+//! of which there are at most [`MAX_STATES`]. So every PRE that parses
+//! can be shipped, and so can every clone derived from it.
 
 use std::fmt;
 
 use webdis_model::LinkType;
 
 use crate::ast::Pre;
+use crate::closure::closure;
 
 /// Error with byte position produced by [`parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +58,15 @@ pub const MAX_NESTING: u32 = 64;
 /// `L·L·L` two, `L*1·L*1` two.
 pub const MAX_DEPTH: u32 = MAX_NESTING + 1;
 
-/// Parses a PRE from its textual form.
+/// How many states a PRE's derivative [`closure`](crate::closure()) may
+/// have, the PRE itself included: `L*255` has 256. The parsers and the
+/// wire decoder refuse a PRE with more, as they refuse one with a
+/// derivative deeper than [`MAX_DEPTH`].
+pub const MAX_STATES: usize = 256;
+
+/// Parses a PRE from its textual form, refusing one that could not ship:
+/// a tree or any of its derivatives deeper than [`MAX_DEPTH`], or more
+/// than [`MAX_STATES`] derivatives.
 pub fn parse(input: &str) -> Result<Pre, PreParseError> {
     let mut p = Parser {
         chars: input.char_indices().peekable(),
@@ -75,7 +85,13 @@ pub fn parse(input: &str) -> Result<Pre, PreParseError> {
             message: format!("unexpected character {c:?}"),
         });
     }
-    Ok(pre)
+    match closure(&pre) {
+        Ok(_) => Ok(pre),
+        Err(message) => Err(PreParseError {
+            position: input.len(),
+            message,
+        }),
+    }
 }
 
 struct Parser<'a> {
@@ -272,6 +288,28 @@ mod tests {
         assert_eq!(
             parse(&format!("{}L", "N·".repeat(1_000))).unwrap(),
             parse("L").unwrap()
+        );
+    }
+
+    #[test]
+    fn a_pre_with_a_derivative_that_cannot_ship_is_refused() {
+        // By `G`, `(L|G)*·r` becomes `(L|G)*·r|d(r)`: a level deeper.
+        let chain = |n: usize| format!("(L|G)*·{}", vec!["G*1"; n].join("·"));
+        let deepest = MAX_DEPTH as usize - 2;
+        assert_eq!(parse(&chain(deepest)).unwrap().depth(), MAX_DEPTH - 1);
+        let text = chain(deepest + 1);
+        let err = parse(&text).unwrap_err();
+        assert!(
+            err.message.contains("derivative deeper than 65 levels"),
+            "{err}"
+        );
+        assert_eq!(err.position, text.len());
+
+        assert!(parse(&format!("L*{}", MAX_STATES - 1)).is_ok());
+        let err = parse("L*5000").unwrap_err();
+        assert!(
+            err.message.contains("more than 256 derivative states"),
+            "{err}"
         );
     }
 

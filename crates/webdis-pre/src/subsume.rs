@@ -12,9 +12,11 @@
 //!   ambiguous, as Section 3.1.1 explains).
 //!
 //! Exact syntactic identity is the remaining equivalence. Anything else is
-//! unrelated and processed normally.
+//! unrelated and processed normally — and so is a superset arrival whose
+//! rewrite could not ship.
 
 use crate::ast::Pre;
+use crate::closure::closure;
 
 /// Result of comparing a newly arrived PRE against a logged PRE for the
 /// same (node, query, remaining-query-count).
@@ -31,11 +33,13 @@ pub enum Subsumption {
     /// the clone continues with the rewritten PRE (this node becomes a
     /// PureRouter for it).
     SupersetOfExisting {
-        /// `A·A*(m-1)·B` — the paper's multiple-rewrite form.
+        /// `A·A*(m-1)·B` — the paper's multiple-rewrite form, whose
+        /// derivative [`closure`](crate::closure()) is within the bounds
+        /// [`parse`](crate::parse()) holds a query to.
         rewritten: Pre,
     },
-    /// No equivalence of the above forms; process normally and add a fresh
-    /// log entry.
+    /// No equivalence of the above forms, or a superset whose rewrite
+    /// could not ship; process normally and add a fresh log entry.
     Unrelated,
 }
 
@@ -77,13 +81,16 @@ pub fn check_subsumption(new: &Pre, logged: &Pre) -> Subsumption {
         (head_bounded(new), head_bounded(logged))
     {
         if a_new == a_old && b_new == b_old {
-            return if m <= n {
-                Subsumption::SubsumedByExisting
-            } else {
-                Subsumption::SupersetOfExisting {
-                    rewritten: rewrite_superset(a_new, m, &b_new),
-                }
-            };
+            if m <= n {
+                return Subsumption::SubsumedByExisting;
+            }
+            // The rewrite lies outside the arrival's derivative closure,
+            // so it is held to the bounds `parse` holds a query to; one
+            // that could not ship leaves the arrival to be processed whole.
+            let rewritten = rewrite_superset(a_new, m, &b_new);
+            if closure(&rewritten).is_ok() {
+                return Subsumption::SupersetOfExisting { rewritten };
+            }
         }
     }
     Subsumption::Unrelated
@@ -191,6 +198,26 @@ mod tests {
             }
             other => panic!("expected superset, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_rewrite_that_could_not_ship_leaves_the_arrival_whole() {
+        // `A·A*(m-1)·B` is a level deeper than `A*m·B` when `B` is the
+        // deeper part: at the depth bound the rewrite could not ship.
+        let pre = |m: u32, gs: usize| parse(&format!("(L·G)*{m}·{}", vec!["G"; gs].join("·")));
+        let (new, logged) = (pre(2, 10).unwrap(), pre(1, 10).unwrap());
+        assert!(matches!(
+            check_subsumption(&new, &logged),
+            Subsumption::SupersetOfExisting { .. }
+        ));
+        let deepest = crate::MAX_DEPTH as usize;
+        let (new, logged) = (pre(2, deepest).unwrap(), pre(1, deepest).unwrap());
+        assert_eq!(new.depth(), crate::MAX_DEPTH);
+        assert_eq!(check_subsumption(&new, &logged), Subsumption::Unrelated);
+        assert_eq!(
+            check_subsumption(&logged, &new),
+            Subsumption::SubsumedByExisting
+        );
     }
 
     #[test]

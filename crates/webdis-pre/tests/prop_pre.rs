@@ -1,10 +1,19 @@
 //! Property-based tests for the PRE engine: the derivative evaluator, the
-//! DFA compilation and the subsumption rules must agree with each other on
-//! arbitrary expressions and paths.
+//! derivative closure, containment and the subsumption rules must agree
+//! with each other and with the reference automaton (`reference/nfa.rs`)
+//! on arbitrary expressions and paths.
 
 use proptest::prelude::*;
 use webdis_model::LinkType;
-use webdis_pre::{check_subsumption, contains, counterexample, parse, Dfa, Pre, Subsumption};
+use webdis_pre::ast;
+use webdis_pre::{
+    check_subsumption, closure, contains, parse, Pre, Subsumption, MAX_DEPTH, MAX_STATES,
+};
+
+#[allow(dead_code)]
+mod reference;
+
+use reference::nfa::{counterexample, Dfa};
 
 /// Strategy for arbitrary link types (traversable only).
 fn link_type() -> impl Strategy<Value = LinkType> {
@@ -45,10 +54,57 @@ fn path() -> impl Strategy<Value = Vec<LinkType>> {
     prop::collection::vec(link_type(), 0..8)
 }
 
+/// PREs from the paper, the experiments and the log-table tests, plus the
+/// shapes containment has to see through (`L·L*` against `L*·L`).
+const CORPUS: [&str; 27] = [
+    "N",
+    "L",
+    "G",
+    "I",
+    "L*",
+    "G*",
+    "(L|G)*",
+    "L·L*",
+    "L*·L",
+    "L·L·L*",
+    "L*1·G",
+    "L*4·G",
+    "L*2",
+    "G·(G|L)",
+    "G·(G|L|I)",
+    "N|G·L*4",
+    "(G|L)*2·I",
+    "(G·L)*",
+    "(G·L)*2",
+    "L*·G",
+    "(L|G)*·L·(L|G)*",
+    "G·L*1",
+    "G·L*2",
+    "(L|N)·G",
+    "I·L·G",
+    "(L*·G)*",
+    "L·(G|L)*",
+];
+
+#[test]
+fn containment_agrees_with_the_reference_automaton_on_the_corpus() {
+    let corpus: Vec<Pre> = CORPUS.iter().map(|s| parse(s).unwrap()).collect();
+    let mut contained = 0;
+    for a in &corpus {
+        for b in &corpus {
+            let reference = counterexample(a, b).is_none();
+            assert_eq!(contains(a, b), reference, "{a} ⊆ {b}");
+            contained += usize::from(reference);
+        }
+    }
+    // Neither everything nor only the diagonal.
+    assert!(contained > corpus.len() && contained < corpus.len() * corpus.len());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The derivative evaluator and the compiled DFA accept exactly the
+    /// The derivative evaluator and the reference DFA accept exactly the
     /// same paths.
     #[test]
     fn derivatives_agree_with_dfa(p in pre(4), w in path()) {
@@ -63,9 +119,12 @@ proptest! {
         // `Never` prints as `0`, which the grammar (rightly) rejects;
         // normalized expressions only contain `Never` at top level.
         prop_assume!(!p.is_never());
-        let reparsed = parse(&printed)
-            .unwrap_or_else(|e| panic!("cannot reparse {printed:?}: {e}"));
-        prop_assert_eq!(p.accepts(&w), reparsed.accepts(&w));
+        match parse(&printed) {
+            Ok(reparsed) => prop_assert_eq!(p.accepts(&w), reparsed.accepts(&w)),
+            // What parses must ship, every derivative included: the
+            // only refusal a printed PRE may meet.
+            Err(e) => prop_assert!(e.message.contains("derivative"), "cannot reparse {printed:?}: {e}"),
+        }
     }
 
     /// nullable() is exactly acceptance of the zero-length path.
@@ -101,11 +160,15 @@ proptest! {
 
     /// Smart constructors preserve language: seq/alt/star laws spot-check.
     #[test]
-    fn constructor_laws(p in pre(3), w in path()) {
+    fn constructor_laws(p in pre(3), q in pre(3), w in path()) {
         // ε·p == p
         prop_assert_eq!(Pre::seq(Pre::Empty, p.clone()).accepts(&w), p.accepts(&w));
-        // p|p == p
-        prop_assert_eq!(Pre::alt(p.clone(), p.clone()).accepts(&w), p.accepts(&w));
+        // p|p == p, and p|q|p is p|q itself
+        prop_assert_eq!(Pre::alt(p.clone(), p.clone()), p.clone());
+        let pq = Pre::alt(p.clone(), q.clone());
+        prop_assert_eq!(pq.accepts(&w), p.accepts(&w) || q.accepts(&w));
+        prop_assert_eq!(Pre::alt(pq.clone(), p.clone()), pq.clone());
+        prop_assert_eq!(Pre::alt(pq.clone(), pq.clone()), pq);
         // p ⊆ p*
         if p.accepts(&w) {
             prop_assert!(Pre::star(p.clone()).accepts(&w));
@@ -140,21 +203,73 @@ proptest! {
         }
     }
 
-    /// Containment via DFA product agrees with brute-force path
-    /// enumeration up to a length bound.
+    /// Containment as a search over derivative pairs agrees with the
+    /// reference automaton, whose product search yields a minimal witness.
     #[test]
-    fn containment_agrees_with_enumeration(a in pre(3), b in pre(3)) {
-        let claimed = contains(&a, &b);
-        if claimed {
-            for w in a.enumerate_paths(5) {
-                prop_assert!(b.accepts(&w), "claimed {a} ⊆ {b} but {w:?} missing");
+    fn containment_agrees_with_the_reference_automaton(a in pre(3), b in pre(3)) {
+        match counterexample(&a, &b) {
+            None => {
+                prop_assert!(contains(&a, &b), "{a} ⊆ {b} missed");
+                for w in a.enumerate_paths(5) {
+                    prop_assert!(b.accepts(&w), "claimed {a} ⊆ {b} but {w:?} missing");
+                }
             }
-        } else {
-            // The product automaton yields an exact minimal witness.
-            let witness = counterexample(&a, &b)
-                .unwrap_or_else(|| panic!("claimed {a} ⊄ {b} but no witness exists"));
-            prop_assert!(a.accepts(&witness), "witness not accepted by {a}");
-            prop_assert!(!b.accepts(&witness), "witness accepted by {b}");
+            Some(witness) => {
+                prop_assert!(!contains(&a, &b), "{a} ⊄ {b}: {witness:?}");
+                prop_assert!(a.accepts(&witness), "witness not accepted by {a}");
+                prop_assert!(!b.accepts(&witness), "witness accepted by {b}");
+            }
+        }
+    }
+
+    /// Every derivative reachable from a parsed PRE is one of its closure's
+    /// states, so it is as shallow as the parser checked.
+    #[test]
+    fn derivatives_of_a_parsed_pre_stay_in_its_closure(
+        p in pre(4),
+        w in prop::collection::vec(link_type(), 0..24),
+    ) {
+        prop_assume!(!p.is_never());
+        let Ok(parsed) = parse(&p.to_string()) else {
+            return Err(TestCaseError::reject("refused by the parser"));
+        };
+        let states = closure(&parsed).unwrap();
+        prop_assert!(states.len() <= MAX_STATES);
+        let mut cur = parsed;
+        for t in w {
+            cur = cur.deriv(t);
+            if cur.is_never() {
+                break;
+            }
+            prop_assert!(states.contains(&cur), "{cur} missing from the closure");
+            prop_assert!(cur.depth() <= MAX_DEPTH);
+        }
+    }
+
+    /// The Section 3.1.1 rewrite `A·A*(m-1)·B` of a parsed `A*m·B` keeps
+    /// its derivatives within the parser's bounds — and ordinary queries
+    /// are never left unrewritten for it.
+    #[test]
+    fn the_superset_rewrite_stays_within_the_bounds(
+        a in pre(3),
+        b in pre(3),
+        m in 2u32..6,
+        n in 1u32..6,
+    ) {
+        prop_assume!(n < m);
+        let text = |k: u32| format!("({a})*{k}·({b})");
+        let (Ok(new), Ok(logged)) = (parse(&text(m)), parse(&text(n))) else {
+            return Err(TestCaseError::reject("refused by the parser"));
+        };
+        // `(N)*m` is ε: then there is no repetition to compare.
+        prop_assume!(new != logged);
+        match check_subsumption(&new, &logged) {
+            Subsumption::SupersetOfExisting { rewritten } => {
+                let states = closure(&rewritten).unwrap();
+                prop_assert!(states.len() <= MAX_STATES);
+                prop_assert!(states.iter().all(|s| s.depth() <= MAX_DEPTH));
+            }
+            other => prop_assert!(false, "{new} against {logged}: {other:?}"),
         }
     }
 

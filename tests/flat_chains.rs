@@ -4,20 +4,21 @@
 //! simulator only meters a message's encoded size, so it ran what TCP
 //! could not carry — a 65-term `and` chain completed under
 //! `run_query_sim` and hung over TCP with "outstanding CHT state". The
-//! parsers now refuse any tree deeper than the decoder accepts, and no
-//! forwarded clone carries a derived PRE deeper than that.
+//! parsers now refuse any tree deeper than the decoder accepts, and any
+//! PRE with a derivative deeper than that, so no forwarded clone carries
+//! one either.
 
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_query_sim, run_query_tcp, EngineConfig};
+use webdis::core::{run_datashipping_sim, run_query_sim, run_query_tcp, EngineConfig};
 use webdis::disql::parse_disql;
 use webdis::net::{decode_message, encode_message, Message, QueryClone, QueryId};
 use webdis::pre::MAX_DEPTH;
 use webdis::sim::SimConfig;
-use webdis::web::figures;
+use webdis::web::{figures, generate, WebGenConfig};
 
 /// A campus query whose condition (`and`, `or`) or PRE (`·`, `|`) is a
 /// chain of `n` links — a tree `n` levels deep.
@@ -94,48 +95,86 @@ fn hosts(rows: &BTreeSet<(u32, String, Vec<String>)>) -> BTreeSet<String> {
     rows.iter().map(|(_, url, _)| host(url)).collect()
 }
 
-/// Parsing bounds only the PRE a query starts with. A derivative can be
-/// a level deeper — `(L|G)*·r` by `G` is `(L|G)*·r | d(r)` — and each
-/// later one deeper again, so a forwarded clone could carry what the
-/// decoder refuses: the sim ran on, TCP dropped the clone and hung. No
-/// clone carries such a PRE now; its branch ends on both transports.
+/// Parsing bounds every PRE a clone of the query can carry, not only the
+/// one it starts with. A derivative can be a level deeper than its PRE —
+/// `(L|G)*·r` by `G` is `(L|G)*·r|d(r)` — so a query whose derivative the
+/// decoder would refuse is refused at parse, and every query that parses
+/// ships whole: no branch ends early on either transport, and the rows
+/// are data shipping's.
 #[test]
-fn a_derivative_too_deep_to_ship_ends_its_branch_on_both_transports() {
-    // `n` links of `G*1` after `(L|G)*`: a tree `n + 1` levels deep.
-    // `L` keeps it as it is, `G` adds a level.
+fn a_query_with_a_derivative_too_deep_to_ship_is_refused_and_one_that_parses_ships_whole() {
+    // `n` links of `G*1` after `(L|G)*`: a tree `n + 1` levels deep whose
+    // derivative by `G` is a level deeper.
     let query = |n: usize| {
         format!(
             r#"select d.url from document d such that "http://dsl.serc.iisc.ernet.in/" (L|G)*·{} d"#,
             vec!["G*1"; n].join("·")
         )
     };
-    let web = Arc::new(figures::campus());
-    let cfg = EngineConfig::default;
-    let run = |n: usize| {
-        let sim = run_query_sim(web.clone(), &query(n), cfg(), SimConfig::default()).unwrap();
-        let tcp = run_query_tcp(web.clone(), &query(n), cfg(), Duration::from_secs(20)).unwrap();
-        assert!(
-            sim.complete && tcp.complete,
-            "{n}: {:?}",
-            tcp.why_incomplete
-        );
-        assert_eq!(tcp.result_set(), sim.result_set(), "{n}");
-        (
-            hosts(&sim.result_set()),
-            sim.sum_stat(|s| s.depth_limit_drops),
-        )
-    };
-    // At MAX_DEPTH the first `G` hop would go one level deeper: the
-    // branch ends there, and only the start site answers.
-    let (at_limit, drops) = run(MAX_DEPTH as usize - 1);
-    assert_eq!(
-        at_limit,
-        BTreeSet::from(["dsl.serc.iisc.ernet.in".to_string()])
+    let err = parse_disql(&query(MAX_DEPTH as usize - 1)).unwrap_err();
+    assert!(
+        err.message.contains("derivative deeper than 65 levels"),
+        "{err}"
     );
-    assert!(drops > 0);
-    // One level shallower, the first `G` hop ships at MAX_DEPTH.
-    let (below, _) = run(MAX_DEPTH as usize - 2);
-    assert!(below.len() > 1, "{below:?}");
+    let query = query(MAX_DEPTH as usize - 2);
+    let web = Arc::new(figures::campus());
+    let data = run_datashipping_sim(web.clone(), &query, SimConfig::default())
+        .unwrap()
+        .result_set();
+    assert!(hosts(&data).len() > 1, "{data:?}");
+    let cfg = EngineConfig::default;
+    let sim = run_query_sim(web.clone(), &query, cfg(), SimConfig::default()).unwrap();
+    let tcp = run_query_tcp(web, &query, cfg(), Duration::from_secs(20)).unwrap();
+    assert!(sim.complete && tcp.complete, "{:?}", tcp.why_incomplete);
+    assert_eq!(sim.result_set(), data);
+    assert_eq!(tcp.result_set(), data);
+}
+
+/// "Reached through at least one local link". Each `L` used to stack one
+/// more `|(L|G)*` onto the clone's PRE, so no clone state ever came round
+/// again for the log table to recognise: 161 clones on the campus web
+/// where `(L|G)*` needs 6, and data shipping never finished. With
+/// alternatives deduplicated the PRE has two derivatives.
+#[test]
+fn at_least_one_local_link_ships_as_few_clones_as_a_plain_crawl() {
+    let query = |start: &str, pre: &str| {
+        format!(r#"select d.url, d.title from document d such that "{start}" {pre} d"#)
+    };
+    let generated = generate(&WebGenConfig {
+        sites: 8,
+        docs_per_site: 3,
+        ..WebGenConfig::default()
+    });
+    let webs = [
+        (figures::campus(), "http://www.csa.iisc.ernet.in"),
+        (generated, "http://site0.test/doc0.html"),
+    ];
+    let cfg = EngineConfig::default;
+    for (web, start) in webs {
+        let web = Arc::new(web);
+        let clones = |pre: &str| {
+            let query = query(start, pre);
+            let data = run_datashipping_sim(web.clone(), &query, SimConfig::default())
+                .unwrap()
+                .result_set();
+            let sim = run_query_sim(web.clone(), &query, cfg(), SimConfig::default()).unwrap();
+            let tcp = run_query_tcp(web.clone(), &query, cfg(), Duration::from_secs(20)).unwrap();
+            assert!(
+                sim.complete && tcp.complete,
+                "{start} {pre}: {:?}",
+                tcp.why_incomplete
+            );
+            assert!(!data.is_empty(), "{start} {pre}");
+            assert_eq!(sim.result_set(), data, "{start} {pre}: sim");
+            assert_eq!(tcp.result_set(), data, "{start} {pre}: tcp");
+            sim.sum_stat(|s| s.clones_received)
+        };
+        let (crawl, through_local) = (clones("(L|G)*"), clones("(L|G)*·L·(L|G)*"));
+        assert!(
+            through_local <= 2 * crawl,
+            "{start}: {through_local} clones against {crawl}"
+        );
+    }
 }
 
 #[test]
