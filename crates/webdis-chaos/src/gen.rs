@@ -10,8 +10,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
+use webdis_model::{SiteAddr, Url};
+use webdis_sim::{Fault, FaultKind};
+use webdis_web::{Mutation, MutationOp};
 
-use crate::plan::{ChaosPlan, FaultSpec, ANY_HOST};
+use crate::plan::{ChaosFault, ChaosPlan};
 
 /// Expands a master seed into an indexed stream of chaos plans.
 #[derive(Debug, Clone, Copy)]
@@ -73,7 +76,8 @@ impl FaultScheduleGen {
 
         let fault_count = rng.gen_range(2usize..=5);
         for _ in 0..fault_count {
-            plan.faults.push(self.draw_fault(&mut rng, sites, users));
+            plan.faults
+                .push(ChaosFault::Net(self.draw_fault(&mut rng, sites, users)));
         }
         // The living-web axis rides along *after* the classic draws, so
         // a given (seed, index) keeps the exact network-fault prefix it
@@ -86,8 +90,8 @@ impl FaultScheduleGen {
             plan.doc_cache_size = 8;
         }
         for i in 0..mutation_count {
-            let fault = self.draw_mutation(&mut rng, sites, plan.docs_per_site, i);
-            plan.faults.push(fault);
+            let mutation = self.draw_mutation(&mut rng, sites, plan.docs_per_site, i);
+            plan.faults.push(ChaosFault::Web(mutation));
         }
         plan
     }
@@ -96,8 +100,9 @@ impl FaultScheduleGen {
     /// uniform and per-link rate faults, partitions, and server
     /// crash-restart windows. Only query servers crash — a crashed
     /// *user* endpoint would orphan its own bookkeeping, which is a
-    /// different experiment than engine robustness.
-    fn draw_fault(&self, rng: &mut StdRng, sites: usize, users: usize) -> FaultSpec {
+    /// different experiment than engine robustness. Rates are drawn in
+    /// parts per million.
+    fn draw_fault(&self, rng: &mut StdRng, sites: usize, users: usize) -> Fault {
         // A random endpoint pair for link faults: any user or server
         // may sit on either end (self-links are harmless — the
         // simulator routes every message through the network).
@@ -110,40 +115,21 @@ impl FaultScheduleGen {
                 user_host(pick - servers)
             }
         };
-        match rng.gen_range(0u32..8) {
+        let ppm = |rng: &mut StdRng, lo: u32, hi: u32| f64::from(rng.gen_range(lo..=hi)) / 1e6;
+        let kinds = [FaultKind::Drop, FaultKind::Dup, FaultKind::Corrupt];
+        let uniform_ppm = [(10_000, 150_000), (50_000, 400_000), (10_000, 150_000)];
+        match rng.gen_range(0usize..8) {
             // Uniform rate faults (weighted toward the interesting
             // duplication/corruption surface).
-            0 => FaultSpec::Drop {
-                from: ANY_HOST.into(),
-                to: ANY_HOST.into(),
-                rate_ppm: rng.gen_range(10_000..=150_000),
-            },
-            1 => FaultSpec::Dup {
-                from: ANY_HOST.into(),
-                to: ANY_HOST.into(),
-                rate_ppm: rng.gen_range(50_000..=400_000),
-            },
-            2 => FaultSpec::Corrupt {
-                from: ANY_HOST.into(),
-                to: ANY_HOST.into(),
-                rate_ppm: rng.gen_range(10_000..=150_000),
-            },
+            k @ 0..=2 => {
+                let (lo, hi) = uniform_ppm[k];
+                Fault::rate(kinds[k], ppm(rng, lo, hi))
+            }
             // Per-link rate faults, up to total loss of one link.
-            3 => FaultSpec::Drop {
-                from: endpoint(rng),
-                to: endpoint(rng),
-                rate_ppm: rng.gen_range(100_000..=1_000_000),
-            },
-            4 => FaultSpec::Dup {
-                from: endpoint(rng),
-                to: endpoint(rng),
-                rate_ppm: rng.gen_range(100_000..=1_000_000),
-            },
-            5 => FaultSpec::Corrupt {
-                from: endpoint(rng),
-                to: endpoint(rng),
-                rate_ppm: rng.gen_range(100_000..=1_000_000),
-            },
+            k @ 3..=5 => {
+                let (from, to) = (endpoint(rng), endpoint(rng));
+                Fault::rate(kinds[k - 3], ppm(rng, 100_000, 1_000_000)).on(&from, &to)
+            }
             // A partition separating a random prefix of the servers
             // from the rest of the cluster (users side with the
             // remainder, so submissions keep flowing).
@@ -152,7 +138,7 @@ impl FaultScheduleGen {
                 let side_a: Vec<String> = (0..cut).map(server_host).collect();
                 let side_b: Vec<String> = (cut..sites).map(server_host).collect();
                 let start_us = rng.gen_range(0..=1_000_000);
-                FaultSpec::Partition {
+                Fault::Partition {
                     start_us,
                     end_us: start_us + rng.gen_range(100_000u64..=600_000),
                     side_a,
@@ -160,11 +146,13 @@ impl FaultScheduleGen {
                 }
             }
             // A server crash-restart window.
-            _ => FaultSpec::CrashRestart {
-                host: server_host(rng.gen_range(0..sites)),
-                port: 80,
+            _ => Fault::Crash {
+                site: SiteAddr {
+                    host: server_host(rng.gen_range(0..sites)).into(),
+                    port: 80,
+                },
                 at_us: rng.gen_range(0..=2_000_000),
-                down_us: rng.gen_range(100_000..=700_000),
+                down_us: Some(rng.gen_range(100_000..=700_000)),
             },
         }
     }
@@ -179,41 +167,30 @@ impl FaultScheduleGen {
         sites: usize,
         docs_per_site: usize,
         ordinal: usize,
-    ) -> FaultSpec {
+    ) -> Mutation {
+        let doc = |site: usize, doc: usize| {
+            Url::from_parts(&site_host(site), 80, &format!("/doc{doc}.html"))
+        };
         let site = rng.gen_range(0..sites);
-        let doc = rng.gen_range(0..docs_per_site);
-        let url = format!("http://{}/doc{doc}.html", site_host(site));
+        let url = doc(site, rng.gen_range(0..docs_per_site));
         let at_us = rng.gen_range(10_000u64..=1_000_000);
-        match rng.gen_range(0u32..6) {
-            0..=2 => FaultSpec::Mutation {
-                at_us,
-                op: "edit_page".into(),
+        let op = match rng.gen_range(0u32..6) {
+            0..=2 => MutationOp::EditPage {
                 url,
-                arg: format!("chaos-token-{ordinal}"),
+                token: format!("chaos-token-{ordinal}"),
             },
-            3 => FaultSpec::Mutation {
-                at_us,
-                op: "delete_page".into(),
+            3 => MutationOp::DeletePage { url },
+            4 => MutationOp::CreatePage {
+                url: Url::from_parts(&site_host(site), 80, &format!("/chaos{ordinal}.html")),
+                title: format!("Chaos Page {ordinal}"),
+            },
+            _ => MutationOp::AddAnchor {
                 url,
-                arg: String::new(),
+                href: doc(rng.gen_range(0..sites), rng.gen_range(0..docs_per_site)),
+                label: "chaos link".to_owned(),
             },
-            4 => FaultSpec::Mutation {
-                at_us,
-                op: "create_page".into(),
-                url: format!("http://{}/chaos{ordinal}.html", site_host(site)),
-                arg: format!("Chaos Page {ordinal}"),
-            },
-            _ => FaultSpec::Mutation {
-                at_us,
-                op: "add_anchor".into(),
-                url,
-                arg: format!(
-                    "http://{}/doc{}.html",
-                    site_host(rng.gen_range(0..sites)),
-                    rng.gen_range(0..docs_per_site)
-                ),
-            },
-        }
+        };
+        Mutation { at_us, op }
     }
 }
 

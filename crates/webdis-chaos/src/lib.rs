@@ -11,10 +11,12 @@
 //! oracle ([`oracle::check`]) compares the two — liveness, row safety,
 //! trace coherence (via the doctor's triage), and CHT convergence.
 //!
-//! When a schedule fails the oracle, [`shrink`] delta-debugs the fault
-//! list down to a locally-minimal failing schedule, and [`repro`]
-//! serializes it as a replayable `chaos-repro.json`. Everything is
-//! seeded and float-free, so the same master seed yields byte-identical
+//! A plan's faults are the runtimes' own vocabulary: `webdis_sim::Fault`
+//! for the network and `webdis_web::Mutation` for the web, one list of
+//! [`ChaosFault`]s. When a schedule fails the oracle, [`shrink`]
+//! delta-debugs that list down to a locally-minimal failing schedule,
+//! and [`repro`] serializes it as a replayable `chaos-repro.json`.
+//! Everything is seeded, so the same master seed yields byte-identical
 //! verdicts ([`verdict_digest`]) on every run.
 
 #![warn(missing_docs)]
@@ -28,6 +30,6 @@ pub mod shrink;
 
 pub use gen::FaultScheduleGen;
 pub use oracle::{check, Violation};
-pub use plan::{ChaosPlan, FaultSpec, ANY_HOST};
+pub use plan::{ChaosFault, ChaosPlan};
 pub use run::{run_plan, run_tcp_smoke, verdict_digest, ChaosReport};
 pub use shrink::{shrink, Shrunk};

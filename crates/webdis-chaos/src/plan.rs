@@ -1,158 +1,57 @@
 //! The chaos plan: one self-contained, replayable experiment.
 //!
 //! A [`ChaosPlan`] pins everything a run needs — the generated web, the
-//! workload, the engine knobs, and a list of [`FaultSpec`]s — as plain
-//! seeds and integers, so the same plan always produces the same run
-//! and a failing plan can be written to disk and replayed elsewhere.
-//! Probabilities are stored as parts-per-million so plans compare,
-//! hash, and serialize exactly (no floats anywhere).
+//! workload, the engine knobs, and one fault list in the vocabularies the
+//! runtimes already speak (`webdis_sim::Fault` for the network,
+//! `webdis_web::Mutation` for the web) — as seeds and plain values, so
+//! the same plan always produces the same run and a failing plan can be
+//! written to disk ([`crate::repro`]) and replayed elsewhere.
 
 use webdis_core::{EngineConfig, ExpiryPolicy};
 use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
-use webdis_model::{SiteAddr, Url};
 use webdis_sim::{Fault, FaultKind, SimConfig};
 use webdis_trace::TraceHandle;
-use webdis_web::{Mutation, MutationOp, MutationSchedule, WebGenConfig};
+use webdis_web::{Mutation, MutationSchedule, WebGenConfig};
 
-/// Wildcard host in a rate fault: the rate applies uniformly to every
-/// link instead of one `(from, to)` pair.
-pub const ANY_HOST: &str = "*";
-
-/// One injected fault. Rate faults (`Drop`/`Dup`/`Corrupt`) carry their
-/// probability in parts-per-million; `from`/`to` of [`ANY_HOST`] make
-/// the rate uniform across all links.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultSpec {
-    /// Messages on the link vanish silently.
-    Drop {
-        /// Sender endpoint host, or [`ANY_HOST`].
-        from: String,
-        /// Receiver endpoint host, or [`ANY_HOST`].
-        to: String,
-        /// Drop probability, parts per million.
-        rate_ppm: u32,
-    },
-    /// Messages on the link are delivered twice.
-    Dup {
-        /// Sender endpoint host, or [`ANY_HOST`].
-        from: String,
-        /// Receiver endpoint host, or [`ANY_HOST`].
-        to: String,
-        /// Duplication probability, parts per million.
-        rate_ppm: u32,
-    },
-    /// Message bytes are corrupted in flight; the receiver cannot
-    /// decode the frame, so the message is lost through the decode
-    /// path.
-    Corrupt {
-        /// Sender endpoint host, or [`ANY_HOST`].
-        from: String,
-        /// Receiver endpoint host, or [`ANY_HOST`].
-        to: String,
-        /// Corruption probability, parts per million.
-        rate_ppm: u32,
-    },
-    /// A partition window severing traffic between two host groups.
-    Partition {
-        /// Partition onset, virtual µs.
-        start_us: u64,
-        /// Partition healing time, virtual µs (exclusive).
-        end_us: u64,
-        /// Hosts on one side of the cut.
-        side_a: Vec<String>,
-        /// Hosts on the other side.
-        side_b: Vec<String>,
-    },
-    /// A crash-restart window: the endpoint deregisters at `at_us` and
-    /// comes back `down_us` later with fresh volatile state (empty log
-    /// table).
-    CrashRestart {
-        /// The crashing endpoint's host (e.g. `wdqs.site2.test`).
-        host: String,
-        /// The crashing endpoint's port.
-        port: u16,
-        /// Crash onset, virtual µs.
-        at_us: u64,
-        /// How long the endpoint stays down.
-        down_us: u64,
-    },
+/// One entry of a plan's fault list; the shrinker removes either kind.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ChaosFault {
+    /// Something the network does wrong, handed to the simulator as is.
+    Net(Fault),
     /// The living-web fault axis: the web itself changes mid-run. Unlike
-    /// the network faults above this is *benign by contract* — the
-    /// engine must answer each visit from the content current at visit
-    /// time and terminate gracefully at dead links; the oracle's job is
-    /// to tell "the web changed" apart from "the engine lost rows".
-    /// Encoded as flat strings so plans stay diffable; see
-    /// [`ChaosPlan::mutation_schedule`] for the `op`/`arg` vocabulary.
-    Mutation {
-        /// Virtual instant at which the change lands.
-        at_us: u64,
-        /// Operation label (`edit_page`, `create_page`, `delete_page`,
-        /// `add_anchor`, `remove_anchor`, `site_leave`, `site_join`).
-        op: String,
-        /// The page (or site root, for site-level ops) the change hits.
-        url: String,
-        /// Op-dependent payload: edit token, created-page title, or the
-        /// added anchor's target URL. Empty when the op takes none.
-        arg: String,
-    },
+    /// a network fault this is *benign by contract* — the engine must
+    /// answer each visit from the content current at visit time and
+    /// terminate gracefully at dead links; the oracle's job is to tell
+    /// "the web changed" apart from "the engine lost rows".
+    Web(Mutation),
 }
 
-impl FaultSpec {
+impl ChaosFault {
     /// Stable fault-kind label (used in the repro encoding and verdict
     /// lines).
     pub fn kind(&self) -> &'static str {
         match self {
-            FaultSpec::Drop { .. } => "drop",
-            FaultSpec::Dup { .. } => "dup",
-            FaultSpec::Corrupt { .. } => "corrupt",
-            FaultSpec::Partition { .. } => "partition",
-            FaultSpec::CrashRestart { .. } => "crash_restart",
-            FaultSpec::Mutation { .. } => "mutation",
+            ChaosFault::Net(Fault::Rate { kind, .. }) => match kind {
+                FaultKind::Drop => "drop",
+                FaultKind::Dup => "dup",
+                FaultKind::Corrupt => "corrupt",
+            },
+            ChaosFault::Net(Fault::Partition { .. }) => "partition",
+            ChaosFault::Net(Fault::Crash { .. }) => "crash_restart",
+            ChaosFault::Web(_) => "mutation",
         }
     }
+}
 
-    /// This entry as the simulator states it; `None` for a mutation,
-    /// which changes the *web*, not the network (the runner applies
-    /// those via [`ChaosPlan::mutation_schedule`]). A rate is uniform
-    /// only when both hosts are [`ANY_HOST`].
-    fn network_fault(&self) -> Option<Fault> {
-        let rate = |kind, from: &String, to: &String, rate_ppm: u32| Fault::Rate {
-            kind,
-            link: (from != ANY_HOST || to != ANY_HOST).then(|| (from.clone(), to.clone())),
-            rate: ppm(rate_ppm),
-        };
-        Some(match self {
-            FaultSpec::Drop { from, to, rate_ppm } => rate(FaultKind::Drop, from, to, *rate_ppm),
-            FaultSpec::Dup { from, to, rate_ppm } => rate(FaultKind::Dup, from, to, *rate_ppm),
-            FaultSpec::Corrupt { from, to, rate_ppm } => {
-                rate(FaultKind::Corrupt, from, to, *rate_ppm)
-            }
-            FaultSpec::Partition {
-                start_us,
-                end_us,
-                side_a,
-                side_b,
-            } => Fault::Partition {
-                start_us: *start_us,
-                end_us: *end_us,
-                side_a: side_a.clone(),
-                side_b: side_b.clone(),
-            },
-            FaultSpec::CrashRestart {
-                host,
-                port,
-                at_us,
-                down_us,
-            } => Fault::Crash {
-                site: SiteAddr {
-                    host: host.as_str().into(),
-                    port: *port,
-                },
-                at_us: *at_us,
-                down_us: Some(*down_us),
-            },
-            FaultSpec::Mutation { .. } => return None,
-        })
+impl From<Fault> for ChaosFault {
+    fn from(fault: Fault) -> ChaosFault {
+        ChaosFault::Net(fault)
+    }
+}
+
+impl From<Mutation> for ChaosFault {
+    fn from(mutation: Mutation) -> ChaosFault {
+        ChaosFault::Web(mutation)
     }
 }
 
@@ -171,8 +70,8 @@ pub const CHAOS_LOCAL_QUERY: &str = r#"
 "#;
 
 /// One replayable chaos experiment: topology, workload, engine knobs,
-/// and the fault schedule, all as seeds and integers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// and the fault schedule.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosPlan {
     /// Sites in the generated web.
     pub sites: usize,
@@ -216,7 +115,7 @@ pub struct ChaosPlan {
     /// schedule the shrinker demonstrates on.
     pub validate_doc_cache: bool,
     /// The fault schedule. An empty list is a fault-free plan.
-    pub faults: Vec<FaultSpec>,
+    pub faults: Vec<ChaosFault>,
 }
 
 impl Default for ChaosPlan {
@@ -288,87 +187,49 @@ impl ChaosPlan {
     /// `with_faults == false` builds the fault-free baseline: same
     /// latency model, jitter, and seed — only the faults stripped.
     pub fn sim_config(&self, with_faults: bool) -> SimConfig {
-        let faults = self.faults.iter().filter(|_| with_faults);
+        let net = |f: &ChaosFault| match f {
+            ChaosFault::Net(fault) if with_faults => Some(fault.clone()),
+            _ => None,
+        };
         SimConfig {
             jitter_us: self.jitter_us,
             seed: self.sim_seed,
-            faults: faults.filter_map(FaultSpec::network_fault).collect(),
+            faults: self.faults.iter().filter_map(net).collect(),
             ..SimConfig::default()
         }
     }
 
-    /// True when the schedule contains a crash-restart window. A
-    /// restarted server loses its log table, so a clone revisiting it
-    /// is legitimately recomputed — the row oracle then checks set
+    /// True when the schedule contains a crash window. A restarted
+    /// server loses its log table, so a clone revisiting it is
+    /// legitimately recomputed — the row oracle then checks set
     /// inclusion instead of multiset inclusion.
     pub fn has_restarts(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, FaultSpec::CrashRestart { .. }))
+        let crash = |f: &ChaosFault| matches!(f, ChaosFault::Net(Fault::Crash { .. }));
+        self.faults.iter().any(crash)
     }
 
     /// True when the schedule mutates the web mid-run: the runner then
     /// executes on a living web and the oracle checks rows against the
     /// union of per-version fault-free baselines.
     pub fn has_mutations(&self) -> bool {
-        self.faults
-            .iter()
-            .any(|f| matches!(f, FaultSpec::Mutation { .. }))
+        self.faults.iter().any(|f| matches!(f, ChaosFault::Web(_)))
     }
 
-    /// The plan's [`FaultSpec::Mutation`] entries as a time-ordered
-    /// [`MutationSchedule`] (ties keep schedule order). Panics on an op
-    /// label outside the documented vocabulary or an unparsable URL —
-    /// plans come from the generator or the repro decoder, both of which
-    /// only produce the vocabulary below.
+    /// The plan's [`ChaosFault::Web`] entries as a time-ordered
+    /// [`MutationSchedule`] (ties keep schedule order).
     pub fn mutation_schedule(&self) -> MutationSchedule {
-        let mut events = Vec::new();
-        for fault in &self.faults {
-            let FaultSpec::Mutation {
-                at_us,
-                op,
-                url,
-                arg,
-            } = fault
-            else {
-                continue;
-            };
-            let parsed = Url::parse(url)
-                .unwrap_or_else(|e| panic!("mutation url {url:?} does not parse: {e:?}"));
-            let op = match op.as_str() {
-                "edit_page" => MutationOp::EditPage {
-                    url: parsed,
-                    token: arg.clone(),
-                },
-                "create_page" => MutationOp::CreatePage {
-                    url: parsed,
-                    title: arg.clone(),
-                },
-                "delete_page" => MutationOp::DeletePage { url: parsed },
-                "add_anchor" => MutationOp::AddAnchor {
-                    url: parsed,
-                    href: Url::parse(arg)
-                        .unwrap_or_else(|e| panic!("anchor href {arg:?} does not parse: {e:?}")),
-                    label: "chaos link".to_owned(),
-                },
-                "remove_anchor" => MutationOp::RemoveAnchor { url: parsed },
-                "site_leave" => MutationOp::SiteLeave {
-                    host: parsed.host().to_owned(),
-                },
-                "site_join" => MutationOp::SiteJoin {
-                    host: parsed.host().to_owned(),
-                },
-                other => panic!("unknown mutation op {other:?}"),
-            };
-            events.push(Mutation { at_us: *at_us, op });
-        }
+        let web = |f: &ChaosFault| match f {
+            ChaosFault::Web(mutation) => Some(mutation.clone()),
+            ChaosFault::Net(_) => None,
+        };
+        let mut events: Vec<Mutation> = self.faults.iter().filter_map(web).collect();
         events.sort_by_key(|m| m.at_us);
         MutationSchedule { events }
     }
 
     /// The same plan with a different fault schedule (the shrinker's
     /// edit operation).
-    pub fn with_faults(&self, faults: Vec<FaultSpec>) -> ChaosPlan {
+    pub fn with_faults(&self, faults: Vec<ChaosFault>) -> ChaosPlan {
         ChaosPlan {
             faults,
             ..self.clone()
@@ -376,32 +237,31 @@ impl ChaosPlan {
     }
 }
 
-/// Parts-per-million to probability.
-fn ppm(rate_ppm: u32) -> f64 {
-    f64::from(rate_ppm.min(1_000_000)) / 1_000_000.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webdis_model::SiteAddr;
+
+    fn crash(host: &str, at_us: u64, down_us: u64) -> ChaosFault {
+        let site = SiteAddr {
+            host: host.into(),
+            port: 80,
+        };
+        let down_us = Some(down_us);
+        Fault::Crash {
+            site,
+            at_us,
+            down_us,
+        }
+        .into()
+    }
 
     #[test]
     fn baseline_config_strips_faults_but_keeps_environment() {
+        let drop = Fault::rate(FaultKind::Drop, 0.1);
         let plan = ChaosPlan {
             jitter_us: 500,
-            faults: vec![
-                FaultSpec::Drop {
-                    from: ANY_HOST.into(),
-                    to: ANY_HOST.into(),
-                    rate_ppm: 100_000,
-                },
-                FaultSpec::CrashRestart {
-                    host: "wdqs.site1.test".into(),
-                    port: 80,
-                    at_us: 1_000,
-                    down_us: 2_000,
-                },
-            ],
+            faults: vec![drop.clone().into(), crash("wdqs.site1.test", 1_000, 2_000)],
             ..ChaosPlan::default()
         };
         let base = plan.sim_config(false);
@@ -409,51 +269,42 @@ mod tests {
         assert_eq!(base.jitter_us, 500);
         assert_eq!(base.seed, plan.sim_seed);
         let faulty = plan.sim_config(true);
+        assert_eq!(faulty.faults[0], drop);
         assert!(matches!(
-            &faulty.faults[..],
-            [Fault::Rate { link: None, rate, .. }, Fault::Crash { down_us: Some(2_000), .. }]
-                if *rate > 0.0
+            &faulty.faults[1..],
+            [Fault::Crash {
+                down_us: Some(2_000),
+                ..
+            }]
         ));
     }
 
     #[test]
-    fn link_rates_and_uniform_rates_route_separately() {
+    fn mutations_stay_off_the_network_and_form_the_schedule() {
+        let edit = |at_us| Mutation {
+            at_us,
+            op: webdis_web::MutationOp::SiteLeave {
+                host: format!("site{at_us}.test"),
+            },
+        };
         let plan = ChaosPlan {
             faults: vec![
-                FaultSpec::Corrupt {
-                    from: "a".into(),
-                    to: "b".into(),
-                    rate_ppm: 1_000_000,
-                },
-                FaultSpec::Dup {
-                    from: ANY_HOST.into(),
-                    to: ANY_HOST.into(),
-                    rate_ppm: 250_000,
-                },
+                edit(20).into(),
+                Fault::rate(FaultKind::Dup, 0.25).into(),
+                edit(10).into(),
             ],
             ..ChaosPlan::default()
         };
-        let cfg = plan.sim_config(true);
-        let on_a_b = Some(("a".to_owned(), "b".to_owned()));
-        assert!(matches!(
-            &cfg.faults[..],
-            [
-                Fault::Rate { kind: FaultKind::Corrupt, link, rate: corrupt },
-                Fault::Rate { kind: FaultKind::Dup, link: None, rate: dup },
-            ] if *link == on_a_b && *corrupt == 1.0 && *dup == 0.25
-        ));
+        assert_eq!(plan.sim_config(true).faults.len(), 1);
+        assert!(plan.has_mutations() && !plan.has_restarts());
+        assert_eq!(plan.mutation_schedule().events, vec![edit(10), edit(20)]);
     }
 
     #[test]
     fn restart_detection_feeds_the_row_oracle_mode() {
         let mut plan = ChaosPlan::default();
         assert!(!plan.has_restarts());
-        plan.faults.push(FaultSpec::CrashRestart {
-            host: "wdqs.site0.test".into(),
-            port: 80,
-            at_us: 0,
-            down_us: 1,
-        });
+        plan.faults.push(crash("wdqs.site0.test", 0, 1));
         assert!(plan.has_restarts());
     }
 }

@@ -2,61 +2,83 @@
 //!
 //! One JSON object holding the plan's seeds and knobs plus a `faults`
 //! array of flat objects — everything integers and strings, so the
-//! file is diff-friendly and replays bit-identically. Written and read
-//! through the workspace's one JSON module (`webdis_trace::json`); the
-//! key order below is part of the file's bytes.
+//! file is diff-friendly and replays bit-identically: a rate is written
+//! in parts per million, a uniform rate's link as `"*"` to `"*"`, a
+//! mutation as its op label, primary URL and one string argument. Written
+//! and read through the workspace's one JSON module
+//! (`webdis_trace::json`); the key order below is part of the file's
+//! bytes. Decoding refuses what the runtimes could not run, naming the
+//! field.
 
+use webdis_model::{SiteAddr, Url};
+use webdis_sim::{Fault, FaultKind};
 use webdis_trace::json::{self, ObjWriter, ToJson, Value};
+use webdis_web::{Mutation, MutationOp};
 
-use crate::plan::{ChaosPlan, FaultSpec};
+use crate::plan::{ChaosFault, ChaosPlan};
 
 /// Format version stamped into every file.
 pub const REPRO_VERSION: u64 = 1;
 
-impl ToJson for FaultSpec {
+/// Both ends of a uniform rate fault's link in the file.
+const ANY_HOST: &str = "*";
+
+/// A rate of one, in the file's parts per million.
+const PPM: u32 = 1_000_000;
+
+/// The label of an anchor an `add_anchor` mutation grafts (the file
+/// carries only its target).
+const ANCHOR_LABEL: &str = "chaos link";
+
+impl ToJson for ChaosFault {
     fn write_json(&self, out: &mut String) {
         let mut obj = ObjWriter::new(out);
         obj.field("kind", self.kind());
         match self {
-            FaultSpec::Drop { from, to, rate_ppm }
-            | FaultSpec::Dup { from, to, rate_ppm }
-            | FaultSpec::Corrupt { from, to, rate_ppm } => {
+            ChaosFault::Net(Fault::Rate { link, rate, .. }) => {
+                let (from, to) = match link {
+                    Some((from, to)) => (from.as_str(), to.as_str()),
+                    None => (ANY_HOST, ANY_HOST),
+                };
+                let rate_ppm = (rate * f64::from(PPM)).round() as u32;
                 obj.field("from", from)
                     .field("to", to)
-                    .field("rate_ppm", rate_ppm);
+                    .field("rate_ppm", &rate_ppm);
             }
-            FaultSpec::Partition {
+            ChaosFault::Net(Fault::Partition {
                 start_us,
                 end_us,
                 side_a,
                 side_b,
-            } => {
+            }) => {
                 obj.field("start_us", start_us)
                     .field("end_us", end_us)
                     .field("side_a", &side_a.join(";"))
                     .field("side_b", &side_b.join(";"));
             }
-            FaultSpec::CrashRestart {
-                host,
-                port,
+            ChaosFault::Net(Fault::Crash {
+                site,
                 at_us,
                 down_us,
-            } => {
-                obj.field("host", host)
-                    .field("port", port)
-                    .field("at_us", at_us)
-                    .field("down_us", down_us);
+            }) => {
+                obj.field("host", &*site.host)
+                    .field("port", &site.port)
+                    .field("at_us", at_us);
+                if let Some(down_us) = down_us {
+                    obj.field("down_us", down_us);
+                }
             }
-            FaultSpec::Mutation {
-                at_us,
-                op,
-                url,
-                arg,
-            } => {
+            ChaosFault::Web(Mutation { at_us, op }) => {
+                let arg = match op {
+                    MutationOp::EditPage { token: arg, .. }
+                    | MutationOp::CreatePage { title: arg, .. } => arg.clone(),
+                    MutationOp::AddAnchor { href, .. } => href.to_string(),
+                    _ => String::new(),
+                };
                 obj.field("at_us", at_us)
-                    .field("op", op)
-                    .field("url", url)
-                    .field("arg", arg);
+                    .field("op", op.label())
+                    .field("url", &op.url_string())
+                    .field("arg", &arg);
             }
         }
         obj.end();
@@ -109,41 +131,74 @@ fn sides(joined: &str) -> Vec<String> {
         .collect()
 }
 
-fn decode_fault(f: &Value) -> Result<FaultSpec, String> {
+fn decode_rate(f: &Value, kind: FaultKind) -> Result<Fault, String> {
+    let (from, to): (&str, &str) = (f.req("from")?, f.req("to")?);
+    let rate_ppm: u32 = f.req("rate_ppm")?;
+    if rate_ppm > PPM {
+        return Err(format!("field \"rate_ppm\" {rate_ppm} is above {PPM}"));
+    }
+    let fault = Fault::rate(kind, f64::from(rate_ppm) / f64::from(PPM));
+    Ok(match (from, to) {
+        (ANY_HOST, ANY_HOST) => fault,
+        _ => fault.on(from, to),
+    })
+}
+
+fn decode_mutation(f: &Value) -> Result<Mutation, String> {
+    let url = |key: &str| -> Result<Url, String> {
+        Url::parse(f.req(key)?).map_err(|e| format!("field {key:?} does not parse: {e}"))
+    };
+    let arg = || f.req::<String>("arg");
+    let op = match f.req::<&str>("op")? {
+        "edit_page" => MutationOp::EditPage {
+            url: url("url")?,
+            token: arg()?,
+        },
+        "create_page" => MutationOp::CreatePage {
+            url: url("url")?,
+            title: arg()?,
+        },
+        "delete_page" => MutationOp::DeletePage { url: url("url")? },
+        "add_anchor" => MutationOp::AddAnchor {
+            url: url("url")?,
+            href: url("arg")?,
+            label: ANCHOR_LABEL.to_owned(),
+        },
+        "remove_anchor" => MutationOp::RemoveAnchor { url: url("url")? },
+        "site_leave" => MutationOp::SiteLeave {
+            host: url("url")?.host().to_owned(),
+        },
+        "site_join" => MutationOp::SiteJoin {
+            host: url("url")?.host().to_owned(),
+        },
+        other => return Err(format!("field \"op\" {other:?} is not a mutation op")),
+    };
+    let at_us = f.req("at_us")?;
+    Ok(Mutation { at_us, op })
+}
+
+fn decode_fault(f: &Value) -> Result<ChaosFault, String> {
     Ok(match f.req::<&str>("kind")? {
-        "drop" => FaultSpec::Drop {
-            from: f.req("from")?,
-            to: f.req("to")?,
-            rate_ppm: f.req("rate_ppm")?,
-        },
-        "dup" => FaultSpec::Dup {
-            from: f.req("from")?,
-            to: f.req("to")?,
-            rate_ppm: f.req("rate_ppm")?,
-        },
-        "corrupt" => FaultSpec::Corrupt {
-            from: f.req("from")?,
-            to: f.req("to")?,
-            rate_ppm: f.req("rate_ppm")?,
-        },
-        "partition" => FaultSpec::Partition {
+        "drop" => decode_rate(f, FaultKind::Drop)?.into(),
+        "dup" => decode_rate(f, FaultKind::Dup)?.into(),
+        "corrupt" => decode_rate(f, FaultKind::Corrupt)?.into(),
+        "partition" => Fault::Partition {
             start_us: f.req("start_us")?,
             end_us: f.req("end_us")?,
             side_a: sides(f.req("side_a")?),
             side_b: sides(f.req("side_b")?),
-        },
-        "crash_restart" => FaultSpec::CrashRestart {
-            host: f.req("host")?,
-            port: f.req("port")?,
+        }
+        .into(),
+        "crash_restart" => Fault::Crash {
+            site: SiteAddr {
+                host: f.req::<&str>("host")?.into(),
+                port: f.req("port")?,
+            },
             at_us: f.req("at_us")?,
-            down_us: f.req("down_us")?,
-        },
-        "mutation" => FaultSpec::Mutation {
-            at_us: f.req("at_us")?,
-            op: f.req("op")?,
-            url: f.req("url")?,
-            arg: f.req("arg")?,
-        },
+            down_us: f.opt("down_us")?,
+        }
+        .into(),
+        "mutation" => decode_mutation(f)?.into(),
         other => return Err(format!("unknown fault kind {other:?}")),
     })
 }
@@ -184,40 +239,56 @@ pub fn decode(text: &str) -> Result<(ChaosPlan, Option<String>), String> {
 mod tests {
     use super::*;
     use crate::gen::FaultScheduleGen;
-    use crate::plan::ANY_HOST;
+
+    fn crash(down_us: Option<u64>) -> ChaosFault {
+        let site = SiteAddr {
+            host: "wdqs.site2.test".into(),
+            port: 80,
+        };
+        let at_us = 1_000;
+        Fault::Crash {
+            site,
+            at_us,
+            down_us,
+        }
+        .into()
+    }
+
+    fn mutation(op: MutationOp) -> ChaosFault {
+        Mutation { at_us: 77, op }.into()
+    }
 
     #[test]
     fn round_trips_every_fault_kind() {
+        let url = |u| Url::parse(u).unwrap();
         let plan = ChaosPlan {
             expiry_us: Some(123_456),
             faults: vec![
-                FaultSpec::Drop {
-                    from: ANY_HOST.into(),
-                    to: ANY_HOST.into(),
-                    rate_ppm: 100_000,
-                },
-                FaultSpec::Dup {
-                    from: "user0.load.test".into(),
-                    to: "wdqs.site1.test".into(),
-                    rate_ppm: 1_000_000,
-                },
-                FaultSpec::Corrupt {
-                    from: ANY_HOST.into(),
-                    to: ANY_HOST.into(),
-                    rate_ppm: 5,
-                },
-                FaultSpec::Partition {
+                Fault::rate(FaultKind::Drop, 0.1).into(),
+                Fault::rate(FaultKind::Dup, 1.0)
+                    .on("user0.load.test", "wdqs.site1.test")
+                    .into(),
+                Fault::rate(FaultKind::Corrupt, 0.000_005).into(),
+                Fault::Partition {
                     start_us: 10,
                     end_us: 20,
                     side_a: vec!["wdqs.site0.test".into()],
                     side_b: vec!["wdqs.site1.test".into(), "wdqs.site2.test".into()],
-                },
-                FaultSpec::CrashRestart {
-                    host: "wdqs.site2.test".into(),
-                    port: 80,
-                    at_us: 1_000,
-                    down_us: 2_000,
-                },
+                }
+                .into(),
+                crash(Some(2_000)),
+                crash(None),
+                mutation(MutationOp::AddAnchor {
+                    url: url("http://site0.test/doc0.html"),
+                    href: url("http://site1.test/doc1.html"),
+                    label: ANCHOR_LABEL.into(),
+                }),
+                mutation(MutationOp::SiteLeave {
+                    host: "site1.test".into(),
+                }),
+                mutation(MutationOp::RemoveAnchor {
+                    url: url("http://site0.test/doc0.html"),
+                }),
             ],
             ..ChaosPlan::default()
         };
@@ -250,27 +321,73 @@ mod tests {
         }
     }
 
+    /// `plan` encoded, with `from` replaced by `to` in the text.
+    fn edited(plan: &ChaosPlan, from: &str, to: &str) -> String {
+        let text = encode(plan, None);
+        assert!(text.contains(from), "{text}");
+        text.replace(from, to)
+    }
+
+    fn one_fault(fault: ChaosFault) -> ChaosPlan {
+        ChaosPlan {
+            faults: vec![fault],
+            ..ChaosPlan::default()
+        }
+    }
+
     #[test]
     fn out_of_range_rate_is_an_error_not_a_truncation() {
         // `as u32` used to replay a rate_ppm of 2^32 + 1 as 1.
-        for kind in ["drop", "dup", "corrupt"] {
-            let plan = ChaosPlan {
-                faults: vec![FaultSpec::Drop {
-                    from: ANY_HOST.into(),
-                    to: ANY_HOST.into(),
-                    rate_ppm: 7,
-                }],
-                ..ChaosPlan::default()
-            };
-            let text = encode(&plan, None)
-                .replace("\"drop\"", &format!("{kind:?}"))
-                .replace("\"rate_ppm\":7", "\"rate_ppm\":4294967297");
+        for kind in [FaultKind::Drop, FaultKind::Dup, FaultKind::Corrupt] {
+            let plan = one_fault(Fault::rate(kind, 0.000_007).into());
+            let text = edited(&plan, "\"rate_ppm\":7", "\"rate_ppm\":4294967297");
             let err = decode(&text).unwrap_err();
             assert!(
                 err.contains("rate_ppm") && err.contains("out of range"),
                 "{err}"
             );
         }
+    }
+
+    #[test]
+    fn a_rate_above_one_is_refused_not_clamped() {
+        let plan = one_fault(Fault::rate(FaultKind::Drop, 1.0).into());
+        let text = edited(&plan, "\"rate_ppm\":1000000", "\"rate_ppm\":1000001");
+        let err = decode(&text).unwrap_err();
+        assert!(err.contains("\"rate_ppm\" 1000001 is above"), "{err}");
+    }
+
+    fn edit_page(url: &str) -> ChaosFault {
+        let url = Url::parse(url).unwrap();
+        let token = "x".into();
+        mutation(MutationOp::EditPage { url, token })
+    }
+
+    #[test]
+    fn an_unknown_mutation_op_is_refused() {
+        let plan = one_fault(edit_page("http://site0.test/"));
+        let text = edited(&plan, "\"edit_page\"", "\"rename_page\"");
+        let err = decode(&text).unwrap_err();
+        assert!(err.contains("\"op\" \"rename_page\""), "{err}");
+    }
+
+    #[test]
+    fn an_unparsable_mutation_url_is_refused() {
+        let plan = one_fault(edit_page("http://site0.test/"));
+        let text = edited(&plan, "http://site0.test/", "http://:8080/");
+        let err = decode(&text).unwrap_err();
+        assert!(err.contains("field \"url\" does not parse"), "{err}");
+    }
+
+    #[test]
+    fn an_unparsable_anchor_target_is_refused() {
+        let url = Url::parse("http://site0.test/").unwrap();
+        let href = Url::parse("http://site1.test/").unwrap();
+        let label = ANCHOR_LABEL.into();
+        let plan = one_fault(mutation(MutationOp::AddAnchor { url, href, label }));
+        let text = edited(&plan, "http://site1.test/", "ftp://site1.test/");
+        let err = decode(&text).unwrap_err();
+        assert!(err.contains("field \"arg\" does not parse"), "{err}");
     }
 
     #[test]

@@ -5,8 +5,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis_core::{Deployment, EngineConfig, ExpiryPolicy, SimRunError, TcpFaultPlan};
+use webdis_core::simrun::user_addr;
+use webdis_core::{query_server_addr, Deployment, EngineConfig, ExpiryPolicy, SimRunError};
 use webdis_load::{run_workload_sim, WorkloadOutcome};
+use webdis_model::SiteAddr;
+use webdis_sim::{Fault, FaultKind};
 use webdis_trace::{doctor, TraceHandle, TraceRecord};
 use webdis_web::LiveWeb;
 
@@ -58,7 +61,7 @@ impl ChaosReport {
 /// Runs a plan end to end: fault-free twin(s) first, then the faulty
 /// run under a collecting tracer, then the oracle.
 ///
-/// A plan with [`FaultSpec::Mutation`](crate::plan::FaultSpec) entries
+/// A plan with [`ChaosFault::Web`](crate::plan::ChaosFault) entries
 /// runs its faulty leg on a **living** web whose mutation schedule
 /// lands at exact virtual times mid-workload. Its fault-free twins are
 /// one frozen run per web content version — the pristine web, then the
@@ -126,13 +129,22 @@ pub fn verdict_digest(lines: &[String]) -> u64 {
 /// The query the TCP smoke runs (the paper's campus example).
 const TCP_QUERY: &str = webdis_web::figures::CAMPUS_QUERY;
 
+/// The campus daemon that forwards the query's one `G` hop.
+const TCP_FORWARDER: &str = "wdqs.www.csa.iisc.ernet.in";
+
+/// The campus daemon whose incoming clone the TCP smoke corrupts.
+const TCP_CORRUPTED: &str = "wdqs.www-compiler.csa.iisc.ernet.in";
+
 /// The campus site whose daemon the TCP smoke crashes.
 const TCP_CRASH_HOST: &str = "dsl.serc.iisc.ernet.in";
 
 /// Pushes the chaos fault surface through real sockets: one campus
-/// query under frame corruption, report duplication, and a daemon
-/// crash-restart window, oracle-checked against a fault-free TCP
-/// baseline. Returns the violations (empty = invariants held).
+/// query under frame corruption (the forward to the compiler lab),
+/// duplication of every report, and a crash-restart window of the DSL
+/// lab's daemon — one `Fault` list, as the simulator takes it —
+/// oracle-checked against a fault-free TCP baseline, and each fault's
+/// trace record required. Returns the violations (empty = invariants
+/// held).
 pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
     let web = Arc::new(webdis_web::figures::campus());
     let engine = |tracer: TraceHandle| EngineConfig {
@@ -145,17 +157,23 @@ pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
     let baseline = Deployment::new(web.clone(), engine(TraceHandle::noop())).query_tcp(
         TCP_QUERY,
         deadline,
-        TcpFaultPlan::default(),
+        Vec::new(),
     )?;
 
-    let faults = TcpFaultPlan::default()
-        .with_query_corruption(1, 1)
-        .with_report_dups(0, usize::MAX / 2)
-        .with_crash_window(
-            TCP_CRASH_HOST,
-            Duration::from_millis(0),
-            Duration::from_millis(250),
-        );
+    let dup = |site| {
+        let daemon = query_server_addr(site).host;
+        Fault::rate(FaultKind::Dup, 1.0).on(&daemon, &user_addr().host)
+    };
+    let mut faults: Vec<Fault> = web.sites().iter().map(dup).collect();
+    faults.push(Fault::rate(FaultKind::Corrupt, 1.0).on(TCP_FORWARDER, TCP_CORRUPTED));
+    faults.push(Fault::Crash {
+        site: query_server_addr(&SiteAddr {
+            host: TCP_CRASH_HOST.into(),
+            port: 80,
+        }),
+        at_us: 0,
+        down_us: Some(250_000),
+    });
     let (collector, tracer) = TraceHandle::collecting(1 << 15);
     let outcome = Deployment::new(web, engine(tracer)).query_tcp(TCP_QUERY, deadline, faults)?;
     let records = collector.snapshot();
@@ -193,6 +211,13 @@ pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
         violations.push(Violation::TraceAnomaly {
             detail: anomaly.text,
         });
+    }
+    for event in ["message_corrupted", "message_duplicated", "message_dropped"] {
+        if !records.iter().any(|r| r.event.name() == event) {
+            violations.push(Violation::TraceAnomaly {
+                detail: format!("no {event} record: an injected fault never fired"),
+            });
+        }
     }
     Ok(violations)
 }

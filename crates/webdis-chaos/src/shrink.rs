@@ -99,14 +99,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{FaultSpec, ANY_HOST};
+    use crate::plan::ChaosFault;
+    use webdis_sim::{Fault, FaultKind};
 
-    fn rate_fault(ppm: u32) -> FaultSpec {
-        FaultSpec::Drop {
-            from: ANY_HOST.into(),
-            to: ANY_HOST.into(),
-            rate_ppm: ppm,
-        }
+    /// A uniform drop of `ppm` parts per million.
+    fn rate_fault(ppm: u32) -> ChaosFault {
+        Fault::rate(FaultKind::Drop, f64::from(ppm) / 1e6).into()
     }
 
     /// A synthetic failure predicate: the plan "fails" iff fault with
@@ -124,11 +122,7 @@ mod tests {
             ],
             ..ChaosPlan::default()
         };
-        let shrunk = shrink(&plan, |p| {
-            p.faults
-                .iter()
-                .any(|f| matches!(f, FaultSpec::Drop { rate_ppm: 777, .. }))
-        });
+        let shrunk = shrink(&plan, |p| p.faults.contains(&rate_fault(777)));
         assert_eq!(shrunk.plan.faults, vec![rate_fault(777)]);
     }
 
@@ -140,12 +134,7 @@ mod tests {
             ..ChaosPlan::default()
         };
         let shrunk = shrink(&plan, |p| {
-            let has = |target: u32| {
-                p.faults
-                    .iter()
-                    .any(|f| matches!(f, FaultSpec::Drop { rate_ppm, .. } if *rate_ppm == target))
-            };
-            has(10) && has(20)
+            p.faults.contains(&rate_fault(10)) && p.faults.contains(&rate_fault(20))
         });
         assert_eq!(shrunk.plan.faults, vec![rate_fault(10), rate_fault(20)]);
     }

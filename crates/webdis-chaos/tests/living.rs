@@ -15,8 +15,11 @@
 //! same page from cache at t≈14.5ms — so a mutation at t=14 000µs
 //! lands exactly between the cache fill and the cached re-visit.
 
-use webdis_chaos::plan::{ChaosPlan, FaultSpec};
+use webdis_chaos::plan::{ChaosFault, ChaosPlan};
 use webdis_chaos::{repro, run_plan, shrink};
+use webdis_model::Url;
+use webdis_sim::{Fault, FaultKind};
+use webdis_web::{Mutation, MutationOp};
 
 /// The page every chaos query starts from — guaranteed visited.
 const VISITED: &str = "http://site0.test/doc0.html";
@@ -25,13 +28,15 @@ const VISITED: &str = "http://site0.test/doc0.html";
 /// re-visit of [`VISITED`] (see module docs).
 const BETWEEN_VISITS_US: u64 = 14_000;
 
-fn edit(at_us: u64, url: &str, token: &str) -> FaultSpec {
-    FaultSpec::Mutation {
-        at_us,
-        op: "edit_page".into(),
-        url: url.into(),
-        arg: token.into(),
-    }
+fn url(u: &str) -> Url {
+    Url::parse(u).unwrap()
+}
+
+fn edit(at_us: u64, url: &str, token: &str) -> ChaosFault {
+    let url = self::url(url);
+    let token = token.into();
+    let op = MutationOp::EditPage { url, token };
+    Mutation { at_us, op }.into()
 }
 
 /// The known-bad plan: doc cache on, per-hit version validation OFF
@@ -45,21 +50,19 @@ fn known_bad_plan() -> ChaosPlan {
         faults: vec![
             // Benign rider: a freshly created page has no pre-mutation
             // build to serve stale, and nothing links to it.
-            FaultSpec::Mutation {
+            Mutation {
                 at_us: 5_000,
-                op: "create_page".into(),
-                url: "http://site2.test/rider.html".into(),
-                arg: "Rider Page".into(),
-            },
+                op: MutationOp::CreatePage {
+                    url: url("http://site2.test/rider.html"),
+                    title: "Rider Page".into(),
+                },
+            }
+            .into(),
             // The culprit: edits the visited page between the cache
             // fill and the cached re-visit.
             edit(BETWEEN_VISITS_US, VISITED, "culprit-token"),
             // Benign rider: light uniform report duplication.
-            FaultSpec::Dup {
-                from: "*".into(),
-                to: "*".into(),
-                rate_ppm: 20_000,
-            },
+            Fault::rate(FaultKind::Dup, 0.02).into(),
         ],
         ..ChaosPlan::default()
     }
@@ -134,12 +137,13 @@ fn validated_doc_cache_upholds_the_contract_on_the_same_schedule() {
 fn page_deletion_terminates_gracefully_and_stays_benign() {
     let plan = ChaosPlan {
         doc_cache_size: 8,
-        faults: vec![FaultSpec::Mutation {
+        faults: vec![Mutation {
             at_us: BETWEEN_VISITS_US,
-            op: "delete_page".into(),
-            url: "http://site0.test/doc1.html".into(),
-            arg: String::new(),
-        }],
+            op: MutationOp::DeletePage {
+                url: url("http://site0.test/doc1.html"),
+            },
+        }
+        .into()],
         ..ChaosPlan::default()
     };
     let report = run_plan(&plan).expect("plan runs");

@@ -13,16 +13,17 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use webdis_disql::parse_disql;
 use webdis_model::SiteAddr;
 use webdis_net::{
     Closer, ConnPool, Frame, Message, Received, RetryPolicy, TcpEndpoint, WireCounters,
 };
+use webdis_sim::{Fault, Injector, Verdict};
 use webdis_trace::{MetricsExporter, TraceEvent as TrEvent, TraceHandle, TraceRecord};
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan, SUBMIT_TIMER_TOKEN};
@@ -33,161 +34,23 @@ use crate::record::{QueryRecord, WorkloadOutcome};
 use crate::server::ServerEngine;
 use crate::simrun::{user_addr, SimRunError};
 
-/// What the fault plan decided for one outgoing message.
-enum FaultAction {
-    None,
-    /// Swallow the message; the sender believes the send succeeded.
-    Drop,
-    /// Flip a byte in the encoded frame before writing it, so the
-    /// receiver's decode path rejects it (loss through `WireError`).
-    Corrupt,
-    /// Deliver the message, then deliver an identical second copy.
-    Duplicate,
-}
+/// The fault list a cluster is started with — `webdis_sim::Fault`, the
+/// simulator's vocabulary. (A name kept because the wall-clock benchmark,
+/// `hwbench/`, calls `TcpFaultPlan::default()`.)
+pub type TcpFaultPlan = Vec<Fault>;
 
-/// Deterministic send-fault injection for the TCP runtime: of all
-/// `query`-kind messages dispatched across the whole run (user dispatch
-/// and daemon forwards share one global counter), each fault kind claims
-/// its own ordinal range `[skip, skip + n)`. Report-kind messages have
-/// their own counter for duplication (the idempotence path under test).
-/// Cloning shares the counters — every `TcpNet` handle in a run sees the
-/// same plan. Crash-restart windows ride along: a daemon discards what
-/// arrives within `[start, start + down)` of the cluster epoch (the
-/// process is dead) and the closing edge respawns its engine via
-/// [`ServerEngine::restart`] — volatile state wiped, exactly what a
-/// process respawn loses. Both edges are deadlines of its [`serve`] loop.
-#[derive(Clone, Default)]
-pub struct TcpFaultPlan {
-    inner: Arc<FaultPlanInner>,
-}
-
-#[derive(Default)]
-struct FaultPlanInner {
-    skip_queries: usize,
-    drop_queries: usize,
-    corrupt_skip: usize,
-    corrupt_queries: usize,
-    dup_skip: usize,
-    dup_reports: usize,
-    /// `(host, down at, up again at)`, µs since the cluster epoch.
-    crashes: Vec<(String, u64, u64)>,
-    counter: AtomicUsize,
-    report_counter: AtomicUsize,
-    dropped: AtomicUsize,
-    corrupted: AtomicUsize,
-    duplicated: AtomicUsize,
-}
-
-impl TcpFaultPlan {
-    /// A plan that drops `drop_queries` query clones after letting the
-    /// first `skip_queries` through.
-    pub fn drop_queries(skip_queries: usize, drop_queries: usize) -> TcpFaultPlan {
-        TcpFaultPlan::default().with_query_drops(skip_queries, drop_queries)
-    }
-
-    /// Adds a query-clone drop range to the plan.
-    pub fn with_query_drops(self, skip: usize, n: usize) -> TcpFaultPlan {
-        self.edit(|inner| {
-            inner.skip_queries = skip;
-            inner.drop_queries = n;
-        })
-    }
-
-    /// Adds a query-clone byte-corruption range: the frames are encoded,
-    /// one byte is flipped, and the mangled payload goes over the real
-    /// socket so the receiver's decode error path runs.
-    pub fn with_query_corruption(self, skip: usize, n: usize) -> TcpFaultPlan {
-        self.edit(|inner| {
-            inner.corrupt_skip = skip;
-            inner.corrupt_queries = n;
-        })
-    }
-
-    /// Adds a result-report duplication range: the affected reports are
-    /// delivered twice, exercising the user site's `(origin, seq)`
-    /// dedupe.
-    pub fn with_report_dups(self, skip: usize, n: usize) -> TcpFaultPlan {
-        self.edit(|inner| {
-            inner.dup_skip = skip;
-            inner.dup_reports = n;
-        })
-    }
-
-    /// Adds a crash-restart window for one site's daemon.
-    pub fn with_crash_window(self, host: &str, start: Duration, down: Duration) -> TcpFaultPlan {
-        let (down_us, up_us) = (start.as_micros() as u64, (start + down).as_micros() as u64);
-        self.edit(|inner| inner.crashes.push((host.to_string(), down_us, up_us)))
-    }
-
-    fn edit(mut self, f: impl FnOnce(&mut FaultPlanInner)) -> TcpFaultPlan {
-        let inner = Arc::get_mut(&mut self.inner)
-            .expect("fault plans are configured before the cluster starts");
-        f(inner);
-        self
-    }
-
-    /// How many messages the plan has swallowed so far.
-    pub fn dropped_so_far(&self) -> usize {
-        self.inner.dropped.load(Ordering::SeqCst)
-    }
-
-    /// How many frames the plan has corrupted so far.
-    pub fn corrupted_so_far(&self) -> usize {
-        self.inner.corrupted.load(Ordering::SeqCst)
-    }
-
-    /// How many reports the plan has delivered twice so far.
-    pub fn duplicated_so_far(&self) -> usize {
-        self.inner.duplicated.load(Ordering::SeqCst)
-    }
-
-    /// The edges of `host`'s crash windows, as [`serve`] deadlines.
-    fn crash_edges_for(&self, host: &str) -> BinaryHeap<Reverse<(u64, u64)>> {
-        let windows = self.inner.crashes.iter().filter(|w| w.0 == host);
-        let edges = |w: &(String, u64, u64)| [(w.1, CRASH_TOKEN), (w.2, RESPAWN_TOKEN)];
-        windows.flat_map(edges).map(Reverse).collect()
-    }
-
-    fn action_for(&self, msg: &Message) -> FaultAction {
-        match msg {
-            Message::Query(_) => {
-                let has_faults = self.inner.drop_queries > 0 || self.inner.corrupt_queries > 0;
-                if !has_faults {
-                    return FaultAction::None;
-                }
-                let ordinal = self.inner.counter.fetch_add(1, Ordering::SeqCst);
-                if self.inner.drop_queries > 0
-                    && ordinal >= self.inner.skip_queries
-                    && ordinal < self.inner.skip_queries + self.inner.drop_queries
-                {
-                    self.inner.dropped.fetch_add(1, Ordering::SeqCst);
-                    return FaultAction::Drop;
-                }
-                if self.inner.corrupt_queries > 0
-                    && ordinal >= self.inner.corrupt_skip
-                    && ordinal < self.inner.corrupt_skip + self.inner.corrupt_queries
-                {
-                    self.inner.corrupted.fetch_add(1, Ordering::SeqCst);
-                    return FaultAction::Corrupt;
-                }
-                FaultAction::None
-            }
-            Message::Report(_) => {
-                if self.inner.dup_reports == 0 {
-                    return FaultAction::None;
-                }
-                let ordinal = self.inner.report_counter.fetch_add(1, Ordering::SeqCst);
-                if ordinal >= self.inner.dup_skip
-                    && ordinal < self.inner.dup_skip + self.inner.dup_reports
-                {
-                    self.inner.duplicated.fetch_add(1, Ordering::SeqCst);
-                    return FaultAction::Duplicate;
-                }
-                FaultAction::None
-            }
-            _ => FaultAction::None,
-        }
-    }
+/// The edges of `daemon`'s [`Fault::Crash`] windows, as [`serve`]
+/// deadlines.
+fn crash_edges(faults: &[Fault], daemon: &SiteAddr) -> BinaryHeap<Reverse<(u64, u64)>> {
+    let windows = faults.iter().filter_map(Fault::crash_edges);
+    let windows = windows.filter(|(site, ..)| *site == daemon);
+    let edges = windows.flat_map(|(_, down_us, up_us)| {
+        [
+            Some((down_us, CRASH_TOKEN)),
+            up_us.map(|up_us| (up_us, RESPAWN_TOKEN)),
+        ]
+    });
+    edges.flatten().map(Reverse).collect()
 }
 
 /// A `Network` that resolves site addresses through the shared map and
@@ -203,9 +66,14 @@ pub struct TcpNet {
     epoch: Instant,
     /// Host name of the endpoint this handle belongs to, for trace stamps.
     from: String,
+    /// That endpoint's address as the engine sends to it (`wdqs.<host>`
+    /// for a daemon): the sending end of a link a rate fault names.
+    addr: SiteAddr,
     tracer: TraceHandle,
     retry: RetryPolicy,
-    faults: TcpFaultPlan,
+    /// The run's fault decision, shared by every handle; `None` for an
+    /// empty fault list, which is all a fault-free send looks at.
+    faults: Option<Arc<Mutex<Injector>>>,
     /// Shared per-kind wire meter — one per cluster, so `/metrics` sees
     /// traffic from every daemon and from the user-site client alike.
     wire: Arc<WireCounters>,
@@ -249,10 +117,14 @@ impl Network for TcpNet {
         // Encoded once: the frame is what gets counted, damaged and sent.
         let mut frame = Frame::encode(&msg).map_err(|_| undeliverable())?;
         let bytes = frame.payload().len() as u64;
-        let mut duplicate = false;
-        match self.faults.action_for(&msg) {
-            FaultAction::None => {}
-            FaultAction::Drop => {
+        let verdict = self.faults.as_ref().map(|faults| {
+            let now_us = self.now_us();
+            faults.lock().decide(now_us, &self.addr.host, &to.host, 0)
+        });
+        let duplicate = match verdict {
+            None => false,
+            Some(Verdict::Delivered { copy, .. }) => copy.is_some(),
+            Some(Verdict::Dropped(reason)) => {
                 // Injected loss: the sender believes the send succeeded,
                 // exactly like a message lost in flight.
                 self.wire.record_dropped(msg.kind(), bytes);
@@ -260,11 +132,11 @@ impl Network for TcpNet {
                     kind: msg.kind().to_string(),
                     to: to.host.to_string(),
                     bytes: bytes as u32,
-                    reason: "injected".into(),
+                    reason: reason.into(),
                 });
                 return Ok(());
             }
-            FaultAction::Corrupt => {
+            Some(Verdict::Corrupted) => {
                 // Flip one byte mid-payload and push the mangled frame
                 // down the same pooled connection: the receiver's decoder
                 // rejects it, so this is loss exercised through the
@@ -281,8 +153,7 @@ impl Network for TcpNet {
                 });
                 return Ok(());
             }
-            FaultAction::Duplicate => duplicate = true,
-        }
+        };
         // The retry callback traces through `&self`, so the pool steps
         // out of `self` for the duration of the send.
         let mut pool = std::mem::take(&mut self.pool);
@@ -482,7 +353,6 @@ fn keep_house(deployment: &Deployment, epoch: Instant, stop: &Receiver<()>) {
 /// single-query runners and the `webdis-load` workload driver all build
 /// on this.
 pub struct TcpCluster {
-    user_site: SiteAddr,
     user_endpoint: TcpEndpoint,
     /// The user site's network handle; every other handle of the cluster
     /// is a clone of it under another name.
@@ -502,7 +372,7 @@ impl TcpCluster {
     pub fn start(
         web: Arc<webdis_web::HostedWeb>,
         engine_cfg: &EngineConfig,
-        faults: TcpFaultPlan,
+        faults: Vec<Fault>,
     ) -> TcpCluster {
         Deployment::new(web, engine_cfg.clone()).tcp_cluster(faults)
     }
@@ -515,7 +385,7 @@ impl TcpCluster {
     pub fn start_live(
         web: Arc<webdis_web::LiveWeb>,
         engine_cfg: &EngineConfig,
-        faults: TcpFaultPlan,
+        faults: Vec<Fault>,
         schedule: Option<webdis_web::MutationSchedule>,
     ) -> TcpCluster {
         let mut deployment = Deployment::new(web, engine_cfg.clone());
@@ -528,7 +398,11 @@ impl Deployment {
     /// Starts the deployment on loopback under `faults`: binds every
     /// endpoint, then spawns one daemon ([`run_daemon`]) per
     /// participating site, which raises the `log_len_high_water`
-    /// registry gauge after every processed message.
+    /// registry gauge after every processed message. Rate and partition
+    /// faults are decided per send, partition windows in µs since the
+    /// cluster came up; a daemon's [`Fault::Crash`] windows are deadlines
+    /// of its own wait. The daemons race for the one RNG, so rate draws
+    /// are not seed-deterministic: a rate of 0 or 1 is.
     ///
     /// With a monitor or a non-empty schedule, one housekeeping thread
     /// ([`keep_house`]) samples for the former and applies each event of
@@ -537,7 +411,7 @@ impl Deployment {
     /// [`TrEvent::WebMutation`] per applied event, which makes runs
     /// auditable after the fact. The thread is joined at
     /// [`TcpCluster::shutdown`].
-    pub fn tcp_cluster(&self, faults: TcpFaultPlan) -> TcpCluster {
+    pub fn tcp_cluster(&self, faults: Vec<Fault>) -> TcpCluster {
         let (web, engine_cfg) = (&self.web, &self.engine_config());
         let epoch = Instant::now();
         let user_site = user_addr();
@@ -556,9 +430,11 @@ impl Deployment {
             pool: ConnPool::metered(Arc::clone(&wire)),
             epoch,
             from: user_site.host.to_string(),
+            addr: user_site.clone(),
             tracer: engine_cfg.tracer.clone(),
             retry: RetryPolicy::default(),
-            faults,
+            faults: (!faults.is_empty())
+                .then(|| Arc::new(Mutex::new(Injector::new(faults.clone(), 0)))),
             wire,
             queue_wait_us: 0,
             timers: BinaryHeap::new(),
@@ -604,9 +480,11 @@ impl Deployment {
             exporters.push((query_server_addr(&site), exporter));
 
             let engine = ServerEngine::with_view(site.clone(), web.clone(), engine_cfg.clone());
+            let addr = query_server_addr(&site);
             let net = TcpNet {
                 from: site.host.to_string(),
-                timers: user_net.faults.crash_edges_for(&site.host),
+                timers: crash_edges(&faults, &addr),
+                addr,
                 ..user_net.clone()
             };
             let purge_period = engine_cfg.log_purge_us;
@@ -632,7 +510,6 @@ impl Deployment {
                 (stop, thread.expect("spawn housekeeper"))
             });
         TcpCluster {
-            user_site,
             user_endpoint,
             net: user_net,
             daemons,
@@ -645,7 +522,7 @@ impl Deployment {
 impl TcpCluster {
     /// The address daemons report results to.
     pub fn user_site(&self) -> &SiteAddr {
-        &self.user_site
+        &self.net.addr
     }
 
     /// Wall-clock µs since the cluster came up (the time base of every
@@ -738,7 +615,7 @@ impl Deployment {
     /// apart. Times in the outcome are µs since the cluster came up.
     pub fn workload_tcp(
         &self,
-        faults: TcpFaultPlan,
+        faults: Vec<Fault>,
         plans: Vec<UserPlan>,
         deadline: Duration,
     ) -> WorkloadOutcome {
@@ -775,7 +652,7 @@ impl Deployment {
         &self,
         disqls: &[&str],
         deadline: Duration,
-        faults: TcpFaultPlan,
+        faults: Vec<Fault>,
     ) -> Result<Vec<QueryRecord>, SimRunError> {
         // Parse everything up front so errors surface before daemons start.
         let mut submissions = Vec::with_capacity(disqls.len());
@@ -796,7 +673,7 @@ impl Deployment {
         &self,
         disql: &str,
         deadline: Duration,
-        faults: TcpFaultPlan,
+        faults: Vec<Fault>,
     ) -> Result<QueryRecord, SimRunError> {
         Ok(self.queries_tcp(&[disql], deadline, faults)?.remove(0))
     }
@@ -811,7 +688,7 @@ pub fn run_query_tcp(
     engine_cfg: EngineConfig,
     deadline: Duration,
 ) -> Result<QueryRecord, SimRunError> {
-    Deployment::new(web, engine_cfg).query_tcp(disql, deadline, TcpFaultPlan::default())
+    Deployment::new(web, engine_cfg).query_tcp(disql, deadline, Vec::new())
 }
 
 /// [`run_query_tcp`] for several concurrent queries:
@@ -822,13 +699,14 @@ pub fn run_queries_tcp(
     engine_cfg: EngineConfig,
     deadline: Duration,
 ) -> Result<Vec<QueryRecord>, SimRunError> {
-    Deployment::new(web, engine_cfg).queries_tcp(disqls, deadline, TcpFaultPlan::default())
+    Deployment::new(web, engine_cfg).queries_tcp(disqls, deadline, Vec::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use webdis_model::Url;
+    use webdis_sim::FaultKind;
     use webdis_web::figures;
     use webdis_web::{HostedWeb, LiveWeb, Mutation, MutationOp, MutationSchedule, PageBuilder};
 
@@ -890,11 +768,7 @@ mod tests {
             ..EngineConfig::default()
         };
         let before = Deployment::new(Arc::clone(&web), cfg.clone())
-            .query_tcp(
-                NEEDLE_QUERY,
-                Duration::from_secs(30),
-                TcpFaultPlan::default(),
-            )
+            .query_tcp(NEEDLE_QUERY, Duration::from_secs(30), Vec::new())
             .unwrap();
         assert!(before.complete);
         assert!(titles(&before).iter().any(|t| t.contains("A needle")));
@@ -906,11 +780,7 @@ mod tests {
             },
         });
         let after = Deployment::new(Arc::clone(&web), cfg)
-            .query_tcp(
-                NEEDLE_QUERY,
-                Duration::from_secs(30),
-                TcpFaultPlan::default(),
-            )
+            .query_tcp(NEEDLE_QUERY, Duration::from_secs(30), Vec::new())
             .unwrap();
         assert!(after.complete);
         assert!(
@@ -933,11 +803,7 @@ mod tests {
             },
         });
         let outcome = Deployment::new(Arc::clone(&web), EngineConfig::default())
-            .query_tcp(
-                NEEDLE_QUERY,
-                Duration::from_secs(30),
-                TcpFaultPlan::default(),
-            )
+            .query_tcp(NEEDLE_QUERY, Duration::from_secs(30), Vec::new())
             .unwrap();
         assert!(outcome.complete, "dead link must not hang the query");
         assert_eq!(outcome.dead_link_entries.len(), 1);
@@ -980,7 +846,7 @@ mod tests {
         let cluster = TcpCluster::start_live(
             Arc::clone(&web),
             &EngineConfig::default(),
-            TcpFaultPlan::default(),
+            Vec::new(),
             Some(schedule),
         );
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1012,7 +878,7 @@ mod tests {
                 host: "dsl.serc.iisc.ernet.in".into(),
             },
         });
-        let cluster = deployment.tcp_cluster(TcpFaultPlan::default());
+        let cluster = deployment.tcp_cluster(Vec::new());
         assert!(cluster.housekeeper.is_some());
         let t0 = Instant::now();
         let engines = cluster.shutdown();
@@ -1054,7 +920,7 @@ mod tests {
         }];
         let sim = deployment.workload_sim(sim_cfg, plans, u64::MAX, &mut |_, _| {});
 
-        let cluster = deployment.tcp_cluster(TcpFaultPlan::default());
+        let cluster = deployment.tcp_cluster(Vec::new());
         let mut net = cluster.user_net();
         let client = ClientProcess::new("webdis", user_addr(), cfg.clone());
         let mut user = ScheduledClient::new(vec![client], plan().map(|s| (0, s)).into());
@@ -1107,7 +973,7 @@ mod tests {
         deployment.participating = Some(Vec::new());
         let deadline = Duration::from_secs(30);
         let outcome = deployment
-            .query_tcp(figures::CAMPUS_QUERY, deadline, TcpFaultPlan::default())
+            .query_tcp(figures::CAMPUS_QUERY, deadline, Vec::new())
             .unwrap();
         assert!(outcome.complete);
         assert!(outcome.results.is_empty() && outcome.trace.is_empty());
@@ -1119,7 +985,7 @@ mod tests {
         // pair dials at most once, and a warm cluster never dials again.
         let web = Arc::new(figures::campus());
         let cfg = EngineConfig::default();
-        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
+        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
         let mut user = campus_user(&cluster, &cfg);
         let mut net = cluster.user_net();
         let mut connects_after = Vec::new();
@@ -1174,138 +1040,124 @@ mod tests {
     #[test]
     fn batch_outcomes_report_per_query_elapsed() {
         // Regression: every outcome used to be stamped with the whole
-        // batch's wall clock. The single-site link query finishes long
-        // before the multi-hop campus query; its elapsed must be its own.
-        let web = Arc::new(figures::campus());
+        // batch's wall clock. Each carries its own completion stamp — the
+        // instant its user site traced the query's termination — however
+        // the two concurrent queries happen to finish.
+        let (collector, tracer) = TraceHandle::collecting(8_192);
+        let cfg = EngineConfig {
+            tracer,
+            ..EngineConfig::default()
+        };
         let outcomes = run_queries_tcp(
-            Arc::clone(&web),
+            Arc::new(figures::campus()),
             &[figures::CAMPUS_QUERY, figures::EXAMPLE_QUERY_1],
-            EngineConfig::default(),
+            cfg,
             Duration::from_secs(30),
         )
         .unwrap();
-        assert!(outcomes[0].complete && outcomes[1].complete);
-        assert!(
-            outcomes[1].completed_at_us < outcomes[0].completed_at_us,
-            "single-site query ({:?}) must complete before the campus query ({:?})",
-            outcomes[1].completed_at_us,
-            outcomes[0].completed_at_us,
-        );
+        let records = collector.snapshot();
+        for outcome in &outcomes {
+            let terminated = records.iter().find(|r| {
+                matches!(r.event, TrEvent::Termination { .. })
+                    && r.query.as_ref().map(|q| q.query_num) == Some(outcome.query_num)
+            });
+            assert!(outcome.complete, "query {}", outcome.query_num);
+            assert_eq!(
+                outcome.completed_at_us,
+                terminated.map(|r| r.time_us),
+                "query {}",
+                outcome.query_num
+            );
+        }
+        assert_eq!(outcomes.len(), 2);
+    }
+
+    /// The campus CSA daemon, which forwards the query's one `G` hop.
+    const CSA: &str = "wdqs.www.csa.iisc.ernet.in";
+
+    /// The campus query over TCP under `faults` with expiry on, traced:
+    /// its record, and how many trace records the run left under each
+    /// event name.
+    fn campus_under(faults: Vec<Fault>) -> (QueryRecord, BTreeMap<&'static str, usize>) {
+        let (collector, tracer) = TraceHandle::collecting(8_192);
+        let cfg = EngineConfig {
+            expiry: Some(crate::config::ExpiryPolicy::with_timeout(400_000)),
+            tracer,
+            ..EngineConfig::default()
+        };
+        let outcome = Deployment::new(Arc::new(figures::campus()), cfg)
+            .query_tcp(figures::CAMPUS_QUERY, Duration::from_secs(30), faults)
+            .unwrap();
+        let mut events = BTreeMap::new();
+        for record in collector.snapshot() {
+            *events.entry(record.event.name()).or_default() += 1;
+        }
+        (outcome, events)
+    }
+
+    /// The rows of a fault-free campus run.
+    fn campus_rows() -> usize {
+        let (baseline, _) = campus_under(Vec::new());
+        assert!(baseline.complete && baseline.failed_entries.is_empty());
+        baseline.total_rows()
     }
 
     #[test]
     fn injected_query_drop_recovers_via_expiry() {
-        // Drop the first query clone forwarded by a daemon (ordinal 1;
-        // ordinal 0 is the user's initial dispatch). The lost subtree
-        // never reports, so only the expiry sweep can conclude the query
-        // — with the lost nodes in failed_entries and partial results.
-        let web = Arc::new(figures::campus());
-        let baseline = run_query_tcp(
-            Arc::clone(&web),
-            figures::CAMPUS_QUERY,
-            EngineConfig::default(),
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        assert!(baseline.complete && baseline.failed_entries.is_empty());
-        let baseline_rows: usize = baseline.results.values().map(Vec::len).sum();
-
-        let cfg = EngineConfig {
-            expiry: Some(crate::config::ExpiryPolicy::with_timeout(400_000)),
-            ..EngineConfig::default()
-        };
-        let faults = TcpFaultPlan::drop_queries(1, 1);
-        let outcome = Deployment::new(Arc::clone(&web), cfg)
-            .query_tcp(
-                figures::CAMPUS_QUERY,
-                Duration::from_secs(30),
-                faults.clone(),
-            )
-            .unwrap();
-        assert_eq!(faults.dropped_so_far(), 1);
+        // Every clone the CSA daemon forwards to the DSL lab is lost. The
+        // lost subtree never reports, so only the expiry sweep can
+        // conclude the query — with the lost node in failed_entries and
+        // partial results.
+        let drop = Fault::rate(FaultKind::Drop, 1.0).on(CSA, "wdqs.dsl.serc.iisc.ernet.in");
+        let (outcome, events) = campus_under(vec![drop]);
+        assert_eq!(events.get("message_dropped"), Some(&1));
         assert!(outcome.complete, "expiry must conclude the query");
         assert!(
             !outcome.failed_entries.is_empty(),
             "the dropped clone's nodes must be written off"
         );
-        let why = outcome.why_incomplete.expect("expired run is diagnosed");
+        let why = outcome.why_incomplete.as_deref().expect("diagnosed");
         assert!(why.contains("expiry"), "{why}");
-        let rows: usize = outcome.results.values().map(Vec::len).sum();
-        assert!(
-            rows < baseline_rows,
-            "partial results expected ({rows} vs baseline {baseline_rows})"
-        );
-        assert!(rows > 0, "the report preceding the forwards still lands");
+        let (rows, baseline_rows) = (outcome.total_rows(), campus_rows());
+        assert!(rows < baseline_rows, "{rows} vs baseline {baseline_rows}");
+        assert!(rows > 0, "the other labs still answer");
     }
 
     #[test]
     fn corrupted_query_frame_recovers_via_expiry() {
-        // Corrupt the first daemon-forwarded clone (ordinal 1; ordinal 0
-        // is the user's dispatch): the mangled frame goes over the real
-        // socket and dies in the receiver's decoder, so the loss runs
-        // the wire-error path end to end. Expiry concludes the query
-        // with partial results, exactly like a silent drop.
-        let web = Arc::new(figures::campus());
-        let baseline = run_query_tcp(
-            Arc::clone(&web),
-            figures::CAMPUS_QUERY,
-            EngineConfig::default(),
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        let baseline_rows: usize = baseline.results.values().map(Vec::len).sum();
-
-        let cfg = EngineConfig {
-            expiry: Some(crate::config::ExpiryPolicy::with_timeout(400_000)),
-            ..EngineConfig::default()
-        };
-        let faults = TcpFaultPlan::default().with_query_corruption(1, 1);
-        let outcome = Deployment::new(Arc::clone(&web), cfg)
-            .query_tcp(
-                figures::CAMPUS_QUERY,
-                Duration::from_secs(30),
-                faults.clone(),
-            )
-            .unwrap();
-        assert_eq!(faults.corrupted_so_far(), 1);
+        // The clone for the compiler lab goes over the real socket with a
+        // byte flipped and dies in the receiver's decoder, so the loss
+        // runs the wire-error path end to end. Expiry concludes the
+        // query with partial results, exactly like a silent drop.
+        let corrupt =
+            Fault::rate(FaultKind::Corrupt, 1.0).on(CSA, "wdqs.www-compiler.csa.iisc.ernet.in");
+        let (outcome, events) = campus_under(vec![corrupt]);
+        assert_eq!(events.get("message_corrupted"), Some(&1));
         assert!(outcome.complete, "expiry must conclude the query");
         assert!(
             !outcome.failed_entries.is_empty(),
             "the corrupted clone's nodes must be written off"
         );
-        let rows: usize = outcome.results.values().map(Vec::len).sum();
+        let (rows, baseline_rows) = (outcome.total_rows(), campus_rows());
         assert!(rows < baseline_rows, "{rows} vs baseline {baseline_rows}");
     }
 
     #[test]
     fn duplicated_reports_do_not_double_rows() {
-        // Deliver every result report twice: the user site's
+        // Every daemon delivers every report twice: the user site's
         // (origin, seq) dedupe must keep the row set identical to the
         // fault-free run and completion exact.
-        let web = Arc::new(figures::campus());
-        let baseline = run_query_tcp(
-            Arc::clone(&web),
-            figures::CAMPUS_QUERY,
-            EngineConfig::default(),
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        let faults = TcpFaultPlan::default().with_report_dups(0, usize::MAX / 2);
-        let outcome = Deployment::new(Arc::clone(&web), EngineConfig::default())
-            .query_tcp(
-                figures::CAMPUS_QUERY,
-                Duration::from_secs(30),
-                faults.clone(),
-            )
-            .unwrap();
-        assert!(faults.duplicated_so_far() > 0, "reports were duplicated");
+        let web = figures::campus();
+        let dup = |site| {
+            let daemon = query_server_addr(site).host;
+            Fault::rate(FaultKind::Dup, 1.0).on(&daemon, &user_addr().host)
+        };
+        let (outcome, events) = campus_under(web.sites().iter().map(dup).collect());
+        let (baseline, _) = campus_under(Vec::new());
+        assert!(events.get("message_duplicated") > Some(&0), "{events:?}");
         assert!(outcome.complete, "dedupe must not wedge completion");
         assert_eq!(outcome.result_set(), baseline.result_set());
-        assert_eq!(
-            outcome.results.values().map(Vec::len).sum::<usize>(),
-            baseline.results.values().map(Vec::len).sum::<usize>(),
-            "no row arrived twice"
-        );
+        assert_eq!(outcome.total_rows(), baseline.total_rows(), "no row twice");
     }
 
     #[test]
@@ -1314,19 +1166,16 @@ mod tests {
         // clone addressed to it in that window is discarded, and the
         // respawned engine comes back empty. Expiry writes off the lost
         // subtree; the rest of the campus still answers.
-        let web = Arc::new(figures::campus());
-        let cfg = EngineConfig {
-            expiry: Some(crate::config::ExpiryPolicy::with_timeout(500_000)),
-            ..EngineConfig::default()
+        let crash = Fault::Crash {
+            site: SiteAddr {
+                host: "wdqs.dsl.serc.iisc.ernet.in".into(),
+                port: 80,
+            },
+            at_us: 0,
+            down_us: Some(300_000),
         };
-        let faults = TcpFaultPlan::default().with_crash_window(
-            "dsl.serc.iisc.ernet.in",
-            Duration::from_millis(0),
-            Duration::from_millis(300),
-        );
-        let outcome = Deployment::new(Arc::clone(&web), cfg)
-            .query_tcp(figures::CAMPUS_QUERY, Duration::from_secs(30), faults)
-            .unwrap();
+        let (outcome, events) = campus_under(vec![crash]);
+        assert!(events.get("message_dropped") > Some(&0), "{events:?}");
         assert!(outcome.complete, "expiry must conclude the query");
         assert!(
             !outcome.failed_entries.is_empty(),
@@ -1352,7 +1201,7 @@ mod tests {
             tracer,
             ..EngineConfig::default()
         };
-        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
+        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
 
         let mut user = campus_user(&cluster, &cfg);
         drive_campus_query(&cluster, &mut cluster.user_net(), &mut user);
@@ -1461,7 +1310,7 @@ mod tests {
             monitor: Some(monitor),
             ..EngineConfig::default()
         };
-        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, TcpFaultPlan::default());
+        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
 
         let mut user = campus_user(&cluster, &cfg);
         drive_campus_query(&cluster, &mut cluster.user_net(), &mut user);

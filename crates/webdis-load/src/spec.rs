@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webdis_core::{Deployment, PlannedQuery, SimRunError, TcpFaultPlan, UserPlan, WorkloadOutcome};
+use webdis_core::{Deployment, PlannedQuery, SimRunError, UserPlan, WorkloadOutcome};
 use webdis_disql::{parse_disql, WebQuery};
 use webdis_sim::SimConfig;
 use webdis_trace::RegistrySnapshot;
@@ -247,7 +247,7 @@ impl WorkloadSpec {
         deployment: &Deployment,
         deadline: Duration,
     ) -> Result<WorkloadOutcome, SimRunError> {
-        Ok(deployment.workload_tcp(TcpFaultPlan::default(), self.plan()?, deadline))
+        Ok(deployment.workload_tcp(Vec::new(), self.plan()?, deadline))
     }
 
     /// Total planned submissions.

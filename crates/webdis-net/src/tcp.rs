@@ -149,14 +149,6 @@ impl Frame {
         Frame::build(|buf| msg.encode(buf))
     }
 
-    /// Frames a pre-encoded payload as-is — the fault-injection path: a
-    /// chaos harness flips bytes in an encoded message and ships the
-    /// damaged payload so the receiver's decode error handling runs
-    /// against a real socket.
-    pub fn from_payload(payload: &[u8]) -> Result<Frame, TcpError> {
-        Frame::build(|buf| buf.extend_from_slice(payload))
-    }
-
     /// Lets `fill` append the payload behind a placeholder prefix, then
     /// writes the real length into it.
     fn build(fill: impl FnOnce(&mut Vec<u8>)) -> Result<Frame, TcpError> {
@@ -199,13 +191,6 @@ impl Frame {
 /// with a single message to deliver.
 pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
     Frame::encode(msg)?.send_once(addr)
-}
-
-/// Sends one raw, pre-encoded payload on a connection of its own (see
-/// [`Frame::from_payload`]). A well-formed payload is equivalent to
-/// [`send_to`].
-pub fn send_raw<A: ToSocketAddrs>(addr: A, payload: &[u8]) -> Result<(), TcpError> {
-    Frame::from_payload(payload)?.send_once(addr)
 }
 
 /// A sender's long-lived connections, one per peer, dialled on first use
@@ -861,10 +846,10 @@ mod tests {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         // Encode a real message, then flip a byte mid-payload — the
         // receiver's decode path must reject it and survive.
-        let mut payload = encode_message(&fetch_msg("/x"));
-        let mid = payload.len() / 2;
-        payload[mid] ^= 0xff;
-        send_raw(ep.local_addr(), &payload).unwrap();
+        let mut frame = Frame::encode(&fetch_msg("/x")).unwrap();
+        let payload = frame.payload_mut();
+        payload[payload.len() / 2] ^= 0xff;
+        frame.send_once(ep.local_addr()).unwrap();
         // The endpoint still works afterwards; the damaged frame is gone.
         let msg = fetch_msg("/ok");
         send_to(ep.local_addr(), &msg).unwrap();
@@ -1058,7 +1043,7 @@ mod tests {
     fn undecodable_frame_does_not_cost_the_next_frame_on_the_connection() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let (mut pool, meter) = metered_pool();
-        let garbage = Frame::from_payload(&[0xff, 0xff, 0xff]).unwrap();
+        let garbage = Frame::build(|buf| buf.extend_from_slice(&[0xff; 3])).unwrap();
         pool.send(ep.local_addr(), &garbage).unwrap();
         let msg = fetch_msg("/after-garbage");
         send_pooled(&mut pool, ep.local_addr(), &msg);

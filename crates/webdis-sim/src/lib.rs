@@ -23,8 +23,10 @@
 //!   crash and restart edges, the harness's own entries
 //!   ([`SimNet::post_host`]) — is an entry of one time-ordered queue.
 
+pub mod fault;
 pub mod metrics;
 pub mod net;
 
+pub use fault::{Fault, FaultKind, Injector, Verdict};
 pub use metrics::{KindStats, Metrics};
-pub use net::{Actor, Ctx, Fault, FaultKind, LatencyModel, SendError, SimConfig, SimEvent, SimNet};
+pub use net::{Actor, Ctx, LatencyModel, SendError, SimConfig, SimEvent, SimNet};

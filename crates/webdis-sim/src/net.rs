@@ -4,12 +4,11 @@ use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use webdis_model::SiteAddr;
 use webdis_net::{encode_message, Message, Wire};
 use webdis_trace::{TraceEvent, TraceHandle, TraceRecord};
 
+use crate::fault::{Fault, Injector, Verdict};
 use crate::metrics::Metrics;
 
 /// Latency of one message as a function of its encoded size.
@@ -49,86 +48,6 @@ impl LatencyModel {
     /// Latency of a message of `bytes` encoded bytes.
     pub fn latency_us(&self, bytes: usize) -> u64 {
         self.base_us + (bytes as u64 * self.per_kib_us) / 1024
-    }
-}
-
-/// What a rate fault does to the message it claims.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// The message vanishes silently.
-    Drop,
-    /// The receiver cannot decode the message, so it is lost like a drop
-    /// but traced as `message_corrupted` (the simulator's analogue of
-    /// the TCP transport's byte-flip injection).
-    Corrupt,
-    /// A *second* copy is delivered (the original arrives normally; the
-    /// extra copy draws its own latency jitter and is traced as
-    /// `message_duplicated`).
-    Dup,
-}
-
-/// One thing the network does wrong. A run's faults are one list,
-/// [`SimConfig::faults`]; entries are independent and individually
-/// removable (which is what a chaos shrinker does to them).
-#[derive(Debug, Clone)]
-pub enum Fault {
-    /// Messages are claimed with probability `rate` — on every link, or
-    /// with `link: Some((from, to))` only from host `from` to host `to`
-    /// (exact match, one direction). For one message and one kind the
-    /// first entry naming its link is drawn first, then the sum of the
-    /// uniform entries (clamped to 1); a rate of 0 draws nothing, so an
-    /// inert entry does not perturb an existing seed's run.
-    Rate {
-        /// What happens to a claimed message.
-        kind: FaultKind,
-        /// The one link affected; `None` = every link.
-        link: Option<(String, String)>,
-        /// Probability per message.
-        rate: f64,
-    },
-    /// A network partition window: while `start_us <= now < end_us`,
-    /// every message crossing between a host in `side_a` and a host in
-    /// `side_b` (either direction) is dropped. Hosts listed nowhere are
-    /// unaffected.
-    Partition {
-        /// Partition onset, virtual µs.
-        start_us: u64,
-        /// Partition healing time, virtual µs (exclusive).
-        end_us: u64,
-        /// Hosts on one side of the cut.
-        side_a: Vec<String>,
-        /// Hosts on the other side.
-        side_b: Vec<String>,
-    },
-    /// A site crash: the endpoint deregisters at `at_us` (in-flight
-    /// deliveries dead-letter, sends are refused — a process death).
-    /// With `down_us` it re-registers that much later, with
-    /// [`Actor::on_restart`] invoked first, so the actor comes back with
-    /// fresh volatile state (e.g. an empty log table); without, it stays
-    /// down. Deterministic.
-    Crash {
-        /// The site that crashes.
-        site: SiteAddr,
-        /// Crash onset, virtual µs.
-        at_us: u64,
-        /// How long the site stays down; `None` = for good.
-        down_us: Option<u64>,
-    },
-}
-
-impl Fault {
-    /// A rate fault on every link.
-    pub fn rate(kind: FaultKind, rate: f64) -> Fault {
-        let link = None;
-        Fault::Rate { kind, link, rate }
-    }
-
-    /// This rate fault, on the link from host `from` to host `to` only.
-    pub fn on(mut self, from: &str, to: &str) -> Fault {
-        if let Fault::Rate { link, .. } = &mut self {
-            *link = Some((from.to_owned(), to.to_owned()));
-        }
-        self
     }
 }
 
@@ -366,7 +285,8 @@ pub struct SimNet {
     queued_actor_entries: usize,
     clock_us: u64,
     seq: u64,
-    rng: StdRng,
+    /// `config.faults` (which it takes over) and the seeded RNG.
+    injector: Injector,
     /// Per-endpoint processor availability: an event delivered before
     /// this time waits for the endpoint's previous work to finish.
     busy_until: BTreeMap<SiteAddr, u64>,
@@ -384,9 +304,10 @@ impl SimNet {
     /// Creates an empty network; the crash edges of `config.faults` are
     /// its queue's first entries (in list order, down before up, which
     /// is the order they keep at an equal instant).
-    pub fn new(config: SimConfig) -> SimNet {
+    pub fn new(mut config: SimConfig) -> SimNet {
+        let faults = std::mem::take(&mut config.faults);
         let mut net = SimNet {
-            rng: StdRng::seed_from_u64(config.seed),
+            injector: Injector::new(faults.clone(), config.seed),
             actors: BTreeMap::new(),
             registry: BTreeSet::new(),
             queue: BinaryHeap::new(),
@@ -399,21 +320,12 @@ impl SimNet {
             scratch: Vec::new(),
             config,
         };
-        let faults = std::mem::take(&mut net.config.faults);
-        for fault in &faults {
-            if let Fault::Crash {
-                site,
-                at_us,
-                down_us,
-            } = fault
-            {
-                net.push(*at_us, What::Down(site.clone()));
-                if let Some(down_us) = down_us {
-                    net.push(at_us + down_us, What::Up(site.clone()));
-                }
+        for (site, down_us, up_us) in faults.iter().filter_map(Fault::crash_edges) {
+            net.push(down_us, What::Down(site.clone()));
+            if let Some(up_us) = up_us {
+                net.push(up_us, What::Up(site.clone()));
             }
         }
-        net.config.faults = faults;
         net
     }
 
@@ -631,57 +543,12 @@ impl SimNet {
         }
     }
 
-    /// Decides whether a rate fault of `kind` claims a message from
-    /// `from` to `to`, and says which: the first entry naming the link is
-    /// drawn, then the uniform entries' clamped sum. The RNG is only
-    /// consulted for rates actually configured, so adding an inert entry
-    /// does not perturb an existing seed's run.
-    fn claims(&mut self, kind: FaultKind, from: &str, to: &str) -> Option<&'static str> {
-        let mut on_link = None;
-        let mut uniform = 0.0f64;
-        for fault in &self.config.faults {
-            match fault {
-                Fault::Rate {
-                    kind: k,
-                    link,
-                    rate,
-                } if *k == kind => match link {
-                    None => uniform = (uniform + rate).min(1.0),
-                    Some((f, t)) if f == from && t == to => _ = on_link.get_or_insert(*rate),
-                    Some(_) => {}
-                },
-                _ => {}
-            }
-        }
-        if on_link.is_some_and(|rate| rate > 0.0 && self.rng.gen_bool(rate)) {
-            return Some("link");
-        }
-        (uniform > 0.0 && self.rng.gen_bool(uniform)).then_some("random")
-    }
-
-    /// True when a partition window severs a message departing at
-    /// `at_us` from `from` to `to`.
-    fn partitioned(&self, at_us: u64, from: &str, to: &str) -> bool {
-        self.config.faults.iter().any(|fault| match fault {
-            Fault::Partition {
-                start_us,
-                end_us,
-                side_a,
-                side_b,
-            } if (*start_us..*end_us).contains(&at_us) => {
-                let a = |h: &str| side_a.iter().any(|x| x == h);
-                let b = |h: &str| side_b.iter().any(|x| x == h);
-                (a(from) && b(to)) || (b(from) && a(to))
-            }
-            _ => false,
-        })
-    }
-
-    /// Schedules a message departing at `base_us`: applies fault
-    /// injection, meters it, and picks the delivery time from the latency
-    /// model plus jitter. A dropped message is metered separately and
-    /// traced as `message_dropped` — it never becomes a `message_sent`
-    /// record, so trajectory reconstruction does not see phantom sends.
+    /// Schedules a message departing at `base_us`: applies the fault
+    /// decision, meters it, and picks the delivery time from the latency
+    /// model plus jitter. A lost message is metered separately and
+    /// traced as `message_dropped` or `message_corrupted` — it never
+    /// becomes a `message_sent` record, so trajectory reconstruction does
+    /// not see phantom sends.
     fn dispatch_at(&mut self, base_us: u64, from: &SiteAddr, to: SiteAddr, msg: Message) {
         // Metered as what the wire would carry: the message's encoding,
         // written into one buffer the whole run reuses.
@@ -690,74 +557,58 @@ impl SimNet {
         let bytes = self.scratch.len();
         let wire = bytes as u32;
         let dest = || to.host.to_string();
-        // Partition windows are checked first (deterministic), then the
-        // drop rates.
-        let dropped = if self.partitioned(base_us, &from.host, &to.host) {
-            Some("partition")
-        } else {
-            self.claims(FaultKind::Drop, &from.host, &to.host)
+        let verdict = self
+            .injector
+            .decide(base_us, &from.host, &to.host, self.config.jitter_us);
+        let (jitter_us, copy) = match verdict {
+            Verdict::Dropped(reason) => {
+                self.metrics.record_drop(bytes as u64);
+                self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDropped {
+                    kind,
+                    to: dest(),
+                    bytes: wire,
+                    reason: reason.to_string(),
+                });
+                return;
+            }
+            // Corruption is a loss through the decode path: the frame
+            // crosses the wire but the receiver cannot read it.
+            Verdict::Corrupted => {
+                self.metrics.record_corrupt(bytes as u64);
+                self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageCorrupted {
+                    kind,
+                    to: dest(),
+                    bytes: wire,
+                });
+                return;
+            }
+            Verdict::Delivered { jitter_us, copy } => (jitter_us, copy),
         };
-        if let Some(reason) = dropped {
-            self.metrics.record_drop(bytes as u64);
-            self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDropped {
-                kind,
-                to: dest(),
-                bytes: wire,
-                reason: reason.to_string(),
-            });
-            return;
-        }
-        // Corruption is a loss through the decode path: the frame
-        // crosses the wire but the receiver cannot read it, so no
-        // `message_sent` is recorded (trajectory reconstruction must
-        // not see a send that can never be received).
-        if self
-            .claims(FaultKind::Corrupt, &from.host, &to.host)
-            .is_some()
-        {
-            self.metrics.record_corrupt(bytes as u64);
-            self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageCorrupted {
-                kind,
-                to: dest(),
-                bytes: wire,
-            });
-            return;
-        }
         self.metrics.record_send(msg.kind(), bytes as u64);
         self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageSent {
             kind,
             to: dest(),
             bytes: wire,
         });
-        let at_us = base_us + self.config.latency.latency_us(bytes) + self.jitter();
+        let arrive_us = base_us + self.config.latency.latency_us(bytes);
         // Duplication delivers a *second* copy with its own jitter draw
         // (the copies may overtake each other), traced as
         // `message_duplicated` — never a second `message_sent`.
-        let duplicate = if self.claims(FaultKind::Dup, &from.host, &to.host).is_some() {
+        let copy = copy.map(|copy_jitter_us| {
             self.metrics.record_dup(bytes as u64);
             self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDuplicated {
                 kind,
                 to: dest(),
                 bytes: wire,
             });
-            let dup_at_us = base_us + self.config.latency.latency_us(bytes) + self.jitter();
-            Some((dup_at_us, msg.clone()))
-        } else {
-            None
-        };
-        self.push(at_us, What::Actor(to.clone(), Payload::Net(msg)));
-        if let Some((dup_at_us, copy)) = duplicate {
-            self.push(dup_at_us, What::Actor(to, Payload::Net(copy)));
-        }
-    }
-
-    /// One delivery's jitter draw (none drawn when jitter is off, so the
-    /// knob at zero does not perturb a seeded run).
-    fn jitter(&mut self) -> u64 {
-        if self.config.jitter_us > 0 {
-            self.rng.gen_range(0..=self.config.jitter_us)
-        } else {
-            0
+            (arrive_us + copy_jitter_us, msg.clone())
+        });
+        self.push(
+            arrive_us + jitter_us,
+            What::Actor(to.clone(), Payload::Net(msg)),
+        );
+        if let Some((copy_at_us, copy)) = copy {
+            self.push(copy_at_us, What::Actor(to, Payload::Net(copy)));
         }
     }
 
@@ -799,6 +650,7 @@ impl SimNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultKind;
     use webdis_model::Url;
     use webdis_net::{FetchRequest, FetchResponse};
 

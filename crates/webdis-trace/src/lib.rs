@@ -189,8 +189,8 @@ pub enum TraceEvent {
         to: String,
         /// Encoded size in bytes (metered separately from sent traffic).
         bytes: u32,
-        /// Which fault dropped it (`random`, `link`, `partition`,
-        /// `injected`).
+        /// Why it was lost: the fault that dropped it (`random`, `link`,
+        /// `partition`), or a dead endpoint (`dead-letter`, `crashed`).
         reason: String,
     },
     /// Transport-level: fault injection delivered a *second* copy of a

@@ -2,9 +2,9 @@
 //! seeded sweep upholds the oracle deterministically, and a known-bad
 //! schedule shrinks to a minimal repro that replays the same failure.
 
-use webdis_chaos::{
-    repro, run_plan, shrink, verdict_digest, ChaosPlan, FaultScheduleGen, FaultSpec, ANY_HOST,
-};
+use webdis::model::SiteAddr;
+use webdis::sim::{Fault, FaultKind};
+use webdis_chaos::{repro, run_plan, shrink, verdict_digest, ChaosPlan, FaultScheduleGen};
 
 /// The acceptance sweep: 50 generated schedules mixing all five fault
 /// kinds, every one upholding the oracle — and a second pass over the
@@ -53,12 +53,15 @@ fn crash_restart_with_answer_cache_recovers_cold_without_violations() {
     let plan = ChaosPlan {
         queries_per_user: 6,
         cache_budget_bytes: Some(1 << 20),
-        faults: vec![FaultSpec::CrashRestart {
-            host: "wdqs.site1.test".into(),
-            port: 80,
+        faults: vec![Fault::Crash {
+            site: SiteAddr {
+                host: "wdqs.site1.test".into(),
+                port: 80,
+            },
             at_us: 120_000,
-            down_us: 80_000,
-        }],
+            down_us: Some(80_000),
+        }
+        .into()],
         ..ChaosPlan::default()
     };
 
@@ -104,24 +107,17 @@ fn known_bad_plan() -> ChaosPlan {
     ChaosPlan {
         expiry_us: None,
         faults: vec![
-            FaultSpec::Dup {
-                from: ANY_HOST.into(),
-                to: ANY_HOST.into(),
-                rate_ppm: 200_000,
-            },
-            FaultSpec::Drop {
-                from: "user0.load.test".into(),
-                to: "wdqs.site0.test".into(),
-                rate_ppm: 1_000_000,
-            },
-            FaultSpec::Dup {
-                from: "user0.load.test".into(),
-                to: "wdqs.site0.test".into(),
-                rate_ppm: 1_000_000,
-            },
+            Fault::rate(FaultKind::Dup, 0.2).into(),
+            submission_link(FaultKind::Drop).into(),
+            submission_link(FaultKind::Dup).into(),
         ],
         ..ChaosPlan::default()
     }
+}
+
+/// Total `kind` on the link from user 0 to its home server.
+fn submission_link(kind: FaultKind) -> Fault {
+    Fault::rate(kind, 1.0).on("user0.load.test", "wdqs.site0.test")
 }
 
 /// The known-bad schedule hangs, shrinks to exactly its one culprit
@@ -144,11 +140,7 @@ fn known_bad_schedule_shrinks_to_a_replayable_minimal_repro() {
     });
     assert_eq!(
         shrunk.plan.faults,
-        vec![FaultSpec::Drop {
-            from: "user0.load.test".into(),
-            to: "wdqs.site0.test".into(),
-            rate_ppm: 1_000_000,
-        }],
+        vec![submission_link(FaultKind::Drop).into()],
         "shrink must isolate the dropped submission link"
     );
     assert!(shrunk.runs > 1, "shrink must actually explore candidates");

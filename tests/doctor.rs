@@ -8,12 +8,13 @@ use webdis::core::{
     ProcModel,
 };
 use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis::model::Url;
 use webdis::sim::{Fault, FaultKind, SimConfig};
 use webdis::trace::doctor::diagnose;
 use webdis::trace::{TraceEvent, TraceHandle, TraceRecord};
-use webdis::web::{figures, generate, WebGenConfig};
+use webdis::web::{figures, generate, Mutation, MutationOp, WebGenConfig};
 use webdis_bench::{experiment, Ctx, TraceOpt};
-use webdis_chaos::plan::{ChaosPlan, FaultSpec};
+use webdis_chaos::plan::ChaosPlan;
 
 /// The t12 acceptance shape: a sim run with injected drops, expiry on.
 fn t12_drop_trace() -> Vec<TraceRecord> {
@@ -144,23 +145,29 @@ fn cached_zipf_trace() -> Vec<TraceRecord> {
 /// between two visits (superseded), a deleted page (dead links) and
 /// report duplication.
 fn living_chaos_trace() -> Vec<TraceRecord> {
-    let mutation = |at_us, op: &str, url: &str| FaultSpec::Mutation {
-        at_us,
-        op: op.into(),
-        url: url.into(),
-        arg: "edited".into(),
+    let url = |u| Url::parse(u).unwrap();
+    let edit = MutationOp::EditPage {
+        url: url("http://site0.test/doc0.html"),
+        token: "edited".into(),
+    };
+    let delete = MutationOp::DeletePage {
+        url: url("http://site1.test/doc0.html"),
     };
     let plan = ChaosPlan {
         doc_cache_size: 8,
         validate_doc_cache: false,
         faults: vec![
-            mutation(14_000, "edit_page", "http://site0.test/doc0.html"),
-            mutation(1_000, "delete_page", "http://site1.test/doc0.html"),
-            FaultSpec::Dup {
-                from: "*".into(),
-                to: "*".into(),
-                rate_ppm: 200_000,
-            },
+            Mutation {
+                at_us: 14_000,
+                op: edit,
+            }
+            .into(),
+            Mutation {
+                at_us: 1_000,
+                op: delete,
+            }
+            .into(),
+            Fault::rate(FaultKind::Dup, 0.2).into(),
         ],
         ..ChaosPlan::default()
     };

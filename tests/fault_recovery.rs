@@ -1,16 +1,18 @@
 //! End-to-end Section-7.1 graceful recovery: with lossy transport, a
 //! query must *terminate* — completion forced by the periodic expiry
 //! sweep, the lost nodes listed in `failed_entries`, everything received
-//! retained — never hang silently. Pinned on both transports (the sim
-//! via seeded drop injection, TCP via an injected send-fault plan), plus
-//! the trace-soundness property: a faulty run's JSONL reconstructs with
-//! no orphan sends, because dropped messages are recorded as
-//! `message_dropped`, not `message_sent`.
+//! retained — never hang silently. Pinned on both transports, which
+//! take the same `Fault` list (the sim also with seeded drop rates, which
+//! only it draws deterministically), plus the trace-soundness property:
+//! a faulty run's JSONL reconstructs with no orphan sends, because
+//! dropped messages are recorded as `message_dropped`, not
+//! `message_sent`.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_query_sim, Deployment, EngineConfig, ExpiryPolicy, TcpFaultPlan};
+use webdis::core::{run_query_sim, Deployment, EngineConfig, ExpiryPolicy, QueryRecord};
 use webdis::sim::{Fault, FaultKind, SimConfig};
 use webdis::trace::{json, trajectory, TraceHandle};
 use webdis::web::figures;
@@ -108,6 +110,45 @@ fn sim_faulty_trace_reconstructs_without_orphans() {
     );
 }
 
+/// The campus daemon that forwards the query's one `G` hop to each lab.
+const CSA: &str = "wdqs.www.csa.iisc.ernet.in";
+
+/// Every clone the CSA daemon forwards to the DSL lab's daemon is lost.
+fn dsl_link_lost() -> Vec<Fault> {
+    vec![Fault::rate(FaultKind::Drop, 1.0).on(CSA, "wdqs.dsl.serc.iisc.ernet.in")]
+}
+
+#[test]
+fn one_fault_list_recovers_alike_on_both_transports() {
+    let cfg = EngineConfig {
+        expiry: Some(ExpiryPolicy::with_timeout(400_000)),
+        ..EngineConfig::default()
+    };
+    let deployment = Deployment::new(Arc::new(figures::campus()), cfg);
+    let sim_cfg = SimConfig {
+        faults: dsl_link_lost(),
+        ..SimConfig::default()
+    };
+    let sim = deployment
+        .query_sim(figures::CAMPUS_QUERY, sim_cfg)
+        .unwrap();
+    let deadline = Duration::from_secs(30);
+    let tcp = deployment
+        .query_tcp(figures::CAMPUS_QUERY, deadline, dsl_link_lost())
+        .unwrap();
+    let failed = |r: &QueryRecord| -> BTreeSet<String> {
+        r.failed_entries
+            .iter()
+            .map(|(node, _)| node.to_string())
+            .collect()
+    };
+    assert!(sim.complete && tcp.complete, "expiry concludes both runs");
+    assert_eq!(sim.metrics.dropped, 1);
+    assert!(!failed(&sim.record).is_empty());
+    assert_eq!(failed(&sim.record), failed(&tcp));
+    assert_eq!(sim.result_set(), tcp.result_set());
+}
+
 #[test]
 fn tcp_injected_faults_terminate_via_expiry_without_orphans() {
     let (collector, handle) = TraceHandle::collecting(8192);
@@ -116,12 +157,11 @@ fn tcp_injected_faults_terminate_via_expiry_without_orphans() {
         tracer: handle,
         ..EngineConfig::default()
     };
-    // Ordinal 0 is the user's dispatch; drop the first daemon forward.
     let outcome = Deployment::new(Arc::new(figures::campus()), cfg)
         .query_tcp(
             figures::CAMPUS_QUERY,
             Duration::from_secs(30),
-            TcpFaultPlan::drop_queries(1, 1),
+            dsl_link_lost(),
         )
         .unwrap();
     assert!(outcome.complete, "expiry must conclude the query");
@@ -129,7 +169,10 @@ fn tcp_injected_faults_terminate_via_expiry_without_orphans() {
     assert!(outcome.results.values().map(Vec::len).sum::<usize>() > 0);
 
     let records = json::decode_jsonl(&collector.export_jsonl()).unwrap();
-    assert!(records.iter().any(|r| r.event.name() == "message_dropped"));
+    let dropped = records
+        .iter()
+        .filter(|r| r.event.name() == "message_dropped");
+    assert_eq!(dropped.count(), 1);
     let ids = trajectory::query_ids(&records);
     assert_eq!(ids.len(), 1);
     let traj = trajectory::reconstruct(&records, &ids[0]);

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_datashipping_sim, CompletionMode, Deployment, EngineConfig, TcpFaultPlan};
+use webdis::core::{run_datashipping_sim, CompletionMode, Deployment, EngineConfig};
 use webdis::sim::SimConfig;
 use webdis::web::{figures, generate, HostedWeb, LiveWeb, WebGenConfig, WebView};
 
@@ -61,7 +61,7 @@ fn every_deployment_runs_the_same_on_both_transports() {
                 sim_traffic.push((sim.metrics.total.messages, sim.metrics.total.bytes));
 
                 let tcp = deployment
-                    .query_tcp(disql, Duration::from_secs(30), TcpFaultPlan::default())
+                    .query_tcp(disql, Duration::from_secs(30), Vec::new())
                     .unwrap();
                 assert!(tcp.complete, "{case} / tcp: {:?}", tcp.why_incomplete);
                 if exact_on_tcp {
