@@ -350,7 +350,7 @@ impl Deployment {
     ) -> Result<QueryOutcome, SimRunError> {
         let query = parse_disql(disql).map_err(SimRunError::Parse)?;
         let mut net = webdis_sim::SimNet::new(sim_cfg);
-        net.set_tracer(self.config.tracer.clone());
+        net.ledger.tracer = self.config.tracer.clone();
         for site in self.web.sites() {
             net.register(site, Box::new(PlainWebServer::new(self.web.clone())));
         }
@@ -366,7 +366,7 @@ impl Deployment {
             .expect("baseline user registered");
         Ok(QueryOutcome {
             record: std::mem::take(&mut user.user.record),
-            metrics: net.metrics,
+            metrics: net.metrics(),
             duration_us,
             server_stats: BTreeMap::new(),
         })

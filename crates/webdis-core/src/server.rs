@@ -27,8 +27,7 @@ use std::sync::Arc;
 use webdis_cache::AnswerCache;
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{
-    AckMsg, CloneState, Disposition, FetchRequest, FetchResponse, Message, NodeReport, QueryClone,
-    QueryId, ResultReport,
+    AckMsg, CloneState, Disposition, Message, NodeReport, QueryClone, QueryId, ResultReport,
 };
 use webdis_rel::NodeDb;
 use webdis_trace::{TermReason, TraceEvent, TraceRecord};
@@ -112,20 +111,6 @@ server_stats! {
     cache_misses,
     /// Answer-cache entries evicted for space.
     cache_evictions,
-}
-
-/// Plain web-server behaviour, for the data-shipping baseline and the
-/// hybrid fallback: the whole document goes back to the requester
-/// (`None` when it is deleted or was never there).
-pub(crate) fn fetch_reply(web: &WebView, req: &FetchRequest) -> Message {
-    let html = match web.fetch(&req.url) {
-        FetchOutcome::Found { html, .. } => Some(html),
-        FetchOutcome::Deleted { .. } | FetchOutcome::Missing => None,
-    };
-    Message::FetchReply(FetchResponse {
-        url: req.url.clone(),
-        html: html.map(|page| page.to_string()),
-    })
 }
 
 /// Everything this site remembers about one query between messages. An
@@ -458,11 +443,9 @@ impl ServerEngine {
         match msg {
             Message::Query(clone) => self.process_clone(net, clone),
             Message::Ack(ack) => self.on_ack(net, ack.id),
-            Message::Fetch(req) => {
-                let _ = net.send(&req.reply_to(), fetch_reply(&self.web, &req));
-            }
-            Message::Report(_) | Message::FetchReply(_) => {
-                // Servers neither receive reports nor fetch replies.
+            Message::Report(_) | Message::Fetch(_) | Message::FetchReply(_) => {
+                // A query server answers no fetch (the site's plain web
+                // server does) and receives no reports or replies.
             }
         }
     }
@@ -1351,37 +1334,6 @@ mod tests {
             .filter(|r| r.node == Url::parse("http://a.test/").unwrap())
             .collect();
         assert_eq!(own.len(), 1);
-    }
-
-    #[test]
-    fn serves_fetch_requests() {
-        let mut net = RecordingNetwork::default();
-        let mut s = server();
-        s.on_message(
-            &mut net,
-            Message::Fetch(FetchRequest {
-                url: Url::parse("http://a.test/").unwrap(),
-                reply_host: "user.test".into(),
-                reply_port: 9,
-            }),
-        );
-        let Message::FetchReply(reply) = &net.sent[0].1 else {
-            panic!()
-        };
-        assert!(reply.html.as_ref().unwrap().contains("Alpha needle"));
-        // Missing documents answer with None rather than silence.
-        s.on_message(
-            &mut net,
-            Message::Fetch(FetchRequest {
-                url: Url::parse("http://a.test/gone").unwrap(),
-                reply_host: "user.test".into(),
-                reply_port: 9,
-            }),
-        );
-        let Message::FetchReply(reply) = &net.sent[1].1 else {
-            panic!()
-        };
-        assert!(reply.html.is_none());
     }
 
     #[test]

@@ -10,16 +10,17 @@ use std::sync::Arc;
 
 use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_model::SiteAddr;
-use webdis_net::Message;
+use webdis_net::{FetchRequest, FetchResponse, Message};
 use webdis_sim::{Actor, Ctx, SendError, SimConfig, SimEvent, SimNet};
 use webdis_trace::RegistrySnapshot;
+use webdis_web::FetchOutcome;
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::{query_server_addr, Network, NetworkError};
 use crate::record::{HybridStats, QueryOutcome, WorkloadOutcome};
-use crate::server::{fetch_reply, ServerEngine, ServerStats};
+use crate::server::{ServerEngine, ServerStats};
 
 /// The address the user-site client listens on, in simulated runs and on
 /// a [`TcpCluster`](crate::TcpCluster) alike.
@@ -108,6 +109,18 @@ impl Actor for SimServer {
     }
 }
 
+/// Plain web-server behaviour, for the data-shipping baseline and the
+/// hybrid fallback: the whole document goes back to the requester
+/// (`None` when it is deleted or was never there).
+fn fetch_reply(web: &webdis_web::WebView, req: &FetchRequest) -> Message {
+    let html = match web.fetch(&req.url) {
+        FetchOutcome::Found { html, .. } => Some(html.to_string()),
+        FetchOutcome::Deleted { .. } | FetchOutcome::Missing => None,
+    };
+    let url = req.url.clone();
+    Message::FetchReply(FetchResponse { url, html })
+}
+
 /// A plain 1999 web server: answers document fetches, runs no query
 /// daemon. Every site gets one; *participating* sites additionally run a
 /// [`ServerEngine`] at their [`query_server_addr`].
@@ -161,7 +174,7 @@ impl Deployment {
     /// bumps on their next clone arrival.
     pub fn sim_net(&self, sim_cfg: SimConfig) -> SimNet {
         let mut net = SimNet::new(sim_cfg);
-        net.set_tracer(self.config.tracer.clone());
+        net.ledger.tracer = self.config.tracer.clone();
         for site in self.web.sites() {
             // Every site serves documents...
             let documents = PlainWebServer::new(self.web.clone());
@@ -273,7 +286,7 @@ impl Deployment {
         let server_stats = self.sim_server_stats(&mut net);
         Ok(QueryOutcome {
             record,
-            metrics: net.metrics,
+            metrics: net.metrics(),
             duration_us,
             server_stats,
         })
@@ -336,7 +349,7 @@ impl Deployment {
                 if let Some(monitor) = monitor {
                     monitor.ingest(now, &snapshot);
                 }
-                observer(now, &snapshot);
+                observer(now, &net.ledger.overlay(snapshot));
             }
         };
         let duration_us = self.drive_sim(&mut net, tick, horizon_us, &mut sweep);
@@ -551,6 +564,52 @@ mod tests {
         assert_eq!(live.mutations_applied(), 1);
         assert_eq!(outcome.dead_link_entries.len(), 1);
         assert_eq!(outcome.total_rows(), 1, "only the root still answers");
+    }
+
+    #[test]
+    fn plain_web_servers_serve_fetch_requests() {
+        /// Fetches its URLs on Start and keeps the replies.
+        struct Fetcher(Vec<&'static str>, Vec<FetchResponse>);
+        impl Actor for Fetcher {
+            fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+                match event {
+                    SimEvent::Start => {
+                        for url in &self.0 {
+                            let url = webdis_model::Url::parse(url).unwrap();
+                            let site = url.site();
+                            let (reply_host, reply_port) = (user_addr().host, user_addr().port);
+                            let req = FetchRequest {
+                                url,
+                                reply_host,
+                                reply_port,
+                            };
+                            ctx.send(&site, Message::Fetch(req)).unwrap();
+                        }
+                    }
+                    SimEvent::Net(Message::FetchReply(reply)) => self.1.push(reply),
+                    SimEvent::Net(_) | SimEvent::Timer(_) => {}
+                }
+            }
+            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+                self
+            }
+        }
+        let deployment = Deployment::new(two_site_web(), EngineConfig::default());
+        let mut net = deployment.sim_net(SimConfig::default());
+        let urls = vec!["http://a.test/", "http://a.test/gone"];
+        net.register(user_addr(), Box::new(Fetcher(urls, Vec::new())));
+        net.start(&user_addr());
+        net.run();
+        let replies = &net.actor_mut::<Fetcher>(&user_addr()).unwrap().1;
+        let html = |url: &str| {
+            let reply = replies.iter().find(|r| r.url.to_string() == url);
+            reply.expect("every fetch is answered").html.clone()
+        };
+        assert_eq!(replies.len(), 2);
+        let page = html("http://a.test/").expect("a found page");
+        assert!(page.contains("Alpha index about needle"), "{page}");
+        // A missing document answers with None rather than silence.
+        assert!(html("http://a.test/gone").is_none());
     }
 
     #[test]

@@ -23,8 +23,8 @@ use webdis_model::SiteAddr;
 use webdis_net::{
     Closer, ConnPool, Frame, Message, Received, RetryPolicy, TcpEndpoint, WireCounters,
 };
-use webdis_sim::{Fault, Injector, Verdict};
-use webdis_trace::{MetricsExporter, TraceEvent as TrEvent, TraceHandle, TraceRecord};
+use webdis_sim::{Fate, Fault, Injector, Ledger};
+use webdis_trace::MetricsExporter;
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan, SUBMIT_TIMER_TOKEN};
 use crate::config::EngineConfig;
@@ -69,14 +69,14 @@ pub struct TcpNet {
     /// That endpoint's address as the engine sends to it (`wdqs.<host>`
     /// for a daemon): the sending end of a link a rate fault names.
     addr: SiteAddr,
-    tracer: TraceHandle,
     retry: RetryPolicy,
     /// The run's fault decision, shared by every handle; `None` for an
     /// empty fault list, which is all a fault-free send looks at.
     faults: Option<Arc<Mutex<Injector>>>,
-    /// Shared per-kind wire meter — one per cluster, so `/metrics` sees
-    /// traffic from every daemon and from the user-site client alike.
-    wire: Arc<WireCounters>,
+    /// Where every message's fate is metered and traced — one meter per
+    /// cluster, so `/metrics` sees traffic from every daemon and from
+    /// the user-site client alike.
+    ledger: Ledger,
     /// Wall-clock queue wait of the message currently being handled,
     /// set by the daemon before `on_message` so the engine's `queue_us`
     /// span sees the channel dwell time. Always zero on client-side
@@ -89,68 +89,45 @@ pub struct TcpNet {
 }
 
 impl TcpNet {
-    /// Traces the event `make` builds; `make` and its `String`s run only
-    /// when the tracer is enabled.
-    fn emit(&self, msg: &Message, make: impl FnOnce() -> TrEvent) {
-        self.tracer.emit_with(|| {
-            let (query, hop) = match msg {
-                Message::Query(c) => (Some(c.id.clone()), Some(c.hops)),
-                Message::Report(r) => (Some(r.id.clone()), None),
-                Message::Ack(a) => (Some(a.id.clone()), None),
-                Message::Fetch(_) | Message::FetchReply(_) => (None, None),
-            };
-            TraceRecord {
-                time_us: self.epoch.elapsed().as_micros() as u64,
-                site: self.from.clone(),
-                query,
-                hop,
-                event: make(),
-            }
-        });
+    /// Hands the fate `msg` met on its way to host `to` to the ledger,
+    /// stamped as this endpoint at the wall clock.
+    fn record(&self, fate: Fate, msg: &Message, bytes: usize, to: &str) {
+        let at_us = || self.now_us();
+        self.ledger.record(fate, msg, bytes, to, &self.from, at_us);
     }
 }
 
 impl Network for TcpNet {
     fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
-        let undeliverable = || NetworkError { to: to.clone() };
-        let addr = *self.map.get(to).ok_or_else(undeliverable)?;
         // Encoded once: the frame is what gets counted, damaged and sent.
-        let mut frame = Frame::encode(&msg).map_err(|_| undeliverable())?;
-        let bytes = frame.payload().len() as u64;
-        let verdict = self.faults.as_ref().map(|faults| {
+        let frame = Frame::encode(&msg);
+        let bytes = frame.as_ref().map_or(0, |frame| frame.payload().len());
+        let refused = |net: &TcpNet| {
+            net.record(Fate::Refused, &msg, bytes, &to.host);
+            Err(NetworkError { to: to.clone() })
+        };
+        let (Some(&addr), Ok(mut frame)) = (self.map.get(to), frame) else {
+            return refused(self);
+        };
+        let verdict = self.faults.as_ref().map_or(Ok((0, None)), |faults| {
             let now_us = self.now_us();
             faults.lock().decide(now_us, &self.addr.host, &to.host, 0)
         });
         let duplicate = match verdict {
-            None => false,
-            Some(Verdict::Delivered { copy, .. }) => copy.is_some(),
-            Some(Verdict::Dropped(reason)) => {
-                // Injected loss: the sender believes the send succeeded,
-                // exactly like a message lost in flight.
-                self.wire.record_dropped(msg.kind(), bytes);
-                self.emit(&msg, || TrEvent::MessageDropped {
-                    kind: msg.kind().to_string(),
-                    to: to.host.to_string(),
-                    bytes: bytes as u32,
-                    reason: reason.into(),
-                });
-                return Ok(());
-            }
-            Some(Verdict::Corrupted) => {
-                // Flip one byte mid-payload and push the mangled frame
-                // down the same pooled connection: the receiver's decoder
-                // rejects it, so this is loss exercised through the
-                // `WireError` path rather than a silent swallow. No
-                // `MessageSent` is emitted — the message never arrives.
-                let payload = frame.payload_mut();
-                payload[payload.len() / 2] ^= 0xff;
-                let _ = self.pool.send(addr, &frame);
-                self.wire.record_dropped(msg.kind(), bytes);
-                self.emit(&msg, || TrEvent::MessageCorrupted {
-                    kind: msg.kind().to_string(),
-                    to: to.host.to_string(),
-                    bytes: bytes as u32,
-                });
+            Ok((_, copy)) => copy.is_some(),
+            Err(lost) => {
+                if lost == Fate::Corrupted {
+                    // Flip one byte mid-payload and push the mangled frame
+                    // down the same pooled connection: the receiver's
+                    // decoder rejects it, so this is loss exercised through
+                    // the `WireError` path rather than a silent swallow.
+                    let payload = frame.payload_mut();
+                    payload[payload.len() / 2] ^= 0xff;
+                    let _ = self.pool.send(addr, &frame);
+                }
+                // The sender believes the send succeeded, exactly like a
+                // message lost in flight.
+                self.record(lost, &msg, bytes, &to.host);
                 return Ok(());
             }
         };
@@ -158,33 +135,19 @@ impl Network for TcpNet {
         // out of `self` for the duration of the send.
         let mut pool = std::mem::take(&mut self.pool);
         let sent = pool.send_retrying(addr, &frame, self.retry, |attempt| {
-            self.emit(&msg, || TrEvent::SendRetried {
-                kind: msg.kind().to_string(),
-                to: to.host.to_string(),
-                attempt,
-            });
+            let at_us = self.now_us();
+            self.ledger
+                .retried(&msg, &to.host, attempt, &self.from, at_us);
         });
         self.pool = pool;
-        sent.map_err(|_| undeliverable())?;
-        self.wire.record_sent(msg.kind(), bytes);
-        self.emit(&msg, || TrEvent::MessageSent {
-            kind: msg.kind().to_string(),
-            to: to.host.to_string(),
-            bytes: bytes as u32,
-        });
-        if duplicate {
-            // Deliver an identical second copy (a retransmitting network).
-            // The extra copy is metered as sent but traced as
-            // `MessageDuplicated`, never as a second `MessageSent` — one
-            // logical send, two deliveries.
-            if self.pool.send(addr, &frame).is_ok() {
-                self.wire.record_sent(msg.kind(), bytes);
-                self.emit(&msg, || TrEvent::MessageDuplicated {
-                    kind: msg.kind().to_string(),
-                    to: to.host.to_string(),
-                    bytes: bytes as u32,
-                });
-            }
+        if sent.is_err() {
+            return refused(self);
+        }
+        self.record(Fate::Sent, &msg, bytes, &to.host);
+        // Deliver an identical second copy (a retransmitting network):
+        // one logical send, two deliveries.
+        if duplicate && self.pool.send(addr, &frame).is_ok() {
+            self.record(Fate::Duplicated, &msg, bytes, &to.host);
         }
         Ok(())
     }
@@ -259,7 +222,6 @@ fn run_daemon(
     mut net: TcpNet,
     purge_period: Option<u64>,
 ) -> ServerEngine {
-    let depth_key = format!("queue_depth.{}", net.from);
     if let Some(period) = purge_period {
         net.post(period, PURGE_TOKEN);
     }
@@ -281,25 +243,19 @@ fn run_daemon(
                 // The process is dead: the frame is read off the socket
                 // but never processed. Traced as an explained drop so
                 // trajectory triage never reports a false orphan.
-                let msg = received.msg;
-                net.emit(&msg, || TrEvent::MessageDropped {
-                    kind: msg.kind().to_string(),
-                    to: net.from.clone(),
-                    bytes: received.wire_bytes as u32,
-                    reason: "crashed".into(),
-                });
+                let fate = Fate::DeadLetter("crashed");
+                net.record(fate, &received.msg, received.wire_bytes, &net.from);
             }
             Due::Message(received) => {
                 // Inbound queue depth at dequeue: this message plus
                 // whatever is still waiting.
-                let depth = endpoint.pending() as u64 + 1;
-                net.tracer.gauge_max(&depth_key, depth);
-                net.tracer.gauge_max("queue_depth_high_water", depth);
+                net.ledger
+                    .arrival(&net.from, || endpoint.pending() as u64 + 1);
                 net.queue_wait_us = received.queued.as_micros() as u64;
                 engine.on_message(&mut net, received.msg);
                 net.queue_wait_us = 0;
-                net.tracer
-                    .gauge_max("log_len_high_water", engine.log_len() as u64);
+                let log_len = engine.log_len() as u64;
+                net.ledger.tracer.gauge_max("log_len_high_water", log_len);
             }
         }
     }
@@ -408,9 +364,9 @@ impl Deployment {
     /// ([`keep_house`]) samples for the former and applies each event of
     /// the latter at its wall-clock offset from the cluster epoch —
     /// pages change *while queries are in flight* — emitting one
-    /// [`TrEvent::WebMutation`] per applied event, which makes runs
-    /// auditable after the fact. The thread is joined at
-    /// [`TcpCluster::shutdown`].
+    /// [`TraceEvent::WebMutation`](webdis_trace::TraceEvent::WebMutation)
+    /// per applied event, which makes runs auditable after the fact. The
+    /// thread is joined at [`TcpCluster::shutdown`].
     pub fn tcp_cluster(&self, faults: Vec<Fault>) -> TcpCluster {
         let (web, engine_cfg) = (&self.web, &self.engine_config());
         let epoch = Instant::now();
@@ -424,18 +380,20 @@ impl Deployment {
         }
         let user_endpoint = TcpEndpoint::bind("127.0.0.1:0").expect("bind loopback");
         map.insert(user_site.clone(), user_endpoint.local_addr());
-        let wire = Arc::new(WireCounters::new());
+        let ledger = Ledger {
+            meter: Arc::default(),
+            tracer: engine_cfg.tracer.clone(),
+        };
         let user_net = TcpNet {
             map: Arc::new(map),
-            pool: ConnPool::metered(Arc::clone(&wire)),
+            pool: ConnPool::metered(Arc::clone(&ledger.meter)),
             epoch,
             from: user_site.host.to_string(),
             addr: user_site.clone(),
-            tracer: engine_cfg.tracer.clone(),
             retry: RetryPolicy::default(),
             faults: (!faults.is_empty())
                 .then(|| Arc::new(Mutex::new(Injector::new(faults.clone(), 0)))),
-            wire,
+            ledger,
             queue_wait_us: 0,
             timers: BinaryHeap::new(),
         };
@@ -449,13 +407,10 @@ impl Deployment {
             // rendered in Prometheus text exposition format. With a noop
             // tracer the wire counters and gauge still get exported.
             let provider: Arc<dyn Fn() -> String + Send + Sync> = {
-                let tracer = engine_cfg.tracer.clone();
-                let wire = Arc::clone(&user_net.wire);
+                let ledger = user_net.ledger.clone();
                 Arc::new(move || {
-                    let mut snap = tracer.registry_snapshot().unwrap_or_default();
-                    for (name, value) in wire.counters() {
-                        snap.put_counter(&format!("net.{name}"), value);
-                    }
+                    let snap = ledger.tracer.registry_snapshot().unwrap_or_default();
+                    let mut snap = ledger.overlay(snap);
                     snap.put_gauge("up", 1);
                     snap.render_prometheus()
                 })
@@ -536,10 +491,10 @@ impl TcpCluster {
         self.net.clone()
     }
 
-    /// The cluster-wide per-kind wire meter (messages/bytes sent and
-    /// dropped, shared by every daemon and the user-site handle).
+    /// The cluster-wide per-kind wire meter (messages and bytes by
+    /// fate, shared by every daemon and the user-site handle).
     pub fn wire_counters(&self) -> &Arc<WireCounters> {
-        &self.net.wire
+        &self.net.ledger.meter
     }
 
     /// Every daemon's `/metrics` listen address, in site order.
@@ -707,6 +662,7 @@ mod tests {
     use super::*;
     use webdis_model::Url;
     use webdis_sim::FaultKind;
+    use webdis_trace::{TraceEvent as TrEvent, TraceHandle};
     use webdis_web::figures;
     use webdis_web::{HostedWeb, LiveWeb, Mutation, MutationOp, MutationSchedule, PageBuilder};
 

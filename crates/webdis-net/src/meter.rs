@@ -1,12 +1,12 @@
-//! Per-message-kind wire accounting.
-//!
-//! The paper's evaluation reasons about protocol overhead in bytes per
-//! message type (queries shipped vs. results returned vs. completion
-//! traffic); this meter is the transport-level collection point for
-//! that accounting. Lock-free atomics so a transport can share one
-//! meter across every daemon thread; the snapshot feeds the metrics
-//! registry (`net.<kind>.msgs` / `net.<kind>.bytes`) and the doctor's
-//! byte report.
+//! Per-message-kind wire accounting, the one traffic meter of both
+//! runtimes. The paper's evaluation reasons about protocol overhead in
+//! bytes per message type (queries shipped vs. results returned vs.
+//! completion traffic); this meter keeps, per kind, messages and encoded
+//! bytes for every [fate](FATES) a message can meet. Only
+//! `webdis_sim::Ledger` writes it, for the simulator and the TCP transport
+//! alike; lock-free atomics let TCP daemon threads share it without a
+//! lock. The simulator's `Metrics` is read off it, and both runtimes
+//! expose its [`counters`](WireCounters::counters) as `net.<kind>.*`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -16,20 +16,33 @@ use crate::messages::Message;
 /// strings [`Message::kind`] returns.
 pub const MESSAGE_KINDS: [&str; 5] = ["query", "report", "ack", "fetch", "fetch-reply"];
 
+/// What can become of a message, in slot order, by the name each is
+/// exposed under: put on the wire, a second copy delivered, damaged in
+/// flight, lost to an injected fault, its destination gone by delivery,
+/// refused at send time.
+pub const FATES: [&str; 6] = [
+    "sent",
+    "duplicated",
+    "corrupted",
+    "dropped",
+    "dead_letter",
+    "refused",
+];
+
+/// The slot of [`FATES`] a message put on the wire is counted in.
+pub const SENT: usize = 0;
+
 #[derive(Default)]
-struct KindMeter {
+struct Slot {
     msgs: AtomicU64,
     bytes: AtomicU64,
-    dropped_msgs: AtomicU64,
-    dropped_bytes: AtomicU64,
 }
 
-/// Thread-safe per-kind counters of wire traffic: messages and bytes
-/// sent, and messages and bytes dropped by fault injection — plus how
-/// many connections were dialled to carry them.
+/// Thread-safe per-kind, per-fate counters of messages and their encoded
+/// bytes — plus how many connections were dialled to carry them.
 #[derive(Default)]
 pub struct WireCounters {
-    kinds: [KindMeter; MESSAGE_KINDS.len()],
+    slots: [[Slot; FATES.len()]; MESSAGE_KINDS.len()],
     connects: AtomicU64,
 }
 
@@ -38,28 +51,13 @@ fn kind_index(kind: &str) -> Option<usize> {
 }
 
 impl WireCounters {
-    /// A zeroed meter.
-    pub fn new() -> WireCounters {
-        WireCounters::default()
-    }
-
-    /// Records one message of `kind` put on the wire at `bytes` encoded
-    /// size. Unknown kinds are ignored (there are none today, but the
-    /// meter must never panic on the hot path).
-    pub fn record_sent(&self, kind: &str, bytes: u64) {
-        if let Some(idx) = kind_index(kind) {
-            self.kinds[idx].msgs.fetch_add(1, Ordering::Relaxed);
-            self.kinds[idx].bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-
-    /// Records one message lost to fault injection instead of sent.
-    pub fn record_dropped(&self, kind: &str, bytes: u64) {
-        if let Some(idx) = kind_index(kind) {
-            self.kinds[idx].dropped_msgs.fetch_add(1, Ordering::Relaxed);
-            self.kinds[idx]
-                .dropped_bytes
-                .fetch_add(bytes, Ordering::Relaxed);
+    /// Counts one `msg` of `bytes` encoded bytes under fate `fate` (an
+    /// index into [`FATES`]): two relaxed atomic adds.
+    pub fn record(&self, fate: usize, msg: &Message, bytes: u64) {
+        if let Some(kind) = kind_index(msg.kind()) {
+            let slot = &self.slots[kind][fate];
+            slot.msgs.fetch_add(1, Ordering::Relaxed);
+            slot.bytes.fetch_add(bytes, Ordering::Relaxed);
         }
     }
 
@@ -75,94 +73,89 @@ impl WireCounters {
         self.connects.load(Ordering::Relaxed)
     }
 
-    /// Messages sent of `kind` (0 for unknown kinds).
-    pub fn msgs_of(&self, kind: &str) -> u64 {
-        kind_index(kind).map_or(0, |i| self.kinds[i].msgs.load(Ordering::Relaxed))
+    /// Messages and bytes of `kind` that met fate `fate` (zero for an
+    /// unknown kind).
+    pub fn get(&self, fate: usize, kind: &str) -> (u64, u64) {
+        let Some(idx) = kind_index(kind) else {
+            return (0, 0);
+        };
+        let slot = &self.slots[idx][fate];
+        let load = |n: &AtomicU64| n.load(Ordering::Relaxed);
+        (load(&slot.msgs), load(&slot.bytes))
     }
 
-    /// Bytes sent of `kind` (0 for unknown kinds).
-    pub fn bytes_of(&self, kind: &str) -> u64 {
-        kind_index(kind).map_or(0, |i| self.kinds[i].bytes.load(Ordering::Relaxed))
+    /// Messages sent of `kind` (0 for unknown kinds).
+    pub fn msgs_of(&self, kind: &str) -> u64 {
+        self.get(SENT, kind).0
     }
 
     /// Total bytes sent across every kind.
     pub fn total_bytes(&self) -> u64 {
-        self.kinds
-            .iter()
-            .map(|k| k.bytes.load(Ordering::Relaxed))
-            .sum()
+        MESSAGE_KINDS.iter().map(|k| self.get(SENT, k).1).sum()
     }
 
-    /// The counters as registry-style `(name, value)` pairs —
-    /// `<kind>.msgs`, `<kind>.bytes`, plus `.dropped_*` variants for
-    /// kinds that saw drops — and `connects` once a connection was
-    /// dialled. Zero-traffic kinds are skipped.
+    /// The counters as registry-style `(name, value)` pairs, for kinds
+    /// and fates that saw traffic: `<kind>.msgs` and `<kind>.bytes` for
+    /// sent messages, `<kind>.<fate>_msgs` and `<kind>.<fate>_bytes` for
+    /// the rest — and `connects` once a connection was dialled.
     pub fn counters(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
         let connects = self.connects();
         if connects > 0 {
             out.push(("connects".to_string(), connects));
         }
-        for (idx, &kind) in MESSAGE_KINDS.iter().enumerate() {
-            let m = &self.kinds[idx];
-            let (msgs, bytes) = (
-                m.msgs.load(Ordering::Relaxed),
-                m.bytes.load(Ordering::Relaxed),
-            );
-            if msgs > 0 {
-                out.push((format!("{kind}.msgs"), msgs));
-                out.push((format!("{kind}.bytes"), bytes));
-            }
-            let (dmsgs, dbytes) = (
-                m.dropped_msgs.load(Ordering::Relaxed),
-                m.dropped_bytes.load(Ordering::Relaxed),
-            );
-            if dmsgs > 0 {
-                out.push((format!("{kind}.dropped_msgs"), dmsgs));
-                out.push((format!("{kind}.dropped_bytes"), dbytes));
+        for kind in MESSAGE_KINDS {
+            for (fate, name) in FATES.iter().enumerate() {
+                let (msgs, bytes) = self.get(fate, kind);
+                if msgs > 0 {
+                    let name = (fate != SENT).then(|| format!("{name}_"));
+                    let name = name.unwrap_or_default();
+                    out.push((format!("{kind}.{name}msgs"), msgs));
+                    out.push((format!("{kind}.{name}bytes"), bytes));
+                }
             }
         }
         out
     }
 }
 
-impl std::fmt::Debug for WireCounters {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_map()
-            .entries(self.counters().iter().map(|(k, v)| (k.clone(), *v)))
-            .finish()
-    }
-}
-
-/// Compile-time tie between the label table and [`Message::kind`]:
-/// every variant's label must appear in [`MESSAGE_KINDS`].
-pub fn kind_is_metered(msg: &Message) -> bool {
-    kind_index(msg.kind()).is_some()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::messages::{FetchRequest, Message};
+    use crate::messages::{AckMsg, FetchRequest, FetchResponse, Message, QueryId};
     use crate::wire::encode_message;
+    use webdis_model::Url;
+
+    fn fetch() -> Message {
+        Message::Fetch(FetchRequest {
+            url: Url::parse("http://a.test/doc.html").unwrap(),
+            reply_host: "b.test".into(),
+            reply_port: 9900,
+        })
+    }
 
     #[test]
-    fn counters_accumulate_per_kind() {
-        let w = WireCounters::new();
-        w.record_sent("query", 300);
-        w.record_sent("query", 200);
-        w.record_sent("report", 90);
-        w.record_dropped("query", 310);
-        assert_eq!(w.msgs_of("query"), 2);
-        assert_eq!(w.bytes_of("query"), 500);
-        assert_eq!(w.msgs_of("report"), 1);
-        assert_eq!(w.total_bytes(), 590);
+    fn counters_accumulate_per_kind_and_fate() {
+        let w = WireCounters::default();
+        let reply = Message::FetchReply(FetchResponse {
+            url: Url::parse("http://a.test/").unwrap(),
+            html: None,
+        });
+        w.record(SENT, &fetch(), 300);
+        w.record(SENT, &fetch(), 200);
+        w.record(SENT, &reply, 90);
+        w.record(3, &fetch(), 310);
+        assert_eq!(w.msgs_of("fetch"), 2);
+        assert_eq!(w.get(SENT, "fetch"), (2, 500));
+        assert_eq!(w.get(3, "fetch"), (1, 310));
+        assert_eq!(w.msgs_of("fetch-reply"), 1);
+        assert_eq!(w.total_bytes(), 590, "only sent traffic");
 
         let pairs = w.counters();
-        assert!(pairs.contains(&("query.msgs".to_string(), 2)));
-        assert!(pairs.contains(&("query.bytes".to_string(), 500)));
-        assert!(pairs.contains(&("query.dropped_msgs".to_string(), 1)));
-        assert!(pairs.contains(&("query.dropped_bytes".to_string(), 310)));
+        assert!(pairs.contains(&("fetch.msgs".to_string(), 2)));
+        assert!(pairs.contains(&("fetch.bytes".to_string(), 500)));
+        assert!(pairs.contains(&("fetch.dropped_msgs".to_string(), 1)));
+        assert!(pairs.contains(&("fetch.dropped_bytes".to_string(), 310)));
         assert!(!pairs.iter().any(|(k, _)| k == "connects"));
         w.record_connect();
         assert!(w.counters().contains(&("connects".to_string(), 1)));
@@ -173,24 +166,26 @@ mod tests {
     }
 
     #[test]
-    fn unknown_kinds_are_ignored_not_panicked() {
-        let w = WireCounters::new();
-        w.record_sent("smoke-signal", 10);
-        assert_eq!(w.msgs_of("smoke-signal"), 0);
+    fn unknown_kinds_read_zero() {
+        let w = WireCounters::default();
+        assert_eq!(w.get(SENT, "smoke-signal"), (0, 0));
         assert!(w.counters().is_empty());
     }
 
     #[test]
     fn every_message_kind_is_metered() {
-        let fetch = Message::Fetch(FetchRequest {
-            url: webdis_model::Url::parse("http://a.test/doc.html").unwrap(),
-            reply_host: "b.test".into(),
-            reply_port: 9900,
+        let ack = Message::Ack(AckMsg {
+            id: QueryId {
+                user: "u".into(),
+                host: "h.test".into(),
+                port: 1,
+                query_num: 1,
+            },
         });
-        assert!(kind_is_metered(&fetch));
-        let w = WireCounters::new();
-        w.record_sent(fetch.kind(), encode_message(&fetch).len() as u64);
-        assert_eq!(w.msgs_of("fetch"), 1);
-        assert!(w.bytes_of("fetch") > 0);
+        let w = WireCounters::default();
+        for msg in [fetch(), ack] {
+            w.record(SENT, &msg, encode_message(&msg).len() as u64);
+            assert_eq!(w.msgs_of(msg.kind()), 1);
+        }
     }
 }

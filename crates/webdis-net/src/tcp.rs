@@ -941,7 +941,7 @@ mod tests {
     const WAIT: Duration = Duration::from_secs(5);
 
     fn metered_pool() -> (ConnPool, Arc<WireCounters>) {
-        let meter = Arc::new(WireCounters::new());
+        let meter = Arc::new(WireCounters::default());
         (ConnPool::metered(Arc::clone(&meter)), meter)
     }
 

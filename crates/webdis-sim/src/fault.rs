@@ -6,6 +6,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webdis_model::SiteAddr;
 
+use crate::ledger::Fate;
+
 /// What a rate fault does to the message it claims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -106,24 +108,6 @@ impl Fault {
     }
 }
 
-/// What the fault list does to one message.
-#[derive(Debug, Clone, Copy)]
-pub enum Verdict {
-    /// Lost without trace on the wire: `"partition"`, or the rate entry
-    /// that claimed it — `"link"` or `"random"` (uniform).
-    Dropped(&'static str),
-    /// Sent damaged; the receiver's decoder rejects it.
-    Corrupted,
-    /// Delivered after `jitter_us` of extra latency, and a second time
-    /// after `copy`'s when a duplication claims it.
-    Delivered {
-        /// The delivery's jitter draw.
-        jitter_us: u64,
-        /// The duplicate's own jitter draw, if there is one.
-        copy: Option<u64>,
-    },
-}
-
 /// The per-message fault decision of both runtimes: a run's fault list
 /// and the one seeded RNG its draws come from (the simulator's delivery
 /// jitter included, so a seed fixes the whole run).
@@ -142,27 +126,33 @@ impl Injector {
 
     /// Decides the fate of a message departing at `at_us` from `from` to
     /// `to` (endpoint hosts), with deliveries jittered uniformly in
-    /// `0..=jitter_us`. The draws are, in order: partition (none), drop,
-    /// corrupt, jitter, duplicate, the duplicate's jitter — each only
-    /// when it can matter, so an inert entry or a zero jitter bound
-    /// never shifts a seeded run.
-    pub fn decide(&mut self, at_us: u64, from: &str, to: &str, jitter_us: u64) -> Verdict {
+    /// `0..=jitter_us`: `Ok((jitter, copy))` delivers it after `jitter`
+    /// µs of extra latency, and a second time after `copy`'s when a
+    /// duplication claims it; `Err` is its loss — [`Fate::Lost`] (by
+    /// `"partition"`, or the rate entry that claimed it, `"link"` or
+    /// `"random"`) or [`Fate::Corrupted`]. The draws are, in order:
+    /// partition (none), drop, corrupt, jitter, duplicate, the
+    /// duplicate's jitter — each only when it can matter, so an inert
+    /// entry or a zero jitter bound never shifts a seeded run.
+    pub fn decide(
+        &mut self,
+        at_us: u64,
+        from: &str,
+        to: &str,
+        jitter_us: u64,
+    ) -> Result<(u64, Option<u64>), Fate> {
         if self.partitioned(at_us, from, to) {
-            return Verdict::Dropped("partition");
+            return Err(Fate::Lost("partition"));
         }
         if let Some(reason) = self.claims(FaultKind::Drop, from, to) {
-            return Verdict::Dropped(reason);
+            return Err(Fate::Lost(reason));
         }
         if self.claims(FaultKind::Corrupt, from, to).is_some() {
-            return Verdict::Corrupted;
+            return Err(Fate::Corrupted);
         }
         let first = self.jitter(jitter_us);
         let copy = self.claims(FaultKind::Dup, from, to).is_some();
-        let copy = copy.then(|| self.jitter(jitter_us));
-        Verdict::Delivered {
-            jitter_us: first,
-            copy,
-        }
+        Ok((first, copy.then(|| self.jitter(jitter_us))))
     }
 
     /// Decides whether a rate fault of `kind` claims a message from

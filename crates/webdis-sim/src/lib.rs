@@ -8,7 +8,8 @@
 //! `EXPERIMENTS.md` is measured on:
 //!
 //! * every sent message is **encoded** (so wire bytes are exact, not
-//!   estimated), counted in [`Metrics`], and scheduled for delivery at
+//!   estimated), metered by the [`Ledger`] both runtimes share (read
+//!   back as [`Metrics`]), and scheduled for delivery at
 //!   `now + latency(bytes)` plus deterministic seeded jitter;
 //! * delivery order for equal timestamps is FIFO by send order, so runs
 //!   are bit-for-bit reproducible for a given seed;
@@ -24,9 +25,11 @@
 //!   ([`SimNet::post_host`]) — is an entry of one time-ordered queue.
 
 pub mod fault;
+pub mod ledger;
 pub mod metrics;
 pub mod net;
 
-pub use fault::{Fault, FaultKind, Injector, Verdict};
+pub use fault::{Fault, FaultKind, Injector};
+pub use ledger::{Fate, Ledger};
 pub use metrics::{KindStats, Metrics};
 pub use net::{Actor, Ctx, LatencyModel, SendError, SimConfig, SimEvent, SimNet};

@@ -1,9 +1,12 @@
-//! Traffic metering for experiments.
+//! A simulated run's metrics: its traffic, read off the one meter its
+//! [`Ledger`](crate::Ledger) keeps, plus the simulator's own per-site
+//! receive, busy and makespan bookkeeping.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
 use webdis_model::SiteAddr;
+use webdis_net::{WireCounters, MESSAGE_KINDS};
 
 /// Message/byte counters for one message kind.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -12,13 +15,6 @@ pub struct KindStats {
     pub messages: u64,
     /// Total encoded payload bytes.
     pub bytes: u64,
-}
-
-impl KindStats {
-    fn add(&mut self, bytes: u64) {
-        self.messages += 1;
-        self.bytes += bytes;
-    }
 }
 
 /// Aggregate network metrics for a simulation run.
@@ -60,24 +56,28 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    pub(crate) fn record_send(&mut self, kind: &'static str, bytes: u64) {
-        self.total.add(bytes);
-        self.by_kind.entry(kind).or_default().add(bytes);
-    }
-
-    pub(crate) fn record_drop(&mut self, bytes: u64) {
-        self.dropped += 1;
-        self.dropped_bytes += bytes;
-    }
-
-    pub(crate) fn record_corrupt(&mut self, bytes: u64) {
-        self.corrupted += 1;
-        self.corrupted_bytes += bytes;
-    }
-
-    pub(crate) fn record_dup(&mut self, bytes: u64) {
-        self.duplicated += 1;
-        self.duplicated_bytes += bytes;
+    /// These per-site figures with the traffic fields read off `meter`.
+    pub(crate) fn with_traffic(mut self, meter: &WireCounters) -> Metrics {
+        let m = &mut self;
+        for kind in MESSAGE_KINDS {
+            let [sent, dup, corrupt, lost, dead, refused] =
+                std::array::from_fn(|fate| meter.get(fate, kind));
+            if sent.0 > 0 {
+                let (messages, bytes) = sent;
+                m.total.messages += messages;
+                m.total.bytes += bytes;
+                m.by_kind.insert(kind, KindStats { messages, bytes });
+            }
+            m.duplicated += dup.0;
+            m.duplicated_bytes += dup.1;
+            m.corrupted += corrupt.0;
+            m.corrupted_bytes += corrupt.1;
+            m.dropped += lost.0;
+            m.dropped_bytes += lost.1;
+            m.dead_letters += dead.0;
+            m.refused += refused.0;
+        }
+        self
     }
 
     pub(crate) fn record_delivery(&mut self, to: &SiteAddr, at_us: u64) {
@@ -154,18 +154,38 @@ impl fmt::Display for Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use webdis_net::{FetchRequest, FetchResponse, Message};
+
+    fn fetch() -> Message {
+        Message::Fetch(FetchRequest {
+            url: webdis_model::Url::parse("http://a.test/").unwrap(),
+            reply_host: "b.test".into(),
+            reply_port: 80,
+        })
+    }
 
     #[test]
-    fn accumulates_by_kind() {
-        let mut m = Metrics::default();
-        m.record_send("query", 100);
-        m.record_send("query", 50);
-        m.record_send("report", 10);
-        assert_eq!(m.total.messages, 3);
-        assert_eq!(m.total.bytes, 160);
-        assert_eq!(m.messages_of("query"), 2);
-        assert_eq!(m.bytes_of("report"), 10);
-        assert_eq!(m.bytes_of("fetch"), 0);
+    fn reads_every_fate_off_the_meter() {
+        let meter = WireCounters::default();
+        let reply = Message::FetchReply(FetchResponse {
+            url: webdis_model::Url::parse("http://a.test/").unwrap(),
+            html: None,
+        });
+        meter.record(0, &fetch(), 100);
+        meter.record(0, &fetch(), 50);
+        meter.record(0, &reply, 10);
+        for (fate, bytes) in [(1, 7), (2, 8), (3, 9), (3, 9), (4, 1), (5, 2)] {
+            meter.record(fate, &reply, bytes);
+        }
+        let m = Metrics::default().with_traffic(&meter);
+        assert_eq!((m.total.messages, m.total.bytes), (3, 160));
+        assert_eq!(m.messages_of("fetch"), 2);
+        assert_eq!(m.bytes_of("fetch-reply"), 10);
+        assert_eq!(m.bytes_of("query"), 0);
+        assert_eq!((m.duplicated, m.duplicated_bytes), (1, 7));
+        assert_eq!((m.corrupted, m.corrupted_bytes), (1, 8));
+        assert_eq!((m.dropped, m.dropped_bytes), (2, 18));
+        assert_eq!((m.dead_letters, m.refused), (1, 1));
     }
 
     #[test]
@@ -190,9 +210,9 @@ mod tests {
 
     #[test]
     fn display_contains_counts() {
-        let mut m = Metrics::default();
-        m.record_send("query", 7);
-        let s = m.to_string();
+        let meter = WireCounters::default();
+        meter.record(0, &fetch(), 7);
+        let s = Metrics::default().with_traffic(&meter).to_string();
         assert!(s.contains("1 msgs, 7 bytes"), "{s}");
         assert!(
             !s.contains("busy time"),

@@ -3,12 +3,14 @@
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::sync::Arc;
 
 use webdis_model::SiteAddr;
-use webdis_net::{encode_message, Message, Wire};
-use webdis_trace::{TraceEvent, TraceHandle, TraceRecord};
+use webdis_net::{Message, Wire};
+use webdis_trace::TraceHandle;
 
-use crate::fault::{Fault, Injector, Verdict};
+use crate::fault::{Fault, Injector};
+use crate::ledger::{Fate, Ledger};
 use crate::metrics::Metrics;
 
 /// Latency of one message as a function of its encoded size.
@@ -130,6 +132,9 @@ pub struct Ctx<'a> {
     now_us: u64,
     self_addr: SiteAddr,
     registry: &'a BTreeSet<SiteAddr>,
+    /// Where a refused send is metered, after encoding into `scratch`.
+    ledger: &'a Ledger,
+    scratch: &'a mut Vec<u8>,
     outbox: Vec<(SiteAddr, Message)>,
     timers: Vec<(u64, u64)>,
     close_self: bool,
@@ -164,6 +169,12 @@ impl Ctx<'_> {
     /// — exactly TCP's guarantee.
     pub fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), SendError> {
         if !self.registry.contains(to) {
+            self.scratch.clear();
+            msg.encode(self.scratch);
+            let (fate, bytes, now_us) = (Fate::Refused, self.scratch.len(), self.now_us);
+            let site = &self.self_addr.host;
+            self.ledger
+                .record(fate, &msg, bytes, &to.host, site, || now_us);
             return Err(SendError::Unreachable(to.clone()));
         }
         self.outbox.push((to.clone(), msg));
@@ -196,28 +207,6 @@ impl Ctx<'_> {
     }
 }
 
-/// What an actor entry carries to its destination.
-enum Payload {
-    /// The [`SimEvent::Start`] kick-off.
-    Start,
-    /// A network message (metered, droppable).
-    Net(Message),
-    /// A local timer (free, undroppable, dies with the endpoint).
-    Timer(u64),
-}
-
-/// The trace identity a message carries: the query it belongs to (if
-/// any) and the clone's hop count — stamped on loss records so triage
-/// can match them back to in-flight visits.
-fn message_meta(msg: &Message) -> (Option<webdis_trace::QueryId>, Option<u32>) {
-    match msg {
-        Message::Query(c) => (Some(c.id.clone()), Some(c.hops)),
-        Message::Report(r) => (Some(r.id.clone()), None),
-        Message::Ack(a) => (Some(a.id.clone()), None),
-        Message::Fetch(_) | Message::FetchReply(_) => (None, None),
-    }
-}
-
 /// Everything that happens at a time. The variants are declared in the
 /// order they take at one instant: the control edges of a
 /// [`Fault::Crash`] first (a site that crashes at `t` is down for a
@@ -229,8 +218,10 @@ enum What {
     Down(SiteAddr),
     /// The site re-registers with fresh volatile state.
     Up(SiteAddr),
-    /// An event for the actor at this address.
-    Actor(SiteAddr, Payload),
+    /// An event for the actor at this address: only a network message
+    /// is metered and droppable; a timer or kick-off to a closed
+    /// endpoint evaporates.
+    Actor(SiteAddr, SimEvent),
     /// A [`SimNet::post_host`] token, handed back by
     /// [`SimNet::run_to_host`].
     Host(u64),
@@ -290,12 +281,12 @@ pub struct SimNet {
     /// Per-endpoint processor availability: an event delivered before
     /// this time waits for the endpoint's previous work to finish.
     busy_until: BTreeMap<SiteAddr, u64>,
-    /// Traffic metrics, readable during and after the run.
-    pub metrics: Metrics,
-    /// Trace sink for transport-level `message_sent` events (no-op by
-    /// default; harnesses install the engine's tracer so transport and
-    /// engine events share one stream and one virtual clock).
-    tracer: TraceHandle,
+    /// The per-site receive, busy and makespan half of [`SimNet::metrics`].
+    sites: Metrics,
+    /// Where every message's fate is metered and traced. Its tracer is a
+    /// no-op until a harness installs the engine's, so transport and
+    /// engine events share one stream and one virtual clock.
+    pub ledger: Ledger,
     /// Where every outgoing message is encoded to be measured.
     scratch: Vec<u8>,
 }
@@ -315,8 +306,11 @@ impl SimNet {
             clock_us: 0,
             seq: 0,
             busy_until: BTreeMap::new(),
-            metrics: Metrics::default(),
-            tracer: TraceHandle::noop(),
+            sites: Metrics::default(),
+            ledger: Ledger {
+                meter: Arc::default(),
+                tracer: TraceHandle::noop(),
+            },
             scratch: Vec::new(),
             config,
         };
@@ -329,9 +323,10 @@ impl SimNet {
         net
     }
 
-    /// Installs the trace sink used for transport-level events.
-    pub fn set_tracer(&mut self, tracer: TraceHandle) {
-        self.tracer = tracer;
+    /// The run's metrics so far: its traffic as the ledger metered it,
+    /// and the per-site bookkeeping of deliveries and work.
+    pub fn metrics(&self) -> Metrics {
+        self.sites.clone().with_traffic(&self.ledger.meter)
     }
 
     /// Registers an actor at an address (replacing any previous one).
@@ -362,7 +357,7 @@ impl SimNet {
     pub fn start(&mut self, addr: &SiteAddr) {
         // Model the kick-off as a zero-size local event: deliver through
         // the queue for deterministic ordering, but without traffic.
-        self.push(self.clock_us, What::Actor(addr.clone(), Payload::Start));
+        self.push(self.clock_us, What::Actor(addr.clone(), SimEvent::Start));
     }
 
     /// Queues a host entry: [`SimNet::run_to_host`] hands `(at_us,
@@ -421,7 +416,7 @@ impl SimNet {
                 break;
             }
             let Reverse(entry) = self.queue.pop()?;
-            let (to, payload) = match entry.what {
+            let (to, event) = match entry.what {
                 What::Down(site) => {
                     // The actor stays inspectable via `actor_mut`; its
                     // pending deliveries dead-letter and later sends are
@@ -437,19 +432,19 @@ impl SimNet {
                     continue;
                 }
                 What::Host(token) => return Some((entry.at_us, token)),
-                What::Actor(to, payload) => (to, payload),
+                What::Actor(to, event) => (to, event),
             };
             self.queued_actor_entries -= 1;
-            self.deliver(entry.at_us, to, payload);
+            self.deliver(entry.at_us, to, event);
         }
         None
     }
 
     /// Hands one actor entry to its actor and queues what the handler
     /// sent and armed.
-    fn deliver(&mut self, at_us: u64, to: SiteAddr, payload: Payload) {
+    fn deliver(&mut self, at_us: u64, to: SiteAddr, event: SimEvent) {
         self.clock_us = self.clock_us.max(at_us);
-        let is_net = matches!(payload, Payload::Net(_));
+        let is_net = matches!(event, SimEvent::Net(_));
         // A deregistered endpoint keeps its actor (for inspection) but is
         // handed nothing.
         let actor = if self.registry.contains(&to) {
@@ -462,25 +457,21 @@ impl SimNet {
             // closed endpoint just evaporates. The loss is traced as
             // a drop so trajectory triage can explain the in-flight
             // clone instead of reporting a false hang.
-            if let Payload::Net(msg) = &payload {
-                self.metrics.dead_letters += 1;
-                self.trace_msg(at_us, &to, msg, |kind| TraceEvent::MessageDropped {
-                    kind,
-                    to: to.host.to_string(),
-                    bytes: encode_message(msg).len() as u32,
-                    reason: "dead-letter".to_string(),
-                });
+            if let SimEvent::Net(msg) = &event {
+                self.scratch.clear();
+                msg.encode(&mut self.scratch);
+                let (fate, bytes) = (Fate::DeadLetter("dead-letter"), self.scratch.len());
+                self.ledger
+                    .record(fate, msg, bytes, &to.host, &to.host, || at_us);
             }
             return;
         };
-        if is_net {
-            self.metrics.record_delivery(&to, at_us);
-        }
         // A sequential processor per endpoint: if earlier work is
         // still running, this event waits for it.
         let start_us = self.busy_until.get(&to).copied().unwrap_or(0).max(at_us);
         self.clock_us = self.clock_us.max(start_us);
-        if is_net && self.tracer.enabled() {
+        if is_net {
+            self.sites.record_delivery(&to, at_us);
             // Inbound queue depth at processing start: this message
             // plus every other network delivery to the same endpoint
             // that has already arrived but not yet been processed.
@@ -488,17 +479,18 @@ impl SimNet {
             // the scan costs less than maintaining a second index.
             let waiting = |Reverse(e): &Reverse<Entry>| {
                 e.at_us <= start_us
-                    && matches!(&e.what, What::Actor(t, Payload::Net(_)) if *t == to)
+                    && matches!(&e.what, What::Actor(t, SimEvent::Net(_)) if *t == to)
             };
-            let depth = 1 + self.queue.iter().filter(|e| waiting(e)).count() as u64;
-            self.tracer
-                .gauge_max(&format!("queue_depth.{}", to.host), depth);
-            self.tracer.gauge_max("queue_depth_high_water", depth);
+            let queue = &self.queue;
+            let depth = || 1 + queue.iter().filter(|e| waiting(e)).count() as u64;
+            self.ledger.arrival(&to.host, depth);
         }
         let mut ctx = Ctx {
             now_us: start_us,
             self_addr: to.clone(),
             registry: &self.registry,
+            ledger: &self.ledger,
+            scratch: &mut self.scratch,
             outbox: Vec::new(),
             timers: Vec::new(),
             close_self: false,
@@ -508,11 +500,6 @@ impl SimNet {
             } else {
                 0
             },
-        };
-        let event = match payload {
-            Payload::Start => SimEvent::Start,
-            Payload::Net(msg) => SimEvent::Net(msg),
-            Payload::Timer(token) => SimEvent::Timer(token),
         };
         actor.handle(&mut ctx, event);
         let Ctx {
@@ -526,8 +513,8 @@ impl SimNet {
         if work_us > 0 {
             self.busy_until.insert(to.clone(), done_us);
             self.clock_us = self.clock_us.max(done_us);
-            self.metrics.last_delivery_us = self.metrics.last_delivery_us.max(done_us);
-            self.metrics.record_work(&to, work_us);
+            self.sites.last_delivery_us = self.sites.last_delivery_us.max(done_us);
+            self.sites.record_work(&to, work_us);
         }
         if close_self {
             self.registry.remove(&to);
@@ -538,99 +525,49 @@ impl SimNet {
             self.dispatch_at(done_us, &from, to, msg);
         }
         for (delay_us, token) in timers {
-            let timer = What::Actor(from.clone(), Payload::Timer(token));
+            let timer = What::Actor(from.clone(), SimEvent::Timer(token));
             self.push(done_us + delay_us, timer);
         }
     }
 
     /// Schedules a message departing at `base_us`: applies the fault
-    /// decision, meters it, and picks the delivery time from the latency
-    /// model plus jitter. A lost message is metered separately and
-    /// traced as `message_dropped` or `message_corrupted` — it never
-    /// becomes a `message_sent` record, so trajectory reconstruction does
-    /// not see phantom sends.
+    /// decision, hands the message's fate to the ledger, and picks the
+    /// delivery time from the latency model plus jitter. A lost message
+    /// is metered apart and traced as `message_dropped` or
+    /// `message_corrupted` — it never becomes a `message_sent` record, so
+    /// trajectory reconstruction does not see phantom sends.
     fn dispatch_at(&mut self, base_us: u64, from: &SiteAddr, to: SiteAddr, msg: Message) {
         // Metered as what the wire would carry: the message's encoding,
         // written into one buffer the whole run reuses.
         self.scratch.clear();
         msg.encode(&mut self.scratch);
         let bytes = self.scratch.len();
-        let wire = bytes as u32;
-        let dest = || to.host.to_string();
         let verdict = self
             .injector
             .decide(base_us, &from.host, &to.host, self.config.jitter_us);
+        let ledger = &self.ledger;
+        let record = |fate| ledger.record(fate, &msg, bytes, &to.host, &from.host, || base_us);
+        // A loss is recorded in place of the send; corruption is one
+        // through the decode path (the receiver cannot read the frame).
         let (jitter_us, copy) = match verdict {
-            Verdict::Dropped(reason) => {
-                self.metrics.record_drop(bytes as u64);
-                self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDropped {
-                    kind,
-                    to: dest(),
-                    bytes: wire,
-                    reason: reason.to_string(),
-                });
-                return;
-            }
-            // Corruption is a loss through the decode path: the frame
-            // crosses the wire but the receiver cannot read it.
-            Verdict::Corrupted => {
-                self.metrics.record_corrupt(bytes as u64);
-                self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageCorrupted {
-                    kind,
-                    to: dest(),
-                    bytes: wire,
-                });
-                return;
-            }
-            Verdict::Delivered { jitter_us, copy } => (jitter_us, copy),
+            Ok(delivery) => delivery,
+            Err(lost) => return record(lost),
         };
-        self.metrics.record_send(msg.kind(), bytes as u64);
-        self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageSent {
-            kind,
-            to: dest(),
-            bytes: wire,
-        });
+        record(Fate::Sent);
         let arrive_us = base_us + self.config.latency.latency_us(bytes);
         // Duplication delivers a *second* copy with its own jitter draw
-        // (the copies may overtake each other), traced as
-        // `message_duplicated` — never a second `message_sent`.
+        // (the copies may overtake each other).
         let copy = copy.map(|copy_jitter_us| {
-            self.metrics.record_dup(bytes as u64);
-            self.trace_msg(base_us, from, &msg, |kind| TraceEvent::MessageDuplicated {
-                kind,
-                to: dest(),
-                bytes: wire,
-            });
+            record(Fate::Duplicated);
             (arrive_us + copy_jitter_us, msg.clone())
         });
         self.push(
             arrive_us + jitter_us,
-            What::Actor(to.clone(), Payload::Net(msg)),
+            What::Actor(to.clone(), SimEvent::Net(msg)),
         );
         if let Some((copy_at_us, copy)) = copy {
-            self.push(copy_at_us, What::Actor(to, Payload::Net(copy)));
+            self.push(copy_at_us, What::Actor(to, SimEvent::Net(copy)));
         }
-    }
-
-    /// Stamps one transport event about `msg` at `site`; `event` gets the
-    /// message's kind label. Nothing is built unless the tracer is on.
-    fn trace_msg(
-        &self,
-        time_us: u64,
-        site: &SiteAddr,
-        msg: &Message,
-        event: impl FnOnce(String) -> TraceEvent,
-    ) {
-        self.tracer.emit_with(|| {
-            let (query, hop) = message_meta(msg);
-            TraceRecord {
-                time_us,
-                site: site.host.to_string(),
-                query,
-                hop,
-                event: event(msg.kind().to_string()),
-            }
-        });
     }
 
     /// Current virtual time.
@@ -652,7 +589,8 @@ mod tests {
     use super::*;
     use crate::fault::FaultKind;
     use webdis_model::Url;
-    use webdis_net::{FetchRequest, FetchResponse};
+    use webdis_net::{encode_message, FetchRequest, FetchResponse};
+    use webdis_trace::{TraceEvent, TraceRecord};
 
     fn addr(h: &str) -> SiteAddr {
         SiteAddr {
@@ -752,15 +690,15 @@ mod tests {
         assert!(end > 0);
         assert_eq!(net.actor_mut::<Client>(&c).unwrap().replies, 3);
         assert_eq!(net.actor_mut::<Echo>(&s).unwrap().seen, 3);
-        assert_eq!(net.metrics.messages_of("fetch"), 3);
-        assert_eq!(net.metrics.messages_of("fetch-reply"), 3);
-        assert!(net.metrics.total.bytes > 0);
+        assert_eq!(net.metrics().messages_of("fetch"), 3);
+        assert_eq!(net.metrics().messages_of("fetch-reply"), 3);
+        assert!(net.metrics().total.bytes > 0);
     }
 
     /// A client and its echo server, `n` requests, under `tracer`.
     fn round_trip_under(tracer: TraceHandle, n: usize) -> SimNet {
         let mut net = SimNet::new(SimConfig::default());
-        net.set_tracer(tracer);
+        net.ledger.tracer = tracer;
         let (c, s) = (addr("client"), addr("server"));
         let client = Client {
             server: s.clone(),
@@ -798,7 +736,7 @@ mod tests {
             }
         }
         let net = round_trip_under(TraceHandle::new(std::sync::Arc::new(Off)), 3);
-        assert_eq!(net.metrics.total.messages, 6);
+        assert_eq!(net.metrics().total.messages, 6);
     }
 
     #[test]
@@ -827,7 +765,7 @@ mod tests {
         encoded.sort_unstable();
         assert_eq!(metered, encoded);
         assert_eq!(
-            net.metrics.total.bytes,
+            net.metrics().total.bytes,
             encoded.iter().map(|&b| u64::from(b)).sum::<u64>()
         );
     }
@@ -863,7 +801,9 @@ mod tests {
         net.register(c.clone(), Box::new(TryUnreachable));
         net.start(&c);
         net.run();
-        assert_eq!(net.metrics.total.messages, 0);
+        let metrics = net.metrics();
+        assert_eq!(metrics.total.messages, 0);
+        assert_eq!(metrics.refused, 1, "a refusal is metered");
     }
 
     #[test]
@@ -891,7 +831,7 @@ mod tests {
         );
         net.start(&c);
         net.run();
-        assert_eq!(net.metrics.dead_letters, 4);
+        assert_eq!(net.metrics().dead_letters, 4);
     }
 
     #[test]
@@ -922,7 +862,7 @@ mod tests {
             );
             net.start(&c);
             let end = net.run();
-            (end, net.metrics.total.bytes)
+            (end, net.metrics().total.bytes)
         };
         assert_eq!(run(7), run(7));
         // Different seed shifts jitter, hence (almost surely) the makespan.
@@ -955,10 +895,10 @@ mod tests {
         );
         net.start(&c);
         net.run();
-        assert_eq!(net.metrics.dropped, 4);
-        assert!(net.metrics.dropped_bytes > 0);
+        assert_eq!(net.metrics().dropped, 4);
+        assert!(net.metrics().dropped_bytes > 0);
         // Dropped traffic is metered separately, not as sent messages.
-        assert_eq!(net.metrics.total.messages, 0);
+        assert_eq!(net.metrics().total.messages, 0);
         assert_eq!(net.actor_mut::<Echo>(&s).unwrap().seen, 0);
     }
 
@@ -1010,8 +950,8 @@ mod tests {
             vec![(7_500, 42)]
         );
         // Timers are local: no traffic, no drops, no dead letters.
-        assert_eq!(net.metrics.total.messages, 0);
-        assert_eq!(net.metrics.dead_letters, 0);
+        assert_eq!(net.metrics().total.messages, 0);
+        assert_eq!(net.metrics().dead_letters, 0);
     }
 
     #[test]
@@ -1030,7 +970,7 @@ mod tests {
         net.start(&c);
         net.run();
         assert!(net.actor_mut::<TimerProbe>(&c).unwrap().fired.is_empty());
-        assert_eq!(net.metrics.dead_letters, 0, "timers are not dead letters");
+        assert_eq!(net.metrics().dead_letters, 0, "timers are not dead letters");
     }
 
     #[test]
@@ -1061,7 +1001,7 @@ mod tests {
         );
         net.start(&c);
         net.run();
-        assert_eq!(net.metrics.dropped, 3);
+        assert_eq!(net.metrics().dropped, 3);
         assert_eq!(net.actor_mut::<Echo>(&s).unwrap().seen, 0);
 
         // The reverse link is unaffected: flip the drop direction and
@@ -1090,7 +1030,7 @@ mod tests {
         net.run();
         assert_eq!(net.actor_mut::<Echo>(&s).unwrap().seen, 3);
         assert_eq!(net.actor_mut::<Client>(&c).unwrap().replies, 0);
-        assert_eq!(net.metrics.dropped, 3);
+        assert_eq!(net.metrics().dropped, 3);
     }
 
     /// Sends one fetch on Start and one more per timer fire.
@@ -1157,7 +1097,7 @@ mod tests {
         );
         net.start(&c);
         net.run();
-        assert_eq!(net.metrics.dropped, 1);
+        assert_eq!(net.metrics().dropped, 1);
         assert_eq!(net.actor_mut::<Echo>(&s).unwrap().seen, 1);
     }
 
@@ -1195,7 +1135,11 @@ mod tests {
             net.start(&c);
             net.run();
             let seen = net.actor_mut::<Echo>(&s).unwrap().seen;
-            (net.metrics.dead_letters, seen, net.metrics.total.messages)
+            (
+                net.metrics().dead_letters,
+                seen,
+                net.metrics().total.messages,
+            )
         };
         assert_eq!(run(), (3, 0, 3));
         // No randomness involved: the crash is deterministic.
@@ -1213,7 +1157,7 @@ mod tests {
             }],
             ..SimConfig::default()
         });
-        net.set_tracer(tracer);
+        net.ledger.tracer = tracer;
         let c = addr("client");
         let s = addr("server");
         net.register(
@@ -1234,7 +1178,7 @@ mod tests {
         );
         net.start(&c);
         net.run();
-        assert_eq!(net.metrics.dead_letters, 2);
+        assert_eq!(net.metrics().dead_letters, 2);
         let dead: Vec<_> = collector
             .snapshot()
             .into_iter()
@@ -1280,9 +1224,9 @@ mod tests {
         assert_eq!(net.actor_mut::<Echo>(&s).unwrap().seen, 4);
         assert_eq!(net.actor_mut::<Client>(&c).unwrap().replies, 8);
         // The originals alone count as sent traffic.
-        assert_eq!(net.metrics.messages_of("fetch"), 2);
-        assert_eq!(net.metrics.duplicated, 6);
-        assert!(net.metrics.duplicated_bytes > 0);
+        assert_eq!(net.metrics().messages_of("fetch"), 2);
+        assert_eq!(net.metrics().duplicated, 6);
+        assert!(net.metrics().duplicated_bytes > 0);
     }
 
     #[test]
@@ -1312,11 +1256,11 @@ mod tests {
         net.start(&c);
         net.run();
         assert_eq!(net.actor_mut::<Echo>(&s).unwrap().seen, 0);
-        assert_eq!(net.metrics.corrupted, 3);
-        assert!(net.metrics.corrupted_bytes > 0);
+        assert_eq!(net.metrics().corrupted, 3);
+        assert!(net.metrics().corrupted_bytes > 0);
         // Corrupted frames are neither sent traffic nor clean drops.
-        assert_eq!(net.metrics.total.messages, 0);
-        assert_eq!(net.metrics.dropped, 0);
+        assert_eq!(net.metrics().total.messages, 0);
+        assert_eq!(net.metrics().dropped, 0);
     }
 
     #[test]
@@ -1343,7 +1287,7 @@ mod tests {
             );
             net.start(&c);
             let end = net.run();
-            (end, net.metrics.total.bytes)
+            (end, net.metrics().total.bytes)
         };
         let base = SimConfig {
             jitter_us: 700,
@@ -1400,7 +1344,7 @@ mod tests {
             net.start(&c);
             net.run();
             let seen = net.actor_mut::<Echo>(&s).unwrap().seen;
-            (net.metrics.dead_letters, seen)
+            (net.metrics().dead_letters, seen)
         };
         assert_eq!(run(), (1, 1));
         assert_eq!(run(), run(), "restart windows are deterministic");
@@ -1496,7 +1440,7 @@ mod tests {
         assert_eq!(net.run_to_host(), Some((4_000, 7)));
         let seen = net.actor_mut::<Witness>(&s).unwrap().0.clone();
         assert_eq!(seen, ["up@4000", "delivery@4000", "timer5@4000"]);
-        assert_eq!(net.metrics.dead_letters, 0);
+        assert_eq!(net.metrics().dead_letters, 0);
         assert!(net.idle());
 
         // The crash edge at 50 ms and the host entry at 60 ms happen —
@@ -1506,7 +1450,7 @@ mod tests {
         assert_eq!(net.now_us(), 4_000);
         net.start(&c);
         assert_eq!(net.run(), 4_000, "a kick-off to a dead endpoint evaporates");
-        assert_eq!(net.metrics.total.messages, 1);
+        assert_eq!(net.metrics().total.messages, 1);
     }
 
     #[test]
@@ -1534,7 +1478,7 @@ mod tests {
             net.run();
             let seen = net.actor_mut::<Echo>(&s).unwrap().seen;
             let replies = net.actor_mut::<Client>(&c).unwrap().replies;
-            (net.metrics.dropped, seen, replies)
+            (net.metrics().dropped, seen, replies)
         };
         let drop = |rate| Fault::rate(FaultKind::Drop, rate);
         // Two uniform entries and two for one link, other kinds between
@@ -1623,7 +1567,7 @@ mod tests {
             let end = net.run();
             (
                 end,
-                net.metrics.total.bytes,
+                net.metrics().total.bytes,
                 net.actor_mut::<Client>(&c).unwrap().replies,
             )
         };
@@ -1657,7 +1601,7 @@ mod tests {
         net.run();
         assert_eq!(net.actor_mut::<Client>(&c).unwrap().replies, 0);
         assert!(
-            net.metrics.dead_letters > 0,
+            net.metrics().dead_letters > 0,
             "in-flight replies dead-letter"
         );
     }

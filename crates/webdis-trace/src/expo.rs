@@ -93,7 +93,7 @@ pub fn help_text(name: &str) -> String {
             "Microseconds attributed to the {stage} pipeline stage per processed clone."
         );
     }
-    if name.starts_with("wire.") || name.starts_with("net.") {
+    if name.starts_with("net.") {
         return format!("Transport wire accounting: {name}.");
     }
     if name.starts_with("cache.") {

@@ -575,32 +575,13 @@ impl Tracer for CollectingTracer {
     fn record(&self, record: TraceRecord) {
         self.registry.count(record.event.name(), 1);
         match &record.event {
-            TraceEvent::MessageSent { kind, bytes, .. } => {
+            // Per-kind traffic is the transport's meter (`net.<kind>.*`),
+            // not re-derived here.
+            TraceEvent::MessageSent { bytes, .. } => {
                 self.registry.observe("message_bytes", u64::from(*bytes));
-                // Per-message-type wire accounting, mirroring the
-                // transport-side `WireCounters` for sinks that only see
-                // the event stream.
-                self.registry.count(&format!("wire.{kind}.msgs"), 1);
-                self.registry
-                    .count(&format!("wire.{kind}.bytes"), u64::from(*bytes));
             }
-            TraceEvent::MessageDropped { kind, bytes, .. } => {
+            TraceEvent::MessageDropped { bytes, .. } => {
                 self.registry.observe("dropped_bytes", u64::from(*bytes));
-                self.registry.count(&format!("wire.{kind}.dropped_msgs"), 1);
-                self.registry
-                    .count(&format!("wire.{kind}.dropped_bytes"), u64::from(*bytes));
-            }
-            TraceEvent::MessageDuplicated { kind, bytes, .. } => {
-                self.registry
-                    .count(&format!("wire.{kind}.duplicated_msgs"), 1);
-                self.registry
-                    .count(&format!("wire.{kind}.duplicated_bytes"), u64::from(*bytes));
-            }
-            TraceEvent::MessageCorrupted { kind, bytes, .. } => {
-                self.registry
-                    .count(&format!("wire.{kind}.corrupted_msgs"), 1);
-                self.registry
-                    .count(&format!("wire.{kind}.corrupted_bytes"), u64::from(*bytes));
             }
             TraceEvent::EvalFinish { rows, span_us, .. } => {
                 self.registry.observe("eval_rows", u64::from(*rows));

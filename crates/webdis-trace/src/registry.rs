@@ -6,6 +6,12 @@
 //! read them directly — but this registry is the single *reporting*
 //! surface: everything funnels here (via the tracer and via
 //! `ingest_counters`) and is rendered from here.
+//!
+//! Traffic is not counted here: messages and bytes per kind and fate
+//! live in the transports' one meter (`webdis_net::WireCounters`), which
+//! both runtimes lay over a snapshot as `net.<kind>.*` counters when they
+//! expose it; the registry keeps only the `message_bytes`/`dropped_bytes`
+//! size histograms.
 
 use std::collections::BTreeMap;
 

@@ -186,81 +186,6 @@ impl HostedWeb {
     }
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use webdis_model::LinkType;
-
-    #[test]
-    fn page_builder_produces_parseable_html() {
-        let html = PageBuilder::new("My <Title> & Co")
-            .heading("Top")
-            .para("Some body text")
-            .bold("important")
-            .link("other.html", "Other")
-            .hr()
-            .build();
-        let doc = parse_html(&html);
-        assert_eq!(doc.title(), "My <Title> & Co");
-        assert!(doc.text().contains("Some body text"));
-        assert_eq!(doc.anchors().len(), 1);
-        assert_eq!(doc.anchors().next().unwrap().label, "Other");
-        assert!(doc
-            .relinfons()
-            .any(|r| r.delimiter == "b" && r.text == "important"));
-    }
-
-    #[test]
-    fn hosted_web_basics() {
-        let mut web = HostedWeb::new();
-        web.insert_page(
-            "http://a.test/",
-            PageBuilder::new("A").link("http://b.test/", "b"),
-        );
-        web.insert_page("http://a.test/x", PageBuilder::new("AX"));
-        web.insert_page("http://b.test/", PageBuilder::new("B"));
-        assert_eq!(web.len(), 3);
-        assert_eq!(web.sites().len(), 2);
-        let a = SiteAddr {
-            host: "a.test".into(),
-            port: 80,
-        };
-        assert_eq!(web.docs_of_site(&a).len(), 2);
-        assert!(web.get(&Url::parse("http://a.test/").unwrap()).is_some());
-        assert!(web
-            .get(&Url::parse("http://a.test/missing").unwrap())
-            .is_none());
-        assert!(web.total_bytes() > 0);
-    }
-
-    #[test]
-    fn fragment_stripped_on_insert_and_get() {
-        let mut web = HostedWeb::new();
-        web.insert(Url::parse("http://a.test/p#x").unwrap(), "<html></html>");
-        assert!(web.get(&Url::parse("http://a.test/p#y").unwrap()).is_some());
-        assert_eq!(web.len(), 1);
-    }
-
-    #[test]
-    fn graph_reflects_links() {
-        let mut web = HostedWeb::new();
-        web.insert_page(
-            "http://a.test/",
-            PageBuilder::new("A")
-                .link("sub.html", "local")
-                .link("http://b.test/", "global"),
-        );
-        web.insert_page("http://a.test/sub.html", PageBuilder::new("Sub"));
-        web.insert_page("http://b.test/", PageBuilder::new("B"));
-        let g = web.graph();
-        assert_eq!(g.link_count(), 2);
-        let a = Url::parse("http://a.test/").unwrap();
-        assert_eq!(g.links_of_type(&a, LinkType::Local).count(), 1);
-        assert_eq!(g.links_of_type(&a, LinkType::Global).count(), 1);
-        assert!(g.floating_links().is_empty());
-    }
-}
-
 // ---------------------------------------------------------------------
 // Filesystem persistence: a hosted web as a directory tree.
 // ---------------------------------------------------------------------
@@ -343,6 +268,81 @@ impl HostedWeb {
             }
         }
         Ok(web)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use webdis_model::LinkType;
+
+    #[test]
+    fn page_builder_produces_parseable_html() {
+        let html = PageBuilder::new("My <Title> & Co")
+            .heading("Top")
+            .para("Some body text")
+            .bold("important")
+            .link("other.html", "Other")
+            .hr()
+            .build();
+        let doc = parse_html(&html);
+        assert_eq!(doc.title(), "My <Title> & Co");
+        assert!(doc.text().contains("Some body text"));
+        assert_eq!(doc.anchors().len(), 1);
+        assert_eq!(doc.anchors().next().unwrap().label, "Other");
+        assert!(doc
+            .relinfons()
+            .any(|r| r.delimiter == "b" && r.text == "important"));
+    }
+
+    #[test]
+    fn hosted_web_basics() {
+        let mut web = HostedWeb::new();
+        web.insert_page(
+            "http://a.test/",
+            PageBuilder::new("A").link("http://b.test/", "b"),
+        );
+        web.insert_page("http://a.test/x", PageBuilder::new("AX"));
+        web.insert_page("http://b.test/", PageBuilder::new("B"));
+        assert_eq!(web.len(), 3);
+        assert_eq!(web.sites().len(), 2);
+        let a = SiteAddr {
+            host: "a.test".into(),
+            port: 80,
+        };
+        assert_eq!(web.docs_of_site(&a).len(), 2);
+        assert!(web.get(&Url::parse("http://a.test/").unwrap()).is_some());
+        assert!(web
+            .get(&Url::parse("http://a.test/missing").unwrap())
+            .is_none());
+        assert!(web.total_bytes() > 0);
+    }
+
+    #[test]
+    fn fragment_stripped_on_insert_and_get() {
+        let mut web = HostedWeb::new();
+        web.insert(Url::parse("http://a.test/p#x").unwrap(), "<html></html>");
+        assert!(web.get(&Url::parse("http://a.test/p#y").unwrap()).is_some());
+        assert_eq!(web.len(), 1);
+    }
+
+    #[test]
+    fn graph_reflects_links() {
+        let mut web = HostedWeb::new();
+        web.insert_page(
+            "http://a.test/",
+            PageBuilder::new("A")
+                .link("sub.html", "local")
+                .link("http://b.test/", "global"),
+        );
+        web.insert_page("http://a.test/sub.html", PageBuilder::new("Sub"));
+        web.insert_page("http://b.test/", PageBuilder::new("B"));
+        let g = web.graph();
+        assert_eq!(g.link_count(), 2);
+        let a = Url::parse("http://a.test/").unwrap();
+        assert_eq!(g.links_of_type(&a, LinkType::Local).count(), 1);
+        assert_eq!(g.links_of_type(&a, LinkType::Global).count(), 1);
+        assert!(g.floating_links().is_empty());
     }
 }
 

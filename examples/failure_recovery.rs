@@ -64,7 +64,7 @@ fn main() {
         );
         net.start(&user_addr());
         net.run();
-        let dropped = net.metrics.dropped;
+        let dropped = net.metrics().dropped;
         let (rows, complete) = {
             let user = client_of(&mut net).query_mut(1).unwrap();
             (user.total_rows(), user.complete)
@@ -77,7 +77,7 @@ fn main() {
     let (seed, mut net) = chosen.expect("some seed under 200 yields a partial stalled run");
     println!(
         "\nlossy run (seed {seed}): {} messages dropped by the network",
-        net.metrics.dropped
+        net.metrics().dropped
     );
 
     let user = client_of(&mut net).query_mut(1).unwrap();

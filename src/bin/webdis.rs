@@ -47,7 +47,7 @@ use webdis::web::{generate, HostedWeb, SearchIndex, WebGenConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  webdis gen   --out DIR [--sites N] [--docs N] [--seed S] [--filler W] [--needle-prob P]\n  webdis query --web DIR [--data-shipping | --tcp | --hybrid K] [--wan] [--trace] [--html FILE] (<DISQL> | @FILE)\n  webdis index --web DIR TERM [TERM...]\n  webdis graph --web DIR"
+        "usage:\n  webdis gen   --out DIR [--sites N] [--docs N] [--seed S] [--filler W] [--needle-prob P]\n  webdis query --web DIR [--data-shipping | --tcp | --hybrid K] [--wan] [--trace] [--explain] [--html FILE] (<DISQL> | @FILE)\n  webdis index --web DIR TERM [TERM...]\n  webdis graph --web DIR"
     );
     exit(2)
 }

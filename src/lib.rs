@@ -17,13 +17,14 @@
 //! | [`model`] | URLs, link types (I/L/G/N), the web graph |
 //! | [`html`] | HTML tokenizer + single-pass document extraction |
 //! | [`rel`] | DOCUMENT / ANCHOR / RELINFON virtual relations, predicates, node-query evaluation |
-//! | [`pre`] | path regular expressions: parsing, derivatives, subsumption, NFA containment |
+//! | [`pre`] | path regular expressions: parsing, derivatives and their finite closure, subsumption, containment over derivative pairs |
 //! | [`disql`] | the DISQL query language |
-//! | [`net`] | wire codec, protocol messages, TCP transport |
-//! | [`sim`] | deterministic discrete-event network simulator with byte metering |
+//! | [`net`] | wire codec, protocol messages, TCP transport, the per-kind traffic meter |
+//! | [`sim`] | deterministic discrete-event network simulator; the fault list and the message ledger both runtimes share |
 //! | [`web`] | synthetic web generation and the paper's fixed topologies |
 //! | [`core`] | the distributed engine: servers, user site, CHT, log table, data-shipping baseline |
 //! | [`load`] | concurrent multi-query workloads: seeded arrival processes, multi-user drivers, load shedding |
+//! | [`trace`] | query-trajectory tracing, the metrics registry and its `/metrics` exposition, the doctor |
 //!
 //! ## Quick start
 //!

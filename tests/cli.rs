@@ -1,5 +1,6 @@
 //! The `webdis` binary at its edge: hostile query text is an error
-//! message and exit status 1, never an abort.
+//! message and exit status 1, never an abort; no arguments at all is
+//! the usage text, naming every option the binary accepts.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -47,4 +48,24 @@ fn deeply_nested_query_text_is_refused_not_a_stack_overflow() {
     );
     let out = webdis(&["query", "--web", web.to_str().unwrap(), &ok]);
     assert!(out.status.success(), "{out:?}");
+}
+
+#[test]
+fn usage_names_every_query_option() {
+    let out = webdis(&[]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let usage = String::from_utf8_lossy(&out.stderr);
+    let options = [
+        "--web",
+        "--data-shipping",
+        "--tcp",
+        "--hybrid",
+        "--wan",
+        "--trace",
+        "--explain",
+        "--html",
+    ];
+    for option in options {
+        assert!(usage.contains(option), "usage omits {option}: {usage}");
+    }
 }

@@ -78,7 +78,7 @@ fn lost_messages_stall_completion_until_expiry() {
     );
     net.start(&user_addr());
     net.run();
-    assert!(net.metrics.dropped > 0, "fault injection must fire");
+    assert!(net.metrics().dropped > 0, "fault injection must fire");
 
     let user = client_of(&mut net).query_mut(1).unwrap();
     assert!(

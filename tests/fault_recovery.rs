@@ -8,13 +8,20 @@
 //! dropped messages are recorded as `message_dropped`, not
 //! `message_sent`.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_query_sim, Deployment, EngineConfig, ExpiryPolicy, QueryRecord};
+use webdis::core::simrun::user_addr;
+use webdis::core::{
+    run_query_sim, ClientProcess, Deployment, EngineConfig, ExpiryPolicy, PlannedQuery,
+    QueryRecord, ScheduledClient,
+};
+use webdis::disql::parse_disql;
+use webdis::net::meter::FATES;
+use webdis::net::{WireCounters, MESSAGE_KINDS};
 use webdis::sim::{Fault, FaultKind, SimConfig};
-use webdis::trace::{json, trajectory, TraceHandle};
+use webdis::trace::{json, trajectory, TraceEvent, TraceHandle, TraceRecord};
 use webdis::web::figures;
 
 /// Seed probe: campus + CAMPUS_QUERY + drop_rate 0.1. Seed 6 loses one
@@ -181,4 +188,105 @@ fn tcp_injected_faults_terminate_via_expiry_without_orphans() {
         "injected drop must not leave orphan sends: {:?}",
         traj.orphans
     );
+}
+
+/// Messages per (kind, fate) — fates named as the meter exposes them.
+type Account = BTreeMap<(String, &'static str), u64>;
+
+/// The meter's account of every fate that leaves a trace record (a
+/// refusal leaves none).
+fn metered(meter: &WireCounters) -> Account {
+    let mut account = Account::new();
+    for kind in MESSAGE_KINDS {
+        for (fate, &name) in FATES.iter().enumerate() {
+            let (msgs, _) = meter.get(fate, kind);
+            if msgs > 0 && name != "refused" {
+                account.insert((kind.to_string(), name), msgs);
+            }
+        }
+    }
+    account
+}
+
+/// The same account, counted from a run's `message_*` trace records.
+fn traced(records: &[TraceRecord]) -> Account {
+    let mut account = Account::new();
+    for record in records {
+        let (kind, fate) = match &record.event {
+            TraceEvent::MessageSent { kind, .. } => (kind, "sent"),
+            TraceEvent::MessageDuplicated { kind, .. } => (kind, "duplicated"),
+            TraceEvent::MessageCorrupted { kind, .. } => (kind, "corrupted"),
+            TraceEvent::MessageDropped { kind, reason, .. }
+                if reason == "dead-letter" || reason == "crashed" =>
+            {
+                (kind, "dead_letter")
+            }
+            TraceEvent::MessageDropped { kind, .. } => (kind, "dropped"),
+            _ => continue,
+        };
+        *account.entry((kind.clone(), fate)).or_default() += 1;
+    }
+    account
+}
+
+/// The DSL lab's daemon, whose every report reaches the user twice.
+const DSL: &str = "wdqs.dsl.serc.iisc.ernet.in";
+
+/// A clone the CSA daemon forwards is corrupted on the wire, and every
+/// report of the DSL lab is duplicated.
+fn corrupt_one_clone_duplicate_one_lab() -> Vec<Fault> {
+    let compiler_lab = "wdqs.www-compiler.csa.iisc.ernet.in";
+    vec![
+        Fault::rate(FaultKind::Corrupt, 1.0).on(CSA, compiler_lab),
+        Fault::rate(FaultKind::Dup, 1.0).on(DSL, &user_addr().host),
+    ]
+}
+
+#[test]
+fn one_fault_list_gives_one_account_on_both_runtimes() {
+    let deployment = |tracer| {
+        let cfg = EngineConfig {
+            expiry: Some(ExpiryPolicy::with_timeout(400_000)),
+            tracer,
+            ..EngineConfig::default()
+        };
+        Deployment::new(Arc::new(figures::campus()), cfg)
+    };
+    let query = || parse_disql(figures::CAMPUS_QUERY).expect("valid query");
+
+    let (collector, tracer) = TraceHandle::collecting(8_192);
+    let sim_cfg = SimConfig {
+        faults: corrupt_one_clone_duplicate_one_lab(),
+        ..SimConfig::default()
+    };
+    let mut net = deployment(tracer).sim_with_client(sim_cfg, vec![query()]);
+    net.start(&user_addr());
+    net.run();
+    let sim = (metered(&net.ledger.meter), traced(&collector.snapshot()));
+
+    let (collector, tracer) = TraceHandle::collecting(8_192);
+    let tcp_deployment = deployment(tracer);
+    let cluster = tcp_deployment.tcp_cluster(corrupt_one_clone_duplicate_one_lab());
+    let client = ClientProcess::new("webdis", user_addr(), tcp_deployment.config.clone());
+    let mut user = ScheduledClient::new(vec![client], vec![(0, PlannedQuery::at(0, query()))]);
+    cluster.drive(&mut cluster.user_net(), &mut user, Duration::from_secs(30));
+    assert!(user.done(), "expiry concludes the TCP run");
+    let meter = Arc::clone(cluster.wire_counters());
+    // Every daemon has stopped once shutdown returns: nothing more is
+    // metered or traced.
+    cluster.shutdown();
+    let tcp = (metered(&meter), traced(&collector.snapshot()));
+
+    // Each runtime's meter and its trace tell one story.
+    assert_eq!(sim.0, sim.1, "simulator: meter vs trace");
+    assert_eq!(tcp.0, tcp.1, "TCP: meter vs trace");
+    // And the fault list did the same to both.
+    let faulted = |account: &Account| -> Account {
+        let faulted = account.iter().filter(|((_, fate), _)| *fate != "sent");
+        faulted.map(|(key, &n)| (key.clone(), n)).collect()
+    };
+    let expected = [(("query", "corrupted"), 1), (("report", "duplicated"), 1)];
+    let expected = expected.map(|((kind, fate), n)| ((kind.to_string(), fate), n));
+    assert_eq!(faulted(&sim.0), Account::from(expected));
+    assert_eq!(faulted(&tcp.0), faulted(&sim.0));
 }

@@ -138,5 +138,5 @@ fn concurrent_queries_under_ack_chain_completion() {
     assert!(client.all_complete(), "acks must route to the right query");
     assert_eq!(client.query(1).unwrap().rows_of_stage(1).len(), 3);
     assert!(client.query(2).unwrap().total_rows() >= 2);
-    assert!(net.metrics.messages_of("ack") > 0);
+    assert!(net.metrics().messages_of("ack") > 0);
 }
