@@ -1,5 +1,5 @@
 #!/bin/sh
-# The ruler ROADMAP item 3 ("collapse the accreted surface") is judged by:
+# The ruler ROADMAP item 8 ("the line gate, re-counted") is judged by:
 # non-test lines — the lines before a file's first `#[cfg(test)]` — of
 # every crates/*/src/**/*.rs, summed per crate, plus the root package
 # (src/ and examples/, the row `webdis`), and in total. Comments and

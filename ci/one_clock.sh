@@ -1,5 +1,5 @@
 #!/bin/sh
-# ROADMAP item 6(a): everything that happens *at a time* is an entry of
+# Everything that happens *at a time* is an entry of
 # its runtime's one queue — SimNet's heap on the simulator, the deadline
 # heap of a `serve` wait on TCP — and what the network does to a message
 # is one `faults` list. This fails when a second clock reappears:

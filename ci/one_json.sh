@@ -1,5 +1,5 @@
 #!/bin/sh
-# ROADMAP item 3(d): the workspace has one JSON reader and one JSON string
+# ROADMAP item 1(c): the workspace has one JSON reader and one JSON string
 # escaper, both in crates/webdis-trace/src/json.rs. This fails when a
 # second one reappears under crates/*/src, recognised by what every copy
 # that was deleted had: a `parse_string`, a `\u{:04x}` control-character

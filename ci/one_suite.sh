@@ -1,5 +1,5 @@
 #!/bin/sh
-# ROADMAP item 3(b): the workspace has one experiment suite. Every figure,
+# The workspace has one experiment suite. Every figure,
 # table and BENCH file is one entry of the EXPERIMENTS table in
 # crates/webdis-bench/src/experiments/mod.rs, run by the one webdis-bench
 # binary. This fails when a stand-alone harness `main` reappears under

@@ -4,7 +4,7 @@ use webdis_core::{CachePolicy, Deployment, EngineConfig, ProcModel, ServerStats}
 use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis_sim::SimConfig;
 use webdis_trace::{TraceEvent, TraceHandle};
-use webdis_web::{LiveWeb, MutationPlanConfig, MutationSchedule};
+use webdis_web::{MutationPlanConfig, MutationSchedule};
 
 use super::{
     artifact_digest, freeze_histograms, workload_web, Ctx, Outcome, GLOBAL_QUERY, LOCAL_QUERY,
@@ -36,7 +36,6 @@ pub fn run(ctx: &Ctx) -> Outcome {
         },
     );
     let first_mutation_us = schedule.events.first().map_or(0, |m| m.at_us);
-    let live = Arc::new(LiveWeb::from_hosted(&web));
 
     let spec = WorkloadSpec {
         users: if smoke { 2 } else { 4 },
@@ -57,7 +56,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
         tracer,
         ..EngineConfig::default()
     };
-    let mut deployment = Deployment::new(Arc::clone(&live), cfg);
+    let mut deployment = Deployment::new(Arc::new(web), cfg);
     deployment.schedule = schedule;
     let outcome = spec
         .run_sim(&deployment, SimConfig::default(), &mut |_, _| {})
@@ -110,6 +109,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     report.exact("hung", outcome.hung() as u64, Worse::Higher);
     report.exact("unsubmitted", outcome.unsubmitted as u64, Worse::Higher);
     report.exact("duration_us", outcome.duration_us, Worse::Higher);
+    let live = &deployment.web;
     report.exact("mutations_applied", live.mutations_applied(), Worse::Lower);
     report.exact("history_digest", live.history_digest(), Worse::Higher);
     report.exact("rows_digest", artifact_digest(&rows_text), Worse::Higher);

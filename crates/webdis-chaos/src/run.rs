@@ -93,11 +93,8 @@ pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, SimRunError> {
         }
     }
 
-    // A living web with an empty schedule is the frozen web, so the
-    // faulty leg always runs on one.
     let (collector, tracer) = TraceHandle::collecting(1 << 17);
-    let live = Arc::new(LiveWeb::from_hosted(&web));
-    let mut deployment = Deployment::new(live, plan.engine_config(tracer));
+    let mut deployment = Deployment::new(web, plan.engine_config(tracer));
     deployment.schedule = schedule;
     let faulty = spec.run_sim(&deployment, plan.sim_config(true), &mut |_, _| {})?;
     let records = collector.snapshot();

@@ -173,8 +173,8 @@ pub struct EngineConfig {
     /// reparsed. `true` (the default) is the consistency contract; the
     /// `false` setting reproduces the historical serve-whatever-is-cached
     /// behaviour so the chaos oracle can demonstrate the staleness bug it
-    /// guards against. Irrelevant on a frozen web, where versions never
-    /// change.
+    /// guards against. Irrelevant while nothing mutates the web, since
+    /// versions then never change.
     pub validate_doc_cache: bool,
     /// Section 7.1 graceful recovery: when set, the runtime periodically
     /// calls [`UserSite::expire_stale`](crate::UserSite::expire_stale) so

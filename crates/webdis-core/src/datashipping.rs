@@ -27,21 +27,6 @@ use crate::network::Network;
 use crate::record::{QueryOutcome, QueryRecord};
 use crate::simrun::{user_addr, CtxNet, PlainWebServer, SimRunError};
 
-/// Counters for the baseline run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DataShipStats {
-    /// Documents requested over the network.
-    pub fetches: u64,
-    /// Work items served from the local document cache.
-    pub cache_hits: u64,
-    /// Node-query evaluations performed locally.
-    pub evaluations: u64,
-    /// Work items that dead-ended (failed predicate or missing document).
-    pub dead_ends: u64,
-    /// Work items skipped as duplicates of an already-visited state.
-    pub duplicates_skipped: u64,
-}
-
 /// One unit of traversal work: evaluate/forward at `node` with the given
 /// remaining PRE for stage `stage_idx`.
 #[derive(Debug, Clone)]
@@ -68,8 +53,6 @@ pub struct DataShipUser {
     /// download is outstanding and all work is drained. There is no CHT
     /// and no node report, so the rest stays at its defaults.
     pub record: QueryRecord,
-    /// Counters.
-    pub stats: DataShipStats,
     tracer: TraceHandle,
 }
 
@@ -93,7 +76,6 @@ impl DataShipUser {
             visited: HashSet::new(),
             outstanding: 0,
             record: QueryRecord::default(),
-            stats: DataShipStats::default(),
             tracer,
         }
     }
@@ -170,7 +152,6 @@ impl DataShipUser {
             .visited
             .insert((node.clone(), stage_idx, rem_pre.clone()))
         {
-            self.stats.duplicates_skipped += 1;
             return;
         }
         let item = WorkItem {
@@ -179,7 +160,6 @@ impl DataShipUser {
             rem_pre,
         };
         if self.cache.contains_key(&node) {
-            self.stats.cache_hits += 1;
             self.emit(
                 net.now_us(),
                 TraceEvent::DocFetch {
@@ -194,7 +174,6 @@ impl DataShipUser {
         let first_request = !self.pending.contains_key(&node);
         self.pending.entry(node.clone()).or_default().push(item);
         if first_request {
-            self.stats.fetches += 1;
             let req = Message::Fetch(FetchRequest {
                 url: node.clone(),
                 reply_host: self.self_addr.host.clone(),
@@ -204,8 +183,7 @@ impl DataShipUser {
                 // No web server at the site: every pending item for the
                 // document dead-ends.
                 self.cache.insert(node.clone(), None);
-                let work = self.pending.remove(&node).unwrap_or_default();
-                self.stats.dead_ends += work.len() as u64;
+                self.pending.remove(&node);
             } else {
                 self.outstanding += 1;
             }
@@ -226,7 +204,6 @@ impl DataShipUser {
     /// executed locally.
     fn process(&mut self, net: &mut dyn Network, item: WorkItem, queue: &mut VecDeque<WorkItem>) {
         let Some(Some(db)) = self.cache.get(&item.node).cloned() else {
-            self.stats.dead_ends += 1;
             return;
         };
         let stages = &self.query.stages;
@@ -234,7 +211,6 @@ impl DataShipUser {
         let mut submissions: Vec<(Url, usize, Pre)> = Vec::new();
         while let Some((pre, idx)) = work.pop() {
             if pre.nullable() {
-                self.stats.evaluations += 1;
                 self.emit(
                     net.now_us(),
                     TraceEvent::EvalStart {
@@ -260,7 +236,6 @@ impl DataShipUser {
                                 span_us: net.now_us().saturating_sub(eval_t0) + self.proc.eval_us,
                             },
                         );
-                        self.stats.dead_ends += 1;
                     }
                     Ok(rows) => {
                         self.emit(

@@ -20,16 +20,17 @@ use crate::config::{CompletionMode, EngineConfig};
 
 /// A web and the engines serving it, independent of the transport they
 /// run on. A plain value: set the fields, then run it any number of
-/// times (a living web is shared, so its history carries across runs).
+/// times (its web is one shared store, so its history carries across
+/// runs).
 #[derive(Clone)]
 pub struct Deployment {
-    /// The documents: an `Arc<HostedWeb>` frozen in time or a shared
-    /// `Arc<LiveWeb>` (both convert with `into()`).
+    /// The documents: one store every server of the deployment shares,
+    /// made from an `Arc<HostedWeb>` or a shared `Arc<LiveWeb>` (both
+    /// convert with `into()`).
     pub web: WebView,
     /// Mutations that land while the deployment runs — at their virtual
     /// times on the simulator, at their wall-clock offsets from cluster
-    /// start on TCP. Empty on a web frozen in time; a living web with an
-    /// empty schedule behaves exactly like its frozen snapshot.
+    /// start on TCP. Empty on a web frozen in time.
     pub schedule: MutationSchedule,
     /// The configuration every query server and user site runs with.
     pub config: EngineConfig,
@@ -70,13 +71,10 @@ impl Deployment {
             .is_none_or(|sites| sites.contains(site))
     }
 
-    /// Applies one scheduled mutation to the living web and stamps it
-    /// into the trace, from the mutated host, at `time_us`.
+    /// Applies one scheduled mutation to the web and stamps it into the
+    /// trace, from the mutated host, at `time_us`.
     pub(crate) fn apply_mutation(&self, m: &Mutation, time_us: u64) {
-        let WebView::Live(live) = &self.web else {
-            panic!("a mutation schedule needs a living web; this one is frozen");
-        };
-        let applied = live.apply(m);
+        let applied = self.web.apply(m);
         self.config.tracer.emit_with(|| TraceRecord {
             time_us,
             site: applied.host.clone(),

@@ -81,7 +81,7 @@ pub use client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 pub use config::{
     AdmissionPolicy, ChtMode, CompletionMode, EngineConfig, ExpiryPolicy, LogMode, ProcModel,
 };
-pub use datashipping::{run_datashipping_sim, DataShipUser};
+pub use datashipping::run_datashipping_sim;
 pub use deploy::Deployment;
 pub use logtable::{LogOutcome, LogTable};
 pub use network::{query_server_addr, Network, NetworkError};

@@ -31,7 +31,7 @@ use webdis_net::{
 };
 use webdis_rel::NodeDb;
 use webdis_trace::{TermReason, TraceEvent, TraceRecord};
-use webdis_web::{DocStatus, FetchOutcome, HostedWeb, LiveWeb, WebView};
+use webdis_web::{DocStatus, FetchOutcome, LiveWeb, WebView};
 
 use crate::config::{ChtMode, CompletionMode, EngineConfig};
 use crate::logtable::LogTable;
@@ -158,7 +158,7 @@ struct Flight {
     remote: ForwardGroups,
     /// Forward dedup across all arrivals of this message, so an entry is
     /// announced at most once and its clone sent at most once.
-    seen_forward: BTreeSet<(Url, Arc<str>, usize)>,
+    seen_forward: BTreeSet<(Url, CloneState, usize)>,
 }
 
 /// The trace stamp of `clone`'s events: its query and hop.
@@ -178,9 +178,8 @@ enum Exit {
 /// A WEBDIS query server for one site.
 pub struct ServerEngine {
     site: SiteAddr,
-    /// The documents this site serves: a frozen [`HostedWeb`] snapshot
-    /// (the historical behaviour, content version 0 everywhere) or a
-    /// shared [`LiveWeb`] evolving under a mutation schedule.
+    /// The documents this site serves, read at the version current at
+    /// visit time.
     web: WebView,
     config: EngineConfig,
     log: LogTable,
@@ -208,11 +207,11 @@ pub struct ServerEngine {
     /// Consulted before every nullable-PRE evaluation; fed by every
     /// evaluation that completes.
     cache: Option<AnswerCache>,
-    /// Highest site content version this engine has reacted to. On a
-    /// living web every clone arrival polls the site version; an advance
-    /// flushes the answer cache (the documents its rows were derived
-    /// from may have changed) and bumps `cache_invalidations`. Always 0
-    /// on a frozen web.
+    /// Highest site content version this engine has reacted to. Every
+    /// clone arrival polls the site version; an advance flushes the
+    /// answer cache (the documents its rows were derived from may have
+    /// changed) and bumps `cache_invalidations`. It stays 0 while
+    /// nothing mutates the web.
     seen_site_version: u64,
     /// Counters.
     pub stats: ServerStats,
@@ -253,29 +252,16 @@ struct StageAccum {
 }
 
 impl ServerEngine {
-    /// Creates the server for `site`, serving documents from a frozen
-    /// `web` snapshot (every page at content version 0, forever).
-    pub fn new(site: SiteAddr, web: Arc<HostedWeb>, config: EngineConfig) -> ServerEngine {
-        ServerEngine::with_view(site, web.into(), config)
-    }
-
-    /// Creates the server for `site` over a shared living web: documents
-    /// are fetched at their version current at visit time, and a site
-    /// content-version bump flushes the answer cache. Kept beside
-    /// [`ServerEngine::new`] only because the wall-clock benchmark
-    /// (`hwbench/`) calls it by name; everything in the workspace goes
-    /// through the [`WebView`].
-    pub fn new_live(site: SiteAddr, web: Arc<LiveWeb>, config: EngineConfig) -> ServerEngine {
-        ServerEngine::with_view(site, web.into(), config)
-    }
-
-    pub(crate) fn with_view(site: SiteAddr, web: WebView, config: EngineConfig) -> ServerEngine {
+    /// Creates the server for `site` over `web`: documents are fetched
+    /// at their version current at visit time, and a site
+    /// content-version bump flushes the answer cache.
+    pub fn new(site: SiteAddr, web: impl Into<WebView>, config: EngineConfig) -> ServerEngine {
         let cache = config.cache.clone().map(AnswerCache::new);
         ServerEngine {
             occupancy_key: format!("admission_occupancy.{}", site.host),
             daemon: query_server_addr(&site),
             site,
-            web,
+            web: web.into(),
             config,
             cache,
             log: LogTable::new(),
@@ -289,6 +275,12 @@ impl ServerEngine {
             stats: ServerStats::default(),
             daemons: HashMap::new(),
         }
+    }
+
+    /// [`ServerEngine::new`] over a shared living web, kept under its own
+    /// name because the wall-clock benchmark (`hwbench/`) calls it.
+    pub fn new_live(site: SiteAddr, web: Arc<LiveWeb>, config: EngineConfig) -> ServerEngine {
+        ServerEngine::new(site, web, config)
     }
 
     fn daemon_of(&mut self, site: &SiteAddr) -> SiteAddr {
@@ -329,7 +321,7 @@ impl ServerEngine {
         // A respawned daemon reads the web at whatever version it is
         // *now*; its cold caches need no catch-up invalidation for
         // mutations that happened while it was down.
-        self.seen_site_version = self.web.live_site_version(&self.site.host).unwrap_or(0);
+        self.seen_site_version = self.web.site_version(&self.site.host);
     }
 
     /// Drops every answer-cache entry inserted so far by bumping the
@@ -506,21 +498,20 @@ impl ServerEngine {
     }
 
     /// Receive stage (Figure 3's receive loop): counts the clone, reacts
-    /// to a living web, opens the stage spans, announces the arrival.
+    /// to a web that changed, opens the stage spans, announces the
+    /// arrival.
     fn receive(&mut self, net: &mut dyn Network, clone: &QueryClone) {
         self.stats.clones_received += 1;
         // Living-web invalidation: if this site's content version moved
         // since the last clone, the answer cache's rows may no longer be
         // derivable from the current documents — flush it before any
         // lookup. (The footnote-3 doc cache is validated per-hit instead,
-        // so builds of untouched documents survive the bump.) `None` on a
-        // frozen web: the historical paths pay nothing.
-        if let Some(version) = self.web.live_site_version(&self.site.host) {
-            if version != self.seen_site_version {
-                self.seen_site_version = version;
-                self.stats.cache_invalidations += 1;
-                self.invalidate_cache();
-            }
+        // so builds of untouched documents survive the bump.)
+        let version = self.web.site_version(&self.site.host);
+        if version != self.seen_site_version {
+            self.seen_site_version = version;
+            self.stats.cache_invalidations += 1;
+            self.invalidate_cache();
         }
         self.span = StageAccum {
             // Backpressure attribution: how long this clone's message sat
@@ -794,8 +785,8 @@ impl ServerEngine {
         let (db, version) = self.doc_cache.get(node).cloned()?;
         // `validate_doc_cache == false` reproduces the historic
         // unvalidated hit path (the staleness bug the chaos oracle
-        // demonstrates); on a frozen web both answers agree, since
-        // versions never move.
+        // demonstrates); while nothing mutates the web both answers
+        // agree, since versions never move.
         let status = if self.config.validate_doc_cache {
             self.web.doc_status(node)
         } else {

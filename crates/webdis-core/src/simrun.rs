@@ -13,7 +13,7 @@ use webdis_model::SiteAddr;
 use webdis_net::{FetchRequest, FetchResponse, Message};
 use webdis_sim::{Actor, Ctx, SendError, SimConfig, SimEvent, SimNet};
 use webdis_trace::RegistrySnapshot;
-use webdis_web::FetchOutcome;
+use webdis_web::{FetchOutcome, WebView};
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
@@ -112,7 +112,7 @@ impl Actor for SimServer {
 /// Plain web-server behaviour, for the data-shipping baseline and the
 /// hybrid fallback: the whole document goes back to the requester
 /// (`None` when it is deleted or was never there).
-fn fetch_reply(web: &webdis_web::WebView, req: &FetchRequest) -> Message {
+fn fetch_reply(web: &WebView, req: &FetchRequest) -> Message {
     let html = match web.fetch(&req.url) {
         FetchOutcome::Found { html, .. } => Some(html.to_string()),
         FetchOutcome::Deleted { .. } | FetchOutcome::Missing => None,
@@ -125,14 +125,13 @@ fn fetch_reply(web: &webdis_web::WebView, req: &FetchRequest) -> Message {
 /// daemon. Every site gets one; *participating* sites additionally run a
 /// [`ServerEngine`] at their [`query_server_addr`].
 pub struct PlainWebServer {
-    web: webdis_web::WebView,
+    web: WebView,
 }
 
 impl PlainWebServer {
-    /// A web server for the documents of `web`: a frozen snapshot, or a
-    /// shared living web whose fetches answer from the content version
-    /// current at request time.
-    pub fn new(web: webdis_web::WebView) -> PlainWebServer {
+    /// A web server for the documents of `web`, whose fetches answer
+    /// from the content version current at request time.
+    pub fn new(web: WebView) -> PlainWebServer {
         PlainWebServer { web }
     }
 }
@@ -166,12 +165,12 @@ impl Deployment {
     /// server for every site, plus a query daemon at each participating
     /// site's [`query_server_addr`]. User-site actors go on top.
     ///
-    /// On a living web "every site" is every *declared* host — including
-    /// sites that currently serve no documents, since a `site_join`
-    /// mutation may bring them back — and all actors share the same
-    /// evolving store: the run loops below apply the mutation schedule
-    /// to it between simulation slices, and the engines observe version
-    /// bumps on their next clone arrival.
+    /// "Every site" is every *declared* site — including sites that
+    /// currently serve no documents, since a `site_join` mutation may
+    /// bring them back — and all actors share the one store: the run
+    /// loops below apply the mutation schedule to it between simulation
+    /// slices, and the engines observe version bumps on their next clone
+    /// arrival.
     pub fn sim_net(&self, sim_cfg: SimConfig) -> SimNet {
         let mut net = SimNet::new(sim_cfg);
         net.ledger.tracer = self.config.tracer.clone();
@@ -182,7 +181,7 @@ impl Deployment {
             // ...participating sites also run the query daemon.
             if self.participates(&site) {
                 let engine =
-                    ServerEngine::with_view(site.clone(), self.web.clone(), self.engine_config());
+                    ServerEngine::new(site.clone(), self.web.clone(), self.engine_config());
                 net.register(query_server_addr(&site), Box::new(SimServer { engine }));
             }
         }
@@ -379,9 +378,9 @@ impl Deployment {
     }
 }
 
-/// Runs a DISQL query over the simulated network, every site of the
-/// frozen `web` running a query server: [`Deployment::query_sim`] with
-/// nothing else said.
+/// Runs a DISQL query over the simulated network, every site of `web`
+/// running a query server: [`Deployment::query_sim`] with nothing else
+/// said.
 pub fn run_query_sim(
     web: Arc<webdis_web::HostedWeb>,
     disql: &str,
@@ -391,7 +390,7 @@ pub fn run_query_sim(
     Deployment::new(web, engine_cfg).query_sim(disql, sim_cfg)
 }
 
-/// Runs a DISQL query in hybrid mode (Section 7.1) on the frozen `web`:
+/// Runs a DISQL query in hybrid mode (Section 7.1) on `web`:
 /// only `participating` sites run query servers, the rest are reached
 /// through the user-site fallback, whose counters are returned beside
 /// the outcome they ride on. An empty list degenerates to (CHT-accounted)

@@ -323,10 +323,10 @@ pub struct TcpCluster {
 }
 
 impl TcpCluster {
-    /// `web` frozen in time, every site running a daemon under
-    /// `engine_cfg`: [`Deployment::tcp_cluster`] with nothing else said.
+    /// `web`, every site running a daemon under `engine_cfg`:
+    /// [`Deployment::tcp_cluster`] with nothing else said.
     pub fn start(
-        web: Arc<webdis_web::HostedWeb>,
+        web: impl Into<webdis_web::WebView>,
         engine_cfg: &EngineConfig,
         faults: Vec<Fault>,
     ) -> TcpCluster {
@@ -334,10 +334,8 @@ impl TcpCluster {
     }
 
     /// [`TcpCluster::start`] over a shared living web, with an optional
-    /// mutation schedule. (A frozen web is this with no schedule; the two
-    /// entry points differ only in the web type, and both stay beside
-    /// [`Deployment::tcp_cluster`] because the wall-clock benchmark,
-    /// `hwbench/`, calls them by name.)
+    /// mutation schedule; kept under its own name because the wall-clock
+    /// benchmark (`hwbench/`) calls it.
     pub fn start_live(
         web: Arc<webdis_web::LiveWeb>,
         engine_cfg: &EngineConfig,
@@ -434,7 +432,7 @@ impl Deployment {
             .expect("bind metrics endpoint");
             exporters.push((query_server_addr(&site), exporter));
 
-            let engine = ServerEngine::with_view(site.clone(), web.clone(), engine_cfg.clone());
+            let engine = ServerEngine::new(site.clone(), web.clone(), engine_cfg.clone());
             let addr = query_server_addr(&site);
             let net = TcpNet {
                 from: site.host.to_string(),
@@ -451,12 +449,6 @@ impl Deployment {
         }
         let housekeeper =
             (engine_cfg.monitor.is_some() || !self.schedule.events.is_empty()).then(|| {
-                // Checked here because a panic inside the thread would
-                // only surface as mutations that silently never happen.
-                assert!(
-                    self.schedule.events.is_empty() || matches!(web, webdis_web::WebView::Live(_)),
-                    "a mutation schedule needs a living web; this one is frozen"
-                );
                 let deployment = self.clone();
                 let (stop, stopped) = unbounded();
                 let thread = std::thread::Builder::new()
@@ -634,7 +626,7 @@ impl Deployment {
     }
 }
 
-/// Runs a DISQL query against the frozen `web` with a real query-server
+/// Runs a DISQL query against `web` with a real query-server
 /// daemon per site, all on loopback and fault-free:
 /// [`Deployment::query_tcp`] with nothing else said.
 pub fn run_query_tcp(

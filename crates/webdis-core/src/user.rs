@@ -135,7 +135,11 @@ impl UserSite {
         };
         let mut groups = ForwardGroups::default();
         for node in distinct_nodes(&self.query.start_nodes) {
-            groups.push(Forward::new(node, state.clone(), 0));
+            groups.push(Forward {
+                target: node,
+                state: state.clone(),
+                stage_idx: 0,
+            });
         }
         let ack_mode = self.config.completion == CompletionMode::AckChain;
         let (stages, reply_to) = (&self.query.stages, self.id.reply_to());

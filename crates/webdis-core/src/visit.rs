@@ -120,21 +120,7 @@ pub(crate) struct TraverseCounters {
 pub(crate) struct Forward {
     pub(crate) target: Url,
     pub(crate) state: CloneState,
-    /// `state` rendered once and shared: the dedupe and grouping key,
-    /// whose string order is the order clones leave in.
-    state_key: Arc<str>,
     pub(crate) stage_idx: usize,
-}
-
-impl Forward {
-    pub(crate) fn new(target: Url, state: CloneState, stage_idx: usize) -> Forward {
-        Forward {
-            state_key: state.to_string().into(),
-            target,
-            state,
-            stage_idx,
-        }
-    }
 }
 
 /// The disposition rule: an arrival that answered is a ServerRouter hit;
@@ -211,7 +197,7 @@ impl VisitCtx<'_> {
     pub(crate) fn visit(
         mut self,
         arrival: Arrival,
-        seen: &mut BTreeSet<(Url, Arc<str>, usize)>,
+        seen: &mut BTreeSet<(Url, CloneState, usize)>,
     ) -> Visited {
         let (stages, node) = (self.stages, &arrival.node);
         let (mut results, mut new_entries, mut forwards) = (Vec::new(), Vec::new(), Vec::new());
@@ -249,20 +235,18 @@ impl VisitCtx<'_> {
                     num_q: (stages.len() - idx) as u32,
                     rem_pre: derived,
                 };
-                let state_key: Arc<str> = state.to_string().into();
                 for link in self.db.links_of_type(t) {
-                    let f = Forward {
-                        target: link.href.without_fragment(),
-                        state: state.clone(),
-                        state_key: Arc::clone(&state_key),
-                        stage_idx: idx,
-                    };
-                    if seen.insert((f.target.clone(), f.state_key.clone(), idx)) {
+                    let target = link.href.without_fragment();
+                    if seen.insert((target.clone(), state.clone(), idx)) {
                         new_entries.push(ChtEntry {
-                            node: f.target.clone(),
-                            state: f.state.clone(),
+                            node: target.clone(),
+                            state: state.clone(),
                         });
-                        forwards.push(f);
+                        forwards.push(Forward {
+                            target,
+                            state: state.clone(),
+                            stage_idx: idx,
+                        });
                     }
                 }
             }
@@ -438,22 +422,23 @@ impl VisitCtx<'_> {
     }
 }
 
-/// Forwards grouped by (destination site, state, stage): each group
-/// travels as one clone message (optimization 4), or as one per node
-/// when `batch_per_site` is off.
+/// Forwards grouped by destination site, then by (state, stage): each
+/// group travels as one clone message (optimization 4), or as one per
+/// node when `batch_per_site` is off. States are compared structurally,
+/// so two that print alike are still two groups.
 #[derive(Default)]
-pub(crate) struct ForwardGroups(BTreeMap<GroupKey, (CloneState, Vec<Url>)>);
-
-/// Destination site, rendered state, stage index.
-type GroupKey = (SiteAddr, Arc<str>, usize);
+pub(crate) struct ForwardGroups(BTreeMap<SiteAddr, Vec<(CloneState, usize, Vec<Url>)>>);
 
 impl ForwardGroups {
     pub(crate) fn push(&mut self, f: Forward) {
-        self.0
-            .entry((f.target.site(), f.state_key, f.stage_idx))
-            .or_insert_with(|| (f.state, Vec::new()))
-            .1
-            .push(f.target);
+        let groups = self.0.entry(f.target.site()).or_default();
+        match groups
+            .iter_mut()
+            .find(|g| g.1 == f.stage_idx && g.0 == f.state)
+        {
+            Some((_, _, dests)) => dests.push(f.target),
+            None => groups.push((f.state, f.stage_idx, vec![f.target])),
+        }
     }
 
     /// Puts every group's destinations in URL order. Query servers have
@@ -461,7 +446,7 @@ impl ForwardGroups {
     /// nodes in the order given, so the order is observable; user-site
     /// dispatches keep discovery order.
     pub(crate) fn sorted(mut self) -> ForwardGroups {
-        for (_, dests) in self.0.values_mut() {
+        for (_, _, dests) in self.0.values_mut().flatten() {
             dests.sort();
         }
         self
@@ -471,6 +456,8 @@ impl ForwardGroups {
     /// start at global index `offset`; they travel at hop count `hops`
     /// and are acknowledged to `ack_to`. Clones still in the sender's
     /// stage share its stage list; a later stage's tail is copied once.
+    /// They leave in site order and, within a site, in the order of
+    /// their rendered states, then stages.
     pub(crate) fn into_clones(
         self,
         id: &QueryId,
@@ -482,30 +469,36 @@ impl ForwardGroups {
     ) -> Vec<(SiteAddr, QueryClone)> {
         let mut clones = Vec::new();
         let mut tails: BTreeMap<usize, Arc<[Stage]>> = BTreeMap::new();
-        for ((site, _, stage_idx), (state, dests)) in self.0 {
-            let tail = match stage_idx {
-                0 => stages,
-                _ => tails
-                    .entry(stage_idx)
-                    .or_insert_with(|| stages[stage_idx..].into()),
-            };
-            let mut push = |dest_nodes| {
-                let clone = QueryClone {
-                    id: id.clone(),
-                    dest_nodes,
-                    rem_pre: state.rem_pre.clone(),
-                    stages: Arc::clone(tail),
-                    stage_offset: offset + stage_idx as u32,
-                    hops,
-                    ack_host: ack_to.host.clone(),
-                    ack_port: ack_to.port,
+        for (site, mut groups) in self.0 {
+            // A state is rendered only when there is an order to decide.
+            if groups.len() > 1 {
+                groups.sort_by_cached_key(|(state, idx, _)| (state.to_string(), *idx));
+            }
+            for (state, stage_idx, dests) in groups {
+                let tail = match stage_idx {
+                    0 => stages,
+                    _ => tails
+                        .entry(stage_idx)
+                        .or_insert_with(|| stages[stage_idx..].into()),
                 };
-                clones.push((site.clone(), clone));
-            };
-            if batch_per_site {
-                push(dests);
-            } else {
-                dests.into_iter().for_each(|dest| push(vec![dest]));
+                let mut push = |dest_nodes| {
+                    let clone = QueryClone {
+                        id: id.clone(),
+                        dest_nodes,
+                        rem_pre: state.rem_pre.clone(),
+                        stages: Arc::clone(tail),
+                        stage_offset: offset + stage_idx as u32,
+                        hops,
+                        ack_host: ack_to.host.clone(),
+                        ack_port: ack_to.port,
+                    };
+                    clones.push((site.clone(), clone));
+                };
+                if batch_per_site {
+                    push(dests);
+                } else {
+                    dests.into_iter().for_each(|dest| push(vec![dest]));
+                }
             }
         }
         clones

@@ -51,7 +51,7 @@ impl fmt::Display for QueryId {
 /// remain, and the remaining part of the current PRE. This is everything
 /// the CHT and the log table need — "only the number is required, not the
 /// details of the queries".
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CloneState {
     /// Node-queries yet to be processed (including the current one).
     pub num_q: u32,

@@ -93,9 +93,9 @@ impl FromIterator<LinkType> for LinkSet {
 /// duplicates, `p*0` collapsed to ε. This keeps the derivatives of a PRE
 /// finitely many and makes syntactic equality (`==`) usable as the log
 /// table's "completely identical" test. Children are shared
-/// (`Arc`), so cloning a PRE copies no subtree; equality and hash stay
-/// structural.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// (`Arc`), so cloning a PRE copies no subtree; equality, hash and
+/// order stay structural.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Pre {
     /// ε / `N` — matches exactly the zero-length path.
     Empty,

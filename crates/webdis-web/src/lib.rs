@@ -6,8 +6,8 @@
 //! replaces that with controllable equivalents that still exercise the
 //! whole pipeline through *real HTML text*:
 //!
-//! * [`HostedWeb`] — the set of documents the simulated (or TCP) query
-//!   servers serve, keyed by URL;
+//! * [`HostedWeb`] — a set of documents keyed by URL: what a web is
+//!   built as, saved as and snapshotted to;
 //! * [`PageBuilder`] — a small HTML construction API used by all
 //!   generators, so every generated byte flows through `webdis-html`'s
 //!   parser exactly as a crawled page would;
@@ -19,9 +19,10 @@
 //!   web behind Figures 7 and 8;
 //! * [`index`] — an inverted keyword index over a hosted web, the
 //!   "existing search-indices" the paper draws StartNodes from;
-//! * [`live`] — the living web: a versioned store evolving under a
-//!   seeded, replayable mutation schedule (pages edited/deleted, links
-//!   rotting, sites leaving) while queries are in flight.
+//! * [`live`] — the living web, the one store the query servers read: a
+//!   versioned store evolving under a seeded, replayable mutation
+//!   schedule (pages edited/deleted, links rotting, sites leaving) while
+//!   queries are in flight — or under none, which is a web frozen in time.
 
 pub mod figures;
 pub mod gen;

@@ -1,7 +1,7 @@
 //! The living web: a versioned document store that evolves under a
 //! seeded, replayable mutation schedule while queries are in flight.
 //!
-//! [`HostedWeb`] is a frozen snapshot; [`LiveWeb`] wraps the same
+//! [`HostedWeb`] is a set of documents; [`LiveWeb`] wraps the same
 //! documents behind a lock and lets a driver apply [`Mutation`]s —
 //! pages created/edited/deleted, anchors added/removed (link rot),
 //! whole sites leaving and rejoining — at scheduled instants. Every
@@ -17,8 +17,13 @@
 //! digest over it, so two runs of the same schedule are byte-comparable
 //! and the chaos oracle can reconstruct which version was current at
 //! any instant.
+//!
+//! It is the only store the engine reads ([`WebView`]): a web frozen in
+//! time is a `LiveWeb` nothing mutates — every page at version 0, no
+//! tombstones.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 
 use rand::rngs::StdRng;
@@ -118,15 +123,19 @@ impl MutationOp {
         }
     }
 
-    /// Host of the site this operation touches.
-    pub fn host(&self) -> &str {
+    /// The site this operation touches; a site-level operation names a
+    /// host, whose site serves at port 80.
+    pub fn site(&self) -> SiteAddr {
         match self {
             MutationOp::EditPage { url, .. }
             | MutationOp::CreatePage { url, .. }
             | MutationOp::DeletePage { url }
             | MutationOp::AddAnchor { url, .. }
-            | MutationOp::RemoveAnchor { url } => url.host(),
-            MutationOp::SiteLeave { host } | MutationOp::SiteJoin { host } => host,
+            | MutationOp::RemoveAnchor { url } => url.site(),
+            MutationOp::SiteLeave { host } | MutationOp::SiteJoin { host } => SiteAddr {
+                host: host.as_str().into(),
+                port: 80,
+            },
         }
     }
 }
@@ -215,12 +224,6 @@ impl MutationSchedule {
         events.sort_by_key(|m| m.at_us);
         MutationSchedule { events }
     }
-
-    /// Every host the schedule touches (sites a driver must register
-    /// even if they start empty).
-    pub fn hosts(&self) -> BTreeSet<String> {
-        self.events.iter().map(|m| m.op.host().to_owned()).collect()
-    }
 }
 
 /// What became of one document under an applied mutation.
@@ -250,7 +253,7 @@ pub struct AppliedMutation {
     pub effects: Vec<(Url, DocEffect)>,
 }
 
-/// Outcome of fetching a document from a (possibly live) web.
+/// Outcome of fetching a document from the web store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FetchOutcome {
     /// The document exists; `version` is the owning site's content
@@ -287,7 +290,7 @@ struct LiveState {
     docs: BTreeMap<Url, (Arc<str>, u64)>,
     tombstones: BTreeMap<Url, u64>,
     site_versions: BTreeMap<String, u64>,
-    hosts: BTreeSet<String>,
+    sites: BTreeSet<SiteAddr>,
     history: Vec<AppliedMutation>,
     digest: u64,
 }
@@ -313,7 +316,7 @@ fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
 }
 
 impl LiveWeb {
-    /// Wraps a frozen snapshot; every document starts at version 0.
+    /// Stores the documents of `web`; every one starts at version 0.
     pub fn from_hosted(web: &HostedWeb) -> LiveWeb {
         let mut state = LiveState {
             digest: FNV_OFFSET,
@@ -321,7 +324,7 @@ impl LiveWeb {
         };
         for url in web.urls() {
             let html = Arc::clone(web.shared(url).expect("listed URL is hosted"));
-            state.hosts.insert(url.host().to_owned());
+            state.sites.insert(url.site());
             state.docs.insert(url.clone(), (html, 0));
         }
         LiveWeb {
@@ -333,16 +336,11 @@ impl LiveWeb {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Every declared site (one query server each), in address order.
+    /// Every declared site (one query server each), in address order —
+    /// including sites that serve no document now, since a `site_join`
+    /// may bring them back.
     pub fn sites(&self) -> Vec<SiteAddr> {
-        self.lock()
-            .hosts
-            .iter()
-            .map(|h| SiteAddr {
-                host: h.as_str().into(),
-                port: 80,
-            })
-            .collect()
+        self.lock().sites.iter().cloned().collect()
     }
 
     /// Fetches a document together with its content version.
@@ -413,8 +411,9 @@ impl LiveWeb {
     /// nothing are recorded as no-ops so replays stay aligned.
     pub fn apply(&self, m: &Mutation) -> AppliedMutation {
         let mut state = self.lock();
-        let host = m.op.host().to_owned();
-        state.hosts.insert(host.clone());
+        let site = m.op.site();
+        let host = site.host.to_string();
+        state.sites.insert(site);
         let version = state.site_versions.get(&host).copied().unwrap_or(0) + 1;
         state.site_versions.insert(host.clone(), version);
 
@@ -577,73 +576,30 @@ fn strip_last_anchor(html: &str) -> Option<String> {
     Some(out)
 }
 
-/// The engine's view of the web: a frozen snapshot (bit-identical to
-/// the pre-living-web behavior, every fetch at version 0) or a shared
-/// living store.
+/// The engine's view of the web: a handle to the one [`LiveWeb`] that
+/// every query server, plain web server and mutation driver of a
+/// deployment shares. An `Arc<HostedWeb>` comes in as a store nothing
+/// mutates; an `Arc<LiveWeb>` is shared as it is.
 #[derive(Debug, Clone)]
-pub enum WebView {
-    /// The classic frozen snapshot.
-    Frozen(Arc<HostedWeb>),
-    /// A shared living web.
-    Live(Arc<LiveWeb>),
-}
+pub struct WebView(Arc<LiveWeb>);
 
 impl From<Arc<HostedWeb>> for WebView {
     fn from(web: Arc<HostedWeb>) -> WebView {
-        WebView::Frozen(web)
+        WebView(Arc::new(LiveWeb::from_hosted(&web)))
     }
 }
 
 impl From<Arc<LiveWeb>> for WebView {
     fn from(web: Arc<LiveWeb>) -> WebView {
-        WebView::Live(web)
+        WebView(web)
     }
 }
 
-impl WebView {
-    /// Fetches a document with its content version (frozen ⇒ version 0,
-    /// and no tombstones: anything absent is [`FetchOutcome::Missing`]).
-    pub fn fetch(&self, url: &Url) -> FetchOutcome {
-        match self {
-            WebView::Frozen(web) => match web.shared(url) {
-                Some(html) => FetchOutcome::Found {
-                    html: Arc::clone(html),
-                    version: 0,
-                },
-                None => FetchOutcome::Missing,
-            },
-            WebView::Live(web) => web.fetch(url),
-        }
-    }
+impl Deref for WebView {
+    type Target = LiveWeb;
 
-    /// Existence/version probe (frozen ⇒ `Present(0)` or `Missing`).
-    pub fn doc_status(&self, url: &Url) -> DocStatus {
-        match self {
-            WebView::Frozen(web) => match web.get(url) {
-                Some(_) => DocStatus::Present(0),
-                None => DocStatus::Missing,
-            },
-            WebView::Live(web) => web.doc_status(url),
-        }
-    }
-
-    /// The site's content version when the view is live; `None` for a
-    /// frozen view (nothing ever changes, so there is nothing to poll).
-    pub fn live_site_version(&self, host: &str) -> Option<u64> {
-        match self {
-            WebView::Frozen(_) => None,
-            WebView::Live(web) => Some(web.site_version(host)),
-        }
-    }
-
-    /// Every site an engine should be stood up for: the snapshot's sites
-    /// when frozen, every *declared* host when live (a currently-empty
-    /// site may rejoin later).
-    pub fn sites(&self) -> Vec<webdis_model::SiteAddr> {
-        match self {
-            WebView::Frozen(web) => web.sites(),
-            WebView::Live(web) => web.sites(),
-        }
+    fn deref(&self) -> &LiveWeb {
+        &self.0
     }
 }
 
@@ -798,16 +754,22 @@ mod tests {
 
     #[test]
     fn frozen_view_fetches_at_version_zero() {
-        let web = std::sync::Arc::new(seed_web());
-        let view = WebView::Frozen(std::sync::Arc::clone(&web));
+        let mut web = seed_web();
+        web.insert_page("http://b.test:8080/x.html", PageBuilder::new("B"));
+        let view = WebView::from(Arc::new(web));
         let url = crate::doc_url(0, 0);
         assert!(matches!(
             view.fetch(&url),
             FetchOutcome::Found { version: 0, .. }
         ));
-        assert_eq!(view.live_site_version("site0.test"), None);
+        assert_eq!(view.site_version("site0.test"), 0);
         let missing = Url::from_parts("site0.test", 80, "/nope.html");
         assert_eq!(view.doc_status(&missing), DocStatus::Missing);
+        let b = SiteAddr {
+            host: "b.test".into(),
+            port: 8080,
+        };
+        assert!(view.sites().contains(&b), "a site keeps its port");
     }
 
     #[test]
