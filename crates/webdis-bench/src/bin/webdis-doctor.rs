@@ -21,7 +21,7 @@
 //! queries the anomalies are about — the CI gate over the t13 smoke
 //! trace.
 //!
-//! `--live` polls a running daemon's admin socket (`/status` +
+//! `--live` polls a running cluster's admin socket (`/status` +
 //! `/metrics`) and renders the in-flight query table, firing alerts,
 //! and fleet stage shares. `--live-smoke` runs that loop against an
 //! in-process monitored cluster — the CI smoke for the live path.

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{ChtMode, EngineConfig, LogMode};
+use webdis_core::{EngineConfig, LogMode};
 use webdis_net::Disposition;
 use webdis_web::figures;
 
@@ -23,10 +23,7 @@ pub fn run(_: &Ctx) -> Outcome {
     // Strict CHT mode makes duplicate drops visible in the trace (paper
     // mode drops them silently, which is the point of §3.1.1 — but the
     // figure wants to *show* them).
-    let strict = EngineConfig {
-        cht_mode: ChtMode::Strict,
-        ..EngineConfig::default()
-    };
+    let strict = EngineConfig::strict();
     let outcome = shipped(&web, figures::FIG_QUERY, strict.clone());
 
     let mut table = Table::new(

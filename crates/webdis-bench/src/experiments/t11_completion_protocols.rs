@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{run_query_sim, ChtMode, CompletionMode, EngineConfig};
+use webdis_core::{run_query_sim, CompletionMode, EngineConfig};
 use webdis_sim::{LatencyModel, SimConfig};
 use webdis_web::{generate, WebGenConfig};
 
@@ -55,13 +55,7 @@ pub fn run(_: &Ctx) -> Outcome {
 
         let configs = [
             ("CHT (paper)", EngineConfig::default()),
-            (
-                "CHT (strict)",
-                EngineConfig {
-                    cht_mode: ChtMode::Strict,
-                    ..EngineConfig::default()
-                },
-            ),
+            ("CHT (strict)", EngineConfig::strict()),
             ("ack chain", EngineConfig::ack_chain()),
         ];
         let mut results = Vec::new();

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{query_server_addr, run_query_sim, EngineConfig, ExpiryPolicy, QueryOutcome};
+use webdis_core::{query_server_addr, run_query_sim, EngineConfig, QueryOutcome};
 use webdis_model::Url;
 use webdis_sim::{Fault, FaultKind, SimConfig};
 use webdis_trace::{trajectory, TraceHandle};
@@ -10,16 +10,14 @@ use super::{shipped, Ctx, Outcome};
 use crate::Table;
 
 const SEEDS: u64 = 10;
-const EXPIRY: ExpiryPolicy = ExpiryPolicy {
-    timeout_us: 50_000,
-    period_us: 12_500,
-};
+/// The expiry timeout; the user site sweeps every 12.5 ms.
+const EXPIRY_US: u64 = 50_000;
 
 /// One faulty run: the outcome plus its trace-reconstruction orphan count.
 fn run_faulty(sim: SimConfig) -> (QueryOutcome, usize) {
     let (collector, handle) = TraceHandle::collecting(16_384);
     let cfg = EngineConfig {
-        expiry: Some(EXPIRY),
+        expiry_us: Some(EXPIRY_US),
         tracer: handle,
         ..EngineConfig::default()
     };
@@ -156,7 +154,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     // Showcase run for `--trace`: a seed known to lose a message.
     if trace.enabled() {
         let cfg = EngineConfig {
-            expiry: Some(EXPIRY),
+            expiry_us: Some(EXPIRY_US),
             tracer: trace.handle(),
             ..EngineConfig::default()
         };

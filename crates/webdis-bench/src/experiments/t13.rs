@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{AdmissionPolicy, Deployment, EngineConfig, ProcModel};
+use webdis_core::{Deployment, EngineConfig, ProcModel};
 use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis_sim::SimConfig;
 use webdis_trace::{Histogram, RegistrySnapshot};
@@ -54,7 +54,7 @@ fn t13_point(mean_interarrival_us: u64, ctx: &Ctx, showcase: bool) -> LoadPoint 
         // The paper's workstation costs make evaluation the bottleneck —
         // that is what produces a knee at a realistic offered load.
         proc: ProcModel::workstation_1999(),
-        admission: Some(AdmissionPolicy { max_queries: 2 }),
+        admission: Some(2),
         // Admission slots retire on purge sweeps once a query has been
         // idle a whole period; the period must therefore sit at the
         // query-duration scale (~15 ms here) or slots outlive their

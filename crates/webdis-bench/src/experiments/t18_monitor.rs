@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{AdmissionPolicy, EngineConfig, MonitorHandle, ProcModel};
+use webdis_core::{EngineConfig, MonitorHandle, ProcModel};
 use webdis_load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis_sim::SimConfig;
 use webdis_trace::TraceHandle;
@@ -39,7 +39,7 @@ fn t18_point(monitored: bool, smoke: bool) -> T18Point {
     let monitor = monitored.then(|| MonitorHandle::with_defaults(tracer.clone()));
     let cfg = EngineConfig {
         proc: ProcModel::workstation_1999(),
-        admission: Some(AdmissionPolicy { max_queries: 2 }),
+        admission: Some(2),
         log_purge_us: Some(50_000),
         tracer,
         monitor: monitor.clone(),

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{ChtMode, EngineConfig, LogMode};
+use webdis_core::{EngineConfig, LogMode};
 use webdis_web::{generate, WebGenConfig};
 
 use super::{shipped, Ctx, Outcome, GLOBAL_QUERY};
@@ -41,14 +41,10 @@ pub fn run(_: &Ctx) -> Outcome {
         };
         let web = Arc::new(generate(&cfg));
 
-        let on_cfg = EngineConfig {
-            cht_mode: ChtMode::Strict,
-            ..EngineConfig::default()
-        };
+        let on_cfg = EngineConfig::strict();
         let off_cfg = EngineConfig {
             log_mode: LogMode::Off,
-            cht_mode: ChtMode::Strict,
-            ..EngineConfig::default()
+            ..EngineConfig::strict()
         };
 
         let on = shipped(&web, GLOBAL_QUERY, on_cfg);

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{ChtMode, EngineConfig};
+use webdis_core::EngineConfig;
 use webdis_web::{generate, WebGenConfig};
 
 use super::{shipped, Ctx, Outcome, GLOBAL_QUERY};
@@ -43,11 +43,7 @@ pub fn run(_: &Ctx) -> Outcome {
         let web = Arc::new(generate(&cfg));
 
         let paper = shipped(&web, GLOBAL_QUERY, EngineConfig::default());
-        let strict_cfg = EngineConfig {
-            cht_mode: ChtMode::Strict,
-            ..EngineConfig::default()
-        };
-        let strict = shipped(&web, GLOBAL_QUERY, strict_cfg);
+        let strict = shipped(&web, GLOBAL_QUERY, EngineConfig::strict());
         assert_eq!(paper.result_set(), strict.result_set());
 
         for (label, o) in [("paper §3.1.1", &paper), ("strict", &strict)] {

@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use webdis_core::simrun::{client_of, user_addr, SimServer};
-use webdis_core::{query_server_addr, result_set, ChtMode, Deployment, EngineConfig};
+use webdis_core::{query_server_addr, result_set, Deployment, EngineConfig};
 use webdis_disql::parse_disql;
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
@@ -34,11 +34,7 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
     let query = parse_disql(GLOBAL_QUERY).unwrap();
     // Strict mode keeps completion exact however many duplicates the
     // purge-induced recomputation creates.
-    let cfg = EngineConfig {
-        cht_mode: ChtMode::Strict,
-        ..EngineConfig::default()
-    };
-    let deployment = Deployment::new(Arc::clone(&web), cfg);
+    let deployment = Deployment::new(Arc::clone(&web), EngineConfig::strict());
     let mut net = deployment.sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
 

@@ -85,7 +85,7 @@ pub struct LiveSample {
     pub metrics: BTreeMap<String, u64>,
 }
 
-/// Polls one daemon's admin socket once.
+/// Polls a cluster's admin socket once.
 pub fn sample(addr: &str) -> Result<LiveSample, String> {
     let metrics = parse_metrics(&http_get(addr, "/metrics")?);
     let status = match http_get(addr, "/status") {
@@ -186,7 +186,7 @@ pub fn watch(
 }
 
 /// The CI smoke: brings up a monitored loopback cluster, runs one real
-/// query through it, polls the first daemon's admin socket live, and
+/// query through it, polls the cluster's admin socket live, and
 /// checks the poll saw the run. Returns the rendered polls.
 pub fn live_smoke() -> Result<String, String> {
     use std::sync::Arc;
@@ -210,7 +210,7 @@ pub fn live_smoke() -> Result<String, String> {
         return Err("smoke query did not complete within 30s".into());
     }
 
-    let (_, addr) = cluster.metrics_addrs()[0];
+    let addr = cluster.admin_addr();
     let mut report = String::new();
     watch(&addr.to_string(), 2, Duration::from_millis(60), |text| {
         report.push_str(text)

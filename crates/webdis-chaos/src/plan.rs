@@ -7,7 +7,7 @@
 //! the same plan always produces the same run and a failing plan can be
 //! written to disk ([`crate::repro`]) and replayed elsewhere.
 
-use webdis_core::{EngineConfig, ExpiryPolicy};
+use webdis_core::EngineConfig;
 use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis_sim::{Fault, FaultKind, SimConfig};
 use webdis_trace::TraceHandle;
@@ -172,7 +172,7 @@ impl ChaosPlan {
     /// answer-cache budget, and the caller's tracer.
     pub fn engine_config(&self, tracer: TraceHandle) -> EngineConfig {
         EngineConfig {
-            expiry: self.expiry_us.map(ExpiryPolicy::with_timeout),
+            expiry_us: self.expiry_us,
             cache: self
                 .cache_budget_bytes
                 .map(webdis_core::CachePolicy::with_budget),

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use webdis_core::simrun::user_addr;
-use webdis_core::{query_server_addr, Deployment, EngineConfig, ExpiryPolicy, SimRunError};
+use webdis_core::{query_server_addr, Deployment, DisqlError, EngineConfig};
 use webdis_load::{run_workload_sim, WorkloadOutcome};
 use webdis_model::SiteAddr;
 use webdis_sim::{Fault, FaultKind};
@@ -68,7 +68,7 @@ impl ChaosReport {
 /// web after each successive mutation — so the oracle can separate
 /// "the web changed" (rows drawn from *some* version: benign) from
 /// "the engine lost or invented rows" (violation).
-pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, SimRunError> {
+pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, DisqlError> {
     let web = Arc::new(webdis_web::generate(&plan.web_config()));
     let spec = plan.workload_spec();
     let schedule = plan.mutation_schedule();
@@ -142,10 +142,10 @@ const TCP_CRASH_HOST: &str = "dsl.serc.iisc.ernet.in";
 /// oracle-checked against a fault-free TCP baseline, and each fault's
 /// trace record required. Returns the violations (empty = invariants
 /// held).
-pub fn run_tcp_smoke() -> Result<Vec<Violation>, SimRunError> {
+pub fn run_tcp_smoke() -> Result<Vec<Violation>, DisqlError> {
     let web = Arc::new(webdis_web::figures::campus());
     let engine = |tracer: TraceHandle| EngineConfig {
-        expiry: Some(ExpiryPolicy::with_timeout(500_000)),
+        expiry_us: Some(500_000),
         tracer,
         ..EngineConfig::default()
     };

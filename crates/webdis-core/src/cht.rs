@@ -27,14 +27,14 @@
 //!    is therefore exact-match only, plus two reorder guards: (a) a
 //!    skipped add consumes a matching tombstone, and (b) a deletion whose
 //!    state matches an already-deleted identical entry is ignored (it
-//!    corresponds to an add this site skipped). [`ChtMode::Strict`]
-//!    avoids the whole scheme by accounting one add and one delete per
-//!    clone.
+//!    corresponds to an add this site skipped).
+//!    [`CompletionMode::ChtStrict`] avoids the whole scheme by accounting
+//!    one add and one delete per clone.
 
 use webdis_model::Url;
 use webdis_net::{ChtEntry, CloneState};
 
-use crate::config::ChtMode;
+use crate::config::CompletionMode;
 
 /// Counters exposed for the CHT-overhead experiment (T4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -81,7 +81,7 @@ struct Row {
 /// The table itself.
 #[derive(Debug)]
 pub struct Cht {
-    mode: ChtMode,
+    mode: CompletionMode,
     rows: Vec<Row>,
     tombstones: Vec<(Url, CloneState, u64)>,
     clock_us: u64,
@@ -90,8 +90,9 @@ pub struct Cht {
 }
 
 impl Cht {
-    /// An empty table.
-    pub fn new(mode: ChtMode) -> Cht {
+    /// An empty table, keeping the books `mode` asks for (strict only
+    /// under [`CompletionMode::ChtStrict`]).
+    pub fn new(mode: CompletionMode) -> Cht {
         Cht {
             mode,
             rows: Vec::new(),
@@ -136,7 +137,7 @@ impl Cht {
             self.stats.deleted += 1;
             return;
         }
-        if self.mode == ChtMode::Paper {
+        if self.mode == CompletionMode::Cht {
             let skip = self
                 .rows
                 .iter()
@@ -167,7 +168,7 @@ impl Cht {
             self.stats.deleted += 1;
             return;
         }
-        if self.mode == ChtMode::Paper {
+        if self.mode == CompletionMode::Cht {
             // A deletion for an add this site skipped (or will skip): some
             // entry for the node makes the server-drop rule fire on this
             // state. Includes the identical-but-already-deleted case.
@@ -282,7 +283,7 @@ mod tests {
     }
 
     fn paper() -> Cht {
-        Cht::new(ChtMode::Paper)
+        Cht::new(CompletionMode::Cht)
     }
 
     #[test]
@@ -349,7 +350,7 @@ mod tests {
 
     #[test]
     fn strict_mode_counts_every_add() {
-        let mut c = Cht::new(ChtMode::Strict);
+        let mut c = Cht::new(CompletionMode::ChtStrict);
         c.add(&entry("http://a/", 1, "N"));
         c.add(&entry("http://a/", 1, "N"));
         assert_eq!(c.stats.added, 2);
@@ -408,7 +409,7 @@ mod tests {
     #[test]
     fn nothing_expires_before_a_whole_timeout() {
         // An entry added at t = 0 is not stale at the first sweep, which
-        // `ExpiryPolicy::with_timeout` runs a quarter timeout in.
+        // the user site runs a quarter timeout in.
         let mut c = paper();
         c.add(&entry("http://a/", 1, "N"));
         c.delete(&url("http://b/"), &st(1, "N")); // a tombstone, also at 0

@@ -23,7 +23,7 @@ use webdis_model::SiteAddr;
 use webdis_net::{Message, QueryId};
 use webdis_sim::{Actor, Ctx, SimEvent};
 
-use crate::config::{EngineConfig, ExpiryPolicy};
+use crate::config::EngineConfig;
 use crate::network::Network;
 use crate::record::QueryRecord;
 use crate::simrun::CtxNet;
@@ -169,12 +169,12 @@ impl ClientProcess {
         sites.map(|site| site.into_record(user)).collect()
     }
 
-    /// The expiry schedule the in-flight queries ask for
-    /// ([`UserSite::expiry_policy`]; they share one configuration):
-    /// `None` when nothing is in flight or nothing can expire.
-    pub fn expiry_policy(&self) -> Option<ExpiryPolicy> {
+    /// The expiry timeout the in-flight queries ask for
+    /// ([`UserSite::expiry_us`]; they share one configuration): `None`
+    /// when nothing is in flight or nothing can expire.
+    pub fn expiry_us(&self) -> Option<u64> {
         let in_flight = self.queries.values().find(|q| !q.complete);
-        in_flight.and_then(UserSite::expiry_policy)
+        in_flight.and_then(UserSite::expiry_us)
     }
 
     /// Runs the Section-7.1 expiry sweep over every in-flight query.
@@ -182,7 +182,7 @@ impl ClientProcess {
     pub fn expire_stale_all(&mut self, now_us: u64) -> usize {
         let in_flight = self.queries.values_mut().filter(|q| !q.complete);
         in_flight
-            .filter_map(|q| Some(q.expire_stale(now_us, q.expiry_policy()?.timeout_us)))
+            .filter_map(|q| Some(q.expire_stale(now_us, q.expiry_us()?)))
             .sum()
     }
 }
@@ -279,7 +279,8 @@ impl ScheduledClient {
     /// A timer came back (anyone else's token is ignored): submits what
     /// is due and asks for the next, or sweeps; then arms one expiry
     /// sweep unless one is already pending (submissions and sweeps both
-    /// re-arm; the flag keeps the chains from multiplying).
+    /// re-arm; the flag keeps the chains from multiplying). The sweep
+    /// runs every quarter of the expiry timeout.
     pub fn on_timer(&mut self, net: &mut dyn Network, token: u64) {
         let now = net.now_us();
         match token {
@@ -301,8 +302,8 @@ impl ScheduledClient {
             _ => return,
         }
         if !self.expiry_armed {
-            if let Some(policy) = self.clients.iter().find_map(ClientProcess::expiry_policy) {
-                net.post(policy.period_us, EXPIRY_TIMER_TOKEN);
+            if let Some(timeout_us) = self.clients.iter().find_map(ClientProcess::expiry_us) {
+                net.post((timeout_us / 4).max(1), EXPIRY_TIMER_TOKEN);
                 self.expiry_armed = true;
             }
         }
@@ -406,7 +407,7 @@ mod tests {
     #[test]
     fn scheduled_client_keeps_one_submission_timer_and_one_expiry_chain() {
         let cfg = EngineConfig {
-            expiry: Some(ExpiryPolicy::with_timeout(4_000)),
+            expiry_us: Some(4_000),
             ..EngineConfig::default()
         };
         let client = ClientProcess::new("u", addr(), cfg);
@@ -427,7 +428,7 @@ mod tests {
             due.sort_by_key(|&timer| std::cmp::Reverse(timer));
             let outstanding = |t| due.iter().filter(|(_, token)| *token == t).count();
             // One sweep pending while something can expire, none after.
-            let in_flight = usize::from(user.clients[0].expiry_policy().is_some());
+            let in_flight = usize::from(user.clients[0].expiry_us().is_some());
             assert_eq!(
                 outstanding(EXPIRY_TIMER_TOKEN),
                 in_flight,
@@ -442,6 +443,57 @@ mod tests {
         // Someone else's token changes nothing.
         user.on_timer(&mut net, 99);
         assert!(net.posted.is_empty());
+    }
+
+    /// One query of `cfg`'s client, submitted at t = 0, and the network
+    /// its submission went out on.
+    fn one_unanswered_query(cfg: EngineConfig) -> (ScheduledClient, RecordingNetwork) {
+        let client = ClientProcess::new("u", addr(), cfg);
+        let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
+        let plan = vec![(0, PlannedQuery::at(0, parse_disql(q).unwrap()))];
+        let mut user = ScheduledClient::new(vec![client], plan);
+        let mut net = RecordingNetwork::default();
+        user.on_timer(&mut net, SUBMIT_TIMER_TOKEN);
+        (user, net)
+    }
+
+    #[test]
+    fn the_expiry_sweep_runs_every_quarter_of_the_timeout() {
+        let cfg = EngineConfig {
+            expiry_us: Some(4_000),
+            ..EngineConfig::default()
+        };
+        let (mut user, mut net) = one_unanswered_query(cfg);
+        // Nobody answers: the sweep comes back every 1 000 µs until, a
+        // whole timeout in, it writes the query's one entry off.
+        let mut sweeps = Vec::new();
+        while let Some((at_us, token)) = net.posted.pop() {
+            assert!(net.posted.is_empty(), "one chain");
+            assert_eq!(token, EXPIRY_TIMER_TOKEN);
+            sweeps.push(at_us);
+            net.time_us = at_us;
+            user.on_timer(&mut net, token);
+        }
+        assert_eq!(sweeps, [1_000, 2_000, 3_000, 4_000]);
+        assert!(user.done());
+        assert_eq!(user.clients[0].query(1).unwrap().failed_entries.len(), 1);
+    }
+
+    #[test]
+    fn ack_chain_queries_are_never_swept_and_never_expire() {
+        let cfg = EngineConfig {
+            expiry_us: Some(4_000),
+            ..EngineConfig::ack_chain()
+        };
+        let (mut user, mut net) = one_unanswered_query(cfg);
+        assert!(net.posted.is_empty(), "no sweep armed: {:?}", net.posted);
+        assert_eq!(user.clients[0].expiry_us(), None);
+        net.time_us = 1_000_000;
+        user.on_timer(&mut net, EXPIRY_TIMER_TOKEN);
+        assert!(net.posted.is_empty(), "no sweep re-armed: {:?}", net.posted);
+        assert_eq!(user.clients[0].expire_stale_all(net.time_us), 0);
+        let query = user.clients[0].query(1).unwrap();
+        assert!(!query.complete && query.failed_entries.is_empty());
     }
 
     #[test]

@@ -23,14 +23,26 @@ pub enum LogMode {
     General,
 }
 
-/// Which completion-detection protocol runs.
+/// Which completion-detection protocol runs: the three that experiments
+/// T4 and T11 compare.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionMode {
     /// The paper's Current Hosts Table (Section 2.7.1): servers report
     /// results and CHT deltas to the user site, which tracks every live
     /// clone. Detection happens one hop after the last node is processed,
-    /// and the user always knows *where* the query currently runs.
+    /// and the user always knows *where* the query currently runs. With
+    /// the Section 3.1.1 refinement: the user site does not enter a CHT
+    /// entry equivalent to one already present, and query servers drop
+    /// duplicate clones silently. Saves report traffic; relies on the
+    /// user-site's skip rule mirroring the servers' log decisions (made
+    /// robust to reordering here with tombstones and subsumption-aware
+    /// delete handling — see `cht`).
     Cht,
+    /// The CHT with strict bookkeeping: every forwarded clone gets a CHT
+    /// entry and every clone arrival — including duplicates — is
+    /// reported. One add, one delete, exact matching; trivially robust,
+    /// more report messages.
+    ChtStrict,
     /// Dijkstra–Scholten acknowledgement chains — the approach of the
     /// related work the paper contrasts in Section 6 ("the StartNode
     /// acknowledges the message only if all the nodes to which it had
@@ -41,22 +53,6 @@ pub enum CompletionMode {
     /// for the ack wave to collapse back up the tree, and the user never
     /// learns which sites hold the query (experiment T11).
     AckChain,
-}
-
-/// Completion-protocol variant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChtMode {
-    /// The paper's Section 3.1.1 refinement: the user site does not enter
-    /// a CHT entry equivalent to one already present, and query servers
-    /// drop duplicate clones silently. Saves report traffic; relies on
-    /// the user-site's skip rule mirroring the servers' log decisions
-    /// (made robust to reordering here with tombstones and
-    /// subsumption-aware delete handling — see `cht`).
-    Paper,
-    /// Every forwarded clone gets a CHT entry and every clone arrival —
-    /// including duplicates — is reported. One add, one delete, exact
-    /// matching; trivially robust, more report messages.
-    Strict,
 }
 
 /// Local processing-cost model, charged to the simulator's per-endpoint
@@ -88,55 +84,16 @@ impl ProcModel {
     }
 }
 
-/// Server-side admission control for multi-query load: a bound on the
-/// queries a single site processes concurrently. A clone of a query not
-/// yet admitted arriving while the site is full is *shed* — refused
-/// without processing, with an explicit report back to the user site so
-/// the query concludes with [`TermReason::Shed`](webdis_trace::TermReason)
-/// instead of hanging. Admitted queries are never shed mid-flight: later
-/// clones of an in-flight query always pass, so a traversal cannot be
-/// half-refused at one site.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdmissionPolicy {
-    /// Maximum distinct queries concurrently in flight at one server.
-    pub max_queries: usize,
-}
-
-/// Section 7.1 graceful recovery: how long a CHT entry may sit
-/// unresolved before the user site writes the clone off as lost and
-/// completes without it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExpiryPolicy {
-    /// Age (µs) past which a live CHT row or tombstone counts as stale.
-    pub timeout_us: u64,
-    /// How often the user site checks for stale entries (µs).
-    pub period_us: u64,
-}
-
-impl ExpiryPolicy {
-    /// A policy that checks four times per timeout window — frequent
-    /// enough that completion lags the timeout by at most a quarter of
-    /// it, rare enough not to dominate the event queue.
-    pub fn with_timeout(timeout_us: u64) -> ExpiryPolicy {
-        ExpiryPolicy {
-            timeout_us,
-            period_us: (timeout_us / 4).max(1),
-        }
-    }
-}
-
 /// Engine configuration shared by user sites and query servers. Both
 /// sides must run the same configuration (in particular the same
-/// [`LogMode`]/[`ChtMode`] pair) for completion detection to be exact.
+/// [`LogMode`]/[`CompletionMode`] pair) for completion detection to be
+/// exact.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Duplicate recognition policy.
     pub log_mode: LogMode,
-    /// Completion-detection protocol.
+    /// Completion-detection protocol, CHT bookkeeping included.
     pub completion: CompletionMode,
-    /// CHT bookkeeping variant (only meaningful under
-    /// [`CompletionMode::Cht`]).
-    pub cht_mode: ChtMode,
     /// Optimization 4 of Section 3.2: one clone per destination *site*
     /// carrying all destination nodes, instead of one clone per node.
     pub batch_per_site: bool,
@@ -157,8 +114,9 @@ pub struct EngineConfig {
     /// node-queries centrally — re-entering distributed processing when
     /// the traversal leads back into participating sites. Off, such
     /// destinations are reported as dead ends. Defined over CHT
-    /// completion: a [`Deployment`](crate::Deployment) forces
-    /// `completion` to it when this is set.
+    /// completion: a [`Deployment`](crate::Deployment) turns
+    /// [`CompletionMode::AckChain`] into [`CompletionMode::Cht`] when
+    /// this is set.
     pub hybrid: bool,
     /// Footnote 3 of Section 2.4: a site expecting a node to "receive
     /// several queries, … can choose to retain the associated database so
@@ -176,18 +134,28 @@ pub struct EngineConfig {
     /// guards against. Irrelevant while nothing mutates the web, since
     /// versions then never change.
     pub validate_doc_cache: bool,
-    /// Section 7.1 graceful recovery: when set, the runtime periodically
-    /// calls [`UserSite::expire_stale`](crate::UserSite::expire_stale) so
-    /// a query whose clones were lost to crashes or drops still
-    /// completes — with the unresolved nodes listed in `failed_entries`
+    /// Section 7.1 graceful recovery: the age (µs) past which a live CHT
+    /// row or tombstone counts as stale. When set, the user site sweeps
+    /// every quarter of it — completion then lags the timeout by at most
+    /// a quarter, and the sweeps do not dominate the event queue —
+    /// calling [`UserSite::expire_stale`](crate::UserSite::expire_stale)
+    /// so a query whose clones were lost to crashes or drops still
+    /// completes, with the unresolved nodes listed in `failed_entries`
     /// instead of hanging forever. `None` (the default) never expires:
     /// completion then relies on every clone being accounted for. Only
-    /// meaningful under [`CompletionMode::Cht`].
-    pub expiry: Option<ExpiryPolicy>,
-    /// Server-side admission control: bound on concurrently in-flight
-    /// queries per site, with explicit load shedding beyond it. `None`
-    /// (the default) admits everything — the single-query behaviour.
-    pub admission: Option<AdmissionPolicy>,
+    /// meaningful under the CHT protocols.
+    pub expiry_us: Option<u64>,
+    /// Server-side admission control for multi-query load: the most
+    /// distinct queries one site processes concurrently. A clone of a
+    /// query not yet admitted arriving while the site is full is *shed* —
+    /// refused without processing, with an explicit report back to the
+    /// user site so the query concludes with
+    /// [`TermReason::Shed`](webdis_trace::TermReason) instead of hanging.
+    /// Admitted queries are never shed mid-flight: later clones of an
+    /// in-flight query always pass, so a traversal cannot be half-refused
+    /// at one site. `None` (the default) admits everything — the
+    /// single-query behaviour.
+    pub admission: Option<usize>,
     /// Cross-query answer cache: each server keeps a
     /// memory-bounded, subsumption-aware store of node-query answers it
     /// consults before evaluating. `None` (the default) disables it and
@@ -215,7 +183,6 @@ impl Default for EngineConfig {
         EngineConfig {
             log_mode: LogMode::Paper,
             completion: CompletionMode::Cht,
-            cht_mode: ChtMode::Paper,
             batch_per_site: true,
             local_forwarding: true,
             max_hops: 64,
@@ -223,7 +190,7 @@ impl Default for EngineConfig {
             hybrid: false,
             doc_cache_size: 0,
             validate_doc_cache: true,
-            expiry: None,
+            expiry_us: None,
             admission: None,
             cache: None,
             proc: ProcModel::default(),
@@ -238,7 +205,7 @@ impl EngineConfig {
     /// message reordering) with the paper's log table.
     pub fn strict() -> EngineConfig {
         EngineConfig {
-            cht_mode: ChtMode::Strict,
+            completion: CompletionMode::ChtStrict,
             ..EngineConfig::default()
         }
     }
@@ -255,7 +222,7 @@ impl EngineConfig {
     pub fn unoptimized() -> EngineConfig {
         EngineConfig {
             log_mode: LogMode::Off,
-            cht_mode: ChtMode::Strict,
+            completion: CompletionMode::ChtStrict,
             batch_per_site: false,
             local_forwarding: false,
             max_hops: 16,
@@ -272,14 +239,14 @@ mod tests {
     fn defaults_match_paper() {
         let c = EngineConfig::default();
         assert_eq!(c.log_mode, LogMode::Paper);
-        assert_eq!(c.cht_mode, ChtMode::Paper);
+        assert_eq!(c.completion, CompletionMode::Cht);
         assert!(c.batch_per_site);
         assert!(c.local_forwarding);
     }
 
     #[test]
     fn presets_differ() {
-        assert_eq!(EngineConfig::strict().cht_mode, ChtMode::Strict);
+        assert_eq!(EngineConfig::strict().completion, CompletionMode::ChtStrict);
         let u = EngineConfig::unoptimized();
         assert_eq!(u.log_mode, LogMode::Off);
         assert!(!u.batch_per_site);

@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::rc::Rc;
 use std::sync::Arc;
 
-use webdis_disql::{parse_disql, WebQuery};
+use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{FetchRequest, Message};
 use webdis_pre::Pre;
@@ -25,7 +25,7 @@ use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::Network;
 use crate::record::{QueryOutcome, QueryRecord};
-use crate::simrun::{user_addr, CtxNet, PlainWebServer, SimRunError};
+use crate::simrun::{user_addr, CtxNet, PlainWebServer};
 
 /// One unit of traversal work: evaluate/forward at `node` with the given
 /// remaining PRE for stage `stage_idx`.
@@ -322,8 +322,8 @@ impl Deployment {
         &self,
         disql: &str,
         sim_cfg: SimConfig,
-    ) -> Result<QueryOutcome, SimRunError> {
-        let query = parse_disql(disql).map_err(SimRunError::Parse)?;
+    ) -> Result<QueryOutcome, DisqlError> {
+        let query = parse_disql(disql)?;
         let mut net = webdis_sim::SimNet::new(sim_cfg);
         net.ledger.tracer = self.config.tracer.clone();
         for site in self.web.sites() {
@@ -354,7 +354,7 @@ pub fn run_datashipping_sim(
     web: Arc<webdis_web::HostedWeb>,
     disql: &str,
     sim_cfg: SimConfig,
-) -> Result<QueryOutcome, SimRunError> {
+) -> Result<QueryOutcome, DisqlError> {
     Deployment::new(web, EngineConfig::default()).datashipping_sim(disql, sim_cfg)
 }
 

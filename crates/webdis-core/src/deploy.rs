@@ -55,10 +55,11 @@ impl Deployment {
     /// it. Hybrid execution (Section 7.1) is defined over CHT completion
     /// — a server announces the destinations it could not reach in a
     /// report and the user-site fallback clears them, which ack chains
-    /// cannot express — so `hybrid` forces the protocol here, once.
+    /// cannot express — so `hybrid` turns an ack chain into the CHT here,
+    /// once (a strict CHT stays strict).
     pub(crate) fn engine_config(&self) -> EngineConfig {
         let mut config = self.config.clone();
-        if config.hybrid {
+        if config.hybrid && config.completion == CompletionMode::AckChain {
             config.completion = CompletionMode::Cht;
         }
         config

@@ -78,9 +78,7 @@ mod visit;
 
 pub use cht::{Cht, ChtStats};
 pub use client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
-pub use config::{
-    AdmissionPolicy, ChtMode, CompletionMode, EngineConfig, ExpiryPolicy, LogMode, ProcModel,
-};
+pub use config::{CompletionMode, EngineConfig, LogMode, ProcModel};
 pub use datashipping::run_datashipping_sim;
 pub use deploy::Deployment;
 pub use logtable::{LogOutcome, LogTable};
@@ -88,10 +86,11 @@ pub use network::{query_server_addr, Network, NetworkError};
 pub use record::{result_set, HybridStats, QueryOutcome, QueryRecord, WorkloadOutcome};
 pub use report::{render_html, render_text, ResultsView};
 pub use server::{ServerEngine, ServerStats};
-pub use simrun::{run_query_hybrid_sim, run_query_sim, SimRunError};
+pub use simrun::{run_query_hybrid_sim, run_query_sim};
 pub use tcprun::{run_queries_tcp, run_query_tcp, TcpCluster, TcpFaultPlan, TcpNet};
 pub use user::{TraceEvent, UserSite};
 pub use webdis_cache::{AnswerCache, CachePolicy, CacheStats};
+pub use webdis_disql::DisqlError;
 pub use webdis_monitor::{
     default_rules, AlertLogEntry, AlertRule, Condition, InflightStatus, MonitorConfig,
     MonitorHandle, Signal, StatusSnapshot,

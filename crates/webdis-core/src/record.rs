@@ -89,8 +89,8 @@ pub struct QueryRecord {
     /// [`TermReason::Shed`](webdis_trace::TermReason) — because the
     /// shedding server reports every refused node back explicitly. Empty
     /// unless the config sets an
-    /// [`AdmissionPolicy`](crate::config::AdmissionPolicy) and the offered
-    /// load exceeded it.
+    /// [`admission`](crate::config::EngineConfig::admission) limit and
+    /// the offered load exceeded it.
     pub shed_entries: Vec<(Url, CloneState)>,
     /// Nodes whose documents were deleted before the clone arrived
     /// (living-web link rot): each branch terminated gracefully with a

@@ -33,7 +33,7 @@ use webdis_rel::NodeDb;
 use webdis_trace::{TermReason, TraceEvent, TraceRecord};
 use webdis_web::{DocStatus, FetchOutcome, LiveWeb, WebView};
 
-use crate::config::{ChtMode, CompletionMode, EngineConfig};
+use crate::config::{CompletionMode, EngineConfig};
 use crate::logtable::LogTable;
 use crate::network::{query_server_addr, Network, NetworkError};
 use crate::visit::{
@@ -547,11 +547,11 @@ impl ServerEngine {
         if purged || clone.stages.is_empty() {
             return false;
         }
-        let Some(policy) = self.config.admission else {
+        let Some(max_queries) = self.config.admission else {
             return true;
         };
         let held = self.active_queries();
-        if !admitted && held >= policy.max_queries {
+        if !admitted && held >= max_queries {
             self.stats.queries_shed += 1;
             let nodes = distinct_nodes(&clone.dest_nodes);
             self.trace(net, at(clone), || TraceEvent::QueryShed {
@@ -631,7 +631,8 @@ impl ServerEngine {
                 // Silence is only safe for exact-state duplicates dropped
                 // via CHT-visible records: that verdict is symmetric, so
                 // the user's skip rule mirrors it under any merge order.
-                if self.config.cht_mode == ChtMode::Strict || dup.hidden || !dup.exact {
+                let strict = self.config.completion == CompletionMode::ChtStrict;
+                if strict || dup.hidden || !dup.exact {
                     let report = NodeReport::empty(dup.node, dup.state, Disposition::Duplicate);
                     flight.reports.push(report);
                 }
@@ -1362,10 +1363,9 @@ mod tests {
 
     #[test]
     fn admission_sheds_new_queries_when_full() {
-        use crate::config::AdmissionPolicy;
         let mut net = RecordingNetwork::default();
         let cfg = EngineConfig {
-            admission: Some(AdmissionPolicy { max_queries: 1 }),
+            admission: Some(1),
             ..EngineConfig::default()
         };
         let mut s = ServerEngine::new(site("a.test"), web(), cfg);

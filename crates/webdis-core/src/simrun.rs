@@ -5,7 +5,6 @@
 //! are host entries of the network's own queue.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::sync::Arc;
 
 use webdis_disql::{parse_disql, DisqlError, WebQuery};
@@ -40,23 +39,6 @@ pub fn load_user_addr(user: usize) -> SiteAddr {
         port: 9900,
     }
 }
-
-/// Harness errors.
-#[derive(Debug)]
-pub enum SimRunError {
-    /// The DISQL text did not parse/validate.
-    Parse(DisqlError),
-}
-
-impl fmt::Display for SimRunError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimRunError::Parse(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for SimRunError {}
 
 /// Adapts the simulator's per-event context to the engine's network trait.
 pub(crate) struct CtxNet<'a, 'b>(pub(crate) &'a mut Ctx<'b>);
@@ -276,8 +258,8 @@ impl Deployment {
 
     /// Runs one DISQL query over the simulated network and collects the
     /// outcome.
-    pub fn query_sim(&self, disql: &str, sim_cfg: SimConfig) -> Result<QueryOutcome, SimRunError> {
-        let query = parse_disql(disql).map_err(SimRunError::Parse)?;
+    pub fn query_sim(&self, disql: &str, sim_cfg: SimConfig) -> Result<QueryOutcome, DisqlError> {
+        let query = parse_disql(disql)?;
         let mut net = self.sim_with_client(sim_cfg, vec![query]);
         net.start(&user_addr());
         let duration_us = self.drain(&mut net);
@@ -386,7 +368,7 @@ pub fn run_query_sim(
     disql: &str,
     engine_cfg: EngineConfig,
     sim_cfg: SimConfig,
-) -> Result<QueryOutcome, SimRunError> {
+) -> Result<QueryOutcome, DisqlError> {
     Deployment::new(web, engine_cfg).query_sim(disql, sim_cfg)
 }
 
@@ -402,7 +384,7 @@ pub fn run_query_hybrid_sim(
     mut engine_cfg: EngineConfig,
     sim_cfg: SimConfig,
     participating: &[SiteAddr],
-) -> Result<(QueryOutcome, HybridStats), SimRunError> {
+) -> Result<(QueryOutcome, HybridStats), DisqlError> {
     engine_cfg.hybrid = true;
     let mut deployment = Deployment::new(web, engine_cfg);
     deployment.participating = Some(participating.to_vec());
@@ -620,6 +602,6 @@ mod tests {
             SimConfig::default(),
         )
         .unwrap_err();
-        assert!(matches!(err, SimRunError::Parse(_)));
+        assert_eq!(err, parse_disql("select nonsense").unwrap_err());
     }
 }

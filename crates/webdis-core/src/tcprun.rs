@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
-use webdis_disql::parse_disql;
+use webdis_disql::{parse_disql, DisqlError};
 use webdis_model::SiteAddr;
 use webdis_net::{
     Closer, ConnPool, Frame, Message, Received, RetryPolicy, TcpEndpoint, WireCounters,
@@ -32,7 +32,7 @@ use crate::deploy::Deployment;
 use crate::network::{query_server_addr, Network, NetworkError};
 use crate::record::{QueryRecord, WorkloadOutcome};
 use crate::server::ServerEngine;
-use crate::simrun::{user_addr, SimRunError};
+use crate::simrun::user_addr;
 
 /// The fault list a cluster is started with — `webdis_sim::Fault`, the
 /// simulator's vocabulary. (A name kept because the wall-clock benchmark,
@@ -316,7 +316,9 @@ pub struct TcpCluster {
     /// Every daemon and the handle that closes its endpoint, which is
     /// what ends (and wakes) its [`serve`] loop.
     daemons: Vec<(Closer, std::thread::JoinHandle<ServerEngine>)>,
-    exporters: Vec<(SiteAddr, MetricsExporter)>,
+    /// The cluster's admin socket (`/metrics`, `/status`,
+    /// `/reset_high_water`).
+    admin: MetricsExporter,
     /// The housekeeping thread ([`keep_house`]; clusters with a monitor
     /// or a mutation schedule) and the channel whose hanging up stops it.
     housekeeper: Option<(Sender<()>, std::thread::JoinHandle<()>)>,
@@ -350,8 +352,9 @@ impl TcpCluster {
 
 impl Deployment {
     /// Starts the deployment on loopback under `faults`: binds every
-    /// endpoint, then spawns one daemon ([`run_daemon`]) per
-    /// participating site, which raises the `log_len_high_water`
+    /// endpoint and the cluster's one admin socket
+    /// ([`TcpCluster::admin_addr`]), then spawns one daemon
+    /// ([`run_daemon`]) per participating site, which raises the `log_len_high_water`
     /// registry gauge after every processed message. Rate and partition
     /// faults are decided per send, partition windows in µs since the
     /// cluster came up; a daemon's [`Fault::Crash`] windows are deadlines
@@ -396,42 +399,35 @@ impl Deployment {
             timers: BinaryHeap::new(),
         };
 
-        let mut daemons = Vec::new();
-        let mut exporters = Vec::new();
-        for (site, endpoint) in endpoints {
-            // Each daemon serves its own `/metrics` endpoint: the shared
-            // registry snapshot (when the run is traced) overlaid with
-            // the cluster-wide `net.*` wire counters and an `up` gauge,
-            // rendered in Prometheus text exposition format. With a noop
-            // tracer the wire counters and gauge still get exported.
-            let provider: Arc<dyn Fn() -> String + Send + Sync> = {
-                let ledger = user_net.ledger.clone();
-                Arc::new(move || {
-                    let snap = ledger.tracer.registry_snapshot().unwrap_or_default();
-                    let mut snap = ledger.overlay(snap);
-                    snap.put_gauge("up", 1);
-                    snap.render_prometheus()
-                })
-            };
-            // When a monitor runs, the same admin socket also serves its
-            // live `/status` snapshot, and `/reset_high_water` re-arms
-            // the registry's high-water gauges (scrapes never reset).
-            let status = engine_cfg.monitor.clone().map(|monitor| {
-                Arc::new(move || monitor.status_json(epoch.elapsed().as_micros() as u64))
-                    as Arc<dyn Fn() -> String + Send + Sync>
-            });
-            let reset_high_water = {
-                let tracer = engine_cfg.tracer.clone();
-                Some(Arc::new(move || tracer.reset_high_water()) as Arc<dyn Fn() + Send + Sync>)
-            };
-            let exporter = MetricsExporter::spawn_routes(webdis_trace::AdminRoutes {
-                metrics: provider,
-                status,
-                reset_high_water,
-            })
-            .expect("bind metrics endpoint");
-            exporters.push((query_server_addr(&site), exporter));
+        // The cluster's one admin socket: `/metrics` is the shared
+        // registry snapshot (when the run is traced) overlaid with the
+        // cluster-wide `net.*` wire counters and an `up` gauge, rendered
+        // in Prometheus text exposition format — with a noop tracer the
+        // wire counters and gauge still get exported. When a monitor
+        // runs, it also serves the live `/status` snapshot.
+        // `/reset_high_water` re-arms the registry's high-water gauges
+        // (scrapes never reset).
+        let ledger = user_net.ledger.clone();
+        let metrics = Arc::new(move || {
+            let snap = ledger.tracer.registry_snapshot().unwrap_or_default();
+            let mut snap = ledger.overlay(snap);
+            snap.put_gauge("up", 1);
+            snap.render_prometheus()
+        });
+        let status = engine_cfg.monitor.clone().map(|monitor| {
+            Arc::new(move || monitor.status_json(epoch.elapsed().as_micros() as u64))
+                as Arc<dyn Fn() -> String + Send + Sync>
+        });
+        let tracer = engine_cfg.tracer.clone();
+        let admin = MetricsExporter::spawn_routes(webdis_trace::AdminRoutes {
+            metrics,
+            status,
+            reset_high_water: Some(Arc::new(move || tracer.reset_high_water())),
+        })
+        .expect("bind admin socket");
 
+        let mut daemons = Vec::new();
+        for (site, endpoint) in endpoints {
             let engine = ServerEngine::new(site.clone(), web.clone(), engine_cfg.clone());
             let addr = query_server_addr(&site);
             let net = TcpNet {
@@ -460,7 +456,7 @@ impl Deployment {
             user_endpoint,
             net: user_net,
             daemons,
-            exporters,
+            admin,
             housekeeper,
         }
     }
@@ -489,12 +485,10 @@ impl TcpCluster {
         &self.net.ledger.meter
     }
 
-    /// Every daemon's `/metrics` listen address, in site order.
-    pub fn metrics_addrs(&self) -> Vec<(SiteAddr, SocketAddr)> {
-        self.exporters
-            .iter()
-            .map(|(s, e)| (s.clone(), e.addr()))
-            .collect()
+    /// The admin socket's listen address: `/metrics` for the whole
+    /// cluster, plus `/status` when a monitor runs.
+    pub fn admin_addr(&self) -> SocketAddr {
+        self.admin.addr()
     }
 
     /// Receives one message addressed to the user endpoint, or `None` on
@@ -534,12 +528,10 @@ impl TcpCluster {
         }
     }
 
-    /// Stops every daemon (and its metrics exporter) and returns their
+    /// Stops the admin socket and every daemon, and returns their
     /// engines (for final stats).
-    pub fn shutdown(self) -> Vec<ServerEngine> {
-        for (_, mut exporter) in self.exporters {
-            exporter.stop();
-        }
+    pub fn shutdown(mut self) -> Vec<ServerEngine> {
+        self.admin.stop();
         if let Some((stop, housekeeper)) = self.housekeeper {
             drop(stop);
             let _ = housekeeper.join();
@@ -600,11 +592,11 @@ impl Deployment {
         disqls: &[&str],
         deadline: Duration,
         faults: Vec<Fault>,
-    ) -> Result<Vec<QueryRecord>, SimRunError> {
+    ) -> Result<Vec<QueryRecord>, DisqlError> {
         // Parse everything up front so errors surface before daemons start.
         let mut submissions = Vec::with_capacity(disqls.len());
         for disql in disqls {
-            let query = parse_disql(disql).map_err(SimRunError::Parse)?;
+            let query = parse_disql(disql)?;
             submissions.push((0, PlannedQuery::at(0, query)));
         }
         let client = ClientProcess::new("webdis", user_addr(), self.engine_config());
@@ -621,7 +613,7 @@ impl Deployment {
         disql: &str,
         deadline: Duration,
         faults: Vec<Fault>,
-    ) -> Result<QueryRecord, SimRunError> {
+    ) -> Result<QueryRecord, DisqlError> {
         Ok(self.queries_tcp(&[disql], deadline, faults)?.remove(0))
     }
 }
@@ -634,7 +626,7 @@ pub fn run_query_tcp(
     disql: &str,
     engine_cfg: EngineConfig,
     deadline: Duration,
-) -> Result<QueryRecord, SimRunError> {
+) -> Result<QueryRecord, DisqlError> {
     Deployment::new(web, engine_cfg).query_tcp(disql, deadline, Vec::new())
 }
 
@@ -645,7 +637,7 @@ pub fn run_queries_tcp(
     disqls: &[&str],
     engine_cfg: EngineConfig,
     deadline: Duration,
-) -> Result<Vec<QueryRecord>, SimRunError> {
+) -> Result<Vec<QueryRecord>, DisqlError> {
     Deployment::new(web, engine_cfg).queries_tcp(disqls, deadline, Vec::new())
 }
 
@@ -846,7 +838,7 @@ mod tests {
         // pending sweep among the driver's deadlines.
         let web = Arc::new(figures::campus());
         let cfg = EngineConfig {
-            expiry: Some(crate::config::ExpiryPolicy::with_timeout(2_000_000)),
+            expiry_us: Some(2_000_000),
             ..EngineConfig::default()
         };
         let plan = || {
@@ -1029,7 +1021,7 @@ mod tests {
     fn campus_under(faults: Vec<Fault>) -> (QueryRecord, BTreeMap<&'static str, usize>) {
         let (collector, tracer) = TraceHandle::collecting(8_192);
         let cfg = EngineConfig {
-            expiry: Some(crate::config::ExpiryPolicy::with_timeout(400_000)),
+            expiry_us: Some(400_000),
             tracer,
             ..EngineConfig::default()
         };
@@ -1154,9 +1146,9 @@ mod tests {
         let mut user = campus_user(&cluster, &cfg);
         drive_campus_query(&cluster, &mut cluster.user_net(), &mut user);
 
-        // Raw-socket fetch from a daemon that is still up and serving.
+        // Raw-socket fetch from the admin socket while the daemons serve.
         let scrape = |path: &str| -> String {
-            let (_, addr) = cluster.metrics_addrs()[0].clone();
+            let addr = cluster.admin_addr();
             let mut stream = std::net::TcpStream::connect(addr).expect("connect metrics");
             write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
             let mut body = String::new();
@@ -1264,7 +1256,7 @@ mod tests {
         drive_campus_query(&cluster, &mut cluster.user_net(), &mut user);
 
         let scrape = |path: &str| -> String {
-            let (_, addr) = cluster.metrics_addrs()[0].clone();
+            let addr = cluster.admin_addr();
             let mut stream = std::net::TcpStream::connect(addr).expect("connect admin socket");
             write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
             let mut body = String::new();

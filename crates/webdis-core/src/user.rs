@@ -12,7 +12,7 @@ use webdis_net::{ChtEntry, CloneState, Disposition, Message, QueryId, ResultRepo
 use webdis_trace::{TermReason, TraceEvent as TrEvent, TraceRecord};
 
 use crate::cht::Cht;
-use crate::config::{CompletionMode, EngineConfig, ExpiryPolicy};
+use crate::config::{CompletionMode, EngineConfig};
 use crate::network::{query_server_addr, Network};
 use crate::record::QueryRecord;
 use crate::visit::{distinct_nodes, Forward, ForwardGroups};
@@ -80,7 +80,7 @@ impl UserSite {
     /// Creates the client; call [`UserSite::start`] to dispatch.
     pub fn new(id: QueryId, query: WebQuery, config: EngineConfig) -> UserSite {
         UserSite {
-            cht: Cht::new(config.cht_mode),
+            cht: Cht::new(config.completion),
             record: QueryRecord {
                 query_num: id.query_num,
                 ..QueryRecord::default()
@@ -267,7 +267,7 @@ impl UserSite {
             // Figure 2, lines 10–11: delete the topmost entry, then merge
             // the rest. (Under ack-chain completion no CHT travels and
             // none is kept.)
-            if self.config.completion == CompletionMode::Cht {
+            if self.config.completion != CompletionMode::AckChain {
                 self.cht_delete(now_us, &node_report.node, &node_report.state);
                 for entry in &node_report.new_entries {
                     self.cht_add(now_us, entry);
@@ -302,15 +302,12 @@ impl UserSite {
         n
     }
 
-    /// The runtime's expiry schedule for this query: `Some` when the
-    /// config asks for graceful recovery AND the completion protocol can
-    /// support it (see [`UserSite::expire_stale`] on why ack-chain
-    /// cannot).
-    pub fn expiry_policy(&self) -> Option<ExpiryPolicy> {
-        match self.config.completion {
-            CompletionMode::Cht => self.config.expiry,
-            CompletionMode::AckChain => None,
-        }
+    /// The expiry timeout (µs) for this query: `Some` when the config
+    /// asks for graceful recovery AND the completion protocol can support
+    /// it (see [`UserSite::expire_stale`] on why ack-chain cannot).
+    pub fn expiry_us(&self) -> Option<u64> {
+        let ack_chain = self.config.completion == CompletionMode::AckChain;
+        self.config.expiry_us.filter(|_| !ack_chain)
     }
 
     /// A human-readable diagnosis of why the query has not (cleanly)
@@ -320,15 +317,13 @@ impl UserSite {
     pub fn why_incomplete(&self) -> Option<String> {
         if !self.complete {
             return Some(match self.config.completion {
-                CompletionMode::Cht => {
-                    format!(
-                        "incomplete: outstanding CHT state\n{}",
-                        self.cht.debug_dump()
-                    )
-                }
                 CompletionMode::AckChain => {
                     format!("incomplete: {} outstanding ack(s)", self.ack_deficit)
                 }
+                _ => format!(
+                    "incomplete: outstanding CHT state\n{}",
+                    self.cht.debug_dump()
+                ),
             });
         }
         // Completed, but degraded: the first of the three causes that
@@ -360,18 +355,20 @@ impl UserSite {
     }
 
     fn check_completion(&mut self, now_us: u64) {
-        let done = match self.config.completion {
-            CompletionMode::Cht => self.cht.complete(),
-            CompletionMode::AckChain => self.started && self.ack_deficit == 0,
+        let ack_chain = self.config.completion == CompletionMode::AckChain;
+        let done = if ack_chain {
+            self.started && self.ack_deficit == 0
+        } else {
+            self.cht.complete()
         };
         if !self.complete && done {
             self.record.complete = true;
             self.record.completed_at_us = Some(now_us);
-            let reason = match self.config.completion {
-                CompletionMode::Cht if !self.failed_entries.is_empty() => TermReason::Expired,
+            let reason = match ack_chain {
+                false if !self.failed_entries.is_empty() => TermReason::Expired,
                 _ if !self.shed_entries.is_empty() => TermReason::Shed,
-                CompletionMode::Cht => TermReason::ChtComplete,
-                CompletionMode::AckChain => TermReason::AckComplete,
+                false => TermReason::ChtComplete,
+                true => TermReason::AckComplete,
             };
             self.emit(now_us, None, || TrEvent::Termination { reason });
             if let Some(monitor) = &self.config.monitor {
@@ -578,7 +575,7 @@ mod tests {
         // and wedge completion.
         let query = single_stage_query(r#""http://a.test/""#);
         let cfg = EngineConfig {
-            cht_mode: crate::config::ChtMode::Strict,
+            completion: CompletionMode::ChtStrict,
             ..EngineConfig::default()
         };
         let mut user = UserSite::new(qid(), query, cfg);

@@ -20,7 +20,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis_core::{Deployment, EngineConfig, SimRunError};
+use webdis_core::{Deployment, EngineConfig};
+use webdis_disql::DisqlError;
 use webdis_sim::SimConfig;
 use webdis_web::HostedWeb;
 
@@ -38,7 +39,7 @@ pub fn run_workload_sim(
     spec: &WorkloadSpec,
     engine_cfg: EngineConfig,
     sim_cfg: SimConfig,
-) -> Result<WorkloadOutcome, SimRunError> {
+) -> Result<WorkloadOutcome, DisqlError> {
     spec.run_sim(&Deployment::new(web, engine_cfg), sim_cfg, &mut |_, _| {})
 }
 
@@ -49,6 +50,6 @@ pub fn run_workload_tcp(
     spec: &WorkloadSpec,
     engine_cfg: EngineConfig,
     deadline: Duration,
-) -> Result<WorkloadOutcome, SimRunError> {
+) -> Result<WorkloadOutcome, DisqlError> {
     spec.run_tcp(&Deployment::new(web, engine_cfg), deadline)
 }

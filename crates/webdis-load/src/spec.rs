@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webdis_core::{Deployment, PlannedQuery, SimRunError, UserPlan, WorkloadOutcome};
-use webdis_disql::{parse_disql, WebQuery};
+use webdis_core::{Deployment, PlannedQuery, UserPlan, WorkloadOutcome};
+use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_sim::SimConfig;
 use webdis_trace::RegistrySnapshot;
 
@@ -196,12 +196,12 @@ impl Default for WorkloadSpec {
 impl WorkloadSpec {
     /// Expands the spec into per-user schedules. Parses every template
     /// once up front so bad DISQL surfaces before anything runs.
-    pub fn plan(&self) -> Result<Vec<UserPlan>, SimRunError> {
+    pub fn plan(&self) -> Result<Vec<UserPlan>, DisqlError> {
         let parsed: Vec<WebQuery> = self
             .mix
             .templates
             .iter()
-            .map(|(disql, _)| parse_disql(disql).map_err(SimRunError::Parse))
+            .map(|(disql, _)| parse_disql(disql))
             .collect::<Result<_, _>>()?;
         let mut plans = Vec::with_capacity(self.users);
         for user in 0..self.users {
@@ -234,7 +234,7 @@ impl WorkloadSpec {
         deployment: &Deployment,
         sim_cfg: SimConfig,
         observer: &mut dyn FnMut(u64, &RegistrySnapshot),
-    ) -> Result<WorkloadOutcome, SimRunError> {
+    ) -> Result<WorkloadOutcome, DisqlError> {
         Ok(deployment.workload_sim(sim_cfg, self.plan()?, self.horizon_us, observer))
     }
 
@@ -246,7 +246,7 @@ impl WorkloadSpec {
         &self,
         deployment: &Deployment,
         deadline: Duration,
-    ) -> Result<WorkloadOutcome, SimRunError> {
+    ) -> Result<WorkloadOutcome, DisqlError> {
         Ok(deployment.workload_tcp(Vec::new(), self.plan()?, deadline))
     }
 

@@ -5,7 +5,7 @@
 //! simple enough that a dependency would cost more than it saves. The
 //! encoder renders every counter, gauge, and histogram in a
 //! [`RegistrySnapshot`]; the [`MetricsExporter`] wraps it in just enough
-//! HTTP/1.0 that `curl http://…/metrics` works against a live daemon.
+//! HTTP/1.0 that `curl http://…/metrics` works against a live cluster.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -83,7 +83,7 @@ pub fn help_text(name: &str) -> String {
             "Peak log-table length observed at any site (high-water mark; reset via /reset_high_water).",
         ),
         ("cache.bytes", "Peak resident answer-cache bytes (high-water mark)."),
-        ("up", "1 while the daemon's admin socket is serving."),
+        ("up", "1 while the cluster's admin socket is serving."),
     ];
     if let Some((_, desc)) = KNOWN.iter().find(|(n, _)| *n == name) {
         return (*desc).to_string();
@@ -155,7 +155,7 @@ impl RegistrySnapshot {
 
 /// The admin socket's route table. `/metrics` is always present; the
 /// optional routes light up when their provider is set, and 404
-/// otherwise — callers that only export metrics keep the old surface.
+/// otherwise.
 #[derive(Clone)]
 pub struct AdminRoutes {
     /// The `/metrics` body (Prometheus text exposition).
@@ -164,17 +164,6 @@ pub struct AdminRoutes {
     pub status: Option<Arc<dyn Fn() -> String + Send + Sync>>,
     /// The `/reset_high_water` action: zeroes every high-water gauge.
     pub reset_high_water: Option<Arc<dyn Fn() + Send + Sync>>,
-}
-
-impl AdminRoutes {
-    /// Routes serving only `/metrics` from `provider`.
-    pub fn metrics_only(provider: Arc<dyn Fn() -> String + Send + Sync>) -> AdminRoutes {
-        AdminRoutes {
-            metrics: provider,
-            status: None,
-            reset_high_water: None,
-        }
-    }
 }
 
 /// A minimal admin HTTP socket serving `/metrics` (plus the optional
@@ -192,14 +181,6 @@ pub struct MetricsExporter {
 }
 
 impl MetricsExporter {
-    /// Binds an ephemeral loopback port and starts serving `provider`'s
-    /// output as `/metrics` (no other routes).
-    pub fn spawn(
-        provider: Arc<dyn Fn() -> String + Send + Sync>,
-    ) -> std::io::Result<MetricsExporter> {
-        MetricsExporter::spawn_routes(AdminRoutes::metrics_only(provider))
-    }
-
     /// Binds an ephemeral loopback port and starts serving the full
     /// route table.
     pub fn spawn_routes(routes: AdminRoutes) -> std::io::Result<MetricsExporter> {
@@ -491,7 +472,12 @@ webdis_hop_latency_us_count 1\n";
 
     #[test]
     fn optional_routes_404_when_not_provided() {
-        let mut exporter = MetricsExporter::spawn(Arc::new(String::new)).expect("binds");
+        let mut exporter = MetricsExporter::spawn_routes(AdminRoutes {
+            metrics: Arc::new(String::new),
+            status: None,
+            reset_high_water: None,
+        })
+        .expect("binds");
         assert!(scrape(exporter.addr(), "/status").starts_with("HTTP/1.0 404"));
         assert!(scrape(exporter.addr(), "/reset_high_water").starts_with("HTTP/1.0 404"));
         exporter.stop();
@@ -502,9 +488,11 @@ webdis_hop_latency_us_count 1\n";
         let r = Arc::new(Registry::new());
         r.count("scrapes_seen", 1);
         let provider_registry = Arc::clone(&r);
-        let mut exporter = MetricsExporter::spawn(Arc::new(move || {
-            provider_registry.snapshot().render_prometheus()
-        }))
+        let mut exporter = MetricsExporter::spawn_routes(AdminRoutes {
+            metrics: Arc::new(move || provider_registry.snapshot().render_prometheus()),
+            status: None,
+            reset_high_water: None,
+        })
         .expect("exporter binds");
 
         let response = scrape(exporter.addr(), "/metrics");

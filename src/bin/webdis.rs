@@ -193,72 +193,72 @@ fn cmd_query(args: &Args) {
         ..SimConfig::default()
     };
 
-    if args.has("--tcp") {
-        let outcome = run_query_tcp(web, &disql, engine_cfg, std::time::Duration::from_secs(60))
+    // The query's record, and — simulated runs only — the traffic
+    // metrics; rows, trace and page are read off the record either way.
+    let (record, metrics) = if args.has("--tcp") {
+        let deadline = std::time::Duration::from_secs(60);
+        let record = run_query_tcp(web, &disql, engine_cfg, deadline)
             .unwrap_or_else(|e| fail(&format!("{e}")));
-        if !outcome.complete {
+        if !record.complete {
             fail("query did not complete within the deadline");
         }
-        let latency = outcome.latency_us().expect("complete");
+        let latency = record.latency_us().expect("complete");
         say!(
             "completed over TCP in {:?}",
             std::time::Duration::from_micros(latency)
         );
-        for (stage, rows) in &outcome.results {
-            say!("q{}:", stage + 1);
-            for (node, row) in rows {
-                say!("  [{node}] {row}");
-            }
-        }
-        return;
-    }
-
-    let outcome = if args.has("--data-shipping") {
-        run_datashipping_sim(web, &disql, sim_cfg)
-    } else if let Some(k) = args.get("--hybrid") {
-        let k: usize = k
-            .parse()
-            .unwrap_or_else(|_| fail("--hybrid takes a site count"));
-        let participating: Vec<_> = web.sites().into_iter().take(k).collect();
-        run_query_hybrid_sim(web, &disql, engine_cfg, sim_cfg, &participating).map(|(o, s)| {
-            say!(
-                "hybrid: {} handoffs, {} downloads, {} re-entries",
-                s.handoffs,
-                s.fetches,
-                s.reentries
-            );
-            o
-        })
+        (record, None)
     } else {
-        run_query_sim(web, &disql, engine_cfg, sim_cfg)
-    }
-    .unwrap_or_else(|e| fail(&format!("{e}")));
+        let outcome = if args.has("--data-shipping") {
+            run_datashipping_sim(web, &disql, sim_cfg)
+        } else if let Some(k) = args.get("--hybrid") {
+            let k: usize = k
+                .parse()
+                .unwrap_or_else(|_| fail("--hybrid takes a site count"));
+            let participating: Vec<_> = web.sites().into_iter().take(k).collect();
+            run_query_hybrid_sim(web, &disql, engine_cfg, sim_cfg, &participating).map(|(o, s)| {
+                say!(
+                    "hybrid: {} handoffs, {} downloads, {} re-entries",
+                    s.handoffs,
+                    s.fetches,
+                    s.reentries
+                );
+                o
+            })
+        } else {
+            run_query_sim(web, &disql, engine_cfg, sim_cfg)
+        }
+        .unwrap_or_else(|e| fail(&format!("{e}")));
+        if !outcome.complete {
+            fail("query did not complete (see trace)");
+        }
+        (outcome.record, Some(outcome.metrics))
+    };
 
-    if !outcome.complete {
-        fail("query did not complete (see trace)");
-    }
-    for (stage, rows) in &outcome.results {
+    for (stage, rows) in &record.results {
         say!("q{}:", stage + 1);
         for (node, row) in rows {
             say!("  [{node}] {row}");
         }
     }
-    say!();
-    say!("{}", outcome.metrics);
-    say!(
-        "virtual time: first result {} ms, complete {} ms",
-        outcome
-            .first_result_us
-            .map(|t| t as f64 / 1000.0)
-            .unwrap_or(f64::NAN),
-        outcome
-            .completed_at_us
-            .map(|t| t as f64 / 1000.0)
-            .unwrap_or(f64::NAN),
-    );
+    if let Some(metrics) = metrics {
+        say!();
+        say!("{metrics}");
+        say!(
+            "virtual time: first result {} ms, complete {} ms",
+            record
+                .first_result_us
+                .map(|t| t as f64 / 1000.0)
+                .unwrap_or(f64::NAN),
+            record
+                .completed_at_us
+                .map(|t| t as f64 / 1000.0)
+                .unwrap_or(f64::NAN),
+        );
+    }
     if args.has("--trace") {
         say!("\ntrace:");
-        for ev in &outcome.trace {
+        for ev in &record.trace {
             say!(
                 "  {:>8.1}ms {:<50} {:<14} {}",
                 ev.time_us as f64 / 1000.0,
@@ -280,7 +280,7 @@ fn cmd_query(args: &Args) {
         let view = webdis::core::ResultsView {
             id: &id,
             query: &query,
-            results: &outcome.results,
+            results: &record.results,
         };
         std::fs::write(path, webdis::core::render_html(&view))
             .unwrap_or_else(|e| fail(&format!("cannot write {path}: {e}")));

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_query_sim, run_query_tcp, AdmissionPolicy, EngineConfig, ExpiryPolicy};
+use webdis::core::{run_query_sim, run_query_tcp, EngineConfig};
 use webdis::load::{run_workload_sim, run_workload_tcp, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::json::decode_jsonl;
@@ -239,7 +239,7 @@ fn admission_control_sheds_without_hanging_sim() {
         ..WorkloadSpec::default()
     };
     let cfg = EngineConfig {
-        admission: Some(AdmissionPolicy { max_queries: 1 }),
+        admission: Some(1),
         log_purge_us: Some(200_000),
         tracer: handle,
         ..EngineConfig::default()
@@ -289,11 +289,11 @@ fn admission_control_sheds_without_hanging_tcp() {
         ..WorkloadSpec::default()
     };
     let cfg = EngineConfig {
-        admission: Some(AdmissionPolicy { max_queries: 1 }),
+        admission: Some(1),
         log_purge_us: Some(100_000),
         // Belt and braces: even if a shed report raced a purge, the
         // expiry sweep would still conclude the query.
-        expiry: Some(ExpiryPolicy::with_timeout(2_000_000)),
+        expiry_us: Some(2_000_000),
         ..EngineConfig::default()
     };
     let outcome = run_workload_tcp(Arc::clone(&web), &spec, cfg, Duration::from_secs(60)).unwrap();

@@ -3,10 +3,7 @@
 
 use std::sync::Arc;
 
-use webdis::core::{
-    run_query_sim, AdmissionPolicy, CachePolicy, EngineConfig, ExpiryPolicy, MonitorHandle,
-    ProcModel,
-};
+use webdis::core::{run_query_sim, CachePolicy, EngineConfig, MonitorHandle, ProcModel};
 use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::model::Url;
 use webdis::sim::{Fault, FaultKind, SimConfig};
@@ -20,7 +17,7 @@ use webdis_chaos::plan::ChaosPlan;
 fn t12_drop_trace() -> Vec<TraceRecord> {
     let (collector, tracer) = TraceHandle::collecting(16_384);
     let cfg = EngineConfig {
-        expiry: Some(ExpiryPolicy::with_timeout(400_000)),
+        expiry_us: Some(400_000),
         tracer,
         ..EngineConfig::default()
     };
@@ -192,7 +189,7 @@ fn monitored_shed_trace() -> Vec<TraceRecord> {
     let (collector, tracer) = TraceHandle::collecting(65_536);
     let cfg = EngineConfig {
         proc: ProcModel::workstation_1999(),
-        admission: Some(AdmissionPolicy { max_queries: 2 }),
+        admission: Some(2),
         log_purge_us: Some(50_000),
         monitor: Some(MonitorHandle::with_defaults(tracer.clone())),
         tracer,

@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use webdis::core::{run_datashipping_sim, run_query_sim, ChtMode, EngineConfig, LogMode};
+use webdis::core::{run_datashipping_sim, run_query_sim, CompletionMode, EngineConfig, LogMode};
 use webdis::net::Disposition;
 use webdis::sim::SimConfig;
 use webdis::web::{figures, generate, HostedWeb, PageBuilder, WebGenConfig};
@@ -46,7 +46,7 @@ fn figure1_roles() {
 #[test]
 fn figure5_duplicates_dropped() {
     let strict = EngineConfig {
-        cht_mode: ChtMode::Strict,
+        completion: CompletionMode::ChtStrict,
         ..EngineConfig::default()
     };
     let outcome = run_query_sim(
@@ -222,7 +222,7 @@ fn hop_limit_reports_clear_cht() {
     }));
     let cfg = EngineConfig {
         log_mode: LogMode::Off,
-        cht_mode: ChtMode::Strict,
+        completion: CompletionMode::ChtStrict,
         max_hops: 3,
         ..EngineConfig::default()
     };
@@ -343,7 +343,7 @@ fn general_log_mode_drops_contained_states_paper_rule_cannot() {
             disql,
             EngineConfig {
                 log_mode: mode,
-                cht_mode: ChtMode::Strict,
+                completion: CompletionMode::ChtStrict,
                 ..EngineConfig::default()
             },
             SimConfig::default(),

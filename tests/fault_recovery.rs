@@ -14,8 +14,8 @@ use std::time::Duration;
 
 use webdis::core::simrun::user_addr;
 use webdis::core::{
-    run_query_sim, ClientProcess, Deployment, EngineConfig, ExpiryPolicy, PlannedQuery,
-    QueryRecord, ScheduledClient,
+    run_query_sim, ClientProcess, Deployment, EngineConfig, PlannedQuery, QueryRecord,
+    ScheduledClient,
 };
 use webdis::disql::parse_disql;
 use webdis::net::meter::FATES;
@@ -43,7 +43,7 @@ fn sim_drop_rate_run_terminates_via_expiry_with_partial_results() {
     assert!(baseline.complete && baseline.failed_entries.is_empty());
 
     let cfg = EngineConfig {
-        expiry: Some(ExpiryPolicy::with_timeout(50_000)),
+        expiry_us: Some(50_000),
         ..EngineConfig::default()
     };
     let outcome = run_query_sim(
@@ -77,7 +77,7 @@ fn sim_drop_rate_run_terminates_via_expiry_with_partial_results() {
 fn sim_faulty_trace_reconstructs_without_orphans() {
     let (collector, handle) = TraceHandle::collecting(8192);
     let cfg = EngineConfig {
-        expiry: Some(ExpiryPolicy::with_timeout(50_000)),
+        expiry_us: Some(50_000),
         tracer: handle,
         ..EngineConfig::default()
     };
@@ -128,7 +128,7 @@ fn dsl_link_lost() -> Vec<Fault> {
 #[test]
 fn one_fault_list_recovers_alike_on_both_transports() {
     let cfg = EngineConfig {
-        expiry: Some(ExpiryPolicy::with_timeout(400_000)),
+        expiry_us: Some(400_000),
         ..EngineConfig::default()
     };
     let deployment = Deployment::new(Arc::new(figures::campus()), cfg);
@@ -160,7 +160,7 @@ fn one_fault_list_recovers_alike_on_both_transports() {
 fn tcp_injected_faults_terminate_via_expiry_without_orphans() {
     let (collector, handle) = TraceHandle::collecting(8192);
     let cfg = EngineConfig {
-        expiry: Some(ExpiryPolicy::with_timeout(400_000)),
+        expiry_us: Some(400_000),
         tracer: handle,
         ..EngineConfig::default()
     };
@@ -246,7 +246,7 @@ fn corrupt_one_clone_duplicate_one_lab() -> Vec<Fault> {
 fn one_fault_list_gives_one_account_on_both_runtimes() {
     let deployment = |tracer| {
         let cfg = EngineConfig {
-            expiry: Some(ExpiryPolicy::with_timeout(400_000)),
+            expiry_us: Some(400_000),
             tracer,
             ..EngineConfig::default()
         };

@@ -8,9 +8,7 @@
 
 use std::sync::Arc;
 
-use webdis::core::{
-    run_query_hybrid_sim, run_query_sim, AdmissionPolicy, CachePolicy, EngineConfig, ProcModel,
-};
+use webdis::core::{run_query_hybrid_sim, run_query_sim, CachePolicy, EngineConfig, ProcModel};
 use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::TraceHandle;
@@ -82,7 +80,7 @@ fn unoptimized() -> EngineConfig {
 
 fn loaded() -> EngineConfig {
     EngineConfig {
-        admission: Some(AdmissionPolicy { max_queries: 1 }),
+        admission: Some(1),
         cache: Some(CachePolicy::with_budget(1024)),
         doc_cache_size: 2,
         log_purge_us: Some(50_000),

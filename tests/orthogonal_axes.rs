@@ -50,7 +50,7 @@ fn every_deployment_runs_the_same_on_both_transports() {
             .result_set();
         assert!(!reference.is_empty(), "{web_name}: the oracle found rows");
         for (cfg_name, config) in &configs {
-            let exact_on_tcp = config.completion == CompletionMode::Cht;
+            let exact_on_tcp = config.completion != CompletionMode::AckChain;
             let hosted_view: WebView = Arc::clone(hosted).into();
             let living: WebView = Arc::new(LiveWeb::from_hosted(hosted)).into();
             let mut sim_traffic = Vec::new();

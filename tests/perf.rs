@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use webdis::core::{AdmissionPolicy, EngineConfig, ProcModel};
+use webdis::core::{EngineConfig, ProcModel};
 use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::{Histogram, TraceHandle};
@@ -53,7 +53,7 @@ fn overloaded_queue_wait_histogram() -> Histogram {
     let (collector, tracer) = TraceHandle::collecting(1 << 17);
     let cfg = EngineConfig {
         proc: ProcModel::workstation_1999(),
-        admission: Some(AdmissionPolicy { max_queries: 4 }),
+        admission: Some(4),
         log_purge_us: Some(50_000),
         tracer,
         ..EngineConfig::default()

@@ -11,7 +11,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webdis::core::{Cht, ChtMode};
+use webdis::core::{Cht, CompletionMode};
 use webdis::model::Url;
 use webdis::net::{ChtEntry, CloneState};
 
@@ -50,7 +50,7 @@ enum Op {
 /// in `Strict` mode every clone is also reported, while in `Paper` mode
 /// servers silently drop identical re-arrivals, so exactly one report per
 /// distinct `(node, state)` pair is ever sent (Section 3.1.1).
-fn build_ops(clones: &[(usize, usize)], mode: ChtMode) -> Vec<Op> {
+fn build_ops(clones: &[(usize, usize)], mode: CompletionMode) -> Vec<Op> {
     let mut ops = Vec::new();
     let mut reported = HashSet::new();
     for &(n, s) in clones {
@@ -58,7 +58,7 @@ fn build_ops(clones: &[(usize, usize)], mode: ChtMode) -> Vec<Op> {
             node: node(n),
             state: state(s),
         }));
-        if mode == ChtMode::Strict || reported.insert((n, s)) {
+        if mode == CompletionMode::ChtStrict || reported.insert((n, s)) {
             ops.push(Op::Del(node(n), state(s)));
         }
     }
@@ -86,8 +86,8 @@ fn clone_multiset() -> impl Strategy<Value = Vec<(usize, usize)>> {
     prop::collection::vec((0usize..8, 0usize..STATES.len()), 1..24)
 }
 
-fn mode() -> impl Strategy<Value = ChtMode> {
-    prop_oneof![Just(ChtMode::Paper), Just(ChtMode::Strict)]
+fn mode() -> impl Strategy<Value = CompletionMode> {
+    prop_oneof![Just(CompletionMode::Cht), Just(CompletionMode::ChtStrict)]
 }
 
 proptest! {

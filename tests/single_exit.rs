@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use webdis::core::network::RecordingNetwork;
-use webdis::core::{query_server_addr, AdmissionPolicy, EngineConfig, ServerEngine};
+use webdis::core::{query_server_addr, EngineConfig, ServerEngine};
 use webdis::disql::parse_disql;
 use webdis::model::{SiteAddr, Url};
 use webdis::net::{AckMsg, Message, QueryClone, QueryId};
@@ -147,7 +147,7 @@ fn every_exit(base: fn() -> EngineConfig) {
 
     // Admission control: query 1 still holds the only slot.
     let mut h = Harness::new(EngineConfig {
-        admission: Some(AdmissionPolicy { max_queries: 1 }),
+        admission: Some(1),
         ..base()
     });
     h.deliver("admitted", |s| clone_from(s, 1));
