@@ -1,0 +1,22 @@
+#!/bin/sh
+# One thread per endpoint: the thread that waits on a TCP endpoint reads
+# and decodes its frames itself, and a draining pool reads its own
+# endpoint while a write waits for room — so the transport needs no
+# thread and no channel of its own. This fails when a non-test line
+# under crates/webdis-net/src/ spawns a thread (`thread::spawn`,
+# `thread::Builder`) or builds a channel (`unbounded(`, `channel(`).
+# Non-test lines are those before a file's first `#[cfg(test)]`, as in
+# ci/loc.sh.
+set -eu
+cd "$(dirname "$0")/.."
+nontest() { awk -v f="$1" '/#\[cfg\(test\)\]/ { exit } { print f ":" NR ": " $0 }' "$1"; }
+
+hits=$(find crates/webdis-net/src -name '*.rs' | LC_ALL=C sort |
+    while read -r f; do nontest "$f"; done |
+    grep -E 'thread::(spawn|Builder)|(unbounded|channel)(::<[^>]*>)?\(' || true)
+if [ -n "$hits" ]; then
+    echo "the TCP transport starts a thread or a channel (the waiting thread reads its endpoint):" >&2
+    echo "$hits" >&2
+    exit 1
+fi
+echo "one thread: webdis-net spawns no thread and builds no channel"

@@ -39,8 +39,8 @@
 //! * [`datashipping`] — the centralized download-and-evaluate baseline
 //!   the paper argues against (Sections 1 and 6);
 //! * [`tcprun`] — the same engine on real TCP sockets over loopback, one
-//!   daemon thread and one poll-driven I/O thread per site, demonstrating
-//!   the "currently operational" deployment shape.
+//!   daemon thread per site that reads its own socket, demonstrating the
+//!   "currently operational" deployment shape.
 //!
 //! Quick start:
 //!

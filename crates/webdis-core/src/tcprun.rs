@@ -1,9 +1,9 @@
 //! The engine on real TCP sockets over loopback — the deployment shape of
-//! the paper's Java prototype: one daemon (I/O thread + engine) per
-//! site, the user-site client collecting results on its own listening
-//! socket, passive termination by closing that socket. Unlike the
-//! prototype, a sender keeps its connection to each peer open and
-//! dials only on first use.
+//! the paper's Java prototype: one daemon thread per site, which reads
+//! its own socket and runs the engine, the user-site client collecting
+//! results on its own listening socket, passive termination by closing
+//! that socket. Unlike the prototype, a sender keeps its connection to
+//! each peer open and dials only on first use.
 //!
 //! Each simulated site gets an ephemeral `127.0.0.1` port; a shared
 //! address map plays DNS. Experiments use the deterministic simulator;
@@ -79,8 +79,8 @@ pub struct TcpNet {
     ledger: Ledger,
     /// Wall-clock queue wait of the message currently being handled,
     /// set by the daemon before `on_message` so the engine's `queue_us`
-    /// span sees the channel dwell time. Always zero on client-side
-    /// handles.
+    /// span sees how long it sat in the endpoint's inbox. Always zero on
+    /// client-side handles.
     queue_wait_us: u64,
     /// What has been [`post`](Network::post)ed and is not due yet,
     /// `(due_us, token)`, earliest first: the deadlines of the
@@ -191,9 +191,9 @@ fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Due> {
             Duration::from_micros(at_us - now)
         });
         match endpoint.recv_timeout_sized(wait) {
-            Ok(received) if !endpoint.closing() => return Some(Due::Message(received)),
-            Err(RecvTimeoutError::Timeout) => {}
-            Ok(_) | Err(RecvTimeoutError::Disconnected) => return None,
+            Ok(received) => return Some(Due::Message(received)),
+            Err(webdis_net::RecvTimeoutError::Timeout) => {}
+            Err(_disconnected) => return None,
         }
     }
 }
@@ -355,7 +355,9 @@ impl Deployment {
     /// endpoint and the cluster's one admin socket
     /// ([`TcpCluster::admin_addr`]), then spawns one daemon
     /// ([`run_daemon`]) per participating site, which raises the `log_len_high_water`
-    /// registry gauge after every processed message. Rate and partition
+    /// registry gauge after every processed message. Each daemon, and the
+    /// user site, sends through a pool that reads its own endpoint while
+    /// a write waits for room ([`ConnPool::draining`]). Rate and partition
     /// faults are decided per send, partition windows in µs since the
     /// cluster came up; a daemon's [`Fault::Crash`] windows are deadlines
     /// of its own wait. The daemons race for the one RNG, so rate draws
@@ -387,7 +389,7 @@ impl Deployment {
         };
         let user_net = TcpNet {
             map: Arc::new(map),
-            pool: ConnPool::metered(Arc::clone(&ledger.meter)),
+            pool: ConnPool::metered(Arc::clone(&ledger.meter)).draining(&user_endpoint),
             epoch,
             from: user_site.host.to_string(),
             addr: user_site.clone(),
@@ -434,6 +436,7 @@ impl Deployment {
                 from: site.host.to_string(),
                 timers: crash_edges(&faults, &addr),
                 addr,
+                pool: user_net.pool.clone().draining(&endpoint),
                 ..user_net.clone()
             };
             let purge_period = engine_cfg.log_purge_us;

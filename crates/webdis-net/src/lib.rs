@@ -19,10 +19,10 @@
 //!
 //! [`tcp`] implements a real transport on `std::net`: length-prefixed
 //! frames over one long-lived connection per (sender, receiver) pair,
-//! and one `poll`-driven I/O thread per endpoint. The paper's Java
-//! daemon dials per dispatch; a connection that carries one frame and
-//! closes is the short case of the same code. The deterministic
-//! simulated transport lives in `webdis-sim`.
+//! read and decoded by the thread that waits on the endpoint — no I/O
+//! thread. The paper's Java daemon dials per dispatch; a connection that
+//! carries one frame and closes is the short case of the same code. The
+//! deterministic simulated transport lives in `webdis-sim`.
 
 pub mod messages;
 pub mod meter;
@@ -34,5 +34,7 @@ pub use messages::{
     QueryClone, QueryId, ResultReport, StageRows,
 };
 pub use meter::{WireCounters, MESSAGE_KINDS};
-pub use tcp::{Closer, ConnPool, Frame, Received, RetryPolicy, TcpEndpoint, TcpError};
+pub use tcp::{
+    Closer, ConnPool, Frame, Received, RecvTimeoutError, RetryPolicy, TcpEndpoint, TcpError,
+};
 pub use wire::{decode_message, encode_message, Wire, WireError};

@@ -2,12 +2,12 @@
 //! paper's Java platform opens a socket per dispatch; here a sender keeps
 //! one connection per peer in a [`ConnPool`] and writes any number of
 //! length-prefixed [`Frame`]s down it, dialling only when it has no
-//! connection or the peer closed the one it had. Every endpoint runs one
-//! I/O thread (the paper's *Query Receiver* / *Result Collector*) that
-//! multiplexes its listener and every accepted connection with `poll(2)`
-//! and reassembles frames onto a channel; the receiving thread decodes
-//! them. A connection that carries one frame and closes ([`send_to`]) is
-//! the short case of the same code.
+//! connection or the peer closed the one it had. An endpoint has no
+//! thread of its own: the thread waiting on it (the paper's *Query
+//! Receiver* / *Result Collector*) polls its listener and connections and
+//! decodes each complete frame straight from the connection's buffer. A
+//! connection that carries one frame and closes ([`send_to`]) is the
+//! short case of the same code.
 //!
 //! Passive query termination (Section 2.8) still falls out of the
 //! design: closing a [`TcpEndpoint`] closes its listener and every
@@ -15,18 +15,17 @@
 //! re-dial is refused, and the server purges the query locally.
 
 use std::collections::hash_map::{Entry, HashMap};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 
 use crate::messages::Message;
 use crate::meter::WireCounters;
 use crate::wire::{decode_message, Wire};
+use sys::{PollFd, POLLIN, POLLOUT};
 
 /// Maximum accepted frame size (16 MiB) — a defence against hostile or
 /// corrupt length prefixes. Admin-socket clients bound the responses
@@ -45,7 +44,7 @@ const FRAME_STALL_BOUND: Duration = Duration::from_secs(10);
 /// a connection's reassembly buffer is released once it has emptied.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Reads from one ready connection per turn of the I/O loop, so a peer
+/// Reads from one ready connection per wait on an endpoint, so a peer
 /// that writes without pause cannot starve the others.
 const READS_PER_TURN: usize = 16;
 
@@ -92,6 +91,26 @@ impl TcpError {
         }
     }
 }
+
+/// Why [`TcpEndpoint::recv_timeout`] returned without a message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecvTimeoutError {
+    /// Nothing arrived before the timeout.
+    Timeout,
+    /// The endpoint is closed.
+    Disconnected,
+}
+
+impl std::fmt::Display for RecvTimeoutError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            RecvTimeoutError::Timeout => "timed out waiting for a message",
+            RecvTimeoutError::Disconnected => "endpoint closed",
+        })
+    }
+}
+
+impl std::error::Error for RecvTimeoutError {}
 
 /// Bounded-retry policy for [`ConnPool::send_retrying`]: exponential
 /// backoff starting at
@@ -176,13 +195,19 @@ impl Frame {
     }
 
     /// The one frame writer: pooled and one-shot sends both end here.
-    fn write_to(&self, stream: &mut TcpStream) -> io::Result<()> {
-        stream.write_all(&self.0)
-    }
-
-    /// Connect, write, close: a connection that lives for one frame.
-    fn send_once<A: ToSocketAddrs>(&self, addr: A) -> Result<(), TcpError> {
-        Ok(self.write_to(&mut TcpStream::connect(addr)?)?)
+    /// `wait` is called whenever a non-blocking `stream` has no room.
+    fn write_to(&self, stream: &mut TcpStream, mut wait: impl FnMut(&TcpStream)) -> io::Result<()> {
+        let mut rest = &self.0[..];
+        while !rest.is_empty() {
+            match stream.write(rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => rest = &rest[n..],
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait(stream),
+                Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e),
+                Err(_) => {}
+            }
+        }
+        Ok(())
     }
 }
 
@@ -190,18 +215,22 @@ impl Frame {
 /// close. The engine sends through a [`ConnPool`]; this is for callers
 /// with a single message to deliver.
 pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
-    Frame::encode(msg)?.send_once(addr)
+    let frame = Frame::encode(msg)?;
+    Ok(frame.write_to(&mut TcpStream::connect(addr)?, |_| {})?)
 }
 
 /// A sender's long-lived connections, one per peer, dialled on first use
 /// (`TCP_NODELAY`: a frame is one `write` and must not wait for the
-/// previous frame's ACK). One pool belongs to one thread, so there are no
-/// locks; cloning a pool yields an **empty** one that shares only the
-/// meter.
+/// previous frame's ACK) and non-blocking: a write that finds the peer's
+/// buffers full waits in `poll`, reading its own endpoint meanwhile when
+/// the pool is [`draining`](ConnPool::draining). One pool belongs to one
+/// thread; cloning a pool yields an **empty** one that shares only the
+/// meter and the endpoint it drains.
 #[derive(Default)]
 pub struct ConnPool {
     conns: HashMap<SocketAddr, TcpStream>,
     meter: Option<Arc<WireCounters>>,
+    drain: Option<Arc<Mutex<Inbox>>>,
 }
 
 impl Clone for ConnPool {
@@ -209,6 +238,7 @@ impl Clone for ConnPool {
         ConnPool {
             conns: HashMap::new(),
             meter: self.meter.clone(),
+            drain: self.drain.clone(),
         }
     }
 }
@@ -218,8 +248,18 @@ impl ConnPool {
     /// ([`WireCounters::connects`]).
     pub fn metered(meter: Arc<WireCounters>) -> ConnPool {
         ConnPool {
-            conns: HashMap::new(),
             meter: Some(meter),
+            ..ConnPool::default()
+        }
+    }
+
+    /// This pool, reading `endpoint` into its inbox whenever a write
+    /// waits for room: two threads writing large frames at each other's
+    /// endpoints then never both wait on full buffers.
+    pub fn draining(self, endpoint: &TcpEndpoint) -> ConnPool {
+        ConnPool {
+            drain: Some(Arc::clone(&endpoint.inbox)),
+            ..self
         }
     }
 
@@ -242,10 +282,12 @@ impl ConnPool {
                 }
                 let stream = TcpStream::connect(addr)?;
                 stream.set_nodelay(true)?;
+                stream.set_nonblocking(true)?;
                 e.insert(stream)
             }
         };
-        if let Err(e) = frame.write_to(stream) {
+        let drain = self.drain.as_deref();
+        if let Err(e) = frame.write_to(stream, |stream| wait_writable(stream, drain)) {
             self.conns.remove(&addr);
             return Err(e.into());
         }
@@ -266,12 +308,25 @@ impl ConnPool {
     }
 }
 
+/// Waits until `stream` may have room, reading the `drain` endpoint
+/// meanwhile — unless another thread holds it, and so reads it already:
+/// then the wait is a millisecond's nap, and the writer tries again.
+fn wait_writable(stream: &TcpStream, drain: Option<&Mutex<Inbox>>) {
+    match drain.map(Mutex::try_lock) {
+        Some(Ok(mut inbox)) => inbox.turn(None, Some(stream)),
+        contended => {
+            let nap = contended.map(|_| Duration::from_millis(1));
+            let _ = sys::wait(&mut [PollFd::new(stream, POLLOUT)], nap);
+        }
+    }
+}
+
 /// True when the peer has closed (or reset) a pooled connection. The
 /// protocol is one-way — an endpoint never writes — so the only thing
 /// that can make a sender's socket readable is the peer's FIN or RST.
 fn peer_closed(stream: &TcpStream) -> bool {
-    let mut fd = [sys::PollFd::new(stream)];
-    sys::wait_readable(&mut fd, Some(Duration::ZERO)).is_err() || fd[0].ready()
+    let mut fd = [PollFd::new(stream, POLLIN)];
+    sys::wait(&mut fd, Some(Duration::ZERO)).is_err() || fd[0].ready()
 }
 
 /// `poll(2)`, the one system call this transport needs that `std` does
@@ -280,7 +335,9 @@ mod sys {
     use std::io;
     use std::time::Duration;
 
-    const POLLIN: i16 = 0x001;
+    /// What to wait for: data (or end of stream), or room to write.
+    pub const POLLIN: i16 = 0x001;
+    pub const POLLOUT: i16 = 0x004;
 
     /// One socket to wait on, laid out as C's `struct pollfd`.
     #[repr(C)]
@@ -292,25 +349,25 @@ mod sys {
 
     impl PollFd {
         #[cfg(unix)]
-        pub fn new(socket: &impl std::os::unix::io::AsRawFd) -> PollFd {
+        pub fn new(socket: &impl std::os::unix::io::AsRawFd, events: i16) -> PollFd {
             PollFd {
                 fd: socket.as_raw_fd(),
-                events: POLLIN,
+                events,
                 revents: 0,
             }
         }
 
         #[cfg(not(unix))]
-        pub fn new<S>(_socket: &S) -> PollFd {
+        pub fn new<S>(_socket: &S, events: i16) -> PollFd {
             PollFd {
                 fd: 0,
-                events: POLLIN,
+                events,
                 revents: 0,
             }
         }
 
-        /// True when the last wait found data, end of stream, hang-up or
-        /// an error on the socket.
+        /// True when the last wait found what was asked for, end of
+        /// stream, hang-up or an error on the socket.
         pub fn ready(&self) -> bool {
             self.revents != 0
         }
@@ -324,23 +381,9 @@ mod sys {
     /// Blocks until a socket in `fds` is ready or `timeout` passes
     /// (`None`: no limit), then says which through [`PollFd::ready`].
     #[cfg(unix)]
-    pub fn wait_readable(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
-        extern "C" {
-            fn poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
-        }
-        // Rounded up, so a deadline a fraction of a millisecond away is
-        // slept through rather than spun on.
-        let timeout_ms = timeout.map_or(-1, |t| {
-            i32::try_from(t.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
-        });
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
         loop {
-            // SAFETY: `fds` is an exclusively borrowed slice of
-            // `#[repr(C)]` structs with `struct pollfd`'s layout and
-            // `nfds` is its length, so the kernel reads and writes only
-            // inside the slice; a stale descriptor in it is reported as
-            // POLLNVAL, not dereferenced.
-            let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) };
-            if n >= 0 {
+            if poll(fds, timeout) >= 0 {
                 return Ok(());
             }
             let e = io::Error::last_os_error();
@@ -350,25 +393,64 @@ mod sys {
         }
     }
 
+    /// `ppoll(2)`: its timeout is a `timespec`, so a deadline a fraction
+    /// of a millisecond away is kept, not rounded up to a whole one.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> i32 {
+        use std::os::raw::{c_long, c_void};
+        use std::ptr::{from_ref, null};
+        type Timespec = [c_long; 2];
+        extern "C" {
+            fn ppoll(fds: *mut PollFd, n: NfdsT, t: *const Timespec, mask: *const c_void) -> i32;
+        }
+        let secs = |t: Duration| c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX);
+        let timeout: Option<Timespec> = timeout.map(|t| [secs(t), t.subsec_nanos() as c_long]);
+        let timeout = timeout.as_ref().map_or(null(), from_ref);
+        let (fds, n) = (fds.as_mut_ptr(), fds.len() as NfdsT);
+        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+        // structs with `struct pollfd`'s layout and `n` is its length, so
+        // the kernel reads and writes only inside the slice (a stale
+        // descriptor in it is reported as POLLNVAL, not dereferenced);
+        // `timeout` is null or points at a live `struct timespec` (two
+        // `long`s), and a null signal mask leaves the thread's alone.
+        unsafe { ppoll(fds, n, timeout, null()) }
+    }
+
+    /// `poll(2)`, whose timeout is whole milliseconds: rounded up, so a
+    /// deadline a fraction of a millisecond away is slept through rather
+    /// than spun on.
+    #[cfg(all(unix, not(any(target_os = "linux", target_os = "android"))))]
+    fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> i32 {
+        extern "C" {
+            #[link_name = "poll"]
+            fn c_poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
+        }
+        let timeout_ms = timeout.map_or(-1, |t| {
+            i32::try_from(t.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
+        });
+        // SAFETY: as for `ppoll` above, without the timespec.
+        unsafe { c_poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) }
+    }
+
     /// Without `poll(2)` every socket is reported ready after a
     /// millisecond: the endpoint's non-blocking reads sort out which
     /// really are, and a pooled sender, unable to tell a live connection
     /// from a closed one, dials per message.
     #[cfg(not(unix))]
-    pub fn wait_readable(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
         let nap = Duration::from_millis(1);
         std::thread::sleep(timeout.map_or(nap, |t| t.min(nap)));
         for fd in fds {
-            fd.revents = POLLIN;
+            fd.revents = fd.events;
         }
         Ok(())
     }
 }
 
-/// One accepted connection in the endpoint's I/O loop: a non-blocking
-/// socket and the bytes received so far of a frame not yet complete. The
-/// one frame reader: a connection that carries a single frame and closes
-/// goes through the same code.
+/// One accepted connection of an endpoint: a non-blocking socket and the
+/// bytes received so far of a frame not yet complete. The one frame
+/// reader: a connection that carries a single frame and closes goes
+/// through the same code.
 struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
@@ -387,11 +469,11 @@ impl Conn {
         })
     }
 
-    /// One turn of the I/O loop: read what a `readable` socket holds,
-    /// hand the payload of every complete frame to `deliver`, and hold
-    /// an incomplete one against the `stall` bound. `Err` says why the
-    /// connection has to be dropped; whatever partial frame it held goes
-    /// with it.
+    /// One turn of the endpoint's wait: read what a `readable` socket
+    /// holds, hand the payload of every complete frame to `deliver`, and
+    /// hold an incomplete one against the `stall` bound. `Err` says why
+    /// the connection has to be dropped; whatever partial frame it held
+    /// goes with it.
     fn service(
         &mut self,
         readable: bool,
@@ -453,41 +535,107 @@ impl Conn {
     }
 }
 
-/// A message taken off an endpoint's inbound queue.
+/// A message taken off an endpoint's inbox.
 pub struct Received {
     /// The decoded message.
     pub msg: Message,
-    /// How long its frame sat in the inbound queue between arriving
-    /// whole and this receive — the wall-clock queue wait behind the
-    /// `queue_us` span.
+    /// How long it sat in the inbox between its frame being read whole
+    /// and this receive — the wall-clock queue wait behind the `queue_us`
+    /// span. Time in the kernel's socket buffer is not counted.
     pub queued: Duration,
     /// Size of its encoded payload as it came off the wire.
     pub wire_bytes: usize,
 }
 
-/// A complete frame's payload on its way from the I/O thread to the
-/// consumer, still encoded. The *consumer* decodes it: the strings and
-/// rows of a message are then allocated by the thread that goes on to
-/// own and free them, not by an I/O thread whose allocator arena would
-/// otherwise fill up with every other thread's long-lived data.
-struct Inbound {
-    payload: Vec<u8>,
-    at: Instant,
+/// An endpoint's receiving side, read by whichever thread waits on it: a
+/// receiver, or a draining pool whose write waits for room.
+struct Inbox {
+    /// `None` once the endpoint is closed.
+    listener: Option<TcpListener>,
+    conns: Vec<Conn>,
+    stall: Duration,
+    /// Messages decoded and not yet taken, each with the instant its
+    /// frame was read whole and its size on the wire.
+    queue: VecDeque<(Instant, Message, usize)>,
+    /// Scratch of every turn: what it waits on, and what it reads into.
+    fds: Vec<PollFd>,
+    chunk: Vec<u8>,
 }
 
-/// A listening endpoint: one I/O thread accepts connections, reads any
-/// number of frames from each, and queues the payloads on an unbounded
-/// channel — it never waits for the consumer, so two daemons writing
-/// large frames at each other cannot deadlock. Dropping (or calling
-/// [`close`](TcpEndpoint::close)) closes the listener and every accepted
-/// connection — this is how a user-site terminates a query passively.
+impl Inbox {
+    /// Sleeps in `poll` until a connection or the listener has something,
+    /// `writer` has room, a connection mid-frame reaches the stall bound
+    /// or `timeout` passes (`None`: no limit); then accepts every waiting
+    /// connection and reads every ready one, new ones at once, queueing
+    /// each frame that decodes. Garbage, a stalled peer, an oversized
+    /// prefix and a closed connection all end the same way: that
+    /// connection is dropped, every other one is untouched.
+    fn turn(&mut self, timeout: Option<Duration>, writer: Option<&TcpStream>) {
+        // Persistent accept or poll errors (EMFILE and friends) would
+        // otherwise busy-spin the waiting thread at 100% CPU.
+        const ERROR_PAUSE: Duration = Duration::from_millis(10);
+        let (stall, waited) = (self.stall, self.conns.len());
+        let oldest = self.conns.iter().filter_map(|c| c.last_progress).min();
+        let stalls = oldest.map(|t| (t + stall).saturating_duration_since(Instant::now()));
+        let fds = self.conns.iter().map(|c| PollFd::new(&c.stream, POLLIN));
+        let listening = self.listener.iter().map(|l| PollFd::new(l, POLLIN));
+        let writing = writer.map(|w| PollFd::new(w, POLLOUT));
+        self.fds.clear();
+        self.fds.extend(fds.chain(listening).chain(writing));
+        if sys::wait(&mut self.fds, timeout.into_iter().chain(stalls).min()).is_err() {
+            std::thread::sleep(ERROR_PAUSE);
+            return;
+        }
+        // `fds[i]` is `conns[i]` below `waited`, then the listener.
+        if let Some(listener) = self.listener.as_ref().filter(|_| self.fds[waited].ready()) {
+            loop {
+                match listener.accept() {
+                    Ok((stream, _)) => self.conns.extend(Conn::new(stream)),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        std::thread::sleep(ERROR_PAUSE);
+                        break;
+                    }
+                }
+            }
+        }
+        let now = Instant::now();
+        let ready = self.fds[..waited].iter().map(PollFd::ready);
+        let mut ready = ready.chain(std::iter::repeat(true));
+        let (queue, chunk) = (&mut self.queue, &mut self.chunk);
+        // An undecodable payload had an intact length prefix, so framing
+        // on its connection is still in step and only that frame is lost
+        // — a long-running daemon must survive garbage.
+        let mut deliver = |payload: &[u8]| {
+            if let Ok(msg) = decode_message(payload) {
+                queue.push_back((Instant::now(), msg, payload.len()));
+            }
+        };
+        self.conns.retain_mut(|conn| {
+            let readable = ready.next().expect("an endless iterator");
+            conn.service(readable, now, stall, chunk, &mut deliver)
+                .is_ok()
+        });
+    }
+
+    /// Closes the listener and every accepted connection.
+    fn close(&mut self) {
+        (self.listener, self.conns) = (None, Vec::new());
+    }
+}
+
+/// A listening endpoint. It has no thread of its own: the thread that
+/// waits on it ([`recv_timeout_sized`](TcpEndpoint::recv_timeout_sized),
+/// or a [`draining`](ConnPool::draining) pool's write) accepts
+/// connections, reads any number of frames from each and decodes them
+/// into its inbox, which has no bound — a writer never waits for a
+/// consumer. Dropping (or calling [`close`](TcpEndpoint::close)) closes
+/// the listener and every accepted connection — this is how a user-site
+/// terminates a query passively.
 pub struct TcpEndpoint {
     closer: Closer,
-    rx: Receiver<Inbound>,
-    /// Frames enqueued but not yet received — the inbound queue depth a
-    /// daemon loop reports as backpressure.
-    depth: Arc<AtomicUsize>,
-    io_thread: Option<JoinHandle<()>>,
+    inbox: Arc<Mutex<Inbox>>,
 }
 
 /// Closes a [`TcpEndpoint`] from a thread other than the one receiving
@@ -499,21 +647,19 @@ pub struct Closer {
 }
 
 impl Closer {
-    /// Stops the endpoint's I/O thread, which closes the listener and
-    /// every accepted connection and hangs up the inbound queue: a
-    /// receiver asleep in [`TcpEndpoint::recv_timeout_sized`] wakes with
-    /// `Disconnected`. Idempotent.
+    /// Marks the endpoint closed and wakes a receiver asleep in
+    /// [`TcpEndpoint::recv_timeout_sized`] with a throwaway connection:
+    /// it closes the listener and every accepted connection and returns
+    /// `Disconnected`, as does every later receive. Idempotent.
     pub fn close(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // Wake the I/O thread's poll with a throwaway connection.
             let _ = TcpStream::connect(self.addr);
         }
     }
 }
 
 impl TcpEndpoint {
-    /// Binds a listener (use port 0 for an ephemeral port) and starts the
-    /// I/O thread.
+    /// Binds a listener (use port 0 for an ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<TcpEndpoint> {
         TcpEndpoint::bind_with_stall_bound(addr, FRAME_STALL_BOUND)
     }
@@ -525,20 +671,20 @@ impl TcpEndpoint {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let (tx, rx) = unbounded();
-        let depth = Arc::new(AtomicUsize::new(0));
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let depth_tx = Arc::clone(&depth);
-        let closer = Closer { addr, shutdown };
-        let io_thread = std::thread::Builder::new()
-            .name(format!("webdis-io-{addr}"))
-            .spawn(move || io_loop(listener, stall, tx, depth_tx, flag))?;
+        let inbox = Inbox {
+            listener: Some(listener),
+            conns: Vec::new(),
+            stall,
+            queue: VecDeque::new(),
+            fds: Vec::new(),
+            chunk: vec![0; READ_CHUNK],
+        };
         Ok(TcpEndpoint {
-            closer,
-            rx,
-            depth,
-            io_thread: Some(io_thread),
+            closer: Closer {
+                addr,
+                shutdown: Arc::default(),
+            },
+            inbox: Arc::new(Mutex::new(inbox)),
         })
     }
 
@@ -557,146 +703,66 @@ impl TcpEndpoint {
         self.closer.shutdown.load(Ordering::SeqCst)
     }
 
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Receives the next message, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Message, RecvTimeoutError> {
         self.recv_timeout_sized(timeout).map(|r| r.msg)
     }
 
     /// Like [`recv_timeout`](TcpEndpoint::recv_timeout), but also
-    /// reports how long the message sat in the inbound queue and the
-    /// size it had on the wire, so a receiver that accounts for bytes
-    /// need not encode the message again to count them. A `timeout` too
-    /// long to add to the clock (`Duration::MAX`) is no timeout: the
-    /// call sleeps until a message arrives or the endpoint is closed.
+    /// reports how long the message sat in the inbox and the size it had
+    /// on the wire, so a receiver that accounts for bytes need not encode
+    /// the message again to count them. The inbox is read only when it
+    /// is empty; a zero `timeout` reads what the sockets hold without
+    /// waiting. A `timeout` too long to add to the clock
+    /// (`Duration::MAX`) is no timeout: the call sleeps until a message
+    /// arrives or the endpoint is closed.
     pub fn recv_timeout_sized(&self, timeout: Duration) -> Result<Received, RecvTimeoutError> {
         let deadline = Instant::now().checked_add(timeout);
+        let mut inbox = self.inbox();
+        let mut waited = false;
         loop {
-            let left = deadline.map_or(Duration::MAX, |d| {
-                d.saturating_duration_since(Instant::now())
-            });
-            if let Some(received) = self.decode(self.rx.recv_timeout(left)?) {
-                return Ok(received);
+            if self.closing() {
+                inbox.close();
+                return Err(RecvTimeoutError::Disconnected);
             }
+            if let Some((read_at, msg, wire_bytes)) = inbox.queue.pop_front() {
+                let queued = read_at.elapsed();
+                return Ok(Received {
+                    msg,
+                    queued,
+                    wire_bytes,
+                });
+            }
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if waited && left == Some(Duration::ZERO) {
+                return Err(RecvTimeoutError::Timeout);
+            }
+            inbox.turn(left, None);
+            waited = true;
         }
     }
 
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Message> {
-        loop {
-            if let Some(received) = self.decode(self.rx.try_recv().ok()?) {
-                return Some(received.msg);
-            }
-        }
-    }
-
-    /// Takes one frame off the queue's books and decodes it. `None` for
-    /// an undecodable payload: it had an intact length prefix, so framing
-    /// on its connection is still in step and only that frame is lost —
-    /// a long-running daemon must survive garbage.
-    fn decode(&self, inbound: Inbound) -> Option<Received> {
-        self.depth.fetch_sub(1, Ordering::SeqCst);
-        let queued = inbound.at.elapsed();
-        let msg = decode_message(&inbound.payload).ok()?;
-        Some(Received {
-            msg,
-            queued,
-            wire_bytes: inbound.payload.len(),
-        })
-    }
-
-    /// Frames currently waiting in the inbound queue.
+    /// Messages read and decoded but not yet received.
     pub fn pending(&self) -> usize {
-        self.depth.load(Ordering::SeqCst)
+        self.inbox().queue.len()
     }
 
-    /// Stops the I/O thread and joins it, which closes the listener and
-    /// every accepted connection. Any peer that subsequently tries to
-    /// send to this endpoint gets a connection error — the passive
-    /// termination signal.
+    /// Closes the listener and every accepted connection. Any peer that
+    /// subsequently tries to send to this endpoint gets a connection
+    /// error — the passive termination signal.
     pub fn close(&mut self) {
-        self.closer.close();
-        if let Some(handle) = self.io_thread.take() {
-            let _ = handle.join();
-        }
+        self.closer.shutdown.store(true, Ordering::SeqCst);
+        self.inbox().close();
     }
 }
 
 impl Drop for TcpEndpoint {
     fn drop(&mut self) {
         self.close();
-    }
-}
-
-/// The endpoint's I/O thread: waits on the listener and every accepted
-/// connection at once, and sleeps in `poll` — without a timeout unless a
-/// connection is mid-frame — when none has anything to say.
-fn io_loop(
-    listener: TcpListener,
-    stall: Duration,
-    tx: Sender<Inbound>,
-    depth: Arc<AtomicUsize>,
-    shutdown: Arc<AtomicBool>,
-) {
-    // Persistent accept or poll errors (EMFILE and friends) would
-    // otherwise busy-spin this thread at 100% CPU.
-    const ERROR_PAUSE: Duration = Duration::from_millis(10);
-    let mut conns: Vec<Conn> = Vec::new();
-    let mut fds: Vec<sys::PollFd> = Vec::new();
-    let mut chunk = vec![0u8; READ_CHUNK];
-    let mut deliver = |payload: &[u8]| {
-        // Raise depth before the send so a receiver that dequeues
-        // immediately never observes an undercount.
-        depth.fetch_add(1, Ordering::SeqCst);
-        let inbound = Inbound {
-            payload: payload.to_vec(),
-            at: Instant::now(),
-        };
-        if tx.send(inbound).is_err() {
-            depth.fetch_sub(1, Ordering::SeqCst);
-        }
-    };
-    loop {
-        fds.clear();
-        fds.push(sys::PollFd::new(&listener));
-        fds.extend(conns.iter().map(|c| sys::PollFd::new(&c.stream)));
-        let next_stall = conns
-            .iter()
-            .filter_map(|c| c.last_progress)
-            .min()
-            .map(|oldest| (oldest + stall).saturating_duration_since(Instant::now()));
-        if sys::wait_readable(&mut fds, next_stall).is_err() {
-            std::thread::sleep(ERROR_PAUSE);
-            continue;
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = Instant::now();
-        // `fds[0]` is the listener and `fds[i + 1]` is `conns[i]`;
-        // `retain_mut` visits in order, and connections accepted this
-        // turn are pushed only afterwards.
-        let mut ready = fds[1..].iter().map(sys::PollFd::ready);
-        conns.retain_mut(|conn| {
-            let readable = ready.next().expect("one fd per connection");
-            // Garbage, a stalled peer, an oversized prefix and a closed
-            // connection all end the same way: this connection is
-            // dropped, every other one is untouched.
-            conn.service(readable, now, stall, &mut chunk, &mut deliver)
-                .is_ok()
-        });
-        if fds[0].ready() {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => conns.extend(Conn::new(stream)),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        std::thread::sleep(ERROR_PAUSE);
-                        break;
-                    }
-                }
-            }
-        }
     }
 }
 
@@ -745,34 +811,62 @@ mod tests {
             url: Url::parse("http://h/big").unwrap(),
             html: Some(big),
         });
-        send_to(ep.local_addr(), &msg).unwrap();
-        assert_eq!(ep.recv_timeout(Duration::from_secs(5)).unwrap(), msg);
+        // More than the socket buffers hold: the receiver reads while the
+        // sender writes.
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| ep.recv_timeout(Duration::from_secs(5)));
+            send_to(ep.local_addr(), &msg).unwrap();
+            assert_eq!(receiver.join().unwrap().unwrap(), msg);
+        });
     }
 
     #[test]
     fn queued_receive_reports_wait_and_depth() {
+        // Three frames in one write: the receive that reads them takes the
+        // first and leaves two in the inbox, where they wait for the next.
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let mut bytes = Vec::new();
         for i in 0..3 {
-            send_to(ep.local_addr(), &fetch_msg(&format!("/doc{i}"))).unwrap();
+            bytes.extend_from_slice(&Frame::encode(&fetch_msg(&format!("/doc{i}"))).unwrap().0);
         }
-        // Wait until all three frames have been decoded and enqueued.
-        let start = std::time::Instant::now();
-        while ep.pending() < 3 && start.elapsed() < Duration::from_secs(5) {
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert_eq!(ep.pending(), 3);
-        std::thread::sleep(Duration::from_millis(20));
+        TcpStream::connect(ep.local_addr())
+            .unwrap()
+            .write_all(&bytes)
+            .unwrap();
         let first = ep.recv_timeout_sized(Duration::from_secs(5)).unwrap();
-        assert!(
-            first.queued >= Duration::from_millis(20),
-            "messages sat at least the sleep: {:?}",
-            first.queued
-        );
         assert_eq!(first.wire_bytes, encode_message(&first.msg).len());
         assert_eq!(ep.pending(), 2);
-        ep.try_recv().unwrap();
-        ep.try_recv().unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+        let second = ep.recv_timeout_sized(Duration::ZERO).unwrap();
+        assert!(
+            second.queued >= Duration::from_millis(20),
+            "messages sat at least the sleep: {:?}",
+            second.queued
+        );
+        assert_eq!(ep.pending(), 1);
+        ep.recv_timeout(Duration::ZERO).unwrap();
         assert_eq!(ep.pending(), 0);
+        assert_eq!(
+            ep.recv_timeout(Duration::ZERO),
+            Err(RecvTimeoutError::Timeout)
+        );
+    }
+
+    #[test]
+    fn sub_millisecond_timeout_is_kept_not_rounded_up() {
+        // The open-loop generator and every deadline of a `serve` wait
+        // sleep through `recv_timeout`: a timeout rounded up to a whole
+        // millisecond would make each of them late.
+        let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let timeout = Duration::from_micros(300);
+        let took = (0..5).map(|_| {
+            let t0 = Instant::now();
+            assert_eq!(ep.recv_timeout(timeout), Err(RecvTimeoutError::Timeout));
+            t0.elapsed()
+        });
+        let best = took.min().unwrap();
+        assert!(best >= timeout, "woke early: {best:?}");
+        assert!(best < Duration::from_millis(1), "rounded up: {best:?}");
     }
 
     #[test]
@@ -849,12 +943,15 @@ mod tests {
         let mut frame = Frame::encode(&fetch_msg("/x")).unwrap();
         let payload = frame.payload_mut();
         payload[payload.len() / 2] ^= 0xff;
-        frame.send_once(ep.local_addr()).unwrap();
+        let mut stream = TcpStream::connect(ep.local_addr()).unwrap();
+        stream.write_all(&frame.0).unwrap();
+        drop(stream);
         // The endpoint still works afterwards; the damaged frame is gone.
         let msg = fetch_msg("/ok");
         send_to(ep.local_addr(), &msg).unwrap();
         assert_eq!(ep.recv_timeout(Duration::from_secs(5)).unwrap(), msg);
-        assert!(ep.try_recv().is_none(), "corrupt frame must not deliver");
+        let next = ep.recv_timeout(Duration::ZERO);
+        assert!(next.is_err(), "corrupt frame must not deliver");
     }
 
     #[test]
@@ -1048,7 +1145,8 @@ mod tests {
         let msg = fetch_msg("/after-garbage");
         send_pooled(&mut pool, ep.local_addr(), &msg);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), msg);
-        assert!(ep.try_recv().is_none(), "garbage must not deliver");
+        let next = ep.recv_timeout(Duration::ZERO);
+        assert!(next.is_err(), "garbage must not deliver");
         assert_eq!(meter.connects(), 1, "both frames used one connection");
     }
 
@@ -1060,16 +1158,20 @@ mod tests {
         send_pooled(&mut pool, ep.local_addr(), &before);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), before);
 
-        let hostile = TcpStream::connect(ep.local_addr()).unwrap();
-        (&hostile)
-            .write_all(&(MAX_FRAME + 1).to_be_bytes())
-            .unwrap();
-        assert_closed_by_peer(&hostile);
+        // The test thread plays the hostile peer while a receiver waits.
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| ep.recv_timeout(WAIT));
+            let hostile = TcpStream::connect(ep.local_addr()).unwrap();
+            (&hostile)
+                .write_all(&(MAX_FRAME + 1).to_be_bytes())
+                .unwrap();
+            assert_closed_by_peer(&hostile);
 
-        // The pooled connection that was open all along still delivers.
-        let after = fetch_msg("/after");
-        send_pooled(&mut pool, ep.local_addr(), &after);
-        assert_eq!(ep.recv_timeout(WAIT).unwrap(), after);
+            // The pooled connection that was open all along still delivers.
+            let after = fetch_msg("/after");
+            send_pooled(&mut pool, ep.local_addr(), &after);
+            assert_eq!(receiver.join().unwrap().unwrap(), after);
+        });
     }
 
     #[test]
@@ -1085,11 +1187,15 @@ mod tests {
         send_pooled(&mut pool, ep.local_addr(), &during);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), during);
 
-        assert_closed_by_peer(&stalled);
-        assert!(since.elapsed() >= stall, "dropped only after the bound");
-        let after = fetch_msg("/after");
-        send_pooled(&mut pool, ep.local_addr(), &after);
-        assert_eq!(ep.recv_timeout(WAIT).unwrap(), after);
+        // A receiver waits while the test thread watches the stalled peer.
+        std::thread::scope(|s| {
+            let receiver = s.spawn(|| ep.recv_timeout(WAIT));
+            assert_closed_by_peer(&stalled);
+            assert!(since.elapsed() >= stall, "dropped only after the bound");
+            let after = fetch_msg("/after");
+            send_pooled(&mut pool, ep.local_addr(), &after);
+            assert_eq!(receiver.join().unwrap().unwrap(), after);
+        });
     }
 
     #[test]
@@ -1170,9 +1276,9 @@ mod tests {
 
     #[test]
     fn large_frames_in_both_directions_at_once_do_not_deadlock() {
-        // Two daemons that each write before they read. Were an I/O
-        // thread ever to wait for its consumer, both writes would block
-        // on full socket buffers and neither daemon would get to read.
+        // Two daemons that each write before they read. Were a write
+        // that waits for room not to read its own endpoint meanwhile, both
+        // would block on full socket buffers and neither would get to read.
         let msg = big_msg(4 << 20);
         let endpoints = [
             TcpEndpoint::bind("127.0.0.1:0").unwrap(),
@@ -1185,7 +1291,7 @@ mod tests {
         for (me, endpoint) in endpoints.into_iter().enumerate() {
             let (msg, start, done_tx) = (msg.clone(), Arc::clone(&start), done_tx.clone());
             daemons.push(std::thread::spawn(move || {
-                let mut pool = ConnPool::default();
+                let mut pool = ConnPool::default().draining(&endpoint);
                 let frame = Frame::encode(&msg).unwrap();
                 start.wait();
                 for _ in 0..3 {
