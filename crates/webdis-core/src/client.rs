@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use webdis_disql::WebQuery;
+use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_model::SiteAddr;
 use webdis_net::{Message, QueryId};
 use webdis_sim::{Actor, Ctx, SimEvent};
@@ -48,6 +48,41 @@ impl ClientProcess {
             next_query_num: 1,
             queries: BTreeMap::new(),
         }
+    }
+
+    /// Parses and submits a DISQL query; returns its query number.
+    ///
+    /// The user site's only pipeline stage is the DISQL parse itself, so
+    /// the stage-span record it stamps carries `parse_us` alone (every
+    /// other stage zero) under hop `None`.
+    pub fn submit_disql(&mut self, net: &mut dyn Network, disql: &str) -> Result<u64, DisqlError> {
+        let parse_t0 = net.now_us();
+        let query = parse_disql(disql)?;
+        let parse_us = net.now_us().saturating_sub(parse_t0);
+        let query_num = self.submit(net, query);
+        self.config.tracer.emit_with(|| webdis_trace::TraceRecord {
+            time_us: net.now_us(),
+            site: self.addr.host.to_string(),
+            query: Some(QueryId {
+                user: self.user.clone(),
+                host: self.addr.host.clone(),
+                port: self.addr.port,
+                query_num,
+            }),
+            hop: None,
+            event: webdis_trace::TraceEvent::StageSpans {
+                queue_us: 0,
+                parse_us,
+                log_us: 0,
+                cache_us: 0,
+                eval_us: 0,
+                eval_probe_us: 0,
+                eval_scan_us: 0,
+                build_us: 0,
+                forward_us: 0,
+            },
+        });
+        Ok(query_num)
     }
 
     /// Submits an already-parsed web-query; returns its query number.
@@ -293,7 +328,6 @@ impl Actor for ScheduledClient {
 mod tests {
     use super::*;
     use crate::network::RecordingNetwork;
-    use webdis_disql::parse_disql;
 
     fn addr() -> SiteAddr {
         SiteAddr {
@@ -307,8 +341,8 @@ mod tests {
         let mut client = ClientProcess::new("u", addr(), EngineConfig::default());
         let mut net = RecordingNetwork::default();
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let n1 = client.submit(&mut net, parse_disql(q).unwrap());
-        let n2 = client.submit(&mut net, parse_disql(q).unwrap());
+        let n1 = client.submit_disql(&mut net, q).unwrap();
+        let n2 = client.submit_disql(&mut net, q).unwrap();
         assert_eq!((n1, n2), (1, 2));
         assert_eq!(client.query_nums(), vec![1, 2]);
         assert!(!client.all_complete());
@@ -328,11 +362,19 @@ mod tests {
     }
 
     #[test]
+    fn rejects_bad_disql() {
+        let mut client = ClientProcess::new("u", addr(), EngineConfig::default());
+        let mut net = RecordingNetwork::default();
+        assert!(client.submit_disql(&mut net, "select nonsense").is_err());
+        assert!(client.query_nums().is_empty());
+    }
+
+    #[test]
     fn routes_by_query_number_and_identity() {
         let mut client = ClientProcess::new("u", addr(), EngineConfig::default());
         let mut net = RecordingNetwork::default();
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let n1 = client.submit(&mut net, parse_disql(q).unwrap());
+        let n1 = client.submit_disql(&mut net, q).unwrap();
         // A report for someone else's query (different user) is ignored.
         let foreign = webdis_net::ResultReport {
             id: QueryId {
@@ -473,7 +515,7 @@ mod tests {
             ..RecordingNetwork::default()
         };
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let n = client.submit(&mut net, parse_disql(q).unwrap());
+        let n = client.submit_disql(&mut net, q).unwrap();
         assert!(matches!(&net.sent[..], [(to, Message::Fetch(_))] if *to == a_test));
         let reply = |url: &str, html: &str| {
             Message::FetchReply(FetchResponse {
@@ -522,7 +564,7 @@ mod tests {
         let mut client = ClientProcess::new("u", addr(), EngineConfig::default());
         let mut net = RecordingNetwork::default();
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let n = client.submit(&mut net, parse_disql(q).unwrap());
+        let n = client.submit_disql(&mut net, q).unwrap();
         assert!(client.forget(n).is_some());
         assert!(client.forget(n).is_none());
         assert!(client.query(n).is_none());

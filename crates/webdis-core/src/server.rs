@@ -338,6 +338,11 @@ impl ServerEngine {
         self.cache.as_ref().map(|c| c.stats())
     }
 
+    /// Bytes resident in the answer cache, when one is configured.
+    pub fn cache_resident_bytes(&self) -> Option<u64> {
+        self.cache.as_ref().map(|c| c.resident_bytes())
+    }
+
     /// The site this server is responsible for.
     pub fn site(&self) -> &SiteAddr {
         &self.site
@@ -1124,10 +1129,10 @@ mod tests {
         let mut s = cached_server();
         run_query(&mut s, 1);
         let misses = s.stats.cache_misses;
-        assert!(s.cache.as_ref().unwrap().resident_bytes() > 0);
+        assert!(s.cache_resident_bytes().unwrap() > 0);
 
         s.restart();
-        assert_eq!(s.cache.as_ref().unwrap().resident_bytes(), 0);
+        assert_eq!(s.cache_resident_bytes(), Some(0));
         let rows = run_query(&mut s, 2);
         assert_eq!(s.stats.cache_hits, 0, "cold cache recomputes");
         assert!(s.stats.cache_misses > misses);

@@ -131,15 +131,11 @@ impl Network for TcpNet {
                 return Ok(());
             }
         };
-        // The retry callback traces through `&self`, so the pool steps
-        // out of `self` for the duration of the send.
-        let mut pool = std::mem::take(&mut self.pool);
-        let sent = pool.send_retrying(addr, &frame, self.retry, |attempt| {
-            let at_us = self.now_us();
-            self.ledger
-                .retried(&msg, &to.host, attempt, &self.from, at_us);
+        let (ledger, from, epoch) = (&self.ledger, &self.from, self.epoch);
+        let sent = self.pool.send_retrying(addr, &frame, self.retry, |attempt| {
+            let at_us = epoch.elapsed().as_micros() as u64;
+            ledger.retried(&msg, &to.host, attempt, from, at_us);
         });
-        self.pool = pool;
         if sent.is_err() {
             return refused(self);
         }
@@ -356,8 +352,8 @@ impl Deployment {
     /// ([`TcpCluster::admin_addr`]), then spawns one daemon
     /// ([`run_daemon`]) per participating site, which raises the `log_len_high_water`
     /// registry gauge after every processed message. Each daemon, and the
-    /// user site, sends through a pool that reads its own endpoint while
-    /// a write waits for room ([`ConnPool::draining`]). Rate and partition
+    /// user site, sends through a pool built on its own endpoint, which
+    /// it reads while a write waits for room ([`ConnPool`]). Rate and partition
     /// faults are decided per send, partition windows in µs since the
     /// cluster came up; a daemon's [`Fault::Crash`] windows are deadlines
     /// of its own wait. The daemons race for the one RNG, so rate draws
@@ -389,7 +385,7 @@ impl Deployment {
         };
         let user_net = TcpNet {
             map: Arc::new(map),
-            pool: ConnPool::metered(Arc::clone(&ledger.meter)).draining(&user_endpoint),
+            pool: ConnPool::metered(Arc::clone(&ledger.meter), &user_endpoint),
             epoch,
             from: user_site.host.to_string(),
             addr: user_site.clone(),
@@ -436,7 +432,7 @@ impl Deployment {
                 from: site.host.to_string(),
                 timers: crash_edges(&faults, &addr),
                 addr,
-                pool: user_net.pool.clone().draining(&endpoint),
+                pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
                 ..user_net.clone()
             };
             let purge_period = engine_cfg.log_purge_us;
@@ -532,8 +528,11 @@ impl TcpCluster {
     }
 
     /// Stops the admin socket and every daemon, and returns their
-    /// engines (for final stats).
+    /// engines (for final stats). The user endpoint closes first, so a
+    /// daemon whose write waits on a user site that stopped reading
+    /// fails that write rather than waiting on.
     pub fn shutdown(mut self) -> Vec<ServerEngine> {
+        self.user_endpoint.close();
         self.admin.stop();
         if let Some((stop, housekeeper)) = self.housekeeper {
             drop(stop);
@@ -829,6 +828,32 @@ mod tests {
         assert_eq!(engines.len(), web.sites().len(), "every daemon joined");
         assert!(took < Duration::from_millis(250), "shutdown took {took:?}");
         assert_eq!(web.mutations_applied(), 0, "the mutation was never due");
+    }
+
+    #[test]
+    fn shutdown_returns_while_a_daemon_writes_to_a_user_that_stopped_reading() {
+        // One result row larger than the socket buffers hold, at a user
+        // site that never reads: the daemon's write waits for room until
+        // shutdown closes the user endpoint, which fails it.
+        let mut web = HostedWeb::new();
+        web.insert_page("http://c.test/", PageBuilder::new(&"x".repeat(4 << 20)));
+        let cfg = EngineConfig::default();
+        let cluster = TcpCluster::start(Arc::new(web), &cfg, Vec::new());
+        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
+        let disql = r#"select d.title from document d such that "http://c.test/" L* d"#;
+        client.submit(&mut cluster.user_net(), parse_disql(disql).unwrap());
+        let meter = Arc::clone(cluster.wire_counters());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // The clone went out; give the daemon time to fill the buffers.
+        while meter.msgs_of("query") == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(200));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let stopper = std::thread::spawn(move || done_tx.send(cluster.shutdown().len()));
+        let joined = done_rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(joined, Ok(1), "shutdown waited on a daemon's write");
+        stopper.join().unwrap().unwrap();
     }
 
     #[test]

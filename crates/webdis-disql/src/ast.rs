@@ -32,6 +32,11 @@ pub struct WebQuery {
 }
 
 impl WebQuery {
+    /// Number of node-queries (the initial `num_q` of the clone state).
+    pub fn num_queries(&self) -> usize {
+        self.stages.len()
+    }
+
     /// The column headers of stage `i`'s result rows.
     pub fn stage_headers(&self, i: usize) -> Vec<String> {
         self.stages
@@ -92,7 +97,7 @@ mod tests {
             q.to_string(),
             "Q = {http://csa.iisc.ernet.in/} L q1 G·L*1 q2"
         );
-        assert_eq!(q.stages.len(), 2);
+        assert_eq!(q.num_queries(), 2);
         assert_eq!(q.stage_headers(0), vec!["d0.url"]);
         assert!(q.stage_headers(7).is_empty());
     }

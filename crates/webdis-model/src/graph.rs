@@ -98,6 +98,11 @@ impl WebGraph {
         self.nodes.keys().map(Url::site).collect()
     }
 
+    /// Nodes hosted by a given site, in deterministic order.
+    pub fn nodes_of_site(&self, site: &SiteAddr) -> Vec<&Url> {
+        self.nodes.keys().filter(|u| &u.site() == site).collect()
+    }
+
     /// Breadth-first set of nodes reachable from `start` following only the
     /// given link types (useful for test oracles).
     pub fn reachable(&self, start: &Url, types: &[LinkType]) -> BTreeSet<Url> {
@@ -183,7 +188,7 @@ mod tests {
         let sites = g.sites();
         assert_eq!(sites.len(), 2);
         let s1 = url("http://s1/a").site();
-        assert_eq!(g.nodes.keys().filter(|u| u.site() == s1).count(), 2);
+        assert_eq!(g.nodes_of_site(&s1).len(), 2);
     }
 
     #[test]

@@ -55,9 +55,13 @@ pub enum TcpError {
     Io(io::Error),
     /// A frame larger than the 16 MiB frame limit.
     FrameTooLarge(u32),
-    /// The peer stalled mid-frame past the stall bound (a slowloris
-    /// peer, a dying host). Transient: the sender may retry.
+    /// The peer stalled mid-frame past the stall bound, sending or
+    /// taking it (a slowloris peer, a dying host, a receiver that stopped
+    /// reading). Transient: the sender may retry.
     Timeout,
+    /// The sending thread's own endpoint closed while a write waited for
+    /// room: the thread is shutting down, so the send is not retried.
+    Closed,
 }
 
 impl std::fmt::Display for TcpError {
@@ -65,7 +69,8 @@ impl std::fmt::Display for TcpError {
         match self {
             TcpError::Io(e) => write!(f, "transport I/O error: {e}"),
             TcpError::FrameTooLarge(n) => write!(f, "frame of {n} bytes exceeds limit"),
-            TcpError::Timeout => write!(f, "peer stalled mid-frame (read timeout)"),
+            TcpError::Timeout => write!(f, "peer stalled mid-frame (timeout)"),
+            TcpError::Closed => write!(f, "own endpoint closed during a write"),
         }
     }
 }
@@ -87,7 +92,7 @@ impl TcpError {
         match self {
             TcpError::Io(e) => !matches!(e.kind(), io::ErrorKind::ConnectionRefused),
             TcpError::Timeout => true,
-            TcpError::FrameTooLarge(_) => false,
+            TcpError::FrameTooLarge(_) | TcpError::Closed => false,
         }
     }
 }
@@ -195,15 +200,20 @@ impl Frame {
     }
 
     /// The one frame writer: pooled and one-shot sends both end here.
-    /// `wait` is called whenever a non-blocking `stream` has no room.
-    fn write_to(&self, stream: &mut TcpStream, mut wait: impl FnMut(&TcpStream)) -> io::Result<()> {
-        let mut rest = &self.0[..];
+    /// `wait(stream, progress)` is called whenever `stream` has no room,
+    /// `progress` being when the peer last took a byte.
+    fn write_to(
+        &self,
+        stream: &mut TcpStream,
+        mut wait: impl FnMut(&TcpStream, Instant) -> Result<(), TcpError>,
+    ) -> Result<(), TcpError> {
+        let (mut rest, mut progress) = (&self.0[..], Instant::now());
         while !rest.is_empty() {
             match stream.write(rest) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => rest = &rest[n..],
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait(stream),
-                Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e),
+                Ok(0) => return Err(TcpError::Io(io::ErrorKind::WriteZero.into())),
+                Ok(n) => (rest, progress) = (&rest[n..], Instant::now()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait(stream, progress)?,
+                Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e.into()),
                 Err(_) => {}
             }
         }
@@ -213,53 +223,48 @@ impl Frame {
 
 /// Sends one message on a connection of its own: connect, frame, write,
 /// close. The engine sends through a [`ConnPool`]; this is for callers
-/// with a single message to deliver.
+/// with a single message to deliver. A receiver that takes no byte for
+/// the stall bound fails it with [`TcpError::Timeout`].
 pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
-    let frame = Frame::encode(msg)?;
-    Ok(frame.write_to(&mut TcpStream::connect(addr)?, |_| {})?)
+    let (frame, mut stream) = (Frame::encode(msg)?, TcpStream::connect(addr)?);
+    stream.set_write_timeout(Some(FRAME_STALL_BOUND))?;
+    frame.write_to(&mut stream, |_, _| Err(TcpError::Timeout))
 }
 
 /// A sender's long-lived connections, one per peer, dialled on first use
 /// (`TCP_NODELAY`: a frame is one `write` and must not wait for the
-/// previous frame's ACK) and non-blocking: a write that finds the peer's
-/// buffers full waits in `poll`, reading its own endpoint meanwhile when
-/// the pool is [`draining`](ConnPool::draining). One pool belongs to one
-/// thread; cloning a pool yields an **empty** one that shares only the
-/// meter and the endpoint it drains.
-#[derive(Default)]
+/// previous frame's ACK) and non-blocking. A pool is built on the
+/// endpoint its thread receives on, and a write that finds the peer's
+/// buffers full reads that endpoint while it waits for room: two threads
+/// writing large frames at each other never both wait on full buffers.
+/// One pool belongs to one thread; cloning a pool yields an **empty** one
+/// on the same endpoint and meter.
 pub struct ConnPool {
     conns: HashMap<SocketAddr, TcpStream>,
-    meter: Option<Arc<WireCounters>>,
-    drain: Option<Arc<Mutex<Inbox>>>,
+    meter: Arc<WireCounters>,
+    home: Arc<Shared>,
 }
 
 impl Clone for ConnPool {
     fn clone(&self) -> ConnPool {
+        let (meter, home) = (Arc::clone(&self.meter), Arc::clone(&self.home));
         ConnPool {
             conns: HashMap::new(),
-            meter: self.meter.clone(),
-            drain: self.drain.clone(),
+            meter,
+            home,
         }
     }
 }
 
 impl ConnPool {
-    /// An empty pool that counts every dial on `meter`
-    /// ([`WireCounters::connects`]).
-    pub fn metered(meter: Arc<WireCounters>) -> ConnPool {
+    /// An empty pool for the thread that receives on `endpoint`, counting
+    /// every dial on `meter` ([`WireCounters::connects`]).
+    pub fn metered(meter: Arc<WireCounters>, endpoint: &TcpEndpoint) -> ConnPool {
+        let home = Arc::clone(&endpoint.0);
         ConnPool {
-            meter: Some(meter),
-            ..ConnPool::default()
-        }
-    }
-
-    /// This pool, reading `endpoint` into its inbox whenever a write
-    /// waits for room: two threads writing large frames at each other's
-    /// endpoints then never both wait on full buffers.
-    pub fn draining(self, endpoint: &TcpEndpoint) -> ConnPool {
-        ConnPool {
-            drain: Some(Arc::clone(&endpoint.inbox)),
-            ..self
+            conns: HashMap::new(),
+            meter,
+            home,
         }
     }
 
@@ -277,21 +282,19 @@ impl ConnPool {
         let stream = match self.conns.entry(addr) {
             Entry::Occupied(e) => e.into_mut(),
             Entry::Vacant(e) => {
-                if let Some(meter) = &self.meter {
-                    meter.record_connect();
-                }
+                self.meter.record_connect();
                 let stream = TcpStream::connect(addr)?;
                 stream.set_nodelay(true)?;
                 stream.set_nonblocking(true)?;
                 e.insert(stream)
             }
         };
-        let drain = self.drain.as_deref();
-        if let Err(e) = frame.write_to(stream, |stream| wait_writable(stream, drain)) {
+        let home = &self.home;
+        let sent = frame.write_to(stream, |stream, progress| home.wait_writable(stream, progress));
+        if sent.is_err() {
             self.conns.remove(&addr);
-            return Err(e.into());
         }
-        Ok(())
+        sent
     }
 
     /// [`send`](ConnPool::send) with bounded retry + exponential backoff
@@ -305,19 +308,6 @@ impl ConnPool {
         on_retry: impl FnMut(u32),
     ) -> Result<(), TcpError> {
         with_retries(policy, on_retry, || self.send(addr, frame))
-    }
-}
-
-/// Waits until `stream` may have room, reading the `drain` endpoint
-/// meanwhile — unless another thread holds it, and so reads it already:
-/// then the wait is a millisecond's nap, and the writer tries again.
-fn wait_writable(stream: &TcpStream, drain: Option<&Mutex<Inbox>>) {
-    match drain.map(Mutex::try_lock) {
-        Some(Ok(mut inbox)) => inbox.turn(None, Some(stream)),
-        contended => {
-            let nap = contended.map(|_| Duration::from_millis(1));
-            let _ = sys::wait(&mut [PollFd::new(stream, POLLOUT)], nap);
-        }
     }
 }
 
@@ -548,12 +538,11 @@ pub struct Received {
 }
 
 /// An endpoint's receiving side, read by whichever thread waits on it: a
-/// receiver, or a draining pool whose write waits for room.
+/// receiver, or the write of a pool built on the endpoint.
 struct Inbox {
     /// `None` once the endpoint is closed.
     listener: Option<TcpListener>,
     conns: Vec<Conn>,
-    stall: Duration,
     /// Messages decoded and not yet taken, each with the instant its
     /// frame was read whole and its size on the wire.
     queue: VecDeque<(Instant, Message, usize)>,
@@ -570,11 +559,11 @@ impl Inbox {
     /// each frame that decodes. Garbage, a stalled peer, an oversized
     /// prefix and a closed connection all end the same way: that
     /// connection is dropped, every other one is untouched.
-    fn turn(&mut self, timeout: Option<Duration>, writer: Option<&TcpStream>) {
+    fn turn(&mut self, stall: Duration, timeout: Option<Duration>, writer: Option<&TcpStream>) {
         // Persistent accept or poll errors (EMFILE and friends) would
         // otherwise busy-spin the waiting thread at 100% CPU.
         const ERROR_PAUSE: Duration = Duration::from_millis(10);
-        let (stall, waited) = (self.stall, self.conns.len());
+        let waited = self.conns.len();
         let oldest = self.conns.iter().filter_map(|c| c.last_progress).min();
         let stalls = oldest.map(|t| (t + stall).saturating_duration_since(Instant::now()));
         let fds = self.conns.iter().map(|c| PollFd::new(&c.stream, POLLIN));
@@ -625,35 +614,70 @@ impl Inbox {
     }
 }
 
+/// What an endpoint shares with its [`Closer`]s and with the pools built
+/// on it.
+struct Shared {
+    addr: SocketAddr,
+    shutdown: AtomicBool,
+    stall: Duration,
+    inbox: Mutex<Inbox>,
+}
+
+impl Shared {
+    fn closing(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    fn inbox(&self) -> MutexGuard<'_, Inbox> {
+        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A pool's wait for room in `stream`, reading this endpoint
+    /// meanwhile — unless another thread holds it, and so reads it
+    /// already: then the wait is a millisecond's nap. Gives up once the
+    /// endpoint closes, or when the peer has taken no byte since
+    /// `progress` for the stall bound.
+    fn wait_writable(&self, stream: &TcpStream, progress: Instant) -> Result<(), TcpError> {
+        let left = (progress + self.stall).saturating_duration_since(Instant::now());
+        if self.closing() {
+            return Err(TcpError::Closed);
+        } else if left.is_zero() {
+            return Err(TcpError::Timeout);
+        }
+        match self.inbox.try_lock() {
+            Ok(mut inbox) => inbox.turn(self.stall, Some(left), Some(stream)),
+            Err(_) => {
+                let nap = left.min(Duration::from_millis(1));
+                let _ = sys::wait(&mut [PollFd::new(stream, POLLOUT)], Some(nap));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// A listening endpoint. It has no thread of its own: the thread that
 /// waits on it ([`recv_timeout_sized`](TcpEndpoint::recv_timeout_sized),
-/// or a [`draining`](ConnPool::draining) pool's write) accepts
-/// connections, reads any number of frames from each and decodes them
-/// into its inbox, which has no bound — a writer never waits for a
-/// consumer. Dropping (or calling [`close`](TcpEndpoint::close)) closes
-/// the listener and every accepted connection — this is how a user-site
-/// terminates a query passively.
-pub struct TcpEndpoint {
-    closer: Closer,
-    inbox: Arc<Mutex<Inbox>>,
-}
+/// or the write of a [`ConnPool`] built on it) accepts connections, reads
+/// any number of frames from each and decodes them into its inbox, which
+/// has no bound. Dropping (or calling [`close`](TcpEndpoint::close))
+/// closes the listener and every accepted connection — this is how a
+/// user-site terminates a query passively.
+pub struct TcpEndpoint(Arc<Shared>);
 
 /// Closes a [`TcpEndpoint`] from a thread other than the one receiving
 /// from it ([`TcpEndpoint::closer`]).
 #[derive(Clone)]
-pub struct Closer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-}
+pub struct Closer(Arc<Shared>);
 
 impl Closer {
     /// Marks the endpoint closed and wakes a receiver asleep in
     /// [`TcpEndpoint::recv_timeout_sized`] with a throwaway connection:
     /// it closes the listener and every accepted connection and returns
-    /// `Disconnected`, as does every later receive. Idempotent.
+    /// `Disconnected`, as does every later receive; a pool's write
+    /// waiting for room fails with [`TcpError::Closed`]. Idempotent.
     pub fn close(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.addr);
+        if !self.0.shutdown.swap(true, Ordering::SeqCst) {
+            let _ = TcpStream::connect(self.0.addr);
         }
     }
 }
@@ -674,37 +698,31 @@ impl TcpEndpoint {
         let inbox = Inbox {
             listener: Some(listener),
             conns: Vec::new(),
-            stall,
             queue: VecDeque::new(),
             fds: Vec::new(),
             chunk: vec![0; READ_CHUNK],
         };
-        Ok(TcpEndpoint {
-            closer: Closer {
-                addr,
-                shutdown: Arc::default(),
-            },
-            inbox: Arc::new(Mutex::new(inbox)),
-        })
+        Ok(TcpEndpoint(Arc::new(Shared {
+            addr,
+            shutdown: AtomicBool::new(false),
+            stall,
+            inbox: Mutex::new(inbox),
+        })))
     }
 
     /// The bound address (with the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.closer.addr
+        self.0.addr
     }
 
     /// A handle that closes this endpoint from another thread.
     pub fn closer(&self) -> Closer {
-        self.closer.clone()
+        Closer(Arc::clone(&self.0))
     }
 
     /// True once the endpoint has been told to close.
     pub fn closing(&self) -> bool {
-        self.closer.shutdown.load(Ordering::SeqCst)
-    }
-
-    fn inbox(&self) -> MutexGuard<'_, Inbox> {
-        self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+        self.0.closing()
     }
 
     /// Receives the next message, waiting up to `timeout`.
@@ -722,7 +740,7 @@ impl TcpEndpoint {
     /// arrives or the endpoint is closed.
     pub fn recv_timeout_sized(&self, timeout: Duration) -> Result<Received, RecvTimeoutError> {
         let deadline = Instant::now().checked_add(timeout);
-        let mut inbox = self.inbox();
+        let mut inbox = self.0.inbox();
         let mut waited = false;
         loop {
             if self.closing() {
@@ -741,22 +759,22 @@ impl TcpEndpoint {
             if waited && left == Some(Duration::ZERO) {
                 return Err(RecvTimeoutError::Timeout);
             }
-            inbox.turn(left, None);
+            inbox.turn(self.0.stall, left, None);
             waited = true;
         }
     }
 
     /// Messages read and decoded but not yet received.
     pub fn pending(&self) -> usize {
-        self.inbox().queue.len()
+        self.0.inbox().queue.len()
     }
 
     /// Closes the listener and every accepted connection. Any peer that
     /// subsequently tries to send to this endpoint gets a connection
     /// error — the passive termination signal.
     pub fn close(&mut self) {
-        self.closer.shutdown.store(true, Ordering::SeqCst);
-        self.inbox().close();
+        self.0.shutdown.store(true, Ordering::SeqCst);
+        self.0.inbox().close();
     }
 }
 
@@ -1037,9 +1055,18 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(5);
 
-    fn metered_pool() -> (ConnPool, Arc<WireCounters>) {
+    /// A pool on an endpoint of its own, as every sending thread has, and
+    /// the meter it counts dials on.
+    fn metered_pool() -> (TcpEndpoint, ConnPool, Arc<WireCounters>) {
+        let home = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let meter = Arc::new(WireCounters::default());
-        (ConnPool::metered(Arc::clone(&meter)), meter)
+        let pool = ConnPool::metered(Arc::clone(&meter), &home);
+        (home, pool, meter)
+    }
+
+    fn sender() -> (TcpEndpoint, ConnPool) {
+        let (home, pool, _) = metered_pool();
+        (home, pool)
     }
 
     fn send_pooled(pool: &mut ConnPool, addr: SocketAddr, msg: &Message) {
@@ -1067,7 +1094,7 @@ mod tests {
     #[test]
     fn thousand_frames_over_one_connection_arrive_in_order() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let (mut pool, meter) = metered_pool();
+        let (_home, mut pool, meter) = metered_pool();
         for i in 0..1000 {
             send_pooled(&mut pool, ep.local_addr(), &fetch_msg(&format!("/doc{i}")));
         }
@@ -1087,7 +1114,7 @@ mod tests {
         std::thread::scope(|s| {
             for sender in 0..3 {
                 s.spawn(move || {
-                    let mut pool = ConnPool::default();
+                    let (_home, mut pool) = sender();
                     for i in 0..200 {
                         let msg = fetch_msg(&format!("/s{sender}/{i}"));
                         send_pooled(&mut pool, addr, &msg);
@@ -1139,7 +1166,7 @@ mod tests {
     #[test]
     fn undecodable_frame_does_not_cost_the_next_frame_on_the_connection() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let (mut pool, meter) = metered_pool();
+        let (_home, mut pool, meter) = metered_pool();
         let garbage = Frame::build(|buf| buf.extend_from_slice(&[0xff; 3])).unwrap();
         pool.send(ep.local_addr(), &garbage).unwrap();
         let msg = fetch_msg("/after-garbage");
@@ -1153,7 +1180,7 @@ mod tests {
     #[test]
     fn oversized_length_prefix_closes_that_connection_only() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let mut pool = ConnPool::default();
+        let (_home, mut pool) = sender();
         let before = fetch_msg("/before");
         send_pooled(&mut pool, ep.local_addr(), &before);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), before);
@@ -1182,7 +1209,7 @@ mod tests {
         let since = Instant::now();
         (&stalled).write_all(&64u32.to_be_bytes()).unwrap();
 
-        let mut pool = ConnPool::default();
+        let (_home, mut pool) = sender();
         let during = fetch_msg("/during");
         send_pooled(&mut pool, ep.local_addr(), &during);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), during);
@@ -1202,7 +1229,7 @@ mod tests {
     fn first_pooled_send_after_endpoint_close_fails_for_good() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let addr = ep.local_addr();
-        let mut pool = ConnPool::default();
+        let (_home, mut pool) = sender();
         let frame = Frame::encode(&fetch_msg("/x")).unwrap();
         pool.send(addr, &frame).unwrap();
         ep.recv_timeout(WAIT).unwrap();
@@ -1214,7 +1241,8 @@ mod tests {
         let again = pool.send_retrying(addr, &frame, RetryPolicy::default(), |_| retries += 1);
         assert!(again.is_err());
         // A pool that never had a connection is refused the same way.
-        let fresh = ConnPool::default()
+        let fresh = pool
+            .clone()
             .send_retrying(addr, &frame, RetryPolicy::default(), |_| retries += 1);
         assert!(fresh.is_err());
         assert_eq!(retries, 0, "passive termination must not be retried");
@@ -1239,7 +1267,7 @@ mod tests {
     fn send_after_peer_rebinds_the_same_port_reconnects() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let addr = ep.local_addr();
-        let (mut pool, meter) = metered_pool();
+        let (_home, mut pool, meter) = metered_pool();
         let first = fetch_msg("/first-life");
         send_pooled(&mut pool, addr, &first);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), first);
@@ -1256,7 +1284,8 @@ mod tests {
     fn close_is_prompt_with_idle_inbound_connections() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let frame = Frame::encode(&fetch_msg("/hello")).unwrap();
-        let mut pools: Vec<ConnPool> = (0..16).map(|_| ConnPool::default()).collect();
+        let (_home, pool) = sender();
+        let mut pools: Vec<ConnPool> = (0..16).map(|_| pool.clone()).collect();
         for pool in &mut pools {
             pool.send(ep.local_addr(), &frame).unwrap();
         }
@@ -1291,7 +1320,7 @@ mod tests {
         for (me, endpoint) in endpoints.into_iter().enumerate() {
             let (msg, start, done_tx) = (msg.clone(), Arc::clone(&start), done_tx.clone());
             daemons.push(std::thread::spawn(move || {
-                let mut pool = ConnPool::default().draining(&endpoint);
+                let mut pool = ConnPool::metered(Arc::default(), &endpoint);
                 let frame = Frame::encode(&msg).unwrap();
                 start.wait();
                 for _ in 0..3 {
@@ -1313,5 +1342,50 @@ mod tests {
         for daemon in daemons {
             daemon.join().unwrap();
         }
+    }
+
+    /// Sends `frame` to a bound endpoint nobody reads, through `pool` on
+    /// a thread of its own, and returns what the send came to — or panics
+    /// when it has not returned within [`WAIT`].
+    fn send_unread(pool: ConnPool, frame: Frame, while_waiting: impl FnOnce()) -> TcpError {
+        let unread = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let addr = unread.local_addr();
+        let writer = std::thread::spawn(move || {
+            let mut pool = pool;
+            done_tx.send(pool.send(addr, &frame)).unwrap();
+        });
+        while_waiting();
+        let sent = done_rx.recv_timeout(WAIT).expect("the write never gave up");
+        writer.join().unwrap();
+        sent.expect_err("nobody took the frame")
+    }
+
+    #[test]
+    fn a_write_waiting_for_room_fails_once_its_own_endpoint_closes() {
+        // A daemon told to stop while it writes to a receiver that stopped
+        // reading: its write fails for good, and the daemon gets to exit.
+        let (home, pool) = sender();
+        let closer = home.closer();
+        let frame = Frame::encode(&big_msg(4 << 20)).unwrap();
+        let err = send_unread(pool, frame, || {
+            std::thread::sleep(Duration::from_millis(100));
+            closer.close();
+        });
+        assert!(matches!(err, TcpError::Closed), "{err}");
+        assert!(!err.is_transient(), "a closing thread does not retry");
+    }
+
+    #[test]
+    fn a_write_the_peer_takes_nothing_of_fails_after_the_stall_bound() {
+        let stall = Duration::from_millis(100);
+        let home = TcpEndpoint::bind_with_stall_bound("127.0.0.1:0", stall).unwrap();
+        let pool = ConnPool::metered(Arc::default(), &home);
+        let frame = Frame::encode(&big_msg(4 << 20)).unwrap();
+        let t0 = Instant::now();
+        let err = send_unread(pool, frame, || {});
+        assert!(matches!(err, TcpError::Timeout), "{err}");
+        assert!(t0.elapsed() >= stall, "gave up early: {:?}", t0.elapsed());
+        assert!(err.is_transient(), "a stalled peer is worth retrying");
     }
 }

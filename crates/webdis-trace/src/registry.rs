@@ -339,6 +339,14 @@ impl Registry {
             .or_insert(0) += delta;
     }
 
+    /// Sets a counter to `value` if larger than its current value (for
+    /// high-water marks merged from several sources).
+    pub fn count_max(&self, name: &str, value: u64) {
+        let mut inner = self.inner.lock();
+        let slot = inner.counters.entry(name.to_string()).or_insert(0);
+        *slot = (*slot).max(value);
+    }
+
     /// Raises the named gauge to `value` if larger (high-water marks
     /// like the peak log-table length). Gauges live apart from counters
     /// so the exposition format can type them honestly.
@@ -465,6 +473,15 @@ mod tests {
         assert_eq!(snap.counter("server.clones"), 7);
         assert_eq!(snap.counter("server.a"), 1);
         assert_eq!(snap.counter("missing"), 0);
+    }
+
+    #[test]
+    fn count_max_keeps_high_water_mark() {
+        let r = Registry::new();
+        r.count_max("peak", 5);
+        r.count_max("peak", 3);
+        r.count_max("peak", 9);
+        assert_eq!(r.snapshot().counter("peak"), 9);
     }
 
     #[test]
