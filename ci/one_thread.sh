@@ -1,6 +1,6 @@
 #!/bin/sh
 # One thread per endpoint: the thread that waits on a TCP endpoint reads
-# and decodes its frames itself, and a draining pool reads its own
+# and decodes its frames itself, and every pool reads its sender's own
 # endpoint while a write waits for room — so the transport needs no
 # thread and no channel of its own. This fails when a non-test line
 # under crates/webdis-net/src/ spawns a thread (`thread::spawn`,

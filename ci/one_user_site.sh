@@ -6,7 +6,7 @@
 # `webdis-load` only plans. This fails when a second copy reappears:
 #   * a non-test line under crates/*/src has `impl Actor for` a user-site
 #     type (named `…User…` or `…Client…`) other than `ScheduledClient`
-#     (every engine run) and `SimDataUser` (the data-shipping oracle);
+#     (every engine run) and `DataShipUser` (the data-shipping oracle);
 #   * `UserSite` has a `pub` field that `QueryRecord` also declares;
 #   * `QueryOutcome` declares anything but record, metrics, duration_us,
 #     server_stats;
@@ -23,9 +23,9 @@ pub_fields() { sed -n "/^pub struct $2 {/,/^}/p" "$1" | sed -n 's/^    pub \([a-
 actors=$(find crates -name '*.rs' -path 'crates/*/src/*' | LC_ALL=C sort |
     while read -r f; do nontest "$f"; done |
     grep -E 'impl Actor for [A-Za-z]*(User|Client)' |
-    grep -vE 'impl Actor for (ScheduledClient|SimDataUser) ' || true)
+    grep -vE 'impl Actor for (ScheduledClient|DataShipUser) ' || true)
 if [ -n "$actors" ]; then
-    echo "a user-site actor beside ScheduledClient and the oracle's SimDataUser:" >&2
+    echo "a user-site actor beside ScheduledClient and the oracle's DataShipUser:" >&2
     echo "$actors" >&2
     fail=1
 fi

@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
-use webdis_core::simrun::{client_of, user_addr, SimServer};
-use webdis_core::{query_server_addr, Deployment, EngineConfig};
+use webdis_core::simrun::{client_of, server_of, user_addr};
+use webdis_core::{Deployment, EngineConfig};
 use webdis_disql::parse_disql;
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
@@ -33,9 +33,9 @@ fn run_with_cache(cache_size: usize) -> (u64, u64, bool) {
     let mut parsed = 0;
     let mut hits = 0;
     for site in &sites {
-        if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(site)) {
-            parsed += server.engine.stats.docs_parsed;
-            hits += server.engine.stats.doc_cache_hits;
+        if let Some(server) = server_of(&mut net, site) {
+            parsed += server.stats.docs_parsed;
+            hits += server.stats.doc_cache_hits;
         }
     }
     (parsed, hits, client_of(&mut net).all_complete())

@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
-use webdis_core::simrun::{client_of, user_addr, SimServer};
-use webdis_core::{query_server_addr, result_set, Deployment, EngineConfig};
+use webdis_core::simrun::{client_of, server_of, user_addr};
+use webdis_core::{result_set, Deployment, EngineConfig};
 use webdis_disql::parse_disql;
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
@@ -44,10 +44,10 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
     let mut probe = |net: &mut webdis_sim::SimNet, at_us: u64| {
         let mut total_log = 0usize;
         for site in &sites {
-            if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(site)) {
-                total_log += server.engine.log_len();
+            if let Some(server) = server_of(net, site) {
+                total_log += server.log_len();
                 if period_us != 0 {
-                    server.engine.purge_log(at_us.saturating_sub(period_us));
+                    server.purge_log(at_us.saturating_sub(period_us));
                 }
             }
         }
@@ -58,9 +58,9 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
     let mut evals = 0;
     let mut dups = 0;
     for site in &sites {
-        if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(site)) {
-            evals += server.engine.stats.evaluations;
-            dups += server.engine.stats.duplicates_dropped;
+        if let Some(server) = server_of(&mut net, site) {
+            evals += server.stats.evaluations;
+            dups += server.stats.duplicates_dropped;
         }
     }
     let user = client_of(&mut net).query(1).expect("query submitted");

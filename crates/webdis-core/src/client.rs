@@ -12,21 +12,20 @@
 //! A single-query run is the n = 1 case: Figure 2's
 //! `send_query`/`receive_results` is one [`UserSite`] inside a client
 //! process. What submits and sweeps on schedule is [`ScheduledClient`],
-//! an actor on the simulator and the argument of
-//! [`TcpCluster::drive`](crate::TcpCluster::drive) on TCP.
+//! the actor of the simulator and of
+//! [`TcpCluster::drive`](crate::TcpCluster::drive) on TCP alike.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use webdis_disql::{parse_disql, DisqlError, WebQuery};
+use webdis_disql::WebQuery;
 use webdis_model::SiteAddr;
 use webdis_net::{Message, QueryId};
-use webdis_sim::{Actor, Ctx, SimEvent};
+use webdis_sim::{Actor, Event};
 
 use crate::config::EngineConfig;
 use crate::network::Network;
 use crate::record::QueryRecord;
-use crate::simrun::CtxNet;
 use crate::user::UserSite;
 
 /// A multi-query user-site client.
@@ -48,41 +47,6 @@ impl ClientProcess {
             next_query_num: 1,
             queries: BTreeMap::new(),
         }
-    }
-
-    /// Parses and submits a DISQL query; returns its query number.
-    ///
-    /// The user site's only pipeline stage is the DISQL parse itself, so
-    /// the stage-span record it stamps carries `parse_us` alone (every
-    /// other stage zero) under hop `None`.
-    pub fn submit_disql(&mut self, net: &mut dyn Network, disql: &str) -> Result<u64, DisqlError> {
-        let parse_t0 = net.now_us();
-        let query = parse_disql(disql)?;
-        let parse_us = net.now_us().saturating_sub(parse_t0);
-        let query_num = self.submit(net, query);
-        self.config.tracer.emit_with(|| webdis_trace::TraceRecord {
-            time_us: net.now_us(),
-            site: self.addr.host.to_string(),
-            query: Some(QueryId {
-                user: self.user.clone(),
-                host: self.addr.host.clone(),
-                port: self.addr.port,
-                query_num,
-            }),
-            hop: None,
-            event: webdis_trace::TraceEvent::StageSpans {
-                queue_us: 0,
-                parse_us,
-                log_us: 0,
-                cache_us: 0,
-                eval_us: 0,
-                eval_probe_us: 0,
-                eval_scan_us: 0,
-                build_us: 0,
-                forward_us: 0,
-            },
-        });
-        Ok(query_num)
     }
 
     /// Submits an already-parsed web-query; returns its query number.
@@ -225,8 +189,8 @@ pub struct UserPlan {
 /// timer chains — the next planned submission, and the Section-7.1
 /// expiry sweep, armed while a query that can expire is in flight. It
 /// asks for its timers through [`Network::post`] and is handed them back
-/// by whatever runs it: the simulator, as the actor it is (a single-query
-/// run schedules one submission at t = 0; many such actors interleave
+/// by whatever runs the actor it is: the simulator (a single-query run
+/// schedules one submission at t = 0; many such actors interleave
 /// deterministically in one event loop), or
 /// [`TcpCluster::drive`](crate::TcpCluster::drive).
 pub struct ScheduledClient {
@@ -240,9 +204,9 @@ pub struct ScheduledClient {
 
 /// Timer token for the periodic expiry sweep.
 pub(crate) const EXPIRY_TIMER_TOKEN: u64 = 1;
-/// Timer token for the next scheduled submission; handing it to a
-/// schedule is also its kick-off.
-pub(crate) const SUBMIT_TIMER_TOKEN: u64 = 2;
+/// Timer token for the next scheduled submission, whose work the
+/// kick-off does too.
+const SUBMIT_TIMER_TOKEN: u64 = 2;
 
 impl ScheduledClient {
     /// `clients` and their `(client index, submission)` plan, which need
@@ -268,23 +232,25 @@ impl ScheduledClient {
     pub fn done(&self) -> bool {
         self.pending.is_empty() && self.clients.iter().all(ClientProcess::all_complete)
     }
+}
 
-    /// Routes a message to the client process it is addressed to.
-    pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
-        if let Some(client) = self.clients.iter_mut().find(|c| c.owns(&msg)) {
-            client.on_message(net, msg);
-        }
-    }
-
-    /// A timer came back (anyone else's token is ignored): submits what
-    /// is due and asks for the next, or sweeps; then arms one expiry
-    /// sweep unless one is already pending (submissions and sweeps both
-    /// re-arm; the flag keeps the chains from multiplying). The sweep
-    /// runs every quarter of the expiry timeout.
-    pub fn on_timer(&mut self, net: &mut dyn Network, token: u64) {
+/// A message goes to the client process it is addressed to. The
+/// kick-off or a submission timer submits what is due and asks for the
+/// next; an expiry timer sweeps (anyone else's token is ignored); either
+/// then arms one expiry sweep unless one is already pending (submissions
+/// and sweeps both re-arm; the flag keeps the chains from multiplying).
+/// The sweep runs every quarter of the expiry timeout.
+impl Actor for ScheduledClient {
+    fn handle(&mut self, net: &mut dyn Network, event: Event) {
         let now = net.now_us();
-        match token {
-            SUBMIT_TIMER_TOKEN => {
+        match event {
+            Event::Net(msg) => {
+                if let Some(client) = self.clients.iter_mut().find(|c| c.owns(&msg)) {
+                    client.on_message(net, msg);
+                }
+                return;
+            }
+            Event::Start | Event::Timer(SUBMIT_TIMER_TOKEN) => {
                 while self.pending.front().is_some_and(|(_, s)| s.at_us <= now) {
                     let (client, s) = self.pending.pop_front().expect("front checked");
                     self.clients[client].submit(net, s.query);
@@ -293,13 +259,13 @@ impl ScheduledClient {
                     net.post(next.at_us.saturating_sub(now), SUBMIT_TIMER_TOKEN);
                 }
             }
-            EXPIRY_TIMER_TOKEN => {
+            Event::Timer(EXPIRY_TIMER_TOKEN) => {
                 self.expiry_armed = false;
                 for client in &mut self.clients {
                     client.expire_stale_all(now);
                 }
             }
-            _ => return,
+            Event::Timer(_) => return,
         }
         if !self.expiry_armed {
             if let Some(timeout_us) = self.clients.iter().find_map(ClientProcess::expiry_us) {
@@ -310,24 +276,11 @@ impl ScheduledClient {
     }
 }
 
-impl Actor for ScheduledClient {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-        match event {
-            SimEvent::Net(msg) => self.on_message(&mut CtxNet(ctx), msg),
-            SimEvent::Start => self.on_timer(&mut CtxNet(ctx), SUBMIT_TIMER_TOKEN),
-            SimEvent::Timer(token) => self.on_timer(&mut CtxNet(ctx), token),
-        }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::network::RecordingNetwork;
+    use webdis_disql::parse_disql;
 
     fn addr() -> SiteAddr {
         SiteAddr {
@@ -341,8 +294,8 @@ mod tests {
         let mut client = ClientProcess::new("u", addr(), EngineConfig::default());
         let mut net = RecordingNetwork::default();
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let n1 = client.submit_disql(&mut net, q).unwrap();
-        let n2 = client.submit_disql(&mut net, q).unwrap();
+        let n1 = client.submit(&mut net, parse_disql(q).unwrap());
+        let n2 = client.submit(&mut net, parse_disql(q).unwrap());
         assert_eq!((n1, n2), (1, 2));
         assert_eq!(client.query_nums(), vec![1, 2]);
         assert!(!client.all_complete());
@@ -362,19 +315,11 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_disql() {
-        let mut client = ClientProcess::new("u", addr(), EngineConfig::default());
-        let mut net = RecordingNetwork::default();
-        assert!(client.submit_disql(&mut net, "select nonsense").is_err());
-        assert!(client.query_nums().is_empty());
-    }
-
-    #[test]
     fn routes_by_query_number_and_identity() {
         let mut client = ClientProcess::new("u", addr(), EngineConfig::default());
         let mut net = RecordingNetwork::default();
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let n1 = client.submit_disql(&mut net, q).unwrap();
+        let n1 = client.submit(&mut net, parse_disql(q).unwrap());
         // A report for someone else's query (different user) is ignored.
         let foreign = webdis_net::ResultReport {
             id: QueryId {
@@ -422,7 +367,7 @@ mod tests {
         while let Some((at_us, token)) = due.pop() {
             net.time_us = at_us;
             let before = user.clients[0].query_nums().len();
-            user.on_timer(&mut net, token);
+            user.handle(&mut net, Event::Timer(token));
             submitted_at.extend((before..user.clients[0].query_nums().len()).map(|_| at_us));
             due.append(&mut net.posted);
             due.sort_by_key(|&timer| std::cmp::Reverse(timer));
@@ -441,7 +386,7 @@ mod tests {
         // Nobody answered, so the sweeps wrote all three off and stopped.
         assert!(user.done() && net.time_us > 7_000);
         // Someone else's token changes nothing.
-        user.on_timer(&mut net, 99);
+        user.handle(&mut net, Event::Timer(99));
         assert!(net.posted.is_empty());
     }
 
@@ -453,7 +398,7 @@ mod tests {
         let plan = vec![(0, PlannedQuery::at(0, parse_disql(q).unwrap()))];
         let mut user = ScheduledClient::new(vec![client], plan);
         let mut net = RecordingNetwork::default();
-        user.on_timer(&mut net, SUBMIT_TIMER_TOKEN);
+        user.handle(&mut net, Event::Start);
         (user, net)
     }
 
@@ -472,7 +417,7 @@ mod tests {
             assert_eq!(token, EXPIRY_TIMER_TOKEN);
             sweeps.push(at_us);
             net.time_us = at_us;
-            user.on_timer(&mut net, token);
+            user.handle(&mut net, Event::Timer(token));
         }
         assert_eq!(sweeps, [1_000, 2_000, 3_000, 4_000]);
         assert!(user.done());
@@ -489,7 +434,7 @@ mod tests {
         assert!(net.posted.is_empty(), "no sweep armed: {:?}", net.posted);
         assert_eq!(user.clients[0].expiry_us(), None);
         net.time_us = 1_000_000;
-        user.on_timer(&mut net, EXPIRY_TIMER_TOKEN);
+        user.handle(&mut net, Event::Timer(EXPIRY_TIMER_TOKEN));
         assert!(net.posted.is_empty(), "no sweep re-armed: {:?}", net.posted);
         assert_eq!(user.clients[0].expire_stale_all(net.time_us), 0);
         let query = user.clients[0].query(1).unwrap();
@@ -515,7 +460,7 @@ mod tests {
             ..RecordingNetwork::default()
         };
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let n = client.submit_disql(&mut net, q).unwrap();
+        let n = client.submit(&mut net, parse_disql(q).unwrap());
         assert!(matches!(&net.sent[..], [(to, Message::Fetch(_))] if *to == a_test));
         let reply = |url: &str, html: &str| {
             Message::FetchReply(FetchResponse {
@@ -564,7 +509,7 @@ mod tests {
         let mut client = ClientProcess::new("u", addr(), EngineConfig::default());
         let mut net = RecordingNetwork::default();
         let q = r#"select d.url from document d such that "http://a.test/" L* d"#;
-        let n = client.submit_disql(&mut net, q).unwrap();
+        let n = client.submit(&mut net, parse_disql(q).unwrap());
         assert!(client.forget(n).is_some());
         assert!(client.forget(n).is_none());
         assert!(client.query(n).is_none());

@@ -18,14 +18,14 @@ use webdis_model::{SiteAddr, Url};
 use webdis_net::{FetchRequest, Message};
 use webdis_pre::Pre;
 use webdis_rel::{eval_node_query, NodeDb};
-use webdis_sim::{Actor, Ctx, SimConfig, SimEvent};
+use webdis_sim::{Actor, Event, SimConfig};
 use webdis_trace::{TraceEvent, TraceHandle, TraceRecord};
 
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::Network;
 use crate::record::{QueryOutcome, QueryRecord};
-use crate::simrun::{user_addr, CtxNet, PlainWebServer};
+use crate::simrun::{user_addr, PlainWebServer};
 
 /// One unit of traversal work: evaluate/forward at `node` with the given
 /// remaining PRE for stage `stage_idx`.
@@ -57,7 +57,7 @@ pub struct DataShipUser {
 }
 
 impl DataShipUser {
-    /// Creates the baseline engine; call [`DataShipUser::start`]. `proc`
+    /// Creates the baseline engine, which [`Event::Start`] kicks off. `proc`
     /// is the processing-cost model (the user site pays every parse and
     /// evaluation itself); events are stamped at the user site (there is
     /// no query shipping, so records carry no hop or query id).
@@ -91,7 +91,7 @@ impl DataShipUser {
     }
 
     /// Seeds the traversal with the StartNodes.
-    pub fn start(&mut self, net: &mut dyn Network) {
+    fn start(&mut self, net: &mut dyn Network) {
         if self.query.stages.is_empty() {
             self.finish(net.now_us());
             return;
@@ -111,7 +111,7 @@ impl DataShipUser {
     }
 
     /// Handles a completed download.
-    pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
+    fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
         let Message::FetchReply(reply) = msg else {
             return;
         };
@@ -290,23 +290,13 @@ impl DataShipUser {
     }
 }
 
-/// The baseline bound to the simulator.
-pub struct SimDataUser {
-    /// The wrapped engine.
-    pub user: DataShipUser,
-}
-
-impl Actor for SimDataUser {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+impl Actor for DataShipUser {
+    fn handle(&mut self, net: &mut dyn Network, event: Event) {
         match event {
-            SimEvent::Start => self.user.start(&mut CtxNet(ctx)),
-            SimEvent::Net(msg) => self.user.on_message(&mut CtxNet(ctx), msg),
-            SimEvent::Timer(_) => {}
+            Event::Start => self.start(net),
+            Event::Net(msg) => self.on_message(net, msg),
+            Event::Timer(_) => {}
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -332,15 +322,15 @@ impl Deployment {
         let addr = user_addr();
         let (proc, tracer) = (self.config.proc, self.config.tracer.clone());
         let user = DataShipUser::new(query, addr.clone(), proc, tracer);
-        net.register(addr.clone(), Box::new(SimDataUser { user }));
+        net.register(addr.clone(), Box::new(user));
         net.start(&addr);
         let duration_us = self.drain(&mut net);
 
         let user = net
-            .actor_mut::<SimDataUser>(&addr)
+            .actor_mut::<DataShipUser>(&addr)
             .expect("baseline user registered");
         Ok(QueryOutcome {
-            record: std::mem::take(&mut user.user.record),
+            record: std::mem::take(&mut user.record),
             metrics: net.metrics(),
             duration_us,
             server_stats: BTreeMap::new(),

@@ -30,7 +30,7 @@
 //!   a method of that one [`Deployment`] value, and every `run_*`
 //!   function a one-line form of one of them;
 //! * [`client`] — the user-site client process (Section 4.3), the one
-//!   user-site driver: an actor on the simulator, a receive loop on TCP;
+//!   user-site driver: the same actor on the simulator and on TCP;
 //! * [`record`] — the one per-query record every run reports through:
 //!   filled in place by the user site, wrapped by [`QueryOutcome`];
 //! * [`simrun`] — the deployment on the deterministic simulator

@@ -30,6 +30,7 @@ use webdis_net::{
     AckMsg, CloneState, Disposition, Message, NodeReport, QueryClone, QueryId, ResultReport,
 };
 use webdis_rel::NodeDb;
+use webdis_sim::{Actor, Event};
 use webdis_trace::{TermReason, TraceEvent, TraceRecord};
 use webdis_web::{DocStatus, FetchOutcome, LiveWeb, WebView};
 
@@ -336,11 +337,6 @@ impl ServerEngine {
     /// The answer cache's counters, when one is configured.
     pub fn cache_stats(&self) -> Option<webdis_cache::CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
-    }
-
-    /// Bytes resident in the answer cache, when one is configured.
-    pub fn cache_resident_bytes(&self) -> Option<u64> {
-        self.cache.as_ref().map(|c| c.resident_bytes())
     }
 
     /// The site this server is responsible for.
@@ -1016,6 +1012,30 @@ impl ServerEngine {
     }
 }
 
+/// The daemon as an actor: a message is [`ServerEngine::on_message`];
+/// the kick-off arms Section 3.1.1's periodic purge (when `log_purge_us`
+/// is set), which runs even while idle — under sustained multi-query load
+/// it bounds the log table and retires admission slots — and re-arms on
+/// each fire. Only a TCP runtime kicks a daemon off: on the simulator the
+/// purge stays the harness's sweep (DESIGN.md §2d). The end of a crash
+/// window is a [`ServerEngine::restart`].
+impl Actor for ServerEngine {
+    fn handle(&mut self, net: &mut dyn Network, event: Event) {
+        match (event, self.config.log_purge_us) {
+            (Event::Net(msg), _) => self.on_message(net, msg),
+            (Event::Start | Event::Timer(_), Some(period)) => {
+                self.purge_log(net.now_us().saturating_sub(period));
+                net.post(period, 0);
+            }
+            (Event::Start | Event::Timer(_), None) => {}
+        }
+    }
+
+    fn on_restart(&mut self, _now_us: u64) {
+        self.restart();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1129,10 +1149,10 @@ mod tests {
         let mut s = cached_server();
         run_query(&mut s, 1);
         let misses = s.stats.cache_misses;
-        assert!(s.cache_resident_bytes().unwrap() > 0);
+        assert!(s.cache.as_ref().unwrap().resident_bytes() > 0);
 
         s.restart();
-        assert_eq!(s.cache_resident_bytes(), Some(0));
+        assert_eq!(s.cache.as_ref().unwrap().resident_bytes(), 0);
         let rows = run_query(&mut s, 2);
         assert_eq!(s.stats.cache_hits, 0, "cold cache recomputes");
         assert!(s.stats.cache_misses > misses);

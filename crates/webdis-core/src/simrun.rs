@@ -1,6 +1,7 @@
-//! The engine on the deterministic simulator: the actors that bind query
-//! servers and plain web servers to a [`SimNet`], the wiring of a
-//! [`Deployment`] onto one, and the one loop that acts on it *at times*
+//! The engine on the deterministic simulator: the plain web server
+//! actor, the wiring of a [`Deployment`] onto a [`SimNet`] (query
+//! servers and user sites are actors themselves), and the one loop that
+//! acts on it *at times*
 //! ([`Deployment::drive_sim`]): scheduled mutations and periodic sweeps
 //! are host entries of the network's own queue.
 
@@ -10,14 +11,14 @@ use std::sync::Arc;
 use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_model::SiteAddr;
 use webdis_net::{FetchRequest, FetchResponse, Message};
-use webdis_sim::{Actor, Ctx, SendError, SimConfig, SimEvent, SimNet};
+use webdis_sim::{Actor, Event, SimConfig, SimNet};
 use webdis_trace::RegistrySnapshot;
 use webdis_web::{FetchOutcome, WebView};
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
-use crate::network::{query_server_addr, Network, NetworkError};
+use crate::network::{query_server_addr, Network};
 use crate::record::{HybridStats, QueryOutcome, WorkloadOutcome};
 use crate::server::{ServerEngine, ServerStats};
 
@@ -37,57 +38,6 @@ pub fn load_user_addr(user: usize) -> SiteAddr {
     SiteAddr {
         host: format!("user{user}.load.test").into(),
         port: 9900,
-    }
-}
-
-/// Adapts the simulator's per-event context to the engine's network trait.
-pub(crate) struct CtxNet<'a, 'b>(pub(crate) &'a mut Ctx<'b>);
-
-impl Network for CtxNet<'_, '_> {
-    fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
-        self.0
-            .send(to, msg)
-            .map_err(|SendError::Unreachable(to)| NetworkError { to })
-    }
-
-    fn now_us(&self) -> u64 {
-        self.0.now_us()
-    }
-
-    fn work(&mut self, us: u64) {
-        self.0.work(us);
-    }
-
-    fn queue_wait_us(&self) -> u64 {
-        self.0.queued_us()
-    }
-
-    fn post(&mut self, delay_us: u64, token: u64) {
-        self.0.schedule_timer(delay_us, token);
-    }
-}
-
-/// A query server bound to the simulator.
-pub struct SimServer {
-    /// The wrapped engine (public so harnesses can read stats).
-    pub engine: ServerEngine,
-}
-
-impl Actor for SimServer {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-        if let SimEvent::Net(msg) = event {
-            self.engine.on_message(&mut CtxNet(ctx), msg);
-        }
-    }
-
-    fn on_restart(&mut self, _now_us: u64) {
-        // A crash-restart window closing: the daemon respawns with its
-        // volatile state (log table, caches, admission slots) wiped.
-        self.engine.restart();
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -119,14 +69,10 @@ impl PlainWebServer {
 }
 
 impl Actor for PlainWebServer {
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-        if let SimEvent::Net(Message::Fetch(req)) = event {
-            let _ = ctx.send(&req.reply_to(), fetch_reply(&self.web, &req));
+    fn handle(&mut self, net: &mut dyn Network, event: Event) {
+        if let Event::Net(Message::Fetch(req)) = event {
+            let _ = net.send(&req.reply_to(), fetch_reply(&self.web, &req));
         }
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
     }
 }
 
@@ -136,6 +82,12 @@ impl Actor for PlainWebServer {
 pub fn client_of(net: &mut SimNet) -> &mut ClientProcess {
     let actor = net.actor_mut::<ScheduledClient>(&user_addr());
     &mut actor.expect("client process registered").clients[0]
+}
+
+/// The query server [`Deployment::sim_net`] registered for `site`, if it
+/// participates.
+pub fn server_of<'a>(net: &'a mut SimNet, site: &SiteAddr) -> Option<&'a mut ServerEngine> {
+    net.actor_mut::<ServerEngine>(&query_server_addr(site))
 }
 
 /// Tick used to drive purge sweeps when the config does not set
@@ -164,7 +116,7 @@ impl Deployment {
             if self.participates(&site) {
                 let engine =
                     ServerEngine::new(site.clone(), self.web.clone(), self.engine_config());
-                net.register(query_server_addr(&site), Box::new(SimServer { engine }));
+                net.register(query_server_addr(&site), Box::new(engine));
             }
         }
         net
@@ -249,8 +201,8 @@ impl Deployment {
     pub(crate) fn sim_server_stats(&self, net: &mut SimNet) -> BTreeMap<SiteAddr, ServerStats> {
         let mut server_stats = BTreeMap::new();
         for site in self.web.sites() {
-            if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(&site)) {
-                server_stats.insert(site, server.engine.stats);
+            if let Some(server) = server_of(net, &site) {
+                server_stats.insert(site, server.stats);
             }
         }
         server_stats
@@ -317,11 +269,11 @@ impl Deployment {
         let mut sweep = |net: &mut SimNet, _tick_us: u64| {
             let now = net.now_us();
             for site in &sites {
-                if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(site)) {
+                if let Some(server) = server_of(net, site) {
                     if let Some(period) = purge_period {
-                        server.engine.purge_log(now.saturating_sub(period));
+                        server.purge_log(now.saturating_sub(period));
                     }
-                    tracer.gauge_max("log_len_high_water", server.engine.log_len() as u64);
+                    tracer.gauge_max("log_len_high_water", server.log_len() as u64);
                 }
             }
             if let Some(snapshot) = tracer.registry_snapshot() {
@@ -552,9 +504,9 @@ mod tests {
         /// Fetches its URLs on Start and keeps the replies.
         struct Fetcher(Vec<&'static str>, Vec<FetchResponse>);
         impl Actor for Fetcher {
-            fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+            fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
                 match event {
-                    SimEvent::Start => {
+                    Event::Start => {
                         for url in &self.0 {
                             let url = webdis_model::Url::parse(url).unwrap();
                             let site = url.site();
@@ -567,12 +519,9 @@ mod tests {
                             ctx.send(&site, Message::Fetch(req)).unwrap();
                         }
                     }
-                    SimEvent::Net(Message::FetchReply(reply)) => self.1.push(reply),
-                    SimEvent::Net(_) | SimEvent::Timer(_) => {}
+                    Event::Net(Message::FetchReply(reply)) => self.1.push(reply),
+                    Event::Net(_) | Event::Timer(_) => {}
                 }
-            }
-            fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-                self
             }
         }
         let deployment = Deployment::new(two_site_web(), EngineConfig::default());

@@ -14,19 +14,19 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::net::SocketAddr;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use webdis_disql::{parse_disql, DisqlError};
 use webdis_model::SiteAddr;
 use webdis_net::{
     Closer, ConnPool, Frame, Message, Received, RetryPolicy, TcpEndpoint, WireCounters,
 };
-use webdis_sim::{Fate, Fault, Injector, Ledger};
+use webdis_sim::{Actor, Event, Fate, Fault, Injector, Ledger};
 use webdis_trace::MetricsExporter;
 
-use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan, SUBMIT_TIMER_TOKEN};
+use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::{query_server_addr, Network, NetworkError};
@@ -39,15 +39,31 @@ use crate::simrun::user_addr;
 /// `hwbench/`, calls `TcpFaultPlan::default()`.)
 pub type TcpFaultPlan = Vec<Fault>;
 
+/// What a TCP runtime's deadline is for: one of the runtime's own edges,
+/// or a token its actor posted — two kinds, so neither can be taken for
+/// the other. At an equal instant one crash window's end comes before the
+/// next one's start.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Deadline {
+    /// A [`Fault::Crash`] window ends: the actor respawns.
+    Respawn,
+    /// A [`Fault::Crash`] window begins.
+    Crash,
+    /// The driver's deadline: the run ends.
+    Stop,
+    /// A token the actor [`post`](Network::post)ed.
+    Actor(u64),
+}
+
 /// The edges of `daemon`'s [`Fault::Crash`] windows, as [`serve`]
 /// deadlines.
-fn crash_edges(faults: &[Fault], daemon: &SiteAddr) -> BinaryHeap<Reverse<(u64, u64)>> {
+fn crash_edges(faults: &[Fault], daemon: &SiteAddr) -> BinaryHeap<Reverse<(u64, Deadline)>> {
     let windows = faults.iter().filter_map(Fault::crash_edges);
     let windows = windows.filter(|(site, ..)| *site == daemon);
     let edges = windows.flat_map(|(_, down_us, up_us)| {
         [
-            Some((down_us, CRASH_TOKEN)),
-            up_us.map(|up_us| (up_us, RESPAWN_TOKEN)),
+            Some((down_us, Deadline::Crash)),
+            up_us.map(|up_us| (up_us, Deadline::Respawn)),
         ]
     });
     edges.flatten().map(Reverse).collect()
@@ -78,14 +94,13 @@ pub struct TcpNet {
     /// the user-site client alike.
     ledger: Ledger,
     /// Wall-clock queue wait of the message currently being handled,
-    /// set by the daemon before `on_message` so the engine's `queue_us`
-    /// span sees how long it sat in the endpoint's inbox. Always zero on
-    /// client-side handles.
+    /// set by [`run`] so the engine's `queue_us` span sees how long it sat
+    /// in the endpoint's inbox.
     queue_wait_us: u64,
-    /// What has been [`post`](Network::post)ed and is not due yet,
-    /// `(due_us, token)`, earliest first: the deadlines of the
-    /// [`serve`] loop this handle is running under.
-    timers: BinaryHeap<Reverse<(u64, u64)>>,
+    /// The deadlines of the [`serve`] loop this handle is running under,
+    /// earliest first: what has been [`post`](Network::post)ed and is
+    /// not due yet, and the runtime's own edges.
+    timers: BinaryHeap<Reverse<(u64, Deadline)>>,
 }
 
 impl TcpNet {
@@ -94,6 +109,12 @@ impl TcpNet {
     fn record(&self, fate: Fate, msg: &Message, bytes: usize, to: &str) {
         let at_us = || self.now_us();
         self.ledger.record(fate, msg, bytes, to, &self.from, at_us);
+    }
+
+    /// Makes `deadline` due `delay_us` from now.
+    fn arm(&mut self, delay_us: u64, deadline: Deadline) {
+        self.timers
+            .push(Reverse((self.now_us() + delay_us, deadline)));
     }
 }
 
@@ -132,10 +153,12 @@ impl Network for TcpNet {
             }
         };
         let (ledger, from, epoch) = (&self.ledger, &self.from, self.epoch);
-        let sent = self.pool.send_retrying(addr, &frame, self.retry, |attempt| {
-            let at_us = epoch.elapsed().as_micros() as u64;
-            ledger.retried(&msg, &to.host, attempt, from, at_us);
-        });
+        let sent = self
+            .pool
+            .send_retrying(addr, &frame, self.retry, |attempt| {
+                let at_us = epoch.elapsed().as_micros() as u64;
+                ledger.retried(&msg, &to.host, attempt, from, at_us);
+            });
         if sent.is_err() {
             return refused(self);
         }
@@ -157,31 +180,29 @@ impl Network for TcpNet {
     }
 
     fn post(&mut self, delay_us: u64, token: u64) {
-        self.timers.push(Reverse((self.now_us() + delay_us, token)));
+        self.arm(delay_us, Deadline::Actor(token));
     }
 }
 
-/// What a TCP runtime — each daemon, the user site — does next.
+/// What a TCP runtime does next.
 enum Due {
     /// A message off the endpoint.
     Message(Received),
-    /// A token [`post`](Network::post)ed on the runtime's [`TcpNet`]
-    /// whose delay has passed.
-    Timer(u64),
+    /// A deadline that has passed.
+    Timer(Deadline),
 }
 
-/// The one wait of every TCP runtime, which is a loop around it: the
-/// earliest posted token if it has come due, else the next message —
-/// sleeping until whichever of the two is first, so an idle runtime
-/// costs nothing. `None` once `endpoint` is closed, which wakes the
-/// sleeper.
+/// The one wait of every TCP runtime: the earliest deadline if it has
+/// come due, else the next message — sleeping until whichever of the two
+/// is first, so an idle runtime costs nothing. `None` once `endpoint` is
+/// closed, which wakes the sleeper.
 fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Due> {
     loop {
         let now = net.now_us();
         let next = net.timers.peek().map(|&Reverse(timer)| timer);
-        if let Some((_, token)) = next.filter(|(at_us, _)| *at_us <= now) {
+        if let Some((_, deadline)) = next.filter(|(at_us, _)| *at_us <= now) {
             net.timers.pop();
-            return Some(Due::Timer(token));
+            return Some(Due::Timer(deadline));
         }
         let wait = next.map_or(Duration::MAX, |(at_us, _)| {
             Duration::from_micros(at_us - now)
@@ -194,107 +215,128 @@ fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Due> {
     }
 }
 
-/// [`serve`] token of a daemon's periodic log purge.
-const PURGE_TOKEN: u64 = 0;
-/// [`serve`] tokens of a daemon's crash-window edges; at an equal
-/// instant one window's end comes before the next one's start.
-const RESPAWN_TOKEN: u64 = 1;
-const CRASH_TOKEN: u64 = 2;
-/// [`serve`] token of the user site's deadline.
-const DEADLINE_TOKEN: u64 = u64::MAX;
-/// How often the housekeeping thread feeds the monitor a registry
-/// snapshot — the TCP analogue of the simulator's purge-tick sampling.
-const SAMPLE_PERIOD_US: u64 = 50_000;
-
-/// One query-server daemon: [`serve`]s `engine` on `endpoint` —
-/// messages, the Section-3.1.1 periodic purge (when `log_purge_us` is
-/// set; it runs even while idle — under sustained multi-query load this
-/// bounds the log table and retires admission slots) and the crash
-/// edges already among `net`'s deadlines — until the endpoint is
-/// closed, and returns the engine for its final stats.
-fn run_daemon(
-    mut engine: ServerEngine,
-    endpoint: TcpEndpoint,
-    mut net: TcpNet,
-    purge_period: Option<u64>,
-) -> ServerEngine {
-    if let Some(period) = purge_period {
-        net.post(period, PURGE_TOKEN);
-    }
+/// The one loop of every thread of a cluster — each daemon, the
+/// housekeeper, the user site — around [`serve`]: hands `actor`
+/// [`Event::Start`], then every message and posted token as it comes due,
+/// until `done` (asked after every event) says so, the driver's deadline
+/// passes, or `endpoint` is closed. What belongs to the runtime rather
+/// than the actor is handled here: a crash window's edges — while it is
+/// open, frames are read off the socket but never processed; its end is
+/// [`Actor::on_restart`] with the same socket — and each message's queue
+/// wait and inbound queue depth.
+fn run<A: Actor>(
+    actor: &mut A,
+    endpoint: &TcpEndpoint,
+    net: &mut TcpNet,
+    mut done: impl FnMut(&A) -> bool,
+) {
     let mut crashed = false;
-    while let Some(due) = serve(&endpoint, &mut net) {
-        match due {
-            Due::Timer(CRASH_TOKEN) => crashed = true,
-            Due::Timer(RESPAWN_TOKEN) => {
-                // Fresh volatile state, same socket.
-                engine.restart();
+    actor.handle(net, Event::Start);
+    while !done(actor) {
+        let event = match serve(endpoint, net) {
+            None | Some(Due::Timer(Deadline::Stop)) => return,
+            Some(Due::Timer(Deadline::Crash)) => {
+                crashed = true;
+                continue;
+            }
+            Some(Due::Timer(Deadline::Respawn)) => {
+                actor.on_restart(net.now_us());
                 crashed = false;
+                continue;
             }
-            Due::Timer(_purge) => {
-                let period = purge_period.expect("a purge came due");
-                engine.purge_log(net.now_us().saturating_sub(period));
-                net.post(period, PURGE_TOKEN);
-            }
-            Due::Message(received) if crashed => {
-                // The process is dead: the frame is read off the socket
-                // but never processed. Traced as an explained drop so
+            Some(Due::Timer(Deadline::Actor(token))) => Event::Timer(token),
+            Some(Due::Message(received)) if crashed => {
+                // The process is dead. Traced as an explained drop so
                 // trajectory triage never reports a false orphan.
                 let fate = Fate::DeadLetter("crashed");
                 net.record(fate, &received.msg, received.wire_bytes, &net.from);
+                continue;
             }
-            Due::Message(received) => {
+            Some(Due::Message(received)) => {
                 // Inbound queue depth at dequeue: this message plus
                 // whatever is still waiting.
                 net.ledger
                     .arrival(&net.from, || endpoint.pending() as u64 + 1);
                 net.queue_wait_us = received.queued.as_micros() as u64;
-                engine.on_message(&mut net, received.msg);
-                net.queue_wait_us = 0;
-                let log_len = engine.log_len() as u64;
-                net.ledger.tracer.gauge_max("log_len_high_water", log_len);
+                Event::Net(received.msg)
             }
-        }
+        };
+        actor.handle(net, event);
+        net.queue_wait_us = 0;
     }
-    engine
 }
 
-/// The cluster's one housekeeping thread: feeds the monitor (if any) a
-/// registry snapshot every [`SAMPLE_PERIOD_US`] so its windows close
-/// (and alerts fire/resolve) while the cluster serves traffic — it only
-/// reads: same workload, monitored or not — and applies each scheduled
-/// mutation at its offset from the cluster epoch, so pages change while
-/// daemons are mid-query. Sleeps until whichever is due next; `stop`
-/// hanging up wakes it to finalize the monitor and return.
-fn keep_house(deployment: &Deployment, epoch: Instant, stop: &Receiver<()>) {
-    let now_us = || epoch.elapsed().as_micros() as u64;
-    let (tracer, monitor) = (&deployment.config.tracer, &deployment.config.monitor);
-    let mut mutations = deployment.schedule.events.iter().peekable();
-    let mut next_sample_us = monitor.as_ref().map(|_| 0);
-    loop {
-        let now = now_us();
-        while let Some(m) = mutations.next_if(|m| m.at_us <= now) {
-            deployment.apply_mutation(m, now_us());
-        }
-        if next_sample_us.is_some_and(|at_us| at_us <= now) {
-            if let (Some(monitor), Some(snapshot)) = (monitor, tracer.registry_snapshot()) {
-                monitor.ingest(now, &snapshot);
+/// Spawns thread `name`, which [`run`]s `actor` on `endpoint` until the
+/// endpoint is closed; returns what closes it and the handle that gives
+/// the actor back.
+fn spawn<A: Actor + Send>(
+    name: String,
+    mut actor: A,
+    endpoint: TcpEndpoint,
+    mut net: TcpNet,
+    done: impl FnMut(&A) -> bool + Send + 'static,
+) -> (Closer, JoinHandle<A>) {
+    let closer = endpoint.closer();
+    let thread = std::thread::Builder::new().name(name).spawn(move || {
+        run(&mut actor, &endpoint, &mut net, done);
+        actor
+    });
+    (closer, thread.expect("spawn cluster thread"))
+}
+
+/// How often the housekeeper feeds the monitor a registry snapshot — the
+/// TCP analogue of the simulator's purge-tick sampling.
+const SAMPLE_PERIOD_US: u64 = 50_000;
+/// The housekeeper's sampling token; any other is the index of a
+/// scheduled mutation.
+const SAMPLE_TOKEN: u64 = u64::MAX;
+
+/// The cluster's housekeeping actor: applies each scheduled mutation at
+/// its offset from the cluster epoch, so pages change while daemons are
+/// mid-query, and feeds the monitor (if any) a registry snapshot every
+/// [`SAMPLE_PERIOD_US`] so its windows close (and alerts fire/resolve)
+/// while the cluster serves traffic — it only reads: same workload,
+/// monitored or not. Its only events are its own tokens; nothing is sent
+/// to its endpoint, whose closing stops it as it stops every daemon.
+struct Housekeeper(Deployment);
+
+impl Actor for Housekeeper {
+    fn handle(&mut self, net: &mut dyn Network, event: Event) {
+        let (now, config) = (net.now_us(), &self.0.config);
+        match event {
+            Event::Start => {
+                for (i, m) in self.0.schedule.events.iter().enumerate() {
+                    net.post(m.at_us.saturating_sub(now), i as u64);
+                }
+                if config.monitor.is_some() {
+                    net.post(0, SAMPLE_TOKEN);
+                }
             }
-            next_sample_us = Some(now + SAMPLE_PERIOD_US);
-        }
-        let next = [mutations.peek().map(|m| m.at_us), next_sample_us];
-        let wait = next
-            .into_iter()
-            .flatten()
-            .min()
-            .map_or(Duration::MAX, |at_us| {
-                Duration::from_micros(at_us.saturating_sub(now_us()))
-            });
-        if stop.recv_timeout(wait) != Err(RecvTimeoutError::Timeout) {
-            break;
+            Event::Timer(SAMPLE_TOKEN) => {
+                let snapshot = config.tracer.registry_snapshot();
+                if let (Some(monitor), Some(snapshot)) = (&config.monitor, snapshot) {
+                    monitor.ingest(now, &snapshot);
+                }
+                net.post(SAMPLE_PERIOD_US, SAMPLE_TOKEN);
+            }
+            Event::Timer(i) => {
+                let mutation = &self.0.schedule.events[i as usize];
+                self.0.apply_mutation(mutation, now);
+            }
+            Event::Net(_) => {}
         }
     }
-    if let (Some(monitor), Some(snapshot)) = (monitor, tracer.registry_snapshot()) {
-        monitor.finalize(now_us(), &snapshot);
+}
+
+impl Housekeeper {
+    /// Closes the monitor's last window at `now_us`.
+    fn finalize(&self, now_us: u64) {
+        let config = &self.0.config;
+        if let (Some(monitor), Some(snapshot)) =
+            (&config.monitor, config.tracer.registry_snapshot())
+        {
+            monitor.finalize(now_us, &snapshot);
+        }
     }
 }
 
@@ -310,14 +352,14 @@ pub struct TcpCluster {
     /// is a clone of it under another name.
     net: TcpNet,
     /// Every daemon and the handle that closes its endpoint, which is
-    /// what ends (and wakes) its [`serve`] loop.
-    daemons: Vec<(Closer, std::thread::JoinHandle<ServerEngine>)>,
+    /// what ends (and wakes) its [`run`] loop.
+    daemons: Vec<(Closer, JoinHandle<ServerEngine>)>,
     /// The cluster's admin socket (`/metrics`, `/status`,
     /// `/reset_high_water`).
     admin: MetricsExporter,
-    /// The housekeeping thread ([`keep_house`]; clusters with a monitor
-    /// or a mutation schedule) and the channel whose hanging up stops it.
-    housekeeper: Option<(Sender<()>, std::thread::JoinHandle<()>)>,
+    /// The [`Housekeeper`] (clusters with a monitor or a mutation
+    /// schedule), stopped the same way.
+    housekeeper: Option<(Closer, JoinHandle<Housekeeper>)>,
 }
 
 impl TcpCluster {
@@ -349,19 +391,20 @@ impl TcpCluster {
 impl Deployment {
     /// Starts the deployment on loopback under `faults`: binds every
     /// endpoint and the cluster's one admin socket
-    /// ([`TcpCluster::admin_addr`]), then spawns one daemon
-    /// ([`run_daemon`]) per participating site, which raises the `log_len_high_water`
-    /// registry gauge after every processed message. Each daemon, and the
-    /// user site, sends through a pool built on its own endpoint, which
-    /// it reads while a write waits for room ([`ConnPool`]). Rate and partition
+    /// ([`TcpCluster::admin_addr`]), then spawns one daemon thread per
+    /// participating site, which [`run`]s its [`ServerEngine`] and raises
+    /// the `log_len_high_water` registry gauge after every event it
+    /// handles. Each daemon, and the user site, sends through a pool
+    /// built on its own endpoint, which it reads while a write waits for
+    /// room ([`ConnPool`]). Rate and partition
     /// faults are decided per send, partition windows in µs since the
     /// cluster came up; a daemon's [`Fault::Crash`] windows are deadlines
     /// of its own wait. The daemons race for the one RNG, so rate draws
     /// are not seed-deterministic: a rate of 0 or 1 is.
     ///
-    /// With a monitor or a non-empty schedule, one housekeeping thread
-    /// ([`keep_house`]) samples for the former and applies each event of
-    /// the latter at its wall-clock offset from the cluster epoch —
+    /// With a monitor or a non-empty schedule, one more thread runs the
+    /// [`Housekeeper`], which samples for the former and applies each
+    /// event of the latter at its wall-clock offset from the cluster epoch —
     /// pages change *while queries are in flight* — emitting one
     /// [`TraceEvent::WebMutation`](webdis_trace::TraceEvent::WebMutation)
     /// per applied event, which makes runs auditable after the fact. The
@@ -435,21 +478,24 @@ impl Deployment {
                 pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
                 ..user_net.clone()
             };
-            let purge_period = engine_cfg.log_purge_us;
-            let closer = endpoint.closer();
-            let daemon = std::thread::Builder::new()
-                .name(format!("webdis-daemon-{site}"))
-                .spawn(move || run_daemon(engine, endpoint, net, purge_period));
-            daemons.push((closer, daemon.expect("spawn daemon")));
+            let tracer = engine_cfg.tracer.clone();
+            let gauge = move |engine: &ServerEngine| {
+                tracer.gauge_max("log_len_high_water", engine.log_len() as u64);
+                false
+            };
+            let name = format!("webdis-daemon-{site}");
+            daemons.push(spawn(name, engine, endpoint, net, gauge));
         }
         let housekeeper =
             (engine_cfg.monitor.is_some() || !self.schedule.events.is_empty()).then(|| {
-                let deployment = self.clone();
-                let (stop, stopped) = unbounded();
-                let thread = std::thread::Builder::new()
-                    .name("webdis-housekeeper".into())
-                    .spawn(move || keep_house(&deployment, epoch, &stopped));
-                (stop, thread.expect("spawn housekeeper"))
+                let endpoint = TcpEndpoint::bind("127.0.0.1:0").expect("bind loopback");
+                let net = TcpNet {
+                    from: "housekeeper".into(),
+                    pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
+                    ..user_net.clone()
+                };
+                let name = "webdis-housekeeper".into();
+                spawn(name, Housekeeper(self.clone()), endpoint, net, |_| false)
             });
         TcpCluster {
             user_endpoint,
@@ -503,7 +549,7 @@ impl TcpCluster {
     /// gone out and completed, or `deadline` passes;
     /// [`ScheduledClient::unsubmitted`] then says how many never went out.
     ///
-    /// It is one loop around [`serve`], so it sleeps until whichever is
+    /// It is the cluster's one [`run`] loop, so it sleeps until whichever is
     /// due first — a message, the next submission, the next Section-7.1
     /// expiry sweep, the deadline — and an idle driver costs nothing. The
     /// cluster stays up afterwards: shut it down, or drive it again with
@@ -512,19 +558,8 @@ impl TcpCluster {
     pub fn drive(&self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
         // Whatever an earlier drive of this handle left armed is moot.
         net.timers.clear();
-        net.post(deadline.as_micros() as u64, DEADLINE_TOKEN);
-        let mut due = Some(Due::Timer(SUBMIT_TIMER_TOKEN));
-        while let Some(now_due) = due {
-            match now_due {
-                Due::Timer(DEADLINE_TOKEN) => break,
-                Due::Timer(token) => user.on_timer(net, token),
-                Due::Message(received) => user.on_message(net, received.msg),
-            }
-            if user.done() {
-                break;
-            }
-            due = serve(&self.user_endpoint, net);
-        }
+        net.arm(deadline.as_micros() as u64, Deadline::Stop);
+        run(user, &self.user_endpoint, net, ScheduledClient::done);
     }
 
     /// Stops the admin socket and every daemon, and returns their
@@ -534,9 +569,11 @@ impl TcpCluster {
     pub fn shutdown(mut self) -> Vec<ServerEngine> {
         self.user_endpoint.close();
         self.admin.stop();
-        if let Some((stop, housekeeper)) = self.housekeeper {
-            drop(stop);
-            let _ = housekeeper.join();
+        if let Some((closer, housekeeper)) = self.housekeeper {
+            closer.close();
+            if let Ok(housekeeper) = housekeeper.join() {
+                housekeeper.finalize(self.net.now_us());
+            }
         }
         for (closer, _) in &self.daemons {
             closer.close();
@@ -894,7 +931,8 @@ mod tests {
         let mut user = ScheduledClient::new(vec![client], plan().map(|s| (0, s)).into());
         cluster.drive(&mut net, &mut user, Duration::from_secs(30));
         let sweeps = net.timers.iter();
-        let sweeps = sweeps.filter(|t| t.0 .1 == crate::client::EXPIRY_TIMER_TOKEN);
+        let sweeps =
+            sweeps.filter(|t| t.0 .1 == Deadline::Actor(crate::client::EXPIRY_TIMER_TOKEN));
         assert!(sweeps.count() <= 1, "{:?}", net.timers);
         cluster.shutdown();
         let tcp = user.clients[0].take_records(0);
@@ -1230,6 +1268,36 @@ mod tests {
         assert!(scrape("/nope").starts_with("HTTP/1.0 404"));
 
         cluster.shutdown();
+    }
+
+    #[test]
+    fn both_runtimes_gauge_the_user_sites_arrivals() {
+        // Regression: TCP's user-site driver handed messages to the client
+        // without `Ledger::arrival`, so only the simulator had the gauge.
+        for transport in ["tcp", "sim"] {
+            let (_collector, tracer) = TraceHandle::collecting(65_536);
+            let cfg = EngineConfig {
+                tracer: tracer.clone(),
+                ..EngineConfig::default()
+            };
+            let deployment = Deployment::new(Arc::new(figures::campus()), cfg);
+            let query = figures::CAMPUS_QUERY;
+            let complete = match transport {
+                "tcp" => {
+                    let deadline = Duration::from_secs(30);
+                    let record = deployment.query_tcp(query, deadline, Vec::new());
+                    record.unwrap().complete
+                }
+                _ => {
+                    let sim_cfg = webdis_sim::SimConfig::default();
+                    deployment.query_sim(query, sim_cfg).unwrap().complete
+                }
+            };
+            assert!(complete, "{transport}");
+            let registry = tracer.registry_snapshot().expect("a collecting tracer");
+            let depth = registry.gauge("queue_depth.user.test");
+            assert!(depth >= 1, "{transport}: user-site queue depth {depth}");
+        }
     }
 
     #[test]

@@ -290,7 +290,9 @@ impl ConnPool {
             }
         };
         let home = &self.home;
-        let sent = frame.write_to(stream, |stream, progress| home.wait_writable(stream, progress));
+        let sent = frame.write_to(stream, |stream, progress| {
+            home.wait_writable(stream, progress)
+        });
         if sent.is_err() {
             self.conns.remove(&addr);
         }
@@ -1112,11 +1114,11 @@ mod tests {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let addr = ep.local_addr();
         std::thread::scope(|s| {
-            for sender in 0..3 {
+            for n in 0..3 {
                 s.spawn(move || {
                     let (_home, mut pool) = sender();
                     for i in 0..200 {
-                        let msg = fetch_msg(&format!("/s{sender}/{i}"));
+                        let msg = fetch_msg(&format!("/s{n}/{i}"));
                         send_pooled(&mut pool, addr, &msg);
                     }
                 });
@@ -1367,7 +1369,7 @@ mod tests {
         // reading: its write fails for good, and the daemon gets to exit.
         let (home, pool) = sender();
         let closer = home.closer();
-        let frame = Frame::encode(&big_msg(4 << 20)).unwrap();
+        let frame = Frame::encode(&big_msg(15 << 20)).unwrap();
         let err = send_unread(pool, frame, || {
             std::thread::sleep(Duration::from_millis(100));
             closer.close();
@@ -1381,7 +1383,7 @@ mod tests {
         let stall = Duration::from_millis(100);
         let home = TcpEndpoint::bind_with_stall_bound("127.0.0.1:0", stall).unwrap();
         let pool = ConnPool::metered(Arc::default(), &home);
-        let frame = Frame::encode(&big_msg(4 << 20)).unwrap();
+        let frame = Frame::encode(&big_msg(15 << 20)).unwrap();
         let t0 = Instant::now();
         let err = send_unread(pool, frame, || {});
         assert!(matches!(err, TcpError::Timeout), "{err}");

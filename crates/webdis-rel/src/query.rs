@@ -37,19 +37,6 @@ impl RelKind {
             RelKind::Relinfon => "relinfon",
         }
     }
-
-    /// Parses the DISQL keyword.
-    pub fn from_keyword(s: &str) -> Option<RelKind> {
-        if s.eq_ignore_ascii_case("document") {
-            Some(RelKind::Document)
-        } else if s.eq_ignore_ascii_case("anchor") {
-            Some(RelKind::Anchor)
-        } else if s.eq_ignore_ascii_case("relinfon") {
-            Some(RelKind::Relinfon)
-        } else {
-            None
-        }
-    }
 }
 
 /// One table-variable declaration of a node-query.
@@ -547,15 +534,6 @@ mod tests {
             select: vec![("d".into(), "url".into()), ("d".into(), "title".into())],
         };
         assert_eq!(q.headers(), vec!["d.url", "d.title"]);
-    }
-
-    #[test]
-    fn relkind_keyword_round_trip() {
-        for k in [RelKind::Document, RelKind::Anchor, RelKind::Relinfon] {
-            assert_eq!(RelKind::from_keyword(k.keyword()), Some(k));
-        }
-        assert_eq!(RelKind::from_keyword("DOCUMENT"), Some(RelKind::Document));
-        assert_eq!(RelKind::from_keyword("table"), None);
     }
 
     #[test]

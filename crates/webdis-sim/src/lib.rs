@@ -14,7 +14,7 @@
 //! * delivery order for equal timestamps is FIFO by send order, so runs
 //!   are bit-for-bit reproducible for a given seed;
 //! * endpoints can deregister mid-run (the user-site closing its result
-//!   socket); senders observe this as a synchronous [`SendError`] — the
+//!   socket); senders observe this as a synchronous [`NetworkError`] — the
 //!   TCP connection-refused signal the paper's passive termination
 //!   (Section 2.8) relies on;
 //! * optional jitter-induced reordering and a list of [`Fault`]s (drops,
@@ -23,13 +23,18 @@
 //! * everything that happens *at a time* — deliveries, actor timers,
 //!   crash and restart edges, the harness's own entries
 //!   ([`SimNet::post_host`]) — is an entry of one time-ordered queue.
+//!
+//! Its [`Actor`], [`Event`] and [`Network`] are the vocabulary of the
+//! TCP runtime too: the same actors run there unchanged.
 
+pub mod actor;
 pub mod fault;
 pub mod ledger;
 pub mod metrics;
 pub mod net;
 
+pub use actor::{Actor, Event, Network, NetworkError};
 pub use fault::{Fault, FaultKind, Injector};
 pub use ledger::{Fate, Ledger};
 pub use metrics::{KindStats, Metrics};
-pub use net::{Actor, Ctx, LatencyModel, SendError, SimConfig, SimEvent, SimNet};
+pub use net::{LatencyModel, SimConfig, SimNet};

@@ -9,6 +9,7 @@ use webdis_model::SiteAddr;
 use webdis_net::{Message, Wire};
 use webdis_trace::TraceHandle;
 
+use crate::actor::{Actor, Event, Network, NetworkError};
 use crate::fault::{Fault, Injector};
 use crate::ledger::{Fate, Ledger};
 use crate::metrics::Metrics;
@@ -80,55 +81,8 @@ impl Default for SimConfig {
     }
 }
 
-/// Why a send failed synchronously.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SendError {
-    /// No endpoint is registered at the destination — the simulator's
-    /// "connection refused". Query servers treat this on a result
-    /// dispatch as the passive termination signal.
-    Unreachable(SiteAddr),
-}
-
-impl std::fmt::Display for SendError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SendError::Unreachable(s) => write!(f, "endpoint {s} unreachable"),
-        }
-    }
-}
-
-impl std::error::Error for SendError {}
-
-/// What an actor receives.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimEvent {
-    /// Kick-off event posted by [`SimNet::start`].
-    Start,
-    /// A delivered network message.
-    Net(Message),
-    /// A timer previously armed with [`Ctx::schedule_timer`] fired; the
-    /// payload is the caller's token.
-    Timer(u64),
-}
-
-/// A protocol participant bound to one site address.
-pub trait Actor: Any {
-    /// Handles one event. Outbound messages go through [`Ctx::send`].
-    fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent);
-
-    /// Downcasting support so harnesses can extract final actor state.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-
-    /// Invoked when a [`Fault::Crash`] window ends and this actor's
-    /// endpoint re-registers: the process came back up, so volatile
-    /// state (log table, in-flight bookkeeping) must reset as if the
-    /// daemon had just been spawned. The default keeps everything —
-    /// correct for stateless actors like plain web servers.
-    fn on_restart(&mut self, _now_us: u64) {}
-}
-
-/// The per-event context handed to an actor.
-pub struct Ctx<'a> {
+/// The per-event context an actor answers through on the simulator.
+struct Ctx<'a> {
     now_us: u64,
     self_addr: SiteAddr,
     registry: &'a BTreeSet<SiteAddr>,
@@ -137,37 +91,21 @@ pub struct Ctx<'a> {
     scratch: &'a mut Vec<u8>,
     outbox: Vec<(SiteAddr, Message)>,
     timers: Vec<(u64, u64)>,
-    close_self: bool,
     work_us: u64,
+    /// How long the event being handled sat in this endpoint's inbound
+    /// queue: zero when the endpoint was idle at arrival, the tail of the
+    /// busy window otherwise. Only network deliveries queue.
     queued_us: u64,
 }
 
-impl Ctx<'_> {
-    /// Virtual time, microseconds since simulation start.
-    pub fn now_us(&self) -> u64 {
-        self.now_us
-    }
-
-    /// How long the event being handled sat in this endpoint's inbound
-    /// queue before processing began — the modeled backpressure delay:
-    /// zero when the endpoint was idle at arrival, the tail of the busy
-    /// window otherwise. Only network deliveries queue; kick-offs and
-    /// timers report zero. Purely a function of the deterministic
-    /// schedule, so same seed ⇒ same waits.
-    pub fn queued_us(&self) -> u64 {
-        self.queued_us
-    }
-
-    /// This actor's own address.
-    pub fn self_addr(&self) -> &SiteAddr {
-        &self.self_addr
-    }
-
-    /// Sends a message. Fails synchronously when the destination endpoint
-    /// is not registered (connection refused). A successful return means
-    /// the message was accepted by the network, not that it was processed
-    /// — exactly TCP's guarantee.
-    pub fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), SendError> {
+/// A send fails synchronously when the destination endpoint is not
+/// registered (connection refused). A posted timer fires after
+/// `delay_us` of virtual time measured from the end of the current
+/// event's work, and dies silently if the endpoint closes first.
+/// `work` keeps the endpoint busy: messages sent from this handler depart
+/// only after it completes, and later deliveries queue behind it.
+impl Network for Ctx<'_> {
+    fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
         if !self.registry.contains(to) {
             self.scratch.clear();
             msg.encode(self.scratch);
@@ -175,35 +113,26 @@ impl Ctx<'_> {
             let site = &self.self_addr.host;
             self.ledger
                 .record(fate, &msg, bytes, &to.host, site, || now_us);
-            return Err(SendError::Unreachable(to.clone()));
+            return Err(NetworkError { to: to.clone() });
         }
         self.outbox.push((to.clone(), msg));
         Ok(())
     }
 
-    /// Arms a one-shot timer: this actor receives
-    /// [`SimEvent::Timer`]`(token)` after `delay_us` of virtual time
-    /// (measured from the end of the current event's work). Timers are
-    /// local — no traffic is metered and no drop injection applies —
-    /// and die silently if the endpoint closes before they fire.
-    pub fn schedule_timer(&mut self, delay_us: u64, token: u64) {
-        self.timers.push((delay_us, token));
+    fn now_us(&self) -> u64 {
+        self.now_us
     }
 
-    /// Closes this actor's endpoint after the current event: subsequent
-    /// sends to it are refused and queued deliveries become dead letters.
-    /// This is the user-site's passive query termination.
-    pub fn close_endpoint(&mut self) {
-        self.close_self = true;
-    }
-
-    /// Accounts `us` microseconds of local processing for this event.
-    /// The endpoint is busy for that long: messages sent from this
-    /// handler depart only after the work completes, and later deliveries
-    /// to this endpoint queue behind it (each endpoint is one sequential
-    /// processor, like the paper's single Query Processor thread).
-    pub fn work(&mut self, us: u64) {
+    fn work(&mut self, us: u64) {
         self.work_us += us;
+    }
+
+    fn queue_wait_us(&self) -> u64 {
+        self.queued_us
+    }
+
+    fn post(&mut self, delay_us: u64, token: u64) {
+        self.timers.push((delay_us, token));
     }
 }
 
@@ -221,7 +150,7 @@ enum What {
     /// An event for the actor at this address: only a network message
     /// is metered and droppable; a timer or kick-off to a closed
     /// endpoint evaporates.
-    Actor(SiteAddr, SimEvent),
+    Actor(SiteAddr, Event),
     /// A [`SimNet::post_host`] token, handed back by
     /// [`SimNet::run_to_host`].
     Host(u64),
@@ -346,18 +275,18 @@ impl SimNet {
     /// type. Panics if the type does not match (a harness bug).
     pub fn actor_mut<T: Actor>(&mut self, addr: &SiteAddr) -> Option<&mut T> {
         self.actors.get_mut(addr).map(|a| {
-            a.as_any_mut()
-                .downcast_mut::<T>()
-                .expect("actor registered under this address has a different type")
+            let any: &mut dyn Any = a.as_mut();
+            let mismatch = "actor registered under this address has a different type";
+            any.downcast_mut::<T>().expect(mismatch)
         })
     }
 
-    /// Posts the [`SimEvent::Start`] kick-off to an actor at the current
+    /// Posts the [`Event::Start`] kick-off to an actor at the current
     /// virtual time.
     pub fn start(&mut self, addr: &SiteAddr) {
         // Model the kick-off as a zero-size local event: deliver through
         // the queue for deterministic ordering, but without traffic.
-        self.push(self.clock_us, What::Actor(addr.clone(), SimEvent::Start));
+        self.push(self.clock_us, What::Actor(addr.clone(), Event::Start));
     }
 
     /// Queues a host entry: [`SimNet::run_to_host`] hands `(at_us,
@@ -442,9 +371,9 @@ impl SimNet {
 
     /// Hands one actor entry to its actor and queues what the handler
     /// sent and armed.
-    fn deliver(&mut self, at_us: u64, to: SiteAddr, event: SimEvent) {
+    fn deliver(&mut self, at_us: u64, to: SiteAddr, event: Event) {
         self.clock_us = self.clock_us.max(at_us);
-        let is_net = matches!(event, SimEvent::Net(_));
+        let is_net = matches!(event, Event::Net(_));
         // A deregistered endpoint keeps its actor (for inspection) but is
         // handed nothing.
         let actor = if self.registry.contains(&to) {
@@ -457,7 +386,7 @@ impl SimNet {
             // closed endpoint just evaporates. The loss is traced as
             // a drop so trajectory triage can explain the in-flight
             // clone instead of reporting a false hang.
-            if let SimEvent::Net(msg) = &event {
+            if let Event::Net(msg) = &event {
                 self.scratch.clear();
                 msg.encode(&mut self.scratch);
                 let (fate, bytes) = (Fate::DeadLetter("dead-letter"), self.scratch.len());
@@ -478,8 +407,7 @@ impl SimNet {
             // The heap is small (one entry per in-flight event), so
             // the scan costs less than maintaining a second index.
             let waiting = |Reverse(e): &Reverse<Entry>| {
-                e.at_us <= start_us
-                    && matches!(&e.what, What::Actor(t, SimEvent::Net(_)) if *t == to)
+                e.at_us <= start_us && matches!(&e.what, What::Actor(t, Event::Net(_)) if *t == to)
             };
             let queue = &self.queue;
             let depth = || 1 + queue.iter().filter(|e| waiting(e)).count() as u64;
@@ -493,7 +421,6 @@ impl SimNet {
             scratch: &mut self.scratch,
             outbox: Vec::new(),
             timers: Vec::new(),
-            close_self: false,
             work_us: 0,
             queued_us: if is_net {
                 start_us.saturating_sub(at_us)
@@ -505,7 +432,6 @@ impl SimNet {
         let Ctx {
             outbox,
             timers,
-            close_self,
             work_us,
             ..
         } = ctx;
@@ -516,16 +442,13 @@ impl SimNet {
             self.sites.last_delivery_us = self.sites.last_delivery_us.max(done_us);
             self.sites.record_work(&to, work_us);
         }
-        if close_self {
-            self.registry.remove(&to);
-        }
         let from = to;
         self.actors.insert(from.clone(), actor);
         for (to, msg) in outbox {
             self.dispatch_at(done_us, &from, to, msg);
         }
         for (delay_us, token) in timers {
-            let timer = What::Actor(from.clone(), SimEvent::Timer(token));
+            let timer = What::Actor(from.clone(), Event::Timer(token));
             self.push(done_us + delay_us, timer);
         }
     }
@@ -563,10 +486,10 @@ impl SimNet {
         });
         self.push(
             arrive_us + jitter_us,
-            What::Actor(to.clone(), SimEvent::Net(msg)),
+            What::Actor(to.clone(), Event::Net(msg)),
         );
         if let Some((copy_at_us, copy)) = copy {
-            self.push(copy_at_us, What::Actor(to, SimEvent::Net(copy)));
+            self.push(copy_at_us, What::Actor(to, Event::Net(copy)));
         }
     }
 
@@ -606,8 +529,8 @@ mod tests {
     }
 
     impl Actor for Echo {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-            if let SimEvent::Net(Message::Fetch(req)) = event {
+        fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
+            if let Event::Net(Message::Fetch(req)) = event {
                 self.seen += 1;
                 let _ = ctx.send(
                     &self.peer,
@@ -618,25 +541,19 @@ mod tests {
                 );
             }
         }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
-    /// Sends `n` fetches on Start; counts replies; closes its endpoint
-    /// after `close_after` replies if set.
+    /// Sends `n` fetches on Start; counts replies.
     struct Client {
         server: SiteAddr,
         n: usize,
         replies: usize,
-        close_after: Option<usize>,
     }
 
     impl Actor for Client {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+        fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
             match event {
-                SimEvent::Start => {
+                Event::Start => {
                     for i in 0..self.n {
                         ctx.send(
                             &self.server,
@@ -649,18 +566,9 @@ mod tests {
                         .unwrap();
                     }
                 }
-                SimEvent::Net(Message::FetchReply(_)) => {
-                    self.replies += 1;
-                    if Some(self.replies) == self.close_after {
-                        ctx.close_endpoint();
-                    }
-                }
-                SimEvent::Net(_) | SimEvent::Timer(_) => {}
+                Event::Net(Message::FetchReply(_)) => self.replies += 1,
+                Event::Net(_) | Event::Timer(_) => {}
             }
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -675,7 +583,6 @@ mod tests {
                 server: s.clone(),
                 n: 3,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -704,7 +611,6 @@ mod tests {
             server: s.clone(),
             n,
             replies: 0,
-            close_after: None,
         };
         net.register(c.clone(), Box::new(client));
         let echo = Echo {
@@ -776,8 +682,8 @@ mod tests {
         let c = addr("client");
         struct TryUnreachable;
         impl Actor for TryUnreachable {
-            fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-                if matches!(event, SimEvent::Start) {
+            fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
+                if matches!(event, Event::Start) {
                     let err = ctx
                         .send(
                             &SiteAddr {
@@ -791,11 +697,8 @@ mod tests {
                             }),
                         )
                         .unwrap_err();
-                    assert!(matches!(err, SendError::Unreachable(_)));
+                    assert_eq!(&*err.to.host, "ghost");
                 }
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         net.register(c.clone(), Box::new(TryUnreachable));
@@ -804,34 +707,6 @@ mod tests {
         let metrics = net.metrics();
         assert_eq!(metrics.total.messages, 0);
         assert_eq!(metrics.refused, 1, "a refusal is metered");
-    }
-
-    #[test]
-    fn close_endpoint_makes_pending_deliveries_dead_letters() {
-        let mut net = SimNet::new(SimConfig::default());
-        let c = addr("client");
-        let s = addr("server");
-        // Client closes after the first reply; the remaining replies are
-        // already in flight and become dead letters.
-        net.register(
-            c.clone(),
-            Box::new(Client {
-                server: s.clone(),
-                n: 5,
-                replies: 0,
-                close_after: Some(1),
-            }),
-        );
-        net.register(
-            s.clone(),
-            Box::new(Echo {
-                peer: c.clone(),
-                seen: 0,
-            }),
-        );
-        net.start(&c);
-        net.run();
-        assert_eq!(net.metrics().dead_letters, 4);
     }
 
     #[test]
@@ -850,7 +725,6 @@ mod tests {
                     server: s.clone(),
                     n: 8,
                     replies: 0,
-                    close_after: None,
                 }),
             );
             net.register(
@@ -883,7 +757,6 @@ mod tests {
                 server: s.clone(),
                 n: 4,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -907,25 +780,15 @@ mod tests {
         delay_us: u64,
         token: u64,
         fired: Vec<(u64, u64)>,
-        close_before_fire: bool,
     }
 
     impl Actor for TimerProbe {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+        fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
             match event {
-                SimEvent::Start => {
-                    ctx.schedule_timer(self.delay_us, self.token);
-                    if self.close_before_fire {
-                        ctx.close_endpoint();
-                    }
-                }
-                SimEvent::Timer(token) => self.fired.push((ctx.now_us(), token)),
-                SimEvent::Net(_) => {}
+                Event::Start => ctx.post(self.delay_us, self.token),
+                Event::Timer(token) => self.fired.push((ctx.now_us(), token)),
+                Event::Net(_) => {}
             }
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -939,7 +802,6 @@ mod tests {
                 delay_us: 7_500,
                 token: 42,
                 fired: vec![],
-                close_before_fire: false,
             }),
         );
         net.start(&c);
@@ -964,10 +826,11 @@ mod tests {
                 delay_us: 5_000,
                 token: 1,
                 fired: vec![],
-                close_before_fire: true,
             }),
         );
         net.start(&c);
+        net.run_until(0); // the timer is armed
+        net.close_endpoint(&c);
         net.run();
         assert!(net.actor_mut::<TimerProbe>(&c).unwrap().fired.is_empty());
         assert_eq!(net.metrics().dead_letters, 0, "timers are not dead letters");
@@ -989,7 +852,6 @@ mod tests {
                 server: s.clone(),
                 n: 3,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -1016,7 +878,6 @@ mod tests {
                 server: s.clone(),
                 n: 3,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -1040,8 +901,8 @@ mod tests {
     }
 
     impl Actor for RetrySender {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-            let send = |ctx: &mut Ctx<'_>| {
+        fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
+            let send = |ctx: &mut dyn Network| {
                 let _ = ctx.send(
                     &self.server,
                     Message::Fetch(FetchRequest {
@@ -1052,17 +913,13 @@ mod tests {
                 );
             };
             match event {
-                SimEvent::Start => {
+                Event::Start => {
                     send(ctx);
-                    ctx.schedule_timer(self.retry_at_us, 0);
+                    ctx.post(self.retry_at_us, 0);
                 }
-                SimEvent::Timer(_) => send(ctx),
-                SimEvent::Net(_) => {}
+                Event::Timer(_) => send(ctx),
+                Event::Net(_) => {}
             }
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1122,7 +979,6 @@ mod tests {
                     server: s.clone(),
                     n: 3,
                     replies: 0,
-                    close_after: None,
                 }),
             );
             net.register(
@@ -1166,7 +1022,6 @@ mod tests {
                 server: s.clone(),
                 n: 2,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -1207,7 +1062,6 @@ mod tests {
                 server: s.clone(),
                 n: 2,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -1243,7 +1097,6 @@ mod tests {
                 server: s.clone(),
                 n: 3,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -1275,7 +1128,6 @@ mod tests {
                     server: s.clone(),
                     n: 6,
                     replies: 0,
-                    close_after: None,
                 }),
             );
             net.register(
@@ -1356,10 +1208,7 @@ mod tests {
             restarts: Vec<u64>,
         }
         impl Actor for Resettable {
-            fn handle(&mut self, _ctx: &mut Ctx<'_>, _event: SimEvent) {}
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
+            fn handle(&mut self, _ctx: &mut dyn Network, _event: Event) {}
             fn on_restart(&mut self, now_us: u64) {
                 self.restarts.push(now_us);
             }
@@ -1388,18 +1237,15 @@ mod tests {
         /// Logs what it is handed; arms a timer for t = 4 ms on Start.
         struct Witness(Vec<String>);
         impl Actor for Witness {
-            fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+            fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
                 self.0.push(match event {
-                    SimEvent::Start => {
-                        ctx.schedule_timer(4_000, 5);
+                    Event::Start => {
+                        ctx.post(4_000, 5);
                         return;
                     }
-                    SimEvent::Net(_) => format!("delivery@{}", ctx.now_us()),
-                    SimEvent::Timer(token) => format!("timer{token}@{}", ctx.now_us()),
+                    Event::Net(_) => format!("delivery@{}", ctx.now_us()),
+                    Event::Timer(token) => format!("timer{token}@{}", ctx.now_us()),
                 });
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
             fn on_restart(&mut self, now_us: u64) {
                 self.0.push(format!("up@{now_us}"));
@@ -1425,7 +1271,6 @@ mod tests {
             server: s.clone(),
             n: 1,
             replies: 0,
-            close_after: None,
         };
         net.register(c.clone(), Box::new(client));
         net.register(s.clone(), Box::new(Witness(Vec::new())));
@@ -1466,7 +1311,6 @@ mod tests {
                 server: s.clone(),
                 n: 64,
                 replies: 0,
-                close_after: None,
             };
             net.register(c.clone(), Box::new(client));
             let echo = Echo {
@@ -1511,7 +1355,6 @@ mod tests {
                 server: s.clone(),
                 n: 4,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -1550,7 +1393,6 @@ mod tests {
                     server: s.clone(),
                     n: 6,
                     replies: 0,
-                    close_after: None,
                 }),
             );
             net.register(
@@ -1585,7 +1427,6 @@ mod tests {
                 server: s.clone(),
                 n: 3,
                 replies: 0,
-                close_after: None,
             }),
         );
         net.register(
@@ -1623,7 +1464,6 @@ mod tests {
 #[cfg(test)]
 mod work_tests {
     use super::*;
-    use std::any::Any;
     use webdis_model::Url;
     use webdis_net::{FetchRequest, FetchResponse};
 
@@ -1641,8 +1481,8 @@ mod work_tests {
     }
 
     impl Actor for SlowEcho {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
-            if let SimEvent::Net(Message::Fetch(req)) = event {
+        fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
+            if let Event::Net(Message::Fetch(req)) = event {
                 ctx.work(self.work_us);
                 let _ = ctx.send(
                     &self.peer,
@@ -1653,10 +1493,6 @@ mod work_tests {
                 );
             }
         }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Burst {
@@ -1666,9 +1502,9 @@ mod work_tests {
     }
 
     impl Actor for Burst {
-        fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+        fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
             match event {
-                SimEvent::Start => {
+                Event::Start => {
                     for i in 0..self.n {
                         ctx.send(
                             &self.server,
@@ -1681,13 +1517,9 @@ mod work_tests {
                         .unwrap();
                     }
                 }
-                SimEvent::Net(Message::FetchReply(_)) => self.reply_times.push(ctx.now_us()),
-                SimEvent::Net(_) | SimEvent::Timer(_) => {}
+                Event::Net(Message::FetchReply(_)) => self.reply_times.push(ctx.now_us()),
+                Event::Net(_) | Event::Timer(_) => {}
             }
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1768,9 +1600,9 @@ mod work_tests {
             replies: usize,
         }
         impl Actor for Fan {
-            fn handle(&mut self, ctx: &mut Ctx<'_>, event: SimEvent) {
+            fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
                 match event {
-                    SimEvent::Start => {
+                    Event::Start => {
                         for (i, s) in self.servers.clone().iter().enumerate() {
                             ctx.send(
                                 s,
@@ -1783,12 +1615,9 @@ mod work_tests {
                             .unwrap();
                         }
                     }
-                    SimEvent::Net(_) => self.replies += 1,
-                    SimEvent::Timer(_) => {}
+                    Event::Net(_) => self.replies += 1,
+                    Event::Timer(_) => {}
                 }
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
             }
         }
         let servers = vec![addr("s1"), addr("s2")];

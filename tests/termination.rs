@@ -6,8 +6,8 @@
 
 use std::sync::Arc;
 
-use webdis::core::simrun::{user_addr, SimServer};
-use webdis::core::{query_server_addr, Deployment, EngineConfig};
+use webdis::core::simrun::user_addr;
+use webdis::core::{query_server_addr, Deployment, EngineConfig, ServerEngine};
 use webdis::disql::parse_disql;
 use webdis::sim::SimConfig;
 use webdis::web::{generate, WebGenConfig};
@@ -47,9 +47,9 @@ fn cancelling_mid_flight_drains_the_network() {
     let mut terminated = 0u64;
     let mut forwarded_after = 0u64;
     for site in &sites {
-        if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(site)) {
-            terminated += server.engine.stats.terminated_queries;
-            forwarded_after += server.engine.stats.clones_forwarded;
+        if let Some(server) = net.actor_mut::<ServerEngine>(&query_server_addr(site)) {
+            terminated += server.stats.terminated_queries;
+            forwarded_after += server.stats.clones_forwarded;
         }
     }
     assert!(terminated > 0, "some server must observe the dead endpoint");
@@ -89,8 +89,8 @@ fn immediate_cancellation_stops_everything() {
     // The StartNode server processed its clone, failed to report, purged.
     let mut terminated = 0u64;
     for site in web.sites() {
-        if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(&site)) {
-            terminated += server.engine.stats.terminated_queries;
+        if let Some(server) = net.actor_mut::<ServerEngine>(&query_server_addr(&site)) {
+            terminated += server.stats.terminated_queries;
         }
     }
     assert_eq!(
@@ -127,9 +127,9 @@ fn servers_drop_clones_of_purged_queries() {
     let mut received = 0u64;
     let mut arrivals = 0u64;
     for site in web.sites() {
-        if let Some(server) = net.actor_mut::<SimServer>(&query_server_addr(&site)) {
-            received += server.engine.stats.clones_received;
-            arrivals += server.engine.stats.arrivals;
+        if let Some(server) = net.actor_mut::<ServerEngine>(&query_server_addr(&site)) {
+            received += server.stats.clones_received;
+            arrivals += server.stats.arrivals;
         }
     }
     assert!(received >= arrivals / 8, "sanity: counters are populated");
