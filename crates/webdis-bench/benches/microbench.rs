@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use webdis_model::{LinkType, Url};
-use webdis_net::{encode_message, CloneState, Message, QueryClone, QueryId, Wire};
+use webdis_net::{decode_message, encode_message, CloneState, Message, QueryClone, QueryId, Wire};
 use webdis_pre::{check_subsumption, closure, contains};
 use webdis_rel::{NodeDb, RelKind};
 use webdis_web::{generate, PageBuilder, WebGenConfig};
@@ -243,10 +243,30 @@ fn bench_wire(c: &mut Criterion) {
     group.bench_function("encode_query_clone", |b| {
         b.iter(|| encode_message(black_box(&msg)));
     });
+    // The price of a memo hit: every frame after the first on an endpoint.
     group.bench_function("decode_query_clone", |b| {
         b.iter(|| {
             let mut slice = black_box(bytes.as_slice());
             Message::decode(&mut slice).unwrap()
+        });
+    });
+    // The price of a miss: each decode on a thread of its own, so with a
+    // fresh memo. Only the decode is timed, after one of an unrelated
+    // frame has paid the thread's first allocations and hash keys.
+    let warm = encode_message(&Message::Fetch(webdis_net::FetchRequest {
+        url: Url::parse("http://warm.test/").unwrap(),
+        reply_host: "warm.test".into(),
+        reply_port: 1,
+    }));
+    group.bench_function("decode_query_clone_cold", |b| {
+        b.iter_custom(|_| {
+            let cold = || {
+                decode_message(&warm).unwrap();
+                let start = std::time::Instant::now();
+                let msg = decode_message(black_box(&bytes)).unwrap();
+                (start.elapsed(), msg)
+            };
+            std::thread::scope(|s| s.spawn(cold).join().unwrap().0)
         });
     });
     group.finish();

@@ -110,11 +110,6 @@ impl ClientProcess {
         self.queries.get_mut(&query_num)
     }
 
-    /// Numbers of all submitted queries.
-    pub fn query_nums(&self) -> Vec<u64> {
-        self.queries.keys().copied().collect()
-    }
-
     /// True when every submitted query has completed.
     pub fn all_complete(&self) -> bool {
         self.queries.values().all(|q| q.complete)
@@ -297,7 +292,8 @@ mod tests {
         let n1 = client.submit(&mut net, parse_disql(q).unwrap());
         let n2 = client.submit(&mut net, parse_disql(q).unwrap());
         assert_eq!((n1, n2), (1, 2));
-        assert_eq!(client.query_nums(), vec![1, 2]);
+        assert!(client.query(1).is_some() && client.query(2).is_some());
+        assert!(client.query(3).is_none());
         assert!(!client.all_complete());
         // Two clones dispatched, one per query, with distinct ids.
         let ids: Vec<u64> = net
@@ -366,9 +362,9 @@ mod tests {
         let mut submitted_at = Vec::new();
         while let Some((at_us, token)) = due.pop() {
             net.time_us = at_us;
-            let before = user.clients[0].query_nums().len();
+            let before = user.unsubmitted();
             user.handle(&mut net, Event::Timer(token));
-            submitted_at.extend((before..user.clients[0].query_nums().len()).map(|_| at_us));
+            submitted_at.extend((user.unsubmitted()..before).map(|_| at_us));
             due.append(&mut net.posted);
             due.sort_by_key(|&timer| std::cmp::Reverse(timer));
             let outstanding = |t| due.iter().filter(|(_, token)| *token == t).count();

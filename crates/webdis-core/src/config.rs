@@ -217,18 +217,6 @@ impl EngineConfig {
             ..EngineConfig::default()
         }
     }
-
-    /// Everything off — the unoptimized strawman for ablations.
-    pub fn unoptimized() -> EngineConfig {
-        EngineConfig {
-            log_mode: LogMode::Off,
-            completion: CompletionMode::ChtStrict,
-            batch_per_site: false,
-            local_forwarding: false,
-            max_hops: 16,
-            ..EngineConfig::default()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -247,8 +235,9 @@ mod tests {
     #[test]
     fn presets_differ() {
         assert_eq!(EngineConfig::strict().completion, CompletionMode::ChtStrict);
-        let u = EngineConfig::unoptimized();
-        assert_eq!(u.log_mode, LogMode::Off);
-        assert!(!u.batch_per_site);
+        assert_eq!(
+            EngineConfig::ack_chain().completion,
+            CompletionMode::AckChain
+        );
     }
 }

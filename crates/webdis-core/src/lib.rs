@@ -87,7 +87,7 @@ pub use record::{result_set, HybridStats, QueryOutcome, QueryRecord, WorkloadOut
 pub use report::{render_html, render_text, ResultsView};
 pub use server::{ServerEngine, ServerStats};
 pub use simrun::{run_query_hybrid_sim, run_query_sim};
-pub use tcprun::{run_queries_tcp, run_query_tcp, TcpCluster, TcpFaultPlan, TcpNet};
+pub use tcprun::{run_query_tcp, TcpCluster, TcpFaultPlan, TcpNet};
 pub use user::{TraceEvent, UserSite};
 pub use webdis_cache::{AnswerCache, CachePolicy, CacheStats};
 pub use webdis_disql::DisqlError;

@@ -669,17 +669,6 @@ pub fn run_query_tcp(
     Deployment::new(web, engine_cfg).query_tcp(disql, deadline, Vec::new())
 }
 
-/// [`run_query_tcp`] for several concurrent queries:
-/// [`Deployment::queries_tcp`] with nothing else said.
-pub fn run_queries_tcp(
-    web: Arc<webdis_web::HostedWeb>,
-    disqls: &[&str],
-    engine_cfg: EngineConfig,
-    deadline: Duration,
-) -> Result<Vec<QueryRecord>, DisqlError> {
-    Deployment::new(web, engine_cfg).queries_tcp(disqls, deadline, Vec::new())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -696,21 +685,19 @@ mod tests {
     }
 
     /// Drives one more campus query to completion on an already-running
-    /// cluster; returns its number.
+    /// cluster; returns its record, which the client forgets.
     fn drive_campus_query(
         cluster: &TcpCluster,
         net: &mut TcpNet,
         user: &mut ScheduledClient,
-    ) -> u64 {
+    ) -> QueryRecord {
         let query = parse_disql(figures::CAMPUS_QUERY).expect("valid query");
         let at_once = PlannedQuery::at(0, query);
         *user = ScheduledClient::new(std::mem::take(&mut user.clients), vec![(0, at_once)]);
         cluster.drive(net, user, Duration::from_secs(30));
         assert!(user.done(), "query must complete over TCP");
-        *user.clients[0]
-            .query_nums()
-            .last()
-            .expect("query submitted")
+        let mut records = user.clients[0].take_records(0);
+        records.pop().expect("query submitted")
     }
 
     fn needle_live_web() -> Arc<LiveWeb> {
@@ -996,8 +983,7 @@ mod tests {
         let mut net = cluster.user_net();
         let mut connects_after = Vec::new();
         for _ in 0..200 {
-            let num = drive_campus_query(&cluster, &mut net, &mut user);
-            let query = user.clients[0].forget(num).expect("submitted query exists");
+            let query = drive_campus_query(&cluster, &mut net, &mut user);
             assert_eq!(query.results.get(&1).map(Vec::len), Some(3));
             connects_after.push(cluster.wire_counters().connects());
         }
@@ -1018,17 +1004,14 @@ mod tests {
     #[test]
     fn concurrent_queries_over_tcp() {
         let web = Arc::new(figures::campus());
-        let outcomes = run_queries_tcp(
-            Arc::clone(&web),
-            &[
-                figures::CAMPUS_QUERY,
-                figures::EXAMPLE_QUERY_1,
-                figures::CAMPUS_QUERY,
-            ],
-            EngineConfig::default(),
-            Duration::from_secs(30),
-        )
-        .unwrap();
+        let queries = [
+            figures::CAMPUS_QUERY,
+            figures::EXAMPLE_QUERY_1,
+            figures::CAMPUS_QUERY,
+        ];
+        let outcomes = Deployment::new(Arc::clone(&web), EngineConfig::default())
+            .queries_tcp(&queries, Duration::from_secs(30), Vec::new())
+            .unwrap();
         assert_eq!(outcomes.len(), 3);
         for (i, o) in outcomes.iter().enumerate() {
             assert!(o.complete, "query {i} must complete");
@@ -1054,13 +1037,10 @@ mod tests {
             tracer,
             ..EngineConfig::default()
         };
-        let outcomes = run_queries_tcp(
-            Arc::new(figures::campus()),
-            &[figures::CAMPUS_QUERY, figures::EXAMPLE_QUERY_1],
-            cfg,
-            Duration::from_secs(30),
-        )
-        .unwrap();
+        let queries = [figures::CAMPUS_QUERY, figures::EXAMPLE_QUERY_1];
+        let outcomes = Deployment::new(Arc::new(figures::campus()), cfg)
+            .queries_tcp(&queries, Duration::from_secs(30), Vec::new())
+            .unwrap();
         let records = collector.snapshot();
         for outcome in &outcomes {
             let terminated = records.iter().find(|r| {

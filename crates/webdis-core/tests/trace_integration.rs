@@ -43,14 +43,18 @@ fn fig1_trace_reconstructs_the_paper_walk() {
     // Round-trip through the JSON-lines format: what a consumer reads
     // from `--trace out.jsonl` is what the collector held.
     let jsonl = collector.export_jsonl();
-    let records = json::decode_jsonl(&jsonl).expect("exporter output parses");
+    let records = jsonl
+        .lines()
+        .map(json::decode_record)
+        .collect::<Result<Vec<_>, _>>()
+        .expect("exporter output parses");
     assert_eq!(records, collector.snapshot());
 
     let ids = trajectory::query_ids(&records);
     assert_eq!(ids.len(), 1, "one query in flight");
     let traj = trajectory::reconstruct(&records, &ids[0]);
 
-    let edges: BTreeSet<(String, String)> = traj.edges().into_iter().collect();
+    let edges: BTreeSet<(String, String)> = traj.root.edges().into_iter().collect();
     let expected: BTreeSet<(String, String)> = FIG1_EDGES
         .iter()
         .map(|(a, b)| (a.to_string(), b.to_string()))
@@ -58,7 +62,7 @@ fn fig1_trace_reconstructs_the_paper_walk() {
     assert_eq!(edges, expected, "shipping tree must match Figure 1 exactly");
 
     // Hop depths along the walk: n4 appears at hops 2 AND 3.
-    let seq = traj.hop_sequence();
+    let seq = traj.root.flatten();
     let hops_of = |site: &str| -> Vec<u32> {
         seq.iter()
             .filter(|(s, _)| s == site)
@@ -120,7 +124,7 @@ fn tcp_transport_records_the_same_vocabulary() {
     let ids = trajectory::query_ids(&records);
     assert_eq!(ids.len(), 1);
     let traj = trajectory::reconstruct(&records, &ids[0]);
-    let edges: BTreeSet<(String, String)> = traj.edges().into_iter().collect();
+    let edges: BTreeSet<(String, String)> = traj.root.edges().into_iter().collect();
     let expected: BTreeSet<(String, String)> = FIG1_EDGES
         .iter()
         .map(|(a, b)| (a.to_string(), b.to_string()))

@@ -18,7 +18,6 @@
 //! gain (DESIGN.md §2e).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use webdis_core::{Deployment, EngineConfig};
 use webdis_disql::DisqlError;
@@ -41,15 +40,4 @@ pub fn run_workload_sim(
     sim_cfg: SimConfig,
 ) -> Result<WorkloadOutcome, DisqlError> {
     spec.run_sim(&Deployment::new(web, engine_cfg), sim_cfg, &mut |_, _| {})
-}
-
-/// Runs the whole workload over a loopback TCP cluster on the frozen
-/// `web`: [`WorkloadSpec::run_tcp`] with nothing else said.
-pub fn run_workload_tcp(
-    web: Arc<HostedWeb>,
-    spec: &WorkloadSpec,
-    engine_cfg: EngineConfig,
-    deadline: Duration,
-) -> Result<WorkloadOutcome, DisqlError> {
-    spec.run_tcp(&Deployment::new(web, engine_cfg), deadline)
 }

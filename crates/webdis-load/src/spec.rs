@@ -250,11 +250,6 @@ impl WorkloadSpec {
         Ok(deployment.workload_tcp(Vec::new(), self.plan()?, deadline))
     }
 
-    /// Total planned submissions.
-    pub fn total_queries(&self) -> usize {
-        self.users * self.queries_per_user
-    }
-
     /// Offered load in queries per (virtual) second across all users.
     pub fn offered_qps(&self) -> f64 {
         let mean = self.arrival.mean_us().max(1) as f64;

@@ -7,6 +7,8 @@
 //! bounded recursion), so a corrupt or malicious frame yields a
 //! [`WireError`], never a panic.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -169,7 +171,7 @@ impl Wire for Arc<str> {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        get_str(buf).map(Arc::from)
+        by_string(buf, |m| &mut m.strs, |s| Ok(Arc::from(s)))
     }
 }
 
@@ -199,15 +201,15 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-/// A shared list travels exactly as a `Vec` does.
-impl<T: Wire> Wire for Arc<[T]> {
+/// A clone's shared stage list travels exactly as a `Vec` does.
+impl Wire for Arc<[Stage]> {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u32).encode(buf);
         self.iter().for_each(|item| item.encode(buf));
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Vec::decode(buf).map(Arc::from)
+        by_prefix(buf, |m| &mut m.stages, |b| Vec::decode(b).map(Arc::from))
     }
 }
 
@@ -244,9 +246,13 @@ impl Wire for Url {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        let s = get_str(buf)?;
-        Url::parse(s).map_err(|e| WireError::new(format!("invalid URL on wire: {e}")))
+        by_string(buf, |m| &mut m.urls, parse_url)
     }
+}
+
+/// The memo's miss path for a URL: the one place the decoder parses one.
+fn parse_url(s: &str) -> Result<Url, WireError> {
+    Url::parse(s).map_err(|e| WireError::new(format!("invalid URL on wire: {e}")))
 }
 
 impl Wire for LinkType {
@@ -303,7 +309,7 @@ impl Wire for Pre {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        decode_pre(buf, 0)
+        by_prefix(buf, |m| &mut m.pres, |b| decode_pre(b, 0))
     }
 }
 
@@ -343,7 +349,12 @@ fn decode_pre(buf: &mut &[u8], depth: u32) -> Result<Pre, WireError> {
 /// [`MAX_STATES`](webdis_pre::MAX_STATES). So every forward derived
 /// from a clone that decodes can ship.
 pub(crate) fn decode_clone_pre(buf: &mut &[u8]) -> Result<Pre, WireError> {
-    let pre = Pre::decode(buf)?;
+    by_prefix(buf, |m| &mut m.clone_pres, checked_clone_pre)
+}
+
+/// The memo's miss path for a clone PRE, the one closure check: a refused PRE is never stored.
+fn checked_clone_pre(buf: &mut &[u8]) -> Result<Pre, WireError> {
+    let pre = decode_pre(buf, 0)?;
     closure(&pre).map_err(|e| WireError::new(format!("clone PRE refused: {e}")))?;
     Ok(pre)
 }
@@ -575,6 +586,104 @@ impl Wire for ResultRow {
     }
 }
 
+/// Values this thread decoded before, found again by their bytes on the
+/// wire, so what a query's frames repeat (stages, PREs, URLs, hosts) is
+/// decoded and closure-checked once per thread: once per TCP endpoint,
+/// which only the thread that waits on it reads. URLs and shared strings
+/// are keyed by their string bytes; PREs and stage lists are found by
+/// prefix, as the codec is prefix-free: a frame that starts with a stored
+/// encoding decodes to its value, consuming exactly it. Only a value that
+/// decoded, closure check included, is stored. At most [`MEMO_ENTRIES`]
+/// entries, [`MEMO_KEY_BYTES`] key bytes in all (cleared whole when full),
+/// none over [`MEMO_KEY_MAX`]; a value is linear in its key.
+#[derive(Default)]
+struct Memo {
+    urls: HashMap<Box<[u8]>, Url>,
+    strs: HashMap<Box<[u8]>, Arc<str>>,
+    pres: Recent<Pre>,
+    clone_pres: Recent<Pre>,
+    stages: Recent<Arc<[Stage]>>,
+    entries: usize,
+    key_bytes: usize,
+}
+
+/// Values found by prefix, each under the bytes it decoded from: the last
+/// [`MEMO_RECENT`], newest last.
+type Recent<T> = Vec<(Box<[u8]>, T)>;
+
+const MEMO_ENTRIES: usize = 1024;
+const MEMO_KEY_BYTES: usize = 64 << 10;
+const MEMO_KEY_MAX: usize = 4 << 10;
+const MEMO_RECENT: usize = 16;
+
+thread_local! {
+    static MEMO: RefCell<Memo> = RefCell::default();
+}
+
+impl Memo {
+    /// Counts a new `n`-byte key, clearing a full memo first; false for one too long.
+    fn room(&mut self, n: usize) -> bool {
+        if n > MEMO_KEY_MAX {
+            return false;
+        }
+        if self.entries == MEMO_ENTRIES || self.key_bytes + n > MEMO_KEY_BYTES {
+            *self = Memo::default();
+        }
+        self.entries += 1;
+        self.key_bytes += n;
+        true
+    }
+}
+
+/// A string's value: the one stored under its bytes, or `miss`'s, stored.
+fn by_string<T: Clone>(
+    buf: &mut &[u8],
+    table: fn(&mut Memo) -> &mut HashMap<Box<[u8]>, T>,
+    miss: fn(&str) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let s = get_str(buf)?;
+    if let Some(hit) = MEMO.with_borrow_mut(|m| table(m).get(s.as_bytes()).cloned()) {
+        return Ok(hit);
+    }
+    let value = miss(s)?;
+    MEMO.with_borrow_mut(|m| {
+        if m.room(s.len()) {
+            table(m).insert(s.as_bytes().into(), value.clone());
+        }
+    });
+    Ok(value)
+}
+
+/// The stored value whose encoding `buf` starts with, or `miss`'s, stored under what it read.
+fn by_prefix<T: Clone>(
+    buf: &mut &[u8],
+    list: fn(&mut Memo) -> &mut Recent<T>,
+    miss: fn(&mut &[u8]) -> Result<T, WireError>,
+) -> Result<T, WireError> {
+    let frame = *buf;
+    let hit = MEMO.with_borrow_mut(|m| {
+        let found = list(m).iter().rev().find(|(key, _)| frame.starts_with(key));
+        found.map(|(key, value)| (key.len(), value.clone()))
+    });
+    if let Some((n, value)) = hit {
+        *buf = &frame[n..];
+        return Ok(value);
+    }
+    let value = miss(buf)?;
+    let key = &frame[..frame.len() - buf.len()];
+    MEMO.with_borrow_mut(|m| {
+        if m.room(key.len()) {
+            if list(m).len() == MEMO_RECENT {
+                let (old, _) = list(m).remove(0);
+                m.entries -= 1;
+                m.key_bytes -= old.len();
+            }
+            list(m).push((key.into(), value.clone()));
+        }
+    });
+    Ok(value)
+}
+
 /// Encodes a [`crate::messages::Message`] into a fresh buffer.
 pub fn encode_message(msg: &crate::messages::Message) -> Vec<u8> {
     let mut buf = Vec::with_capacity(128);
@@ -737,6 +846,135 @@ mod tests {
         buf.push(1);
         let mut slice = buf.as_slice();
         assert!(Pre::decode(&mut slice).is_err());
+    }
+
+    /// A clone whose stages are one `(L|G)*` crawl with `stage_pre` as
+    /// its PRE, encoded.
+    fn clone_frame(rem_pre: Pre, stage_pre: Pre) -> Vec<u8> {
+        use crate::messages::{Message, QueryClone, QueryId};
+        let q = webdis_disql::parse_disql(
+            r#"select d.url from document d such that "http://a.test/" (L|G)* d
+               where d.title contains "x""#,
+        )
+        .unwrap();
+        let mut stages = q.stages.to_vec();
+        stages[0].pre = stage_pre;
+        encode_message(&Message::Query(QueryClone {
+            id: QueryId {
+                user: "u".into(),
+                host: "user.test".into(),
+                port: 9,
+                query_num: 1,
+            },
+            dest_nodes: q.start_nodes,
+            rem_pre,
+            stages: stages.into(),
+            stage_offset: 0,
+            hops: 0,
+            ack_host: "user.test".into(),
+            ack_port: 9,
+        }))
+    }
+
+    fn lg() -> Pre {
+        use LinkType::{Global as G, Local as L};
+        Pre::star(Pre::alt(Pre::sym(L), Pre::sym(G)))
+    }
+
+    #[test]
+    fn a_memoized_prefix_never_masks_a_refusal() {
+        assert!(decode_message(&clone_frame(lg(), lg())).is_ok());
+        // `(L|G)*·G*1·…` with 64 links: its derivative by `G` is 66 deep.
+        let links = (0..64).fold(Pre::Empty, |rest, _| {
+            Pre::seq(Pre::bounded(Pre::sym(LinkType::Global), 1), rest)
+        });
+        let chain = Pre::seq(lg(), links);
+        let frame = clone_frame(lg(), chain.clone());
+        let lists = || MEMO.with_borrow(|m| (m.clone_pres.len(), m.stages.len()));
+        let before = lists();
+        // Refused, and refused again: the refusal left no entry behind.
+        for _ in 0..2 {
+            let err = decode_message(&frame).unwrap_err();
+            assert!(
+                err.message.contains("derivative deeper than 65 levels"),
+                "{err}"
+            );
+        }
+        assert_eq!(lists(), before);
+        let mut key = Vec::new();
+        chain.encode(&mut key);
+        MEMO.with_borrow(|m| assert!(m.clone_pres.iter().all(|(k, _)| **k != key[..])));
+    }
+
+    #[test]
+    fn a_memoized_frame_with_trailing_or_missing_bytes_is_still_an_error() {
+        let frame = clone_frame(lg(), lg());
+        assert!(decode_message(&frame).is_ok());
+        let mut longer = frame.clone();
+        longer.push(0);
+        let err = decode_message(&longer).unwrap_err();
+        assert!(err.message.contains("1 trailing bytes"), "{err}");
+        for cut in 0..frame.len() {
+            assert!(decode_message(&frame[..cut]).is_err(), "cut at {cut}");
+        }
+        assert!(decode_message(&frame).is_ok());
+    }
+
+    /// The bound DESIGN.md states, held against a peer that never repeats
+    /// a URL, a host or a clone state.
+    #[test]
+    fn the_memo_holds_its_bound_against_distinct_values() {
+        use crate::messages::{CloneState, Disposition, Message, NodeReport, QueryId};
+        use crate::messages::{ResultReport, StageRows};
+        let held = |m: &Memo| {
+            let lists = m.pres.iter().chain(&m.clone_pres).map(|(k, _)| k.len());
+            let stages = m.stages.iter().map(|(k, _)| k.len());
+            let tables = m.urls.keys().chain(m.strs.keys()).map(|k| k.len());
+            tables.chain(lists).chain(stages).sum::<usize>()
+        };
+        for i in 0..10_000u32 {
+            let host: Arc<str> = format!("h{i}.test").into();
+            let node = Url::parse(&format!("http://{host}/{}", "p".repeat(i as usize % 64)));
+            let msg = Message::Report(ResultReport {
+                id: QueryId {
+                    user: "u".into(),
+                    host: host.clone(),
+                    port: 9,
+                    query_num: u64::from(i),
+                },
+                origin: host,
+                seq: 1,
+                reports: vec![NodeReport {
+                    node: node.unwrap(),
+                    state: CloneState {
+                        num_q: 1,
+                        rem_pre: Pre::bounded(Pre::sym(LinkType::Local), i),
+                    },
+                    disposition: Disposition::Answered,
+                    results: vec![StageRows {
+                        stage: 0,
+                        rows: Vec::new(),
+                    }],
+                    new_entries: Vec::new(),
+                }],
+            });
+            assert_eq!(decode_message(&encode_message(&msg)), Ok(msg));
+            MEMO.with_borrow(|m| {
+                let lists = m.pres.len() + m.clone_pres.len() + m.stages.len();
+                assert_eq!(m.entries, m.urls.len() + m.strs.len() + lists);
+                assert_eq!(m.key_bytes, held(m));
+                assert!(m.entries <= MEMO_ENTRIES, "{} entries", m.entries);
+                assert!(m.key_bytes <= MEMO_KEY_BYTES, "{} key bytes", m.key_bytes);
+            });
+        }
+        // A key over the per-key limit decodes but is never stored.
+        let long = "x".repeat(MEMO_KEY_MAX + 1);
+        let mut buf = Vec::new();
+        Url::parse(&format!("http://h.test/{long}"))
+            .unwrap()
+            .encode(&mut buf);
+        assert!(Url::decode(&mut buf.as_slice()).is_ok());
+        MEMO.with_borrow(|m| assert!(m.urls.keys().all(|k| k.len() <= MEMO_KEY_MAX)));
     }
 
     #[test]

@@ -3,6 +3,8 @@
 //! corrupt peer can never panic a query server).
 
 use proptest::prelude::*;
+use std::sync::Arc;
+use webdis_disql::Stage;
 use webdis_model::{LinkType, Url};
 use webdis_net::{
     decode_message, encode_message, ChtEntry, CloneState, Disposition, FetchRequest, FetchResponse,
@@ -96,6 +98,16 @@ fn node_query_strategy() -> impl Strategy<Value = NodeQuery> {
         })
 }
 
+fn stage_strategy() -> impl Strategy<Value = Stage> {
+    (pre_strategy(), "[a-z][a-z0-9]{0,3}", node_query_strategy()).prop_map(
+        |(pre, doc_var, query)| Stage {
+            pre,
+            doc_var,
+            query,
+        },
+    )
+}
+
 fn message_strategy() -> impl Strategy<Value = Message> {
     let id = ("[a-z]{1,8}", "[a-z.]{1,12}", 1u16..9999, any::<u64>()).prop_map(
         |(user, host, port, query_num)| QueryId {
@@ -105,18 +117,11 @@ fn message_strategy() -> impl Strategy<Value = Message> {
             query_num,
         },
     );
-    let stage = (pre_strategy(), "[a-z][a-z0-9]{0,3}", node_query_strategy()).prop_map(
-        |(pre, doc_var, query)| webdis_disql::Stage {
-            pre,
-            doc_var,
-            query,
-        },
-    );
     let clone = (
         id.clone(),
         prop::collection::vec(url_strategy(), 0..4),
         pre_strategy(),
-        prop::collection::vec(stage, 0..3),
+        prop::collection::vec(stage_strategy(), 0..3),
         0u32..5,
         0u32..10,
     )
@@ -196,8 +201,69 @@ fn message_strategy() -> impl Strategy<Value = Message> {
     prop_oneof![clone, report, fetch, fetch_reply]
 }
 
+/// Runs `f` on a thread of its own: a decoder whose memo has seen nothing.
+fn fresh<T: Send>(f: impl FnOnce() -> T + Send) -> T {
+    std::thread::scope(|s| s.spawn(f).join().unwrap())
+}
+
+/// How a frame is damaged before it is read: not at all (kinds 0–2), one
+/// byte flipped as chaos's `Corrupt` fault flips it (3), cut short (4),
+/// or followed by garbage (5).
+fn damage(frame: &mut Vec<u8>, kind: u8, at: f64, garbage: &[u8]) {
+    let (len, pos) = (frame.len(), ((frame.len() as f64) * at) as usize);
+    match kind {
+        3 if len > 0 => frame[pos % len] ^= 0xff,
+        4 => frame.truncate(pos),
+        5 => frame.extend_from_slice(garbage),
+        _ => {}
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The decode memo changes no outcome: one long-lived decoder reads a
+    /// stream drawn, with repeats, from a few messages, some frames
+    /// damaged, and decodes each exactly as a fresh decoder does — equal
+    /// messages, or both errors.
+    #[test]
+    fn a_long_lived_decoder_reads_what_a_fresh_one_does(
+        pool in prop::collection::vec(message_strategy(), 1..5),
+        stream in prop::collection::vec(
+            (0usize..8, 0u8..6, 0.0f64..1.0, prop::collection::vec(any::<u8>(), 1..8)),
+            1..24,
+        ),
+    ) {
+        for (pick, kind, at, garbage) in stream {
+            let mut frame = encode_message(&pool[pick % pool.len()]);
+            damage(&mut frame, kind, at, &garbage);
+            let memoized = decode_message(&frame);
+            prop_assert_eq!(memoized, fresh(|| decode_message(&frame)));
+        }
+    }
+
+    /// The codec is prefix-free, which the memo's prefix match relies on:
+    /// a PRE or stage list followed by any bytes decodes to itself and
+    /// consumes exactly its own encoding.
+    #[test]
+    fn pre_and_stage_list_encodings_are_prefix_free(
+        pre in pre_strategy(),
+        stages in prop::collection::vec(stage_strategy(), 0..3),
+        suffix in prop::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let stages: Arc<[Stage]> = stages.into();
+        let (mut e_pre, mut e_stages) = (Vec::new(), Vec::new());
+        pre.encode(&mut e_pre);
+        stages.encode(&mut e_stages);
+        e_pre.extend_from_slice(&suffix);
+        e_stages.extend_from_slice(&suffix);
+        let (back_pre, back_stages) = fresh(|| {
+            let (mut a, mut b) = (e_pre.as_slice(), e_stages.as_slice());
+            ((Pre::decode(&mut a), a.len()), (Arc::<[Stage]>::decode(&mut b), b.len()))
+        });
+        prop_assert_eq!(back_pre, (Ok(pre), suffix.len()));
+        prop_assert_eq!(back_stages, (Ok(stages), suffix.len()));
+    }
 
     /// Every protocol message round-trips exactly.
     #[test]
@@ -261,7 +327,7 @@ proptest! {
     #[test]
     fn shared_stage_tail_encodes_as_a_fresh_list(msg in message_strategy(), skip in 0usize..3) {
         let Message::Query(clone) = msg else { return Ok(()); };
-        let tail: std::sync::Arc<[_]> = clone.stages[skip.min(clone.stages.len())..].into();
+        let tail: Arc<[_]> = clone.stages[skip.min(clone.stages.len())..].into();
         let fresh: Vec<_> = tail.iter().cloned().collect();
         let sibling = QueryClone { stages: tail.clone(), ..clone.clone() };
         let shared = QueryClone { stages: tail, ..clone.clone() };

@@ -216,11 +216,6 @@ pub fn compile(q: &NodeQuery) -> Result<Plan<'_>, EvalError> {
 }
 
 impl Plan<'_> {
-    /// True when at least one level has an index probe.
-    pub fn uses_index(&self) -> bool {
-        self.probes.iter().any(|p| !p.is_empty())
-    }
-
     /// The probes scheduled for each level (mainly for tests/inspection).
     pub fn probes(&self) -> &[Vec<Probe>] {
         &self.probes
@@ -425,7 +420,6 @@ mod tests {
             Box::new(Expr::StrLit("G".into())),
         ));
         let plan = compile(&q).unwrap();
-        assert!(plan.uses_index());
         assert_eq!(
             plan.probes()[1],
             vec![Probe::HashEq {
@@ -566,7 +560,7 @@ mod tests {
             Box::new(Expr::StrLit("42".into())),
         ));
         let plan = compile(&q).unwrap();
-        assert!(!plan.uses_index());
+        assert!(plan.probes().iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -577,7 +571,7 @@ mod tests {
             Box::new(attr("a", "base")),
             Box::new(Expr::StrLit("http://elsewhere/".into())),
         ));
-        assert!(!compile(&q).unwrap().uses_index());
+        assert!(compile(&q).unwrap().probes().iter().all(Vec::is_empty));
 
         // Cross-variable conjunct references two variables.
         let q = da_query(Expr::Cmp(
@@ -586,7 +580,7 @@ mod tests {
             Box::new(attr("d", "url")),
         ));
         let plan = compile(&q).unwrap();
-        assert!(!plan.uses_index());
+        assert!(plan.probes().iter().all(Vec::is_empty));
         let (rows, _) = plan.execute(&db()).unwrap();
         assert_eq!(rows.len(), 3);
     }

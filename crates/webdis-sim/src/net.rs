@@ -264,13 +264,6 @@ impl SimNet {
         self.actors.insert(addr, actor);
     }
 
-    /// Removes an actor, returning it for state inspection. Pending
-    /// deliveries to the address become dead letters.
-    pub fn deregister(&mut self, addr: &SiteAddr) -> Option<Box<dyn Actor>> {
-        self.registry.remove(addr);
-        self.actors.remove(addr)
-    }
-
     /// Mutable access to a registered actor, downcast to its concrete
     /// type. Panics if the type does not match (a harness bug).
     pub fn actor_mut<T: Actor>(&mut self, addr: &SiteAddr) -> Option<&mut T> {

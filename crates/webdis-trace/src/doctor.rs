@@ -1439,11 +1439,13 @@ mod tests {
         assert_eq!(records.len(), 80_000);
         assert_eq!(records[79_999].time_us, 79_999);
 
-        // A corrupt line reports its 1-based line number.
+        // A corrupt line reports its 1-based line number, blank lines
+        // included in the count.
         let bad = dir.join("bad-trace.jsonl");
-        std::fs::write(&bad, "{\"broken\n").unwrap();
+        let good = crate::json::encode_record(&sent(1, "user.test", "a.test", 0));
+        std::fs::write(&bad, format!("{good}\n\n{{\"broken\n")).unwrap();
         let err = load_trace(&bad).unwrap_err();
-        assert!(err.contains(":1:"), "{err}");
+        assert!(err.contains(":3:"), "{err}");
 
         std::fs::remove_dir_all(&dir).ok();
     }

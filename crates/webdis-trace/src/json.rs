@@ -613,19 +613,6 @@ pub fn decode_record(line: &str) -> Result<TraceRecord, String> {
     })
 }
 
-/// Decodes a whole JSONL document (blank lines skipped), failing on the
-/// first malformed line with its 1-based line number.
-pub fn decode_jsonl(text: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut out = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(decode_record(line).map_err(|e| format!("line {}: {e}", idx + 1))?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -890,22 +877,6 @@ mod tests {
         };
         let line = encode_record(&record);
         assert_eq!(decode_record(&line).unwrap(), record);
-    }
-
-    #[test]
-    fn jsonl_reports_bad_line_numbers() {
-        let record = TraceRecord {
-            time_us: 1,
-            site: "a".into(),
-            query: None,
-            hop: None,
-            event: TraceEvent::Purge { records: 0 },
-        };
-        let text = format!("{}\n\nnot json\n", encode_record(&record));
-        let err = decode_jsonl(&text).unwrap_err();
-        assert!(err.starts_with("line 3:"), "{err}");
-        let ok = decode_jsonl(&format!("{}\n", encode_record(&record))).unwrap();
-        assert_eq!(ok.len(), 1);
     }
 
     #[test]

@@ -493,8 +493,6 @@ struct Ring {
     capacity: usize,
     /// Next write position once the buffer is full.
     head: usize,
-    /// Total records ever recorded (dropped = total - kept).
-    total: u64,
     /// Outstanding clone sends awaiting their receive, keyed by
     /// (query, destination site, hop): the send times, oldest first, for
     /// the hop-latency histogram. One key can have several sends in
@@ -510,7 +508,6 @@ impl CollectingTracer {
                 buf: Vec::new(),
                 capacity: capacity.max(1),
                 head: 0,
-                total: 0,
                 in_flight: std::collections::BTreeMap::new(),
             }),
             registry: Registry::with_engine_metrics(),
@@ -528,11 +525,6 @@ impl CollectingTracer {
             out.extend_from_slice(&ring.buf);
         }
         out
-    }
-
-    /// Total records recorded, including any that fell off the ring.
-    pub fn total_recorded(&self) -> u64 {
-        self.inner.lock().total
     }
 
     /// The unified metrics registry fed by this tracer.
@@ -650,7 +642,6 @@ impl Tracer for CollectingTracer {
             }
             _ => {}
         }
-        ring.total += 1;
         if ring.buf.len() < ring.capacity {
             ring.buf.push(record);
         } else {
@@ -811,7 +802,7 @@ mod tests {
         let snap = collector.snapshot();
         assert_eq!(snap.len(), 5);
         assert!(snap.windows(2).all(|w| w[0].time_us <= w[1].time_us));
-        assert_eq!(collector.total_recorded(), 5);
+        assert_eq!(collector.registry().snapshot().counter("query_recv"), 5);
     }
 
     #[test]
@@ -827,7 +818,8 @@ mod tests {
             vec![7, 8, 9],
             "ring keeps the newest records, oldest first"
         );
-        assert_eq!(collector.total_recorded(), 10);
+        // Every record was counted, the seven that fell off included.
+        assert_eq!(collector.registry().snapshot().counter("query_recv"), 10);
     }
 
     #[test]
@@ -948,10 +940,11 @@ mod tests {
         assert_eq!((b.count, b.sum), (1, 300));
         assert_eq!(snap.counter("stage_spans"), 2);
 
-        // Fleet-wide equals the merge of the per-site histograms.
-        let mut merged = snap.histogram("stage_us.eval.a.test").unwrap().clone();
-        merged.merge(snap.histogram("stage_us.eval.b.test").unwrap());
-        assert_eq!(&merged, fleet);
+        // Fleet-wide is exactly both sites' observations in one histogram.
+        let both = Registry::new();
+        both.observe("h", 400);
+        both.observe("h", 800);
+        assert_eq!(both.snapshot().histogram("h").unwrap(), fleet);
     }
 
     #[test]

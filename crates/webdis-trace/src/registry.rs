@@ -60,27 +60,6 @@ impl Histogram {
         self.max = self.max.max(value);
     }
 
-    /// Folds `other` into `self` — the fleet-wide view from per-site
-    /// histograms. Because the buckets are fixed and shared, the merge
-    /// is exact: the result is identical to observing both sequences
-    /// into one histogram.
-    pub fn merge(&mut self, other: &Histogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (slot, &c) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *slot += c;
-        }
-        self.min = if self.count == 0 {
-            other.min
-        } else {
-            self.min.min(other.min)
-        };
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-
     /// Mean observation, rounded down (0 when empty).
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
@@ -537,33 +516,6 @@ mod tests {
                 assert_eq!(one.quantile(q), v, "single sample {v} at q={q}");
             }
         }
-    }
-
-    #[test]
-    fn merge_equals_observing_into_one_histogram() {
-        let a_vals = [3u64, 900, 70_000, 2];
-        let b_vals = [1u64, 5_000_000, 12];
-        let (ra, rb, rall) = (Registry::new(), Registry::new(), Registry::new());
-        for &v in &a_vals {
-            ra.observe("h", v);
-            rall.observe("h", v);
-        }
-        for &v in &b_vals {
-            rb.observe("h", v);
-            rall.observe("h", v);
-        }
-        let mut merged = ra.snapshot().histogram("h").unwrap().clone();
-        merged.merge(rb.snapshot().histogram("h").unwrap());
-        assert_eq!(&merged, rall.snapshot().histogram("h").unwrap());
-
-        // Merging into an empty histogram adopts the other's min; merging
-        // an empty one changes nothing.
-        let mut empty = Histogram::default();
-        empty.merge(&merged);
-        assert_eq!(&empty, rall.snapshot().histogram("h").unwrap());
-        let before = merged.clone();
-        merged.merge(&Histogram::default());
-        assert_eq!(merged, before);
     }
 
     #[test]

@@ -138,17 +138,6 @@ pub struct Trajectory {
 }
 
 impl Trajectory {
-    /// Depth-first (site, hop) sequence, starting at the user site
-    /// (hop of the root is reported as 0).
-    pub fn hop_sequence(&self) -> Vec<(String, u32)> {
-        self.root.flatten()
-    }
-
-    /// Parent→child site edges of the shipping tree, depth-first.
-    pub fn edges(&self) -> Vec<(String, String)> {
-        self.root.edges()
-    }
-
     /// Renders the tree as indented text.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
@@ -423,7 +412,7 @@ mod tests {
     fn figure1_tree_shape() {
         let trajectory = reconstruct(&figure1_records(), &qid());
         assert!(trajectory.orphans.is_empty());
-        let edges = trajectory.edges();
+        let edges = trajectory.root.edges();
         let expect = vec![
             ("user.test", "n1.test"),
             ("n1.test", "n2.test"),
@@ -457,9 +446,10 @@ mod tests {
         let trajectory = reconstruct(&records, &qid());
         assert!(trajectory.orphans.is_empty(), "no orphans: {trajectory:?}");
         let edges: std::collections::BTreeSet<(String, String)> =
-            trajectory.edges().into_iter().collect();
+            trajectory.root.edges().into_iter().collect();
         let expect: std::collections::BTreeSet<(String, String)> =
             reconstruct(&figure1_records(), &qid())
+                .root
                 .edges()
                 .into_iter()
                 .collect();
@@ -467,7 +457,8 @@ mod tests {
         // Both n4 visits survive (tree order may differ — child
         // insertion follows processing order, not causal order).
         let mut n4_hops: Vec<u32> = trajectory
-            .hop_sequence()
+            .root
+            .flatten()
             .into_iter()
             .filter(|(site, _)| site == "n4.test")
             .map(|(_, hop)| hop)
@@ -480,7 +471,8 @@ mod tests {
     fn duplicate_site_visits_stay_distinct() {
         let trajectory = reconstruct(&figure1_records(), &qid());
         let n4_visits: Vec<u32> = trajectory
-            .hop_sequence()
+            .root
+            .flatten()
             .into_iter()
             .filter(|(site, _)| site == "n4.test")
             .map(|(_, hop)| hop)

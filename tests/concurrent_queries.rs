@@ -6,10 +6,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_query_sim, run_query_tcp, EngineConfig};
-use webdis::load::{run_workload_sim, run_workload_tcp, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis::core::{run_query_sim, run_query_tcp, Deployment, EngineConfig};
+use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
-use webdis::trace::json::decode_jsonl;
+use webdis::trace::json::decode_record;
 use webdis::trace::trajectory::{query_ids, reconstruct};
 use webdis::trace::{TermReason, TraceEvent, TraceHandle};
 use webdis::web::{generate, WebGenConfig};
@@ -76,7 +76,7 @@ fn interleaved_queries_match_serial_runs_sim() {
     )
     .unwrap();
     assert_eq!(outcome.hung(), 0, "no query may hang");
-    assert_eq!(outcome.records.len(), spec.total_queries());
+    assert_eq!(outcome.records.len(), spec.users * spec.queries_per_user);
     for record in &outcome.records {
         assert!(
             record.complete,
@@ -133,15 +133,10 @@ fn interleaved_queries_match_serial_runs_tcp() {
         })
         .collect();
 
-    let outcome = run_workload_tcp(
-        Arc::clone(&web),
-        &spec,
-        EngineConfig::default(),
-        Duration::from_secs(60),
-    )
-    .unwrap();
+    let deployment = Deployment::new(Arc::clone(&web), EngineConfig::default());
+    let outcome = spec.run_tcp(&deployment, Duration::from_secs(60)).unwrap();
     assert_eq!(outcome.hung(), 0, "no query may hang");
-    assert_eq!(outcome.records.len(), spec.total_queries());
+    assert_eq!(outcome.records.len(), spec.users * spec.queries_per_user);
     for record in &outcome.records {
         assert!(
             record.complete,
@@ -202,11 +197,16 @@ fn concurrent_trace_reconstructs_one_trajectory_per_query() {
     assert_eq!(outcome.hung(), 0);
 
     // Round-trip the trace through JSONL, then rebuild per-query trees.
-    let records = decode_jsonl(&collector.export_jsonl()).unwrap();
+    let records = collector
+        .export_jsonl()
+        .lines()
+        .map(decode_record)
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     let ids = query_ids(&records);
     assert_eq!(
         ids.len(),
-        spec.total_queries(),
+        spec.users * spec.queries_per_user,
         "every submission must appear in the trace exactly once"
     );
     for id in &ids {
@@ -296,7 +296,8 @@ fn admission_control_sheds_without_hanging_tcp() {
         expiry_us: Some(2_000_000),
         ..EngineConfig::default()
     };
-    let outcome = run_workload_tcp(Arc::clone(&web), &spec, cfg, Duration::from_secs(60)).unwrap();
+    let deployment = Deployment::new(Arc::clone(&web), cfg);
+    let outcome = spec.run_tcp(&deployment, Duration::from_secs(60)).unwrap();
     assert_eq!(outcome.hung(), 0, "shedding must never hang a query");
     assert!(outcome.sum_stat(|s| s.queries_shed) > 0);
     for record in &outcome.records {

@@ -97,7 +97,14 @@ fn all_engine_configs_agree_on_campus() {
     let reference = default_outcome(Arc::clone(&web), figures::CAMPUS_QUERY).result_set();
     let configs = [
         EngineConfig::strict(),
-        EngineConfig::unoptimized(),
+        EngineConfig {
+            log_mode: LogMode::Off,
+            completion: CompletionMode::ChtStrict,
+            batch_per_site: false,
+            local_forwarding: false,
+            max_hops: 16,
+            ..EngineConfig::default()
+        },
         EngineConfig {
             log_mode: LogMode::General,
             ..EngineConfig::default()

@@ -42,7 +42,7 @@ fn cleanly_crashed_server_is_recovered_without_expiry() {
         host: "site5.test".into(),
         port: 80,
     };
-    net.deregister(&query_server_addr(&victim));
+    net.close_endpoint(&query_server_addr(&victim));
     net.start(&user_addr());
     net.run();
 

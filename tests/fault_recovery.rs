@@ -95,7 +95,12 @@ fn sim_faulty_trace_reconstructs_without_orphans() {
     assert!(outcome.complete && outcome.metrics.dropped > 0);
 
     // Round-trip through the JSONL exporter, then rebuild the tree.
-    let records = json::decode_jsonl(&collector.export_jsonl()).expect("exporter output parses");
+    let records = collector
+        .export_jsonl()
+        .lines()
+        .map(json::decode_record)
+        .collect::<Result<Vec<_>, _>>()
+        .expect("exporter output parses");
     let dropped = records
         .iter()
         .filter(|r| r.event.name() == "message_dropped")
@@ -175,7 +180,12 @@ fn tcp_injected_faults_terminate_via_expiry_without_orphans() {
     assert!(!outcome.failed_entries.is_empty());
     assert!(outcome.results.values().map(Vec::len).sum::<usize>() > 0);
 
-    let records = json::decode_jsonl(&collector.export_jsonl()).unwrap();
+    let records = collector
+        .export_jsonl()
+        .lines()
+        .map(json::decode_record)
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap();
     let dropped = records
         .iter()
         .filter(|r| r.event.name() == "message_dropped");

@@ -8,7 +8,10 @@
 
 use std::sync::Arc;
 
-use webdis::core::{run_query_hybrid_sim, run_query_sim, CachePolicy, EngineConfig, ProcModel};
+use webdis::core::{
+    run_query_hybrid_sim, run_query_sim, CachePolicy, CompletionMode, EngineConfig, LogMode,
+    ProcModel,
+};
 use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::TraceHandle;
@@ -40,6 +43,9 @@ fn crawl_web() -> HostedWeb {
     })
 }
 
+/// The collector's ring: larger than any trace here.
+const RING: usize = 1 << 20;
+
 /// FNV-1a, 64 bit.
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -69,12 +75,17 @@ fn base(cfg: EngineConfig) -> EngineConfig {
     }
 }
 
-/// `unoptimized` has no log table, so on the cyclic crawl web only the
-/// hop limit ends the traversal: keep it small (and so exercise it).
+/// Everything off, the strawman for ablations. With no log table, only
+/// the hop limit ends the traversal of the cyclic crawl web: keep it
+/// small (and so exercise it).
 fn unoptimized() -> EngineConfig {
     EngineConfig {
+        log_mode: LogMode::Off,
+        completion: CompletionMode::ChtStrict,
+        batch_per_site: false,
+        local_forwarding: false,
         max_hops: 4,
-        ..EngineConfig::unoptimized()
+        ..EngineConfig::default()
     }
 }
 
@@ -89,7 +100,7 @@ fn loaded() -> EngineConfig {
 }
 
 fn digest(web: &Arc<HostedWeb>, disql: &str, cfg: EngineConfig, run: Run) -> (u64, usize) {
-    let (collector, tracer) = TraceHandle::collecting(1 << 20);
+    let (collector, tracer) = TraceHandle::collecting(RING);
     let cfg = EngineConfig {
         tracer,
         ..base(cfg)
@@ -127,10 +138,9 @@ fn digest(web: &Arc<HostedWeb>, disql: &str, cfg: EngineConfig, run: Run) -> (u6
         }
     }
     let jsonl = collector.export_jsonl();
-    assert_eq!(
-        collector.total_recorded() as usize,
-        jsonl.lines().count(),
-        "the ring must hold the whole trace"
+    assert!(
+        jsonl.lines().count() < RING,
+        "the ring must hold the whole trace: it never filled"
     );
     (fnv1a(jsonl.as_bytes()), jsonl.lines().count())
 }

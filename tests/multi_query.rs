@@ -45,8 +45,8 @@ fn two_concurrent_queries_do_not_interfere() {
 
     let client = client_of(&mut net);
     assert!(client.all_complete());
-    let nums = client.query_nums();
-    assert_eq!(nums.len(), 2);
+    let nums = [1, 2];
+    assert!(client.query(3).is_none(), "two queries submitted");
 
     // Each query's results match a solo run of the same query.
     for (num, text) in nums.iter().zip([&q1, &q2]) {
@@ -95,7 +95,8 @@ fn same_query_twice_recomputes_fresh() {
     net.run();
     let client = client_of(&mut net);
     assert!(client.all_complete());
-    for num in client.query_nums() {
+    assert!(client.query(3).is_none(), "two queries submitted");
+    for num in [1, 2] {
         assert_eq!(
             client.query(num).unwrap().rows_of_stage(1).len(),
             3,
