@@ -3,14 +3,15 @@
 # field list: `QueryRecord`, filled in place by `UserSite` and wrapped —
 # not restated — by `QueryOutcome`; the §7.1 fallback is a private part
 # of `UserSite`; a workload is run by `Deployment` from its plan, and
-# `webdis-load` only plans. This fails when a second copy reappears:
+# the planner (crates/webdis-core/src/workload.rs) only plans. This fails
+# when a second copy reappears:
 #   * a non-test line under crates/*/src has `impl Actor for` a user-site
 #     type (named `…User…` or `…Client…`) other than `ScheduledClient`
 #     (every engine run) and `DataShipUser` (the data-shipping oracle);
 #   * `UserSite` has a `pub` field that `QueryRecord` also declares;
 #   * `QueryOutcome` declares anything but record, metrics, duration_us,
 #     server_stats;
-#   * a file under crates/webdis-load/src names `ClientProcess`.
+#   * the planner module names `ClientProcess`.
 # Non-test lines are those before a file's first `#[cfg(test)]`, as in
 # ci/loc.sh.
 set -eu
@@ -45,10 +46,15 @@ if [ "$fields" != "record metrics duration_us server_stats " ]; then
     fail=1
 fi
 
-drivers=$(grep -l 'ClientProcess' crates/webdis-load/src/*.rs || true)
+if [ ! -f $core/workload.rs ]; then
+    echo "no planner module at $core/workload.rs: the check below would check nothing" >&2
+    fail=1
+fi
+drivers=$(grep -n 'ClientProcess' $core/workload.rs 2>/dev/null || true)
 if [ -n "$drivers" ]; then
-    echo "webdis-load plans; Deployment builds the client processes. Named in: $drivers" >&2
+    echo "the planner plans; Deployment builds the client processes. Named in $core/workload.rs:" >&2
+    echo "$drivers" >&2
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one user site: 2 user-site actors, UserSite restates no record field, QueryOutcome has 4 fields, webdis-load only plans"
+echo "one user site: 2 user-site actors, UserSite restates no record field, QueryOutcome has 4 fields, the planner only plans"

@@ -15,6 +15,7 @@ use std::sync::Arc;
 use webdis_core::{Deployment, EngineConfig, QueryOutcome};
 use webdis_sim::SimConfig;
 use webdis_trace::RegistrySnapshot;
+use webdis_web::live::{fnv_fold, FNV_OFFSET};
 use webdis_web::{generate, HostedWeb, WebGenConfig};
 
 use crate::report::ScenarioReport;
@@ -238,10 +239,5 @@ fn milli(value: f64) -> u64 {
 /// shape `t14_chaos` commits for its verdict lines. A one-byte change
 /// anywhere in the digested text moves the pinned value.
 fn artifact_digest(text: &str) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.as_bytes().iter().chain(b"\n") {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    fnv_fold(fnv_fold(FNV_OFFSET, text.as_bytes()), b"\n")
 }

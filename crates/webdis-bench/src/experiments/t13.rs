@@ -1,7 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{Deployment, EngineConfig, ProcModel};
-use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis_core::{ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec};
 use webdis_sim::SimConfig;
 use webdis_trace::{Histogram, RegistrySnapshot};
 
@@ -107,8 +106,8 @@ fn t13_point(mean_interarrival_us: u64, ctx: &Ctx, showcase: bool) -> LoadPoint 
     }
 }
 
-/// T13 — throughput and latency vs offered load (the `webdis-load`
-/// workload engine).
+/// T13 — throughput and latency vs offered load (the
+/// `webdis_core::workload` planner).
 ///
 /// The paper's experiments ship one query at a time; its prototype is a
 /// *service*. This harness offers an open-loop Poisson workload from M

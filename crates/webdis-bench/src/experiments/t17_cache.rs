@@ -1,8 +1,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use webdis_core::{CachePolicy, EngineConfig, ProcModel};
-use webdis_load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis_core::{
+    run_workload_sim, ArrivalProcess, CachePolicy, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
+};
 use webdis_sim::SimConfig;
 use webdis_trace::{RegistrySnapshot, TraceHandle};
 

@@ -1,7 +1,9 @@
 use std::sync::Arc;
 
-use webdis_core::{EngineConfig, MonitorHandle, ProcModel};
-use webdis_load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis_core::{
+    run_workload_sim, ArrivalProcess, EngineConfig, MonitorHandle, ProcModel, QueryMix,
+    WorkloadSpec,
+};
 use webdis_sim::SimConfig;
 use webdis_trace::TraceHandle;
 

@@ -1,7 +1,9 @@
 use std::sync::Arc;
 
-use webdis_core::{CachePolicy, Deployment, EngineConfig, ProcModel, ServerStats};
-use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis_core::{
+    ArrivalProcess, CachePolicy, Deployment, EngineConfig, ProcModel, QueryMix, ServerStats,
+    WorkloadSpec,
+};
 use webdis_sim::SimConfig;
 use webdis_trace::{TraceEvent, TraceHandle};
 use webdis_web::{MutationPlanConfig, MutationSchedule};

@@ -199,7 +199,7 @@ pub fn live_smoke() -> Result<String, String> {
         monitor: Some(monitor),
         ..webdis_core::EngineConfig::default()
     };
-    let cluster = webdis_core::TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
+    let mut cluster = webdis_core::TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
     let query = webdis_disql::parse_disql(webdis_web::figures::CAMPUS_QUERY)
         .map_err(|e| format!("smoke query: {e:?}"))?;
     let client = webdis_core::ClientProcess::new("smoke", cluster.user_site().clone(), cfg.clone());

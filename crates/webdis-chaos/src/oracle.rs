@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use webdis_load::{QueryRecord, WorkloadOutcome};
+use webdis_core::{QueryRecord, WorkloadOutcome};
 use webdis_trace::{doctor, TraceEvent, TraceRecord};
 use webdis_web::LiveWeb;
 

@@ -7,8 +7,7 @@
 //! the same plan always produces the same run and a failing plan can be
 //! written to disk ([`crate::repro`]) and replayed elsewhere.
 
-use webdis_core::EngineConfig;
-use webdis_load::{ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis_core::{ArrivalProcess, EngineConfig, QueryMix, WorkloadSpec};
 use webdis_sim::{Fault, FaultKind, SimConfig};
 use webdis_trace::TraceHandle;
 use webdis_web::{Mutation, MutationSchedule, WebGenConfig};

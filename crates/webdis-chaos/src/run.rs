@@ -6,11 +6,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use webdis_core::simrun::user_addr;
-use webdis_core::{query_server_addr, Deployment, DisqlError, EngineConfig};
-use webdis_load::{run_workload_sim, WorkloadOutcome};
+use webdis_core::{
+    query_server_addr, run_workload_sim, Deployment, DisqlError, EngineConfig, WorkloadOutcome,
+};
 use webdis_model::SiteAddr;
 use webdis_sim::{Fault, FaultKind};
 use webdis_trace::{doctor, TraceHandle, TraceRecord};
+use webdis_web::live::{fnv_fold, FNV_OFFSET};
 use webdis_web::LiveWeb;
 
 use crate::oracle::{self, Violation};
@@ -111,16 +113,8 @@ pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, DisqlError> {
 /// FNV-1a over the verdict lines: the sweep digest two runs of the
 /// same master seed must agree on, byte for byte.
 pub fn verdict_digest(lines: &[String]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for line in lines {
-        for b in line.as_bytes() {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash ^= u64::from(b'\n');
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let line = |hash, line: &String| fnv_fold(fnv_fold(hash, line.as_bytes()), b"\n");
+    lines.iter().fold(FNV_OFFSET, line)
 }
 
 /// The query the TCP smoke runs (the paper's campus example).

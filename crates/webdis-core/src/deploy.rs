@@ -8,7 +8,7 @@
 //! ([`Deployment::tcp_cluster`]); the run forms built on those —
 //! `query_sim`, `workload_sim`, `datashipping_sim`, `query_tcp`,
 //! `queries_tcp`, `workload_tcp` — are methods of the same value, and
-//! each `run_*` function of this crate and of `webdis-load` is one of
+//! each `run_*` function of this crate is one of
 //! them with the unsaid fields at their defaults (hybrid execution is
 //! `query_sim` with `participating` and `config.hybrid` said).
 

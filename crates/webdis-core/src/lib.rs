@@ -40,7 +40,10 @@
 //!   the paper argues against (Sections 1 and 6);
 //! * [`tcprun`] — the same engine on real TCP sockets over loopback, one
 //!   daemon thread per site that reads its own socket, demonstrating the
-//!   "currently operational" deployment shape.
+//!   "currently operational" deployment shape;
+//! * [`workload`] — the seeded workload planner (users × submissions, an
+//!   arrival process, a weighted DISQL mix) whose plan `workload_sim` and
+//!   `workload_tcp` run.
 //!
 //! Quick start:
 //!
@@ -75,6 +78,7 @@ pub mod simrun;
 pub mod tcprun;
 pub mod user;
 mod visit;
+pub mod workload;
 
 pub use cht::{Cht, ChtStats};
 pub use client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
@@ -95,3 +99,4 @@ pub use webdis_monitor::{
     default_rules, AlertLogEntry, AlertRule, Condition, InflightStatus, MonitorConfig,
     MonitorHandle, Signal, StatusSnapshot,
 };
+pub use workload::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};

@@ -13,6 +13,7 @@
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::net::SocketAddr;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -20,9 +21,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use webdis_disql::{parse_disql, DisqlError};
 use webdis_model::SiteAddr;
-use webdis_net::{
-    Closer, ConnPool, Frame, Message, Received, RetryPolicy, TcpEndpoint, WireCounters,
-};
+use webdis_net::{Closer, ConnPool, Frame, Message, Received, TcpEndpoint, WireCounters};
 use webdis_sim::{Actor, Event, Fate, Fault, Injector, Ledger};
 use webdis_trace::MetricsExporter;
 
@@ -40,19 +39,20 @@ use crate::simrun::user_addr;
 pub type TcpFaultPlan = Vec<Fault>;
 
 /// What a TCP runtime's deadline is for: one of the runtime's own edges,
-/// or a token its actor posted — two kinds, so neither can be taken for
-/// the other. At an equal instant one crash window's end comes before the
-/// next one's start.
+/// a token its actor posted, or a token of whoever runs the loop — three
+/// kinds, so none can be taken for another. At an equal instant one crash
+/// window's end comes before the next one's start, and the host's tokens
+/// come after the actor's, as on the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Deadline {
     /// A [`Fault::Crash`] window ends: the actor respawns.
     Respawn,
     /// A [`Fault::Crash`] window begins.
     Crash,
-    /// The driver's deadline: the run ends.
-    Stop,
     /// A token the actor [`post`](Network::post)ed.
     Actor(u64),
+    /// A token of the host, handed back to [`run`]'s caller.
+    Host(u64),
 }
 
 /// The edges of `daemon`'s [`Fault::Crash`] windows, as [`serve`]
@@ -80,12 +80,11 @@ pub struct TcpNet {
     map: Arc<BTreeMap<SiteAddr, SocketAddr>>,
     pool: ConnPool,
     epoch: Instant,
-    /// Host name of the endpoint this handle belongs to, for trace stamps.
-    from: String,
-    /// That endpoint's address as the engine sends to it (`wdqs.<host>`
-    /// for a daemon): the sending end of a link a rate fault names.
+    /// The address of the endpoint this handle belongs to, as the engine
+    /// sends to it (`wdqs.<host>` for a daemon): the sending end of a link
+    /// a rate fault names, and the name its trace records and gauges
+    /// carry, as on the simulator.
     addr: SiteAddr,
-    retry: RetryPolicy,
     /// The run's fault decision, shared by every handle; `None` for an
     /// empty fault list, which is all a fault-free send looks at.
     faults: Option<Arc<Mutex<Injector>>>,
@@ -108,7 +107,8 @@ impl TcpNet {
     /// stamped as this endpoint at the wall clock.
     fn record(&self, fate: Fate, msg: &Message, bytes: usize, to: &str) {
         let at_us = || self.now_us();
-        self.ledger.record(fate, msg, bytes, to, &self.from, at_us);
+        self.ledger
+            .record(fate, msg, bytes, to, &self.addr.host, at_us);
     }
 
     /// Makes `deadline` due `delay_us` from now.
@@ -152,13 +152,11 @@ impl Network for TcpNet {
                 return Ok(());
             }
         };
-        let (ledger, from, epoch) = (&self.ledger, &self.from, self.epoch);
-        let sent = self
-            .pool
-            .send_retrying(addr, &frame, self.retry, |attempt| {
-                let at_us = epoch.elapsed().as_micros() as u64;
-                ledger.retried(&msg, &to.host, attempt, from, at_us);
-            });
+        let (ledger, from, epoch) = (&self.ledger, &self.addr.host, self.epoch);
+        let sent = self.pool.send_retrying(addr, &frame, |attempt| {
+            let at_us = epoch.elapsed().as_micros() as u64;
+            ledger.retried(&msg, &to.host, attempt, from, at_us);
+        });
         if sent.is_err() {
             return refused(self);
         }
@@ -215,26 +213,28 @@ fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Due> {
     }
 }
 
-/// The one loop of every thread of a cluster — each daemon, the
-/// housekeeper, the user site — around [`serve`]: hands `actor`
-/// [`Event::Start`], then every message and posted token as it comes due,
-/// until `done` (asked after every event) says so, the driver's deadline
-/// passes, or `endpoint` is closed. What belongs to the runtime rather
-/// than the actor is handled here: a crash window's edges — while it is
-/// open, frames are read off the socket but never processed; its end is
-/// [`Actor::on_restart`] with the same socket — and each message's queue
-/// wait and inbound queue depth.
+/// The one loop of every thread of a cluster — each daemon, the user
+/// site — around [`serve`]: hands `actor` [`Event::Start`], then every
+/// message and posted token as it comes due, until `done` (asked after
+/// every event) says so, `host` (handed each [`Deadline::Host`] token as it
+/// comes due) says so, or `endpoint` is closed. What belongs to the
+/// runtime rather than the actor is handled here: a crash window's edges —
+/// while it is open, frames are read off the socket but never processed;
+/// its end is [`Actor::on_restart`] with the same socket — and each
+/// message's queue wait and inbound queue depth.
 fn run<A: Actor>(
     actor: &mut A,
     endpoint: &TcpEndpoint,
     net: &mut TcpNet,
     mut done: impl FnMut(&A) -> bool,
+    mut host: impl FnMut(&mut TcpNet, u64) -> ControlFlow<()>,
 ) {
     let mut crashed = false;
     actor.handle(net, Event::Start);
     while !done(actor) {
         let event = match serve(endpoint, net) {
-            None | Some(Due::Timer(Deadline::Stop)) => return,
+            Some(Due::Timer(Deadline::Host(token))) if host(net, token).is_continue() => continue,
+            None | Some(Due::Timer(Deadline::Host(_))) => return,
             Some(Due::Timer(Deadline::Crash)) => {
                 crashed = true;
                 continue;
@@ -249,14 +249,14 @@ fn run<A: Actor>(
                 // The process is dead. Traced as an explained drop so
                 // trajectory triage never reports a false orphan.
                 let fate = Fate::DeadLetter("crashed");
-                net.record(fate, &received.msg, received.wire_bytes, &net.from);
+                net.record(fate, &received.msg, received.wire_bytes, &net.addr.host);
                 continue;
             }
             Some(Due::Message(received)) => {
                 // Inbound queue depth at dequeue: this message plus
                 // whatever is still waiting.
                 net.ledger
-                    .arrival(&net.from, || endpoint.pending() as u64 + 1);
+                    .arrival(&net.addr.host, || endpoint.pending() as u64 + 1);
                 net.queue_wait_us = received.queued.as_micros() as u64;
                 Event::Net(received.msg)
             }
@@ -278,74 +278,28 @@ fn spawn<A: Actor + Send>(
 ) -> (Closer, JoinHandle<A>) {
     let closer = endpoint.closer();
     let thread = std::thread::Builder::new().name(name).spawn(move || {
-        run(&mut actor, &endpoint, &mut net, done);
+        run(&mut actor, &endpoint, &mut net, done, |_, _| {
+            ControlFlow::Break(())
+        });
         actor
     });
     (closer, thread.expect("spawn cluster thread"))
 }
 
-/// How often the housekeeper feeds the monitor a registry snapshot — the
-/// TCP analogue of the simulator's purge-tick sampling.
+/// How often a drive feeds the monitor a registry snapshot — the TCP
+/// analogue of the simulator's purge-tick sampling.
 const SAMPLE_PERIOD_US: u64 = 50_000;
-/// The housekeeper's sampling token; any other is the index of a
-/// scheduled mutation.
-const SAMPLE_TOKEN: u64 = u64::MAX;
-
-/// The cluster's housekeeping actor: applies each scheduled mutation at
-/// its offset from the cluster epoch, so pages change while daemons are
-/// mid-query, and feeds the monitor (if any) a registry snapshot every
-/// [`SAMPLE_PERIOD_US`] so its windows close (and alerts fire/resolve)
-/// while the cluster serves traffic — it only reads: same workload,
-/// monitored or not. Its only events are its own tokens; nothing is sent
-/// to its endpoint, whose closing stops it as it stops every daemon.
-struct Housekeeper(Deployment);
-
-impl Actor for Housekeeper {
-    fn handle(&mut self, net: &mut dyn Network, event: Event) {
-        let (now, config) = (net.now_us(), &self.0.config);
-        match event {
-            Event::Start => {
-                for (i, m) in self.0.schedule.events.iter().enumerate() {
-                    net.post(m.at_us.saturating_sub(now), i as u64);
-                }
-                if config.monitor.is_some() {
-                    net.post(0, SAMPLE_TOKEN);
-                }
-            }
-            Event::Timer(SAMPLE_TOKEN) => {
-                let snapshot = config.tracer.registry_snapshot();
-                if let (Some(monitor), Some(snapshot)) = (&config.monitor, snapshot) {
-                    monitor.ingest(now, &snapshot);
-                }
-                net.post(SAMPLE_PERIOD_US, SAMPLE_TOKEN);
-            }
-            Event::Timer(i) => {
-                let mutation = &self.0.schedule.events[i as usize];
-                self.0.apply_mutation(mutation, now);
-            }
-            Event::Net(_) => {}
-        }
-    }
-}
-
-impl Housekeeper {
-    /// Closes the monitor's last window at `now_us`.
-    fn finalize(&self, now_us: u64) {
-        let config = &self.0.config;
-        if let (Some(monitor), Some(snapshot)) =
-            (&config.monitor, config.tracer.registry_snapshot())
-        {
-            monitor.finalize(now_us, &snapshot);
-        }
-    }
-}
+/// [`TcpCluster::drive`]'s host tokens: the drive's deadline, the next
+/// monitor sample, the next scheduled mutation.
+const STOP: u64 = 0;
+const SAMPLE: u64 = 1;
+const MUTATE: u64 = 2;
 
 /// A running loopback deployment: one query-server daemon thread per
 /// site of the hosted web, one bound user endpoint, and the shared
 /// address map playing DNS. All endpoints are bound before any daemon
 /// starts, so the map is complete from the first message. The
-/// single-query runners and the `webdis-load` workload driver all build
-/// on this.
+/// single-query runners and the workload driver all build on this.
 pub struct TcpCluster {
     user_endpoint: TcpEndpoint,
     /// The user site's network handle; every other handle of the cluster
@@ -357,9 +311,11 @@ pub struct TcpCluster {
     /// The cluster's admin socket (`/metrics`, `/status`,
     /// `/reset_high_water`).
     admin: MetricsExporter,
-    /// The [`Housekeeper`] (clusters with a monitor or a mutation
-    /// schedule), stopped the same way.
-    housekeeper: Option<(Closer, JoinHandle<Housekeeper>)>,
+    /// What was deployed: the monitor a drive samples and the schedule
+    /// it applies.
+    deployment: Deployment,
+    /// How many of the schedule's mutations have landed.
+    mutated: usize,
 }
 
 impl TcpCluster {
@@ -400,15 +356,8 @@ impl Deployment {
     /// faults are decided per send, partition windows in µs since the
     /// cluster came up; a daemon's [`Fault::Crash`] windows are deadlines
     /// of its own wait. The daemons race for the one RNG, so rate draws
-    /// are not seed-deterministic: a rate of 0 or 1 is.
-    ///
-    /// With a monitor or a non-empty schedule, one more thread runs the
-    /// [`Housekeeper`], which samples for the former and applies each
-    /// event of the latter at its wall-clock offset from the cluster epoch —
-    /// pages change *while queries are in flight* — emitting one
-    /// [`TraceEvent::WebMutation`](webdis_trace::TraceEvent::WebMutation)
-    /// per applied event, which makes runs auditable after the fact. The
-    /// thread is joined at [`TcpCluster::shutdown`].
+    /// are not seed-deterministic: a rate of 0 or 1 is. The monitor is
+    /// sampled, and the schedule applied, by [`TcpCluster::drive`].
     pub fn tcp_cluster(&self, faults: Vec<Fault>) -> TcpCluster {
         let (web, engine_cfg) = (&self.web, &self.engine_config());
         let epoch = Instant::now();
@@ -430,9 +379,7 @@ impl Deployment {
             map: Arc::new(map),
             pool: ConnPool::metered(Arc::clone(&ledger.meter), &user_endpoint),
             epoch,
-            from: user_site.host.to_string(),
             addr: user_site.clone(),
-            retry: RetryPolicy::default(),
             faults: (!faults.is_empty())
                 .then(|| Arc::new(Mutex::new(Injector::new(faults.clone(), 0)))),
             ledger,
@@ -472,7 +419,6 @@ impl Deployment {
             let engine = ServerEngine::new(site.clone(), web.clone(), engine_cfg.clone());
             let addr = query_server_addr(&site);
             let net = TcpNet {
-                from: site.host.to_string(),
                 timers: crash_edges(&faults, &addr),
                 addr,
                 pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
@@ -486,23 +432,13 @@ impl Deployment {
             let name = format!("webdis-daemon-{site}");
             daemons.push(spawn(name, engine, endpoint, net, gauge));
         }
-        let housekeeper =
-            (engine_cfg.monitor.is_some() || !self.schedule.events.is_empty()).then(|| {
-                let endpoint = TcpEndpoint::bind("127.0.0.1:0").expect("bind loopback");
-                let net = TcpNet {
-                    from: "housekeeper".into(),
-                    pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
-                    ..user_net.clone()
-                };
-                let name = "webdis-housekeeper".into();
-                spawn(name, Housekeeper(self.clone()), endpoint, net, |_| false)
-            });
         TcpCluster {
             user_endpoint,
             net: user_net,
             daemons,
             admin,
-            housekeeper,
+            deployment: self.clone(),
+            mutated: 0,
         }
     }
 }
@@ -551,29 +487,67 @@ impl TcpCluster {
     ///
     /// It is the cluster's one [`run`] loop, so it sleeps until whichever is
     /// due first — a message, the next submission, the next Section-7.1
-    /// expiry sweep, the deadline — and an idle driver costs nothing. The
-    /// cluster stays up afterwards: shut it down, or drive it again with
-    /// the same `net` (a [`TcpCluster::user_net`]), whose connections to
-    /// the daemons then stay open.
-    pub fn drive(&self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
+    /// expiry sweep, and the host's own deadlines: the next scheduled
+    /// mutation, applied at or after its offset from the cluster epoch
+    /// (pages change *while queries are in flight*, each emitting one
+    /// [`TraceEvent::WebMutation`](webdis_trace::TraceEvent::WebMutation));
+    /// the monitor's next sample, every [`SAMPLE_PERIOD_US`], so its
+    /// windows close while the cluster serves; and the deadline. An idle
+    /// driver costs nothing. The cluster stays up afterwards: shut it
+    /// down, or drive it again with the same `net` (a
+    /// [`TcpCluster::user_net`]), whose connections to the daemons then
+    /// stay open; each mutation lands once, in whichever drive is running
+    /// when it comes due.
+    pub fn drive(&mut self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
         // Whatever an earlier drive of this handle left armed is moot.
         net.timers.clear();
-        net.arm(deadline.as_micros() as u64, Deadline::Stop);
-        run(user, &self.user_endpoint, net, ScheduledClient::done);
+        net.arm(deadline.as_micros() as u64, Deadline::Host(STOP));
+        let (endpoint, deployment, mutated) =
+            (&self.user_endpoint, &self.deployment, &mut self.mutated);
+        let (config, events) = (&deployment.config, &deployment.schedule.events);
+        if config.monitor.is_some() {
+            net.arm(0, Deadline::Host(SAMPLE));
+        }
+        let arm_mutation = |net: &mut TcpNet, next: usize| {
+            if let Some(m) = events.get(next) {
+                net.arm(m.at_us.saturating_sub(net.now_us()), Deadline::Host(MUTATE));
+            }
+        };
+        arm_mutation(net, *mutated);
+        let host = |net: &mut TcpNet, token| {
+            let now = net.now_us();
+            match token {
+                SAMPLE => {
+                    let snapshot = config.tracer.registry_snapshot();
+                    if let (Some(monitor), Some(snapshot)) = (&config.monitor, snapshot) {
+                        monitor.ingest(now, &snapshot);
+                    }
+                    net.arm(SAMPLE_PERIOD_US, Deadline::Host(SAMPLE));
+                }
+                MUTATE => {
+                    deployment.apply_mutation(&events[*mutated], now);
+                    *mutated += 1;
+                    arm_mutation(net, *mutated);
+                }
+                _ => return ControlFlow::Break(()),
+            }
+            ControlFlow::Continue(())
+        };
+        run(user, endpoint, net, ScheduledClient::done, host);
     }
 
-    /// Stops the admin socket and every daemon, and returns their
-    /// engines (for final stats). The user endpoint closes first, so a
-    /// daemon whose write waits on a user site that stopped reading
-    /// fails that write rather than waiting on.
+    /// Stops the admin socket and every daemon, closes the monitor's last
+    /// window, and returns the engines (for final stats). The user
+    /// endpoint closes first, so a daemon whose write waits on a user site
+    /// that stopped reading fails that write rather than waiting on.
     pub fn shutdown(mut self) -> Vec<ServerEngine> {
         self.user_endpoint.close();
         self.admin.stop();
-        if let Some((closer, housekeeper)) = self.housekeeper {
-            closer.close();
-            if let Ok(housekeeper) = housekeeper.join() {
-                housekeeper.finalize(self.net.now_us());
-            }
+        let config = &self.deployment.config;
+        if let (Some(monitor), Some(snapshot)) =
+            (&config.monitor, config.tracer.registry_snapshot())
+        {
+            monitor.finalize(self.net.now_us(), &snapshot);
         }
         for (closer, _) in &self.daemons {
             closer.close();
@@ -603,7 +577,7 @@ impl Deployment {
             planned.extend(plan.submissions.into_iter().map(|s| (plan.user, s)));
         }
         let mut user = ScheduledClient::new(clients, planned);
-        let cluster = self.tcp_cluster(faults);
+        let mut cluster = self.tcp_cluster(faults);
         cluster.drive(&mut cluster.user_net(), &mut user, deadline);
         let duration_us = cluster.now_us();
         let engines = cluster.shutdown();
@@ -640,7 +614,7 @@ impl Deployment {
         }
         let client = ClientProcess::new("webdis", user_addr(), self.engine_config());
         let mut user = ScheduledClient::new(vec![client], submissions);
-        let cluster = self.tcp_cluster(faults);
+        let mut cluster = self.tcp_cluster(faults);
         cluster.drive(&mut cluster.user_net(), &mut user, deadline);
         cluster.shutdown();
         Ok(user.clients[0].take_records(0))
@@ -684,21 +658,25 @@ mod tests {
         ScheduledClient::new(vec![client], Vec::new())
     }
 
-    /// Drives one more campus query to completion on an already-running
-    /// cluster; returns its record, which the client forgets.
-    fn drive_campus_query(
-        cluster: &TcpCluster,
+    /// Drives one more query, planned `at_us` after the cluster came up,
+    /// to completion on an already-running cluster; returns its record,
+    /// which the client forgets.
+    fn drive_query(
+        cluster: &mut TcpCluster,
         net: &mut TcpNet,
         user: &mut ScheduledClient,
+        (at_us, disql): (u64, &str),
     ) -> QueryRecord {
-        let query = parse_disql(figures::CAMPUS_QUERY).expect("valid query");
-        let at_once = PlannedQuery::at(0, query);
-        *user = ScheduledClient::new(std::mem::take(&mut user.clients), vec![(0, at_once)]);
+        let planned = PlannedQuery::at(at_us, parse_disql(disql).expect("valid query"));
+        *user = ScheduledClient::new(std::mem::take(&mut user.clients), vec![(0, planned)]);
         cluster.drive(net, user, Duration::from_secs(30));
         assert!(user.done(), "query must complete over TCP");
         let mut records = user.clients[0].take_records(0);
         records.pop().expect("query submitted")
     }
+
+    /// The campus query, due at once.
+    const CAMPUS_NOW: (u64, &str) = (0, figures::CAMPUS_QUERY);
 
     fn needle_live_web() -> Arc<LiveWeb> {
         let mut web = HostedWeb::new();
@@ -784,23 +762,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn scheduled_mutation_applies_during_cluster_lifetime() {
-        // The housekeeping thread applies schedule events at their offsets
-        // while daemons serve; by shutdown every event has landed and
-        // the web's history digest reflects the full schedule.
+    /// A cluster over [`needle_live_web`] whose schedule edits `a.html`
+    /// at `edit_us` and adds an anchor to the root at `anchor_us`, with a
+    /// user site that has planned nothing yet.
+    fn needle_cluster_mutated_at(
+        edit_us: u64,
+        anchor_us: u64,
+    ) -> (Arc<LiveWeb>, TcpCluster, ScheduledClient) {
         let web = needle_live_web();
         let schedule = MutationSchedule {
             events: vec![
                 Mutation {
-                    at_us: 1_000,
+                    at_us: edit_us,
                     op: MutationOp::EditPage {
                         url: Url::parse("http://c.test/a.html").unwrap(),
                         token: "needle".into(),
                     },
                 },
                 Mutation {
-                    at_us: 2_000,
+                    at_us: anchor_us,
                     op: MutationOp::AddAnchor {
                         url: Url::parse("http://c.test/").unwrap(),
                         href: Url::parse("http://c.test/b.html").unwrap(),
@@ -809,19 +789,68 @@ mod tests {
                 },
             ],
         };
-        let cluster = TcpCluster::start_live(
-            Arc::clone(&web),
-            &EngineConfig::default(),
-            Vec::new(),
-            Some(schedule),
-        );
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while web.mutations_applied() < 2 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let cfg = EngineConfig::default();
+        let cluster = TcpCluster::start_live(Arc::clone(&web), &cfg, Vec::new(), Some(schedule));
+        let user = campus_user(&cluster, &cfg);
+        (web, cluster, user)
+    }
+
+    #[test]
+    fn scheduled_mutation_applies_during_cluster_lifetime() {
+        // The drive applies schedule events at their offsets while daemons
+        // serve, so a query planned after both sees the edited page; by
+        // shutdown the web's history reflects the full schedule.
+        let (web, mut cluster, mut user) = needle_cluster_mutated_at(1_000, 2_000);
+        let mut net = cluster.user_net();
+        let after = drive_query(&mut cluster, &mut net, &mut user, (100_000, NEEDLE_QUERY));
         cluster.shutdown();
         assert_eq!(web.mutations_applied(), 2, "schedule fully applied");
         assert_eq!(web.site_version("c.test"), 2);
+        assert!(
+            titles(&after).iter().any(|t| t.contains("A needle rev1")),
+            "the query planned after the edit saw the old page: {:?}",
+            titles(&after)
+        );
+    }
+
+    #[test]
+    fn each_scheduled_mutation_lands_once_however_many_drives() {
+        // The first drive ends between the two mutations, the second one
+        // outlasts the later; a third finds nothing left to apply.
+        let (web, mut cluster, mut user) = needle_cluster_mutated_at(0, 300_000);
+        let mut net = cluster.user_net();
+        drive_query(&mut cluster, &mut net, &mut user, (0, NEEDLE_QUERY));
+        assert_eq!(web.mutations_applied(), 1, "only the due mutation landed");
+        drive_query(&mut cluster, &mut net, &mut user, (400_000, NEEDLE_QUERY));
+        drive_query(&mut cluster, &mut net, &mut user, (0, NEEDLE_QUERY));
+        cluster.shutdown();
+        assert_eq!(web.mutations_applied(), 2, "each mutation landed once");
+        assert_eq!(web.site_version("c.test"), 2);
+    }
+
+    #[test]
+    fn a_monitored_drive_closes_the_monitors_windows() {
+        // A drive that outlasts one monitor window samples the registry
+        // often enough for that window to close while it runs.
+        let (_collector, tracer) = TraceHandle::collecting(65_536);
+        let monitor = crate::MonitorHandle::with_defaults(tracer.clone());
+        let cfg = EngineConfig {
+            tracer,
+            monitor: Some(monitor.clone()),
+            ..EngineConfig::default()
+        };
+        let window_us = monitor.monitor().window_us();
+        let mut cluster = TcpCluster::start(Arc::new(figures::campus()), &cfg, Vec::new());
+        let mut user = campus_user(&cluster, &cfg);
+        let late = (window_us * 5 / 2, figures::CAMPUS_QUERY);
+        let mut net = cluster.user_net();
+        drive_query(&mut cluster, &mut net, &mut user, late);
+        let closed = monitor.monitor().windows_closed();
+        cluster.shutdown();
+        assert!(
+            closed >= 1,
+            "{closed} windows closed in {window_us}us windows"
+        );
     }
 
     #[test]
@@ -845,7 +874,6 @@ mod tests {
             },
         });
         let cluster = deployment.tcp_cluster(Vec::new());
-        assert!(cluster.housekeeper.is_some());
         let t0 = Instant::now();
         let engines = cluster.shutdown();
         let took = t0.elapsed();
@@ -912,7 +940,7 @@ mod tests {
         }];
         let sim = deployment.workload_sim(sim_cfg, plans, u64::MAX, &mut |_, _| {});
 
-        let cluster = deployment.tcp_cluster(Vec::new());
+        let mut cluster = deployment.tcp_cluster(Vec::new());
         let mut net = cluster.user_net();
         let client = ClientProcess::new("webdis", user_addr(), cfg.clone());
         let mut user = ScheduledClient::new(vec![client], plan().map(|s| (0, s)).into());
@@ -978,12 +1006,12 @@ mod tests {
         // pair dials at most once, and a warm cluster never dials again.
         let web = Arc::new(figures::campus());
         let cfg = EngineConfig::default();
-        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
+        let mut cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
         let mut user = campus_user(&cluster, &cfg);
         let mut net = cluster.user_net();
         let mut connects_after = Vec::new();
         for _ in 0..200 {
-            let query = drive_campus_query(&cluster, &mut net, &mut user);
+            let query = drive_query(&mut cluster, &mut net, &mut user, CAMPUS_NOW);
             assert_eq!(query.results.get(&1).map(Vec::len), Some(3));
             connects_after.push(cluster.wire_counters().connects());
         }
@@ -1187,10 +1215,11 @@ mod tests {
             tracer,
             ..EngineConfig::default()
         };
-        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
+        let mut cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
 
         let mut user = campus_user(&cluster, &cfg);
-        drive_campus_query(&cluster, &mut cluster.user_net(), &mut user);
+        let mut net = cluster.user_net();
+        drive_query(&mut cluster, &mut net, &mut user, CAMPUS_NOW);
 
         // Raw-socket fetch from the admin socket while the daemons serve.
         let scrape = |path: &str| -> String {
@@ -1277,6 +1306,9 @@ mod tests {
             let registry = tracer.registry_snapshot().expect("a collecting tracer");
             let depth = registry.gauge("queue_depth.user.test");
             assert!(depth >= 1, "{transport}: user-site queue depth {depth}");
+            // A daemon is gauged under the one name both runtimes give it.
+            let depth = registry.gauge(&format!("queue_depth.{CSA}"));
+            assert!(depth >= 1, "{transport}: {CSA} queue depth {depth}");
         }
     }
 
@@ -1326,10 +1358,11 @@ mod tests {
             monitor: Some(monitor),
             ..EngineConfig::default()
         };
-        let cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
+        let mut cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
 
         let mut user = campus_user(&cluster, &cfg);
-        drive_campus_query(&cluster, &mut cluster.user_net(), &mut user);
+        let mut net = cluster.user_net();
+        drive_query(&mut cluster, &mut net, &mut user, CAMPUS_NOW);
 
         let scrape = |path: &str| -> String {
             let addr = cluster.admin_addr();

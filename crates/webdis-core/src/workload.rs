@@ -1,23 +1,33 @@
-//! Workload specification: who submits what, when.
+//! The workload planner behind the throughput experiment (T13): who
+//! submits what, when.
 //!
-//! A [`WorkloadSpec`] is a *seeded plan generator*: expanding it yields,
-//! deterministically, one submission schedule per simulated user site —
-//! an open-loop arrival process (submissions happen at their planned
-//! times whether or not earlier queries have finished) over a mix of
-//! DISQL templates. The same spec with the same seed always produces the
-//! same plan, which is what makes the throughput experiment (T13)
-//! repeatable down to identical latency histograms. Running the plan is
-//! the deployment's business ([`Deployment::workload_sim`],
-//! [`Deployment::workload_tcp`]).
+//! The paper's experiments submit one query at a time; the prototype it
+//! describes is a *service*: many users, each firing queries at their own
+//! pace, all flowing through the same per-site query-server daemons.
+//! A [`WorkloadSpec`] is that workload as a *seeded plan generator*:
+//! expanding it yields, deterministically, one submission schedule per
+//! simulated user site — an open-loop [`ArrivalProcess`] (submissions
+//! happen at their planned times whether or not earlier queries have
+//! finished) over a weighted [`QueryMix`] of DISQL templates. The same
+//! spec with the same seed always produces the same plan, which is what
+//! makes the throughput experiment repeatable down to identical latency
+//! histograms. Running the plan is the deployment's business
+//! ([`Deployment::workload_sim`], [`Deployment::workload_tcp`]).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use webdis_core::{Deployment, PlannedQuery, UserPlan, WorkloadOutcome};
 use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_sim::SimConfig;
 use webdis_trace::RegistrySnapshot;
+use webdis_web::HostedWeb;
+
+use crate::client::{PlannedQuery, UserPlan};
+use crate::config::EngineConfig;
+use crate::deploy::Deployment;
+use crate::record::WorkloadOutcome;
 
 /// How interarrival gaps between one user's submissions are drawn.
 #[derive(Debug, Clone, Copy)]
@@ -255,6 +265,18 @@ impl WorkloadSpec {
         let mean = self.arrival.mean_us().max(1) as f64;
         self.users as f64 * 1_000_000.0 / mean
     }
+}
+
+/// Runs the whole workload over the deterministic simulator on the
+/// frozen `web`, unobserved: [`WorkloadSpec::run_sim`] with nothing else
+/// said.
+pub fn run_workload_sim(
+    web: Arc<HostedWeb>,
+    spec: &WorkloadSpec,
+    engine_cfg: EngineConfig,
+    sim_cfg: SimConfig,
+) -> Result<WorkloadOutcome, DisqlError> {
+    spec.run_sim(&Deployment::new(web, engine_cfg), sim_cfg, &mut |_, _| {})
 }
 
 #[cfg(test)]

@@ -16,8 +16,10 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use webdis_core::{Deployment, EngineConfig};
-use webdis_load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadOutcome, WorkloadSpec};
+use webdis_core::{
+    run_workload_sim, ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadOutcome,
+    WorkloadSpec,
+};
 use webdis_sim::SimConfig;
 use webdis_web::{generate, LiveWeb, MutationPlanConfig, MutationSchedule, WebGenConfig};
 

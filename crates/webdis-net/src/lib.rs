@@ -34,7 +34,5 @@ pub use messages::{
     QueryClone, QueryId, ResultReport, StageRows,
 };
 pub use meter::{WireCounters, MESSAGE_KINDS};
-pub use tcp::{
-    Closer, ConnPool, Frame, Received, RecvTimeoutError, RetryPolicy, TcpEndpoint, TcpError,
-};
+pub use tcp::{Closer, ConnPool, Frame, Received, RecvTimeoutError, TcpEndpoint, TcpError};
 pub use wire::{decode_message, encode_message, Wire, WireError};

@@ -117,40 +117,25 @@ impl std::fmt::Display for RecvTimeoutError {
 
 impl std::error::Error for RecvTimeoutError {}
 
-/// Bounded-retry policy for [`ConnPool::send_retrying`]: exponential
-/// backoff starting at
-/// `base_backoff`, doubling per attempt.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Extra attempts after the first (0 = a plain send).
-    pub max_retries: u32,
-    /// Sleep before the first retry; doubles each subsequent retry.
-    pub base_backoff: Duration,
-}
+/// Extra attempts [`ConnPool::send_retrying`] makes after the first.
+const MAX_RETRIES: u32 = 3;
+/// Sleep before the first retry; doubles each subsequent retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_retries: 3,
-            base_backoff: Duration::from_millis(10),
-        }
-    }
-}
-
-/// Runs `op` under `policy`, sleeping between attempts. Only transient
-/// errors are retried; `on_retry(attempt)` fires before each retry
-/// (attempt numbering starts at 1).
+/// Runs `op`, retrying up to [`MAX_RETRIES`] times with exponential
+/// backoff from [`BASE_BACKOFF`]. Only transient errors are retried;
+/// `on_retry(attempt)` fires before each retry (attempt numbering starts
+/// at 1).
 fn with_retries<T>(
-    policy: RetryPolicy,
     mut on_retry: impl FnMut(u32),
     mut op: impl FnMut() -> Result<T, TcpError>,
 ) -> Result<T, TcpError> {
-    let mut backoff = policy.base_backoff;
+    let mut backoff = BASE_BACKOFF;
     let mut attempt = 0;
     loop {
         match op() {
             Ok(v) => return Ok(v),
-            Err(e) if e.is_transient() && attempt < policy.max_retries => {
+            Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
                 attempt += 1;
                 on_retry(attempt);
                 std::thread::sleep(backoff);
@@ -306,10 +291,9 @@ impl ConnPool {
         &mut self,
         addr: SocketAddr,
         frame: &Frame,
-        policy: RetryPolicy,
         on_retry: impl FnMut(u32),
     ) -> Result<(), TcpError> {
-        with_retries(policy, on_retry, || self.send(addr, frame))
+        with_retries(on_retry, || self.send(addr, frame))
     }
 }
 
@@ -979,10 +963,6 @@ mod tests {
         let mut failures_left = 2;
         let mut retries = Vec::new();
         let out = with_retries(
-            RetryPolicy {
-                max_retries: 3,
-                base_backoff: Duration::from_millis(1),
-            },
             |attempt| retries.push(attempt),
             || {
                 if failures_left > 0 {
@@ -1004,10 +984,6 @@ mod tests {
     fn retries_are_bounded() {
         let mut attempts = 0;
         let out: Result<(), _> = with_retries(
-            RetryPolicy {
-                max_retries: 2,
-                base_backoff: Duration::from_millis(1),
-            },
             |_| {},
             || {
                 attempts += 1;
@@ -1018,14 +994,13 @@ mod tests {
             },
         );
         assert!(out.is_err());
-        assert_eq!(attempts, 3, "initial try + 2 retries");
+        assert_eq!(attempts, 1 + MAX_RETRIES, "initial try + every retry");
     }
 
     #[test]
     fn connection_refused_is_never_retried() {
         let mut attempts = 0;
         let out: Result<(), _> = with_retries(
-            RetryPolicy::default(),
             |_| panic!("refused must not trigger a retry"),
             || {
                 attempts += 1;
@@ -1240,12 +1215,10 @@ mod tests {
         let err = pool.send(addr, &frame).unwrap_err();
         assert!(!err.is_transient(), "refused, not retried: {err}");
         let mut retries = 0;
-        let again = pool.send_retrying(addr, &frame, RetryPolicy::default(), |_| retries += 1);
+        let again = pool.send_retrying(addr, &frame, |_| retries += 1);
         assert!(again.is_err());
         // A pool that never had a connection is refused the same way.
-        let fresh = pool
-            .clone()
-            .send_retrying(addr, &frame, RetryPolicy::default(), |_| retries += 1);
+        let fresh = pool.clone().send_retrying(addr, &frame, |_| retries += 1);
         assert!(fresh.is_err());
         assert_eq!(retries, 0, "passive termination must not be retried");
     }

@@ -304,10 +304,14 @@ pub struct LiveWeb {
     state: Mutex<LiveState>,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a offset basis: the digest of no bytes.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
+/// Folds `bytes` into the FNV-1a digest `hash` — the one digest shape of
+/// the workspace: the web's mutation history, the chaos sweep's verdict
+/// lines, the experiments' pinned artifacts.
+pub fn fnv_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         hash ^= u64::from(*b);
         hash = hash.wrapping_mul(FNV_PRIME);

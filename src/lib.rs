@@ -56,7 +56,6 @@
 pub use webdis_core as core;
 pub use webdis_disql as disql;
 pub use webdis_html as html;
-pub use webdis_load as load;
 pub use webdis_model as model;
 pub use webdis_net as net;
 pub use webdis_pre as pre;

@@ -1,4 +1,4 @@
-//! Concurrent multi-query workloads (the `webdis-load` engine): results
+//! Concurrent multi-query workloads (the workload planner): results
 //! under interleaving match serial runs byte-for-byte, runs are
 //! seed-deterministic, traces stay per-query clean, and admission-control
 //! shedding never leaves a query hanging — on both transports.
@@ -6,8 +6,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_query_sim, run_query_tcp, Deployment, EngineConfig};
-use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis::core::{
+    run_query_sim, run_query_tcp, run_workload_sim, ArrivalProcess, Deployment, EngineConfig,
+    QueryMix, WorkloadSpec,
+};
 use webdis::sim::SimConfig;
 use webdis::trace::json::decode_record;
 use webdis::trace::trajectory::{query_ids, reconstruct};

@@ -3,8 +3,10 @@
 
 use std::sync::Arc;
 
-use webdis::core::{run_query_sim, CachePolicy, EngineConfig, MonitorHandle, ProcModel};
-use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis::core::{
+    run_query_sim, run_workload_sim, ArrivalProcess, CachePolicy, EngineConfig, MonitorHandle,
+    ProcModel, QueryMix, WorkloadSpec,
+};
 use webdis::model::Url;
 use webdis::sim::{Fault, FaultKind, SimConfig};
 use webdis::trace::doctor::diagnose;

@@ -276,7 +276,7 @@ fn one_fault_list_gives_one_account_on_both_runtimes() {
 
     let (collector, tracer) = TraceHandle::collecting(8_192);
     let tcp_deployment = deployment(tracer);
-    let cluster = tcp_deployment.tcp_cluster(corrupt_one_clone_duplicate_one_lab());
+    let mut cluster = tcp_deployment.tcp_cluster(corrupt_one_clone_duplicate_one_lab());
     let client = ClientProcess::new("webdis", user_addr(), tcp_deployment.config.clone());
     let mut user = ScheduledClient::new(vec![client], vec![(0, PlannedQuery::at(0, query()))]);
     cluster.drive(&mut cluster.user_net(), &mut user, Duration::from_secs(30));

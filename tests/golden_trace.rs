@@ -9,10 +9,9 @@
 use std::sync::Arc;
 
 use webdis::core::{
-    run_query_hybrid_sim, run_query_sim, CachePolicy, CompletionMode, EngineConfig, LogMode,
-    ProcModel,
+    run_query_hybrid_sim, run_query_sim, run_workload_sim, ArrivalProcess, CachePolicy,
+    CompletionMode, EngineConfig, LogMode, ProcModel, QueryMix, WorkloadSpec,
 };
-use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::TraceHandle;
 use webdis::web::{figures, generate, HostedWeb, WebGenConfig};

@@ -8,9 +8,11 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use webdis::core::simrun::{client_of, user_addr};
-use webdis::core::{run_query_sim, Deployment, EngineConfig, WorkloadOutcome};
+use webdis::core::{
+    run_query_sim, run_workload_sim, ArrivalProcess, Deployment, EngineConfig, QueryMix,
+    WorkloadOutcome, WorkloadSpec,
+};
 use webdis::disql::parse_disql;
-use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
 use webdis::model::SiteAddr;
 use webdis::sim::SimConfig;
 use webdis::web::{

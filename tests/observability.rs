@@ -4,8 +4,9 @@
 
 use std::sync::Arc;
 
-use webdis::core::{Deployment, EngineConfig, ProcModel};
-use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis::core::{
+    run_workload_sim, ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
+};
 use webdis::sim::SimConfig;
 use webdis::trace::{Histogram, TraceHandle};
 use webdis::web::{generate, WebGenConfig};

@@ -5,8 +5,9 @@
 
 use std::sync::Arc;
 
-use webdis::core::{EngineConfig, ProcModel};
-use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+use webdis::core::{
+    run_workload_sim, ArrivalProcess, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
+};
 use webdis::sim::SimConfig;
 use webdis::trace::{Histogram, TraceHandle};
 use webdis::web::{generate, WebGenConfig};

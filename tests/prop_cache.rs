@@ -10,8 +10,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use webdis::core::network::RecordingNetwork;
-use webdis::core::{CachePolicy, EngineConfig, ServerEngine};
-use webdis::load::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadOutcome, WorkloadSpec};
+use webdis::core::{
+    run_workload_sim, ArrivalProcess, CachePolicy, EngineConfig, QueryMix, ServerEngine,
+    WorkloadOutcome, WorkloadSpec,
+};
 use webdis::model::{SiteAddr, Url};
 use webdis::net::{Message, NodeReport, QueryClone, QueryId};
 use webdis::sim::SimConfig;
