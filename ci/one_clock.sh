@@ -1,8 +1,13 @@
 #!/bin/sh
-# Everything that happens *at a time* is an entry of
-# its runtime's one queue — SimNet's heap on the simulator, the deadline
-# heap of a `serve` wait on TCP — and what the network does to a message
-# is one `faults` list. This fails when a second clock reappears:
+# Everything that happens *at a time* is an entry of one
+# `webdis_sim::Agenda` — SimNet's on the simulator, each TCP thread's on
+# the wall clock — and what the network does to a message is one
+# `faults` list. This fails when a second clock reappears:
+#   * a non-test line under crates/*/src outside
+#     crates/webdis-sim/src/agenda.rs names `BinaryHeap` (a second
+#     time-ordered queue, with an equal-instant order of its own) or
+#     `crash_edges` (crash edges read off the fault list beside
+#     `Agenda::new`);
 #   * a non-test line of crates/webdis-core/src/tcprun.rs sleeps
 #     (`thread::sleep`) or compares an `.elapsed()` against something (a
 #     hand-rolled timer; reading the clock as `elapsed().as_micros()` is
@@ -17,6 +22,15 @@ set -eu
 cd "$(dirname "$0")/.."
 fail=0
 nontest() { awk -v f="$1" '/#\[cfg\(test\)\]/ { exit } { print f ":" NR ": " $0 }' "$1"; }
+
+queues=$(find crates -name '*.rs' -path 'crates/*/src/*' ! -path crates/webdis-sim/src/agenda.rs |
+    LC_ALL=C sort | while read -r f; do nontest "$f"; done |
+    grep -E '(^|[^A-Za-z0-9_])(BinaryHeap|crash_edges)([^A-Za-z0-9_]|$)' || true)
+if [ -n "$queues" ]; then
+    echo "a time queue or crash-edge reader beside webdis_sim::Agenda:" >&2
+    echo "$queues" >&2
+    fail=1
+fi
 
 polls=$(nontest crates/webdis-core/src/tcprun.rs |
     grep -E 'thread::sleep|elapsed\(\) *(<|>|==|!=)' || true)
@@ -41,4 +55,4 @@ if [ "$fields" != "latency jitter_us faults seed " ]; then
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one clock: no polling in tcprun.rs, no clock loop outside webdis-sim, SimConfig has 4 fields"
+echo "one clock: one Agenda, no polling in tcprun.rs, no clock loop outside webdis-sim, SimConfig has 4 fields"

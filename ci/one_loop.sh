@@ -10,10 +10,12 @@
 #   * a non-test line of tcprun.rs starts a thread other than through
 #     its one `spawn` helper, or calls that helper other than once, for
 #     the daemons (`daemons.push(spawn(`);
-#   * a non-test line under crates/*/src names an adapter, loop or actor
-#     the vocabulary replaced: `CtxNet`, `SimServer`, `SimDataUser`,
-#     `SendError`, `as_any_mut`, `run_daemon`, `keep_house` or
-#     `Housekeeper`.
+#   * a non-test line under crates/*/src names an adapter, loop, actor
+#     or queue the vocabulary replaced: `CtxNet`, `SimServer`,
+#     `SimDataUser`, `SendError`, `as_any_mut`, `run_daemon`,
+#     `keep_house`, `Housekeeper`, `Deadline` (TCP's own deadline kinds,
+#     now `webdis_sim::Due`) or `close_endpoint` (a site going down is
+#     the agenda's `Down` edge, `Fault::Crash`).
 # Non-test lines are those before a file's first `#[cfg(test)]`, as in
 # ci/loc.sh.
 set -eu
@@ -47,9 +49,9 @@ fi
 
 hits=$(find crates -name '*.rs' -path 'crates/*/src/*' | LC_ALL=C sort |
     while read -r f; do nontest "$f"; done |
-    grep -E '(^|[^A-Za-z0-9_])(CtxNet|SimServer|SimDataUser|SendError|as_any_mut|run_daemon|keep_house|Housekeeper)([^A-Za-z0-9_]|$)' || true)
+    grep -E '(^|[^A-Za-z0-9_])(CtxNet|SimServer|SimDataUser|SendError|as_any_mut|run_daemon|keep_house|Housekeeper|Deadline|close_endpoint)([^A-Za-z0-9_]|$)' || true)
 if [ -n "$hits" ]; then
-    echo "an adapter, loop or actor beside Actor::handle and tcprun's run:" >&2
+    echo "an adapter, loop, actor or queue beside Actor::handle, tcprun's run and the Agenda:" >&2
     echo "$hits" >&2
     fail=1
 fi

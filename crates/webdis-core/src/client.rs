@@ -234,7 +234,8 @@ impl ScheduledClient {
 /// next; an expiry timer sweeps (anyone else's token is ignored); either
 /// then arms one expiry sweep unless one is already pending (submissions
 /// and sweeps both re-arm; the flag keeps the chains from multiplying).
-/// The sweep runs every quarter of the expiry timeout.
+/// The sweep runs every quarter of the expiry timeout. A kick-off finds
+/// no sweep pending: each TCP drive starts from a fresh agenda.
 impl Actor for ScheduledClient {
     fn handle(&mut self, net: &mut dyn Network, event: Event) {
         let now = net.now_us();
@@ -246,6 +247,7 @@ impl Actor for ScheduledClient {
                 return;
             }
             Event::Start | Event::Timer(SUBMIT_TIMER_TOKEN) => {
+                self.expiry_armed &= event != Event::Start;
                 while self.pending.front().is_some_and(|(_, s)| s.at_us <= now) {
                     let (client, s) = self.pending.pop_front().expect("front checked");
                     self.clients[client].submit(net, s.query);

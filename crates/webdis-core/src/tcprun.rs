@@ -10,8 +10,7 @@
 //! this runtime exists to demonstrate (and integration-test) that the
 //! identical engine code is operational over real sockets.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -22,7 +21,7 @@ use parking_lot::Mutex;
 use webdis_disql::{parse_disql, DisqlError};
 use webdis_model::SiteAddr;
 use webdis_net::{Closer, ConnPool, Frame, Message, Received, TcpEndpoint, WireCounters};
-use webdis_sim::{Actor, Event, Fate, Fault, Injector, Ledger};
+use webdis_sim::{Actor, Agenda, Due, Event, Fate, Fault, Injector, Ledger};
 use webdis_trace::MetricsExporter;
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
@@ -37,37 +36,6 @@ use crate::simrun::user_addr;
 /// simulator's vocabulary. (A name kept because the wall-clock benchmark,
 /// `hwbench/`, calls `TcpFaultPlan::default()`.)
 pub type TcpFaultPlan = Vec<Fault>;
-
-/// What a TCP runtime's deadline is for: one of the runtime's own edges,
-/// a token its actor posted, or a token of whoever runs the loop — three
-/// kinds, so none can be taken for another. At an equal instant one crash
-/// window's end comes before the next one's start, and the host's tokens
-/// come after the actor's, as on the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Deadline {
-    /// A [`Fault::Crash`] window ends: the actor respawns.
-    Respawn,
-    /// A [`Fault::Crash`] window begins.
-    Crash,
-    /// A token the actor [`post`](Network::post)ed.
-    Actor(u64),
-    /// A token of the host, handed back to [`run`]'s caller.
-    Host(u64),
-}
-
-/// The edges of `daemon`'s [`Fault::Crash`] windows, as [`serve`]
-/// deadlines.
-fn crash_edges(faults: &[Fault], daemon: &SiteAddr) -> BinaryHeap<Reverse<(u64, Deadline)>> {
-    let windows = faults.iter().filter_map(Fault::crash_edges);
-    let windows = windows.filter(|(site, ..)| *site == daemon);
-    let edges = windows.flat_map(|(_, down_us, up_us)| {
-        [
-            Some((down_us, Deadline::Crash)),
-            up_us.map(|up_us| (up_us, Deadline::Respawn)),
-        ]
-    });
-    edges.flatten().map(Reverse).collect()
-}
 
 /// A `Network` that resolves site addresses through the shared map and
 /// dispatches over its own pool of long-lived connections, one per peer,
@@ -96,10 +64,10 @@ pub struct TcpNet {
     /// set by [`run`] so the engine's `queue_us` span sees how long it sat
     /// in the endpoint's inbox.
     queue_wait_us: u64,
-    /// The deadlines of the [`serve`] loop this handle is running under,
-    /// earliest first: what has been [`post`](Network::post)ed and is
-    /// not due yet, and the runtime's own edges.
-    timers: BinaryHeap<Reverse<(u64, Deadline)>>,
+    /// What the [`run`] loop this handle is running under has to do at a
+    /// time, on the wall clock: its crash edges, what its actor
+    /// [`post`](Network::post)ed and the host's entries.
+    agenda: Agenda,
 }
 
 impl TcpNet {
@@ -109,12 +77,6 @@ impl TcpNet {
         let at_us = || self.now_us();
         self.ledger
             .record(fate, msg, bytes, to, &self.addr.host, at_us);
-    }
-
-    /// Makes `deadline` due `delay_us` from now.
-    fn arm(&mut self, delay_us: u64, deadline: Deadline) {
-        self.timers
-            .push(Reverse((self.now_us() + delay_us, deadline)));
     }
 }
 
@@ -178,35 +140,26 @@ impl Network for TcpNet {
     }
 
     fn post(&mut self, delay_us: u64, token: u64) {
-        self.arm(delay_us, Deadline::Actor(token));
+        let timer = Due::Actor(self.addr.clone(), Event::Timer(token));
+        self.agenda.push(self.now_us() + delay_us, timer);
     }
 }
 
-/// What a TCP runtime does next.
-enum Due {
-    /// A message off the endpoint.
-    Message(Received),
-    /// A deadline that has passed.
-    Timer(Deadline),
-}
-
-/// The one wait of every TCP runtime: the earliest deadline if it has
-/// come due, else the next message — sleeping until whichever of the two
-/// is first, so an idle runtime costs nothing. `None` once `endpoint` is
-/// closed, which wakes the sleeper.
-fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Due> {
+/// The one wait of every TCP runtime: the earliest agenda entry if it
+/// has come due (`Err`), else the next message off `endpoint` (`Ok`) —
+/// sleeping until whichever of the two is first, so an idle runtime
+/// costs nothing. `None` once `endpoint` is closed, which wakes the
+/// sleeper.
+fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Result<Received, Due>> {
     loop {
         let now = net.now_us();
-        let next = net.timers.peek().map(|&Reverse(timer)| timer);
-        if let Some((_, deadline)) = next.filter(|(at_us, _)| *at_us <= now) {
-            net.timers.pop();
-            return Some(Due::Timer(deadline));
+        if let Some((_, due)) = net.agenda.pop(now) {
+            return Some(Err(due));
         }
-        let wait = next.map_or(Duration::MAX, |(at_us, _)| {
-            Duration::from_micros(at_us - now)
-        });
+        let next_us = net.agenda.next_us();
+        let wait = next_us.map_or(Duration::MAX, |at_us| Duration::from_micros(at_us - now));
         match endpoint.recv_timeout_sized(wait) {
-            Ok(received) => return Some(Due::Message(received)),
+            Ok(received) => return Some(Ok(received)),
             Err(webdis_net::RecvTimeoutError::Timeout) => {}
             Err(_disconnected) => return None,
         }
@@ -214,14 +167,15 @@ fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Due> {
 }
 
 /// The one loop of every thread of a cluster — each daemon, the user
-/// site — around [`serve`]: hands `actor` [`Event::Start`], then every
-/// message and posted token as it comes due, until `done` (asked after
-/// every event) says so, `host` (handed each [`Deadline::Host`] token as it
-/// comes due) says so, or `endpoint` is closed. What belongs to the
-/// runtime rather than the actor is handled here: a crash window's edges —
-/// while it is open, frames are read off the socket but never processed;
-/// its end is [`Actor::on_restart`] with the same socket — and each
-/// message's queue wait and inbound queue depth.
+/// site — around [`serve`]: queues `actor`'s [`Event::Start`] at the
+/// current time, as [`SimNet::start`](webdis_sim::SimNet::start) does,
+/// then hands it every agenda entry and message as it comes due, until
+/// `done` (asked before every event) says so, `host` (handed each
+/// [`Due::Host`] token as it comes due) says so, or `endpoint` is closed.
+/// What belongs to the runtime rather than the actor is handled here: a
+/// crash window's edges — while it is open, frames are read off the
+/// socket but never processed; its end is [`Actor::on_restart`] with the
+/// same socket — and each message's queue wait and inbound queue depth.
 fn run<A: Actor>(
     actor: &mut A,
     endpoint: &TcpEndpoint,
@@ -230,29 +184,30 @@ fn run<A: Actor>(
     mut host: impl FnMut(&mut TcpNet, u64) -> ControlFlow<()>,
 ) {
     let mut crashed = false;
-    actor.handle(net, Event::Start);
+    let start = Due::Actor(net.addr.clone(), Event::Start);
+    net.agenda.push(net.now_us(), start);
     while !done(actor) {
         let event = match serve(endpoint, net) {
-            Some(Due::Timer(Deadline::Host(token))) if host(net, token).is_continue() => continue,
-            None | Some(Due::Timer(Deadline::Host(_))) => return,
-            Some(Due::Timer(Deadline::Crash)) => {
+            Some(Err(Due::Host(token))) if host(net, token).is_continue() => continue,
+            None | Some(Err(Due::Host(_))) => return,
+            Some(Err(Due::Down(_))) => {
                 crashed = true;
                 continue;
             }
-            Some(Due::Timer(Deadline::Respawn)) => {
+            Some(Err(Due::Up(_))) => {
                 actor.on_restart(net.now_us());
                 crashed = false;
                 continue;
             }
-            Some(Due::Timer(Deadline::Actor(token))) => Event::Timer(token),
-            Some(Due::Message(received)) if crashed => {
+            Some(Err(Due::Actor(_, event))) => event,
+            Some(Ok(received)) if crashed => {
                 // The process is dead. Traced as an explained drop so
                 // trajectory triage never reports a false orphan.
                 let fate = Fate::DeadLetter("crashed");
                 net.record(fate, &received.msg, received.wire_bytes, &net.addr.host);
                 continue;
             }
-            Some(Due::Message(received)) => {
+            Some(Ok(received)) => {
                 // Inbound queue depth at dequeue: this message plus
                 // whatever is still waiting.
                 net.ledger
@@ -289,11 +244,10 @@ fn spawn<A: Actor + Send>(
 /// How often a drive feeds the monitor a registry snapshot — the TCP
 /// analogue of the simulator's purge-tick sampling.
 const SAMPLE_PERIOD_US: u64 = 50_000;
-/// [`TcpCluster::drive`]'s host tokens: the drive's deadline, the next
-/// monitor sample, the next scheduled mutation.
-const STOP: u64 = 0;
-const SAMPLE: u64 = 1;
-const MUTATE: u64 = 2;
+/// [`TcpCluster::drive`]'s host tokens beside a scheduled mutation's,
+/// which is its index: the drive's deadline and the next monitor sample.
+const STOP: u64 = u64::MAX;
+const SAMPLE: u64 = u64::MAX - 1;
 
 /// A running loopback deployment: one query-server daemon thread per
 /// site of the hosted web, one bound user endpoint, and the shared
@@ -354,8 +308,8 @@ impl Deployment {
     /// built on its own endpoint, which it reads while a write waits for
     /// room ([`ConnPool`]). Rate and partition
     /// faults are decided per send, partition windows in µs since the
-    /// cluster came up; a daemon's [`Fault::Crash`] windows are deadlines
-    /// of its own wait. The daemons race for the one RNG, so rate draws
+    /// cluster came up; a daemon's [`Fault::Crash`] windows are entries
+    /// of its own agenda. The daemons race for the one RNG, so rate draws
     /// are not seed-deterministic: a rate of 0 or 1 is. The monitor is
     /// sampled, and the schedule applied, by [`TcpCluster::drive`].
     pub fn tcp_cluster(&self, faults: Vec<Fault>) -> TcpCluster {
@@ -384,7 +338,7 @@ impl Deployment {
                 .then(|| Arc::new(Mutex::new(Injector::new(faults.clone(), 0)))),
             ledger,
             queue_wait_us: 0,
-            timers: BinaryHeap::new(),
+            agenda: Agenda::default(),
         };
 
         // The cluster's one admin socket: `/metrics` is the shared
@@ -419,7 +373,7 @@ impl Deployment {
             let engine = ServerEngine::new(site.clone(), web.clone(), engine_cfg.clone());
             let addr = query_server_addr(&site);
             let net = TcpNet {
-                timers: crash_edges(&faults, &addr),
+                agenda: Agenda::new(&faults, |site| *site == addr),
                 addr,
                 pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
                 ..user_net.clone()
@@ -485,12 +439,14 @@ impl TcpCluster {
     /// gone out and completed, or `deadline` passes;
     /// [`ScheduledClient::unsubmitted`] then says how many never went out.
     ///
-    /// It is the cluster's one [`run`] loop, so it sleeps until whichever is
-    /// due first — a message, the next submission, the next Section-7.1
-    /// expiry sweep, and the host's own deadlines: the next scheduled
-    /// mutation, applied at or after its offset from the cluster epoch
-    /// (pages change *while queries are in flight*, each emitting one
-    /// [`TraceEvent::WebMutation`](webdis_trace::TraceEvent::WebMutation));
+    /// It is the cluster's one [`run`] loop over a fresh agenda, so it
+    /// sleeps until whichever is due first — a message, the kick-off, the
+    /// next submission, the next Section-7.1 expiry sweep, and the host's
+    /// own entries: every scheduled mutation not yet applied, at its
+    /// offset from the cluster epoch (pages change *while queries are in
+    /// flight*, each emitting one
+    /// [`TraceEvent::WebMutation`](webdis_trace::TraceEvent::WebMutation);
+    /// one already overdue lands before the kick-off submits anything);
     /// the monitor's next sample, every [`SAMPLE_PERIOD_US`], so its
     /// windows close while the cluster serves; and the deadline. An idle
     /// driver costs nothing. The cluster stays up afterwards: shut it
@@ -499,37 +455,35 @@ impl TcpCluster {
     /// stay open; each mutation lands once, in whichever drive is running
     /// when it comes due.
     pub fn drive(&mut self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
-        // Whatever an earlier drive of this handle left armed is moot.
-        net.timers.clear();
-        net.arm(deadline.as_micros() as u64, Deadline::Host(STOP));
+        // Whatever an earlier drive of this handle left queued is moot.
+        net.agenda = Agenda::default();
+        let now = net.now_us();
+        let stop_us = now + deadline.as_micros() as u64;
+        net.agenda.push(stop_us, Due::Host(STOP));
         let (endpoint, deployment, mutated) =
             (&self.user_endpoint, &self.deployment, &mut self.mutated);
         let (config, events) = (&deployment.config, &deployment.schedule.events);
         if config.monitor.is_some() {
-            net.arm(0, Deadline::Host(SAMPLE));
+            net.agenda.push(now, Due::Host(SAMPLE));
         }
-        let arm_mutation = |net: &mut TcpNet, next: usize| {
-            if let Some(m) = events.get(next) {
-                net.arm(m.at_us.saturating_sub(net.now_us()), Deadline::Host(MUTATE));
-            }
-        };
-        arm_mutation(net, *mutated);
+        for (i, m) in events.iter().enumerate().skip(*mutated) {
+            net.agenda.push(m.at_us, Due::Host(i as u64));
+        }
         let host = |net: &mut TcpNet, token| {
             let now = net.now_us();
             match token {
+                STOP => return ControlFlow::Break(()),
                 SAMPLE => {
                     let snapshot = config.tracer.registry_snapshot();
                     if let (Some(monitor), Some(snapshot)) = (&config.monitor, snapshot) {
                         monitor.ingest(now, &snapshot);
                     }
-                    net.arm(SAMPLE_PERIOD_US, Deadline::Host(SAMPLE));
+                    net.agenda.push(now + SAMPLE_PERIOD_US, Due::Host(SAMPLE));
                 }
-                MUTATE => {
-                    deployment.apply_mutation(&events[*mutated], now);
+                index => {
+                    deployment.apply_mutation(&events[index as usize], now);
                     *mutated += 1;
-                    arm_mutation(net, *mutated);
                 }
-                _ => return ControlFlow::Break(()),
             }
             ControlFlow::Continue(())
         };
@@ -829,6 +783,63 @@ mod tests {
     }
 
     #[test]
+    fn an_overdue_mutation_lands_before_the_drives_first_submission() {
+        // The drive starts 5 ms after the edit's offset: the edit is
+        // overdue, so it lands before the kick-off sends the query's
+        // first clone. The driving thread records both.
+        let (collector, tracer) = TraceHandle::collecting(8_192);
+        let cfg = EngineConfig {
+            tracer,
+            ..EngineConfig::default()
+        };
+        let mut deployment = Deployment::new(needle_live_web(), cfg.clone());
+        deployment.schedule.events.push(Mutation {
+            at_us: 0,
+            op: MutationOp::EditPage {
+                url: Url::parse("http://c.test/a.html").unwrap(),
+                token: "needle".into(),
+            },
+        });
+        let mut cluster = deployment.tcp_cluster(Vec::new());
+        let (mut user, mut net) = (campus_user(&cluster, &cfg), cluster.user_net());
+        std::thread::sleep(Duration::from_millis(5));
+        drive_query(&mut cluster, &mut net, &mut user, (0, NEEDLE_QUERY));
+        cluster.shutdown();
+        let records = collector.snapshot();
+        let first = |what: &dyn Fn(&TrEvent) -> bool| records.iter().position(|r| what(&r.event));
+        let mutation = first(&|e| matches!(e, TrEvent::WebMutation { .. }));
+        let clone = first(&|e| matches!(e, TrEvent::MessageSent { kind, .. } if kind == "query"));
+        assert!(
+            matches!((mutation, clone), (Some(m), Some(c)) if m < c),
+            "mutation record {mutation:?}, first clone record {clone:?}"
+        );
+    }
+
+    #[test]
+    fn a_second_drive_keeps_the_expiry_sweep() {
+        // Every clone the CSA daemon forwards to the DSL lab is lost, so
+        // only expiry sweeps conclude the two campus queries. The first
+        // drive ends with a sweep pending; the second one must sweep too.
+        let cfg = EngineConfig {
+            expiry_us: Some(400_000),
+            ..EngineConfig::default()
+        };
+        let drop = Fault::rate(FaultKind::Drop, 1.0).on(CSA, "wdqs.dsl.serc.iisc.ernet.in");
+        let mut cluster = TcpCluster::start(Arc::new(figures::campus()), &cfg, vec![drop]);
+        let client = ClientProcess::new("webdis", user_addr(), cfg.clone());
+        let plan = [0, 300_000].map(|at_us| {
+            let query = parse_disql(figures::CAMPUS_QUERY).expect("valid query");
+            (0, PlannedQuery::at(at_us, query))
+        });
+        let mut user = ScheduledClient::new(vec![client], plan.into());
+        let mut net = cluster.user_net();
+        cluster.drive(&mut net, &mut user, Duration::from_millis(50));
+        cluster.drive(&mut net, &mut user, Duration::from_secs(5));
+        cluster.shutdown();
+        assert!(user.done(), "expiry must conclude both queries");
+    }
+
+    #[test]
     fn a_monitored_drive_closes_the_monitors_windows() {
         // A drive that outlasts one monitor window samples the registry
         // often enough for that window to close while it runs.
@@ -915,7 +926,7 @@ mod tests {
         // `ScheduledClient`, so the queries go out in the same order (their
         // numbers follow their planned times) and each is answered the
         // same; on TCP the one expiry chain is visible as at most one
-        // pending sweep among the driver's deadlines.
+        // pending sweep on the driver's agenda.
         let web = Arc::new(figures::campus());
         let cfg = EngineConfig {
             expiry_us: Some(2_000_000),
@@ -945,10 +956,10 @@ mod tests {
         let client = ClientProcess::new("webdis", user_addr(), cfg.clone());
         let mut user = ScheduledClient::new(vec![client], plan().map(|s| (0, s)).into());
         cluster.drive(&mut net, &mut user, Duration::from_secs(30));
-        let sweeps = net.timers.iter();
-        let sweeps =
-            sweeps.filter(|t| t.0 .1 == Deadline::Actor(crate::client::EXPIRY_TIMER_TOKEN));
-        assert!(sweeps.count() <= 1, "{:?}", net.timers);
+        let sweep = Event::Timer(crate::client::EXPIRY_TIMER_TOKEN);
+        let sweeps = net.agenda.iter();
+        let sweeps = sweeps.filter(|(_, due)| matches!(due, Due::Actor(_, e) if *e == sweep));
+        assert!(sweeps.count() <= 1, "{:?}", net.agenda);
         cluster.shutdown();
         let tcp = user.clients[0].take_records(0);
 

@@ -1,0 +1,243 @@
+//! The one time-ordered queue of both runtimes: a crash window's edges,
+//! an actor's deliveries, timers and kick-off, and the host's own entries,
+//! on the simulator's virtual clock and a TCP thread's wall clock alike.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use webdis_model::SiteAddr;
+
+use crate::actor::Event;
+use crate::fault::Fault;
+
+/// What an agenda entry is. The variants are declared in the order they
+/// take at one instant: a [`Fault::Crash`]'s edges first (a site that
+/// crashes at `t` is down for a delivery at `t`), then what actors see,
+/// then the host's own entries (it acts on a network that has done all
+/// of `t`); each class in push order, so a zero-length window restarts.
+#[derive(Debug, Clone)]
+pub enum Due {
+    /// The site's endpoint goes down (process death).
+    Down(SiteAddr),
+    /// The site comes back up with fresh volatile state.
+    Up(SiteAddr),
+    /// An event for the actor at this address.
+    Actor(SiteAddr, Event),
+    /// A token of whoever runs the loop, handed back to it.
+    Host(u64),
+}
+
+#[derive(Debug, Clone)]
+struct Entry {
+    at_us: u64,
+    seq: u64,
+    due: Due,
+}
+
+impl Entry {
+    fn key(&self) -> (u64, u8, u64) {
+        let class = match self.due {
+            Due::Down(_) | Due::Up(_) => 0,
+            Due::Actor(..) => 1,
+            Due::Host(_) => 2,
+        };
+        (self.at_us, class, self.seq)
+    }
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
+}
+
+/// Everything that is going to happen, earliest first.
+#[derive(Debug, Clone, Default)]
+pub struct Agenda {
+    heap: BinaryHeap<Reverse<Entry>>,
+    seq: u64,
+    /// [`Due::Actor`] entries in `heap`.
+    actor_entries: usize,
+}
+
+impl Agenda {
+    /// An agenda of the [`Fault::Crash`] edges in `faults` of the sites
+    /// `here` accepts, in list order, each window down before up.
+    pub fn new(faults: &[Fault], here: impl Fn(&SiteAddr) -> bool) -> Agenda {
+        let mut agenda = Agenda::default();
+        for fault in faults {
+            let Fault::Crash {
+                site,
+                at_us,
+                down_us,
+            } = fault
+            else {
+                continue;
+            };
+            if here(site) {
+                agenda.push(*at_us, Due::Down(site.clone()));
+                if let Some(down_us) = down_us {
+                    agenda.push(at_us + down_us, Due::Up(site.clone()));
+                }
+            }
+        }
+        agenda
+    }
+
+    /// Queues `due` at `at_us`.
+    pub fn push(&mut self, at_us: u64, due: Due) {
+        if matches!(due, Due::Actor(..)) {
+            self.actor_entries += 1;
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Reverse(Entry { at_us, seq, due }));
+    }
+
+    /// When the earliest entry is due, if any is queued.
+    pub fn next_us(&self) -> Option<u64> {
+        self.heap.peek().map(|Reverse(entry)| entry.at_us)
+    }
+
+    /// Takes the earliest entry and its time, if it is due by `limit_us`.
+    pub fn pop(&mut self, limit_us: u64) -> Option<(u64, Due)> {
+        if self.next_us()? > limit_us {
+            return None;
+        }
+        let Reverse(Entry { at_us, due, .. }) = self.heap.pop()?;
+        if matches!(due, Due::Actor(..)) {
+            self.actor_entries -= 1;
+        }
+        Some((at_us, due))
+    }
+
+    /// True when no [`Due::Actor`] entry is queued.
+    pub fn idle(&self) -> bool {
+        self.actor_entries == 0
+    }
+
+    /// Every queued entry and its time, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &Due)> {
+        let entries = self.heap.iter();
+        entries.map(|Reverse(entry)| (entry.at_us, &entry.due))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn addr(h: &str) -> SiteAddr {
+        SiteAddr {
+            host: h.into(),
+            port: 80,
+        }
+    }
+
+    fn crash(site: &str, at_us: u64, down_us: Option<u64>) -> Fault {
+        let site = addr(site);
+        Fault::Crash {
+            site,
+            at_us,
+            down_us,
+        }
+    }
+
+    /// Pops everything, naming each entry.
+    fn drain(agenda: &mut Agenda) -> Vec<String> {
+        let name = |(at_us, due): (u64, Due)| match due {
+            Due::Down(site) => format!("down {}@{at_us}", site.host),
+            Due::Up(site) => format!("up {}@{at_us}", site.host),
+            Due::Actor(site, event) => format!("{event:?} {}@{at_us}", site.host),
+            Due::Host(token) => format!("host{token}@{at_us}"),
+        };
+        std::iter::from_fn(|| agenda.pop(u64::MAX))
+            .map(name)
+            .collect()
+    }
+
+    #[test]
+    fn one_instant_takes_crash_edges_then_actor_entries_then_host_entries_each_in_push_order() {
+        // Two zero-length windows on one site and one on another, all at
+        // t = 5, pushed after the host and actor entries of that instant.
+        let faults = [
+            crash("a", 5, Some(0)),
+            crash("b", 5, Some(0)),
+            crash("a", 5, None),
+        ];
+        let mut agenda = Agenda::new(&faults, |_| true);
+        agenda.push(5, Due::Host(2));
+        agenda.push(5, Due::Actor(addr("a"), Event::Timer(7)));
+        agenda.push(5, Due::Host(1));
+        agenda.push(5, Due::Actor(addr("b"), Event::Start));
+        agenda.push(4, Due::Host(0));
+        assert_eq!(agenda.next_us(), Some(4));
+        assert_eq!(
+            drain(&mut agenda),
+            [
+                "host0@4",
+                "down a@5",
+                "up a@5",
+                "down b@5",
+                "up b@5",
+                "down a@5",
+                "Timer(7) a@5",
+                "Start b@5",
+                "host2@5",
+                "host1@5",
+            ]
+        );
+        assert_eq!(agenda.next_us(), None);
+    }
+
+    #[test]
+    fn new_seeds_only_the_crash_edges_of_the_sites_here_accepts() {
+        let faults = [
+            crash("a", 1, Some(2)),
+            Fault::rate(crate::FaultKind::Drop, 1.0),
+            crash("b", 2, None),
+            crash("a", 9, None),
+        ];
+        let mut agenda = Agenda::new(&faults, |site| *site == addr("a"));
+        assert_eq!(drain(&mut agenda), ["down a@1", "up a@3", "down a@9"]);
+        assert!(Agenda::new(&faults, |_| false).next_us().is_none());
+    }
+
+    #[test]
+    fn pop_stops_at_the_limit_and_idle_counts_actor_entries_only() {
+        let mut agenda = Agenda::new(&[crash("a", 1, Some(1))], |_| true);
+        agenda.push(3, Due::Host(0));
+        assert!(
+            agenda.idle(),
+            "crash edges and host entries are not activity"
+        );
+        agenda.push(3, Due::Actor(addr("a"), Event::Start));
+        agenda.push(4, Due::Actor(addr("a"), Event::Timer(1)));
+        assert!(!agenda.idle());
+        assert_eq!(agenda.iter().count(), 5);
+        assert!(agenda.pop(0).is_none(), "nothing is due at 0");
+        assert_eq!(drain_to(&mut agenda, 3), 4);
+        assert!(!agenda.idle(), "the timer at 4 is still queued");
+        assert!(matches!(agenda.pop(4), Some((4, Due::Actor(..)))));
+        assert!(agenda.idle());
+    }
+
+    /// Pops what is due at or before `limit_us`; returns how many.
+    fn drain_to(agenda: &mut Agenda, limit_us: u64) -> usize {
+        std::iter::from_fn(|| agenda.pop(limit_us)).count()
+    }
+}

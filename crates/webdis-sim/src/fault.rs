@@ -65,9 +65,12 @@ pub enum Fault {
     /// deliveries are lost, a process death). With `down_us` it comes
     /// back that much later with fresh volatile state (e.g. an empty log
     /// table) — on the simulator through [`Actor::on_restart`], on TCP as
-    /// a respawned engine; without, it stays down. Over TCP only a query
+    /// a respawned engine; without, it stays down. The edges are
+    /// [`Agenda`] entries on both runtimes, down before up, so `down_us:
+    /// Some(0)` is a restart at one instant. Over TCP only a query
     /// server's address crashes.
     ///
+    /// [`Agenda`]: crate::Agenda
     /// [`Actor::on_restart`]: crate::Actor::on_restart
     Crash {
         /// The endpoint that crashes.
@@ -92,19 +95,6 @@ impl Fault {
             *link = Some((from.to_owned(), to.to_owned()));
         }
         self
-    }
-
-    /// A crash's edges: the site, when it goes down, and when (if ever)
-    /// it comes back up.
-    pub fn crash_edges(&self) -> Option<(&SiteAddr, u64, Option<u64>)> {
-        match self {
-            Fault::Crash {
-                site,
-                at_us,
-                down_us,
-            } => Some((site, *at_us, down_us.map(|down_us| at_us + down_us))),
-            _ => None,
-        }
     }
 }
 

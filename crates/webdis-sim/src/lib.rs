@@ -22,18 +22,21 @@
 //!   robustness corners of the CHT protocol in tests;
 //! * everything that happens *at a time* — deliveries, actor timers,
 //!   crash and restart edges, the harness's own entries
-//!   ([`SimNet::post_host`]) — is an entry of one time-ordered queue.
+//!   ([`SimNet::post_host`]) — is an entry of one [`Agenda`].
 //!
-//! Its [`Actor`], [`Event`] and [`Network`] are the vocabulary of the
-//! TCP runtime too: the same actors run there unchanged.
+//! Its [`Actor`], [`Event`], [`Network`] and [`Agenda`] are the TCP
+//! runtime's vocabulary too: the same actors run there unchanged, and
+//! what is due at a time comes due in the same order.
 
 pub mod actor;
+pub mod agenda;
 pub mod fault;
 pub mod ledger;
 pub mod metrics;
 pub mod net;
 
 pub use actor::{Actor, Event, Network, NetworkError};
+pub use agenda::{Agenda, Due};
 pub use fault::{Fault, FaultKind, Injector};
 pub use ledger::{Fate, Ledger};
 pub use metrics::{KindStats, Metrics};

@@ -1,8 +1,7 @@
 //! The event loop: actors, virtual clock, latency model, delivery.
 
 use std::any::Any;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use webdis_model::SiteAddr;
@@ -10,6 +9,7 @@ use webdis_net::{Message, Wire};
 use webdis_trace::TraceHandle;
 
 use crate::actor::{Actor, Event, Network, NetworkError};
+use crate::agenda::{Agenda, Due};
 use crate::fault::{Fault, Injector};
 use crate::ledger::{Fate, Ledger};
 use crate::metrics::Metrics;
@@ -136,75 +136,14 @@ impl Network for Ctx<'_> {
     }
 }
 
-/// Everything that happens at a time. The variants are declared in the
-/// order they take at one instant: the control edges of a
-/// [`Fault::Crash`] first (a site that crashes at `t` is down for a
-/// delivery at `t`), then what actors see, then the host's own entries
-/// (the harness acts at `t` on a network that has done all of `t`).
-/// Only actor entries advance the clock.
-enum What {
-    /// The site's endpoint deregisters (process death).
-    Down(SiteAddr),
-    /// The site re-registers with fresh volatile state.
-    Up(SiteAddr),
-    /// An event for the actor at this address: only a network message
-    /// is metered and droppable; a timer or kick-off to a closed
-    /// endpoint evaporates.
-    Actor(SiteAddr, Event),
-    /// A [`SimNet::post_host`] token, handed back by
-    /// [`SimNet::run_to_host`].
-    Host(u64),
-}
-
-/// One entry of the queue.
-struct Entry {
-    at_us: u64,
-    seq: u64,
-    what: What,
-}
-
-impl Entry {
-    fn key(&self) -> (u64, u8, u64) {
-        let class = match self.what {
-            What::Down(_) | What::Up(_) => 0,
-            What::Actor(..) => 1,
-            What::Host(_) => 2,
-        };
-        (self.at_us, class, self.seq)
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
-/// The simulated network: a registry of actors and one time-ordered
-/// queue of everything that is going to happen.
+/// The simulated network: a registry of actors and the [`Agenda`] of
+/// everything that is going to happen.
 pub struct SimNet {
     config: SimConfig,
     actors: BTreeMap<SiteAddr, Box<dyn Actor>>,
     registry: BTreeSet<SiteAddr>,
-    queue: BinaryHeap<Reverse<Entry>>,
-    /// Actor entries in `queue`.
-    queued_actor_entries: usize,
+    agenda: Agenda,
     clock_us: u64,
-    seq: u64,
     /// `config.faults` (which it takes over) and the seeded RNG.
     injector: Injector,
     /// Per-endpoint processor availability: an event delivered before
@@ -222,18 +161,15 @@ pub struct SimNet {
 
 impl SimNet {
     /// Creates an empty network; the crash edges of `config.faults` are
-    /// its queue's first entries (in list order, down before up, which
-    /// is the order they keep at an equal instant).
+    /// its agenda's first entries ([`Agenda::new`]).
     pub fn new(mut config: SimConfig) -> SimNet {
         let faults = std::mem::take(&mut config.faults);
-        let mut net = SimNet {
-            injector: Injector::new(faults.clone(), config.seed),
+        SimNet {
+            agenda: Agenda::new(&faults, |_| true),
+            injector: Injector::new(faults, config.seed),
             actors: BTreeMap::new(),
             registry: BTreeSet::new(),
-            queue: BinaryHeap::new(),
-            queued_actor_entries: 0,
             clock_us: 0,
-            seq: 0,
             busy_until: BTreeMap::new(),
             sites: Metrics::default(),
             ledger: Ledger {
@@ -242,14 +178,7 @@ impl SimNet {
             },
             scratch: Vec::new(),
             config,
-        };
-        for (site, down_us, up_us) in faults.iter().filter_map(Fault::crash_edges) {
-            net.push(down_us, What::Down(site.clone()));
-            if let Some(up_us) = up_us {
-                net.push(up_us, What::Up(site.clone()));
-            }
         }
-        net
     }
 
     /// The run's metrics so far: its traffic as the ledger metered it,
@@ -279,7 +208,8 @@ impl SimNet {
     pub fn start(&mut self, addr: &SiteAddr) {
         // Model the kick-off as a zero-size local event: deliver through
         // the queue for deterministic ordering, but without traffic.
-        self.push(self.clock_us, What::Actor(addr.clone(), Event::Start));
+        let start = Due::Actor(addr.clone(), Event::Start);
+        self.agenda.push(self.clock_us, start);
     }
 
     /// Queues a host entry: [`SimNet::run_to_host`] hands `(at_us,
@@ -288,16 +218,7 @@ impl SimNet {
     /// mutation, a purge sweep) between deliveries, never mid-handler.
     /// A host entry neither advances the clock nor counts as activity.
     pub fn post_host(&mut self, at_us: u64, token: u64) {
-        self.push(at_us, What::Host(token));
-    }
-
-    fn push(&mut self, at_us: u64, what: What) {
-        if matches!(what, What::Actor(..)) {
-            self.queued_actor_entries += 1;
-        }
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.push(Reverse(Entry { at_us, seq, what }));
+        self.agenda.push(at_us, Due::Host(token));
     }
 
     /// Runs until the queue is empty. Returns the final virtual time in
@@ -310,9 +231,8 @@ impl SimNet {
 
     /// Processes entries with timestamps `<= limit_us`; returns true when
     /// actor events remain queued beyond the limit. Lets harnesses
-    /// intervene mid-run (e.g. cancel a query by closing the user
-    /// endpoint). For callers that post no host entries: one that comes
-    /// due here is dropped.
+    /// inspect actors mid-run. For callers that post no host entries: one
+    /// that comes due here is dropped.
     pub fn run_until(&mut self, limit_us: u64) -> bool {
         while self.advance(limit_us).is_some() {}
         !self.idle()
@@ -327,37 +247,32 @@ impl SimNet {
     /// True when no actor event — delivery, timer, kick-off — is queued:
     /// left to itself the network would do nothing more.
     pub fn idle(&self) -> bool {
-        self.queued_actor_entries == 0
+        self.agenda.idle()
     }
 
     /// The one loop: pops entries `<= limit_us` in order, up to and
     /// including the first host entry, which it returns.
     fn advance(&mut self, limit_us: u64) -> Option<(u64, u64)> {
-        while let Some(Reverse(peek)) = self.queue.peek() {
-            if peek.at_us > limit_us {
-                break;
-            }
-            let Reverse(entry) = self.queue.pop()?;
-            let (to, event) = match entry.what {
-                What::Down(site) => {
+        while let Some((at_us, due)) = self.agenda.pop(limit_us) {
+            let (to, event) = match due {
+                Due::Down(site) => {
                     // The actor stays inspectable via `actor_mut`; its
                     // pending deliveries dead-letter and later sends are
                     // refused.
                     self.registry.remove(&site);
                     continue;
                 }
-                What::Up(site) => {
+                Due::Up(site) => {
                     if let Some(actor) = self.actors.get_mut(&site) {
-                        actor.on_restart(entry.at_us);
+                        actor.on_restart(at_us);
                         self.registry.insert(site);
                     }
                     continue;
                 }
-                What::Host(token) => return Some((entry.at_us, token)),
-                What::Actor(to, event) => (to, event),
+                Due::Host(token) => return Some((at_us, token)),
+                Due::Actor(to, event) => (to, event),
             };
-            self.queued_actor_entries -= 1;
-            self.deliver(entry.at_us, to, event);
+            self.deliver(at_us, to, event);
         }
         None
     }
@@ -399,11 +314,11 @@ impl SimNet {
             // that has already arrived but not yet been processed.
             // The heap is small (one entry per in-flight event), so
             // the scan costs less than maintaining a second index.
-            let waiting = |Reverse(e): &Reverse<Entry>| {
-                e.at_us <= start_us && matches!(&e.what, What::Actor(t, Event::Net(_)) if *t == to)
+            let waiting = |&(at_us, due): &(u64, &Due)| {
+                at_us <= start_us && matches!(due, Due::Actor(t, Event::Net(_)) if *t == to)
             };
-            let queue = &self.queue;
-            let depth = || 1 + queue.iter().filter(|e| waiting(e)).count() as u64;
+            let agenda = &self.agenda;
+            let depth = || 1 + agenda.iter().filter(waiting).count() as u64;
             self.ledger.arrival(&to.host, depth);
         }
         let mut ctx = Ctx {
@@ -441,8 +356,8 @@ impl SimNet {
             self.dispatch_at(done_us, &from, to, msg);
         }
         for (delay_us, token) in timers {
-            let timer = What::Actor(from.clone(), Event::Timer(token));
-            self.push(done_us + delay_us, timer);
+            let timer = Due::Actor(from.clone(), Event::Timer(token));
+            self.agenda.push(done_us + delay_us, timer);
         }
     }
 
@@ -477,26 +392,17 @@ impl SimNet {
             record(Fate::Duplicated);
             (arrive_us + copy_jitter_us, msg.clone())
         });
-        self.push(
-            arrive_us + jitter_us,
-            What::Actor(to.clone(), Event::Net(msg)),
-        );
+        let delivery = Due::Actor(to.clone(), Event::Net(msg));
+        self.agenda.push(arrive_us + jitter_us, delivery);
         if let Some((copy_at_us, copy)) = copy {
-            self.push(copy_at_us, What::Actor(to, Event::Net(copy)));
+            self.agenda
+                .push(copy_at_us, Due::Actor(to, Event::Net(copy)));
         }
     }
 
     /// Current virtual time.
     pub fn now_us(&self) -> u64 {
         self.clock_us
-    }
-
-    /// Closes an endpoint from outside the event loop (the user pressing
-    /// "cancel"): the actor stays inspectable via [`SimNet::actor_mut`],
-    /// but subsequent sends to the address are refused and queued
-    /// deliveries become dead letters.
-    pub fn close_endpoint(&mut self, addr: &SiteAddr) {
-        self.registry.remove(addr);
     }
 }
 
@@ -811,8 +717,17 @@ mod tests {
 
     #[test]
     fn timer_to_closed_endpoint_evaporates() {
-        let mut net = SimNet::new(SimConfig::default());
+        // The endpoint goes down at 1 µs, after the kick-off armed the
+        // timer.
         let c = addr("client");
+        let mut net = SimNet::new(SimConfig {
+            faults: vec![Fault::Crash {
+                site: c.clone(),
+                at_us: 1,
+                down_us: None,
+            }],
+            ..SimConfig::default()
+        });
         net.register(
             c.clone(),
             Box::new(TimerProbe {
@@ -822,8 +737,6 @@ mod tests {
             }),
         );
         net.start(&c);
-        net.run_until(0); // the timer is armed
-        net.close_endpoint(&c);
         net.run();
         assert!(net.actor_mut::<TimerProbe>(&c).unwrap().fired.is_empty());
         assert_eq!(net.metrics().dead_letters, 0, "timers are not dead letters");
@@ -1411,9 +1324,18 @@ mod tests {
 
     #[test]
     fn external_close_endpoint_refuses_and_dead_letters() {
-        let mut net = SimNet::new(SimConfig::default());
+        // The client goes down at 2.5 ms: requests delivered, replies in
+        // flight.
         let c = addr("client");
         let s = addr("server");
+        let mut net = SimNet::new(SimConfig {
+            faults: vec![Fault::Crash {
+                site: c.clone(),
+                at_us: 2_500,
+                down_us: None,
+            }],
+            ..SimConfig::default()
+        });
         net.register(
             c.clone(),
             Box::new(Client {
@@ -1430,8 +1352,6 @@ mod tests {
             }),
         );
         net.start(&c);
-        net.run_until(2_500); // requests delivered, replies in flight
-        net.close_endpoint(&c);
         net.run();
         assert_eq!(net.actor_mut::<Client>(&c).unwrap().replies, 0);
         assert!(

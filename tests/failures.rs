@@ -36,13 +36,21 @@ fn cleanly_crashed_server_is_recovered_without_expiry() {
     // timeout needed.
     let web = web();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
-        .sim_with_client(SimConfig::default(), vec![query]);
     let victim = SiteAddr {
         host: "site5.test".into(),
         port: 80,
     };
-    net.close_endpoint(&query_server_addr(&victim));
+    let down = Fault::Crash {
+        site: query_server_addr(&victim),
+        at_us: 0,
+        down_us: None,
+    };
+    let sim_cfg = SimConfig {
+        faults: vec![down],
+        ..SimConfig::default()
+    };
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(sim_cfg, vec![query]);
     net.start(&user_addr());
     net.run();
 

@@ -14,10 +14,11 @@ use std::time::Duration;
 
 use webdis::core::simrun::user_addr;
 use webdis::core::{
-    run_query_sim, ClientProcess, Deployment, EngineConfig, PlannedQuery, QueryRecord,
-    ScheduledClient,
+    query_server_addr, run_query_sim, ClientProcess, Deployment, EngineConfig, PlannedQuery,
+    QueryRecord, ScheduledClient,
 };
 use webdis::disql::parse_disql;
+use webdis::model::SiteAddr;
 use webdis::net::meter::FATES;
 use webdis::net::{WireCounters, MESSAGE_KINDS};
 use webdis::sim::{Fault, FaultKind, SimConfig};
@@ -158,6 +159,50 @@ fn one_fault_list_recovers_alike_on_both_transports() {
     assert_eq!(sim.metrics.dropped, 1);
     assert!(!failed(&sim.record).is_empty());
     assert_eq!(failed(&sim.record), failed(&tcp));
+    assert_eq!(sim.result_set(), tcp.result_set());
+}
+
+#[test]
+fn a_zero_length_crash_window_restarts_alike_on_both_runtimes() {
+    // `down_us: Some(0)` is a restart at one instant: the DSL lab's
+    // daemon goes down and comes back up at t = 0, before anything is
+    // handed to it, so nothing is lost on either runtime.
+    let cfg = EngineConfig {
+        expiry_us: Some(400_000),
+        ..EngineConfig::default()
+    };
+    let deployment = Deployment::new(Arc::new(figures::campus()), cfg);
+    let restart = || {
+        let site = query_server_addr(&SiteAddr {
+            host: "dsl.serc.iisc.ernet.in".into(),
+            port: 80,
+        });
+        let down_us = Some(0);
+        vec![Fault::Crash {
+            site,
+            at_us: 0,
+            down_us,
+        }]
+    };
+    let sim_cfg = SimConfig {
+        faults: restart(),
+        ..SimConfig::default()
+    };
+    let sim = deployment
+        .query_sim(figures::CAMPUS_QUERY, sim_cfg)
+        .unwrap();
+    let deadline = Duration::from_secs(30);
+    let tcp = deployment
+        .query_tcp(figures::CAMPUS_QUERY, deadline, restart())
+        .unwrap();
+    for (runtime, record) in [("sim", &sim.record), ("tcp", &tcp)] {
+        assert!(record.complete, "{runtime}");
+        assert!(
+            record.failed_entries.is_empty(),
+            "{runtime}: {:?}",
+            record.failed_entries
+        );
+    }
     assert_eq!(sim.result_set(), tcp.result_set());
 }
 

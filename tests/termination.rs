@@ -9,7 +9,7 @@ use std::sync::Arc;
 use webdis::core::simrun::user_addr;
 use webdis::core::{query_server_addr, Deployment, EngineConfig, ServerEngine};
 use webdis::disql::parse_disql;
-use webdis::sim::SimConfig;
+use webdis::sim::{Fault, SimConfig};
 use webdis::web::{generate, WebGenConfig};
 
 const QUERY: &str = r#"
@@ -27,19 +27,28 @@ fn big_web() -> Arc<webdis::web::HostedWeb> {
     }))
 }
 
+/// The user cancelling at `at_us`: its endpoint goes down for good.
+fn cancelled_at(at_us: u64) -> SimConfig {
+    let site = user_addr();
+    SimConfig {
+        faults: vec![Fault::Crash {
+            site,
+            at_us,
+            down_us: None,
+        }],
+        ..SimConfig::default()
+    }
+}
+
 #[test]
 fn cancelling_mid_flight_drains_the_network() {
     let web = big_web();
     let sites = web.sites();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
-        .sim_with_client(SimConfig::default(), vec![query]);
-    net.start(&user_addr());
-
     // Let the query spread a little, then cancel.
-    let more = net.run_until(8_000);
-    assert!(more, "the query must still be in flight at t=8ms");
-    net.close_endpoint(&user_addr());
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(cancelled_at(8_000), vec![query]);
+    net.start(&user_addr());
     net.run();
 
     // Every server that tried to report afterwards observed the failure
@@ -78,13 +87,11 @@ fn cancelling_mid_flight_drains_the_network() {
 fn immediate_cancellation_stops_everything() {
     let web = big_web();
     let query = parse_disql(QUERY).unwrap();
-    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
-        .sim_with_client(SimConfig::default(), vec![query]);
-    net.start(&user_addr());
     // Cancel before any clone is even delivered (delivery takes >= base
     // latency = 2ms; cancel at 1ms).
-    net.run_until(1_000);
-    net.close_endpoint(&user_addr());
+    let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .sim_with_client(cancelled_at(1_000), vec![query]);
+    net.start(&user_addr());
     net.run();
     // The StartNode server processed its clone, failed to report, purged.
     let mut terminated = 0u64;
@@ -116,10 +123,8 @@ fn servers_drop_clones_of_purged_queries() {
     let web = big_web();
     let query = parse_disql(QUERY).unwrap();
     let mut net = Deployment::new(Arc::clone(&web), EngineConfig::default())
-        .sim_with_client(SimConfig::default(), vec![query]);
+        .sim_with_client(cancelled_at(12_000), vec![query]);
     net.start(&user_addr());
-    net.run_until(12_000);
-    net.close_endpoint(&user_addr());
     let end = net.run();
 
     // The run ends (bounded drain); total messages finite and no server
