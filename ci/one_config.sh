@@ -7,7 +7,8 @@
 #     always set to a quarter of it), `AdmissionPolicy` (one `usize`),
 #     `SimRunError` (one variant around `DisqlError`) — or the
 #     per-daemon `metrics_addrs` (a cluster has one admin socket);
-#   * `EngineConfig` declares more than 15 `pub` fields.
+#   * `EngineConfig` declares more than 14 `pub` fields (the monitor is
+#     the tracer, not a field of its own).
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -28,9 +29,9 @@ fields=$(awk '
     inside && /^\}/ { inside = 0 }
     inside && /^    pub [a-z_0-9]+:/ { n++ }
     END { print n + 0 }' crates/webdis-core/src/config.rs)
-if [ "$fields" -gt 15 ]; then
-    echo "EngineConfig has $fields pub fields (at most 15): say a setting as one value" >&2
+if [ "$fields" -gt 14 ]; then
+    echo "EngineConfig has $fields pub fields (at most 14): say a setting as one value" >&2
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one config: $fields EngineConfig fields, no wrapper around one value"
+echo "one config: $fields EngineConfig fields (at most 14), no wrapper around one value"

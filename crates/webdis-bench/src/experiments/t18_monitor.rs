@@ -1,9 +1,9 @@
 use std::sync::Arc;
 
 use webdis_core::{
-    run_workload_sim, ArrivalProcess, EngineConfig, MonitorHandle, ProcModel, QueryMix,
-    WorkloadSpec,
+    run_workload_sim, ArrivalProcess, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
 };
+use webdis_monitor::Monitor;
 use webdis_sim::SimConfig;
 use webdis_trace::TraceHandle;
 
@@ -15,7 +15,7 @@ struct T18Point {
     shed: usize,
     hung: usize,
     duration_us: u64,
-    monitor: Option<MonitorHandle>,
+    monitor: Option<Arc<Monitor>>,
 }
 
 /// One t18 run: a shed storm, then calm. The burst packs each user's
@@ -38,16 +38,18 @@ fn t18_point(monitored: bool, smoke: bool) -> T18Point {
         ..WorkloadSpec::default()
     };
     let (_collector, tracer) = TraceHandle::collecting(65_536);
-    let monitor = monitored.then(|| MonitorHandle::with_defaults(tracer.clone()));
+    let monitor = monitored.then(|| Arc::new(Monitor::new(Default::default(), tracer.clone())));
     let cfg = EngineConfig {
         proc: ProcModel::workstation_1999(),
         admission: Some(2),
         log_purge_us: Some(50_000),
-        tracer,
-        monitor: monitor.clone(),
+        tracer: monitor.clone().map_or(tracer, |m| TraceHandle::new(m)),
         ..EngineConfig::default()
     };
     let outcome = run_workload_sim(web, &spec, cfg, SimConfig::default()).expect("t18 point");
+    if let Some(monitor) = &monitor {
+        monitor.finalize(outcome.duration_us);
+    }
     T18Point {
         clean: outcome.completed_clean(),
         shed: outcome.completed_shed(),

@@ -14,7 +14,7 @@ use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use webdis_core::StatusSnapshot;
+use webdis_monitor::StatusSnapshot;
 use webdis_net::tcp::MAX_FRAME;
 
 /// One denominator of the stage-share table: a `stage_us.*` histogram's
@@ -193,10 +193,9 @@ pub fn live_smoke() -> Result<String, String> {
 
     let web = Arc::new(webdis_web::figures::campus());
     let (_collector, tracer) = webdis_trace::TraceHandle::collecting(65_536);
-    let monitor = webdis_core::MonitorHandle::with_defaults(tracer.clone());
+    let monitor = webdis_monitor::Monitor::new(Default::default(), tracer);
     let cfg = webdis_core::EngineConfig {
-        tracer,
-        monitor: Some(monitor),
+        tracer: webdis_trace::TraceHandle::new(Arc::new(monitor)),
         ..webdis_core::EngineConfig::default()
     };
     let mut cluster = webdis_core::TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
@@ -284,7 +283,7 @@ mod tests {
                 admitted: 3,
                 retired: 2,
                 active_alerts: vec!["shed_rate_burn".into()],
-                inflight: vec![webdis_core::InflightStatus {
+                inflight: vec![webdis_monitor::InflightStatus {
                     user: "alice".into(),
                     host: "user.test".into(),
                     port: 9900,

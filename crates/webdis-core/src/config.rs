@@ -2,7 +2,6 @@
 //! the ablation experiments can measure what each one buys.
 
 use webdis_cache::CachePolicy;
-use webdis_monitor::MonitorHandle;
 use webdis_trace::TraceHandle;
 
 /// Duplicate-recognition policy of the node-query log table
@@ -167,15 +166,11 @@ pub struct EngineConfig {
     /// Event sink for query-trajectory tracing (`webdis-trace`). The
     /// default no-op sink records nothing and costs one inlined branch
     /// per instrumentation point; runners copy this handle into the
-    /// transport so engine and network events share one stream.
+    /// transport so engine and network events share one stream, and
+    /// [`tick`](TraceHandle::tick) it on their sampling clock. Live
+    /// observability is a sink here too: `webdis-monitor`'s `Monitor`
+    /// wrapping the collecting tracer.
     pub tracer: TraceHandle,
-    /// Live observability (`webdis-monitor`): windowed time-series,
-    /// the in-flight query registry, and the alert-rule engine. `None`
-    /// (the default) removes every hook, so an unmonitored run's
-    /// metrics and traces are bit-identical to the pre-monitor engine.
-    /// The runners drive window closes — the engine only feeds the
-    /// in-flight registry from its admit/clone/terminate paths.
-    pub monitor: Option<MonitorHandle>,
 }
 
 impl Default for EngineConfig {
@@ -195,7 +190,6 @@ impl Default for EngineConfig {
             cache: None,
             proc: ProcModel::default(),
             tracer: TraceHandle::noop(),
-            monitor: None,
         }
     }
 }

@@ -95,8 +95,4 @@ pub use tcprun::{run_query_tcp, TcpCluster, TcpFaultPlan, TcpNet};
 pub use user::{TraceEvent, UserSite};
 pub use webdis_cache::{AnswerCache, CachePolicy, CacheStats};
 pub use webdis_disql::DisqlError;
-pub use webdis_monitor::{
-    default_rules, AlertLogEntry, AlertRule, Condition, InflightStatus, MonitorConfig,
-    MonitorHandle, Signal, StatusSnapshot,
-};
 pub use workload::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};

@@ -518,9 +518,6 @@ impl ServerEngine {
         self.trace(net, at(clone), || TraceEvent::QueryRecv {
             nodes: clone.dest_nodes.len() as u32,
         });
-        if let Some(monitor) = &self.config.monitor {
-            monitor.clone_recv(&clone.id, &self.site.host, clone.stage_offset, clone.hops);
-        }
     }
 
     /// Admit stage: says whether the clone may be processed. Clones of a
@@ -900,14 +897,11 @@ impl ServerEngine {
     ) -> u64 {
         // Fan-out histogram: how many distinct sites this processing
         // forwarded to (0 when the traversal ended here).
-        if self.config.tracer.enabled() || self.config.monitor.is_some() {
+        if self.config.tracer.enabled() {
             let sites: BTreeSet<&str> = clones.iter().map(|(s, _)| &*s.host).collect();
             self.config
                 .tracer
                 .observe("site_fanout", sites.len() as u64);
-            if let Some(monitor) = &self.config.monitor {
-                monitor.clone_sent(&clone.id, sites.len() as u32);
-            }
         }
         let fanout_t0 = net.now_us();
         let mut forwarded = 0;
@@ -920,15 +914,20 @@ impl ServerEngine {
         for (site, qc) in clones {
             // Kept for the refusal below: the message is gone once sent.
             let (state, dests) = (qc.state(), qc.dest_nodes.clone());
-            let daemon = self.daemon_of(&site);
+            let (daemon, sent_at) = (self.daemon_of(&site), net.now_us());
             if net.send(&daemon, Message::Query(qc)).is_ok() {
                 forwarded += 1;
                 self.stats.clones_forwarded += 1;
-                self.trace(net, Some((&clone.id, clone.hops + 1)), || {
-                    TraceEvent::QuerySent {
+                // Stamped before the send: its receive can be recorded first.
+                self.config.tracer.emit_with(|| TraceRecord {
+                    time_us: sent_at,
+                    site: self.site.host.to_string(),
+                    query: Some(clone.id.clone()),
+                    hop: Some(clone.hops + 1),
+                    event: TraceEvent::QuerySent {
                         to_site: site.host.to_string(),
                         nodes: dests.len() as u32,
-                    }
+                    },
                 });
             } else {
                 self.stats.unreachable_sites += 1;

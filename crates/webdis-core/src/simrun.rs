@@ -237,9 +237,10 @@ impl Deployment {
     /// at each tick every server runs its Section-3.1.1 `purge_log`
     /// sweep (which also retires idle admission slots; servers themselves
     /// stay timer-free) and raises the `log_len_high_water` gauge; then
-    /// the monitor samples the registry and `observer` is handed the same
-    /// snapshot with the virtual clock — the simulator's analogue of
-    /// scraping a live daemon's `/metrics`. The observer only fires when
+    /// `observer` is handed a registry snapshot with the virtual clock —
+    /// the simulator's analogue of scraping a live daemon's `/metrics` —
+    /// and the tracer is [ticked](webdis_trace::TraceHandle::tick) (a
+    /// monitor samples the registry there). The observer only fires when
     /// the tracer carries a registry, and never perturbs the simulation.
     pub fn workload_sim(
         &self,
@@ -248,9 +249,7 @@ impl Deployment {
         horizon_us: u64,
         observer: &mut dyn FnMut(u64, &RegistrySnapshot),
     ) -> WorkloadOutcome {
-        let EngineConfig {
-            tracer, monitor, ..
-        } = &self.config;
+        let tracer = &self.config.tracer;
         let sites = self.web.sites();
 
         let mut net = self.sim_net(sim_cfg);
@@ -277,13 +276,11 @@ impl Deployment {
                 }
             }
             if let Some(snapshot) = tracer.registry_snapshot() {
-                // The monitor samples on the same tick as the observer, so
-                // its window closes land at deterministic virtual times.
-                if let Some(monitor) = monitor {
-                    monitor.ingest(now, &snapshot);
-                }
                 observer(now, &net.ledger.overlay(snapshot));
             }
+            // A monitor samples on the same tick as the observer, so its
+            // window closes land at deterministic virtual times.
+            tracer.tick(now);
         };
         let duration_us = self.drive_sim(&mut net, tick, horizon_us, &mut sweep);
 
@@ -299,15 +296,9 @@ impl Deployment {
             outcome.unsubmitted += actor.unsubmitted();
             outcome.records.extend(actor.clients[0].take_records(user));
         }
+        // Before returning, so a monitor's owner closing its last window
+        // at `duration_us` sees every completed query's latency.
         outcome.observe_latencies(tracer);
-        // Close the monitor's final partial window after the end-of-run
-        // `query_latency_us` observations above, so the last window's
-        // quantiles cover every completed query.
-        if let Some(monitor) = monitor {
-            if let Some(snapshot) = tracer.registry_snapshot() {
-                monitor.finalize(duration_us, &snapshot);
-            }
-        }
         outcome
     }
 }

@@ -241,11 +241,11 @@ fn spawn<A: Actor + Send>(
     (closer, thread.expect("spawn cluster thread"))
 }
 
-/// How often a drive feeds the monitor a registry snapshot — the TCP
-/// analogue of the simulator's purge-tick sampling.
+/// How often a traced drive ticks its tracer — the TCP analogue of the
+/// simulator's purge-tick sampling.
 const SAMPLE_PERIOD_US: u64 = 50_000;
 /// [`TcpCluster::drive`]'s host tokens beside a scheduled mutation's,
-/// which is its index: the drive's deadline and the next monitor sample.
+/// which is its index: the drive's deadline and the next tracer tick.
 const STOP: u64 = u64::MAX;
 const SAMPLE: u64 = u64::MAX - 1;
 
@@ -265,8 +265,8 @@ pub struct TcpCluster {
     /// The cluster's admin socket (`/metrics`, `/status`,
     /// `/reset_high_water`).
     admin: MetricsExporter,
-    /// What was deployed: the monitor a drive samples and the schedule
-    /// it applies.
+    /// What was deployed: the tracer a drive ticks and the schedule it
+    /// applies.
     deployment: Deployment,
     /// How many of the schedule's mutations have landed.
     mutated: usize,
@@ -310,8 +310,8 @@ impl Deployment {
     /// faults are decided per send, partition windows in µs since the
     /// cluster came up; a daemon's [`Fault::Crash`] windows are entries
     /// of its own agenda. The daemons race for the one RNG, so rate draws
-    /// are not seed-deterministic: a rate of 0 or 1 is. The monitor is
-    /// sampled, and the schedule applied, by [`TcpCluster::drive`].
+    /// are not seed-deterministic: a rate of 0 or 1 is. The tracer is
+    /// ticked, and the schedule applied, by [`TcpCluster::drive`].
     pub fn tcp_cluster(&self, faults: Vec<Fault>) -> TcpCluster {
         let (web, engine_cfg) = (&self.web, &self.engine_config());
         let epoch = Instant::now();
@@ -345,8 +345,8 @@ impl Deployment {
         // registry snapshot (when the run is traced) overlaid with the
         // cluster-wide `net.*` wire counters and an `up` gauge, rendered
         // in Prometheus text exposition format — with a noop tracer the
-        // wire counters and gauge still get exported. When a monitor
-        // runs, it also serves the live `/status` snapshot.
+        // wire counters and gauge still get exported. `/status` is the
+        // tracer's live snapshot, when it keeps one (a monitor does).
         // `/reset_high_water` re-arms the registry's high-water gauges
         // (scrapes never reset).
         let ledger = user_net.ledger.clone();
@@ -356,10 +356,8 @@ impl Deployment {
             snap.put_gauge("up", 1);
             snap.render_prometheus()
         });
-        let status = engine_cfg.monitor.clone().map(|monitor| {
-            Arc::new(move || monitor.status_json(epoch.elapsed().as_micros() as u64))
-                as Arc<dyn Fn() -> String + Send + Sync>
-        });
+        let tracer = engine_cfg.tracer.clone();
+        let status = Arc::new(move || tracer.status_json(epoch.elapsed().as_micros() as u64));
         let tracer = engine_cfg.tracer.clone();
         let admin = MetricsExporter::spawn_routes(webdis_trace::AdminRoutes {
             metrics,
@@ -421,7 +419,7 @@ impl TcpCluster {
     }
 
     /// The admin socket's listen address: `/metrics` for the whole
-    /// cluster, plus `/status` when a monitor runs.
+    /// cluster, plus `/status` when the tracer is a monitor.
     pub fn admin_addr(&self) -> SocketAddr {
         self.admin.addr()
     }
@@ -447,9 +445,10 @@ impl TcpCluster {
     /// flight*, each emitting one
     /// [`TraceEvent::WebMutation`](webdis_trace::TraceEvent::WebMutation);
     /// one already overdue lands before the kick-off submits anything);
-    /// the monitor's next sample, every [`SAMPLE_PERIOD_US`], so its
-    /// windows close while the cluster serves; and the deadline. An idle
-    /// driver costs nothing. The cluster stays up afterwards: shut it
+    /// when the run is traced, the tracer's next
+    /// [tick](webdis_trace::TraceHandle::tick), every
+    /// [`SAMPLE_PERIOD_US`], so a monitor's windows close while the
+    /// cluster serves; and the deadline. An idle driver costs nothing. The cluster stays up afterwards: shut it
     /// down, or drive it again with the same `net` (a
     /// [`TcpCluster::user_net`]), whose connections to the daemons then
     /// stay open; each mutation lands once, in whichever drive is running
@@ -463,7 +462,7 @@ impl TcpCluster {
         let (endpoint, deployment, mutated) =
             (&self.user_endpoint, &self.deployment, &mut self.mutated);
         let (config, events) = (&deployment.config, &deployment.schedule.events);
-        if config.monitor.is_some() {
+        if config.tracer.enabled() {
             net.agenda.push(now, Due::Host(SAMPLE));
         }
         for (i, m) in events.iter().enumerate().skip(*mutated) {
@@ -474,10 +473,7 @@ impl TcpCluster {
             match token {
                 STOP => return ControlFlow::Break(()),
                 SAMPLE => {
-                    let snapshot = config.tracer.registry_snapshot();
-                    if let (Some(monitor), Some(snapshot)) = (&config.monitor, snapshot) {
-                        monitor.ingest(now, &snapshot);
-                    }
+                    config.tracer.tick(now);
                     net.agenda.push(now + SAMPLE_PERIOD_US, Due::Host(SAMPLE));
                 }
                 index => {
@@ -490,19 +486,13 @@ impl TcpCluster {
         run(user, endpoint, net, ScheduledClient::done, host);
     }
 
-    /// Stops the admin socket and every daemon, closes the monitor's last
-    /// window, and returns the engines (for final stats). The user
-    /// endpoint closes first, so a daemon whose write waits on a user site
+    /// Stops the admin socket and every daemon, and returns the engines
+    /// (for final stats); a monitor's owner closes its last window after
+    /// this. The user endpoint closes first, so a daemon whose write waits on a user site
     /// that stopped reading fails that write rather than waiting on.
     pub fn shutdown(mut self) -> Vec<ServerEngine> {
         self.user_endpoint.close();
         self.admin.stop();
-        let config = &self.deployment.config;
-        if let (Some(monitor), Some(snapshot)) =
-            (&config.monitor, config.tracer.registry_snapshot())
-        {
-            monitor.finalize(self.net.now_us(), &snapshot);
-        }
         for (closer, _) in &self.daemons {
             closer.close();
         }
@@ -840,31 +830,6 @@ mod tests {
     }
 
     #[test]
-    fn a_monitored_drive_closes_the_monitors_windows() {
-        // A drive that outlasts one monitor window samples the registry
-        // often enough for that window to close while it runs.
-        let (_collector, tracer) = TraceHandle::collecting(65_536);
-        let monitor = crate::MonitorHandle::with_defaults(tracer.clone());
-        let cfg = EngineConfig {
-            tracer,
-            monitor: Some(monitor.clone()),
-            ..EngineConfig::default()
-        };
-        let window_us = monitor.monitor().window_us();
-        let mut cluster = TcpCluster::start(Arc::new(figures::campus()), &cfg, Vec::new());
-        let mut user = campus_user(&cluster, &cfg);
-        let late = (window_us * 5 / 2, figures::CAMPUS_QUERY);
-        let mut net = cluster.user_net();
-        drive_query(&mut cluster, &mut net, &mut user, late);
-        let closed = monitor.monitor().windows_closed();
-        cluster.shutdown();
-        assert!(
-            closed >= 1,
-            "{closed} windows closed in {window_us}us windows"
-        );
-    }
-
-    #[test]
     fn sleeping_runtimes_are_woken_by_shutdown() {
         // Every deadline of this cluster is a minute away — the daemons'
         // purge, the one scheduled mutation — and nothing polls: unless
@@ -873,7 +838,6 @@ mod tests {
         let (_collector, tracer) = webdis_trace::TraceHandle::collecting(1_024);
         let cfg = EngineConfig {
             log_purge_us: Some(60_000_000),
-            monitor: Some(crate::MonitorHandle::with_defaults(tracer.clone())),
             tracer,
             ..EngineConfig::default()
         };
@@ -1291,6 +1255,29 @@ mod tests {
     }
 
     #[test]
+    fn every_hop_of_a_traced_tcp_run_is_timed() {
+        // A daemon can record a clone's arrival before its sender records
+        // the send; the hop-latency match must pair it all the same.
+        for run in 0..20 {
+            let (collector, tracer) = TraceHandle::collecting(65_536);
+            let cfg = EngineConfig {
+                tracer,
+                ..EngineConfig::default()
+            };
+            let web = Arc::new(figures::campus());
+            let deadline = Duration::from_secs(30);
+            let record = run_query_tcp(web, figures::CAMPUS_QUERY, cfg, deadline).unwrap();
+            assert!(record.complete, "run {run}");
+            let records = collector.snapshot();
+            let receives = records.iter().filter(|r| r.event.name() == "query_recv");
+            let receives = receives.count() as u64;
+            let registry = collector.registry().snapshot();
+            let hops = registry.histogram("hop_latency_us").map_or(0, |h| h.count);
+            assert_eq!(hops, receives, "run {run}");
+        }
+    }
+
+    #[test]
     fn both_runtimes_gauge_the_user_sites_arrivals() {
         // Regression: TCP's user-site driver handed messages to the client
         // without `Ledger::arrival`, so only the simulator had the gauge.
@@ -1321,99 +1308,5 @@ mod tests {
             let depth = registry.gauge(&format!("queue_depth.{CSA}"));
             assert!(depth >= 1, "{transport}: {CSA} queue depth {depth}");
         }
-    }
-
-    #[test]
-    fn monitored_single_query_runs_are_admitted_and_retired_once() {
-        // Regression: the single-query runners built a bare `UserSite`,
-        // which retired the query but never admitted it, so the monitor
-        // showed `admitted 0 / retired 0` and dropped every clone event
-        // of the run. Admission now lives beside retirement.
-        for transport in ["tcp", "sim"] {
-            let (_collector, tracer) = webdis_trace::TraceHandle::collecting(65_536);
-            let monitor = crate::MonitorHandle::with_defaults(tracer.clone());
-            let cfg = EngineConfig {
-                tracer,
-                monitor: Some(monitor.clone()),
-                ..EngineConfig::default()
-            };
-            let web = Arc::new(figures::campus());
-            let complete = match transport {
-                "tcp" => {
-                    let deadline = Duration::from_secs(30);
-                    let outcome = run_query_tcp(web, figures::CAMPUS_QUERY, cfg, deadline);
-                    outcome.unwrap().complete
-                }
-                _ => {
-                    let sim_cfg = webdis_sim::SimConfig::default();
-                    let outcome = crate::run_query_sim(web, figures::CAMPUS_QUERY, cfg, sim_cfg);
-                    outcome.unwrap().complete
-                }
-            };
-            assert!(complete, "{transport}");
-            let status = monitor.monitor().status(u64::MAX);
-            assert_eq!((status.admitted, status.retired), (1, 1), "{transport}");
-            assert!(status.inflight.is_empty(), "{transport}");
-        }
-    }
-
-    #[test]
-    fn admin_socket_serves_live_status_and_resets_high_water() {
-        use std::io::{Read, Write};
-
-        let web = Arc::new(figures::campus());
-        let (_collector, tracer) = webdis_trace::TraceHandle::collecting(65_536);
-        let monitor = crate::MonitorHandle::with_defaults(tracer.clone());
-        let cfg = EngineConfig {
-            tracer,
-            monitor: Some(monitor),
-            ..EngineConfig::default()
-        };
-        let mut cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
-
-        let mut user = campus_user(&cluster, &cfg);
-        let mut net = cluster.user_net();
-        drive_query(&mut cluster, &mut net, &mut user, CAMPUS_NOW);
-
-        let scrape = |path: &str| -> String {
-            let addr = cluster.admin_addr();
-            let mut stream = std::net::TcpStream::connect(addr).expect("connect admin socket");
-            write!(stream, "GET {path} HTTP/1.0\r\n\r\n").unwrap();
-            let mut body = String::new();
-            stream.read_to_string(&mut body).expect("read response");
-            body
-        };
-
-        // /status serves the monitor snapshot: the query was admitted
-        // and, once complete, retired out of the in-flight table.
-        let response = scrape("/status");
-        assert!(response.starts_with("HTTP/1.0 200"), "{response}");
-        let json = response.split("\r\n\r\n").nth(1).expect("body");
-        let status = crate::StatusSnapshot::from_json(json).expect("parse status");
-        assert_eq!(status.admitted, 1, "{json}");
-        assert_eq!(status.retired, 1, "{json}");
-        assert!(status.inflight.is_empty(), "{json}");
-
-        // High-water marks survive scrapes and only an explicit
-        // /reset_high_water re-arms them.
-        let marked = scrape("/metrics");
-        assert!(
-            marked.contains("webdis_queue_depth_high_water ")
-                && !marked.contains("webdis_queue_depth_high_water 0\n"),
-            "daemon processing must have raised the queue mark: {marked}"
-        );
-        let again = scrape("/metrics");
-        assert!(
-            !again.contains("webdis_queue_depth_high_water 0\n"),
-            "a scrape must not reset the mark"
-        );
-        assert!(scrape("/reset_high_water").starts_with("HTTP/1.0 200"));
-        let cleared = scrape("/metrics");
-        assert!(
-            cleared.contains("webdis_queue_depth_high_water 0\n"),
-            "reset must zero the mark: {cleared}"
-        );
-
-        cluster.shutdown();
     }
 }

@@ -109,24 +109,16 @@ impl UserSite {
 
     /// `send_query` of Figure 2: enters the StartNodes into the CHT and
     /// dispatches the query to their sites (batched per site when
-    /// optimization 4 is on). Admits the query to the monitor's in-flight
-    /// table; completion retires it, so every started query is admitted
-    /// and retired exactly once however it was submitted. In hybrid mode
-    /// StartNodes on non-participating sites go straight to the fallback.
+    /// optimization 4 is on), each send traced at the clock read before
+    /// it. In hybrid mode StartNodes on non-participating sites go
+    /// straight to the fallback.
     pub fn start(&mut self, net: &mut dyn Network) {
         assert!(!self.started, "query already started");
         self.started = true;
         self.record.submitted_us = net.now_us();
         self.cht.tick(net.now_us());
-        if let Some(monitor) = &self.config.monitor {
-            monitor.admit(&self.id, net.now_us());
-        }
         if self.query.stages.is_empty() {
-            self.record.complete = true;
-            self.record.completed_at_us = Some(net.now_us());
-            if let Some(monitor) = &self.config.monitor {
-                monitor.retire(&self.id);
-            }
+            self.check_completion(net.now_us());
             return;
         }
         let state = CloneState {
@@ -155,9 +147,10 @@ impl UserSite {
                     self.cht_add(net.now_us(), &entry);
                 }
             }
+            let sent_at = net.now_us();
             match net.send(&query_server_addr(&site), Message::Query(clone)) {
                 Ok(()) => {
-                    self.emit(net.now_us(), Some(0), || TrEvent::QuerySent {
+                    self.emit(sent_at, Some(0), || TrEvent::QuerySent {
                         to_site: site.host.to_string(),
                         nodes: dest_nodes.len() as u32,
                     });
@@ -371,9 +364,6 @@ impl UserSite {
                 true => TermReason::AckComplete,
             };
             self.emit(now_us, None, || TrEvent::Termination { reason });
-            if let Some(monitor) = &self.config.monitor {
-                monitor.retire(&self.id);
-            }
         }
     }
 

@@ -66,10 +66,4 @@ impl Monitor {
     pub fn alert_log_json(&self) -> String {
         json::write(&self.alert_log()[..])
     }
-
-    /// [`Monitor::status`] rendered as JSON — this is what the TCP
-    /// daemons serve on `/status`.
-    pub fn status_json(&self, now_us: u64) -> String {
-        self.status(now_us).to_json()
-    }
 }

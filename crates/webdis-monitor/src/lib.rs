@@ -14,7 +14,9 @@
 //!   bounded ring. Same seed in sim ⇒ byte-identical series.
 //! * **In-flight registry** ([`InflightStatus`]): every admitted query
 //!   with its current site, stage, hop depth, clone fan-out, and age,
-//!   retired when its termination is recorded.
+//!   retired when its termination is recorded. The engine has no hook
+//!   for it: [`Monitor`] is a [`Tracer`] that wraps the run's collecting
+//!   tracer and folds the records passing through it into the table.
 //! * **Alert rules** ([`AlertRule`]): declarative threshold and
 //!   multi-window burn-rate conditions over the windowed signals. Each
 //!   window close evaluates every rule in order; transitions emit
@@ -23,14 +25,16 @@
 //!
 //! Everything is integer arithmetic (fixed-point milli-units for
 //! fractional signals), `BTreeMap`-ordered, and driven exclusively by
-//! timestamps handed in by the caller — the monitor never reads a
-//! clock, which is what makes the sim-mode output reproducible.
+//! timestamps handed in by the caller — record times and
+//! [`Tracer::tick`]s — so the monitor never reads a clock, which is what
+//! makes the sim-mode output reproducible.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
-use webdis_trace::{Histogram, QueryId, RegistrySnapshot, TraceEvent, TraceHandle, TraceRecord};
+use webdis_trace::{
+    Histogram, QueryId, RegistrySnapshot, TraceEvent, TraceHandle, TraceRecord, Tracer,
+};
 
 mod json;
 mod status;
@@ -309,12 +313,85 @@ struct MonitorState {
     rules: Vec<RuleState>,
     alert_log: Vec<AlertLogEntry>,
     inflight: BTreeMap<QueryId, Inflight>,
+    /// Per client (a [`QueryId`] with `query_num` 0): the highest query
+    /// number admitted. A client numbers its queries in submission order.
+    high_water: BTreeMap<QueryId, u64>,
     admitted: u64,
     retired: u64,
 }
 
+impl MonitorState {
+    /// Folds one record into the in-flight table: a hop-0 `QuerySent`
+    /// admits (the user site shipping its first clones), `QueryRecv`,
+    /// `EvalStart` and a forwarded `QuerySent` move the query, and the
+    /// user site's `Termination` (the one with no hop) retires it.
+    fn fold(&mut self, rec: &TraceRecord) {
+        let Some(id) = &rec.query else { return };
+        let relevant = match rec.event {
+            TraceEvent::QuerySent { .. }
+            | TraceEvent::QueryRecv { .. }
+            | TraceEvent::EvalStart { .. } => true,
+            TraceEvent::Termination { .. } => rec.hop.is_none(),
+            _ => false,
+        };
+        if !relevant {
+            return;
+        }
+        let Some(entry) = self.admit(id, rec) else {
+            return;
+        };
+        match rec.event {
+            TraceEvent::QuerySent { .. } if rec.hop == Some(0) => {
+                entry.submitted_us = entry.submitted_us.min(rec.time_us);
+            }
+            TraceEvent::QuerySent { .. } => entry.fanout += 1,
+            TraceEvent::QueryRecv { .. } => {
+                entry.site.clone_from(&rec.site);
+                entry.hops = entry.hops.max(rec.hop.unwrap_or(0));
+                entry.clones_recv += 1;
+            }
+            TraceEvent::EvalStart { stage, .. } => entry.stage = entry.stage.max(stage),
+            _ => {
+                self.inflight.remove(id);
+                self.retired += 1;
+            }
+        }
+    }
+
+    /// `id`'s entry, admitting it now if it is new. On TCP
+    /// record order is not causal order: a daemon can record a clone's
+    /// arrival before the user site records its send, so a record of an
+    /// unknown query above its client's mark admits it. One at or below
+    /// the mark is late — a duplicate clone or a report after completion
+    /// — and is ignored.
+    fn admit(&mut self, id: &QueryId, rec: &TraceRecord) -> Option<&mut Inflight> {
+        if self.inflight.contains_key(id) {
+            return self.inflight.get_mut(id);
+        }
+        let client = QueryId {
+            query_num: 0,
+            ..id.clone()
+        };
+        if matches!(self.high_water.get(&client), Some(&m) if id.query_num <= m) {
+            return None;
+        }
+        self.high_water.insert(client, id.query_num);
+        self.admitted += 1;
+        let entry = Inflight {
+            submitted_us: rec.time_us,
+            site: id.host.to_string(),
+            ..Inflight::default()
+        };
+        Some(self.inflight.entry(id.clone()).or_insert(entry))
+    }
+}
+
 /// The monitor: owns the windowed series, the alert engine, and the
-/// in-flight registry. Shared through [`MonitorHandle`].
+/// in-flight registry. It is a [`Tracer`] around the run's collecting
+/// tracer — install it as the run's `EngineConfig::tracer` (through
+/// `TraceHandle::new`) and every record reaches the inner handle after
+/// passing through the in-flight table; alert records go straight to
+/// the inner handle.
 pub struct Monitor {
     cfg: MonitorConfig,
     tracer: TraceHandle,
@@ -326,7 +403,9 @@ pub struct Monitor {
 }
 
 impl Monitor {
-    fn new(cfg: MonitorConfig, tracer: TraceHandle) -> Monitor {
+    /// A monitor with the given config around `tracer`, which keeps the
+    /// records and the registry the windows sample.
+    pub fn new(cfg: MonitorConfig, tracer: TraceHandle) -> Monitor {
         let mut counters = cfg.counters.clone();
         let mut gauges = cfg.gauges.clone();
         let mut hists = cfg.histograms.clone();
@@ -390,21 +469,21 @@ impl Monitor {
         s
     }
 
-    /// Folds one registry snapshot into the series. `now_us` is virtual
-    /// time on the simulator, wall-clock µs on TCP; it must be
-    /// monotone. Crossing a window boundary closes every window up to
-    /// the current one (quiet gaps become explicit zero-delta windows,
-    /// which is what lets burn rates decay and alerts resolve during
-    /// silence) and evaluates the alert rules per closed window.
+    /// Folds one registry snapshot into the series ([`Tracer::tick`]
+    /// samples the inner registry through it). `now_us` is virtual time
+    /// on the simulator, wall-clock µs on TCP; it must be monotone. The
+    /// latest sample inside a window wins. Crossing a window boundary
+    /// closes every window up to the current one (quiet gaps become
+    /// explicit zero-delta windows, which is what lets burn rates decay
+    /// and alerts resolve during silence) and evaluates the alert rules
+    /// per closed window.
     pub fn ingest(&self, now_us: u64, snap: &RegistrySnapshot) {
         let sampled = self.sample(snap);
         let w = self.window_of(now_us);
         let mut state = self.state.lock();
         match state.cur.take() {
             None => state.cur = Some((w, sampled)),
-            Some((cur_w, latest)) if w <= cur_w => {
-                state.cur = Some((cur_w, sampled.merged_over(latest)));
-            }
+            Some((cur_w, _)) if w <= cur_w => state.cur = Some((cur_w, sampled)),
             Some((cur_w, latest)) => {
                 self.close_window(&mut state, cur_w, latest.clone());
                 // Quiet gap: no sample landed in these windows, so their
@@ -417,10 +496,12 @@ impl Monitor {
         }
     }
 
-    /// Closes the open window, if any — the end-of-run flush so the
-    /// final partial window reaches the series and the alert engine.
-    pub fn finalize(&self, now_us: u64, snap: &RegistrySnapshot) {
-        self.ingest(now_us, snap);
+    /// Samples at `now_us` and closes the open window, if any — the
+    /// end-of-run flush, called by the run's owner once the run has
+    /// returned, so the final partial window reaches the series and the
+    /// alert engine.
+    pub fn finalize(&self, now_us: u64) {
+        self.tick(now_us);
         let mut state = self.state.lock();
         if let Some((w, latest)) = state.cur.take() {
             self.close_window(&mut state, w, latest);
@@ -572,49 +653,6 @@ impl Monitor {
         }
     }
 
-    // ----- in-flight registry hooks (called from the engine) -----
-
-    /// A query was admitted at its user site.
-    pub fn admit(&self, id: &QueryId, now_us: u64) {
-        let mut state = self.state.lock();
-        state.admitted += 1;
-        state.inflight.insert(
-            id.clone(),
-            Inflight {
-                submitted_us: now_us,
-                site: id.host.to_string(),
-                ..Inflight::default()
-            },
-        );
-    }
-
-    /// A clone of the query arrived at `site` in `stage` at hop `hop`.
-    pub fn clone_recv(&self, id: &QueryId, site: &str, stage: u32, hop: u32) {
-        let mut state = self.state.lock();
-        if let Some(entry) = state.inflight.get_mut(id) {
-            entry.site = site.to_string();
-            entry.stage = entry.stage.max(stage);
-            entry.hops = entry.hops.max(hop);
-            entry.clones_recv += 1;
-        }
-    }
-
-    /// A processed clone forwarded to `fanout` successor sites.
-    pub fn clone_sent(&self, id: &QueryId, fanout: u32) {
-        let mut state = self.state.lock();
-        if let Some(entry) = state.inflight.get_mut(id) {
-            entry.fanout += u64::from(fanout);
-        }
-    }
-
-    /// The query terminated (any reason — completion, shed, expiry).
-    pub fn retire(&self, id: &QueryId) {
-        let mut state = self.state.lock();
-        if state.inflight.remove(id).is_some() {
-            state.retired += 1;
-        }
-    }
-
     // ----- read side -----
 
     /// The configured window width, µs.
@@ -687,18 +725,6 @@ impl Monitor {
     }
 }
 
-impl std::fmt::Debug for Monitor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = self.state.lock();
-        f.debug_struct("Monitor")
-            .field("window_us", &self.cfg.window_us)
-            .field("closed", &state.closed)
-            .field("inflight", &state.inflight.len())
-            .field("alerts", &state.alert_log.len())
-            .finish()
-    }
-}
-
 /// `cur - base` for cumulative histograms: the observations that landed
 /// between the two snapshots. The min/max pins cannot be windowed from
 /// cumulative state, so the delta carries `min = 0` and the cumulative
@@ -721,53 +747,44 @@ fn delta_histogram(cur: &Histogram, base: &Histogram) -> Histogram {
     d
 }
 
-impl Sampled {
-    /// Later sample wins (counters and gauges are monotone); `old` only
-    /// fills in series the newer snapshot no longer carries (it cannot
-    /// happen with a registry, but keeps the fold total).
-    fn merged_over(mut self, old: Sampled) -> Sampled {
-        for (k, v) in old.counters {
-            self.counters.entry(k).or_insert(v);
+impl Tracer for Monitor {
+    fn enabled(&self) -> bool {
+        self.tracer.enabled()
+    }
+
+    fn record(&self, record: TraceRecord) {
+        let mut state = self.state.lock();
+        state.fold(&record);
+        // Held into the inner tracer's locks: a window close emits its
+        // alerts the same way, so the two paths take them in one order.
+        self.tracer.emit_with(|| record);
+    }
+
+    fn observe(&self, name: &str, value: u64) {
+        self.tracer.observe(name, value);
+    }
+
+    fn gauge_max(&self, name: &str, value: u64) {
+        self.tracer.gauge_max(name, value);
+    }
+
+    fn registry_snapshot(&self) -> Option<RegistrySnapshot> {
+        self.tracer.registry_snapshot()
+    }
+
+    fn reset_high_water(&self) {
+        self.tracer.reset_high_water();
+    }
+
+    fn tick(&self, now_us: u64) {
+        if let Some(snapshot) = self.tracer.registry_snapshot() {
+            self.ingest(now_us, &snapshot);
         }
-        for (k, v) in old.gauges {
-            self.gauges.entry(k).or_insert(v);
-        }
-        for (k, v) in old.hists {
-            self.hists.entry(k).or_insert(v);
-        }
-        self
-    }
-}
-
-/// A clonable, debuggable handle to a shared [`Monitor`] — this is what
-/// travels inside `EngineConfig`.
-#[derive(Clone, Debug)]
-pub struct MonitorHandle(Arc<Monitor>);
-
-impl MonitorHandle {
-    /// A monitor with the given config, emitting alert events into
-    /// `tracer` (pass the same handle the engine traces through, so
-    /// alerts land in the same stream as everything else).
-    pub fn new(cfg: MonitorConfig, tracer: TraceHandle) -> MonitorHandle {
-        MonitorHandle(Arc::new(Monitor::new(cfg, tracer)))
+        self.tracer.tick(now_us);
     }
 
-    /// The default config over a tracer (the common construction).
-    pub fn with_defaults(tracer: TraceHandle) -> MonitorHandle {
-        MonitorHandle::new(MonitorConfig::default(), tracer)
-    }
-
-    /// The shared monitor.
-    pub fn monitor(&self) -> &Monitor {
-        &self.0
-    }
-}
-
-impl std::ops::Deref for MonitorHandle {
-    type Target = Monitor;
-
-    fn deref(&self) -> &Monitor {
-        &self.0
+    fn status_json(&self, now_us: u64) -> Option<String> {
+        Some(self.status(now_us).to_json())
     }
 }
 
@@ -776,8 +793,8 @@ mod tests {
     use super::*;
     use webdis_trace::Registry;
 
-    fn handle() -> MonitorHandle {
-        MonitorHandle::with_defaults(TraceHandle::noop())
+    fn handle() -> Monitor {
+        Monitor::new(MonitorConfig::default(), TraceHandle::noop())
     }
 
     fn qid(num: u64) -> QueryId {
@@ -786,6 +803,32 @@ mod tests {
             host: "user.test".into(),
             port: 9900,
             query_num: num,
+        }
+    }
+
+    /// One record of query `num`, as `site` would stamp it.
+    fn rec(time_us: u64, site: &str, num: u64, hop: Option<u32>, event: TraceEvent) -> TraceRecord {
+        TraceRecord {
+            time_us,
+            site: site.into(),
+            query: Some(qid(num)),
+            hop,
+            event,
+        }
+    }
+
+    fn sent(to_site: &str) -> TraceEvent {
+        TraceEvent::QuerySent {
+            to_site: to_site.into(),
+            nodes: 1,
+        }
+    }
+
+    const RECV: TraceEvent = TraceEvent::QueryRecv { nodes: 1 };
+
+    fn done() -> TraceEvent {
+        TraceEvent::Termination {
+            reason: webdis_trace::TermReason::ChtComplete,
         }
     }
 
@@ -818,7 +861,7 @@ mod tests {
         // Next sample lands four windows later.
         r.count("query_recv", 1);
         m.ingest(500_000, &r.snapshot());
-        m.finalize(500_000, &r.snapshot());
+        m.finalize(500_000);
         let rows = m.windows();
         assert_eq!(rows.len(), 5, "gap windows are explicit");
         assert_eq!(rows[0].counters["query_recv"], 2);
@@ -844,7 +887,7 @@ mod tests {
             r.observe("hop_latency_us", 50_000);
         }
         m.ingest(200_000, &r.snapshot());
-        m.finalize(200_000, &r.snapshot());
+        m.finalize(200_000);
         let rows = m.windows();
         let w0 = &rows[0].quantiles["hop_latency_us"];
         let w1 = &rows[1].quantiles["hop_latency_us"];
@@ -856,7 +899,7 @@ mod tests {
     #[test]
     fn shed_burst_fires_then_resolves_the_burn_rule() {
         let (collector, tracer) = TraceHandle::collecting(256);
-        let m = MonitorHandle::with_defaults(tracer);
+        let m = Monitor::new(MonitorConfig::default(), tracer);
         let r = Registry::new();
         // Three windows of heavy shedding…
         for w in 1..=3u64 {
@@ -867,7 +910,8 @@ mod tests {
         for w in 4..=9u64 {
             m.ingest(w * 100_000, &r.snapshot());
         }
-        m.finalize(910_000, &r.snapshot());
+        m.ingest(910_000, &r.snapshot());
+        m.finalize(910_000);
         let log = m.alert_log();
         let shed: Vec<&AlertLogEntry> = log.iter().filter(|e| e.rule == "shed_rate_burn").collect();
         assert_eq!(shed.len(), 2, "{log:?}");
@@ -904,7 +948,7 @@ mod tests {
             ..MonitorConfig::default()
         };
         cfg.window_us = 100_000;
-        let m = MonitorHandle::new(cfg, TraceHandle::noop());
+        let m = Monitor::new(cfg, TraceHandle::noop());
         let r = Registry::new();
         // Window 0: all misses (ratio 0) — breach 1 of 2.
         r.count("cache.miss", 4);
@@ -935,8 +979,9 @@ mod tests {
                 r.gauge_max("queue_depth_high_water", w);
                 m.ingest(w * 100_000, &r.snapshot());
             }
-            m.finalize(610_000, &r.snapshot());
-            m.admit(&qid(1), 50);
+            m.ingest(610_000, &r.snapshot());
+            m.finalize(610_000);
+            m.record(rec(50, "user.test", 1, Some(0), sent("a.test")));
             (m.series_json(), m.alert_log_json(), m.status_json(700_000))
         };
         assert_eq!(run(), run(), "same feed must reproduce byte-identically");
@@ -945,11 +990,19 @@ mod tests {
     #[test]
     fn inflight_registry_tracks_lifecycle() {
         let m = handle();
-        m.admit(&qid(1), 1_000);
-        m.admit(&qid(2), 2_000);
-        m.clone_recv(&qid(1), "site1.test", 0, 1);
-        m.clone_recv(&qid(1), "site2.test", 1, 2);
-        m.clone_sent(&qid(1), 3);
+        m.record(rec(1_000, "user.test", 1, Some(0), sent("site1.test")));
+        m.record(rec(2_000, "user.test", 2, Some(0), sent("site1.test")));
+        m.record(rec(1_100, "site1.test", 1, Some(1), RECV));
+        let eval = |stage| TraceEvent::EvalStart {
+            node: "n".into(),
+            stage,
+        };
+        m.record(rec(1_100, "site1.test", 1, Some(1), eval(0)));
+        for to in ["site2.test", "site3.test", "site4.test"] {
+            m.record(rec(1_200, "site1.test", 1, Some(2), sent(to)));
+        }
+        m.record(rec(1_300, "site2.test", 1, Some(2), RECV));
+        m.record(rec(1_300, "site2.test", 1, Some(2), eval(1)));
         let status = m.status(5_000);
         assert_eq!(status.admitted, 2);
         assert_eq!(status.retired, 0);
@@ -962,12 +1015,71 @@ mod tests {
         assert_eq!(q1.clones_recv, 2);
         assert_eq!(q1.fanout, 3);
         assert_eq!(q1.age_us, 4_000);
-        m.retire(&qid(1));
-        m.retire(&qid(1)); // idempotent
+        // A server's passive termination carries a hop and retires nothing.
+        m.record(rec(1_400, "site2.test", 1, Some(2), done()));
+        assert_eq!(m.status(5_000).retired, 0);
+        m.record(rec(1_500, "user.test", 1, None, done()));
+        m.record(rec(1_600, "user.test", 1, None, done())); // late: ignored
         let status = m.status(6_000);
         assert_eq!(status.retired, 1);
         assert_eq!(status.inflight.len(), 1);
         assert_eq!(status.inflight[0].query_num, 2);
+    }
+
+    /// On TCP the first daemon can record a clone's arrival before the
+    /// user site records the send that shipped it.
+    #[test]
+    fn a_receive_recorded_before_its_send_admits_once() {
+        let m = handle();
+        m.record(rec(120, "site1.test", 1, Some(0), RECV));
+        m.record(rec(100, "user.test", 1, Some(0), sent("site1.test")));
+        m.record(rec(100, "user.test", 1, Some(0), sent("site2.test")));
+        let status = m.status(1_000);
+        assert_eq!((status.admitted, status.retired), (1, 0));
+        let q = &status.inflight[0];
+        assert_eq!((q.submitted_us, q.clones_recv, q.hops), (100, 1, 0));
+        assert_eq!(q.site, "site1.test");
+        assert_eq!(q.fanout, 0, "the user site's sends are not a forward");
+    }
+
+    #[test]
+    fn records_after_termination_create_no_entry() {
+        let m = handle();
+        m.record(rec(100, "user.test", 1, Some(0), sent("site1.test")));
+        m.record(rec(200, "user.test", 1, None, done()));
+        m.record(rec(300, "site1.test", 1, Some(0), RECV));
+        let delete = TraceEvent::ChtDelete { node: "n".into() };
+        m.record(rec(300, "user.test", 1, None, delete));
+        let status = m.status(1_000);
+        assert!(status.inflight.is_empty(), "{status:?}");
+        assert_eq!((status.admitted, status.retired), (1, 1));
+    }
+
+    /// Every StartNode send refused: the user site terminates a query no
+    /// clone of which ever left.
+    #[test]
+    fn a_termination_with_no_send_is_admitted_and_retired() {
+        let m = handle();
+        m.record(rec(100, "user.test", 1, None, done()));
+        let status = m.status(1_000);
+        assert!(status.inflight.is_empty(), "{status:?}");
+        assert_eq!((status.admitted, status.retired), (1, 1));
+    }
+
+    /// `reset_high_water` zeroes a gauge mid-window; the window must close
+    /// with the reset value, not the mark sampled before it.
+    #[test]
+    fn a_mid_window_reset_reaches_the_window() {
+        let m = handle();
+        let r = Registry::new();
+        r.gauge_max("queue_depth_high_water", 5);
+        m.ingest(20_000, &r.snapshot());
+        r.reset_high_water();
+        m.ingest(60_000, &r.snapshot());
+        m.finalize(100_000);
+        let rows = m.windows();
+        assert_eq!(rows.len(), 1);
+        assert!(rows[0].gauges.is_empty(), "{:?}", rows[0].gauges);
     }
 
     #[test]
@@ -976,7 +1088,7 @@ mod tests {
             ring_windows: 4,
             ..MonitorConfig::default()
         };
-        let m = MonitorHandle::new(cfg, TraceHandle::noop());
+        let m = Monitor::new(cfg, TraceHandle::noop());
         let r = Registry::new();
         for w in 1..=10u64 {
             r.count("query_recv", 1);

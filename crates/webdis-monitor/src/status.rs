@@ -21,13 +21,17 @@ pub struct InflightStatus {
     pub age_us: u64,
     /// The site a clone was most recently seen at.
     pub site: String,
-    /// The deepest pipeline stage any clone has reached.
+    /// The furthest node-query stage any site has started evaluating
+    /// (its `eval_start` records), not the furthest stage a clone
+    /// arrived carrying.
     pub stage: u32,
     /// The deepest hop count any clone has reached.
     pub hops: u32,
     /// Clone arrivals recorded for this query.
     pub clones_recv: u64,
-    /// Total clone fan-out (successor forwards) so far.
+    /// Clones forwarded between query servers so far (`query_sent`
+    /// records past hop 0): under per-site batching, the distinct
+    /// successor sites of every processed clone, less refused sends.
     pub fanout: u64,
 }
 

@@ -154,14 +154,14 @@ impl RegistrySnapshot {
 }
 
 /// The admin socket's route table. `/metrics` is always present; the
-/// optional routes light up when their provider is set, and 404
-/// otherwise.
+/// other routes light up when their provider is set (`/status` when it
+/// also has a body to give), and 404 otherwise.
 #[derive(Clone)]
 pub struct AdminRoutes {
     /// The `/metrics` body (Prometheus text exposition).
     pub metrics: Arc<dyn Fn() -> String + Send + Sync>,
     /// The `/status` body (JSON monitor snapshot), when a monitor runs.
-    pub status: Option<Arc<dyn Fn() -> String + Send + Sync>>,
+    pub status: Arc<dyn Fn() -> Option<String> + Send + Sync>,
     /// The `/reset_high_water` action: zeroes every high-water gauge.
     pub reset_high_water: Option<Arc<dyn Fn() + Send + Sync>>,
 }
@@ -267,8 +267,8 @@ fn serve_one(mut stream: TcpStream, routes: &AdminRoutes) -> std::io::Result<()>
     let path_only = path.split('?').next().unwrap_or("");
     let (status, content_type, body) = match path_only {
         "/metrics" => ("200 OK", METRICS_CONTENT_TYPE, (routes.metrics)()),
-        "/status" => match &routes.status {
-            Some(provider) => ("200 OK", "application/json; charset=utf-8", provider()),
+        "/status" => match (routes.status)() {
+            Some(body) => ("200 OK", "application/json; charset=utf-8", body),
             None => not_found(),
         },
         "/reset_high_water" => match &routes.reset_high_water {
@@ -452,7 +452,7 @@ webdis_hop_latency_us_count 1\n";
         let reset_registry = Arc::clone(&r);
         let mut exporter = MetricsExporter::spawn_routes(AdminRoutes {
             metrics: Arc::new(move || metrics_registry.snapshot().render_prometheus()),
-            status: Some(Arc::new(|| String::from("{\"now_us\":0}"))),
+            status: Arc::new(|| Some(String::from("{\"now_us\":0}"))),
             reset_high_water: Some(Arc::new(move || reset_registry.reset_high_water())),
         })
         .expect("exporter binds");
@@ -474,7 +474,7 @@ webdis_hop_latency_us_count 1\n";
     fn optional_routes_404_when_not_provided() {
         let mut exporter = MetricsExporter::spawn_routes(AdminRoutes {
             metrics: Arc::new(String::new),
-            status: None,
+            status: Arc::new(|| None),
             reset_high_water: None,
         })
         .expect("binds");
@@ -490,7 +490,7 @@ webdis_hop_latency_us_count 1\n";
         let provider_registry = Arc::clone(&r);
         let mut exporter = MetricsExporter::spawn_routes(AdminRoutes {
             metrics: Arc::new(move || provider_registry.snapshot().render_prometheus()),
-            status: None,
+            status: Arc::new(|| None),
             reset_high_water: None,
         })
         .expect("exporter binds");

@@ -19,6 +19,7 @@
 //! microseconds — trace consumers cannot tell the difference, which is
 //! the point.
 
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -467,6 +468,15 @@ pub trait Tracer: Send + Sync {
     /// zero (the explicit admin path — scrapes never reset anything).
     /// The default has no registry and does nothing.
     fn reset_high_water(&self) {}
+    /// The runtime's periodic sample at `now_us` (the simulator's sweep
+    /// tick, TCP's sample deadline), for sinks that keep windows over
+    /// time. The default does nothing.
+    fn tick(&self, _now_us: u64) {}
+    /// The live `/status` body at `now_us`, for sinks that keep one.
+    /// The default has none, and the admin socket answers 404.
+    fn status_json(&self, _now_us: u64) -> Option<String> {
+        None
+    }
 }
 
 /// The zero-cost disabled sink.
@@ -493,11 +503,13 @@ struct Ring {
     capacity: usize,
     /// Next write position once the buffer is full.
     head: usize,
-    /// Outstanding clone sends awaiting their receive, keyed by
-    /// (query, destination site, hop): the send times, oldest first, for
-    /// the hop-latency histogram. One key can have several sends in
-    /// flight — two parents forwarding one query to one site at one hop.
-    in_flight: std::collections::BTreeMap<(QueryId, String, u32), VecDeque<u64>>,
+    /// Clone sends and receives awaiting their other half, keyed by
+    /// (query, receiving site, hop): `(is_send, time)`, oldest first, for
+    /// the hop-latency histogram. A key holds one kind at a time. One
+    /// key can have several sends in flight — two parents forwarding one
+    /// query to one site at one hop — and on TCP a receive can be
+    /// recorded before its send.
+    unmatched: BTreeMap<(QueryId, String, u32), VecDeque<(bool, u64)>>,
 }
 
 impl CollectingTracer {
@@ -508,7 +520,7 @@ impl CollectingTracer {
                 buf: Vec::new(),
                 capacity: capacity.max(1),
                 head: 0,
-                in_flight: std::collections::BTreeMap::new(),
+                unmatched: BTreeMap::new(),
             }),
             registry: Registry::with_engine_metrics(),
         }
@@ -620,27 +632,28 @@ impl Tracer for CollectingTracer {
         }
         let mut ring = self.inner.lock();
         // Hop latency: match each clone receive to the earliest
-        // outstanding send of its query, site and hop.
-        match (&record.event, &record.query, record.hop) {
+        // unmatched send of its query, site and hop, in either order.
+        let half = match (&record.event, &record.query, record.hop) {
             (TraceEvent::QuerySent { to_site, .. }, Some(id), Some(hop)) => {
-                let key = (id.clone(), to_site.clone(), hop);
-                ring.in_flight
-                    .entry(key)
-                    .or_default()
-                    .push_back(record.time_us);
+                Some(((id.clone(), to_site.clone(), hop), true))
             }
             (TraceEvent::QueryRecv { .. }, Some(id), Some(hop)) => {
-                let key = (id.clone(), record.site.clone(), hop);
-                let sends = ring.in_flight.get_mut(&key);
-                if let Some(sent_at) = sends.and_then(VecDeque::pop_front) {
-                    if ring.in_flight[&key].is_empty() {
-                        ring.in_flight.remove(&key);
-                    }
-                    self.registry
-                        .observe("hop_latency_us", record.time_us.saturating_sub(sent_at));
-                }
+                Some(((id.clone(), record.site.clone(), hop), false))
             }
-            _ => {}
+            _ => None,
+        };
+        if let Some((key, is_send)) = half {
+            match ring.unmatched.entry(key) {
+                Entry::Occupied(mut pending) if pending.get()[0].0 != is_send => {
+                    let (_, at) = pending.get_mut().pop_front().expect("never empty");
+                    if pending.get().is_empty() {
+                        pending.remove();
+                    }
+                    let hop_us = record.time_us.abs_diff(at);
+                    self.registry.observe("hop_latency_us", hop_us);
+                }
+                pending => pending.or_default().push_back((is_send, record.time_us)),
+            }
         }
         if ring.buf.len() < ring.capacity {
             ring.buf.push(record);
@@ -716,6 +729,16 @@ impl TraceHandle {
     /// explicit admin path; no-op for sinks without a registry).
     pub fn reset_high_water(&self) {
         self.0.reset_high_water();
+    }
+
+    /// The runtime's periodic sample (no-op for sinks without windows).
+    pub fn tick(&self, now_us: u64) {
+        self.0.tick(now_us);
+    }
+
+    /// The sink's live `/status` body, when it keeps one.
+    pub fn status_json(&self, now_us: u64) -> Option<String> {
+        self.0.status_json(now_us)
     }
 }
 
@@ -881,8 +904,31 @@ mod tests {
             let snapshot = collector.registry().snapshot();
             let hist = snapshot.histogram("hop_latency_us").unwrap();
             assert_eq!((hist.count, hist.sum), (2, 200), "{users:?}");
-            assert!(collector.inner.lock().in_flight.is_empty(), "{users:?}");
+            assert!(collector.inner.lock().unmatched.is_empty(), "{users:?}");
         }
+    }
+
+    /// On TCP the receiver can record a clone's arrival before the
+    /// sender records its send: the pair still makes one observation,
+    /// and nothing stays unmatched.
+    #[test]
+    fn hop_latency_matches_a_receive_recorded_before_its_send() {
+        let (collector, handle) = TraceHandle::collecting(16);
+        handle.emit_with(|| rec(10, "a.test", TraceEvent::QueryRecv { nodes: 1 }));
+        handle.emit_with(|| {
+            rec(
+                8,
+                "user.test",
+                TraceEvent::QuerySent {
+                    to_site: "a.test".into(),
+                    nodes: 1,
+                },
+            )
+        });
+        let snapshot = collector.registry().snapshot();
+        let hist = snapshot.histogram("hop_latency_us").unwrap();
+        assert_eq!((hist.count, hist.sum), (1, 2));
+        assert!(collector.inner.lock().unmatched.is_empty());
     }
 
     #[test]

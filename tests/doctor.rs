@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use webdis::core::{
-    run_query_sim, run_workload_sim, ArrivalProcess, CachePolicy, EngineConfig, MonitorHandle,
-    ProcModel, QueryMix, WorkloadSpec,
+    run_query_sim, run_workload_sim, ArrivalProcess, CachePolicy, EngineConfig, ProcModel,
+    QueryMix, WorkloadSpec,
 };
 use webdis::model::Url;
 use webdis::sim::{Fault, FaultKind, SimConfig};
@@ -14,6 +14,7 @@ use webdis::trace::{TraceEvent, TraceHandle, TraceRecord};
 use webdis::web::{figures, generate, Mutation, MutationOp, WebGenConfig};
 use webdis_bench::{experiment, Ctx, TraceOpt};
 use webdis_chaos::plan::ChaosPlan;
+use webdis_monitor::{Monitor, MonitorConfig};
 
 /// The t12 acceptance shape: a sim run with injected drops, expiry on.
 fn t12_drop_trace() -> Vec<TraceRecord> {
@@ -189,15 +190,16 @@ fn monitored_shed_trace() -> Vec<TraceRecord> {
         ..WorkloadSpec::default()
     };
     let (collector, tracer) = TraceHandle::collecting(65_536);
+    let monitor = Arc::new(Monitor::new(MonitorConfig::default(), tracer));
     let cfg = EngineConfig {
         proc: ProcModel::workstation_1999(),
         admission: Some(2),
         log_purge_us: Some(50_000),
-        monitor: Some(MonitorHandle::with_defaults(tracer.clone())),
-        tracer,
+        tracer: TraceHandle::new(monitor.clone()),
         ..EngineConfig::default()
     };
-    run_workload_sim(workload_web(4, 2), &spec, cfg, SimConfig::default()).unwrap();
+    let outcome = run_workload_sim(workload_web(4, 2), &spec, cfg, SimConfig::default()).unwrap();
+    monitor.finalize(outcome.duration_us);
     collector.snapshot()
 }
 
