@@ -1,34 +1,51 @@
 #!/bin/sh
-# One actor vocabulary: both runtimes drive a site through
-# `Actor::handle(&mut dyn Network, Event)`, and every thread of a TCP
-# cluster — each daemon, the user site — runs the one `run` loop around
-# `serve`; what the host does at a time (the run's deadline, a monitor
-# sample, a scheduled mutation) is a deadline of the driving loop, not a
-# thread. This fails when
-#   * a non-test line of crates/webdis-core/src/tcprun.rs calls `serve(`
-#     other than once (a second hand-written loop around the wait);
-#   * a non-test line of tcprun.rs starts a thread other than through
-#     its one `spawn` helper, or calls that helper other than once, for
-#     the daemons (`daemons.push(spawn(`);
-#   * a non-test line under crates/*/src names an adapter, loop, actor
-#     or queue the vocabulary replaced: `CtxNet`, `SimServer`,
-#     `SimDataUser`, `SendError`, `as_any_mut`, `run_daemon`,
-#     `keep_house`, `Housekeeper`, `Deadline` (TCP's own deadline kinds,
-#     now `webdis_sim::Due`) or `close_endpoint` (a site going down is
-#     the agenda's `Down` edge, `Fault::Crash`).
+# One actor vocabulary and one loop: both runtimes drive a site through
+# `Actor::handle(&mut dyn Network, Event)`, both are a
+# `webdis_sim::Runtime`, and the dispatch of what comes due — a crash
+# edge, an actor's event, the host's own entry — is written once, the
+# trait's provided `run_to_host` in webdis-sim's agenda.rs. What the host
+# does at a time (a scheduled mutation, a periodic tick) is a host entry
+# of the one host loop, `Deployment::drive` in webdis-core's deploy.rs.
+# This fails when a non-test line under crates/*/src
+#   * names `Due::Down(` or `Due::Up(` outside agenda.rs (where
+#     `Agenda::new` pushes them, the class key names them and the one
+#     loop matches them): a second dispatch of crash edges;
+#   * names `Due::Host(` outside agenda.rs and deploy.rs: a host entry
+#     pushed or matched beside the one host loop;
+#   * defines `fn serve(` or `fn advance(` (the two loops the trait
+#     replaced), or names an adapter, loop, actor or queue the vocabulary
+#     replaced: `CtxNet`, `SimServer`, `SimDataUser`, `SendError`,
+#     `as_any_mut`, `run_daemon`, `keep_house`, `Housekeeper`, `Deadline`
+#     (TCP's own deadline kinds, now `webdis_sim::Due`) or
+#     `close_endpoint` (a site going down is the agenda's `Down` edge,
+#     `Fault::Crash`);
+# or when a non-test line of crates/webdis-core/src/tcprun.rs starts a
+# thread other than through its one `spawn` helper, or calls that helper
+# other than once, for the daemons (`daemons.push(spawn(`).
 # Non-test lines are those before a file's first `#[cfg(test)]`, as in
 # ci/loc.sh.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
 nontest() { awk -v f="$1" '/#\[cfg\(test\)\]/ { exit } { print f ":" NR ": " $0 }' "$1"; }
+product() {
+    find crates -name '*.rs' -path 'crates/*/src/*' | LC_ALL=C sort |
+        while read -r f; do nontest "$f"; done
+}
+agenda=crates/webdis-sim/src/agenda.rs
+deploy=crates/webdis-core/src/deploy.rs
 
-callers=$(nontest crates/webdis-core/src/tcprun.rs |
-    grep -E '(^|[^A-Za-z0-9_])serve\(' | grep -vE 'fn serve\(|: *//' || true)
-n=$(printf '%s' "$callers" | grep -c . || true)
-if [ "$n" -ne 1 ]; then
-    echo "tcprun.rs calls serve( $n times; every TCP thread runs the one run loop:" >&2
-    [ -z "$callers" ] || echo "$callers" >&2
+edges=$(product | grep -E 'Due::(Down|Up)\(' | grep -v "^$agenda:" || true)
+if [ -n "$edges" ]; then
+    echo "crash edges dispatched outside Runtime::run_to_host (agenda.rs):" >&2
+    echo "$edges" >&2
+    fail=1
+fi
+
+hosts=$(product | grep -F 'Due::Host(' | grep -v -e "^$agenda:" -e "^$deploy:" || true)
+if [ -n "$hosts" ]; then
+    echo "a host entry outside the one loop (agenda.rs) and the one host loop (deploy.rs):" >&2
+    echo "$hosts" >&2
     fail=1
 fi
 
@@ -47,13 +64,12 @@ if [ "$nt" -ne 1 ] || [ "$nh" -ne 1 ] || [ "$nd" -ne 1 ]; then
     fail=1
 fi
 
-hits=$(find crates -name '*.rs' -path 'crates/*/src/*' | LC_ALL=C sort |
-    while read -r f; do nontest "$f"; done |
-    grep -E '(^|[^A-Za-z0-9_])(CtxNet|SimServer|SimDataUser|SendError|as_any_mut|run_daemon|keep_house|Housekeeper|Deadline|close_endpoint)([^A-Za-z0-9_]|$)' || true)
+hits=$(product |
+    grep -E 'fn (serve|advance)[<(]|(^|[^A-Za-z0-9_])(CtxNet|SimServer|SimDataUser|SendError|as_any_mut|run_daemon|keep_house|Housekeeper|Deadline|close_endpoint)([^A-Za-z0-9_]|$)' || true)
 if [ -n "$hits" ]; then
-    echo "an adapter, loop, actor or queue beside Actor::handle, tcprun's run and the Agenda:" >&2
+    echo "a loop, adapter, actor or queue beside Runtime::run_to_host, Actor::handle and the Agenda:" >&2
     echo "$hits" >&2
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one loop: tcprun.rs calls serve once and spawns only its daemons, and no adapter beside Actor::handle"
+echo "one loop: Due edges and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its daemons, and no adapter beside Actor::handle"

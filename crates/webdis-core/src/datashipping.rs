@@ -324,7 +324,7 @@ impl Deployment {
         let user = DataShipUser::new(query, addr.clone(), proc, tracer);
         net.register(addr.clone(), Box::new(user));
         net.start(&addr);
-        let duration_us = self.drain(&mut net);
+        let duration_us = self.drive_sim(&mut net, u64::MAX, u64::MAX, &mut |_, _| {});
 
         let user = net
             .actor_mut::<DataShipUser>(&addr)

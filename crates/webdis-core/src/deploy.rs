@@ -12,7 +12,10 @@
 //! them with the unsaid fields at their defaults (hybrid execution is
 //! `query_sim` with `participating` and `config.hybrid` said).
 
+use std::ops::ControlFlow;
+
 use webdis_model::SiteAddr;
+use webdis_sim::{Due, Runtime};
 use webdis_trace::{TraceEvent as TrEvent, TraceRecord};
 use webdis_web::{Mutation, MutationSchedule, WebView};
 
@@ -87,5 +90,161 @@ impl Deployment {
                 site_version: applied.site_version,
             },
         });
+    }
+
+    /// The one host loop of both runtimes: runs `rt` to `stop_us` and acts
+    /// on it at times, as host entries of its agenda, so each act lands
+    /// after all `rt` does up to and at its instant. Each scheduled
+    /// mutation past the first `applied` — in time order, a tie in list
+    /// order, the order `applied` counts — lands at its time; from
+    /// `first_tick_us` on, `tick(rt, at_us, spent)` runs (`spent`: every
+    /// mutation has landed) and is re-armed where it continues, until it
+    /// breaks. Returns the mutations still to land, in that order.
+    pub(crate) fn drive<R: Runtime>(
+        &self,
+        rt: &mut R,
+        applied: &mut usize,
+        stop_us: u64,
+        first_tick_us: Option<u64>,
+        mut tick: impl FnMut(&mut R, u64, bool) -> ControlFlow<(), u64>,
+    ) -> Vec<&Mutation> {
+        let mut due: Vec<&Mutation> = self.schedule.events.iter().collect();
+        due.sort_by_key(|m| m.at_us);
+        for (i, m) in due.iter().enumerate().skip(*applied) {
+            rt.agenda().push(m.at_us, Due::Host(i as u64));
+        }
+        // A mutation's token is its place in `due`; the tick's is past them.
+        let tick_token = due.len() as u64;
+        if let Some(at_us) = first_tick_us {
+            rt.agenda().push(at_us, Due::Host(tick_token));
+        }
+        while let Some((at_us, token)) = rt.run_to_host(stop_us) {
+            if token != tick_token {
+                self.apply_mutation(due[token as usize], at_us);
+                *applied += 1;
+            } else if let ControlFlow::Continue(next_us) = tick(rt, at_us, *applied == due.len()) {
+                rt.agenda().push(next_us, Due::Host(tick_token));
+            } else {
+                break;
+            }
+        }
+        due.split_off(*applied)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+    use webdis_model::Url;
+    use webdis_sim::{Agenda, Event};
+    use webdis_web::{HostedWeb, LiveWeb, MutationOp, PageBuilder};
+
+    /// A runtime that only hands back what was pushed, its clock the last
+    /// entry's time.
+    #[derive(Default)]
+    struct Echo {
+        agenda: Agenda,
+        now_us: u64,
+    }
+
+    impl Runtime for Echo {
+        fn next(&mut self, limit_us: u64) -> Option<(u64, Due)> {
+            let (at_us, due) = self.agenda.pop(limit_us)?;
+            self.now_us = at_us;
+            Some((at_us, due))
+        }
+        fn deliver(&mut self, _: u64, _: SiteAddr, event: Event) {
+            panic!("only host entries were pushed, not {event:?}");
+        }
+        fn edge(&mut self, _: u64, site: SiteAddr, _: bool) {
+            panic!("only host entries were pushed, not an edge of {site}");
+        }
+        fn agenda(&mut self) -> &mut Agenda {
+            &mut self.agenda
+        }
+    }
+
+    /// A deployment over one page per host in `hosts`, whose schedule
+    /// edits `(at_us, host)`'s index page, in list order.
+    fn edits(hosts: &[&str], schedule: &[(u64, &str)]) -> (Arc<LiveWeb>, Deployment) {
+        let mut web = HostedWeb::new();
+        for host in hosts {
+            web.insert_page(&format!("http://{host}/"), PageBuilder::new(host));
+        }
+        let web = Arc::new(LiveWeb::from_hosted(&web));
+        let mut deployment = Deployment::new(Arc::clone(&web), EngineConfig::default());
+        for &(at_us, host) in schedule {
+            let url = Url::parse(&format!("http://{host}/")).unwrap();
+            let op = MutationOp::EditPage {
+                url,
+                token: "x".into(),
+            };
+            deployment.schedule.events.push(Mutation { at_us, op });
+        }
+        (web, deployment)
+    }
+
+    /// What landed, in order: `host@at_us`.
+    fn landed(web: &LiveWeb) -> Vec<String> {
+        let history = web.history().into_iter();
+        history.map(|m| format!("{}@{}", m.host, m.at_us)).collect()
+    }
+
+    #[test]
+    fn mutations_land_once_each_in_time_order_whatever_the_lists_order() {
+        let (web, deployment) = edits(&["a.test", "b.test"], &[(30, "b.test"), (10, "a.test")]);
+        let (mut rt, mut applied) = (Echo::default(), 0);
+        let never = |_: &mut Echo, _, _| -> ControlFlow<(), u64> { unreachable!("no tick armed") };
+        let left = deployment.drive(&mut rt, &mut applied, u64::MAX, None, never);
+        assert!(left.is_empty());
+        assert_eq!(applied, 2);
+        assert_eq!(landed(&web), ["a.test@10", "b.test@30"]);
+        assert_eq!(
+            (web.site_version("a.test"), web.site_version("b.test")),
+            (1, 1)
+        );
+    }
+
+    #[test]
+    fn the_tick_rearms_where_it_continues_until_it_breaks() {
+        let (web, deployment) = edits(&["a.test"], &[(15, "a.test")]);
+        let (mut rt, mut ticks) = (Echo::default(), Vec::new());
+        let tick = |_: &mut Echo, at_us, spent| {
+            ticks.push((at_us, spent));
+            if ticks.len() == 3 {
+                return ControlFlow::Break(());
+            }
+            ControlFlow::Continue(at_us + 10)
+        };
+        deployment.drive(&mut rt, &mut 0, u64::MAX, Some(5), tick);
+        // A mutation and a tick of one instant would land in push order:
+        // the mutation first.
+        assert_eq!(ticks, [(5, false), (15, true), (25, true)]);
+        assert_eq!(landed(&web), ["a.test@15"]);
+        assert!(
+            rt.agenda.next_us().is_none(),
+            "nothing re-armed after Break"
+        );
+    }
+
+    #[test]
+    fn the_stop_instant_ends_the_loop_and_a_second_call_lands_only_what_is_left() {
+        let schedule = [(150, "a.test"), (50, "a.test"), (100, "a.test")];
+        let (web, deployment) = edits(&["a.test"], &schedule);
+        let (mut rt, mut applied) = (Echo::default(), 0);
+        let tick = |_: &mut Echo, at_us, _| ControlFlow::Continue(at_us + 40);
+        let left = deployment.drive(&mut rt, &mut applied, 100, Some(0), tick);
+        assert_eq!(left.iter().map(|m| m.at_us).collect::<Vec<_>>(), [150]);
+        assert_eq!((applied, rt.now_us), (2, 100));
+        assert_eq!(landed(&web), ["a.test@50", "a.test@100"]);
+
+        // The next call starts from a fresh agenda, as a TCP drive does,
+        // and the cursor it is handed.
+        let mut rt = Echo::default();
+        let none = deployment.drive(&mut rt, &mut applied, u64::MAX, None, tick);
+        assert!(none.is_empty());
+        assert_eq!(applied, 3);
+        assert_eq!(landed(&web), ["a.test@50", "a.test@100", "a.test@150"]);
     }
 }

@@ -1,11 +1,12 @@
 //! The engine on the deterministic simulator: the plain web server
 //! actor, the wiring of a [`Deployment`] onto a [`SimNet`] (query
-//! servers and user sites are actors themselves), and the one loop that
-//! acts on it *at times*
-//! ([`Deployment::drive_sim`]): scheduled mutations and periodic sweeps
-//! are host entries of the network's own queue.
+//! servers and user sites are actors themselves), and the simulator's
+//! use of the one host loop ([`Deployment::drive_sim`]): scheduled
+//! mutations and periodic sweeps are host entries of the network's own
+//! agenda, and the run ends at the first sweep that finds it idle.
 
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use webdis_disql::{parse_disql, DisqlError, WebQuery};
@@ -142,20 +143,15 @@ impl Deployment {
         ClientProcess::new(&format!("load{user}"), addr, self.engine_config())
     }
 
-    /// The one clock loop of a simulated run. Every scheduled mutation
-    /// and the next periodic sweep are host entries of `net`'s queue
-    /// ([`SimNet::post_host`]), so each lands at its exact virtual
-    /// instant — after everything the network does up to and at that
-    /// instant, *between* message deliveries, never mid-handler.
-    /// `sweep(net, at_us)` runs every `tick_us` (`u64::MAX`: once, at the
-    /// end); `at_us` is the tick's nominal time, the clock may read less
-    /// on a quiet network. Why the sweep is the harness's act and not a
-    /// timer of the servers' own: DESIGN.md §2d.
-    ///
-    /// The run ends at the first tick that finds the network idle and
-    /// the schedule spent, or that is at or past `horizon_us`; mutations
-    /// past that point are still applied (at their scheduled times) so
-    /// the web's history digest always reflects the complete schedule.
+    /// A simulated run on the one host loop (`Deployment::drive`), which
+    /// lands each scheduled mutation at its virtual instant, between
+    /// deliveries: `sweep(net, at_us)` runs every `tick_us` (`u64::MAX`:
+    /// once, at the end) at the tick's nominal time, which the clock may
+    /// not have reached on a quiet network — the harness's act, not a
+    /// server timer (DESIGN.md §2d). The run ends at the first tick that
+    /// finds the network idle and the schedule spent, or at `horizon_us`
+    /// (whose tick sweeps first); the mutations past it still land, at
+    /// their times, so the web's history holds the whole schedule.
     /// Returns the final virtual time.
     pub fn drive_sim(
         &self,
@@ -164,37 +160,18 @@ impl Deployment {
         horizon_us: u64,
         sweep: &mut dyn FnMut(&mut SimNet, u64),
     ) -> u64 {
-        const TICK: u64 = u64::MAX;
-        let events = &self.schedule.events;
-        for (i, m) in events.iter().enumerate() {
-            net.post_host(m.at_us, i as u64);
-        }
-        let mut applied = 0;
-        let mut next_tick = tick_us;
-        net.post_host(next_tick.min(horizon_us), TICK);
-        while let Some((at_us, token)) = net.run_to_host() {
-            if token != TICK {
-                self.apply_mutation(&events[token as usize], at_us);
-                applied += 1;
-                continue;
-            }
+        let first_tick = Some(tick_us.min(horizon_us));
+        let left = self.drive(net, &mut 0, horizon_us, first_tick, |net, at_us, spent| {
             sweep(net, at_us);
-            if (net.idle() && applied == events.len()) || next_tick >= horizon_us {
-                break;
+            if (net.idle() && spent) || at_us >= horizon_us {
+                return ControlFlow::Break(());
             }
-            next_tick = next_tick.saturating_add(tick_us);
-            net.post_host(next_tick.min(horizon_us), TICK);
-        }
-        for m in &events[applied..] {
+            ControlFlow::Continue(at_us.saturating_add(tick_us).min(horizon_us))
+        });
+        for m in left {
             self.apply_mutation(m, m.at_us);
         }
         net.now_us()
-    }
-
-    /// [`Deployment::drive_sim`] with nothing to sweep and no horizon: the
-    /// schedule lands, the network drains.
-    pub(crate) fn drain(&self, net: &mut SimNet) -> u64 {
-        self.drive_sim(net, u64::MAX, u64::MAX, &mut |_, _| {})
     }
 
     /// Every participating site's server counters.
@@ -214,7 +191,7 @@ impl Deployment {
         let query = parse_disql(disql)?;
         let mut net = self.sim_with_client(sim_cfg, vec![query]);
         net.start(&user_addr());
-        let duration_us = self.drain(&mut net);
+        let duration_us = self.drive_sim(&mut net, u64::MAX, u64::MAX, &mut |_, _| {});
         let record = client_of(&mut net).take_records(0).remove(0);
         let server_stats = self.sim_server_stats(&mut net);
         Ok(QueryOutcome {
@@ -488,6 +465,27 @@ mod tests {
         assert_eq!(live.mutations_applied(), 1);
         assert_eq!(outcome.dead_link_entries.len(), 1);
         assert_eq!(outcome.total_rows(), 1, "only the root still answers");
+    }
+
+    #[test]
+    fn an_unsorted_schedule_lands_each_mutation_once_at_its_time() {
+        // The schedule is a public list nothing sorts: the later edit is
+        // listed first. The run ends at its 1 ms horizon between the two,
+        // and the one past it still lands — once, and the earlier one once.
+        use webdis_web::{LiveWeb, Mutation, MutationOp};
+        let live = Arc::new(LiveWeb::from_hosted(&two_site_web()));
+        let mut deployment = Deployment::new(Arc::clone(&live), EngineConfig::default());
+        for (at_us, url) in [(10_000_000, "http://b.test/"), (1, "http://a.test/")] {
+            let url = webdis_model::Url::parse(url).unwrap();
+            let op = MutationOp::EditPage {
+                url,
+                token: "needle".into(),
+            };
+            deployment.schedule.events.push(Mutation { at_us, op });
+        }
+        deployment.workload_sim(SimConfig::default(), Vec::new(), 1_000, &mut |_, _| {});
+        let versions = (live.site_version("a.test"), live.site_version("b.test"));
+        assert_eq!(versions, (1, 1));
     }
 
     #[test]

@@ -8,7 +8,10 @@
 //! Each simulated site gets an ephemeral `127.0.0.1` port; a shared
 //! address map plays DNS. Experiments use the deterministic simulator;
 //! this runtime exists to demonstrate (and integration-test) that the
-//! identical engine code is operational over real sockets.
+//! identical engine code is operational over real sockets. Every thread
+//! runs the simulator's one loop, on the wall clock, as a [`Runtime`]: a
+//! daemon until its endpoint closes, the user site under
+//! [`TcpCluster::drive`].
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -20,8 +23,8 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use webdis_disql::{parse_disql, DisqlError};
 use webdis_model::SiteAddr;
-use webdis_net::{Closer, ConnPool, Frame, Message, Received, TcpEndpoint, WireCounters};
-use webdis_sim::{Actor, Agenda, Due, Event, Fate, Fault, Injector, Ledger};
+use webdis_net::{Closer, ConnPool, Frame, Message, TcpEndpoint, WireCounters};
+use webdis_sim::{Actor, Agenda, Due, Event, Fate, Fault, Injector, Ledger, Runtime};
 use webdis_trace::MetricsExporter;
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
@@ -61,11 +64,11 @@ pub struct TcpNet {
     /// the user-site client alike.
     ledger: Ledger,
     /// Wall-clock queue wait of the message currently being handled,
-    /// set by [`run`] so the engine's `queue_us` span sees how long it sat
-    /// in the endpoint's inbox.
+    /// set by its endpoint's runtime so the engine's `queue_us` span sees
+    /// how long it sat in the endpoint's inbox.
     queue_wait_us: u64,
-    /// What the [`run`] loop this handle is running under has to do at a
-    /// time, on the wall clock: its crash edges, what its actor
+    /// What the endpoint this handle runs on has to do at a time, on the
+    /// wall clock: its crash edges, what its actor
     /// [`post`](Network::post)ed and the host's entries.
     agenda: Agenda,
 }
@@ -145,109 +148,114 @@ impl Network for TcpNet {
     }
 }
 
-/// The one wait of every TCP runtime: the earliest agenda entry if it
-/// has come due (`Err`), else the next message off `endpoint` (`Ok`) —
-/// sleeping until whichever of the two is first, so an idle runtime
-/// costs nothing. `None` once `endpoint` is closed, which wakes the
-/// sleeper.
-fn serve(endpoint: &TcpEndpoint, net: &mut TcpNet) -> Option<Result<Received, Due>> {
-    loop {
-        let now = net.now_us();
-        if let Some((_, due)) = net.agenda.pop(now) {
-            return Some(Err(due));
-        }
-        let next_us = net.agenda.next_us();
-        let wait = next_us.map_or(Duration::MAX, |at_us| Duration::from_micros(at_us - now));
-        match endpoint.recv_timeout_sized(wait) {
-            Ok(received) => return Some(Ok(received)),
-            Err(webdis_net::RecvTimeoutError::Timeout) => {}
-            Err(_disconnected) => return None,
+/// One endpoint and the actor on it, as a [`Runtime`] on the wall clock:
+/// an entry is taken at the instant it comes due, a frame at the instant
+/// it is read. `done` is asked before every wait; true ends the run.
+/// While a crash window is open, frames are read but never processed; its
+/// end is [`Actor::on_restart`] with the same socket.
+struct Site<'a, A> {
+    actor: &'a mut A,
+    endpoint: &'a TcpEndpoint,
+    net: &'a mut TcpNet,
+    done: fn(&A, &TcpNet) -> bool,
+    crashed: bool,
+}
+
+impl<'a, A: Actor> Site<'a, A> {
+    /// `actor` on `endpoint`, its [`Event::Start`] queued now, as
+    /// [`SimNet::start`](webdis_sim::SimNet::start) does.
+    fn new(actor: &'a mut A, endpoint: &'a TcpEndpoint, net: &'a mut TcpNet) -> Self {
+        let start = Due::Actor(net.addr.clone(), Event::Start);
+        net.agenda.push(net.now_us(), start);
+        Site {
+            actor,
+            endpoint,
+            net,
+            done: |_, _| false,
+            crashed: false,
         }
     }
 }
 
-/// The one loop of every thread of a cluster — each daemon, the user
-/// site — around [`serve`]: queues `actor`'s [`Event::Start`] at the
-/// current time, as [`SimNet::start`](webdis_sim::SimNet::start) does,
-/// then hands it every agenda entry and message as it comes due, until
-/// `done` (asked before every event) says so, `host` (handed each
-/// [`Due::Host`] token as it comes due) says so, or `endpoint` is closed.
-/// What belongs to the runtime rather than the actor is handled here: a
-/// crash window's edges — while it is open, frames are read off the
-/// socket but never processed; its end is [`Actor::on_restart`] with the
-/// same socket — and each message's queue wait and inbound queue depth.
-fn run<A: Actor>(
-    actor: &mut A,
-    endpoint: &TcpEndpoint,
-    net: &mut TcpNet,
-    mut done: impl FnMut(&A) -> bool,
-    mut host: impl FnMut(&mut TcpNet, u64) -> ControlFlow<()>,
-) {
-    let mut crashed = false;
-    let start = Due::Actor(net.addr.clone(), Event::Start);
-    net.agenda.push(net.now_us(), start);
-    while !done(actor) {
-        let event = match serve(endpoint, net) {
-            Some(Err(Due::Host(token))) if host(net, token).is_continue() => continue,
-            None | Some(Err(Due::Host(_))) => return,
-            Some(Err(Due::Down(_))) => {
-                crashed = true;
-                continue;
+impl<A: Actor> Runtime for Site<'_, A> {
+    /// The earliest agenda entry if it has come due, else the next frame
+    /// — sleeping until whichever is first, so an idle runtime costs
+    /// nothing. `None` once `done` holds, the clock passes `limit_us`, or
+    /// the endpoint is closed, which wakes the sleeper.
+    fn next(&mut self, limit_us: u64) -> Option<(u64, Due)> {
+        let net = &mut *self.net;
+        while !(self.done)(self.actor, net) {
+            let now = net.now_us();
+            if let Some((_, due)) = net.agenda.pop(now.min(limit_us)) {
+                return Some((now, due));
             }
-            Some(Err(Due::Up(_))) => {
-                actor.on_restart(net.now_us());
-                crashed = false;
-                continue;
+            if now >= limit_us {
+                return None;
             }
-            Some(Err(Due::Actor(_, event))) => event,
-            Some(Ok(received)) if crashed => {
+            let wake_us = net.agenda.next_us().unwrap_or(u64::MAX).min(limit_us);
+            let wait = Duration::from_micros(wake_us - now);
+            let received = match self.endpoint.recv_timeout_sized(wait) {
+                Ok(received) => received,
+                Err(webdis_net::RecvTimeoutError::Timeout) => continue,
+                Err(_disconnected) => return None,
+            };
+            let (msg, bytes) = (received.msg, received.wire_bytes);
+            if self.crashed {
                 // The process is dead. Traced as an explained drop so
                 // trajectory triage never reports a false orphan.
-                let fate = Fate::DeadLetter("crashed");
-                net.record(fate, &received.msg, received.wire_bytes, &net.addr.host);
+                net.record(Fate::DeadLetter("crashed"), &msg, bytes, &net.addr.host);
                 continue;
             }
-            Some(Ok(received)) => {
-                // Inbound queue depth at dequeue: this message plus
-                // whatever is still waiting.
-                net.ledger
-                    .arrival(&net.addr.host, || endpoint.pending() as u64 + 1);
-                net.queue_wait_us = received.queued.as_micros() as u64;
-                Event::Net(received.msg)
-            }
-        };
-        actor.handle(net, event);
-        net.queue_wait_us = 0;
+            // Inbound queue depth at dequeue: this message plus whatever
+            // is still waiting.
+            net.ledger
+                .arrival(&net.addr.host, || self.endpoint.pending() as u64 + 1);
+            net.queue_wait_us = received.queued.as_micros() as u64;
+            let delivery = Due::Actor(net.addr.clone(), Event::Net(msg));
+            return Some((net.now_us(), delivery));
+        }
+        None
+    }
+
+    fn deliver(&mut self, _at_us: u64, _to: SiteAddr, event: Event) {
+        self.actor.handle(self.net, event);
+        self.net.queue_wait_us = 0;
+    }
+
+    fn edge(&mut self, at_us: u64, _site: SiteAddr, up: bool) {
+        if up {
+            self.actor.on_restart(at_us);
+        }
+        self.crashed = !up;
+    }
+
+    fn agenda(&mut self) -> &mut Agenda {
+        &mut self.net.agenda
     }
 }
 
-/// Spawns thread `name`, which [`run`]s `actor` on `endpoint` until the
-/// endpoint is closed; returns what closes it and the handle that gives
-/// the actor back.
-fn spawn<A: Actor + Send>(
+/// Spawns daemon thread `name`, which runs `engine` on `endpoint` until
+/// the endpoint is closed; returns what closes the endpoint and the
+/// handle that gives the engine back.
+fn spawn(
     name: String,
-    mut actor: A,
+    mut engine: ServerEngine,
     endpoint: TcpEndpoint,
     mut net: TcpNet,
-    done: impl FnMut(&A) -> bool + Send + 'static,
-) -> (Closer, JoinHandle<A>) {
+) -> (Closer, JoinHandle<ServerEngine>) {
     let closer = endpoint.closer();
     let thread = std::thread::Builder::new().name(name).spawn(move || {
-        run(&mut actor, &endpoint, &mut net, done, |_, _| {
-            ControlFlow::Break(())
-        });
-        actor
+        let mut site = Site::new(&mut engine, &endpoint, &mut net);
+        site.done = |engine, net| {
+            let log_len = engine.log_len() as u64;
+            net.ledger.tracer.gauge_max("log_len_high_water", log_len);
+            false
+        };
+        site.run_to_host(u64::MAX);
+        engine
     });
     (closer, thread.expect("spawn cluster thread"))
 }
-
-/// How often a traced drive ticks its tracer — the TCP analogue of the
-/// simulator's purge-tick sampling.
-const SAMPLE_PERIOD_US: u64 = 50_000;
-/// [`TcpCluster::drive`]'s host tokens beside a scheduled mutation's,
-/// which is its index: the drive's deadline and the next tracer tick.
-const STOP: u64 = u64::MAX;
-const SAMPLE: u64 = u64::MAX - 1;
 
 /// A running loopback deployment: one query-server daemon thread per
 /// site of the hosted web, one bound user endpoint, and the shared
@@ -260,7 +268,7 @@ pub struct TcpCluster {
     /// is a clone of it under another name.
     net: TcpNet,
     /// Every daemon and the handle that closes its endpoint, which is
-    /// what ends (and wakes) its [`run`] loop.
+    /// what ends (and wakes) its loop.
     daemons: Vec<(Closer, JoinHandle<ServerEngine>)>,
     /// The cluster's admin socket (`/metrics`, `/status`,
     /// `/reset_high_water`).
@@ -296,13 +304,93 @@ impl TcpCluster {
         deployment.schedule = schedule.unwrap_or_default();
         deployment.tcp_cluster(faults)
     }
+
+    /// The address daemons report results to.
+    pub fn user_site(&self) -> &SiteAddr {
+        &self.net.addr
+    }
+
+    /// Wall-clock µs since the cluster came up (the time base of every
+    /// `TcpNet` handle and of `completed_at_us`).
+    pub fn now_us(&self) -> u64 {
+        self.net.now_us()
+    }
+
+    /// A network handle stamped as the user site, for client-side sends.
+    pub fn user_net(&self) -> TcpNet {
+        self.net.clone()
+    }
+
+    /// The cluster-wide per-kind wire meter (messages and bytes by
+    /// fate, shared by every daemon and the user-site handle).
+    pub fn wire_counters(&self) -> &Arc<WireCounters> {
+        &self.net.ledger.meter
+    }
+
+    /// The admin socket's listen address: `/metrics` for the whole
+    /// cluster, plus `/status` when the tracer is a monitor.
+    pub fn admin_addr(&self) -> SocketAddr {
+        self.admin.addr()
+    }
+
+    /// Receives one message addressed to the user endpoint, or `None` on
+    /// timeout.
+    pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
+        self.user_endpoint.recv_timeout(timeout).ok()
+    }
+
+    /// The user-site driver on TCP: runs `user` — its client processes
+    /// share this cluster's one result endpoint — on the calling thread
+    /// until every planned submission (times are µs since the cluster
+    /// came up, the mutation schedule's clock) has gone out and
+    /// completed, or `deadline` passes. It is the one host loop on a fresh
+    /// agenda of the user site's: each scheduled mutation not yet applied
+    /// lands at its offset (one already overdue before the kick-off
+    /// submits anything), and a traced run's tracer
+    /// [ticks](webdis_trace::TraceHandle::tick) every 50 ms, so a
+    /// monitor's windows close while the cluster serves. The cluster stays
+    /// up afterwards; a later drive with the same `net` (a
+    /// [`TcpCluster::user_net`]) keeps its connections and lands only the
+    /// mutations not yet applied.
+    pub fn drive(&mut self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
+        // Whatever an earlier drive of this handle left queued is moot.
+        net.agenda = Agenda::default();
+        let now = net.now_us();
+        let stop_us = now + deadline.as_micros() as u64;
+        let tracer = &self.deployment.config.tracer;
+        let mut site = Site::new(user, &self.user_endpoint, net);
+        site.done = |user, _| user.done();
+        let tick = |_: &mut Site<_>, at_us, _| {
+            tracer.tick(at_us);
+            ControlFlow::Continue(at_us + 50_000)
+        };
+        let first_tick = tracer.enabled().then_some(now);
+        let cursor = &mut self.mutated;
+        self.deployment
+            .drive(&mut site, cursor, stop_us, first_tick, tick);
+    }
+
+    /// Stops the admin socket and every daemon, and returns the engines
+    /// (for final stats); a monitor's owner closes its last window after
+    /// this. The user endpoint closes first, so a daemon whose write
+    /// waits on a user site that stopped reading fails that write rather
+    /// than waiting on.
+    pub fn shutdown(mut self) -> Vec<ServerEngine> {
+        self.user_endpoint.close();
+        self.admin.stop();
+        for (closer, _) in &self.daemons {
+            closer.close();
+        }
+        let daemons = self.daemons.into_iter();
+        daemons.filter_map(|(_, d)| d.join().ok()).collect()
+    }
 }
 
 impl Deployment {
     /// Starts the deployment on loopback under `faults`: binds every
     /// endpoint and the cluster's one admin socket
     /// ([`TcpCluster::admin_addr`]), then spawns one daemon thread per
-    /// participating site, which [`run`]s its [`ServerEngine`] and raises
+    /// participating site, which runs its [`ServerEngine`] and raises
     /// the `log_len_high_water` registry gauge after every event it
     /// handles. Each daemon, and the user site, sends through a pool
     /// built on its own endpoint, which it reads while a write waits for
@@ -376,13 +464,8 @@ impl Deployment {
                 pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
                 ..user_net.clone()
             };
-            let tracer = engine_cfg.tracer.clone();
-            let gauge = move |engine: &ServerEngine| {
-                tracer.gauge_max("log_len_high_water", engine.log_len() as u64);
-                false
-            };
             let name = format!("webdis-daemon-{site}");
-            daemons.push(spawn(name, engine, endpoint, net, gauge));
+            daemons.push(spawn(name, engine, endpoint, net));
         }
         TcpCluster {
             user_endpoint,
@@ -393,115 +476,7 @@ impl Deployment {
             mutated: 0,
         }
     }
-}
 
-impl TcpCluster {
-    /// The address daemons report results to.
-    pub fn user_site(&self) -> &SiteAddr {
-        &self.net.addr
-    }
-
-    /// Wall-clock µs since the cluster came up (the time base of every
-    /// `TcpNet` handle and of `completed_at_us`).
-    pub fn now_us(&self) -> u64 {
-        self.net.now_us()
-    }
-
-    /// A network handle stamped as the user site, for client-side sends.
-    pub fn user_net(&self) -> TcpNet {
-        self.net.clone()
-    }
-
-    /// The cluster-wide per-kind wire meter (messages and bytes by
-    /// fate, shared by every daemon and the user-site handle).
-    pub fn wire_counters(&self) -> &Arc<WireCounters> {
-        &self.net.ledger.meter
-    }
-
-    /// The admin socket's listen address: `/metrics` for the whole
-    /// cluster, plus `/status` when the tracer is a monitor.
-    pub fn admin_addr(&self) -> SocketAddr {
-        self.admin.addr()
-    }
-
-    /// Receives one message addressed to the user endpoint, or `None` on
-    /// timeout.
-    pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
-        self.user_endpoint.recv_timeout(timeout).ok()
-    }
-
-    /// The user-site driver on TCP: runs `user` — its client processes
-    /// share this cluster's one result endpoint — on the calling thread
-    /// until every planned submission (times are µs since the cluster
-    /// came up, the mutation schedule's clock; replayed open-loop) has
-    /// gone out and completed, or `deadline` passes;
-    /// [`ScheduledClient::unsubmitted`] then says how many never went out.
-    ///
-    /// It is the cluster's one [`run`] loop over a fresh agenda, so it
-    /// sleeps until whichever is due first — a message, the kick-off, the
-    /// next submission, the next Section-7.1 expiry sweep, and the host's
-    /// own entries: every scheduled mutation not yet applied, at its
-    /// offset from the cluster epoch (pages change *while queries are in
-    /// flight*, each emitting one
-    /// [`TraceEvent::WebMutation`](webdis_trace::TraceEvent::WebMutation);
-    /// one already overdue lands before the kick-off submits anything);
-    /// when the run is traced, the tracer's next
-    /// [tick](webdis_trace::TraceHandle::tick), every
-    /// [`SAMPLE_PERIOD_US`], so a monitor's windows close while the
-    /// cluster serves; and the deadline. An idle driver costs nothing. The cluster stays up afterwards: shut it
-    /// down, or drive it again with the same `net` (a
-    /// [`TcpCluster::user_net`]), whose connections to the daemons then
-    /// stay open; each mutation lands once, in whichever drive is running
-    /// when it comes due.
-    pub fn drive(&mut self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
-        // Whatever an earlier drive of this handle left queued is moot.
-        net.agenda = Agenda::default();
-        let now = net.now_us();
-        let stop_us = now + deadline.as_micros() as u64;
-        net.agenda.push(stop_us, Due::Host(STOP));
-        let (endpoint, deployment, mutated) =
-            (&self.user_endpoint, &self.deployment, &mut self.mutated);
-        let (config, events) = (&deployment.config, &deployment.schedule.events);
-        if config.tracer.enabled() {
-            net.agenda.push(now, Due::Host(SAMPLE));
-        }
-        for (i, m) in events.iter().enumerate().skip(*mutated) {
-            net.agenda.push(m.at_us, Due::Host(i as u64));
-        }
-        let host = |net: &mut TcpNet, token| {
-            let now = net.now_us();
-            match token {
-                STOP => return ControlFlow::Break(()),
-                SAMPLE => {
-                    config.tracer.tick(now);
-                    net.agenda.push(now + SAMPLE_PERIOD_US, Due::Host(SAMPLE));
-                }
-                index => {
-                    deployment.apply_mutation(&events[index as usize], now);
-                    *mutated += 1;
-                }
-            }
-            ControlFlow::Continue(())
-        };
-        run(user, endpoint, net, ScheduledClient::done, host);
-    }
-
-    /// Stops the admin socket and every daemon, and returns the engines
-    /// (for final stats); a monitor's owner closes its last window after
-    /// this. The user endpoint closes first, so a daemon whose write waits on a user site
-    /// that stopped reading fails that write rather than waiting on.
-    pub fn shutdown(mut self) -> Vec<ServerEngine> {
-        self.user_endpoint.close();
-        self.admin.stop();
-        for (closer, _) in &self.daemons {
-            closer.close();
-        }
-        let daemons = self.daemons.into_iter();
-        daemons.filter_map(|(_, d)| d.join().ok()).collect()
-    }
-}
-
-impl Deployment {
     /// Runs a workload plan over a fresh loopback cluster
     /// ([`TcpCluster::drive`]), then shuts it down: every user is a client
     /// process `load<i>` on the cluster's one result endpoint — the
@@ -770,6 +745,26 @@ mod tests {
         cluster.shutdown();
         assert_eq!(web.mutations_applied(), 2, "each mutation landed once");
         assert_eq!(web.site_version("c.test"), 2);
+    }
+
+    #[test]
+    fn an_unsorted_schedule_lands_each_mutation_once_across_drives() {
+        // The anchor (listed second) is due at once, the edit (listed
+        // first) 300 ms in: the first drive lands the anchor only, the
+        // second the edit, which its query then sees at the site's second
+        // version.
+        let (web, mut cluster, mut user) = needle_cluster_mutated_at(300_000, 0);
+        let mut net = cluster.user_net();
+        drive_query(&mut cluster, &mut net, &mut user, (0, NEEDLE_QUERY));
+        assert_eq!(web.mutations_applied(), 1);
+        let after = drive_query(&mut cluster, &mut net, &mut user, (400_000, NEEDLE_QUERY));
+        cluster.shutdown();
+        assert_eq!(web.mutations_applied(), 2, "each mutation landed once");
+        assert!(
+            titles(&after).iter().any(|t| t.contains("A needle rev2")),
+            "the edit never landed: {:?}",
+            titles(&after)
+        );
     }
 
     #[test]

@@ -858,7 +858,7 @@ mod tests {
 
     #[test]
     fn sub_millisecond_timeout_is_kept_not_rounded_up() {
-        // The open-loop generator and every deadline of a `serve` wait
+        // The open-loop generator and every deadline of a TCP runtime's wait
         // sleep through `recv_timeout`: a timeout rounded up to a whole
         // millisecond would make each of them late.
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();

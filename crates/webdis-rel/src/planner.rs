@@ -216,11 +216,6 @@ pub fn compile(q: &NodeQuery) -> Result<Plan<'_>, EvalError> {
 }
 
 impl Plan<'_> {
-    /// The probes scheduled for each level (mainly for tests/inspection).
-    pub fn probes(&self) -> &[Vec<Probe>] {
-        &self.probes
-    }
-
     /// Executes the plan against one node's database.
     pub fn execute(&self, db: &NodeDb) -> Result<(Vec<ResultRow>, EvalStats), EvalError> {
         let (rows, _, stats) = self.run(db, false)?;
@@ -421,7 +416,7 @@ mod tests {
         ));
         let plan = compile(&q).unwrap();
         assert_eq!(
-            plan.probes()[1],
+            plan.probes[1],
             vec![Probe::HashEq {
                 attr: "ltype".into(),
                 value: "G".into()
@@ -443,7 +438,7 @@ mod tests {
         ));
         let plan = compile(&q).unwrap();
         assert_eq!(
-            plan.probes()[1],
+            plan.probes[1],
             vec![Probe::TextContains {
                 attr: "label".into(),
                 needle: "lab".into()
@@ -543,7 +538,7 @@ mod tests {
             )),
         ));
         let plan = compile(&q).unwrap();
-        assert_eq!(plan.probes()[1].len(), 1);
+        assert_eq!(plan.probes[1].len(), 1);
         let (rows, stats) = plan.execute(&db()).unwrap();
         assert_eq!(rows.len(), 1);
         assert!(stats.used_index);
@@ -560,7 +555,7 @@ mod tests {
             Box::new(Expr::StrLit("42".into())),
         ));
         let plan = compile(&q).unwrap();
-        assert!(plan.probes().iter().all(Vec::is_empty));
+        assert!(plan.probes.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -571,7 +566,7 @@ mod tests {
             Box::new(attr("a", "base")),
             Box::new(Expr::StrLit("http://elsewhere/".into())),
         ));
-        assert!(compile(&q).unwrap().probes().iter().all(Vec::is_empty));
+        assert!(compile(&q).unwrap().probes.iter().all(Vec::is_empty));
 
         // Cross-variable conjunct references two variables.
         let q = da_query(Expr::Cmp(
@@ -580,7 +575,7 @@ mod tests {
             Box::new(attr("d", "url")),
         ));
         let plan = compile(&q).unwrap();
-        assert!(plan.probes().iter().all(Vec::is_empty));
+        assert!(plan.probes.iter().all(Vec::is_empty));
         let (rows, _) = plan.execute(&db()).unwrap();
         assert_eq!(rows.len(), 3);
     }

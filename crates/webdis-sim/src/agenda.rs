@@ -1,6 +1,7 @@
-//! The one time-ordered queue of both runtimes: a crash window's edges,
+//! The one time-ordered queue of both runtimes — a crash window's edges,
 //! an actor's deliveries, timers and kick-off, and the host's own entries,
-//! on the simulator's virtual clock and a TCP thread's wall clock alike.
+//! on the simulator's virtual clock and a TCP thread's wall clock alike —
+//! and the one loop over it, [`Runtime::run_to_host`].
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -70,8 +71,6 @@ impl Ord for Entry {
 pub struct Agenda {
     heap: BinaryHeap<Reverse<Entry>>,
     seq: u64,
-    /// [`Due::Actor`] entries in `heap`.
-    actor_entries: usize,
 }
 
 impl Agenda {
@@ -100,9 +99,6 @@ impl Agenda {
 
     /// Queues `due` at `at_us`.
     pub fn push(&mut self, at_us: u64, due: Due) {
-        if matches!(due, Due::Actor(..)) {
-            self.actor_entries += 1;
-        }
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Entry { at_us, seq, due }));
@@ -119,21 +115,53 @@ impl Agenda {
             return None;
         }
         let Reverse(Entry { at_us, due, .. }) = self.heap.pop()?;
-        if matches!(due, Due::Actor(..)) {
-            self.actor_entries -= 1;
-        }
         Some((at_us, due))
     }
 
-    /// True when no [`Due::Actor`] entry is queued.
+    /// True when no [`Due::Actor`] entry is queued. A scan: it is asked
+    /// once per host tick, not per entry.
     pub fn idle(&self) -> bool {
-        self.actor_entries == 0
+        !self.iter().any(|(_, due)| matches!(due, Due::Actor(..)))
     }
 
     /// Every queued entry and its time, in no particular order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &Due)> {
         let entries = self.heap.iter();
         entries.map(|Reverse(entry)| (entry.at_us, &entry.due))
+    }
+}
+
+/// What runs actors at times: the simulator, or one TCP endpoint and the
+/// actor on it. The loop over its entries is said once,
+/// [`Runtime::run_to_host`].
+pub trait Runtime {
+    /// The next entry due by `limit_us` and the instant it is taken at;
+    /// `None` when nothing more comes by then.
+    fn next(&mut self, limit_us: u64) -> Option<(u64, Due)>;
+
+    /// Hands `event` to the actor at `to`.
+    fn deliver(&mut self, at_us: u64, to: SiteAddr, event: Event);
+
+    /// `site` goes down, or comes back `up` with fresh volatile state
+    /// ([`Actor::on_restart`](crate::Actor::on_restart)).
+    fn edge(&mut self, at_us: u64, site: SiteAddr, up: bool);
+
+    /// Where the host queues its own entries.
+    fn agenda(&mut self) -> &mut Agenda;
+
+    /// Hands every entry due by `limit_us` to its actor or edge, in order,
+    /// up to the first [`Due::Host`] entry, whose `(at_us, token)` it
+    /// returns; `None` once [`Runtime::next`] has nothing more.
+    fn run_to_host(&mut self, limit_us: u64) -> Option<(u64, u64)> {
+        while let Some((at_us, due)) = self.next(limit_us) {
+            match due {
+                Due::Down(site) => self.edge(at_us, site, false),
+                Due::Up(site) => self.edge(at_us, site, true),
+                Due::Actor(to, event) => self.deliver(at_us, to, event),
+                Due::Host(token) => return Some((at_us, token)),
+            }
+        }
+        None
     }
 }
 
@@ -239,5 +267,53 @@ mod tests {
     /// Pops what is due at or before `limit_us`; returns how many.
     fn drain_to(agenda: &mut Agenda, limit_us: u64) -> usize {
         std::iter::from_fn(|| agenda.pop(limit_us)).count()
+    }
+
+    /// A runtime that logs what the loop hands it, its entries off its
+    /// agenda.
+    #[derive(Default)]
+    struct Script {
+        agenda: Agenda,
+        log: Vec<String>,
+    }
+
+    impl Runtime for Script {
+        fn next(&mut self, limit_us: u64) -> Option<(u64, Due)> {
+            self.agenda.pop(limit_us)
+        }
+        fn deliver(&mut self, at_us: u64, to: SiteAddr, event: Event) {
+            self.log.push(format!("{event:?} {}@{at_us}", to.host));
+        }
+        fn edge(&mut self, at_us: u64, site: SiteAddr, up: bool) {
+            let edge = if up { "up" } else { "down" };
+            self.log.push(format!("{edge} {}@{at_us}", site.host));
+        }
+        fn agenda(&mut self) -> &mut Agenda {
+            &mut self.agenda
+        }
+    }
+
+    #[test]
+    fn run_to_host_hands_each_entry_on_in_order_up_to_the_first_host_entry() {
+        let mut rt = Script {
+            agenda: Agenda::new(&[crash("a", 2, Some(1))], |_| true),
+            log: Vec::new(),
+        };
+        rt.agenda.push(5, Due::Host(9));
+        rt.agenda.push(1, Due::Actor(addr("a"), Event::Start));
+        rt.agenda.push(3, Due::Host(4));
+        rt.agenda.push(3, Due::Actor(addr("b"), Event::Timer(7)));
+        rt.agenda.push(8, Due::Actor(addr("b"), Event::Timer(8)));
+        assert_eq!(rt.run_to_host(u64::MAX), Some((3, 4)));
+        let first = ["Start a@1", "down a@2", "up a@3", "Timer(7) b@3"];
+        assert_eq!(rt.log, first);
+        // Nothing past the limit is taken, however long the wait.
+        assert_eq!(rt.run_to_host(4), None);
+        assert_eq!(rt.log.len(), 4);
+        assert_eq!(rt.run_to_host(7), Some((5, 9)));
+        assert_eq!(rt.run_to_host(7), None);
+        assert_eq!(rt.agenda.next_us(), Some(8));
+        assert_eq!(rt.run_to_host(u64::MAX), None);
+        assert_eq!(rt.log.last().map(String::as_str), Some("Timer(8) b@8"));
     }
 }

@@ -21,12 +21,12 @@
 //!   duplicates, corruption, partitions, crashes) exercise the
 //!   robustness corners of the CHT protocol in tests;
 //! * everything that happens *at a time* — deliveries, actor timers,
-//!   crash and restart edges, the harness's own entries
-//!   ([`SimNet::post_host`]) — is an entry of one [`Agenda`].
+//!   crash and restart edges, the host's own entries — is an entry of one
+//!   [`Agenda`], handed on by the one loop, [`Runtime::run_to_host`].
 //!
-//! Its [`Actor`], [`Event`], [`Network`] and [`Agenda`] are the TCP
-//! runtime's vocabulary too: the same actors run there unchanged, and
-//! what is due at a time comes due in the same order.
+//! Its [`Actor`], [`Event`], [`Network`], [`Agenda`] and [`Runtime`] are
+//! the TCP runtime's vocabulary too: the same actors run there
+//! unchanged, and what is due at a time comes due in the same order.
 
 pub mod actor;
 pub mod agenda;
@@ -36,7 +36,7 @@ pub mod metrics;
 pub mod net;
 
 pub use actor::{Actor, Event, Network, NetworkError};
-pub use agenda::{Agenda, Due};
+pub use agenda::{Agenda, Due, Runtime};
 pub use fault::{Fault, FaultKind, Injector};
 pub use ledger::{Fate, Ledger};
 pub use metrics::{KindStats, Metrics};

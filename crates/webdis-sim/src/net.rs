@@ -9,7 +9,7 @@ use webdis_net::{Message, Wire};
 use webdis_trace::TraceHandle;
 
 use crate::actor::{Actor, Event, Network, NetworkError};
-use crate::agenda::{Agenda, Due};
+use crate::agenda::{Agenda, Due, Runtime};
 use crate::fault::{Fault, Injector};
 use crate::ledger::{Fate, Ledger};
 use crate::metrics::Metrics;
@@ -212,15 +212,6 @@ impl SimNet {
         self.agenda.push(self.clock_us, start);
     }
 
-    /// Queues a host entry: [`SimNet::run_to_host`] hands `(at_us,
-    /// token)` back once everything the network does up to and at
-    /// `at_us` has happened — how a harness acts *at a time* (a web
-    /// mutation, a purge sweep) between deliveries, never mid-handler.
-    /// A host entry neither advances the clock nor counts as activity.
-    pub fn post_host(&mut self, at_us: u64, token: u64) {
-        self.agenda.push(at_us, Due::Host(token));
-    }
-
     /// Runs until the queue is empty. Returns the final virtual time in
     /// microseconds — the end of the last actor event; crash edges and
     /// host entries later than that do not move it.
@@ -231,17 +222,11 @@ impl SimNet {
 
     /// Processes entries with timestamps `<= limit_us`; returns true when
     /// actor events remain queued beyond the limit. Lets harnesses
-    /// inspect actors mid-run. For callers that post no host entries: one
+    /// inspect actors mid-run. For callers that queue no host entries: one
     /// that comes due here is dropped.
     pub fn run_until(&mut self, limit_us: u64) -> bool {
-        while self.advance(limit_us).is_some() {}
+        while self.run_to_host(limit_us).is_some() {}
         !self.idle()
-    }
-
-    /// Runs to the next host entry and returns its `(at_us, token)`;
-    /// `None` once the queue is empty.
-    pub fn run_to_host(&mut self) -> Option<(u64, u64)> {
-        self.advance(u64::MAX)
     }
 
     /// True when no actor event — delivery, timer, kick-off — is queued:
@@ -250,31 +235,58 @@ impl SimNet {
         self.agenda.idle()
     }
 
-    /// The one loop: pops entries `<= limit_us` in order, up to and
-    /// including the first host entry, which it returns.
-    fn advance(&mut self, limit_us: u64) -> Option<(u64, u64)> {
-        while let Some((at_us, due)) = self.agenda.pop(limit_us) {
-            let (to, event) = match due {
-                Due::Down(site) => {
-                    // The actor stays inspectable via `actor_mut`; its
-                    // pending deliveries dead-letter and later sends are
-                    // refused.
-                    self.registry.remove(&site);
-                    continue;
-                }
-                Due::Up(site) => {
-                    if let Some(actor) = self.actors.get_mut(&site) {
-                        actor.on_restart(at_us);
-                        self.registry.insert(site);
-                    }
-                    continue;
-                }
-                Due::Host(token) => return Some((at_us, token)),
-                Due::Actor(to, event) => (to, event),
-            };
-            self.deliver(at_us, to, event);
+    /// Current virtual time.
+    pub fn now_us(&self) -> u64 {
+        self.clock_us
+    }
+
+    /// Schedules a message departing at `base_us`: applies the fault
+    /// decision, hands the message's fate to the ledger, and picks the
+    /// delivery time from the latency model plus jitter. A lost message
+    /// is metered apart and traced as `message_dropped` or
+    /// `message_corrupted` — it never becomes a `message_sent` record, so
+    /// trajectory reconstruction does not see phantom sends.
+    fn dispatch_at(&mut self, base_us: u64, from: &SiteAddr, to: SiteAddr, msg: Message) {
+        // Metered as what the wire would carry: the message's encoding,
+        // written into one buffer the whole run reuses.
+        self.scratch.clear();
+        msg.encode(&mut self.scratch);
+        let bytes = self.scratch.len();
+        let verdict = self
+            .injector
+            .decide(base_us, &from.host, &to.host, self.config.jitter_us);
+        let ledger = &self.ledger;
+        let record = |fate| ledger.record(fate, &msg, bytes, &to.host, &from.host, || base_us);
+        // A loss is recorded in place of the send; corruption is one
+        // through the decode path (the receiver cannot read the frame).
+        let (jitter_us, copy) = match verdict {
+            Ok(delivery) => delivery,
+            Err(lost) => return record(lost),
+        };
+        record(Fate::Sent);
+        let arrive_us = base_us + self.config.latency.latency_us(bytes);
+        // Duplication delivers a *second* copy with its own jitter draw
+        // (the copies may overtake each other).
+        let copy = copy.map(|copy_jitter_us| {
+            record(Fate::Duplicated);
+            (arrive_us + copy_jitter_us, msg.clone())
+        });
+        let delivery = Due::Actor(to.clone(), Event::Net(msg));
+        self.agenda.push(arrive_us + jitter_us, delivery);
+        if let Some((copy_at_us, copy)) = copy {
+            self.agenda
+                .push(copy_at_us, Due::Actor(to, Event::Net(copy)));
         }
-        None
+    }
+}
+
+/// A site that goes down leaves the registry — its actor stays
+/// inspectable via `actor_mut`, its pending deliveries dead-letter and
+/// later sends to it are refused — and comes back through
+/// [`Actor::on_restart`].
+impl Runtime for SimNet {
+    fn next(&mut self, limit_us: u64) -> Option<(u64, Due)> {
+        self.agenda.pop(limit_us)
     }
 
     /// Hands one actor entry to its actor and queues what the handler
@@ -361,48 +373,17 @@ impl SimNet {
         }
     }
 
-    /// Schedules a message departing at `base_us`: applies the fault
-    /// decision, hands the message's fate to the ledger, and picks the
-    /// delivery time from the latency model plus jitter. A lost message
-    /// is metered apart and traced as `message_dropped` or
-    /// `message_corrupted` — it never becomes a `message_sent` record, so
-    /// trajectory reconstruction does not see phantom sends.
-    fn dispatch_at(&mut self, base_us: u64, from: &SiteAddr, to: SiteAddr, msg: Message) {
-        // Metered as what the wire would carry: the message's encoding,
-        // written into one buffer the whole run reuses.
-        self.scratch.clear();
-        msg.encode(&mut self.scratch);
-        let bytes = self.scratch.len();
-        let verdict = self
-            .injector
-            .decide(base_us, &from.host, &to.host, self.config.jitter_us);
-        let ledger = &self.ledger;
-        let record = |fate| ledger.record(fate, &msg, bytes, &to.host, &from.host, || base_us);
-        // A loss is recorded in place of the send; corruption is one
-        // through the decode path (the receiver cannot read the frame).
-        let (jitter_us, copy) = match verdict {
-            Ok(delivery) => delivery,
-            Err(lost) => return record(lost),
-        };
-        record(Fate::Sent);
-        let arrive_us = base_us + self.config.latency.latency_us(bytes);
-        // Duplication delivers a *second* copy with its own jitter draw
-        // (the copies may overtake each other).
-        let copy = copy.map(|copy_jitter_us| {
-            record(Fate::Duplicated);
-            (arrive_us + copy_jitter_us, msg.clone())
-        });
-        let delivery = Due::Actor(to.clone(), Event::Net(msg));
-        self.agenda.push(arrive_us + jitter_us, delivery);
-        if let Some((copy_at_us, copy)) = copy {
-            self.agenda
-                .push(copy_at_us, Due::Actor(to, Event::Net(copy)));
+    fn edge(&mut self, at_us: u64, site: SiteAddr, up: bool) {
+        if !up {
+            self.registry.remove(&site);
+        } else if let Some(actor) = self.actors.get_mut(&site) {
+            actor.on_restart(at_us);
+            self.registry.insert(site);
         }
     }
 
-    /// Current virtual time.
-    pub fn now_us(&self) -> u64 {
-        self.clock_us
+    fn agenda(&mut self) -> &mut Agenda {
+        &mut self.agenda
     }
 }
 
@@ -1180,15 +1161,15 @@ mod tests {
         };
         net.register(c.clone(), Box::new(client));
         net.register(s.clone(), Box::new(Witness(Vec::new())));
-        net.post_host(60_000, 8);
-        net.post_host(4_000, 7);
+        net.agenda().push(60_000, Due::Host(8));
+        net.agenda().push(4_000, Due::Host(7));
         net.start(&c);
         net.start(&s);
 
         // Everything of t = 4 ms has happened when the host entry of
         // t = 4 ms comes back: the site came up first, so neither the
         // delivery nor the timer found it down.
-        assert_eq!(net.run_to_host(), Some((4_000, 7)));
+        assert_eq!(net.run_to_host(u64::MAX), Some((4_000, 7)));
         let seen = net.actor_mut::<Witness>(&s).unwrap().0.clone();
         assert_eq!(seen, ["up@4000", "delivery@4000", "timer5@4000"]);
         assert_eq!(net.metrics().dead_letters, 0);
@@ -1197,7 +1178,7 @@ mod tests {
         // The crash edge at 50 ms and the host entry at 60 ms happen —
         // the client is gone — without the clock following them.
         assert_eq!(net.now_us(), 4_000);
-        assert_eq!(net.run_to_host(), Some((60_000, 8)));
+        assert_eq!(net.run_to_host(u64::MAX), Some((60_000, 8)));
         assert_eq!(net.now_us(), 4_000);
         net.start(&c);
         assert_eq!(net.run(), 4_000, "a kick-off to a dead endpoint evaporates");
