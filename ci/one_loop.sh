@@ -22,6 +22,14 @@
 # or when a non-test line of crates/webdis-core/src/tcprun.rs starts a
 # thread other than through its one `spawn` helper, or calls that helper
 # other than once, for the daemons (`daemons.push(spawn(`).
+# One purge: a daemon drops what is older than one period as each message
+# arrives, on both runtimes, and raises its own log gauge. So it also
+# fails when a non-test line under crates/*/src
+#   * calls `purge_log(` outside `ServerEngine::on_message` (a sweep or a
+#     harness purging beside the daemon);
+#   * names `gauge_max("log_len_high_water"` outside webdis-core's
+#     server.rs (a runtime raising the daemon's gauge for it);
+# or when a non-test line of server.rs calls `.post(` (a daemon timer).
 # Non-test lines are those before a file's first `#[cfg(test)]`, as in
 # ci/loc.sh.
 set -eu
@@ -64,6 +72,33 @@ if [ "$nt" -ne 1 ] || [ "$nh" -ne 1 ] || [ "$nd" -ne 1 ]; then
     fail=1
 fi
 
+server=crates/webdis-core/src/server.rs
+purges=$(product | awk -v server="$server" '
+    { split($0, at, ":") }
+    at[1] != file { file = at[1]; within = "" }
+    /fn [A-Za-z0-9_]+[<(]/ { match($0, /fn [A-Za-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
+    /purge_log\(/ && !/fn purge_log\(/ && !/^[^:]*:[0-9]+: *\/\// &&
+        !(file == server && within == "on_message")' || true)
+if [ -n "$purges" ]; then
+    echo "a log purge outside ServerEngine::on_message:" >&2
+    echo "$purges" >&2
+    fail=1
+fi
+
+gauges=$(product | grep -F 'gauge_max("log_len_high_water"' | grep -v "^$server:" || true)
+if [ -n "$gauges" ]; then
+    echo "the daemon's log_len_high_water gauge raised outside server.rs:" >&2
+    echo "$gauges" >&2
+    fail=1
+fi
+
+timers=$(nontest "$server" | grep -F '.post(' || true)
+if [ -n "$timers" ]; then
+    echo "a daemon timer (server.rs posts nothing; it purges as messages arrive):" >&2
+    echo "$timers" >&2
+    fail=1
+fi
+
 hits=$(product |
     grep -E 'fn (serve|advance)[<(]|(^|[^A-Za-z0-9_])(CtxNet|SimServer|SimDataUser|SendError|as_any_mut|run_daemon|keep_house|Housekeeper|Deadline|close_endpoint)([^A-Za-z0-9_]|$)' || true)
 if [ -n "$hits" ]; then
@@ -72,4 +107,4 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one loop: Due edges and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its daemons, and no adapter beside Actor::handle"
+echo "one loop: Due edges and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its daemons, no adapter beside Actor::handle, and one purge, in on_message"

@@ -54,10 +54,10 @@ fn t13_point(mean_interarrival_us: u64, ctx: &Ctx, showcase: bool) -> LoadPoint 
         // that is what produces a knee at a realistic offered load.
         proc: ProcModel::workstation_1999(),
         admission: Some(2),
-        // Admission slots retire on purge sweeps once a query has been
-        // idle a whole period; the period must therefore sit at the
-        // query-duration scale (~15 ms here) or slots outlive their
-        // queries and the controller sheds even an idle system.
+        // A server's purge, run at each arrival, retires the admission
+        // slot of a query idle a whole period; the period must therefore
+        // sit at the query-duration scale (~15 ms here) or slots outlive
+        // their queries and the controller sheds even an idle system.
         log_purge_us: Some(50_000),
         tracer,
         ..EngineConfig::default()

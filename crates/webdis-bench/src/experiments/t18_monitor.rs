@@ -21,7 +21,7 @@ struct T18Point {
 /// One t18 run: a shed storm, then calm. The burst packs each user's
 /// first submissions microseconds apart so the admission cap (2 slots)
 /// mass-sheds; the Poisson tail then spaces queries far enough apart
-/// that every one admits cleanly, and the purge ticks keep closing
+/// that every one admits cleanly, and the sample ticks keep closing
 /// shed-free monitor windows until the burn-rate alert resolves.
 fn t18_point(monitored: bool, smoke: bool) -> T18Point {
     let web = Arc::new(workload_web(4, 2, 13));

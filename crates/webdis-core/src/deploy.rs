@@ -21,6 +21,11 @@ use webdis_web::{Mutation, MutationSchedule, WebView};
 
 use crate::config::{CompletionMode, EngineConfig};
 
+/// How often a run samples itself, in µs of its own clock: the
+/// simulator's workload tick (the observer and the tracer) and a traced
+/// TCP drive's tracer tick.
+pub(crate) const SAMPLE_PERIOD_US: u64 = 50_000;
+
 /// A web and the engines serving it, independent of the transport they
 /// run on. A plain value: set the fields, then run it any number of
 /// times (its web is one shared store, so its history carries across

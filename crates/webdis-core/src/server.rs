@@ -193,8 +193,6 @@ pub struct ServerEngine {
     /// Insertion order of the cached documents — the FIFO eviction queue
     /// (footnote 3 pins FIFO, not LRU: a hit does not refresh an entry).
     doc_cache_fifo: VecDeque<Url>,
-    /// Time of the last periodic log purge.
-    last_purge_us: u64,
     /// Sequence number of the last result report shipped (dedupe key at
     /// the user site, paired with this site's hostname). Derived from
     /// the clock on every draw so a crash-restarted daemon never reuses
@@ -269,7 +267,6 @@ impl ServerEngine {
             queries: BTreeMap::new(),
             doc_cache: HashMap::new(),
             doc_cache_fifo: VecDeque::new(),
-            last_purge_us: 0,
             report_seq: 0,
             span: StageAccum::default(),
             seen_site_version: 0,
@@ -312,7 +309,6 @@ impl ServerEngine {
         self.queries.clear();
         self.doc_cache.clear();
         self.doc_cache_fifo.clear();
-        self.last_purge_us = 0;
         self.span = StageAccum::default();
         // The answer cache is volatile daemon memory too: a respawned
         // site starts cold and recomputes until it re-warms.
@@ -349,10 +345,10 @@ impl ServerEngine {
         self.log.len()
     }
 
-    /// Purges log records older than `before_us` (the periodic purge of
-    /// Section 3.1.1; the harness decides the period), and with them the
-    /// per-query state of queries whose last clone arrived before the
-    /// cutoff: a query idle for a whole purge period holds no work here,
+    /// Purges log records older than `before_us` (Section 3.1.1's
+    /// periodic purge, which [`ServerEngine::on_message`] runs), and with
+    /// them the per-query state of queries whose last clone arrived before
+    /// the cutoff: a query idle for a whole purge period holds no work here,
     /// so keeping its admission slot would starve new arrivals forever
     /// and keeping its record would leak one entry per query. Only a
     /// live ack chain outlasts idleness — it still owes its parent an
@@ -360,7 +356,7 @@ impl ServerEngine {
     /// user site; should a clone of it arrive after its record is gone,
     /// it is processed afresh, fails its result dispatch and is purged
     /// again: recomputation only, the log table's own bargain.
-    pub fn purge_log(&mut self, before_us: u64) -> usize {
+    fn purge_log(&mut self, before_us: u64) -> usize {
         self.queries.retain(|_, q| {
             if q.last_seen_us >= before_us {
                 return true;
@@ -415,16 +411,16 @@ impl ServerEngine {
         net.send(&id.reply_to(), Message::Report(report))
     }
 
-    /// Handles one incoming message.
+    /// Handles one incoming message, and is the daemon's one purge and
+    /// its one `log_len_high_water` gauge on both runtimes.
     pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
-        // Section 3.1.1's periodic purge, driven by message arrivals (the
-        // daemon has no timer of its own): entries older than one period
-        // are discarded. Over-eager settings cost recomputation only.
+        // Section 3.1.1's periodic purge, run at each arrival (the daemon
+        // has no timer): whatever is older than one period goes, and
+        // every dropped record is traced. Over-eager settings cost
+        // recomputation only.
         if let Some(period) = self.config.log_purge_us {
-            let now = net.now_us();
-            if now.saturating_sub(self.last_purge_us) >= period {
-                self.last_purge_us = now;
-                let records = self.purge_log(now.saturating_sub(period)) as u32;
+            let records = self.purge_log(net.now_us().saturating_sub(period)) as u32;
+            if records > 0 {
                 self.trace(net, None, || TraceEvent::Purge { records });
             }
         }
@@ -435,6 +431,10 @@ impl ServerEngine {
                 // A query server answers no fetch (the site's plain web
                 // server does) and receives no reports or replies.
             }
+        }
+        let tracer = &self.config.tracer;
+        if tracer.enabled() {
+            tracer.gauge_max("log_len_high_water", self.log.len() as u64);
         }
     }
 
@@ -1011,22 +1011,13 @@ impl ServerEngine {
     }
 }
 
-/// The daemon as an actor: a message is [`ServerEngine::on_message`];
-/// the kick-off arms Section 3.1.1's periodic purge (when `log_purge_us`
-/// is set), which runs even while idle — under sustained multi-query load
-/// it bounds the log table and retires admission slots — and re-arms on
-/// each fire. Only a TCP runtime kicks a daemon off: on the simulator the
-/// purge stays the harness's sweep (DESIGN.md §2d). The end of a crash
-/// window is a [`ServerEngine::restart`].
+/// The daemon as an actor: a message is [`ServerEngine::on_message`],
+/// which also runs its purge, so it needs no kick-off and posts no timer.
+/// The end of a crash window is a [`ServerEngine::restart`].
 impl Actor for ServerEngine {
     fn handle(&mut self, net: &mut dyn Network, event: Event) {
-        match (event, self.config.log_purge_us) {
-            (Event::Net(msg), _) => self.on_message(net, msg),
-            (Event::Start | Event::Timer(_), Some(period)) => {
-                self.purge_log(net.now_us().saturating_sub(period));
-                net.post(period, 0);
-            }
-            (Event::Start | Event::Timer(_), None) => {}
+        if let Event::Net(msg) = event {
+            self.on_message(net, msg);
         }
     }
 
@@ -1407,7 +1398,7 @@ mod tests {
         assert_eq!(report.reports.len(), 1);
         assert_eq!(report.reports[0].disposition, Disposition::Shed);
         assert!(report.reports[0].results.is_empty());
-        // A purge sweep past the first query's last arrival retires its
+        // A purge past the first query's last arrival retires its
         // slot; the next query admits.
         s.purge_log(1);
         assert_eq!(s.active_queries(), 0);

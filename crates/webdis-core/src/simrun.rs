@@ -2,8 +2,9 @@
 //! actor, the wiring of a [`Deployment`] onto a [`SimNet`] (query
 //! servers and user sites are actors themselves), and the simulator's
 //! use of the one host loop ([`Deployment::drive_sim`]): scheduled
-//! mutations and periodic sweeps are host entries of the network's own
-//! agenda, and the run ends at the first sweep that finds it idle.
+//! mutations and periodic samples are host entries of the network's own
+//! agenda, and the run ends at the first sample that finds it idle. No
+//! sweep purges: each daemon purges its own log as messages arrive.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -18,7 +19,7 @@ use webdis_web::{FetchOutcome, WebView};
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
-use crate::deploy::Deployment;
+use crate::deploy::{Deployment, SAMPLE_PERIOD_US};
 use crate::network::{query_server_addr, Network};
 use crate::record::{HybridStats, QueryOutcome, WorkloadOutcome};
 use crate::server::{ServerEngine, ServerStats};
@@ -91,10 +92,6 @@ pub fn server_of<'a>(net: &'a mut SimNet, site: &SiteAddr) -> Option<&'a mut Ser
     net.actor_mut::<ServerEngine>(&query_server_addr(site))
 }
 
-/// Tick used to drive purge sweeps when the config does not set
-/// `log_purge_us` (the gauge still wants periodic samples).
-const DEFAULT_TICK_US: u64 = 100_000;
-
 impl Deployment {
     /// Wires the deployment onto a fresh simulated network: a plain web
     /// server for every site, plus a query daemon at each participating
@@ -147,9 +144,9 @@ impl Deployment {
     /// lands each scheduled mutation at its virtual instant, between
     /// deliveries: `sweep(net, at_us)` runs every `tick_us` (`u64::MAX`:
     /// once, at the end) at the tick's nominal time, which the clock may
-    /// not have reached on a quiet network — the harness's act, not a
-    /// server timer (DESIGN.md §2d). The run ends at the first tick that
-    /// finds the network idle and the schedule spent, or at `horizon_us`
+    /// not have reached on a quiet network — the harness's act, which
+    /// reads the run and changes nothing in it. The run ends at the first
+    /// tick that finds the network idle and the schedule spent, or at `horizon_us`
     /// (whose tick sweeps first); the mutations past it still land, at
     /// their times, so the web's history holds the whole schedule.
     /// Returns the final virtual time.
@@ -210,15 +207,15 @@ impl Deployment {
     /// the same run twice is *identical*, message for message. Stops
     /// when the network drains or the clock reaches `horizon_us`.
     ///
-    /// The clock loop is [`Deployment::drive_sim`] in purge-period ticks:
-    /// at each tick every server runs its Section-3.1.1 `purge_log`
-    /// sweep (which also retires idle admission slots; servers themselves
-    /// stay timer-free) and raises the `log_len_high_water` gauge; then
-    /// `observer` is handed a registry snapshot with the virtual clock —
-    /// the simulator's analogue of scraping a live daemon's `/metrics` —
-    /// and the tracer is [ticked](webdis_trace::TraceHandle::tick) (a
-    /// monitor samples the registry there). The observer only fires when
-    /// the tracer carries a registry, and never perturbs the simulation.
+    /// The clock loop is [`Deployment::drive_sim`], ticking every
+    /// `SAMPLE_PERIOD_US` (50 ms): at each tick `observer` is handed a
+    /// registry snapshot with the virtual clock — the simulator's analogue
+    /// of scraping a live daemon's `/metrics` — and the tracer is
+    /// [ticked](webdis_trace::TraceHandle::tick) (a monitor samples the
+    /// registry there). The observer only fires when the tracer carries a
+    /// registry, and never perturbs the simulation. The servers purge
+    /// their own logs and raise their own `log_len_high_water` gauge, as
+    /// each message arrives.
     pub fn workload_sim(
         &self,
         sim_cfg: SimConfig,
@@ -227,8 +224,6 @@ impl Deployment {
         observer: &mut dyn FnMut(u64, &RegistrySnapshot),
     ) -> WorkloadOutcome {
         let tracer = &self.config.tracer;
-        let sites = self.web.sites();
-
         let mut net = self.sim_net(sim_cfg);
         let users = plans.len();
         for plan in plans {
@@ -240,18 +235,8 @@ impl Deployment {
             net.start(&addr);
         }
 
-        let purge_period = self.config.log_purge_us;
-        let tick = purge_period.unwrap_or(DEFAULT_TICK_US).max(1);
         let mut sweep = |net: &mut SimNet, _tick_us: u64| {
             let now = net.now_us();
-            for site in &sites {
-                if let Some(server) = server_of(net, site) {
-                    if let Some(period) = purge_period {
-                        server.purge_log(now.saturating_sub(period));
-                    }
-                    tracer.gauge_max("log_len_high_water", server.log_len() as u64);
-                }
-            }
             if let Some(snapshot) = tracer.registry_snapshot() {
                 observer(now, &net.ledger.overlay(snapshot));
             }
@@ -259,7 +244,7 @@ impl Deployment {
             // window closes land at deterministic virtual times.
             tracer.tick(now);
         };
-        let duration_us = self.drive_sim(&mut net, tick, horizon_us, &mut sweep);
+        let duration_us = self.drive_sim(&mut net, SAMPLE_PERIOD_US, horizon_us, &mut sweep);
 
         let mut outcome = WorkloadOutcome {
             records: Vec::new(),

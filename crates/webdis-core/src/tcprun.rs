@@ -29,7 +29,7 @@ use webdis_trace::MetricsExporter;
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
-use crate::deploy::Deployment;
+use crate::deploy::{Deployment, SAMPLE_PERIOD_US};
 use crate::network::{query_server_addr, Network, NetworkError};
 use crate::record::{QueryRecord, WorkloadOutcome};
 use crate::server::ServerEngine;
@@ -157,21 +157,18 @@ struct Site<'a, A> {
     actor: &'a mut A,
     endpoint: &'a TcpEndpoint,
     net: &'a mut TcpNet,
-    done: fn(&A, &TcpNet) -> bool,
+    done: fn(&A) -> bool,
     crashed: bool,
 }
 
 impl<'a, A: Actor> Site<'a, A> {
-    /// `actor` on `endpoint`, its [`Event::Start`] queued now, as
-    /// [`SimNet::start`](webdis_sim::SimNet::start) does.
+    /// `actor` on `endpoint`, handed what its agenda holds and each frame.
     fn new(actor: &'a mut A, endpoint: &'a TcpEndpoint, net: &'a mut TcpNet) -> Self {
-        let start = Due::Actor(net.addr.clone(), Event::Start);
-        net.agenda.push(net.now_us(), start);
         Site {
             actor,
             endpoint,
             net,
-            done: |_, _| false,
+            done: |_| false,
             crashed: false,
         }
     }
@@ -184,7 +181,7 @@ impl<A: Actor> Runtime for Site<'_, A> {
     /// the endpoint is closed, which wakes the sleeper.
     fn next(&mut self, limit_us: u64) -> Option<(u64, Due)> {
         let net = &mut *self.net;
-        while !(self.done)(self.actor, net) {
+        while !(self.done)(self.actor) {
             let now = net.now_us();
             if let Some((_, due)) = net.agenda.pop(now.min(limit_us)) {
                 return Some((now, due));
@@ -245,13 +242,7 @@ fn spawn(
 ) -> (Closer, JoinHandle<ServerEngine>) {
     let closer = endpoint.closer();
     let thread = std::thread::Builder::new().name(name).spawn(move || {
-        let mut site = Site::new(&mut engine, &endpoint, &mut net);
-        site.done = |engine, net| {
-            let log_len = engine.log_len() as u64;
-            net.ledger.tracer.gauge_max("log_len_high_water", log_len);
-            false
-        };
-        site.run_to_host(u64::MAX);
+        Site::new(&mut engine, &endpoint, &mut net).run_to_host(u64::MAX);
         engine
     });
     (closer, thread.expect("spawn cluster thread"))
@@ -347,22 +338,25 @@ impl TcpCluster {
     /// agenda of the user site's: each scheduled mutation not yet applied
     /// lands at its offset (one already overdue before the kick-off
     /// submits anything), and a traced run's tracer
-    /// [ticks](webdis_trace::TraceHandle::tick) every 50 ms, so a
-    /// monitor's windows close while the cluster serves. The cluster stays
-    /// up afterwards; a later drive with the same `net` (a
+    /// [ticks](webdis_trace::TraceHandle::tick) every `SAMPLE_PERIOD_US`
+    /// (50 ms), so a monitor's windows close while the cluster serves. The
+    /// cluster stays up afterwards; a later drive with the same `net` (a
     /// [`TcpCluster::user_net`]) keeps its connections and lands only the
     /// mutations not yet applied.
     pub fn drive(&mut self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
-        // Whatever an earlier drive of this handle left queued is moot.
+        // Whatever an earlier drive of this handle left queued is moot;
+        // the user site's kick-off is queued now, as `SimNet::start` does.
         net.agenda = Agenda::default();
         let now = net.now_us();
+        net.agenda
+            .push(now, Due::Actor(net.addr.clone(), Event::Start));
         let stop_us = now + deadline.as_micros() as u64;
         let tracer = &self.deployment.config.tracer;
         let mut site = Site::new(user, &self.user_endpoint, net);
-        site.done = |user, _| user.done();
+        site.done = ScheduledClient::done;
         let tick = |_: &mut Site<_>, at_us, _| {
             tracer.tick(at_us);
-            ControlFlow::Continue(at_us + 50_000)
+            ControlFlow::Continue(at_us + SAMPLE_PERIOD_US)
         };
         let first_tick = tracer.enabled().then_some(now);
         let cursor = &mut self.mutated;
@@ -390,9 +384,7 @@ impl Deployment {
     /// Starts the deployment on loopback under `faults`: binds every
     /// endpoint and the cluster's one admin socket
     /// ([`TcpCluster::admin_addr`]), then spawns one daemon thread per
-    /// participating site, which runs its [`ServerEngine`] and raises
-    /// the `log_len_high_water` registry gauge after every event it
-    /// handles. Each daemon, and the user site, sends through a pool
+    /// participating site, which runs its [`ServerEngine`]. Each daemon, and the user site, sends through a pool
     /// built on its own endpoint, which it reads while a write waits for
     /// room ([`ConnPool`]). Rate and partition
     /// faults are decided per send, partition windows in µs since the
@@ -826,9 +818,10 @@ mod tests {
 
     #[test]
     fn sleeping_runtimes_are_woken_by_shutdown() {
-        // Every deadline of this cluster is a minute away — the daemons'
-        // purge, the one scheduled mutation — and nothing polls: unless
-        // shutdown wakes each sleeper, it takes that minute.
+        // A daemon has no deadline — it purges as messages arrive, so
+        // even with a purge period set it posts no timer — the one
+        // scheduled mutation is a minute away, and nothing polls: unless
+        // shutdown wakes each sleeper, it waits for a frame forever.
         let web = Arc::new(LiveWeb::from_hosted(&figures::campus()));
         let (_collector, tracer) = webdis_trace::TraceHandle::collecting(1_024);
         let cfg = EngineConfig {

@@ -238,7 +238,7 @@ impl WorkloadSpec {
 
     /// Plans the workload and runs it on `deployment` over the
     /// deterministic simulator, until the network drains or the spec's
-    /// horizon. `observer` sees the registry after every purge tick.
+    /// horizon. `observer` sees the registry after every sample tick.
     pub fn run_sim(
         &self,
         deployment: &Deployment,

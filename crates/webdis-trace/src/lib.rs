@@ -159,7 +159,7 @@ pub enum TraceEvent {
         /// losslessly.
         content_version: u64,
     },
-    /// A log-table purge ran.
+    /// A log-table purge dropped records.
     Purge {
         /// Records discarded.
         records: u32,

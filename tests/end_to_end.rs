@@ -3,9 +3,15 @@
 
 use std::sync::Arc;
 
-use webdis::core::{run_datashipping_sim, run_query_sim, CompletionMode, EngineConfig, LogMode};
+use webdis::core::simrun::{load_user_addr, server_of};
+use webdis::core::{
+    run_datashipping_sim, run_query_sim, ArrivalProcess, CachePolicy, ClientProcess,
+    CompletionMode, Deployment, EngineConfig, LogMode, ProcModel, QueryMix, ScheduledClient,
+    UserPlan, WorkloadSpec,
+};
 use webdis::net::Disposition;
 use webdis::sim::SimConfig;
+use webdis::trace::{TraceEvent, TraceHandle, TraceRecord};
 use webdis::web::{figures, generate, HostedWeb, PageBuilder, WebGenConfig};
 
 fn default_outcome(web: Arc<HostedWeb>, disql: &str) -> webdis::core::QueryOutcome {
@@ -376,9 +382,9 @@ fn general_log_mode_drops_contained_states_paper_rule_cannot() {
 
 #[test]
 fn automatic_log_purging_preserves_results() {
-    // config.log_purge_us drives the servers' own periodic purge (the
-    // T8 harness drives it externally); an absurdly short period forces
-    // recomputation but never changes the result set.
+    // config.log_purge_us is the servers' one purge, run as each message
+    // arrives; an absurdly short period forces recomputation but never
+    // changes the result set.
     let web = Arc::new(generate(&WebGenConfig {
         sites: 6,
         docs_per_site: 3,
@@ -413,6 +419,119 @@ fn automatic_log_purging_preserves_results() {
     assert!(
         purging.sum_stat(|s| s.evaluations) >= calm.sum_stat(|s| s.evaluations),
         "purging can only add recomputation"
+    );
+}
+
+/// One purging (or not) run of T19's shape, by hand: every user of
+/// `plans` a client process at its workload address, as
+/// `Deployment::workload_sim` places them. Returns the servers' total
+/// evaluations and final log length, and the records the trace says
+/// were purged.
+fn purge_run(web: &Arc<HostedWeb>, purge_us: Option<u64>, plans: &[UserPlan]) -> (u64, usize, u64) {
+    let (collector, tracer) = TraceHandle::collecting(1 << 16);
+    let deployment = Deployment::new(Arc::clone(web), purge_config(purge_us, tracer));
+    let mut net = deployment.sim_net(SimConfig::default());
+    for plan in plans {
+        let addr = load_user_addr(plan.user);
+        let name = format!("load{}", plan.user);
+        let client = ClientProcess::new(&name, addr.clone(), deployment.config.clone());
+        let planned = plan.submissions.iter().map(|s| (0, s.clone())).collect();
+        let user = ScheduledClient::new(vec![client], planned);
+        net.register(addr.clone(), Box::new(user));
+        net.start(&addr);
+    }
+    deployment.drive_sim(&mut net, u64::MAX, u64::MAX, &mut |_, _| {});
+    let (mut evaluations, mut log_len) = (0, 0);
+    for site in web.sites() {
+        let server = server_of(&mut net, &site).expect("every site runs a server");
+        evaluations += server.stats.evaluations;
+        log_len += server.log_len();
+    }
+    (evaluations, log_len, purged(&collector.snapshot()))
+}
+
+/// T19's engine configuration, with `purge_us` as its purge period.
+fn purge_config(purge_us: Option<u64>, tracer: TraceHandle) -> EngineConfig {
+    EngineConfig {
+        proc: ProcModel::workstation_1999(),
+        doc_cache_size: 64,
+        cache: Some(CachePolicy::default()),
+        log_purge_us: purge_us,
+        tracer,
+        ..EngineConfig::default()
+    }
+}
+
+/// The log records a trace says were purged.
+fn purged(records: &[TraceRecord]) -> u64 {
+    let purges = records.iter().filter_map(|r| match r.event {
+        TraceEvent::Purge { records } => Some(u64::from(records)),
+        _ => None,
+    });
+    purges.sum()
+}
+
+#[test]
+fn every_dropped_log_record_is_traced() {
+    // T19's shape — two users, Poisson arrivals over the global/local
+    // mix, 1999-workstation costs, both caches — with the submissions
+    // spread over several 50 ms purge periods, each query far shorter
+    // than one: the purge drops only finished queries' records, so it
+    // recomputes nothing, and each record it drops is in a `purge`
+    // trace record, on a hand-driven run and on the workload driver.
+    let web = Arc::new(generate(&WebGenConfig {
+        sites: 4,
+        docs_per_site: 3,
+        extra_local_links: 1,
+        extra_global_links: 1,
+        title_needle_prob: 0.4,
+        seed: 19,
+        ..WebGenConfig::default()
+    }));
+    let global = r#"select d.url from document d
+                    such that "http://site0.test/doc0.html" (L|G)* d
+                    where d.title contains "needle""#;
+    let local = r#"select d.url, d.title from document d
+                   such that "http://site0.test/doc0.html" L* d
+                   where d.title contains "needle""#;
+    let spec = WorkloadSpec {
+        users: 2,
+        queries_per_user: 4,
+        arrival: ArrivalProcess::Poisson {
+            mean_interarrival_us: 50_000,
+        },
+        mix: QueryMix::single(global).with(local, 2),
+        seed: 19,
+        ..WorkloadSpec::default()
+    };
+    let plans = spec.plan().unwrap();
+    let last_us = plans
+        .iter()
+        .flat_map(|p| &p.submissions)
+        .map(|s| s.at_us)
+        .max();
+    assert!(last_us > Some(100_000), "submissions span two periods");
+
+    let (evaluations, kept, none_purged) = purge_run(&web, None, &plans);
+    assert_eq!(none_purged, 0);
+    let (purging_evaluations, left, traced) = purge_run(&web, Some(50_000), &plans);
+    assert_eq!(purging_evaluations, evaluations, "purging recomputed");
+    let dropped = (kept - left) as u64;
+    assert!(dropped > 0, "the purge dropped records");
+    assert_eq!(traced, dropped, "every dropped record is traced");
+
+    let (collector, tracer) = TraceHandle::collecting(1 << 16);
+    let deployment = Deployment::new(Arc::clone(&web), purge_config(Some(50_000), tracer));
+    let outcome = spec.run_sim(&deployment, SimConfig::default(), &mut |_, _| {});
+    let stats = outcome.unwrap().server_stats;
+    assert_eq!(
+        stats.values().map(|s| s.evaluations).sum::<u64>(),
+        evaluations
+    );
+    let traced_on_the_driver = purged(&collector.snapshot());
+    assert_eq!(
+        traced_on_the_driver, dropped,
+        "the workload driver drops untraced"
     );
 }
 

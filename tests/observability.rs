@@ -103,7 +103,7 @@ fn snapshot_observer_sees_live_monotone_registry() {
     };
 
     let (observed_outcome, ticks, final_snap) = run(true);
-    assert!(!ticks.is_empty(), "the observer must fire on purge ticks");
+    assert!(!ticks.is_empty(), "the observer must fire on sample ticks");
     assert!(
         ticks.windows(2).all(|w| w[0].0 < w[1].0),
         "tick clocks advance strictly: {ticks:?}"
