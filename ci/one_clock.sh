@@ -7,7 +7,7 @@
 #     crates/webdis-sim/src/agenda.rs names `BinaryHeap` (a second
 #     time-ordered queue, with an equal-instant order of its own) or
 #     `crash_edges` (crash edges read off the fault list beside
-#     `Agenda::new`);
+#     `Agenda::new` and `Injector::down`);
 #   * a non-test line of crates/webdis-core/src/tcprun.rs sleeps
 #     (`thread::sleep`) or compares an `.elapsed()` against something (a
 #     hand-rolled timer; reading the clock as `elapsed().as_micros()` is

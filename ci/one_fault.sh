@@ -10,7 +10,12 @@
 #   * an ordinal fault knob — skip N sends, then fault M (`skip_queries`,
 #     `corrupt_skip`, `dup_skip`, …) or its `*_so_far` counter;
 #   * a per-message decision (`fn claims`, `fn partitioned`) outside
-#     crates/webdis-sim/src.
+#     crates/webdis-sim/src;
+#   * a second way to decide whether an endpoint is down, beside
+#     `Injector::down`: a `Due::Down` agenda edge, a `crashed` field or
+#     flag in webdis-core's tcprun.rs, a registry `remove(` in
+#     webdis-sim's net.rs (the simulator deregistering a crashed site),
+#     or a `"crashed"` dead-letter reason.
 set -eu
 cd "$(dirname "$0")/.."
 fail=0
@@ -37,5 +42,13 @@ if [ -n "$deciders" ]; then
     echo "$deciders" >&2
     fail=1
 fi
+downs=$( (hits 'Due::Down\b|"crashed"'
+    grep -nE '\bcrashed\b *[:=]|\.crashed\b' crates/webdis-core/src/tcprun.rs | sed 's|^|crates/webdis-core/src/tcprun.rs:|'
+    grep -nE 'registry\.remove\(' crates/webdis-sim/src/net.rs | sed 's|^|crates/webdis-sim/src/net.rs:|') || true)
+if [ -n "$downs" ]; then
+    echo "an endpoint's down-ness decided beside webdis_sim::Injector::down:" >&2
+    echo "$downs" >&2
+    fail=1
+fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one fault list: webdis_sim::Fault on both runtimes, one Injector, no ordinal knobs"
+echo "one fault list: webdis_sim::Fault on both runtimes, one Injector that also says who is down, no ordinal knobs"

@@ -2,14 +2,15 @@
 # One actor vocabulary and one loop: both runtimes drive a site through
 # `Actor::handle(&mut dyn Network, Event)`, both are a
 # `webdis_sim::Runtime`, and the dispatch of what comes due — a crash
-# edge, an actor's event, the host's own entry — is written once, the
+# window's restart, an actor's event, the host's own entry — is written
+# once, the
 # trait's provided `run_to_host` in webdis-sim's agenda.rs. What the host
 # does at a time (a scheduled mutation, a periodic tick) is a host entry
 # of the one host loop, `Deployment::drive` in webdis-core's deploy.rs.
 # This fails when a non-test line under crates/*/src
-#   * names `Due::Down(` or `Due::Up(` outside agenda.rs (where
-#     `Agenda::new` pushes them, the class key names them and the one
-#     loop matches them): a second dispatch of crash edges;
+#   * names `Due::Restart(` outside agenda.rs (where `Agenda::new`
+#     pushes it, the class key names it and the one loop matches it): a
+#     second dispatch of a crash window's restart;
 #   * names `Due::Host(` outside agenda.rs and deploy.rs: a host entry
 #     pushed or matched beside the one host loop;
 #   * defines `fn serve(` or `fn advance(` (the two loops the trait
@@ -17,8 +18,8 @@
 #     replaced: `CtxNet`, `SimServer`, `SimDataUser`, `SendError`,
 #     `as_any_mut`, `run_daemon`, `keep_house`, `Housekeeper`, `Deadline`
 #     (TCP's own deadline kinds, now `webdis_sim::Due`) or
-#     `close_endpoint` (a site going down is the agenda's `Down` edge,
-#     `Fault::Crash`);
+#     `close_endpoint` (a site going down is a `Fault::Crash`, read by
+#     `Injector::down`);
 # or when a non-test line of crates/webdis-core/src/tcprun.rs starts a
 # thread other than through its one `spawn` helper, or calls that helper
 # other than once, for the daemons (`daemons.push(spawn(`).
@@ -43,10 +44,10 @@ product() {
 agenda=crates/webdis-sim/src/agenda.rs
 deploy=crates/webdis-core/src/deploy.rs
 
-edges=$(product | grep -E 'Due::(Down|Up)\(' | grep -v "^$agenda:" || true)
-if [ -n "$edges" ]; then
-    echo "crash edges dispatched outside Runtime::run_to_host (agenda.rs):" >&2
-    echo "$edges" >&2
+restarts=$(product | grep -F 'Due::Restart(' | grep -v "^$agenda:" || true)
+if [ -n "$restarts" ]; then
+    echo "a restart dispatched outside Runtime::run_to_host (agenda.rs):" >&2
+    echo "$restarts" >&2
     fail=1
 fi
 
@@ -107,4 +108,4 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one loop: Due edges and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its daemons, no adapter beside Actor::handle, and one purge, in on_message"
+echo "one loop: Due restarts and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its daemons, no adapter beside Actor::handle, and one purge, in on_message"

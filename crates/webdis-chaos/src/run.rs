@@ -134,8 +134,8 @@ const TCP_CRASH_HOST: &str = "dsl.serc.iisc.ernet.in";
 /// duplication of every report, and a crash-restart window of the DSL
 /// lab's daemon — one `Fault` list, as the simulator takes it —
 /// oracle-checked against a fault-free TCP baseline, and each fault's
-/// trace record required. Returns the violations (empty = invariants
-/// held).
+/// evidence required (for the crash: no row from the lab that the
+/// baseline has). Returns the violations (empty = invariants held).
 pub fn run_tcp_smoke() -> Result<Vec<Violation>, DisqlError> {
     let web = Arc::new(webdis_web::figures::campus());
     let engine = |tracer: TraceHandle| EngineConfig {
@@ -203,12 +203,21 @@ pub fn run_tcp_smoke() -> Result<Vec<Violation>, DisqlError> {
             detail: anomaly.text,
         });
     }
-    for event in ["message_corrupted", "message_duplicated", "message_dropped"] {
+    for event in ["message_corrupted", "message_duplicated"] {
         if !records.iter().any(|r| r.event.name() == event) {
             violations.push(Violation::TraceAnomaly {
                 detail: format!("no {event} record: an injected fault never fired"),
             });
         }
+    }
+    // The crash's evidence: its lab answers in the fault-free run only.
+    let lab = [&baseline, &outcome].map(|r| {
+        let rows = r.result_set();
+        rows.iter().any(|row| row.1.contains(TCP_CRASH_HOST))
+    });
+    if lab != [true, false] {
+        let detail = format!("no crash evidence: {TCP_CRASH_HOST} answers under its crash");
+        violations.push(Violation::TraceAnomaly { detail });
     }
     Ok(violations)
 }

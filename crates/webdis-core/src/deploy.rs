@@ -162,8 +162,8 @@ mod tests {
         fn deliver(&mut self, _: u64, _: SiteAddr, event: Event) {
             panic!("only host entries were pushed, not {event:?}");
         }
-        fn edge(&mut self, _: u64, site: SiteAddr, _: bool) {
-            panic!("only host entries were pushed, not an edge of {site}");
+        fn restart(&mut self, _: u64, site: SiteAddr) {
+            panic!("only host entries were pushed, not a restart of {site}");
         }
         fn agenda(&mut self) -> &mut Agenda {
             &mut self.agenda

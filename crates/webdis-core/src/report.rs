@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use webdis_disql::WebQuery;
+use webdis_html::token::escape;
 use webdis_model::Url;
 use webdis_net::QueryId;
 use webdis_rel::ResultRow;
@@ -34,20 +35,6 @@ impl<'a> ResultsView<'a> {
             results: &user.results,
         }
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Renders the single-file HTML results page (Figure 8's shape).

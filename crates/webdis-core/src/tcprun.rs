@@ -68,12 +68,18 @@ pub struct TcpNet {
     /// how long it sat in the endpoint's inbox.
     queue_wait_us: u64,
     /// What the endpoint this handle runs on has to do at a time, on the
-    /// wall clock: its crash edges, what its actor
+    /// wall clock: its restarts, what its actor
     /// [`post`](Network::post)ed and the host's entries.
     agenda: Agenda,
 }
 
 impl TcpNet {
+    /// True when the fault list has `site` down at `at_us`.
+    fn down(&self, site: &SiteAddr, at_us: u64) -> bool {
+        let faults = self.faults.as_ref();
+        faults.is_some_and(|faults| faults.lock().down(site, at_us))
+    }
+
     /// Hands the fate `msg` met on its way to host `to` to the ledger,
     /// stamped as this endpoint at the wall clock.
     fn record(&self, fate: Fate, msg: &Message, bytes: usize, to: &str) {
@@ -92,7 +98,8 @@ impl Network for TcpNet {
             net.record(Fate::Refused, &msg, bytes, &to.host);
             Err(NetworkError { to: to.clone() })
         };
-        let (Some(&addr), Ok(mut frame)) = (self.map.get(to), frame) else {
+        let up = self.map.get(to).filter(|_| !self.down(to, self.now_us()));
+        let (Some(&addr), Ok(mut frame)) = (up, frame) else {
             return refused(self);
         };
         let verdict = self.faults.as_ref().map_or(Ok((0, None)), |faults| {
@@ -151,14 +158,13 @@ impl Network for TcpNet {
 /// One endpoint and the actor on it, as a [`Runtime`] on the wall clock:
 /// an entry is taken at the instant it comes due, a frame at the instant
 /// it is read. `done` is asked before every wait; true ends the run.
-/// While a crash window is open, frames are read but never processed; its
-/// end is [`Actor::on_restart`] with the same socket.
+/// While it is down, a frame is a dead letter and a timer is dropped; its
+/// restart is [`Actor::on_restart`] with the same socket.
 struct Site<'a, A> {
     actor: &'a mut A,
     endpoint: &'a TcpEndpoint,
     net: &'a mut TcpNet,
     done: fn(&A) -> bool,
-    crashed: bool,
 }
 
 impl<'a, A: Actor> Site<'a, A> {
@@ -169,7 +175,6 @@ impl<'a, A: Actor> Site<'a, A> {
             endpoint,
             net,
             done: |_| false,
-            crashed: false,
         }
     }
 }
@@ -196,11 +201,11 @@ impl<A: Actor> Runtime for Site<'_, A> {
                 Err(webdis_net::RecvTimeoutError::Timeout) => continue,
                 Err(_disconnected) => return None,
             };
-            let (msg, bytes) = (received.msg, received.wire_bytes);
-            if self.crashed {
+            let (msg, bytes, now) = (received.msg, received.wire_bytes, net.now_us());
+            if net.down(&net.addr, now) {
                 // The process is dead. Traced as an explained drop so
                 // trajectory triage never reports a false orphan.
-                net.record(Fate::DeadLetter("crashed"), &msg, bytes, &net.addr.host);
+                net.record(Fate::DeadLetter("dead-letter"), &msg, bytes, &net.addr.host);
                 continue;
             }
             // Inbound queue depth at dequeue: this message plus whatever
@@ -209,21 +214,20 @@ impl<A: Actor> Runtime for Site<'_, A> {
                 .arrival(&net.addr.host, || self.endpoint.pending() as u64 + 1);
             net.queue_wait_us = received.queued.as_micros() as u64;
             let delivery = Due::Actor(net.addr.clone(), Event::Net(msg));
-            return Some((net.now_us(), delivery));
+            return Some((now, delivery));
         }
         None
     }
 
-    fn deliver(&mut self, _at_us: u64, _to: SiteAddr, event: Event) {
-        self.actor.handle(self.net, event);
+    fn deliver(&mut self, at_us: u64, to: SiteAddr, event: Event) {
+        if !self.net.down(&to, at_us) {
+            self.actor.handle(self.net, event);
+        }
         self.net.queue_wait_us = 0;
     }
 
-    fn edge(&mut self, at_us: u64, _site: SiteAddr, up: bool) {
-        if up {
-            self.actor.on_restart(at_us);
-        }
-        self.crashed = !up;
+    fn restart(&mut self, at_us: u64, _site: SiteAddr) {
+        self.actor.on_restart(at_us);
     }
 
     fn agenda(&mut self) -> &mut Agenda {
@@ -384,14 +388,14 @@ impl Deployment {
     /// Starts the deployment on loopback under `faults`: binds every
     /// endpoint and the cluster's one admin socket
     /// ([`TcpCluster::admin_addr`]), then spawns one daemon thread per
-    /// participating site, which runs its [`ServerEngine`]. Each daemon, and the user site, sends through a pool
-    /// built on its own endpoint, which it reads while a write waits for
-    /// room ([`ConnPool`]). Rate and partition
-    /// faults are decided per send, partition windows in µs since the
-    /// cluster came up; a daemon's [`Fault::Crash`] windows are entries
-    /// of its own agenda. The daemons race for the one RNG, so rate draws
-    /// are not seed-deterministic: a rate of 0 or 1 is. The tracer is
-    /// ticked, and the schedule applied, by [`TcpCluster::drive`].
+    /// participating site, which runs its [`ServerEngine`]. Each daemon,
+    /// and the user site, sends through a pool built on its own endpoint,
+    /// which it reads while a write waits for room ([`ConnPool`]). Faults
+    /// are decided per send, a [`Fault::Crash`] of any endpoint also per
+    /// arrival, in µs since the cluster came up; a daemon's restarts are
+    /// its agenda's. The daemons race for the one RNG, so rate draws are
+    /// not seed-deterministic: a rate of 0 or 1 is. The tracer is ticked,
+    /// and the schedule applied, by [`TcpCluster::drive`].
     pub fn tcp_cluster(&self, faults: Vec<Fault>) -> TcpCluster {
         let (web, engine_cfg) = (&self.web, &self.engine_config());
         let epoch = Instant::now();
@@ -1135,37 +1139,6 @@ mod tests {
         assert!(outcome.complete, "dedupe must not wedge completion");
         assert_eq!(outcome.result_set(), baseline.result_set());
         assert_eq!(outcome.total_rows(), baseline.total_rows(), "no row twice");
-    }
-
-    #[test]
-    fn crashed_daemon_window_recovers_via_expiry() {
-        // The DSL lab's daemon is dead for the run's first 300ms — every
-        // clone addressed to it in that window is discarded, and the
-        // respawned engine comes back empty. Expiry writes off the lost
-        // subtree; the rest of the campus still answers.
-        let crash = Fault::Crash {
-            site: SiteAddr {
-                host: "wdqs.dsl.serc.iisc.ernet.in".into(),
-                port: 80,
-            },
-            at_us: 0,
-            down_us: Some(300_000),
-        };
-        let (outcome, events) = campus_under(vec![crash]);
-        assert!(events.get("message_dropped") > Some(&0), "{events:?}");
-        assert!(outcome.complete, "expiry must conclude the query");
-        assert!(
-            !outcome.failed_entries.is_empty(),
-            "clones swallowed by the dead daemon must be written off"
-        );
-        assert!(
-            outcome
-                .failed_entries
-                .iter()
-                .all(|(node, _)| node.to_string().contains("dsl.serc")),
-            "only the crashed site's nodes expire: {:?}",
-            outcome.failed_entries
-        );
     }
 
     #[test]

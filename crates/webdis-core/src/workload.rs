@@ -15,7 +15,6 @@
 //! ([`Deployment::workload_sim`], [`Deployment::workload_tcp`]).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -246,18 +245,6 @@ impl WorkloadSpec {
         observer: &mut dyn FnMut(u64, &RegistrySnapshot),
     ) -> Result<WorkloadOutcome, DisqlError> {
         Ok(deployment.workload_sim(sim_cfg, self.plan()?, self.horizon_us, observer))
-    }
-
-    /// Plans the workload and runs it on `deployment` over a fault-free
-    /// loopback TCP cluster. `deadline` bounds the wall-clock run; planned
-    /// submissions are replayed open-loop at their offsets from cluster
-    /// start.
-    pub fn run_tcp(
-        &self,
-        deployment: &Deployment,
-        deadline: Duration,
-    ) -> Result<WorkloadOutcome, DisqlError> {
-        Ok(deployment.workload_tcp(Vec::new(), self.plan()?, deadline))
     }
 
     /// Offered load in queries per (virtual) second across all users.

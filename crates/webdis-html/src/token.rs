@@ -296,6 +296,21 @@ impl<'a> Iterator for Attrs<'a> {
     }
 }
 
+/// Escapes `&`, `<`, `>` and `"`, which [`decode_entities`] undoes.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Decodes the named entities of HTML 2.0 plus decimal/hex numeric
 /// references, copying the text only if it has an `&` in it. Unknown
 /// entities are passed through verbatim.

@@ -1,4 +1,4 @@
-//! The one time-ordered queue of both runtimes — a crash window's edges,
+//! The one time-ordered queue of both runtimes — a crash window's restart,
 //! an actor's deliveries, timers and kick-off, and the host's own entries,
 //! on the simulator's virtual clock and a TCP thread's wall clock alike —
 //! and the one loop over it, [`Runtime::run_to_host`].
@@ -12,16 +12,15 @@ use crate::actor::Event;
 use crate::fault::Fault;
 
 /// What an agenda entry is. The variants are declared in the order they
-/// take at one instant: a [`Fault::Crash`]'s edges first (a site that
-/// crashes at `t` is down for a delivery at `t`), then what actors see,
+/// take at one instant: a [`Fault::Crash`]'s restart first (a site back
+/// at `t` gets a delivery at `t` with fresh state), then what actors see,
 /// then the host's own entries (it acts on a network that has done all
-/// of `t`); each class in push order, so a zero-length window restarts.
+/// of `t`); each class in push order. Down-ness is no entry, but
+/// [`Injector::down`](crate::Injector::down) of the fault list.
 #[derive(Debug, Clone)]
 pub enum Due {
-    /// The site's endpoint goes down (process death).
-    Down(SiteAddr),
     /// The site comes back up with fresh volatile state.
-    Up(SiteAddr),
+    Restart(SiteAddr),
     /// An event for the actor at this address.
     Actor(SiteAddr, Event),
     /// A token of whoever runs the loop, handed back to it.
@@ -38,7 +37,7 @@ struct Entry {
 impl Entry {
     fn key(&self) -> (u64, u8, u64) {
         let class = match self.due {
-            Due::Down(_) | Due::Up(_) => 0,
+            Due::Restart(_) => 0,
             Due::Actor(..) => 1,
             Due::Host(_) => 2,
         };
@@ -74,23 +73,19 @@ pub struct Agenda {
 }
 
 impl Agenda {
-    /// An agenda of the [`Fault::Crash`] edges in `faults` of the sites
-    /// `here` accepts, in list order, each window down before up.
+    /// An agenda of the restarts of the [`Fault::Crash`] windows in
+    /// `faults` of the sites `here` accepts, in list order.
     pub fn new(faults: &[Fault], here: impl Fn(&SiteAddr) -> bool) -> Agenda {
         let mut agenda = Agenda::default();
         for fault in faults {
-            let Fault::Crash {
+            if let Fault::Crash {
                 site,
                 at_us,
-                down_us,
+                down_us: Some(down_us),
             } = fault
-            else {
-                continue;
-            };
-            if here(site) {
-                agenda.push(*at_us, Due::Down(site.clone()));
-                if let Some(down_us) = down_us {
-                    agenda.push(at_us + down_us, Due::Up(site.clone()));
+            {
+                if here(site) {
+                    agenda.push(at_us + down_us, Due::Restart(site.clone()));
                 }
             }
         }
@@ -139,24 +134,23 @@ pub trait Runtime {
     /// `None` when nothing more comes by then.
     fn next(&mut self, limit_us: u64) -> Option<(u64, Due)>;
 
-    /// Hands `event` to the actor at `to`.
+    /// Hands `event` to the actor at `to`, if it is up at `at_us`.
     fn deliver(&mut self, at_us: u64, to: SiteAddr, event: Event);
 
-    /// `site` goes down, or comes back `up` with fresh volatile state
+    /// `site` comes back up with fresh volatile state
     /// ([`Actor::on_restart`](crate::Actor::on_restart)).
-    fn edge(&mut self, at_us: u64, site: SiteAddr, up: bool);
+    fn restart(&mut self, at_us: u64, site: SiteAddr);
 
     /// Where the host queues its own entries.
     fn agenda(&mut self) -> &mut Agenda;
 
-    /// Hands every entry due by `limit_us` to its actor or edge, in order,
+    /// Hands every entry due by `limit_us` to its actor, in order,
     /// up to the first [`Due::Host`] entry, whose `(at_us, token)` it
     /// returns; `None` once [`Runtime::next`] has nothing more.
     fn run_to_host(&mut self, limit_us: u64) -> Option<(u64, u64)> {
         while let Some((at_us, due)) = self.next(limit_us) {
             match due {
-                Due::Down(site) => self.edge(at_us, site, false),
-                Due::Up(site) => self.edge(at_us, site, true),
+                Due::Restart(site) => self.restart(at_us, site),
                 Due::Actor(to, event) => self.deliver(at_us, to, event),
                 Due::Host(token) => return Some((at_us, token)),
             }
@@ -188,8 +182,7 @@ mod tests {
     /// Pops everything, naming each entry.
     fn drain(agenda: &mut Agenda) -> Vec<String> {
         let name = |(at_us, due): (u64, Due)| match due {
-            Due::Down(site) => format!("down {}@{at_us}", site.host),
-            Due::Up(site) => format!("up {}@{at_us}", site.host),
+            Due::Restart(site) => format!("up {}@{at_us}", site.host),
             Due::Actor(site, event) => format!("{event:?} {}@{at_us}", site.host),
             Due::Host(token) => format!("host{token}@{at_us}"),
         };
@@ -199,9 +192,10 @@ mod tests {
     }
 
     #[test]
-    fn one_instant_takes_crash_edges_then_actor_entries_then_host_entries_each_in_push_order() {
-        // Two zero-length windows on one site and one on another, all at
-        // t = 5, pushed after the host and actor entries of that instant.
+    fn one_instant_takes_restarts_then_actor_entries_then_host_entries_each_in_push_order() {
+        // Zero-length windows on two sites and one for good, all at t = 5,
+        // pushed after the host and actor entries of that instant; the
+        // window for good makes no entry.
         let faults = [
             crash("a", 5, Some(0)),
             crash("b", 5, Some(0)),
@@ -218,11 +212,8 @@ mod tests {
             drain(&mut agenda),
             [
                 "host0@4",
-                "down a@5",
                 "up a@5",
-                "down b@5",
                 "up b@5",
-                "down a@5",
                 "Timer(7) a@5",
                 "Start b@5",
                 "host2@5",
@@ -233,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn new_seeds_only_the_crash_edges_of_the_sites_here_accepts() {
+    fn new_seeds_only_the_restarts_of_the_sites_here_accepts() {
         let faults = [
             crash("a", 1, Some(2)),
             Fault::rate(crate::FaultKind::Drop, 1.0),
@@ -241,7 +232,7 @@ mod tests {
             crash("a", 9, None),
         ];
         let mut agenda = Agenda::new(&faults, |site| *site == addr("a"));
-        assert_eq!(drain(&mut agenda), ["down a@1", "up a@3", "down a@9"]);
+        assert_eq!(drain(&mut agenda), ["up a@3"]);
         assert!(Agenda::new(&faults, |_| false).next_us().is_none());
     }
 
@@ -249,16 +240,13 @@ mod tests {
     fn pop_stops_at_the_limit_and_idle_counts_actor_entries_only() {
         let mut agenda = Agenda::new(&[crash("a", 1, Some(1))], |_| true);
         agenda.push(3, Due::Host(0));
-        assert!(
-            agenda.idle(),
-            "crash edges and host entries are not activity"
-        );
+        assert!(agenda.idle(), "restarts and host entries are not activity");
         agenda.push(3, Due::Actor(addr("a"), Event::Start));
         agenda.push(4, Due::Actor(addr("a"), Event::Timer(1)));
         assert!(!agenda.idle());
-        assert_eq!(agenda.iter().count(), 5);
+        assert_eq!(agenda.iter().count(), 4);
         assert!(agenda.pop(0).is_none(), "nothing is due at 0");
-        assert_eq!(drain_to(&mut agenda, 3), 4);
+        assert_eq!(drain_to(&mut agenda, 3), 3);
         assert!(!agenda.idle(), "the timer at 4 is still queued");
         assert!(matches!(agenda.pop(4), Some((4, Due::Actor(..)))));
         assert!(agenda.idle());
@@ -284,9 +272,8 @@ mod tests {
         fn deliver(&mut self, at_us: u64, to: SiteAddr, event: Event) {
             self.log.push(format!("{event:?} {}@{at_us}", to.host));
         }
-        fn edge(&mut self, at_us: u64, site: SiteAddr, up: bool) {
-            let edge = if up { "up" } else { "down" };
-            self.log.push(format!("{edge} {}@{at_us}", site.host));
+        fn restart(&mut self, at_us: u64, site: SiteAddr) {
+            self.log.push(format!("up {}@{at_us}", site.host));
         }
         fn agenda(&mut self) -> &mut Agenda {
             &mut self.agenda
@@ -305,11 +292,11 @@ mod tests {
         rt.agenda.push(3, Due::Actor(addr("b"), Event::Timer(7)));
         rt.agenda.push(8, Due::Actor(addr("b"), Event::Timer(8)));
         assert_eq!(rt.run_to_host(u64::MAX), Some((3, 4)));
-        let first = ["Start a@1", "down a@2", "up a@3", "Timer(7) b@3"];
+        let first = ["Start a@1", "up a@3", "Timer(7) b@3"];
         assert_eq!(rt.log, first);
         // Nothing past the limit is taken, however long the wait.
         assert_eq!(rt.run_to_host(4), None);
-        assert_eq!(rt.log.len(), 4);
+        assert_eq!(rt.log.len(), 3);
         assert_eq!(rt.run_to_host(7), Some((5, 9)));
         assert_eq!(rt.run_to_host(7), None);
         assert_eq!(rt.agenda.next_us(), Some(8));

@@ -61,14 +61,13 @@ pub enum Fault {
         /// Hosts on the other side.
         side_b: Vec<String>,
     },
-    /// A site crash: the endpoint goes down at `at_us` (in-flight
-    /// deliveries are lost, a process death). With `down_us` it comes
-    /// back that much later with fresh volatile state (e.g. an empty log
-    /// table) — on the simulator through [`Actor::on_restart`], on TCP as
-    /// a respawned engine; without, it stays down. The edges are
-    /// [`Agenda`] entries on both runtimes, down before up, so `down_us:
-    /// Some(0)` is a restart at one instant. Over TCP only a query
-    /// server's address crashes.
+    /// A site crash: the endpoint goes down at `at_us` (a process death)
+    /// and, with `down_us`, comes back that much later; without, it stays
+    /// down. While it is down ([`Injector::down`]) a send to it is
+    /// refused, a message reaching it is a dead letter and a timer to it
+    /// is dropped. Its restart, an [`Agenda`] entry, is
+    /// [`Actor::on_restart`] (fresh volatile state, e.g. an empty log
+    /// table); `down_us: Some(0)` is a restart at one instant.
     ///
     /// [`Agenda`]: crate::Agenda
     /// [`Actor::on_restart`]: crate::Actor::on_restart
@@ -112,6 +111,24 @@ impl Injector {
     pub fn new(faults: Vec<Fault>, seed: u64) -> Injector {
         let rng = StdRng::seed_from_u64(seed);
         Injector { faults, rng }
+    }
+
+    /// True when `site` is down at `at_us`: the state its crash windows'
+    /// edges up to `at_us` leave it in — the latest edge, ties in list
+    /// order (`max_by_key` keeps the last), a window's down before its up.
+    pub fn down(&self, site: &SiteAddr, at_us: u64) -> bool {
+        let edges = self.faults.iter().filter_map(|fault| match fault {
+            Fault::Crash {
+                site: s,
+                at_us: t,
+                down_us,
+            } if s == site && *t <= at_us => {
+                let up = down_us.map(|d| t + d).filter(|&up| up <= at_us);
+                Some(up.map_or((*t, true), |up| (up, false)))
+            }
+            _ => None,
+        });
+        edges.max_by_key(|&(t, _)| t).is_some_and(|(_, down)| down)
     }
 
     /// Decides the fate of a message departing at `at_us` from `from` to
@@ -196,5 +213,52 @@ impl Injector {
         } else {
             0
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn addr(host: &str) -> SiteAddr {
+        SiteAddr {
+            host: host.into(),
+            port: 80,
+        }
+    }
+
+    fn crash(host: &str, at_us: u64, down_us: Option<u64>) -> Fault {
+        let site = addr(host);
+        Fault::Crash {
+            site,
+            at_us,
+            down_us,
+        }
+    }
+
+    #[test]
+    fn down_is_what_the_latest_edge_leaves_ties_in_list_order() {
+        let injector = Injector::new(
+            vec![
+                // Down over [10, 20), then for good from 20: at 20 the
+                // window's up comes first, in list order.
+                crash("a", 10, Some(10)),
+                crash("a", 20, None),
+                // A restart at one instant.
+                crash("b", 5, Some(0)),
+                // For good from 30, but a later entry's window ends at 30.
+                crash("c", 30, None),
+                crash("c", 1, Some(29)),
+            ],
+            0,
+        );
+        let down = |host: &str, at_us| injector.down(&addr(host), at_us);
+        let a = [9, 10, 19, 20, u64::MAX].map(|t| down("a", t));
+        assert_eq!(a, [false, true, true, true, true]);
+        assert_eq!([4, 5, 6].map(|t| down("b", t)), [false; 3]);
+        let c = [0, 1, 29, 30, 99].map(|t| down("c", t));
+        assert_eq!(c, [false, true, true, false, false]);
+        assert!(!down("nobody", 10));
+        assert!(!Injector::new(Vec::new(), 0).down(&addr("a"), 10));
     }
 }

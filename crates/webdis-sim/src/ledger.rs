@@ -23,10 +23,10 @@ pub enum Fate {
     /// Lost to an injected fault (`random`, `link`, `partition`):
     /// `message_dropped` with that reason.
     Lost(&'static str),
-    /// Its destination gone by delivery (`dead-letter` on the simulator,
-    /// `crashed` on TCP): `message_dropped` with that reason.
+    /// Its destination down or gone by delivery (`dead-letter`):
+    /// `message_dropped` with that reason.
     DeadLetter(&'static str),
-    /// Refused at send time, no endpoint there: metered, not traced.
+    /// Refused at send time, no endpoint up there: metered, not traced.
     Refused,
 }
 

@@ -13,15 +13,15 @@
 //!   `now + latency(bytes)` plus deterministic seeded jitter;
 //! * delivery order for equal timestamps is FIFO by send order, so runs
 //!   are bit-for-bit reproducible for a given seed;
-//! * endpoints can deregister mid-run (the user-site closing its result
-//!   socket); senders observe this as a synchronous [`NetworkError`] — the
-//!   TCP connection-refused signal the paper's passive termination
-//!   (Section 2.8) relies on;
+//! * an endpoint can be down mid-run ([`Injector::down`]: the user site
+//!   closing its result socket); senders observe this as a synchronous
+//!   [`NetworkError`] — the TCP connection-refused signal the paper's
+//!   passive termination (Section 2.8) relies on;
 //! * optional jitter-induced reordering and a list of [`Fault`]s (drops,
 //!   duplicates, corruption, partitions, crashes) exercise the
 //!   robustness corners of the CHT protocol in tests;
 //! * everything that happens *at a time* — deliveries, actor timers,
-//!   crash and restart edges, the host's own entries — is an entry of one
+//!   a crash window's restart, the host's own entries — is an entry of one
 //!   [`Agenda`], handed on by the one loop, [`Runtime::run_to_host`].
 //!
 //! Its [`Actor`], [`Event`], [`Network`], [`Agenda`] and [`Runtime`] are

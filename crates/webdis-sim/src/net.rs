@@ -84,8 +84,11 @@ impl Default for SimConfig {
 /// The per-event context an actor answers through on the simulator.
 struct Ctx<'a> {
     now_us: u64,
+    /// The instant the event was taken: who is down is read at it.
+    taken_us: u64,
     self_addr: SiteAddr,
     registry: &'a BTreeSet<SiteAddr>,
+    injector: &'a Injector,
     /// Where a refused send is metered, after encoding into `scratch`.
     ledger: &'a Ledger,
     scratch: &'a mut Vec<u8>,
@@ -99,14 +102,14 @@ struct Ctx<'a> {
 }
 
 /// A send fails synchronously when the destination endpoint is not
-/// registered (connection refused). A posted timer fires after
+/// registered or is down (connection refused). A posted timer fires after
 /// `delay_us` of virtual time measured from the end of the current
-/// event's work, and dies silently if the endpoint closes first.
+/// event's work, and dies silently if the endpoint is down by then.
 /// `work` keeps the endpoint busy: messages sent from this handler depart
 /// only after it completes, and later deliveries queue behind it.
 impl Network for Ctx<'_> {
     fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
-        if !self.registry.contains(to) {
+        if !self.registry.contains(to) || self.injector.down(to, self.taken_us) {
             self.scratch.clear();
             msg.encode(self.scratch);
             let (fate, bytes, now_us) = (Fate::Refused, self.scratch.len(), self.now_us);
@@ -136,8 +139,8 @@ impl Network for Ctx<'_> {
     }
 }
 
-/// The simulated network: a registry of actors and the [`Agenda`] of
-/// everything that is going to happen.
+/// The simulated network: a registry of actors, the [`Agenda`] of
+/// everything that is going to happen and the [`Injector`].
 pub struct SimNet {
     config: SimConfig,
     actors: BTreeMap<SiteAddr, Box<dyn Actor>>,
@@ -160,8 +163,8 @@ pub struct SimNet {
 }
 
 impl SimNet {
-    /// Creates an empty network; the crash edges of `config.faults` are
-    /// its agenda's first entries ([`Agenda::new`]).
+    /// Creates an empty network; the restarts of `config.faults` are its
+    /// agenda's first entries ([`Agenda::new`]).
     pub fn new(mut config: SimConfig) -> SimNet {
         let faults = std::mem::take(&mut config.faults);
         SimNet {
@@ -213,8 +216,8 @@ impl SimNet {
     }
 
     /// Runs until the queue is empty. Returns the final virtual time in
-    /// microseconds — the end of the last actor event; crash edges and
-    /// host entries later than that do not move it.
+    /// microseconds — the end of the last actor event; restarts and host
+    /// entries later than that do not move it.
     pub fn run(&mut self) -> u64 {
         self.run_until(u64::MAX);
         self.clock_us
@@ -280,9 +283,8 @@ impl SimNet {
     }
 }
 
-/// A site that goes down leaves the registry — its actor stays
-/// inspectable via `actor_mut`, its pending deliveries dead-letter and
-/// later sends to it are refused — and comes back through
+/// A site that is down keeps its actor (inspectable via `actor_mut`); its
+/// deliveries dead-letter and sends to it are refused until its restart,
 /// [`Actor::on_restart`].
 impl Runtime for SimNet {
     fn next(&mut self, limit_us: u64) -> Option<(u64, Due)> {
@@ -294,16 +296,13 @@ impl Runtime for SimNet {
     fn deliver(&mut self, at_us: u64, to: SiteAddr, event: Event) {
         self.clock_us = self.clock_us.max(at_us);
         let is_net = matches!(event, Event::Net(_));
-        // A deregistered endpoint keeps its actor (for inspection) but is
-        // handed nothing.
-        let actor = if self.registry.contains(&to) {
-            self.actors.remove(&to)
-        } else {
-            None
-        };
+        // A down endpoint keeps its actor (for inspection) but is handed
+        // nothing; an unregistered one has none.
+        let up = !self.injector.down(&to, at_us);
+        let actor = if up { self.actors.remove(&to) } else { None };
         let Some(mut actor) = actor else {
             // Lost traffic is a dead letter; a timer or kick-off to a
-            // closed endpoint just evaporates. The loss is traced as
+            // down endpoint just evaporates. The loss is traced as
             // a drop so trajectory triage can explain the in-flight
             // clone instead of reporting a false hang.
             if let Event::Net(msg) = &event {
@@ -335,8 +334,10 @@ impl Runtime for SimNet {
         }
         let mut ctx = Ctx {
             now_us: start_us,
+            taken_us: at_us,
             self_addr: to.clone(),
             registry: &self.registry,
+            injector: &self.injector,
             ledger: &self.ledger,
             scratch: &mut self.scratch,
             outbox: Vec::new(),
@@ -373,12 +374,9 @@ impl Runtime for SimNet {
         }
     }
 
-    fn edge(&mut self, at_us: u64, site: SiteAddr, up: bool) {
-        if !up {
-            self.registry.remove(&site);
-        } else if let Some(actor) = self.actors.get_mut(&site) {
+    fn restart(&mut self, at_us: u64, site: SiteAddr) {
+        if let Some(actor) = self.actors.get_mut(&site) {
             actor.on_restart(at_us);
-            self.registry.insert(site);
         }
     }
 
@@ -1110,7 +1108,7 @@ mod tests {
         });
         let s = addr("srv");
         net.register(s.clone(), Box::new(Resettable { restarts: vec![] }));
-        // No traffic at all: the edges are queue entries of their own,
+        // No traffic at all: the restart is a queue entry of its own,
         // so the site is back up by the horizon all the same.
         net.run_until(20_000);
         assert_eq!(
@@ -1120,7 +1118,7 @@ mod tests {
     }
 
     #[test]
-    fn one_instant_orders_edges_then_actor_events_then_host_entries() {
+    fn one_instant_orders_restarts_then_actor_events_then_host_entries() {
         /// Logs what it is handed; arms a timer for t = 4 ms on Start.
         struct Witness(Vec<String>);
         impl Actor for Witness {
@@ -1175,14 +1173,17 @@ mod tests {
         assert_eq!(net.metrics().dead_letters, 0);
         assert!(net.idle());
 
-        // The crash edge at 50 ms and the host entry at 60 ms happen —
-        // the client is gone — without the clock following them.
+        // The host entry at 60 ms happens without the clock following it.
         assert_eq!(net.now_us(), 4_000);
         assert_eq!(net.run_to_host(u64::MAX), Some((60_000, 8)));
         assert_eq!(net.now_us(), 4_000);
-        net.start(&c);
-        assert_eq!(net.run(), 4_000, "a kick-off to a dead endpoint evaporates");
-        assert_eq!(net.metrics().total.messages, 1);
+        // A kick-off taken inside the client's crash finds it down: the
+        // client sends nothing.
+        net.agenda()
+            .push(70_000, Due::Actor(c.clone(), Event::Start));
+        net.run();
+        let sent = net.metrics().total.messages;
+        assert_eq!(sent, 1, "a kick-off to a dead endpoint evaporates");
     }
 
     #[test]

@@ -191,7 +191,7 @@ pub enum TraceEvent {
         /// Encoded size in bytes (metered separately from sent traffic).
         bytes: u32,
         /// Why it was lost: the fault that dropped it (`random`, `link`,
-        /// `partition`), or a dead endpoint (`dead-letter`, `crashed`).
+        /// `partition`), or an endpoint down or gone (`dead-letter`).
         reason: String,
     },
     /// Transport-level: fault injection delivered a *second* copy of a

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use webdis_html::parse_html;
+use webdis_html::token::escape;
 use webdis_model::{SiteAddr, Url, WebGraph};
 
 /// A fluent builder producing small, well-formed HTML documents. Every
@@ -78,20 +79,6 @@ impl PageBuilder {
             self.title, self.body
         )
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// The complete set of documents served by the simulated web: URL → raw

@@ -136,7 +136,8 @@ fn interleaved_queries_match_serial_runs_tcp() {
         .collect();
 
     let deployment = Deployment::new(Arc::clone(&web), EngineConfig::default());
-    let outcome = spec.run_tcp(&deployment, Duration::from_secs(60)).unwrap();
+    let deadline = Duration::from_secs(60);
+    let outcome = deployment.workload_tcp(Vec::new(), spec.plan().unwrap(), deadline);
     assert_eq!(outcome.hung(), 0, "no query may hang");
     assert_eq!(outcome.records.len(), spec.users * spec.queries_per_user);
     for record in &outcome.records {
@@ -299,7 +300,8 @@ fn admission_control_sheds_without_hanging_tcp() {
         ..EngineConfig::default()
     };
     let deployment = Deployment::new(Arc::clone(&web), cfg);
-    let outcome = spec.run_tcp(&deployment, Duration::from_secs(60)).unwrap();
+    let deadline = Duration::from_secs(60);
+    let outcome = deployment.workload_tcp(Vec::new(), spec.plan().unwrap(), deadline);
     assert_eq!(outcome.hung(), 0, "shedding must never hang a query");
     assert!(outcome.sum_stat(|s| s.queries_shed) > 0);
     for record in &outcome.records {

@@ -10,12 +10,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use webdis::core::simrun::user_addr;
 use webdis::core::{
     query_server_addr, run_query_sim, ClientProcess, Deployment, EngineConfig, PlannedQuery,
-    QueryRecord, ScheduledClient,
+    QueryRecord, ScheduledClient, TcpCluster,
 };
 use webdis::disql::parse_disql;
 use webdis::model::SiteAddr;
@@ -162,30 +162,30 @@ fn one_fault_list_recovers_alike_on_both_transports() {
     assert_eq!(sim.result_set(), tcp.result_set());
 }
 
-#[test]
-fn a_zero_length_crash_window_restarts_alike_on_both_runtimes() {
-    // `down_us: Some(0)` is a restart at one instant: the DSL lab's
-    // daemon goes down and comes back up at t = 0, before anything is
-    // handed to it, so nothing is lost on either runtime.
+/// The DSL lab's daemon crashes at t = 0, for `down_us` (`None`: for
+/// good).
+fn dsl_daemon_down(down_us: Option<u64>) -> Vec<Fault> {
+    let site = query_server_addr(&SiteAddr {
+        host: "dsl.serc.iisc.ernet.in".into(),
+        port: 80,
+    });
+    vec![Fault::Crash {
+        site,
+        at_us: 0,
+        down_us,
+    }]
+}
+
+/// The campus query under `faults` on both runtimes, expiry at 400 ms;
+/// both runs must complete with nothing written off.
+fn campus_on_both_runtimes(faults: Vec<Fault>) -> (QueryRecord, QueryRecord) {
     let cfg = EngineConfig {
         expiry_us: Some(400_000),
         ..EngineConfig::default()
     };
     let deployment = Deployment::new(Arc::new(figures::campus()), cfg);
-    let restart = || {
-        let site = query_server_addr(&SiteAddr {
-            host: "dsl.serc.iisc.ernet.in".into(),
-            port: 80,
-        });
-        let down_us = Some(0);
-        vec![Fault::Crash {
-            site,
-            at_us: 0,
-            down_us,
-        }]
-    };
     let sim_cfg = SimConfig {
-        faults: restart(),
+        faults: faults.clone(),
         ..SimConfig::default()
     };
     let sim = deployment
@@ -193,7 +193,7 @@ fn a_zero_length_crash_window_restarts_alike_on_both_runtimes() {
         .unwrap();
     let deadline = Duration::from_secs(30);
     let tcp = deployment
-        .query_tcp(figures::CAMPUS_QUERY, deadline, restart())
+        .query_tcp(figures::CAMPUS_QUERY, deadline, faults)
         .unwrap();
     for (runtime, record) in [("sim", &sim.record), ("tcp", &tcp)] {
         assert!(record.complete, "{runtime}");
@@ -203,7 +203,56 @@ fn a_zero_length_crash_window_restarts_alike_on_both_runtimes() {
             record.failed_entries
         );
     }
+    (sim.record, tcp)
+}
+
+#[test]
+fn a_zero_length_crash_window_restarts_alike_on_both_runtimes() {
+    // `down_us: Some(0)` is a restart at one instant: the DSL lab's
+    // daemon goes down and comes back up at t = 0, before anything is
+    // handed to it, so nothing is lost on either runtime.
+    let (sim, tcp) = campus_on_both_runtimes(dsl_daemon_down(Some(0)));
     assert_eq!(sim.result_set(), tcp.result_set());
+}
+
+#[test]
+fn a_daemon_crash_window_is_the_same_fault_on_both_runtimes() {
+    // The DSL lab's daemon is down over [0, 300 ms). On both runtimes the
+    // forward to it is refused and its nodes are reported as dead ends,
+    // so nothing waits for expiry and the lab answers nothing.
+    let (sim, tcp) = campus_on_both_runtimes(dsl_daemon_down(Some(300_000)));
+    for (runtime, record) in [("sim", &sim), ("tcp", &tcp)] {
+        let rows = record.result_set();
+        let lab = rows.iter().filter(|(_, node, _)| node.contains("dsl.serc"));
+        assert_eq!(lab.count(), 0, "{runtime}: {rows:?}");
+    }
+    assert_eq!(sim.result_set(), tcp.result_set());
+}
+
+#[test]
+fn a_report_to_a_crashed_user_site_is_refused() {
+    // Section 2.8 over real sockets, driven by the fault list: the user
+    // site is down from the start, so the StartNode daemon's report is
+    // refused and the daemon purges the query.
+    let cfg = EngineConfig::default();
+    let crash = Fault::Crash {
+        site: user_addr(),
+        at_us: 0,
+        down_us: None,
+    };
+    let cluster = TcpCluster::start(Arc::new(figures::campus()), &cfg, vec![crash]);
+    let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
+    let query = parse_disql(figures::CAMPUS_QUERY).unwrap();
+    client.submit(&mut cluster.user_net(), query);
+    let refused = FATES.iter().position(|&fate| fate == "refused").unwrap();
+    let meter = Arc::clone(cluster.wire_counters());
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while meter.get(refused, "report").0 == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let engines = cluster.shutdown();
+    let terminated: u64 = engines.iter().map(|e| e.stats.terminated_queries).sum();
+    assert_eq!(terminated, 1);
 }
 
 #[test]
