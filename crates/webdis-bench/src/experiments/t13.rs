@@ -76,13 +76,10 @@ fn t13_point(mean_interarrival_us: u64, ctx: &Ctx, showcase: bool) -> LoadPoint 
             expo_sample = Some((now, snap.render_prometheus()));
         }
     };
-    let outcome = spec
-        .run_sim(
-            &Deployment::new(web, cfg),
-            SimConfig::default(),
-            &mut observer,
-        )
-        .expect("t13 workload plans and runs");
+    let plans = spec.plan().expect("t13 workload plans");
+    let deployment = Deployment::new(web, cfg);
+    let outcome =
+        deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut observer);
     if let Some((at_us, sample)) = expo_sample {
         println!("--- /metrics sample at t={at_us}us (mid-flight) ---");
         for line in sample.lines().take(24) {

@@ -2,7 +2,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use webdis_core::{
-    run_workload_sim, ArrivalProcess, CachePolicy, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
+    ArrivalProcess, CachePolicy, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
 };
 use webdis_sim::SimConfig;
 use webdis_trace::{RegistrySnapshot, TraceHandle};
@@ -81,7 +81,12 @@ fn t17_point(cache: Option<CachePolicy>, smoke: bool) -> T17Point {
         tracer,
         ..EngineConfig::default()
     };
-    let outcome = run_workload_sim(web, &spec, cfg, SimConfig::default()).expect("t17 point");
+    let outcome = Deployment::new(web, cfg).workload_sim(
+        SimConfig::default(),
+        spec.plan().expect("t17 point"),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     let snapshot = collector.registry().snapshot();
     let latency = snapshot
         .histogram("query_latency_us")

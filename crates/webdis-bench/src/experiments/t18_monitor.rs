@@ -1,8 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{
-    run_workload_sim, ArrivalProcess, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
-};
+use webdis_core::{ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec};
 use webdis_monitor::Monitor;
 use webdis_sim::SimConfig;
 use webdis_trace::TraceHandle;
@@ -46,7 +44,12 @@ fn t18_point(monitored: bool, smoke: bool) -> T18Point {
         tracer: monitor.clone().map_or(tracer, |m| TraceHandle::new(m)),
         ..EngineConfig::default()
     };
-    let outcome = run_workload_sim(web, &spec, cfg, SimConfig::default()).expect("t18 point");
+    let outcome = Deployment::new(web, cfg).workload_sim(
+        SimConfig::default(),
+        spec.plan().expect("t18 point"),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     if let Some(monitor) = &monitor {
         monitor.finalize(outcome.duration_us);
     }

@@ -60,9 +60,9 @@ pub fn run(ctx: &Ctx) -> Outcome {
     };
     let mut deployment = Deployment::new(Arc::new(web), cfg);
     deployment.schedule = schedule;
-    let outcome = spec
-        .run_sim(&deployment, SimConfig::default(), &mut |_, _| {})
-        .expect("t19 soak");
+    let plans = spec.plan().expect("t19 soak");
+    let outcome =
+        deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut |_, _| {});
 
     // Trace-derived counters: purged log records, and doc-cache hits
     // that happened *after* the web first changed — the proof that the

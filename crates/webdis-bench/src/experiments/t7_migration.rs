@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use webdis_core::{run_query_hybrid_sim, EngineConfig};
+use webdis_core::{Deployment, EngineConfig};
 use webdis_sim::SimConfig;
 use webdis_web::{generate, WebGenConfig};
 
@@ -48,17 +48,18 @@ pub fn run(_: &Ctx) -> Outcome {
         ],
     );
 
+    let config = EngineConfig {
+        hybrid: true,
+        ..EngineConfig::default()
+    };
+    let mut deployment = Deployment::new(Arc::clone(&web), config);
     let mut prev_docs = u64::MAX;
     for keep in [0usize, 2, 4, 8, 12, 16] {
-        let participating: Vec<_> = all_sites.iter().take(keep).cloned().collect();
-        let (outcome, stats) = run_query_hybrid_sim(
-            Arc::clone(&web),
-            QUERY,
-            EngineConfig::default(),
-            SimConfig::default(),
-            &participating,
-        )
-        .expect("query parses");
+        deployment.participating = Some(all_sites.iter().take(keep).cloned().collect());
+        let outcome = deployment
+            .query_sim(QUERY, SimConfig::default())
+            .expect("query parses");
+        let stats = outcome.hybrid;
         assert!(outcome.complete, "{keep}/16 participating must complete");
         assert_eq!(
             outcome.result_set(),

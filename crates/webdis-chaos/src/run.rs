@@ -6,14 +6,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use webdis_core::simrun::user_addr;
-use webdis_core::{
-    query_server_addr, run_workload_sim, Deployment, DisqlError, EngineConfig, WorkloadOutcome,
-};
+use webdis_core::{query_server_addr, Deployment, DisqlError, EngineConfig, WorkloadOutcome};
 use webdis_model::SiteAddr;
 use webdis_sim::{Fault, FaultKind};
 use webdis_trace::{doctor, TraceHandle, TraceRecord};
 use webdis_web::live::{fnv_fold, FNV_OFFSET};
-use webdis_web::LiveWeb;
+use webdis_web::{HostedWeb, LiveWeb};
 
 use crate::oracle::{self, Violation};
 use crate::plan::ChaosPlan;
@@ -75,30 +73,27 @@ pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, DisqlError> {
     let spec = plan.workload_spec();
     let schedule = plan.mutation_schedule();
 
+    let plans = spec.plan()?;
+    let frozen = |web: Arc<HostedWeb>| {
+        let deployment = Deployment::new(web, plan.engine_config(TraceHandle::noop()));
+        let sim_cfg = plan.sim_config(false);
+        deployment.workload_sim(sim_cfg, plans.clone(), spec.horizon_us, &mut |_, _| {})
+    };
     let mut baselines = Vec::with_capacity(schedule.events.len() + 1);
-    baselines.push(run_workload_sim(
-        web.clone(),
-        &spec,
-        plan.engine_config(TraceHandle::noop()),
-        plan.sim_config(false),
-    )?);
+    baselines.push(frozen(web.clone()));
     if !schedule.events.is_empty() {
         let twin = LiveWeb::from_hosted(&web);
         for m in &schedule.events {
             twin.apply(m);
-            baselines.push(run_workload_sim(
-                Arc::new(twin.snapshot()),
-                &spec,
-                plan.engine_config(TraceHandle::noop()),
-                plan.sim_config(false),
-            )?);
+            baselines.push(frozen(Arc::new(twin.snapshot())));
         }
     }
 
     let (collector, tracer) = TraceHandle::collecting(1 << 17);
     let mut deployment = Deployment::new(web, plan.engine_config(tracer));
     deployment.schedule = schedule;
-    let faulty = spec.run_sim(&deployment, plan.sim_config(true), &mut |_, _| {})?;
+    let sim_cfg = plan.sim_config(true);
+    let faulty = deployment.workload_sim(sim_cfg, plans, spec.horizon_us, &mut |_, _| {});
     let records = collector.snapshot();
 
     let violations = oracle::check(plan, &baselines, &faulty, &records);

@@ -169,11 +169,11 @@ impl PlannedQuery {
     }
 }
 
-/// One user's schedule in a workload plan.
+/// One user's schedule in a workload plan. A user is its plan's
+/// position in the plan list: user `i`'s client is `load<i>`, and its
+/// records carry `user` = `i`.
 #[derive(Debug, Clone)]
 pub struct UserPlan {
-    /// User index (0-based): the position of the plan in the workload.
-    pub user: usize,
     /// Submissions, earliest first.
     pub submissions: Vec<PlannedQuery>,
 }

@@ -25,7 +25,7 @@ use crate::config::EngineConfig;
 use crate::deploy::Deployment;
 use crate::network::Network;
 use crate::record::{QueryOutcome, QueryRecord};
-use crate::simrun::{user_addr, PlainWebServer};
+use crate::simrun::user_addr;
 
 /// One unit of traversal work: evaluate/forward at `node` with the given
 /// remaining PRE for stage `stage_idx`.
@@ -302,8 +302,10 @@ impl Actor for DataShipUser {
 
 impl Deployment {
     /// Runs a DISQL query with the centralized data-shipping strategy over
-    /// the simulated network: plain web servers (answering only document
-    /// fetches) run at every site, and no query server anywhere. Of the
+    /// the simulated network: [`Deployment::sim_net`] with no site
+    /// participating, so plain web servers (answering only document
+    /// fetches) run at every site and no query server anywhere —
+    /// `participating` is ignored. Of the
     /// configuration only the processing-cost model — every parse and
     /// evaluation is charged to the user site's single processor — and
     /// the tracer, installed on both the engine and the simulated
@@ -314,11 +316,11 @@ impl Deployment {
         sim_cfg: SimConfig,
     ) -> Result<QueryOutcome, DisqlError> {
         let query = parse_disql(disql)?;
-        let mut net = webdis_sim::SimNet::new(sim_cfg);
-        net.ledger.tracer = self.config.tracer.clone();
-        for site in self.web.sites() {
-            net.register(site, Box::new(PlainWebServer::new(self.web.clone())));
-        }
+        let no_daemons = Deployment {
+            participating: Some(Vec::new()),
+            ..self.clone()
+        };
+        let mut net = no_daemons.sim_net(sim_cfg);
         let addr = user_addr();
         let (proc, tracer) = (self.config.proc, self.config.tracer.clone());
         let user = DataShipUser::new(query, addr.clone(), proc, tracer);

@@ -5,12 +5,12 @@
 //! transports attach to it in their own modules: [`crate::simrun`] wires
 //! it onto a simulated network ([`Deployment::sim_net`]) and
 //! [`crate::tcprun`] starts it as loopback daemons
-//! ([`Deployment::tcp_cluster`]); the run forms built on those —
-//! `query_sim`, `workload_sim`, `datashipping_sim`, `query_tcp`,
-//! `queries_tcp`, `workload_tcp` — are methods of the same value, and
-//! each `run_*` function of this crate is one of
-//! them with the unsaid fields at their defaults (hybrid execution is
-//! `query_sim` with `participating` and `config.hybrid` said).
+//! ([`Deployment::tcp_cluster`]). Each runtime has one single-query form
+//! and one workload form, methods of the same value: `query_sim` and
+//! `workload_sim`, `query_tcp` and `workload_tcp` (a workload of one
+//! user), plus `datashipping_sim`, the centralized oracle. Hybrid
+//! execution is `query_sim` with `participating` and `config.hybrid`
+//! said.
 
 use std::ops::ControlFlow;
 

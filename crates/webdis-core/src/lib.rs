@@ -27,8 +27,9 @@
 //!   ablation experiments;
 //! * [`deploy`] — what is deployed, said once: web, mutation schedule,
 //!   configuration, participating sites; every way of running a query is
-//!   a method of that one [`Deployment`] value, and every `run_*`
-//!   function a one-line form of one of them;
+//!   a method of that one [`Deployment`] value (two `run_*` shims,
+//!   [`run_query_sim`] and [`run_datashipping_sim`], remain for the
+//!   wall-clock benchmark);
 //! * [`client`] — the user-site client process (Section 4.3), the one
 //!   user-site driver: the same actor on the simulator and on TCP;
 //! * [`record`] — the one per-query record every run reports through:
@@ -49,17 +50,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use webdis_core::{run_query_sim, EngineConfig};
+//! use webdis_core::{Deployment, EngineConfig};
 //! use webdis_sim::SimConfig;
 //!
 //! let web = Arc::new(webdis_web::figures::campus());
-//! let outcome = run_query_sim(
-//!     web,
-//!     webdis_web::figures::CAMPUS_QUERY,
-//!     EngineConfig::default(),
-//!     SimConfig::default(),
-//! )
-//! .unwrap();
+//! let deployment = Deployment::new(web, EngineConfig::default());
+//! let outcome = deployment
+//!     .query_sim(webdis_web::figures::CAMPUS_QUERY, SimConfig::default())
+//!     .unwrap();
 //! assert!(outcome.complete);
 //! assert_eq!(outcome.rows_of_stage(1).len(), 3); // the three conveners
 //! ```
@@ -90,9 +88,9 @@ pub use network::{query_server_addr, Network, NetworkError};
 pub use record::{result_set, HybridStats, QueryOutcome, QueryRecord, WorkloadOutcome};
 pub use report::{render_html, render_text, ResultsView};
 pub use server::{ServerEngine, ServerStats};
-pub use simrun::{run_query_hybrid_sim, run_query_sim};
-pub use tcprun::{run_query_tcp, TcpCluster, TcpFaultPlan, TcpNet};
+pub use simrun::run_query_sim;
+pub use tcprun::{TcpCluster, TcpFaultPlan, TcpNet};
 pub use user::{TraceEvent, UserSite};
 pub use webdis_cache::{AnswerCache, CachePolicy, CacheStats};
 pub use webdis_disql::DisqlError;
-pub use workload::{run_workload_sim, ArrivalProcess, QueryMix, WorkloadSpec};
+pub use workload::{ArrivalProcess, QueryMix, WorkloadSpec};

@@ -21,7 +21,7 @@ use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
 use crate::deploy::{Deployment, SAMPLE_PERIOD_US};
 use crate::network::{query_server_addr, Network};
-use crate::record::{HybridStats, QueryOutcome, WorkloadOutcome};
+use crate::record::{QueryOutcome, WorkloadOutcome};
 use crate::server::{ServerEngine, ServerStats};
 
 /// The address the user-site client listens on, in simulated runs and on
@@ -226,9 +226,9 @@ impl Deployment {
         let tracer = &self.config.tracer;
         let mut net = self.sim_net(sim_cfg);
         let users = plans.len();
-        for plan in plans {
-            let addr = load_user_addr(plan.user);
-            let client = self.load_client(plan.user, addr.clone());
+        for (user, plan) in plans.into_iter().enumerate() {
+            let addr = load_user_addr(user);
+            let client = self.load_client(user, addr.clone());
             let planned = plan.submissions.into_iter().map(|s| (0, s));
             let actor = ScheduledClient::new(vec![client], planned.collect());
             net.register(addr.clone(), Box::new(actor));
@@ -275,27 +275,6 @@ pub fn run_query_sim(
     sim_cfg: SimConfig,
 ) -> Result<QueryOutcome, DisqlError> {
     Deployment::new(web, engine_cfg).query_sim(disql, sim_cfg)
-}
-
-/// Runs a DISQL query in hybrid mode (Section 7.1) on `web`:
-/// only `participating` sites run query servers, the rest are reached
-/// through the user-site fallback, whose counters are returned beside
-/// the outcome they ride on. An empty list degenerates to (CHT-accounted)
-/// data shipping. [`Deployment::query_sim`] with `participating` and
-/// `hybrid` said.
-pub fn run_query_hybrid_sim(
-    web: Arc<webdis_web::HostedWeb>,
-    disql: &str,
-    mut engine_cfg: EngineConfig,
-    sim_cfg: SimConfig,
-    participating: &[SiteAddr],
-) -> Result<(QueryOutcome, HybridStats), DisqlError> {
-    engine_cfg.hybrid = true;
-    let mut deployment = Deployment::new(web, engine_cfg);
-    deployment.participating = Some(participating.to_vec());
-    let outcome = deployment.query_sim(disql, sim_cfg)?;
-    let stats = outcome.hybrid;
-    Ok((outcome, stats))
 }
 
 #[cfg(test)]

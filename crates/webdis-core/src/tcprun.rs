@@ -27,7 +27,7 @@ use webdis_net::{Closer, ConnPool, Frame, Message, TcpEndpoint, WireCounters};
 use webdis_sim::{Actor, Agenda, Due, Event, Fate, Fault, Injector, Ledger, Runtime};
 use webdis_trace::MetricsExporter;
 
-use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
+use crate::client::{PlannedQuery, ScheduledClient, UserPlan};
 use crate::config::EngineConfig;
 use crate::deploy::{Deployment, SAMPLE_PERIOD_US};
 use crate::network::{query_server_addr, Network, NetworkError};
@@ -487,9 +487,9 @@ impl Deployment {
         deadline: Duration,
     ) -> WorkloadOutcome {
         let (mut clients, mut planned) = (Vec::new(), Vec::new());
-        for plan in plans {
-            clients.push(self.load_client(plan.user, user_addr()));
-            planned.extend(plan.submissions.into_iter().map(|s| (plan.user, s)));
+        for (user, plan) in plans.into_iter().enumerate() {
+            clients.push(self.load_client(user, user_addr()));
+            planned.extend(plan.submissions.into_iter().map(|s| (user, s)));
         }
         let mut user = ScheduledClient::new(clients, planned);
         let mut cluster = self.tcp_cluster(faults);
@@ -510,57 +510,26 @@ impl Deployment {
         outcome
     }
 
-    /// Runs several DISQL queries **concurrently** through one client
-    /// process over real TCP daemons: the paper's Section 4.3 deployment,
-    /// where a single listening socket serves all in-flight queries.
-    /// Returns the per-query records in submission order, when all have
-    /// completed or `deadline` expires.
-    pub fn queries_tcp(
-        &self,
-        disqls: &[&str],
-        deadline: Duration,
-        faults: Vec<Fault>,
-    ) -> Result<Vec<QueryRecord>, DisqlError> {
-        // Parse everything up front so errors surface before daemons start.
-        let mut submissions = Vec::with_capacity(disqls.len());
-        for disql in disqls {
-            let query = parse_disql(disql)?;
-            submissions.push((0, PlannedQuery::at(0, query)));
-        }
-        let client = ClientProcess::new("webdis", user_addr(), self.engine_config());
-        let mut user = ScheduledClient::new(vec![client], submissions);
-        let mut cluster = self.tcp_cluster(faults);
-        cluster.drive(&mut cluster.user_net(), &mut user, deadline);
-        cluster.shutdown();
-        Ok(user.clients[0].take_records(0))
-    }
-
-    /// [`Deployment::queries_tcp`] for one query.
+    /// Runs one DISQL query over a fresh loopback cluster: a workload of
+    /// one user, `load0`, submitting it at t = 0
+    /// ([`Deployment::workload_tcp`]). Returns its record when it
+    /// completes or `deadline` expires.
     pub fn query_tcp(
         &self,
         disql: &str,
         deadline: Duration,
         faults: Vec<Fault>,
     ) -> Result<QueryRecord, DisqlError> {
-        Ok(self.queries_tcp(&[disql], deadline, faults)?.remove(0))
+        let submissions = vec![PlannedQuery::at(0, parse_disql(disql)?)];
+        let plans = vec![UserPlan { submissions }];
+        Ok(self.workload_tcp(faults, plans, deadline).records.remove(0))
     }
-}
-
-/// Runs a DISQL query against `web` with a real query-server
-/// daemon per site, all on loopback and fault-free:
-/// [`Deployment::query_tcp`] with nothing else said.
-pub fn run_query_tcp(
-    web: Arc<webdis_web::HostedWeb>,
-    disql: &str,
-    engine_cfg: EngineConfig,
-    deadline: Duration,
-) -> Result<QueryRecord, DisqlError> {
-    Deployment::new(web, engine_cfg).query_tcp(disql, deadline, Vec::new())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::ClientProcess;
     use webdis_model::Url;
     use webdis_sim::FaultKind;
     use webdis_trace::{TraceEvent as TrEvent, TraceHandle};
@@ -902,7 +871,6 @@ mod tests {
 
         let sim_cfg = webdis_sim::SimConfig::default();
         let plans = vec![UserPlan {
-            user: 0,
             submissions: plan().into(),
         }];
         let sim = deployment.workload_sim(sim_cfg, plans, u64::MAX, &mut |_, _| {});
@@ -940,16 +908,40 @@ mod tests {
     }
 
     #[test]
-    fn campus_query_over_real_sockets() {
-        let outcome = run_query_tcp(
-            Arc::new(figures::campus()),
-            figures::CAMPUS_QUERY,
-            EngineConfig::default(),
-            Duration::from_secs(30),
-        )
-        .unwrap();
-        assert!(outcome.complete, "query must complete over TCP");
-        assert_eq!(outcome.results.get(&1).map(Vec::len), Some(3));
+    fn a_single_query_is_a_workload_of_one() {
+        // The campus query over real sockets. `query_tcp` is
+        // `workload_tcp` with one user submitting at t = 0: the same rows,
+        // and its latency observed once, as every workload run observes
+        // each completed query's.
+        let web = Arc::new(figures::campus());
+        let deadline = Duration::from_secs(30);
+        let (collector, tracer) = TraceHandle::collecting(8_192);
+        let cfg = EngineConfig {
+            tracer,
+            ..EngineConfig::default()
+        };
+        let record = Deployment::new(Arc::clone(&web), cfg)
+            .query_tcp(figures::CAMPUS_QUERY, deadline, Vec::new())
+            .unwrap();
+        assert!(record.complete, "query must complete over TCP");
+        assert_eq!(record.results.get(&1).map(Vec::len), Some(3));
+
+        let query = parse_disql(figures::CAMPUS_QUERY).unwrap();
+        let plans = vec![UserPlan {
+            submissions: vec![PlannedQuery::at(0, query)],
+        }];
+        let workload = Deployment::new(web, EngineConfig::default())
+            .workload_tcp(Vec::new(), plans, deadline)
+            .records;
+        assert_eq!(workload.len(), 1);
+        assert_eq!(record.result_set(), workload[0].result_set());
+
+        let registry = collector.registry().snapshot();
+        let latency = registry.histogram("query_latency_us").expect("observed");
+        assert_eq!(
+            (latency.count, latency.sum),
+            (1, record.latency_us().unwrap())
+        );
     }
 
     #[test]
@@ -1004,9 +996,14 @@ mod tests {
             figures::EXAMPLE_QUERY_1,
             figures::CAMPUS_QUERY,
         ];
+        let plans = vec![UserPlan {
+            submissions: queries
+                .map(|q| PlannedQuery::at(0, parse_disql(q).unwrap()))
+                .into(),
+        }];
         let outcomes = Deployment::new(Arc::clone(&web), EngineConfig::default())
-            .queries_tcp(&queries, Duration::from_secs(30), Vec::new())
-            .unwrap();
+            .workload_tcp(Vec::new(), plans, Duration::from_secs(30))
+            .records;
         assert_eq!(outcomes.len(), 3);
         for (i, o) in outcomes.iter().enumerate() {
             assert!(o.complete, "query {i} must complete");
@@ -1033,9 +1030,14 @@ mod tests {
             ..EngineConfig::default()
         };
         let queries = [figures::CAMPUS_QUERY, figures::EXAMPLE_QUERY_1];
+        let plans = vec![UserPlan {
+            submissions: queries
+                .map(|q| PlannedQuery::at(0, parse_disql(q).unwrap()))
+                .into(),
+        }];
         let outcomes = Deployment::new(Arc::new(figures::campus()), cfg)
-            .queries_tcp(&queries, Duration::from_secs(30), Vec::new())
-            .unwrap();
+            .workload_tcp(Vec::new(), plans, Duration::from_secs(30))
+            .records;
         let records = collector.snapshot();
         for outcome in &outcomes {
             let terminated = records.iter().find(|r| {
@@ -1227,7 +1229,9 @@ mod tests {
             };
             let web = Arc::new(figures::campus());
             let deadline = Duration::from_secs(30);
-            let record = run_query_tcp(web, figures::CAMPUS_QUERY, cfg, deadline).unwrap();
+            let deployment = Deployment::new(web, cfg);
+            let record = deployment.query_tcp(figures::CAMPUS_QUERY, deadline, Vec::new());
+            let record = record.unwrap();
             assert!(record.complete, "run {run}");
             let records = collector.snapshot();
             let receives = records.iter().filter(|r| r.event.name() == "query_recv");

@@ -229,11 +229,27 @@ mod tests {
     use webdis_model::SiteAddr;
     use webdis_sim::SimConfig;
 
-    use crate::{run_query_hybrid_sim, run_query_sim, EngineConfig};
+    use crate::{run_query_sim, Deployment, EngineConfig};
     use webdis_web::figures;
 
     fn participating_subset(web: &webdis_web::HostedWeb, keep: usize) -> Vec<SiteAddr> {
         web.sites().into_iter().take(keep).collect()
+    }
+
+    /// `web` in hybrid mode under `config`, only `participating` sites
+    /// running a query server.
+    fn hybrid(
+        web: &Arc<webdis_web::HostedWeb>,
+        config: EngineConfig,
+        participating: Vec<SiteAddr>,
+    ) -> Deployment {
+        let config = EngineConfig {
+            hybrid: true,
+            ..config
+        };
+        let mut deployment = Deployment::new(Arc::clone(web), config);
+        deployment.participating = Some(participating);
+        deployment
     }
 
     #[test]
@@ -254,14 +270,10 @@ mod tests {
             .into_iter()
             .filter(|s| &*s.host == "www.csa.iisc.ernet.in")
             .collect();
-        let (outcome, stats) = run_query_hybrid_sim(
-            web,
-            figures::CAMPUS_QUERY,
-            EngineConfig::ack_chain(),
-            SimConfig::default(),
-            &csa,
-        )
-        .unwrap();
+        let outcome = hybrid(&web, EngineConfig::ack_chain(), csa)
+            .query_sim(figures::CAMPUS_QUERY, SimConfig::default())
+            .unwrap();
+        let stats = outcome.hybrid;
         assert!(outcome.complete);
         assert_eq!(outcome.result_set(), reference.result_set());
         assert!(stats.handoffs > 0, "the lab sites were handed off");
@@ -277,14 +289,10 @@ mod tests {
             SimConfig::default(),
         )
         .unwrap();
-        let (outcome, stats) = run_query_hybrid_sim(
-            web,
-            figures::CAMPUS_QUERY,
-            EngineConfig::default(),
-            SimConfig::default(),
-            &[],
-        )
-        .unwrap();
+        let outcome = hybrid(&web, EngineConfig::default(), Vec::new())
+            .query_sim(figures::CAMPUS_QUERY, SimConfig::default())
+            .unwrap();
+        let stats = outcome.hybrid;
         assert!(outcome.complete);
         assert_eq!(outcome.result_set(), reference.result_set());
         assert_eq!(stats.reentries, 0, "nothing to re-enter");
@@ -295,14 +303,10 @@ mod tests {
     fn full_participation_never_falls_back() {
         let web = Arc::new(figures::campus());
         let all = web.sites();
-        let (outcome, stats) = run_query_hybrid_sim(
-            Arc::clone(&web),
-            figures::CAMPUS_QUERY,
-            EngineConfig::default(),
-            SimConfig::default(),
-            &all,
-        )
-        .unwrap();
+        let outcome = hybrid(&web, EngineConfig::default(), all)
+            .query_sim(figures::CAMPUS_QUERY, SimConfig::default())
+            .unwrap();
+        let stats = outcome.hybrid;
         assert!(outcome.complete);
         assert_eq!(outcome.rows_of_stage(1).len(), 3);
         assert_eq!(stats.handoffs, 0);
@@ -322,14 +326,10 @@ mod tests {
         let sites = web.sites();
         for keep in 1..sites.len() {
             let participating = participating_subset(&web, keep);
-            let (outcome, stats) = run_query_hybrid_sim(
-                Arc::clone(&web),
-                figures::CAMPUS_QUERY,
-                EngineConfig::default(),
-                SimConfig::default(),
-                &participating,
-            )
-            .unwrap();
+            let outcome = hybrid(&web, EngineConfig::default(), participating)
+                .query_sim(figures::CAMPUS_QUERY, SimConfig::default())
+                .unwrap();
+            let stats = outcome.hybrid;
             assert!(outcome.complete, "hybrid with {keep} sites must complete");
             assert_eq!(
                 outcome.result_set(),
@@ -355,19 +355,12 @@ mod tests {
         let disql = r#"select d.url from document d
                        such that "http://site0.test/doc0.html" (L|G)* d
                        where d.title contains "needle""#;
-        let sites = web.sites();
         let mut prev_bytes = u64::MAX;
         let mut seen_decrease = false;
         for keep in [0usize, 4, 8] {
-            let participating: Vec<_> = sites.iter().take(keep).cloned().collect();
-            let (outcome, _) = run_query_hybrid_sim(
-                Arc::clone(&web),
-                disql,
-                EngineConfig::default(),
-                SimConfig::default(),
-                &participating,
-            )
-            .unwrap();
+            let participating = participating_subset(&web, keep);
+            let deployment = hybrid(&web, EngineConfig::default(), participating);
+            let outcome = deployment.query_sim(disql, SimConfig::default()).unwrap();
             assert!(outcome.complete);
             let fetched = outcome.metrics.bytes_of("fetch-reply");
             if fetched < prev_bytes {

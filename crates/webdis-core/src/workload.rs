@@ -11,22 +11,16 @@
 //! finished) over a weighted [`QueryMix`] of DISQL templates. The same
 //! spec with the same seed always produces the same plan, which is what
 //! makes the throughput experiment repeatable down to identical latency
-//! histograms. Running the plan is the deployment's business
-//! ([`Deployment::workload_sim`], [`Deployment::workload_tcp`]).
-
-use std::sync::Arc;
+//! histograms. This module only plans: running the plan is the
+//! deployment's business, [`workload_sim`](crate::Deployment::workload_sim)
+//! on the simulator and [`workload_tcp`](crate::Deployment::workload_tcp)
+//! on loopback TCP, where a user is its plan's position in the list.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use webdis_disql::{parse_disql, DisqlError, WebQuery};
-use webdis_sim::SimConfig;
-use webdis_trace::RegistrySnapshot;
-use webdis_web::HostedWeb;
 
 use crate::client::{PlannedQuery, UserPlan};
-use crate::config::EngineConfig;
-use crate::deploy::Deployment;
-use crate::record::WorkloadOutcome;
 
 /// How interarrival gaps between one user's submissions are drawn.
 #[derive(Debug, Clone, Copy)]
@@ -230,21 +224,9 @@ impl WorkloadSpec {
                     query: parsed[template].clone(),
                 });
             }
-            plans.push(UserPlan { user, submissions });
+            plans.push(UserPlan { submissions });
         }
         Ok(plans)
-    }
-
-    /// Plans the workload and runs it on `deployment` over the
-    /// deterministic simulator, until the network drains or the spec's
-    /// horizon. `observer` sees the registry after every sample tick.
-    pub fn run_sim(
-        &self,
-        deployment: &Deployment,
-        sim_cfg: SimConfig,
-        observer: &mut dyn FnMut(u64, &RegistrySnapshot),
-    ) -> Result<WorkloadOutcome, DisqlError> {
-        Ok(deployment.workload_sim(sim_cfg, self.plan()?, self.horizon_us, observer))
     }
 
     /// Offered load in queries per (virtual) second across all users.
@@ -252,18 +234,6 @@ impl WorkloadSpec {
         let mean = self.arrival.mean_us().max(1) as f64;
         self.users as f64 * 1_000_000.0 / mean
     }
-}
-
-/// Runs the whole workload over the deterministic simulator on the
-/// frozen `web`, unobserved: [`WorkloadSpec::run_sim`] with nothing else
-/// said.
-pub fn run_workload_sim(
-    web: Arc<HostedWeb>,
-    spec: &WorkloadSpec,
-    engine_cfg: EngineConfig,
-    sim_cfg: SimConfig,
-) -> Result<WorkloadOutcome, DisqlError> {
-    spec.run_sim(&Deployment::new(web, engine_cfg), sim_cfg, &mut |_, _| {})
 }
 
 #[cfg(test)]
@@ -287,7 +257,6 @@ mod tests {
         let a = spec.plan().unwrap();
         let b = spec.plan().unwrap();
         for (pa, pb) in a.iter().zip(&b) {
-            assert_eq!(pa.user, pb.user);
             let ta: Vec<(u64, usize)> = pa
                 .submissions
                 .iter()

@@ -17,8 +17,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use webdis_core::{
-    run_workload_sim, ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadOutcome,
-    WorkloadSpec,
+    ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadOutcome, WorkloadSpec,
 };
 use webdis_sim::SimConfig;
 use webdis_web::{generate, LiveWeb, MutationPlanConfig, MutationSchedule, WebGenConfig};
@@ -122,9 +121,9 @@ proptest! {
             let live = Arc::new(LiveWeb::from_hosted(&web));
             let mut deployment = Deployment::new(Arc::clone(&live), engine());
             deployment.schedule = schedule.clone();
-            let outcome = spec
-                .run_sim(&deployment, SimConfig::default(), &mut |_, _| {})
-                .expect("live run");
+            let plans = spec.plan().expect("live run");
+            let outcome =
+                deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut |_, _| {});
             (live.history_digest(), live.mutations_applied(), outcome)
         };
         let (digest_a, applied_a, outcome_a) = run(&schedule);
@@ -144,8 +143,9 @@ proptest! {
         // mutation prefix, each run fault-free and frozen.
         let mut envelope: BTreeSet<String> = BTreeSet::new();
         let frozen = |web| {
-            run_workload_sim(Arc::new(web), &spec, engine(), SimConfig::default())
-                .expect("frozen baseline")
+            let plans = spec.plan().expect("frozen baseline");
+            let deployment = Deployment::new(Arc::new(web), engine());
+            deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut |_, _| {})
         };
         envelope.extend(row_lines(&frozen(web.clone())));
         let twin = LiveWeb::from_hosted(&web);

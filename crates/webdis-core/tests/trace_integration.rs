@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis_core::{run_query_sim, run_query_tcp, EngineConfig};
+use webdis_core::{run_query_sim, Deployment, EngineConfig};
 use webdis_sim::SimConfig;
 use webdis_trace::{json, trajectory, TraceEvent, TraceHandle};
 use webdis_web::figures;
@@ -92,15 +92,14 @@ fn fig1_trace_reconstructs_the_paper_walk() {
 #[test]
 fn tcp_transport_records_the_same_vocabulary() {
     let (collector, handle) = TraceHandle::collecting(4096);
-    let outcome = run_query_tcp(
+    let outcome = Deployment::new(
         Arc::new(figures::figure1()),
-        figures::FIG_QUERY,
         EngineConfig {
             tracer: handle,
             ..EngineConfig::default()
         },
-        Duration::from_secs(30),
     )
+    .query_tcp(figures::FIG_QUERY, Duration::from_secs(30), Vec::new())
     .unwrap();
     assert!(outcome.complete);
 

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_query_tcp, EngineConfig};
+use webdis::core::{Deployment, EngineConfig};
 use webdis::web::figures;
 
 fn main() {
@@ -21,13 +21,9 @@ fn main() {
         web.sites().len()
     );
 
-    let outcome = run_query_tcp(
-        web,
-        figures::CAMPUS_QUERY,
-        EngineConfig::default(),
-        Duration::from_secs(30),
-    )
-    .expect("query parses");
+    let outcome = Deployment::new(web, EngineConfig::default())
+        .query_tcp(figures::CAMPUS_QUERY, Duration::from_secs(30), Vec::new())
+        .expect("query parses");
 
     assert!(outcome.complete, "query must complete over TCP");
     println!(

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use webdis::core::{run_query_hybrid_sim, EngineConfig};
+use webdis::core::{Deployment, EngineConfig};
 use webdis::sim::SimConfig;
 use webdis::web::{generate, WebGenConfig};
 
@@ -39,14 +39,18 @@ fn main() {
     let mut rows = None;
     for keep in [0usize, 3, 6, 9, 12] {
         let participating: Vec<_> = sites.iter().take(keep).cloned().collect();
-        let (outcome, stats) = run_query_hybrid_sim(
+        let mut deployment = Deployment::new(
             Arc::clone(&web),
-            QUERY,
-            EngineConfig::default(),
-            SimConfig::default(),
-            &participating,
-        )
-        .expect("query parses");
+            EngineConfig {
+                hybrid: true,
+                ..EngineConfig::default()
+            },
+        );
+        deployment.participating = Some(participating);
+        let outcome = deployment
+            .query_sim(QUERY, SimConfig::default())
+            .expect("query parses");
+        let stats = outcome.hybrid;
         assert!(outcome.complete);
         match &rows {
             None => rows = Some(outcome.result_set()),

@@ -39,9 +39,7 @@ macro_rules! sayn {
     }};
 }
 
-use webdis::core::{
-    run_datashipping_sim, run_query_hybrid_sim, run_query_sim, run_query_tcp, EngineConfig,
-};
+use webdis::core::{Deployment, EngineConfig};
 use webdis::sim::{LatencyModel, SimConfig};
 use webdis::web::{generate, HostedWeb, SearchIndex, WebGenConfig};
 
@@ -183,7 +181,7 @@ fn cmd_query(args: &Args) {
         sayn!("{}", webdis::disql::explain(&query));
         return;
     }
-    let engine_cfg = EngineConfig::default();
+    let mut deployment = Deployment::new(web, EngineConfig::default());
     let sim_cfg = SimConfig {
         latency: if args.has("--wan") {
             LatencyModel::wan()
@@ -197,7 +195,8 @@ fn cmd_query(args: &Args) {
     // metrics; rows, trace and page are read off the record either way.
     let (record, metrics) = if args.has("--tcp") {
         let deadline = std::time::Duration::from_secs(60);
-        let record = run_query_tcp(web, &disql, engine_cfg, deadline)
+        let record = deployment
+            .query_tcp(&disql, deadline, Vec::new())
             .unwrap_or_else(|e| fail(&format!("{e}")));
         if !record.complete {
             fail("query did not complete within the deadline");
@@ -210,25 +209,28 @@ fn cmd_query(args: &Args) {
         (record, None)
     } else {
         let outcome = if args.has("--data-shipping") {
-            run_datashipping_sim(web, &disql, sim_cfg)
-        } else if let Some(k) = args.get("--hybrid") {
-            let k: usize = k
-                .parse()
-                .unwrap_or_else(|_| fail("--hybrid takes a site count"));
-            let participating: Vec<_> = web.sites().into_iter().take(k).collect();
-            run_query_hybrid_sim(web, &disql, engine_cfg, sim_cfg, &participating).map(|(o, s)| {
-                say!(
-                    "hybrid: {} handoffs, {} downloads, {} re-entries",
-                    s.handoffs,
-                    s.fetches,
-                    s.reentries
-                );
-                o
-            })
+            deployment.datashipping_sim(&disql, sim_cfg)
         } else {
-            run_query_sim(web, &disql, engine_cfg, sim_cfg)
+            if let Some(k) = args.get("--hybrid") {
+                let k: usize = k
+                    .parse()
+                    .unwrap_or_else(|_| fail("--hybrid takes a site count"));
+                deployment.config.hybrid = true;
+                deployment.participating =
+                    Some(deployment.web.sites().into_iter().take(k).collect());
+            }
+            deployment.query_sim(&disql, sim_cfg)
         }
         .unwrap_or_else(|e| fail(&format!("{e}")));
+        if deployment.config.hybrid {
+            let s = outcome.hybrid;
+            say!(
+                "hybrid: {} handoffs, {} downloads, {} re-entries",
+                s.handoffs,
+                s.fetches,
+                s.reentries
+            );
+        }
         if !outcome.complete {
             fail("query did not complete (see trace)");
         }

@@ -7,8 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use webdis::core::{
-    run_query_sim, run_query_tcp, run_workload_sim, ArrivalProcess, Deployment, EngineConfig,
-    QueryMix, WorkloadSpec,
+    run_query_sim, ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadSpec,
 };
 use webdis::sim::SimConfig;
 use webdis::trace::json::decode_record;
@@ -70,13 +69,12 @@ fn interleaved_queries_match_serial_runs_sim() {
     let baselines = serial_baselines(&web, &spec);
     let plans = spec.plan().unwrap();
 
-    let outcome = run_workload_sim(
-        Arc::clone(&web),
-        &spec,
-        EngineConfig::default(),
+    let outcome = Deployment::new(Arc::clone(&web), EngineConfig::default()).workload_sim(
         SimConfig::default(),
-    )
-    .unwrap();
+        spec.plan().unwrap(),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     assert_eq!(outcome.hung(), 0, "no query may hang");
     assert_eq!(outcome.records.len(), spec.users * spec.queries_per_user);
     for record in &outcome.records {
@@ -113,13 +111,9 @@ fn interleaved_queries_match_serial_runs_tcp() {
         .templates
         .iter()
         .map(|(disql, _)| {
-            let outcome = run_query_tcp(
-                Arc::clone(&web),
-                disql,
-                EngineConfig::default(),
-                Duration::from_secs(30),
-            )
-            .unwrap();
+            let outcome = Deployment::new(Arc::clone(&web), EngineConfig::default())
+                .query_tcp(disql, Duration::from_secs(30), Vec::new())
+                .unwrap();
             assert!(outcome.complete);
             let mut set = std::collections::BTreeSet::new();
             for (stage, rows) in &outcome.results {
@@ -156,13 +150,12 @@ fn workload_is_seed_deterministic() {
     let web = test_web();
     let spec = two_user_spec();
     let run = |spec: &WorkloadSpec| {
-        let outcome = run_workload_sim(
-            Arc::clone(&web),
-            spec,
-            EngineConfig::default(),
+        let outcome = Deployment::new(Arc::clone(&web), EngineConfig::default()).workload_sim(
             SimConfig::default(),
-        )
-        .unwrap();
+            spec.plan().unwrap(),
+            spec.horizon_us,
+            &mut |_, _| {},
+        );
         let fates: Vec<_> = outcome
             .records
             .iter()
@@ -196,7 +189,12 @@ fn concurrent_trace_reconstructs_one_trajectory_per_query() {
         tracer: handle,
         ..EngineConfig::default()
     };
-    let outcome = run_workload_sim(Arc::clone(&web), &spec, cfg, SimConfig::default()).unwrap();
+    let outcome = Deployment::new(Arc::clone(&web), cfg).workload_sim(
+        SimConfig::default(),
+        spec.plan().unwrap(),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     assert_eq!(outcome.hung(), 0);
 
     // Round-trip the trace through JSONL, then rebuild per-query trees.
@@ -247,7 +245,12 @@ fn admission_control_sheds_without_hanging_sim() {
         tracer: handle,
         ..EngineConfig::default()
     };
-    let outcome = run_workload_sim(Arc::clone(&web), &spec, cfg, SimConfig::default()).unwrap();
+    let outcome = Deployment::new(Arc::clone(&web), cfg).workload_sim(
+        SimConfig::default(),
+        spec.plan().unwrap(),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
 
     assert_eq!(outcome.hung(), 0, "shedding must never hang a query");
     assert!(

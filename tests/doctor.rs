@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use webdis::core::{
-    run_query_sim, run_workload_sim, ArrivalProcess, CachePolicy, EngineConfig, ProcModel,
-    QueryMix, WorkloadSpec,
+    run_query_sim, ArrivalProcess, CachePolicy, Deployment, EngineConfig, ProcModel, QueryMix,
+    WorkloadSpec,
 };
 use webdis::model::Url;
 use webdis::sim::{Fault, FaultKind, SimConfig};
@@ -136,7 +136,12 @@ fn cached_zipf_trace() -> Vec<TraceRecord> {
         tracer,
         ..EngineConfig::default()
     };
-    run_workload_sim(workload_web(4, 4), &spec, cfg, SimConfig::default()).unwrap();
+    Deployment::new(workload_web(4, 4), cfg).workload_sim(
+        SimConfig::default(),
+        spec.plan().unwrap(),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     collector.snapshot()
 }
 
@@ -198,7 +203,12 @@ fn monitored_shed_trace() -> Vec<TraceRecord> {
         tracer: TraceHandle::new(monitor.clone()),
         ..EngineConfig::default()
     };
-    let outcome = run_workload_sim(workload_web(4, 2), &spec, cfg, SimConfig::default()).unwrap();
+    let outcome = Deployment::new(workload_web(4, 2), cfg).workload_sim(
+        SimConfig::default(),
+        spec.plan().unwrap(),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     monitor.finalize(outcome.duration_us);
     collector.snapshot()
 }

@@ -292,13 +292,13 @@ fn superset_rewrite_exercised_end_to_end() {
 #[test]
 fn tcp_runtime_matches_sim() {
     let web = Arc::new(figures::campus());
-    let tcp = webdis::core::run_query_tcp(
-        Arc::clone(&web),
-        figures::CAMPUS_QUERY,
-        EngineConfig::default(),
-        std::time::Duration::from_secs(30),
-    )
-    .unwrap();
+    let tcp = Deployment::new(Arc::clone(&web), EngineConfig::default())
+        .query_tcp(
+            figures::CAMPUS_QUERY,
+            std::time::Duration::from_secs(30),
+            Vec::new(),
+        )
+        .unwrap();
     assert!(tcp.complete);
     let sim = default_outcome(web, figures::CAMPUS_QUERY);
     let tcp_rows: std::collections::BTreeSet<_> = tcp
@@ -431,9 +431,9 @@ fn purge_run(web: &Arc<HostedWeb>, purge_us: Option<u64>, plans: &[UserPlan]) ->
     let (collector, tracer) = TraceHandle::collecting(1 << 16);
     let deployment = Deployment::new(Arc::clone(web), purge_config(purge_us, tracer));
     let mut net = deployment.sim_net(SimConfig::default());
-    for plan in plans {
-        let addr = load_user_addr(plan.user);
-        let name = format!("load{}", plan.user);
+    for (user, plan) in plans.iter().enumerate() {
+        let addr = load_user_addr(user);
+        let name = format!("load{user}");
         let client = ClientProcess::new(&name, addr.clone(), deployment.config.clone());
         let planned = plan.submissions.iter().map(|s| (0, s.clone())).collect();
         let user = ScheduledClient::new(vec![client], planned);
@@ -522,8 +522,9 @@ fn every_dropped_log_record_is_traced() {
 
     let (collector, tracer) = TraceHandle::collecting(1 << 16);
     let deployment = Deployment::new(Arc::clone(&web), purge_config(Some(50_000), tracer));
-    let outcome = spec.run_sim(&deployment, SimConfig::default(), &mut |_, _| {});
-    let stats = outcome.unwrap().server_stats;
+    let outcome =
+        deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut |_, _| {});
+    let stats = outcome.server_stats;
     assert_eq!(
         stats.values().map(|s| s.evaluations).sum::<u64>(),
         evaluations

@@ -13,7 +13,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-use webdis::core::{run_datashipping_sim, run_query_sim, run_query_tcp, EngineConfig};
+use webdis::core::{run_datashipping_sim, run_query_sim, Deployment, EngineConfig};
 use webdis::disql::parse_disql;
 use webdis::net::{decode_message, encode_message, Message, QueryClone, QueryId};
 use webdis::pre::MAX_DEPTH;
@@ -72,7 +72,9 @@ fn the_deepest_chain_of_each_kind_ships_and_one_more_link_is_refused() {
 
         let cfg = EngineConfig::default;
         let sim = run_query_sim(web.clone(), &query, cfg(), SimConfig::default()).unwrap();
-        let tcp = run_query_tcp(web.clone(), &query, cfg(), Duration::from_secs(20)).unwrap();
+        let tcp = Deployment::new(web.clone(), cfg())
+            .query_tcp(&query, Duration::from_secs(20), Vec::new())
+            .unwrap();
         assert!(
             sim.complete && tcp.complete,
             "{kind}: {:?}",
@@ -124,7 +126,9 @@ fn a_query_with_a_derivative_too_deep_to_ship_is_refused_and_one_that_parses_shi
     assert!(hosts(&data).len() > 1, "{data:?}");
     let cfg = EngineConfig::default;
     let sim = run_query_sim(web.clone(), &query, cfg(), SimConfig::default()).unwrap();
-    let tcp = run_query_tcp(web, &query, cfg(), Duration::from_secs(20)).unwrap();
+    let tcp = Deployment::new(web, cfg())
+        .query_tcp(&query, Duration::from_secs(20), Vec::new())
+        .unwrap();
     assert!(sim.complete && tcp.complete, "{:?}", tcp.why_incomplete);
     assert_eq!(sim.result_set(), data);
     assert_eq!(tcp.result_set(), data);
@@ -158,7 +162,9 @@ fn at_least_one_local_link_ships_as_few_clones_as_a_plain_crawl() {
                 .unwrap()
                 .result_set();
             let sim = run_query_sim(web.clone(), &query, cfg(), SimConfig::default()).unwrap();
-            let tcp = run_query_tcp(web.clone(), &query, cfg(), Duration::from_secs(20)).unwrap();
+            let tcp = Deployment::new(web.clone(), cfg())
+                .query_tcp(&query, Duration::from_secs(20), Vec::new())
+                .unwrap();
             assert!(
                 sim.complete && tcp.complete,
                 "{start} {pre}: {:?}",

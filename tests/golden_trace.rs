@@ -9,8 +9,8 @@
 use std::sync::Arc;
 
 use webdis::core::{
-    run_query_hybrid_sim, run_query_sim, run_workload_sim, ArrivalProcess, CachePolicy,
-    CompletionMode, EngineConfig, LogMode, ProcModel, QueryMix, WorkloadSpec,
+    run_query_sim, ArrivalProcess, CachePolicy, CompletionMode, Deployment, EngineConfig, LogMode,
+    ProcModel, QueryMix, WorkloadSpec,
 };
 use webdis::sim::SimConfig;
 use webdis::trace::TraceHandle;
@@ -112,9 +112,16 @@ fn digest(web: &Arc<HostedWeb>, disql: &str, cfg: EngineConfig, run: Run) -> (u6
         Run::HybridWithoutLastSite => {
             let mut sites = web.sites();
             sites.pop();
-            let (out, stats) =
-                run_query_hybrid_sim(Arc::clone(web), disql, cfg, SimConfig::default(), &sites)
-                    .unwrap();
+            let mut deployment = Deployment::new(
+                Arc::clone(web),
+                EngineConfig {
+                    hybrid: true,
+                    ..cfg
+                },
+            );
+            deployment.participating = Some(sites);
+            let out = deployment.query_sim(disql, SimConfig::default()).unwrap();
+            let stats = out.hybrid;
             assert!(out.complete);
             assert!(stats.handoffs > 0, "the fallback must actually run");
         }
@@ -129,7 +136,12 @@ fn digest(web: &Arc<HostedWeb>, disql: &str, cfg: EngineConfig, run: Run) -> (u6
                 seed: 5,
                 ..WorkloadSpec::default()
             };
-            let out = run_workload_sim(Arc::clone(web), &spec, cfg, SimConfig::default()).unwrap();
+            let out = Deployment::new(Arc::clone(web), cfg).workload_sim(
+                SimConfig::default(),
+                spec.plan().unwrap(),
+                spec.horizon_us,
+                &mut |_, _| {},
+            );
             assert!(
                 out.records.iter().any(|r| r.was_shed()),
                 "the admission policy must shed at least one clone"

@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use webdis::core::simrun::{client_of, user_addr};
 use webdis::core::{
-    run_query_sim, run_workload_sim, ArrivalProcess, Deployment, EngineConfig, QueryMix,
-    WorkloadOutcome, WorkloadSpec,
+    run_query_sim, ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadOutcome,
+    WorkloadSpec,
 };
 use webdis::disql::parse_disql;
 use webdis::model::SiteAddr;
@@ -128,9 +128,12 @@ fn hybrid_workload_under_a_mutation_schedule_stays_inside_the_version_envelope()
         let mut deployment = Deployment::new(Arc::clone(&live), hybrid());
         deployment.participating = Some(half_of(&web, 0));
         deployment.schedule = schedule.clone();
-        let outcome = spec
-            .run_sim(&deployment, SimConfig::default(), &mut |_, _| {})
-            .unwrap();
+        let outcome = deployment.workload_sim(
+            SimConfig::default(),
+            spec.plan().unwrap(),
+            spec.horizon_us,
+            &mut |_, _| {},
+        );
         assert_eq!(live.mutations_applied(), 3);
         assert_eq!(
             (outcome.records.len(), outcome.hung()),
@@ -144,7 +147,12 @@ fn hybrid_workload_under_a_mutation_schedule_stays_inside_the_version_envelope()
         // pristine web and on the snapshot after every mutation prefix.
         let frozen = |web: HostedWeb| {
             let cfg = EngineConfig::default();
-            row_lines(&run_workload_sim(Arc::new(web), &spec, cfg, SimConfig::default()).unwrap())
+            row_lines(&Deployment::new(Arc::new(web), cfg).workload_sim(
+                SimConfig::default(),
+                spec.plan().unwrap(),
+                spec.horizon_us,
+                &mut |_, _| {},
+            ))
         };
         let mut envelope = frozen(web.clone());
         let twin = LiveWeb::from_hosted(&web);
@@ -166,9 +174,12 @@ fn hybrid_workload_under_a_mutation_schedule_stays_inside_the_version_envelope()
             web: Arc::new(LiveWeb::from_hosted(&web)).into(),
             ..deployment
         };
-        let quiet = spec
-            .run_sim(&quiet, SimConfig::default(), &mut |_, _| {})
-            .unwrap();
+        let quiet = quiet.workload_sim(
+            SimConfig::default(),
+            spec.plan().unwrap(),
+            spec.horizon_us,
+            &mut |_, _| {},
+        );
         assert_eq!(row_lines(&quiet), frozen(web), "seed {seed}");
     }
 }

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use webdis::core::{
-    run_query_sim, run_query_tcp, ClientProcess, EngineConfig, PlannedQuery, ScheduledClient,
+    run_query_sim, ClientProcess, Deployment, EngineConfig, PlannedQuery, ScheduledClient,
     TcpCluster,
 };
 use webdis::disql::parse_disql;
@@ -52,7 +52,11 @@ fn monitored_single_query_runs_are_admitted_and_retired_once() {
         let complete = match transport {
             "tcp" => {
                 let deadline = Duration::from_secs(30);
-                let outcome = run_query_tcp(web, figures::CAMPUS_QUERY, cfg, deadline);
+                let outcome = Deployment::new(web, cfg).query_tcp(
+                    figures::CAMPUS_QUERY,
+                    deadline,
+                    Vec::new(),
+                );
                 outcome.unwrap().complete
             }
             _ => {

@@ -4,9 +4,7 @@
 
 use std::sync::Arc;
 
-use webdis::core::{
-    run_workload_sim, ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
-};
+use webdis::core::{ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::{Histogram, TraceHandle};
 use webdis::web::{generate, WebGenConfig};
@@ -49,7 +47,12 @@ fn run_once() -> Vec<(String, Histogram)> {
         tracer,
         ..EngineConfig::default()
     };
-    run_workload_sim(web(), &spec(), cfg, SimConfig::default()).unwrap();
+    Deployment::new(web(), cfg).workload_sim(
+        SimConfig::default(),
+        spec().plan().unwrap(),
+        spec().horizon_us,
+        &mut |_, _| {},
+    );
     collector
         .registry()
         .snapshot()
@@ -92,13 +95,12 @@ fn snapshot_observer_sees_live_monotone_registry() {
                 ticks.push((now, snap.counter("query_recv")));
             }
         };
-        let outcome = spec()
-            .run_sim(
-                &Deployment::new(web(), cfg),
-                SimConfig::default(),
-                &mut observer,
-            )
-            .unwrap();
+        let outcome = Deployment::new(web(), cfg).workload_sim(
+            SimConfig::default(),
+            spec().plan().unwrap(),
+            spec().horizon_us,
+            &mut observer,
+        );
         (outcome, ticks, collector.registry().snapshot())
     };
 
@@ -150,7 +152,12 @@ fn zero_cost_model_yields_zero_spans() {
         tracer,
         ..EngineConfig::default()
     };
-    run_workload_sim(web(), &spec(), cfg, SimConfig::default()).unwrap();
+    Deployment::new(web(), cfg).workload_sim(
+        SimConfig::default(),
+        spec().plan().unwrap(),
+        spec().horizon_us,
+        &mut |_, _| {},
+    );
     let snap = collector.registry().snapshot();
     for (name, h) in snap.histograms() {
         if let Some(stage) = name.strip_prefix("stage_us.") {

@@ -5,9 +5,7 @@
 
 use std::sync::Arc;
 
-use webdis::core::{
-    run_workload_sim, ArrivalProcess, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
-};
+use webdis::core::{ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec};
 use webdis::sim::SimConfig;
 use webdis::trace::{Histogram, TraceHandle};
 use webdis::web::{generate, WebGenConfig};
@@ -59,7 +57,12 @@ fn overloaded_queue_wait_histogram() -> Histogram {
         tracer,
         ..EngineConfig::default()
     };
-    let outcome = run_workload_sim(web, &spec, cfg, SimConfig::default()).unwrap();
+    let outcome = Deployment::new(web, cfg).workload_sim(
+        SimConfig::default(),
+        spec.plan().unwrap(),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     assert_eq!(outcome.hung(), 0, "no query may hang");
     collector
         .registry()

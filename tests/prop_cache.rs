@@ -11,8 +11,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use webdis::core::network::RecordingNetwork;
 use webdis::core::{
-    run_workload_sim, ArrivalProcess, CachePolicy, EngineConfig, QueryMix, ServerEngine,
-    WorkloadOutcome, WorkloadSpec,
+    ArrivalProcess, CachePolicy, Deployment, EngineConfig, QueryMix, ServerEngine, WorkloadOutcome,
+    WorkloadSpec,
 };
 use webdis::model::{SiteAddr, Url};
 use webdis::net::{Message, NodeReport, QueryClone, QueryId};
@@ -107,21 +107,19 @@ fn twin_run(
 ) {
     let web = small_web(web_seed);
     let spec = spec(workload_seed, s_milli);
-    let off = run_workload_sim(
-        web.clone(),
-        &spec,
-        engine_config(None, TraceHandle::noop()),
+    let off = Deployment::new(web.clone(), engine_config(None, TraceHandle::noop())).workload_sim(
         SimConfig::default(),
-    )
-    .expect("uncached run");
+        spec.plan().expect("uncached run"),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     let (collector, tracer) = TraceHandle::collecting(1 << 16);
-    let on = run_workload_sim(
-        web,
-        &spec,
-        engine_config(Some(policy), tracer),
+    let on = Deployment::new(web, engine_config(Some(policy), tracer)).workload_sim(
         SimConfig::default(),
-    )
-    .expect("cached run");
+        spec.plan().expect("cached run"),
+        spec.horizon_us,
+        &mut |_, _| {},
+    );
     (off, on, collector.snapshot())
 }
 

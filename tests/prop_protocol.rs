@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use webdis::core::{run_datashipping_sim, run_query_sim, EngineConfig, LogMode};
+use webdis::core::{run_datashipping_sim, run_query_sim, Deployment, EngineConfig, LogMode};
 use webdis::sim::{Fault, FaultKind, LatencyModel, SimConfig};
 use webdis::web::{generate, WebGenConfig};
 
@@ -162,14 +162,13 @@ proptest! {
             .collect();
         let sim = SimConfig { jitter_us: jitter, seed, ..SimConfig::default() };
         for engine_cfg in [EngineConfig::default()].into_iter().chain(swept_configs()) {
-            let (outcome, stats) = webdis::core::run_query_hybrid_sim(
-                Arc::clone(&web),
-                &disql,
-                engine_cfg.clone(),
-                sim.clone(),
-                &participating,
-            )
-            .unwrap();
+            let mut deployment = Deployment::new(Arc::clone(&web), EngineConfig {
+                hybrid: true,
+                ..engine_cfg.clone()
+            });
+            deployment.participating = Some(participating.clone());
+            let outcome = deployment.query_sim(&disql, sim.clone()).unwrap();
+            let stats = outcome.hybrid;
             prop_assert!(outcome.complete, "hybrid under {engine_cfg:?} must complete");
             prop_assert_eq!(
                 outcome.result_set(),
