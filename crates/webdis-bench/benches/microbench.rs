@@ -25,6 +25,27 @@ fn sample_html(links: usize, words: usize) -> String {
     page.build()
 }
 
+/// hwbench's `crawl16` web: 16 sites × 6 documents of 400 filler words.
+fn crawl16() -> webdis_web::HostedWeb {
+    generate(&WebGenConfig {
+        sites: 16,
+        docs_per_site: 6,
+        extra_local_links: 2,
+        extra_global_links: 2,
+        title_needle_prob: 0.2,
+        filler_words: 400,
+        seed: 11,
+        ..WebGenConfig::default()
+    })
+}
+
+/// The 96 distinct pages of [`crawl16`], each with its URL.
+fn crawl16_pages() -> Vec<(Url, String)> {
+    let web = crawl16();
+    let page = |url: &Url| (url.clone(), web.get(url).unwrap().to_owned());
+    web.urls().map(page).collect()
+}
+
 fn bench_pre(c: &mut Criterion) {
     let mut group = c.benchmark_group("pre");
     let texts = ["N|G·L*4", "(G|L)*", "G·(L*3)·(G|I)·L*2"];
@@ -103,6 +124,19 @@ fn bench_html(c: &mut Criterion) {
             b.iter(|| webdis_html::tokenize(black_box(h)).count());
         });
     }
+    // Every page of a crawl once: one page parsed over and over lets the
+    // branch predictor learn where its words end, and 96 distinct pages
+    // do not.
+    let pages = crawl16_pages();
+    let bytes: usize = pages.iter().map(|(_, html)| html.len()).sum();
+    group.throughput(criterion::Throughput::Bytes(bytes as u64));
+    group.bench_function("parse_crawl16", |b| {
+        b.iter(|| {
+            for (_, html) in black_box(&pages) {
+                black_box(webdis_html::parse_html(html));
+            }
+        });
+    });
     group.finish();
 }
 
@@ -118,6 +152,16 @@ fn contains_query(attr: &str, needle: &str) -> webdis_rel::NodeQuery {
 
 fn bench_rel(c: &mut Criterion) {
     let mut group = c.benchmark_group("rel");
+    // What a crawl visit's Database Constructor does with the doc cache
+    // off, over every distinct page of the crawl: parse, resolve links.
+    let pages = crawl16_pages();
+    group.bench_function("node_db_parse_crawl16", |b| {
+        b.iter(|| {
+            for (url, html) in black_box(&pages) {
+                black_box(NodeDb::parse(url, html));
+            }
+        });
+    });
     let html = sample_html(25, 1000);
     let parsed = webdis_html::parse_html(&html);
     let url = Url::parse("http://site0.test/doc0.html").unwrap();
@@ -279,16 +323,7 @@ fn bench_core(c: &mut Criterion) {
     use webdis_core::network::RecordingNetwork;
     use webdis_core::{EngineConfig, ServerEngine};
     let mut group = c.benchmark_group("core");
-    let web = std::sync::Arc::new(generate(&WebGenConfig {
-        sites: 16,
-        docs_per_site: 6,
-        extra_local_links: 2,
-        extra_global_links: 2,
-        title_needle_prob: 0.2,
-        filler_words: 400,
-        seed: 11,
-        ..WebGenConfig::default()
-    }));
+    let web = std::sync::Arc::new(crawl16());
     let query = webdis_disql::parse_disql(
         r#"select d.url, d.title from document d such that "http://site0.test/doc0.html" (L|G)* d where d.title contains "needle""#,
     )

@@ -27,4 +27,4 @@ pub mod parse;
 pub mod token;
 
 pub use parse::{parse_html, ParsedDoc, RawAnchor, RelInfon};
-pub use token::{tokenize, Attr, Attrs, Token, Tokens};
+pub use token::{tokenize, Attrs, Token, Tokens};

@@ -3,22 +3,12 @@
 //! [`tokenize`] is an iterator of [`Token`]s — start tags, end tags, text
 //! runs and comments — that borrow from the input. A tag name is copied
 //! only when it has an upper-case letter to fold, a text run only when it
-//! has an entity to decode, and a start tag's attributes are not looked at
-//! until [`Attrs`] is iterated, which the document parser does for `<a>`
-//! alone. It never fails — malformed markup degrades to text, matching how
-//! browsers (and the 1999-era Web the paper ran on) treat it.
+//! has an entity to decode, and a start tag's attributes are slices of it,
+//! decoded only where they are read (the document parser reads an `<a>`'s
+//! `href` alone). It never fails — malformed markup degrades to text,
+//! matching how browsers (and the 1999-era Web the paper ran on) treat it.
 
 use std::borrow::Cow;
-
-/// One attribute of a start tag. Names are lower-cased; values are
-/// entity-decoded and unquoted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Attr<'a> {
-    /// Lower-cased attribute name.
-    pub name: Cow<'a, str>,
-    /// Decoded value; empty for bare boolean attributes.
-    pub value: Cow<'a, str>,
-}
 
 /// A lexical token of an HTML document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +17,7 @@ pub enum Token<'a> {
     StartTag {
         /// Lower-cased tag name.
         name: Cow<'a, str>,
-        /// Attributes in document order, parsed as they are iterated.
+        /// Attributes in document order, as they stand in the tag.
         attrs: Attrs<'a>,
         /// True for `<br/>`-style tags.
         self_closing: bool,
@@ -225,9 +215,10 @@ fn find_close_tag(haystack: &str, name: &str) -> Option<usize> {
     })
 }
 
-/// The attribute list of a start tag, parsed one attribute per `next`.
-/// Accepts `name`, `name=value`, `name="value"`, `name='value'`, in any
-/// mix, tolerant of stray junk.
+/// The attribute list of a start tag, parsed one attribute per `next`:
+/// each name and value as it stands in the tag, unquoted but neither
+/// folded nor decoded. Accepts `name`, `name=value`, `name="value"`,
+/// `name='value'`, in any mix, tolerant of stray junk.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Attrs<'a> {
     s: &'a str,
@@ -235,9 +226,9 @@ pub struct Attrs<'a> {
 }
 
 impl<'a> Iterator for Attrs<'a> {
-    type Item = Attr<'a>;
+    type Item = (&'a str, &'a str);
 
-    fn next(&mut self) -> Option<Attr<'a>> {
+    fn next(&mut self) -> Option<(&'a str, &'a str)> {
         let s = self.s;
         let bytes = s.as_bytes();
         let mut i = self.i;
@@ -255,7 +246,7 @@ impl<'a> Iterator for Attrs<'a> {
         {
             i += 1;
         }
-        let name = lower(&s[name_start..i]);
+        let name = &s[name_start..i];
         // Optional '=' value.
         let mut j = i;
         while j < bytes.len() && bytes[j].is_ascii_whitespace() {
@@ -263,10 +254,7 @@ impl<'a> Iterator for Attrs<'a> {
         }
         if j >= bytes.len() || bytes[j] != b'=' {
             self.i = j;
-            return Some(Attr {
-                name,
-                value: Cow::Borrowed(""),
-            });
+            return Some((name, ""));
         }
         j += 1;
         while j < bytes.len() && bytes[j].is_ascii_whitespace() {
@@ -289,10 +277,7 @@ impl<'a> Iterator for Attrs<'a> {
             self.i = end;
             &s[j..end]
         };
-        Some(Attr {
-            name,
-            value: decode_entities(value),
-        })
+        Some((name, value))
     }
 }
 
@@ -408,17 +393,13 @@ mod tests {
             panic!("expected start tag");
         };
         assert_eq!(name, "a");
-        let attr = |name: &'static str, value: &'static str| Attr {
-            name: name.into(),
-            value: value.into(),
-        };
         assert_eq!(
             attrs.clone().collect::<Vec<_>>(),
             vec![
-                attr("href", "x.html"),
-                attr("title", "hi"),
-                attr("rel", "next"),
-                attr("disabled", ""),
+                ("href", "x.html"),
+                ("TITLE", "hi"),
+                ("rel", "next"),
+                ("disabled", ""),
             ]
         );
     }
@@ -438,8 +419,7 @@ mod tests {
             panic!("expected start tag");
         };
         assert!(borrowed(name));
-        let class = attrs.clone().next().unwrap();
-        assert!(!borrowed(&class.name) && borrowed(&class.value));
+        assert_eq!(attrs.clone().collect::<Vec<_>>(), vec![("CLASS", "x")]);
         assert!(matches!(&toks[1], Token::Text(t) if borrowed(t)));
         assert!(matches!(&toks[3], Token::StartTag { name, .. } if !borrowed(name)));
         assert!(matches!(&toks[4], Token::Text(t) if !borrowed(t) && t == "a & b"));
@@ -485,7 +465,7 @@ mod tests {
         let Token::StartTag { attrs, .. } = &toks[0] else {
             panic!()
         };
-        assert_eq!(attrs.clone().next().unwrap().value, "a&b");
+        assert_eq!(decode_entities(attrs.clone().next().unwrap().1), "a&b");
         assert_eq!(toks[1], Token::Text("x < y A B &nope;".into()));
     }
 

@@ -4,6 +4,7 @@
 //! representation buys: a parse result is linear in its input.
 
 use proptest::prelude::*;
+use webdis_html::token::decode_entities;
 use webdis_html::{parse_html, tokenize, Token};
 
 #[allow(dead_code)]
@@ -28,7 +29,7 @@ fn new_tokens(input: &str) -> Vec<Tok> {
             } => Tok::Start(
                 name.into_owned(),
                 attrs
-                    .map(|a| (a.name.into_owned(), a.value.into_owned()))
+                    .map(|(n, v)| (n.to_ascii_lowercase(), decode_entities(v).into_owned()))
                     .collect(),
                 self_closing,
             ),

@@ -1,9 +1,46 @@
 //! Fuzz-style property tests: the tokenizer and parser are total — any
 //! byte soup a 1999 web server might emit must produce *some* document,
-//! never a panic — and well-formed documents round-trip their content.
+//! never a panic — and well-formed documents round-trip their content;
+//! and the whitespace normaliser, which copies a stretch of normal text at
+//! a time, agrees with the reference parser's per-character one.
 
 use proptest::prelude::*;
 use webdis_html::{parse_html, tokenize, Token};
+
+#[allow(dead_code)]
+mod reference;
+
+/// The whitespace normaliser against the reference parser's, which
+/// normalises a character at a time: the same title, text, anchor labels
+/// and rel-infons.
+fn normalised_as_reference(input: &str) -> Result<(), TestCaseError> {
+    let new = parse_html(input);
+    let old = reference::parse::parse_html(input);
+    prop_assert_eq!(new.title(), old.title);
+    prop_assert_eq!(new.text(), old.text);
+    let labels: Vec<_> = new.anchors().map(|a| a.label).collect();
+    let old_labels: Vec<_> = old.anchors.iter().map(|a| &*a.label).collect();
+    prop_assert_eq!(labels, old_labels);
+    let relinfons: Vec<_> = new.relinfons().map(|r| (r.delimiter, r.text)).collect();
+    let old_relinfons: Vec<_> = old
+        .relinfons
+        .iter()
+        .map(|r| (&*r.delimiter, &*r.text))
+        .collect();
+    prop_assert_eq!(relinfons, old_relinfons);
+    Ok(())
+}
+
+/// Text runs heavy in whitespace — ASCII, Unicode, entity-decoded, and
+/// two characters that look like it but are not — between inline and
+/// block tags.
+#[rustfmt::skip]
+const WHITESPACE_HEAVY: &[&str] = &[
+    " ", " ", " ", "  ", "\t", "\n", "\u{b}", "\u{85}", "\u{a0}", "\u{2003}", "\u{200b}",
+    "\u{1}", "&nbsp;", "&#32;", "a", "word", "Zq", "é", "naïve", "\u{4e16}", "\u{10000}", "x.y",
+    "<b>", "</b>", "<i>", "</i>", "<p>", "</p>", "<td>", "<hr>", "<br>", "<title>", "</title>",
+    "<a href=u>", "</a>",
+];
 
 /// The regression `parser_is_total_on_arbitrary_text` once caught,
 /// shrunk by proptest to `"&0aAa A a𐀀"` (see
@@ -25,8 +62,43 @@ fn pinned_regression_malformed_entity_before_astral_char() {
     assert_eq!(doc.text(), input);
 }
 
+/// The stretches the normaliser copies whole must end where a
+/// per-character pass would put a boundary.
+#[test]
+fn pinned_whitespace_at_the_edges_of_a_run() {
+    let cases = [
+        // A lone trailing space at the end of a run.
+        ("<b>word </b>next", "word next"),
+        ("one two <i>three</i>", "one two three"),
+        // A run made only of spaces.
+        ("a<b>   </b>c", "a c"),
+        ("<i> </i>", ""),
+        // A doubled space at a run's start.
+        ("a<i>  b c</i>", "a b c"),
+        ("  lead", "lead"),
+        // Non-ASCII whitespace between two ASCII words.
+        ("alpha\u{2003}beta", "alpha beta"),
+        ("alpha \u{a0} beta\u{85}", "alpha beta"),
+    ];
+    for (input, text) in cases {
+        assert_eq!(parse_html(input).text(), text, "{input:?}");
+        normalised_as_reference(input).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Runs drawn from whitespace-heavy fragments normalise as the
+    /// per-character reference does.
+    #[test]
+    fn normaliser_matches_the_reference(picks in prop::collection::vec(
+        0..WHITESPACE_HEAVY.len(),
+        0..80,
+    )) {
+        let input: String = picks.into_iter().map(|i| WHITESPACE_HEAVY[i]).collect();
+        normalised_as_reference(&input)?;
+    }
 
     /// Arbitrary strings (including '<', '&', quotes, control chars)
     /// never panic the tokenizer or the parser.

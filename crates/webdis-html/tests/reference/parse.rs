@@ -86,6 +86,7 @@ pub fn parse_html(input: &str) -> ParsedDoc {
     let mut sep_marks: [usize; 2] = [0, 0];
     let mut in_title = false;
     let mut title = String::new();
+    let mut title_space = false;
 
     let finish_anchor =
         |doc: &mut ParsedDoc, open_anchor: &mut Option<(String, usize)>, text: &str| {
@@ -101,7 +102,7 @@ pub fn parse_html(input: &str) -> ParsedDoc {
         match tok {
             Token::Text(run) => {
                 if in_title {
-                    append_normalized(&mut title, &mut false, &run);
+                    append_normalized(&mut title, &mut title_space, &run);
                 } else {
                     append_normalized(&mut text, &mut pending_space, &run);
                 }

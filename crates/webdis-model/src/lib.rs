@@ -21,4 +21,4 @@ pub mod url;
 
 pub use graph::{NodeInfo, WebGraph};
 pub use link::{Link, LinkType};
-pub use url::{SiteAddr, Url, UrlParseError};
+pub use url::{Resolver, SiteAddr, Url, UrlParseError};

@@ -7,6 +7,7 @@
 //! normalization and RFC-1808-style relative reference resolution by hand —
 //! the subset needed by the engine — rather than pulling in a URL crate.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -80,6 +81,11 @@ impl Url {
     /// nodes like `dsl.serc.iisc.ernet.in/people`); when present it must be
     /// `http` or `https`.
     pub fn parse(input: &str) -> Result<Self, UrlParseError> {
+        Url::parse_in(input, lowercase)
+    }
+
+    /// [`Url::parse`], with the host's shared form taken from `shared`.
+    fn parse_in(input: &str, shared: impl FnOnce(&str) -> Arc<str>) -> Result<Url, UrlParseError> {
         let err = |reason| UrlParseError {
             input: input.to_owned(),
             reason,
@@ -88,11 +94,7 @@ impl Url {
         if s.is_empty() {
             return Err(err("empty string"));
         }
-        let rest = if let Some(stripped) = strip_scheme(s) {
-            stripped?
-        } else {
-            s
-        };
+        let rest = strip_scheme(s).transpose()?.unwrap_or(s);
         // Split off fragment first: it may contain '/'.
         let (rest, fragment) = match rest.split_once('#') {
             Some((r, "")) => (r, None),
@@ -119,12 +121,8 @@ impl Url {
         if host.contains(['/', '?', '#', ' ']) {
             return Err(err("invalid character in host"));
         }
-        Ok(Url::new(
-            lowercase(host),
-            port,
-            normalize_path(path),
-            fragment,
-        ))
+        let path = normalize_path(path.into());
+        Ok(Url::new(shared(host), port, path, fragment))
     }
 
     fn new(host: Arc<str>, port: u16, path: String, fragment: Option<String>) -> Url {
@@ -139,11 +137,8 @@ impl Url {
     /// Builds a URL from parts, normalizing the path. Intended for
     /// programmatic construction (e.g. by the synthetic web generator).
     pub fn from_parts(host: &str, port: u16, path: &str) -> Self {
-        let path = if path.starts_with('/') {
-            normalize_path(path)
-        } else {
-            normalize_path(&format!("/{path}"))
-        };
+        // A leading `/` doubled by this one is collapsed.
+        let path = normalize_path(format!("/{path}").into());
         Url::new(lowercase(host), port, path, None)
     }
 
@@ -210,15 +205,40 @@ impl Url {
     /// * `/abs/path` replaces the path;
     /// * `rel/path` resolves against the base path's directory.
     pub fn resolve(&self, reference: &str) -> Result<Url, UrlParseError> {
+        self.resolver().resolve(reference)
+    }
+
+    /// A [`Resolver`] for the references of one document at `self`.
+    pub fn resolver(&self) -> Resolver<'_> {
+        let mut hosts: [Option<Arc<str>>; 8] = Default::default();
+        hosts[0] = Some(Arc::clone(&self.0.host));
+        Resolver { base: self, hosts }
+    }
+}
+
+/// [`Url::resolve`] for the references of one document. It keeps the
+/// hosts of the URLs it builds in a table of a few entries, so a link to
+/// the document's own site, or to a host an earlier link named, shares
+/// that host's `Arc<str>`.
+#[derive(Debug)]
+pub struct Resolver<'a> {
+    base: &'a Url,
+    hosts: [Option<Arc<str>>; 8],
+}
+
+impl Resolver<'_> {
+    /// The URL `reference` names; see [`Url::resolve`].
+    pub fn resolve(&mut self, reference: &str) -> Result<Url, UrlParseError> {
+        let base = self.base;
         let reference = reference.trim();
         if reference.is_empty() {
-            return Ok(self.clone());
+            return Ok(base.clone());
         }
         if let Some(frag) = reference.strip_prefix('#') {
-            return Ok(self.with_fragment((!frag.is_empty()).then(|| frag.to_owned())));
+            return Ok(base.with_fragment((!frag.is_empty()).then(|| frag.to_owned())));
         }
         if strip_scheme(reference).is_some() {
-            return Url::parse(reference);
+            return Url::parse_in(reference, |name| self.host(name));
         }
         if has_scheme_prefix(reference) {
             // `mailto:x@y`, `ftp://h/p`, `javascript:...` — not part of the
@@ -229,7 +249,7 @@ impl Url {
             });
         }
         if let Some(rest) = reference.strip_prefix("//") {
-            return Url::parse(&format!("http://{rest}"));
+            return Url::parse_in(&format!("http://{rest}"), |name| self.host(name));
         }
         // Path (absolute or relative) with optional fragment.
         let (path_part, fragment) = match reference.split_once('#') {
@@ -238,21 +258,29 @@ impl Url {
             None => (reference, None),
         };
         let merged = if path_part.starts_with('/') {
-            path_part.to_owned()
+            Cow::Borrowed(path_part)
         } else {
             // Resolve against the directory of the base path.
-            match self.path().rfind('/') {
-                Some(idx) => format!("{}{}", &self.path()[..=idx], path_part),
+            Cow::Owned(match base.path().rfind('/') {
+                Some(idx) => format!("{}{}", &base.path()[..=idx], path_part),
                 None => format!("/{path_part}"),
-            }
+            })
         };
-        let host = Arc::clone(&self.0.host);
-        Ok(Url::new(
-            host,
-            self.port(),
-            normalize_path(&merged),
-            fragment,
-        ))
+        let (host, path) = (Arc::clone(&base.0.host), normalize_path(merged));
+        Ok(Url::new(host, base.port(), path, fragment))
+    }
+
+    /// `name` lower-cased: the table's copy, or a new one it keeps while
+    /// it has room.
+    fn host(&mut self, name: &str) -> Arc<str> {
+        for slot in &mut self.hosts {
+            match slot {
+                Some(known) if known.eq_ignore_ascii_case(name) => return Arc::clone(known),
+                Some(_) => {}
+                None => return Arc::clone(slot.insert(lowercase(name))),
+            }
+        }
+        lowercase(name)
     }
 }
 
@@ -344,8 +372,13 @@ fn lowercase(host: &str) -> Arc<str> {
 
 /// Collapses `.` and `..` segments and repeated slashes; the result always
 /// starts with `/`. A trailing slash is preserved (it distinguishes a
-/// directory index from a file).
-fn normalize_path(path: &str) -> String {
+/// directory index from a file). A path with no empty, `.` or `..`
+/// segment is already normal: it is returned as it is, copied only if it
+/// was borrowed.
+fn normalize_path(path: Cow<'_, str>) -> String {
+    if path.starts_with('/') && !path.contains("//") && !path.contains("/.") {
+        return path.into_owned();
+    }
     let mut segments: Vec<&str> = Vec::new();
     for seg in path.split('/') {
         match seg {
@@ -492,6 +525,41 @@ mod tests {
     fn resolve_empty_reference_is_base() {
         let base = Url::parse("http://h/a").unwrap();
         assert_eq!(base.resolve("").unwrap(), base);
+    }
+
+    #[test]
+    fn resolver_shares_each_host_once() {
+        let base = Url::parse("http://h/a.html").unwrap();
+        let mut resolver = base.resolver();
+        let same = resolver.resolve("http://H/b.html").unwrap();
+        assert!(Arc::ptr_eq(&same.0.host, &base.0.host));
+        let g1 = resolver.resolve("http://g/c").unwrap();
+        let g2 = resolver.resolve("//G:80/d").unwrap();
+        assert!(Arc::ptr_eq(&g1.0.host, &g2.0.host));
+        // Past the table's room, hosts are still resolved, only not shared.
+        for i in 0..20 {
+            let url = resolver.resolve(&format!("http://Host{i}/x")).unwrap();
+            assert_eq!(url.host(), format!("host{i}"));
+        }
+    }
+
+    #[test]
+    fn normal_paths_are_kept_as_they_are() {
+        for path in ["/", "/a", "/a/", "/a/b.html", "/a.b/..c/.d"] {
+            assert_eq!(normalize_path(path.into()), path);
+        }
+        for (path, normal) in [
+            ("", "/"),
+            ("a", "/a"),
+            ("//", "/"),
+            ("/a//b", "/a/b"),
+            ("/./", "/"),
+            ("/a/.", "/a/"),
+            ("/a/b/..", "/a/"),
+            ("/../x", "/x"),
+        ] {
+            assert_eq!(normalize_path(path.into()), normal, "{path}");
+        }
     }
 
     #[test]

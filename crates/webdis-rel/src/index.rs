@@ -32,7 +32,7 @@
 //! tuple enumeration order and planned evaluation returns rows in exactly
 //! the order the cross-product scan would.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::query::RelKind;
@@ -110,45 +110,60 @@ impl HashIndex {
 
 /// Inverted text index: case-folded token → ascending tuple indices.
 ///
-/// The dictionary is a `BTreeMap` so `probe_contains` walks it in a
-/// deterministic order and index memory layout is reproducible.
+/// Three buffers, however many tokens: the folded tokens back to back,
+/// one entry per distinct token in ascending order, and every posting
+/// list back to back.
 #[derive(Debug, Clone, Default)]
 pub struct TextIndex {
-    tokens: BTreeMap<String, Vec<u32>>,
+    folded: String,
+    /// Per distinct token: its range in `folded` and where its postings
+    /// end (each list starts where the one before it ends).
+    entries: Vec<(usize, usize, usize)>,
+    postings: Vec<u32>,
 }
 
 impl TextIndex {
-    /// Builds the index over one column of a relation. Tokens are cut
-    /// from the column's own bytes and folded into one reused buffer; a
-    /// key is allocated only the first time its token is seen.
+    /// Builds the index over one column of a relation: every token
+    /// occurrence is folded into one buffer, and sorting the occurrences
+    /// groups each token's tuples.
     pub fn build(rel: &Relation, col: usize) -> TextIndex {
-        let mut tokens: BTreeMap<String, Vec<u32>> = BTreeMap::new();
         let mut folded = String::new();
+        // Each occurrence's range in `folded` and its tuple; then one
+        // entry per token and tuple, whose posting ends after it; then one
+        // per token, whose postings end after its last tuple's.
+        let mut entries: Vec<(usize, usize, usize)> = Vec::new();
         for (idx, tuple) in rel.tuples.iter().enumerate() {
             let Some(v) = tuple.get(col) else { continue };
             let text = v.text();
+            folded.reserve(text.len());
             // Every byte of a multi-byte character is ≥ 0x80, hence a
             // separator, exactly as the character itself would be.
-            for token in text
-                .as_bytes()
-                .split(|b| !b.is_ascii_alphanumeric())
-                .filter(|t| !t.is_empty())
-            {
-                folded.clear();
+            for token in text.as_bytes().split(|b| !b.is_ascii_alphanumeric()) {
+                let start = folded.len();
                 folded.extend(token.iter().map(|b| b.to_ascii_lowercase() as char));
-                match tokens.get_mut(folded.as_str()) {
-                    Some(postings) => {
-                        if postings.last() != Some(&(idx as u32)) {
-                            postings.push(idx as u32);
-                        }
-                    }
-                    None => {
-                        tokens.insert(folded.clone(), vec![idx as u32]);
-                    }
+                if !token.is_empty() {
+                    entries.push((start, folded.len(), idx));
                 }
             }
         }
-        TextIndex { tokens }
+        let token = |&(start, end, _): &(usize, usize, usize)| &folded[start..end];
+        entries.sort_unstable_by(|a, b| token(a).cmp(token(b)).then(a.2.cmp(&b.2)));
+        entries.dedup_by(|b, a| token(b) == token(a) && b.2 == a.2);
+        let postings = entries.iter().map(|&(_, _, idx)| idx as u32).collect();
+        for (at, entry) in entries.iter_mut().enumerate() {
+            entry.2 = at + 1;
+        }
+        entries.dedup_by(|b, a| {
+            token(b) == token(a) && {
+                a.2 = b.2;
+                true
+            }
+        });
+        TextIndex {
+            folded,
+            entries,
+            postings,
+        }
     }
 
     /// True when a needle can be answered exactly from the token
@@ -168,33 +183,21 @@ impl TextIndex {
         if !Self::indexable(folded) {
             return None;
         }
-        let mut lists: Vec<&[u32]> = Vec::new();
-        for (token, postings) in &self.tokens {
-            if token.contains(folded) {
-                lists.push(postings);
+        let (mut hits, mut from) = (Vec::new(), 0);
+        for &(start, end, to) in &self.entries {
+            if self.folded[start..end].contains(folded) {
+                hits.extend_from_slice(&self.postings[from..to]);
             }
+            from = to;
         }
-        Some(union_sorted(&lists))
+        hits.sort_unstable();
+        hits.dedup();
+        Some(hits)
     }
 
     /// Number of distinct tokens.
     pub fn tokens(&self) -> usize {
-        self.tokens.len()
-    }
-}
-
-/// K-way union of ascending posting lists into one ascending, deduplicated
-/// list.
-fn union_sorted(lists: &[&[u32]]) -> Vec<u32> {
-    match lists {
-        [] => Vec::new(),
-        [one] => one.to_vec(),
-        _ => {
-            let mut all: Vec<u32> = lists.iter().flat_map(|l| l.iter().copied()).collect();
-            all.sort_unstable();
-            all.dedup();
-            all
-        }
+        self.entries.len()
     }
 }
 
@@ -379,6 +382,5 @@ mod tests {
     fn intersect_and_union_are_ordered() {
         assert_eq!(intersect_sorted(&[1, 3, 5, 9], &[2, 3, 9]), vec![3, 9]);
         assert_eq!(intersect_sorted(&[], &[1]), Vec::<u32>::new());
-        assert_eq!(union_sorted(&[&[1, 4], &[2, 4, 7]]), vec![1, 2, 4, 7]);
     }
 }

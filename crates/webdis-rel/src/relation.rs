@@ -1,6 +1,7 @@
 //! Schemas, relations, and the Database Constructor that materializes the
 //! virtual relations for one node.
 
+use std::fmt::Write;
 use std::sync::OnceLock;
 
 use webdis_html::ParsedDoc;
@@ -125,13 +126,13 @@ impl NodeDb {
     /// [`NodeDb::hash_index`] and [`NodeDb::text_index`].
     fn new(url: &Url, doc: ParsedDoc) -> NodeDb {
         let base = url.without_fragment();
-        let links = doc
-            .anchors()
-            .filter_map(|raw| {
-                let target = base.resolve(raw.href).ok()?;
-                Some(Link::new(base.clone(), target, raw.label))
-            })
-            .collect();
+        let mut resolver = base.resolver();
+        let mut links = Vec::with_capacity(doc.anchors().len());
+        for raw in doc.anchors() {
+            if let Ok(target) = resolver.resolve(raw.href) {
+                links.push(Link::new(base.clone(), target, raw.label));
+            }
+        }
         NodeDb {
             url: base,
             links,
@@ -155,7 +156,9 @@ impl NodeDb {
     }
 
     fn materialize(&self, kind: RelKind) -> Relation {
-        let base = self.url.to_string();
+        // `http://`, the host, a port and the path, in one allocation.
+        let mut base = String::with_capacity(16 + self.url.host().len() + self.url.path().len());
+        write!(base, "{}", self.url).expect("writing to a String cannot fail");
         let text = |s: &str| Value::Str(s.to_owned());
         match kind {
             RelKind::Document => Relation {
