@@ -40,9 +40,10 @@ fn crawl16() -> webdis_web::HostedWeb {
 }
 
 /// The 96 distinct pages of [`crawl16`], each with its URL.
-fn crawl16_pages() -> Vec<(Url, String)> {
+/// Every page of the crawl16 web, shared as the web hosts it.
+fn crawl16_pages() -> Vec<(Url, std::sync::Arc<str>)> {
     let web = crawl16();
-    let page = |url: &Url| (url.clone(), web.get(url).unwrap().to_owned());
+    let page = |url: &Url| (url.clone(), web.shared(url).unwrap().clone());
     web.urls().map(page).collect()
 }
 
@@ -119,10 +120,6 @@ fn bench_html(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("parse", label), &html, |b, h| {
             b.iter(|| webdis_html::parse_html(black_box(h)));
         });
-        // The token stream alone, drained: what of `parse` is lexing.
-        group.bench_with_input(BenchmarkId::new("tokenize", label), &html, |b, h| {
-            b.iter(|| webdis_html::tokenize(black_box(h)).count());
-        });
     }
     // Every page of a crawl once: one page parsed over and over lets the
     // branch predictor learn where its words end, and 96 distinct pages
@@ -153,12 +150,13 @@ fn contains_query(attr: &str, needle: &str) -> webdis_rel::NodeQuery {
 fn bench_rel(c: &mut Criterion) {
     let mut group = c.benchmark_group("rel");
     // What a crawl visit's Database Constructor does with the doc cache
-    // off, over every distinct page of the crawl: parse, resolve links.
+    // off, over every distinct page of the crawl: parse the shared page,
+    // resolve links.
     let pages = crawl16_pages();
     group.bench_function("node_db_parse_crawl16", |b| {
         b.iter(|| {
             for (url, html) in black_box(&pages) {
-                black_box(NodeDb::parse(url, html));
+                black_box(NodeDb::parse(url, html.clone()));
             }
         });
     });
@@ -170,15 +168,17 @@ fn bench_rel(c: &mut Criterion) {
     group.bench_function("node_db_build", |b| {
         b.iter(|| NodeDb::build(black_box(&url), black_box(&parsed)));
     });
-    // What construction no longer pays: each relation is formed by the
-    // first query that ranges over it.
+    // What construction no longer pays: each column is formed by the
+    // first query that reads it (here, every column of one relation).
     for kind in RelKind::ALL {
         let name = format!("relation_first_touch/{}", kind.keyword());
         group.bench_function(&name, |b| {
             b.iter_batched(
                 || NodeDb::build(&url, &parsed),
                 |db| {
-                    black_box(db.relation(kind).len());
+                    for col in 0..kind.schema().columns.len() {
+                        black_box(db.column(kind, col).len());
+                    }
                     db
                 },
                 BatchSize::SmallInput,

@@ -31,6 +31,8 @@
 //!    [`CompletionMode::ChtStrict`] avoids the whole scheme by accounting
 //!    one add and one delete per clone.
 
+use std::collections::HashMap;
+
 use webdis_model::Url;
 use webdis_net::{ChtEntry, CloneState};
 
@@ -76,13 +78,21 @@ struct Row {
     deleted: bool,
     /// Clock value when the row was added (drives stale-entry expiry).
     added_at_us: u64,
+    /// The next row with the same `(node, state)`.
+    next: Option<usize>,
 }
 
 /// The table itself.
+///
+/// Rows are kept in added order; each `(node, state)` names the first of
+/// its rows not known to be deleted and its last, so an add or a delete
+/// finds its rows without a scan: completion costs O(entries).
 #[derive(Debug)]
 pub struct Cht {
     mode: CompletionMode,
     rows: Vec<Row>,
+    slots: HashMap<(Url, CloneState), (usize, usize)>,
+    live: usize,
     tombstones: Vec<(Url, CloneState, u64)>,
     clock_us: u64,
     /// Operation counters.
@@ -96,6 +106,8 @@ impl Cht {
         Cht {
             mode,
             rows: Vec::new(),
+            slots: HashMap::new(),
+            live: 0,
             tombstones: Vec::new(),
             clock_us: 0,
             stats: ChtStats::default(),
@@ -108,81 +120,68 @@ impl Cht {
         self.clock_us = self.clock_us.max(now_us);
     }
 
-    /// Would a server's log table *silently* drop an arrival in `new`
-    /// given an earlier arrival in `old` at the same node? Only identical
-    /// states qualify: identity is symmetric, so this verdict is the same
-    /// at the user site and at the server regardless of which message
-    /// arrives first. Proper-subsumption drops are order-sensitive and
-    /// therefore always reported by the servers (never mirrored here).
-    fn server_would_drop(&self, new: &CloneState, old: &CloneState) -> bool {
-        new == old
-    }
-
     /// Merges one announced entry.
     pub fn add(&mut self, entry: &ChtEntry) {
         // A deletion that arrived ahead of this announcement?
-        if let Some(pos) = self
+        let key = (entry.node.clone(), entry.state.clone());
+        let early = self
             .tombstones
             .iter()
-            .position(|(n, s, _)| n == &entry.node && s == &entry.state)
-        {
+            .position(|(n, s, _)| (n, s) == (&key.0, &key.1));
+        if let Some(pos) = early {
             self.tombstones.swap_remove(pos);
-            self.rows.push(Row {
-                node: entry.node.clone(),
-                state: entry.state.clone(),
-                deleted: true,
-                added_at_us: self.clock_us,
-            });
-            self.stats.added += 1;
             self.stats.deleted += 1;
+        } else if self.mode == CompletionMode::Cht && self.slots.contains_key(&key) {
+            // A server's log table *silently* drops an arrival in a state
+            // identical to an earlier one at the node. Identity is
+            // symmetric, so this verdict is the same at the user site and
+            // at the server whichever message arrives first;
+            // proper-subsumption drops are order-sensitive and therefore
+            // always reported by the servers (never mirrored here).
+            self.stats.skipped += 1;
             return;
         }
-        if self.mode == CompletionMode::Cht {
-            let skip = self
-                .rows
-                .iter()
-                .any(|r| r.node == entry.node && self.server_would_drop(&entry.state, &r.state));
-            if skip {
-                self.stats.skipped += 1;
-                return;
-            }
-        }
+        self.stats.added += 1;
+        self.live += usize::from(early.is_none());
+        let at = self.rows.len();
         self.rows.push(Row {
             node: entry.node.clone(),
             state: entry.state.clone(),
-            deleted: false,
+            deleted: early.is_some(),
             added_at_us: self.clock_us,
+            next: None,
         });
-        self.stats.added += 1;
+        match self.slots.get_mut(&key) {
+            Some((_, last)) => self.rows[std::mem::replace(last, at)].next = Some(at),
+            None => _ = self.slots.insert(key, (at, at)),
+        }
     }
 
     /// Applies the deletion carried by a node report (the "topmost entry"
-    /// of Section 2.7.1).
+    /// of Section 2.7.1): the first live row of its `(node, state)`.
     pub fn delete(&mut self, node: &Url, state: &CloneState) {
-        if let Some(row) = self
-            .rows
-            .iter_mut()
-            .find(|r| !r.deleted && r.node == *node && r.state == *state)
-        {
-            row.deleted = true;
-            self.stats.deleted += 1;
-            return;
-        }
-        if self.mode == CompletionMode::Cht {
+        let key = (node.clone(), state.clone());
+        if let Some((first, _)) = self.slots.get_mut(&key) {
+            // Rows before `first` are deleted: each is passed once.
+            let mut at = Some(*first);
+            while let Some(row) = at.filter(|&r| self.rows[r].deleted) {
+                at = self.rows[row].next;
+            }
+            if let Some(at) = at {
+                (*first, self.rows[at].deleted) = (at, true);
+                self.live -= 1;
+                self.stats.deleted += 1;
+                return;
+            }
             // A deletion for an add this site skipped (or will skip): some
             // entry for the node makes the server-drop rule fire on this
             // state. Includes the identical-but-already-deleted case.
-            let ignorable = self
-                .rows
-                .iter()
-                .any(|r| r.node == *node && self.server_would_drop(state, &r.state));
-            if ignorable {
+            if self.mode == CompletionMode::Cht {
                 self.stats.deletes_ignored += 1;
                 return;
             }
         }
-        self.tombstones
-            .push((node.clone(), state.clone(), self.clock_us));
+        self.tombstones.push((key.0, key.1, self.clock_us));
         self.stats.tombstoned += 1;
     }
 
@@ -203,6 +202,7 @@ impl Cht {
         for row in &mut self.rows {
             if !row.deleted && row.added_at_us <= cutoff {
                 row.deleted = true;
+                self.live -= 1;
                 failed.push((row.node.clone(), row.state.clone()));
             }
         }
@@ -221,7 +221,7 @@ impl Cht {
     /// True when every entry is deleted and no tombstone is outstanding —
     /// the paper's "all entries in the CHTable are marked deleted".
     pub fn complete(&self) -> bool {
-        self.tombstones.is_empty() && self.rows.iter().all(|r| r.deleted)
+        self.tombstones.is_empty() && self.live == 0
     }
 
     /// Live (non-deleted) entries — the nodes currently believed to host

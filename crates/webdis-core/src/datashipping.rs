@@ -17,7 +17,7 @@ use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{FetchRequest, Message};
 use webdis_pre::Pre;
-use webdis_rel::{eval_node_query, NodeDb};
+use webdis_rel::NodeDb;
 use webdis_sim::{Actor, Event, SimConfig};
 use webdis_trace::{TraceEvent, TraceHandle, TraceRecord};
 
@@ -122,7 +122,7 @@ impl DataShipUser {
         self.outstanding = self.outstanding.saturating_sub(1);
         let db = reply.html.map(|html| {
             net.work(self.proc.parse_cost_us(html.len()));
-            Rc::new(NodeDb::parse(&url, &html))
+            Rc::new(NodeDb::parse(&url, html))
         });
         self.cache.insert(url.clone(), db);
         self.emit(
@@ -220,7 +220,7 @@ impl DataShipUser {
                 );
                 let eval_t0 = net.now_us();
                 net.work(self.proc.eval_us);
-                match eval_node_query(&db, &stages[idx].query) {
+                match stages[idx].plan().execute(&db).map(|(rows, _)| rows) {
                     Err(_) => continue,
                     Ok(rows) if rows.is_empty() => {
                         // No answer here; traversal continues along the

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use webdis_disql::WebQuery;
-use webdis_html::token::escape;
+use webdis_html::escape;
 use webdis_model::Url;
 use webdis_net::QueryId;
 use webdis_rel::ResultRow;

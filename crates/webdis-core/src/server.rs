@@ -822,7 +822,7 @@ impl ServerEngine {
         let parse_cost = self.config.proc.parse_cost_us(html.len());
         net.work(parse_cost);
         self.span.parse_us += parse_cost;
-        let db = Arc::new(NodeDb::parse(node, &html));
+        let db = Arc::new(NodeDb::parse(node, html));
         if self.config.doc_cache_size > 0 {
             if self.doc_cache_fifo.len() >= self.config.doc_cache_size {
                 if let Some(evicted) = self.doc_cache_fifo.pop_front() {

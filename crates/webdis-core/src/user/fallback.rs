@@ -88,7 +88,7 @@ impl UserSite {
         };
         let db = reply.html.map(|html| {
             net.work(self.config.proc.parse_cost_us(html.len()));
-            Arc::new(NodeDb::parse(&url, &html))
+            Arc::new(NodeDb::parse(&url, html))
         });
         fallback.cache.insert(url.clone(), db);
         self.emit(net.now_us(), None, || TrEvent::DocFetch {

@@ -19,10 +19,7 @@ use webdis_disql::Stage;
 use webdis_model::{SiteAddr, Url};
 use webdis_net::{ChtEntry, CloneState, Disposition, NodeReport, QueryClone, QueryId, StageRows};
 use webdis_pre::Pre;
-use webdis_rel::{
-    canonicalize, eval_node_query_with_bindings, eval_node_query_with_stats, CanonicalQuery,
-    NodeDb, ResultRow,
-};
+use webdis_rel::{NodeDb, ResultRow};
 use webdis_trace::{TraceEvent, TraceRecord};
 
 use crate::config::{EngineConfig, LogMode};
@@ -303,16 +300,15 @@ impl VisitCtx<'_> {
     /// when it can serve it, by evaluation otherwise. `None` is an
     /// evaluation error: the work item is abandoned.
     fn answer(&mut self, node: &Url, idx: usize) -> Option<Vec<ResultRow>> {
-        let stages = self.stages;
-        let query = &stages[idx].query;
+        let stage = &self.stages[idx];
         let Some(cache) = self.cache.as_deref_mut() else {
-            return self.evaluate(node, idx, None);
+            return self.evaluate(node, idx, false);
         };
         let cache_t0 = (self.clock)();
-        let cq = canonicalize(query);
+        let cq = stage.plan().canonical();
         self.counters.cache_lookups += 1;
         let node_str = node.to_string();
-        let served = match cache.lookup(self.db, &node_str, query, &cq) {
+        let served = match cache.lookup(self.db, &node_str, &stage.query, cq) {
             CacheLookup::Exact(rows) => Some((rows, false)),
             CacheLookup::Subsumed(rows) => Some((rows, true)),
             CacheLookup::Miss => None,
@@ -337,20 +333,14 @@ impl VisitCtx<'_> {
             // the rows are identical to what evaluation would produce,
             // values and order.
             Some((rows, _)) => Some(rows),
-            None => self.evaluate(node, idx, Some(cq)),
+            None => self.evaluate(node, idx, true),
         }
     }
 
-    /// Evaluates stage `idx`'s node-query, feeding the answer cache when
-    /// the preceding lookup missed (`insert_as` is its canonical form).
-    fn evaluate(
-        &mut self,
-        node: &Url,
-        idx: usize,
-        insert_as: Option<CanonicalQuery>,
-    ) -> Option<Vec<ResultRow>> {
-        let stages = self.stages;
-        let query = &stages[idx].query;
+    /// Evaluates stage `idx`'s node-query by its plan, feeding the answer
+    /// cache when the preceding lookup missed (`insert`).
+    fn evaluate(&mut self, node: &Url, idx: usize, insert: bool) -> Option<Vec<ResultRow>> {
+        let plan = self.stages[idx].plan();
         let stage = self.offset + idx as u32;
         self.counters.evaluations += 1;
         self.emit(|| TraceEvent::EvalStart {
@@ -360,10 +350,10 @@ impl VisitCtx<'_> {
         let eval_t0 = (self.clock)();
         // Bindings are captured only when there is a cache to feed; the
         // uncached engine runs the exact historical evaluator.
-        let evaluated = if insert_as.is_some() {
-            eval_node_query_with_bindings(self.db, query)
+        let evaluated = if insert {
+            plan.execute_with_bindings(self.db)
         } else {
-            eval_node_query_with_stats(self.db, query)
+            plan.execute(self.db)
                 .map(|(rows, stats)| (rows, Vec::new(), stats))
         };
         let eval_wall = (self.clock)().saturating_sub(eval_t0);
@@ -393,11 +383,11 @@ impl VisitCtx<'_> {
             answered: !rows.is_empty(),
             span_us,
         });
-        if let (Some(cq), Some(cache)) = (insert_as, self.cache.as_deref_mut()) {
+        if let (true, Some(cache)) = (insert, self.cache.as_deref_mut()) {
             let insert_t0 = (self.clock)();
             let evicted = cache.insert(
                 &node.to_string(),
-                &cq,
+                plan.canonical(),
                 rows.clone(),
                 bindings,
                 stats.tuples_visited,

@@ -1,25 +1,53 @@
 //! The parsed web-query: `Q = S p1 q1 p2 q2 … pn qn`.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use webdis_model::Url;
 use webdis_pre::Pre;
-use webdis_rel::NodeQuery;
+use webdis_rel::{NodeQuery, Plan};
 
 /// One `p_i q_i` stage of a web-query: traverse paths matching `pre` from
 /// the nodes that answered the previous stage, then evaluate `query` at
-/// every node where the remaining PRE contains the null link.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// every node where the remaining PRE contains the null link. Every visit
+/// of a stage runs its one [`Plan`], compiled on the first.
+#[derive(Debug, Clone)]
 pub struct Stage {
     /// The traversal PRE `p_i`.
     pub pre: Pre,
     /// The document variable of this stage (`d0`, `d1`, …).
     pub doc_var: String,
     /// The locally-evaluable node-query `q_i` (with its share of the split
-    /// select list).
+    /// select list); not changed once the stage is built.
     pub query: NodeQuery,
+    plan: OnceLock<Plan>,
 }
+
+impl Stage {
+    /// The stage `pre query` with document variable `doc_var`.
+    pub fn new(pre: Pre, doc_var: String, query: NodeQuery) -> Stage {
+        Stage {
+            pre,
+            doc_var,
+            query,
+            plan: OnceLock::new(),
+        }
+    }
+
+    /// `query`, compiled on the first call.
+    pub fn plan(&self) -> &Plan {
+        self.plan.get_or_init(|| Plan::new(&self.query))
+    }
+}
+
+/// Equal parts, whether or not either plan has been compiled yet.
+impl PartialEq for Stage {
+    fn eq(&self, other: &Stage) -> bool {
+        (&self.pre, &self.doc_var, &self.query) == (&other.pre, &other.doc_var, &other.query)
+    }
+}
+
+impl Eq for Stage {}
 
 /// A complete web-query in the paper's formalism.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -67,19 +95,16 @@ mod tests {
     use webdis_rel::{NodeQuery, RelKind, VarDecl};
 
     fn stage(pre: &str, var: &str) -> Stage {
-        Stage {
-            pre: parse_pre(pre).unwrap(),
-            doc_var: var.into(),
-            query: NodeQuery {
-                vars: vec![VarDecl {
-                    name: var.into(),
-                    kind: RelKind::Document,
-                    cond: None,
-                }],
-                where_cond: None,
-                select: vec![(var.into(), "url".into())],
-            },
-        }
+        let query = NodeQuery {
+            vars: vec![VarDecl {
+                name: var.into(),
+                kind: RelKind::Document,
+                cond: None,
+            }],
+            where_cond: None,
+            select: vec![(var.into(), "url".into())],
+        };
+        Stage::new(parse_pre(pre).unwrap(), var.into(), query)
     }
 
     #[test]

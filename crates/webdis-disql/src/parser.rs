@@ -494,11 +494,7 @@ impl Parser {
             query
                 .validate()
                 .map_err(|e| DisqlError::new(0, e.message))?;
-            stages.push(Stage {
-                pre: stage.pre,
-                doc_var: stage.doc_var,
-                query,
-            });
+            stages.push(Stage::new(stage.pre, stage.doc_var, query));
         }
         Ok(WebQuery {
             start_nodes,

@@ -1,15 +1,16 @@
-//! Single-pass document extraction: title, text, anchors, rel-infons.
-//!
-//! Every byte of body text is written once, into [`ParsedDoc::text`]. An
-//! anchor label or a rel-infon is the stretch of that buffer between the
-//! point where its tag opened and the point where it closed, so it is
-//! recorded as a span and lent out as a `&str` — a document nested `n`
-//! deep holds one copy of its text, not `n`.
+//! The Database Constructor's one pass over a page. [`ParsedDoc::parse`]
+//! finds each `<` by byte search, classifies the tag name where it stands
+//! and reads an `<a>`'s `href` alone. It normalises the title as it meets
+//! it, and records the body text as byte ranges of the page, normalised
+//! on the first read of the text, a label or a rel-infon's text (the runs
+//! between its tag's opening and closing): a query that reads only the
+//! title and the links never pays for it.
 
 use std::borrow::Cow;
-use std::ops::Range;
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
-use crate::token::{decode_entities, tokenize, Token};
+use crate::entity::decode_entities;
 
 /// An anchor as found in the document: the raw (unresolved) `href` and the
 /// hypertext label. Resolution against the base URL and link-type
@@ -17,7 +18,7 @@ use crate::token::{decode_entities, tokenize, Token};
 /// document's own URL.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawAnchor<'a> {
-    /// The raw `href` attribute value.
+    /// The raw `href` attribute value, entity-decoded.
     pub href: &'a str,
     /// The anchor's enclosed text, whitespace-normalized.
     pub label: &'a str,
@@ -41,28 +42,94 @@ pub struct RelInfon<'a> {
     pub text: &'a str,
 }
 
-/// A byte range of one of [`ParsedDoc`]'s two buffers.
-type Span = Range<usize>;
+/// A string of a parse result: a byte range of the page, or from
+/// `page.len()` on, of the result's own buffer of what had to change from
+/// the page's bytes (a tag name folded, an href decoded).
+type Str = (usize, usize);
 
-/// The result of the Database Constructor's single pass over a document.
-///
-/// The fields are private because the anchor and rel-infon spans are only
-/// meaningful against the buffers they were cut from.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ParsedDoc {
-    title: String,
+/// A stretch of body text as it stands in the page (a byte range), and
+/// whether a word boundary (a block tag, a separator, a stretch of nothing
+/// but ASCII whitespace) lies between it and the run before.
+type Run = (usize, usize, bool);
+
+/// The body text between two points of the scan, as the runs `from..to`:
+/// a point is the number of runs recorded when it was passed.
+type Segment = (usize, usize);
+
+/// The body text, decoded and normalised; `at[k]` is its length after runs
+/// `..k`.
+#[derive(Debug, Clone)]
+struct Body {
     text: String,
-    raw_len: usize,
-    /// Anchor hrefs and rel-infon delimiters, back to back.
-    names: String,
-    /// (href in `names`, label in `text`), in document order.
-    anchors: Vec<(Span, Span)>,
-    /// (delimiter in `names`, text in `text`), in document order
-    /// (close-tag order for containers).
-    relinfons: Vec<(Span, Span)>,
+    at: Vec<usize>,
+}
+
+impl Body {
+    fn form(page: &str, runs: &[Run]) -> Body {
+        let mut text = String::with_capacity(runs.iter().map(|r| r.1 - r.0).sum());
+        let mut at = Vec::with_capacity(runs.len() + 1);
+        at.push(0);
+        let mut pending_space = false;
+        for &(start, end, gap) in runs {
+            pending_space |= gap;
+            let raw = decode_entities(&page[start..end]);
+            append_normalized(&mut text, &mut pending_space, &raw);
+            at.push(text.len());
+        }
+        // A space is only ever written in front of a word, so the text
+        // needs no trimming and the points taken along the way index it.
+        debug_assert_eq!(text, text.trim());
+        Body { text, at }
+    }
+
+    fn segment(&self, (from, to): Segment) -> &str {
+        self.text[self.at[from]..self.at[to]].trim()
+    }
+}
+
+/// The result of the Database Constructor's single pass over a document,
+/// sharing the page: its ranges and run numbers are only meaningful
+/// against that page, so its fields are private.
+#[derive(Debug, Clone, Default)]
+pub struct ParsedDoc {
+    page: Arc<str>,
+    title: String,
+    runs: Vec<Run>,
+    /// Folded tag names and decoded hrefs, back to back.
+    own: String,
+    /// (href, label), in document order.
+    anchors: Vec<(Str, Segment)>,
+    /// (delimiter, text), in document order (close-tag order for
+    /// containers).
+    relinfons: Vec<(Str, Segment)>,
+    /// Formed on the first read of the text, a label or a rel-infon, by
+    /// one of any racing threads.
+    body: OnceLock<Body>,
 }
 
 impl ParsedDoc {
+    /// Parses `page` in a single pass, sharing it.
+    pub fn parse(page: Arc<str>) -> ParsedDoc {
+        // Presized in proportion to the page: a short page allocates
+        // little, a typical one grows none of them.
+        let len = page.len();
+        let doc = ParsedDoc {
+            page: Arc::clone(&page),
+            runs: Vec::with_capacity(len / 64),
+            anchors: Vec::with_capacity(len / 256),
+            relinfons: Vec::with_capacity(len / 256),
+            ..ParsedDoc::default()
+        };
+        let scan = Scan {
+            page: &page,
+            doc,
+            open: Vec::with_capacity(len / 512),
+            open_count: HashMap::with_capacity(len / 512),
+            ..Scan::default()
+        };
+        scan.run()
+    }
+
     /// Contents of `<title>` (whitespace-normalized; empty if absent).
     pub fn title(&self) -> &str {
         &self.title
@@ -70,54 +137,68 @@ impl ParsedDoc {
 
     /// All character data outside the title, whitespace-normalized.
     pub fn text(&self) -> &str {
-        &self.text
+        &self.body().text
     }
 
     /// Length of the raw HTML in bytes — the DOCUMENT relation's `length`.
     pub fn raw_len(&self) -> usize {
-        self.raw_len
+        self.page.len()
     }
 
-    /// Anchors in document order.
+    /// Anchor hrefs in document order, without forming the body text.
+    pub fn hrefs(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.anchors.iter().map(|&(href, _)| self.str(href))
+    }
+
+    /// Anchors in document order; the first label read forms the body
+    /// text.
     pub fn anchors(&self) -> impl ExactSizeIterator<Item = RawAnchor<'_>> {
-        self.anchors.iter().map(|(href, label)| RawAnchor {
-            href: &self.names[href.clone()],
-            label: &self.text[label.clone()],
+        self.anchors.iter().map(|&(href, label)| RawAnchor {
+            href: self.str(href),
+            label: self.body().segment(label),
         })
     }
 
-    /// Rel-infons in document order (close-tag order for containers).
+    /// Rel-infon delimiters in [`relinfons`](ParsedDoc::relinfons) order,
+    /// without forming the body text.
+    pub fn delimiters(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.relinfons.iter().map(|&(name, _)| self.str(name))
+    }
+
+    /// Rel-infons in document order (close-tag order for containers); the
+    /// first one read forms the body text.
     pub fn relinfons(&self) -> impl ExactSizeIterator<Item = RelInfon<'_>> {
-        self.relinfons.iter().map(|(delimiter, text)| RelInfon {
-            delimiter: &self.names[delimiter.clone()],
-            text: &self.text[text.clone()],
+        self.relinfons.iter().map(|&(name, text)| RelInfon {
+            delimiter: self.str(name),
+            text: self.body().segment(text),
         })
     }
 
-    /// Appends `name` to the name buffer.
-    fn push_name(&mut self, name: &str) -> Span {
-        let start = self.names.len();
-        self.names.push_str(name);
-        start..self.names.len()
+    /// True once the body text has been formed.
+    pub fn text_formed(&self) -> bool {
+        self.body.get().is_some()
     }
 
-    /// `text[mark..].trim()`, as a span of `text`.
-    fn trimmed_from(&self, mark: usize) -> Span {
-        let tail = &self.text[mark..];
-        let start = mark + (tail.len() - tail.trim_start().len());
-        start..start + tail.trim().len()
+    fn body(&self) -> &Body {
+        self.body.get_or_init(|| Body::form(&self.page, &self.runs))
     }
 
-    fn close_relinfon(&mut self, delimiter: &str, mark: usize) {
-        let entry = (self.push_name(delimiter), self.trimmed_from(mark));
-        self.relinfons.push(entry);
+    fn str(&self, s: Str) -> &str {
+        text_of(&self.page, &self.own, s)
     }
+}
 
-    fn close_anchor(&mut self, open: &mut Option<(Span, usize)>) {
-        if let Some((href, mark)) = open.take() {
-            self.anchors.push((href, self.trimmed_from(mark)));
-        }
+fn text_of<'s>(page: &'s str, own: &'s str, (start, end): Str) -> &'s str {
+    match start.checked_sub(page.len()) {
+        Some(at) => &own[at..at + (end - start)],
+        None => &page[start..end],
     }
+}
+
+/// Parses an HTML document in a single pass; [`ParsedDoc::parse`] over a
+/// shared copy of `input`.
+pub fn parse_html(input: &str) -> ParsedDoc {
+    ParsedDoc::parse(input.into())
 }
 
 /// What a tag means to the extraction pass, decided by one `match`.
@@ -147,93 +228,283 @@ fn classify(name: &str) -> Tag {
     }
 }
 
-/// Parses an HTML document in a single pass.
-pub fn parse_html(input: &str) -> ParsedDoc {
-    // Normalized text is never longer than its source; hrefs and tag
-    // names are a small share of it.
-    let mut doc = ParsedDoc {
-        raw_len: input.len(),
-        text: String::with_capacity(input.len()),
-        names: String::with_capacity(input.len() / 16),
-        ..ParsedDoc::default()
-    };
-    // Whether a word boundary has been crossed since each buffer's last
-    // word.
-    let mut pending_space = false;
-    let mut title_space = false;
+/// Tags whose raw content is skipped to their end tag: it is not text.
+const RAWTEXT_TAGS: [&str; 2] = ["script", "style"];
 
-    // Open container elements: (tag name, start offset in `doc.text`).
-    let mut open: Vec<(Cow<'_, str>, usize)> = Vec::new();
-    // Currently open anchor: (href, start offset).
-    let mut open_anchor: Option<(Span, usize)> = None;
-    // Per separator tag, the offset of the previous occurrence.
-    let mut sep_marks: [usize; 2] = [0, 0];
-    let mut in_title = false;
+/// One pass over a page, filling in its [`ParsedDoc`].
+#[derive(Default)]
+struct Scan<'a> {
+    page: &'a str,
+    doc: ParsedDoc,
+    /// Whether a word boundary was crossed since the title's last word,
+    /// and since the last body run.
+    title_space: bool,
+    gap: bool,
+    in_title: bool,
+    /// The open anchor's href and the point where it opened.
+    open_anchor: Option<(Str, usize)>,
+    /// Open containers, innermost last: (name, point of opening).
+    open: Vec<(Str, usize)>,
+    /// How many containers of each name are open, so an end tag with no
+    /// open match is turned away without searching `open`.
+    open_count: HashMap<Cow<'a, str>, usize>,
+    /// Per separator tag, the point of its previous occurrence.
+    sep_marks: [usize; 2],
+    /// The last `>` found, which ends every markup construct that starts
+    /// before it, and whether a search found none, after which none will:
+    /// an unterminated tail of `<x`s is searched once, not once per `<`.
+    gt: Option<usize>,
+    no_gt: bool,
+}
 
-    for tok in tokenize(input) {
-        match tok {
-            Token::Text(run) => {
-                if in_title {
-                    append_normalized(&mut doc.title, &mut title_space, &run);
-                } else {
-                    append_normalized(&mut doc.text, &mut pending_space, &run);
-                }
+impl<'a> Scan<'a> {
+    fn run(mut self) -> ParsedDoc {
+        let page = self.page;
+        // Everything before `pos` has been read; text starts there.
+        let (mut pos, mut from) = (0, 0);
+        while let Some(lt) = find_byte(b'<', page, from) {
+            // A lone '<' that does not begin valid markup is text.
+            from = lt + 1;
+            if let Some(end) = self.markup(pos, lt) {
+                (pos, from) = (end, end);
             }
-            Token::StartTag {
-                name,
-                mut attrs,
-                self_closing,
-            } => match classify(&name) {
-                Tag::Title => in_title = true,
-                Tag::Separator(idx) => {
-                    pending_space = true;
-                    doc.close_relinfon(&name, sep_marks[idx]);
-                    sep_marks[idx] = doc.text.len();
+        }
+        self.text(pos, page.len());
+        // Implicitly close what remains open at EOF.
+        self.close_anchor();
+        let to = self.doc.runs.len();
+        while let Some((name, from)) = self.open.pop() {
+            self.doc.relinfons.push((name, (from, to)));
+        }
+        debug_assert_eq!(self.doc.title, self.doc.title.trim());
+        self.doc
+    }
+
+    /// Reads the markup that starts with the `<` at `lt`, after recording
+    /// the text from `pos` to it, and returns the offset just past it;
+    /// `None`, recording nothing, if it is not valid markup.
+    fn markup(&mut self, pos: usize, lt: usize) -> Option<usize> {
+        let page = self.page;
+        let bytes = &page.as_bytes()[lt..];
+        let end = match bytes.get(1)? {
+            // An unterminated comment swallows the rest of the input.
+            _ if bytes.starts_with(b"<!--") => page[lt + 4..]
+                .find("-->")
+                .map_or(page.len(), |p| lt + p + 7),
+            b'!' | b'?' => self.find_gt(lt)? + 1,
+            b'/' => {
+                let gt = self.find_gt(lt)?;
+                let inner = page[lt + 2..gt].trim_start();
+                let name = &inner[..alnum_prefix(inner)];
+                if name.is_empty() {
+                    return None;
                 }
-                Tag::Void => {}
-                tag if self_closing => pending_space |= tag == Tag::Block,
-                Tag::Anchor => {
-                    // An <a> while another is open implicitly closes it.
-                    doc.close_anchor(&mut open_anchor);
-                    if let Some((_, href)) = attrs.find(|(n, _)| n.eq_ignore_ascii_case("href")) {
-                        let href = doc.push_name(&decode_entities(href));
-                        open_anchor = Some((href, doc.text.len()));
-                    }
-                }
-                tag => {
-                    pending_space |= tag == Tag::Block;
-                    open.push((name, doc.text.len()));
-                }
-            },
-            Token::EndTag { name } => match classify(&name) {
-                Tag::Title => in_title = false,
-                Tag::Anchor => doc.close_anchor(&mut open_anchor),
-                tag => {
-                    pending_space |= tag == Tag::Block;
-                    // Find the matching open tag; everything above it is
-                    // implicitly closed (and emits its rel-infon too, so
-                    // malformed nesting still yields usable segments).
-                    if let Some(pos) = open.iter().rposition(|(n, _)| *n == name) {
-                        for (tag, mark) in open.drain(pos..).rev() {
-                            doc.close_relinfon(&tag, mark);
-                        }
-                    }
-                }
-            },
-            Token::Comment(_) => {}
+                self.text(pos, lt);
+                self.end_tag(lower(name));
+                return Some(gt + 1);
+            }
+            b if b.is_ascii_alphabetic() => {
+                let gt = self.find_gt(lt)?;
+                // `bytes[1]` is a letter, so a `/` before the `>` is not it.
+                let self_closing = page.as_bytes()[gt - 1] == b'/';
+                let inner = &page[lt + 1..gt - usize::from(self_closing)];
+                let (name, attrs) = inner.split_at(alnum_prefix(inner));
+                self.text(pos, lt);
+                return Some(self.start_tag(lower(name), attrs, self_closing, gt + 1));
+            }
+            _ => return None,
+        };
+        self.text(pos, lt);
+        Some(end)
+    }
+
+    /// Records the text `start..end`: into the title while it is open,
+    /// else as a body run, or a word boundary if it is ASCII whitespace.
+    fn text(&mut self, start: usize, end: usize) {
+        let raw = &self.page[start..end];
+        if self.in_title {
+            // Decoding and normalising never lengthen text.
+            self.doc.title.reserve(raw.len());
+            let raw = decode_entities(raw);
+            append_normalized(&mut self.doc.title, &mut self.title_space, &raw);
+        } else if raw.bytes().all(|b| b.is_ascii_whitespace()) {
+            self.gap |= !raw.is_empty();
+        } else {
+            let gap = std::mem::take(&mut self.gap);
+            self.doc.runs.push((start, end, gap));
         }
     }
-    // Implicitly close what remains open at EOF.
-    doc.close_anchor(&mut open_anchor);
-    for (tag, mark) in open.into_iter().rev() {
-        doc.close_relinfon(&tag, mark);
+
+    /// `s` as a string of the parse result: the page's own bytes when it
+    /// was cut from the page, else a copy in the result's buffer.
+    fn keep(&mut self, s: &str) -> Str {
+        let at = (s.as_ptr() as usize).wrapping_sub(self.page.as_ptr() as usize);
+        if at
+            .checked_add(s.len())
+            .is_some_and(|end| end <= self.page.len())
+        {
+            return (at, at + s.len());
+        }
+        self.doc.own.push_str(s);
+        let end = self.page.len() + self.doc.own.len();
+        (end - s.len(), end)
     }
 
-    // A space is only ever written in front of a word, so neither buffer
-    // needs trimming and the spans taken along the way still index `text`.
-    debug_assert_eq!(doc.text, doc.text.trim());
-    debug_assert_eq!(doc.title, doc.title.trim());
-    doc
+    /// Handles a start tag whose markup ends at `end`, and returns where
+    /// the scan goes on: there, or past the raw content of a `<script>`
+    /// or `<style>`.
+    fn start_tag(
+        &mut self,
+        name: Cow<'a, str>,
+        attrs: &'a str,
+        self_closing: bool,
+        end: usize,
+    ) -> usize {
+        let point = self.doc.runs.len();
+        match classify(&name) {
+            Tag::Title => self.in_title = true,
+            Tag::Separator(idx) => {
+                self.gap = true;
+                let from = std::mem::replace(&mut self.sep_marks[idx], point);
+                let name = self.keep(&name);
+                self.doc.relinfons.push((name, (from, point)));
+            }
+            Tag::Void => {}
+            tag if self_closing => self.gap |= tag == Tag::Block,
+            Tag::Anchor => {
+                // An <a> while another is open implicitly closes it.
+                self.close_anchor();
+                if let Some(href) = href_in(attrs) {
+                    let href = self.keep(&decode_entities(href));
+                    self.open_anchor = Some((href, point));
+                }
+            }
+            tag => {
+                self.gap |= tag == Tag::Block;
+                let kept = self.keep(&name);
+                self.open.push((kept, point));
+                let rawtext = RAWTEXT_TAGS.into_iter().find(|t| *t == name);
+                *self.open_count.entry(name).or_insert(0) += 1;
+                // Skip raw content to the matching end tag, or to the end.
+                if let Some(tag) = rawtext {
+                    let rest = &self.page[end..];
+                    let Some(at) = find_close_tag(rest, tag) else {
+                        return self.page.len();
+                    };
+                    self.end_tag(Cow::Borrowed(tag));
+                    return end + rest[at..].find('>').map_or(rest.len(), |p| at + p + 1);
+                }
+            }
+        }
+        end
+    }
+
+    fn end_tag(&mut self, name: Cow<'a, str>) {
+        match classify(&name) {
+            Tag::Title => self.in_title = false,
+            Tag::Anchor => self.close_anchor(),
+            tag => {
+                self.gap |= tag == Tag::Block;
+                if self.open_count.get(&name).is_none_or(|&n| n == 0) {
+                    return;
+                }
+                // The innermost open container of this name; everything
+                // above it is implicitly closed (and emits its rel-infon
+                // too, so malformed nesting still yields usable segments).
+                let (page, own, to) = (self.page, &self.doc.own, self.doc.runs.len());
+                let named = |&(kept, _): &(Str, usize)| text_of(page, own, kept) == name;
+                let at = self
+                    .open
+                    .iter()
+                    .rposition(named)
+                    .expect("a counted container");
+                for (kept, from) in self.open.drain(at..).rev() {
+                    let count = self.open_count.get_mut(text_of(page, own, kept));
+                    *count.expect("counted when opened") -= 1;
+                    self.doc.relinfons.push((kept, (from, to)));
+                }
+            }
+        }
+    }
+
+    fn close_anchor(&mut self) {
+        if let Some((href, from)) = self.open_anchor.take() {
+            self.doc.anchors.push((href, (from, self.doc.runs.len())));
+        }
+    }
+
+    /// Offset of the first `>` at or after `from`, which only grows from
+    /// call to call.
+    fn find_gt(&mut self, from: usize) -> Option<usize> {
+        if !self.no_gt && self.gt.is_none_or(|gt| from > gt) {
+            self.gt = find_byte(b'>', self.page, from);
+            self.no_gt = self.gt.is_none();
+        }
+        self.gt
+    }
+}
+
+/// A tag name, ASCII-lower-cased: borrowed unless it has an upper-case
+/// letter to fold.
+fn lower(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+/// Offset of the first ASCII `byte` in `s` at or after `from` (a character
+/// boundary), found by the standard library's word-at-a-time byte search.
+fn find_byte(byte: u8, s: &str, from: usize) -> Option<usize> {
+    s.get(from..)?.find(char::from(byte)).map(|p| from + p)
+}
+
+/// Length of the leading run of ASCII letters and digits.
+fn alnum_prefix(s: &str) -> usize {
+    s.bytes()
+        .position(|b| !b.is_ascii_alphanumeric())
+        .unwrap_or(s.len())
+}
+
+/// Offset of the first `</name` in `haystack`, ASCII case-insensitively.
+fn find_close_tag(haystack: &str, name: &str) -> Option<usize> {
+    let bytes = haystack.as_bytes();
+    haystack.match_indices("</").map(|(at, _)| at).find(|at| {
+        bytes[at + 2..]
+            .get(..name.len())
+            .is_some_and(|n| n.eq_ignore_ascii_case(name.as_bytes()))
+    })
+}
+
+/// The value of the first `href` attribute in `attrs` (a start tag after
+/// its name), unquoted, not yet decoded: a slice of `attrs`. Accepts `name`, `name=value`,
+/// `name="value"`, `name='value'`, in any mix, tolerant of stray junk; a
+/// bare `href` has the empty value.
+fn href_in(mut attrs: &str) -> Option<&str> {
+    let space = |c: char| c.is_ascii_whitespace();
+    loop {
+        // Skip whitespace and separators.
+        attrs = attrs.trim_start_matches(|c: char| !c.is_ascii_alphanumeric() && c != '_');
+        let name_end = attrs.find(|c: char| !c.is_ascii_alphanumeric() && !"-_".contains(c));
+        let (name, rest) = attrs.split_at(name_end.unwrap_or(attrs.len()));
+        if name.is_empty() {
+            return None;
+        }
+        let rest = rest.trim_start_matches(space);
+        let value;
+        (value, attrs) = match rest.strip_prefix('=').map(|v| v.trim_start_matches(space)) {
+            None => (&rest[..0], rest),
+            Some(v) if v.starts_with(['"', '\'']) => {
+                let (quote, v) = v.split_at(1);
+                v.split_once(quote).unwrap_or((v, ""))
+            }
+            Some(v) => v.split_at(v.find(space).unwrap_or(v.len())),
+        };
+        if name.eq_ignore_ascii_case("href") {
+            return Some(value);
+        }
+    }
 }
 
 /// Appends a raw text run to `out`, collapsing internal whitespace runs to
@@ -495,5 +766,67 @@ Faculty list
         assert_eq!(doc.text(), "a b c d");
         assert_eq!(relinfon(&doc, "b"), "a b c");
         assert_eq!(relinfon(&doc, "i"), "d");
+    }
+
+    #[test]
+    fn the_body_is_formed_on_its_first_read_and_only_then() {
+        let doc = parse_html(SAMPLE);
+        assert_eq!(doc.title(), "Database Systems Lab People");
+        let hrefs: Vec<_> = doc.hrefs().collect();
+        assert_eq!(hrefs, ["students.html", "http://csa.iisc.ernet.in/"]);
+        let delimiters: Vec<_> = doc.delimiters().collect();
+        assert_eq!(
+            delimiters,
+            ["head", "h1", "b", "p", "hr", "hr", "body", "html"]
+        );
+        assert_eq!((doc.anchors().len(), doc.relinfons().len()), (2, 8));
+        assert!(
+            !doc.text_formed(),
+            "titles, hrefs, delimiters and counts read no text"
+        );
+        assert_eq!(doc.anchors().next().unwrap().label, "Students");
+        assert!(doc.text_formed());
+        // A copy carries the text formed so far.
+        assert!(doc.clone().text_formed());
+    }
+
+    #[test]
+    fn upper_case_names_and_encoded_hrefs_are_kept_apart_from_the_page() {
+        let doc = parse_html(r#"<B>x</b><A HREF="a&amp;b">y</A><HR>"#);
+        let delimiters: Vec<_> = doc.delimiters().collect();
+        assert_eq!(delimiters, ["b", "hr"]);
+        assert_eq!(doc.hrefs().next(), Some("a&b"));
+        assert_eq!(doc.text(), "xy");
+    }
+
+    #[test]
+    fn raw_content_is_skipped_and_its_container_closed() {
+        let doc = parse_html("x<SCRIPT>if (a<b) {}</ScRiPt junk>y<style>z");
+        assert_eq!(doc.text(), "xy");
+        assert_eq!(relinfons(&doc, "script"), [""]);
+        assert_eq!(relinfons(&doc, "style"), [""]);
+    }
+
+    #[test]
+    fn an_end_tag_with_nothing_open_of_its_name_closes_nothing() {
+        let doc = parse_html("<b>x</i></i><i>y</b>");
+        let found: Vec<_> = doc.relinfons().map(|r| (r.delimiter, r.text)).collect();
+        assert_eq!(found, [("i", "y"), ("b", "xy")]);
+    }
+
+    /// Every `<x` with no `>` after it used to rescan to the end of input:
+    /// 160 KB of `<a` took a third of a second and quadrupled per doubling.
+    #[test]
+    fn unterminated_markup_is_scanned_once() {
+        // Debug builds are too slow for a wall-clock bound to mean much.
+        if cfg!(debug_assertions) {
+            return;
+        }
+        let input = "<a".repeat(1 << 20);
+        let started = std::time::Instant::now();
+        let doc = parse_html(&input);
+        let elapsed = started.elapsed();
+        assert_eq!(doc.text(), input);
+        assert!(elapsed.as_millis() < 1000, "2 MB of `<a` took {elapsed:?}");
     }
 }

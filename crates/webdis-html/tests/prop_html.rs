@@ -1,11 +1,11 @@
-//! Fuzz-style property tests: the tokenizer and parser are total — any
+//! Fuzz-style property tests: the parser is total — any
 //! byte soup a 1999 web server might emit must produce *some* document,
 //! never a panic — and well-formed documents round-trip their content;
 //! and the whitespace normaliser, which copies a stretch of normal text at
 //! a time, agrees with the reference parser's per-character one.
 
 use proptest::prelude::*;
-use webdis_html::{parse_html, tokenize, Token};
+use webdis_html::parse_html;
 
 #[allow(dead_code)]
 mod reference;
@@ -55,11 +55,9 @@ const WHITESPACE_HEAVY: &[&str] = &[
 #[test]
 fn pinned_regression_malformed_entity_before_astral_char() {
     let input = "&0aAa A a\u{10000}";
-    let tokens: Vec<_> = tokenize(input).collect();
-    assert_eq!(tokens.len(), 1, "one text run: {tokens:?}");
-    assert!(matches!(&tokens[0], Token::Text(t) if t == input));
     let doc = parse_html(input);
     assert_eq!(doc.text(), input);
+    normalised_as_reference(input).unwrap();
 }
 
 /// The stretches the normaliser copies whole must end where a
@@ -101,21 +99,16 @@ proptest! {
     }
 
     /// Arbitrary strings (including '<', '&', quotes, control chars)
-    /// never panic the tokenizer or the parser.
+    /// never panic the parser, and every delimiter it reports is a
+    /// lower-cased tag name.
     #[test]
     fn parser_is_total_on_arbitrary_text(input in ".{0,400}") {
-        let _ = parse_html(&input);
-        // Tokens reassemble into *something* non-larger only in benign
-        // cases; here we just require totality and sane token kinds.
-        for t in tokenize(&input) {
-            match t {
-                Token::StartTag { name, .. } | Token::EndTag { name } => {
-                    prop_assert!(!name.is_empty());
-                    prop_assert!(name.chars().all(|c| c.is_ascii_alphanumeric()));
-                }
-                Token::Text(_) | Token::Comment(_) => {}
-            }
+        let doc = parse_html(&input);
+        for name in doc.delimiters() {
+            prop_assert!(!name.is_empty());
+            prop_assert!(name.bytes().all(|b| b.is_ascii_digit() || b.is_ascii_lowercase()));
         }
+        let _ = (doc.text(), doc.anchors().count(), doc.relinfons().count());
     }
 
     /// Markup-dense random input (many angle brackets) is also safe.
@@ -147,7 +140,7 @@ proptest! {
     }
 
     /// A generated well-formed page preserves its title, link hrefs and
-    /// visible words through tokenize+parse.
+    /// visible words through the parser.
     #[test]
     fn well_formed_round_trip(
         title in "[a-zA-Z][a-zA-Z0-9 ]{0,30}",

@@ -42,9 +42,9 @@ impl WebGraph {
 
     /// Adds a typed edge, creating both endpoints if absent. The link's
     /// type is classified from the URLs.
-    pub fn add_link(&mut self, base: &Url, href: &Url, label: &str) {
+    pub fn add_link(&mut self, base: &Url, href: &Url) {
         let base = base.without_fragment();
-        let link = Link::new(base.clone(), href.clone(), label);
+        let link = Link::new(base.clone(), href.clone());
         self.add_node(href.without_fragment());
         match self.nodes.entry(base) {
             Entry::Occupied(mut e) => e.get_mut().out.push(link),
@@ -146,9 +146,9 @@ mod tests {
         let a = url("http://s1/a");
         let b = url("http://s1/b");
         let c = url("http://s2/c");
-        g.add_link(&a, &b, "ab"); // local
-        g.add_link(&b, &c, "bc"); // global
-        g.add_link(&c, &a, "ca"); // global
+        g.add_link(&a, &b); // local
+        g.add_link(&b, &c); // global
+        g.add_link(&c, &a); // global
         g
     }
 
@@ -209,7 +209,7 @@ mod tests {
         let mut g = triangle();
         let a = url("http://s1/a");
         let dangling = url("http://gone/d");
-        g.add_link(&a, &dangling, "dead");
+        g.add_link(&a, &dangling);
         // `add_link` creates the destination node, so remove it by building
         // a graph where the destination was never added: simulate by
         // checking on a graph whose link target has no node entry.
@@ -221,7 +221,7 @@ mod tests {
             .get_mut(&a)
             .unwrap()
             .out
-            .push(Link::new(a.clone(), dangling.clone(), "dead"));
+            .push(Link::new(a.clone(), dangling.clone()));
         assert_eq!(g2.floating_links().len(), 1);
         assert_eq!(g.floating_links().len(), 0);
     }

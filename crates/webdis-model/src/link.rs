@@ -84,22 +84,15 @@ pub struct Link {
     pub base: Url,
     /// The (resolved, absolute) destination.
     pub href: Url,
-    /// The anchor's hypertext label.
-    pub label: String,
     /// Classification of `base -> href`.
     pub ltype: LinkType,
 }
 
 impl Link {
     /// Builds a link, classifying its type from the two URLs.
-    pub fn new(base: Url, href: Url, label: impl Into<String>) -> Link {
+    pub fn new(base: Url, href: Url) -> Link {
         let ltype = LinkType::classify(&base, &href);
-        Link {
-            base,
-            href,
-            label: label.into(),
-            ltype,
-        }
+        Link { base, href, ltype }
     }
 }
 
@@ -160,8 +153,7 @@ mod tests {
 
     #[test]
     fn link_new_classifies() {
-        let l = Link::new(url("http://h/a"), url("http://g/b"), "go");
+        let l = Link::new(url("http://h/a"), url("http://g/b"));
         assert_eq!(l.ltype, LinkType::Global);
-        assert_eq!(l.label, "go");
     }
 }

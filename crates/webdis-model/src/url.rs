@@ -86,43 +86,15 @@ impl Url {
 
     /// [`Url::parse`], with the host's shared form taken from `shared`.
     fn parse_in(input: &str, shared: impl FnOnce(&str) -> Arc<str>) -> Result<Url, UrlParseError> {
-        let err = |reason| UrlParseError {
-            input: input.to_owned(),
-            reason,
-        };
         let s = input.trim();
-        if s.is_empty() {
-            return Err(err("empty string"));
-        }
-        let rest = strip_scheme(s).transpose()?.unwrap_or(s);
-        // Split off fragment first: it may contain '/'.
-        let (rest, fragment) = match rest.split_once('#') {
-            Some((r, "")) => (r, None),
-            Some((r, f)) => (r, Some(f.to_owned())),
-            None => (rest, None),
+        let from = match scheme(s) {
+            _ if s.is_empty() => Err("empty string"),
+            Scheme::Http(at) => Ok(at),
+            Scheme::Other => return Err(error(s, "unsupported scheme")),
+            Scheme::Name | Scheme::None => Ok(0),
         };
-        let (authority, path) = match rest.find('/') {
-            Some(idx) => (&rest[..idx], &rest[idx..]),
-            None => (rest, "/"),
-        };
-        if authority.is_empty() {
-            return Err(err("missing host"));
-        }
-        let (host, port) = match authority.rsplit_once(':') {
-            Some((h, p)) => {
-                let port: u16 = p.parse().map_err(|_| err("invalid port number"))?;
-                (h, port)
-            }
-            None => (authority, 80u16),
-        };
-        if host.is_empty() {
-            return Err(err("missing host"));
-        }
-        if host.contains(['/', '?', '#', ' ']) {
-            return Err(err("invalid character in host"));
-        }
-        let path = normalize_path(path.into());
-        Ok(Url::new(shared(host), port, path, fragment))
+        let url = from.and_then(|from| absolute(s, from, shared));
+        url.map_err(|reason| error(input, reason))
     }
 
     fn new(host: Arc<str>, port: u16, path: String, fragment: Option<String>) -> Url {
@@ -138,7 +110,9 @@ impl Url {
     /// programmatic construction (e.g. by the synthetic web generator).
     pub fn from_parts(host: &str, port: u16, path: &str) -> Self {
         // A leading `/` doubled by this one is collapsed.
-        let path = normalize_path(format!("/{path}").into());
+        let path = format!("/{path}");
+        let normal = is_normal(&path);
+        let path = normalize_path(path.into(), normal);
         Url::new(lowercase(host), port, path, None)
     }
 
@@ -230,44 +204,40 @@ impl Resolver<'_> {
     /// The URL `reference` names; see [`Url::resolve`].
     pub fn resolve(&mut self, reference: &str) -> Result<Url, UrlParseError> {
         let base = self.base;
-        let reference = reference.trim();
-        if reference.is_empty() {
+        let s = reference.trim();
+        if s.is_empty() {
             return Ok(base.clone());
         }
-        if let Some(frag) = reference.strip_prefix('#') {
+        if let Some(frag) = s.strip_prefix('#') {
             return Ok(base.with_fragment((!frag.is_empty()).then(|| frag.to_owned())));
         }
-        if strip_scheme(reference).is_some() {
-            return Url::parse_in(reference, |name| self.host(name));
-        }
-        if has_scheme_prefix(reference) {
-            // `mailto:x@y`, `ftp://h/p`, `javascript:...` — not part of the
-            // http web model.
-            return Err(UrlParseError {
-                input: reference.to_owned(),
-                reason: "unsupported scheme",
-            });
-        }
-        if let Some(rest) = reference.strip_prefix("//") {
-            return Url::parse_in(&format!("http://{rest}"), |name| self.host(name));
-        }
-        // Path (absolute or relative) with optional fragment.
-        let (path_part, fragment) = match reference.split_once('#') {
-            Some((p, "")) => (p, None),
-            Some((p, f)) => (p, Some(f.to_owned())),
-            None => (reference, None),
+        let from = match scheme(s) {
+            Scheme::Http(at) => at,
+            // `mailto:x@y`, `ftp://h/p`, `javascript:...` — not part of
+            // the http web model.
+            Scheme::Other | Scheme::Name => return Err(error(s, "unsupported scheme")),
+            Scheme::None if s.starts_with("//") => 2,
+            Scheme::None => return Ok(self.path(s)),
         };
-        let merged = if path_part.starts_with('/') {
-            Cow::Borrowed(path_part)
+        absolute(s, from, |name| self.host(name)).map_err(|reason| error(s, reason))
+    }
+
+    /// The URL of a path reference, absolute or relative, with an optional
+    /// fragment.
+    fn path(&self, s: &str) -> Url {
+        let (base, split) = (self.base, Split::of(s, 0));
+        let path = &s[..split.hash.unwrap_or(s.len())];
+        let merged = if path.starts_with('/') {
+            normalize_path(path.into(), !split.irregular)
         } else {
-            // Resolve against the directory of the base path.
-            Cow::Owned(match base.path().rfind('/') {
-                Some(idx) => format!("{}{}", &base.path()[..=idx], path_part),
-                None => format!("/{path_part}"),
-            })
+            // Against the directory of the base path: normal when the
+            // directory is and the reference adds no `/.`, `//` or `.`.
+            let dir = &base.path()[..=base.path().rfind('/').expect("an absolute path")];
+            let normal = is_normal(dir) && !split.irregular && !path.starts_with('.');
+            normalize_path([dir, path].concat().into(), normal)
         };
-        let (host, path) = (Arc::clone(&base.0.host), normalize_path(merged));
-        Ok(Url::new(host, base.port(), path, fragment))
+        let host = Arc::clone(&base.0.host);
+        Url::new(host, base.port(), merged, split.fragment(s))
     }
 
     /// `name` lower-cased: the table's copy, or a new one it keeps while
@@ -282,6 +252,109 @@ impl Resolver<'_> {
         }
         lowercase(name)
     }
+}
+
+/// What a reference's first `:` makes of it: `http://` or `https://`, in
+/// any case, and the offset after it; another scheme and `://`; a scheme
+/// name and `:` with no `//` (`mailto:x`, or `h:8080/`: a host and port to
+/// [`Url::parse`], not a path to [`Url::resolve`]); or none of these.
+enum Scheme {
+    Http(usize),
+    Other,
+    Name,
+    None,
+}
+
+fn scheme(s: &str) -> Scheme {
+    let Some((name, rest)) = s.split_once(':') else {
+        return Scheme::None;
+    };
+    let http = name.eq_ignore_ascii_case("http") || name.eq_ignore_ascii_case("https");
+    let scheme_byte = |b: &u8| b.is_ascii_alphanumeric() || matches!(b, b'+' | b'-' | b'.');
+    match name.as_bytes() {
+        _ if rest.starts_with("//") && http => Scheme::Http(name.len() + 3),
+        _ if rest.starts_with("//") => Scheme::Other,
+        [a, more @ ..] if a.is_ascii_alphabetic() && more.iter().all(scheme_byte) => Scheme::Name,
+        _ => Scheme::None,
+    }
+}
+
+/// One scan of a reference from an offset: where the authority ends (the
+/// first `/` or `#`), its last `:` and first `?` or space, the `#`, and
+/// whether a `/` before it is followed by `/` or `.` (segments to collapse).
+#[derive(Default)]
+struct Split {
+    end: usize,
+    colon: Option<usize>,
+    odd: Option<usize>,
+    hash: Option<usize>,
+    irregular: bool,
+}
+
+impl Split {
+    fn of(s: &str, from: usize) -> Split {
+        let (bytes, mut split, mut end) = (s.as_bytes(), Split::default(), None);
+        for (i, &b) in bytes.iter().enumerate().skip(from) {
+            match b {
+                b'#' => {
+                    split.hash = Some(i);
+                    break;
+                }
+                b'/' => {
+                    end.get_or_insert(i);
+                    split.irregular |= matches!(bytes.get(i + 1), Some(b'/' | b'.'));
+                }
+                _ if end.is_some() => {}
+                b':' => split.colon = Some(i),
+                b'?' | b' ' => _ = split.odd.get_or_insert(i),
+                _ => {}
+            }
+        }
+        split.end = end.or(split.hash).unwrap_or(s.len());
+        split
+    }
+
+    /// The fragment after the `#`, if any and not empty.
+    fn fragment(&self, s: &str) -> Option<String> {
+        let fragment = &s[self.hash? + 1..];
+        (!fragment.is_empty()).then(|| fragment.to_owned())
+    }
+}
+
+/// The URL `s` names with its authority starting at `at`, scanned once.
+fn absolute(s: &str, at: usize, host: impl FnOnce(&str) -> Arc<str>) -> Result<Url, &'static str> {
+    let split = Split::of(s, at);
+    let (end, path_end) = (split.end, split.hash.unwrap_or(s.len()));
+    let (host_end, port) = match split.colon {
+        Some(colon) => {
+            let port = s[colon + 1..end]
+                .parse()
+                .map_err(|_| "invalid port number")?;
+            (colon, port)
+        }
+        None => (end, 80),
+    };
+    if host_end == at {
+        return Err("missing host");
+    }
+    if split.odd.is_some_and(|odd| odd < host_end) {
+        return Err("invalid character in host");
+    }
+    let path = match &s[end..path_end] {
+        "" => "/".to_owned(),
+        path => normalize_path(path.into(), !split.irregular),
+    };
+    Ok(Url::new(
+        host(&s[at..host_end]),
+        port,
+        path,
+        split.fragment(s),
+    ))
+}
+
+fn error(input: &str, reason: &'static str) -> UrlParseError {
+    let input = input.to_owned();
+    UrlParseError { input, reason }
 }
 
 /// The derived form of the struct this was before its fields moved behind
@@ -320,47 +393,6 @@ impl std::str::FromStr for Url {
     }
 }
 
-/// True when the reference begins with an RFC-3986 scheme followed by `:`
-/// before any `/`, `?` or `#` — i.e. it is an absolute URL of *some*
-/// scheme, not a relative path.
-fn has_scheme_prefix(s: &str) -> bool {
-    let mut chars = s.char_indices();
-    match chars.next() {
-        Some((_, c)) if c.is_ascii_alphabetic() => {}
-        _ => return false,
-    }
-    for (_, c) in chars {
-        match c {
-            ':' => return true,
-            c if c.is_ascii_alphanumeric() || matches!(c, '+' | '-' | '.') => {}
-            _ => return false,
-        }
-    }
-    false
-}
-
-/// Strips a recognised scheme prefix. Returns:
-/// * `None` — no scheme present,
-/// * `Some(Ok(rest))` — `http`/`https` scheme stripped,
-/// * `Some(Err(..))` — a scheme-like prefix we do not support.
-fn strip_scheme(s: &str) -> Option<Result<&str, UrlParseError>> {
-    let colon = s.find(':')?;
-    let (scheme, rest) = s.split_at(colon);
-    if !rest.starts_with("://") {
-        // `host:port` — not a scheme.
-        return None;
-    }
-    let rest = &rest[3..];
-    if scheme.eq_ignore_ascii_case("http") || scheme.eq_ignore_ascii_case("https") {
-        Some(Ok(rest))
-    } else {
-        Some(Err(UrlParseError {
-            input: s.to_owned(),
-            reason: "unsupported scheme",
-        }))
-    }
-}
-
 /// `host` lower-cased, copied once.
 fn lowercase(host: &str) -> Arc<str> {
     if host.bytes().any(|b| b.is_ascii_uppercase()) {
@@ -370,13 +402,19 @@ fn lowercase(host: &str) -> Arc<str> {
     }
 }
 
+/// True when `path` starts with `/` and no `/` in it is followed by `/`
+/// or `.`, so it has no empty, `.` or `..` segment to collapse.
+fn is_normal(path: &str) -> bool {
+    path.starts_with('/') && !path.contains("//") && !path.contains("/.")
+}
+
 /// Collapses `.` and `..` segments and repeated slashes; the result always
 /// starts with `/`. A trailing slash is preserved (it distinguishes a
-/// directory index from a file). A path with no empty, `.` or `..`
-/// segment is already normal: it is returned as it is, copied only if it
-/// was borrowed.
-fn normalize_path(path: Cow<'_, str>) -> String {
-    if path.starts_with('/') && !path.contains("//") && !path.contains("/.") {
+/// directory index from a file). A path its caller has found `normal`
+/// (see [`is_normal`]) is returned as it is, copied only if it was
+/// borrowed.
+fn normalize_path(path: Cow<'_, str>, normal: bool) -> String {
+    if normal {
         return path.into_owned();
     }
     let mut segments: Vec<&str> = Vec::new();
@@ -545,8 +583,11 @@ mod tests {
 
     #[test]
     fn normal_paths_are_kept_as_they_are() {
+        // Whether the caller found it normal or not, a normal path comes
+        // back as it is.
         for path in ["/", "/a", "/a/", "/a/b.html", "/a.b/..c/.d"] {
-            assert_eq!(normalize_path(path.into()), path);
+            assert_eq!(normalize_path(path.into(), is_normal(path)), path);
+            assert_eq!(normalize_path(path.into(), false), path);
         }
         for (path, normal) in [
             ("", "/"),
@@ -558,7 +599,8 @@ mod tests {
             ("/a/b/..", "/a/"),
             ("/../x", "/x"),
         ] {
-            assert_eq!(normalize_path(path.into()), normal, "{path}");
+            assert!(!is_normal(path), "{path}");
+            assert_eq!(normalize_path(path.into(), false), normal, "{path}");
         }
     }
 

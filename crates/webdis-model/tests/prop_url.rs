@@ -1,9 +1,41 @@
 //! URL property tests: parse/display round-trips, normalization
-//! idempotence, and the RFC-1808 resolution laws the link classifier
-//! depends on.
+//! idempotence, the RFC-1808 resolution laws the link classifier depends
+//! on, and the one-scan parser and resolver against the ones they
+//! replaced (`reference_url/`).
 
 use proptest::prelude::*;
 use webdis_model::{LinkType, Url};
+
+#[allow(dead_code)]
+mod reference_url;
+
+/// What hrefs are made of: schemes in mixed case (ours and others), hosts,
+/// ports good and bad, `.`/`..` and `//` segments, fragments, and the
+/// characters that end or spoil a part.
+#[rustfmt::skip]
+const HREF_PARTS: &[&str] = &[
+    "http://", "HTTP://", "https://", "HtTpS://", "ftp://", "mailto:", "javascript:", "//", "/",
+    "/./", "/../", ".", "..", "./", "../", "//", "#", "#frag", "?", "?q=1", " ", ":", ":80",
+    ":8080", ":99999", ":x", "site0.test", "Site1.TEST", "a", "b.html", "doc0.html", "x:y",
+    "-", "+", "%20", "é", "\u{a0}", "\t", "://",
+];
+
+/// Up to 12 parts, concatenated.
+fn href() -> impl Strategy<Value = String> {
+    prop::collection::vec(0..HREF_PARTS.len(), 0..12)
+        .prop_map(|picks| picks.into_iter().map(|i| HREF_PARTS[i]).collect())
+}
+
+/// A base: the generated URLs, and ones whose path has a segment starting
+/// with `.` or sits at the root.
+fn base() -> impl Strategy<Value = Url> {
+    prop_oneof![
+        url(),
+        Just(Url::parse("http://h.test/.well-known/x").unwrap()),
+        Just(Url::parse("http://H.test:81/").unwrap()),
+        Just(Url::parse("http://h.test/a/b/c.html#top").unwrap()),
+    ]
+}
 
 fn host() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9]{0,8}(\\.[a-z]{2,4}){1,2}"
@@ -32,6 +64,22 @@ fn url() -> impl Strategy<Value = Url> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Resolving an href names the URL today's resolver named, or fails
+    /// for the same reason; so does parsing it.
+    #[test]
+    fn resolving_equals_the_reference_resolver(base in base(), href in href()) {
+        let resolved = base.resolve(&href);
+        let want = reference_url::resolve(&base, &href);
+        prop_assert_eq!(resolved.as_ref().map(reference_url::parts).map_err(|e| e.reason), want);
+        // A resolver reused across a document's hrefs shares hosts and
+        // answers the same.
+        let mut resolver = base.resolver();
+        prop_assert_eq!(resolver.resolve(&href), resolved);
+        let parsed = Url::parse(&href);
+        let want = reference_url::parse(&href);
+        prop_assert_eq!(parsed.as_ref().map(reference_url::parts).map_err(|e| e.reason), want);
+    }
 
     /// Display → parse is the identity.
     #[test]

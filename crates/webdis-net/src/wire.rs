@@ -543,11 +543,8 @@ impl Wire for Stage {
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Stage {
-            pre: decode_clone_pre(buf)?,
-            doc_var: String::decode(buf)?,
-            query: NodeQuery::decode(buf)?,
-        })
+        let (pre, doc_var) = (decode_clone_pre(buf)?, String::decode(buf)?);
+        Ok(Stage::new(pre, doc_var, NodeQuery::decode(buf)?))
     }
 }
 

@@ -99,13 +99,8 @@ fn node_query_strategy() -> impl Strategy<Value = NodeQuery> {
 }
 
 fn stage_strategy() -> impl Strategy<Value = Stage> {
-    (pre_strategy(), "[a-z][a-z0-9]{0,3}", node_query_strategy()).prop_map(
-        |(pre, doc_var, query)| Stage {
-            pre,
-            doc_var,
-            query,
-        },
-    )
+    (pre_strategy(), "[a-z][a-z0-9]{0,3}", node_query_strategy())
+        .prop_map(|(pre, doc_var, query)| Stage::new(pre, doc_var, query))
 }
 
 fn message_strategy() -> impl Strategy<Value = Message> {

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::sync::OnceLock;
 
 use crate::query::RelKind;
-use crate::relation::Relation;
+use crate::value::Value;
 
 /// The columns that get a hash (equality) index.
 const HASH_COLUMNS: [(RelKind, &str); 5] = [
@@ -82,10 +82,9 @@ pub struct HashIndex {
 
 impl HashIndex {
     /// Builds the index over one column of a relation.
-    pub fn build(rel: &Relation, col: usize) -> HashIndex {
+    pub fn build(column: &[Value]) -> HashIndex {
         let mut map: HashMap<String, Vec<u32>> = HashMap::new();
-        for (idx, tuple) in rel.tuples.iter().enumerate() {
-            let Some(v) = tuple.get(col) else { continue };
+        for (idx, v) in column.iter().enumerate() {
             let key = v.text();
             match map.get_mut(key.as_ref()) {
                 Some(postings) => postings.push(idx as u32),
@@ -126,14 +125,13 @@ impl TextIndex {
     /// Builds the index over one column of a relation: every token
     /// occurrence is folded into one buffer, and sorting the occurrences
     /// groups each token's tuples.
-    pub fn build(rel: &Relation, col: usize) -> TextIndex {
+    pub fn build(column: &[Value]) -> TextIndex {
         let mut folded = String::new();
         // Each occurrence's range in `folded` and its tuple; then one
         // entry per token and tuple, whose posting ends after it; then one
         // per token, whose postings end after its last tuple's.
         let mut entries: Vec<(usize, usize, usize)> = Vec::new();
-        for (idx, tuple) in rel.tuples.iter().enumerate() {
-            let Some(v) = tuple.get(col) else { continue };
+        for (idx, v) in column.iter().enumerate() {
             let text = v.text();
             folded.reserve(text.len());
             // Every byte of a multi-byte character is ≥ 0x80, hence a
@@ -253,24 +251,15 @@ impl DbIndexes {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::relation::ANCHOR_SCHEMA;
-    use crate::value::{Tuple, Value};
 
-    fn anchors(labels: &[(&str, &str, &str)]) -> Relation {
-        Relation {
-            schema: ANCHOR_SCHEMA,
-            tuples: labels
-                .iter()
-                .map(|(label, href, ltype)| {
-                    Tuple(vec![
-                        Value::Str((*label).into()),
-                        Value::Str("http://h/".into()),
-                        Value::Str((*href).into()),
-                        Value::Str((*ltype).into()),
-                    ])
-                })
-                .collect(),
-        }
+    /// ANCHOR's label, href and ltype columns, in schema order (a column
+    /// number picks one; the base column, 1, is left out).
+    fn anchors(rows: &[(&str, &str, &str)]) -> Vec<Vec<Value>> {
+        let column = |pick: usize| {
+            let cell = |r: &(&str, &str, &str)| [r.0, r.1, r.2][pick].into();
+            rows.iter().map(|r| Value::Str(cell(r))).collect()
+        };
+        vec![column(0), Vec::new(), column(1), column(2)]
     }
 
     #[test]
@@ -280,7 +269,7 @@ mod tests {
             ("b", "http://y/", "L"),
             ("c", "http://x/", "G"),
         ]);
-        let idx = HashIndex::build(&rel, 2);
+        let idx = HashIndex::build(&rel[2]);
         assert_eq!(idx.probe("http://x/"), &[0, 2]);
         assert_eq!(idx.probe("http://y/"), &[1]);
         assert_eq!(idx.probe("http://z/"), &[] as &[u32]);
@@ -294,7 +283,7 @@ mod tests {
             ("the lab-notes page", "x", "L"),
             ("unrelated", "x", "L"),
         ]);
-        let idx = TextIndex::build(&rel, 0);
+        let idx = TextIndex::build(&rel[0]);
         // "lab" matches tokens "lab" (rows 0, 1) and nothing else; token
         // "laboratories" would match too via substring.
         assert_eq!(idx.probe_contains("lab"), Some(vec![0, 1]));
@@ -305,7 +294,7 @@ mod tests {
     #[test]
     fn text_index_substring_of_token_matches() {
         let rel = anchors(&[("Laboratories", "x", "L"), ("collaborate", "x", "L")]);
-        let idx = TextIndex::build(&rel, 0);
+        let idx = TextIndex::build(&rel[0]);
         // "labor" is inside both "laboratories" and "collaborate".
         assert_eq!(idx.probe_contains("labor"), Some(vec![0, 1]));
     }
@@ -313,7 +302,7 @@ mod tests {
     #[test]
     fn non_alnum_needle_is_not_servable() {
         let rel = anchors(&[("a b", "x", "L")]);
-        let idx = TextIndex::build(&rel, 0);
+        let idx = TextIndex::build(&rel[0]);
         assert_eq!(idx.probe_contains("a b"), None);
         assert_eq!(idx.probe_contains(""), None);
         assert_eq!(idx.probe_contains("é"), None);
@@ -322,7 +311,7 @@ mod tests {
     #[test]
     fn duplicate_token_in_one_tuple_posted_once() {
         let rel = anchors(&[("lab lab lab", "x", "L")]);
-        let idx = TextIndex::build(&rel, 0);
+        let idx = TextIndex::build(&rel[0]);
         assert_eq!(idx.probe_contains("lab"), Some(vec![0]));
     }
 
@@ -331,7 +320,7 @@ mod tests {
         // "É" is two bytes ≥ 0x80: a separator, like the character was
         // when the column was lowercased and split by `char`.
         let rel = anchors(&[("caféBAR naïve", "x", "L"), ("ÉCOLE", "x", "L")]);
-        let idx = TextIndex::build(&rel, 0);
+        let idx = TextIndex::build(&rel[0]);
         assert_eq!(idx.tokens(), 5); // caf, bar, na, ve, cole
         assert_eq!(idx.probe_contains("bar"), Some(vec![0]));
         assert_eq!(idx.probe_contains("caf"), Some(vec![0]));
@@ -341,39 +330,28 @@ mod tests {
 
     #[test]
     fn integer_columns_index_their_rendering() {
-        let rel = Relation {
-            schema: crate::relation::DOCUMENT_SCHEMA,
-            tuples: [1234, -56, 1234]
-                .iter()
-                .map(|n| {
-                    Tuple(vec![
-                        Value::Str("http://h/".into()),
-                        Value::Str(String::new()),
-                        Value::Str(String::new()),
-                        Value::Int(*n),
-                    ])
-                })
-                .collect(),
-        };
-        let text = TextIndex::build(&rel, 3);
+        let lengths = [1234, -56, 1234].map(Value::Int);
+        let empty = vec![Value::Str(String::new()); 3];
+        let rel = [Vec::new(), empty.clone(), empty, lengths.to_vec()];
+        let text = TextIndex::build(&rel[3]);
         assert_eq!(text.probe_contains("23"), Some(vec![0, 2]));
         assert_eq!(text.probe_contains("56"), Some(vec![1]));
-        let hash = HashIndex::build(&rel, 3);
+        let hash = HashIndex::build(&rel[3]);
         assert_eq!(hash.probe("1234"), &[0, 2]);
         assert_eq!(hash.probe("-56"), &[1]);
         // Empty columns: no token, one key.
-        assert_eq!(TextIndex::build(&rel, 1).tokens(), 0);
-        assert_eq!(TextIndex::build(&rel, 1).probe_contains("a"), Some(vec![]));
-        assert_eq!(HashIndex::build(&rel, 1).probe(""), &[0, 1, 2]);
+        assert_eq!(TextIndex::build(&rel[1]).tokens(), 0);
+        assert_eq!(TextIndex::build(&rel[1]).probe_contains("a"), Some(vec![]));
+        assert_eq!(HashIndex::build(&rel[1]).probe(""), &[0, 1, 2]);
     }
 
     #[test]
     fn needle_longer_than_any_token_matches_nothing() {
         let rel = anchors(&[("lab labs", "x", "L")]);
-        let idx = TextIndex::build(&rel, 0);
+        let idx = TextIndex::build(&rel[0]);
         assert_eq!(idx.probe_contains("labsx"), Some(vec![]));
         assert_eq!(
-            TextIndex::build(&anchors(&[]), 0).probe_contains("lab"),
+            TextIndex::build(&anchors(&[])[0]).probe_contains("lab"),
             Some(vec![])
         );
     }

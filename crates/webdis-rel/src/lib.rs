@@ -12,13 +12,14 @@
 //!   region of related information.
 //!
 //! This crate provides those relations ([`NodeDb`], built from a parsed
-//! document), the predicate expression language used by DISQL `where` and
-//! `such that` clauses ([`Expr`]), and the node-query evaluator
-//! ([`eval_node_query`]). Evaluation compiles each query's conjuncts into
-//! index probes plus a residual filter ([`planner`]) over per-node sidecar
-//! indexes ([`index`]) that each column builds on its first probe, falling
-//! back to the paper's nested-loop cross-product scan
-//! ([`eval_node_query_scan`]) level-by-level whenever no index applies.
+//! document a column at a time, each on its first read), the predicate
+//! expression language used by DISQL `where` and `such that` clauses
+//! ([`Expr`]), and the node-query evaluator. A query is compiled once into
+//! a [`Plan`] of index probes plus a residual filter ([`planner`]) over
+//! per-node sidecar indexes ([`index`]) that each column builds on its
+//! first probe, falling back to the paper's nested-loop cross-product scan
+//! ([`eval_node_query_scan`]) level-by-level whenever no index applies;
+//! [`eval_node_query`] compiles and runs a query in one call.
 
 pub mod expr;
 pub mod index;
@@ -30,12 +31,12 @@ pub mod value;
 
 pub use expr::{CmpOp, EvalError, Expr};
 pub use index::{HashIndex, TextIndex};
-pub use planner::{compile, EvalStats, Plan, Probe};
+pub use planner::{EvalStats, Plan, Probe};
 pub use query::{
     eval_node_query, eval_node_query_scan, eval_node_query_scan_with_stats,
     eval_node_query_with_bindings, eval_node_query_with_stats, NodeQuery, RelKind, ResultRow,
     VarDecl,
 };
-pub use relation::{NodeDb, Relation, Schema, ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA};
+pub use relation::{NodeDb, Schema, ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA};
 pub use subsume::{canonicalize, replay_bindings, split_conjuncts, CanonicalQuery, Conjunct};
-pub use value::{Tuple, Value};
+pub use value::Value;

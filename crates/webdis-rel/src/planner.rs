@@ -1,7 +1,7 @@
 //! The predicate pre-compiler: node-query conjuncts → index probes plus a
 //! residual filter.
 //!
-//! [`compile`] flattens every `such that` / `where` condition into its
+//! [`Plan::new`] flattens every `such that` / `where` condition into its
 //! top-level conjuncts, schedules each conjunct at the level where the
 //! scan would apply it ([`crate::query::apply_level_of`] — the same rule,
 //! so planned and scanned evaluation agree by construction), and routes a
@@ -25,10 +25,13 @@
 //! Posting lists are ascending and intersections preserve order, so the
 //! executor emits rows in exactly the cross-product scan's order.
 
+use std::sync::OnceLock;
+
 use crate::expr::{CmpOp, EvalError, Expr};
 use crate::index::intersect_sorted;
 use crate::query::{apply_level_of, Env, NodeQuery, ResultRow};
 use crate::relation::NodeDb;
+use crate::subsume::{canonicalize, split_conjuncts, CanonicalQuery};
 
 /// How one level's candidates are restricted by an index.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -50,14 +53,19 @@ pub enum Probe {
     },
 }
 
-/// A compiled node-query: per-level probes and residual conjuncts.
+/// A compiled node-query: per-level probes and residual conjuncts, and,
+/// once asked for, its canonical form. A plan owns what it holds; the
+/// engine runs one per stage at every node the stage visits.
 #[derive(Debug, Clone)]
-pub struct Plan<'q> {
-    query: &'q NodeQuery,
+pub struct Plan {
+    query: NodeQuery,
+    /// Why the query does not validate, which every execution returns.
+    invalid: Option<EvalError>,
     /// `probes[level]` — index probes restricting that level's candidates.
     probes: Vec<Vec<Probe>>,
     /// `residuals[level]` — conjuncts evaluated per candidate at that level.
-    residuals: Vec<Vec<&'q Expr>>,
+    residuals: Vec<Vec<Expr>>,
+    canonical: OnceLock<CanonicalQuery>,
 }
 
 /// What one execution did — the raw material for probe-vs-scan stage
@@ -73,17 +81,6 @@ pub struct EvalStats {
     /// Candidate tuples enumerated across all levels (the work the
     /// nested loop actually did).
     pub tuples_visited: u64,
-}
-
-/// Splits an expression into its top-level conjuncts.
-fn conjuncts<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
-    match e {
-        Expr::And(a, b) => {
-            conjuncts(a, out);
-            conjuncts(b, out);
-        }
-        other => out.push(other),
-    }
 }
 
 /// The single variable a conjunct references, if exactly one.
@@ -156,66 +153,63 @@ fn as_probe(kind: crate::query::RelKind, var_at_level: &str, e: &Expr) -> Option
     }
 }
 
-/// Compiles a node-query into a [`Plan`].
-///
-/// Compilation is per-query and cheap (it walks the predicate trees once);
-/// the expensive artifacts — the indexes — live on the [`NodeDb`], are
-/// built by the first plan that probes them and are shared by every query
-/// the footnote-3 cache serves from that node.
-/// Probe admissibility is decided against the *schema-level* index
-/// configuration, which is identical for every `NodeDb`, so a `Plan` is
-/// valid for any database.
-pub fn compile(q: &NodeQuery) -> Result<Plan<'_>, EvalError> {
-    q.validate()?;
-    let levels = q.vars.len();
-    let mut probes: Vec<Vec<Probe>> = vec![Vec::new(); levels];
-    let mut residuals: Vec<Vec<&Expr>> = vec![Vec::new(); levels];
+impl Plan {
+    /// Compiles `q`, walking its predicate trees once; a query that does
+    /// not validate still has a plan, whose every execution returns the
+    /// validation error. Probe admissibility is decided against the
+    /// *schema-level* index configuration, so a plan is valid for any
+    /// database; the indexes live on the [`NodeDb`].
+    pub fn new(q: &NodeQuery) -> Plan {
+        let levels = q.vars.len();
+        let mut plan = Plan {
+            query: q.clone(),
+            invalid: q.validate().err(),
+            probes: vec![Vec::new(); levels],
+            residuals: vec![Vec::new(); levels],
+            canonical: OnceLock::new(),
+        };
+        if plan.invalid.is_some() {
+            return plan;
+        }
 
-    // Gather (conjunct, apply level) from such-that and where clauses.
-    let mut scheduled: Vec<(&Expr, usize)> = Vec::new();
-    for (i, decl) in q.vars.iter().enumerate() {
-        if let Some(cond) = &decl.cond {
+        // Gather (conjunct, apply level) from such-that and where clauses.
+        let mut scheduled: Vec<(Expr, usize)> = Vec::new();
+        let conds = q.vars.iter().enumerate().map(|(i, d)| (d.cond.as_ref(), i));
+        for (cond, origin) in conds.chain([(q.where_cond.as_ref(), 0)]) {
             let mut cs = Vec::new();
-            conjuncts(cond, &mut cs);
+            if let Some(cond) = cond {
+                split_conjuncts(cond, &mut cs);
+            }
             for c in cs {
-                let lvl = apply_level_of(&q.vars, c, i);
+                let lvl = apply_level_of(&q.vars, &c, origin);
                 scheduled.push((c, lvl));
             }
         }
-    }
-    if let Some(w) = &q.where_cond {
-        let mut cs = Vec::new();
-        conjuncts(w, &mut cs);
-        for c in cs {
-            let lvl = apply_level_of(&q.vars, c, 0);
-            scheduled.push((c, lvl));
+
+        // Route each conjunct: probe when it restricts exactly the variable
+        // enumerated at its level and an index covers it, residual otherwise.
+        for (c, lvl) in scheduled {
+            let var_at_level = &q.vars[lvl].name;
+            let probeable = sole_variable(&c) == Some(var_at_level.as_str());
+            let probe = if probeable {
+                as_probe(q.vars[lvl].kind, var_at_level, &c)
+            } else {
+                None
+            };
+            match probe {
+                Some(p) => plan.probes[lvl].push(p),
+                None => plan.residuals[lvl].push(c),
+            }
         }
+        plan
     }
 
-    // Route each conjunct: probe when it restricts exactly the variable
-    // enumerated at its level and an index covers it, residual otherwise.
-    for (c, lvl) in scheduled {
-        let var_at_level = &q.vars[lvl].name;
-        let probeable = sole_variable(c) == Some(var_at_level.as_str());
-        let probe = if probeable {
-            as_probe(q.vars[lvl].kind, var_at_level, c)
-        } else {
-            None
-        };
-        match probe {
-            Some(p) => probes[lvl].push(p),
-            None => residuals[lvl].push(c),
-        }
+    /// The query's canonical form (see [`crate::subsume`]), computed on the
+    /// first call and kept.
+    pub fn canonical(&self) -> &CanonicalQuery {
+        self.canonical.get_or_init(|| canonicalize(&self.query))
     }
 
-    Ok(Plan {
-        query: q,
-        probes,
-        residuals,
-    })
-}
-
-impl Plan<'_> {
     /// Executes the plan against one node's database.
     pub fn execute(&self, db: &NodeDb) -> Result<(Vec<ResultRow>, EvalStats), EvalError> {
         let (rows, _, stats) = self.run(db, false)?;
@@ -242,7 +236,10 @@ impl Plan<'_> {
         db: &NodeDb,
         capture: bool,
     ) -> Result<(Vec<ResultRow>, Vec<Vec<u32>>, EvalStats), EvalError> {
-        let q = self.query;
+        if let Some(e) = &self.invalid {
+            return Err(e.clone());
+        }
+        let q = &self.query;
         let mut env = Env::new(db, &q.vars);
         let mut sink = ExecSink {
             rows: Vec::new(),
@@ -269,7 +266,7 @@ impl Plan<'_> {
         let probes = &self.probes[level];
         let kind = self.query.vars[level].kind;
         if probes.is_empty() {
-            return Candidates::Scan(db.relation(kind).len());
+            return Candidates::Scan(db.rows(kind));
         }
         let mut acc: Option<Vec<u32>> = None;
         for p in probes {
@@ -302,7 +299,7 @@ impl Plan<'_> {
         sink: &mut ExecSink,
         stats: &mut EvalStats,
     ) -> Result<(), EvalError> {
-        let q = self.query;
+        let q = &self.query;
         if level == q.vars.len() {
             sink.rows.push(env.project(&q.select)?);
             if sink.capture {
@@ -414,7 +411,7 @@ mod tests {
             Box::new(attr("a", "ltype")),
             Box::new(Expr::StrLit("G".into())),
         ));
-        let plan = compile(&q).unwrap();
+        let plan = Plan::new(&q);
         assert_eq!(
             plan.probes[1],
             vec![Probe::HashEq {
@@ -436,7 +433,7 @@ mod tests {
             Box::new(attr("a", "label")),
             Box::new(Expr::StrLit("Lab".into())),
         ));
-        let plan = compile(&q).unwrap();
+        let plan = Plan::new(&q);
         assert_eq!(
             plan.probes[1],
             vec![Probe::TextContains {
@@ -537,7 +534,7 @@ mod tests {
                 Box::new(Expr::StrLit("Database Systems".into())),
             )),
         ));
-        let plan = compile(&q).unwrap();
+        let plan = Plan::new(&q);
         assert_eq!(plan.probes[1].len(), 1);
         let (rows, stats) = plan.execute(&db()).unwrap();
         assert_eq!(rows.len(), 1);
@@ -554,7 +551,7 @@ mod tests {
             Box::new(attr("a", "ltype")),
             Box::new(Expr::StrLit("42".into())),
         ));
-        let plan = compile(&q).unwrap();
+        let plan = Plan::new(&q);
         assert!(plan.probes.iter().all(Vec::is_empty));
     }
 
@@ -566,7 +563,7 @@ mod tests {
             Box::new(attr("a", "base")),
             Box::new(Expr::StrLit("http://elsewhere/".into())),
         ));
-        assert!(compile(&q).unwrap().probes.iter().all(Vec::is_empty));
+        assert!(Plan::new(&q).probes.iter().all(Vec::is_empty));
 
         // Cross-variable conjunct references two variables.
         let q = da_query(Expr::Cmp(
@@ -574,7 +571,7 @@ mod tests {
             Box::new(attr("a", "base")),
             Box::new(attr("d", "url")),
         ));
-        let plan = compile(&q).unwrap();
+        let plan = Plan::new(&q);
         assert!(plan.probes.iter().all(Vec::is_empty));
         let (rows, _) = plan.execute(&db()).unwrap();
         assert_eq!(rows.len(), 3);

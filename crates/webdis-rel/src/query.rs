@@ -11,7 +11,7 @@
 use std::fmt;
 
 use crate::expr::{Bindings, EvalError, Expr};
-use crate::relation::{NodeDb, Relation};
+use crate::relation::{NodeDb, Schema, ANCHOR_SCHEMA, DOCUMENT_SCHEMA, RELINFON_SCHEMA};
 use crate::value::Value;
 
 /// Which virtual relation a variable ranges over.
@@ -35,6 +35,15 @@ impl RelKind {
             RelKind::Document => "document",
             RelKind::Anchor => "anchor",
             RelKind::Relinfon => "relinfon",
+        }
+    }
+
+    /// The relation's schema.
+    pub fn schema(self) -> Schema {
+        match self {
+            RelKind::Document => DOCUMENT_SCHEMA,
+            RelKind::Anchor => ANCHOR_SCHEMA,
+            RelKind::Relinfon => RELINFON_SCHEMA,
         }
     }
 }
@@ -82,11 +91,7 @@ impl NodeQuery {
         let check_ref = |var: &str, attr: &str| -> Result<(), EvalError> {
             let decl =
                 find(var).ok_or_else(|| EvalError::new(format!("undeclared variable {var:?}")))?;
-            let schema = match decl.kind {
-                RelKind::Document => crate::relation::DOCUMENT_SCHEMA,
-                RelKind::Anchor => crate::relation::ANCHOR_SCHEMA,
-                RelKind::Relinfon => crate::relation::RELINFON_SCHEMA,
-            };
+            let schema = decl.kind.schema();
             if schema.column_index(attr).is_none() {
                 return Err(EvalError::new(format!(
                     "relation {} has no attribute {attr:?}",
@@ -151,7 +156,7 @@ impl fmt::Display for ResultRow {
     }
 }
 
-/// Binding environment: a partial assignment of variables to tuples.
+/// Binding environment: a partial assignment of variables to row numbers.
 /// Shared between the cross-product scan below and the index-backed
 /// executor in [`crate::planner`].
 pub(crate) struct Env<'a> {
@@ -170,8 +175,9 @@ impl<'a> Env<'a> {
         }
     }
 
-    pub(crate) fn relation(&self, kind: RelKind) -> &'a Relation {
-        self.db.relation(kind)
+    /// The number of tuples the variable at `level` ranges over.
+    pub(crate) fn rows(&self, level: usize) -> usize {
+        self.db.rows(self.decls[level].kind)
     }
 
     /// Projects the fully-bound environment onto the select list.
@@ -190,17 +196,17 @@ impl<'a> Env<'a> {
 impl Bindings for Env<'_> {
     fn lookup(&self, var: &str, attr: &str) -> Option<&Value> {
         let idx = self.decls.iter().position(|d| d.name == var)?;
-        let tuple_idx = self.bound[idx]?;
-        let rel = self.relation(self.decls[idx].kind);
-        let col = rel.schema.column_index(attr)?;
-        rel.tuples[tuple_idx].get(col)
+        let row = self.bound[idx]?;
+        let kind = self.decls[idx].kind;
+        let col = kind.schema().column_index(attr)?;
+        self.db.column(kind, col).get(row)
     }
 }
 
 /// Evaluates a node-query against one node's virtual relations.
 ///
 /// Since the introduction of the per-node indexes this compiles the query
-/// with the predicate pre-compiler ([`crate::planner::compile`]) and runs
+/// with the predicate pre-compiler ([`crate::planner::Plan::new`]) and runs
 /// index probes where possible, falling back to the cross-product scan
 /// level-by-level. Results are identical to [`eval_node_query_scan`],
 /// including row order.
@@ -209,16 +215,18 @@ impl Bindings for Env<'_> {
 /// was *unsuccessful* at this node (Figure 4, lines 3–4: the node becomes
 /// a dead end).
 pub fn eval_node_query(db: &NodeDb, q: &NodeQuery) -> Result<Vec<ResultRow>, EvalError> {
-    Ok(crate::planner::compile(q)?.execute(db)?.0)
+    Ok(crate::planner::Plan::new(q).execute(db)?.0)
 }
 
 /// [`eval_node_query`], also returning the executor's
 /// [`crate::planner::EvalStats`] (probe-vs-scan split, tuples visited).
+/// These compile `q` for one call; the engine compiles each stage's query
+/// once, into a [`crate::planner::Plan`].
 pub fn eval_node_query_with_stats(
     db: &NodeDb,
     q: &NodeQuery,
 ) -> Result<(Vec<ResultRow>, crate::planner::EvalStats), EvalError> {
-    crate::planner::compile(q)?.execute(db)
+    crate::planner::Plan::new(q).execute(db)
 }
 
 /// [`eval_node_query`], also capturing each row's binding (the tuple
@@ -231,7 +239,7 @@ pub fn eval_node_query_with_bindings(
     db: &NodeDb,
     q: &NodeQuery,
 ) -> Result<(Vec<ResultRow>, Vec<Vec<u32>>, crate::planner::EvalStats), EvalError> {
-    crate::planner::compile(q)?.execute_with_bindings(db)
+    crate::planner::Plan::new(q).execute_with_bindings(db)
 }
 
 /// Evaluates a node-query by pure nested-loop cross-product scan, never
@@ -311,7 +319,7 @@ fn eval_level(
         rows.push(env.project(&q.select)?);
         return Ok(());
     }
-    let n = env.relation(q.vars[level].kind).len();
+    let n = env.rows(level);
     for tuple_idx in 0..n {
         *visited += 1;
         env.bound[level] = Some(tuple_idx);

@@ -1,15 +1,15 @@
-//! Schemas, relations, and the Database Constructor that materializes the
-//! virtual relations for one node.
+//! Schemas, and the Database Constructor that materializes the virtual
+//! relations for one node, a column at a time.
 
 use std::fmt::Write;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use webdis_html::ParsedDoc;
 use webdis_model::{Link, LinkType, Url};
 
 use crate::index::{DbIndexes, HashIndex, TextIndex};
 use crate::query::RelKind;
-use crate::value::{Tuple, Value};
+use crate::value::Value;
 
 /// A relation schema: a name and ordered column names.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,71 +47,41 @@ pub const RELINFON_SCHEMA: Schema = Schema {
     columns: &["delimiter", "url", "text", "length"],
 };
 
-/// An in-memory relation: a schema plus tuples.
-#[derive(Debug, Clone)]
-pub struct Relation {
-    /// The relation's schema.
-    pub schema: Schema,
-    /// The tuples, in construction order.
-    pub tuples: Vec<Tuple>,
-}
-
-impl Relation {
-    /// An empty relation with the given schema.
-    pub fn empty(schema: Schema) -> Relation {
-        Relation {
-            schema,
-            tuples: Vec::new(),
-        }
-    }
-
-    /// Number of tuples.
-    pub fn len(&self) -> usize {
-        self.tuples.len()
-    }
-
-    /// True when the relation has no tuples.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-}
-
 /// The temporary in-memory database the Database Constructor builds for one
 /// node and purges after the node-query is processed (Section 2.4).
 ///
 /// Construction resolves the document's links, which every visit forwards
-/// along, and keeps the parsed document; each virtual relation is formed
-/// from it the first time [`NodeDb::relation`] is asked for that kind. A
-/// database that answers `d.title contains "x"` and is purged therefore
-/// builds one four-cell tuple, and one the footnote-3 document cache keeps
-/// widens as later queries touch more of it.
+/// along, and keeps the parsed document; each column of a virtual relation
+/// is formed from it on its first read ([`NodeDb::column`]). A database
+/// that answers `d.title contains "x"` and is purged never forms the body
+/// text; one the footnote-3 document cache keeps widens as later queries
+/// read more of it.
 #[derive(Debug, Clone)]
 pub struct NodeDb {
     /// The node's URL (also the `url` / `base` attribute values).
     pub url: Url,
     /// The typed links of the document, resolved and classified — used by
     /// the engine for query forwarding (the paper's "construct the anchor
-    /// table for node", Figure 4 line 9).
+    /// table for node", Figure 4 line 9). ANCHOR's label column is read
+    /// from the document, on first use.
     pub links: Vec<Link>,
-    /// What DOCUMENT and RELINFON are formed from (ANCHOR comes from
-    /// `links`).
+    /// What the columns are formed from.
     doc: ParsedDoc,
-    /// DOCUMENT, ANCHOR and RELINFON, in [`RelKind`] order. `OnceLock`
-    /// runs exactly one of any racing initializers, so threads sharing an
-    /// `Arc<NodeDb>` all read the same tuples.
-    relations: [OnceLock<Relation>; 3],
-    /// Sidecar indexes over the three relations, each built the first
-    /// time a query probes its column. The footnote-3 document cache keeps
-    /// the whole `NodeDb`, so an index built for one query serves every
-    /// later query answered from cache.
+    /// The anchors whose href does not resolve, ascending: they have no
+    /// link, hence no ANCHOR tuple.
+    unresolved: Vec<usize>,
+    /// `columns[kind][col]`, four per schema. `OnceLock` runs one of any
+    /// racing initializers, so threads sharing a database read one value.
+    columns: [[OnceLock<Vec<Value>>; 4]; 3],
+    /// Sidecar indexes over the columns, each built on its first probe.
     indexes: DbIndexes,
 }
 
 impl NodeDb {
     /// The Database Constructor's single pass over the document hosted at
-    /// `url`: parses `html` and resolves its links.
-    pub fn parse(url: &Url, html: &str) -> NodeDb {
-        NodeDb::new(url, webdis_html::parse_html(html))
+    /// `url`: parses the page (shared, if handed over as an `Arc<str>`).
+    pub fn parse(url: &Url, html: impl Into<Arc<str>>) -> NodeDb {
+        NodeDb::new(url, ParsedDoc::parse(html.into()))
     }
 
     /// The database of an already parsed document, which is copied;
@@ -122,84 +92,95 @@ impl NodeDb {
 
     /// Anchors whose href cannot be interpreted as an http URL are skipped
     /// (a 1999-era query processor would do the same with `mailto:`). No
-    /// relation and no index is built here; see [`NodeDb::relation`],
+    /// column and no index is formed here; see [`NodeDb::column`],
     /// [`NodeDb::hash_index`] and [`NodeDb::text_index`].
     fn new(url: &Url, doc: ParsedDoc) -> NodeDb {
         let base = url.without_fragment();
         let mut resolver = base.resolver();
-        let mut links = Vec::with_capacity(doc.anchors().len());
-        for raw in doc.anchors() {
-            if let Ok(target) = resolver.resolve(raw.href) {
-                links.push(Link::new(base.clone(), target, raw.label));
+        let mut links = Vec::with_capacity(doc.hrefs().len());
+        let mut unresolved = Vec::new();
+        for (i, href) in doc.hrefs().enumerate() {
+            match resolver.resolve(href) {
+                Ok(target) => links.push(Link::new(base.clone(), target)),
+                Err(_) => unresolved.push(i),
             }
         }
         NodeDb {
             url: base,
             links,
             doc,
-            relations: Default::default(),
+            unresolved,
+            columns: Default::default(),
             indexes: DbIndexes::default(),
         }
     }
 
-    /// The relation a variable of the given kind ranges over, formed now
-    /// if this is the first use of it.
-    pub fn relation(&self, kind: RelKind) -> &Relation {
-        self.relations[kind as usize].get_or_init(|| self.materialize(kind))
-    }
-
-    /// The kinds whose relation has been formed so far, in [`RelKind`]
-    /// order.
-    pub fn built_relations(&self) -> Vec<RelKind> {
-        let built = RelKind::ALL.into_iter().zip(&self.relations);
-        built.filter_map(|(k, r)| r.get().map(|_| k)).collect()
-    }
-
-    fn materialize(&self, kind: RelKind) -> Relation {
-        // `http://`, the host, a port and the path, in one allocation.
-        let mut base = String::with_capacity(16 + self.url.host().len() + self.url.path().len());
-        write!(base, "{}", self.url).expect("writing to a String cannot fail");
-        let text = |s: &str| Value::Str(s.to_owned());
+    /// The number of tuples of the relation of `kind`, no column formed.
+    pub fn rows(&self, kind: RelKind) -> usize {
         match kind {
-            RelKind::Document => Relation {
-                schema: DOCUMENT_SCHEMA,
-                tuples: vec![Tuple(vec![
-                    Value::Str(base),
-                    text(self.doc.title()),
-                    text(self.doc.text()),
-                    Value::Int(self.doc.raw_len() as i64),
-                ])],
-            },
-            RelKind::Anchor => Relation {
-                schema: ANCHOR_SCHEMA,
-                tuples: self
-                    .links
-                    .iter()
-                    .map(|link| {
-                        Tuple(vec![
-                            text(&link.label),
-                            text(&base),
-                            Value::Str(link.href.to_string()),
-                            text(link.ltype.symbol()),
-                        ])
-                    })
-                    .collect(),
-            },
-            RelKind::Relinfon => Relation {
-                schema: RELINFON_SCHEMA,
-                tuples: self
-                    .doc
-                    .relinfons()
-                    .map(|ri| {
-                        Tuple(vec![
-                            text(ri.delimiter),
-                            text(&base),
-                            text(ri.text),
-                            Value::Int(ri.text.len() as i64),
-                        ])
-                    })
-                    .collect(),
-            },
+            RelKind::Document => 1,
+            RelKind::Anchor => self.links.len(),
+            RelKind::Relinfon => self.doc.relinfons().len(),
+        }
+    }
+
+    /// Column `col` (in schema order) of the relation of the given kind,
+    /// formed now if this is its first read. Panics when `col` is not a
+    /// column of the schema.
+    pub fn column(&self, kind: RelKind, col: usize) -> &[Value] {
+        self.columns[kind as usize][col].get_or_init(|| self.form(kind, col))
+    }
+
+    /// The columns formed so far, in [`RelKind`] then schema order.
+    pub fn built_columns(&self) -> Vec<(RelKind, &'static str)> {
+        let mut built = Vec::new();
+        for (kind, columns) in RelKind::ALL.into_iter().zip(&self.columns) {
+            let names = kind.schema().columns.iter();
+            let formed = names.zip(columns).filter(|(_, c)| c.get().is_some());
+            built.extend(formed.map(|(name, _)| (kind, *name)));
+        }
+        built
+    }
+
+    fn form(&self, kind: RelKind, col: usize) -> Vec<Value> {
+        let text = |s: &str| Value::Str(s.to_owned());
+        // `http://`, the host, a port and the path, in one allocation.
+        let base = || {
+            let mut base =
+                String::with_capacity(16 + self.url.host().len() + self.url.path().len());
+            write!(base, "{}", self.url).expect("writing to a String cannot fail");
+            Value::Str(base)
+        };
+        let doc = &self.doc;
+        match (kind, kind.schema().columns[col]) {
+            (RelKind::Document, "url") => vec![base()],
+            (RelKind::Document, "title") => vec![text(doc.title())],
+            (RelKind::Document, "text") => vec![text(doc.text())],
+            (RelKind::Document, _) => vec![Value::Int(doc.raw_len() as i64)],
+            (RelKind::Anchor, "label") => {
+                let resolved = doc.anchors().enumerate();
+                let resolved = resolved.filter(|(i, _)| self.unresolved.binary_search(i).is_err());
+                resolved.map(|(_, anchor)| text(anchor.label)).collect()
+            }
+            (RelKind::Anchor, "base") | (RelKind::Relinfon, "url") => {
+                vec![base(); self.rows(kind)]
+            }
+            (RelKind::Anchor, "href") => {
+                let hrefs = self.links.iter();
+                hrefs
+                    .map(|link| Value::Str(link.href.to_string()))
+                    .collect()
+            }
+            (RelKind::Anchor, _) => {
+                let types = self.links.iter();
+                types.map(|link| text(link.ltype.symbol())).collect()
+            }
+            (RelKind::Relinfon, "delimiter") => doc.delimiters().map(text).collect(),
+            (RelKind::Relinfon, "text") => doc.relinfons().map(|ri| text(ri.text)).collect(),
+            (RelKind::Relinfon, _) => {
+                let lengths = doc.relinfons();
+                lengths.map(|ri| Value::Int(ri.text.len() as i64)).collect()
+            }
         }
     }
 
@@ -207,18 +188,16 @@ impl NodeDb {
     /// column's first probe; `None` when the column is not hash-indexed.
     pub fn hash_index(&self, kind: RelKind, attr: &str) -> Option<&HashIndex> {
         let slot = crate::index::hash_slot(kind, attr)?;
-        let rel = self.relation(kind);
-        let col = rel.schema.column_index(attr)?;
-        Some(self.indexes.hash[slot].get_or_init(|| HashIndex::build(rel, col)))
+        let col = kind.schema().column_index(attr)?;
+        Some(self.indexes.hash[slot].get_or_init(|| HashIndex::build(self.column(kind, col))))
     }
 
     /// The inverted text index on `kind.attr`, built now if this is the
     /// column's first probe; `None` when the column is not text-indexed.
     pub fn text_index(&self, kind: RelKind, attr: &str) -> Option<&TextIndex> {
         let slot = crate::index::text_slot(kind, attr)?;
-        let rel = self.relation(kind);
-        let col = rel.schema.column_index(attr)?;
-        Some(self.indexes.text[slot].get_or_init(|| TextIndex::build(rel, col)))
+        let col = kind.schema().column_index(attr)?;
+        Some(self.indexes.text[slot].get_or_init(|| TextIndex::build(self.column(kind, col))))
     }
 
     /// The columns whose index has been built so far, hash columns first,
@@ -243,18 +222,22 @@ mod tests {
         NodeDb::build(&Url::parse(url).unwrap(), &parse_html(html))
     }
 
+    /// Column `attr` of the relation of `kind`, rendered.
+    fn rendered(d: &NodeDb, kind: RelKind, attr: &str) -> Vec<String> {
+        let col = kind.schema().column_index(attr).unwrap();
+        d.column(kind, col).iter().map(Value::render).collect()
+    }
+
     #[test]
     fn document_relation_single_tuple() {
         let d = db(
             "http://h/a.html",
             "<title>T</title><body>hello world</body>",
         );
-        let document = d.relation(RelKind::Document);
-        assert_eq!(document.len(), 1);
-        let t = &document.tuples[0];
-        assert_eq!(t.get(0).unwrap().render(), "http://h/a.html");
-        assert_eq!(t.get(1).unwrap().render(), "T");
-        assert_eq!(t.get(2).unwrap().render(), "hello world");
+        assert_eq!(d.rows(RelKind::Document), 1);
+        assert_eq!(rendered(&d, RelKind::Document, "url"), ["http://h/a.html"]);
+        assert_eq!(rendered(&d, RelKind::Document, "title"), ["T"]);
+        assert_eq!(rendered(&d, RelKind::Document, "text"), ["hello world"]);
     }
 
     #[test]
@@ -264,22 +247,20 @@ mod tests {
             r##"<a href="b.html">rel</a><a href="/c">abs</a>
                <a href="http://other/x">glob</a><a href="#top">frag</a>"##,
         );
-        let anchor = d.relation(RelKind::Anchor);
-        assert_eq!(anchor.len(), 4);
-        let types: Vec<String> = anchor
-            .tuples
-            .iter()
-            .map(|t| t.get(3).unwrap().render())
-            .collect();
-        assert_eq!(types, vec!["L", "L", "G", "I"]);
+        assert_eq!(d.rows(RelKind::Anchor), 4);
+        assert_eq!(rendered(&d, RelKind::Anchor, "ltype"), ["L", "L", "G", "I"]);
         assert_eq!(
-            anchor.tuples[0].get(2).unwrap().render(),
+            rendered(&d, RelKind::Anchor, "href")[0],
             "http://h/dir/b.html"
         );
         // base column is the document itself
         assert_eq!(
-            anchor.tuples[0].get(1).unwrap().render(),
+            rendered(&d, RelKind::Anchor, "base")[0],
             "http://h/dir/a.html"
+        );
+        assert_eq!(
+            rendered(&d, RelKind::Anchor, "label"),
+            ["rel", "abs", "glob", "frag"]
         );
     }
 
@@ -287,50 +268,52 @@ mod tests {
     fn unresolvable_href_skipped() {
         let d = db(
             "http://h/a",
-            r#"<a href="mailto:x@y">mail</a><a href="ok.html">ok</a>"#,
+            r#"<a href="mailto:x@y">mail</a><a href="ok.html">ok</a><a href="ftp://f/">f</a>"#,
         );
-        assert_eq!(d.relation(RelKind::Anchor).len(), 1);
+        assert_eq!(d.rows(RelKind::Anchor), 1);
         assert_eq!(d.links.len(), 1);
+        assert_eq!(rendered(&d, RelKind::Anchor, "label"), ["ok"]);
     }
 
     #[test]
     fn relinfon_relation_built() {
         let d = db("http://h/a", "<b>bold bit</b>rest<hr>");
-        let relinfon = d.relation(RelKind::Relinfon);
-        let delims: Vec<String> = relinfon
-            .tuples
-            .iter()
-            .map(|t| t.get(0).unwrap().render())
-            .collect();
-        assert!(delims.contains(&"b".to_owned()));
-        assert!(delims.contains(&"hr".to_owned()));
-        let b = relinfon
-            .tuples
-            .iter()
-            .find(|t| t.get(0).unwrap().render() == "b")
-            .unwrap();
-        assert_eq!(b.get(2).unwrap().render(), "bold bit");
-        assert_eq!(b.get(3).unwrap(), &Value::Int(8));
+        let delims = rendered(&d, RelKind::Relinfon, "delimiter");
+        assert_eq!(delims, ["b", "hr"]);
+        assert_eq!(
+            rendered(&d, RelKind::Relinfon, "text"),
+            ["bold bit", "bold bitrest"]
+        );
+        assert_eq!(d.column(RelKind::Relinfon, 3)[0], Value::Int(8));
     }
 
     #[test]
-    fn relations_are_formed_on_first_use_and_kept() {
+    fn columns_are_formed_on_first_read_and_kept() {
         let d = db("http://h/a", r#"<title>T</title><b>x</b><a href="y">y</a>"#);
-        assert!(d.built_relations().is_empty());
+        assert!(d.built_columns().is_empty());
         assert_eq!(d.links.len(), 1, "links do not wait for ANCHOR");
-        let first = d.relation(RelKind::Relinfon) as *const Relation;
-        assert_eq!(d.built_relations(), vec![RelKind::Relinfon]);
-        assert_eq!(first, d.relation(RelKind::Relinfon) as *const Relation);
-        d.relation(RelKind::Document);
+        assert_eq!(d.rows(RelKind::Relinfon), 1);
+        let first = d.column(RelKind::Relinfon, 0).as_ptr();
+        assert_eq!(d.built_columns(), [(RelKind::Relinfon, "delimiter")]);
+        assert_eq!(first, d.column(RelKind::Relinfon, 0).as_ptr());
+        d.column(RelKind::Document, 1);
         assert_eq!(
-            d.built_relations(),
-            vec![RelKind::Document, RelKind::Relinfon]
+            d.built_columns(),
+            [
+                (RelKind::Document, "title"),
+                (RelKind::Relinfon, "delimiter")
+            ]
+        );
+        assert!(
+            !d.doc.text_formed(),
+            "titles and delimiters read no body text"
         );
         // A copy carries what has been formed and forms the rest itself.
         let copy = d.clone();
-        assert_eq!(copy.built_relations(), d.built_relations());
-        assert_eq!(copy.relation(RelKind::Anchor).len(), 1);
-        assert_eq!(d.built_relations().len(), 2);
+        assert_eq!(copy.built_columns(), d.built_columns());
+        assert_eq!(rendered(&copy, RelKind::Anchor, "label"), ["y"]);
+        assert!(copy.doc.text_formed() && !d.doc.text_formed());
+        assert_eq!(d.built_columns().len(), 2);
     }
 
     #[test]

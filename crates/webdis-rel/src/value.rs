@@ -94,22 +94,6 @@ impl From<i64> for Value {
     }
 }
 
-/// A positional tuple; column names live in the relation's schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tuple(pub Vec<Value>);
-
-impl Tuple {
-    /// Value at a column index.
-    pub fn get(&self, idx: usize) -> Option<&Value> {
-        self.0.get(idx)
-    }
-
-    /// Number of columns.
-    pub fn arity(&self) -> usize {
-        self.0.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,9 +9,9 @@
 //! probe, so the same must hold for every *sequence* of queries against
 //! one database — whichever indexes earlier queries left behind — for a
 //! clone of a partly-indexed database, and for threads sharing one. The
-//! relations under those indexes are formed on first use too: whatever a
-//! query sequence or a pair of racing threads leaves formed must be the
-//! tuples the eager build over the reference parse made.
+//! columns under those indexes are formed on first read too: whatever a
+//! query sequence or a pair of racing threads leaves formed must be, column
+//! by column, the tuples the eager build over the reference parse made.
 
 use std::sync::{Arc, Barrier};
 
@@ -304,9 +304,8 @@ proptest! {
         // Whatever the sequence left formed is what an eager build holds.
         let want = eager::eager(&prop_url(), &html_of(&spec));
         for db in std::iter::once(&shared).chain(&copy) {
-            for kind in db.built_relations() {
-                prop_assert_eq!(&db.relation(kind).tuples, &want.tuples[kind as usize]);
-            }
+            let formed = eager::formed_as_eager(db, &want);
+            prop_assert!(formed.is_ok(), "{}", formed.unwrap_err());
         }
     }
 
@@ -388,10 +387,10 @@ fn threads_sharing_one_database_get_identical_rows() {
 }
 
 /// Two threads released together onto one untouched `Arc<NodeDb>`, each
-/// first-touching the three relations and nine indexes in an order of its
-/// own: whichever thread forms a relation, both read the eager tuples.
+/// first-touching the twelve columns and nine indexes in an order of its
+/// own: whichever thread forms a column, both read the eager values.
 #[test]
-fn threads_touching_in_different_orders_form_the_eager_relations() {
+fn threads_touching_in_different_orders_form_the_eager_columns() {
     let spec = DocSpec {
         title: vec!["alpha".into(), "needle".into()],
         body: (0..200).map(|i| format!("word{}", i % 37)).collect(),
@@ -405,10 +404,10 @@ fn threads_touching_in_different_orders_form_the_eager_relations() {
         // Two different permutations per round, different every round.
         let keys = |stride: u32| -> Vec<u32> {
             let n = eager::TOUCHES.len() as u32;
-            (0..n).map(|i| (i * stride + round) % 13).collect()
+            (0..n).map(|i| (i * stride + round) % 23).collect()
         };
         let orders = [eager::touch_order(&keys(5)), eager::touch_order(&keys(7))];
-        let shared = Arc::new(NodeDb::parse(&prop_url(), &html));
+        let shared = Arc::new(NodeDb::parse(&prop_url(), html.as_str()));
         let barrier = Barrier::new(2);
         std::thread::scope(|s| {
             let handles = orders.each_ref().map(|order| {
@@ -423,7 +422,7 @@ fn threads_touching_in_different_orders_form_the_eager_relations() {
                 assert!(compared.is_ok(), "round {round}: {}", compared.unwrap_err());
             }
         });
-        assert_eq!(shared.built_relations(), RelKind::ALL.to_vec());
+        assert_eq!(shared.built_columns(), eager::all_columns());
         assert_eq!(shared.built_indexes().len(), 9);
     }
 }

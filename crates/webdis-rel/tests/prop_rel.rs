@@ -2,9 +2,10 @@
 //! the boolean algebra of selection — conjunction intersects, disjunction
 //! unites, negation complements — on arbitrary generated documents, and
 //! results must always be drawn from the cross product of the declared
-//! relations. The relations themselves, formed on first use, must be the
-//! tuples the eager Database Constructor built from the reference parse,
-//! whatever order they and their indexes are first touched in.
+//! relations. The relations themselves, formed a column at a time on first
+//! read, must be the tuples the eager Database Constructor built from the
+//! reference parse, whatever order the columns and their indexes are first
+//! touched in.
 
 use proptest::prelude::*;
 use webdis_html::parse_html;
@@ -222,7 +223,7 @@ proptest! {
     fn cross_product_shape(spec in doc_spec()) {
         let db = build_db(&spec);
         let all = rows_of(&db, None);
-        prop_assert_eq!(all.len(), db.relation(RelKind::Anchor).len());
+        prop_assert_eq!(all.len(), db.rows(RelKind::Anchor));
         // The select list projects (d.url, a.href, a.label).
         for row in &all {
             prop_assert_eq!(row[0].as_str(), "http://prop.test/doc.html");
@@ -247,24 +248,24 @@ proptest! {
 
     /// A document of anything the parser accepts — unbalanced and
     /// upper-case tags, entities, every kind of href — behind a database
-    /// whose three relations and nine indexes are first touched in a
-    /// random order: each relation, once formed, is tuple for tuple what
-    /// the eager build over the reference parse made, and so are the links.
+    /// whose twelve columns and nine indexes are first touched in a random
+    /// order: each column, once formed, is value for value what the eager
+    /// build over the reference parse made, and the links are its links.
     #[test]
-    fn lazily_formed_relations_equal_the_eager_build(
+    fn lazily_formed_columns_equal_the_eager_build(
         picks in prop::collection::vec(0..FRAGMENTS.len(), 0..40),
         keys in prop::collection::vec(0u32..1000, eager::TOUCHES.len()),
     ) {
         let html: String = picks.into_iter().map(|i| FRAGMENTS[i]).collect();
         let url = Url::parse("http://prop.test/dir/doc.html#frag").unwrap();
         let want = eager::eager(&url, &html);
-        let parsed = NodeDb::parse(&url, &html);
+        let parsed = NodeDb::parse(&url, html.as_str());
         let copied = NodeDb::build(&url, &parse_html(&html));
         for db in [parsed, copied] {
-            prop_assert!(db.built_relations().is_empty());
+            prop_assert!(db.built_columns().is_empty());
             let compared = eager::touch_and_compare(&db, &eager::touch_order(&keys), &want);
             prop_assert!(compared.is_ok(), "{}\non {html:?}", compared.unwrap_err());
-            prop_assert_eq!(db.built_relations(), RelKind::ALL.to_vec());
+            prop_assert_eq!(db.built_columns(), eager::all_columns());
         }
     }
 }

@@ -3,8 +3,8 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use webdis_html::escape;
 use webdis_html::parse_html;
-use webdis_html::token::escape;
 use webdis_model::{SiteAddr, Url, WebGraph};
 
 /// A fluent builder producing small, well-formed HTML documents. Every
@@ -162,10 +162,9 @@ impl HostedWeb {
         let mut g = WebGraph::new();
         for (url, html) in &self.docs {
             g.add_node(url.clone());
-            let parsed = parse_html(html);
-            for anchor in parsed.anchors() {
-                if let Ok(target) = url.resolve(anchor.href) {
-                    g.add_link(url, &target, anchor.label);
+            for href in parse_html(html).hrefs() {
+                if let Ok(target) = url.resolve(href) {
+                    g.add_link(url, &target);
                 }
             }
         }

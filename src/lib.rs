@@ -15,7 +15,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | [`model`] | URLs, link types (I/L/G/N), the web graph |
-//! | [`html`] | HTML tokenizer + single-pass document extraction |
+//! | [`html`] | One-scan HTML document extraction, body text formed on first read |
 //! | [`rel`] | DOCUMENT / ANCHOR / RELINFON virtual relations, predicates, node-query evaluation |
 //! | [`pre`] | path regular expressions: parsing, derivatives and their finite closure, subsumption, containment over derivative pairs |
 //! | [`disql`] | the DISQL query language |

@@ -23,14 +23,17 @@ use webdis::web::gen::{generate, WebGenConfig};
 #[global_allocator]
 static GLOBAL: counting::Counting = counting::Counting;
 
-/// Bytes per input byte: a rel-infon (32 bytes) and an open-stack entry
-/// (32 bytes) per 3-byte `<b>`, each in a vector that may have doubled.
-const A: usize = 48;
+/// Bytes per input byte: a rel-infon (40 bytes), an open-stack entry (16)
+/// and a text run (24) per 4-byte `<b>x`, each in a vector that may have
+/// doubled, plus the shared copy of the page and the buffers presized in
+/// proportion to it.
+const A: usize = 44;
 /// The first growth of every buffer of a short input.
 const B: usize = 1024;
-/// Allocations per `<`: the text run before it, its tag name and its
-/// href, each copied at most once, and a share of the buffers' doublings.
-const C: usize = 4;
+/// Allocations per `<`: a title run before it decoded, its tag name
+/// folded or its href decoded — at most two of these — and a share of
+/// the buffers' doublings.
+const C: usize = 3;
 /// The buffers' first allocations.
 const D: usize = 16;
 
@@ -120,7 +123,9 @@ fn parse_html_allocates_linearly_in_its_input() {
     let many_attrs = format!("<A {}HREF=x>", "X=&amp; ".repeat(4_000));
     for input in [
         "<b>".repeat(20_000),
+        "<b>x".repeat(20_000),
         "<B>".repeat(20_000),
+        "<TITLE>&amp;".repeat(5_000),
         "<hr>".repeat(20_000),
         "<a href=&amp;>&amp;".repeat(5_000),
         "&amp;<A HREF=&amp;>".repeat(5_000),

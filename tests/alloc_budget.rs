@@ -11,17 +11,22 @@
 //! about 105 and 5×, and 71.1 and 3.4× once shared handles reached the
 //! clone path. Links resolved through a per-document host table with no
 //! segment list for a normal path, a title index in three buffers and
-//! presized name and URL buffers take 47.3 and 3.0×. The budget sits 10 %
-//! above that, so putting a copy back fails here before it shows on a
-//! benchmark.
+//! presized name and URL buffers took 47.3 and 3.0×. A page scanned once,
+//! its body text left as byte ranges of the shared page until a query
+//! reads it, columns formed one at a time, links without labels and the
+//! plan compiled once per query (as the engine compiles each stage once)
+//! take 27.3 and 1.1×. The budget sits 10 % above that, so putting a copy
+//! back fails here before it shows on a benchmark.
 //!
 //! One test, alone in its binary: the counters are process-wide.
 
 mod counting;
 
+use std::sync::Arc;
+
 use counting::counted;
 use webdis::disql::parse_disql;
-use webdis::rel::{eval_node_query_with_stats, NodeDb};
+use webdis::rel::NodeDb;
 use webdis::web::gen::{generate, WebGenConfig};
 
 #[global_allocator]
@@ -44,19 +49,20 @@ fn a_crawl_visit_stays_inside_its_allocation_budget() {
     let disql = r#"select d.url, d.title from document d
                    such that "http://site0.test/doc0.html" (L|G)* d
                    where d.title contains "needle""#;
+    // Compiled once, as the engine compiles each stage once.
     let query = parse_disql(disql).expect("the crawl query parses");
-    let node_query = &query.stages[0].query;
+    let plan = query.stages[0].plan();
+    // Shared, as the engine fetches them.
     let pages: Vec<_> = web
         .urls()
-        .map(|url| (url, web.get(url).expect("a hosted page")))
+        .map(|url| (url, web.shared(url).expect("a hosted page")))
         .collect();
 
     let (rows, allocations, bytes) = counted(|| {
         let mut rows = 0;
         for (url, html) in &pages {
-            let db = NodeDb::parse(url, html);
-            let (found, _) =
-                eval_node_query_with_stats(&db, node_query).expect("the query evaluates");
+            let db = NodeDb::parse(url, Arc::clone(html));
+            let (found, _) = plan.execute(&db).expect("the query evaluates");
             rows += found.len();
         }
         rows
@@ -67,8 +73,8 @@ fn a_crawl_visit_stays_inside_its_allocation_budget() {
     assert_eq!(visits, 96);
     assert!(rows > 0 && rows < visits, "the needle is in some titles");
     assert!(
-        allocations <= 52 * visits,
-        "{:.1} allocations per visit, budget 52",
+        allocations <= 30 * visits,
+        "{:.1} allocations per visit, budget 30",
         allocations as f64 / visits as f64
     );
     assert!(

@@ -10,7 +10,8 @@
 //! this counter), about 174 per clone handled outside the 96 visits'
 //! document path; as shared handles it made about 9 000 (1.4 MB), 16 per
 //! clone. With the document path at 47.3 allocations per visit (see
-//! `tests/alloc_budget.rs`) it makes 6 748 (1.3 MB). The budget sits 10 %
+//! `tests/alloc_budget.rs`) it made 6 748 (1.3 MB); at 27.3, with each
+//! stage compiled once, it makes 4 860 (0.84 MB). The budget sits 10 %
 //! above that, so putting a copy back on the clone path or the document
 //! path fails here before it shows on a benchmark.
 //!
@@ -24,7 +25,7 @@ use counting::counted;
 
 use webdis::core::{run_query_sim, EngineConfig};
 use webdis::disql::parse_disql;
-use webdis::rel::{eval_node_query_with_stats, NodeDb};
+use webdis::rel::NodeDb;
 use webdis::sim::SimConfig;
 use webdis::web::gen::{generate, WebGenConfig};
 
@@ -66,11 +67,12 @@ fn a_crawl_query_stays_inside_its_allocation_budget() {
 
     // The document path's share (what `tests/alloc_budget.rs` gates):
     // every page parsed and queried once, as the 96 visits do.
-    let node_query = &parse_disql(disql).expect("parsed above").stages[0].query;
+    let query = parse_disql(disql).expect("parsed above");
+    let plan = query.stages[0].plan();
     let (rows, visits, _) = counted(|| {
         let visit = |url| {
-            let db = NodeDb::parse(url, web.get(url).expect("a hosted page"));
-            let rows = eval_node_query_with_stats(&db, node_query).expect("the query evaluates");
+            let db = NodeDb::parse(url, Arc::clone(web.shared(url).expect("a hosted page")));
+            let rows = plan.execute(&db).expect("the query evaluates");
             rows.0.len()
         };
         web.urls().map(visit).sum::<usize>()
@@ -82,8 +84,8 @@ fn a_crawl_query_stays_inside_its_allocation_budget() {
         allocations.saturating_sub(visits) as f64 / clones as f64
     );
     assert!(
-        allocations <= 7_400,
-        "{allocations} allocations per query, budget 7 400"
+        allocations <= 5_300,
+        "{allocations} allocations per query, budget 5 300"
     );
     assert!(bytes <= 1_600_000, "{bytes} bytes per query, budget 1.6 MB");
 }

@@ -4,7 +4,10 @@
 //! clones skipped, both CHT modes — converges to `complete()` once every
 //! clone is accounted. A second property fires the Section-7.1 expiry
 //! sweep mid-run and checks convergence still holds, with every
-//! written-off entry drawn from the real clone population.
+//! written-off entry drawn from the real clone population. A third holds
+//! the table, whose rows are indexed by `(node, state)`, to the linear
+//! table it replaced (`cht_reference/`) on random add, delete, tick and
+//! expiry sequences.
 
 use std::collections::HashSet;
 
@@ -14,6 +17,9 @@ use rand::{Rng, SeedableRng};
 use webdis::core::{Cht, CompletionMode};
 use webdis::model::Url;
 use webdis::net::{ChtEntry, CloneState};
+
+#[allow(dead_code)]
+mod cht_reference;
 
 /// A small pool of distinct clone states (stage index × remaining PRE).
 const STATES: &[(u32, &str)] = &[
@@ -158,5 +164,53 @@ proptest! {
             prop_assert!(population.contains(pair), "phantom failure {pair:?}");
         }
         prop_assert_eq!(cht.stats.expired, failed.len() as u64);
+    }
+
+    /// The keyed table and the linear one, fed the same random sequence
+    /// of adds, deletes, clock ticks and expiry sweeps, agree after every
+    /// step: the same completion verdict, counters, live entries in order,
+    /// size and dump, and every sweep writes off the same entries in the
+    /// same order.
+    #[test]
+    fn keyed_table_equals_the_linear_one(
+        steps in prop::collection::vec(
+            (0u8..8, 0usize..6, 0usize..STATES.len(), 0u64..40),
+            0..80,
+        ),
+        m in mode(),
+    ) {
+        let mut keyed = Cht::new(m);
+        let mut linear = cht_reference::Cht::new(m);
+        let (mut clock, mut expired) = (0, 0);
+        for (kind, n, s, t) in steps {
+            match kind {
+                0..=2 => {
+                    let entry = ChtEntry { node: node(n), state: state(s) };
+                    keyed.add(&entry);
+                    linear.add(&entry);
+                }
+                3..=5 => {
+                    keyed.delete(&node(n), &state(s));
+                    linear.delete(&node(n), &state(s));
+                }
+                6 => {
+                    clock += t;
+                    keyed.tick(clock);
+                    linear.tick(clock);
+                }
+                _ => {
+                    let failed = keyed.expire_stale(t);
+                    prop_assert_eq!(&failed, &linear.expire_stale(t));
+                    expired += failed.len();
+                }
+            }
+            prop_assert_eq!(keyed.complete(), linear.complete());
+            prop_assert_eq!(keyed.stats, linear.stats);
+            let live: Vec<_> = keyed.live_entries().collect();
+            prop_assert_eq!(live, linear.live_entries().collect::<Vec<_>>());
+            prop_assert_eq!(keyed.len(), linear.len());
+            prop_assert_eq!(keyed.debug_dump(), linear.debug_dump());
+        }
+        prop_assert_eq!(keyed.stats.expired, expired as u64);
     }
 }
