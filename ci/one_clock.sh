@@ -12,6 +12,14 @@
 #     (`thread::sleep`) or compares an `.elapsed()` against something (a
 #     hand-rolled timer; reading the clock as `elapsed().as_micros()` is
 #     fine);
+#   * a non-test line under crates/webdis-net/src/ sleeps: calls
+#     `thread::sleep`, waits on no socket at all (`wait(&mut []`), or
+#     parks (`park_timeout`) anywhere but the one poll-less platform's
+#     `sys::wait`, whose park is that platform's wait. A wait of the
+#     transport — a write waiting for room, a retry's backoff, the pause
+#     after a failed accept — is a turn of its endpoint's one wait, which
+#     reads every listener of it meanwhile, so a thread hosting several
+#     sites never sleeps while one of them has something to read;
 #   * `run_until(` appears in a non-test line under crates/*/src outside
 #     webdis-sim (harnesses act at times through `post_host` and
 #     `Deployment::drive_sim`, not by slicing the clock themselves);
@@ -40,6 +48,16 @@ if [ -n "$polls" ]; then
     fail=1
 fi
 
+net=$(find crates/webdis-net/src -name '*.rs' | LC_ALL=C sort |
+    while read -r f; do nontest "$f"; done)
+sleeps=$(printf '%s\n' "$net" | grep -E 'thread::sleep|wait\(&mut \[\]' || true)
+parks=$(printf '%s\n' "$net" | grep -F 'park_timeout' || true)
+if [ -n "$sleeps" ] || [ "$(printf '%s' "$parks" | grep -c .)" -gt 1 ]; then
+    echo "the TCP transport sleeps beside its endpoint's wait (take a turn of it):" >&2
+    printf '%s\n%s\n' "$sleeps" "$parks" >&2
+    fail=1
+fi
+
 slices=$(find crates -name '*.rs' -path 'crates/*/src/*' ! -path 'crates/webdis-sim/*' |
     LC_ALL=C sort | while read -r f; do nontest "$f"; done | grep -F 'run_until(' || true)
 if [ -n "$slices" ]; then
@@ -55,4 +73,4 @@ if [ "$fields" != "latency jitter_us faults seed " ]; then
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one clock: one Agenda, no polling in tcprun.rs, no clock loop outside webdis-sim, SimConfig has 4 fields"
+echo "one clock: one Agenda, no polling in tcprun.rs, no sleep in webdis-net, no clock loop outside webdis-sim, SimConfig has 4 fields"

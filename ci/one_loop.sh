@@ -22,7 +22,10 @@
 #     `Injector::down`);
 # or when a non-test line of crates/webdis-core/src/tcprun.rs starts a
 # thread other than through its one `spawn` helper, or calls that helper
-# other than once, for the daemons (`daemons.push(spawn(`).
+# other than once, in the loop that starts one reactor thread for each
+# share of the daemons (`reactors.push(spawn(`), or implements
+# `Runtime` more than once: a reactor hosts any number of sites, the
+# user site's drive being the one-site case.
 # One purge: a daemon drops what is older than one period as each message
 # arrives, on both runtimes, and raises its own log gauge. So it also
 # fails when a non-test line under crates/*/src
@@ -59,16 +62,17 @@ if [ -n "$hosts" ]; then
 fi
 
 # Thread starts: exactly the helper's one `thread::Builder` line, and
-# exactly one call of the helper, the daemons'.
+# exactly one call of the helper, once per reactor.
 threads=$(nontest crates/webdis-core/src/tcprun.rs |
     grep -E 'thread::(spawn|scope|Builder)' || true)
 helper=$(nontest crates/webdis-core/src/tcprun.rs |
     grep -E '(^|[^A-Za-z0-9_.:])spawn\(' | grep -vE 'fn spawn[<(]|: *//' || true)
 nt=$(printf '%s' "$threads" | grep -c . || true)
 nh=$(printf '%s' "$helper" | grep -c . || true)
-nd=$(printf '%s' "$helper" | grep -c 'daemons\.push(spawn(' || true)
-if [ "$nt" -ne 1 ] || [ "$nh" -ne 1 ] || [ "$nd" -ne 1 ]; then
-    echo "tcprun.rs starts threads only for its daemons, through one spawn helper:" >&2
+nd=$(printf '%s' "$helper" | grep -c 'reactors\.push(spawn(' || true)
+nr=$(nontest crates/webdis-core/src/tcprun.rs | grep -cE 'impl.* Runtime for ' || true)
+if [ "$nt" -ne 1 ] || [ "$nh" -ne 1 ] || [ "$nd" -ne 1 ] || [ "$nr" -ne 1 ]; then
+    echo "tcprun.rs starts threads only for its reactors, through one spawn helper called once per reactor, and has one Runtime ($nr):" >&2
     [ -z "$threads$helper" ] || printf '%s\n%s\n' "$threads" "$helper" >&2
     fail=1
 fi
@@ -108,4 +112,4 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one loop: Due restarts and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its daemons, no adapter beside Actor::handle, and one purge, in on_message"
+echo "one loop: Due restarts and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its reactors, no adapter beside Actor::handle, and one purge, in on_message"

@@ -1,9 +1,12 @@
 #!/bin/sh
-# One thread per endpoint: the thread that waits on a TCP endpoint reads
-# and decodes its frames itself, and every pool reads its sender's own
+# One thread per reactor: a TCP endpoint holds a listener per site its
+# thread hosts, the thread that waits on it reads and decodes the frames
+# of all of them itself, and every pool takes turns of its sender's own
 # endpoint while a write waits for room — so the transport needs no
-# thread and no channel of its own. This fails when a non-test line
-# under crates/webdis-net/src/ spawns a thread (`thread::spawn`,
+# thread and no channel of its own, and a cluster's daemons run on as
+# many threads as it has reactors (webdis-core's tcprun.rs starts them,
+# ci/one_loop.sh). This fails when a non-test line under
+# crates/webdis-net/src/ spawns a thread (`thread::spawn`,
 # `thread::Builder`) or builds a channel (`unbounded(`, `channel(`).
 # Non-test lines are those before a file's first `#[cfg(test)]`, as in
 # ci/loc.sh.
@@ -19,4 +22,4 @@ if [ -n "$hits" ]; then
     echo "$hits" >&2
     exit 1
 fi
-echo "one thread: webdis-net spawns no thread and builds no channel"
+echo "one thread per reactor: webdis-net spawns no thread and builds no channel"

@@ -45,6 +45,14 @@ pub struct Deployment {
     /// The sites that run a query server; the rest only serve documents
     /// (Section 7.1's non-participating sites). `None` = every site.
     pub participating: Option<Vec<SiteAddr>>,
+    /// How many reactor threads host a TCP cluster's daemons, each
+    /// hosting an equal share of them; never more than the daemons, and
+    /// at least one. One by default, the only layout whose cost has been
+    /// measured (EXPERIMENTS.md "Sites share a reactor"); as many as the
+    /// sites is a thread per daemon, which tests set to run both layouts.
+    /// The simulator hosts every site on its one thread whatever this
+    /// says.
+    pub reactors: usize,
 }
 
 impl Deployment {
@@ -56,6 +64,7 @@ impl Deployment {
             schedule: MutationSchedule::default(),
             config,
             participating: None,
+            reactors: 1,
         }
     }
 

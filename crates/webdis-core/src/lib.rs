@@ -39,9 +39,9 @@
 //!   `participating` and `hybrid` said);
 //! * [`datashipping`] — the centralized download-and-evaluate baseline
 //!   the paper argues against (Sections 1 and 6);
-//! * [`tcprun`] — the same engine on real TCP sockets over loopback, one
-//!   daemon thread per site that reads its own socket, demonstrating the
-//!   "currently operational" deployment shape;
+//! * [`tcprun`] — the same engine on real TCP sockets over loopback, a
+//!   daemon per site on its own socket, hosted on reactor threads,
+//!   demonstrating the "currently operational" deployment shape;
 //! * [`workload`] — the seeded workload planner (users × submissions, an
 //!   arrival process, a weighted DISQL mix) whose plan `workload_sim` and
 //!   `workload_tcp` run.

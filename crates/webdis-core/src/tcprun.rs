@@ -1,17 +1,22 @@
 //! The engine on real TCP sockets over loopback — the deployment shape of
-//! the paper's Java prototype: one daemon thread per site, which reads
-//! its own socket and runs the engine, the user-site client collecting
-//! results on its own listening socket, passive termination by closing
-//! that socket. Unlike the prototype, a sender keeps its connection to
-//! each peer open and dials only on first use.
+//! the paper's Java prototype: a query-server daemon per site, each on
+//! its own listening socket, the user-site client collecting results on
+//! its own, passive termination by closing that socket. Unlike the
+//! prototype, a sender keeps its connection to each peer open and dials
+//! only on first use, and the daemons do not each own a thread: k reactor
+//! threads ([`Deployment::reactors`], by default one) each host an equal
+//! share of them, one endpoint holding a listener per hosted site. Frames between two daemons of one reactor still cross the
+//! kernel's loopback socket.
 //!
 //! Each simulated site gets an ephemeral `127.0.0.1` port; a shared
 //! address map plays DNS. Experiments use the deterministic simulator;
 //! this runtime exists to demonstrate (and integration-test) that the
 //! identical engine code is operational over real sockets. Every thread
-//! runs the simulator's one loop, on the wall clock, as a [`Runtime`]: a
-//! daemon until its endpoint closes, the user site under
-//! [`TcpCluster::drive`].
+//! runs the simulator's one loop, on the wall clock, as a [`Runtime`]
+//! over one agenda: a reactor until its endpoint closes, the user site
+//! under [`TcpCluster::drive`]. A daemon's `queue_us` span is the time a
+//! message sat read and decoded before its handler ran, which on a
+//! reactor includes the time spent on co-hosted sites.
 
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
@@ -67,10 +72,6 @@ pub struct TcpNet {
     /// set by its endpoint's runtime so the engine's `queue_us` span sees
     /// how long it sat in the endpoint's inbox.
     queue_wait_us: u64,
-    /// What the endpoint this handle runs on has to do at a time, on the
-    /// wall clock: its restarts, what its actor
-    /// [`post`](Network::post)ed and the host's entries.
-    agenda: Agenda,
 }
 
 impl TcpNet {
@@ -148,58 +149,76 @@ impl Network for TcpNet {
     fn queue_wait_us(&self) -> u64 {
         self.queue_wait_us
     }
+}
+
+/// A hosted site's handle while its actor runs: it sends through the
+/// site's own [`TcpNet`], and what it [`post`](Network::post)s lands on its
+/// reactor's one agenda.
+struct Hosted<'a> {
+    net: &'a mut TcpNet,
+    agenda: &'a mut Agenda,
+}
+
+impl Network for Hosted<'_> {
+    fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
+        self.net.send(to, msg)
+    }
+
+    fn now_us(&self) -> u64 {
+        self.net.now_us()
+    }
+
+    fn queue_wait_us(&self) -> u64 {
+        self.net.queue_wait_us
+    }
 
     fn post(&mut self, delay_us: u64, token: u64) {
-        let timer = Due::Actor(self.addr.clone(), Event::Timer(token));
-        self.agenda.push(self.now_us() + delay_us, timer);
+        let timer = Due::Actor(self.net.addr.clone(), Event::Timer(token));
+        self.agenda.push(self.net.now_us() + delay_us, timer);
     }
 }
 
-/// One endpoint and the actor on it, as a [`Runtime`] on the wall clock:
-/// an entry is taken at the instant it comes due, a frame at the instant
-/// it is read. `done` is asked before every wait; true ends the run.
-/// While it is down, a frame is a dead letter and a timer is dropped; its
-/// restart is [`Actor::on_restart`] with the same socket.
-struct Site<'a, A> {
-    actor: &'a mut A,
+/// Sites on one endpoint — listener `i` is the `i`-th site's — as one
+/// [`Runtime`] on the wall clock, drained by one thread: an entry of
+/// their one agenda is taken at the instant it comes due, a frame at the
+/// instant it is read, and either is handed to the site it addresses.
+/// While a site is down, a frame to it is a dead letter and a timer is
+/// dropped; its restart is [`Actor::on_restart`] with the same socket.
+struct Reactor<'a, A> {
     endpoint: &'a TcpEndpoint,
-    net: &'a mut TcpNet,
+    sites: Vec<(&'a mut A, &'a mut TcpNet)>,
+    /// Every site's restarts, what their actors [`post`](Network::post)ed
+    /// and the host's entries.
+    agenda: Agenda,
+    /// Asked of every site before each wait; true of all ends the run (a
+    /// daemon's never is: its run ends when its endpoint closes).
     done: fn(&A) -> bool,
 }
 
-impl<'a, A: Actor> Site<'a, A> {
-    /// `actor` on `endpoint`, handed what its agenda holds and each frame.
-    fn new(actor: &'a mut A, endpoint: &'a TcpEndpoint, net: &'a mut TcpNet) -> Self {
-        Site {
-            actor,
-            endpoint,
-            net,
-            done: |_| false,
-        }
-    }
-}
-
-impl<A: Actor> Runtime for Site<'_, A> {
+impl<A: Actor> Runtime for Reactor<'_, A> {
     /// The earliest agenda entry if it has come due, else the next frame
-    /// — sleeping until whichever is first, so an idle runtime costs
-    /// nothing. `None` once `done` holds, the clock passes `limit_us`, or
-    /// the endpoint is closed, which wakes the sleeper.
+    /// of any site — sleeping until whichever is first, so an idle
+    /// reactor costs nothing. `None` once `done` holds, the clock passes
+    /// `limit_us`, or the endpoint is closed, which wakes the sleeper.
     fn next(&mut self, limit_us: u64) -> Option<(u64, Due)> {
-        let net = &mut *self.net;
-        while !(self.done)(self.actor) {
-            let now = net.now_us();
-            if let Some((_, due)) = net.agenda.pop(now.min(limit_us)) {
+        while !self.sites.iter().all(|(actor, _)| (self.done)(actor)) {
+            let now = self.sites.first()?.1.now_us();
+            if let Some((_, due)) = self.agenda.pop(now.min(limit_us)) {
                 return Some((now, due));
             }
             if now >= limit_us {
                 return None;
             }
-            let wake_us = net.agenda.next_us().unwrap_or(u64::MAX).min(limit_us);
+            let wake_us = self.agenda.next_us().unwrap_or(u64::MAX).min(limit_us);
             let wait = Duration::from_micros(wake_us - now);
             let received = match self.endpoint.recv_timeout_sized(wait) {
                 Ok(received) => received,
                 Err(webdis_net::RecvTimeoutError::Timeout) => continue,
                 Err(_disconnected) => return None,
+            };
+            // The endpoint has one listener per site, in `sites` order.
+            let Some((_, net)) = self.sites.get_mut(received.at) else {
+                continue;
             };
             let (msg, bytes, now) = (received.msg, received.wire_bytes, net.now_us());
             if net.down(&net.addr, now) {
@@ -209,9 +228,9 @@ impl<A: Actor> Runtime for Site<'_, A> {
                 continue;
             }
             // Inbound queue depth at dequeue: this message plus whatever
-            // is still waiting.
-            net.ledger
-                .arrival(&net.addr.host, || self.endpoint.pending() as u64 + 1);
+            // else is still waiting for its site.
+            let depth = || self.endpoint.pending(received.at) as u64 + 1;
+            net.ledger.arrival(&net.addr.host, depth);
             net.queue_wait_us = received.queued.as_micros() as u64;
             let delivery = Due::Actor(net.addr.clone(), Event::Net(msg));
             return Some((now, delivery));
@@ -220,51 +239,67 @@ impl<A: Actor> Runtime for Site<'_, A> {
     }
 
     fn deliver(&mut self, at_us: u64, to: SiteAddr, event: Event) {
-        if !self.net.down(&to, at_us) {
-            self.actor.handle(self.net, event);
+        let agenda = &mut self.agenda;
+        let Some((actor, net)) = self.sites.iter_mut().find(|(_, net)| net.addr == to) else {
+            return;
+        };
+        if !net.down(&to, at_us) {
+            actor.handle(&mut Hosted { net, agenda }, event);
         }
-        self.net.queue_wait_us = 0;
+        net.queue_wait_us = 0;
     }
 
-    fn restart(&mut self, at_us: u64, _site: SiteAddr) {
-        self.actor.on_restart(at_us);
+    fn restart(&mut self, at_us: u64, site: SiteAddr) {
+        if let Some((actor, _)) = self.sites.iter_mut().find(|(_, net)| net.addr == site) {
+            actor.on_restart(at_us);
+        }
     }
 
     fn agenda(&mut self) -> &mut Agenda {
-        &mut self.net.agenda
+        &mut self.agenda
     }
 }
 
-/// Spawns daemon thread `name`, which runs `engine` on `endpoint` until
-/// the endpoint is closed; returns what closes the endpoint and the
-/// handle that gives the engine back.
+/// Spawns reactor thread `name`, which runs the daemons `sites` on
+/// `endpoint` (listener `i` the `i`-th's) from `agenda` until the
+/// endpoint is closed; returns what closes the endpoint and the handle
+/// that gives the engines back.
 fn spawn(
     name: String,
-    mut engine: ServerEngine,
     endpoint: TcpEndpoint,
-    mut net: TcpNet,
-) -> (Closer, JoinHandle<ServerEngine>) {
+    mut sites: Vec<(ServerEngine, TcpNet)>,
+    agenda: Agenda,
+) -> (Closer, JoinHandle<Vec<ServerEngine>>) {
     let closer = endpoint.closer();
     let thread = std::thread::Builder::new().name(name).spawn(move || {
-        Site::new(&mut engine, &endpoint, &mut net).run_to_host(u64::MAX);
-        engine
+        let hosted = sites.iter_mut().map(|(engine, net)| (engine, net));
+        Reactor {
+            sites: hosted.collect(),
+            endpoint: &endpoint,
+            agenda,
+            done: |_| false,
+        }
+        .run_to_host(u64::MAX);
+        sites.into_iter().map(|(engine, _)| engine).collect()
     });
     (closer, thread.expect("spawn cluster thread"))
 }
 
-/// A running loopback deployment: one query-server daemon thread per
-/// site of the hosted web, one bound user endpoint, and the shared
-/// address map playing DNS. All endpoints are bound before any daemon
-/// starts, so the map is complete from the first message. The
-/// single-query runners and the workload driver all build on this.
+/// A running loopback deployment: the query-server daemons of the hosted
+/// web's sites on [`Deployment::reactors`] reactor threads, one bound user
+/// endpoint, and the shared address map playing DNS. All endpoints are
+/// bound before any daemon starts, so the map is complete from the first
+/// message. The single-query runners and the workload driver all build on
+/// this.
 pub struct TcpCluster {
     user_endpoint: TcpEndpoint,
     /// The user site's network handle; every other handle of the cluster
     /// is a clone of it under another name.
     net: TcpNet,
-    /// Every daemon and the handle that closes its endpoint, which is
-    /// what ends (and wakes) its loop.
-    daemons: Vec<(Closer, JoinHandle<ServerEngine>)>,
+    /// Every reactor: the handle that closes its endpoint, which is what
+    /// ends (and wakes) its loop, and the thread that gives its daemons'
+    /// engines back.
+    reactors: Vec<(Closer, JoinHandle<Vec<ServerEngine>>)>,
     /// The cluster's admin socket (`/metrics`, `/status`,
     /// `/reset_high_water`).
     admin: MetricsExporter,
@@ -350,15 +385,17 @@ impl TcpCluster {
     pub fn drive(&mut self, net: &mut TcpNet, user: &mut ScheduledClient, deadline: Duration) {
         // Whatever an earlier drive of this handle left queued is moot;
         // the user site's kick-off is queued now, as `SimNet::start` does.
-        net.agenda = Agenda::default();
-        let now = net.now_us();
-        net.agenda
-            .push(now, Due::Actor(net.addr.clone(), Event::Start));
+        let (mut agenda, now) = (Agenda::default(), net.now_us());
+        agenda.push(now, Due::Actor(net.addr.clone(), Event::Start));
         let stop_us = now + deadline.as_micros() as u64;
         let tracer = &self.deployment.config.tracer;
-        let mut site = Site::new(user, &self.user_endpoint, net);
-        site.done = ScheduledClient::done;
-        let tick = |_: &mut Site<_>, at_us, _| {
+        let mut site = Reactor {
+            endpoint: &self.user_endpoint,
+            sites: vec![(user, net)],
+            agenda,
+            done: ScheduledClient::done,
+        };
+        let tick = |_: &mut Reactor<_>, at_us, _| {
             tracer.tick(at_us);
             ControlFlow::Continue(at_us + SAMPLE_PERIOD_US)
         };
@@ -368,7 +405,7 @@ impl TcpCluster {
             .drive(&mut site, cursor, stop_us, first_tick, tick);
     }
 
-    /// Stops the admin socket and every daemon, and returns the engines
+    /// Stops the admin socket and every reactor, and returns the engines
     /// (for final stats); a monitor's owner closes its last window after
     /// this. The user endpoint closes first, so a daemon whose write
     /// waits on a user site that stopped reading fails that write rather
@@ -376,36 +413,52 @@ impl TcpCluster {
     pub fn shutdown(mut self) -> Vec<ServerEngine> {
         self.user_endpoint.close();
         self.admin.stop();
-        for (closer, _) in &self.daemons {
+        for (closer, _) in &self.reactors {
             closer.close();
         }
-        let daemons = self.daemons.into_iter();
-        daemons.filter_map(|(_, d)| d.join().ok()).collect()
+        let reactors = self.reactors.into_iter();
+        reactors
+            .filter_map(|(_, r)| r.join().ok())
+            .flatten()
+            .collect()
     }
 }
 
 impl Deployment {
     /// Starts the deployment on loopback under `faults`: binds every
     /// endpoint and the cluster's one admin socket
-    /// ([`TcpCluster::admin_addr`]), then spawns one daemon thread per
-    /// participating site, which runs its [`ServerEngine`]. Each daemon,
-    /// and the user site, sends through a pool built on its own endpoint,
-    /// which it reads while a write waits for room ([`ConnPool`]). Faults
-    /// are decided per send, a [`Fault::Crash`] of any endpoint also per
-    /// arrival, in µs since the cluster came up; a daemon's restarts are
-    /// its agenda's. The daemons race for the one RNG, so rate draws are
-    /// not seed-deterministic: a rate of 0 or 1 is. The tracer is ticked,
-    /// and the schedule applied, by [`TcpCluster::drive`].
+    /// ([`TcpCluster::admin_addr`]), then spawns [`Deployment::reactors`]
+    /// reactor threads, each hosting the [`ServerEngine`]s of an equal
+    /// share of the participating sites, in site order, on one endpoint
+    /// with a listener per site. Each daemon, and the user site, sends
+    /// through a pool built on its own endpoint, which it reads while a
+    /// write waits for room ([`ConnPool`]). Faults are decided per send, a
+    /// [`Fault::Crash`] of any endpoint also per arrival, in µs since the
+    /// cluster came up; a daemon's restarts are its reactor's agenda's.
+    /// The daemons race for the one RNG, so rate draws are not
+    /// seed-deterministic: a rate of 0 or 1 is. The tracer is ticked, and
+    /// the schedule applied, by [`TcpCluster::drive`].
     pub fn tcp_cluster(&self, faults: Vec<Fault>) -> TcpCluster {
         let (web, engine_cfg) = (&self.web, &self.engine_config());
         let epoch = Instant::now();
         let user_site = user_addr();
-        let mut endpoints: Vec<(SiteAddr, TcpEndpoint)> = Vec::new();
+        let sites: Vec<SiteAddr> = web
+            .sites()
+            .into_iter()
+            .filter(|s| self.participates(s))
+            .collect();
+        let n = sites.len();
+        let k = self.reactors.max(1).min(n);
+        let mut endpoints = Vec::new();
         let mut map = BTreeMap::new();
-        for site in web.sites().into_iter().filter(|s| self.participates(s)) {
-            let ep = TcpEndpoint::bind("127.0.0.1:0").expect("bind loopback");
-            map.insert(query_server_addr(&site), ep.local_addr());
-            endpoints.push((site, ep));
+        for r in 0..k {
+            let hosted = &sites[r * n / k..(r + 1) * n / k];
+            let ep = TcpEndpoint::bind_all(hosted.iter().map(|_| "127.0.0.1:0"));
+            let ep = ep.expect("bind loopback");
+            for (site, addr) in hosted.iter().zip(ep.local_addrs()) {
+                map.insert(query_server_addr(site), *addr);
+            }
+            endpoints.push((hosted, ep));
         }
         let user_endpoint = TcpEndpoint::bind("127.0.0.1:0").expect("bind loopback");
         map.insert(user_site.clone(), user_endpoint.local_addr());
@@ -422,7 +475,6 @@ impl Deployment {
                 .then(|| Arc::new(Mutex::new(Injector::new(faults.clone(), 0)))),
             ledger,
             queue_wait_us: 0,
-            agenda: Agenda::default(),
         };
 
         // The cluster's one admin socket: `/metrics` is the shared
@@ -450,23 +502,27 @@ impl Deployment {
         })
         .expect("bind admin socket");
 
-        let mut daemons = Vec::new();
-        for (site, endpoint) in endpoints {
-            let engine = ServerEngine::new(site.clone(), web.clone(), engine_cfg.clone());
-            let addr = query_server_addr(&site);
-            let net = TcpNet {
-                agenda: Agenda::new(&faults, |site| *site == addr),
-                addr,
-                pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
-                ..user_net.clone()
-            };
-            let name = format!("webdis-daemon-{site}");
-            daemons.push(spawn(name, engine, endpoint, net));
+        let mut reactors = Vec::new();
+        for (r, (hosted, endpoint)) in endpoints.into_iter().enumerate() {
+            let addrs: Vec<SiteAddr> = hosted.iter().map(query_server_addr).collect();
+            let daemons = hosted.iter().zip(&addrs).map(|(site, addr)| {
+                let engine = ServerEngine::new(site.clone(), web.clone(), engine_cfg.clone());
+                let net = TcpNet {
+                    addr: addr.clone(),
+                    pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
+                    ..user_net.clone()
+                };
+                (engine, net)
+            });
+            let daemons = daemons.collect();
+            let agenda = Agenda::new(&faults, |site| addrs.contains(site));
+            let name = format!("webdis-reactor-{r}");
+            reactors.push(spawn(name, endpoint, daemons, agenda));
         }
         TcpCluster {
             user_endpoint,
             net: user_net,
-            daemons,
+            reactors,
             admin,
             deployment: self.clone(),
             mutated: 0,
@@ -535,6 +591,17 @@ mod tests {
     use webdis_trace::{TraceEvent as TrEvent, TraceHandle};
     use webdis_web::figures;
     use webdis_web::{HostedWeb, LiveWeb, Mutation, MutationOp, MutationSchedule, PageBuilder};
+
+    /// The two ways a cluster can host its daemons: every daemon on one
+    /// reactor thread, and a thread per daemon.
+    const LAYOUTS: [usize; 2] = [1, usize::MAX];
+
+    /// `web` under `cfg`, its daemons hosted on `reactors` threads.
+    fn cluster_at(web: HostedWeb, cfg: &EngineConfig, reactors: usize) -> TcpCluster {
+        let mut deployment = Deployment::new(Arc::new(web), cfg.clone());
+        deployment.reactors = reactors;
+        deployment.tcp_cluster(Vec::new())
+    }
 
     /// A user site with one client process and nothing planned yet.
     fn campus_user(cluster: &TcpCluster, cfg: &EngineConfig) -> ScheduledClient {
@@ -822,26 +889,66 @@ mod tests {
     fn shutdown_returns_while_a_daemon_writes_to_a_user_that_stopped_reading() {
         // One result row larger than the socket buffers hold, at a user
         // site that never reads: the daemon's write waits for room until
-        // shutdown closes the user endpoint, which fails it.
+        // shutdown closes the user endpoint, which fails it — also when
+        // it waits in turns of a reactor it shares with another daemon.
         let mut web = HostedWeb::new();
         web.insert_page("http://c.test/", PageBuilder::new(&"x".repeat(4 << 20)));
+        web.insert_page("http://d.test/", PageBuilder::new("idle"));
         let cfg = EngineConfig::default();
-        let cluster = TcpCluster::start(Arc::new(web), &cfg, Vec::new());
-        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
-        let disql = r#"select d.title from document d such that "http://c.test/" L* d"#;
-        client.submit(&mut cluster.user_net(), parse_disql(disql).unwrap());
-        let meter = Arc::clone(cluster.wire_counters());
-        let deadline = Instant::now() + Duration::from_secs(10);
-        // The clone went out; give the daemon time to fill the buffers.
-        while meter.msgs_of("query") == 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+        for reactors in LAYOUTS {
+            let cluster = cluster_at(web.clone(), &cfg, reactors);
+            let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg.clone());
+            let disql = r#"select d.title from document d such that "http://c.test/" L* d"#;
+            client.submit(&mut cluster.user_net(), parse_disql(disql).unwrap());
+            let meter = Arc::clone(cluster.wire_counters());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            // The clone went out; give the daemon time to fill the buffers.
+            while meter.msgs_of("query") == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            std::thread::sleep(Duration::from_millis(200));
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let stopper = std::thread::spawn(move || done_tx.send(cluster.shutdown().len()));
+            let joined = done_rx.recv_timeout(Duration::from_secs(5));
+            assert_eq!(
+                joined,
+                Ok(2),
+                "{reactors:?}: shutdown waited on a daemon's write"
+            );
+            stopper.join().unwrap().unwrap();
         }
-        std::thread::sleep(Duration::from_millis(200));
-        let (done_tx, done_rx) = std::sync::mpsc::channel();
-        let stopper = std::thread::spawn(move || done_tx.send(cluster.shutdown().len()));
-        let joined = done_rx.recv_timeout(Duration::from_secs(5));
-        assert_eq!(joined, Ok(1), "shutdown waited on a daemon's write");
-        stopper.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_report_to_a_closed_user_endpoint_is_refused_in_either_layout() {
+        // Section 2.8 over real sockets: the user site has closed its
+        // endpoint, so the StartNode daemon's report dial is refused, the
+        // daemon purges the query, and nothing is forwarded.
+        let cfg = EngineConfig::default();
+        for reactors in LAYOUTS {
+            let mut cluster = cluster_at(figures::campus(), &cfg, reactors);
+            let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg.clone());
+            cluster.user_endpoint.close();
+            let query = parse_disql(figures::CAMPUS_QUERY).unwrap();
+            client.submit(&mut cluster.user_net(), query);
+            let meter = Arc::clone(cluster.wire_counters());
+            let refused = webdis_net::meter::FATES
+                .iter()
+                .position(|&f| f == "refused");
+            let refused = refused.expect("a refused fate");
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while meter.get(refused, "report").0 == 0 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            let engines = cluster.shutdown();
+            let terminated: u64 = engines.iter().map(|e| e.stats.terminated_queries).sum();
+            assert_eq!(terminated, 1, "{reactors:?}");
+            assert_eq!(
+                meter.msgs_of("query"),
+                1,
+                "{reactors:?}: only the user's clone"
+            );
+        }
     }
 
     #[test]
@@ -850,8 +957,7 @@ mod tests {
         // simulator's actor and the TCP driver run the same
         // `ScheduledClient`, so the queries go out in the same order (their
         // numbers follow their planned times) and each is answered the
-        // same; on TCP the one expiry chain is visible as at most one
-        // pending sweep on the driver's agenda.
+        // same.
         let web = Arc::new(figures::campus());
         let cfg = EngineConfig {
             expiry_us: Some(2_000_000),
@@ -880,10 +986,6 @@ mod tests {
         let client = ClientProcess::new("webdis", user_addr(), cfg.clone());
         let mut user = ScheduledClient::new(vec![client], plan().map(|s| (0, s)).into());
         cluster.drive(&mut net, &mut user, Duration::from_secs(30));
-        let sweep = Event::Timer(crate::client::EXPIRY_TIMER_TOKEN);
-        let sweeps = net.agenda.iter();
-        let sweeps = sweeps.filter(|(_, due)| matches!(due, Due::Actor(_, e) if *e == sweep));
-        assert!(sweeps.count() <= 1, "{:?}", net.agenda);
         cluster.shutdown();
         let tcp = user.clients[0].take_records(0);
 
@@ -962,30 +1064,32 @@ mod tests {
     #[test]
     fn connections_are_reused_across_queries() {
         // 200 campus queries over one cluster: every (sender, receiver)
-        // pair dials at most once, and a warm cluster never dials again.
-        let web = Arc::new(figures::campus());
+        // pair dials at most once, and a warm cluster never dials again —
+        // daemons sharing a reactor each keep their own connections.
         let cfg = EngineConfig::default();
-        let mut cluster = TcpCluster::start(Arc::clone(&web), &cfg, Vec::new());
-        let mut user = campus_user(&cluster, &cfg);
-        let mut net = cluster.user_net();
-        let mut connects_after = Vec::new();
-        for _ in 0..200 {
-            let query = drive_query(&mut cluster, &mut net, &mut user, CAMPUS_NOW);
-            assert_eq!(query.results.get(&1).map(Vec::len), Some(3));
-            connects_after.push(cluster.wire_counters().connects());
+        for reactors in LAYOUTS {
+            let mut cluster = cluster_at(figures::campus(), &cfg, reactors);
+            let mut user = campus_user(&cluster, &cfg);
+            let mut net = cluster.user_net();
+            let mut connects_after = Vec::new();
+            for _ in 0..200 {
+                let query = drive_query(&mut cluster, &mut net, &mut user, CAMPUS_NOW);
+                assert_eq!(query.results.get(&1).map(Vec::len), Some(3));
+                connects_after.push(cluster.wire_counters().connects());
+            }
+            // Senders: one daemon per site plus the user; receivers likewise.
+            let endpoints = figures::campus().sites().len() as u64 + 1;
+            assert!(
+                connects_after[199] <= endpoints * (endpoints - 1),
+                "{reactors:?}: {} dials for {endpoints} endpoints",
+                connects_after[199]
+            );
+            assert_eq!(
+                connects_after[99], connects_after[199],
+                "{reactors:?}: a warm cluster must not dial"
+            );
+            cluster.shutdown();
         }
-        // Senders: one daemon per site plus the user; receivers likewise.
-        let endpoints = web.sites().len() as u64 + 1;
-        assert!(
-            connects_after[199] <= endpoints * (endpoints - 1),
-            "{} dials for {endpoints} endpoints",
-            connects_after[199]
-        );
-        assert_eq!(
-            connects_after[99], connects_after[199],
-            "a warm cluster must not dial"
-        );
-        cluster.shutdown();
     }
 
     #[test]

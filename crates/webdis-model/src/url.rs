@@ -226,7 +226,7 @@ impl Resolver<'_> {
     /// fragment.
     fn path(&self, s: &str) -> Url {
         let (base, split) = (self.base, Split::of(s, 0));
-        let path = &s[..split.hash.unwrap_or(s.len())];
+        let path = s[..split.hash.unwrap_or(s.len())].trim_end();
         let merged = if path.starts_with('/') {
             normalize_path(path.into(), !split.irregular)
         } else {
@@ -340,7 +340,10 @@ fn absolute(s: &str, at: usize, host: impl FnOnce(&str) -> Arc<str>) -> Result<U
     if split.odd.is_some_and(|odd| odd < host_end) {
         return Err("invalid character in host");
     }
-    let path = match &s[end..path_end] {
+    // Whitespace before the `#` is no more part of the path than
+    // whitespace after the URL: displayed without a fragment it would end
+    // the text, which `parse` trims.
+    let path = match s[end..path_end].trim_end() {
         "" => "/".to_owned(),
         path => normalize_path(path.into(), !split.irregular),
     };

@@ -188,3 +188,22 @@ proptest! {
         prop_assert_eq!(reparsed, a);
     }
 }
+
+/// Whitespace before an empty fragment used to stay in the path, so the
+/// display ended in it and parsed back without it. Found by
+/// `normalization_is_idempotent` and `resolve_is_total_and_closed` at
+/// about 30 000 cases.
+#[test]
+fn whitespace_before_an_empty_fragment_round_trips() {
+    let base = Url::parse("http://h/d/").unwrap();
+    let urls = [
+        Url::parse("http://h/x #").unwrap(),
+        Url::parse("http://h/a b #").unwrap(),
+        base.resolve("x #").unwrap(),
+    ];
+    let paths = urls.each_ref().map(Url::path);
+    assert_eq!(paths, ["/x", "/a b", "/d/x"]);
+    for u in urls {
+        assert_eq!(Url::parse(&u.to_string()).unwrap(), u, "{u}");
+    }
+}

@@ -6,7 +6,10 @@
 //! `Url::resolve` to. A URL is given as its parts, `(host, port, path,
 //! fragment)`, and an error as its reason; the code is the parent's, with
 //! `Url::new` building those parts and the host table (which only shares
-//! equal hosts) left out. Never fix a bug here.
+//! equal hosts) left out. Never fix a bug here. The one exception is a
+//! bug both had, fixed in both: whitespace before a `#` stayed in the
+//! path, so `http://h/x #` displayed as `http://h/x `, which parses back
+//! to `/x`; the path is now trimmed at its end.
 
 use std::borrow::Cow;
 
@@ -39,7 +42,7 @@ pub fn parse(input: &str) -> Result<Parts, &'static str> {
         None => (rest, None),
     };
     let (authority, path) = match rest.find('/') {
-        Some(idx) => (&rest[..idx], &rest[idx..]),
+        Some(idx) => (&rest[..idx], rest[idx..].trim_end()),
         None => (rest, "/"),
     };
     if authority.is_empty() {
@@ -93,6 +96,7 @@ pub fn resolve(base: &Url, reference: &str) -> Result<Parts, &'static str> {
         Some((p, f)) => (p, Some(f.to_owned())),
         None => (reference, None),
     };
+    let path_part = path_part.trim_end();
     let merged = if path_part.starts_with('/') {
         Cow::Borrowed(path_part)
     } else {

@@ -4,7 +4,7 @@
 //! completion traffic); this meter keeps, per kind, messages and encoded
 //! bytes for every [fate](FATES) a message can meet. Only
 //! `webdis_sim::Ledger` writes it, for the simulator and the TCP transport
-//! alike; lock-free atomics let TCP daemon threads share it without a
+//! alike; lock-free atomics let TCP reactor threads share it without a
 //! lock. The simulator's `Metrics` is read off it, and both runtimes
 //! expose its [`counters`](WireCounters::counters) as `net.<kind>.*`.
 

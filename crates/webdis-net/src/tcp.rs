@@ -4,13 +4,16 @@
 //! length-prefixed [`Frame`]s down it, dialling only when it has no
 //! connection or the peer closed the one it had. An endpoint has no
 //! thread of its own: the thread waiting on it (the paper's *Query
-//! Receiver* / *Result Collector*) polls its listener and connections and
-//! decodes each complete frame straight from the connection's buffer. A
-//! connection that carries one frame and closes ([`send_to`]) is the
-//! short case of the same code.
+//! Receiver* / *Result Collector*) waits on one poll set of its listeners
+//! and connections, which costs what is ready rather than what is
+//! watched, and decodes each complete frame straight from the
+//! connection's buffer. An endpoint may listen for several sites — one
+//! thread hosting them all — and each message says which listener it
+//! arrived on. A connection that carries one frame and closes
+//! ([`send_to`]) is the short case of the same code.
 //!
 //! Passive query termination (Section 2.8) still falls out of the
-//! design: closing a [`TcpEndpoint`] closes its listener and every
+//! design: closing a [`TcpEndpoint`] closes its listeners and every
 //! accepted connection, a pooled sender sees that *before* it writes, its
 //! re-dial is refused, and the server purges the query locally.
 
@@ -47,6 +50,11 @@ const READ_CHUNK: usize = 64 * 1024;
 /// Reads from one ready connection per wait on an endpoint, so a peer
 /// that writes without pause cannot starve the others.
 const READS_PER_TURN: usize = 16;
+
+/// How long an endpoint's listeners stay out of its poll set after an
+/// accept failed (EMFILE and friends): a listener that stays ready would
+/// otherwise busy-spin the waiting thread at 100% CPU.
+const ERROR_PAUSE: Duration = Duration::from_millis(10);
 
 /// Transport error.
 #[derive(Debug)]
@@ -119,15 +127,16 @@ impl std::error::Error for RecvTimeoutError {}
 
 /// Extra attempts [`ConnPool::send_retrying`] makes after the first.
 const MAX_RETRIES: u32 = 3;
-/// Sleep before the first retry; doubles each subsequent retry.
+/// Pause before the first retry; doubles each subsequent retry.
 const BASE_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Runs `op`, retrying up to [`MAX_RETRIES`] times with exponential
 /// backoff from [`BASE_BACKOFF`]. Only transient errors are retried;
 /// `on_retry(attempt)` fires before each retry (attempt numbering starts
-/// at 1).
+/// at 1) and `pause(backoff)` waits the backoff out.
 fn with_retries<T>(
     mut on_retry: impl FnMut(u32),
+    mut pause: impl FnMut(Duration),
     mut op: impl FnMut() -> Result<T, TcpError>,
 ) -> Result<T, TcpError> {
     let mut backoff = BASE_BACKOFF;
@@ -138,7 +147,7 @@ fn with_retries<T>(
             Err(e) if e.is_transient() && attempt < MAX_RETRIES => {
                 attempt += 1;
                 on_retry(attempt);
-                std::thread::sleep(backoff);
+                pause(backoff);
                 backoff *= 2;
             }
             Err(e) => return Err(e),
@@ -186,18 +195,21 @@ impl Frame {
 
     /// The one frame writer: pooled and one-shot sends both end here.
     /// `wait(stream, progress)` is called whenever `stream` has no room,
-    /// `progress` being when the peer last took a byte.
+    /// `progress` being when the peer last took a byte — the clock is
+    /// read then, not per write.
     fn write_to(
         &self,
         stream: &mut TcpStream,
         mut wait: impl FnMut(&TcpStream, Instant) -> Result<(), TcpError>,
     ) -> Result<(), TcpError> {
-        let (mut rest, mut progress) = (&self.0[..], Instant::now());
+        let (mut rest, mut progress) = (&self.0[..], None);
         while !rest.is_empty() {
             match stream.write(rest) {
                 Ok(0) => return Err(TcpError::Io(io::ErrorKind::WriteZero.into())),
-                Ok(n) => (rest, progress) = (&rest[n..], Instant::now()),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => wait(stream, progress)?,
+                Ok(n) => (rest, progress) = (&rest[n..], None),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    wait(stream, *progress.get_or_insert_with(Instant::now))?;
+                }
                 Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e.into()),
                 Err(_) => {}
             }
@@ -220,10 +232,12 @@ pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError>
 /// (`TCP_NODELAY`: a frame is one `write` and must not wait for the
 /// previous frame's ACK) and non-blocking. A pool is built on the
 /// endpoint its thread receives on, and a write that finds the peer's
-/// buffers full reads that endpoint while it waits for room: two threads
-/// writing large frames at each other never both wait on full buffers.
-/// One pool belongs to one thread; cloning a pool yields an **empty** one
-/// on the same endpoint and meter.
+/// buffers full waits for room in turns of that endpoint's wait, which
+/// read every listener of it: two threads writing large frames at each
+/// other, or two sites of one endpoint, never both wait on full buffers.
+/// A retry's backoff is waited out in the same turns. One pool belongs
+/// to one thread; cloning a pool yields an **empty** one on the same
+/// endpoint and meter.
 pub struct ConnPool {
     conns: HashMap<SocketAddr, TcpStream>,
     meter: Arc<WireCounters>,
@@ -285,15 +299,21 @@ impl ConnPool {
     }
 
     /// [`send`](ConnPool::send) with bounded retry + exponential backoff
-    /// on transient failures. Connection-refused fails immediately
-    /// (passive termination).
+    /// on transient failures, the backoff waited out in turns of the
+    /// pool's endpoint. Connection-refused fails immediately (passive
+    /// termination).
     pub fn send_retrying(
         &mut self,
         addr: SocketAddr,
         frame: &Frame,
         on_retry: impl FnMut(u32),
     ) -> Result<(), TcpError> {
-        with_retries(on_retry, || self.send(addr, frame))
+        let home = Arc::clone(&self.home);
+        with_retries(
+            on_retry,
+            |backoff| home.pause(backoff),
+            || self.send(addr, frame),
+        )
     }
 }
 
@@ -305,8 +325,10 @@ fn peer_closed(stream: &TcpStream) -> bool {
     sys::wait(&mut fd, Some(Duration::ZERO)).is_err() || fd[0].ready()
 }
 
-/// `poll(2)`, the one system call this transport needs that `std` does
-/// not wrap (`std` already links the C library it lives in).
+/// The system calls this transport needs that `std` does not wrap (`std`
+/// already links the C library they live in): `poll(2)` and, on Linux,
+/// `epoll(7)`, whose wait costs what is ready rather than what is
+/// watched.
 mod sys {
     use std::io;
     use std::time::Duration;
@@ -314,6 +336,15 @@ mod sys {
     /// What to wait for: data (or end of stream), or room to write.
     pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
+
+    /// What a socket is to the poll calls: its descriptor.
+    #[cfg(unix)]
+    pub use std::os::unix::io::AsRawFd as Socket;
+    /// Without `poll(2)` a socket is nothing to the wait.
+    #[cfg(not(unix))]
+    pub trait Socket {}
+    #[cfg(not(unix))]
+    impl<T> Socket for T {}
 
     /// One socket to wait on, laid out as C's `struct pollfd`.
     #[repr(C)]
@@ -324,19 +355,16 @@ mod sys {
     }
 
     impl PollFd {
-        #[cfg(unix)]
-        pub fn new(socket: &impl std::os::unix::io::AsRawFd, events: i16) -> PollFd {
+        pub fn new(socket: &impl Socket, events: i16) -> PollFd {
+            #[cfg(unix)]
+            let fd = socket.as_raw_fd();
+            #[cfg(not(unix))]
+            let fd = {
+                let _ = socket;
+                0
+            };
             PollFd {
-                fd: socket.as_raw_fd(),
-                events,
-                revents: 0,
-            }
-        }
-
-        #[cfg(not(unix))]
-        pub fn new<S>(_socket: &S, events: i16) -> PollFd {
-            PollFd {
-                fd: 0,
+                fd,
                 events,
                 revents: 0,
             }
@@ -409,26 +437,211 @@ mod sys {
     }
 
     /// Without `poll(2)` every socket is reported ready after a
-    /// millisecond: the endpoint's non-blocking reads sort out which
-    /// really are, and a pooled sender, unable to tell a live connection
-    /// from a closed one, dials per message.
+    /// millisecond's park: the endpoint's non-blocking reads sort out
+    /// which really are, and a pooled sender, unable to tell a live
+    /// connection from a closed one, dials per message.
     #[cfg(not(unix))]
     pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
         let nap = Duration::from_millis(1);
-        std::thread::sleep(timeout.map_or(nap, |t| t.min(nap)));
+        std::thread::park_timeout(timeout.map_or(nap, |t| t.min(nap)));
         for fd in fds {
             fd.revents = fd.events;
         }
         Ok(())
     }
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    pub use epoll::Poller;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    pub use list::Poller;
+
+    /// The sockets an endpoint waits on, each watched for data under a
+    /// token, as an epoll set: registered once per socket, and its wait
+    /// costs what is ready rather than what is watched.
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    mod epoll {
+        use super::{wait, PollFd, Socket, POLLIN, POLLOUT};
+        use std::io;
+        use std::net::TcpStream;
+        use std::os::fd::{FromRawFd, OwnedFd};
+        use std::os::raw::c_int;
+        use std::time::Duration;
+
+        /// C's `struct epoll_event`, which the kernel packs on x86.
+        #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
+        #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
+        #[derive(Clone, Copy, Default)]
+        struct Event {
+            events: u32,
+            token: u64,
+        }
+
+        /// `EPOLL_CLOEXEC`, which is `O_CLOEXEC`.
+        #[cfg(not(any(target_arch = "sparc", target_arch = "sparc64")))]
+        const CLOEXEC: c_int = 0x8_0000;
+        #[cfg(any(target_arch = "sparc", target_arch = "sparc64"))]
+        const CLOEXEC: c_int = 0x40_0000;
+        /// `EPOLL_CTL_ADD`, `EPOLL_CTL_DEL` and `EPOLLIN`.
+        const ADD: c_int = 1;
+        const DEL: c_int = 2;
+        const IN: u32 = 0x001;
+
+        extern "C" {
+            fn epoll_create1(flags: c_int) -> c_int;
+            fn epoll_ctl(set: c_int, op: c_int, fd: c_int, event: *mut Event) -> c_int;
+            fn epoll_wait(set: c_int, events: *mut Event, n: c_int, timeout_ms: c_int) -> c_int;
+        }
+
+        /// `r`, or the error the call that returned it left in `errno`.
+        fn check(r: c_int) -> io::Result<c_int> {
+            if r < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(r)
+        }
+
+        pub struct Poller {
+            set: OwnedFd,
+            events: Vec<Event>,
+        }
+
+        impl Poller {
+            pub fn new() -> io::Result<Poller> {
+                // SAFETY: `epoll_create1` takes no pointer; it returns a
+                // new descriptor, or -1.
+                let fd = check(unsafe { epoll_create1(CLOEXEC) })?;
+                // SAFETY: `fd` was just made, is open, and nothing else
+                // owns it.
+                let set = unsafe { OwnedFd::from_raw_fd(fd) };
+                let events = vec![Event::default(); 64];
+                Ok(Poller { set, events })
+            }
+
+            /// Watches `socket` for data or end of stream as `token`, or
+            /// (`on` false) stops watching it.
+            pub fn watch(
+                &mut self,
+                socket: &impl Socket,
+                token: usize,
+                on: bool,
+            ) -> io::Result<()> {
+                let (set, fd) = (self.set.as_raw_fd(), socket.as_raw_fd());
+                let (op, token) = (if on { ADD } else { DEL }, token as u64);
+                let mut event = Event { events: IN, token };
+                // SAFETY: `event` is a live `struct epoll_event` the kernel
+                // only reads, and both descriptors are open while borrowed.
+                check(unsafe { epoll_ctl(set, op, fd, &mut event) }).map(drop)
+            }
+
+            /// Blocks until a watched socket has data, `writer` has room or
+            /// `timeout` passes (`None`: no limit), then appends the token
+            /// of every ready socket to `ready`; it may return sooner, as
+            /// its callers wait in a loop. Without a writer, whole
+            /// milliseconds are `epoll_wait`'s own; room, or a fraction of
+            /// a millisecond, is waited for by `ppoll`ing the set as one
+            /// descriptor (its timeout a `timespec`), then what is ready is
+            /// taken without waiting.
+            pub fn wait(
+                &mut self,
+                timeout: Option<Duration>,
+                writer: Option<&TcpStream>,
+                ready: &mut Vec<usize>,
+            ) -> io::Result<()> {
+                let timeout_ms = match (writer, timeout) {
+                    (None, None) => -1,
+                    (None, Some(t)) if t.is_zero() || t >= Duration::from_millis(1) => {
+                        c_int::try_from(t.as_millis()).unwrap_or(c_int::MAX)
+                    }
+                    _ => {
+                        let set = PollFd::new(&self.set, POLLIN);
+                        let mut fds = [set, PollFd::new(&self.set, 0)];
+                        if let Some(writer) = writer {
+                            fds[1] = PollFd::new(writer, POLLOUT);
+                        }
+                        wait(&mut fds[..1 + usize::from(writer.is_some())], timeout)?;
+                        if !fds[0].ready() {
+                            return Ok(());
+                        }
+                        0
+                    }
+                };
+                let (set, capacity) = (self.set.as_raw_fd(), self.events.len() as c_int);
+                let n = loop {
+                    let events = self.events.as_mut_ptr();
+                    // SAFETY: `events` points at an exclusively borrowed
+                    // buffer of `capacity` `struct epoll_event`s, the most
+                    // the kernel is told it may write; the set is open
+                    // while `self` is.
+                    match check(unsafe { epoll_wait(set, events, capacity, timeout_ms) }) {
+                        Ok(n) => break n as usize,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e),
+                    }
+                };
+                let events = self.events.iter().take(n);
+                ready.extend(events.map(|event| event.token as usize));
+                Ok(())
+            }
+        }
+    }
+
+    /// The sockets an endpoint waits on, each watched for data under a
+    /// token: without epoll, a list every wait hands `poll(2)` whole.
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    mod list {
+        use super::{wait, PollFd, Socket, POLLIN, POLLOUT};
+        use std::io;
+        use std::net::TcpStream;
+        use std::time::Duration;
+
+        pub struct Poller(Vec<PollFd>, Vec<usize>);
+
+        impl Poller {
+            pub fn new() -> io::Result<Poller> {
+                Ok(Poller(Vec::new(), Vec::new()))
+            }
+
+            pub fn watch(
+                &mut self,
+                socket: &impl Socket,
+                token: usize,
+                on: bool,
+            ) -> io::Result<()> {
+                if on {
+                    self.0.push(PollFd::new(socket, POLLIN));
+                    self.1.push(token);
+                } else if let Some(i) = self.1.iter().position(|&t| t == token) {
+                    self.0.swap_remove(i);
+                    self.1.swap_remove(i);
+                }
+                Ok(())
+            }
+
+            pub fn wait(
+                &mut self,
+                timeout: Option<Duration>,
+                writer: Option<&TcpStream>,
+                ready: &mut Vec<usize>,
+            ) -> io::Result<()> {
+                self.0.extend(writer.map(|w| PollFd::new(w, POLLOUT)));
+                let waited = wait(&mut self.0, timeout);
+                self.0.truncate(self.1.len());
+                waited?;
+                let fds = self.0.iter().zip(&self.1);
+                ready.extend(fds.filter(|(fd, _)| fd.ready()).map(|(_, &token)| token));
+                Ok(())
+            }
+        }
+    }
 }
 
-/// One accepted connection of an endpoint: a non-blocking socket and the
-/// bytes received so far of a frame not yet complete. The one frame
-/// reader: a connection that carries a single frame and closes goes
-/// through the same code.
+/// One accepted connection of an endpoint: a non-blocking socket, the
+/// listener that accepted it, and the bytes received so far of a frame
+/// not yet complete. The one frame reader: a connection that carries a
+/// single frame and closes goes through the same code.
 struct Conn {
     stream: TcpStream,
+    listener: usize,
     buf: Vec<u8>,
     /// When the incomplete frame at the front of `buf` last grew; `None`
     /// between frames.
@@ -436,10 +649,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> io::Result<Conn> {
+    fn new(stream: TcpStream, listener: usize) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
         Ok(Conn {
             stream,
+            listener,
             buf: Vec::new(),
             last_progress: None,
         })
@@ -463,6 +677,7 @@ impl Conn {
                 match self.stream.read(chunk) {
                     Ok(0) => return Err(TcpError::Io(io::ErrorKind::UnexpectedEof.into())),
                     Ok(n) => {
+                        // `read` returns at most `chunk.len()`.
                         self.buf.extend_from_slice(&chunk[..n]);
                         self.last_progress = Some(now);
                         if n < chunk.len() {
@@ -485,8 +700,8 @@ impl Conn {
     /// Delivers every complete frame in `buf` and keeps the remainder.
     fn take_frames(&mut self, deliver: &mut impl FnMut(&[u8])) -> Result<(), TcpError> {
         let mut at = 0;
-        while let Some(prefix) = self.buf.get(at..at + PREFIX) {
-            let len = u32::from_be_bytes(prefix.try_into().expect("PREFIX bytes"));
+        while let Some(&[a, b, c, d]) = self.buf.get(at..at + PREFIX) {
+            let len = u32::from_be_bytes([a, b, c, d]);
             if len > MAX_FRAME {
                 return Err(TcpError::FrameTooLarge(len));
             }
@@ -515,95 +730,168 @@ impl Conn {
 pub struct Received {
     /// The decoded message.
     pub msg: Message,
-    /// How long it sat in the inbox between its frame being read whole
-    /// and this receive — the wall-clock queue wait behind the `queue_us`
-    /// span. Time in the kernel's socket buffer is not counted.
+    /// How long it sat in the inbox between the wait that read its frame
+    /// whole waking and this receive — the wall-clock queue wait behind
+    /// the `queue_us` span. Time in the kernel's socket buffer is not
+    /// counted.
     pub queued: Duration,
     /// Size of its encoded payload as it came off the wire.
     pub wire_bytes: usize,
+    /// The listener it arrived on: its place in the addresses the
+    /// endpoint was bound to ([`TcpEndpoint::local_addrs`]).
+    pub at: usize,
 }
 
+/// A message decoded and not yet taken: when the wait that read its frame
+/// whole woke, the message, its size on the wire and the listener it
+/// arrived on.
+type Queued = (Instant, Message, usize, usize);
+
 /// An endpoint's receiving side, read by whichever thread waits on it: a
-/// receiver, or the write of a pool built on the endpoint.
+/// receiver, or the write or retry of a pool built on the endpoint.
+/// Listener `i` is watched under token `i`, each accepted connection under
+/// a token of its own above the listeners'.
 struct Inbox {
-    /// `None` once the endpoint is closed.
-    listener: Option<TcpListener>,
-    conns: Vec<Conn>,
-    /// Messages decoded and not yet taken, each with the instant its
-    /// frame was read whole and its size on the wire.
-    queue: VecDeque<(Instant, Message, usize)>,
-    /// Scratch of every turn: what it waits on, and what it reads into.
-    fds: Vec<PollFd>,
+    /// Empty once the endpoint is closed.
+    listeners: Vec<TcpListener>,
+    /// Accepted connections by token, and the token the next one takes.
+    conns: HashMap<usize, Conn>,
+    next: usize,
+    /// The tokens of the connections that hold part of a frame: the ones
+    /// the stall bound watches.
+    partial: Vec<usize>,
+    queue: VecDeque<Queued>,
+    poller: sys::Poller,
+    /// While an accept failure keeps the listeners out of the poll set,
+    /// when they go back in ([`ERROR_PAUSE`]).
+    resume: Option<Instant>,
+    /// Scratch of every turn: the tokens its wait found ready, and what
+    /// it reads into.
+    ready: Vec<usize>,
     chunk: Vec<u8>,
 }
 
 impl Inbox {
-    /// Sleeps in `poll` until a connection or the listener has something,
-    /// `writer` has room, a connection mid-frame reaches the stall bound
-    /// or `timeout` passes (`None`: no limit); then accepts every waiting
-    /// connection and reads every ready one, new ones at once, queueing
-    /// each frame that decodes. Garbage, a stalled peer, an oversized
-    /// prefix and a closed connection all end the same way: that
-    /// connection is dropped, every other one is untouched.
+    /// Sleeps until a listener or connection has something, `writer` has
+    /// room, a connection mid-frame reaches the stall bound, the listeners
+    /// are due back from an [`ERROR_PAUSE`] or `timeout` passes (`None`:
+    /// no limit); then accepts every waiting connection and reads every
+    /// ready one, new ones at once, queueing each frame that decodes.
+    /// Garbage, a stalled peer, an oversized prefix and a closed
+    /// connection all end the same way: that connection is dropped, every
+    /// other one is untouched. A failed wait (`ENOMEM`; a signal is waited
+    /// out again) reads nothing and ends the turn.
     fn turn(&mut self, stall: Duration, timeout: Option<Duration>, writer: Option<&TcpStream>) {
-        // Persistent accept or poll errors (EMFILE and friends) would
-        // otherwise busy-spin the waiting thread at 100% CPU.
-        const ERROR_PAUSE: Duration = Duration::from_millis(10);
-        let waited = self.conns.len();
-        let oldest = self.conns.iter().filter_map(|c| c.last_progress).min();
-        let stalls = oldest.map(|t| (t + stall).saturating_duration_since(Instant::now()));
-        let fds = self.conns.iter().map(|c| PollFd::new(&c.stream, POLLIN));
-        let listening = self.listener.iter().map(|l| PollFd::new(l, POLLIN));
-        let writing = writer.map(|w| PollFd::new(w, POLLOUT));
-        self.fds.clear();
-        self.fds.extend(fds.chain(listening).chain(writing));
-        if sys::wait(&mut self.fds, timeout.into_iter().chain(stalls).min()).is_err() {
-            std::thread::sleep(ERROR_PAUSE);
+        if self.resume.is_some_and(|t| t <= Instant::now()) {
+            self.listen(true);
+        }
+        let conns = &self.conns;
+        let stalls = self
+            .partial
+            .iter()
+            .filter_map(|t| Some(conns.get(t)?.last_progress? + stall));
+        let due = stalls.chain(self.resume).min();
+        let due = due.map(|t| t.saturating_duration_since(Instant::now()));
+        self.ready.clear();
+        let timeout = timeout.into_iter().chain(due).min();
+        if self.poller.wait(timeout, writer, &mut self.ready).is_err() {
             return;
         }
-        // `fds[i]` is `conns[i]` below `waited`, then the listener.
-        if let Some(listener) = self.listener.as_ref().filter(|_| self.fds[waited].ready()) {
-            loop {
-                match listener.accept() {
-                    Ok((stream, _)) => self.conns.extend(Conn::new(stream)),
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Err(_) => {
-                        std::thread::sleep(ERROR_PAUSE);
-                        break;
-                    }
-                }
+        let now = Instant::now();
+        // `ready` grows as connections are accepted: each is read at once.
+        let mut next = 0;
+        while let Some(&token) = self.ready.get(next) {
+            next += 1;
+            if token < self.listeners.len() {
+                self.accept(token);
+            } else if self.service(token, true, now, stall) && !self.partial.contains(&token) {
+                self.partial.push(token);
             }
         }
-        let now = Instant::now();
-        let ready = self.fds[..waited].iter().map(PollFd::ready);
-        let mut ready = ready.chain(std::iter::repeat(true));
-        let (queue, chunk) = (&mut self.queue, &mut self.chunk);
+        let mut partial = std::mem::take(&mut self.partial);
+        partial.retain(|&token| self.service(token, false, now, stall));
+        self.partial = partial;
+    }
+
+    /// Puts the listeners in the poll set, or takes them out for an
+    /// [`ERROR_PAUSE`].
+    fn listen(&mut self, listen: bool) {
+        self.resume = (!listen).then(|| Instant::now() + ERROR_PAUSE);
+        for (token, listener) in self.listeners.iter().enumerate() {
+            let _ = self.poller.watch(listener, token, listen);
+        }
+    }
+
+    /// Accepts every connection waiting on listener `at` and watches
+    /// each, reading it in this turn; one the poll set refuses is closed.
+    /// A failure other than "none left" (EMFILE and friends) takes the
+    /// listeners out of the poll set for an [`ERROR_PAUSE`], so a listener
+    /// that stays ready cannot spin the waiting thread, while every
+    /// accepted connection is still read.
+    fn accept(&mut self, at: usize) {
+        while let Some(listener) = self.listeners.get(at) {
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => return self.listen(false),
+            };
+            let token = self.next;
+            let Ok(conn) = Conn::new(stream, at) else {
+                continue;
+            };
+            if self.poller.watch(&conn.stream, token, true).is_ok() {
+                self.conns.insert(token, conn);
+                self.ready.push(token);
+                self.next = token + 1;
+            }
+        }
+    }
+
+    /// One turn of the connection under `token` ([`Conn::service`]): its
+    /// complete frames decoded into the queue, and the connection
+    /// dropped when it has to be. True when it is kept holding part of a
+    /// frame.
+    fn service(&mut self, token: usize, readable: bool, now: Instant, stall: Duration) -> bool {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return false;
+        };
+        let (queue, at) = (&mut self.queue, conn.listener);
         // An undecodable payload had an intact length prefix, so framing
         // on its connection is still in step and only that frame is lost
         // — a long-running daemon must survive garbage.
         let mut deliver = |payload: &[u8]| {
             if let Ok(msg) = decode_message(payload) {
-                queue.push_back((Instant::now(), msg, payload.len()));
+                queue.push_back((now, msg, payload.len(), at));
             }
         };
-        self.conns.retain_mut(|conn| {
-            let readable = ready.next().expect("an endless iterator");
-            conn.service(readable, now, stall, chunk, &mut deliver)
-                .is_ok()
-        });
+        if conn
+            .service(readable, now, stall, &mut self.chunk, &mut deliver)
+            .is_ok()
+        {
+            return conn.last_progress.is_some();
+        }
+        if let Some(conn) = self.conns.remove(&token) {
+            let _ = self.poller.watch(&conn.stream, token, false);
+        }
+        false
     }
 
-    /// Closes the listener and every accepted connection.
+    /// Closes the listeners and every accepted connection. The poll set
+    /// is not waited on again: every wait asks first whether the endpoint
+    /// is closing.
     fn close(&mut self) {
-        (self.listener, self.conns) = (None, Vec::new());
+        (self.listeners, self.conns) = (Vec::new(), HashMap::new());
+        self.partial.clear();
     }
 }
 
 /// What an endpoint shares with its [`Closer`]s and with the pools built
 /// on it.
 struct Shared {
-    addr: SocketAddr,
+    /// The listeners' addresses, in the order they were bound; never
+    /// empty.
+    addrs: Vec<SocketAddr>,
     shutdown: AtomicBool,
     stall: Duration,
     inbox: Mutex<Inbox>,
@@ -618,9 +906,22 @@ impl Shared {
         self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// A pool's wait for room in `stream`, reading this endpoint
-    /// meanwhile — unless another thread holds it, and so reads it
-    /// already: then the wait is a millisecond's nap. Gives up once the
+    /// One turn of this endpoint's wait, of at most `left` — unless
+    /// another thread holds the endpoint, and so reads it already: then a
+    /// nap of at most a millisecond, on `writer` if there is one.
+    fn take_turn(&self, left: Duration, writer: Option<&TcpStream>) {
+        match self.inbox.try_lock() {
+            Ok(mut inbox) => inbox.turn(self.stall, Some(left), writer),
+            Err(_) => {
+                let mut fd = writer.map(|w| PollFd::new(w, POLLOUT));
+                let nap = left.min(Duration::from_millis(1));
+                let _ = sys::wait(fd.as_mut_slice(), Some(nap));
+            }
+        }
+    }
+
+    /// A pool's wait for room in `stream`: one turn of this endpoint,
+    /// which reads every listener of it meanwhile. Gives up once the
     /// endpoint closes, or when the peer has taken no byte since
     /// `progress` for the stall bound.
     fn wait_writable(&self, stream: &TcpStream, progress: Instant) -> Result<(), TcpError> {
@@ -630,24 +931,32 @@ impl Shared {
         } else if left.is_zero() {
             return Err(TcpError::Timeout);
         }
-        match self.inbox.try_lock() {
-            Ok(mut inbox) => inbox.turn(self.stall, Some(left), Some(stream)),
-            Err(_) => {
-                let nap = left.min(Duration::from_millis(1));
-                let _ = sys::wait(&mut [PollFd::new(stream, POLLOUT)], Some(nap));
-            }
-        }
+        self.take_turn(left, Some(stream));
         Ok(())
+    }
+
+    /// A retry's backoff, waited out in turns of this endpoint, which
+    /// read what arrives meanwhile; cut short when the endpoint closes.
+    fn pause(&self, pause: Duration) {
+        let until = Instant::now() + pause;
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() || self.closing() {
+                return;
+            }
+            self.take_turn(left, None);
+        }
     }
 }
 
-/// A listening endpoint. It has no thread of its own: the thread that
-/// waits on it ([`recv_timeout_sized`](TcpEndpoint::recv_timeout_sized),
-/// or the write of a [`ConnPool`] built on it) accepts connections, reads
-/// any number of frames from each and decodes them into its inbox, which
-/// has no bound. Dropping (or calling [`close`](TcpEndpoint::close))
-/// closes the listener and every accepted connection — this is how a
-/// user-site terminates a query passively.
+/// A listening endpoint: one listener, or one per site of a thread that
+/// hosts several. It has no thread of its own: the thread that waits on
+/// it ([`recv_timeout_sized`](TcpEndpoint::recv_timeout_sized), or the
+/// write or retry of a [`ConnPool`] built on it) accepts connections,
+/// reads any number of frames from each and decodes them into its inbox,
+/// which has no bound. Dropping (or calling
+/// [`close`](TcpEndpoint::close)) closes every listener and accepted
+/// connection — this is how a user-site terminates a query passively.
 pub struct TcpEndpoint(Arc<Shared>);
 
 /// Closes a [`TcpEndpoint`] from a thread other than the one receiving
@@ -658,12 +967,12 @@ pub struct Closer(Arc<Shared>);
 impl Closer {
     /// Marks the endpoint closed and wakes a receiver asleep in
     /// [`TcpEndpoint::recv_timeout_sized`] with a throwaway connection:
-    /// it closes the listener and every accepted connection and returns
+    /// it closes the listeners and every accepted connection and returns
     /// `Disconnected`, as does every later receive; a pool's write
     /// waiting for room fails with [`TcpError::Closed`]. Idempotent.
     pub fn close(&self) {
         if !self.0.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.0.addr);
+            let _ = TcpStream::connect(self.0.addrs.as_slice());
         }
     }
 }
@@ -671,34 +980,62 @@ impl Closer {
 impl TcpEndpoint {
     /// Binds a listener (use port 0 for an ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<TcpEndpoint> {
-        TcpEndpoint::bind_with_stall_bound(addr, FRAME_STALL_BOUND)
+        TcpEndpoint::bind_all([addr])
+    }
+
+    /// Binds a listener on each of `addrs`, read as one endpoint: each
+    /// message says which listener it arrived on ([`Received::at`]), so
+    /// one thread can host a site per listener. At least one is needed.
+    pub fn bind_all<A: ToSocketAddrs>(
+        addrs: impl IntoIterator<Item = A>,
+    ) -> io::Result<TcpEndpoint> {
+        TcpEndpoint::bind_with_stall_bound(addrs, FRAME_STALL_BOUND)
     }
 
     fn bind_with_stall_bound<A: ToSocketAddrs>(
-        addr: A,
+        addrs: impl IntoIterator<Item = A>,
         stall: Duration,
     ) -> io::Result<TcpEndpoint> {
-        let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let (mut poller, mut listeners, mut bound) = (sys::Poller::new()?, Vec::new(), Vec::new());
+        for addr in addrs {
+            let listener = TcpListener::bind(addr)?;
+            listener.set_nonblocking(true)?;
+            poller.watch(&listener, listeners.len(), true)?;
+            bound.push(listener.local_addr()?);
+            listeners.push(listener);
+        }
+        if listeners.is_empty() {
+            let none = "an endpoint needs a listener";
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, none));
+        }
         let inbox = Inbox {
-            listener: Some(listener),
-            conns: Vec::new(),
+            next: listeners.len(),
+            listeners,
+            conns: HashMap::new(),
+            partial: Vec::new(),
             queue: VecDeque::new(),
-            fds: Vec::new(),
+            poller,
+            resume: None,
+            ready: Vec::new(),
             chunk: vec![0; READ_CHUNK],
         };
         Ok(TcpEndpoint(Arc::new(Shared {
-            addr,
+            addrs: bound,
             shutdown: AtomicBool::new(false),
             stall,
             inbox: Mutex::new(inbox),
         })))
     }
 
-    /// The bound address (with the actual ephemeral port).
+    /// The first listener's address (with the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.0.addr
+        // `bind_all` refuses an endpoint without a listener.
+        self.0.addrs[0]
+    }
+
+    /// Every listener's address, in the order they were bound.
+    pub fn local_addrs(&self) -> &[SocketAddr] {
+        &self.0.addrs
     }
 
     /// A handle that closes this endpoint from another thread.
@@ -717,13 +1054,13 @@ impl TcpEndpoint {
     }
 
     /// Like [`recv_timeout`](TcpEndpoint::recv_timeout), but also
-    /// reports how long the message sat in the inbox and the size it had
-    /// on the wire, so a receiver that accounts for bytes need not encode
-    /// the message again to count them. The inbox is read only when it
-    /// is empty; a zero `timeout` reads what the sockets hold without
-    /// waiting. A `timeout` too long to add to the clock
-    /// (`Duration::MAX`) is no timeout: the call sleeps until a message
-    /// arrives or the endpoint is closed.
+    /// reports how long the message sat in the inbox, the size it had on
+    /// the wire and the listener it arrived on, so a receiver that
+    /// accounts for bytes need not encode the message again to count
+    /// them. The inbox is read only when it is empty; a zero `timeout`
+    /// reads what the sockets hold without waiting. A `timeout` too long
+    /// to add to the clock (`Duration::MAX`) is no timeout: the call
+    /// sleeps until a message arrives or the endpoint is closed.
     pub fn recv_timeout_sized(&self, timeout: Duration) -> Result<Received, RecvTimeoutError> {
         let deadline = Instant::now().checked_add(timeout);
         let mut inbox = self.0.inbox();
@@ -733,12 +1070,13 @@ impl TcpEndpoint {
                 inbox.close();
                 return Err(RecvTimeoutError::Disconnected);
             }
-            if let Some((read_at, msg, wire_bytes)) = inbox.queue.pop_front() {
+            if let Some((read_at, msg, wire_bytes, at)) = inbox.queue.pop_front() {
                 let queued = read_at.elapsed();
                 return Ok(Received {
                     msg,
                     queued,
                     wire_bytes,
+                    at,
                 });
             }
             let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
@@ -750,12 +1088,14 @@ impl TcpEndpoint {
         }
     }
 
-    /// Messages read and decoded but not yet received.
-    pub fn pending(&self) -> usize {
-        self.0.inbox().queue.len()
+    /// Messages that arrived on listener `at`, read and decoded but not
+    /// yet received.
+    pub fn pending(&self, at: usize) -> usize {
+        let inbox = self.0.inbox();
+        inbox.queue.iter().filter(|(.., on)| *on == at).count()
     }
 
-    /// Closes the listener and every accepted connection. Any peer that
+    /// Closes the listeners and every accepted connection. Any peer that
     /// subsequently tries to send to this endpoint gets a connection
     /// error — the passive termination signal.
     pub fn close(&mut self) {
@@ -839,7 +1179,7 @@ mod tests {
             .unwrap();
         let first = ep.recv_timeout_sized(Duration::from_secs(5)).unwrap();
         assert_eq!(first.wire_bytes, encode_message(&first.msg).len());
-        assert_eq!(ep.pending(), 2);
+        assert_eq!(ep.pending(0), 2);
         std::thread::sleep(Duration::from_millis(20));
         let second = ep.recv_timeout_sized(Duration::ZERO).unwrap();
         assert!(
@@ -847,9 +1187,9 @@ mod tests {
             "messages sat at least the sleep: {:?}",
             second.queued
         );
-        assert_eq!(ep.pending(), 1);
+        assert_eq!(ep.pending(0), 1);
         ep.recv_timeout(Duration::ZERO).unwrap();
-        assert_eq!(ep.pending(), 0);
+        assert_eq!(ep.pending(0), 0);
         assert_eq!(
             ep.recv_timeout(Duration::ZERO),
             Err(RecvTimeoutError::Timeout)
@@ -917,7 +1257,7 @@ mod tests {
         // A slowloris peer: sends the length prefix, never the payload.
         let stalled = TcpStream::connect(addr).unwrap();
         (&stalled).write_all(&64u32.to_be_bytes()).unwrap();
-        let mut conn = Conn::new(listener.accept().unwrap().0).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0, 0).unwrap();
         let stall = Duration::from_millis(50);
         let mut chunk = [0u8; 64];
         let mut deliver = |_: &[u8]| panic!("no complete frame was sent");
@@ -961,9 +1301,10 @@ mod tests {
     #[test]
     fn transient_errors_are_retried_with_backoff() {
         let mut failures_left = 2;
-        let mut retries = Vec::new();
+        let (mut retries, mut pauses) = (Vec::new(), Vec::new());
         let out = with_retries(
             |attempt| retries.push(attempt),
+            |backoff| pauses.push(backoff),
             || {
                 if failures_left > 0 {
                     failures_left -= 1;
@@ -978,12 +1319,14 @@ mod tests {
         );
         assert!(out.is_ok());
         assert_eq!(retries, vec![1, 2]);
+        assert_eq!(pauses, [BASE_BACKOFF, BASE_BACKOFF * 2]);
     }
 
     #[test]
     fn retries_are_bounded() {
         let mut attempts = 0;
         let out: Result<(), _> = with_retries(
+            |_| {},
             |_| {},
             || {
                 attempts += 1;
@@ -1002,6 +1345,7 @@ mod tests {
         let mut attempts = 0;
         let out: Result<(), _> = with_retries(
             |_| panic!("refused must not trigger a retry"),
+            |_| panic!("nor a pause"),
             || {
                 attempts += 1;
                 Err(TcpError::Io(io::Error::new(
@@ -1181,7 +1525,7 @@ mod tests {
     #[test]
     fn peer_stalled_mid_frame_is_dropped_while_others_deliver() {
         let stall = Duration::from_millis(100);
-        let ep = TcpEndpoint::bind_with_stall_bound("127.0.0.1:0", stall).unwrap();
+        let ep = TcpEndpoint::bind_with_stall_bound(["127.0.0.1:0"], stall).unwrap();
         let stalled = TcpStream::connect(ep.local_addr()).unwrap();
         let since = Instant::now();
         (&stalled).write_all(&64u32.to_be_bytes()).unwrap();
@@ -1319,6 +1663,38 @@ mod tests {
         }
     }
 
+    #[test]
+    fn large_frames_between_two_listeners_of_one_thread_do_not_deadlock() {
+        // Two sites on one endpoint, and so on one thread, each writing
+        // frames larger than the socket buffers to the other before either
+        // reads. Were a write that waits for room not to take turns of its
+        // own endpoint meanwhile, the first would wait out the stall bound:
+        // nobody else reads the other site's listener.
+        let msg = big_msg(4 << 20);
+        let frame = Frame::encode(&msg).unwrap();
+        let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
+        let addrs = host.local_addrs().to_vec();
+        let mut pools = [(); 2].map(|_| ConnPool::metered(Arc::default(), &host));
+        for _ in 0..3 {
+            for (me, pool) in pools.iter_mut().enumerate() {
+                pool.send(addrs[1 - me], &frame)
+                    .expect("a write waits for room in turns of its own endpoint");
+            }
+        }
+        let mut arrived = [0; 2];
+        for _ in 0..6 {
+            let got = host.recv_timeout_sized(WAIT).unwrap();
+            assert_eq!(got.msg, msg);
+            arrived[got.at] += 1;
+        }
+        assert_eq!(
+            arrived,
+            [3, 3],
+            "each listener received what was sent to it"
+        );
+        assert_eq!(host.pending(0) + host.pending(1), 0);
+    }
+
     /// Sends `frame` to a bound endpoint nobody reads, through `pool` on
     /// a thread of its own, and returns what the send came to — or panics
     /// when it has not returned within [`WAIT`].
@@ -1354,7 +1730,7 @@ mod tests {
     #[test]
     fn a_write_the_peer_takes_nothing_of_fails_after_the_stall_bound() {
         let stall = Duration::from_millis(100);
-        let home = TcpEndpoint::bind_with_stall_bound("127.0.0.1:0", stall).unwrap();
+        let home = TcpEndpoint::bind_with_stall_bound(["127.0.0.1:0"], stall).unwrap();
         let pool = ConnPool::metered(Arc::default(), &home);
         let frame = Frame::encode(&big_msg(15 << 20)).unwrap();
         let t0 = Instant::now();

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use webdis::core::simrun::user_addr;
 use webdis::core::{
     query_server_addr, run_query_sim, ClientProcess, Deployment, EngineConfig, PlannedQuery,
-    QueryRecord, ScheduledClient, TcpCluster,
+    QueryRecord, ScheduledClient,
 };
 use webdis::disql::parse_disql;
 use webdis::model::SiteAddr;
@@ -30,6 +30,11 @@ use webdis::web::figures;
 /// assertions below); if the simulator's RNG consumption pattern ever
 /// changes, re-pin by scanning small seeds.
 const LOSSY_SEED: u64 = 6;
+
+/// The two ways a TCP cluster can host its daemons
+/// ([`Deployment::reactors`]): every daemon on one reactor thread, and a
+/// thread per daemon.
+const LAYOUTS: [usize; 2] = [1, usize::MAX];
 
 #[test]
 fn sim_drop_rate_run_terminates_via_expiry_with_partial_results() {
@@ -176,9 +181,10 @@ fn dsl_daemon_down(down_us: Option<u64>) -> Vec<Fault> {
     }]
 }
 
-/// The campus query under `faults` on both runtimes, expiry at 400 ms;
-/// both runs must complete with nothing written off.
-fn campus_on_both_runtimes(faults: Vec<Fault>) -> (QueryRecord, QueryRecord) {
+/// The campus query under `faults` on the simulator and on TCP in each of
+/// the [`LAYOUTS`], expiry at 400 ms; every run must complete with
+/// nothing written off.
+fn campus_on_both_runtimes(faults: Vec<Fault>) -> (QueryRecord, Vec<QueryRecord>) {
     let cfg = EngineConfig {
         expiry_us: Some(400_000),
         ..EngineConfig::default()
@@ -192,10 +198,19 @@ fn campus_on_both_runtimes(faults: Vec<Fault>) -> (QueryRecord, QueryRecord) {
         .query_sim(figures::CAMPUS_QUERY, sim_cfg)
         .unwrap();
     let deadline = Duration::from_secs(30);
-    let tcp = deployment
-        .query_tcp(figures::CAMPUS_QUERY, deadline, faults)
-        .unwrap();
-    for (runtime, record) in [("sim", &sim.record), ("tcp", &tcp)] {
+    let tcp: Vec<QueryRecord> = LAYOUTS
+        .iter()
+        .map(|&reactors| {
+            let deployment = Deployment {
+                reactors,
+                ..deployment.clone()
+            };
+            let tcp = deployment.query_tcp(figures::CAMPUS_QUERY, deadline, faults.clone());
+            tcp.unwrap()
+        })
+        .collect();
+    let runs = std::iter::once(("sim", &sim.record)).chain(tcp.iter().map(|r| ("tcp", r)));
+    for (runtime, record) in runs {
         assert!(record.complete, "{runtime}");
         assert!(
             record.failed_entries.is_empty(),
@@ -212,7 +227,9 @@ fn a_zero_length_crash_window_restarts_alike_on_both_runtimes() {
     // daemon goes down and comes back up at t = 0, before anything is
     // handed to it, so nothing is lost on either runtime.
     let (sim, tcp) = campus_on_both_runtimes(dsl_daemon_down(Some(0)));
-    assert_eq!(sim.result_set(), tcp.result_set());
+    for tcp in &tcp {
+        assert_eq!(sim.result_set(), tcp.result_set());
+    }
 }
 
 #[test]
@@ -221,38 +238,43 @@ fn a_daemon_crash_window_is_the_same_fault_on_both_runtimes() {
     // forward to it is refused and its nodes are reported as dead ends,
     // so nothing waits for expiry and the lab answers nothing.
     let (sim, tcp) = campus_on_both_runtimes(dsl_daemon_down(Some(300_000)));
-    for (runtime, record) in [("sim", &sim), ("tcp", &tcp)] {
+    let runs = std::iter::once(("sim", &sim)).chain(tcp.iter().map(|r| ("tcp", r)));
+    for (runtime, record) in runs {
         let rows = record.result_set();
         let lab = rows.iter().filter(|(_, node, _)| node.contains("dsl.serc"));
         assert_eq!(lab.count(), 0, "{runtime}: {rows:?}");
+        assert_eq!(sim.result_set(), rows, "{runtime}");
     }
-    assert_eq!(sim.result_set(), tcp.result_set());
 }
 
 #[test]
 fn a_report_to_a_crashed_user_site_is_refused() {
     // Section 2.8 over real sockets, driven by the fault list: the user
     // site is down from the start, so the StartNode daemon's report is
-    // refused and the daemon purges the query.
+    // refused and the daemon purges the query — in either layout.
     let cfg = EngineConfig::default();
     let crash = Fault::Crash {
         site: user_addr(),
         at_us: 0,
         down_us: None,
     };
-    let cluster = TcpCluster::start(Arc::new(figures::campus()), &cfg, vec![crash]);
-    let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg);
-    let query = parse_disql(figures::CAMPUS_QUERY).unwrap();
-    client.submit(&mut cluster.user_net(), query);
-    let refused = FATES.iter().position(|&fate| fate == "refused").unwrap();
-    let meter = Arc::clone(cluster.wire_counters());
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while meter.get(refused, "report").0 == 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(5));
+    for reactors in LAYOUTS {
+        let mut deployment = Deployment::new(Arc::new(figures::campus()), cfg.clone());
+        deployment.reactors = reactors;
+        let cluster = deployment.tcp_cluster(vec![crash.clone()]);
+        let mut client = ClientProcess::new("webdis", cluster.user_site().clone(), cfg.clone());
+        let query = parse_disql(figures::CAMPUS_QUERY).unwrap();
+        client.submit(&mut cluster.user_net(), query);
+        let refused = FATES.iter().position(|&fate| fate == "refused").unwrap();
+        let meter = Arc::clone(cluster.wire_counters());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while meter.get(refused, "report").0 == 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let engines = cluster.shutdown();
+        let terminated: u64 = engines.iter().map(|e| e.stats.terminated_queries).sum();
+        assert_eq!(terminated, 1, "{reactors:?}");
     }
-    let engines = cluster.shutdown();
-    let terminated: u64 = engines.iter().map(|e| e.stats.terminated_queries).sum();
-    assert_eq!(terminated, 1);
 }
 
 #[test]

@@ -63,14 +63,22 @@ fn every_deployment_runs_the_same_on_both_transports() {
                 assert_eq!(sim.result_set(), reference, "{case} / sim");
                 sim_traffic.push((sim.metrics.total.messages, sim.metrics.total.bytes));
 
-                let tcp = deployment
-                    .query_tcp(disql, Duration::from_secs(30), Vec::new())
-                    .unwrap();
-                assert!(tcp.complete, "{case} / tcp: {:?}", tcp.why_incomplete);
-                if exact_on_tcp {
-                    assert_eq!(tcp.result_set(), reference, "{case} / tcp");
-                } else {
-                    assert!(tcp.result_set().is_subset(&reference), "{case} / tcp");
+                // Every daemon on one reactor thread, and a thread each.
+                for reactors in [1, usize::MAX] {
+                    let case = format!("{case} / tcp at {reactors:?} reactors");
+                    let deployment = Deployment {
+                        reactors,
+                        ..deployment.clone()
+                    };
+                    let tcp = deployment
+                        .query_tcp(disql, Duration::from_secs(30), Vec::new())
+                        .unwrap();
+                    assert!(tcp.complete, "{case}: {:?}", tcp.why_incomplete);
+                    if exact_on_tcp {
+                        assert_eq!(tcp.result_set(), reference, "{case}");
+                    } else {
+                        assert!(tcp.result_set().is_subset(&reference), "{case}");
+                    }
                 }
             }
             assert_eq!(
