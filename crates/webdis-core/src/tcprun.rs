@@ -2,11 +2,12 @@
 //! the paper's Java prototype: a query-server daemon per site, each on
 //! its own listening socket, the user-site client collecting results on
 //! its own, passive termination by closing that socket. Unlike the
-//! prototype, a sender keeps its connection to each peer open and dials
-//! only on first use, and the daemons do not each own a thread: k reactor
-//! threads ([`Deployment::reactors`], by default one) each host an equal
-//! share of them, one endpoint holding a listener per hosted site. Frames between two daemons of one reactor still cross the
-//! kernel's loopback socket.
+//! prototype, the daemons do not each own a thread: k reactor threads
+//! ([`Deployment::reactors`], by default one) each host an equal share of
+//! them on one endpoint, a listener per site, with one connection to each
+//! peer listener dialled on first use. What a reactor's sites send goes
+//! out when it next waits, one `write` per peer per turn, and still
+//! crosses the kernel's loopback socket.
 //!
 //! Each simulated site gets an ephemeral `127.0.0.1` port; a shared
 //! address map plays DNS. Experiments use the deterministic simulator;
@@ -28,7 +29,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use webdis_disql::{parse_disql, DisqlError};
 use webdis_model::SiteAddr;
-use webdis_net::{Closer, ConnPool, Frame, Message, TcpEndpoint, WireCounters};
+use webdis_net::{Closer, Frame, Message, Outbox, TcpEndpoint, WireCounters};
 use webdis_sim::{Actor, Agenda, Due, Event, Fate, Fault, Injector, Ledger, Runtime};
 use webdis_trace::MetricsExporter;
 
@@ -46,15 +47,15 @@ use crate::simrun::user_addr;
 pub type TcpFaultPlan = Vec<Fault>;
 
 /// A `Network` that resolves site addresses through the shared map and
-/// dispatches over its own pool of long-lived connections, one per peer,
-/// dialled on first send (retried with backoff on transient failures;
-/// connection-refused — the passive-termination signal — is surfaced
-/// immediately). Obtained from [`TcpCluster::user_net`]; one clone per
-/// thread, and a clone starts with an empty pool.
+/// dispatches over its endpoint's long-lived connections, one per peer
+/// listener, dialled on first send (retried with backoff on transient
+/// failures; connection-refused — the passive-termination signal — is
+/// surfaced immediately). Obtained from [`TcpCluster::user_net`]; every
+/// clone shares the user endpoint's connections.
 #[derive(Clone)]
 pub struct TcpNet {
     map: Arc<BTreeMap<SiteAddr, SocketAddr>>,
-    pool: ConnPool,
+    out: Outbox,
     epoch: Instant,
     /// The address of the endpoint this handle belongs to, as the engine
     /// sends to it (`wdqs.<host>` for a daemon): the sending end of a link
@@ -88,10 +89,9 @@ impl TcpNet {
         self.ledger
             .record(fate, msg, bytes, to, &self.addr.host, at_us);
     }
-}
 
-impl Network for TcpNet {
-    fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
+    /// Hands `msg` to its connection's buffer; a refusal is known here.
+    fn hold(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
         // Encoded once: the frame is what gets counted, damaged and sent.
         let frame = Frame::encode(&msg);
         let bytes = frame.as_ref().map_or(0, |frame| frame.payload().len());
@@ -112,12 +112,12 @@ impl Network for TcpNet {
             Err(lost) => {
                 if lost == Fate::Corrupted {
                     // Flip one byte mid-payload and push the mangled frame
-                    // down the same pooled connection: the receiver's
-                    // decoder rejects it, so this is loss exercised through
-                    // the `WireError` path rather than a silent swallow.
+                    // down the same connection: the receiver's decoder
+                    // rejects it, so this is loss exercised through the
+                    // `WireError` path rather than a silent swallow.
                     let payload = frame.payload_mut();
                     payload[payload.len() / 2] ^= 0xff;
-                    let _ = self.pool.send(addr, &frame);
+                    let _ = self.out.send(addr, &frame, &self.ledger.meter, |_| {});
                 }
                 // The sender believes the send succeeded, exactly like a
                 // message lost in flight.
@@ -126,7 +126,7 @@ impl Network for TcpNet {
             }
         };
         let (ledger, from, epoch) = (&self.ledger, &self.addr.host, self.epoch);
-        let sent = self.pool.send_retrying(addr, &frame, |attempt| {
+        let sent = self.out.send(addr, &frame, &ledger.meter, |attempt| {
             let at_us = epoch.elapsed().as_micros() as u64;
             ledger.retried(&msg, &to.host, attempt, from, at_us);
         });
@@ -136,10 +136,19 @@ impl Network for TcpNet {
         self.record(Fate::Sent, &msg, bytes, &to.host);
         // Deliver an identical second copy (a retransmitting network):
         // one logical send, two deliveries.
-        if duplicate && self.pool.send(addr, &frame).is_ok() {
+        if duplicate && self.out.send(addr, &frame, &ledger.meter, |_| {}).is_ok() {
             self.record(Fate::Duplicated, &msg, bytes, &to.host);
         }
         Ok(())
+    }
+}
+
+/// Outside a reactor (a user-site handle on any thread), sends go at once.
+impl Network for TcpNet {
+    fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
+        let sent = self.hold(to, msg);
+        let _ = self.out.flush();
+        sent
     }
 
     fn now_us(&self) -> u64 {
@@ -151,9 +160,9 @@ impl Network for TcpNet {
     }
 }
 
-/// A hosted site's handle while its actor runs: it sends through the
-/// site's own [`TcpNet`], and what it [`post`](Network::post)s lands on its
-/// reactor's one agenda.
+/// A hosted site's handle while its actor runs: what it sends is held on
+/// its reactor's connections until the reactor next waits, and what it
+/// [`post`](Network::post)s lands on the reactor's one agenda.
 struct Hosted<'a> {
     net: &'a mut TcpNet,
     agenda: &'a mut Agenda,
@@ -161,7 +170,7 @@ struct Hosted<'a> {
 
 impl Network for Hosted<'_> {
     fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
-        self.net.send(to, msg)
+        self.net.hold(to, msg)
     }
 
     fn now_us(&self) -> u64 {
@@ -431,10 +440,10 @@ impl Deployment {
     /// reactor threads, each hosting the [`ServerEngine`]s of an equal
     /// share of the participating sites, in site order, on one endpoint
     /// with a listener per site. Each daemon, and the user site, sends
-    /// through a pool built on its own endpoint, which it reads while a
-    /// write waits for room ([`ConnPool`]). Faults are decided per send, a
-    /// [`Fault::Crash`] of any endpoint also per arrival, in µs since the
-    /// cluster came up; a daemon's restarts are its reactor's agenda's.
+    /// through its endpoint's [`Outbox`], which the endpoint's waiting
+    /// thread reads while a write waits for room. Faults are decided per
+    /// send, a [`Fault::Crash`] of any endpoint also per arrival, in µs
+    /// since the cluster came up; a daemon's restarts are its reactor's.
     /// The daemons race for the one RNG, so rate draws are not
     /// seed-deterministic: a rate of 0 or 1 is. The tracer is ticked, and
     /// the schedule applied, by [`TcpCluster::drive`].
@@ -468,7 +477,7 @@ impl Deployment {
         };
         let user_net = TcpNet {
             map: Arc::new(map),
-            pool: ConnPool::metered(Arc::clone(&ledger.meter), &user_endpoint),
+            out: user_endpoint.outbox(),
             epoch,
             addr: user_site.clone(),
             faults: (!faults.is_empty())
@@ -505,11 +514,12 @@ impl Deployment {
         let mut reactors = Vec::new();
         for (r, (hosted, endpoint)) in endpoints.into_iter().enumerate() {
             let addrs: Vec<SiteAddr> = hosted.iter().map(query_server_addr).collect();
+            let out = endpoint.outbox();
             let daemons = hosted.iter().zip(&addrs).map(|(site, addr)| {
                 let engine = ServerEngine::new(site.clone(), web.clone(), engine_cfg.clone());
                 let net = TcpNet {
                     addr: addr.clone(),
-                    pool: ConnPool::metered(Arc::clone(&user_net.ledger.meter), &endpoint),
+                    out: out.clone(),
                     ..user_net.clone()
                 };
                 (engine, net)
@@ -1063,9 +1073,10 @@ mod tests {
 
     #[test]
     fn connections_are_reused_across_queries() {
-        // 200 campus queries over one cluster: every (sender, receiver)
-        // pair dials at most once, and a warm cluster never dials again —
-        // daemons sharing a reactor each keep their own connections.
+        // 200 campus queries over one cluster: each sending endpoint — a
+        // reactor or the user's — dials each listener at most once, since
+        // the daemons sharing a reactor share its connections, and a warm
+        // cluster never dials again.
         let cfg = EngineConfig::default();
         for reactors in LAYOUTS {
             let mut cluster = cluster_at(figures::campus(), &cfg, reactors);
@@ -1077,11 +1088,14 @@ mod tests {
                 assert_eq!(query.results.get(&1).map(Vec::len), Some(3));
                 connects_after.push(cluster.wire_counters().connects());
             }
-            // Senders: one daemon per site plus the user; receivers likewise.
-            let endpoints = figures::campus().sites().len() as u64 + 1;
+            // Senders: the reactors plus the user; listeners: one per site
+            // plus the user's.
+            let sites = figures::campus().sites().len();
+            let senders = reactors.min(sites) as u64 + 1;
+            let listeners = sites as u64 + 1;
             assert!(
-                connects_after[199] <= endpoints * (endpoints - 1),
-                "{reactors:?}: {} dials for {endpoints} endpoints",
+                connects_after[199] <= senders * listeners,
+                "{reactors:?}: {} dials, {senders} senders, {listeners} listeners",
                 connects_after[199]
             );
             assert_eq!(
@@ -1089,6 +1103,38 @@ mod tests {
                 "{reactors:?}: a warm cluster must not dial"
             );
             cluster.shutdown();
+        }
+    }
+
+    #[test]
+    fn a_generated_sixteen_site_web_answers_as_data_shipping_in_either_layout() {
+        // The crawl the wall-clock benchmark times: many clones and
+        // reports per turn of a reactor, so many frames share a write.
+        let web = webdis_web::generate(&webdis_web::WebGenConfig {
+            sites: 16,
+            docs_per_site: 6,
+            extra_local_links: 2,
+            extra_global_links: 2,
+            title_needle_prob: 0.2,
+            filler_words: 40,
+            seed: 4242,
+            ..webdis_web::WebGenConfig::default()
+        });
+        let disql = r#"select d.url, d.title from document d
+            such that "http://site0.test/doc0.html" (L|G)* d
+            where d.title contains "needle""#;
+        let cfg = EngineConfig::default();
+        let deployment = Deployment::new(Arc::new(web), cfg.clone());
+        let sim_cfg = webdis_sim::SimConfig::default();
+        let reference = deployment.datashipping_sim(disql, sim_cfg).unwrap();
+        assert!(reference.complete && !reference.results.is_empty());
+        for reactors in LAYOUTS {
+            let mut deployment = deployment.clone();
+            deployment.reactors = reactors;
+            let record = deployment.query_tcp(disql, Duration::from_secs(30), Vec::new());
+            let record = record.unwrap();
+            assert!(record.complete, "{reactors:?}");
+            assert_eq!(record.result_set(), reference.result_set(), "{reactors:?}");
         }
     }
 

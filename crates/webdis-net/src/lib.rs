@@ -18,11 +18,11 @@
 //!   used only by the centralized data-shipping baseline.
 //!
 //! [`tcp`] implements a real transport on `std::net`: length-prefixed
-//! frames over one long-lived connection per (sender, receiver) pair,
-//! read and decoded by the thread that waits on the endpoint — no I/O
-//! thread. The paper's Java daemon dials per dispatch; a connection that
-//! carries one frame and closes is the short case of the same code. The
-//! deterministic simulated transport lives in `webdis-sim`.
+//! frames over one long-lived connection per (endpoint, peer listener)
+//! pair, written once per wait and read and decoded by the thread that
+//! waits on the endpoint — no I/O thread. The paper's Java daemon dials
+//! per dispatch; a connection that carries one frame and closes is the
+//! short case of the same code. The simulated transport is `webdis-sim`.
 
 pub mod messages;
 pub mod meter;
@@ -34,5 +34,5 @@ pub use messages::{
     QueryClone, QueryId, ResultReport, StageRows,
 };
 pub use meter::{WireCounters, MESSAGE_KINDS};
-pub use tcp::{Closer, ConnPool, Frame, Received, RecvTimeoutError, TcpEndpoint, TcpError};
+pub use tcp::{Closer, Frame, Outbox, Received, RecvTimeoutError, TcpEndpoint, TcpError};
 pub use wire::{decode_message, encode_message, Wire, WireError};

@@ -61,9 +61,9 @@ impl WireCounters {
         }
     }
 
-    /// Records one connection dialled by a sender's pool. With
-    /// persistent connections this stays near the number of (sender,
-    /// receiver) pairs however many messages flow.
+    /// Records one connection dialled by an endpoint. With persistent
+    /// connections this stays near the number of (endpoint, listener)
+    /// pairs however many messages flow.
     pub fn record_connect(&self) {
         self.connects.fetch_add(1, Ordering::Relaxed);
     }

@@ -1,20 +1,21 @@
 //! A real TCP transport (`std::net`) with long-lived connections. The
-//! paper's Java platform opens a socket per dispatch; here a sender keeps
-//! one connection per peer in a [`ConnPool`] and writes any number of
-//! length-prefixed [`Frame`]s down it, dialling only when it has no
-//! connection or the peer closed the one it had. An endpoint has no
-//! thread of its own: the thread waiting on it (the paper's *Query
-//! Receiver* / *Result Collector*) waits on one poll set of its listeners
-//! and connections, which costs what is ready rather than what is
-//! watched, and decodes each complete frame straight from the
-//! connection's buffer. An endpoint may listen for several sites — one
-//! thread hosting them all — and each message says which listener it
-//! arrived on. A connection that carries one frame and closes
-//! ([`send_to`]) is the short case of the same code.
+//! paper's Java platform opens a socket per dispatch; here an endpoint
+//! keeps one connection to each peer listener, shared by every site it
+//! hosts ([`Outbox`]), dialled only when it has none or the peer closed
+//! it. A send appends a length-prefixed [`Frame`] to the connection's
+//! buffer, and the buffers are written, one `write` each, when the
+//! endpoint's receiver next waits. An endpoint has no thread of its own:
+//! the thread waiting on it (the paper's *Query Receiver* / *Result
+//! Collector*) waits on one poll set of its listeners and connections,
+//! which costs what is ready rather than what is watched, and decodes
+//! each complete frame straight from the connection's buffer. An
+//! endpoint may listen for several sites — one thread hosting them all —
+//! and each message says which listener it arrived on. A connection that
+//! carries one frame and closes ([`send_to`]) is the short case.
 //!
 //! Passive query termination (Section 2.8) still falls out of the
 //! design: closing a [`TcpEndpoint`] closes its listeners and every
-//! accepted connection, a pooled sender sees that *before* it writes, its
+//! accepted connection, a sender sees that *before* it appends, its
 //! re-dial is refused, and the server purges the query locally.
 
 use std::collections::hash_map::{Entry, HashMap};
@@ -125,7 +126,7 @@ impl std::fmt::Display for RecvTimeoutError {
 
 impl std::error::Error for RecvTimeoutError {}
 
-/// Extra attempts [`ConnPool::send_retrying`] makes after the first.
+/// Extra attempts [`Outbox::send`] makes after the first.
 const MAX_RETRIES: u32 = 3;
 /// Pause before the first retry; doubles each subsequent retry.
 const BASE_BACKOFF: Duration = Duration::from_millis(10);
@@ -162,17 +163,12 @@ fn with_retries<T>(
 pub struct Frame(Vec<u8>);
 
 impl Frame {
-    /// Encodes `msg` straight behind the space reserved for the prefix.
+    /// Encodes `msg` straight behind a placeholder prefix, then writes the
+    /// real length into it.
     pub fn encode(msg: &Message) -> Result<Frame, TcpError> {
-        Frame::build(|buf| msg.encode(buf))
-    }
-
-    /// Lets `fill` append the payload behind a placeholder prefix, then
-    /// writes the real length into it.
-    fn build(fill: impl FnOnce(&mut Vec<u8>)) -> Result<Frame, TcpError> {
         let mut buf = Vec::with_capacity(128);
         buf.extend_from_slice(&[0; PREFIX]);
-        fill(&mut buf);
+        msg.encode(&mut buf);
         let len =
             u32::try_from(buf.len() - PREFIX).map_err(|_| TcpError::FrameTooLarge(u32::MAX))?;
         if len > MAX_FRAME {
@@ -192,132 +188,97 @@ impl Frame {
     pub fn payload_mut(&mut self) -> &mut [u8] {
         &mut self.0[PREFIX..]
     }
+}
 
-    /// The one frame writer: pooled and one-shot sends both end here.
-    /// `wait(stream, progress)` is called whenever `stream` has no room,
-    /// `progress` being when the peer last took a byte — the clock is
-    /// read then, not per write.
-    fn write_to(
-        &self,
-        stream: &mut TcpStream,
-        mut wait: impl FnMut(&TcpStream, Instant) -> Result<(), TcpError>,
-    ) -> Result<(), TcpError> {
-        let (mut rest, mut progress) = (&self.0[..], None);
-        while !rest.is_empty() {
-            match stream.write(rest) {
-                Ok(0) => return Err(TcpError::Io(io::ErrorKind::WriteZero.into())),
-                Ok(n) => (rest, progress) = (&rest[n..], None),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    wait(stream, *progress.get_or_insert_with(Instant::now))?;
-                }
-                Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e.into()),
-                Err(_) => {}
+/// The one frame writer: held and one-shot frames both end here.
+/// `wait(stream, progress)` is called whenever `stream` has no room,
+/// `progress` being when the peer last took a byte — the clock is read
+/// then, not per write.
+fn write_frames(
+    stream: &mut TcpStream,
+    frames: &[u8],
+    mut wait: impl FnMut(&TcpStream, Instant) -> Result<(), TcpError>,
+) -> Result<(), TcpError> {
+    let (mut rest, mut progress) = (frames, None);
+    while !rest.is_empty() {
+        match stream.write(rest) {
+            Ok(0) => return Err(TcpError::Io(io::ErrorKind::WriteZero.into())),
+            Ok(n) => (rest, progress) = (&rest[n..], None),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                wait(stream, *progress.get_or_insert_with(Instant::now))?;
             }
+            Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e.into()),
+            Err(_) => {}
         }
-        Ok(())
     }
+    Ok(())
 }
 
 /// Sends one message on a connection of its own: connect, frame, write,
-/// close. The engine sends through a [`ConnPool`]; this is for callers
+/// close. The engine sends through an [`Outbox`]; this is for callers
 /// with a single message to deliver. A receiver that takes no byte for
 /// the stall bound fails it with [`TcpError::Timeout`].
 pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
     let (frame, mut stream) = (Frame::encode(msg)?, TcpStream::connect(addr)?);
     stream.set_write_timeout(Some(FRAME_STALL_BOUND))?;
-    frame.write_to(&mut stream, |_, _| Err(TcpError::Timeout))
+    write_frames(&mut stream, &frame.0, |_, _| Err(TcpError::Timeout))
 }
 
-/// A sender's long-lived connections, one per peer, dialled on first use
-/// (`TCP_NODELAY`: a frame is one `write` and must not wait for the
-/// previous frame's ACK) and non-blocking. A pool is built on the
-/// endpoint its thread receives on, and a write that finds the peer's
-/// buffers full waits for room in turns of that endpoint's wait, which
-/// read every listener of it: two threads writing large frames at each
-/// other, or two sites of one endpoint, never both wait on full buffers.
-/// A retry's backoff is waited out in the same turns. One pool belongs
-/// to one thread; cloning a pool yields an **empty** one on the same
-/// endpoint and meter.
-pub struct ConnPool {
-    conns: HashMap<SocketAddr, TcpStream>,
-    meter: Arc<WireCounters>,
-    home: Arc<Shared>,
-}
+/// A handle to an endpoint's outbound connections, one per peer listener
+/// (`TCP_NODELAY`, non-blocking), shared by all its handles. A
+/// [`send`](Outbox::send) appends to a connection's buffer, written before
+/// the endpoint's receiver next waits or by [`flush`](Outbox::flush). A
+/// write that finds no room, and a retry's backoff, take turns of the
+/// endpoint's wait, which read every listener of it: two endpoints, or two
+/// sites of one, writing large frames at each other never both stall.
+#[derive(Clone)]
+pub struct Outbox(Arc<Shared>);
 
-impl Clone for ConnPool {
-    fn clone(&self) -> ConnPool {
-        let (meter, home) = (Arc::clone(&self.meter), Arc::clone(&self.home));
-        ConnPool {
-            conns: HashMap::new(),
-            meter,
-            home,
-        }
-    }
-}
-
-impl ConnPool {
-    /// An empty pool for the thread that receives on `endpoint`, counting
-    /// every dial on `meter` ([`WireCounters::connects`]).
-    pub fn metered(meter: Arc<WireCounters>, endpoint: &TcpEndpoint) -> ConnPool {
-        let home = Arc::clone(&endpoint.0);
-        ConnPool {
-            conns: HashMap::new(),
-            meter,
-            home,
-        }
-    }
-
-    /// Writes `frame` down the connection to `addr`, dialling first when
-    /// there is none or the peer has closed it. Liveness is checked
-    /// *before* the write: a write to a connection the peer already
-    /// closed succeeds locally and the frame vanishes, which would turn
-    /// passive termination's "this send fails" into "the next one does".
-    /// A failed write discards the connection, so a retry starts a fresh
-    /// one and framing can never resume mid-frame.
-    pub fn send(&mut self, addr: SocketAddr, frame: &Frame) -> Result<(), TcpError> {
-        if self.conns.get(&addr).is_some_and(peer_closed) {
-            self.conns.remove(&addr);
-        }
-        let stream = match self.conns.entry(addr) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.meter.record_connect();
-                let stream = TcpStream::connect(addr)?;
-                stream.set_nodelay(true)?;
-                stream.set_nonblocking(true)?;
-                e.insert(stream)
-            }
-        };
-        let home = &self.home;
-        let sent = frame.write_to(stream, |stream, progress| {
-            home.wait_writable(stream, progress)
-        });
-        if sent.is_err() {
-            self.conns.remove(&addr);
-        }
-        sent
-    }
-
-    /// [`send`](ConnPool::send) with bounded retry + exponential backoff
-    /// on transient failures, the backoff waited out in turns of the
-    /// pool's endpoint. Connection-refused fails immediately (passive
-    /// termination).
-    pub fn send_retrying(
-        &mut self,
+impl Outbox {
+    /// Appends `frame` to the connection to `addr`, dialling (counted on
+    /// `meter`) when there is none or the peer has closed it — checked
+    /// *before* the append, so passive termination fails this send, not
+    /// the next. Transient failures are retried with backoff, each told to
+    /// `on_retry`; a refused dial fails at once.
+    pub fn send(
+        &self,
         addr: SocketAddr,
         frame: &Frame,
+        meter: &WireCounters,
         on_retry: impl FnMut(u32),
     ) -> Result<(), TcpError> {
-        let home = Arc::clone(&self.home);
-        with_retries(
-            on_retry,
-            |backoff| home.pause(backoff),
-            || self.send(addr, frame),
-        )
+        let home = &self.0;
+        let hold = || {
+            let mut links = home.links();
+            if links.get(&addr).is_some_and(|link| peer_closed(&link.0)) {
+                links.remove(&addr);
+            }
+            let link = match links.entry(addr) {
+                Entry::Occupied(e) => e.into_mut(),
+                Entry::Vacant(e) => {
+                    meter.record_connect();
+                    let stream = TcpStream::connect(addr)?;
+                    stream.set_nodelay(true)?;
+                    stream.set_nonblocking(true)?;
+                    e.insert((stream, Vec::new()))
+                }
+            };
+            link.1.extend_from_slice(&frame.0);
+            Ok(())
+        };
+        with_retries(on_retry, |backoff| home.pause(backoff), hold)
+    }
+
+    /// Writes every buffer now; a connection whose write fails is dropped
+    /// with what it held, lost as frames in flight are, and the failure
+    /// returned.
+    pub fn flush(&self) -> Result<(), TcpError> {
+        let home = &self.0;
+        home.flush(|left, s| home.take_turn(left, Some(s)))
     }
 }
 
-/// True when the peer has closed (or reset) a pooled connection. The
+/// True when the peer has closed (or reset) an outbound connection. The
 /// protocol is one-way — an endpoint never writes — so the only thing
 /// that can make a sender's socket readable is the peer's FIN or RST.
 fn peer_closed(stream: &TcpStream) -> bool {
@@ -438,8 +399,8 @@ mod sys {
 
     /// Without `poll(2)` every socket is reported ready after a
     /// millisecond's park: the endpoint's non-blocking reads sort out
-    /// which really are, and a pooled sender, unable to tell a live
-    /// connection from a closed one, dials per message.
+    /// which really are, and a sender, unable to tell a live connection
+    /// from a closed one, dials per message.
     #[cfg(not(unix))]
     pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
         let nap = Duration::from_millis(1);
@@ -748,7 +709,7 @@ pub struct Received {
 type Queued = (Instant, Message, usize, usize);
 
 /// An endpoint's receiving side, read by whichever thread waits on it: a
-/// receiver, or the write or retry of a pool built on the endpoint.
+/// receiver, or the write or retry of one of the endpoint's outboxes.
 /// Listener `i` is watched under token `i`, each accepted connection under
 /// a token of its own above the listeners'.
 struct Inbox {
@@ -886,8 +847,7 @@ impl Inbox {
     }
 }
 
-/// What an endpoint shares with its [`Closer`]s and with the pools built
-/// on it.
+/// What an endpoint shares with its [`Closer`]s and [`Outbox`]es.
 struct Shared {
     /// The listeners' addresses, in the order they were bound; never
     /// empty.
@@ -895,6 +855,9 @@ struct Shared {
     shutdown: AtomicBool,
     stall: Duration,
     inbox: Mutex<Inbox>,
+    /// The connections this endpoint dialled, by peer listener, each with
+    /// the frames held for it since its buffer was last written.
+    links: Mutex<HashMap<SocketAddr, (TcpStream, Vec<u8>)>>,
 }
 
 impl Shared {
@@ -904,6 +867,10 @@ impl Shared {
 
     fn inbox(&self) -> MutexGuard<'_, Inbox> {
         self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn links(&self) -> MutexGuard<'_, HashMap<SocketAddr, (TcpStream, Vec<u8>)>> {
+        self.links.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// One turn of this endpoint's wait, of at most `left` — unless
@@ -920,19 +887,32 @@ impl Shared {
         }
     }
 
-    /// A pool's wait for room in `stream`: one turn of this endpoint,
-    /// which reads every listener of it meanwhile. Gives up once the
-    /// endpoint closes, or when the peer has taken no byte since
-    /// `progress` for the stall bound.
-    fn wait_writable(&self, stream: &TcpStream, progress: Instant) -> Result<(), TcpError> {
-        let left = (progress + self.stall).saturating_duration_since(Instant::now());
-        if self.closing() {
-            return Err(TcpError::Closed);
-        } else if left.is_zero() {
-            return Err(TcpError::Timeout);
-        }
-        self.take_turn(left, Some(stream));
-        Ok(())
+    /// Writes every connection's held frames, one `write` each unless the
+    /// peer's buffers fill. A write that finds no room waits by
+    /// `turn(left, stream)`, a turn of this endpoint of at most `left`, and
+    /// gives up once the endpoint closes or the peer has taken no byte for
+    /// the stall bound. A connection whose write fails is dropped with
+    /// what it held, so framing never resumes mid-frame; the last such
+    /// failure is returned.
+    fn flush(&self, mut turn: impl FnMut(Duration, &TcpStream)) -> Result<(), TcpError> {
+        let mut wait = |stream: &TcpStream, progress: Instant| {
+            let left = (progress + self.stall).saturating_duration_since(Instant::now());
+            if self.closing() {
+                return Err(TcpError::Closed);
+            } else if left.is_zero() {
+                return Err(TcpError::Timeout);
+            }
+            turn(left, stream);
+            Ok(())
+        };
+        let mut flushed = Ok(());
+        self.links().retain(|_, (stream, held)| {
+            let sent = write_frames(stream, held, &mut wait);
+            held.clear();
+            held.shrink_to(READ_CHUNK);
+            sent.map_err(|e| flushed = Err(e)).is_ok()
+        });
+        flushed
     }
 
     /// A retry's backoff, waited out in turns of this endpoint, which
@@ -952,11 +932,11 @@ impl Shared {
 /// A listening endpoint: one listener, or one per site of a thread that
 /// hosts several. It has no thread of its own: the thread that waits on
 /// it ([`recv_timeout_sized`](TcpEndpoint::recv_timeout_sized), or the
-/// write or retry of a [`ConnPool`] built on it) accepts connections,
-/// reads any number of frames from each and decodes them into its inbox,
-/// which has no bound. Dropping (or calling
-/// [`close`](TcpEndpoint::close)) closes every listener and accepted
-/// connection — this is how a user-site terminates a query passively.
+/// write or retry of one of its [`Outbox`]es) accepts connections, reads
+/// any number of frames from each and decodes them into its inbox, which
+/// has no bound. Dropping (or calling [`close`](TcpEndpoint::close))
+/// closes every listener, accepted connection and dialled connection —
+/// this is how a user-site terminates a query passively.
 pub struct TcpEndpoint(Arc<Shared>);
 
 /// Closes a [`TcpEndpoint`] from a thread other than the one receiving
@@ -968,8 +948,8 @@ impl Closer {
     /// Marks the endpoint closed and wakes a receiver asleep in
     /// [`TcpEndpoint::recv_timeout_sized`] with a throwaway connection:
     /// it closes the listeners and every accepted connection and returns
-    /// `Disconnected`, as does every later receive; a pool's write
-    /// waiting for room fails with [`TcpError::Closed`]. Idempotent.
+    /// `Disconnected`, as does every later receive; a write waiting for
+    /// room fails with [`TcpError::Closed`]. Idempotent.
     pub fn close(&self) {
         if !self.0.shutdown.swap(true, Ordering::SeqCst) {
             let _ = TcpStream::connect(self.0.addrs.as_slice());
@@ -1024,6 +1004,7 @@ impl TcpEndpoint {
             shutdown: AtomicBool::new(false),
             stall,
             inbox: Mutex::new(inbox),
+            links: Mutex::default(),
         })))
     }
 
@@ -1038,14 +1019,15 @@ impl TcpEndpoint {
         &self.0.addrs
     }
 
+    /// A handle that sends from this endpoint: every handle shares its
+    /// connections, one to each peer listener.
+    pub fn outbox(&self) -> Outbox {
+        Outbox(Arc::clone(&self.0))
+    }
+
     /// A handle that closes this endpoint from another thread.
     pub fn closer(&self) -> Closer {
         Closer(Arc::clone(&self.0))
-    }
-
-    /// True once the endpoint has been told to close.
-    pub fn closing(&self) -> bool {
-        self.0.closing()
     }
 
     /// Receives the next message, waiting up to `timeout`.
@@ -1057,7 +1039,8 @@ impl TcpEndpoint {
     /// reports how long the message sat in the inbox, the size it had on
     /// the wire and the listener it arrived on, so a receiver that
     /// accounts for bytes need not encode the message again to count
-    /// them. The inbox is read only when it is empty; a zero `timeout`
+    /// them. The inbox is read only when it is empty, and every frame an
+    /// [`Outbox`] of the endpoint holds is written first; a zero `timeout`
     /// reads what the sockets hold without waiting. A `timeout` too long
     /// to add to the clock (`Duration::MAX`) is no timeout: the call
     /// sleeps until a message arrives or the endpoint is closed.
@@ -1066,7 +1049,7 @@ impl TcpEndpoint {
         let mut inbox = self.0.inbox();
         let mut waited = false;
         loop {
-            if self.closing() {
+            if self.0.closing() {
                 inbox.close();
                 return Err(RecvTimeoutError::Disconnected);
             }
@@ -1083,8 +1066,14 @@ impl TcpEndpoint {
             if waited && left == Some(Duration::ZERO) {
                 return Err(RecvTimeoutError::Timeout);
             }
-            inbox.turn(self.0.stall, left, None);
-            waited = true;
+            // What a write waiting for room read is received first, and a
+            // close it woke up to is not slept through.
+            let turn = |left, s: &_| inbox.turn(self.0.stall, Some(left), Some(s));
+            let _ = self.0.flush(turn);
+            if inbox.queue.is_empty() && !self.0.closing() {
+                inbox.turn(self.0.stall, left, None);
+                waited = true;
+            }
         }
     }
 
@@ -1095,12 +1084,13 @@ impl TcpEndpoint {
         inbox.queue.iter().filter(|(.., on)| *on == at).count()
     }
 
-    /// Closes the listeners and every accepted connection. Any peer that
-    /// subsequently tries to send to this endpoint gets a connection
-    /// error — the passive termination signal.
+    /// Closes the listeners, every accepted connection and every dialled
+    /// one. Any peer that subsequently tries to send to this endpoint gets
+    /// a connection error — the passive termination signal.
     pub fn close(&mut self) {
         self.0.shutdown.store(true, Ordering::SeqCst);
         self.0.inbox().close();
+        self.0.links().clear();
     }
 }
 
@@ -1376,22 +1366,23 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(5);
 
-    /// A pool on an endpoint of its own, as every sending thread has, and
-    /// the meter it counts dials on.
-    fn metered_pool() -> (TcpEndpoint, ConnPool, Arc<WireCounters>) {
+    /// An endpoint of its own, as every sending thread has, and its outbox.
+    fn sender() -> (TcpEndpoint, Outbox) {
         let home = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let meter = Arc::new(WireCounters::default());
-        let pool = ConnPool::metered(Arc::clone(&meter), &home);
-        (home, pool, meter)
+        let out = home.outbox();
+        (home, out)
     }
 
-    fn sender() -> (TcpEndpoint, ConnPool) {
-        let (home, pool, _) = metered_pool();
-        (home, pool)
+    /// Sends `frame` to `addr` and writes it at once, counting a dial on
+    /// `meter`.
+    fn send_metered(out: &Outbox, meter: &WireCounters, addr: SocketAddr, frame: &Frame) {
+        out.send(addr, frame, meter, |_| {}).unwrap();
+        out.flush().unwrap();
     }
 
-    fn send_pooled(pool: &mut ConnPool, addr: SocketAddr, msg: &Message) {
-        pool.send(addr, &Frame::encode(msg).unwrap()).unwrap();
+    fn send_now(out: &Outbox, addr: SocketAddr, msg: &Message) {
+        let frame = Frame::encode(msg).unwrap();
+        send_metered(out, &WireCounters::default(), addr, &frame);
     }
 
     fn big_msg(bytes: usize) -> Message {
@@ -1415,9 +1406,10 @@ mod tests {
     #[test]
     fn thousand_frames_over_one_connection_arrive_in_order() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let (_home, mut pool, meter) = metered_pool();
+        let ((_home, out), meter) = (sender(), WireCounters::default());
         for i in 0..1000 {
-            send_pooled(&mut pool, ep.local_addr(), &fetch_msg(&format!("/doc{i}")));
+            let frame = Frame::encode(&fetch_msg(&format!("/doc{i}"))).unwrap();
+            send_metered(&out, &meter, ep.local_addr(), &frame);
         }
         for i in 0..1000 {
             assert_eq!(
@@ -1435,10 +1427,9 @@ mod tests {
         std::thread::scope(|s| {
             for n in 0..3 {
                 s.spawn(move || {
-                    let (_home, mut pool) = sender();
+                    let (_home, out) = sender();
                     for i in 0..200 {
-                        let msg = fetch_msg(&format!("/s{n}/{i}"));
-                        send_pooled(&mut pool, addr, &msg);
+                        send_now(&out, addr, &fetch_msg(&format!("/s{n}/{i}")));
                     }
                 });
             }
@@ -1458,6 +1449,66 @@ mod tests {
             }
             assert_eq!(next, [200; 3]);
         });
+    }
+
+    #[test]
+    fn frames_two_sites_hold_for_one_peer_arrive_whole_in_each_senders_order() {
+        // Two sites of one endpoint interleave their sends to one peer in
+        // one batch: they share the endpoint's one connection, and the
+        // batch goes out when the endpoint next waits.
+        let peer = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+        let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
+        let (sites, meter) = ([host.outbox(), host.outbox()], WireCounters::default());
+        for i in 0..100 {
+            for (n, out) in sites.iter().enumerate() {
+                let msg = if i % 10 == 0 {
+                    big_msg(100_000 + n)
+                } else {
+                    fetch_msg(&format!("/s{n}/{i}"))
+                };
+                let frame = Frame::encode(&msg).unwrap();
+                out.send(peer.local_addr(), &frame, &meter, |_| {}).unwrap();
+            }
+        }
+        assert_eq!(
+            peer.recv_timeout(Duration::from_millis(50)),
+            Err(RecvTimeoutError::Timeout),
+            "held until the sending endpoint waits"
+        );
+        let mut next = [0usize; 2];
+        std::thread::scope(|s| {
+            s.spawn(|| host.recv_timeout(Duration::ZERO));
+            for _ in 0..200 {
+                let (n, i) = match peer.recv_timeout(WAIT).unwrap() {
+                    Message::Fetch(f) => {
+                        let (n, i) = f.url.path()[2..].split_once('/').unwrap();
+                        (n.parse::<usize>().unwrap(), i.parse().unwrap())
+                    }
+                    Message::FetchReply(r) => {
+                        let n = r.html.unwrap().len() - 100_000;
+                        (n, next[n] / 10 * 10)
+                    }
+                    other => panic!("not sent: {other:?}"),
+                };
+                assert_eq!(i, next[n], "site {n}'s order");
+                next[n] += 1;
+            }
+        });
+        assert_eq!(next, [100; 2]);
+        assert_eq!(meter.connects(), 1, "co-hosted sites share a connection");
+    }
+
+    #[test]
+    fn a_held_frame_to_a_listener_of_its_own_endpoint_is_delivered() {
+        let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
+        let msg = fetch_msg("/self");
+        let frame = Frame::encode(&msg).unwrap();
+        let to = host.local_addrs()[1];
+        host.outbox()
+            .send(to, &frame, &WireCounters::default(), |_| {})
+            .unwrap();
+        let got = host.recv_timeout_sized(WAIT).unwrap();
+        assert_eq!((got.msg, got.at), (msg, 1));
     }
 
     #[test]
@@ -1487,11 +1538,11 @@ mod tests {
     #[test]
     fn undecodable_frame_does_not_cost_the_next_frame_on_the_connection() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let (_home, mut pool, meter) = metered_pool();
-        let garbage = Frame::build(|buf| buf.extend_from_slice(&[0xff; 3])).unwrap();
-        pool.send(ep.local_addr(), &garbage).unwrap();
+        let ((_home, out), meter) = (sender(), WireCounters::default());
+        let garbage = Frame([&3u32.to_be_bytes()[..], &[0xff; 3]].concat());
+        send_metered(&out, &meter, ep.local_addr(), &garbage);
         let msg = fetch_msg("/after-garbage");
-        send_pooled(&mut pool, ep.local_addr(), &msg);
+        send_metered(&out, &meter, ep.local_addr(), &Frame::encode(&msg).unwrap());
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), msg);
         let next = ep.recv_timeout(Duration::ZERO);
         assert!(next.is_err(), "garbage must not deliver");
@@ -1501,9 +1552,9 @@ mod tests {
     #[test]
     fn oversized_length_prefix_closes_that_connection_only() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let (_home, mut pool) = sender();
+        let (_home, out) = sender();
         let before = fetch_msg("/before");
-        send_pooled(&mut pool, ep.local_addr(), &before);
+        send_now(&out, ep.local_addr(), &before);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), before);
 
         // The test thread plays the hostile peer while a receiver waits.
@@ -1515,9 +1566,9 @@ mod tests {
                 .unwrap();
             assert_closed_by_peer(&hostile);
 
-            // The pooled connection that was open all along still delivers.
+            // The connection that was open all along still delivers.
             let after = fetch_msg("/after");
-            send_pooled(&mut pool, ep.local_addr(), &after);
+            send_now(&out, ep.local_addr(), &after);
             assert_eq!(receiver.join().unwrap().unwrap(), after);
         });
     }
@@ -1530,9 +1581,9 @@ mod tests {
         let since = Instant::now();
         (&stalled).write_all(&64u32.to_be_bytes()).unwrap();
 
-        let (_home, mut pool) = sender();
+        let (_home, out) = sender();
         let during = fetch_msg("/during");
-        send_pooled(&mut pool, ep.local_addr(), &during);
+        send_now(&out, ep.local_addr(), &during);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), during);
 
         // A receiver waits while the test thread watches the stalled peer.
@@ -1541,30 +1592,56 @@ mod tests {
             assert_closed_by_peer(&stalled);
             assert!(since.elapsed() >= stall, "dropped only after the bound");
             let after = fetch_msg("/after");
-            send_pooled(&mut pool, ep.local_addr(), &after);
+            send_now(&out, ep.local_addr(), &after);
             assert_eq!(receiver.join().unwrap().unwrap(), after);
         });
     }
 
     #[test]
-    fn first_pooled_send_after_endpoint_close_fails_for_good() {
+    fn first_send_after_endpoint_close_fails_for_good() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let addr = ep.local_addr();
-        let (_home, mut pool) = sender();
+        let ((_home, out), meter) = (sender(), WireCounters::default());
         let frame = Frame::encode(&fetch_msg("/x")).unwrap();
-        pool.send(addr, &frame).unwrap();
+        send_metered(&out, &meter, addr, &frame);
         ep.recv_timeout(WAIT).unwrap();
         ep.close();
         // Passive termination (Section 2.8): not "the send after next".
-        let err = pool.send(addr, &frame).unwrap_err();
-        assert!(!err.is_transient(), "refused, not retried: {err}");
         let mut retries = 0;
-        let again = pool.send_retrying(addr, &frame, |_| retries += 1);
-        assert!(again.is_err());
-        // A pool that never had a connection is refused the same way.
-        let fresh = pool.clone().send_retrying(addr, &frame, |_| retries += 1);
-        assert!(fresh.is_err());
+        let err = out.send(addr, &frame, &meter, |_| retries += 1);
+        let err = err.unwrap_err();
+        assert!(!err.is_transient(), "refused, not retried: {err}");
+        // An endpoint that never had a connection is refused the same way.
+        let (_fresh, fresh) = sender();
+        assert!(fresh.send(addr, &frame, &meter, |_| retries += 1).is_err());
         assert_eq!(retries, 0, "passive termination must not be retried");
+    }
+
+    #[test]
+    fn a_send_to_a_closed_peer_is_refused_while_frames_are_held() {
+        // A batch in progress: the endpoint holds a frame for each of two
+        // peers when one of them closes. The next send to it is refused
+        // at the send, not lost at the write, and the held frame to the
+        // other peer still goes out.
+        let (mut gone, kept) = (sender().0, sender().0);
+        let ((home, out), meter) = (sender(), WireCounters::default());
+        let frame = Frame::encode(&fetch_msg("/x")).unwrap();
+        for peer in [&gone, &kept] {
+            send_metered(&out, &meter, peer.local_addr(), &frame);
+            peer.recv_timeout(WAIT).unwrap();
+        }
+        for peer in [&gone, &kept] {
+            out.send(peer.local_addr(), &frame, &meter, |_| {}).unwrap();
+        }
+        let addr = gone.local_addr();
+        gone.close();
+        let err = out.send(addr, &frame, &meter, |_| {}).unwrap_err();
+        assert!(!err.is_transient(), "refused: {err}");
+        assert_eq!(
+            home.recv_timeout(Duration::ZERO),
+            Err(RecvTimeoutError::Timeout)
+        );
+        assert_eq!(kept.recv_timeout(WAIT).unwrap(), fetch_msg("/x"));
     }
 
     #[test]
@@ -1573,7 +1650,7 @@ mod tests {
         let closer = ep.closer();
         let receiver = std::thread::spawn(move || {
             let got = ep.recv_timeout_sized(Duration::MAX);
-            (got.err(), ep.closing())
+            (got.err(), ep.0.closing())
         });
         closer.close();
         closer.close();
@@ -1586,15 +1663,15 @@ mod tests {
     fn send_after_peer_rebinds_the_same_port_reconnects() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let addr = ep.local_addr();
-        let (_home, mut pool, meter) = metered_pool();
+        let ((_home, out), meter) = (sender(), WireCounters::default());
         let first = fetch_msg("/first-life");
-        send_pooled(&mut pool, addr, &first);
+        send_metered(&out, &meter, addr, &Frame::encode(&first).unwrap());
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), first);
         ep.close();
 
         let reborn = TcpEndpoint::bind(addr).expect("re-bind the port just closed");
         let second = fetch_msg("/second-life");
-        send_pooled(&mut pool, addr, &second);
+        send_metered(&out, &meter, addr, &Frame::encode(&second).unwrap());
         assert_eq!(reborn.recv_timeout(WAIT).unwrap(), second);
         assert_eq!(meter.connects(), 2, "one dial per life of the peer");
     }
@@ -1602,11 +1679,9 @@ mod tests {
     #[test]
     fn close_is_prompt_with_idle_inbound_connections() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let frame = Frame::encode(&fetch_msg("/hello")).unwrap();
-        let (_home, pool) = sender();
-        let mut pools: Vec<ConnPool> = (0..16).map(|_| pool.clone()).collect();
-        for pool in &mut pools {
-            pool.send(ep.local_addr(), &frame).unwrap();
+        let senders: Vec<_> = (0..16).map(|_| sender()).collect();
+        for (_home, out) in &senders {
+            send_now(out, ep.local_addr(), &fetch_msg("/hello"));
         }
         // Sixteen messages received: sixteen connections accepted, and
         // now idle.
@@ -1639,11 +1714,10 @@ mod tests {
         for (me, endpoint) in endpoints.into_iter().enumerate() {
             let (msg, start, done_tx) = (msg.clone(), Arc::clone(&start), done_tx.clone());
             daemons.push(std::thread::spawn(move || {
-                let mut pool = ConnPool::metered(Arc::default(), &endpoint);
-                let frame = Frame::encode(&msg).unwrap();
+                let out = endpoint.outbox();
                 start.wait();
                 for _ in 0..3 {
-                    pool.send(addrs[1 - me], &frame).unwrap();
+                    send_now(&out, addrs[1 - me], &msg);
                 }
                 for _ in 0..3 {
                     assert_eq!(endpoint.recv_timeout(WAIT).unwrap(), msg);
@@ -1664,21 +1738,20 @@ mod tests {
     }
 
     #[test]
-    fn large_frames_between_two_listeners_of_one_thread_do_not_deadlock() {
-        // Two sites on one endpoint, and so on one thread, each writing
-        // frames larger than the socket buffers to the other before either
-        // reads. Were a write that waits for room not to take turns of its
-        // own endpoint meanwhile, the first would wait out the stall bound:
-        // nobody else reads the other site's listener.
+    fn a_batch_of_large_frames_between_two_listeners_of_one_endpoint_goes_out() {
+        // Two sites on one endpoint, and so on one thread, each hold
+        // frames larger than the socket buffers for the other; the batch
+        // is written when the endpoint next waits. Were the write that
+        // waits for room not a turn of that same endpoint, it would wait
+        // out the stall bound: nobody else reads the other listener.
         let msg = big_msg(4 << 20);
         let frame = Frame::encode(&msg).unwrap();
         let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
         let addrs = host.local_addrs().to_vec();
-        let mut pools = [(); 2].map(|_| ConnPool::metered(Arc::default(), &host));
+        let (sites, meter) = ([host.outbox(), host.outbox()], WireCounters::default());
         for _ in 0..3 {
-            for (me, pool) in pools.iter_mut().enumerate() {
-                pool.send(addrs[1 - me], &frame)
-                    .expect("a write waits for room in turns of its own endpoint");
+            for (me, out) in sites.iter().enumerate() {
+                out.send(addrs[1 - me], &frame, &meter, |_| {}).unwrap();
             }
         }
         let mut arrived = [0; 2];
@@ -1693,18 +1766,39 @@ mod tests {
             "each listener received what was sent to it"
         );
         assert_eq!(host.pending(0) + host.pending(1), 0);
+        assert_eq!(meter.connects(), 2, "one connection per peer listener");
     }
 
-    /// Sends `frame` to a bound endpoint nobody reads, through `pool` on
-    /// a thread of its own, and returns what the send came to — or panics
-    /// when it has not returned within [`WAIT`].
-    fn send_unread(pool: ConnPool, frame: Frame, while_waiting: impl FnOnce()) -> TcpError {
+    #[test]
+    fn large_frames_written_at_once_between_two_listeners_of_one_endpoint() {
+        // The same, each frame written as it is sent: an outbox flushed by
+        // a thread that waits on no endpoint takes turns of its own.
+        let msg = big_msg(4 << 20);
+        let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
+        let addrs = host.local_addrs().to_vec();
+        for _ in 0..3 {
+            for me in 0..2 {
+                send_now(&host.outbox(), addrs[1 - me], &msg);
+            }
+        }
+        let mut arrived = [0; 2];
+        for _ in 0..6 {
+            arrived[host.recv_timeout_sized(WAIT).unwrap().at] += 1;
+        }
+        assert_eq!(arrived, [3, 3]);
+    }
+
+    /// Sends `frame` to a bound endpoint nobody reads, through `out` on a
+    /// thread of its own, and returns what writing it came to — or panics
+    /// when the write has not returned within [`WAIT`].
+    fn send_unread(out: Outbox, frame: Frame, while_waiting: impl FnOnce()) -> TcpError {
         let unread = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let addr = unread.local_addr();
         let writer = std::thread::spawn(move || {
-            let mut pool = pool;
-            done_tx.send(pool.send(addr, &frame)).unwrap();
+            let meter = WireCounters::default();
+            out.send(addr, &frame, &meter, |_| {}).unwrap();
+            done_tx.send(out.flush()).unwrap();
         });
         while_waiting();
         let sent = done_rx.recv_timeout(WAIT).expect("the write never gave up");
@@ -1716,10 +1810,10 @@ mod tests {
     fn a_write_waiting_for_room_fails_once_its_own_endpoint_closes() {
         // A daemon told to stop while it writes to a receiver that stopped
         // reading: its write fails for good, and the daemon gets to exit.
-        let (home, pool) = sender();
+        let (home, out) = sender();
         let closer = home.closer();
         let frame = Frame::encode(&big_msg(15 << 20)).unwrap();
-        let err = send_unread(pool, frame, || {
+        let err = send_unread(out, frame, || {
             std::thread::sleep(Duration::from_millis(100));
             closer.close();
         });
@@ -1731,10 +1825,9 @@ mod tests {
     fn a_write_the_peer_takes_nothing_of_fails_after_the_stall_bound() {
         let stall = Duration::from_millis(100);
         let home = TcpEndpoint::bind_with_stall_bound(["127.0.0.1:0"], stall).unwrap();
-        let pool = ConnPool::metered(Arc::default(), &home);
         let frame = Frame::encode(&big_msg(15 << 20)).unwrap();
         let t0 = Instant::now();
-        let err = send_unread(pool, frame, || {});
+        let err = send_unread(home.outbox(), frame, || {});
         assert!(matches!(err, TcpError::Timeout), "{err}");
         assert!(t0.elapsed() >= stall, "gave up early: {:?}", t0.elapsed());
         assert!(err.is_transient(), "a stalled peer is worth retrying");
