@@ -23,7 +23,8 @@
 #   * `run_until(` appears in a non-test line under crates/*/src outside
 #     webdis-sim (harnesses act at times through `post_host` and
 #     `Deployment::drive_sim`, not by slicing the clock themselves);
-#   * `SimConfig` has a field beyond latency, jitter_us, faults, seed.
+#   * `SimConfig` has a field beyond latency, proc (the processing-cost
+#     model the simulator prices work with), jitter_us, faults, seed.
 # Non-test lines are those before a file's first `#[cfg(test)]`, as in
 # ci/loc.sh.
 set -eu
@@ -68,9 +69,9 @@ fi
 
 fields=$(sed -n '/^pub struct SimConfig {/,/^}/p' crates/webdis-sim/src/net.rs |
     sed -n 's/^    pub \([a-z_]*\):.*/\1/p' | tr '\n' ' ')
-if [ "$fields" != "latency jitter_us faults seed " ]; then
-    echo "SimConfig fields: $fields(expected: latency jitter_us faults seed)" >&2
+if [ "$fields" != "latency proc jitter_us faults seed " ]; then
+    echo "SimConfig fields: $fields(expected: latency proc jitter_us faults seed)" >&2
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one clock: one Agenda, no polling in tcprun.rs, no sleep in webdis-net, no clock loop outside webdis-sim, SimConfig has 4 fields"
+echo "one clock: one Agenda, no polling in tcprun.rs, no sleep in webdis-net, no clock loop outside webdis-sim, SimConfig has 5 fields"

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use webdis_core::{Deployment, EngineConfig, QueryOutcome};
-use webdis_sim::SimConfig;
+use webdis_sim::{ProcModel, SimConfig};
 use webdis_trace::RegistrySnapshot;
 use webdis_web::live::{fnv_fold, FNV_OFFSET};
 use webdis_web::{generate, HostedWeb, WebGenConfig};
@@ -159,6 +159,15 @@ const LOCAL_QUERY: &str = r#"
     from document d such that "http://site0.test/doc0.html" L* d
     where d.title contains "needle"
 "#;
+
+/// The simulator with the paper-era workstation's processor, so
+/// evaluation and parsing take time; everything else at its default.
+fn workstation_sim() -> SimConfig {
+    SimConfig {
+        proc: ProcModel::workstation_1999(),
+        ..SimConfig::default()
+    }
+}
 
 /// The generated web of the workload experiments (t13, t17–t19): one
 /// extra local and one extra global link per document, so clones meet

@@ -1,10 +1,12 @@
 use std::sync::Arc;
 
-use webdis_core::{ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec};
-use webdis_sim::SimConfig;
+use webdis_core::{ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadSpec};
 use webdis_trace::{Histogram, RegistrySnapshot};
 
-use super::{freeze_histograms, milli, workload_web, Ctx, Outcome, GLOBAL_QUERY, LOCAL_QUERY};
+use super::{
+    freeze_histograms, milli, workload_web, workstation_sim, Ctx, Outcome, GLOBAL_QUERY,
+    LOCAL_QUERY,
+};
 use crate::report::{ScenarioReport, Worse};
 use crate::{fmt_ms, Table};
 
@@ -50,9 +52,6 @@ fn t13_point(mean_interarrival_us: u64, ctx: &Ctx, showcase: bool) -> LoadPoint 
         webdis_trace::TraceHandle::collecting(65_536)
     };
     let cfg = EngineConfig {
-        // The paper's workstation costs make evaluation the bottleneck —
-        // that is what produces a knee at a realistic offered load.
-        proc: ProcModel::workstation_1999(),
         admission: Some(2),
         // A server's purge, run at each arrival, retires the admission
         // slot of a query idle a whole period; the period must therefore
@@ -78,8 +77,9 @@ fn t13_point(mean_interarrival_us: u64, ctx: &Ctx, showcase: bool) -> LoadPoint 
     };
     let plans = spec.plan().expect("t13 workload plans");
     let deployment = Deployment::new(web, cfg);
-    let outcome =
-        deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut observer);
+    // The paper's workstation costs make evaluation the bottleneck —
+    // that is what produces a knee at a realistic offered load.
+    let outcome = deployment.workload_sim(workstation_sim(), plans, spec.horizon_us, &mut observer);
     if let Some((at_us, sample)) = expo_sample {
         println!("--- /metrics sample at t={at_us}us (mid-flight) ---");
         for line in sample.lines().take(24) {

@@ -1,13 +1,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use webdis_core::{
-    ArrivalProcess, CachePolicy, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec,
-};
-use webdis_sim::SimConfig;
+use webdis_core::{ArrivalProcess, CachePolicy, Deployment, EngineConfig, QueryMix, WorkloadSpec};
 use webdis_trace::{RegistrySnapshot, TraceHandle};
 
-use super::{freeze_histograms, milli, workload_web, Ctx, Outcome, GLOBAL_QUERY, LOCAL_QUERY};
+use super::{
+    freeze_histograms, milli, workload_web, workstation_sim, Ctx, Outcome, GLOBAL_QUERY,
+    LOCAL_QUERY,
+};
 use crate::report::{ScenarioReport, Worse};
 
 /// The tail template of the t17 Zipf mix: the t13 local query narrowed
@@ -75,14 +75,13 @@ fn t17_point(cache: Option<CachePolicy>, smoke: bool) -> T17Point {
     // the answer cache cannot elide, because forwarding needs the
     // node's links — drowns the evaluation cost under measurement.
     let cfg = EngineConfig {
-        proc: ProcModel::workstation_1999(),
         doc_cache_size: 256,
         cache,
         tracer,
         ..EngineConfig::default()
     };
     let outcome = Deployment::new(web, cfg).workload_sim(
-        SimConfig::default(),
+        workstation_sim(),
         spec.plan().expect("t17 point"),
         spec.horizon_us,
         &mut |_, _| {},

@@ -1,11 +1,10 @@
 use std::sync::Arc;
 
-use webdis_core::{ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec};
+use webdis_core::{ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadSpec};
 use webdis_monitor::Monitor;
-use webdis_sim::SimConfig;
 use webdis_trace::TraceHandle;
 
-use super::{artifact_digest, workload_web, Ctx, Outcome, LOCAL_QUERY};
+use super::{artifact_digest, workload_web, workstation_sim, Ctx, Outcome, LOCAL_QUERY};
 use crate::report::{ScenarioReport, Worse};
 
 struct T18Point {
@@ -38,14 +37,13 @@ fn t18_point(monitored: bool, smoke: bool) -> T18Point {
     let (_collector, tracer) = TraceHandle::collecting(65_536);
     let monitor = monitored.then(|| Arc::new(Monitor::new(Default::default(), tracer.clone())));
     let cfg = EngineConfig {
-        proc: ProcModel::workstation_1999(),
         admission: Some(2),
         log_purge_us: Some(50_000),
         tracer: monitor.clone().map_or(tracer, |m| TraceHandle::new(m)),
         ..EngineConfig::default()
     };
     let outcome = Deployment::new(web, cfg).workload_sim(
-        SimConfig::default(),
+        workstation_sim(),
         spec.plan().expect("t18 point"),
         spec.horizon_us,
         &mut |_, _| {},

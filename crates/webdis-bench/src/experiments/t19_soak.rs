@@ -1,15 +1,14 @@
 use std::sync::Arc;
 
 use webdis_core::{
-    ArrivalProcess, CachePolicy, Deployment, EngineConfig, ProcModel, QueryMix, ServerStats,
-    WorkloadSpec,
+    ArrivalProcess, CachePolicy, Deployment, EngineConfig, QueryMix, ServerStats, WorkloadSpec,
 };
-use webdis_sim::SimConfig;
 use webdis_trace::{TraceEvent, TraceHandle};
 use webdis_web::{MutationPlanConfig, MutationSchedule};
 
 use super::{
-    artifact_digest, freeze_histograms, workload_web, Ctx, Outcome, GLOBAL_QUERY, LOCAL_QUERY,
+    artifact_digest, freeze_histograms, workload_web, workstation_sim, Ctx, Outcome, GLOBAL_QUERY,
+    LOCAL_QUERY,
 };
 use crate::report::{ScenarioReport, Worse};
 
@@ -51,7 +50,6 @@ pub fn run(ctx: &Ctx) -> Outcome {
     };
     let (collector, tracer) = TraceHandle::collecting(1 << 16);
     let cfg = EngineConfig {
-        proc: ProcModel::workstation_1999(),
         doc_cache_size: 64,
         cache: Some(CachePolicy::default()),
         log_purge_us: Some(50_000),
@@ -62,7 +60,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     deployment.schedule = schedule;
     let plans = spec.plan().expect("t19 soak");
     let outcome =
-        deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut |_, _| {});
+        deployment.workload_sim(workstation_sim(), plans, spec.horizon_us, &mut |_, _| {});
 
     // Trace-derived counters: purged log records, and doc-cache hits
     // that happened *after* the web first changed — the proof that the

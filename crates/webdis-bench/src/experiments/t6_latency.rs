@@ -1,10 +1,10 @@
 use std::sync::Arc;
 
-use webdis_core::{EngineConfig, ProcModel};
+use webdis_core::EngineConfig;
 use webdis_sim::{LatencyModel, SimConfig};
 use webdis_web::{generate, WebGenConfig};
 
-use super::{both_strategies, Ctx, Outcome, GLOBAL_QUERY};
+use super::{both_strategies, workstation_sim, Ctx, Outcome, GLOBAL_QUERY};
 use crate::{fmt_ms, Table};
 
 /// T6 — response latency under a wide-area latency model.
@@ -44,14 +44,9 @@ pub fn run(_: &Ctx) -> Outcome {
         let web = Arc::new(generate(&cfg));
         let sim = SimConfig {
             latency: LatencyModel::wan(),
-            ..SimConfig::default()
+            ..workstation_sim()
         };
-
-        let cfg = EngineConfig {
-            proc: ProcModel::workstation_1999(),
-            ..EngineConfig::default()
-        };
-        let (ship, data) = both_strategies(&web, GLOBAL_QUERY, cfg, sim);
+        let (ship, data) = both_strategies(&web, GLOBAL_QUERY, EngineConfig::default(), sim);
 
         let ship_done = ship.completed_at_us.unwrap_or(ship.duration_us);
         let data_done = data.completed_at_us.unwrap_or(data.duration_us);

@@ -1,10 +1,9 @@
 use std::sync::Arc;
 
-use webdis_core::{EngineConfig, ProcModel, QueryOutcome};
-use webdis_sim::SimConfig;
+use webdis_core::{EngineConfig, QueryOutcome};
 use webdis_web::{generate, WebGenConfig};
 
-use super::{both_strategies, Ctx, Outcome, GLOBAL_QUERY};
+use super::{both_strategies, workstation_sim, Ctx, Outcome, GLOBAL_QUERY};
 use crate::Table;
 
 /// Processor time charged at the user site, µs.
@@ -50,11 +49,8 @@ pub fn run(_: &Ctx) -> Outcome {
         };
         let web = Arc::new(generate(&cfg));
 
-        let cfg = EngineConfig {
-            proc: ProcModel::workstation_1999(),
-            ..EngineConfig::default()
-        };
-        let (ship, data) = both_strategies(&web, GLOBAL_QUERY, cfg, SimConfig::default());
+        let cfg = EngineConfig::default();
+        let (ship, data) = both_strategies(&web, GLOBAL_QUERY, cfg, workstation_sim());
 
         for (label, o) in [("query ship", &ship), ("data ship", &data)] {
             let total = o.metrics.total.messages;

@@ -41,23 +41,12 @@ pub struct CachePolicy {
     /// budget evicts cheapest-to-recompute entries first; an entry
     /// larger than the whole budget is never admitted.
     pub budget_bytes: u64,
-    /// Modeled cost of one cache lookup, charged to the site's
-    /// processor per consult (hit or miss). Sub-eval by construction:
-    /// the win over a 1999-workstation evaluation (200µs per node
-    /// query, plus per-tuple work) is what cache hits bank.
-    pub lookup_us: u64,
 }
 
 impl CachePolicy {
-    /// The default modeled lookup cost, µs.
-    pub const DEFAULT_LOOKUP_US: u64 = 5;
-
-    /// A policy with the given byte budget and the default lookup cost.
+    /// A policy with the given byte budget.
     pub fn with_budget(budget_bytes: u64) -> CachePolicy {
-        CachePolicy {
-            budget_bytes,
-            lookup_us: Self::DEFAULT_LOOKUP_US,
-        }
+        CachePolicy { budget_bytes }
     }
 }
 
@@ -142,7 +131,7 @@ impl CacheStats {
 /// The per-site answer cache. See the crate docs for the design.
 #[derive(Debug)]
 pub struct AnswerCache {
-    policy: CachePolicy,
+    budget_bytes: u64,
     /// Exact-fingerprint key (`node|fingerprint`) → entry.
     entries: BTreeMap<String, Entry>,
     /// Subsumption bucket: `node|kinds` → exact keys in that bucket.
@@ -160,7 +149,7 @@ impl AnswerCache {
     /// An empty cache under `policy`.
     pub fn new(policy: CachePolicy) -> AnswerCache {
         AnswerCache {
-            policy,
+            budget_bytes: policy.budget_bytes,
             entries: BTreeMap::new(),
             buckets: BTreeMap::new(),
             evict_order: BTreeSet::new(),
@@ -169,11 +158,6 @@ impl AnswerCache {
             clock: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> &CachePolicy {
-        &self.policy
     }
 
     /// Bytes currently resident.
@@ -336,11 +320,11 @@ impl AnswerCache {
         let conjuncts: BTreeSet<String> =
             cq.conjuncts.iter().map(|c| c.canonical.clone()).collect();
         let bytes = estimate_bytes(&key, &conjuncts, &rows, &bindings);
-        if bytes > self.policy.budget_bytes {
+        if bytes > self.budget_bytes {
             return Vec::new();
         }
         let mut evicted = Vec::new();
-        while self.resident_bytes + bytes > self.policy.budget_bytes {
+        while self.resident_bytes + bytes > self.budget_bytes {
             let victim = self
                 .evict_order
                 .iter()
@@ -591,7 +575,7 @@ mod tests {
                 assert_eq!(evicted.len(), 1, "third insert evicts");
             }
         }
-        assert!(cache.resident_bytes() <= cache.policy().budget_bytes);
+        assert!(cache.resident_bytes() <= 700);
         assert_eq!(cache.stats().evictions, 1);
         // The cheap entry (cost 1) went first; the expensive ones stayed.
         let cq0 = canonicalize(&queries[0]);

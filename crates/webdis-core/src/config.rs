@@ -54,35 +54,6 @@ pub enum CompletionMode {
     AckChain,
 }
 
-/// Local processing-cost model, charged to the simulator's per-endpoint
-/// sequential processor (Section 4.4's single Query Processor thread).
-/// Zeros (the default) make processing instantaneous, so only network
-/// costs shape virtual time; experiment T6 uses a 1999-workstation-ish
-/// model to expose the user-site CPU bottleneck under data shipping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProcModel {
-    /// Database-Constructor cost per KiB of raw HTML parsed.
-    pub parse_us_per_kib: u64,
-    /// Cost per node-query evaluation.
-    pub eval_us: u64,
-}
-
-impl ProcModel {
-    /// A 1999-workstation-ish model: ~1 ms to parse 1 KiB of HTML into
-    /// virtual relations, 200 µs per node-query evaluation.
-    pub fn workstation_1999() -> ProcModel {
-        ProcModel {
-            parse_us_per_kib: 1_000,
-            eval_us: 200,
-        }
-    }
-
-    /// The parse charge for a document of `bytes` raw bytes.
-    pub fn parse_cost_us(&self, bytes: usize) -> u64 {
-        (self.parse_us_per_kib * bytes as u64).div_ceil(1024)
-    }
-}
-
 /// Engine configuration shared by user sites and query servers. Both
 /// sides must run the same configuration (in particular the same
 /// [`LogMode`]/[`CompletionMode`] pair) for completion detection to be
@@ -159,10 +130,8 @@ pub struct EngineConfig {
     /// memory-bounded, subsumption-aware store of node-query answers it
     /// consults before evaluating. `None` (the default) disables it and
     /// reproduces the uncached engine bit-for-bit; `Some(policy)` sets
-    /// the byte budget and the modeled per-lookup processor cost.
+    /// its byte budget.
     pub cache: Option<CachePolicy>,
-    /// Local processing-cost model (simulated runs only).
-    pub proc: ProcModel,
     /// Event sink for query-trajectory tracing (`webdis-trace`). The
     /// default no-op sink records nothing and costs one inlined branch
     /// per instrumentation point; runners copy this handle into the
@@ -188,7 +157,6 @@ impl Default for EngineConfig {
             expiry_us: None,
             admission: None,
             cache: None,
-            proc: ProcModel::default(),
             tracer: TraceHandle::noop(),
         }
     }

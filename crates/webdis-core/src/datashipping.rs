@@ -23,7 +23,7 @@ use webdis_trace::{TraceEvent, TraceHandle, TraceRecord};
 
 use crate::config::EngineConfig;
 use crate::deploy::Deployment;
-use crate::network::Network;
+use crate::network::{Network, Work};
 use crate::record::{QueryOutcome, QueryRecord};
 use crate::simrun::user_addr;
 
@@ -40,7 +40,6 @@ struct WorkItem {
 pub struct DataShipUser {
     query: WebQuery,
     self_addr: SiteAddr,
-    proc: crate::config::ProcModel,
     /// Downloaded documents (None = known missing).
     cache: HashMap<Url, Option<Rc<NodeDb>>>,
     /// Work waiting on an in-flight download.
@@ -57,20 +56,14 @@ pub struct DataShipUser {
 }
 
 impl DataShipUser {
-    /// Creates the baseline engine, which [`Event::Start`] kicks off. `proc`
-    /// is the processing-cost model (the user site pays every parse and
-    /// evaluation itself); events are stamped at the user site (there is
-    /// no query shipping, so records carry no hop or query id).
-    pub fn new(
-        query: WebQuery,
-        self_addr: SiteAddr,
-        proc: crate::config::ProcModel,
-        tracer: TraceHandle,
-    ) -> DataShipUser {
+    /// Creates the baseline engine, which [`Event::Start`] kicks off. The
+    /// user site charges every parse and evaluation to its own runtime
+    /// ([`Network::charge`]); events are stamped at the user site (there
+    /// is no query shipping, so records carry no hop or query id).
+    pub fn new(query: WebQuery, self_addr: SiteAddr, tracer: TraceHandle) -> DataShipUser {
         DataShipUser {
             query,
             self_addr,
-            proc,
             cache: HashMap::new(),
             pending: HashMap::new(),
             visited: HashSet::new(),
@@ -121,7 +114,7 @@ impl DataShipUser {
         }
         self.outstanding = self.outstanding.saturating_sub(1);
         let db = reply.html.map(|html| {
-            net.work(self.proc.parse_cost_us(html.len()));
+            net.charge(Work::Parse { bytes: html.len() });
             Rc::new(NodeDb::parse(&url, html))
         });
         self.cache.insert(url.clone(), db);
@@ -219,8 +212,9 @@ impl DataShipUser {
                     },
                 );
                 let eval_t0 = net.now_us();
-                net.work(self.proc.eval_us);
-                match stages[idx].plan().execute(&db).map(|(rows, _)| rows) {
+                let evaluated = stages[idx].plan().execute(&db).map(|(rows, _)| rows);
+                let span_us = net.now_us().saturating_sub(eval_t0) + net.charge(Work::Eval);
+                match evaluated {
                     Err(_) => continue,
                     Ok(rows) if rows.is_empty() => {
                         // No answer here; traversal continues along the
@@ -233,7 +227,7 @@ impl DataShipUser {
                                 stage: idx as u32,
                                 rows: 0,
                                 answered: false,
-                                span_us: net.now_us().saturating_sub(eval_t0) + self.proc.eval_us,
+                                span_us,
                             },
                         );
                     }
@@ -245,7 +239,7 @@ impl DataShipUser {
                                 stage: idx as u32,
                                 rows: rows.len() as u32,
                                 answered: true,
-                                span_us: net.now_us().saturating_sub(eval_t0) + self.proc.eval_us,
+                                span_us,
                             },
                         );
                         if self.record.first_result_us.is_none() {
@@ -305,11 +299,10 @@ impl Deployment {
     /// the simulated network: [`Deployment::sim_net`] with no site
     /// participating, so plain web servers (answering only document
     /// fetches) run at every site and no query server anywhere —
-    /// `participating` is ignored. Of the
-    /// configuration only the processing-cost model — every parse and
-    /// evaluation is charged to the user site's single processor — and
-    /// the tracer, installed on both the engine and the simulated
-    /// transport, apply.
+    /// `participating` is ignored. Of the configuration only the tracer,
+    /// installed on both the engine and the simulated transport,
+    /// applies; the simulator's `SimConfig::proc` prices every parse and
+    /// evaluation, all charged to the user site's single processor.
     pub fn datashipping_sim(
         &self,
         disql: &str,
@@ -322,8 +315,7 @@ impl Deployment {
         };
         let mut net = no_daemons.sim_net(sim_cfg);
         let addr = user_addr();
-        let (proc, tracer) = (self.config.proc, self.config.tracer.clone());
-        let user = DataShipUser::new(query, addr.clone(), proc, tracer);
+        let user = DataShipUser::new(query, addr.clone(), self.config.tracer.clone());
         net.register(addr.clone(), Box::new(user));
         net.start(&addr);
         let duration_us = self.drive_sim(&mut net, u64::MAX, u64::MAX, &mut |_, _| {});
@@ -340,8 +332,9 @@ impl Deployment {
     }
 }
 
-/// Data shipping on the frozen `web` under the default cost model,
-/// untraced: [`Deployment::datashipping_sim`] with nothing else said.
+/// Data shipping on the frozen `web`, untraced, each parse and
+/// evaluation priced by `SimConfig::proc`: [`Deployment::datashipping_sim`]
+/// with nothing else said.
 pub fn run_datashipping_sim(
     web: Arc<webdis_web::HostedWeb>,
     disql: &str,

@@ -80,7 +80,7 @@ pub mod workload;
 
 pub use cht::{Cht, ChtStats};
 pub use client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
-pub use config::{CompletionMode, EngineConfig, LogMode, ProcModel};
+pub use config::{CompletionMode, EngineConfig, LogMode};
 pub use datashipping::run_datashipping_sim;
 pub use deploy::Deployment;
 pub use logtable::{LogOutcome, LogTable};

@@ -4,7 +4,7 @@
 
 use webdis_model::SiteAddr;
 use webdis_net::Message;
-pub use webdis_sim::{Network, NetworkError};
+pub use webdis_sim::{Network, NetworkError, Work};
 
 /// The address of the WEBDIS query-server daemon for a site.
 ///

@@ -36,7 +36,7 @@ use webdis_web::{DocStatus, FetchOutcome, LiveWeb, WebView};
 
 use crate::config::{CompletionMode, EngineConfig};
 use crate::logtable::LogTable;
-use crate::network::{query_server_addr, Network, NetworkError};
+use crate::network::{query_server_addr, Network, NetworkError, Work};
 use crate::visit::{
     admit, distinct_nodes, Arrival, Forward, ForwardGroups, TraverseCounters, VisitCtx,
 };
@@ -225,10 +225,10 @@ pub struct ServerEngine {
 }
 
 /// Where one clone's processing microseconds went. Each stage records
-/// the clock advance observed across its begin/end stamps plus the
-/// modeled `ProcModel` cost charged during it: on the simulator the
-/// clock is frozen inside a handler, so the modeled cost *is* the
-/// duration; on TCP `work` is a no-op, so the wall-clock advance is.
+/// the clock advance observed across its begin/end stamps plus what the
+/// runtime charged for the work done in it ([`Network::charge`]): on
+/// the simulator the clock is frozen inside a handler, so the charge
+/// *is* the duration; TCP charges nothing, so the wall-clock advance is.
 #[derive(Debug, Default, Clone, Copy)]
 struct StageAccum {
     queue_us: u64,
@@ -690,7 +690,6 @@ impl ServerEngine {
             }
         };
         let eval_t0 = net.now_us();
-        let clock = || net.now_us();
         let visited = VisitCtx {
             config: &self.config,
             site: &self.site.host,
@@ -702,11 +701,11 @@ impl ServerEngine {
             log: &mut self.log,
             cache: self.cache.as_mut(),
             now_us: eval_t0,
-            clock: &clock,
+            net,
             counters: TraverseCounters::default(),
         }
         .visit(arrival, &mut flight.seen_forward);
-        self.charge(net, eval_t0, &visited.counters);
+        self.tally(net, eval_t0, &visited.counters);
         match visited.report.disposition {
             Disposition::Answered => self.stats.answered += 1,
             Disposition::DeadEnd => self.stats.dead_ends += 1,
@@ -728,23 +727,15 @@ impl ServerEngine {
         local
     }
 
-    /// Charges one visit's work to the processor model, the stage spans
-    /// and the counters.
-    fn charge(&mut self, net: &mut dyn Network, eval_t0: u64, c: &TraverseCounters) {
-        let eval_us = self.config.proc.eval_us;
-        net.work(eval_us * c.evaluations);
-        // Cache consults are charged their own (sub-eval) modeled cost;
-        // served evaluations never pay `proc.eval_us` — that skip is the
-        // entire win.
-        if let Some(cache) = &self.cache {
-            let lookup_cost = cache.policy().lookup_us * c.cache_lookups;
-            net.work(lookup_cost);
-            self.span.cache_us += c.cache_wall_us + lookup_cost;
-        }
-        let wall = net.now_us().saturating_sub(eval_t0);
-        self.span.eval_us += wall.saturating_sub(c.cache_wall_us) + eval_us * c.evaluations;
-        self.span.eval_probe_us += c.probe_wall_us + eval_us * c.probed_evals;
-        self.span.eval_scan_us += c.scan_wall_us + eval_us * c.scanned_evals;
+    /// Adds one visit's work to the stage spans and the counters. The
+    /// visit's eval span is its own, measured from `eval_t0` with what
+    /// the runtime charged during it, less what the cache took.
+    fn tally(&mut self, net: &dyn Network, eval_t0: u64, c: &TraverseCounters) {
+        let visit_us = net.now_us().saturating_sub(eval_t0) + c.charged_us;
+        self.span.cache_us += c.cache_us;
+        self.span.eval_us += visit_us.saturating_sub(c.cache_us);
+        self.span.eval_probe_us += c.probe_us;
+        self.span.eval_scan_us += c.scan_us;
         self.stats.evaluations += c.evaluations;
         self.stats.eval_errors += c.eval_errors;
         self.stats.duplicates_dropped += c.duplicates_dropped;
@@ -755,8 +746,8 @@ impl ServerEngine {
     }
 
     /// Fetch/parse stage: builds (or retrieves from the footnote-3
-    /// cache) the virtual relations for one node, charging the parse
-    /// cost to the processor.
+    /// cache) the virtual relations for one node; a parse is charged to
+    /// the runtime.
     ///
     /// The consistency contract of the living web lives here: a cached
     /// build is served only if its content version still matches the
@@ -819,9 +810,7 @@ impl ServerEngine {
             cache_hit: false,
             content_version: version,
         });
-        let parse_cost = self.config.proc.parse_cost_us(html.len());
-        net.work(parse_cost);
-        self.span.parse_us += parse_cost;
+        self.span.parse_us += net.charge(Work::Parse { bytes: html.len() });
         let db = Arc::new(NodeDb::parse(node, html));
         if self.config.doc_cache_size > 0 {
             if self.doc_cache_fifo.len() >= self.config.doc_cache_size {
@@ -1132,6 +1121,38 @@ mod tests {
         assert_eq!(first, run_query(&mut uncached, 1));
         assert_eq!(second, run_query(&mut uncached, 2));
         assert_eq!(first, second);
+    }
+
+    #[test]
+    fn a_runtime_that_charges_nothing_sees_only_its_clock() {
+        // The recording network's clock stands still and it charges no
+        // work, so every cache consult and evaluation spans zero µs: the
+        // engine adds no price of its own to what the runtime reports.
+        let (collector, tracer) = webdis_trace::TraceHandle::collecting(1_024);
+        let cfg = EngineConfig {
+            cache: Some(webdis_cache::CachePolicy::default()),
+            tracer,
+            ..EngineConfig::default()
+        };
+        let mut s = ServerEngine::new(site("a.test"), web(), cfg);
+        run_query(&mut s, 1);
+        run_query(&mut s, 2);
+        assert!(s.stats.cache_misses > 0 && s.stats.cache_hits > 0);
+        let spans: Vec<(u64, u64)> = collector
+            .snapshot()
+            .into_iter()
+            .filter_map(|r| match r.event {
+                TraceEvent::StageSpans {
+                    cache_us, eval_us, ..
+                } => Some((cache_us, eval_us)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            spans,
+            vec![(0, 0); 2],
+            "one clone per query, nothing charged"
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ use webdis_trace::TraceEvent as TrEvent;
 
 use super::UserSite;
 use crate::logtable::LogTable;
-use crate::network::{query_server_addr, Network};
+use crate::network::{query_server_addr, Network, Work};
 use crate::visit::{admit, ForwardGroups, TraverseCounters, VisitCtx};
 
 /// What the fallback keeps between messages.
@@ -87,7 +87,7 @@ impl UserSite {
             return;
         };
         let db = reply.html.map(|html| {
-            net.work(self.config.proc.parse_cost_us(html.len()));
+            net.charge(Work::Parse { bytes: html.len() });
             Arc::new(NodeDb::parse(&url, html))
         });
         fallback.cache.insert(url.clone(), db);
@@ -158,7 +158,6 @@ impl UserSite {
             return self.apply_local(now, report);
         };
 
-        let clock = || net.now_us();
         let visited = VisitCtx {
             config: &self.config,
             site: &reply_to.host,
@@ -170,14 +169,13 @@ impl UserSite {
             log,
             cache: None,
             now_us: now,
-            clock: &clock,
+            net,
             counters: TraverseCounters::default(),
         }
         .visit(arrival, &mut BTreeSet::new());
         let stats = &mut self.record.hybrid;
         stats.local_evaluations += visited.counters.evaluations;
         stats.local_duplicates += visited.counters.duplicates_dropped;
-        net.work(self.config.proc.eval_us * visited.counters.evaluations);
 
         // Announce entries (and results) before any clone leaves — the
         // same ordering discipline the servers follow.

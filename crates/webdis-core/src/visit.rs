@@ -24,6 +24,7 @@ use webdis_trace::{TraceEvent, TraceRecord};
 
 use crate::config::{EngineConfig, LogMode};
 use crate::logtable::{LogOutcome, LogTable};
+use crate::network::{Network, Work};
 
 /// The distinct nodes of a destination list, fragments stripped, in
 /// first-occurrence order.
@@ -86,30 +87,29 @@ pub(crate) fn admit(
     }
 }
 
-/// Counters produced by one node traversal.
+/// Counters produced by one node traversal. Each `*_us` span is the
+/// clock's advance across the work plus what the runtime charged for it
+/// ([`Network::charge`]): the charge alone on the simulator, whose clock
+/// is frozen inside a handler; the clock alone on TCP, which charges
+/// nothing.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct TraverseCounters {
     pub(crate) evaluations: u64,
-    /// Evaluations whose plan was served by at least one index probe
-    /// (`probed_evals + scanned_evals == evaluations`; a failed
-    /// evaluation counts as scanned).
-    pub(crate) probed_evals: u64,
-    pub(crate) scanned_evals: u64,
-    /// Observed wall-clock µs inside probe-served evaluations (zero on
-    /// the simulator, whose clock is frozen inside a handler).
-    pub(crate) probe_wall_us: u64,
-    pub(crate) scan_wall_us: u64,
     pub(crate) eval_errors: u64,
     pub(crate) duplicates_dropped: u64,
     pub(crate) rewrites: u64,
-    /// Answer-cache consults (hit or miss; zero when the cache is off).
-    pub(crate) cache_lookups: u64,
     pub(crate) cache_hits: u64,
     pub(crate) cache_misses: u64,
     pub(crate) cache_evictions: u64,
-    /// Observed wall-clock µs inside cache lookups and insertions (zero
-    /// on the simulator, whose clock is frozen inside a handler).
-    pub(crate) cache_wall_us: u64,
+    /// Every µs the runtime charged during the visit.
+    pub(crate) charged_us: u64,
+    /// Evaluations whose plan was served by at least one index probe.
+    pub(crate) probe_us: u64,
+    /// Evaluations that fell back to the scan; a failed evaluation
+    /// counts here (it never reached an index).
+    pub(crate) scan_us: u64,
+    /// Answer-cache lookups and insertions (zero when the cache is off).
+    pub(crate) cache_us: u64,
 }
 
 /// A forward that survived deduplication: a clone in `state` is due at
@@ -167,14 +167,22 @@ pub(crate) struct VisitCtx<'a> {
     /// Stamp of this visit's log records and trace events: fixed, so
     /// log-table timestamps stay deterministic.
     pub(crate) now_us: u64,
-    /// Live clock for begin/end span stamps (spans want the advancing
-    /// wall clock on TCP).
-    pub(crate) clock: &'a dyn Fn() -> u64,
+    /// The runtime: its live clock stamps span begins and ends (spans
+    /// want the advancing wall clock on TCP), and it is charged each
+    /// evaluation and cache consult.
+    pub(crate) net: &'a mut dyn Network,
     /// The work done so far (callers start it at zero).
     pub(crate) counters: TraverseCounters,
 }
 
 impl VisitCtx<'_> {
+    /// Charges `work` to the runtime and returns the charge.
+    fn charge(&mut self, work: Work) -> u64 {
+        let us = self.net.charge(work);
+        self.counters.charged_us += us;
+        us
+    }
+
     fn emit(&self, event: impl FnOnce() -> TraceEvent) {
         self.config.tracer.emit_with(|| TraceRecord {
             time_us: self.now_us,
@@ -304,9 +312,8 @@ impl VisitCtx<'_> {
         let Some(cache) = self.cache.as_deref_mut() else {
             return self.evaluate(node, idx, false);
         };
-        let cache_t0 = (self.clock)();
+        let cache_t0 = self.net.now_us();
         let cq = stage.plan().canonical();
-        self.counters.cache_lookups += 1;
         let node_str = node.to_string();
         let served = match cache.lookup(self.db, &node_str, &stage.query, cq) {
             CacheLookup::Exact(rows) => Some((rows, false)),
@@ -327,7 +334,8 @@ impl VisitCtx<'_> {
                 self.emit(|| TraceEvent::CacheMiss { node: node_str });
             }
         }
-        self.counters.cache_wall_us += (self.clock)().saturating_sub(cache_t0);
+        let charged = self.charge(Work::Lookup);
+        self.counters.cache_us += self.net.now_us().saturating_sub(cache_t0) + charged;
         match served {
             // Cache hit: no evaluation happens (and none is charged) —
             // the rows are identical to what evaluation would produce,
@@ -347,7 +355,7 @@ impl VisitCtx<'_> {
             node: node.to_string(),
             stage,
         });
-        let eval_t0 = (self.clock)();
+        let eval_t0 = self.net.now_us();
         // Bindings are captured only when there is a cache to feed; the
         // uncached engine runs the exact historical evaluator.
         let evaluated = if insert {
@@ -356,26 +364,15 @@ impl VisitCtx<'_> {
             plan.execute(self.db)
                 .map(|(rows, stats)| (rows, Vec::new(), stats))
         };
-        let eval_wall = (self.clock)().saturating_sub(eval_t0);
-        // Probe-vs-scan attribution: a failed evaluation counts as
-        // scanned (it never reached an index).
+        let span_us = self.net.now_us().saturating_sub(eval_t0) + self.charge(Work::Eval);
         match &evaluated {
-            Ok((_, _, stats)) if stats.used_index => {
-                self.counters.probed_evals += 1;
-                self.counters.probe_wall_us += eval_wall;
-            }
-            _ => {
-                self.counters.scanned_evals += 1;
-                self.counters.scan_wall_us += eval_wall;
-            }
+            Ok((_, _, stats)) if stats.used_index => self.counters.probe_us += span_us,
+            _ => self.counters.scan_us += span_us,
         }
         let Ok((rows, bindings, stats)) = evaluated else {
             self.counters.eval_errors += 1;
             return None;
         };
-        // The sim clock is frozen inside a handler, so the modeled cost
-        // is the only duration there: fold it into the span.
-        let span_us = eval_wall + self.config.proc.eval_us;
         self.emit(|| TraceEvent::EvalFinish {
             node: node.to_string(),
             stage,
@@ -384,7 +381,7 @@ impl VisitCtx<'_> {
             span_us,
         });
         if let (true, Some(cache)) = (insert, self.cache.as_deref_mut()) {
-            let insert_t0 = (self.clock)();
+            let insert_t0 = self.net.now_us();
             let evicted = cache.insert(
                 &node.to_string(),
                 plan.canonical(),
@@ -406,7 +403,7 @@ impl VisitCtx<'_> {
                 tracer.gauge_max("cache.bytes", resident);
                 tracer.gauge_max(&format!("cache.bytes.{}", self.site), resident);
             }
-            self.counters.cache_wall_us += (self.clock)().saturating_sub(insert_t0);
+            self.counters.cache_us += self.net.now_us().saturating_sub(insert_t0);
         }
         Some(rows)
     }

@@ -269,8 +269,8 @@ impl Pre {
     }
 
     /// Does this PRE accept the given path (sequence of link types)?
-    /// Linear in path length via derivatives; used by tests and the
-    /// data-shipping baseline.
+    /// Linear in path length via derivatives; the engine never asks (it
+    /// follows one link at a time), so this is the tests' path oracle.
     pub fn accepts(&self, path: &[LinkType]) -> bool {
         let mut cur = self.clone();
         for &t in path {
@@ -280,38 +280,6 @@ impl Pre {
             }
         }
         cur.nullable()
-    }
-
-    /// Enumerates all accepted paths of length at most `max_len`. Purely a
-    /// test oracle; exponential in `max_len`.
-    pub fn enumerate_paths(&self, max_len: usize) -> Vec<Vec<LinkType>> {
-        let mut out = Vec::new();
-        let mut frontier = vec![(self.clone(), Vec::new())];
-        if self.nullable() {
-            out.push(Vec::new());
-        }
-        for _ in 0..max_len {
-            let mut next = Vec::new();
-            for (pre, path) in frontier {
-                for t in LinkType::TRAVERSABLE {
-                    let d = pre.deriv(t);
-                    if d.is_never() {
-                        continue;
-                    }
-                    let mut p = path.clone();
-                    p.push(t);
-                    if d.nullable() {
-                        out.push(p.clone());
-                    }
-                    next.push((d, p));
-                }
-            }
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        out
     }
 
     /// A size measure (number of AST nodes), used to bound derivative growth
@@ -512,16 +480,6 @@ mod tests {
         assert!(!p.accepts(&[L]));
         assert!(!p.accepts(&[G, L, L, L, L, L]));
         assert!(!p.accepts(&[G, G]));
-    }
-
-    #[test]
-    fn enumerate_matches_accepts() {
-        let p = Pre::seq(sym(G), Pre::alt(sym(G), sym(L)));
-        let paths = p.enumerate_paths(3);
-        assert_eq!(paths.len(), 2);
-        for path in &paths {
-            assert!(p.accepts(path));
-        }
     }
 
     #[test]

@@ -13,6 +13,7 @@ use webdis_pre::{
 #[allow(dead_code)]
 mod reference;
 
+use reference::enumerate_paths;
 use reference::nfa::{counterexample, Dfa};
 
 /// Strategy for arbitrary link types (traversable only).
@@ -140,7 +141,7 @@ proptest! {
         for t in LinkType::TRAVERSABLE {
             let d = p.deriv(t);
             let lang_nonempty = !d.is_never()
-                && (d.nullable() || !d.enumerate_paths(12).is_empty());
+                && (d.nullable() || !enumerate_paths(&d, 12).is_empty());
             if lang_nonempty {
                 prop_assert!(
                     p.first().contains(t),
@@ -151,7 +152,7 @@ proptest! {
                 // Conservative direction: absent from first ⇒ derivative
                 // must have the empty language.
                 prop_assert!(
-                    !d.nullable() && d.enumerate_paths(12).is_empty(),
+                    !d.nullable() && enumerate_paths(&d, 12).is_empty(),
                     "{t} not in first({p}) but deriv accepts something"
                 );
             }
@@ -192,7 +193,7 @@ proptest! {
                 prop_assert!(contains(&rewritten, &new));
                 // new = logged ∪ rewritten (as languages):
                 // every path of new is in logged or in rewritten.
-                for w in new.enumerate_paths(6) {
+                for w in enumerate_paths(&new, 6) {
                     prop_assert!(
                         logged.accepts(&w) || rewritten.accepts(&w),
                         "path {w:?} of {new} lost by rewrite {rewritten} / log {logged}"
@@ -210,7 +211,7 @@ proptest! {
         match counterexample(&a, &b) {
             None => {
                 prop_assert!(contains(&a, &b), "{a} ⊆ {b} missed");
-                for w in a.enumerate_paths(5) {
+                for w in enumerate_paths(&a, 5) {
                     prop_assert!(b.accepts(&w), "claimed {a} ⊆ {b} but {w:?} missing");
                 }
             }

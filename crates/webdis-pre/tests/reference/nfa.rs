@@ -302,7 +302,7 @@ mod tests {
         for src in ["N|G·L*4", "L*", "G·(G|L)", "(G|L)*2·I", "L*3·G", "(G·L)*"] {
             let pre = parse(src).unwrap();
             let dfa = Dfa::compile(&pre);
-            for path in pre.enumerate_paths(5) {
+            for path in super::super::enumerate_paths(&pre, 5) {
                 assert!(dfa.accepts(&path), "{src} should accept {path:?}");
             }
             // And some arbitrary paths must agree in both directions.

@@ -36,12 +36,17 @@ pub trait Network {
     /// accounting.
     fn now_us(&self) -> u64;
 
-    /// Accounts local processing time. On the simulator this occupies the
-    /// endpoint's sequential processor (queueing later arrivals and
-    /// delaying this handler's outgoing messages, like the paper's single
-    /// Query Processor thread); on real transports the work *is* the time
-    /// and this is a no-op.
-    fn work(&mut self, _us: u64) {}
+    /// Reports work the actor just did and returns the µs the runtime
+    /// charged for it. The simulator prices it with its
+    /// [`ProcModel`](crate::ProcModel) and holds the endpoint's sequential
+    /// processor that long (queueing later arrivals and delaying this
+    /// handler's outgoing messages, like the paper's single Query
+    /// Processor thread); on real transports the work *is* the time, so
+    /// the default charges nothing. A span is the clock's advance across
+    /// the work plus this charge.
+    fn charge(&mut self, _work: Work) -> u64 {
+        0
+    }
 
     /// How long the message currently being handled waited in this
     /// endpoint's inbound queue before processing began — the
@@ -59,6 +64,21 @@ pub trait Network {
     /// applies — and die with the endpoint. A network that is only ever
     /// sent through has no one to hand it to and drops it.
     fn post(&mut self, _delay_us: u64, _token: u64) {}
+}
+
+/// What an actor reports it did, for the runtime to price
+/// ([`Network::charge`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Work {
+    /// Parsed a document of `bytes` raw bytes into its relations.
+    Parse {
+        /// The document's size.
+        bytes: usize,
+    },
+    /// Evaluated one node-query, successfully or not.
+    Eval,
+    /// Consulted the answer cache once, hit or miss.
+    Lookup,
 }
 
 /// What an actor receives.

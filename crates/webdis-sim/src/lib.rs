@@ -35,9 +35,9 @@ pub mod ledger;
 pub mod metrics;
 pub mod net;
 
-pub use actor::{Actor, Event, Network, NetworkError};
+pub use actor::{Actor, Event, Network, NetworkError, Work};
 pub use agenda::{Agenda, Due, Runtime};
 pub use fault::{Fault, FaultKind, Injector};
 pub use ledger::{Fate, Ledger};
 pub use metrics::{KindStats, Metrics};
-pub use net::{LatencyModel, SimConfig, SimNet};
+pub use net::{LatencyModel, ProcModel, SimConfig, SimNet};

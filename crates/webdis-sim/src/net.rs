@@ -8,7 +8,7 @@ use webdis_model::SiteAddr;
 use webdis_net::{Message, Wire};
 use webdis_trace::TraceHandle;
 
-use crate::actor::{Actor, Event, Network, NetworkError};
+use crate::actor::{Actor, Event, Network, NetworkError, Work};
 use crate::agenda::{Agenda, Due, Runtime};
 use crate::fault::{Fault, Injector};
 use crate::ledger::{Fate, Ledger};
@@ -54,11 +54,53 @@ impl LatencyModel {
     }
 }
 
+/// What a site's processor takes for the work its actors report
+/// ([`Network::charge`]): the single Query Processor thread of Section
+/// 4.4, held by each endpoint in turn. Zeros (the default) make parsing
+/// and evaluation instantaneous, so network costs shape virtual time;
+/// experiment T6 uses a 1999-workstation-ish model to expose the
+/// user-site CPU bottleneck under data shipping.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ProcModel {
+    /// Database-Constructor cost per KiB of raw HTML parsed.
+    pub parse_us_per_kib: u64,
+    /// Cost per node-query evaluation.
+    pub eval_us: u64,
+}
+
+impl ProcModel {
+    /// What one answer-cache consult costs, whatever the model: a
+    /// constant, well below an evaluation, since the win a hit banks is
+    /// the evaluation it skips.
+    const LOOKUP_US: u64 = 5;
+
+    /// A 1999-workstation-ish model: ~1 ms to parse 1 KiB of HTML into
+    /// virtual relations, 200 µs per node-query evaluation.
+    pub fn workstation_1999() -> ProcModel {
+        ProcModel {
+            parse_us_per_kib: 1_000,
+            eval_us: 200,
+        }
+    }
+
+    /// The µs `work` holds the processor.
+    fn price(&self, work: Work) -> u64 {
+        match work {
+            Work::Parse { bytes } => (self.parse_us_per_kib * bytes as u64).div_ceil(1024),
+            Work::Eval => self.eval_us,
+            Work::Lookup => Self::LOOKUP_US,
+        }
+    }
+}
+
 /// Simulator configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Network latency model.
     pub latency: LatencyModel,
+    /// Local processing-cost model: what each endpoint's processor
+    /// charges for the work its actor reports.
+    pub proc: ProcModel,
     /// Random jitter added to each delivery, uniform in `0..=jitter_us`.
     /// Non-zero jitter lets messages overtake each other — the
     /// out-of-order corner the CHT tombstone logic exists for.
@@ -74,6 +116,7 @@ impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig {
             latency: LatencyModel::lan(),
+            proc: ProcModel::default(),
             jitter_us: 0,
             faults: Vec::new(),
             seed: 42,
@@ -94,6 +137,8 @@ struct Ctx<'a> {
     scratch: &'a mut Vec<u8>,
     outbox: Vec<(SiteAddr, Message)>,
     timers: Vec<(u64, u64)>,
+    /// Prices what the actor reports; the sum is `work_us`.
+    proc: ProcModel,
     work_us: u64,
     /// How long the event being handled sat in this endpoint's inbound
     /// queue: zero when the endpoint was idle at arrival, the tail of the
@@ -105,8 +150,8 @@ struct Ctx<'a> {
 /// registered or is down (connection refused). A posted timer fires after
 /// `delay_us` of virtual time measured from the end of the current
 /// event's work, and dies silently if the endpoint is down by then.
-/// `work` keeps the endpoint busy: messages sent from this handler depart
-/// only after it completes, and later deliveries queue behind it.
+/// Charged work keeps the endpoint busy: messages sent from this handler
+/// depart only after it completes, and later deliveries queue behind it.
 impl Network for Ctx<'_> {
     fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError> {
         if !self.registry.contains(to) || self.injector.down(to, self.taken_us) {
@@ -126,8 +171,10 @@ impl Network for Ctx<'_> {
         self.now_us
     }
 
-    fn work(&mut self, us: u64) {
+    fn charge(&mut self, work: Work) -> u64 {
+        let us = self.proc.price(work);
         self.work_us += us;
+        us
     }
 
     fn queue_wait_us(&self) -> u64 {
@@ -342,6 +389,7 @@ impl Runtime for SimNet {
             scratch: &mut self.scratch,
             outbox: Vec::new(),
             timers: Vec::new(),
+            proc: self.config.proc,
             work_us: 0,
             queued_us: if is_net {
                 start_us.saturating_sub(at_us)
@@ -1369,16 +1417,15 @@ mod work_tests {
         }
     }
 
-    /// A server that burns fixed CPU per request.
+    /// A server that evaluates once per request.
     struct SlowEcho {
         peer: SiteAddr,
-        work_us: u64,
     }
 
     impl Actor for SlowEcho {
         fn handle(&mut self, ctx: &mut dyn Network, event: Event) {
             if let Event::Net(Message::Fetch(req)) = event {
-                ctx.work(self.work_us);
+                ctx.charge(Work::Eval);
                 let _ = ctx.send(
                     &self.peer,
                     Message::FetchReply(FetchResponse {
@@ -1418,11 +1465,22 @@ mod work_tests {
         }
     }
 
+    /// A processor that takes `eval_us` per evaluation.
+    fn evals_take(eval_us: u64) -> SimConfig {
+        SimConfig {
+            proc: ProcModel {
+                eval_us,
+                ..ProcModel::default()
+            },
+            ..SimConfig::default()
+        }
+    }
+
     #[test]
     fn work_serializes_a_burst_through_one_endpoint() {
         // 5 requests arrive (nearly) simultaneously; a 10ms-per-request
         // server must answer them ~10ms apart, not all at once.
-        let mut net = SimNet::new(SimConfig::default());
+        let mut net = SimNet::new(evals_take(10_000));
         let c = addr("client");
         let s = addr("server");
         net.register(
@@ -1433,13 +1491,7 @@ mod work_tests {
                 reply_times: vec![],
             }),
         );
-        net.register(
-            s.clone(),
-            Box::new(SlowEcho {
-                peer: c.clone(),
-                work_us: 10_000,
-            }),
-        );
+        net.register(s.clone(), Box::new(SlowEcho { peer: c.clone() }));
         net.start(&c);
         let end = net.run();
         let times = net.actor_mut::<Burst>(&c).unwrap().reply_times.clone();
@@ -1454,7 +1506,7 @@ mod work_tests {
 
     #[test]
     fn zero_work_preserves_instant_semantics() {
-        let mut net = SimNet::new(SimConfig::default());
+        let mut net = SimNet::new(evals_take(0));
         let c = addr("client");
         let s = addr("server");
         net.register(
@@ -1465,13 +1517,7 @@ mod work_tests {
                 reply_times: vec![],
             }),
         );
-        net.register(
-            s.clone(),
-            Box::new(SlowEcho {
-                peer: c.clone(),
-                work_us: 0,
-            }),
-        );
+        net.register(s.clone(), Box::new(SlowEcho { peer: c.clone() }));
         net.start(&c);
         net.run();
         let times = net.actor_mut::<Burst>(&c).unwrap().reply_times.clone();
@@ -1488,7 +1534,7 @@ mod work_tests {
     fn work_on_different_endpoints_runs_in_parallel() {
         // Two independent servers with 10ms work each: a client fanning
         // out to both finishes in ~one work unit, not two.
-        let mut net = SimNet::new(SimConfig::default());
+        let mut net = SimNet::new(evals_take(10_000));
         let c = addr("client");
         struct Fan {
             servers: Vec<SiteAddr>,
@@ -1517,13 +1563,7 @@ mod work_tests {
         }
         let servers = vec![addr("s1"), addr("s2")];
         for s in &servers {
-            net.register(
-                s.clone(),
-                Box::new(SlowEcho {
-                    peer: c.clone(),
-                    work_us: 10_000,
-                }),
-            );
+            net.register(s.clone(), Box::new(SlowEcho { peer: c.clone() }));
         }
         net.register(
             c.clone(),

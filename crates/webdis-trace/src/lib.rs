@@ -107,9 +107,10 @@ pub enum TraceEvent {
         /// Whether the node answered (rows > 0).
         answered: bool,
         /// Microseconds this evaluation took: observed clock advance
-        /// across the begin/end stamps plus the modeled `ProcModel`
-        /// cost charged for it (virtual µs in SimNet, wall-clock µs in
-        /// TcpNet).
+        /// across the begin/end stamps plus what the runtime charged for
+        /// it — the simulator's priced evaluation in virtual µs (its
+        /// clock stands still), wall-clock µs on TCP (which charges
+        /// nothing).
         span_us: u64,
     },
     /// The clone advanced to the next node-query at the same node
@@ -272,10 +273,11 @@ pub enum TraceEvent {
     },
     /// Where this site's microseconds went while processing one clone,
     /// attributed per pipeline stage — emitted once per processed clone
-    /// after the forward fan-out. Each stage combines observed clock
-    /// advance across its begin/end stamps with the modeled `ProcModel`
-    /// cost charged during it, so the durations are virtual µs on the
-    /// simulator and wall-clock µs on TCP.
+    /// after the forward fan-out. Each stage is the observed clock
+    /// advance across its begin/end stamps plus what the runtime charged
+    /// for the work done in it: on the simulator, whose clock stands
+    /// still inside a handler, the charge (virtual µs); on TCP, which
+    /// charges nothing, the wall-clock advance.
     StageSpans {
         /// Time the triggering message spent queued at this site before
         /// processing began — the backpressure span. Modeled (virtual,

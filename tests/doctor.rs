@@ -4,11 +4,10 @@
 use std::sync::Arc;
 
 use webdis::core::{
-    run_query_sim, ArrivalProcess, CachePolicy, Deployment, EngineConfig, ProcModel, QueryMix,
-    WorkloadSpec,
+    run_query_sim, ArrivalProcess, CachePolicy, Deployment, EngineConfig, QueryMix, WorkloadSpec,
 };
 use webdis::model::Url;
-use webdis::sim::{Fault, FaultKind, SimConfig};
+use webdis::sim::{Fault, FaultKind, ProcModel, SimConfig};
 use webdis::trace::doctor::diagnose;
 use webdis::trace::{TraceEvent, TraceHandle, TraceRecord};
 use webdis::web::{figures, generate, Mutation, MutationOp, WebGenConfig};
@@ -115,6 +114,14 @@ const GLOBAL_QUERY: &str = r#"select d.url
     from document d such that "http://site0.test/doc0.html" (L|G)* d
     where d.title contains "needle""#;
 
+/// The workload experiments' simulator: 1999-workstation costs.
+fn workstation_sim() -> SimConfig {
+    SimConfig {
+        proc: ProcModel::workstation_1999(),
+        ..SimConfig::default()
+    }
+}
+
 /// A t17-shaped Zipf mix with an answer cache: hits, subsumed hits
 /// and misses, some of them on the critical path.
 fn cached_zipf_trace() -> Vec<TraceRecord> {
@@ -130,14 +137,13 @@ fn cached_zipf_trace() -> Vec<TraceRecord> {
     };
     let (collector, tracer) = TraceHandle::collecting(65_536);
     let cfg = EngineConfig {
-        proc: ProcModel::workstation_1999(),
         doc_cache_size: 64,
         cache: Some(CachePolicy::with_budget(2_048)),
         tracer,
         ..EngineConfig::default()
     };
     Deployment::new(workload_web(4, 4), cfg).workload_sim(
-        SimConfig::default(),
+        workstation_sim(),
         spec.plan().unwrap(),
         spec.horizon_us,
         &mut |_, _| {},
@@ -197,14 +203,13 @@ fn monitored_shed_trace() -> Vec<TraceRecord> {
     let (collector, tracer) = TraceHandle::collecting(65_536);
     let monitor = Arc::new(Monitor::new(MonitorConfig::default(), tracer));
     let cfg = EngineConfig {
-        proc: ProcModel::workstation_1999(),
         admission: Some(2),
         log_purge_us: Some(50_000),
         tracer: TraceHandle::new(monitor.clone()),
         ..EngineConfig::default()
     };
     let outcome = Deployment::new(workload_web(4, 2), cfg).workload_sim(
-        SimConfig::default(),
+        workstation_sim(),
         spec.plan().unwrap(),
         spec.horizon_us,
         &mut |_, _| {},

@@ -6,11 +6,11 @@ use std::sync::Arc;
 use webdis::core::simrun::{load_user_addr, server_of};
 use webdis::core::{
     run_datashipping_sim, run_query_sim, ArrivalProcess, CachePolicy, ClientProcess,
-    CompletionMode, Deployment, EngineConfig, LogMode, ProcModel, QueryMix, ScheduledClient,
-    UserPlan, WorkloadSpec,
+    CompletionMode, Deployment, EngineConfig, LogMode, QueryMix, ScheduledClient, UserPlan,
+    WorkloadSpec,
 };
 use webdis::net::Disposition;
-use webdis::sim::SimConfig;
+use webdis::sim::{ProcModel, SimConfig};
 use webdis::trace::{TraceEvent, TraceHandle, TraceRecord};
 use webdis::web::{figures, generate, HostedWeb, PageBuilder, WebGenConfig};
 
@@ -430,7 +430,7 @@ fn automatic_log_purging_preserves_results() {
 fn purge_run(web: &Arc<HostedWeb>, purge_us: Option<u64>, plans: &[UserPlan]) -> (u64, usize, u64) {
     let (collector, tracer) = TraceHandle::collecting(1 << 16);
     let deployment = Deployment::new(Arc::clone(web), purge_config(purge_us, tracer));
-    let mut net = deployment.sim_net(SimConfig::default());
+    let mut net = deployment.sim_net(workstation_sim());
     for (user, plan) in plans.iter().enumerate() {
         let addr = load_user_addr(user);
         let name = format!("load{user}");
@@ -450,10 +450,17 @@ fn purge_run(web: &Arc<HostedWeb>, purge_us: Option<u64>, plans: &[UserPlan]) ->
     (evaluations, log_len, purged(&collector.snapshot()))
 }
 
+/// T19's simulator: 1999-workstation costs.
+fn workstation_sim() -> SimConfig {
+    SimConfig {
+        proc: ProcModel::workstation_1999(),
+        ..SimConfig::default()
+    }
+}
+
 /// T19's engine configuration, with `purge_us` as its purge period.
 fn purge_config(purge_us: Option<u64>, tracer: TraceHandle) -> EngineConfig {
     EngineConfig {
-        proc: ProcModel::workstation_1999(),
         doc_cache_size: 64,
         cache: Some(CachePolicy::default()),
         log_purge_us: purge_us,
@@ -523,7 +530,7 @@ fn every_dropped_log_record_is_traced() {
     let (collector, tracer) = TraceHandle::collecting(1 << 16);
     let deployment = Deployment::new(Arc::clone(&web), purge_config(Some(50_000), tracer));
     let outcome =
-        deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut |_, _| {});
+        deployment.workload_sim(workstation_sim(), plans, spec.horizon_us, &mut |_, _| {});
     let stats = outcome.server_stats;
     assert_eq!(
         stats.values().map(|s| s.evaluations).sum::<u64>(),

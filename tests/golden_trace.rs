@@ -10,9 +10,9 @@ use std::sync::Arc;
 
 use webdis::core::{
     run_query_sim, ArrivalProcess, CachePolicy, CompletionMode, Deployment, EngineConfig, LogMode,
-    ProcModel, QueryMix, WorkloadSpec,
+    QueryMix, WorkloadSpec,
 };
-use webdis::sim::SimConfig;
+use webdis::sim::{ProcModel, SimConfig};
 use webdis::trace::TraceHandle;
 use webdis::web::{figures, generate, HostedWeb, WebGenConfig};
 
@@ -65,12 +65,12 @@ enum Run {
     Workload,
 }
 
-fn base(cfg: EngineConfig) -> EngineConfig {
+fn sim() -> SimConfig {
     // A non-zero cost model makes the stage spans (and every virtual
     // timestamp downstream of them) sensitive to where work is charged.
-    EngineConfig {
+    SimConfig {
         proc: ProcModel::workstation_1999(),
-        ..cfg
+        ..SimConfig::default()
     }
 }
 
@@ -100,13 +100,10 @@ fn loaded() -> EngineConfig {
 
 fn digest(web: &Arc<HostedWeb>, disql: &str, cfg: EngineConfig, run: Run) -> (u64, usize) {
     let (collector, tracer) = TraceHandle::collecting(RING);
-    let cfg = EngineConfig {
-        tracer,
-        ..base(cfg)
-    };
+    let cfg = EngineConfig { tracer, ..cfg };
     match run {
         Run::Single => {
-            let out = run_query_sim(Arc::clone(web), disql, cfg, SimConfig::default()).unwrap();
+            let out = run_query_sim(Arc::clone(web), disql, cfg, sim()).unwrap();
             assert!(out.complete);
         }
         Run::HybridWithoutLastSite => {
@@ -120,7 +117,7 @@ fn digest(web: &Arc<HostedWeb>, disql: &str, cfg: EngineConfig, run: Run) -> (u6
                 },
             );
             deployment.participating = Some(sites);
-            let out = deployment.query_sim(disql, SimConfig::default()).unwrap();
+            let out = deployment.query_sim(disql, sim()).unwrap();
             let stats = out.hybrid;
             assert!(out.complete);
             assert!(stats.handoffs > 0, "the fallback must actually run");
@@ -137,7 +134,7 @@ fn digest(web: &Arc<HostedWeb>, disql: &str, cfg: EngineConfig, run: Run) -> (u6
                 ..WorkloadSpec::default()
             };
             let out = Deployment::new(Arc::clone(web), cfg).workload_sim(
-                SimConfig::default(),
+                sim(),
                 spec.plan().unwrap(),
                 spec.horizon_us,
                 &mut |_, _| {},

@@ -4,8 +4,8 @@
 
 use std::sync::Arc;
 
-use webdis::core::{ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec};
-use webdis::sim::SimConfig;
+use webdis::core::{ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadSpec};
+use webdis::sim::{ProcModel, SimConfig};
 use webdis::trace::{Histogram, TraceHandle};
 use webdis::web::{generate, WebGenConfig};
 
@@ -40,15 +40,22 @@ fn web() -> Arc<webdis::web::HostedWeb> {
     }))
 }
 
+/// The simulator with 1999-workstation processors.
+fn workstation_sim() -> SimConfig {
+    SimConfig {
+        proc: ProcModel::workstation_1999(),
+        ..SimConfig::default()
+    }
+}
+
 fn run_once() -> Vec<(String, Histogram)> {
     let (collector, tracer) = TraceHandle::collecting(65_536);
     let cfg = EngineConfig {
-        proc: ProcModel::workstation_1999(),
         tracer,
         ..EngineConfig::default()
     };
     Deployment::new(web(), cfg).workload_sim(
-        SimConfig::default(),
+        workstation_sim(),
         spec().plan().unwrap(),
         spec().horizon_us,
         &mut |_, _| {},
@@ -85,7 +92,6 @@ fn snapshot_observer_sees_live_monotone_registry() {
     let run = |observe: bool| {
         let (collector, tracer) = TraceHandle::collecting(65_536);
         let cfg = EngineConfig {
-            proc: ProcModel::workstation_1999(),
             tracer,
             ..EngineConfig::default()
         };
@@ -96,7 +102,7 @@ fn snapshot_observer_sees_live_monotone_registry() {
             }
         };
         let outcome = Deployment::new(web(), cfg).workload_sim(
-            SimConfig::default(),
+            workstation_sim(),
             spec().plan().unwrap(),
             spec().horizon_us,
             &mut observer,
@@ -142,18 +148,22 @@ fn snapshot_observer_sees_live_monotone_registry() {
 }
 
 /// On the simulator, a handler's clock is frozen, so every stage span is
-/// exactly the modeled `ProcModel` cost charged during it — zero-cost
-/// models must yield all-zero spans, never negative-wraparound garbage.
+/// exactly what the simulator charged during it — a zero-cost
+/// `SimConfig::proc` must yield all-zero spans, never negative-wraparound
+/// garbage.
 #[test]
 fn zero_cost_model_yields_zero_spans() {
     let (collector, tracer) = TraceHandle::collecting(65_536);
     let cfg = EngineConfig {
-        proc: ProcModel::default(),
         tracer,
         ..EngineConfig::default()
     };
+    let sim = SimConfig {
+        proc: ProcModel::default(),
+        ..SimConfig::default()
+    };
     Deployment::new(web(), cfg).workload_sim(
-        SimConfig::default(),
+        sim,
         spec().plan().unwrap(),
         spec().horizon_us,
         &mut |_, _| {},

@@ -5,8 +5,8 @@
 
 use std::sync::Arc;
 
-use webdis::core::{ArrivalProcess, Deployment, EngineConfig, ProcModel, QueryMix, WorkloadSpec};
-use webdis::sim::SimConfig;
+use webdis::core::{ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadSpec};
+use webdis::sim::{ProcModel, SimConfig};
 use webdis::trace::{Histogram, TraceHandle};
 use webdis::web::{generate, WebGenConfig};
 use webdis_bench::report::{Metric, Worse};
@@ -51,14 +51,17 @@ fn overloaded_queue_wait_histogram() -> Histogram {
     };
     let (collector, tracer) = TraceHandle::collecting(1 << 17);
     let cfg = EngineConfig {
-        proc: ProcModel::workstation_1999(),
         admission: Some(4),
         log_purge_us: Some(50_000),
         tracer,
         ..EngineConfig::default()
     };
+    let sim = SimConfig {
+        proc: ProcModel::workstation_1999(),
+        ..SimConfig::default()
+    };
     let outcome = Deployment::new(web, cfg).workload_sim(
-        SimConfig::default(),
+        sim,
         spec.plan().unwrap(),
         spec.horizon_us,
         &mut |_, _| {},
