@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! webdis-bench list                                   # the registry: name, pinned, artifact
-//! webdis-bench run [--smoke] [--trace <file>] [--expo] [--out-dir <dir>] [name...]
+//! webdis-bench run [--smoke] [--trace <file>] [--out-dir <dir>] [name...]
 //! webdis-bench baseline [--smoke] --out <file>        # write the sim-deterministic baseline
 //! webdis-bench compare <baseline.json> <candidate.json>
 //! webdis-bench compare --smoke <baseline.json>        # rerun pinned experiments, compare in-memory
@@ -13,9 +13,8 @@
 //! line, and — when it has a report — emits `BENCH_<name>.json` into
 //! `--out-dir` (default `target/bench`). `--trace` (exactly one
 //! experiment) writes that experiment's showcase run as JSON lines for
-//! `webdis-doctor`, then prints its trajectories and metrics registry;
-//! `--expo` makes t13 print a mid-flight `/metrics` sample. `baseline`
-//! runs only the pinned experiments — the ones whose exact metrics
+//! `webdis-doctor`, then prints its trajectories and metrics registry.
+//! `baseline` runs only the pinned experiments — the ones whose exact metrics
 //! reproduce bit-for-bit on any machine — strips their banded
 //! wall-clock metrics, and writes one combined file: what the repo
 //! commits under `bench/baseline.json`. `compare` applies each baseline
@@ -29,7 +28,7 @@ use webdis_bench::{
 fn usage() -> ! {
     eprintln!(
         "usage: webdis-bench list\n\
-         \x20      webdis-bench run [--smoke] [--trace <file>] [--expo] [--out-dir <dir>] [name...]\n\
+         \x20      webdis-bench run [--smoke] [--trace <file>] [--out-dir <dir>] [name...]\n\
          \x20      webdis-bench baseline [--smoke] --out <file>\n\
          \x20      webdis-bench compare <baseline.json> <candidate.json>\n\
          \x20      webdis-bench compare --smoke <baseline.json>"
@@ -189,7 +188,7 @@ fn cmd_compare(baseline_path: &str, candidate: Option<&str>, smoke: bool) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let Some(cmd) = args.get(1) else { usage() };
-    let (mut smoke, mut expo) = (false, false);
+    let mut smoke = false;
     let (mut trace, mut out_dir, mut out) = (None, None, None);
     let mut positional: Vec<&str> = Vec::new();
     let mut rest = args[2..].iter();
@@ -197,7 +196,6 @@ fn main() {
         let mut value = || rest.next().cloned().unwrap_or_else(|| usage());
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--expo" => expo = true,
             "--trace" => trace = Some(value()),
             "--out-dir" => out_dir = Some(value()),
             "--out" => out = Some(value()),
@@ -217,7 +215,6 @@ fn main() {
             }
             let ctx = Ctx {
                 smoke,
-                expo,
                 tracer: TraceOpt::with_path(trace.map(Into::into)),
             };
             cmd_run(&ctx, out_dir.as_deref().unwrap_or("target/bench"), only);

@@ -10,7 +10,11 @@ use crate::Table;
 
 /// Figure 7 — traversal of the Section-5 sample query over the campus
 /// web, with the clone state printed at every node (the paper's Figure 7
-/// annotates the traversal diagram with exactly these states).
+/// annotates the traversal diagram with exactly these states), then
+/// Figure 8 — the run's result table, as the paper's browser screenshot
+/// presents it: the stage-1 binding (`d0.url`), then one row per lab
+/// with `d1.url`, `d1.title` and the `hr`-delimited rel-infon text naming
+/// the convener.
 ///
 /// The same one run is the `fig7` report: the query-shipping campus run
 /// every other experiment builds on, every number virtual time and
@@ -93,6 +97,34 @@ pub fn run(ctx: &Ctx) -> Outcome {
         Disposition::Answered
     );
 
+    let mut t0 = Table::new("Figure 8: results of the sample query, d0", &["d0.url"]);
+    for (_, row) in outcome.rows_of_stage(0) {
+        t0.row(&[row.values[0].render()]);
+    }
+    let mut t1 = Table::new("Figure 8: d1 / r", &["d1.url", "d1.title", "r.text"]);
+    let mut rows: Vec<_> = outcome.rows_of_stage(1).to_vec();
+    rows.sort_by_key(|(_, r)| r.values[0].render());
+    for (_, row) in &rows {
+        t1.row(&[
+            row.values[0].render(),
+            row.values[1].render(),
+            row.values[2].render(),
+        ]);
+    }
+    // Machine-check against the paper's Figure 8 rows.
+    assert_eq!(rows.len(), 3);
+    for (url, title, convener) in figures::CAMPUS_EXPECTED {
+        let row = rows
+            .iter()
+            .find(|(_, r)| r.values[0].render() == url)
+            .unwrap_or_else(|| panic!("Figure 8 row missing: {url}"));
+        assert_eq!(row.1.values[1].render(), title);
+        assert!(
+            row.1.values[2].render().contains(convener),
+            "{url}: rel-infon must name {convener}"
+        );
+    }
+
     let mut report = ScenarioReport::default();
     report.exact("complete", u64::from(outcome.complete), Worse::Lower);
     report.exact("duration_us", outcome.duration_us, Worse::Higher);
@@ -119,8 +151,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
     freeze_histograms(&mut report, &collector.registry().snapshot());
 
     Outcome {
-        tables: vec![table],
-        verdict: "all Figure 7 traversal assertions hold ✓".into(),
+        tables: vec![table, t0, t1],
+        verdict: "all Figure 7 traversal and Figure 8 result assertions hold ✓".into(),
         report,
     }
 }

@@ -24,7 +24,6 @@ use crate::{Table, TraceOpt};
 mod fig1_traversal;
 mod fig5_multivisit;
 mod fig7;
-mod fig8_campus_results;
 mod t10_doc_cache;
 mod t11_completion_protocols;
 mod t12_fault_recovery;
@@ -36,7 +35,6 @@ mod t19_soak;
 mod t1_shipping_vs_size;
 mod t2_selectivity;
 mod t3_logtable_ablation;
-mod t4_cht_overhead;
 mod t5_batching;
 mod t6_latency;
 mod t7_migration;
@@ -48,8 +46,6 @@ pub struct Ctx {
     /// `--smoke`: the CI-sized variant (only the experiments with a
     /// sweep to shrink look at it).
     pub smoke: bool,
-    /// `--expo`: print a mid-flight Prometheus sample (t13).
-    pub expo: bool,
     /// `--trace FILE`: the runner's collector; the experiments with a
     /// showcase run (fig1, fig7, t12, t13's probe point) record into it.
     pub tracer: TraceOpt,
@@ -60,7 +56,6 @@ impl Ctx {
     pub fn new(smoke: bool) -> Ctx {
         Ctx {
             smoke,
-            expo: false,
             tracer: TraceOpt::with_path(None),
         }
     }
@@ -118,19 +113,17 @@ macro_rules! experiments {
 pub const EXPERIMENTS: &[Experiment] = experiments![
     fig1_traversal false "Figure 1 — web traversal path and node roles",
     fig5_multivisit false "Figure 5 — multiple visits to a node, log-table effect",
-    fig7 true "Figure 7 — sample query traversal with states; the campus run's wire and stage numbers",
-    fig8_campus_results false "Figure 8 — result table of the sample query",
+    fig7 true "Figures 7 and 8 — sample query traversal with states, its result table; the campus run's wire and stage numbers",
     t1_shipping_vs_size false "T1 — traffic vs web size, both engines",
     t2_selectivity false "T2 — traffic vs predicate selectivity",
     t3_logtable_ablation false "T3 — duplicate elimination on/off",
-    t4_cht_overhead false "T4 — completion-protocol overhead, paper vs strict",
     t5_batching false "T5 — §3.2 batching optimizations on/off",
     t6_latency false "T6 — first-result/completion latency, both engines",
     t7_migration false "T7 — §7.1 hybrid migration path, participation sweep",
     t8_purge_period false "T8 — §3.1.1 log purge period vs recomputation",
     t9_load_distribution false "T9 — per-endpoint load, both engines",
     t10_doc_cache false "T10 — footnote-3 document cache under repeated queries",
-    t11_completion_protocols false "T11 — CHT vs §6's acknowledgement chains",
+    t11_completion_protocols false "T11 — CHT (paper vs strict) vs §6's acknowledgement chains",
     t12_fault_recovery false "T12 — §7.1 completion and recall under drops and crashes",
     t13 true "T13 — throughput and latency vs offered load, admission control",
     t16_eval_scale true "T16 — eval work vs corpus size, scan vs index",

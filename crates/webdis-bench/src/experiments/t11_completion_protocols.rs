@@ -22,14 +22,22 @@ use crate::{fmt_bytes, fmt_ms, Table};
 ///   detected completion: the CHT detects one report after the last node;
 ///   the ack wave must collapse back up the spawn tree first;
 /// * **cancellation knowledge** — only the CHT tells the user *where*
-///   the query currently runs (Section 2.8's active-termination option).
+///   the query currently runs (Section 2.8's active-termination option);
+/// * **the §3.1.1 refinement** — the paper's CHT (skip equivalent
+///   entries, drop duplicates silently) against the strict one (every
+///   clone reported): report messages and bytes, query bytes, CHT
+///   entries added and skipped; the refinement must never cost more.
 pub fn run(_: &Ctx) -> Outcome {
     let mut table = Table::new(
         "T11: completion protocols under WAN latency",
         &[
             "sites",
             "protocol",
+            "report msgs",
             "report bytes",
+            "query bytes",
+            "CHT adds",
+            "CHT skips",
             "ack msgs",
             "ack bytes",
             "last result (ms)",
@@ -75,7 +83,11 @@ pub fn run(_: &Ctx) -> Outcome {
             table.row(&[
                 sites.to_string(),
                 label.to_owned(),
+                outcome.metrics.messages_of("report").to_string(),
                 fmt_bytes(outcome.metrics.bytes_of("report")),
+                fmt_bytes(outcome.metrics.bytes_of("query")),
+                outcome.cht_stats.added.to_string(),
+                outcome.cht_stats.skipped.to_string(),
                 outcome.metrics.messages_of("ack").to_string(),
                 fmt_bytes(outcome.metrics.bytes_of("ack")),
                 fmt_ms(last_result),
@@ -91,8 +103,12 @@ pub fn run(_: &Ctx) -> Outcome {
         }
         // Shape assertions: ack chains trade report bytes for ack
         // messages and a longer detection tail.
-        let cht = &results[0];
-        let ack = &results[2];
+        let (cht, strict, ack) = (&results[0], &results[1], &results[2]);
+        assert!(
+            cht.2.metrics.bytes_of("report") <= strict.2.metrics.bytes_of("report"),
+            "§3.1.1 must not increase report traffic"
+        );
+        assert!(cht.2.cht_stats.added <= strict.2.cht_stats.added);
         assert!(ack.2.metrics.bytes_of("report") < cht.2.metrics.bytes_of("report"));
         assert!(ack.2.metrics.messages_of("ack") > 0);
         assert_eq!(cht.2.metrics.messages_of("ack"), 0);
@@ -108,7 +124,8 @@ pub fn run(_: &Ctx) -> Outcome {
     }
     Outcome::shown(
         vec![table],
-        "ack chains cut report bytes (no CHT entries, silent dead ends) but pay \
-          ack messages and detect completion later — the §6 trade-off, measured ✓",
+        "§3.1.1 refinement reduces CHT entries and report traffic at every size; ack \
+          chains cut report bytes (no CHT entries, silent dead ends) but pay ack \
+          messages and detect completion later — the §6 trade-off, measured ✓",
     )
 }

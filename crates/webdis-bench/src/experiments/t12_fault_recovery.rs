@@ -106,7 +106,8 @@ pub fn run(ctx: &Ctx) -> Outcome {
         (0..SEEDS).map(crashed).collect(),
     ));
 
-    let mut lossy_failed_total = 0usize;
+    // Runs that wrote clones off yet kept rows: an answer that names its gaps.
+    let (mut lossy_failed_total, mut partial_runs) = (0usize, 0usize);
     for (label, sims) in scenarios {
         let lossless = label == "drop 0.00";
         let runs = sims.len();
@@ -122,6 +123,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
             completed += usize::from(outcome.complete);
             recall_sum += rows.intersection(&reference).count() as f64 / reference.len() as f64;
             failed += outcome.failed_entries.len();
+            partial_runs += usize::from(!outcome.failed_entries.is_empty() && !rows.is_empty());
             dropped += outcome.metrics.dropped;
             orphans += run_orphans;
         }
@@ -149,6 +151,10 @@ pub fn run(ctx: &Ctx) -> Outcome {
     assert!(
         lossy_failed_total > 0,
         "the faulty scenarios must exercise expiry at least once"
+    );
+    assert!(
+        partial_runs > 0,
+        "some run must conclude with the rows it received and its gaps listed"
     );
 
     // Showcase run for `--trace`: a seed known to lose a message.

@@ -11,7 +11,7 @@ use crate::report::{ScenarioReport, Worse};
 use crate::{fmt_ms, Table};
 
 /// The mid-sweep load the determinism gate runs twice; its run is the
-/// one `--trace` and `--expo` show and the report's histograms freeze.
+/// one `--trace` shows and the report's histograms freeze.
 const PROBE_US: u64 = 50_000;
 
 /// Everything one load point observes.
@@ -26,9 +26,7 @@ struct LoadPoint {
 }
 
 /// One load point. The `showcase` run records into the runner's
-/// collector (`--trace`) and prints a mid-flight Prometheus sample
-/// (`--expo`): the simulator's on-demand snapshot API standing in for
-/// scraping a live daemon.
+/// collector (`--trace`).
 fn t13_point(mean_interarrival_us: u64, ctx: &Ctx, showcase: bool) -> LoadPoint {
     let smoke = ctx.smoke;
     let web = Arc::new(workload_web(
@@ -61,32 +59,11 @@ fn t13_point(mean_interarrival_us: u64, ctx: &Ctx, showcase: bool) -> LoadPoint 
         tracer,
         ..EngineConfig::default()
     };
-    // Sample the exposition at the first tick that has seen evaluation
-    // work — a scrape while the cluster is demonstrably mid-run (the
-    // workload usually finishes far inside the spec horizon, so a
-    // time-based midpoint would sample an already-idle system).
-    let expo = showcase && ctx.expo;
-    let mut expo_sample: Option<(u64, String)> = None;
-    let mut observer = |now: u64, snap: &RegistrySnapshot| {
-        if expo
-            && expo_sample.is_none()
-            && snap.histogram("stage_us.eval").is_some_and(|h| h.count > 0)
-        {
-            expo_sample = Some((now, snap.render_prometheus()));
-        }
-    };
     let plans = spec.plan().expect("t13 workload plans");
     let deployment = Deployment::new(web, cfg);
     // The paper's workstation costs make evaluation the bottleneck —
     // that is what produces a knee at a realistic offered load.
-    let outcome = deployment.workload_sim(workstation_sim(), plans, spec.horizon_us, &mut observer);
-    if let Some((at_us, sample)) = expo_sample {
-        println!("--- /metrics sample at t={at_us}us (mid-flight) ---");
-        for line in sample.lines().take(24) {
-            println!("{line}");
-        }
-        println!("--- (truncated) ---\n");
-    }
+    let outcome = deployment.workload_sim(workstation_sim(), plans, spec.horizon_us);
     let snapshot = collector.registry().snapshot();
     LoadPoint {
         offered_qps: spec.offered_qps(),

@@ -84,7 +84,6 @@ fn t17_point(cache: Option<CachePolicy>, smoke: bool) -> T17Point {
         workstation_sim(),
         spec.plan().expect("t17 point"),
         spec.horizon_us,
-        &mut |_, _| {},
     );
     let snapshot = collector.registry().snapshot();
     let latency = snapshot

@@ -46,7 +46,6 @@ fn t18_point(monitored: bool, smoke: bool) -> T18Point {
         workstation_sim(),
         spec.plan().expect("t18 point"),
         spec.horizon_us,
-        &mut |_, _| {},
     );
     if let Some(monitor) = &monitor {
         monitor.finalize(outcome.duration_us);

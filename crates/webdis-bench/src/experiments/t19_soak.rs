@@ -59,8 +59,7 @@ pub fn run(ctx: &Ctx) -> Outcome {
     let mut deployment = Deployment::new(Arc::new(web), cfg);
     deployment.schedule = schedule;
     let plans = spec.plan().expect("t19 soak");
-    let outcome =
-        deployment.workload_sim(workstation_sim(), plans, spec.horizon_us, &mut |_, _| {});
+    let outcome = deployment.workload_sim(workstation_sim(), plans, spec.horizon_us);
 
     // Trace-derived counters: purged log records, and doc-cache hits
     // that happened *after* the web first changed — the proof that the

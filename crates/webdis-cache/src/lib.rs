@@ -21,7 +21,7 @@
 //!   filter machinery. Both paths return rows identical (values and
 //!   order) to full evaluation.
 //! * **Eviction** is cost-aware LRU under a byte budget: the victim is
-//!   the entry cheapest to recompute ([`Entry::cost`] = tuples the
+//!   the entry cheapest to recompute (`Entry::cost` = tuples the
 //!   evaluator visited), ties broken least-recently-used. All ordering
 //!   derives from fixed-point cost and logical use counters — never
 //!   wall clock — so simulator runs stay bit-deterministic.

@@ -13,7 +13,7 @@
 //!
 //! A plan's faults are the runtimes' own vocabulary: `webdis_sim::Fault`
 //! for the network and `webdis_web::Mutation` for the web, one list of
-//! [`ChaosFault`]s. When a schedule fails the oracle, [`shrink`]
+//! [`ChaosFault`]s. When a schedule fails the oracle, [`shrink()`]
 //! delta-debugs that list down to a locally-minimal failing schedule,
 //! and [`repro`] serializes it as a replayable `chaos-repro.json`.
 //! Everything is seeded, so the same master seed yields byte-identical

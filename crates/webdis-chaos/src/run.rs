@@ -77,7 +77,7 @@ pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, DisqlError> {
     let frozen = |web: Arc<HostedWeb>| {
         let deployment = Deployment::new(web, plan.engine_config(TraceHandle::noop()));
         let sim_cfg = plan.sim_config(false);
-        deployment.workload_sim(sim_cfg, plans.clone(), spec.horizon_us, &mut |_, _| {})
+        deployment.workload_sim(sim_cfg, plans.clone(), spec.horizon_us)
     };
     let mut baselines = Vec::with_capacity(schedule.events.len() + 1);
     baselines.push(frozen(web.clone()));
@@ -93,7 +93,7 @@ pub fn run_plan(plan: &ChaosPlan) -> Result<ChaosReport, DisqlError> {
     let mut deployment = Deployment::new(web, plan.engine_config(tracer));
     deployment.schedule = schedule;
     let sim_cfg = plan.sim_config(true);
-    let faulty = deployment.workload_sim(sim_cfg, plans, spec.horizon_us, &mut |_, _| {});
+    let faulty = deployment.workload_sim(sim_cfg, plans, spec.horizon_us);
     let records = collector.snapshot();
 
     let violations = oracle::check(plan, &baselines, &faulty, &records);

@@ -38,7 +38,7 @@ use webdis_net::{ChtEntry, CloneState};
 
 use crate::config::CompletionMode;
 
-/// Counters exposed for the CHT-overhead experiment (T4).
+/// Counters exposed for the completion-protocol experiment (T11).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChtStats {
     /// Entries added.

@@ -22,8 +22,8 @@ pub enum LogMode {
     General,
 }
 
-/// Which completion-detection protocol runs: the three that experiments
-/// T4 and T11 compare.
+/// Which completion-detection protocol runs: the three that experiment
+/// T11 compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CompletionMode {
     /// The paper's Current Hosts Table (Section 2.7.1): servers report

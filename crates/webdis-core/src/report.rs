@@ -4,7 +4,7 @@
 //! results of a web-query in a single file", and Figure 8 shows that file
 //! in a browser: a heading naming the query and user, then one table per
 //! stage. [`render_html`] reproduces that shape (it is what the
-//! `fig8_campus_results` harness verifies textually), and
+//! `fig7` harness verifies textually), and
 //! [`render_text`] produces the same content for terminals.
 
 use std::collections::BTreeMap;

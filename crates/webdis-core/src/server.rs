@@ -301,9 +301,7 @@ impl ServerEngine {
     /// bookkeeping), document cache — wiped, exactly what a process
     /// respawn loses. Counters survive (they model the harness's
     /// measurement plane, not daemon memory) and the report sequence
-    /// stays monotone via the clock floor in [`next_report_seq`].
-    ///
-    /// [`next_report_seq`]: ServerEngine::next_report_seq
+    /// stays monotone via the clock floor in `next_report_seq`.
     pub fn restart(&mut self) {
         self.log = LogTable::new();
         self.queries.clear();
@@ -340,7 +338,7 @@ impl ServerEngine {
         &self.site
     }
 
-    /// Current number of log-table records (experiment T3/T4 probe).
+    /// Current number of log-table records (experiment T3 probe).
     pub fn log_len(&self) -> usize {
         self.log.len()
     }

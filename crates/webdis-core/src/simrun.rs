@@ -14,7 +14,6 @@ use webdis_disql::{parse_disql, DisqlError, WebQuery};
 use webdis_model::SiteAddr;
 use webdis_net::{FetchRequest, FetchResponse, Message};
 use webdis_sim::{Actor, Event, SimConfig, SimNet};
-use webdis_trace::RegistrySnapshot;
 use webdis_web::{FetchOutcome, WebView};
 
 use crate::client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
@@ -208,20 +207,16 @@ impl Deployment {
     /// when the network drains or the clock reaches `horizon_us`.
     ///
     /// The clock loop is [`Deployment::drive_sim`], ticking every
-    /// `SAMPLE_PERIOD_US` (50 ms): at each tick `observer` is handed a
-    /// registry snapshot with the virtual clock — the simulator's analogue
-    /// of scraping a live daemon's `/metrics` — and the tracer is
-    /// [ticked](webdis_trace::TraceHandle::tick) (a monitor samples the
-    /// registry there). The observer only fires when the tracer carries a
-    /// registry, and never perturbs the simulation. The servers purge
-    /// their own logs and raise their own `log_len_high_water` gauge, as
-    /// each message arrives.
+    /// `SAMPLE_PERIOD_US` (50 ms): at each tick the tracer is
+    /// [ticked](webdis_trace::TraceHandle::tick) with the virtual clock (a
+    /// monitor samples the registry there), which never perturbs the
+    /// simulation. The servers purge their own logs and raise their own
+    /// `log_len_high_water` gauge, as each message arrives.
     pub fn workload_sim(
         &self,
         sim_cfg: SimConfig,
         plans: Vec<UserPlan>,
         horizon_us: u64,
-        observer: &mut dyn FnMut(u64, &RegistrySnapshot),
     ) -> WorkloadOutcome {
         let tracer = &self.config.tracer;
         let mut net = self.sim_net(sim_cfg);
@@ -235,15 +230,8 @@ impl Deployment {
             net.start(&addr);
         }
 
-        let mut sweep = |net: &mut SimNet, _tick_us: u64| {
-            let now = net.now_us();
-            if let Some(snapshot) = tracer.registry_snapshot() {
-                observer(now, &net.ledger.overlay(snapshot));
-            }
-            // A monitor samples on the same tick as the observer, so its
-            // window closes land at deterministic virtual times.
-            tracer.tick(now);
-        };
+        // A monitor's window closes land at deterministic virtual times.
+        let mut sweep = |net: &mut SimNet, _tick_us: u64| tracer.tick(net.now_us());
         let duration_us = self.drive_sim(&mut net, SAMPLE_PERIOD_US, horizon_us, &mut sweep);
 
         let mut outcome = WorkloadOutcome {
@@ -447,7 +435,7 @@ mod tests {
             };
             deployment.schedule.events.push(Mutation { at_us, op });
         }
-        deployment.workload_sim(SimConfig::default(), Vec::new(), 1_000, &mut |_, _| {});
+        deployment.workload_sim(SimConfig::default(), Vec::new(), 1_000);
         let versions = (live.site_version("a.test"), live.site_version("b.test"));
         assert_eq!(versions, (1, 1));
     }

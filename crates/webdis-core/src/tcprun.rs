@@ -989,7 +989,7 @@ mod tests {
         let plans = vec![UserPlan {
             submissions: plan().into(),
         }];
-        let sim = deployment.workload_sim(sim_cfg, plans, u64::MAX, &mut |_, _| {});
+        let sim = deployment.workload_sim(sim_cfg, plans, u64::MAX);
 
         let mut cluster = deployment.tcp_cluster(Vec::new());
         let mut net = cluster.user_net();

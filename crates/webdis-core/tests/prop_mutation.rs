@@ -123,7 +123,7 @@ proptest! {
             deployment.schedule = schedule.clone();
             let plans = spec.plan().expect("live run");
             let outcome =
-                deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut |_, _| {});
+                deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us);
             (live.history_digest(), live.mutations_applied(), outcome)
         };
         let (digest_a, applied_a, outcome_a) = run(&schedule);
@@ -145,7 +145,7 @@ proptest! {
         let frozen = |web| {
             let plans = spec.plan().expect("frozen baseline");
             let deployment = Deployment::new(Arc::new(web), engine());
-            deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us, &mut |_, _| {})
+            deployment.workload_sim(SimConfig::default(), plans, spec.horizon_us)
         };
         envelope.extend(row_lines(&frozen(web.clone())));
         let twin = LiveWeb::from_hosted(&web);

@@ -23,6 +23,10 @@
 //! waits on the endpoint — no I/O thread. The paper's Java daemon dials
 //! per dispatch; a connection that carries one frame and closes is the
 //! short case of the same code. The simulated transport is `webdis-sim`.
+//! The platform is Linux: the endpoint waits on `epoll(7)` and `ppoll(2)`.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("webdis-net's TCP transport waits on epoll(7): the platform is Linux");
 
 pub mod messages;
 pub mod meter;

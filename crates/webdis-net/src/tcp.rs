@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use crate::messages::Message;
 use crate::meter::WireCounters;
 use crate::wire::{decode_message, Wire};
-use sys::{PollFd, POLLIN, POLLOUT};
+use sys::{PollFd, POLLOUT};
 
 /// Maximum accepted frame size (16 MiB) — a defence against hostile or
 /// corrupt length prefixes. Admin-socket clients bound the responses
@@ -279,33 +279,27 @@ impl Outbox {
 }
 
 /// True when the peer has closed (or reset) an outbound connection. The
-/// protocol is one-way — an endpoint never writes — so the only thing
-/// that can make a sender's socket readable is the peer's FIN or RST.
+/// protocol is one-way — an endpoint never writes — so all a sender's
+/// non-blocking socket can read is the peer's FIN or RST.
 fn peer_closed(stream: &TcpStream) -> bool {
-    let mut fd = [PollFd::new(stream, POLLIN)];
-    sys::wait(&mut fd, Some(Duration::ZERO)).is_err() || fd[0].ready()
+    !matches!(stream.peek(&mut [0]), Err(e) if e.kind() == io::ErrorKind::WouldBlock)
 }
 
 /// The system calls this transport needs that `std` does not wrap (`std`
-/// already links the C library they live in): `poll(2)` and, on Linux,
-/// `epoll(7)`, whose wait costs what is ready rather than what is
-/// watched.
+/// already links the C library they live in): `ppoll(2)`, whose timeout
+/// keeps a fraction of a millisecond, and `epoll(7)`, whose wait costs
+/// what is ready rather than what is watched.
 mod sys {
     use std::io;
+    use std::net::TcpStream;
+    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
+    use std::os::raw::{c_int, c_long, c_ulong, c_void};
+    use std::ptr::{from_ref, null};
     use std::time::Duration;
 
     /// What to wait for: data (or end of stream), or room to write.
     pub const POLLIN: i16 = 0x001;
     pub const POLLOUT: i16 = 0x004;
-
-    /// What a socket is to the poll calls: its descriptor.
-    #[cfg(unix)]
-    pub use std::os::unix::io::AsRawFd as Socket;
-    /// Without `poll(2)` a socket is nothing to the wait.
-    #[cfg(not(unix))]
-    pub trait Socket {}
-    #[cfg(not(unix))]
-    impl<T> Socket for T {}
 
     /// One socket to wait on, laid out as C's `struct pollfd`.
     #[repr(C)]
@@ -316,16 +310,9 @@ mod sys {
     }
 
     impl PollFd {
-        pub fn new(socket: &impl Socket, events: i16) -> PollFd {
-            #[cfg(unix)]
-            let fd = socket.as_raw_fd();
-            #[cfg(not(unix))]
-            let fd = {
-                let _ = socket;
-                0
-            };
+        pub fn new(socket: &impl AsRawFd, events: i16) -> PollFd {
             PollFd {
-                fd,
+                fd: socket.as_raw_fd(),
                 events,
                 revents: 0,
             }
@@ -338,17 +325,24 @@ mod sys {
         }
     }
 
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    type NfdsT = std::os::raw::c_ulong;
-    #[cfg(all(unix, not(any(target_os = "linux", target_os = "android"))))]
-    type NfdsT = std::os::raw::c_uint;
-
     /// Blocks until a socket in `fds` is ready or `timeout` passes
     /// (`None`: no limit), then says which through [`PollFd::ready`].
-    #[cfg(unix)]
     pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+        type Timespec = [c_long; 2];
+        extern "C" {
+            fn ppoll(fds: *mut PollFd, n: c_ulong, t: *const Timespec, mask: *const c_void) -> i32;
+        }
+        let secs = |t: Duration| c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX);
+        let timeout: Option<Timespec> = timeout.map(|t| [secs(t), t.subsec_nanos() as c_long]);
+        let timeout = timeout.as_ref().map_or(null(), from_ref);
         loop {
-            if poll(fds, timeout) >= 0 {
+            // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+            // structs with `struct pollfd`'s layout, the kernel is told its
+            // length, so it reads and writes only inside the slice (a stale
+            // descriptor in it is reported as POLLNVAL, not dereferenced);
+            // `timeout` is null or points at a live `struct timespec` (two
+            // `long`s), and a null signal mask leaves the thread's alone.
+            if unsafe { ppoll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout, null()) } >= 0 {
                 return Ok(());
             }
             let e = io::Error::last_os_error();
@@ -358,240 +352,114 @@ mod sys {
         }
     }
 
-    /// `ppoll(2)`: its timeout is a `timespec`, so a deadline a fraction
-    /// of a millisecond away is kept, not rounded up to a whole one.
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> i32 {
-        use std::os::raw::{c_long, c_void};
-        use std::ptr::{from_ref, null};
-        type Timespec = [c_long; 2];
-        extern "C" {
-            fn ppoll(fds: *mut PollFd, n: NfdsT, t: *const Timespec, mask: *const c_void) -> i32;
-        }
-        let secs = |t: Duration| c_long::try_from(t.as_secs()).unwrap_or(c_long::MAX);
-        let timeout: Option<Timespec> = timeout.map(|t| [secs(t), t.subsec_nanos() as c_long]);
-        let timeout = timeout.as_ref().map_or(null(), from_ref);
-        let (fds, n) = (fds.as_mut_ptr(), fds.len() as NfdsT);
-        // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
-        // structs with `struct pollfd`'s layout and `n` is its length, so
-        // the kernel reads and writes only inside the slice (a stale
-        // descriptor in it is reported as POLLNVAL, not dereferenced);
-        // `timeout` is null or points at a live `struct timespec` (two
-        // `long`s), and a null signal mask leaves the thread's alone.
-        unsafe { ppoll(fds, n, timeout, null()) }
+    /// C's `struct epoll_event`, which the kernel packs on x86.
+    #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
+    #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
+    #[derive(Clone, Copy, Default)]
+    struct Event {
+        events: u32,
+        token: u64,
     }
 
-    /// `poll(2)`, whose timeout is whole milliseconds: rounded up, so a
-    /// deadline a fraction of a millisecond away is slept through rather
-    /// than spun on.
-    #[cfg(all(unix, not(any(target_os = "linux", target_os = "android"))))]
-    fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> i32 {
-        extern "C" {
-            #[link_name = "poll"]
-            fn c_poll(fds: *mut PollFd, nfds: NfdsT, timeout_ms: i32) -> i32;
-        }
-        let timeout_ms = timeout.map_or(-1, |t| {
-            i32::try_from(t.as_micros().div_ceil(1000)).unwrap_or(i32::MAX)
-        });
-        // SAFETY: as for `ppoll` above, without the timespec.
-        unsafe { c_poll(fds.as_mut_ptr(), fds.len() as NfdsT, timeout_ms) }
+    /// `EPOLL_CLOEXEC`, which is `O_CLOEXEC`.
+    #[cfg(not(any(target_arch = "sparc", target_arch = "sparc64")))]
+    const CLOEXEC: c_int = 0x8_0000;
+    #[cfg(any(target_arch = "sparc", target_arch = "sparc64"))]
+    const CLOEXEC: c_int = 0x40_0000;
+    /// `EPOLL_CTL_ADD`, `EPOLL_CTL_DEL` and `EPOLLIN`.
+    const ADD: c_int = 1;
+    const DEL: c_int = 2;
+    const IN: u32 = 0x001;
+
+    extern "C" {
+        fn epoll_create1(flags: c_int) -> c_int;
+        fn epoll_ctl(set: c_int, op: c_int, fd: c_int, event: *mut Event) -> c_int;
+        fn epoll_wait(set: c_int, events: *mut Event, n: c_int, timeout_ms: c_int) -> c_int;
     }
 
-    /// Without `poll(2)` every socket is reported ready after a
-    /// millisecond's park: the endpoint's non-blocking reads sort out
-    /// which really are, and a sender, unable to tell a live connection
-    /// from a closed one, dials per message.
-    #[cfg(not(unix))]
-    pub fn wait(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
-        let nap = Duration::from_millis(1);
-        std::thread::park_timeout(timeout.map_or(nap, |t| t.min(nap)));
-        for fd in fds {
-            fd.revents = fd.events;
+    /// `r`, or the error the call that returned it left in `errno`.
+    fn check(r: c_int) -> io::Result<c_int> {
+        if r < 0 {
+            return Err(io::Error::last_os_error());
         }
-        Ok(())
-    }
-
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    pub use epoll::Poller;
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    pub use list::Poller;
-
-    /// The sockets an endpoint waits on, each watched for data under a
-    /// token, as an epoll set: registered once per socket, and its wait
-    /// costs what is ready rather than what is watched.
-    #[cfg(any(target_os = "linux", target_os = "android"))]
-    mod epoll {
-        use super::{wait, PollFd, Socket, POLLIN, POLLOUT};
-        use std::io;
-        use std::net::TcpStream;
-        use std::os::fd::{FromRawFd, OwnedFd};
-        use std::os::raw::c_int;
-        use std::time::Duration;
-
-        /// C's `struct epoll_event`, which the kernel packs on x86.
-        #[cfg_attr(any(target_arch = "x86", target_arch = "x86_64"), repr(C, packed))]
-        #[cfg_attr(not(any(target_arch = "x86", target_arch = "x86_64")), repr(C))]
-        #[derive(Clone, Copy, Default)]
-        struct Event {
-            events: u32,
-            token: u64,
-        }
-
-        /// `EPOLL_CLOEXEC`, which is `O_CLOEXEC`.
-        #[cfg(not(any(target_arch = "sparc", target_arch = "sparc64")))]
-        const CLOEXEC: c_int = 0x8_0000;
-        #[cfg(any(target_arch = "sparc", target_arch = "sparc64"))]
-        const CLOEXEC: c_int = 0x40_0000;
-        /// `EPOLL_CTL_ADD`, `EPOLL_CTL_DEL` and `EPOLLIN`.
-        const ADD: c_int = 1;
-        const DEL: c_int = 2;
-        const IN: u32 = 0x001;
-
-        extern "C" {
-            fn epoll_create1(flags: c_int) -> c_int;
-            fn epoll_ctl(set: c_int, op: c_int, fd: c_int, event: *mut Event) -> c_int;
-            fn epoll_wait(set: c_int, events: *mut Event, n: c_int, timeout_ms: c_int) -> c_int;
-        }
-
-        /// `r`, or the error the call that returned it left in `errno`.
-        fn check(r: c_int) -> io::Result<c_int> {
-            if r < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(r)
-        }
-
-        pub struct Poller {
-            set: OwnedFd,
-            events: Vec<Event>,
-        }
-
-        impl Poller {
-            pub fn new() -> io::Result<Poller> {
-                // SAFETY: `epoll_create1` takes no pointer; it returns a
-                // new descriptor, or -1.
-                let fd = check(unsafe { epoll_create1(CLOEXEC) })?;
-                // SAFETY: `fd` was just made, is open, and nothing else
-                // owns it.
-                let set = unsafe { OwnedFd::from_raw_fd(fd) };
-                let events = vec![Event::default(); 64];
-                Ok(Poller { set, events })
-            }
-
-            /// Watches `socket` for data or end of stream as `token`, or
-            /// (`on` false) stops watching it.
-            pub fn watch(
-                &mut self,
-                socket: &impl Socket,
-                token: usize,
-                on: bool,
-            ) -> io::Result<()> {
-                let (set, fd) = (self.set.as_raw_fd(), socket.as_raw_fd());
-                let (op, token) = (if on { ADD } else { DEL }, token as u64);
-                let mut event = Event { events: IN, token };
-                // SAFETY: `event` is a live `struct epoll_event` the kernel
-                // only reads, and both descriptors are open while borrowed.
-                check(unsafe { epoll_ctl(set, op, fd, &mut event) }).map(drop)
-            }
-
-            /// Blocks until a watched socket has data, `writer` has room or
-            /// `timeout` passes (`None`: no limit), then appends the token
-            /// of every ready socket to `ready`; it may return sooner, as
-            /// its callers wait in a loop. Without a writer, whole
-            /// milliseconds are `epoll_wait`'s own; room, or a fraction of
-            /// a millisecond, is waited for by `ppoll`ing the set as one
-            /// descriptor (its timeout a `timespec`), then what is ready is
-            /// taken without waiting.
-            pub fn wait(
-                &mut self,
-                timeout: Option<Duration>,
-                writer: Option<&TcpStream>,
-                ready: &mut Vec<usize>,
-            ) -> io::Result<()> {
-                let timeout_ms = match (writer, timeout) {
-                    (None, None) => -1,
-                    (None, Some(t)) if t.is_zero() || t >= Duration::from_millis(1) => {
-                        c_int::try_from(t.as_millis()).unwrap_or(c_int::MAX)
-                    }
-                    _ => {
-                        let set = PollFd::new(&self.set, POLLIN);
-                        let mut fds = [set, PollFd::new(&self.set, 0)];
-                        if let Some(writer) = writer {
-                            fds[1] = PollFd::new(writer, POLLOUT);
-                        }
-                        wait(&mut fds[..1 + usize::from(writer.is_some())], timeout)?;
-                        if !fds[0].ready() {
-                            return Ok(());
-                        }
-                        0
-                    }
-                };
-                let (set, capacity) = (self.set.as_raw_fd(), self.events.len() as c_int);
-                let n = loop {
-                    let events = self.events.as_mut_ptr();
-                    // SAFETY: `events` points at an exclusively borrowed
-                    // buffer of `capacity` `struct epoll_event`s, the most
-                    // the kernel is told it may write; the set is open
-                    // while `self` is.
-                    match check(unsafe { epoll_wait(set, events, capacity, timeout_ms) }) {
-                        Ok(n) => break n as usize,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(e),
-                    }
-                };
-                let events = self.events.iter().take(n);
-                ready.extend(events.map(|event| event.token as usize));
-                Ok(())
-            }
-        }
+        Ok(r)
     }
 
     /// The sockets an endpoint waits on, each watched for data under a
-    /// token: without epoll, a list every wait hands `poll(2)` whole.
-    #[cfg(not(any(target_os = "linux", target_os = "android")))]
-    mod list {
-        use super::{wait, PollFd, Socket, POLLIN, POLLOUT};
-        use std::io;
-        use std::net::TcpStream;
-        use std::time::Duration;
+    /// token, as an epoll set: registered once per socket.
+    pub struct Poller {
+        set: OwnedFd,
+        events: Vec<Event>,
+    }
 
-        pub struct Poller(Vec<PollFd>, Vec<usize>);
+    impl Poller {
+        pub fn new() -> io::Result<Poller> {
+            // SAFETY: `epoll_create1` takes no pointer; it returns a new
+            // descriptor, or -1.
+            let fd = check(unsafe { epoll_create1(CLOEXEC) })?;
+            // SAFETY: `fd` was just made, is open, and nothing else owns it.
+            let set = unsafe { OwnedFd::from_raw_fd(fd) };
+            let events = vec![Event::default(); 64];
+            Ok(Poller { set, events })
+        }
 
-        impl Poller {
-            pub fn new() -> io::Result<Poller> {
-                Ok(Poller(Vec::new(), Vec::new()))
-            }
+        /// Watches `socket` for data or end of stream as `token`, or (`on`
+        /// false) stops watching it.
+        pub fn watch(&mut self, socket: &impl AsRawFd, token: usize, on: bool) -> io::Result<()> {
+            let (set, fd) = (self.set.as_raw_fd(), socket.as_raw_fd());
+            let (op, token) = (if on { ADD } else { DEL }, token as u64);
+            let mut event = Event { events: IN, token };
+            // SAFETY: `event` is a live `struct epoll_event` the kernel only
+            // reads, and both descriptors are open while borrowed.
+            check(unsafe { epoll_ctl(set, op, fd, &mut event) }).map(drop)
+        }
 
-            pub fn watch(
-                &mut self,
-                socket: &impl Socket,
-                token: usize,
-                on: bool,
-            ) -> io::Result<()> {
-                if on {
-                    self.0.push(PollFd::new(socket, POLLIN));
-                    self.1.push(token);
-                } else if let Some(i) = self.1.iter().position(|&t| t == token) {
-                    self.0.swap_remove(i);
-                    self.1.swap_remove(i);
+        /// Blocks until a watched socket has data, `writer` has room or
+        /// `timeout` passes (`None`: no limit), then appends the token of
+        /// every ready socket to `ready`; it may return sooner, as its
+        /// callers wait in a loop. Without a writer, whole milliseconds are
+        /// `epoll_wait`'s own; room, or a fraction of a millisecond, is
+        /// waited for by `ppoll`ing the set as one descriptor, then what is
+        /// ready is taken without waiting.
+        pub fn wait(
+            &mut self,
+            timeout: Option<Duration>,
+            writer: Option<&TcpStream>,
+            ready: &mut Vec<usize>,
+        ) -> io::Result<()> {
+            let timeout_ms = match (writer, timeout) {
+                (None, None) => -1,
+                (None, Some(t)) if t.is_zero() || t >= Duration::from_millis(1) => {
+                    c_int::try_from(t.as_millis()).unwrap_or(c_int::MAX)
                 }
-                Ok(())
-            }
-
-            pub fn wait(
-                &mut self,
-                timeout: Option<Duration>,
-                writer: Option<&TcpStream>,
-                ready: &mut Vec<usize>,
-            ) -> io::Result<()> {
-                self.0.extend(writer.map(|w| PollFd::new(w, POLLOUT)));
-                let waited = wait(&mut self.0, timeout);
-                self.0.truncate(self.1.len());
-                waited?;
-                let fds = self.0.iter().zip(&self.1);
-                ready.extend(fds.filter(|(fd, _)| fd.ready()).map(|(_, &token)| token));
-                Ok(())
-            }
+                _ => {
+                    let set = PollFd::new(&self.set, POLLIN);
+                    let mut fds = [set, PollFd::new(&self.set, 0)];
+                    if let Some(writer) = writer {
+                        fds[1] = PollFd::new(writer, POLLOUT);
+                    }
+                    wait(&mut fds[..1 + usize::from(writer.is_some())], timeout)?;
+                    if !fds[0].ready() {
+                        return Ok(());
+                    }
+                    0
+                }
+            };
+            let (set, capacity) = (self.set.as_raw_fd(), self.events.len() as c_int);
+            let n = loop {
+                let events = self.events.as_mut_ptr();
+                // SAFETY: `events` points at an exclusively borrowed buffer
+                // of `capacity` `struct epoll_event`s, the most the kernel
+                // is told it may write; the set is open while `self` is.
+                match check(unsafe { epoll_wait(set, events, capacity, timeout_ms) }) {
+                    Ok(n) => break n as usize,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e),
+                }
+            };
+            let events = self.events.iter().take(n);
+            ready.extend(events.map(|event| event.token as usize));
+            Ok(())
         }
     }
 }

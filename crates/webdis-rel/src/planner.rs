@@ -3,7 +3,7 @@
 //!
 //! [`Plan::new`] flattens every `such that` / `where` condition into its
 //! top-level conjuncts, schedules each conjunct at the level where the
-//! scan would apply it ([`crate::query::apply_level_of`] — the same rule,
+//! scan would apply it (`query::apply_level_of` — the same rule,
 //! so planned and scanned evaluation agree by construction), and routes a
 //! conjunct to an index probe when three things hold:
 //!

@@ -44,7 +44,7 @@ pub struct Conjunct {
     /// The canonical rendering used for fingerprints and subset tests.
     pub canonical: String,
     /// The original expression, still naming the query's own variables —
-    /// executable against an [`Env`] built from the query's declarations.
+    /// executable against an `Env` built from the query's declarations.
     pub expr: Expr,
 }
 

@@ -105,7 +105,7 @@ impl Ledger {
     }
 
     /// `snap` with the meter laid over it as `net.<kind>.*` counters: what
-    /// a daemon's `/metrics` serves and the simulator's observer is handed.
+    /// a daemon's `/metrics` serves.
     pub fn overlay(&self, mut snap: RegistrySnapshot) -> RegistrySnapshot {
         for (name, value) in self.meter.counters() {
             snap.put_counter(&format!("net.{name}"), value);

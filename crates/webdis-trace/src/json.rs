@@ -13,7 +13,7 @@
 //! **The writer.** [`ToJson`] renders compactly (no whitespace) and
 //! escapes strings one way everywhere; a `BTreeMap` — and so a
 //! [`Value::Obj`] — is written with its keys sorted, which makes
-//! [`write`] canonical: equal values give equal bytes. Formats whose
+//! [`write()`] canonical: equal values give equal bytes. Formats whose
 //! key order is part of their bytes (trace lines, `/status`,
 //! `chaos-repro.json`) write their objects field by field through
 //! [`ObjWriter`].

@@ -181,7 +181,7 @@ pub const CAMPUS_QUERY: &str = r#"
 "#;
 
 /// The expected Figure 8 result rows (d1.url, d1.title, convener fragment),
-/// used by tests and printed by the `fig8_campus_results` harness.
+/// used by tests and printed by the `fig7` harness.
 pub const CAMPUS_EXPECTED: [(&str, &str, &str); 3] = [
     (
         "http://dsl.serc.iisc.ernet.in/people",

@@ -23,7 +23,7 @@
 //! | [`sim`] | deterministic discrete-event network simulator; the fault list and the message ledger both runtimes share |
 //! | [`web`] | synthetic web generation and the paper's fixed topologies |
 //! | [`core`] | the distributed engine: servers, user site, CHT, log table, data-shipping baseline |
-//! | [`load`] | concurrent multi-query workloads: seeded arrival processes, multi-user drivers, load shedding |
+//! | [`core::workload`] | concurrent multi-query workloads: seeded arrival processes, multi-user drivers, load shedding |
 //! | [`trace`] | query-trajectory tracing, the metrics registry and its `/metrics` exposition, the doctor |
 //!
 //! ## Quick start

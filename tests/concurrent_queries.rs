@@ -73,7 +73,6 @@ fn interleaved_queries_match_serial_runs_sim() {
         SimConfig::default(),
         spec.plan().unwrap(),
         spec.horizon_us,
-        &mut |_, _| {},
     );
     assert_eq!(outcome.hung(), 0, "no query may hang");
     assert_eq!(outcome.records.len(), spec.users * spec.queries_per_user);
@@ -154,7 +153,6 @@ fn workload_is_seed_deterministic() {
             SimConfig::default(),
             spec.plan().unwrap(),
             spec.horizon_us,
-            &mut |_, _| {},
         );
         let fates: Vec<_> = outcome
             .records
@@ -193,7 +191,6 @@ fn concurrent_trace_reconstructs_one_trajectory_per_query() {
         SimConfig::default(),
         spec.plan().unwrap(),
         spec.horizon_us,
-        &mut |_, _| {},
     );
     assert_eq!(outcome.hung(), 0);
 
@@ -249,7 +246,6 @@ fn admission_control_sheds_without_hanging_sim() {
         SimConfig::default(),
         spec.plan().unwrap(),
         spec.horizon_us,
-        &mut |_, _| {},
     );
 
     assert_eq!(outcome.hung(), 0, "shedding must never hang a query");

@@ -65,7 +65,6 @@ fn injected_drop_run_has_zero_false_orphans() {
 fn t13_probe_trace(smoke: bool) -> Vec<TraceRecord> {
     let ctx = Ctx {
         smoke,
-        expo: false,
         tracer: TraceOpt::with_path(Some("never-written.jsonl".into())),
     };
     (experiment("t13").expect("t13 is registered").run)(&ctx);
@@ -146,7 +145,6 @@ fn cached_zipf_trace() -> Vec<TraceRecord> {
         workstation_sim(),
         spec.plan().unwrap(),
         spec.horizon_us,
-        &mut |_, _| {},
     );
     collector.snapshot()
 }
@@ -212,7 +210,6 @@ fn monitored_shed_trace() -> Vec<TraceRecord> {
         workstation_sim(),
         spec.plan().unwrap(),
         spec.horizon_us,
-        &mut |_, _| {},
     );
     monitor.finalize(outcome.duration_us);
     collector.snapshot()

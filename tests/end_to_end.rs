@@ -529,8 +529,7 @@ fn every_dropped_log_record_is_traced() {
 
     let (collector, tracer) = TraceHandle::collecting(1 << 16);
     let deployment = Deployment::new(Arc::clone(&web), purge_config(Some(50_000), tracer));
-    let outcome =
-        deployment.workload_sim(workstation_sim(), plans, spec.horizon_us, &mut |_, _| {});
+    let outcome = deployment.workload_sim(workstation_sim(), plans, spec.horizon_us);
     let stats = outcome.server_stats;
     assert_eq!(
         stats.values().map(|s| s.evaluations).sum::<u64>(),

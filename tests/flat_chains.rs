@@ -236,7 +236,7 @@ fn every_query_in_the_tree_still_parses() {
         rust_files(&krate.unwrap().path().join("src"), &mut files);
     }
     let queries: Vec<String> = files.iter().flat_map(|f| queries_in(f)).collect();
-    assert!(queries.len() >= 15, "found only {}", queries.len());
+    assert!(queries.len() >= 14, "found only {}", queries.len());
     for query in &queries {
         assert!(parse_disql(query).is_ok(), "{query}");
     }

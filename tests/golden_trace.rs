@@ -137,7 +137,6 @@ fn digest(web: &Arc<HostedWeb>, disql: &str, cfg: EngineConfig, run: Run) -> (u6
                 sim(),
                 spec.plan().unwrap(),
                 spec.horizon_us,
-                &mut |_, _| {},
             );
             assert!(
                 out.records.iter().any(|r| r.was_shed()),

@@ -128,12 +128,8 @@ fn hybrid_workload_under_a_mutation_schedule_stays_inside_the_version_envelope()
         let mut deployment = Deployment::new(Arc::clone(&live), hybrid());
         deployment.participating = Some(half_of(&web, 0));
         deployment.schedule = schedule.clone();
-        let outcome = deployment.workload_sim(
-            SimConfig::default(),
-            spec.plan().unwrap(),
-            spec.horizon_us,
-            &mut |_, _| {},
-        );
+        let outcome =
+            deployment.workload_sim(SimConfig::default(), spec.plan().unwrap(), spec.horizon_us);
         assert_eq!(live.mutations_applied(), 3);
         assert_eq!(
             (outcome.records.len(), outcome.hung()),
@@ -151,7 +147,6 @@ fn hybrid_workload_under_a_mutation_schedule_stays_inside_the_version_envelope()
                 SimConfig::default(),
                 spec.plan().unwrap(),
                 spec.horizon_us,
-                &mut |_, _| {},
             ))
         };
         let mut envelope = frozen(web.clone());
@@ -174,12 +169,7 @@ fn hybrid_workload_under_a_mutation_schedule_stays_inside_the_version_envelope()
             web: Arc::new(LiveWeb::from_hosted(&web)).into(),
             ..deployment
         };
-        let quiet = quiet.workload_sim(
-            SimConfig::default(),
-            spec.plan().unwrap(),
-            spec.horizon_us,
-            &mut |_, _| {},
-        );
+        let quiet = quiet.workload_sim(SimConfig::default(), spec.plan().unwrap(), spec.horizon_us);
         assert_eq!(row_lines(&quiet), frozen(web), "seed {seed}");
     }
 }

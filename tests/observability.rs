@@ -2,11 +2,13 @@
 //! determinism on the simulator, the mid-flight registry snapshot API,
 //! and exposition coverage of the engine's metrics.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use webdis::core::{ArrivalProcess, Deployment, EngineConfig, QueryMix, WorkloadSpec};
 use webdis::sim::{ProcModel, SimConfig};
-use webdis::trace::{Histogram, TraceHandle};
+use webdis::trace::{
+    CollectingTracer, Histogram, RegistrySnapshot, TraceHandle, TraceRecord, Tracer,
+};
 use webdis::web::{generate, WebGenConfig};
 
 const QUERY: &str = r#"
@@ -58,7 +60,6 @@ fn run_once() -> Vec<(String, Histogram)> {
         workstation_sim(),
         spec().plan().unwrap(),
         spec().horizon_us,
-        &mut |_, _| {},
     );
     collector
         .registry()
@@ -85,33 +86,68 @@ fn stage_timings_are_seed_deterministic() {
     assert_eq!(a, b, "same seed must reproduce every stage histogram");
 }
 
-/// The observer sees monotonically growing counters mid-flight, and
-/// observing does not perturb the run.
+/// A sink that wraps the collector and, on each runtime tick, records
+/// the clock and the registry's `query_recv` counter at that moment.
+struct Sampler {
+    inner: Arc<CollectingTracer>,
+    ticks: Mutex<Vec<(u64, u64)>>,
+}
+
+impl Tracer for Sampler {
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
+    }
+    fn record(&self, record: TraceRecord) {
+        self.inner.record(record);
+    }
+    fn observe(&self, name: &str, value: u64) {
+        self.inner.observe(name, value);
+    }
+    fn gauge_max(&self, name: &str, value: u64) {
+        self.inner.gauge_max(name, value);
+    }
+    fn registry_snapshot(&self) -> Option<RegistrySnapshot> {
+        self.inner.registry_snapshot()
+    }
+    fn tick(&self, now_us: u64) {
+        let seen = self.inner.registry().snapshot().counter("query_recv");
+        self.ticks.lock().unwrap().push((now_us, seen));
+    }
+}
+
+/// A tracer ticked by the simulator sees monotonically growing counters
+/// mid-flight, and sampling does not perturb the run.
 #[test]
 fn snapshot_observer_sees_live_monotone_registry() {
     let run = |observe: bool| {
         let (collector, tracer) = TraceHandle::collecting(65_536);
+        let sampler = Arc::new(Sampler {
+            inner: Arc::clone(&collector),
+            ticks: Mutex::new(Vec::new()),
+        });
+        let tracer = if observe {
+            TraceHandle::new(sampler.clone())
+        } else {
+            tracer
+        };
         let cfg = EngineConfig {
             tracer,
             ..EngineConfig::default()
-        };
-        let mut ticks: Vec<(u64, u64)> = Vec::new();
-        let mut observer = |now: u64, snap: &webdis::trace::RegistrySnapshot| {
-            if observe {
-                ticks.push((now, snap.counter("query_recv")));
-            }
         };
         let outcome = Deployment::new(web(), cfg).workload_sim(
             workstation_sim(),
             spec().plan().unwrap(),
             spec().horizon_us,
-            &mut observer,
         );
+        let ticks = std::mem::take(&mut *sampler.ticks.lock().unwrap());
         (outcome, ticks, collector.registry().snapshot())
     };
 
     let (observed_outcome, ticks, final_snap) = run(true);
-    assert!(!ticks.is_empty(), "the observer must fire on sample ticks");
+    assert!(
+        !ticks.is_empty(),
+        "the tracer must be ticked on sample ticks"
+    );
     assert!(
         ticks.windows(2).all(|w| w[0].0 < w[1].0),
         "tick clocks advance strictly: {ticks:?}"
@@ -129,7 +165,7 @@ fn snapshot_observer_sees_live_monotone_registry() {
     let (unobserved_outcome, _, _) = run(false);
     assert_eq!(
         observed_outcome.duration_us, unobserved_outcome.duration_us,
-        "observing must not perturb the simulation"
+        "sampling must not perturb the simulation"
     );
 
     // The mid-flight snapshot renders as valid exposition: cumulative
@@ -162,12 +198,7 @@ fn zero_cost_model_yields_zero_spans() {
         proc: ProcModel::default(),
         ..SimConfig::default()
     };
-    Deployment::new(web(), cfg).workload_sim(
-        sim,
-        spec().plan().unwrap(),
-        spec().horizon_us,
-        &mut |_, _| {},
-    );
+    Deployment::new(web(), cfg).workload_sim(sim, spec().plan().unwrap(), spec().horizon_us);
     let snap = collector.registry().snapshot();
     for (name, h) in snap.histograms() {
         if let Some(stage) = name.strip_prefix("stage_us.") {

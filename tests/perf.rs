@@ -60,12 +60,8 @@ fn overloaded_queue_wait_histogram() -> Histogram {
         proc: ProcModel::workstation_1999(),
         ..SimConfig::default()
     };
-    let outcome = Deployment::new(web, cfg).workload_sim(
-        sim,
-        spec.plan().unwrap(),
-        spec.horizon_us,
-        &mut |_, _| {},
-    );
+    let outcome =
+        Deployment::new(web, cfg).workload_sim(sim, spec.plan().unwrap(), spec.horizon_us);
     assert_eq!(outcome.hung(), 0, "no query may hang");
     collector
         .registry()

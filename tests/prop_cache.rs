@@ -111,14 +111,12 @@ fn twin_run(
         SimConfig::default(),
         spec.plan().expect("uncached run"),
         spec.horizon_us,
-        &mut |_, _| {},
     );
     let (collector, tracer) = TraceHandle::collecting(1 << 16);
     let on = Deployment::new(web, engine_config(Some(policy), tracer)).workload_sim(
         SimConfig::default(),
         spec.plan().expect("cached run"),
         spec.horizon_us,
-        &mut |_, _| {},
     );
     (off, on, collector.snapshot())
 }
