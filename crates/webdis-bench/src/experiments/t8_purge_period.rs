@@ -43,17 +43,22 @@ fn run_with_purge(period_us: u64) -> PurgeRun {
     let mut net = deployment.sim_with_client(SimConfig::default(), vec![query]);
     net.start(&user_addr());
 
-    // Sample the log at every period, and once more when the run ends.
+    // Sample the log at every period, the last sample when the run ends:
+    // each leg of the drive stops at the next period's instant.
     let mut peak_log = 0usize;
     let tick_us = if period_us == 0 { u64::MAX } else { period_us };
-    let mut probe = |net: &mut webdis_sim::SimNet, _at_us: u64| {
-        let mut total_log = 0usize;
-        for site in &sites {
-            total_log += server_of(net, site).map_or(0, |server| server.log_len());
+    let mut at_us = 0u64;
+    loop {
+        at_us = at_us.saturating_add(tick_us);
+        deployment.drive_sim(&mut net, u64::MAX, at_us);
+        let logs = sites
+            .iter()
+            .map(|site| server_of(&mut net, site).map_or(0, |s| s.log_len()));
+        peak_log = peak_log.max(logs.sum());
+        if net.idle() || at_us == u64::MAX {
+            break;
         }
-        peak_log = peak_log.max(total_log);
-    };
-    deployment.drive_sim(&mut net, tick_us, u64::MAX, &mut probe);
+    }
 
     let mut evals = 0;
     let mut dups = 0;

@@ -31,7 +31,7 @@
 //!    [`CompletionMode::ChtStrict`] avoids the whole scheme by accounting
 //!    one add and one delete per clone.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use webdis_model::Url;
 use webdis_net::{ChtEntry, CloneState};
@@ -120,30 +120,41 @@ impl Cht {
         self.clock_us = self.clock_us.max(now_us);
     }
 
-    /// Merges one announced entry.
+    /// Merges one announced entry: one probe of `slots` decides whether
+    /// it is skipped, appended to its `(node, state)`'s rows or starts
+    /// them.
     pub fn add(&mut self, entry: &ChtEntry) {
         // A deletion that arrived ahead of this announcement?
-        let key = (entry.node.clone(), entry.state.clone());
-        let early = self
-            .tombstones
-            .iter()
-            .position(|(n, s, _)| (n, s) == (&key.0, &key.1));
-        if let Some(pos) = early {
-            self.tombstones.swap_remove(pos);
-            self.stats.deleted += 1;
-        } else if self.mode == CompletionMode::Cht && self.slots.contains_key(&key) {
+        let early = if self.tombstones.is_empty() {
+            None
+        } else {
+            let key = (&entry.node, &entry.state);
+            self.tombstones.iter().position(|(n, s, _)| (n, s) == key)
+        };
+        let at = self.rows.len();
+        match self.slots.entry((entry.node.clone(), entry.state.clone())) {
             // A server's log table *silently* drops an arrival in a state
             // identical to an earlier one at the node. Identity is
             // symmetric, so this verdict is the same at the user site and
             // at the server whichever message arrives first;
             // proper-subsumption drops are order-sensitive and therefore
             // always reported by the servers (never mirrored here).
-            self.stats.skipped += 1;
-            return;
+            Entry::Occupied(_) if early.is_none() && self.mode == CompletionMode::Cht => {
+                self.stats.skipped += 1;
+                return;
+            }
+            Entry::Occupied(slot) => {
+                let last = &mut slot.into_mut().1;
+                self.rows[std::mem::replace(last, at)].next = Some(at);
+            }
+            Entry::Vacant(slot) => _ = slot.insert((at, at)),
+        }
+        if let Some(pos) = early {
+            self.tombstones.swap_remove(pos);
+            self.stats.deleted += 1;
         }
         self.stats.added += 1;
         self.live += usize::from(early.is_none());
-        let at = self.rows.len();
         self.rows.push(Row {
             node: entry.node.clone(),
             state: entry.state.clone(),
@@ -151,10 +162,6 @@ impl Cht {
             added_at_us: self.clock_us,
             next: None,
         });
-        match self.slots.get_mut(&key) {
-            Some((_, last)) => self.rows[std::mem::replace(last, at)].next = Some(at),
-            None => _ = self.slots.insert(key, (at, at)),
-        }
     }
 
     /// Applies the deletion carried by a node report (the "topmost entry"
@@ -310,6 +317,30 @@ mod tests {
         c.add(&entry("http://a/", 1, "N"));
         assert!(c.complete());
         assert_eq!(c.stats.tombstoned, 1);
+    }
+
+    #[test]
+    fn an_add_consumes_a_tombstone_when_its_slot_already_exists() {
+        // Two deletions ahead of two announcements: the second add finds
+        // both a row for its `(node, state)` and a tombstone for it.
+        for mode in [CompletionMode::Cht, CompletionMode::ChtStrict] {
+            let mut c = Cht::new(mode);
+            c.delete(&url("http://a/"), &st(1, "N"));
+            c.delete(&url("http://a/"), &st(1, "N"));
+            c.add(&entry("http://a/", 1, "N"));
+            assert!(!c.complete(), "{mode:?}: one tombstone is left");
+            c.add(&entry("http://a/", 1, "N"));
+            assert!(c.complete(), "{mode:?}");
+            let s = &c.stats;
+            assert_eq!((s.added, s.deleted, s.skipped), (2, 2, 0), "{mode:?}");
+            // A third, unmatched add is skipped as identical or appended
+            // behind the two deleted rows, where a delete finds it.
+            c.add(&entry("http://a/", 1, "N"));
+            assert_eq!(c.complete(), mode == CompletionMode::Cht);
+            c.delete(&url("http://a/"), &st(1, "N"));
+            assert!(c.complete(), "{mode:?}");
+            assert_eq!(c.stats.tombstoned, 2, "{mode:?}");
+        }
     }
 
     #[test]

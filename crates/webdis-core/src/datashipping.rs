@@ -318,7 +318,7 @@ impl Deployment {
         let user = DataShipUser::new(query, addr.clone(), self.config.tracer.clone());
         net.register(addr.clone(), Box::new(user));
         net.start(&addr);
-        let duration_us = self.drive_sim(&mut net, u64::MAX, u64::MAX, &mut |_, _| {});
+        let duration_us = self.drive_sim(&mut net, u64::MAX, u64::MAX);
 
         let user = net
             .actor_mut::<DataShipUser>(&addr)

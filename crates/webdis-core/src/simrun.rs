@@ -141,24 +141,21 @@ impl Deployment {
 
     /// A simulated run on the one host loop (`Deployment::drive`), which
     /// lands each scheduled mutation at its virtual instant, between
-    /// deliveries: `sweep(net, at_us)` runs every `tick_us` (`u64::MAX`:
-    /// once, at the end) at the tick's nominal time, which the clock may
-    /// not have reached on a quiet network — the harness's act, which
-    /// reads the run and changes nothing in it. The run ends at the first
-    /// tick that finds the network idle and the schedule spent, or at `horizon_us`
-    /// (whose tick sweeps first); the mutations past it still land, at
-    /// their times, so the web's history holds the whole schedule.
-    /// Returns the final virtual time.
-    pub fn drive_sim(
-        &self,
-        net: &mut SimNet,
-        tick_us: u64,
-        horizon_us: u64,
-        sweep: &mut dyn FnMut(&mut SimNet, u64),
-    ) -> u64 {
+    /// deliveries. A tick comes every `tick_us` (`u64::MAX`: once, at the
+    /// end), and at each finite one the tracer is
+    /// [ticked](webdis_trace::TraceHandle::tick) with the virtual clock,
+    /// which the tick's nominal time may be ahead of on a quiet network;
+    /// that reads the run and changes nothing in it. The run ends at the
+    /// first tick that finds the network idle and the schedule spent, or
+    /// at `horizon_us` (whose tick ticks the tracer first); the mutations
+    /// past it still land, at their times, so the web's history holds the
+    /// whole schedule. Returns the final virtual time.
+    pub fn drive_sim(&self, net: &mut SimNet, tick_us: u64, horizon_us: u64) -> u64 {
         let first_tick = Some(tick_us.min(horizon_us));
         let left = self.drive(net, &mut 0, horizon_us, first_tick, |net, at_us, spent| {
-            sweep(net, at_us);
+            if at_us < u64::MAX {
+                self.config.tracer.tick(net.now_us());
+            }
             if (net.idle() && spent) || at_us >= horizon_us {
                 return ControlFlow::Break(());
             }
@@ -187,7 +184,7 @@ impl Deployment {
         let query = parse_disql(disql)?;
         let mut net = self.sim_with_client(sim_cfg, vec![query]);
         net.start(&user_addr());
-        let duration_us = self.drive_sim(&mut net, u64::MAX, u64::MAX, &mut |_, _| {});
+        let duration_us = self.drive_sim(&mut net, u64::MAX, u64::MAX);
         let record = client_of(&mut net).take_records(0).remove(0);
         let server_stats = self.sim_server_stats(&mut net);
         Ok(QueryOutcome {
@@ -218,7 +215,6 @@ impl Deployment {
         plans: Vec<UserPlan>,
         horizon_us: u64,
     ) -> WorkloadOutcome {
-        let tracer = &self.config.tracer;
         let mut net = self.sim_net(sim_cfg);
         let users = plans.len();
         for (user, plan) in plans.into_iter().enumerate() {
@@ -231,8 +227,7 @@ impl Deployment {
         }
 
         // A monitor's window closes land at deterministic virtual times.
-        let mut sweep = |net: &mut SimNet, _tick_us: u64| tracer.tick(net.now_us());
-        let duration_us = self.drive_sim(&mut net, SAMPLE_PERIOD_US, horizon_us, &mut sweep);
+        let duration_us = self.drive_sim(&mut net, SAMPLE_PERIOD_US, horizon_us);
 
         let mut outcome = WorkloadOutcome {
             records: Vec::new(),
@@ -248,7 +243,7 @@ impl Deployment {
         }
         // Before returning, so a monitor's owner closing its last window
         // at `duration_us` sees every completed query's latency.
-        outcome.observe_latencies(tracer);
+        outcome.observe_latencies(&self.config.tracer);
         outcome
     }
 }

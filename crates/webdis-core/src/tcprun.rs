@@ -76,10 +76,11 @@ pub struct TcpNet {
 }
 
 impl TcpNet {
-    /// True when the fault list has `site` down at `at_us`.
-    fn down(&self, site: &SiteAddr, at_us: u64) -> bool {
+    /// True when the fault list has `site` down at `at_us()`, which is
+    /// read only when there is a fault list.
+    fn down(&self, site: &SiteAddr, at_us: impl FnOnce() -> u64) -> bool {
         let faults = self.faults.as_ref();
-        faults.is_some_and(|faults| faults.lock().down(site, at_us))
+        faults.is_some_and(|faults| faults.lock().down(site, at_us()))
     }
 
     /// Hands the fate `msg` met on its way to host `to` to the ledger,
@@ -99,7 +100,10 @@ impl TcpNet {
             net.record(Fate::Refused, &msg, bytes, &to.host);
             Err(NetworkError { to: to.clone() })
         };
-        let up = self.map.get(to).filter(|_| !self.down(to, self.now_us()));
+        let up = self
+            .map
+            .get(to)
+            .filter(|_| !self.down(to, || self.now_us()));
         let (Some(&addr), Ok(mut frame)) = (up, frame) else {
             return refused(self);
         };
@@ -230,7 +234,7 @@ impl<A: Actor> Runtime for Reactor<'_, A> {
                 continue;
             };
             let (msg, bytes, now) = (received.msg, received.wire_bytes, net.now_us());
-            if net.down(&net.addr, now) {
+            if net.down(&net.addr, || now) {
                 // The process is dead. Traced as an explained drop so
                 // trajectory triage never reports a false orphan.
                 net.record(Fate::DeadLetter("dead-letter"), &msg, bytes, &net.addr.host);
@@ -252,7 +256,7 @@ impl<A: Actor> Runtime for Reactor<'_, A> {
         let Some((actor, net)) = self.sites.iter_mut().find(|(_, net)| net.addr == to) else {
             return;
         };
-        if !net.down(&to, at_us) {
+        if !net.down(&to, || at_us) {
             actor.handle(&mut Hosted { net, agenda }, event);
         }
         net.queue_wait_us = 0;

@@ -71,60 +71,51 @@ fn get_len(buf: &mut &[u8], what: &str) -> Result<usize, WireError> {
     Ok(n)
 }
 
-impl Wire for u8 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u8(*self);
-    }
+/// Fixed-width integers, big-endian.
+macro_rules! wire_int {
+    ($($t:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                buf.$put(*self);
+            }
 
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        need(buf, 1, "u8")?;
-        Ok(buf.get_u8())
-    }
+            fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+                need(buf, std::mem::size_of::<$t>(), stringify!($t))?;
+                Ok(buf.$get())
+            }
+        }
+    )*};
 }
 
-impl Wire for u16 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u16(*self);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        need(buf, 2, "u16")?;
-        Ok(buf.get_u16())
-    }
+wire_int! {
+    u8: put_u8, get_u8;
+    u16: put_u16, get_u16;
+    u32: put_u32, get_u32;
+    u64: put_u64, get_u64;
+    i64: put_i64, get_i64;
 }
 
-impl Wire for u32 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u32(*self);
-    }
+/// A fieldless enum as a `u8` tag: its variants' places in the list.
+macro_rules! wire_tag {
+    ($t:ident, $what:literal, [$($v:ident),*]) => {
+        impl Wire for $t {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                let tag = [$($t::$v),*].iter().position(|v| v == self);
+                buf.put_u8(tag.expect("every variant is listed") as u8);
+            }
 
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        need(buf, 4, "u32")?;
-        Ok(buf.get_u32())
-    }
+            fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
+                let tag = u8::decode(buf)?;
+                let value = [$($t::$v),*].get(usize::from(tag)).copied();
+                value.ok_or_else(|| WireError::new(format!(concat!("invalid ", $what, " tag {}"), tag)))
+            }
+        }
+    };
 }
 
-impl Wire for u64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_u64(*self);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        need(buf, 8, "u64")?;
-        Ok(buf.get_u64())
-    }
-}
-
-impl Wire for i64 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.put_i64(*self);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        need(buf, 8, "i64")?;
-        Ok(buf.get_i64())
-    }
-}
+wire_tag!(LinkType, "link type", [Interior, Local, Global, Null]);
+wire_tag!(CmpOp, "cmp", [Eq, Ne, Lt, Le, Gt, Ge]);
+wire_tag!(RelKind, "relation", [Document, Anchor, Relinfon]);
 
 impl Wire for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -201,11 +192,26 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
-/// A clone's shared stage list travels exactly as a `Vec` does.
+/// A clone's shared stage list travels exactly as a `Vec` does. A list
+/// this thread encoded lately is spliced in from the memo: every clone of
+/// a query shares one list.
 impl Wire for Arc<[Stage]> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        self.iter().for_each(|item| item.encode(buf));
+        let spliced = MEMO.with_borrow(|m| {
+            let (bytes, _) = m
+                .encoded
+                .iter()
+                .rev()
+                .find(|(_, list)| Arc::ptr_eq(list, self))?;
+            buf.extend_from_slice(bytes);
+            Some(())
+        });
+        if spliced.is_none() {
+            let at = buf.len();
+            (self.len() as u32).encode(buf);
+            self.iter().for_each(|item| item.encode(buf));
+            MEMO.with_borrow_mut(|m| m.keep(|m| &mut m.encoded, &buf[at..], self.clone()));
+        }
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
@@ -234,13 +240,22 @@ impl<T: Wire> Wire for Option<T> {
 }
 
 impl Wire for Url {
-    /// The URL's `Display` form as a string, written straight into the
-    /// frame: the length prefix is patched in once the text is there.
+    /// The URL's `Display` form as a string, its parts written straight
+    /// into the frame: the length prefix is patched in once they are there.
     fn encode(&self, buf: &mut Vec<u8>) {
-        use std::io::Write as _;
         let at = buf.len();
         buf.put_u32(0);
-        write!(buf, "{self}").expect("writing to a Vec cannot fail");
+        buf.put_slice(b"http://");
+        buf.put_slice(self.host().as_bytes());
+        if self.port() != 80 {
+            use std::io::Write as _;
+            write!(buf, ":{}", self.port()).expect("writing to a Vec cannot fail");
+        }
+        buf.put_slice(self.path().as_bytes());
+        if let Some(fragment) = self.fragment() {
+            buf.put_u8(b'#');
+            buf.put_slice(fragment.as_bytes());
+        }
         let n = (buf.len() - at - 4) as u32;
         buf[at..at + 4].copy_from_slice(&n.to_be_bytes());
     }
@@ -253,28 +268,6 @@ impl Wire for Url {
 /// The memo's miss path for a URL: the one place the decoder parses one.
 fn parse_url(s: &str) -> Result<Url, WireError> {
     Url::parse(s).map_err(|e| WireError::new(format!("invalid URL on wire: {e}")))
-}
-
-impl Wire for LinkType {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            LinkType::Interior => 0,
-            LinkType::Local => 1,
-            LinkType::Global => 2,
-            LinkType::Null => 3,
-        };
-        buf.put_u8(tag);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(LinkType::Interior),
-            1 => Ok(LinkType::Local),
-            2 => Ok(LinkType::Global),
-            3 => Ok(LinkType::Null),
-            other => Err(WireError::new(format!("invalid link type tag {other}"))),
-        }
-    }
 }
 
 impl Wire for Pre {
@@ -357,32 +350,6 @@ fn checked_clone_pre(buf: &mut &[u8]) -> Result<Pre, WireError> {
     let pre = decode_pre(buf, 0)?;
     closure(&pre).map_err(|e| WireError::new(format!("clone PRE refused: {e}")))?;
     Ok(pre)
-}
-
-impl Wire for CmpOp {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            CmpOp::Eq => 0,
-            CmpOp::Ne => 1,
-            CmpOp::Lt => 2,
-            CmpOp::Le => 3,
-            CmpOp::Gt => 4,
-            CmpOp::Ge => 5,
-        };
-        buf.put_u8(tag);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => CmpOp::Eq,
-            1 => CmpOp::Ne,
-            2 => CmpOp::Lt,
-            3 => CmpOp::Le,
-            4 => CmpOp::Gt,
-            5 => CmpOp::Ge,
-            other => return Err(WireError::new(format!("invalid cmp tag {other}"))),
-        })
-    }
 }
 
 impl Wire for Expr {
@@ -470,26 +437,6 @@ fn decode_expr(buf: &mut &[u8], depth: u32) -> Result<Expr, WireError> {
         7 => Expr::Not(Box::new(decode_expr(buf, depth + 1)?)),
         other => return Err(WireError::new(format!("invalid expr tag {other}"))),
     })
-}
-
-impl Wire for RelKind {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        let tag: u8 = match self {
-            RelKind::Document => 0,
-            RelKind::Anchor => 1,
-            RelKind::Relinfon => 2,
-        };
-        buf.put_u8(tag);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(match u8::decode(buf)? {
-            0 => RelKind::Document,
-            1 => RelKind::Anchor,
-            2 => RelKind::Relinfon,
-            other => return Err(WireError::new(format!("invalid relation tag {other}"))),
-        })
-    }
 }
 
 impl Wire for VarDecl {
@@ -593,6 +540,11 @@ impl Wire for ResultRow {
 /// decoded, closure check included, is stored. At most [`MEMO_ENTRIES`]
 /// entries, [`MEMO_KEY_BYTES`] key bytes in all (cleared whole when full),
 /// none over [`MEMO_KEY_MAX`]; a value is linear in its key.
+///
+/// Encoding shares the memo and its bound: `encoded` holds the last
+/// [`MEMO_RECENT`] stage lists this thread encoded, each beside its
+/// bytes and found by `Arc` identity. The memo holds the `Arc`, so no
+/// other list can take its address while its bytes are kept.
 #[derive(Default)]
 struct Memo {
     urls: HashMap<Box<[u8]>, Url>,
@@ -600,12 +552,12 @@ struct Memo {
     pres: Recent<Pre>,
     clone_pres: Recent<Pre>,
     stages: Recent<Arc<[Stage]>>,
+    encoded: Recent<Arc<[Stage]>>,
     entries: usize,
     key_bytes: usize,
 }
 
-/// Values found by prefix, each under the bytes it decoded from: the last
-/// [`MEMO_RECENT`], newest last.
+/// Values each beside its encoding: the last [`MEMO_RECENT`], newest last.
 type Recent<T> = Vec<(Box<[u8]>, T)>;
 
 const MEMO_ENTRIES: usize = 1024;
@@ -629,6 +581,20 @@ impl Memo {
         self.entries += 1;
         self.key_bytes += n;
         true
+    }
+
+    /// Stores `value` beside its encoding `key` as the newest of `list`,
+    /// dropping the oldest when the list is full.
+    fn keep<T>(&mut self, list: fn(&mut Memo) -> &mut Recent<T>, key: &[u8], value: T) {
+        if !self.room(key.len()) {
+            return;
+        }
+        if list(self).len() == MEMO_RECENT {
+            let (old, _) = list(self).remove(0);
+            self.entries -= 1;
+            self.key_bytes -= old.len();
+        }
+        list(self).push((key.into(), value));
     }
 }
 
@@ -668,16 +634,7 @@ fn by_prefix<T: Clone>(
     }
     let value = miss(buf)?;
     let key = &frame[..frame.len() - buf.len()];
-    MEMO.with_borrow_mut(|m| {
-        if m.room(key.len()) {
-            if list(m).len() == MEMO_RECENT {
-                let (old, _) = list(m).remove(0);
-                m.entries -= 1;
-                m.key_bytes -= old.len();
-            }
-            list(m).push((key.into(), value.clone()));
-        }
-    });
+    MEMO.with_borrow_mut(|m| m.keep(list, key, value.clone()));
     Ok(value)
 }
 
@@ -918,18 +875,32 @@ mod tests {
     }
 
     /// The bound DESIGN.md states, held against a peer that never repeats
-    /// a URL, a host or a clone state.
+    /// a URL, a host or a clone state, on a thread that also encodes a
+    /// new stage list for every message.
     #[test]
     fn the_memo_holds_its_bound_against_distinct_values() {
         use crate::messages::{CloneState, Disposition, Message, NodeReport, QueryId};
         use crate::messages::{ResultReport, StageRows};
         let held = |m: &Memo| {
             let lists = m.pres.iter().chain(&m.clone_pres).map(|(k, _)| k.len());
-            let stages = m.stages.iter().map(|(k, _)| k.len());
+            let stages = m.stages.iter().chain(&m.encoded).map(|(k, _)| k.len());
             let tables = m.urls.keys().chain(m.strs.keys()).map(|k| k.len());
             tables.chain(lists).chain(stages).sum::<usize>()
         };
+        let stage = webdis_disql::parse_disql(
+            r#"select d.url from document d such that "http://a.test/" L d"#,
+        )
+        .unwrap()
+        .stages[0]
+            .clone();
         for i in 0..10_000u32 {
+            let mut list = vec![stage.clone(); 1 + i as usize % 4];
+            list[0].doc_var = format!("d{i}");
+            let list: Arc<[Stage]> = list.into();
+            let (mut once, mut twice) = (Vec::new(), Vec::new());
+            list.encode(&mut once);
+            list.encode(&mut twice);
+            assert_eq!(once, twice);
             let host: Arc<str> = format!("h{i}.test").into();
             let node = Url::parse(&format!("http://{host}/{}", "p".repeat(i as usize % 64)));
             let msg = Message::Report(ResultReport {
@@ -958,7 +929,9 @@ mod tests {
             assert_eq!(decode_message(&encode_message(&msg)), Ok(msg));
             MEMO.with_borrow(|m| {
                 let lists = m.pres.len() + m.clone_pres.len() + m.stages.len();
+                let lists = lists + m.encoded.len();
                 assert_eq!(m.entries, m.urls.len() + m.strs.len() + lists);
+                assert!(m.encoded.len() <= MEMO_RECENT);
                 assert_eq!(m.key_bytes, held(m));
                 assert!(m.entries <= MEMO_ENTRIES, "{} entries", m.entries);
                 assert!(m.key_bytes <= MEMO_KEY_BYTES, "{} key bytes", m.key_bytes);

@@ -201,6 +201,61 @@ fn fresh<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     std::thread::scope(|s| s.spawn(f).join().unwrap())
 }
 
+/// A clone carrying `stages`, everything else fixed.
+fn clone_of(stages: Arc<[Stage]>) -> Message {
+    Message::Query(QueryClone {
+        id: QueryId {
+            user: "u".into(),
+            host: "user.test".into(),
+            port: 9,
+            query_num: 1,
+        },
+        dest_nodes: vec![Url::from_parts("a.test", 80, "/")],
+        rem_pre: Pre::Empty,
+        stages,
+        stage_offset: 0,
+        hops: 0,
+        ack_host: "user.test".into(),
+        ack_port: 9,
+    })
+}
+
+/// URLs as `prop_url` draws them: a base with or without a port, a
+/// path of segments, resolved against an href made of parts that end or
+/// spoil a URL part.
+fn resolved_url_strategy() -> impl Strategy<Value = Url> {
+    const PARTS: &[&str] = &[
+        "http://",
+        "HTTP://",
+        "//",
+        "/",
+        "/./",
+        "/../",
+        ".",
+        "..",
+        "#",
+        "#frag",
+        ":80",
+        ":8080",
+        "site0.test",
+        "Site1.TEST",
+        "a",
+        "b.html",
+        "-",
+        "%20",
+        "~",
+    ];
+    let base = (
+        "[a-z][a-z0-9]{0,8}(\\.[a-z]{2,4}){1,2}",
+        prop_oneof![Just(80u16), 1u16..9999],
+        "(/[a-zA-Z0-9_~.-]{1,8}){0,3}/?",
+    )
+        .prop_map(|(host, port, path)| Url::from_parts(&host, port, &path));
+    let href = prop::collection::vec(0..PARTS.len(), 0..8)
+        .prop_map(|picks| picks.into_iter().map(|i| PARTS[i]).collect::<String>());
+    (base, href).prop_map(|(base, href)| base.resolve(&href).unwrap_or(base))
+}
+
 /// How a frame is damaged before it is read: not at all (kinds 0–2), one
 /// byte flipped as chaos's `Corrupt` fault flips it (3), cut short (4),
 /// or followed by garbage (5).
@@ -234,6 +289,26 @@ proptest! {
             damage(&mut frame, kind, at, &garbage);
             let memoized = decode_message(&frame);
             prop_assert_eq!(memoized, fresh(|| decode_message(&frame)));
+        }
+    }
+
+    /// The encode memo changes no byte: one long-lived encoder sends
+    /// clones whose stage lists are built, shared, dropped and rebuilt
+    /// with other stages, and writes every frame exactly as a fresh
+    /// thread does.
+    #[test]
+    fn a_long_lived_encoder_writes_what_a_fresh_one_does(
+        pool in prop::collection::vec(prop::collection::vec(stage_strategy(), 0..3), 1..4),
+        stream in prop::collection::vec((0usize..4, 0usize..4, any::<bool>()), 1..24),
+    ) {
+        let mut live: Vec<Arc<[Stage]>> = pool.iter().map(|l| l.clone().into()).collect();
+        for (slot, from, rebuild) in stream {
+            let slot = slot % live.len();
+            if rebuild {
+                live[slot] = pool[from % pool.len()].clone().into();
+            }
+            let msg = clone_of(live[slot].clone());
+            prop_assert_eq!(encode_message(&msg), fresh(|| encode_message(&msg)));
         }
     }
 
@@ -305,11 +380,10 @@ proptest! {
         }
     }
 
-    /// A URL is written straight into the frame, and the frame holds
-    /// exactly what its rendered string would have encoded to.
+    /// A URL's parts are written straight into the frame, and the frame
+    /// holds exactly what its rendered string would have encoded to.
     #[test]
-    fn url_encodes_as_its_display_string(url in url_strategy(), frag in "[a-z]{0,5}") {
-        let url = url.resolve(&format!("#{frag}")).unwrap();
+    fn url_encodes_as_its_display_string(url in resolved_url_strategy()) {
         let (mut direct, mut rendered) = (vec![0xAA], vec![0xAA]);
         url.encode(&mut direct);
         url.to_string().encode(&mut rendered);

@@ -38,9 +38,12 @@ use std::sync::OnceLock;
 use crate::query::RelKind;
 use crate::value::Value;
 
-/// The columns that get a hash (equality) index.
-const HASH_COLUMNS: [(RelKind, &str); 5] = [
-    (RelKind::Document, "url"),
+/// The columns that get a hash (equality) index. DOCUMENT has exactly
+/// one tuple, so none of its columns is indexed: a probe could only pick
+/// that tuple or none, at the price of building an index to say so, and
+/// the planner leaves its conjuncts as residual filters over a one-tuple
+/// scan.
+const HASH_COLUMNS: [(RelKind, &str); 4] = [
     (RelKind::Anchor, "href"),
     (RelKind::Anchor, "ltype"),
     (RelKind::Relinfon, "delimiter"),
@@ -48,12 +51,8 @@ const HASH_COLUMNS: [(RelKind, &str); 5] = [
 ];
 
 /// The columns that get an inverted text (`contains`) index.
-const TEXT_COLUMNS: [(RelKind, &str); 4] = [
-    (RelKind::Document, "title"),
-    (RelKind::Document, "text"),
-    (RelKind::Anchor, "label"),
-    (RelKind::Relinfon, "text"),
-];
+const TEXT_COLUMNS: [(RelKind, &str); 2] =
+    [(RelKind::Anchor, "label"), (RelKind::Relinfon, "text")];
 
 fn slot_of(columns: &[(RelKind, &str)], kind: RelKind, attr: &str) -> Option<usize> {
     columns

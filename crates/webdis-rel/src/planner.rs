@@ -12,7 +12,9 @@
 //! 2. it is `attr = "literal"` with a non-numeric literal (hash index) or
 //!    `attr contains "literal"` with a single-alphanumeric-run literal
 //!    (text index);
-//! 3. that column is configured for that index in [`crate::index`].
+//! 3. that column is configured for that index in [`crate::index`] —
+//!    which no DOCUMENT column is: that relation has one tuple, so its
+//!    conjuncts filter a one-tuple scan.
 //!
 //! A database builds a column's index the first time a plan probes it
 //! ([`NodeDb::hash_index`], [`NodeDb::text_index`]); which probes a plan
@@ -486,15 +488,26 @@ mod tests {
             vec![(RelKind::Anchor, "ltype"), (RelKind::Anchor, "label")]
         );
 
-        // A clone carries the indexes built so far; the original's later
-        // builds are its own.
-        let copy = db.clone();
-        assert_eq!(copy.built_indexes(), db.built_indexes());
+        // A DOCUMENT conjunct is no probe: it filters the one tuple and
+        // builds nothing.
         let title = da_query(Expr::Contains(
             Box::new(attr("d", "title")),
             Box::new(Expr::StrLit("labs".into())),
         ));
+        assert!(Plan::new(&title).probes.iter().all(Vec::is_empty));
         assert_eq!(eval_node_query(&db, &title).unwrap().len(), 3);
+        assert_eq!(db.built_indexes().len(), 2);
+
+        // A clone carries the indexes built so far; the original's later
+        // builds are its own.
+        let copy = db.clone();
+        assert_eq!(copy.built_indexes(), db.built_indexes());
+        let href = da_query(Expr::Cmp(
+            CmpOp::Eq,
+            Box::new(attr("a", "href")),
+            Box::new(Expr::StrLit("http://dsl.serc.iisc.ernet.in/".into())),
+        ));
+        assert_eq!(eval_node_query(&db, &href).unwrap().len(), 1);
         assert_eq!(db.built_indexes().len(), 3);
         assert_eq!(copy.built_indexes().len(), 2);
     }

@@ -75,7 +75,7 @@ impl Eager {
 }
 
 /// One first use of a part of a database: a column, or the index of one
-/// of the nine indexed columns (which forms its column on the way).
+/// of the six indexed columns (which forms its column on the way).
 #[derive(Debug, Clone, Copy)]
 pub enum Touch {
     Column(RelKind, usize),
@@ -83,7 +83,7 @@ pub enum Touch {
     Text(RelKind, &'static str),
 }
 
-pub const TOUCHES: [Touch; 21] = [
+pub const TOUCHES: [Touch; 18] = [
     Touch::Column(RelKind::Document, 0),
     Touch::Column(RelKind::Document, 1),
     Touch::Column(RelKind::Document, 2),
@@ -96,13 +96,10 @@ pub const TOUCHES: [Touch; 21] = [
     Touch::Column(RelKind::Relinfon, 1),
     Touch::Column(RelKind::Relinfon, 2),
     Touch::Column(RelKind::Relinfon, 3),
-    Touch::Hash(RelKind::Document, "url"),
     Touch::Hash(RelKind::Anchor, "href"),
     Touch::Hash(RelKind::Anchor, "ltype"),
     Touch::Hash(RelKind::Relinfon, "delimiter"),
     Touch::Hash(RelKind::Relinfon, "url"),
-    Touch::Text(RelKind::Document, "title"),
-    Touch::Text(RelKind::Document, "text"),
     Touch::Text(RelKind::Anchor, "label"),
     Touch::Text(RelKind::Relinfon, "text"),
 ];

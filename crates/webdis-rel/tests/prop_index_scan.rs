@@ -198,6 +198,13 @@ fn placement() -> impl Strategy<Value = u8> {
     prop_oneof![Just(0u8), Just(1), Just(2)]
 }
 
+/// No DOCUMENT column is among `db`'s built indexes.
+fn no_document_index(db: &NodeDb) -> bool {
+    db.built_indexes()
+        .iter()
+        .all(|(kind, _)| *kind != RelKind::Document)
+}
+
 fn query_with(cond: Expr, place: u8) -> NodeQuery {
     let mut q = NodeQuery {
         vars: vec![
@@ -250,6 +257,11 @@ proptest! {
         prop_assert_eq!(&probe_rows, &scan_rows, "planner must match the scan");
         prop_assert!(!scan_stats.used_index);
         prop_assert!(
+            no_document_index(&db),
+            "DOCUMENT's one tuple is scanned, never indexed: {:?}",
+            db.built_indexes()
+        );
+        prop_assert!(
             probe_stats.tuples_visited <= scan_stats.tuples_visited,
             "index may never enumerate more tuples ({} > {})",
             probe_stats.tuples_visited,
@@ -295,7 +307,9 @@ proptest! {
                     .expect("planner evaluates on a clone");
                 prop_assert_eq!(&cloned, &fresh, "a clone must answer identically");
             }
-            // Indexes are only ever added, and only by probing plans.
+            // Indexes are only ever added, only by probing plans, and
+            // never over DOCUMENT.
+            prop_assert!(no_document_index(&shared), "{:?}", shared.built_indexes());
             let now = shared.built_indexes().len();
             prop_assert!(now >= built);
             prop_assert!(now == built || warm.1.used_index);
@@ -382,12 +396,16 @@ fn threads_sharing_one_database_get_identical_rows() {
         assert!(alone.iter().all(|(rows, _)| !rows.is_empty()));
         assert_eq!(one, alone, "round {round}");
         assert_eq!(two, alone, "round {round}");
-        assert_eq!(shared.built_indexes().len(), 4, "text, label, title, href");
+        assert_eq!(
+            shared.built_indexes(),
+            [(RelKind::Anchor, "href"), (RelKind::Anchor, "label")],
+            "the DOCUMENT text and title conjuncts filter its one tuple"
+        );
     }
 }
 
 /// Two threads released together onto one untouched `Arc<NodeDb>`, each
-/// first-touching the twelve columns and nine indexes in an order of its
+/// first-touching the twelve columns and six indexes in an order of its
 /// own: whichever thread forms a column, both read the eager values.
 #[test]
 fn threads_touching_in_different_orders_form_the_eager_columns() {
@@ -423,6 +441,6 @@ fn threads_touching_in_different_orders_form_the_eager_columns() {
             }
         });
         assert_eq!(shared.built_columns(), eager::all_columns());
-        assert_eq!(shared.built_indexes().len(), 9);
+        assert_eq!(shared.built_indexes().len(), 6);
     }
 }

@@ -15,8 +15,9 @@
 //! its body text left as byte ranges of the shared page until a query
 //! reads it, columns formed one at a time, links without labels and the
 //! plan compiled once per query (as the engine compiles each stage once)
-//! take 27.3 and 1.1×. The budget sits 10 % above that, so putting a copy
-//! back fails here before it shows on a benchmark.
+//! take 27.3 and 1.1×; with no index over DOCUMENT's one tuple, 25.2.
+//! The budget sits 10 % above that, so putting a copy back fails here
+//! before it shows on a benchmark.
 //!
 //! One test, alone in its binary: the counters are process-wide.
 
@@ -73,8 +74,8 @@ fn a_crawl_visit_stays_inside_its_allocation_budget() {
     assert_eq!(visits, 96);
     assert!(rows > 0 && rows < visits, "the needle is in some titles");
     assert!(
-        allocations <= 30 * visits,
-        "{:.1} allocations per visit, budget 30",
+        allocations <= 28 * visits,
+        "{:.1} allocations per visit, budget 28",
         allocations as f64 / visits as f64
     );
     assert!(

@@ -440,7 +440,7 @@ fn purge_run(web: &Arc<HostedWeb>, purge_us: Option<u64>, plans: &[UserPlan]) ->
         net.register(addr.clone(), Box::new(user));
         net.start(&addr);
     }
-    deployment.drive_sim(&mut net, u64::MAX, u64::MAX, &mut |_, _| {});
+    deployment.drive_sim(&mut net, u64::MAX, u64::MAX);
     let (mut evaluations, mut log_len) = (0, 0);
     for site in web.sites() {
         let server = server_of(&mut net, &site).expect("every site runs a server");
