@@ -26,14 +26,24 @@
 # share of the daemons (`reactors.push(spawn(`), or implements
 # `Runtime` more than once: a reactor hosts any number of sites, the
 # user site's drive being the one-site case.
-# One purge: a daemon drops what is older than one period as each message
-# arrives, on both runtimes, and raises its own log gauge. So it also
-# fails when a non-test line under crates/*/src
+# One purge: as each message arrives, a daemon forgets every query no
+# clone of which has arrived for one period, its log rows with it, on
+# both runtimes, and raises its own log gauge. So it also fails when a
+# non-test line under crates/*/src
 #   * calls `purge_log(` outside `ServerEngine::on_message` (a sweep or a
 #     harness purging beside the daemon);
 #   * names `gauge_max("log_len_high_water"` outside webdis-core's
 #     server.rs (a runtime raising the daemon's gauge for it);
-# or when a non-test line of server.rs calls `.post(` (a daemon timer).
+# or when a non-test line of server.rs calls `.post(` (a daemon timer);
+# or when forgetting goes by the age of anything but a whole query:
+#   * a struct or enum of webdis-core's logtable.rs (a log row, a query's
+#     log, the table) has a field that could hold a time — a `u64`,
+#     `Instant`, `SystemTime` or `Duration`, or a name in `_us`, `_ms`,
+#     `_ns`, `_at`, `time` or `stamp`;
+#   * logtable.rs calls `retain(` or defines a `fn purge` (a log forgets
+#     nothing itself; it goes whole with its query);
+#   * a non-test line of webdis-core compares `last_seen_us` or retains
+#     over `queries` outside `ServerEngine::purge_log`.
 # Non-test lines are those before a file's first `#[cfg(test)]`, as in
 # ci/loc.sh.
 set -eu
@@ -97,6 +107,27 @@ if [ -n "$gauges" ]; then
     fail=1
 fi
 
+logtable=crates/webdis-core/src/logtable.rs
+stamps=$(nontest "$logtable" | awk '
+    /^[^:]*:[0-9]+: }/ { body = 0 }
+    /^[^:]*:[0-9]+: *(pub(\([a-z]+\))? +)?(struct|enum) / { body = ($0 ~ /[{] *$/) ? 1 : 2 }
+    body && !/^[^:]*:[0-9]+: *\/\// &&
+        (/[^A-Za-z0-9_](u64|u128|i64|Instant|SystemTime|Duration)([^A-Za-z0-9_]|$)/ ||
+         /[a-z0-9_]*(_us|_ms|_ns|_at|time|stamp)[a-z0-9_]* *:/)
+    body == 2 { body = 0 }' || true)
+ages=$(nontest "$logtable" | grep -E 'retain\(|fn purge' || true)
+idle=$(product | grep '^crates/webdis-core/' | awk '
+    { split($0, at, ":") }
+    at[1] != file { file = at[1]; within = "" }
+    /fn [A-Za-z0-9_]+[<(]/ { match($0, /fn [A-Za-z0-9_]+/); within = substr($0, RSTART + 3, RLENGTH - 3) }
+    (/last_seen_us *[<>]|[<>]=? *[A-Za-z0-9_.]*last_seen_us/ || /queries\.retain\(/) &&
+        !(file == "'"$server"'" && within == "purge_log")' || true)
+if [ -n "$stamps$ages$idle" ]; then
+    echo "a log row with a time, or forgetting by age outside ServerEngine::purge_log:" >&2
+    for hit in "$stamps" "$ages" "$idle"; do [ -z "$hit" ] || echo "$hit" >&2; done
+    fail=1
+fi
+
 timers=$(nontest "$server" | grep -F '.post(' || true)
 if [ -n "$timers" ]; then
     echo "a daemon timer (server.rs posts nothing; it purges as messages arrive):" >&2
@@ -112,4 +143,4 @@ if [ -n "$hits" ]; then
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one loop: Due restarts and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its reactors, no adapter beside Actor::handle, and one purge, in on_message"
+echo "one loop: Due restarts and host entries only in run_to_host and Deployment::drive, tcprun.rs spawns only its reactors, no adapter beside Actor::handle, and one purge, in on_message, of idle queries only"

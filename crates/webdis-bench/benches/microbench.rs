@@ -226,14 +226,8 @@ fn bench_rel(c: &mut Criterion) {
 }
 
 fn bench_logtable(c: &mut Criterion) {
-    use webdis_core::{LogMode, LogTable};
+    use webdis_core::{LogMode, QueryLog};
     let mut group = c.benchmark_group("logtable");
-    let id = QueryId {
-        user: "b".into(),
-        host: "h".into(),
-        port: 1,
-        query_num: 1,
-    };
     let states: Vec<CloneState> = (1..=6)
         .map(|k| CloneState {
             num_q: 1,
@@ -242,13 +236,12 @@ fn bench_logtable(c: &mut Criterion) {
         .collect();
     group.bench_function("check_miss_and_hit", |b| {
         b.iter(|| {
-            let mut table = LogTable::new();
+            let mut log = QueryLog::default();
             let node = Url::parse("http://n.test/").unwrap();
-            for s in &states {
-                black_box(table.check(LogMode::Paper, &id, &node, s, true, 0));
-            }
-            for s in &states {
-                black_box(table.check(LogMode::Paper, &id, &node, s, true, 1));
+            for _ in 0..2 {
+                for s in &states {
+                    black_box(log.check(LogMode::Paper, &node, s, true));
+                }
             }
         });
     });

@@ -64,9 +64,9 @@ fn t17_point(cache: Option<CachePolicy>, smoke: bool) -> T17Point {
         ..WorkloadSpec::default()
     };
     let (collector, tracer) = TraceHandle::collecting(65_536);
-    // No periodic log purge: purging mid-query re-admits clones of
-    // still-running queries, which re-report rows on a schedule that
-    // depends on timing — and the twins deliberately differ in timing.
+    // No periodic log purge: forgetting a query between two of its
+    // clones re-admits the later one, which re-reports rows on a schedule
+    // that depends on timing — and the twins deliberately differ in timing.
     // With the log intact, every node-query reports exactly once in
     // both runs, so ordered row-for-row comparison is meaningful.
     //

@@ -19,8 +19,8 @@ struct PurgeRun {
     results: std::collections::BTreeSet<(u32, String, Vec<String>)>,
 }
 
-/// Runs the query with the servers purging what is older than `period_us`
-/// of virtual time (0 = never).
+/// Runs the query with the servers forgetting each query once no clone
+/// of it has arrived for `period_us` of virtual time (0 = never).
 fn run_with_purge(period_us: u64) -> PurgeRun {
     let web = Arc::new(generate(&WebGenConfig {
         sites: 10,

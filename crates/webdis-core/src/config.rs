@@ -74,9 +74,10 @@ pub struct EngineConfig {
     /// many sites. Only reachable in practice when `log_mode` is `Off`
     /// on a cyclic web.
     pub max_hops: u32,
-    /// Log-table entries older than this (virtual µs) may be purged when
-    /// [`LogTable::purge`](crate::LogTable::purge) is called. `None`
-    /// disables purging.
+    /// A daemon forgets a query — its log rows, admission slot and
+    /// flags — once no clone of it has arrived for this long (µs on the
+    /// run's clock), checked as each message arrives
+    /// ([`QueryLog`](crate::QueryLog)). `None` disables purging.
     pub log_purge_us: Option<u64>,
     /// Section 7.1 hybrid mode: when a clone's destination site runs no
     /// query server, the forwarding server *hands the nodes back* to the

@@ -83,7 +83,7 @@ pub use client::{ClientProcess, PlannedQuery, ScheduledClient, UserPlan};
 pub use config::{CompletionMode, EngineConfig, LogMode};
 pub use datashipping::run_datashipping_sim;
 pub use deploy::Deployment;
-pub use logtable::{LogOutcome, LogTable};
+pub use logtable::{LogOutcome, LogTable, QueryLog};
 pub use network::{query_server_addr, Network, NetworkError};
 pub use record::{result_set, HybridStats, QueryOutcome, QueryRecord, WorkloadOutcome};
 pub use report::{render_html, render_text, ResultsView};

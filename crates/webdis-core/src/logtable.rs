@@ -1,8 +1,8 @@
 //! The node-query log table (Section 3.1.1).
 //!
-//! Each query server remembers, per `(query id, node URL)`, the states in
-//! which clones have already been processed there. A new arrival is
-//! compared against the logged states:
+//! Each query server remembers, per query and node URL, the states in
+//! which clones have already been processed there (a [`QueryLog`] per
+//! query). A new arrival is compared against the logged states:
 //!
 //! * identical state, or `A*m·B` with a logged `A*n·B` and `m ≤ n` —
 //!   every path the arrival could take was already covered: **drop**;
@@ -16,6 +16,9 @@
 //! is contained in a logged one (a search over derivative pairs) even
 //! when the syntactic rule cannot relate them — an extension measured by
 //! the ablation benches.
+//!
+//! A row holds no time: the "periodic purge" forgets a query's whole log
+//! once the query has been idle for a period (`ServerEngine::purge_log`).
 
 use std::collections::HashMap;
 
@@ -58,47 +61,36 @@ pub enum LogOutcome {
 #[derive(Debug, Clone)]
 struct LogRow {
     state: CloneState,
-    logged_at_us: u64,
     /// True when the state was announced to the user site's CHT (a
     /// forwarded arrival); false for same-node stage continuations, which
     /// only the server knows about.
     announced: bool,
 }
 
-/// The per-server log table.
+/// One query's log at one site: per node, the states processed there. It
+/// holds no time; a daemon forgets it whole, with the rest of what it
+/// knows about the query, once no clone of the query has arrived for a
+/// purge period.
 #[derive(Debug, Default)]
-pub struct LogTable {
-    rows: HashMap<(QueryId, Url), Vec<LogRow>>,
+pub struct QueryLog {
+    rows: HashMap<Url, Vec<LogRow>>,
 }
 
-impl LogTable {
-    /// An empty table.
-    pub fn new() -> LogTable {
-        LogTable::default()
-    }
-
-    /// Number of logged records (across all queries and nodes).
-    pub fn len(&self) -> usize {
+impl QueryLog {
+    /// Number of logged records (across all nodes).
+    pub(crate) fn len(&self) -> usize {
         self.rows.values().map(Vec::len).sum()
     }
 
-    /// True when nothing is logged.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Checks an arrival against the log and records it. `now_us` stamps
-    /// the record for later purging; `announced` says whether the state
-    /// is visible to the user site's CHT (false for same-node stage
-    /// continuations).
+    /// Checks an arrival at `node` against the log and records it.
+    /// `announced` says whether the state is visible to the user site's
+    /// CHT (false for same-node stage continuations).
     pub fn check(
         &mut self,
         mode: LogMode,
-        id: &QueryId,
         node: &Url,
         state: &CloneState,
         announced: bool,
-        now_us: u64,
     ) -> LogOutcome {
         if mode == LogMode::Off {
             return LogOutcome::Process {
@@ -106,7 +98,7 @@ impl LogTable {
                 rewritten: false,
             };
         }
-        let rows = self.rows.entry((id.clone(), node.clone())).or_default();
+        let rows = self.rows.entry(node.clone()).or_default();
         for row in rows.iter_mut() {
             if row.state.num_q != state.num_q {
                 continue;
@@ -129,7 +121,6 @@ impl LogTable {
                     // (Section 3.1.1, step 1 of the m > n case). The
                     // replacement's visibility is the new state's.
                     row.state = state.clone();
-                    row.logged_at_us = now_us;
                     row.announced = announced;
                     return LogOutcome::Process {
                         pre: rewritten,
@@ -148,7 +139,6 @@ impl LogTable {
         }
         rows.push(LogRow {
             state: state.clone(),
-            logged_at_us: now_us,
             announced,
         });
         LogOutcome::Process {
@@ -156,24 +146,32 @@ impl LogTable {
             rewritten: false,
         }
     }
+}
 
-    /// Purges records logged before `before_us` (Section 3.1.1: "old
-    /// entries in the table are periodically purged"). Over-eager purging
-    /// costs recomputation, never correctness.
-    pub fn purge(&mut self, before_us: u64) -> usize {
-        let mut removed = 0;
-        self.rows.retain(|_, rows| {
-            let before = rows.len();
-            rows.retain(|r| r.logged_at_us >= before_us);
-            removed += before - rows.len();
-            !rows.is_empty()
-        });
-        removed
+/// Per-query logs under one map, kept under this name and signature
+/// because the wall-clock benchmark (`hwbench/`) calls it; a daemon keeps
+/// each [`QueryLog`] with the rest of its per-query state.
+#[derive(Debug, Default)]
+pub struct LogTable(HashMap<QueryId, QueryLog>);
+
+impl LogTable {
+    /// An empty table.
+    pub fn new() -> LogTable {
+        LogTable::default()
     }
 
-    /// Drops every record of one query (used after passive termination).
-    pub fn purge_query(&mut self, id: &QueryId) {
-        self.rows.retain(|(qid, _), _| qid != id);
+    /// [`QueryLog::check`] in query `id`'s log; the time is not read.
+    pub fn check(
+        &mut self,
+        mode: LogMode,
+        id: &QueryId,
+        node: &Url,
+        state: &CloneState,
+        announced: bool,
+        _now_us: u64,
+    ) -> LogOutcome {
+        let log = self.0.entry(id.clone()).or_default();
+        log.check(mode, node, state, announced)
     }
 }
 
@@ -203,15 +201,8 @@ mod tests {
 
     #[test]
     fn first_arrival_processes_and_logs() {
-        let mut t = LogTable::new();
-        let out = t.check(
-            LogMode::Paper,
-            &qid(),
-            &url("http://n/"),
-            &state(2, "L*2·G"),
-            true,
-            0,
-        );
+        let mut t = QueryLog::default();
+        let out = t.check(LogMode::Paper, &url("http://n/"), &state(2, "L*2·G"), true);
         assert!(matches!(
             out,
             LogOutcome::Process {
@@ -224,10 +215,10 @@ mod tests {
 
     #[test]
     fn identical_arrival_dropped() {
-        let mut t = LogTable::new();
+        let mut t = QueryLog::default();
         let n = url("http://n/");
-        t.check(LogMode::Paper, &qid(), &n, &state(2, "L*2·G"), true, 0);
-        let out = t.check(LogMode::Paper, &qid(), &n, &state(2, "L*2·G"), true, 1);
+        t.check(LogMode::Paper, &n, &state(2, "L*2·G"), true);
+        let out = t.check(LogMode::Paper, &n, &state(2, "L*2·G"), true);
         assert_eq!(
             out,
             LogOutcome::Drop {
@@ -240,11 +231,11 @@ mod tests {
 
     #[test]
     fn subsumed_arrival_dropped() {
-        let mut t = LogTable::new();
+        let mut t = QueryLog::default();
         let n = url("http://n/");
-        t.check(LogMode::Paper, &qid(), &n, &state(2, "L*2·G"), true, 0);
+        t.check(LogMode::Paper, &n, &state(2, "L*2·G"), true);
         assert_eq!(
-            t.check(LogMode::Paper, &qid(), &n, &state(2, "L*1·G"), true, 1),
+            t.check(LogMode::Paper, &n, &state(2, "L*1·G"), true),
             LogOutcome::Drop {
                 hidden: false,
                 exact: false
@@ -254,10 +245,10 @@ mod tests {
 
     #[test]
     fn superset_arrival_rewrites_and_replaces() {
-        let mut t = LogTable::new();
+        let mut t = QueryLog::default();
         let n = url("http://n/");
-        t.check(LogMode::Paper, &qid(), &n, &state(2, "L*2·G"), true, 0);
-        let out = t.check(LogMode::Paper, &qid(), &n, &state(2, "L*4·G"), true, 1);
+        t.check(LogMode::Paper, &n, &state(2, "L*2·G"), true);
+        let out = t.check(LogMode::Paper, &n, &state(2, "L*4·G"), true);
         match out {
             LogOutcome::Process {
                 pre,
@@ -269,7 +260,7 @@ mod tests {
         }
         // The log now holds the wider state: L*3·G is dropped.
         assert_eq!(
-            t.check(LogMode::Paper, &qid(), &n, &state(2, "L*3·G"), true, 2),
+            t.check(LogMode::Paper, &n, &state(2, "L*3·G"), true),
             LogOutcome::Drop {
                 hidden: false,
                 exact: false
@@ -280,10 +271,10 @@ mod tests {
 
     #[test]
     fn different_num_q_is_independent() {
-        let mut t = LogTable::new();
+        let mut t = QueryLog::default();
         let n = url("http://n/");
-        t.check(LogMode::Paper, &qid(), &n, &state(2, "N"), true, 0);
-        let out = t.check(LogMode::Paper, &qid(), &n, &state(1, "N"), true, 1);
+        t.check(LogMode::Paper, &n, &state(2, "N"), true);
+        let out = t.check(LogMode::Paper, &n, &state(1, "N"), true);
         assert!(matches!(out, LogOutcome::Process { .. }));
         assert_eq!(t.len(), 2);
     }
@@ -291,110 +282,50 @@ mod tests {
     #[test]
     fn different_node_or_query_is_independent() {
         let mut t = LogTable::new();
-        t.check(
-            LogMode::Paper,
-            &qid(),
-            &url("http://a/"),
-            &state(1, "N"),
-            true,
-            0,
-        );
-        let out = t.check(
-            LogMode::Paper,
-            &qid(),
-            &url("http://b/"),
-            &state(1, "N"),
-            true,
-            0,
-        );
+        let (a, b) = (url("http://a/"), url("http://b/"));
+        t.check(LogMode::Paper, &qid(), &a, &state(1, "N"), true, 0);
+        let out = t.check(LogMode::Paper, &qid(), &b, &state(1, "N"), true, 0);
         assert!(matches!(out, LogOutcome::Process { .. }));
         let other = QueryId {
             query_num: 2,
             ..qid()
         };
-        let out = t.check(
-            LogMode::Paper,
-            &other,
-            &url("http://a/"),
-            &state(1, "N"),
-            true,
-            0,
-        );
+        let out = t.check(LogMode::Paper, &other, &a, &state(1, "N"), true, 0);
         assert!(matches!(out, LogOutcome::Process { .. }));
+        let out = t.check(LogMode::Paper, &qid(), &a, &state(1, "N"), true, 0);
+        assert!(matches!(out, LogOutcome::Drop { .. }));
     }
 
     #[test]
     fn off_mode_never_drops_or_logs() {
-        let mut t = LogTable::new();
+        let mut t = QueryLog::default();
         let n = url("http://n/");
         for _ in 0..3 {
-            let out = t.check(LogMode::Off, &qid(), &n, &state(1, "N"), true, 0);
+            let out = t.check(LogMode::Off, &n, &state(1, "N"), true);
             assert!(matches!(out, LogOutcome::Process { .. }));
         }
-        assert!(t.is_empty());
+        assert_eq!(t.len(), 0);
     }
 
     #[test]
     fn general_mode_drops_contained_languages() {
-        let mut t = LogTable::new();
+        let mut t = QueryLog::default();
         let n = url("http://n/");
         // L·L* logged; L·L·L* is contained but syntactically unrelated.
-        t.check(LogMode::General, &qid(), &n, &state(1, "L·L*"), true, 0);
+        t.check(LogMode::General, &n, &state(1, "L·L*"), true);
         assert_eq!(
-            t.check(LogMode::General, &qid(), &n, &state(1, "L·L·L*"), true, 1),
+            t.check(LogMode::General, &n, &state(1, "L·L·L*"), true),
             LogOutcome::Drop {
                 hidden: false,
                 exact: false
             }
         );
         // Paper mode cannot relate these shapes.
-        let mut t2 = LogTable::new();
-        t2.check(LogMode::Paper, &qid(), &n, &state(1, "L·L*"), true, 0);
+        let mut t2 = QueryLog::default();
+        t2.check(LogMode::Paper, &n, &state(1, "L·L*"), true);
         assert!(matches!(
-            t2.check(LogMode::Paper, &qid(), &n, &state(1, "L·L·L*"), true, 1),
+            t2.check(LogMode::Paper, &n, &state(1, "L·L·L*"), true),
             LogOutcome::Process { .. }
         ));
-    }
-
-    #[test]
-    fn purge_removes_old_entries_only() {
-        let mut t = LogTable::new();
-        let n = url("http://n/");
-        t.check(LogMode::Paper, &qid(), &n, &state(2, "N"), true, 10);
-        t.check(LogMode::Paper, &qid(), &n, &state(1, "N"), true, 100);
-        assert_eq!(t.purge(50), 1);
-        assert_eq!(t.len(), 1);
-        // The purged state would be recomputed (correctness unaffected).
-        assert!(matches!(
-            t.check(LogMode::Paper, &qid(), &n, &state(2, "N"), true, 200),
-            LogOutcome::Process { .. }
-        ));
-    }
-
-    #[test]
-    fn purge_query_clears_one_query() {
-        let mut t = LogTable::new();
-        let other = QueryId {
-            query_num: 2,
-            ..qid()
-        };
-        t.check(
-            LogMode::Paper,
-            &qid(),
-            &url("http://a/"),
-            &state(1, "N"),
-            true,
-            0,
-        );
-        t.check(
-            LogMode::Paper,
-            &other,
-            &url("http://a/"),
-            &state(1, "N"),
-            true,
-            0,
-        );
-        t.purge_query(&qid());
-        assert_eq!(t.len(), 1);
     }
 }

@@ -21,7 +21,7 @@
 //!    dispatch succeeded — the ordering that makes the CHT protocol and
 //!    passive termination sound (Sections 2.7.1, 2.8).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Arc;
 
 use webdis_cache::AnswerCache;
@@ -35,7 +35,7 @@ use webdis_trace::{TermReason, TraceEvent, TraceRecord};
 use webdis_web::{DocStatus, FetchOutcome, LiveWeb, WebView};
 
 use crate::config::{CompletionMode, EngineConfig};
-use crate::logtable::LogTable;
+use crate::logtable::QueryLog;
 use crate::network::{query_server_addr, Network, NetworkError, Work};
 use crate::visit::{
     admit, distinct_nodes, Arrival, Forward, ForwardGroups, TraverseCounters, VisitCtx,
@@ -114,14 +114,16 @@ server_stats! {
     cache_evictions,
 }
 
-/// Everything this site remembers about one query between messages. An
-/// entry exists only while one of its parts is in use, and
-/// [`ServerEngine::purge_log`] retires it once the query has been idle
-/// for a purge period.
+/// Everything this site remembers about one query between messages:
+/// its log rows, admission slot, terminated flag and ack chain. Each
+/// clone arrival stamps it, and [`ServerEngine::purge_log`] forgets it
+/// whole once the query has been idle for a purge period.
 #[derive(Debug, Default)]
 struct QueryState {
     /// Time of the query's last clone arrival here.
     last_seen_us: u64,
+    /// The query's log-table rows at this site (Section 3.1.1).
+    log: QueryLog,
     /// Holds an admission slot (only under admission control).
     admitted: bool,
     /// Known to be terminated (a result dispatch failed): clones still
@@ -183,9 +185,9 @@ pub struct ServerEngine {
     /// visit time.
     web: WebView,
     config: EngineConfig,
-    log: LogTable,
-    /// Per-query state: admission slots, terminated queries, ack chains.
-    queries: BTreeMap<QueryId, QueryState>,
+    /// Per-query state: log rows, admission slots, terminated queries,
+    /// ack chains.
+    queries: HashMap<QueryId, QueryState>,
     /// Footnote-3 cache of parsed node databases, indexed by document
     /// URL for O(1) hits and carrying the content version each build
     /// parsed. Empty when `config.doc_cache_size == 0`.
@@ -263,8 +265,7 @@ impl ServerEngine {
             web: web.into(),
             config,
             cache,
-            log: LogTable::new(),
-            queries: BTreeMap::new(),
+            queries: HashMap::new(),
             doc_cache: HashMap::new(),
             doc_cache_fifo: VecDeque::new(),
             report_seq: 0,
@@ -297,13 +298,12 @@ impl ServerEngine {
     }
 
     /// Crash-restart: the daemon comes back with its volatile state —
-    /// log table, per-query state (purge set, admission slots, ack
-    /// bookkeeping), document cache — wiped, exactly what a process
+    /// per-query state (log rows, terminated flags, admission slots, ack
+    /// bookkeeping) and document cache wiped, exactly what a process
     /// respawn loses. Counters survive (they model the harness's
     /// measurement plane, not daemon memory) and the report sequence
     /// stays monotone via the clock floor in `next_report_seq`.
     pub fn restart(&mut self) {
-        self.log = LogTable::new();
         self.queries.clear();
         self.doc_cache.clear();
         self.doc_cache_fifo.clear();
@@ -340,29 +340,33 @@ impl ServerEngine {
 
     /// Current number of log-table records (experiment T3 probe).
     pub fn log_len(&self) -> usize {
-        self.log.len()
+        self.queries.values().map(|q| q.log.len()).sum()
     }
 
-    /// Purges log records older than `before_us` (Section 3.1.1's
-    /// periodic purge, which [`ServerEngine::on_message`] runs), and with
-    /// them the per-query state of queries whose last clone arrived before
-    /// the cutoff: a query idle for a whole purge period holds no work here,
-    /// so keeping its admission slot would starve new arrivals forever
-    /// and keeping its record would leak one entry per query. Only a
-    /// live ack chain outlasts idleness — it still owes its parent an
-    /// ack or is owed some. A terminated query's chain died with its
-    /// user site; should a clone of it arrive after its record is gone,
-    /// it is processed afresh, fails its result dispatch and is purged
-    /// again: recomputation only, the log table's own bargain.
+    /// Section 3.1.1's periodic purge, which [`ServerEngine::on_message`]
+    /// runs: forgets every query whose last clone arrived before
+    /// `before_us` — log rows, slot and flags together — and returns the
+    /// rows dropped. A running query keeps every row, so its clones still
+    /// queued are recognised as duplicates. Only a live ack chain outlasts
+    /// idleness, rows included: it owes its parent an ack or is owed some.
+    /// A terminated query's chain died with its user site; a clone of it
+    /// arriving after its record is gone is processed afresh, fails its
+    /// result dispatch and is purged again: recomputation only, the log
+    /// table's own bargain.
     fn purge_log(&mut self, before_us: u64) -> usize {
+        let mut records = 0;
         self.queries.retain(|_, q| {
             if q.last_seen_us >= before_us {
                 return true;
             }
             q.admitted = false;
-            !q.purged && (q.engaged || q.deficit > 0)
+            let live = !q.purged && (q.engaged || q.deficit > 0);
+            if !live {
+                records += q.log.len();
+            }
+            live
         });
-        self.log.purge(before_us)
+        records
     }
 
     /// Queries currently holding an admission slot (0 when admission
@@ -413,8 +417,8 @@ impl ServerEngine {
     /// its one `log_len_high_water` gauge on both runtimes.
     pub fn on_message(&mut self, net: &mut dyn Network, msg: Message) {
         // Section 3.1.1's periodic purge, run at each arrival (the daemon
-        // has no timer): whatever is older than one period goes, and
-        // every dropped record is traced. Over-eager settings cost
+        // has no timer): every query idle for one period goes, and every
+        // row dropped with it is traced. Over-eager settings cost
         // recomputation only.
         if let Some(period) = self.config.log_purge_us {
             let records = self.purge_log(net.now_us().saturating_sub(period)) as u32;
@@ -432,7 +436,7 @@ impl ServerEngine {
         }
         let tracer = &self.config.tracer;
         if tracer.enabled() {
-            tracer.gauge_max("log_len_high_water", self.log.len() as u64);
+            tracer.gauge_max("log_len_high_water", self.log_len() as u64);
         }
     }
 
@@ -527,14 +531,9 @@ impl ServerEngine {
     /// chains, the sender is released) and the query concludes with
     /// `TermReason::Shed` instead of hanging.
     fn admit(&mut self, net: &mut dyn Network, clone: &QueryClone) -> bool {
-        let now = net.now_us();
-        let (purged, admitted) = match self.queries.get_mut(&clone.id) {
-            Some(q) => {
-                q.last_seen_us = now;
-                (q.purged, q.admitted)
-            }
-            None => (false, false),
-        };
+        let q = self.queries.entry(clone.id.clone()).or_default();
+        q.last_seen_us = net.now_us();
+        let (purged, admitted) = (q.purged, q.admitted);
         if purged || clone.stages.is_empty() {
             return false;
         }
@@ -556,9 +555,9 @@ impl ServerEngine {
             let _ = self.ship(net, &clone.id, reports);
             return false;
         }
-        let q = self.queries.entry(clone.id.clone()).or_default();
-        q.admitted = true;
-        q.last_seen_us = now;
+        if let Some(q) = self.queries.get_mut(&clone.id) {
+            q.admitted = true;
+        }
         // Admission occupancy: in-flight queries holding a slot at this
         // site, as a high-water gauge next to the queue-depth gauges the
         // transports raise.
@@ -599,9 +598,9 @@ impl ServerEngine {
         state: CloneState,
         stage_idx: usize,
     ) {
-        let (log, mode, id) = (&mut self.log, self.config.log_mode, &flight.clone.id);
+        let q = self.queries.get_mut(&flight.clone.id).expect("admitted");
         let log_t0 = net.now_us();
-        let outcome = admit(log, mode, id, node, state, stage_idx, log_t0);
+        let outcome = admit(&mut q.log, self.config.log_mode, node, state, stage_idx);
         self.span.log_us += net.now_us().saturating_sub(log_t0);
         match outcome {
             Ok(arrival) => {
@@ -688,6 +687,7 @@ impl ServerEngine {
             }
         };
         let eval_t0 = net.now_us();
+        let q = self.queries.get_mut(&flight.clone.id).expect("admitted");
         let visited = VisitCtx {
             config: &self.config,
             site: &self.site.host,
@@ -696,7 +696,7 @@ impl ServerEngine {
             db: &db,
             stages: &flight.clone.stages,
             offset: flight.clone.stage_offset,
-            log: &mut self.log,
+            log: &mut q.log,
             cache: self.cache.as_mut(),
             now_us: eval_t0,
             net,
@@ -864,7 +864,7 @@ impl ServerEngine {
             q.purged = true;
             q.admitted = false;
             q.last_seen_us = build_t0;
-            self.log.purge_query(&clone.id);
+            q.log = QueryLog::default();
         }
         self.span.build_us += net.now_us().saturating_sub(build_t0);
         shipped
@@ -1233,6 +1233,10 @@ mod tests {
         };
         net.unreachable[0].port = 9; // the reply endpoint
         let mut s = server();
+        // Another query's rows, which the termination leaves alone.
+        run_query(&mut s, 8);
+        let other_rows = s.log_len();
+        assert!(other_rows > 0);
         s.on_message(
             &mut net,
             Message::Query(clone_msg("(L|G)*", &["http://a.test/"])),
@@ -1249,7 +1253,66 @@ mod tests {
             Message::Query(clone_msg("(L|G)*", &["http://a.test/sub.html"])),
         );
         assert!(net2.sent.is_empty());
-        assert_eq!(s.log_len(), 0, "log purged for the terminated query");
+        assert_eq!(
+            s.log_len(),
+            other_rows,
+            "log purged for the terminated query"
+        );
+    }
+
+    /// A server forgetting queries idle for 50 µs, and the rows it
+    /// logged for one clone of query 7 arriving at `t_us`.
+    fn purging_server_after_one_clone(t_us: u64) -> (ServerEngine, RecordingNetwork, usize) {
+        let cfg = EngineConfig {
+            log_purge_us: Some(50),
+            ..EngineConfig::default()
+        };
+        let mut s = ServerEngine::new(site("a.test"), web(), cfg);
+        let mut net = RecordingNetwork {
+            time_us: t_us,
+            ..RecordingNetwork::default()
+        };
+        s.on_message(
+            &mut net,
+            Message::Query(clone_msg("L*", &["http://a.test/"])),
+        );
+        let rows = s.log_len();
+        assert_eq!(rows, 2, "a.test/ and, forwarded in place, sub.html");
+        (s, net, rows)
+    }
+
+    #[test]
+    fn a_query_with_a_recent_arrival_keeps_every_row() {
+        let (mut s, mut net, rows) = purging_server_after_one_clone(10);
+        // A duplicate at t = 40 logs nothing, but the query ran then.
+        net.time_us = 40;
+        let sub = clone_msg("L*", &["http://a.test/sub.html"]);
+        s.on_message(&mut net, Message::Query(sub));
+        assert_eq!(s.stats.duplicates_dropped, 1);
+        // At t = 70 the rows logged at t = 10 are a period old; their
+        // query is not, so every row stays and still drops duplicates.
+        net.time_us = 70;
+        let again = clone_msg("L*", &["http://a.test/"]);
+        s.on_message(&mut net, Message::Query(again));
+        assert_eq!(s.log_len(), rows);
+        assert_eq!(s.stats.duplicates_dropped, 2);
+        assert_eq!(s.stats.evaluations, 2, "nothing recomputed");
+    }
+
+    #[test]
+    fn an_idle_query_loses_all_its_rows() {
+        let (mut s, mut net, rows) = purging_server_after_one_clone(10);
+        assert_eq!(s.purge_log(11), rows, "the count is the rows dropped");
+        assert_eq!(s.log_len(), 0);
+        assert!(s.queries.is_empty(), "slot and flags go with the rows");
+        // A late clone is processed afresh: recomputation, not a wrong row.
+        net.time_us = 100;
+        s.on_message(
+            &mut net,
+            Message::Query(clone_msg("L*", &["http://a.test/"])),
+        );
+        assert_eq!(s.log_len(), rows);
+        assert_eq!(s.stats.evaluations, 4);
     }
 
     #[test]
@@ -1904,7 +1967,8 @@ mod ack_tests {
         // Regression: the purge set gained one entry per passively
         // terminated query and the ack bookkeeping one per ack-chain
         // query, and only `restart()` ever cleared either — a long-lived
-        // daemon leaked. Both now retire with the periodic purge.
+        // daemon leaked. Both now retire with the periodic purge, and
+        // each query's log rows with them.
         let user = SiteAddr {
             host: "user.test".into(),
             port: 9,
@@ -1937,6 +2001,14 @@ mod ack_tests {
             high_water <= 25,
             "{high_water} per-query records for a 10-query purge period"
         );
+        assert!(
+            leaf.log_len() > 0,
+            "the last period's queries keep their rows"
+        );
+        net.time_us += 1_000_000;
+        leaf.purge_log(net.time_us);
+        assert!(leaf.queries.is_empty());
+        assert_eq!(leaf.log_len(), 0, "rows retire with their queries");
 
         // What must survive a sweep does: an engaged query still owed a
         // child's ack keeps its record however idle it is, and goes once
@@ -1951,10 +2023,12 @@ mod ack_tests {
         net.time_us += 1_000_000;
         mid.purge_log(net.time_us);
         assert_eq!(mid.queries.len(), 1, "a live ack chain is never retired");
+        assert_eq!(mid.log_len(), 1, "nor are its rows");
         mid.on_message(&mut net, Message::Ack(AckMsg { id: qid() }));
         assert_eq!(acks_to(&net, &user), 1, "the parent is acked exactly once");
         mid.purge_log(net.time_us);
         assert!(mid.queries.is_empty());
+        assert_eq!(mid.log_len(), 0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! use of the one host loop ([`Deployment::drive_sim`]): scheduled
 //! mutations and periodic samples are host entries of the network's own
 //! agenda, and the run ends at the first sample that finds it idle. No
-//! sweep purges: each daemon purges its own log as messages arrive.
+//! sweep purges: each daemon forgets its idle queries as messages arrive.
 
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
@@ -207,7 +207,7 @@ impl Deployment {
     /// `SAMPLE_PERIOD_US` (50 ms): at each tick the tracer is
     /// [ticked](webdis_trace::TraceHandle::tick) with the virtual clock (a
     /// monitor samples the registry there), which never perturbs the
-    /// simulation. The servers purge their own logs and raise their own
+    /// simulation. The servers forget their idle queries and raise their own
     /// `log_len_high_water` gauge, as each message arrives.
     pub fn workload_sim(
         &self,

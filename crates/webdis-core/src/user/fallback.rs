@@ -35,7 +35,7 @@ use webdis_rel::NodeDb;
 use webdis_trace::TraceEvent as TrEvent;
 
 use super::UserSite;
-use crate::logtable::LogTable;
+use crate::logtable::QueryLog;
 use crate::network::{query_server_addr, Network, Work};
 use crate::visit::{admit, ForwardGroups, TraverseCounters, VisitCtx};
 
@@ -47,9 +47,9 @@ pub(super) struct Fallback {
     /// handed back. Filled while a report is applied, emptied by
     /// [`UserSite::run_fallback`] right after.
     pub(super) handoffs: Vec<(Url, CloneState)>,
-    /// Local log table for fallback arrivals (only ever sees nodes on
+    /// This query's log for fallback arrivals (only ever sees nodes on
     /// non-participating sites, so it is disjoint from the servers').
-    log: LogTable,
+    log: QueryLog,
     /// Downloaded documents (`None` = site unreachable or 404).
     cache: HashMap<Url, Option<Arc<NodeDb>>>,
     /// Fallback work waiting on an in-flight download.
@@ -143,7 +143,7 @@ impl UserSite {
 
         // The local log table plays the role a server's would.
         let mode = self.config.log_mode;
-        let arrival = match admit(log, mode, &self.id, node, state, stage_idx, now) {
+        let arrival = match admit(log, mode, node, state, stage_idx) {
             Ok(arrival) => arrival,
             Err(dup) => {
                 // The local drop must still clear (or cancel) the entry.

@@ -23,7 +23,7 @@ use webdis_rel::{NodeDb, ResultRow};
 use webdis_trace::{TraceEvent, TraceRecord};
 
 use crate::config::{EngineConfig, LogMode};
-use crate::logtable::{LogOutcome, LogTable};
+use crate::logtable::{LogOutcome, QueryLog};
 use crate::network::{Network, Work};
 
 /// The distinct nodes of a destination list, fragments stripped, in
@@ -60,17 +60,15 @@ pub(crate) struct Duplicate {
     pub(crate) exact: bool,
 }
 
-/// Runs one arrival through the log table (a CHT-visible state).
+/// Runs one arrival through its query's log (a CHT-visible state).
 pub(crate) fn admit(
-    log: &mut LogTable,
+    log: &mut QueryLog,
     mode: LogMode,
-    id: &QueryId,
     node: Url,
     state: CloneState,
     stage_idx: usize,
-    now_us: u64,
 ) -> Result<Arrival, Duplicate> {
-    match log.check(mode, id, &node, &state, true, now_us) {
+    match log.check(mode, &node, &state, true) {
         LogOutcome::Drop { hidden, exact } => Err(Duplicate {
             node,
             state,
@@ -143,7 +141,7 @@ pub(crate) struct Visited {
 }
 
 /// Everything a node visit needs besides the node itself: the query
-/// being run, the log table and answer cache it runs against, and where
+/// being run, the query's log and answer cache it runs against, and where
 /// and when its trace events are stamped.
 pub(crate) struct VisitCtx<'a> {
     pub(crate) config: &'a EngineConfig,
@@ -159,13 +157,12 @@ pub(crate) struct VisitCtx<'a> {
     /// The stages still to run; `offset` is the global index of the first.
     pub(crate) stages: &'a [Stage],
     pub(crate) offset: u32,
-    pub(crate) log: &'a mut LogTable,
+    pub(crate) log: &'a mut QueryLog,
     /// The site's answer cache. The hybrid fallback evaluates centrally
     /// at the user site, which keeps none (the caches live at the query
     /// servers whose content they mirror).
     pub(crate) cache: Option<&'a mut AnswerCache>,
-    /// Stamp of this visit's log records and trace events: fixed, so
-    /// log-table timestamps stay deterministic.
+    /// Stamp of this visit's trace events.
     pub(crate) now_us: u64,
     /// The runtime: its live clock stamps span begins and ends (spans
     /// want the advancing wall clock on TCP), and it is charged each
@@ -280,10 +277,7 @@ impl VisitCtx<'_> {
             rem_pre: stages[idx + 1].pre.clone(),
         };
         let mode = self.config.log_mode;
-        match self
-            .log
-            .check(mode, self.id, node, &cont, false, self.now_us)
-        {
+        match self.log.check(mode, node, &cont, false) {
             LogOutcome::Drop { exact, .. } => {
                 self.counters.duplicates_dropped += 1;
                 self.emit(|| TraceEvent::LogDuplicate {

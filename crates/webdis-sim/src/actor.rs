@@ -32,8 +32,8 @@ pub trait Network {
     fn send(&mut self, to: &SiteAddr, msg: Message) -> Result<(), NetworkError>;
 
     /// Monotonic time in microseconds (virtual on the simulator, wall
-    /// clock on TCP) — used for log-table purge stamps and latency
-    /// accounting.
+    /// clock on TCP) — used for a daemon's per-query arrival stamps and
+    /// latency accounting.
     fn now_us(&self) -> u64;
 
     /// Reports work the actor just did and returns the µs the runtime

@@ -160,7 +160,7 @@ pub enum TraceEvent {
         /// losslessly.
         content_version: u64,
     },
-    /// A log-table purge dropped records.
+    /// A daemon forgot idle queries, and with them log-table records.
     Purge {
         /// Records discarded.
         records: u32,
