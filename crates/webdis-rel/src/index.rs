@@ -4,12 +4,16 @@
 //! per node and the evaluator scans them; that is fine for 1999-sized
 //! pages but hopeless once a site's index page carries 10^5 anchors. These
 //! sidecar indexes let the planner turn `contains` and equality conjuncts
-//! into posting-list probes. A [`crate::relation::NodeDb`] is constructed
-//! with none of them: each configured column holds a [`OnceLock`] that the
-//! planner fills on that column's first probe, so a database that answers
-//! one node-query and is purged pays for the one column that query reads,
-//! and a database the footnote-3 document cache keeps accumulates every
-//! index it has ever needed.
+//! into posting-list probes. An index is worth building only for a
+//! database that will be probed again, so a [`crate::relation::NodeDb`]
+//! builds a column's index on the column's *second* ask
+//! ([`NodeDb::index`](crate::relation::NodeDb::index)): the first ask
+//! builds nothing, and the level scans and filters by the probe's own
+//! conjunct. A database that answers one node-query and is purged (the
+//! default, Section 2.4) builds no index at all; one the footnote-3
+//! document cache keeps builds each column's index on its second visit,
+//! and an inner level probed once per outer binding builds on the second
+//! binding.
 //!
 //! Two index shapes cover the predicate language:
 //!
@@ -38,39 +42,57 @@ use std::sync::OnceLock;
 use crate::query::RelKind;
 use crate::value::Value;
 
-/// The columns that get a hash (equality) index. DOCUMENT has exactly
-/// one tuple, so none of its columns is indexed: a probe could only pick
-/// that tuple or none, at the price of building an index to say so, and
-/// the planner leaves its conjuncts as residual filters over a one-tuple
-/// scan.
-const HASH_COLUMNS: [(RelKind, &str); 4] = [
-    (RelKind::Anchor, "href"),
-    (RelKind::Anchor, "ltype"),
-    (RelKind::Relinfon, "delimiter"),
-    (RelKind::Relinfon, "url"),
+/// Which index a column gets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// A [`HashIndex`], for equality.
+    Hash,
+    /// A [`TextIndex`], for `contains`.
+    Text,
+}
+
+/// The indexed columns, hash columns first; a column's position is its
+/// slot. DOCUMENT has exactly one tuple, so none of its columns is
+/// indexed: a probe could only pick that tuple or none, at the price of
+/// building an index to say so, and the planner leaves its conjuncts as
+/// residual filters over a one-tuple scan.
+pub(crate) const INDEXED: [(RelKind, &str, Shape); 6] = [
+    (RelKind::Anchor, "href", Shape::Hash),
+    (RelKind::Anchor, "ltype", Shape::Hash),
+    (RelKind::Relinfon, "delimiter", Shape::Hash),
+    (RelKind::Relinfon, "url", Shape::Hash),
+    (RelKind::Anchor, "label", Shape::Text),
+    (RelKind::Relinfon, "text", Shape::Text),
 ];
 
-/// The columns that get an inverted text (`contains`) index.
-const TEXT_COLUMNS: [(RelKind, &str); 2] =
-    [(RelKind::Anchor, "label"), (RelKind::Relinfon, "text")];
-
-fn slot_of(columns: &[(RelKind, &str)], kind: RelKind, attr: &str) -> Option<usize> {
-    columns
-        .iter()
-        .position(|(k, c)| *k == kind && c.eq_ignore_ascii_case(attr))
+/// The slot of `kind.attr` when that column gets a `shape` index — the
+/// planner's admissibility check, independent of any particular database.
+pub fn slot(kind: RelKind, attr: &str, shape: Shape) -> Option<usize> {
+    let same = |&(k, c, s): &(RelKind, &str, Shape)| {
+        k == kind && s == shape && c.eq_ignore_ascii_case(attr)
+    };
+    INDEXED.iter().position(same)
 }
 
-/// The slot of `kind.attr` in [`DbIndexes::hash`], when that column is
-/// configured for a hash index — the planner's admissibility check,
-/// independent of any particular database.
-pub(crate) fn hash_slot(kind: RelKind, attr: &str) -> Option<usize> {
-    slot_of(&HASH_COLUMNS, kind, attr)
+/// A built index, of its column's [`Shape`].
+#[derive(Debug, Clone)]
+pub enum Index {
+    /// An equality index.
+    Hash(HashIndex),
+    /// A `contains` index.
+    Text(TextIndex),
 }
 
-/// The slot of `kind.attr` in [`DbIndexes::text`], when that column is
-/// configured for an inverted text index.
-pub(crate) fn text_slot(kind: RelKind, attr: &str) -> Option<usize> {
-    slot_of(&TEXT_COLUMNS, kind, attr)
+impl Index {
+    /// The ascending tuple indices whose column equals `key` (a hash
+    /// index) or contains it (a text index, `key` ASCII-lowercased and
+    /// [`TextIndex::indexable`]).
+    pub fn probe(&self, key: &str) -> Vec<u32> {
+        match self {
+            Index::Hash(hash) => hash.probe(key).to_vec(),
+            Index::Text(text) => text.probe_contains(key).unwrap_or_default(),
+        }
+    }
 }
 
 /// Equality index: exact rendered value → ascending tuple indices.
@@ -216,34 +238,26 @@ pub(crate) fn intersect_sorted(a: &[u32], b: &[u32]) -> Vec<u32> {
     out
 }
 
-/// The index slots of one node's database: one [`OnceLock`] per configured
-/// column, all empty at construction.
-/// [`NodeDb::hash_index`](crate::relation::NodeDb::hash_index) and
-/// [`NodeDb::text_index`](crate::relation::NodeDb::text_index) fill a slot
-/// the first time its column is probed. `OnceLock` runs exactly one of any
-/// racing initializers and parks the others until it is done, so threads
-/// sharing an `Arc<NodeDb>` all probe the same index; cloning a database
-/// clones the indexes built so far.
+/// The index slots of one node's database, all empty at construction:
+/// per indexed column, a [`OnceLock`] its first ask sets and one its
+/// second fills ([`NodeDb::index`](crate::relation::NodeDb::index)).
+/// `OnceLock` runs exactly one of any racing initializers and parks the
+/// others until it is done, so threads sharing an `Arc<NodeDb>` all probe
+/// the same index; cloning a database clones what has been asked and
+/// built so far. A built index is boxed: a database that builds none
+/// carries a pointer's width per slot.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DbIndexes {
-    pub(crate) hash: [OnceLock<HashIndex>; HASH_COLUMNS.len()],
-    pub(crate) text: [OnceLock<TextIndex>; TEXT_COLUMNS.len()],
+    pub(crate) asked: [OnceLock<()>; INDEXED.len()],
+    pub(crate) built: [OnceLock<Box<Index>>; INDEXED.len()],
 }
 
 impl DbIndexes {
-    /// The columns whose slot is filled, hash columns first, each group
-    /// in configuration order.
+    /// The columns whose index is built, in slot order.
     pub(crate) fn built(&self) -> Vec<(RelKind, &'static str)> {
-        fn filled<'a, T>(
-            columns: &'a [(RelKind, &'static str)],
-            slots: &'a [OnceLock<T>],
-        ) -> impl Iterator<Item = (RelKind, &'static str)> + 'a {
-            let filled = columns.iter().zip(slots).filter(|(_, s)| s.get().is_some());
-            filled.map(|(column, _)| *column)
-        }
-        filled(&HASH_COLUMNS, &self.hash)
-            .chain(filled(&TEXT_COLUMNS, &self.text))
-            .collect()
+        let built = INDEXED.iter().zip(&self.built);
+        let built = built.filter(|(_, index)| index.get().is_some());
+        built.map(|(&(kind, attr, _), _)| (kind, attr)).collect()
     }
 }
 

@@ -17,8 +17,8 @@
 //! ([`Expr`]), and the node-query evaluator. A query is compiled once into
 //! a [`Plan`] of index probes plus a residual filter ([`planner`]) over
 //! per-node sidecar indexes ([`index`]) that each column builds on its
-//! first probe, falling back to the paper's nested-loop cross-product scan
-//! ([`eval_node_query_scan`]) level-by-level whenever no index applies;
+//! second ask, falling back to the paper's nested-loop cross-product scan
+//! ([`eval_node_query_scan`]) level-by-level whenever no index serves;
 //! [`eval_node_query`] compiles and runs a query in one call.
 
 pub mod expr;
@@ -30,7 +30,7 @@ pub mod subsume;
 pub mod value;
 
 pub use expr::{CmpOp, EvalError, Expr};
-pub use index::{HashIndex, TextIndex};
+pub use index::{HashIndex, Index, Shape, TextIndex};
 pub use planner::{EvalStats, Plan, Probe};
 pub use query::{
     eval_node_query, eval_node_query_scan, eval_node_query_scan_with_stats,

@@ -276,10 +276,8 @@ pub fn eval_node_query_scan_with_stats(
         &mut visited,
     )?;
     let stats = crate::planner::EvalStats {
-        used_index: false,
-        probed_levels: 0,
-        scanned_levels: q.vars.len() as u32,
         tuples_visited: visited,
+        ..Default::default()
     };
     Ok((rows, stats))
 }

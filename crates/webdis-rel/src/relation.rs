@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock};
 use webdis_html::ParsedDoc;
 use webdis_model::{Link, LinkType, Url};
 
-use crate::index::{DbIndexes, HashIndex, TextIndex};
+use crate::index::{DbIndexes, HashIndex, Index, Shape, TextIndex, INDEXED};
 use crate::query::RelKind;
 use crate::value::Value;
 
@@ -73,7 +73,7 @@ pub struct NodeDb {
     /// `columns[kind][col]`, four per schema. `OnceLock` runs one of any
     /// racing initializers, so threads sharing a database read one value.
     columns: [[OnceLock<Vec<Value>>; 4]; 3],
-    /// Sidecar indexes over the columns, each built on its first probe.
+    /// Sidecar indexes over the columns, each built on its second ask.
     indexes: DbIndexes,
 }
 
@@ -92,8 +92,8 @@ impl NodeDb {
 
     /// Anchors whose href cannot be interpreted as an http URL are skipped
     /// (a 1999-era query processor would do the same with `mailto:`). No
-    /// column and no index is formed here; see [`NodeDb::column`],
-    /// [`NodeDb::hash_index`] and [`NodeDb::text_index`].
+    /// column and no index is formed here; see [`NodeDb::column`] and
+    /// [`NodeDb::index`].
     fn new(url: &Url, doc: ParsedDoc) -> NodeDb {
         let base = url.without_fragment();
         let mut resolver = base.resolver();
@@ -184,24 +184,27 @@ impl NodeDb {
         }
     }
 
-    /// The equality index on `kind.attr`, built now if this is the
-    /// column's first probe; `None` when the column is not hash-indexed.
-    pub fn hash_index(&self, kind: RelKind, attr: &str) -> Option<&HashIndex> {
-        let slot = crate::index::hash_slot(kind, attr)?;
-        let col = kind.schema().column_index(attr)?;
-        Some(self.indexes.hash[slot].get_or_init(|| HashIndex::build(self.column(kind, col))))
+    /// The index in `slot` ([`crate::index::slot`]), built only for a
+    /// database that is probed again: the column's first ask builds
+    /// nothing and returns `None`, and the caller scans; the second
+    /// builds the index, and every later ask reads it. Panics when `slot`
+    /// is not an indexed column's.
+    pub fn index(&self, slot: usize) -> Option<&Index> {
+        if self.indexes.asked[slot].set(()).is_ok() {
+            return None;
+        }
+        Some(self.indexes.built[slot].get_or_init(|| {
+            let (kind, attr, shape) = INDEXED[slot];
+            let col = kind.schema().column_index(attr);
+            let column = self.column(kind, col.expect("an indexed column is a schema column"));
+            match shape {
+                Shape::Hash => Box::new(Index::Hash(HashIndex::build(column))),
+                Shape::Text => Box::new(Index::Text(TextIndex::build(column))),
+            }
+        }))
     }
 
-    /// The inverted text index on `kind.attr`, built now if this is the
-    /// column's first probe; `None` when the column is not text-indexed.
-    pub fn text_index(&self, kind: RelKind, attr: &str) -> Option<&TextIndex> {
-        let slot = crate::index::text_slot(kind, attr)?;
-        let col = kind.schema().column_index(attr)?;
-        Some(self.indexes.text[slot].get_or_init(|| TextIndex::build(self.column(kind, col))))
-    }
-
-    /// The columns whose index has been built so far, hash columns first,
-    /// each group in configuration order.
+    /// The columns whose index has been built so far, in slot order.
     pub fn built_indexes(&self) -> Vec<(RelKind, &'static str)> {
         self.indexes.built()
     }

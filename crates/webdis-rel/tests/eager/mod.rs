@@ -7,7 +7,8 @@
 //! document), so it builds them without.
 
 use webdis_model::{Link, Url};
-use webdis_rel::{NodeDb, RelKind, Value};
+use webdis_rel::index::slot;
+use webdis_rel::{NodeDb, RelKind, Shape, Value};
 
 /// A positional tuple, as the eager build made them.
 pub type Tuple = Vec<Value>;
@@ -75,7 +76,8 @@ impl Eager {
 }
 
 /// One first use of a part of a database: a column, or the index of one
-/// of the six indexed columns (which forms its column on the way).
+/// of the six indexed columns (asked twice, since its first ask builds
+/// nothing; the second forms its column on the way).
 #[derive(Debug, Clone, Copy)]
 pub enum Touch {
     Column(RelKind, usize),
@@ -150,11 +152,14 @@ pub fn touch_and_compare(db: &NodeDb, order: &[Touch], want: &Eager) -> Result<(
             Touch::Column(kind, col) => {
                 db.column(kind, col);
             }
-            Touch::Hash(kind, attr) => {
-                db.hash_index(kind, attr).expect("a hash-indexed column");
-            }
-            Touch::Text(kind, attr) => {
-                db.text_index(kind, attr).expect("a text-indexed column");
+            Touch::Hash(kind, attr) | Touch::Text(kind, attr) => {
+                let shape = match touch {
+                    Touch::Hash(..) => Shape::Hash,
+                    _ => Shape::Text,
+                };
+                let slot = slot(kind, attr, shape).expect("an indexed column");
+                db.index(slot);
+                db.index(slot).expect("built by its column's second ask");
             }
         }
         formed_as_eager(db, want).map_err(|e| format!("after {touch:?}: {e}"))?;
