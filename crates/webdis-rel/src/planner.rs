@@ -44,13 +44,13 @@ use crate::subsume::{canonicalize, split_conjuncts, CanonicalQuery};
 pub struct Probe {
     /// The conjunct, which filters the level's scan while its column's
     /// index is not built.
-    pub conjunct: Expr,
+    pub(crate) conjunct: Expr,
     /// The column's slot ([`crate::index::slot`]).
-    pub slot: usize,
+    pub(crate) slot: usize,
     /// What the index is probed for: the literal an equality compares
     /// with, or a `contains` needle ASCII-lowercased like a text index's
     /// dictionary.
-    pub key: String,
+    pub(crate) key: String,
 }
 
 /// A compiled node-query: per-level probes and residual conjuncts, and,

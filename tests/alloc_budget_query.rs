@@ -12,7 +12,12 @@
 //! clone. With the document path at 47.3 allocations per visit (see
 //! `tests/alloc_budget.rs`) it made 6 748 (1.3 MB); at 27.3, with each
 //! stage compiled once, 4 860 (0.84 MB); at 25.2, with DOCUMENT never
-//! indexed, it makes 4 654 (0.80 MB). The budget sits 10 % above that, so
+//! indexed, 4 654 (0.80 MB), and 4 670 (0.80 MB) once a daemon forgot a
+//! query whole. Building a column's index on its second ask leaves the
+//! count at 4 670 — the crawl's one conjunct filters DOCUMENT's one tuple
+//! and is no probe — and the bytes at 0.77 MB (a database's unbuilt index
+//! slots are a pointer each); `tests/alloc_budget_campus.rs` gates the
+//! query whose conjuncts are probes. The budget sits 10 % above 4 654, so
 //! putting a copy back on the clone path or the document path fails here
 //! before it shows on a benchmark.
 //!
