@@ -7,9 +7,11 @@
 #     always set to a quarter of it), `AdmissionPolicy` (one `usize`),
 #     `SimRunError` (one variant around `DisqlError`) — or the
 #     per-daemon `metrics_addrs` (a cluster has one admin socket);
-#   * `EngineConfig` declares more than 13 `pub` fields (the monitor is
+#   * `EngineConfig` declares more than 12 `pub` fields (the monitor is
 #     the tracer, not a field of its own; the processing-cost model is
-#     the simulator's `SimConfig::proc`).
+#     the simulator's `SimConfig::proc`; a doc-cache hit always checks
+#     the document's version, with no switch to serve a superseded
+#     build).
 # The engine measures and the runtime prices its work, so this also
 # fails when:
 #   * a non-test line under crates/webdis-core/src or
@@ -41,8 +43,8 @@ fields=$(awk '
     inside && /^\}/ { inside = 0 }
     inside && /^    pub [a-z_0-9]+:/ { n++ }
     END { print n + 0 }' crates/webdis-core/src/config.rs)
-if [ "$fields" -gt 13 ]; then
-    echo "EngineConfig has $fields pub fields (at most 13): say a setting as one value" >&2
+if [ "$fields" -gt 12 ]; then
+    echo "EngineConfig has $fields pub fields (at most 12): say a setting as one value" >&2
     fail=1
 fi
 
@@ -71,4 +73,4 @@ if [ -n "$chargers" ]; then
     fail=1
 fi
 [ "$fail" -eq 0 ] || exit 1
-echo "one config: $fields EngineConfig fields (at most 13), no wrapper around one value, only the simulator prices work"
+echo "one config: $fields EngineConfig fields (at most 12), no wrapper around one value, only the simulator prices work"

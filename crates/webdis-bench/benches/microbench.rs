@@ -5,7 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use webdis_model::{LinkType, Url};
 use webdis_net::{decode_message, encode_message, CloneState, Message, QueryClone, QueryId, Wire};
-use webdis_pre::{check_subsumption, closure, contains};
+use webdis_pre::{check_subsumption, closure};
 use webdis_rel::{NodeDb, RelKind};
 use webdis_web::{generate, PageBuilder, WebGenConfig};
 
@@ -82,15 +82,6 @@ fn bench_pre(c: &mut Criterion) {
     let bb = webdis_pre::parse("L*4·G").unwrap();
     group.bench_function("subsumption_check", |b| {
         b.iter(|| check_subsumption(black_box(&a), black_box(&bb)));
-    });
-    // The general log mode's check, on shapes the paper's rule cannot
-    // relate: a search over derivative pairs.
-    let (sub, sup) = (
-        webdis_pre::parse("L·L·L*").unwrap(),
-        webdis_pre::parse("L·L*").unwrap(),
-    );
-    group.bench_function("containment", |b| {
-        b.iter(|| contains(black_box(&sub), black_box(&sup)));
     });
     // What parsing a PRE and decoding a clone add: every derivative.
     group.bench_function("closure", |b| {

@@ -5,7 +5,9 @@
 //! runtimes already speak (`webdis_sim::Fault` for the network,
 //! `webdis_web::Mutation` for the web) — as seeds and plain values, so
 //! the same plan always produces the same run and a failing plan can be
-//! written to disk ([`crate::repro`]) and replayed elsewhere.
+//! written to disk ([`crate::repro`]) and replayed elsewhere. The version
+//! check every doc-cache hit makes is not a knob: a plan cannot turn it
+//! off.
 
 use webdis_core::{ArrivalProcess, EngineConfig, QueryMix, WorkloadSpec};
 use webdis_sim::{Fault, FaultKind, SimConfig};
@@ -105,14 +107,9 @@ pub struct ChaosPlan {
     pub cache_budget_bytes: Option<u64>,
     /// Footnote-3 document-cache capacity (parsed `NodeDb`s per site).
     /// 0 — the engine default — runs cache-free; living-web plans set it
-    /// so mutations exercise the cache's staleness guard.
+    /// so mutations exercise the check every cache hit makes of the
+    /// document's version.
     pub doc_cache_size: usize,
-    /// The doc cache's per-hit content-version check. `true` is the
-    /// consistency contract; `false` reproduces the historical
-    /// serve-whatever-is-cached bug, turning a mutation of a visited
-    /// page into a `stale_visit` oracle violation — the known-bad
-    /// schedule the shrinker demonstrates on.
-    pub validate_doc_cache: bool,
     /// The fault schedule. An empty list is a fault-free plan.
     pub faults: Vec<ChaosFault>,
 }
@@ -133,7 +130,6 @@ impl Default for ChaosPlan {
             expiry_us: Some(400_000),
             cache_budget_bytes: None,
             doc_cache_size: 0,
-            validate_doc_cache: true,
             faults: Vec::new(),
         }
     }
@@ -176,7 +172,6 @@ impl ChaosPlan {
                 .cache_budget_bytes
                 .map(webdis_core::CachePolicy::with_budget),
             doc_cache_size: self.doc_cache_size,
-            validate_doc_cache: self.validate_doc_cache,
             tracer,
             ..EngineConfig::default()
         }

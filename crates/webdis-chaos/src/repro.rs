@@ -30,6 +30,11 @@ const PPM: u32 = 1_000_000;
 /// carries only its target).
 const ANCHOR_LABEL: &str = "chaos link";
 
+/// The doc cache's version check was once a switch, written as `0` when
+/// off. A file that names it was recorded against an engine that could
+/// serve a superseded build, so decoding refuses it.
+const REMOVED_SWITCH: &str = "validate_doc_cache";
+
 impl ToJson for ChaosFault {
     fn write_json(&self, out: &mut String) {
         let mut obj = ObjWriter::new(out);
@@ -110,13 +115,10 @@ pub fn encode(plan: &ChaosPlan, violation: Option<&str>) -> String {
     if let Some(budget) = &plan.cache_budget_bytes {
         obj.field("cache_budget_bytes", budget);
     }
-    // Living-web knobs, written only off their defaults so pre-living
+    // The living-web knob, written only off its default so pre-living
     // repro files stay byte-identical under re-encode.
     if plan.doc_cache_size != 0 {
         obj.field("doc_cache_size", &plan.doc_cache_size);
-    }
-    if !plan.validate_doc_cache {
-        obj.field("validate_doc_cache", &0u64);
     }
     obj.field("faults", &plan.faults[..]);
     obj.end();
@@ -211,6 +213,12 @@ pub fn decode(text: &str) -> Result<(ChaosPlan, Option<String>), String> {
     if version != REPRO_VERSION {
         return Err(format!("unsupported repro version {version}"));
     }
+    if matches!(&doc, Value::Obj(map) if map.contains_key(REMOVED_SWITCH)) {
+        return Err(format!(
+            "field {REMOVED_SWITCH:?} names a removed switch: every doc-cache hit now \
+             checks the document's version, so this file would replay another program"
+        ));
+    }
     let plan = ChaosPlan {
         sites: doc.req("sites")?,
         docs_per_site: doc.req("docs_per_site")?,
@@ -225,7 +233,6 @@ pub fn decode(text: &str) -> Result<(ChaosPlan, Option<String>), String> {
         expiry_us: doc.opt("expiry_us")?,
         cache_budget_bytes: doc.opt("cache_budget_bytes")?,
         doc_cache_size: doc.or("doc_cache_size", 0)?,
-        validate_doc_cache: doc.or("validate_doc_cache", 1u64)? != 0,
         faults: doc
             .req::<&[Value]>("faults")?
             .iter()
@@ -394,10 +401,24 @@ mod tests {
     fn a_repro_written_before_the_shared_module_re_encodes_to_the_same_bytes() {
         // Written by the hand-rolled encoder this module replaced: every
         // fault kind, every optional knob, every escape.
-        let text = r#"{"version":1,"violation":"hang","sites":4,"docs_per_site":2,"web_seed":1,"users":1,"queries_per_user":2,"interarrival_us":50000,"workload_seed":1,"sim_seed":1,"jitter_us":0,"horizon_us":60000000,"expiry_us":123456,"cache_budget_bytes":4096,"doc_cache_size":3,"validate_doc_cache":0,"faults":[{"kind":"drop","from":"*","to":"*","rate_ppm":100000},{"kind":"dup","from":"user0.load.test","to":"wdqs.site1.test","rate_ppm":1000000},{"kind":"corrupt","from":"*","to":"*","rate_ppm":5},{"kind":"partition","start_us":10,"end_us":20,"side_a":"wdqs.site0.test","side_b":"wdqs.site1.test;wdqs.site2.test"},{"kind":"crash_restart","host":"wdqs.site2.test","port":80,"at_us":1000,"down_us":2000},{"kind":"mutation","at_us":77,"op":"edit_page","url":"http://site0.test/a \"q\"\\\n\t\u0001é","arg":"x"}]}"#;
+        let text = r#"{"version":1,"violation":"hang","sites":4,"docs_per_site":2,"web_seed":1,"users":1,"queries_per_user":2,"interarrival_us":50000,"workload_seed":1,"sim_seed":1,"jitter_us":0,"horizon_us":60000000,"expiry_us":123456,"cache_budget_bytes":4096,"doc_cache_size":3,"faults":[{"kind":"drop","from":"*","to":"*","rate_ppm":100000},{"kind":"dup","from":"user0.load.test","to":"wdqs.site1.test","rate_ppm":1000000},{"kind":"corrupt","from":"*","to":"*","rate_ppm":5},{"kind":"partition","start_us":10,"end_us":20,"side_a":"wdqs.site0.test","side_b":"wdqs.site1.test;wdqs.site2.test"},{"kind":"crash_restart","host":"wdqs.site2.test","port":80,"at_us":1000,"down_us":2000},{"kind":"mutation","at_us":77,"op":"edit_page","url":"http://site0.test/a \"q\"\\\n\t\u0001é","arg":"x"}]}"#;
         let (plan, violation) = decode(text).expect("decodes");
         assert_eq!(plan.faults.len(), 6);
         assert_eq!(encode(&plan, violation.as_deref()), text);
+    }
+
+    #[test]
+    fn a_repro_that_sets_the_removed_cache_switch_is_refused() {
+        let plan = ChaosPlan {
+            doc_cache_size: 8,
+            ..ChaosPlan::default()
+        };
+        let text = edited(&plan, "\"faults\"", "\"validate_doc_cache\":0,\"faults\"");
+        let err = decode(&text).unwrap_err();
+        assert!(
+            err.contains("\"validate_doc_cache\" names a removed switch"),
+            "{err}"
+        );
     }
 
     #[test]

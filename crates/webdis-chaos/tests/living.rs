@@ -5,21 +5,26 @@
 //! The known-bad plan reproduces the historical footnote-3 bug: the
 //! per-site document cache keyed on URL alone, so an edit of an
 //! already-visited page left later visits answering from the pre-edit
-//! parse. With `validate_doc_cache: false` the plan's culprit edit
-//! turns into a `stale_visit` oracle violation; ddmin shrinks the
-//! schedule to exactly that edit, and the `chaos-repro.json` encoding
-//! replays it bit-identically.
+//! parse. The engine checks every hit's version, so the bug is put into
+//! the trace instead (`stale::serve_first_build`): with it, the plan's
+//! culprit edit turns into a `stale_visit` oracle violation; ddmin
+//! shrinks the schedule to exactly that edit, and the
+//! `chaos-repro.json` encoding replays it bit-identically. The same
+//! plan's real run clears the oracle.
 //!
 //! Timing: under the default plan's seeds, the first query fills
 //! site0's doc cache at t≈13.1ms and the second query re-visits the
-//! same page from cache at t≈14.5ms — so a mutation at t=14 000µs
-//! lands exactly between the cache fill and the cached re-visit.
+//! same page at t≈14.5ms — so a mutation at t=14 000µs lands exactly
+//! between the cache fill and the re-visit.
 
 use webdis_chaos::plan::{ChaosFault, ChaosPlan};
-use webdis_chaos::{repro, run_plan, shrink};
+use webdis_chaos::{oracle, repro, run_plan, shrink, ChaosReport};
 use webdis_model::Url;
 use webdis_sim::{Fault, FaultKind};
+use webdis_trace::TraceEvent;
 use webdis_web::{Mutation, MutationOp};
+
+mod stale;
 
 /// The page every chaos query starts from — guaranteed visited.
 const VISITED: &str = "http://site0.test/doc0.html";
@@ -39,14 +44,12 @@ fn edit(at_us: u64, url: &str, token: &str) -> ChaosFault {
     Mutation { at_us, op }.into()
 }
 
-/// The known-bad plan: doc cache on, per-hit version validation OFF
-/// (the historical bug), one culprit edit of the visited start page
-/// placed between query arrivals, and benign riders the shrinker must
-/// discard.
+/// The known-bad plan: doc cache on, one culprit edit of the visited
+/// start page placed between query arrivals, and benign riders the
+/// shrinker must discard.
 fn known_bad_plan() -> ChaosPlan {
     ChaosPlan {
         doc_cache_size: 8,
-        validate_doc_cache: false,
         faults: vec![
             // Benign rider: a freshly created page has no pre-mutation
             // build to serve stale, and nothing links to it.
@@ -59,7 +62,7 @@ fn known_bad_plan() -> ChaosPlan {
             }
             .into(),
             // The culprit: edits the visited page between the cache
-            // fill and the cached re-visit.
+            // fill and the re-visit.
             edit(BETWEEN_VISITS_US, VISITED, "culprit-token"),
             // Benign rider: light uniform report duplication.
             Fault::rate(FaultKind::Dup, 0.02).into(),
@@ -68,12 +71,21 @@ fn known_bad_plan() -> ChaosPlan {
     }
 }
 
+/// `plan` run as it is, judged by the oracle on the trace an unchecked
+/// doc cache would have left.
+fn run_with_unchecked_cache(plan: &ChaosPlan) -> ChaosReport {
+    let mut report = run_plan(plan).expect("plan runs");
+    stale::serve_first_build(&mut report.records);
+    report.violations = oracle::check(plan, &report.baselines, &report.faulty, &report.records);
+    report
+}
+
 #[test]
 fn known_bad_schedule_triggers_stale_visit() {
-    let report = run_plan(&known_bad_plan()).expect("plan runs");
+    let report = run_with_unchecked_cache(&known_bad_plan());
     assert!(
         report.has_kind("stale_visit"),
-        "unvalidated doc cache + mid-run edit must serve stale: {}",
+        "unchecked doc cache + mid-run edit must serve stale: {}",
         report.verdict_line()
     );
     // Staleness is a *consistency* failure, not a liveness or row-loss
@@ -86,7 +98,7 @@ fn known_bad_schedule_triggers_stale_visit() {
 fn shrink_isolates_the_culprit_edit() {
     let plan = known_bad_plan();
     let shrunk = shrink(&plan, |candidate| {
-        run_plan(candidate).is_ok_and(|r| r.has_kind("stale_visit"))
+        run_with_unchecked_cache(candidate).has_kind("stale_visit")
     });
     assert_eq!(
         shrunk.plan.faults,
@@ -106,8 +118,8 @@ fn stale_visit_repro_round_trips_and_replays() {
     );
     assert_eq!(violation.as_deref(), Some("stale_visit"));
 
-    let original = run_plan(&plan).expect("original runs");
-    let replayed = run_plan(&decoded).expect("replay runs");
+    let original = run_with_unchecked_cache(&plan);
+    let replayed = run_with_unchecked_cache(&decoded);
     assert!(replayed.has_kind("stale_visit"));
     assert_eq!(
         original.verdict_line(),
@@ -117,19 +129,31 @@ fn stale_visit_repro_round_trips_and_replays() {
 }
 
 #[test]
-fn validated_doc_cache_upholds_the_contract_on_the_same_schedule() {
-    // The exact schedule that breaks the unvalidated cache is benign
-    // once the per-hit version check is on: the edit invalidates the
-    // cached build, and the re-visit re-parses current content.
-    let plan = ChaosPlan {
-        validate_doc_cache: true,
-        ..known_bad_plan()
-    };
-    let report = run_plan(&plan).expect("plan runs");
+fn the_engine_upholds_the_contract_on_the_same_schedule() {
+    // The exact schedule that breaks an unchecked cache is benign as
+    // the engine runs it: the edit moves the page's version, the hit
+    // check drops the cached build, and the re-visit parses current
+    // content.
+    let report = run_plan(&known_bad_plan()).expect("plan runs");
     assert!(
         report.violations.is_empty(),
-        "validated cache must clear the oracle: {}",
+        "the checked cache must clear the oracle: {}",
         report.verdict_line()
+    );
+    let revisit = report.records.iter().find(|r| {
+        r.time_us > BETWEEN_VISITS_US
+            && matches!(&r.event, TraceEvent::DocFetch { url, .. } if url == VISITED)
+    });
+    assert!(
+        matches!(
+            revisit.map(|r| &r.event),
+            Some(TraceEvent::DocFetch {
+                cache_hit: false,
+                content_version: 1,
+                ..
+            })
+        ),
+        "the re-visit after the edit reparses version 1: {revisit:?}"
     );
 }
 

@@ -474,12 +474,13 @@ mod tests {
     }
 
     #[test]
-    fn containment_drops_are_reported_not_mirrored() {
-        // General-mode containment drops are non-identical, hence always
-        // reported by the server; the user adds and clears both entries.
+    fn contained_but_unrelated_states_are_two_entries() {
+        // L·L·L*'s language is inside L·L*'s, but not as `A*m·B` against
+        // `A*n·B`: the log table cannot relate the two states, so they
+        // are two entries, each added and cleared on its own.
         let mut c = paper();
         c.add(&entry("http://a/", 1, "L·L*"));
-        c.add(&entry("http://a/", 1, "L·L·L*")); // contained → server reports the drop
+        c.add(&entry("http://a/", 1, "L·L·L*"));
         assert_eq!(c.stats.added, 2);
         c.delete(&url("http://a/"), &st(1, "L·L·L*"));
         c.delete(&url("http://a/"), &st(1, "L·L*"));

@@ -1,5 +1,7 @@
 //! Engine configuration: every design choice of Section 3 is a switch, so
-//! the ablation experiments can measure what each one buys.
+//! the ablation experiments can measure what each one buys. A switch
+//! stays only while its non-default value is the paper's or is measured
+//! by a registered experiment.
 
 use webdis_cache::CachePolicy;
 use webdis_trace::TraceHandle;
@@ -15,11 +17,6 @@ pub enum LogMode {
     /// The paper's rule: exact state identity plus `A*m·B` bounded-head
     /// subsumption with the multiple-rewrite for supersets.
     Paper,
-    /// The paper's rule, extended with general language containment
-    /// (`webdis_pre::contains`, a search over pairs of derivatives) for
-    /// PRE shapes the syntactic rule cannot relate (this crate's
-    /// extension; see DESIGN.md).
-    General,
 }
 
 /// Which completion-detection protocol runs: the three that experiment
@@ -94,17 +91,10 @@ pub struct EngineConfig {
     /// that the construction cost does not have to be paid repeatedly."
     /// Number of parsed node databases each server retains (FIFO
     /// eviction); 0 disables the cache, reproducing the paper's default
-    /// build-then-purge behaviour.
+    /// build-then-purge behaviour. Every hit checks the cached build's
+    /// content version against the document's, so on a living web a
+    /// superseded build is dropped and the page reparsed.
     pub doc_cache_size: usize,
-    /// Living-web staleness guard for the footnote-3 cache: on every hit
-    /// the cached build's content version is checked against the
-    /// document's current status, and superseded builds are evicted and
-    /// reparsed. `true` (the default) is the consistency contract; the
-    /// `false` setting reproduces the historical serve-whatever-is-cached
-    /// behaviour so the chaos oracle can demonstrate the staleness bug it
-    /// guards against. Irrelevant while nothing mutates the web, since
-    /// versions then never change.
-    pub validate_doc_cache: bool,
     /// Section 7.1 graceful recovery: the age (µs) past which a live CHT
     /// row or tombstone counts as stale. When set, the user site sweeps
     /// every quarter of it — completion then lags the timeout by at most
@@ -154,7 +144,6 @@ impl Default for EngineConfig {
             log_purge_us: None,
             hybrid: false,
             doc_cache_size: 0,
-            validate_doc_cache: true,
             expiry_us: None,
             admission: None,
             cache: None,

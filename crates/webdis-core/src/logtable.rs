@@ -10,12 +10,9 @@
 //!   strictly more: the logged entry is **replaced** with the new state
 //!   and the clone proceeds with the rewritten PRE `A·A*(m-1)·B`, which
 //!   forces this node to act as a PureRouter (the multiple-rewrite rule);
-//! * otherwise the state is logged and the clone is processed normally.
-//!
-//! [`LogMode::General`] additionally drops arrivals whose PRE *language*
-//! is contained in a logged one (a search over derivative pairs) even
-//! when the syntactic rule cannot relate them — an extension measured by
-//! the ablation benches.
+//! * otherwise the state is logged and the clone is processed normally,
+//!   even when its PRE's language is contained in a logged one that the
+//!   syntactic rule cannot relate: the paper's rule is the whole rule.
 //!
 //! A row holds no time: the "periodic purge" forgets a query's whole log
 //! once the query has been idle for a period (`ServerEngine::purge_log`).
@@ -24,7 +21,7 @@ use std::collections::HashMap;
 
 use webdis_model::Url;
 use webdis_net::{CloneState, QueryId};
-use webdis_pre::{check_subsumption, contains, Pre, Subsumption};
+use webdis_pre::{check_subsumption, Pre, Subsumption};
 
 use crate::config::LogMode;
 
@@ -127,14 +124,7 @@ impl QueryLog {
                         rewritten: true,
                     };
                 }
-                Subsumption::Unrelated => {
-                    if mode == LogMode::General && contains(&state.rem_pre, &row.state.rem_pre) {
-                        return LogOutcome::Drop {
-                            hidden: !row.announced,
-                            exact: false,
-                        };
-                    }
-                }
+                Subsumption::Unrelated => {}
             }
         }
         rows.push(LogRow {
@@ -308,24 +298,19 @@ mod tests {
     }
 
     #[test]
-    fn general_mode_drops_contained_languages() {
+    fn paper_rule_processes_a_contained_language_it_cannot_relate() {
+        // L·L·L* is contained in the logged L·L*, but not as `A*m·B`
+        // against `A*n·B`: the paper's rule processes it.
         let mut t = QueryLog::default();
         let n = url("http://n/");
-        // L·L* logged; L·L·L* is contained but syntactically unrelated.
-        t.check(LogMode::General, &n, &state(1, "L·L*"), true);
-        assert_eq!(
-            t.check(LogMode::General, &n, &state(1, "L·L·L*"), true),
-            LogOutcome::Drop {
-                hidden: false,
-                exact: false
-            }
-        );
-        // Paper mode cannot relate these shapes.
-        let mut t2 = QueryLog::default();
-        t2.check(LogMode::Paper, &n, &state(1, "L·L*"), true);
+        t.check(LogMode::Paper, &n, &state(1, "L·L*"), true);
         assert!(matches!(
-            t2.check(LogMode::Paper, &n, &state(1, "L·L·L*"), true),
-            LogOutcome::Process { .. }
+            t.check(LogMode::Paper, &n, &state(1, "L·L·L*"), true),
+            LogOutcome::Process {
+                rewritten: false,
+                ..
+            }
         ));
+        assert_eq!(t.len(), 2);
     }
 }

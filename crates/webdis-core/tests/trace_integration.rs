@@ -8,8 +8,9 @@ use std::time::Duration;
 
 use webdis_core::{run_query_sim, Deployment, EngineConfig};
 use webdis_sim::SimConfig;
-use webdis_trace::{json, trajectory, TraceEvent, TraceHandle};
-use webdis_web::figures;
+use webdis_trace::trajectory::Visit;
+use webdis_trace::{json, trajectory, TraceEvent, TraceHandle, TraceRecord};
+use webdis_web::{figures, HostedWeb, PageBuilder};
 
 /// The hyperlink walk of Figure 1: depth-first from the user site, node 4
 /// visited twice (hop 2 via n2, hop 3 via n5).
@@ -161,4 +162,89 @@ fn datashipping_baseline_records_fetches_and_evals() {
         .iter()
         .filter(|r| !matches!(r.event, TraceEvent::MessageSent { .. }))
         .all(|r| r.site == "user.test"));
+}
+
+/// Two same-hop visits of one site with different parents: `s` links
+/// `a` and `b`, each of which links its own page on `m`, and each of
+/// those its own target.
+fn diamond() -> HostedWeb {
+    let mut web = HostedWeb::new();
+    let pages = [
+        ("http://s.test/", "s", "http://a.test/x.html"),
+        ("http://a.test/x.html", "x", "http://m.test/p.html"),
+        ("http://b.test/y.html", "y", "http://m.test/q.html"),
+        ("http://m.test/p.html", "p", "http://t1.test/"),
+        ("http://m.test/q.html", "q", "http://t2.test/"),
+    ];
+    for (url, title, link) in pages {
+        let mut page = PageBuilder::new(title).link(link, "next");
+        if url == "http://s.test/" {
+            page = page.link("http://b.test/y.html", "next");
+        }
+        web.insert_page(url, page);
+    }
+    web.insert_page("http://t1.test/", PageBuilder::new("t1"));
+    web.insert_page("http://t2.test/", PageBuilder::new("t2"));
+    web
+}
+
+const DIAMOND_QUERY: &str = r#"select d.url from document d such that "http://s.test/" G* d"#;
+
+/// `visit`'s only child on `site`.
+fn child<'a>(visit: &'a Visit, site: &str) -> &'a Visit {
+    let found: Vec<&Visit> = visit.children.iter().filter(|c| c.site == site).collect();
+    let [only] = found[..] else {
+        panic!("one {site} under {}: {:?}", visit.site, visit.children);
+    };
+    only
+}
+
+/// Each `m` visit's send hangs under that visit: `t1` under the one `a`
+/// forwarded, `t2` under `b`'s.
+fn assert_exact_parents(records: &[TraceRecord]) {
+    let ids = trajectory::query_ids(records);
+    assert_eq!(ids.len(), 1);
+    let traj = trajectory::reconstruct(records, &ids[0]);
+    let s = child(&traj.root, "s.test");
+    for (via, target) in [("a.test", "t1.test"), ("b.test", "t2.test")] {
+        let m = child(child(s, via), "m.test");
+        let sites: Vec<&str> = m.children.iter().map(|c| c.site.as_str()).collect();
+        assert_eq!(sites, [target], "m.test via {via}:\n{}", traj.render_text());
+    }
+}
+
+#[test]
+#[ignore = "a send hangs under the latest visit of its site and hop; exact parents need the clone's parent on the wire (ROADMAP item 17)"]
+fn diamond_sends_hang_under_their_own_visit_sim() {
+    let (collector, tracer) = TraceHandle::collecting(4096);
+    let cfg = EngineConfig {
+        tracer,
+        ..EngineConfig::default()
+    };
+    let outcome = run_query_sim(
+        Arc::new(diamond()),
+        DIAMOND_QUERY,
+        cfg,
+        SimConfig::default(),
+    )
+    .unwrap();
+    assert!(outcome.complete);
+    assert_eq!(outcome.result_set().len(), 7);
+    assert_exact_parents(&collector.snapshot());
+}
+
+#[test]
+#[ignore = "a send hangs under the latest visit of its site and hop; exact parents need the clone's parent on the wire (ROADMAP item 17)"]
+fn diamond_sends_hang_under_their_own_visit_tcp() {
+    let (collector, tracer) = TraceHandle::collecting(4096);
+    let cfg = EngineConfig {
+        tracer,
+        ..EngineConfig::default()
+    };
+    let outcome = Deployment::new(Arc::new(diamond()), cfg)
+        .query_tcp(DIAMOND_QUERY, Duration::from_secs(30), Vec::new())
+        .unwrap();
+    assert!(outcome.complete);
+    assert_eq!(outcome.result_set().len(), 7);
+    assert_exact_parents(&collector.snapshot());
 }

@@ -180,8 +180,34 @@ pub fn default_rules() -> Vec<AlertRule> {
     ]
 }
 
-/// Monitor configuration: window geometry, the tracked series, and the
-/// rule set. Names referenced by rules are tracked automatically.
+/// Counters every monitor tracks as per-window deltas.
+const COUNTERS: [&str; 6] = [
+    "query_sent",
+    "query_recv",
+    "query_shed",
+    "termination",
+    "cache.hit",
+    "cache.miss",
+];
+
+/// Gauges every monitor samples at window close.
+const GAUGES: [&str; 3] = [
+    "queue_depth_high_water",
+    "log_len_high_water",
+    "admission_occupancy_high_water",
+];
+
+/// Histograms every monitor tracks as per-window delta quantiles.
+const HISTOGRAMS: [&str; 4] = [
+    "hop_latency_us",
+    "query_latency_us",
+    "stage_us.queue_wait",
+    "stage_us.eval",
+];
+
+/// Monitor configuration: window geometry and the rule set. The tracked
+/// series are the same for every monitor (this module's `COUNTERS`,
+/// `GAUGES` and `HISTOGRAMS`), plus every name a rule references.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
     /// Window width in microseconds.
@@ -189,12 +215,6 @@ pub struct MonitorConfig {
     /// Closed windows kept in the ring (older ones age out of the
     /// series view; the alert log and counts are never truncated).
     pub ring_windows: usize,
-    /// Counters tracked as per-window deltas.
-    pub counters: Vec<String>,
-    /// Gauges sampled at window close.
-    pub gauges: Vec<String>,
-    /// Histograms tracked as per-window delta quantiles.
-    pub histograms: Vec<String>,
     /// The alert rules, evaluated in order at every window close.
     pub rules: Vec<AlertRule>,
 }
@@ -204,25 +224,6 @@ impl Default for MonitorConfig {
         MonitorConfig {
             window_us: 100_000,
             ring_windows: 64,
-            counters: vec![
-                "query_sent".into(),
-                "query_recv".into(),
-                "query_shed".into(),
-                "termination".into(),
-                "cache.hit".into(),
-                "cache.miss".into(),
-            ],
-            gauges: vec![
-                "queue_depth_high_water".into(),
-                "log_len_high_water".into(),
-                "admission_occupancy_high_water".into(),
-            ],
-            histograms: vec![
-                "hop_latency_us".into(),
-                "query_latency_us".into(),
-                "stage_us.queue_wait".into(),
-                "stage_us.eval".into(),
-            ],
             rules: default_rules(),
         }
     }
@@ -395,7 +396,7 @@ impl MonitorState {
 pub struct Monitor {
     cfg: MonitorConfig,
     tracer: TraceHandle,
-    /// Union of configured series names and rule-referenced names.
+    /// Union of the constant series names and rule-referenced names.
     tracked_counters: Vec<String>,
     tracked_gauges: Vec<String>,
     tracked_hists: Vec<String>,
@@ -406,9 +407,9 @@ impl Monitor {
     /// A monitor with the given config around `tracer`, which keeps the
     /// records and the registry the windows sample.
     pub fn new(cfg: MonitorConfig, tracer: TraceHandle) -> Monitor {
-        let mut counters = cfg.counters.clone();
-        let mut gauges = cfg.gauges.clone();
-        let mut hists = cfg.histograms.clone();
+        let names = |list: &[&str]| list.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let (mut counters, mut gauges, mut hists) =
+            (names(&COUNTERS), names(&GAUGES), names(&HISTOGRAMS));
         for rule in &cfg.rules {
             for name in rule.signal.names() {
                 let list = match rule.signal {

@@ -1,4 +1,4 @@
-//! A PRE's derivative closure, and language containment over it.
+//! A PRE's derivative closure.
 //!
 //! [`Pre::alt`] flattens and deduplicates alternatives, so a PRE has
 //! finitely many derivatives (Brzozowski 1964): the *closure* is every
@@ -7,11 +7,8 @@
 //! holds a state deeper than [`MAX_DEPTH`] or more than [`MAX_STATES`]
 //! states, so every forward derived from a PRE that was let in can ship.
 //!
-//! Containment is a breadth-first search over pairs of derivatives:
-//! `L(a) ⊆ L(b)` iff no pair `(a′, b′)` reachable by one path has `a′`
-//! nullable and `b′` not. The pairs are finitely many for the same reason.
-
-use std::collections::{HashSet, VecDeque};
+//! The product decides no language containment: the log table's rule
+//! ([`check_subsumption`](crate::check_subsumption)) is syntactic.
 
 use webdis_model::LinkType;
 
@@ -42,29 +39,6 @@ pub fn closure(pre: &Pre) -> Result<Vec<Pre>, String> {
     Ok(states)
 }
 
-/// Language containment: `L(sub) ⊆ L(sup)`.
-pub fn contains(sub: &Pre, sup: &Pre) -> bool {
-    let start = (sub.clone(), sup.clone());
-    let mut seen = HashSet::from([start.clone()]);
-    let mut queue = VecDeque::from([start]);
-    while let Some((a, b)) = queue.pop_front() {
-        if a.nullable() && !b.nullable() {
-            return false;
-        }
-        // Identical states have identical futures.
-        if a == b {
-            continue;
-        }
-        for t in LinkType::TRAVERSABLE {
-            let pair = (a.deriv(t), b.deriv(t));
-            if !pair.0.is_never() && seen.insert(pair.clone()) {
-                queue.push_back(pair);
-            }
-        }
-    }
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -73,48 +47,6 @@ mod tests {
 
     fn pre(s: &str) -> Pre {
         parse(s).unwrap()
-    }
-
-    #[test]
-    fn containment_bounded_repetition() {
-        assert!(contains(&pre("L*1·G"), &pre("L*4·G")));
-        assert!(!contains(&pre("L*4·G"), &pre("L*1·G")));
-    }
-
-    #[test]
-    fn containment_star_superset_of_bounded() {
-        assert!(contains(&pre("L*7"), &pre("L*")));
-        assert!(!contains(&pre("L*"), &pre("L*7")));
-    }
-
-    #[test]
-    fn containment_reflexive_and_with_alt() {
-        let p = pre("G·(G|L)");
-        assert!(contains(&p, &p));
-        let sup = pre("G·(G|L|I)");
-        assert!(contains(&p, &sup));
-        assert!(!contains(&sup, &p));
-        assert!(contains(&Pre::Never, &p));
-        assert!(!contains(&Pre::Empty, &p));
-    }
-
-    #[test]
-    fn containment_across_syntax() {
-        // L·L* and L*·L are both "one or more L".
-        let (a, b) = (pre("L·L*"), pre("L*·L"));
-        assert!(contains(&a, &b) && contains(&b, &a));
-        assert!(!contains(&pre("L*"), &a));
-        assert!(contains(&pre("L·L·L*"), &a));
-    }
-
-    #[test]
-    fn rewrite_stays_within_the_arrival() {
-        // The multiple-rewrite A·A*(m-1)·B drops exactly the paths with no
-        // A: here G.
-        let (orig, rewritten) = (pre("L*4·G"), pre("L·L*3·G"));
-        assert!(contains(&rewritten, &orig));
-        assert!(orig.accepts(&[G]) && !rewritten.accepts(&[G]));
-        assert!(!contains(&orig, &rewritten));
     }
 
     #[test]

@@ -16,9 +16,7 @@
 //!   [`Pre::nullable`] ("does the PRE contain the null link", i.e. evaluate
 //!   the node-query here), [`Pre::first`] (which link types to follow) and
 //!   [`Pre::deriv`] (the remaining PRE after following a link);
-//! * the derivative [`closure()`] of a PRE, and language containment
-//!   ([`contains`]) as a search over pairs of derivatives — the optional
-//!   generalized log-table equivalence;
+//! * the derivative [`closure()`] of a PRE, which the parser checks;
 //! * the log-table equivalence rules of Section 3.1.1 — exact-match and
 //!   `A*m·B` subsumption, including the query *rewrite*
 //!   `A*m·B → A·A*(m-1)·B` — see [`subsume`].
@@ -29,6 +27,6 @@ pub mod parse;
 pub mod subsume;
 
 pub use ast::{LinkSet, Pre};
-pub use closure::{closure, contains};
+pub use closure::closure;
 pub use parse::{parse, PreParseError, MAX_DEPTH, MAX_NESTING, MAX_STATES};
 pub use subsume::{check_subsumption, rewrite_superset, Subsumption};

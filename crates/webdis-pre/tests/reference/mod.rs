@@ -1,9 +1,9 @@
-//! The PRE automaton as it stood before containment became a search over
-//! derivative pairs, kept as the oracle the derivative engine is tested
-//! against: a Thompson NFA, a subset-construction DFA, and containment as
-//! a breadth-first search of the product DFA with a shortest witness
-//! (`counterexample`). It shares nothing with the product's derivatives
-//! but the AST.
+//! The PRE automaton as it stood before the product moved to derivatives,
+//! kept as the oracle the derivative engine and the log table's rule are
+//! tested against: a Thompson NFA, a subset-construction DFA, and
+//! containment as a breadth-first search of the product DFA with a
+//! shortest witness (`counterexample`). It shares nothing with the
+//! product's derivatives but the AST.
 //!
 //! `nfa.rs` is the parent's product code verbatim, unit tests included
 //! (they enumerate paths with [`enumerate_paths`], once `Pre`'s own). It

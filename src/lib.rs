@@ -17,7 +17,7 @@
 //! | [`model`] | URLs, link types (I/L/G/N), the web graph |
 //! | [`html`] | One-scan HTML document extraction, body text formed on first read |
 //! | [`rel`] | DOCUMENT / ANCHOR / RELINFON virtual relations, predicates, node-query evaluation |
-//! | [`pre`] | path regular expressions: parsing, derivatives and their finite closure, subsumption, containment over derivative pairs |
+//! | [`pre`] | path regular expressions: parsing, derivatives and their finite closure, subsumption |
 //! | [`disql`] | the DISQL query language |
 //! | [`net`] | wire codec, protocol messages, TCP transport, the per-kind traffic meter |
 //! | [`sim`] | deterministic discrete-event network simulator; the fault list and the message ledger both runtimes share |

@@ -15,6 +15,9 @@ use webdis_bench::{experiment, Ctx, TraceOpt};
 use webdis_chaos::plan::ChaosPlan;
 use webdis_monitor::{Monitor, MonitorConfig};
 
+#[path = "../crates/webdis-chaos/tests/stale/mod.rs"]
+mod stale;
+
 /// The t12 acceptance shape: a sim run with injected drops, expiry on.
 fn t12_drop_trace() -> Vec<TraceRecord> {
     let (collector, tracer) = TraceHandle::collecting(16_384);
@@ -149,10 +152,10 @@ fn cached_zipf_trace() -> Vec<TraceRecord> {
     collector.snapshot()
 }
 
-/// A living chaos plan with the doc cache's version check off, as in
-/// `crates/webdis-chaos/tests/living.rs`: an edit of a visited page
-/// between two visits (superseded), a deleted page (dead links) and
-/// report duplication.
+/// A living chaos plan traced as an unchecked doc cache would have
+/// served it, as in `crates/webdis-chaos/tests/living.rs`: an edit of a
+/// visited page between two visits (superseded), a deleted page (dead
+/// links) and report duplication.
 fn living_chaos_trace() -> Vec<TraceRecord> {
     let url = |u| Url::parse(u).unwrap();
     let edit = MutationOp::EditPage {
@@ -164,7 +167,6 @@ fn living_chaos_trace() -> Vec<TraceRecord> {
     };
     let plan = ChaosPlan {
         doc_cache_size: 8,
-        validate_doc_cache: false,
         faults: vec![
             Mutation {
                 at_us: 14_000,
@@ -180,7 +182,9 @@ fn living_chaos_trace() -> Vec<TraceRecord> {
         ],
         ..ChaosPlan::default()
     };
-    webdis_chaos::run_plan(&plan).unwrap().records
+    let mut records = webdis_chaos::run_plan(&plan).unwrap().records;
+    stale::serve_first_build(&mut records);
+    records
 }
 
 /// A monitored shed burst shaped like t18: the burn-rate alert fires in

@@ -112,10 +112,6 @@ fn all_engine_configs_agree_on_campus() {
             ..EngineConfig::default()
         },
         EngineConfig {
-            log_mode: LogMode::General,
-            ..EngineConfig::default()
-        },
-        EngineConfig {
             batch_per_site: false,
             ..EngineConfig::default()
         },
@@ -315,69 +311,6 @@ fn tcp_runtime_matches_sim() {
         })
         .collect();
     assert_eq!(tcp_rows, sim.result_set());
-}
-
-#[test]
-fn general_log_mode_drops_contained_states_paper_rule_cannot() {
-    // Under `(G|L)*·G`, a node reached via a G link holds the *wider*
-    // state `((G|L)*·G)|N` while the same node reached via an L link
-    // holds `(G|L)*·G` — languages in strict containment but outside the
-    // paper's `A*m·B` shape. Build a diamond where one node is entered
-    // both ways: General mode recognizes the containment and drops the
-    // narrower arrival; Paper mode recomputes it. Results are identical.
-    let mut web = HostedWeb::new();
-    web.insert_page(
-        "http://s.test/start",
-        PageBuilder::new("start")
-            .link("http://a.test/hub", "via G")
-            .link("/mid", "via L"),
-    );
-    web.insert_page(
-        "http://s.test/mid",
-        PageBuilder::new("mid").link("http://a.test/t", "to t"),
-    );
-    web.insert_page(
-        "http://a.test/hub",
-        PageBuilder::new("hub").link("/t", "to t"),
-    );
-    web.insert_page(
-        "http://a.test/t",
-        PageBuilder::new("t").link("http://z.test/end", "the final G"),
-    );
-    web.insert_page("http://z.test/end", PageBuilder::new("end needle"));
-    let web = Arc::new(web);
-    let disql = r#"select d.url
-                   from document d such that "http://s.test/start" (G|L)*·G d
-                   where d.title contains "needle""#;
-
-    let run = |mode: LogMode| {
-        run_query_sim(
-            Arc::clone(&web),
-            disql,
-            EngineConfig {
-                log_mode: mode,
-                completion: CompletionMode::ChtStrict,
-                ..EngineConfig::default()
-            },
-            SimConfig::default(),
-        )
-        .unwrap()
-    };
-    let paper = run(LogMode::Paper);
-    let general = run(LogMode::General);
-    assert!(paper.complete && general.complete);
-    assert_eq!(paper.result_set(), general.result_set());
-    assert!(
-        general.sum_stat(|s| s.duplicates_dropped) > paper.sum_stat(|s| s.duplicates_dropped),
-        "general mode must drop the contained arrival (general {} vs paper {})",
-        general.sum_stat(|s| s.duplicates_dropped),
-        paper.sum_stat(|s| s.duplicates_dropped)
-    );
-    assert!(
-        general.sum_stat(|s| s.evaluations) < paper.sum_stat(|s| s.evaluations)
-            || general.sum_stat(|s| s.arrivals) < paper.sum_stat(|s| s.arrivals),
-        "the drop must save work"
-    );
 }
 
 #[test]

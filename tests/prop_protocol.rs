@@ -7,7 +7,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use webdis::core::{run_datashipping_sim, run_query_sim, Deployment, EngineConfig, LogMode};
+use webdis::core::{run_datashipping_sim, run_query_sim, Deployment, EngineConfig};
 use webdis::sim::{Fault, FaultKind, LatencyModel, SimConfig};
 use webdis::web::{generate, WebGenConfig};
 
@@ -72,14 +72,10 @@ fn disql_query() -> impl Strategy<Value = String> {
 }
 
 /// The non-default engine configurations the agreement properties sweep.
-fn swept_configs() -> [EngineConfig; 5] {
+fn swept_configs() -> [EngineConfig; 4] {
     [
         EngineConfig::strict(),
         EngineConfig::ack_chain(),
-        EngineConfig {
-            log_mode: LogMode::General,
-            ..EngineConfig::default()
-        },
         EngineConfig {
             batch_per_site: false,
             ..EngineConfig::default()
