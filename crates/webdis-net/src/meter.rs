@@ -39,11 +39,13 @@ struct Slot {
 }
 
 /// Thread-safe per-kind, per-fate counters of messages and their encoded
-/// bytes — plus how many connections were dialled to carry them.
+/// bytes — plus how many connections were dialled to carry them, and how
+/// many `write` calls put them on those connections.
 #[derive(Default)]
 pub struct WireCounters {
     slots: [[Slot; FATES.len()]; MESSAGE_KINDS.len()],
     connects: AtomicU64,
+    writes: AtomicU64,
 }
 
 fn kind_index(kind: &str) -> Option<usize> {
@@ -73,6 +75,18 @@ impl WireCounters {
         self.connects.load(Ordering::Relaxed)
     }
 
+    /// Records `n` `write` calls on dialled connections. Held frames go
+    /// out in one per peer per flush, so this stays near the number of
+    /// batches rather than of messages.
+    pub fn record_writes(&self, n: u64) {
+        self.writes.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// `write` calls on dialled connections so far.
+    pub fn writes(&self) -> u64 {
+        self.writes.load(Ordering::Relaxed)
+    }
+
     /// Messages and bytes of `kind` that met fate `fate` (zero for an
     /// unknown kind).
     pub fn get(&self, fate: usize, kind: &str) -> (u64, u64) {
@@ -97,12 +111,14 @@ impl WireCounters {
     /// The counters as registry-style `(name, value)` pairs, for kinds
     /// and fates that saw traffic: `<kind>.msgs` and `<kind>.bytes` for
     /// sent messages, `<kind>.<fate>_msgs` and `<kind>.<fate>_bytes` for
-    /// the rest — and `connects` once a connection was dialled.
+    /// the rest — and `connects` once a connection was dialled, `writes`
+    /// once one was written.
     pub fn counters(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
-        let connects = self.connects();
-        if connects > 0 {
-            out.push(("connects".to_string(), connects));
+        for (name, n) in [("connects", self.connects()), ("writes", self.writes())] {
+            if n > 0 {
+                out.push((name.to_string(), n));
+            }
         }
         for kind in MESSAGE_KINDS {
             for (fate, name) in FATES.iter().enumerate() {
@@ -157,8 +173,12 @@ mod tests {
         assert!(pairs.contains(&("fetch.dropped_msgs".to_string(), 1)));
         assert!(pairs.contains(&("fetch.dropped_bytes".to_string(), 310)));
         assert!(!pairs.iter().any(|(k, _)| k == "connects"));
+        assert!(!pairs.iter().any(|(k, _)| k == "writes"));
         w.record_connect();
-        assert!(w.counters().contains(&("connects".to_string(), 1)));
+        w.record_writes(2);
+        let pairs = w.counters();
+        assert!(pairs.contains(&("connects".to_string(), 1)));
+        assert!(pairs.contains(&("writes".to_string(), 2)));
         assert!(
             !pairs.iter().any(|(k, _)| k.starts_with("ack.")),
             "zero-traffic kinds stay out of the report: {pairs:?}"

@@ -190,20 +190,20 @@ impl Frame {
     }
 }
 
-/// The one frame writer: held and one-shot frames both end here.
-/// `wait(stream, progress)` is called whenever `stream` has no room,
-/// `progress` being when the peer last took a byte — the clock is read
-/// then, not per write.
+/// The one frame writer: held and one-shot frames both end here; returns
+/// how many `write` calls took bytes. `wait(stream, progress)` is called
+/// whenever `stream` has no room, `progress` being when the peer last took
+/// a byte — the clock is read then, not per write.
 fn write_frames(
     stream: &mut TcpStream,
     frames: &[u8],
     mut wait: impl FnMut(&TcpStream, Instant) -> Result<(), TcpError>,
-) -> Result<(), TcpError> {
-    let (mut rest, mut progress) = (frames, None);
+) -> Result<u64, TcpError> {
+    let (mut rest, mut progress, mut writes) = (frames, None, 0);
     while !rest.is_empty() {
         match stream.write(rest) {
             Ok(0) => return Err(TcpError::Io(io::ErrorKind::WriteZero.into())),
-            Ok(n) => (rest, progress) = (&rest[n..], None),
+            Ok(n) => (rest, progress, writes) = (&rest[n..], None, writes + 1),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 wait(stream, *progress.get_or_insert_with(Instant::now))?;
             }
@@ -211,7 +211,7 @@ fn write_frames(
             Err(_) => {}
         }
     }
-    Ok(())
+    Ok(writes)
 }
 
 /// Sends one message on a connection of its own: connect, frame, write,
@@ -221,7 +221,7 @@ fn write_frames(
 pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
     let (frame, mut stream) = (Frame::encode(msg)?, TcpStream::connect(addr)?);
     stream.set_write_timeout(Some(FRAME_STALL_BOUND))?;
-    write_frames(&mut stream, &frame.0, |_, _| Err(TcpError::Timeout))
+    write_frames(&mut stream, &frame.0, |_, _| Err(TcpError::Timeout)).map(drop)
 }
 
 /// A handle to an endpoint's outbound connections, one per peer listener
@@ -235,8 +235,9 @@ pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError>
 pub struct Outbox(Arc<Shared>);
 
 impl Outbox {
-    /// Appends `frame` to the connection to `addr`, dialling (counted on
-    /// `meter`) when there is none or the peer has closed it — checked
+    /// Appends `frame` to the connection to `addr`, dialling when there is
+    /// none or the peer has closed it — the dial, and the connection's
+    /// writes, counted on `meter` — checked
     /// *before* the append, so passive termination fails this send, not
     /// the next. Transient failures are retried with backoff, each told to
     /// `on_retry`; a refused dial fails at once.
@@ -244,13 +245,16 @@ impl Outbox {
         &self,
         addr: SocketAddr,
         frame: &Frame,
-        meter: &WireCounters,
+        meter: &Arc<WireCounters>,
         on_retry: impl FnMut(u32),
     ) -> Result<(), TcpError> {
         let home = &self.0;
         let hold = || {
             let mut links = home.links();
-            if links.get(&addr).is_some_and(|link| peer_closed(&link.0)) {
+            if links
+                .get(&addr)
+                .is_some_and(|link| peer_closed(&link.stream))
+            {
                 links.remove(&addr);
             }
             let link = match links.entry(addr) {
@@ -260,10 +264,15 @@ impl Outbox {
                     let stream = TcpStream::connect(addr)?;
                     stream.set_nodelay(true)?;
                     stream.set_nonblocking(true)?;
-                    e.insert((stream, Vec::new()))
+                    let meter = Arc::clone(meter);
+                    e.insert(Link {
+                        stream,
+                        held: Vec::new(),
+                        meter,
+                    })
                 }
             };
-            link.1.extend_from_slice(&frame.0);
+            link.held.extend_from_slice(&frame.0);
             Ok(())
         };
         with_retries(on_retry, |backoff| home.pause(backoff), hold)
@@ -715,6 +724,14 @@ impl Inbox {
     }
 }
 
+/// A connection an endpoint dialled: the socket, the frames held for it
+/// since it was last written, and the meter its dial and writes count on.
+struct Link {
+    stream: TcpStream,
+    held: Vec<u8>,
+    meter: Arc<WireCounters>,
+}
+
 /// What an endpoint shares with its [`Closer`]s and [`Outbox`]es.
 struct Shared {
     /// The listeners' addresses, in the order they were bound; never
@@ -725,7 +742,7 @@ struct Shared {
     inbox: Mutex<Inbox>,
     /// The connections this endpoint dialled, by peer listener, each with
     /// the frames held for it since its buffer was last written.
-    links: Mutex<HashMap<SocketAddr, (TcpStream, Vec<u8>)>>,
+    links: Mutex<HashMap<SocketAddr, Link>>,
 }
 
 impl Shared {
@@ -737,7 +754,7 @@ impl Shared {
         self.inbox.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn links(&self) -> MutexGuard<'_, HashMap<SocketAddr, (TcpStream, Vec<u8>)>> {
+    fn links(&self) -> MutexGuard<'_, HashMap<SocketAddr, Link>> {
         self.links.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -774,11 +791,13 @@ impl Shared {
             Ok(())
         };
         let mut flushed = Ok(());
-        self.links().retain(|_, (stream, held)| {
-            let sent = write_frames(stream, held, &mut wait);
-            held.clear();
-            held.shrink_to(READ_CHUNK);
-            sent.map_err(|e| flushed = Err(e)).is_ok()
+        self.links().retain(|_, link| {
+            let sent = write_frames(&mut link.stream, &link.held, &mut wait);
+            link.held.clear();
+            link.held.shrink_to(READ_CHUNK);
+            sent.map(|writes| link.meter.record_writes(writes))
+                .map_err(|e| flushed = Err(e))
+                .is_ok()
         });
         flushed
     }
@@ -1234,6 +1253,11 @@ mod tests {
 
     const WAIT: Duration = Duration::from_secs(5);
 
+    /// A fresh meter, as a cluster has one.
+    fn meter() -> Arc<WireCounters> {
+        Arc::default()
+    }
+
     /// An endpoint of its own, as every sending thread has, and its outbox.
     fn sender() -> (TcpEndpoint, Outbox) {
         let home = TcpEndpoint::bind("127.0.0.1:0").unwrap();
@@ -1243,14 +1267,14 @@ mod tests {
 
     /// Sends `frame` to `addr` and writes it at once, counting a dial on
     /// `meter`.
-    fn send_metered(out: &Outbox, meter: &WireCounters, addr: SocketAddr, frame: &Frame) {
+    fn send_metered(out: &Outbox, meter: &Arc<WireCounters>, addr: SocketAddr, frame: &Frame) {
         out.send(addr, frame, meter, |_| {}).unwrap();
         out.flush().unwrap();
     }
 
     fn send_now(out: &Outbox, addr: SocketAddr, msg: &Message) {
         let frame = Frame::encode(msg).unwrap();
-        send_metered(out, &WireCounters::default(), addr, &frame);
+        send_metered(out, &meter(), addr, &frame);
     }
 
     fn big_msg(bytes: usize) -> Message {
@@ -1274,7 +1298,7 @@ mod tests {
     #[test]
     fn thousand_frames_over_one_connection_arrive_in_order() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let ((_home, out), meter) = (sender(), WireCounters::default());
+        let ((_home, out), meter) = (sender(), meter());
         for i in 0..1000 {
             let frame = Frame::encode(&fetch_msg(&format!("/doc{i}"))).unwrap();
             send_metered(&out, &meter, ep.local_addr(), &frame);
@@ -1326,7 +1350,7 @@ mod tests {
         // batch goes out when the endpoint next waits.
         let peer = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
-        let (sites, meter) = ([host.outbox(), host.outbox()], WireCounters::default());
+        let (sites, meter) = ([host.outbox(), host.outbox()], meter());
         for i in 0..100 {
             for (n, out) in sites.iter().enumerate() {
                 let msg = if i % 10 == 0 {
@@ -1372,9 +1396,7 @@ mod tests {
         let msg = fetch_msg("/self");
         let frame = Frame::encode(&msg).unwrap();
         let to = host.local_addrs()[1];
-        host.outbox()
-            .send(to, &frame, &WireCounters::default(), |_| {})
-            .unwrap();
+        host.outbox().send(to, &frame, &meter(), |_| {}).unwrap();
         let got = host.recv_timeout_sized(WAIT).unwrap();
         assert_eq!((got.msg, got.at), (msg, 1));
     }
@@ -1406,7 +1428,7 @@ mod tests {
     #[test]
     fn undecodable_frame_does_not_cost_the_next_frame_on_the_connection() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let ((_home, out), meter) = (sender(), WireCounters::default());
+        let ((_home, out), meter) = (sender(), meter());
         let garbage = Frame([&3u32.to_be_bytes()[..], &[0xff; 3]].concat());
         send_metered(&out, &meter, ep.local_addr(), &garbage);
         let msg = fetch_msg("/after-garbage");
@@ -1469,7 +1491,7 @@ mod tests {
     fn first_send_after_endpoint_close_fails_for_good() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let addr = ep.local_addr();
-        let ((_home, out), meter) = (sender(), WireCounters::default());
+        let ((_home, out), meter) = (sender(), meter());
         let frame = Frame::encode(&fetch_msg("/x")).unwrap();
         send_metered(&out, &meter, addr, &frame);
         ep.recv_timeout(WAIT).unwrap();
@@ -1492,7 +1514,7 @@ mod tests {
         // at the send, not lost at the write, and the held frame to the
         // other peer still goes out.
         let (mut gone, kept) = (sender().0, sender().0);
-        let ((home, out), meter) = (sender(), WireCounters::default());
+        let ((home, out), meter) = (sender(), meter());
         let frame = Frame::encode(&fetch_msg("/x")).unwrap();
         for peer in [&gone, &kept] {
             send_metered(&out, &meter, peer.local_addr(), &frame);
@@ -1531,7 +1553,7 @@ mod tests {
     fn send_after_peer_rebinds_the_same_port_reconnects() {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let addr = ep.local_addr();
-        let ((_home, out), meter) = (sender(), WireCounters::default());
+        let ((_home, out), meter) = (sender(), meter());
         let first = fetch_msg("/first-life");
         send_metered(&out, &meter, addr, &Frame::encode(&first).unwrap());
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), first);
@@ -1616,7 +1638,7 @@ mod tests {
         let frame = Frame::encode(&msg).unwrap();
         let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
         let addrs = host.local_addrs().to_vec();
-        let (sites, meter) = ([host.outbox(), host.outbox()], WireCounters::default());
+        let (sites, meter) = ([host.outbox(), host.outbox()], meter());
         for _ in 0..3 {
             for (me, out) in sites.iter().enumerate() {
                 out.send(addrs[1 - me], &frame, &meter, |_| {}).unwrap();
@@ -1664,7 +1686,7 @@ mod tests {
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         let addr = unread.local_addr();
         let writer = std::thread::spawn(move || {
-            let meter = WireCounters::default();
+            let meter = meter();
             out.send(addr, &frame, &meter, |_| {}).unwrap();
             done_tx.send(out.flush()).unwrap();
         });
