@@ -1,8 +1,9 @@
 #!/bin/sh
-# One thread per reactor: a TCP endpoint holds a listener per site its
-# thread hosts, the thread that waits on it reads and decodes the frames
-# of all of them itself, and a write from the endpoint's outbox takes
-# turns of that endpoint while it waits for room — so the transport needs no
+# One thread per reactor: a TCP endpoint binds one listener for the sites
+# its thread hosts, each a slot that every frame names, the thread that
+# waits on it reads and decodes the frames for all of them itself, and a
+# write from the endpoint's outbox takes turns of that endpoint while it
+# waits for room — so the transport needs no
 # thread and no channel of its own, and a cluster's daemons run on as
 # many threads as it has reactors (webdis-core's tcprun.rs starts them,
 # ci/one_loop.sh). This fails when a non-test line under

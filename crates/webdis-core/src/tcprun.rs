@@ -1,13 +1,13 @@
 //! The engine on real TCP sockets over loopback — the deployment shape of
-//! the paper's Java prototype: a query-server daemon per site, each on
-//! its own listening socket, the user-site client collecting results on
-//! its own, passive termination by closing that socket. Unlike the
-//! prototype, the daemons do not each own a thread: k reactor threads
-//! ([`Deployment::reactors`], by default one) each host an equal share of
-//! them on one endpoint, a listener per site, with one connection to each
-//! peer listener dialled on first use. What a reactor's sites send goes
-//! out when it next waits, one `write` per peer per turn, and still
-//! crosses the kernel's loopback socket.
+//! the paper's Java prototype: a query-server daemon per site, the
+//! user-site client collecting results on a socket of its own, passive
+//! termination by closing that socket. Unlike the prototype, the daemons
+//! do not each own a thread: k reactor threads ([`Deployment::reactors`],
+//! by default one) each host an equal share of them on one endpoint — one
+//! listener (§4.4's common port) whose numbered slots are its sites — with
+//! one connection to each peer endpoint dialled on first use. What a
+//! reactor's sites send goes out when it next waits, one `write` per peer
+//! endpoint per turn, and still crosses the kernel's loopback socket.
 //!
 //! Each simulated site gets an ephemeral `127.0.0.1` port; a shared
 //! address map plays DNS. Experiments use the deterministic simulator;
@@ -48,13 +48,14 @@ pub type TcpFaultPlan = Vec<Fault>;
 
 /// A `Network` that resolves site addresses through the shared map and
 /// dispatches over its endpoint's long-lived connections, one per peer
-/// listener, dialled on first send (retried with backoff on transient
+/// endpoint, dialled on first send (retried with backoff on transient
 /// failures; connection-refused — the passive-termination signal — is
 /// surfaced immediately). Obtained from [`TcpCluster::user_net`]; every
 /// clone shares the user endpoint's connections.
 #[derive(Clone)]
 pub struct TcpNet {
-    map: Arc<BTreeMap<SiteAddr, SocketAddr>>,
+    /// Each site's endpoint address and its slot there.
+    map: Arc<BTreeMap<SiteAddr, (SocketAddr, u16)>>,
     out: Outbox,
     epoch: Instant,
     /// The address of the endpoint this handle belongs to, as the engine
@@ -191,7 +192,7 @@ impl Network for Hosted<'_> {
     }
 }
 
-/// Sites on one endpoint — listener `i` is the `i`-th site's — as one
+/// Sites on one endpoint — slot `i` is the `i`-th site's — as one
 /// [`Runtime`] on the wall clock, drained by one thread: an entry of
 /// their one agenda is taken at the instant it comes due, a frame at the
 /// instant it is read, and either is handed to the site it addresses.
@@ -229,8 +230,8 @@ impl<A: Actor> Runtime for Reactor<'_, A> {
                 Err(webdis_net::RecvTimeoutError::Timeout) => continue,
                 Err(_disconnected) => return None,
             };
-            // The endpoint has one listener per site, in `sites` order.
-            let Some((_, net)) = self.sites.get_mut(received.at) else {
+            // Each frame names its site's slot: its place in `sites`.
+            let Some((_, net)) = self.sites.get_mut(usize::from(received.at)) else {
                 continue;
             };
             let (msg, bytes, now) = (received.msg, received.wire_bytes, net.now_us());
@@ -274,7 +275,7 @@ impl<A: Actor> Runtime for Reactor<'_, A> {
 }
 
 /// Spawns reactor thread `name`, which runs the daemons `sites` on
-/// `endpoint` (listener `i` the `i`-th's) from `agenda` until the
+/// `endpoint` (slot `i` the `i`-th's) from `agenda` until the
 /// endpoint is closed; returns what closes the endpoint and the handle
 /// that gives the engines back.
 fn spawn(
@@ -442,8 +443,8 @@ impl Deployment {
     /// endpoint and the cluster's one admin socket
     /// ([`TcpCluster::admin_addr`]), then spawns [`Deployment::reactors`]
     /// reactor threads, each hosting the [`ServerEngine`]s of an equal
-    /// share of the participating sites, in site order, on one endpoint
-    /// with a listener per site. Each daemon, and the user site, sends
+    /// share of the participating sites, in site order, as the slots of one
+    /// endpoint (at most 65 535). Each daemon, and the user site, sends
     /// through its endpoint's [`Outbox`], which the endpoint's waiting
     /// thread reads while a write waits for room. Faults are decided per
     /// send, a [`Fault::Crash`] of any endpoint also per arrival, in µs
@@ -466,15 +467,15 @@ impl Deployment {
         let mut map = BTreeMap::new();
         for r in 0..k {
             let hosted = &sites[r * n / k..(r + 1) * n / k];
-            let ep = TcpEndpoint::bind_all(hosted.iter().map(|_| "127.0.0.1:0"));
-            let ep = ep.expect("bind loopback");
-            for (site, addr) in hosted.iter().zip(ep.local_addrs()) {
-                map.insert(query_server_addr(site), *addr);
+            let slots = u16::try_from(hosted.len()).expect("a reactor hosts at most 65 535 sites");
+            let ep = TcpEndpoint::bind_slots("127.0.0.1:0", slots).expect("bind loopback");
+            for (slot, site) in (0..).zip(hosted) {
+                map.insert(query_server_addr(site), (ep.local_addr(), slot));
             }
             endpoints.push((hosted, ep));
         }
         let user_endpoint = TcpEndpoint::bind("127.0.0.1:0").expect("bind loopback");
-        map.insert(user_site.clone(), user_endpoint.local_addr());
+        map.insert(user_site.clone(), (user_endpoint.local_addr(), 0));
         let ledger = Ledger {
             meter: Arc::default(),
             tracer: engine_cfg.tracer.clone(),
@@ -600,6 +601,7 @@ impl Deployment {
 mod tests {
     use super::*;
     use crate::client::ClientProcess;
+    use std::collections::BTreeSet;
     use webdis_model::Url;
     use webdis_sim::FaultKind;
     use webdis_trace::{TraceEvent as TrEvent, TraceHandle};
@@ -1078,9 +1080,9 @@ mod tests {
     #[test]
     fn connections_are_reused_across_queries() {
         // 200 campus queries over one cluster: each sending endpoint — a
-        // reactor or the user's — dials each listener at most once, since
-        // the daemons sharing a reactor share its connections, and a warm
-        // cluster never dials again.
+        // reactor or the user's — dials each endpoint at most once, since
+        // the daemons sharing a reactor share its connections and its one
+        // listener, and a warm cluster never dials again.
         let cfg = EngineConfig::default();
         for reactors in LAYOUTS {
             let mut cluster = cluster_at(figures::campus(), &cfg, reactors);
@@ -1092,14 +1094,13 @@ mod tests {
                 assert_eq!(query.results.get(&1).map(Vec::len), Some(3));
                 connects_after.push(cluster.wire_counters().connects());
             }
-            // Senders: the reactors plus the user; listeners: one per site
+            // Endpoints, each one sender and one listener: the reactors
             // plus the user's.
             let sites = figures::campus().sites().len();
-            let senders = reactors.min(sites) as u64 + 1;
-            let listeners = sites as u64 + 1;
+            let endpoints = reactors.min(sites) as u64 + 1;
             assert!(
-                connects_after[199] <= senders * listeners,
-                "{reactors:?}: {} dials, {senders} senders, {listeners} listeners",
+                connects_after[199] <= endpoints * endpoints,
+                "{reactors:?}: {} dials between {endpoints} endpoints",
                 connects_after[199]
             );
             assert_eq!(
@@ -1110,11 +1111,10 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_generated_sixteen_site_web_answers_as_data_shipping_in_either_layout() {
-        // The crawl the wall-clock benchmark times: many clones and
-        // reports per turn of a reactor, so many frames share a write.
-        let web = webdis_web::generate(&webdis_web::WebGenConfig {
+    /// A generated sixteen-site web, six documents a site, and the title
+    /// crawl over it: what the wall-clock benchmark's `crawl16` times.
+    fn crawl16() -> HostedWeb {
+        webdis_web::generate(&webdis_web::WebGenConfig {
             sites: 16,
             docs_per_site: 6,
             extra_local_links: 2,
@@ -1123,23 +1123,60 @@ mod tests {
             filler_words: 40,
             seed: 4242,
             ..webdis_web::WebGenConfig::default()
-        });
-        let disql = r#"select d.url, d.title from document d
-            such that "http://site0.test/doc0.html" (L|G)* d
-            where d.title contains "needle""#;
-        let cfg = EngineConfig::default();
-        let deployment = Deployment::new(Arc::new(web), cfg.clone());
+        })
+    }
+
+    const CRAWL16_QUERY: &str = r#"select d.url, d.title from document d
+        such that "http://site0.test/doc0.html" (L|G)* d
+        where d.title contains "needle""#;
+
+    /// The rows the centralized baseline answers [`CRAWL16_QUERY`] with.
+    fn crawl16_reference() -> BTreeSet<(u32, String, Vec<String>)> {
+        let deployment = Deployment::new(Arc::new(crawl16()), EngineConfig::default());
         let sim_cfg = webdis_sim::SimConfig::default();
-        let reference = deployment.datashipping_sim(disql, sim_cfg).unwrap();
+        let reference = deployment.datashipping_sim(CRAWL16_QUERY, sim_cfg);
+        let reference = reference.unwrap();
         assert!(reference.complete && !reference.results.is_empty());
+        reference.result_set()
+    }
+
+    #[test]
+    fn a_generated_sixteen_site_web_answers_as_data_shipping_in_either_layout() {
+        // The crawl the wall-clock benchmark times: many clones and
+        // reports per turn of a reactor, so many frames share a write.
+        let reference = crawl16_reference();
+        let deployment = Deployment::new(Arc::new(crawl16()), EngineConfig::default());
         for reactors in LAYOUTS {
             let mut deployment = deployment.clone();
             deployment.reactors = reactors;
-            let record = deployment.query_tcp(disql, Duration::from_secs(30), Vec::new());
+            let record = deployment.query_tcp(CRAWL16_QUERY, Duration::from_secs(30), Vec::new());
             let record = record.unwrap();
             assert!(record.complete, "{reactors:?}");
-            assert_eq!(record.result_set(), reference.result_set(), "{reactors:?}");
+            assert_eq!(record.result_set(), reference, "{reactors:?}");
         }
+    }
+
+    #[test]
+    fn a_crawl_on_one_reactor_writes_each_peer_once_per_turn() {
+        // The sixteen daemons share one endpoint, so a turn's frames to
+        // them all, and to the user, leave in one write per peer endpoint:
+        // a warm query takes a write per turn that sends, not one per
+        // site it reaches.
+        let (reference, cfg) = (crawl16_reference(), EngineConfig::default());
+        let mut cluster = cluster_at(crawl16(), &cfg, 1);
+        let (mut user, mut net) = (campus_user(&cluster, &cfg), cluster.user_net());
+        drive_query(&mut cluster, &mut net, &mut user, (0, CRAWL16_QUERY));
+        let (queries, before) = (20, cluster.wire_counters().writes());
+        for _ in 0..queries {
+            let record = drive_query(&mut cluster, &mut net, &mut user, (0, CRAWL16_QUERY));
+            assert_eq!(record.result_set(), reference);
+        }
+        let writes = cluster.wire_counters().writes() - before;
+        cluster.shutdown();
+        assert!(
+            writes <= 16 * queries,
+            "{writes} writes over {queries} queries"
+        );
     }
 
     #[test]

@@ -17,10 +17,10 @@
 //!   [`messages::FetchResponse`] — whole-document transfer,
 //!   used only by the centralized data-shipping baseline.
 //!
-//! [`tcp`] implements a real transport on `std::net`: length-prefixed
-//! frames over one long-lived connection per (endpoint, peer listener)
-//! pair, written once per wait and read and decoded by the thread that
-//! waits on the endpoint — no I/O thread. The paper's Java daemon dials
+//! [`tcp`] implements a real transport on `std::net`: one listener per
+//! endpoint, frames naming the site (slot) they are for, one long-lived
+//! connection per pair of endpoints, written once per wait and read and
+//! decoded by the thread that waits on the endpoint — no I/O thread. The paper's Java daemon dials
 //! per dispatch; a connection that carries one frame and closes is the
 //! short case of the same code. The simulated transport is `webdis-sim`.
 //! The platform is Linux: the endpoint waits on `epoll(7)` and `ppoll(2)`.

@@ -39,8 +39,7 @@ struct Slot {
 }
 
 /// Thread-safe per-kind, per-fate counters of messages and their encoded
-/// bytes — plus how many connections were dialled to carry them, and how
-/// many `write` calls put them on those connections.
+/// bytes — plus the dials and `write` calls of the connections carrying them.
 #[derive(Default)]
 pub struct WireCounters {
     slots: [[Slot; FATES.len()]; MESSAGE_KINDS.len()],
@@ -75,9 +74,7 @@ impl WireCounters {
         self.connects.load(Ordering::Relaxed)
     }
 
-    /// Records `n` `write` calls on dialled connections. Held frames go
-    /// out in one per peer per flush, so this stays near the number of
-    /// batches rather than of messages.
+    /// Records `n` `write` calls on a dialled connection.
     pub fn record_writes(&self, n: u64) {
         self.writes.fetch_add(n, Ordering::Relaxed);
     }
@@ -111,8 +108,8 @@ impl WireCounters {
     /// The counters as registry-style `(name, value)` pairs, for kinds
     /// and fates that saw traffic: `<kind>.msgs` and `<kind>.bytes` for
     /// sent messages, `<kind>.<fate>_msgs` and `<kind>.<fate>_bytes` for
-    /// the rest — and `connects` once a connection was dialled, `writes`
-    /// once one was written.
+    /// the rest — and `connects` and `writes` (dials, and `write` calls on
+    /// dialled connections) once nonzero.
     pub fn counters(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
         for (name, n) in [("connects", self.connects()), ("writes", self.writes())] {

@@ -1,20 +1,19 @@
 //! A real TCP transport (`std::net`) with long-lived connections. The
 //! paper's Java platform opens a socket per dispatch; here an endpoint
-//! keeps one connection to each peer listener, shared by every site it
-//! hosts ([`Outbox`]), dialled only when it has none or the peer closed
-//! it. A send appends a length-prefixed [`Frame`] to the connection's
-//! buffer, and the buffers are written, one `write` each, when the
-//! endpoint's receiver next waits. An endpoint has no thread of its own:
-//! the thread waiting on it (the paper's *Query Receiver* / *Result
-//! Collector*) waits on one poll set of its listeners and connections,
-//! which costs what is ready rather than what is watched, and decodes
-//! each complete frame straight from the connection's buffer. An
-//! endpoint may listen for several sites — one thread hosting them all —
-//! and each message says which listener it arrived on. A connection that
-//! carries one frame and closes ([`send_to`]) is the short case.
+//! binds one listener (§4.4's common port) for the sites it hosts, its
+//! numbered *slots*, and keeps one connection to each peer endpoint,
+//! shared by them all ([`Outbox`]) and dialled only when it has none or
+//! the peer closed it. A send appends a [`Frame`] naming its slot to the
+//! connection's buffer; the buffers are written, one `write` per peer
+//! endpoint, when the endpoint's receiver next waits. An endpoint has no
+//! thread of its own: the thread waiting on it (the paper's *Query
+//! Receiver* / *Result Collector*) waits on one poll set of its listener
+//! and connections and decodes each complete frame straight from the
+//! connection's buffer. A connection that carries one frame and closes
+//! ([`send_to`]) is the short case.
 //!
 //! Passive query termination (Section 2.8) still falls out of the
-//! design: closing a [`TcpEndpoint`] closes its listeners and every
+//! design: closing a [`TcpEndpoint`] closes its listener and every
 //! accepted connection, a sender sees that *before* it appends, its
 //! re-dial is refused, and the server purges the query locally.
 
@@ -36,8 +35,10 @@ use sys::{PollFd, POLLOUT};
 /// they read by the same figure.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// Bytes of the big-endian length prefix in front of every payload.
+/// Bytes of a frame's big-endian payload length, and of its whole header:
+/// the length, then the big-endian slot (a site of the receiver) it is for.
 const PREFIX: usize = 4;
+const HEADER: usize = PREFIX + 2;
 
 /// How long a connection may sit on an incomplete frame without a byte
 /// of progress before the endpoint drops it — the slowloris bound. A
@@ -52,7 +53,7 @@ const READ_CHUNK: usize = 64 * 1024;
 /// that writes without pause cannot starve the others.
 const READS_PER_TURN: usize = 16;
 
-/// How long an endpoint's listeners stay out of its poll set after an
+/// How long an endpoint's listener stays out of its poll set after an
 /// accept failed (EMFILE and friends): a listener that stays ready would
 /// otherwise busy-spin the waiting thread at 100% CPU.
 const ERROR_PAUSE: Duration = Duration::from_millis(10);
@@ -140,8 +141,7 @@ fn with_retries<T>(
     mut pause: impl FnMut(Duration),
     mut op: impl FnMut() -> Result<T, TcpError>,
 ) -> Result<T, TcpError> {
-    let mut backoff = BASE_BACKOFF;
-    let mut attempt = 0;
+    let (mut backoff, mut attempt) = (BASE_BACKOFF, 0);
     loop {
         match op() {
             Ok(v) => return Ok(v),
@@ -156,21 +156,21 @@ fn with_retries<T>(
     }
 }
 
-/// One wire frame: the 4-byte big-endian payload length, then the
-/// payload, contiguous so the whole frame goes out in one `write`. A
-/// message is encoded into it once; the sender reads its byte count off
-/// [`payload`](Frame::payload) instead of encoding again to measure.
+/// One wire frame: the 4-byte big-endian payload length, the 2-byte slot
+/// (0 until [`Outbox::send`] names it), then the payload, contiguous so the
+/// whole frame goes out in one `write`. A message is encoded into it once;
+/// the sender reads its byte count off [`payload`](Frame::payload).
 pub struct Frame(Vec<u8>);
 
 impl Frame {
-    /// Encodes `msg` straight behind a placeholder prefix, then writes the
+    /// Encodes `msg` straight behind a placeholder header, then writes the
     /// real length into it.
     pub fn encode(msg: &Message) -> Result<Frame, TcpError> {
         let mut buf = Vec::with_capacity(128);
-        buf.extend_from_slice(&[0; PREFIX]);
+        buf.extend_from_slice(&[0; HEADER]);
         msg.encode(&mut buf);
         let len =
-            u32::try_from(buf.len() - PREFIX).map_err(|_| TcpError::FrameTooLarge(u32::MAX))?;
+            u32::try_from(buf.len() - HEADER).map_err(|_| TcpError::FrameTooLarge(u32::MAX))?;
         if len > MAX_FRAME {
             return Err(TcpError::FrameTooLarge(len));
         }
@@ -178,15 +178,15 @@ impl Frame {
         Ok(Frame(buf))
     }
 
-    /// The encoded message, without the prefix.
+    /// The encoded message, without the header.
     pub fn payload(&self) -> &[u8] {
-        &self.0[PREFIX..]
+        &self.0[HEADER..]
     }
 
-    /// The payload, for damaging in place. The length prefix is out of
-    /// reach, so a damaged frame still frames correctly.
+    /// The payload, for damaging in place. The header is out of reach, so
+    /// a damaged frame still frames correctly, for the slot it names.
     pub fn payload_mut(&mut self) -> &mut [u8] {
-        &mut self.0[PREFIX..]
+        &mut self.0[HEADER..]
     }
 }
 
@@ -214,36 +214,36 @@ fn write_frames(
     Ok(writes)
 }
 
-/// Sends one message on a connection of its own: connect, frame, write,
-/// close. The engine sends through an [`Outbox`]; this is for callers
-/// with a single message to deliver. A receiver that takes no byte for
-/// the stall bound fails it with [`TcpError::Timeout`].
+/// Sends one message to slot 0 at `addr` on a connection of its own:
+/// connect, frame, write, close. The engine sends through an [`Outbox`];
+/// this is for callers with a single message to deliver. A receiver that
+/// takes no byte for the stall bound fails it with [`TcpError::Timeout`].
 pub fn send_to<A: ToSocketAddrs>(addr: A, msg: &Message) -> Result<(), TcpError> {
     let (frame, mut stream) = (Frame::encode(msg)?, TcpStream::connect(addr)?);
     stream.set_write_timeout(Some(FRAME_STALL_BOUND))?;
     write_frames(&mut stream, &frame.0, |_, _| Err(TcpError::Timeout)).map(drop)
 }
 
-/// A handle to an endpoint's outbound connections, one per peer listener
+/// A handle to an endpoint's outbound connections, one per peer endpoint
 /// (`TCP_NODELAY`, non-blocking), shared by all its handles. A
-/// [`send`](Outbox::send) appends to a connection's buffer, written before
-/// the endpoint's receiver next waits or by [`flush`](Outbox::flush). A
-/// write that finds no room, and a retry's backoff, take turns of the
-/// endpoint's wait, which read every listener of it: two endpoints, or two
-/// sites of one, writing large frames at each other never both stall.
+/// [`send`](Outbox::send) appends a frame naming its slot to a
+/// connection's buffer, written before the endpoint's receiver next waits
+/// or by [`flush`](Outbox::flush). A write that finds no room, and a
+/// retry's backoff, take turns of the endpoint's wait: two endpoints, or
+/// two sites of one, writing large frames at each other never both stall.
 #[derive(Clone)]
 pub struct Outbox(Arc<Shared>);
 
 impl Outbox {
-    /// Appends `frame` to the connection to `addr`, dialling when there is
-    /// none or the peer has closed it — the dial, and the connection's
-    /// writes, counted on `meter` — checked
-    /// *before* the append, so passive termination fails this send, not
-    /// the next. Transient failures are retried with backoff, each told to
-    /// `on_retry`; a refused dial fails at once.
+    /// Appends `frame`, for `slot`, to the connection to the endpoint at
+    /// `addr`, dialling (counted, with its writes, on `meter`) when there is
+    /// none or the peer has closed it — checked *before* the append, so
+    /// passive termination fails this send, not the next. Transient
+    /// failures are retried with backoff, each told to `on_retry`; a
+    /// refused dial fails at once.
     pub fn send(
         &self,
-        addr: SocketAddr,
+        (addr, slot): (SocketAddr, u16),
         frame: &Frame,
         meter: &Arc<WireCounters>,
         on_retry: impl FnMut(u32),
@@ -251,28 +251,22 @@ impl Outbox {
         let home = &self.0;
         let hold = || {
             let mut links = home.links();
-            if links
-                .get(&addr)
-                .is_some_and(|link| peer_closed(&link.stream))
-            {
+            if links.get(&addr).is_some_and(|(s, ..)| peer_closed(s)) {
                 links.remove(&addr);
             }
-            let link = match links.entry(addr) {
+            let (_, held, _) = match links.entry(addr) {
                 Entry::Occupied(e) => e.into_mut(),
                 Entry::Vacant(e) => {
                     meter.record_connect();
                     let stream = TcpStream::connect(addr)?;
                     stream.set_nodelay(true)?;
                     stream.set_nonblocking(true)?;
-                    let meter = Arc::clone(meter);
-                    e.insert(Link {
-                        stream,
-                        held: Vec::new(),
-                        meter,
-                    })
+                    e.insert((stream, Vec::new(), Arc::clone(meter)))
                 }
             };
-            link.held.extend_from_slice(&frame.0);
+            let at = held.len();
+            held.extend_from_slice(&frame.0);
+            held[at + PREFIX..at + HEADER].copy_from_slice(&slot.to_be_bytes());
             Ok(())
         };
         with_retries(on_retry, |backoff| home.pause(backoff), hold)
@@ -473,13 +467,12 @@ mod sys {
     }
 }
 
-/// One accepted connection of an endpoint: a non-blocking socket, the
-/// listener that accepted it, and the bytes received so far of a frame
-/// not yet complete. The one frame reader: a connection that carries a
-/// single frame and closes goes through the same code.
+/// One accepted connection of an endpoint: a non-blocking socket and the
+/// bytes received so far of a frame not yet complete. The one frame
+/// reader: a connection that carries a single frame and closes goes
+/// through the same code.
 struct Conn {
     stream: TcpStream,
-    listener: usize,
     buf: Vec<u8>,
     /// When the incomplete frame at the front of `buf` last grew; `None`
     /// between frames.
@@ -487,18 +480,18 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, listener: usize) -> io::Result<Conn> {
+    fn new(stream: TcpStream) -> io::Result<Conn> {
         stream.set_nonblocking(true)?;
         Ok(Conn {
             stream,
-            listener,
             buf: Vec::new(),
             last_progress: None,
         })
     }
 
     /// One turn of the endpoint's wait: read what a `readable` socket
-    /// holds, hand the payload of every complete frame to `deliver`, and
+    /// holds, hand the slot and payload of every complete frame to
+    /// `deliver`, and
     /// hold an incomplete one against the `stall` bound. `Err` says why
     /// the connection has to be dropped; whatever partial frame it held
     /// goes with it.
@@ -508,7 +501,7 @@ impl Conn {
         now: Instant,
         stall: Duration,
         chunk: &mut [u8],
-        deliver: &mut impl FnMut(&[u8]),
+        deliver: &mut impl FnMut(u16, &[u8]),
     ) -> Result<(), TcpError> {
         if readable {
             for _ in 0..READS_PER_TURN {
@@ -536,21 +529,21 @@ impl Conn {
     }
 
     /// Delivers every complete frame in `buf` and keeps the remainder.
-    fn take_frames(&mut self, deliver: &mut impl FnMut(&[u8])) -> Result<(), TcpError> {
+    fn take_frames(&mut self, deliver: &mut impl FnMut(u16, &[u8])) -> Result<(), TcpError> {
         let mut at = 0;
         while let Some(&[a, b, c, d]) = self.buf.get(at..at + PREFIX) {
             let len = u32::from_be_bytes([a, b, c, d]);
             if len > MAX_FRAME {
                 return Err(TcpError::FrameTooLarge(len));
             }
-            let end = at + PREFIX + len as usize;
-            let Some(payload) = self.buf.get(at + PREFIX..end) else {
+            let end = at + HEADER + len as usize;
+            let Some([s, t, payload @ ..]) = self.buf.get(at + PREFIX..end) else {
                 // The rest of this frame is still to come: make room for
                 // it in one step rather than by doubling.
                 self.buf.reserve(end - self.buf.len());
                 break;
             };
-            deliver(payload);
+            deliver(u16::from_be_bytes([*s, *t]), payload);
             at = end;
         }
         self.buf.drain(..at);
@@ -575,23 +568,24 @@ pub struct Received {
     pub queued: Duration,
     /// Size of its encoded payload as it came off the wire.
     pub wire_bytes: usize,
-    /// The listener it arrived on: its place in the addresses the
-    /// endpoint was bound to ([`TcpEndpoint::local_addrs`]).
-    pub at: usize,
+    /// The slot its frame named: the endpoint's site it is for.
+    pub at: u16,
 }
 
 /// A message decoded and not yet taken: when the wait that read its frame
-/// whole woke, the message, its size on the wire and the listener it
-/// arrived on.
-type Queued = (Instant, Message, usize, usize);
+/// whole woke, the message, its size on the wire and the slot it is for.
+type Queued = (Instant, Message, usize, u16);
+
+/// The listener's poll-set token; each accepted connection has its own.
+const LISTENER: usize = 0;
 
 /// An endpoint's receiving side, read by whichever thread waits on it: a
 /// receiver, or the write or retry of one of the endpoint's outboxes.
-/// Listener `i` is watched under token `i`, each accepted connection under
-/// a token of its own above the listeners'.
 struct Inbox {
-    /// Empty once the endpoint is closed.
-    listeners: Vec<TcpListener>,
+    /// `None` once the endpoint is closed.
+    listener: Option<TcpListener>,
+    /// The slots the endpoint hosts, from 0: a frame for another is dropped.
+    slots: u16,
     /// Accepted connections by token, and the token the next one takes.
     conns: HashMap<usize, Conn>,
     next: usize,
@@ -600,8 +594,8 @@ struct Inbox {
     partial: Vec<usize>,
     queue: VecDeque<Queued>,
     poller: sys::Poller,
-    /// While an accept failure keeps the listeners out of the poll set,
-    /// when they go back in ([`ERROR_PAUSE`]).
+    /// While an accept failure keeps the listener out of the poll set,
+    /// when it goes back in ([`ERROR_PAUSE`]).
     resume: Option<Instant>,
     /// Scratch of every turn: the tokens its wait found ready, and what
     /// it reads into.
@@ -610,11 +604,11 @@ struct Inbox {
 }
 
 impl Inbox {
-    /// Sleeps until a listener or connection has something, `writer` has
-    /// room, a connection mid-frame reaches the stall bound, the listeners
-    /// are due back from an [`ERROR_PAUSE`] or `timeout` passes (`None`:
-    /// no limit); then accepts every waiting connection and reads every
-    /// ready one, new ones at once, queueing each frame that decodes.
+    /// Sleeps until the listener or a connection has something, `writer`
+    /// has room, a connection mid-frame reaches the stall bound, the
+    /// listener is due back from an [`ERROR_PAUSE`] or `timeout` passes
+    /// (`None`: no limit); then accepts every waiting connection and reads
+    /// every ready one, new ones at once, queueing each frame that decodes.
     /// Garbage, a stalled peer, an oversized prefix and a closed
     /// connection all end the same way: that connection is dropped, every
     /// other one is untouched. A failed wait (`ENOMEM`; a signal is waited
@@ -640,8 +634,8 @@ impl Inbox {
         let mut next = 0;
         while let Some(&token) = self.ready.get(next) {
             next += 1;
-            if token < self.listeners.len() {
-                self.accept(token);
+            if token == LISTENER {
+                self.accept();
             } else if self.service(token, true, now, stall) && !self.partial.contains(&token) {
                 self.partial.push(token);
             }
@@ -651,23 +645,22 @@ impl Inbox {
         self.partial = partial;
     }
 
-    /// Puts the listeners in the poll set, or takes them out for an
+    /// Puts the listener in the poll set, or takes it out for an
     /// [`ERROR_PAUSE`].
     fn listen(&mut self, listen: bool) {
         self.resume = (!listen).then(|| Instant::now() + ERROR_PAUSE);
-        for (token, listener) in self.listeners.iter().enumerate() {
-            let _ = self.poller.watch(listener, token, listen);
+        if let Some(listener) = &self.listener {
+            let _ = self.poller.watch(listener, LISTENER, listen);
         }
     }
 
-    /// Accepts every connection waiting on listener `at` and watches
-    /// each, reading it in this turn; one the poll set refuses is closed.
-    /// A failure other than "none left" (EMFILE and friends) takes the
-    /// listeners out of the poll set for an [`ERROR_PAUSE`], so a listener
-    /// that stays ready cannot spin the waiting thread, while every
-    /// accepted connection is still read.
-    fn accept(&mut self, at: usize) {
-        while let Some(listener) = self.listeners.get(at) {
+    /// Accepts every connection waiting on the listener and watches each,
+    /// reading it in this turn; one the poll set refuses is closed. A
+    /// failure other than "none left" (EMFILE and friends) takes the
+    /// listener out of the poll set for an [`ERROR_PAUSE`], so it cannot
+    /// spin the waiting thread while every accepted connection is read.
+    fn accept(&mut self) {
+        while let Some(listener) = &self.listener {
             let stream = match listener.accept() {
                 Ok((stream, _)) => stream,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
@@ -675,7 +668,7 @@ impl Inbox {
                 Err(_) => return self.listen(false),
             };
             let token = self.next;
-            let Ok(conn) = Conn::new(stream, at) else {
+            let Ok(conn) = Conn::new(stream) else {
                 continue;
             };
             if self.poller.watch(&conn.stream, token, true).is_ok() {
@@ -694,14 +687,13 @@ impl Inbox {
         let Some(conn) = self.conns.get_mut(&token) else {
             return false;
         };
-        let (queue, at) = (&mut self.queue, conn.listener);
-        // An undecodable payload had an intact length prefix, so framing
-        // on its connection is still in step and only that frame is lost
-        // — a long-running daemon must survive garbage.
-        let mut deliver = |payload: &[u8]| {
-            if let Ok(msg) = decode_message(payload) {
-                queue.push_back((now, msg, payload.len(), at));
-            }
+        let (queue, slots) = (&mut self.queue, self.slots);
+        // A frame for a slot the endpoint does not host, or whose payload
+        // does not decode, had an intact header: framing stays in step and
+        // only that frame is lost — a long-running daemon survives garbage.
+        let mut deliver = |slot: u16, payload: &[u8]| match decode_message(payload) {
+            Ok(msg) if slot < slots => queue.push_back((now, msg, payload.len(), slot)),
+            _ => {}
         };
         if conn
             .service(readable, now, stall, &mut self.chunk, &mut deliver)
@@ -715,33 +707,25 @@ impl Inbox {
         false
     }
 
-    /// Closes the listeners and every accepted connection. The poll set
-    /// is not waited on again: every wait asks first whether the endpoint
-    /// is closing.
+    /// Closes the listener and every accepted connection. The poll set is
+    /// not waited on again: every wait asks first whether the endpoint is
+    /// closing.
     fn close(&mut self) {
-        (self.listeners, self.conns) = (Vec::new(), HashMap::new());
+        (self.listener, self.conns) = (None, HashMap::new());
         self.partial.clear();
     }
 }
 
-/// A connection an endpoint dialled: the socket, the frames held for it
-/// since it was last written, and the meter its dial and writes count on.
-struct Link {
-    stream: TcpStream,
-    held: Vec<u8>,
-    meter: Arc<WireCounters>,
-}
+/// A dialled connection, the frames held for it, and the meter it counts on.
+type Link = (TcpStream, Vec<u8>, Arc<WireCounters>);
 
 /// What an endpoint shares with its [`Closer`]s and [`Outbox`]es.
 struct Shared {
-    /// The listeners' addresses, in the order they were bound; never
-    /// empty.
-    addrs: Vec<SocketAddr>,
+    addr: SocketAddr,
     shutdown: AtomicBool,
     stall: Duration,
     inbox: Mutex<Inbox>,
-    /// The connections this endpoint dialled, by peer listener, each with
-    /// the frames held for it since its buffer was last written.
+    /// The connections this endpoint dialled, by peer endpoint address.
     links: Mutex<HashMap<SocketAddr, Link>>,
 }
 
@@ -791,13 +775,11 @@ impl Shared {
             Ok(())
         };
         let mut flushed = Ok(());
-        self.links().retain(|_, link| {
-            let sent = write_frames(&mut link.stream, &link.held, &mut wait);
-            link.held.clear();
-            link.held.shrink_to(READ_CHUNK);
-            sent.map(|writes| link.meter.record_writes(writes))
-                .map_err(|e| flushed = Err(e))
-                .is_ok()
+        self.links().retain(|_, (stream, held, meter)| {
+            let sent = write_frames(stream, held, &mut wait).map(|n| meter.record_writes(n));
+            held.clear();
+            held.shrink_to(READ_CHUNK);
+            sent.map_err(|e| flushed = Err(e)).is_ok()
         });
         flushed
     }
@@ -816,14 +798,14 @@ impl Shared {
     }
 }
 
-/// A listening endpoint: one listener, or one per site of a thread that
-/// hosts several. It has no thread of its own: the thread that waits on
-/// it ([`recv_timeout_sized`](TcpEndpoint::recv_timeout_sized), or the
-/// write or retry of one of its [`Outbox`]es) accepts connections, reads
-/// any number of frames from each and decodes them into its inbox, which
-/// has no bound. Dropping (or calling [`close`](TcpEndpoint::close))
-/// closes every listener, accepted connection and dialled connection —
-/// this is how a user-site terminates a query passively.
+/// A listening endpoint: one listener for the sites of one thread, its
+/// slots. It has no thread of its own: the thread that waits on it
+/// ([`recv_timeout_sized`](TcpEndpoint::recv_timeout_sized), or the write
+/// or retry of one of its [`Outbox`]es) accepts connections, reads any
+/// number of frames from each and decodes them into its inbox, which has
+/// no bound. Dropping (or calling [`close`](TcpEndpoint::close)) closes the
+/// listener, every accepted connection and every dialled one — this is
+/// how a user-site terminates a query passively.
 pub struct TcpEndpoint(Arc<Shared>);
 
 /// Closes a [`TcpEndpoint`] from a thread other than the one receiving
@@ -834,50 +816,42 @@ pub struct Closer(Arc<Shared>);
 impl Closer {
     /// Marks the endpoint closed and wakes a receiver asleep in
     /// [`TcpEndpoint::recv_timeout_sized`] with a throwaway connection:
-    /// it closes the listeners and every accepted connection and returns
+    /// it closes the listener and every accepted connection and returns
     /// `Disconnected`, as does every later receive; a write waiting for
     /// room fails with [`TcpError::Closed`]. Idempotent.
     pub fn close(&self) {
         if !self.0.shutdown.swap(true, Ordering::SeqCst) {
-            let _ = TcpStream::connect(self.0.addrs.as_slice());
+            let _ = TcpStream::connect(self.0.addr);
         }
     }
 }
 
 impl TcpEndpoint {
-    /// Binds a listener (use port 0 for an ephemeral port).
+    /// Binds a listener hosting slot 0 alone (port 0: an ephemeral port).
     pub fn bind<A: ToSocketAddrs>(addr: A) -> io::Result<TcpEndpoint> {
-        TcpEndpoint::bind_all([addr])
+        TcpEndpoint::bind_slots(addr, 1)
     }
 
-    /// Binds a listener on each of `addrs`, read as one endpoint: each
-    /// message says which listener it arrived on ([`Received::at`]), so
-    /// one thread can host a site per listener. At least one is needed.
-    pub fn bind_all<A: ToSocketAddrs>(
-        addrs: impl IntoIterator<Item = A>,
-    ) -> io::Result<TcpEndpoint> {
-        TcpEndpoint::bind_with_stall_bound(addrs, FRAME_STALL_BOUND)
+    /// Binds one listener for `slots` sites, numbered from 0, so one
+    /// thread can host them all: each frame names the slot it is for
+    /// ([`Received::at`]), and one naming a slot past the last is dropped.
+    pub fn bind_slots<A: ToSocketAddrs>(addr: A, slots: u16) -> io::Result<TcpEndpoint> {
+        TcpEndpoint::bind_with_stall_bound(addr, slots, FRAME_STALL_BOUND)
     }
 
     fn bind_with_stall_bound<A: ToSocketAddrs>(
-        addrs: impl IntoIterator<Item = A>,
+        addr: A,
+        slots: u16,
         stall: Duration,
     ) -> io::Result<TcpEndpoint> {
-        let (mut poller, mut listeners, mut bound) = (sys::Poller::new()?, Vec::new(), Vec::new());
-        for addr in addrs {
-            let listener = TcpListener::bind(addr)?;
-            listener.set_nonblocking(true)?;
-            poller.watch(&listener, listeners.len(), true)?;
-            bound.push(listener.local_addr()?);
-            listeners.push(listener);
-        }
-        if listeners.is_empty() {
-            let none = "an endpoint needs a listener";
-            return Err(io::Error::new(io::ErrorKind::InvalidInput, none));
-        }
+        let (mut poller, listener) = (sys::Poller::new()?, TcpListener::bind(addr)?);
+        listener.set_nonblocking(true)?;
+        poller.watch(&listener, LISTENER, true)?;
+        let addr = listener.local_addr()?;
         let inbox = Inbox {
-            next: listeners.len(),
-            listeners,
+            listener: Some(listener),
+            slots,
+            next: LISTENER + 1,
             conns: HashMap::new(),
             partial: Vec::new(),
             queue: VecDeque::new(),
@@ -887,7 +861,7 @@ impl TcpEndpoint {
             chunk: vec![0; READ_CHUNK],
         };
         Ok(TcpEndpoint(Arc::new(Shared {
-            addrs: bound,
+            addr,
             shutdown: AtomicBool::new(false),
             stall,
             inbox: Mutex::new(inbox),
@@ -895,19 +869,13 @@ impl TcpEndpoint {
         })))
     }
 
-    /// The first listener's address (with the actual ephemeral port).
+    /// The listener's address (with the actual ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
-        // `bind_all` refuses an endpoint without a listener.
-        self.0.addrs[0]
-    }
-
-    /// Every listener's address, in the order they were bound.
-    pub fn local_addrs(&self) -> &[SocketAddr] {
-        &self.0.addrs
+        self.0.addr
     }
 
     /// A handle that sends from this endpoint: every handle shares its
-    /// connections, one to each peer listener.
+    /// connections, one to each peer endpoint.
     pub fn outbox(&self) -> Outbox {
         Outbox(Arc::clone(&self.0))
     }
@@ -922,15 +890,15 @@ impl TcpEndpoint {
         self.recv_timeout_sized(timeout).map(|r| r.msg)
     }
 
-    /// Like [`recv_timeout`](TcpEndpoint::recv_timeout), but also
-    /// reports how long the message sat in the inbox, the size it had on
-    /// the wire and the listener it arrived on, so a receiver that
-    /// accounts for bytes need not encode the message again to count
-    /// them. The inbox is read only when it is empty, and every frame an
-    /// [`Outbox`] of the endpoint holds is written first; a zero `timeout`
-    /// reads what the sockets hold without waiting. A `timeout` too long
-    /// to add to the clock (`Duration::MAX`) is no timeout: the call
-    /// sleeps until a message arrives or the endpoint is closed.
+    /// Like [`recv_timeout`](TcpEndpoint::recv_timeout), but also reports
+    /// how long the message sat in the inbox, the size it had on the wire
+    /// and the slot it is for, so a receiver that accounts for bytes need
+    /// not encode the message again to count them. The inbox is read only
+    /// when it is empty, and every frame an [`Outbox`] of the endpoint
+    /// holds is written first; a zero `timeout` reads what the sockets hold
+    /// without waiting. A `timeout` too long to add to the clock
+    /// (`Duration::MAX`) is no timeout: the call sleeps until a message
+    /// arrives or the endpoint is closed.
     pub fn recv_timeout_sized(&self, timeout: Duration) -> Result<Received, RecvTimeoutError> {
         let deadline = Instant::now().checked_add(timeout);
         let mut inbox = self.0.inbox();
@@ -964,14 +932,13 @@ impl TcpEndpoint {
         }
     }
 
-    /// Messages that arrived on listener `at`, read and decoded but not
-    /// yet received.
-    pub fn pending(&self, at: usize) -> usize {
+    /// Messages for slot `at`, read and decoded but not yet received.
+    pub fn pending(&self, at: u16) -> usize {
         let inbox = self.0.inbox();
         inbox.queue.iter().filter(|(.., on)| *on == at).count()
     }
 
-    /// Closes the listeners, every accepted connection and every dialled
+    /// Closes the listener, every accepted connection and every dialled
     /// one. Any peer that subsequently tries to send to this endpoint gets
     /// a connection error — the passive termination signal.
     pub fn close(&mut self) {
@@ -1134,10 +1101,10 @@ mod tests {
         // A slowloris peer: sends the length prefix, never the payload.
         let stalled = TcpStream::connect(addr).unwrap();
         (&stalled).write_all(&64u32.to_be_bytes()).unwrap();
-        let mut conn = Conn::new(listener.accept().unwrap().0, 0).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0).unwrap();
         let stall = Duration::from_millis(50);
         let mut chunk = [0u8; 64];
-        let mut deliver = |_: &[u8]| panic!("no complete frame was sent");
+        let mut deliver = |_: u16, _: &[u8]| panic!("no complete frame was sent");
         while conn.last_progress.is_none() {
             conn.service(true, Instant::now(), stall, &mut chunk, &mut deliver)
                 .expect("a frame in progress is not an error before the bound");
@@ -1238,9 +1205,10 @@ mod tests {
     #[test]
     fn garbage_frames_are_dropped_not_fatal() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        // Send raw garbage (valid length prefix, invalid payload).
+        // Send raw garbage (valid header, invalid payload).
         let mut stream = TcpStream::connect(ep.local_addr()).unwrap();
         stream.write_all(&3u32.to_be_bytes()).unwrap();
+        stream.write_all(&0u16.to_be_bytes()).unwrap();
         stream.write_all(&[0xff, 0xff, 0xff]).unwrap();
         drop(stream);
         // Endpoint still works afterwards.
@@ -1265,16 +1233,21 @@ mod tests {
         (home, out)
     }
 
-    /// Sends `frame` to `addr` and writes it at once, counting a dial on
+    /// Slot 0 of `ep`.
+    fn first(ep: &TcpEndpoint) -> (SocketAddr, u16) {
+        (ep.local_addr(), 0)
+    }
+
+    /// Sends `frame` to `to` and writes it at once, counting a dial on
     /// `meter`.
-    fn send_metered(out: &Outbox, meter: &Arc<WireCounters>, addr: SocketAddr, frame: &Frame) {
-        out.send(addr, frame, meter, |_| {}).unwrap();
+    fn send_metered(out: &Outbox, meter: &Arc<WireCounters>, to: (SocketAddr, u16), frame: &Frame) {
+        out.send(to, frame, meter, |_| {}).unwrap();
         out.flush().unwrap();
     }
 
-    fn send_now(out: &Outbox, addr: SocketAddr, msg: &Message) {
+    fn send_now(out: &Outbox, to: (SocketAddr, u16), msg: &Message) {
         let frame = Frame::encode(msg).unwrap();
-        send_metered(out, &meter(), addr, &frame);
+        send_metered(out, &meter(), to, &frame);
     }
 
     fn big_msg(bytes: usize) -> Message {
@@ -1301,7 +1274,7 @@ mod tests {
         let ((_home, out), meter) = (sender(), meter());
         for i in 0..1000 {
             let frame = Frame::encode(&fetch_msg(&format!("/doc{i}"))).unwrap();
-            send_metered(&out, &meter, ep.local_addr(), &frame);
+            send_metered(&out, &meter, first(&ep), &frame);
         }
         for i in 0..1000 {
             assert_eq!(
@@ -1321,7 +1294,7 @@ mod tests {
                 s.spawn(move || {
                     let (_home, out) = sender();
                     for i in 0..200 {
-                        send_now(&out, addr, &fetch_msg(&format!("/s{n}/{i}")));
+                        send_now(&out, (addr, 0), &fetch_msg(&format!("/s{n}/{i}")));
                     }
                 });
             }
@@ -1345,21 +1318,23 @@ mod tests {
 
     #[test]
     fn frames_two_sites_hold_for_one_peer_arrive_whole_in_each_senders_order() {
-        // Two sites of one endpoint interleave their sends to one peer in
-        // one batch: they share the endpoint's one connection, and the
-        // batch goes out when the endpoint next waits.
-        let peer = TcpEndpoint::bind("127.0.0.1:0").unwrap();
-        let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
+        // Two sites of one endpoint interleave their sends to two sites of
+        // one peer in one batch: they share the endpoint's one connection
+        // to that peer, the batch goes out when the endpoint next waits,
+        // and each frame reaches the slot it names.
+        let peer = TcpEndpoint::bind_slots("127.0.0.1:0", 2).unwrap();
+        let host = TcpEndpoint::bind_slots("127.0.0.1:0", 2).unwrap();
         let (sites, meter) = ([host.outbox(), host.outbox()], meter());
         for i in 0..100 {
-            for (n, out) in sites.iter().enumerate() {
+            for (n, out) in (0..).zip(&sites) {
                 let msg = if i % 10 == 0 {
-                    big_msg(100_000 + n)
+                    big_msg(100_000 + usize::from(n))
                 } else {
                     fetch_msg(&format!("/s{n}/{i}"))
                 };
                 let frame = Frame::encode(&msg).unwrap();
-                out.send(peer.local_addr(), &frame, &meter, |_| {}).unwrap();
+                out.send((peer.local_addr(), n), &frame, &meter, |_| {})
+                    .unwrap();
             }
         }
         assert_eq!(
@@ -1371,7 +1346,8 @@ mod tests {
         std::thread::scope(|s| {
             s.spawn(|| host.recv_timeout(Duration::ZERO));
             for _ in 0..200 {
-                let (n, i) = match peer.recv_timeout(WAIT).unwrap() {
+                let got = peer.recv_timeout_sized(WAIT).unwrap();
+                let (n, i) = match got.msg {
                     Message::Fetch(f) => {
                         let (n, i) = f.url.path()[2..].split_once('/').unwrap();
                         (n.parse::<usize>().unwrap(), i.parse().unwrap())
@@ -1383,34 +1359,62 @@ mod tests {
                     other => panic!("not sent: {other:?}"),
                 };
                 assert_eq!(i, next[n], "site {n}'s order");
+                assert_eq!(usize::from(got.at), n, "site {n}'s frame reached its slot");
                 next[n] += 1;
             }
         });
         assert_eq!(next, [100; 2]);
-        assert_eq!(meter.connects(), 1, "co-hosted sites share a connection");
+        assert_eq!(
+            meter.connects(),
+            1,
+            "co-hosted sites share a connection to a peer endpoint"
+        );
     }
 
     #[test]
-    fn a_held_frame_to_a_listener_of_its_own_endpoint_is_delivered() {
-        let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
+    fn a_held_frame_to_a_slot_of_its_own_endpoint_is_delivered() {
+        let host = TcpEndpoint::bind_slots("127.0.0.1:0", 2).unwrap();
         let msg = fetch_msg("/self");
         let frame = Frame::encode(&msg).unwrap();
-        let to = host.local_addrs()[1];
+        let to = (host.local_addr(), 1);
         host.outbox().send(to, &frame, &meter(), |_| {}).unwrap();
         let got = host.recv_timeout_sized(WAIT).unwrap();
         assert_eq!((got.msg, got.at), (msg, 1));
     }
 
     #[test]
-    fn frame_split_into_one_byte_writes_reassembles() {
-        let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
+    fn a_frame_for_a_slot_the_endpoint_does_not_host_is_dropped_not_fatal() {
+        // Like an undecodable frame: the header was intact, so the next
+        // frame on the same connection still arrives, for its own slot.
+        let ep = TcpEndpoint::bind_slots("127.0.0.1:0", 2).unwrap();
+        let ((_home, out), meter) = (sender(), meter());
+        let stray = Frame::encode(&fetch_msg("/nobody")).unwrap();
+        send_metered(&out, &meter, (ep.local_addr(), 2), &stray);
+        let msg = fetch_msg("/after-stray");
+        let frame = Frame::encode(&msg).unwrap();
+        send_metered(&out, &meter, (ep.local_addr(), 1), &frame);
+        let got = ep.recv_timeout_sized(WAIT).unwrap();
+        assert_eq!((got.msg, got.at), (msg, 1));
+        let next = ep.recv_timeout(Duration::ZERO);
+        assert!(next.is_err(), "a frame for no site must not deliver");
+        assert_eq!(meter.connects(), 1, "both frames used one connection");
+    }
+
+    #[test]
+    fn frame_split_into_one_byte_writes_reassembles_with_its_slot() {
+        // The header too arrives a byte at a time: the slot is read once
+        // the frame is whole, not off its first bytes.
+        let ep = TcpEndpoint::bind_slots("127.0.0.1:0", 3).unwrap();
         let msg = fetch_msg("/split");
         let mut stream = TcpStream::connect(ep.local_addr()).unwrap();
         stream.set_nodelay(true).unwrap();
-        for byte in &Frame::encode(&msg).unwrap().0 {
+        let mut bytes = Frame::encode(&msg).unwrap().0;
+        bytes[PREFIX..HEADER].copy_from_slice(&2u16.to_be_bytes());
+        for byte in &bytes {
             stream.write_all(&[*byte]).unwrap();
         }
-        assert_eq!(ep.recv_timeout(WAIT).unwrap(), msg);
+        let got = ep.recv_timeout_sized(WAIT).unwrap();
+        assert_eq!((got.msg, got.at), (msg, 2));
     }
 
     #[test]
@@ -1429,10 +1433,10 @@ mod tests {
     fn undecodable_frame_does_not_cost_the_next_frame_on_the_connection() {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let ((_home, out), meter) = (sender(), meter());
-        let garbage = Frame([&3u32.to_be_bytes()[..], &[0xff; 3]].concat());
-        send_metered(&out, &meter, ep.local_addr(), &garbage);
+        let garbage = Frame([&3u32.to_be_bytes()[..], &[0, 0], &[0xff; 3]].concat());
+        send_metered(&out, &meter, first(&ep), &garbage);
         let msg = fetch_msg("/after-garbage");
-        send_metered(&out, &meter, ep.local_addr(), &Frame::encode(&msg).unwrap());
+        send_metered(&out, &meter, first(&ep), &Frame::encode(&msg).unwrap());
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), msg);
         let next = ep.recv_timeout(Duration::ZERO);
         assert!(next.is_err(), "garbage must not deliver");
@@ -1444,7 +1448,7 @@ mod tests {
         let ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let (_home, out) = sender();
         let before = fetch_msg("/before");
-        send_now(&out, ep.local_addr(), &before);
+        send_now(&out, first(&ep), &before);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), before);
 
         // The test thread plays the hostile peer while a receiver waits.
@@ -1458,7 +1462,7 @@ mod tests {
 
             // The connection that was open all along still delivers.
             let after = fetch_msg("/after");
-            send_now(&out, ep.local_addr(), &after);
+            send_now(&out, first(&ep), &after);
             assert_eq!(receiver.join().unwrap().unwrap(), after);
         });
     }
@@ -1466,14 +1470,14 @@ mod tests {
     #[test]
     fn peer_stalled_mid_frame_is_dropped_while_others_deliver() {
         let stall = Duration::from_millis(100);
-        let ep = TcpEndpoint::bind_with_stall_bound(["127.0.0.1:0"], stall).unwrap();
+        let ep = TcpEndpoint::bind_with_stall_bound("127.0.0.1:0", 1, stall).unwrap();
         let stalled = TcpStream::connect(ep.local_addr()).unwrap();
         let since = Instant::now();
         (&stalled).write_all(&64u32.to_be_bytes()).unwrap();
 
         let (_home, out) = sender();
         let during = fetch_msg("/during");
-        send_now(&out, ep.local_addr(), &during);
+        send_now(&out, first(&ep), &during);
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), during);
 
         // A receiver waits while the test thread watches the stalled peer.
@@ -1482,7 +1486,7 @@ mod tests {
             assert_closed_by_peer(&stalled);
             assert!(since.elapsed() >= stall, "dropped only after the bound");
             let after = fetch_msg("/after");
-            send_now(&out, ep.local_addr(), &after);
+            send_now(&out, first(&ep), &after);
             assert_eq!(receiver.join().unwrap().unwrap(), after);
         });
     }
@@ -1493,17 +1497,19 @@ mod tests {
         let addr = ep.local_addr();
         let ((_home, out), meter) = (sender(), meter());
         let frame = Frame::encode(&fetch_msg("/x")).unwrap();
-        send_metered(&out, &meter, addr, &frame);
+        send_metered(&out, &meter, (addr, 0), &frame);
         ep.recv_timeout(WAIT).unwrap();
         ep.close();
         // Passive termination (Section 2.8): not "the send after next".
         let mut retries = 0;
-        let err = out.send(addr, &frame, &meter, |_| retries += 1);
+        let err = out.send((addr, 0), &frame, &meter, |_| retries += 1);
         let err = err.unwrap_err();
         assert!(!err.is_transient(), "refused, not retried: {err}");
         // An endpoint that never had a connection is refused the same way.
         let (_fresh, fresh) = sender();
-        assert!(fresh.send(addr, &frame, &meter, |_| retries += 1).is_err());
+        assert!(fresh
+            .send((addr, 0), &frame, &meter, |_| retries += 1)
+            .is_err());
         assert_eq!(retries, 0, "passive termination must not be retried");
     }
 
@@ -1517,15 +1523,15 @@ mod tests {
         let ((home, out), meter) = (sender(), meter());
         let frame = Frame::encode(&fetch_msg("/x")).unwrap();
         for peer in [&gone, &kept] {
-            send_metered(&out, &meter, peer.local_addr(), &frame);
+            send_metered(&out, &meter, first(peer), &frame);
             peer.recv_timeout(WAIT).unwrap();
         }
         for peer in [&gone, &kept] {
-            out.send(peer.local_addr(), &frame, &meter, |_| {}).unwrap();
+            out.send(first(peer), &frame, &meter, |_| {}).unwrap();
         }
         let addr = gone.local_addr();
         gone.close();
-        let err = out.send(addr, &frame, &meter, |_| {}).unwrap_err();
+        let err = out.send((addr, 0), &frame, &meter, |_| {}).unwrap_err();
         assert!(!err.is_transient(), "refused: {err}");
         assert_eq!(
             home.recv_timeout(Duration::ZERO),
@@ -1555,13 +1561,13 @@ mod tests {
         let addr = ep.local_addr();
         let ((_home, out), meter) = (sender(), meter());
         let first = fetch_msg("/first-life");
-        send_metered(&out, &meter, addr, &Frame::encode(&first).unwrap());
+        send_metered(&out, &meter, (addr, 0), &Frame::encode(&first).unwrap());
         assert_eq!(ep.recv_timeout(WAIT).unwrap(), first);
         ep.close();
 
         let reborn = TcpEndpoint::bind(addr).expect("re-bind the port just closed");
         let second = fetch_msg("/second-life");
-        send_metered(&out, &meter, addr, &Frame::encode(&second).unwrap());
+        send_metered(&out, &meter, (addr, 0), &Frame::encode(&second).unwrap());
         assert_eq!(reborn.recv_timeout(WAIT).unwrap(), second);
         assert_eq!(meter.connects(), 2, "one dial per life of the peer");
     }
@@ -1571,7 +1577,7 @@ mod tests {
         let mut ep = TcpEndpoint::bind("127.0.0.1:0").unwrap();
         let senders: Vec<_> = (0..16).map(|_| sender()).collect();
         for (_home, out) in &senders {
-            send_now(out, ep.local_addr(), &fetch_msg("/hello"));
+            send_now(out, first(&ep), &fetch_msg("/hello"));
         }
         // Sixteen messages received: sixteen connections accepted, and
         // now idle.
@@ -1607,7 +1613,7 @@ mod tests {
                 let out = endpoint.outbox();
                 start.wait();
                 for _ in 0..3 {
-                    send_now(&out, addrs[1 - me], &msg);
+                    send_now(&out, (addrs[1 - me], 0), &msg);
                 }
                 for _ in 0..3 {
                     assert_eq!(endpoint.recv_timeout(WAIT).unwrap(), msg);
@@ -1628,52 +1634,48 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_of_large_frames_between_two_listeners_of_one_endpoint_goes_out() {
+    fn a_batch_of_large_frames_between_two_slots_of_one_endpoint_goes_out() {
         // Two sites on one endpoint, and so on one thread, each hold
         // frames larger than the socket buffers for the other; the batch
-        // is written when the endpoint next waits. Were the write that
-        // waits for room not a turn of that same endpoint, it would wait
-        // out the stall bound: nobody else reads the other listener.
+        // is written, over the endpoint's one connection to itself, when
+        // the endpoint next waits. Were the write that waits for room not
+        // a turn of that same endpoint, it would wait out the stall bound:
+        // nobody else reads that connection.
         let msg = big_msg(4 << 20);
         let frame = Frame::encode(&msg).unwrap();
-        let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
-        let addrs = host.local_addrs().to_vec();
+        let host = TcpEndpoint::bind_slots("127.0.0.1:0", 2).unwrap();
         let (sites, meter) = ([host.outbox(), host.outbox()], meter());
         for _ in 0..3 {
-            for (me, out) in sites.iter().enumerate() {
-                out.send(addrs[1 - me], &frame, &meter, |_| {}).unwrap();
+            for (me, out) in (0..).zip(&sites) {
+                out.send((host.local_addr(), 1 - me), &frame, &meter, |_| {})
+                    .unwrap();
             }
         }
         let mut arrived = [0; 2];
         for _ in 0..6 {
             let got = host.recv_timeout_sized(WAIT).unwrap();
             assert_eq!(got.msg, msg);
-            arrived[got.at] += 1;
+            arrived[usize::from(got.at)] += 1;
         }
-        assert_eq!(
-            arrived,
-            [3, 3],
-            "each listener received what was sent to it"
-        );
+        assert_eq!(arrived, [3, 3], "each slot received what was sent to it");
         assert_eq!(host.pending(0) + host.pending(1), 0);
-        assert_eq!(meter.connects(), 2, "one connection per peer listener");
+        assert_eq!(meter.connects(), 1, "one connection per peer endpoint");
     }
 
     #[test]
-    fn large_frames_written_at_once_between_two_listeners_of_one_endpoint() {
+    fn large_frames_written_at_once_between_two_slots_of_one_endpoint() {
         // The same, each frame written as it is sent: an outbox flushed by
         // a thread that waits on no endpoint takes turns of its own.
         let msg = big_msg(4 << 20);
-        let host = TcpEndpoint::bind_all(["127.0.0.1:0"; 2]).unwrap();
-        let addrs = host.local_addrs().to_vec();
+        let host = TcpEndpoint::bind_slots("127.0.0.1:0", 2).unwrap();
         for _ in 0..3 {
             for me in 0..2 {
-                send_now(&host.outbox(), addrs[1 - me], &msg);
+                send_now(&host.outbox(), (host.local_addr(), 1 - me), &msg);
             }
         }
         let mut arrived = [0; 2];
         for _ in 0..6 {
-            arrived[host.recv_timeout_sized(WAIT).unwrap().at] += 1;
+            arrived[usize::from(host.recv_timeout_sized(WAIT).unwrap().at)] += 1;
         }
         assert_eq!(arrived, [3, 3]);
     }
@@ -1687,7 +1689,7 @@ mod tests {
         let addr = unread.local_addr();
         let writer = std::thread::spawn(move || {
             let meter = meter();
-            out.send(addr, &frame, &meter, |_| {}).unwrap();
+            out.send((addr, 0), &frame, &meter, |_| {}).unwrap();
             done_tx.send(out.flush()).unwrap();
         });
         while_waiting();
@@ -1714,7 +1716,7 @@ mod tests {
     #[test]
     fn a_write_the_peer_takes_nothing_of_fails_after_the_stall_bound() {
         let stall = Duration::from_millis(100);
-        let home = TcpEndpoint::bind_with_stall_bound(["127.0.0.1:0"], stall).unwrap();
+        let home = TcpEndpoint::bind_with_stall_bound("127.0.0.1:0", 1, stall).unwrap();
         let frame = Frame::encode(&big_msg(15 << 20)).unwrap();
         let t0 = Instant::now();
         let err = send_unread(home.outbox(), frame, || {});
