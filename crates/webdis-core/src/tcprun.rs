@@ -1134,8 +1134,7 @@ mod tests {
     fn crawl16_reference() -> BTreeSet<(u32, String, Vec<String>)> {
         let deployment = Deployment::new(Arc::new(crawl16()), EngineConfig::default());
         let sim_cfg = webdis_sim::SimConfig::default();
-        let reference = deployment.datashipping_sim(CRAWL16_QUERY, sim_cfg);
-        let reference = reference.unwrap();
+        let reference = deployment.datashipping_sim(CRAWL16_QUERY, sim_cfg).unwrap();
         assert!(reference.complete && !reference.results.is_empty());
         reference.result_set()
     }
